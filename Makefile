@@ -28,7 +28,7 @@ test-full: ## Full (non-short) suite: what the tier-1 verify runs
 	$(GO) test -timeout 20m ./...
 
 bench: ## Run every benchmark once (compile + smoke)
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/model ./internal/core ./internal/trace ./internal/fault ./internal/graph
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/model ./internal/core ./internal/trace ./internal/fault ./internal/graph ./internal/campaign
 
 # Static analysis beyond go vet, plus the vulnerability scanner over the
 # dependency graph (trivial here: the module is stdlib-only, so the scan
@@ -47,12 +47,14 @@ lint: ## staticcheck + govulncheck (pinned versions, fetched on demand)
 # in the encoding round-trip or the subset sampler surfaces within
 # seconds; the committed corpora under testdata/fuzz/ run as plain tests
 # on every `go test`). `go test -fuzz` takes one target per invocation,
-# hence the two runs.
+# hence one run each.
 FUZZTIME ?= 20s
 fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/graph -fuzz FuzzGraphEncodingRoundTrip -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/rng -fuzz FuzzAppendSubsetNonEmpty -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/campaign -fuzz FuzzParseCampaign -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/campaign -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/fault -fuzz FuzzParseChurn -fuzztime $(FUZZTIME) -run '^$$'
 
 # Campaign smoke: run the bundled quickstart campaign twice against one

@@ -42,7 +42,12 @@ type DirBackend struct{ Dir string }
 // created lazily on the first Store; use Probe to fail fast instead.
 func NewDirBackend(dir string) *DirBackend { return &DirBackend{Dir: dir} }
 
-func (b *DirBackend) path(hash string) string { return filepath.Join(b.Dir, hash+".json") }
+// entrySuffix names the files that hold v4 entries. Files of earlier
+// formats ("<hash>.json") keep their own suffix, so they are never
+// opened, never counted by Stats, and safe to delete.
+const entrySuffix = ".ssc4"
+
+func (b *DirBackend) path(hash string) string { return filepath.Join(b.Dir, hash+entrySuffix) }
 
 // Probe verifies the directory is usable for writes — creating it if
 // missing — by writing and removing a temp file. CLIs call it up front
@@ -107,7 +112,7 @@ func (b *DirBackend) Stats() (int, int64, error) {
 	}
 	n, total := 0, int64(0)
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), entrySuffix) {
 			continue
 		}
 		info, err := e.Info()

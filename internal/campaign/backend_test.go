@@ -20,7 +20,7 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	if data, err := be.Load("deadbeef"); err != nil || data != nil {
 		t.Fatalf("absent entry: got (%v, %v), want (nil, nil)", data, err)
 	}
-	payload := []byte(`{"fingerprint":"x","records":[]}`)
+	payload := encodeEntry("x", nil)
 	if err := be.Store("deadbeef", payload); err != nil {
 		t.Fatal(err)
 	}
@@ -117,59 +117,64 @@ func (c *corruptCollector) Observe(e obs.Event) {
 	c.mu.Unlock()
 }
 
-// TestCorruptCacheEntryDegradesToMiss: a truncated cache file surfaces
-// as a KindCacheCorrupt diagnostic, the cell recomputes, the final
-// output is byte-identical to a clean run, and the corrupt entry is
-// overwritten with a good one.
+// TestCorruptCacheEntryDegradesToMiss: with every cache file damaged —
+// truncated, bit-flipped, or promising more records than it holds (see
+// corruptions) — each cell surfaces a KindCacheCorrupt diagnostic and
+// recomputes, the final output is byte-identical to a clean run, and
+// the corrupt entries are overwritten with good ones.
 func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
-	clean, _ := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
-
-	// Truncate every cache file to half: valid prefix, undecodable JSON.
-	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no cache files to corrupt (err %v)", err)
-	}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(f, data[:len(data)/2], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var c corruptCollector
-	recomputed, out := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir, Observer: &c})
-	if recomputed != clean {
-		t.Fatal("recomputed output differs from the clean run")
-	}
-	if out.CacheHits != 0 || out.CacheMisses != len(out.Results) {
-		t.Fatalf("corrupt entries should all miss: %d hits, %d misses", out.CacheHits, out.CacheMisses)
-	}
-	if len(c.events) != len(files) {
-		t.Fatalf("want %d cache-corrupt diagnostics, got %d", len(files), len(c.events))
-	}
-	for _, e := range c.events {
-		if e.Key == "" || e.Cell < 0 {
-			t.Fatalf("cache-corrupt event missing cell identity: %+v", e)
-		}
-	}
 	// The diagnostic kind never enters canonical logs.
 	if obs.KindCacheCorrupt.Canonical() {
 		t.Fatal("KindCacheCorrupt must be diagnostic")
 	}
+	for name, damage := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			clean, _ := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
 
-	// Third run: the overwritten entries now hit cleanly.
-	var c2 corruptCollector
-	warm, out2 := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir, Observer: &c2})
-	if warm != clean {
-		t.Fatal("warm output differs after corruption recovery")
-	}
-	if out2.CacheHits != len(out2.Results) || len(c2.events) != 0 {
-		t.Fatalf("recovery run: %d hits, %d corrupt events", out2.CacheHits, len(c2.events))
+			files, err := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
+			if err != nil || len(files) == 0 {
+				t.Fatalf("no cache files to corrupt (err %v)", err)
+			}
+			for _, f := range files {
+				data, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(f, damage(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			var c corruptCollector
+			recomputed, out := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir, Observer: &c})
+			if recomputed != clean {
+				t.Fatal("recomputed output differs from the clean run")
+			}
+			if out.CacheHits != 0 || out.CacheMisses != len(out.Results) {
+				t.Fatalf("corrupt entries should all miss: %d hits, %d misses", out.CacheHits, out.CacheMisses)
+			}
+			if len(c.events) != len(files) {
+				t.Fatalf("want %d cache-corrupt diagnostics, got %d", len(files), len(c.events))
+			}
+			for _, e := range c.events {
+				if e.Key == "" || e.Cell < 0 {
+					t.Fatalf("cache-corrupt event missing cell identity: %+v", e)
+				}
+			}
+
+			// Third run: the overwritten entries now hit cleanly.
+			var c2 corruptCollector
+			warm, out2 := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir, Observer: &c2})
+			if warm != clean {
+				t.Fatal("warm output differs after corruption recovery")
+			}
+			if out2.CacheHits != len(out2.Results) || len(c2.events) != 0 {
+				t.Fatalf("recovery run: %d hits, %d corrupt events", out2.CacheHits, len(c2.events))
+			}
+		})
 	}
 }
 

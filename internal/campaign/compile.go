@@ -298,33 +298,69 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 	return p, nil
 }
 
-// expandKey substitutes the cell's coordinates into a key template. In
-// cells without the corresponding axis the fault and churn placeholders
-// render as their empty values: {adversary}/{schedule}/{churn}/
-// {churn-inject} as "none", {k}/{count}/{churn-k} as 0.
+// expandKey substitutes the cell's coordinates into a key template, in
+// one pass over the template. In cells without the corresponding axis
+// the fault and churn placeholders render as their empty values:
+// {adversary}/{schedule}/{churn}/{churn-inject} as "none",
+// {k}/{count}/{churn-k} as 0. A brace group that is no placeholder
+// (only a hand-built Spec can carry one) is kept verbatim.
 func expandKey(template string, spec *Spec, cs *CellSpec) string {
-	advName, schedStr, count := "none", "none", 0
-	if cs.Adversary != "" {
-		advName, schedStr, count = cs.Adversary, cs.Schedule.String(), cs.Schedule.Injections()
+	buf := make([]byte, 0, 2*len(template)+len(cs.Graph.Name()))
+	rest := template
+	for {
+		i := strings.IndexByte(rest, '{')
+		if i < 0 {
+			break
+		}
+		buf, rest = append(buf, rest[:i]...), rest[i:]
+		end := strings.IndexByte(rest, '}')
+		if end < 0 {
+			break
+		}
+		switch rest[:end+1] {
+		case "{graph}":
+			buf = append(buf, cs.Graph.Name()...)
+		case "{n}":
+			buf = strconv.AppendInt(buf, int64(cs.Graph.N()), 10)
+		case "{protocol}":
+			buf = append(buf, cs.Protocol...)
+		case "{daemon}":
+			buf = append(buf, cs.Daemon...)
+		case "{adversary}":
+			buf = append(buf, orNone(cs.Adversary, cs.Adversary)...)
+		case "{k}":
+			buf = strconv.AppendInt(buf, int64(cs.K), 10)
+		case "{schedule}":
+			buf = append(buf, orNone(cs.Adversary, cs.Schedule.String())...)
+		case "{count}":
+			count := 0
+			if cs.Adversary != "" {
+				count = cs.Schedule.Injections()
+			}
+			buf = strconv.AppendInt(buf, int64(count), 10)
+		case "{suffix}":
+			buf = strconv.AppendInt(buf, int64(spec.SuffixRounds), 10)
+		case "{churn}":
+			buf = append(buf, orNone(cs.ChurnName, cs.ChurnName)...)
+		case "{churn-k}":
+			buf = strconv.AppendInt(buf, int64(cs.ChurnK), 10)
+		case "{churn-inject}":
+			buf = append(buf, orNone(cs.ChurnName, cs.ChurnSchedule.String())...)
+		default:
+			buf, rest = append(buf, '{'), rest[1:]
+			continue
+		}
+		rest = rest[end+1:]
 	}
-	churnName, churnSchedStr := "none", "none"
-	if cs.ChurnName != "" {
-		churnName, churnSchedStr = cs.ChurnName, cs.ChurnSchedule.String()
+	return string(append(buf, rest...))
+}
+
+// orNone is value on a cell that has the axis, "none" on one without.
+func orNone(axis, value string) string {
+	if axis == "" {
+		return "none"
 	}
-	return strings.NewReplacer(
-		"{graph}", cs.Graph.Name(),
-		"{n}", strconv.Itoa(cs.Graph.N()),
-		"{protocol}", cs.Protocol,
-		"{daemon}", cs.Daemon,
-		"{adversary}", advName,
-		"{k}", strconv.Itoa(cs.K),
-		"{schedule}", schedStr,
-		"{count}", strconv.Itoa(count),
-		"{suffix}", strconv.Itoa(spec.SuffixRounds),
-		"{churn}", churnName,
-		"{churn-k}", strconv.Itoa(cs.ChurnK),
-		"{churn-inject}", churnSchedStr,
-	).Replace(template)
+	return value
 }
 
 // buildGraph constructs one swept topology. Random families draw their

@@ -1,49 +1,71 @@
 package campaign
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
+
+// jsonlFlushAt is the buffered size beyond which WriteJSONL hands its
+// rendered lines to the writer (checked between cells).
+const jsonlFlushAt = 64 << 10
 
 // WriteJSONL streams the outcome as one JSON object per trial, in cell
 // order then trial order, with the campaign's selected metrics in
 // declaration order. Field order and number formatting are fixed, so
 // the bytes are identical across parallelism, sharding (concatenate
 // shard outputs in shard order) and cache state.
+//
+// Rendering only appends: the `,"name":` member prefixes are built once
+// per call and the `{"cell":N,"key":"...","trial":` line head once per
+// cell, so a trial costs one copy of each plus a strconv.Append per
+// value.
 func (o *Outcome) WriteJSONL(w io.Writer) error {
-	metrics := make([]metricDef, len(o.Plan.Spec.Metrics))
+	type column struct {
+		prefix []byte
+		metricDef
+	}
+	columns := make([]column, len(o.Plan.Spec.Metrics))
 	for i, name := range o.Plan.Spec.Metrics {
 		m, ok := metricByName(name)
 		if !ok {
 			return fmt.Errorf("campaign: unknown metric %q", name)
 		}
-		metrics[i] = m
+		prefix := obs.AppendJSONString([]byte{','}, m.name)
+		columns[i] = column{prefix: append(prefix, ':'), metricDef: m}
 	}
-	bw := bufio.NewWriter(w)
+	// Room for one cell past the flush mark, so the buffer rarely grows.
+	buf := make([]byte, 0, jsonlFlushAt+jsonlFlushAt/8)
+	var head []byte
 	for i := range o.Results {
 		r := &o.Results[i]
-		// json.Marshal, not strconv.Quote: Go escape syntax (\x01) is
-		// not valid JSON, and the key embeds template-provided text.
-		key, err := json.Marshal(r.Cell.Key)
-		if err != nil {
-			return err
-		}
+		head = append(head[:0], `{"cell":`...)
+		head = strconv.AppendInt(head, int64(r.Cell.Index), 10)
+		head = append(head, `,"key":`...)
+		head = obs.AppendJSONString(head, r.Cell.Key)
+		head = append(head, `,"trial":`...)
 		for trial := range r.Records {
 			rec := &r.Records[trial]
-			fmt.Fprintf(bw, `{"cell":%d,"key":%s,"trial":%d`,
-				r.Cell.Index, key, trial)
-			for _, m := range metrics {
-				fmt.Fprintf(bw, `,%q:%s`, m.name, m.jsonValue(rec))
+			buf = append(buf, head...)
+			buf = strconv.AppendInt(buf, int64(trial), 10)
+			for c := range columns {
+				buf = append(buf, columns[c].prefix...)
+				buf = columns[c].appendValue(buf, rec)
 			}
-			bw.WriteString("}\n")
+			buf = append(buf, '}', '\n')
+		}
+		if len(buf) >= jsonlFlushAt {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
 // Table renders the outcome as a per-cell summary table: one row per

@@ -11,28 +11,28 @@ import (
 // The cache stores complete records so that re-rendering a campaign
 // with a different `metrics` line never recomputes cells.
 type TrialRecord struct {
-	Silent             bool  `json:"silent"`
-	Legitimate         bool  `json:"legitimate"`
-	Steps              int   `json:"steps"`
-	Rounds             int   `json:"rounds"`
-	Moves              int64 `json:"moves"`
-	Selections         int64 `json:"selections"`
-	DisabledSelections int64 `json:"disabledSelections"`
-	CommWrites         int64 `json:"commWrites"`
-	KEfficiency        int   `json:"kEfficiency"`
-	CommBits           int   `json:"commBits"`
-	TotalBits          int64 `json:"totalBits"`
-	TotalReads         int64 `json:"totalReads"`
+	Silent             bool
+	Legitimate         bool
+	Steps              int
+	Rounds             int
+	Moves              int64
+	Selections         int64
+	DisabledSelections int64
+	CommWrites         int64
+	KEfficiency        int
+	CommBits           int
+	TotalBits          int64
+	TotalReads         int64
 	// Fault-campaign fields (zero in plain campaigns; MaxBallRadius is
 	// -1 when the adversary does not report a fault ball).
-	Injections        int `json:"injections"`
-	Recovered         int `json:"recovered"`
-	MaxRecoveryRounds int `json:"maxRecoveryRounds"`
-	MaxRadius         int `json:"maxRadius"`
-	MaxBallRadius     int `json:"maxBallRadius"`
+	Injections        int
+	Recovered         int
+	MaxRecoveryRounds int
+	MaxRadius         int
+	MaxBallRadius     int
 	// ChurnEvents counts topology-churn firings (zero without a churn
 	// axis).
-	ChurnEvents int `json:"churnEvents"`
+	ChurnEvents int
 }
 
 // fillRun populates the plain-run metrics from a trial result.
@@ -120,12 +120,12 @@ func MetricNames() []string {
 	return out
 }
 
-// jsonValue renders the metric's value of t as a JSON literal.
-func (m metricDef) jsonValue(t *TrialRecord) string {
+// appendValue appends the metric's value of t as a JSON literal.
+func (m metricDef) appendValue(buf []byte, t *TrialRecord) []byte {
 	if m.boolVal != nil {
-		return strconv.FormatBool(m.boolVal(t))
+		return strconv.AppendBool(buf, m.boolVal(t))
 	}
-	return strconv.FormatInt(m.intVal(t), 10)
+	return strconv.AppendInt(buf, m.intVal(t), 10)
 }
 
 // defaultMetrics is the selection used when a campaign has no `metrics`

@@ -2,7 +2,7 @@ package graph
 
 // CSR-direct construction: the large-graph generators (Torus,
 // RandomRegular, RandomConnectedGNP) bypass Builder entirely. Builder
-// keeps a map of seen edges and rebuildBackPorts keys per-process maps —
+// keeps a map of seen edges and an edge list beside the rows it builds —
 // hundreds of bytes of overhead per edge, which is what makes
 // million-process graphs exhaust memory long before the simulator runs.
 // The constructors here lay every neighbor list and back-port list out

@@ -91,20 +91,41 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// rebuildBackPorts derives back from adj in O(n + m): the 2m arcs
+// (p, i) -> q = adj[p][i] are counting-sorted by target, then for each q
+// one index array reused across processes gives every neighbor's
+// position in adj[q], which is the back port of the arcs entering q.
+// adj must be symmetric and simple (every constructor guarantees it).
 func (g *Graph) rebuildBackPorts() {
-	g.back = make([][]int, len(g.adj))
-	// index[p][q] = position of q in adj[p]
-	index := make([]map[int]int, len(g.adj))
+	n := len(g.adj)
+	// first[q] is where q's entering arcs start; as many arcs enter q as
+	// leave it, so it is also where q's row starts in the back arena.
+	first := make([]int, n+1)
+	for q, nb := range g.adj {
+		first[q+1] = first[q] + len(nb)
+	}
+	total := first[n]
+	arena := make([]int, total)
+	g.back = make([][]int, n)
+	for p := range g.adj {
+		g.back[p] = arena[first[p]:first[p+1]:first[p+1]]
+	}
+	src, port := make([]int, total), make([]int, total)
+	next := make([]int, n)
+	copy(next, first)
 	for p, nb := range g.adj {
-		index[p] = make(map[int]int, len(nb))
 		for i, q := range nb {
-			index[p][q] = i
+			src[next[q]], port[next[q]] = p, i
+			next[q]++
 		}
 	}
-	for p, nb := range g.adj {
-		g.back[p] = make([]int, len(nb))
-		for i, q := range nb {
-			g.back[p][i] = index[q][p]
+	index := next // every entry is rewritten before it is read
+	for q, nb := range g.adj {
+		for j, p := range nb {
+			index[p] = j
+		}
+		for c := first[q]; c < first[q+1]; c++ {
+			g.back[src[c]][port[c]] = index[src[c]]
 		}
 	}
 }

@@ -620,6 +620,14 @@ func (s *Simulator) memoExec(p int) (f int, commChanged bool) {
 		s.memoUsed = true
 	}
 	f = execOne(c)
+	if e != nil && c.rand != nil {
+		// Apply drew randomness: the transition is one sample, not a
+		// function of the internal row. Replaying it would repeat the
+		// drawn outcome where the unmemoized path redraws, so the state
+		// stays uncaptured and every selection in it evaluates afresh.
+		s.memoEntries[p] = s.memoEntries[p][:len(s.memoEntries[p])-1]
+		e = nil
+	}
 	if s.memoObs != nil {
 		if e != nil {
 			e.reads = append(e.reads[:0], a.readBuf...)

@@ -131,7 +131,15 @@ func (s *Subscription) Lagged() bool {
 // sequence number), diagnostic kinds their own detail fields. Used by
 // the campaign service's progress feeds.
 func (e Event) AppendJSON(buf []byte) []byte {
-	buf = append(buf, `{"ev":"`...)
+	buf = append(buf, '{')
+	buf = e.appendMembers(buf)
+	return append(buf, '}')
+}
+
+// appendMembers writes the event's members, `"ev":"<kind>"` first,
+// without the enclosing braces.
+func (e Event) appendMembers(buf []byte) []byte {
+	buf = append(buf, `"ev":"`...)
 	buf = append(buf, e.Kind.String()...)
 	buf = append(buf, '"')
 	switch e.Kind {
@@ -149,7 +157,7 @@ func (e Event) AppendJSON(buf []byte) []byte {
 		buf = appendCell(buf, e.Cell)
 		buf = appendIntField(buf, "trial", e.Trial)
 		buf = append(buf, `,"seed":`...)
-		buf = appendUint(buf, e.Seed)
+		buf = strconv.AppendUint(buf, e.Seed, 10)
 	case KindTrialFinish:
 		buf = appendCell(buf, e.Cell)
 		buf = appendIntField(buf, "trial", e.Trial)
@@ -178,7 +186,18 @@ func (e Event) AppendJSON(buf []byte) []byte {
 		buf = appendIntField(buf, "rounds", e.Round)
 		buf = appendIntField(buf, "radius", e.Radius)
 	}
-	return append(buf, '}')
+	return buf
+}
+
+func appendCell(buf []byte, cell int) []byte {
+	return appendIntField(buf, "cell", cell)
+}
+
+// appendKey appends a `,"key":"..."` member (cell keys embed
+// template-provided text; see AppendJSONString).
+func appendKey(buf []byte, key string) []byte {
+	buf = append(buf, `,"key":`...)
+	return AppendJSONString(buf, key)
 }
 
 func appendIntField(buf []byte, name string, v int) []byte {
@@ -193,8 +212,4 @@ func appendBoolField(buf []byte, name string, v bool) []byte {
 	buf = append(buf, name...)
 	buf = append(buf, '"', ':')
 	return strconv.AppendBool(buf, v)
-}
-
-func appendUint(buf []byte, v uint64) []byte {
-	return strconv.AppendUint(buf, v, 10)
 }

@@ -107,31 +107,37 @@ func TestAppendJSONAllKinds(t *testing.T) {
 	}
 }
 
-// TestAppendJSONMatchesCanonicalFields: for canonical kinds the live
-// encoding carries the same fields as the replay encoding (minus seq),
-// so clients can correlate the streams.
+// TestAppendJSONMatchesCanonicalFields: for every canonical kind the
+// replay line is `{"seq":N,` + the live object's members + newline, so
+// clients can correlate the streams; the literal lines pin the field
+// order both encodings share.
 func TestAppendJSONMatchesCanonicalFields(t *testing.T) {
 	t.Parallel()
-	e := Event{Kind: KindTrialFinish, Cell: 3, Key: "k", Trial: 2,
+	e := Event{Cell: 3, Key: "k<\"1\">", Trial: 2, Seed: 1<<64 - 1,
 		Silent: true, Legit: false, Step: 11, Round: 4, Count: 1}
-	var live, canon map[string]any
-	if err := json.Unmarshal(e.AppendJSON(nil), &live); err != nil {
-		t.Fatal(err)
+	want := map[Kind]string{
+		KindCampaignStart:  `{"seq":7,"ev":"campaign-start","key":"k\u003c\"1\"\u003e","cells":1}`,
+		KindCampaignFinish: `{"seq":7,"ev":"campaign-finish","key":"k\u003c\"1\"\u003e","cells":1}`,
+		KindCellStart:      `{"seq":7,"ev":"cell-start","cell":3,"key":"k\u003c\"1\"\u003e"}`,
+		KindCellFinish:     `{"seq":7,"ev":"cell-finish","cell":3,"key":"k\u003c\"1\"\u003e","trials":1}`,
+		KindTrialStart:     `{"seq":7,"ev":"trial-start","cell":3,"trial":2,"seed":18446744073709551615}`,
+		KindTrialFinish:    `{"seq":7,"ev":"trial-finish","cell":3,"trial":2,"silent":true,"legit":false,"steps":11,"rounds":4,"injections":1}`,
 	}
-	if err := json.Unmarshal(trimNL(appendCanonical(nil, 0, e)), &canon); err != nil {
-		t.Fatal(err)
-	}
-	delete(canon, "seq")
-	for k, v := range canon {
-		if lv, ok := live[k]; !ok || lv != v {
-			t.Fatalf("live encoding field %q = %v, canonical has %v", k, live[k], v)
+	for k := KindCampaignStart; k <= KindCacheCorrupt; k++ {
+		if _, pinned := want[k]; pinned != k.Canonical() {
+			t.Fatalf("kind %s: canonical %v but pinned %v", k, k.Canonical(), pinned)
+		}
+		if !k.Canonical() {
+			continue
+		}
+		e.Kind = k
+		canon := string(appendCanonical(nil, 7, e))
+		if canon != want[k]+"\n" {
+			t.Errorf("kind %s: canonical line\n got %s want %s", k, canon, want[k])
+		}
+		live := string(e.AppendJSON(nil))
+		if canon != `{"seq":7,`+live[1:]+"\n" {
+			t.Errorf("kind %s: canonical line %q is not seq + live object %q", k, canon, live)
 		}
 	}
-}
-
-func trimNL(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		return b[:n-1]
-	}
-	return b
 }

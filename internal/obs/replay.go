@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -105,66 +103,15 @@ func (s *ReplaySink) WriteCanonical(w io.Writer) error {
 	return bw.Flush()
 }
 
-// appendCanonical renders one event with a fixed field order per kind.
-// Only determinism-carrying fields are encoded: no timestamps, no
-// host/goroutine identity.
+// appendCanonical renders one canonical log line: the flush-time
+// sequence number, then exactly the members Event.AppendJSON writes for
+// the kind (one encoder, so the log and the live stream cannot drift),
+// then a newline. Only determinism-carrying fields are encoded: no
+// timestamps, no host/goroutine identity.
 func appendCanonical(buf []byte, seq int, e Event) []byte {
 	buf = append(buf, `{"seq":`...)
 	buf = strconv.AppendInt(buf, int64(seq), 10)
-	buf = append(buf, `,"ev":"`...)
-	buf = append(buf, e.Kind.String()...)
-	buf = append(buf, '"')
-	switch e.Kind {
-	case KindCampaignStart, KindCampaignFinish:
-		buf = appendKey(buf, e.Key)
-		buf = append(buf, `,"cells":`...)
-		buf = strconv.AppendInt(buf, int64(e.Count), 10)
-	case KindCellStart:
-		buf = appendCell(buf, e.Cell)
-		buf = appendKey(buf, e.Key)
-	case KindCellFinish:
-		buf = appendCell(buf, e.Cell)
-		buf = appendKey(buf, e.Key)
-		buf = append(buf, `,"trials":`...)
-		buf = strconv.AppendInt(buf, int64(e.Count), 10)
-	case KindTrialStart:
-		buf = appendCell(buf, e.Cell)
-		buf = append(buf, `,"trial":`...)
-		buf = strconv.AppendInt(buf, int64(e.Trial), 10)
-		buf = append(buf, `,"seed":`...)
-		buf = strconv.AppendUint(buf, e.Seed, 10)
-	case KindTrialFinish:
-		buf = appendCell(buf, e.Cell)
-		buf = append(buf, `,"trial":`...)
-		buf = strconv.AppendInt(buf, int64(e.Trial), 10)
-		buf = append(buf, `,"silent":`...)
-		buf = strconv.AppendBool(buf, e.Silent)
-		buf = append(buf, `,"legit":`...)
-		buf = strconv.AppendBool(buf, e.Legit)
-		buf = append(buf, `,"steps":`...)
-		buf = strconv.AppendInt(buf, int64(e.Step), 10)
-		buf = append(buf, `,"rounds":`...)
-		buf = strconv.AppendInt(buf, int64(e.Round), 10)
-		buf = append(buf, `,"injections":`...)
-		buf = strconv.AppendInt(buf, int64(e.Count), 10)
-	}
-	buf = append(buf, '}', '\n')
-	return buf
-}
-
-func appendCell(buf []byte, cell int) []byte {
-	buf = append(buf, `,"cell":`...)
-	return strconv.AppendInt(buf, int64(cell), 10)
-}
-
-// appendKey appends a `,"key":"..."` member with proper JSON escaping
-// (cell keys embed template-provided text; Go quoting is not JSON).
-func appendKey(buf []byte, key string) []byte {
-	buf = append(buf, `,"key":`...)
-	quoted, err := json.Marshal(key)
-	if err != nil {
-		// A Go string always marshals; keep the signature append-only.
-		panic(fmt.Sprintf("obs: marshal key: %v", err))
-	}
-	return append(buf, quoted...)
+	buf = append(buf, ',')
+	buf = e.appendMembers(buf)
+	return append(buf, '}', '\n')
 }

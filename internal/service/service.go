@@ -21,12 +21,18 @@ const (
 	StateFailed  State = "failed"
 )
 
-// Run is one submitted campaign: its compiled plan, live progress
-// broadcast, and — once done — the rendered outputs.
+// Run is one submitted campaign: its compiled plan while it waits and
+// executes, its live progress broadcast, and — once done — the rendered
+// outputs. The registry keeps finished runs, so a finished run holds
+// only what a later GET can ask for: the plan (graphs, cells) is dropped
+// at completion and the artifacts are exact-size copies.
 type Run struct {
 	// ID is the registry handle ("run-0001", ...).
 	ID string
 
+	name  string // campaign name
+	cells int    // campaign cell count
+	// plan is read by the dispatcher only, and nil once the run finished.
 	plan      *campaign.Plan
 	broadcast *obs.Broadcast
 	// done closes when the run reaches a terminal state.
@@ -50,10 +56,10 @@ func (r *Run) State() (State, error) {
 }
 
 // Cells reports the campaign's cell count.
-func (r *Run) Cells() int { return len(r.plan.Cells) }
+func (r *Run) Cells() int { return r.cells }
 
 // Name reports the campaign's declared name.
-func (r *Run) Name() string { return r.plan.Spec.Name }
+func (r *Run) Name() string { return r.name }
 
 // CacheStats reports the run's cache hit/miss split (zeros until done).
 func (r *Run) CacheStats() (hits, misses int) {
@@ -199,6 +205,8 @@ func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, error) {
 	s.nextID++
 	r := &Run{
 		ID:        fmt.Sprintf("run-%04d", s.nextID),
+		name:      spec.Name,
+		cells:     len(plan.Cells),
 		plan:      plan,
 		broadcast: obs.NewBroadcast(),
 		done:      make(chan struct{}),
@@ -285,7 +293,9 @@ func (s *Service) failQueued() {
 func (s *Service) execute(r *Run) {
 	r.setState(StateRunning)
 	replay := obs.NewReplaySink()
-	out, err := Execute(s.ctx, r.plan, ExecOptions{
+	plan := r.plan
+	r.plan = nil // a finished run must not pin its plan; out holds it until return
+	out, err := Execute(s.ctx, plan, ExecOptions{
 		Workers:  s.cfg.Workers,
 		Batch:    s.cfg.Batch,
 		Steal:    s.cfg.Steal,
@@ -298,7 +308,7 @@ func (s *Service) execute(r *Run) {
 	}
 	// Render every artifact once, at completion: serving is then a pure
 	// byte copy, and two GETs can never observe different bytes.
-	var jsonl, events, table, csv bytes.Buffer
+	var jsonl, events, csv bytes.Buffer
 	if err := out.WriteJSONL(&jsonl); err != nil {
 		s.finish(r, err)
 		return
@@ -307,16 +317,19 @@ func (s *Service) execute(r *Run) {
 		s.finish(r, err)
 		return
 	}
-	table.WriteString(out.Table().String())
-	if err := out.Table().CSV(&csv); err != nil {
+	table := out.Table()
+	if err := table.CSV(&csv); err != nil {
 		s.finish(r, err)
 		return
 	}
 	r.mu.Lock()
 	r.state = StateDone
 	r.hits, r.misses = out.CacheHits, out.CacheMisses
-	r.jsonl, r.events = jsonl.Bytes(), events.Bytes()
-	r.table, r.csv = table.Bytes(), csv.Bytes()
+	// Clones, not the buffers' own arrays: a buffer grown by doubling can
+	// hold up to twice its content, and the registry would keep that slack
+	// alive as long as it keeps the run.
+	r.jsonl, r.events = bytes.Clone(jsonl.Bytes()), bytes.Clone(events.Bytes())
+	r.table, r.csv = []byte(table.String()), bytes.Clone(csv.Bytes())
 	r.mu.Unlock()
 	r.broadcast.Close()
 	close(r.done)
@@ -326,6 +339,7 @@ func (s *Service) execute(r *Run) {
 // nil) and releases its subscribers and waiters.
 func (s *Service) finish(r *Run, err error) {
 	r.mu.Lock()
+	r.plan = nil // a run that never reached execute still holds it
 	if err != nil {
 		r.state = StateFailed
 		r.err = err

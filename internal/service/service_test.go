@@ -187,3 +187,61 @@ func TestServiceRejectsBadSpecAtSubmit(t *testing.T) {
 		t.Fatalf("rejected spec left %d runs registered", len(runs))
 	}
 }
+
+// TestFinishedRunKeepsOnlyItsArtifacts: the registry never evicts, so a
+// finished run must not pin its compiled plan or the slack of the
+// buffers its artifacts were rendered in — and must still answer Name
+// and Cells. A run that failed in the queue drops its plan too.
+func TestFinishedRunKeepsOnlyItsArtifacts(t *testing.T) {
+	t.Parallel()
+	gate := &gateBackend{
+		Backend: campaign.NewMemBackend(),
+		hit:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	svc := New(Config{Cache: gate, Workers: 1, QueueDepth: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		svc.Shutdown(ctx)
+	}()
+	done, err := svc.Submit(plainCampaignSrc) // dispatcher blocks in its cache pass
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.hit
+	if _, err := svc.Submit(plainCampaignSrc); err != nil { // fills the queue
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(plainCampaignSrc); err == nil {
+		t.Fatal("Submit accepted beyond the queue depth")
+	}
+	refused := svc.Runs()[2]
+	close(gate.release)
+	waitClosed(t, done.Done())
+	if state, err := done.State(); state != StateDone {
+		t.Fatalf("run state %s, err %v", state, err)
+	}
+	for _, r := range []*Run{done, refused} {
+		r.mu.Lock()
+		plan := r.plan
+		r.mu.Unlock()
+		if plan != nil {
+			t.Errorf("%s still holds its plan after finishing", r.ID)
+		}
+		if r.Name() != "svc-plain" || r.Cells() == 0 {
+			t.Errorf("%s: Name %q, Cells %d after finishing", r.ID, r.Name(), r.Cells())
+		}
+	}
+	for _, kind := range []string{"jsonl", "events", "table", "csv"} {
+		data, err := done.Output(kind)
+		if err != nil || len(data) == 0 {
+			t.Fatalf("%s: %d bytes, err %v", kind, len(data), err)
+		}
+		// make rounds a request up to a size class, so allow its slack:
+		// at most one eighth, where a doubled buffer wastes up to half.
+		if cap(data) > len(data)+len(data)/8+64 {
+			t.Errorf("%s: %d bytes held in a %d-byte array", kind, len(data), cap(data))
+		}
+	}
+}
