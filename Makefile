@@ -153,11 +153,11 @@ bench-diff-committed: ## Committed previous vs current baseline (deterministic)
 # Large-n scale smoke: drive the E22 headline cell — a 10⁶-process torus
 # under synchronous COLORING — to a legitimate silent configuration and
 # gate its peak RSS. The budget documents the engine's large-graph
-# memory claim: the cell measures ~740 MiB peak on the reference runner
-# (~730 B/process live heap), and 1024 MiB leaves headroom for allocator
-# and GC variance without masking an O(n²) reintroduction, which would
-# blow past it by orders of magnitude.
-SCALE_BUDGET_MB ?= 1024
+# memory claim: the cell measures ~446 MiB peak on the reference runner
+# (~446 B/process live heap), and 640 MiB (≈ 1.4×) leaves headroom for
+# allocator and GC variance while failing on a return of the 730
+# B/process engine this replaced, let alone an O(n²) reintroduction.
+SCALE_BUDGET_MB ?= 640
 scale-smoke: ## 10⁶-node torus cell to silence under the peak-RSS budget
 	$(GO) run ./cmd/ssscale -n 1000000 -graph torus -budget-mb $(SCALE_BUDGET_MB)
 

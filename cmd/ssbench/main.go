@@ -48,6 +48,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -77,10 +78,16 @@ func run(args []string, out io.Writer) error {
 		churnInject = fs.String("churn-inject", "on-silence:2", "mutation schedule for -churn: at-start | at-step:T | every:T[:N] | on-silence[:N]")
 		eventsPath  = fs.String("events", "", "write the canonical deterministic event log to this file")
 		logLevel    = fs.String("log-level", "off", "live slog JSON events on stderr: off, info (cell granularity) or debug (every trial)")
+		cpuProfile  = prof.Flag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := prof.Start(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 	if *list {
 		for _, e := range experiment.Registry() {
 			fmt.Fprintf(out, "%-4s %s\n", e.ID, e.Desc)

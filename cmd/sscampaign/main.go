@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
+	"repro/internal/prof"
 )
 
 func main() {
@@ -59,10 +60,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		eventsPath  = fs.String("events", "", "write the canonical deterministic event log to this path (\"-\": stdout, suppresses the table)")
 		logLevel    = fs.String("log-level", "off", "live slog JSON events on stderr: off, info (cell granularity) or debug (every trial)")
 		cacheStats  = fs.Bool("cache-stats", false, "print the -cache directory's entry count and total bytes, then exit")
+		cpuProfile  = prof.Flag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := prof.Start(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 	if *cacheStats {
 		if *cacheDir == "" {
 			return fmt.Errorf("-cache-stats needs -cache DIR to inspect")

@@ -30,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/prof"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -48,9 +49,15 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Uint64("seed", 2009, "seed for graph, initial configuration and coin flips")
 	maxSteps := fs.Int("max-steps", 1_000_000, "step budget for the run")
 	budgetMB := fs.Int("budget-mb", 0, "fail when peak RSS exceeds this many MiB (0: no gate)")
+	cpuProfile := prof.Flag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfile, err := prof.Start(*cpuProfile)
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 	if *n < 9 {
 		return fmt.Errorf("-n must be at least 9")
 	}

@@ -116,7 +116,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 		case ModeGlobal:
 			global.Lock()
 			defer global.Unlock()
-			return model.StepProcess(sys, shared, p, r, nil, 0)
+			return model.StepProcess(sys, shared, p, r)
 
 		case ModeNeighborhood:
 			// Lock self (write) and neighbors (read) in ascending id
@@ -139,7 +139,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 					}
 				}
 			}()
-			return model.StepProcess(sys, shared, p, r, nil, 0)
+			return model.StepProcess(sys, shared, p, r)
 
 		case ModeRegisters:
 			// Snapshot each neighbor register individually: reads are
@@ -153,7 +153,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 			copy(scratch.Comm[p], shared.Comm[p])
 			copy(scratch.Internal[p], shared.Internal[p])
 			locks[p].RUnlock()
-			fired := model.StepProcess(sys, scratch, p, r, nil, 0)
+			fired := model.StepProcess(sys, scratch, p, r)
 			if fired >= 0 {
 				locks[p].Lock()
 				copy(shared.Comm[p], scratch.Comm[p])

@@ -230,3 +230,53 @@ func BenchmarkChurnTrialLoop(b *testing.B) {
 		}
 	}
 }
+
+// TestChurnJoinGrowsReadTables: the engine's read aggregator is keyed by
+// port and sized by the highest port it has seen, so a join that lifts a
+// degree must grow it mid-run. On a star whose every process is crashed
+// for the whole of a first trial, the runner's arena has seen no port at
+// all; a second trial on the same arena rejoins everyone at the first
+// silence point and the hub starts reading behind ports 1..8. Its result
+// must equal a fresh runner's.
+func TestChurnJoinGrowsReadTables(t *testing.T) {
+	t.Parallel()
+	g := graph.Star(9)
+	sys, err := model.NewSystem(g, coloring.Spec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(s uint64) model.Scheduler { return sched.NewRandomSubset(s) }
+	run := func(rn *Runner, firings int, res *FaultResult) {
+		t.Helper()
+		const seed = 11
+		err := rn.RunRandomFaulted(sys, RunOptions{
+			Scheduler:  rn.Scheduler("random-subset", seed, mk),
+			Seed:       seed,
+			MaxSteps:   400000,
+			CheckEvery: 1,
+			// The hub checks one neighbor per activation, round-robin:
+			// the suffix is where it gets past port 1.
+			SuffixRounds: 2 * g.N(),
+		}, fault.Plan{
+			Churn:         rn.ChurnAdversary("churn:crashjoin/9", func() fault.ChurnAdversary { return fault.NewCrashJoin(g.N()) }),
+			ChurnSchedule: fault.Schedule{Kind: fault.KindAtStart, Count: firings},
+		}, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	reused := NewRunner()
+	var down, grown, fresh FaultResult
+	run(reused, 1, &down) // crash everyone at start, never rejoin
+	if down.Report.TotalReads != 0 {
+		t.Fatalf("all-crashed trial performed %d reads, want none", down.Report.TotalReads)
+	}
+	run(reused, 2, &grown) // crash at start, rejoin at the first silence
+	if hub := grown.Report.ReadSetSizes[0]; hub != g.N()-1 {
+		t.Fatalf("rejoined hub read %d distinct neighbors, want %d: the high ports were never exercised", hub, g.N()-1)
+	}
+	run(NewRunner(), 2, &fresh)
+	if !reflect.DeepEqual(grown, fresh) {
+		t.Fatalf("reused arena diverges from a fresh one:\nreused %+v\nfresh  %+v", grown, fresh)
+	}
+}

@@ -124,13 +124,9 @@ var _ model.Observer = (*faultObserver)(nil)
 
 func (o *faultObserver) StepBegin(step int, selected []int) { o.rec.StepBegin(step, selected) }
 
-func (o *faultObserver) Read(step, p, q int, kind model.VarKind, v, bits int) {
-	o.rec.Read(step, p, q, kind, v, bits)
-}
-
-func (o *faultObserver) ActionFired(step, p, a int) {
-	o.rec.ActionFired(step, p, a)
-	if o.active && a >= 0 {
+func (o *faultObserver) Selected(step, p int, neighbors []int, bits, fired int) {
+	o.rec.Selected(step, p, neighbors, bits, fired)
+	if o.active && fired >= 0 {
 		o.contain.Moved(p)
 	}
 }

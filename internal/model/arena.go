@@ -4,22 +4,24 @@ import (
 	"repro/internal/rng"
 )
 
-// stepArena holds the reusable execution state behind Simulator.Step: one
-// Ctx per process backed by rows of two flat scratch arrays, the
-// fired/commChanged result buffers, and a single reseedable generator.
-// After construction, the steady-state step path performs no heap
-// allocation.
+// stepArena holds the reusable execution state behind Simulator.Step: a
+// single Ctx re-aimed at each selected process, the read aggregator it
+// feeds, two flat scratch arrays staging the selected processes'
+// post-step rows by selection index, the fired/commChanged result
+// buffers, and a single reseedable generator. After construction, the
+// steady-state step path performs no heap allocation.
 type stepArena struct {
-	sys  *System
-	ctxs []Ctx // one per process, own-state scratch pre-wired
+	sys *System
+	ctx Ctx
+	agg readAgg
 
-	commScratch     []int // n × CommWidth backing for ctx own-state copies
+	// Row i holds the post-step own state of the i-th selected process
+	// until the commit phase; Simulator.Step bounds a selection by n.
+	commScratch     []int // n × CommWidth
 	internalScratch []int
 
 	fired       []int  // per selected index: fired action or -1
 	commChanged []bool // per selected index: did p's comm row change
-
-	readBuf []ReadRec // batched-read accumulation (see BatchReadObserver)
 
 	src      rng.SplitMix
 	rand     *rng.Rand // wraps &src; reseeded per process
@@ -28,25 +30,16 @@ type stepArena struct {
 
 func newStepArena(sys *System) *stepArena {
 	n := sys.N()
-	wc, wi := sys.CommWidth(), sys.InternalWidth()
 	a := &stepArena{
 		sys:             sys,
-		ctxs:            make([]Ctx, n),
-		commScratch:     make([]int, n*wc),
-		internalScratch: make([]int, n*wi),
+		agg:             newReadAgg(sys),
+		commScratch:     make([]int, n*sys.wc),
+		internalScratch: make([]int, n*sys.wi),
 		fired:           make([]int, 0, n),
-		commChanged:     make([]bool, n),
+		commChanged:     make([]bool, 0, n),
 	}
+	a.ctx = Ctx{sys: sys, arena: a}
 	a.rand = rng.FromSource(&a.src)
-	for p := 0; p < n; p++ {
-		c := &a.ctxs[p]
-		c.sys = sys
-		c.p = p
-		c.arena = a
-		c.randP = p
-		c.comm = a.commScratch[p*wc : (p+1)*wc : (p+1)*wc]
-		c.internal = a.internalScratch[p*wi : (p+1)*wi : (p+1)*wi]
-	}
 	return a
 }
 
@@ -60,43 +53,62 @@ func (a *stepArena) processRand(p int) *rng.Rand {
 	return a.rand
 }
 
+// commRow and internalRow return staging row i of the scratch arrays.
+func (a *stepArena) commRow(i int) []int {
+	wc := a.sys.wc
+	return a.commScratch[i*wc : (i+1)*wc : (i+1)*wc]
+}
+
+func (a *stepArena) internalRow(i int) []int {
+	wi := a.sys.wi
+	return a.internalScratch[i*wi : (i+1)*wi : (i+1)*wi]
+}
+
+// eval aims the context at p — own state copied from cfg into staging
+// row i, neighbor reads resolving against cfg, the generator reseeded
+// lazily on the first Rand call (see Ctx.Rand) — and executes p's first
+// enabled action on the staged rows. With record set the evaluation's
+// reads are folded into a.agg (left empty otherwise), valid until the
+// next eval.
+func (a *stepArena) eval(cfg *Config, p, i int, record bool) int {
+	c := &a.ctx
+	c.pre = cfg
+	c.p = p
+	c.rand = nil
+	c.cacheIndex = nil
+	c.comm = a.commRow(i)
+	c.internal = a.internalRow(i)
+	copy(c.comm, cfg.Comm[p])
+	copy(c.internal, cfg.Internal[p])
+	a.agg.begin()
+	c.agg = nil
+	if record {
+		c.agg = &a.agg
+	}
+	return execOne(c)
+}
+
 // executeStep is ExecuteStep on the arena's reusable buffers: the same
 // two-phase semantics (evaluate every selected process against the
 // pre-step configuration, then commit all writes), with no per-step heap
 // allocation. Each process draws from the arena generator reseeded for
-// (stepSeed, p). batchObs is obs's BatchReadObserver form (nil if it has
-// none), precomputed by the caller so the hot loop never type-asserts.
-// The returned slices are owned by the arena and valid until the next
-// call.
-func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Observer, batchObs BatchReadObserver) (fired []int, commChanged []bool) {
-	batching := batchObs != nil
+// (stepSeed, p). The returned slices are owned by the arena and valid
+// until the next call.
+func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Observer) (fired []int, commChanged []bool) {
 	fired = a.fired[:0]
-	for _, p := range selected {
-		c := &a.ctxs[p]
-		c.pre = cfg
-		c.obs = obs
-		c.step = step
-		c.rand = nil // reseeded lazily on the first Rand call (see Ctx.Rand)
-		c.recordBatch = batching
-		copy(c.comm, cfg.Comm[p])
-		copy(c.internal, cfg.Internal[p])
-		f := execOne(c)
-		if batching && len(a.readBuf) > 0 {
-			batchObs.ReadBatch(step, p, a.readBuf)
-			a.readBuf = a.readBuf[:0]
-		}
+	for i, p := range selected {
+		f := a.eval(cfg, p, i, obs != nil)
 		fired = append(fired, f)
 		if obs != nil {
-			obs.ActionFired(step, p, f)
+			obs.Selected(step, p, a.agg.qs, a.agg.bits, f)
 		}
 	}
-	a.fired = fired[:0]
 	commChanged = a.commChanged[:0]
 	for i, p := range selected {
 		changed := false
 		if fired[i] >= 0 {
-			c := &a.ctxs[p]
-			for v, nv := range c.comm {
+			comm := a.commRow(i)
+			for v, nv := range comm {
 				if ov := cfg.Comm[p][v]; ov != nv {
 					changed = true
 					if obs != nil {
@@ -104,11 +116,10 @@ func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Obser
 					}
 				}
 			}
-			copy(cfg.Comm[p], c.comm)
-			copy(cfg.Internal[p], c.internal)
+			copy(cfg.Comm[p], comm)
+			copy(cfg.Internal[p], a.internalRow(i))
 		}
 		commChanged = append(commChanged, changed)
 	}
-	a.commChanged = commChanged[:0]
 	return fired, commChanged
 }

@@ -6,18 +6,22 @@ import (
 	"repro/internal/rng"
 )
 
-// Observer receives execution events from the engine. All methods may be
-// called frequently; implementations should be cheap. A nil Observer is
-// always allowed.
+// Observer receives execution events from the engine: per step one
+// StepBegin, one Selected per activated process, the step's CommWrite
+// events and one StepEnd. All methods may be called frequently;
+// implementations should be cheap. A nil Observer is always allowed.
 type Observer interface {
 	// StepBegin fires before the selected processes execute.
 	StepBegin(step int, selected []int)
-	// Read fires every time process p reads variable v (of the given
-	// kind) of neighbor q; bits is the width of the value read.
-	Read(step, p, q int, kind VarKind, v, bits int)
-	// ActionFired fires when p executes action index a (-1 for a
-	// selected-but-disabled process).
-	ActionFired(step, p, a int)
+	// Selected fires once per selected process p, after p evaluated its
+	// guards against the pre-step configuration and executed its first
+	// enabled action. It carries exactly what the paper's measures need:
+	// neighbors lists the distinct neighbors p read (Def. 4, and the raw
+	// material of the read sets R_p of Defs. 7-9), bits is the memory p
+	// read, each (neighbor, kind, variable) counted once (Def. 5), and
+	// fired is the executed action index (-1 for a selected-but-disabled
+	// process). neighbors is engine-owned and only valid during the call.
+	Selected(step, p int, neighbors []int, bits, fired int)
 	// CommWrite fires when p's communication variable v changes from old
 	// to new (only for actual value changes).
 	CommWrite(step, p, v, old, new int)
@@ -26,45 +30,70 @@ type Observer interface {
 	StepEnd(step int, selected []int, roundCompleted bool)
 }
 
-// ReadRec is one recorded neighbor read, as delivered in bulk to a
-// BatchReadObserver.
-type ReadRec struct {
-	Q    int
-	Kind VarKind
-	V    int
-	Bits int
+// readAgg folds the neighbor reads of one process evaluation into the
+// aggregate Observer.Selected delivers. A simple graph puts each
+// neighbor behind exactly one port, so two generation-stamped tables
+// keyed by port dedup in O(1) per read for every n and Δ: port[i] marks
+// the neighbor behind port i as already listed, slot[i*slots+s] marks
+// its variable s (communication variables first, then constants) as
+// already counted. Bumping gen invalidates both tables at once. The
+// tables start empty and grow to the highest port read, so a topology
+// event that raises a degree needs no resizing hook.
+type readAgg struct {
+	slots int
+	gen   uint32
+	port  []uint32
+	slot  []uint32
+
+	qs   []int // distinct neighbors read, in first-read order
+	bits int   // bits read, each (neighbor, kind, variable) once
 }
 
-// BatchReadObserver is an optional Observer extension for the hot read
-// path: when the step engine's observer implements it, each process
-// evaluation's neighbor reads are accumulated in a flat buffer and
-// delivered in one ReadBatch call (same reads, same order) instead of
-// one interface dispatch per read. Observers that do per-read work
-// dominated by call overhead (the trace recorder) implement it; all
-// other observers keep receiving individual Read calls.
-type BatchReadObserver interface {
-	Observer
-	// ReadBatch receives every read of one process evaluation: process p
-	// read reads[i] in order during the given step.
-	ReadBatch(step, p int, reads []ReadRec)
+// newReadAgg returns an aggregator for evaluations over sys. Call begin
+// before the first evaluation: generation 0 is the tables' zero value.
+func newReadAgg(sys *System) readAgg {
+	return readAgg{slots: sys.wc + sys.lc}
 }
 
-// ReplayObserver is an optional BatchReadObserver extension consumed by
-// the simulator's silent-phase replay fast path. A replayed selection's
-// effect on the observer is a pure function of the memoized transition,
-// so instead of re-delivering the raw Read/ActionFired stream the
-// simulator hands over the precomputed aggregate: the distinct
-// neighbors read, the deduplicated per-step read count and bit sum, and
-// the fired action (-1 when disabled). Implementations must fold the
-// aggregate exactly as the equivalent Read...Read/ActionFired/StepEnd
-// sequence would have — additions commute and set insertions are
-// idempotent, so the resulting statistics are identical.
-type ReplayObserver interface {
-	BatchReadObserver
-	// ReplaySelection records one selection of process p that read the
-	// given distinct neighbors (reads = len(neighbors) distinct
-	// neighbors, bits = deduplicated bit total) and fired action `fired`.
-	ReplaySelection(p int, neighbors []int, reads, bits, fired int)
+// begin starts the aggregate of the next evaluation.
+func (a *readAgg) begin() {
+	a.gen++
+	if a.gen == 0 {
+		// The stamp wrapped: entries written 2³² evaluations ago would
+		// read as current.
+		clear(a.port)
+		clear(a.slot)
+		a.gen = 1
+	}
+	a.qs = a.qs[:0]
+	a.bits = 0
+}
+
+// note folds one read of variable slot s (bits wide) of neighbor q
+// behind port.
+func (a *readAgg) note(port, q, s, bits int) {
+	if port >= len(a.port) {
+		a.grow(port + 1)
+	}
+	if a.port[port] != a.gen {
+		a.port[port] = a.gen
+		a.qs = append(a.qs, q)
+	}
+	if i := port*a.slots + s; a.slot[i] != a.gen {
+		a.slot[i] = a.gen
+		a.bits += bits
+	}
+}
+
+// grow widens the tables to at least ports entries, keeping the stamps
+// of the evaluation in progress (rows are port-major, so they stay in
+// place). qs gets the same capacity: an evaluation lists each port at
+// most once, so note's append never allocates.
+func (a *readAgg) grow(ports int) {
+	ports = max(ports, 2*len(a.port))
+	a.port = append(make([]uint32, 0, ports), a.port...)[:ports]
+	a.slot = append(make([]uint32, 0, ports*a.slots), a.slot...)[:ports*a.slots]
+	a.qs = append(make([]int, 0, ports), a.qs...)
 }
 
 // Ctx is the window through which a process's guarded actions see the
@@ -74,8 +103,8 @@ type ReplayObserver interface {
 // Ports are 1-based local indices 1..δ.p, exactly the paper's labelling.
 //
 // A Ctx is only valid for the duration of one guard/apply evaluation:
-// the engine reuses per-process contexts (and their own-state scratch
-// rows) across steps, so protocols must never retain one.
+// the engine re-aims one context (and its own-state scratch rows) at
+// every process it evaluates, so protocols must never retain one.
 type Ctx struct {
 	sys *System
 	pre *Config // pre-step configuration: neighbor reads resolve here
@@ -87,21 +116,16 @@ type Ctx struct {
 	rand        *rng.Rand
 	randAllowed bool
 
-	// Arena back-pointer (arena-driven evaluation only), serving two hot
-	// paths: lazy per-process reseeding — most applies never draw, so
-	// the (stepSeed, p) reseed is deferred until the first Rand call of
-	// the body — and batched read recording (see recordBatch).
+	// Arena back-pointer (arena-driven evaluation only) for lazy
+	// per-process reseeding: most applies never draw, so the
+	// (stepSeed, p) reseed is deferred until the first Rand call of the
+	// body.
 	arena *stepArena
-	randP int
 
-	// recordBatch routes neighbor reads into the arena's flat ReadRec
-	// buffer (flushed once per process evaluation) instead of one
-	// obs.Read dispatch per read; executeStep sets it when the observer
-	// implements BatchReadObserver.
-	recordBatch bool
-
-	obs  Observer
-	step int
+	// agg receives every instrumented neighbor read; nil for unrecorded
+	// evaluations (enabledness and silence probes, runs without an
+	// observer).
+	agg *readAgg
 
 	// Cached-view redirection (see BeginCachedView): when set, neighbor
 	// reads resolve to the process's own internal cache variables
@@ -186,12 +210,8 @@ func (c *Ctx) NeighborComm(port, v int) int {
 		return c.internal[c.cacheIndex(port, KindComm, v)]
 	}
 	q := c.sys.g.Neighbor(c.p, port)
-	if c.obs != nil {
-		if c.recordBatch {
-			c.arena.readBuf = append(c.arena.readBuf, ReadRec{Q: q, Kind: KindComm, V: v, Bits: c.sys.commBit(q, v)})
-		} else {
-			c.obs.Read(c.step, c.p, q, KindComm, v, c.sys.commBit(q, v))
-		}
+	if c.agg != nil {
+		c.agg.note(port, q, v, c.sys.commBit(q, v))
 	}
 	return c.pre.Comm[q][v]
 }
@@ -204,12 +224,8 @@ func (c *Ctx) NeighborConst(port, v int) int {
 		return c.internal[c.cacheIndex(port, KindConst, v)]
 	}
 	q := c.sys.g.Neighbor(c.p, port)
-	if c.obs != nil {
-		if c.recordBatch {
-			c.arena.readBuf = append(c.arena.readBuf, ReadRec{Q: q, Kind: KindConst, V: v, Bits: c.sys.constBit(q, v)})
-		} else {
-			c.obs.Read(c.step, c.p, q, KindConst, v, c.sys.constBit(q, v))
-		}
+	if c.agg != nil {
+		c.agg.note(port, q, c.sys.wc+v, c.sys.constBit(q, v))
 	}
 	return c.sys.Const(q, v)
 }
@@ -254,7 +270,7 @@ func (c *Ctx) Rand(n int) int {
 		if c.arena == nil {
 			panic("model: randomness is only available inside Apply")
 		}
-		c.rand = c.arena.processRand(c.randP)
+		c.rand = c.arena.processRand(c.p)
 	}
 	return c.rand.Intn(n)
 }

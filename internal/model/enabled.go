@@ -86,7 +86,6 @@ func (t *EnabledTracker) Reset(sys *System, cfg *Config) {
 			sys:      sys,
 			comm:     make([]int, sys.CommWidth()),
 			internal: make([]int, sys.InternalWidth()),
-			step:     -1,
 		}
 	} else {
 		for i := range t.valid {
@@ -132,7 +131,6 @@ func (t *EnabledTracker) recompute(p int) int {
 		c.p = p
 		c.cacheIndex = nil
 		c.rand = nil
-		c.obs = nil
 		copy(c.comm, t.cfg.Comm[p])
 		copy(c.internal, t.cfg.Internal[p])
 		actions := t.sys.spec.Actions

@@ -1,6 +1,8 @@
 package model_test
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,16 +12,44 @@ import (
 	"repro/internal/trace"
 )
 
-// plainObserver implements model.Observer and nothing more: without the
-// batched-read form the simulator cannot replay through it, so a run it
-// observes never uses the silent-phase memo.
-type plainObserver struct{}
+// refSim is the abstract simulator the optimized one is judged against:
+// every step goes through model.ExecuteStep (fresh contexts, no arena,
+// no memo, no incremental cache) and rounds are counted with a plain
+// set. Given the scheduler, seed and initial configuration of a
+// model.Simulator it must walk through the same configurations and hand
+// its observer the same call stream.
+type refSim struct {
+	sys   *model.System
+	cfg   *model.Config
+	sched model.Scheduler
+	seed  uint64
+	obs   model.Observer
 
-func (plainObserver) StepBegin(int, []int)                        {}
-func (plainObserver) Read(int, int, int, model.VarKind, int, int) {}
-func (plainObserver) ActionFired(int, int, int)                   {}
-func (plainObserver) CommWrite(int, int, int, int, int)           {}
-func (plainObserver) StepEnd(int, []int, bool)                    {}
+	step int
+	seen map[int]bool
+}
+
+func newRefSim(sys *model.System, cfg0 *model.Config, sc model.Scheduler, seed uint64, obs model.Observer) *refSim {
+	return &refSim{sys: sys, cfg: cfg0.Clone(), sched: sc, seed: seed, obs: obs, seen: map[int]bool{}}
+}
+
+func (r *refSim) Step() {
+	selected := append([]int(nil), r.sched.Select(r.step, r.sys, r.cfg)...)
+	r.obs.StepBegin(r.step, selected)
+	stepSeed := rng.Derive(r.seed, uint64(r.step))
+	model.ExecuteStep(r.sys, r.cfg, selected, r.step, func(p int) *rng.Rand {
+		return rng.New(rng.Derive(stepSeed, uint64(p)))
+	}, r.obs)
+	for _, p := range selected {
+		r.seen[p] = true
+	}
+	roundCompleted := len(r.seen) == r.sys.N()
+	if roundCompleted {
+		r.seen = map[int]bool{}
+	}
+	r.obs.StepEnd(r.step, selected, roundCompleted)
+	r.step++
+}
 
 // rerollSpec is a toy protocol whose one action is always enabled,
 // never touches the communication variable and redraws the internal one
@@ -46,9 +76,10 @@ func rerollSpec() *model.Spec {
 
 // TestMemoSkipsRandomizedTransitions: a silent-phase transition whose
 // Apply drew randomness must not be replayed from the memo, or a memoized
-// run repeats one drawn outcome where an unmemoized run redraws. A
-// recorder-observed run (memo on) and a plain-Observer run (memo off)
-// must therefore walk through the same configurations.
+// run repeats one drawn outcome where an unmemoized run redraws. The memo
+// is on for every observer, so the unmemoized side is the reference
+// simulator: both must walk through the same configurations and leave
+// the same recorder report.
 func TestMemoSkipsRandomizedTransitions(t *testing.T) {
 	t.Parallel()
 	sys, err := model.NewSystem(graph.Cycle(6), rerollSpec(), nil)
@@ -57,24 +88,112 @@ func TestMemoSkipsRandomizedTransitions(t *testing.T) {
 	}
 	const seed = 2009
 	initial := model.NewRandomConfig(sys, rng.New(seed))
-	memo, err := model.NewSimulator(sys, initial, sched.NewRandomSubset(seed), seed, trace.NewRecorder(sys.N()))
+	memoRec, refRec := trace.NewRecorder(sys.N()), trace.NewRecorder(sys.N())
+	memo, err := model.NewSimulator(sys, initial, sched.NewRandomSubset(seed), seed, memoRec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := model.NewSimulator(sys, initial, sched.NewRandomSubset(seed), seed, plainObserver{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := newRefSim(sys, initial, sched.NewRandomSubset(seed), seed, refRec)
 	for step := 0; step < 300; step++ {
-		for name, sim := range map[string]*model.Simulator{"memo": memo, "plain": plain} {
-			if silent, err := sim.SilentNow(); err != nil || !silent {
-				t.Fatalf("step %d, %s run: SilentNow = (%v, %v), want silent: the memo is only live in a silent phase", step, name, silent, err)
+		if silent, err := memo.SilentNow(); err != nil || !silent {
+			t.Fatalf("step %d: SilentNow = (%v, %v), want silent: the memo is only live in a silent phase", step, silent, err)
+		}
+		memo.Step()
+		ref.Step()
+		if !memo.Config().Equal(ref.cfg) {
+			t.Fatalf("step %d: the memoized run replayed a drawn transition:\n memo      %v\n reference %v",
+				step, memo.Config().Internal, ref.cfg.Internal)
+		}
+	}
+	if got, want := memoRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorder reports differ:\n memo      %+v\n reference %+v", got, want)
+	}
+}
+
+// TestStepMatchesReference holds Simulator.Step — one context, staged
+// rows, folded reads, silent-phase memo, injections through MarkDirty —
+// to the reference simulator on real protocols: same configuration
+// after every step and the same recorder report at the end, through
+// convergence, a marked suffix served from the memo, and a mid-suffix
+// corruption that drops the memo and forces a second convergence.
+func TestStepMatchesReference(t *testing.T) {
+	t.Parallel()
+	scheds := []func(seed uint64) model.Scheduler{
+		func(seed uint64) model.Scheduler { return sched.NewRandomSubset(seed) },
+		func(uint64) model.Scheduler { return sched.NewSynchronous() },
+		func(uint64) model.Scheduler { return sched.NewCentralRoundRobin() },
+	}
+	for si, sys := range injectionTestSystems(t) {
+		for ki, mk := range scheds {
+			const seed = 7
+			initial := model.NewRandomConfig(sys, rng.New(seed))
+			simRec, refRec := trace.NewRecorder(sys.N()), trace.NewRecorder(sys.N())
+			sim, err := model.NewSimulator(sys, initial, mk(seed), seed, simRec)
+			if err != nil {
+				t.Fatal(err)
 			}
+			ref := newRefSim(sys, initial, mk(seed), seed, refRec)
+			lockstep := func(steps int) {
+				t.Helper()
+				for i := 0; i < steps; i++ {
+					if _, err := sim.SilentNow(); err != nil {
+						t.Fatal(err)
+					}
+					sim.Step()
+					ref.Step()
+					if !sim.Config().Equal(ref.cfg) {
+						t.Fatalf("system %d sched %d step %d: configurations diverged", si, ki, sim.Steps())
+					}
+				}
+			}
+			lockstep(400)
+			simRec.MarkSuffix()
+			refRec.MarkSuffix()
+			lockstep(60)
+			// The same corruption on both sides; only the simulator has
+			// caches to repair.
+			corruptRandom(sim, 2, rng.New(seed))
+			ref.cfg.CopyFrom(sim.Config())
+			lockstep(400)
+			if got, want := simRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("system %d sched %d: recorder reports differ:\n simulator %+v\n reference %+v", si, ki, got, want)
+			}
+		}
+	}
+}
+
+// overSelector is a misbehaving scheduler: it returns its fixed
+// selection whatever the system.
+type overSelector []int
+
+func (overSelector) Name() string                                     { return "over-selector" }
+func (s overSelector) Select(int, *model.System, *model.Config) []int { return s }
+
+// TestStepRejectsBadSelection: a selection that repeats a process (so
+// every selection longer than n) or names a process outside the system
+// must panic in Step with the scheduler's name, before any row is
+// staged.
+func TestStepRejectsBadSelection(t *testing.T) {
+	t.Parallel()
+	sys := coloringSystem(t, graph.Cycle(4))
+	for name, sel := range map[string][]int{
+		"longer than n": {0, 1, 2, 3, 0},
+		"repeated id":   {2, 2},
+		"out of range":  {4},
+	} {
+		sim, err := model.NewSimulator(sys, model.NewZeroConfig(sys), overSelector(sel), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "scheduler over-selector selected process") {
+					t.Errorf("%s: Step panicked with %q, want a message naming the scheduler", name, msg)
+				}
+			}()
 			sim.Step()
-		}
-		if !memo.Config().Equal(plain.Config()) {
-			t.Fatalf("step %d: the memoized run replayed a drawn transition:\n memo  %v\n plain %v",
-				step, memo.Config().Internal, plain.Config().Internal)
-		}
+			t.Errorf("%s: Step accepted selection %v", name, sel)
+		}()
 	}
 }

@@ -46,7 +46,6 @@ func (o *orbitProbe) bind(sys *System) {
 		sys:      sys,
 		comm:     make([]int, wc),
 		internal: make([]int, wi),
-		step:     -1,
 	}
 	if cap(o.encOK) >= sys.N() {
 		o.encOK = o.encOK[:sys.N()]
@@ -135,7 +134,6 @@ func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, err
 	c.p = p
 	c.cacheIndex = nil
 	c.rand = nil
-	c.obs = nil
 
 	actions := o.sys.spec.Actions
 	for iter := 0; iter < maxOrbit; iter++ {

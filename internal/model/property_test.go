@@ -20,7 +20,7 @@ func TestSingletonStepEquivalence(t *testing.T) {
 		cfgA := NewRandomConfig(sys, rng.New(uint64(rawSeed)))
 		cfgB := cfgA.Clone()
 		ExecuteStep(sys, cfgA, []int{p}, 0, nil, nil)
-		StepProcess(sys, cfgB, p, nil, nil, 0)
+		StepProcess(sys, cfgB, p, nil)
 		return cfgA.Equal(cfgB)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -101,7 +101,7 @@ func TestNonSilenceIsReachable(t *testing.T) {
 		for p := 0; p < sys.N(); p++ {
 			probe := cfg.Clone()
 			for i := 0; i < 32; i++ {
-				StepProcess(sys, probe, p, nil, nil, i)
+				StepProcess(sys, probe, p, nil)
 				if !probe.CommEqual(cfg) {
 					return true
 				}

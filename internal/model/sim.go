@@ -37,8 +37,13 @@ type Simulator struct {
 	seed uint64
 	step int
 
+	// Round accounting and the selection check share one table:
+	// lastSel[p] is 1 + the step of p's latest selection (0: never), so
+	// "already selected this step" is lastSel[p] == step+1 and "already
+	// seen this round" is lastSel[p] > roundStart.
 	round          int
-	seenThisRound  []bool
+	roundStart     int // first step of the round in progress
+	lastSel        []int
 	remainingInRnd int
 
 	// roundBoundaries retains the step index at which each round
@@ -49,7 +54,7 @@ type Simulator struct {
 	roundBoundaries []int
 	recordBounds    bool
 
-	// arena holds the reusable per-process execution state: after the
+	// arena holds the reusable step-execution state: after the
 	// first step, Step performs no heap allocation. It points at
 	// ownArena, or at a shared StepScratch's arena when the simulator
 	// was bound via ResetShared.
@@ -92,27 +97,22 @@ type Simulator struct {
 	// it performs, the action it fires and its next internal state — is a
 	// pure function of its internal row. Step then captures each (process,
 	// internal-state) transition once and replays it on later selections,
-	// skipping guard re-evaluation entirely. The replay delivers the
-	// exact same observer call stream, so recorded traces are
-	// byte-identical to the slow path.
+	// skipping guard re-evaluation entirely. The replay hands the
+	// observer the very Selected aggregate the evaluation delivered, so
+	// recorded traces are byte-identical to the slow path.
 	memoEntries [][]silentEntry
 	memoActive  bool
-	memoUsed    bool              // any entry captured since the last reset
-	memoOK      bool              // observer compatible with replay
-	memoObs     BatchReadObserver // obs as BatchReadObserver, or nil
-	memoReplay  ReplayObserver    // obs as ReplayObserver, or nil
+	memoUsed    bool // any entry captured since the last reset
 }
 
 // silentEntry memoizes one silent-phase transition of a process: in
-// internal state `state`, the process performs `reads`, fires `fired`
-// (-1 if disabled) and moves to internal state `next`. qs and bits
-// aggregate the reads (distinct neighbors; deduplicated bit total) for
-// delivery through ReplayObserver.
+// internal state `state`, the process reads the distinct neighbors qs
+// for `bits` bits in total (the Observer.Selected aggregate), fires
+// `fired` (-1 if disabled) and moves to internal state `next`.
 type silentEntry struct {
 	state []int
 	next  []int
 	fired int
-	reads []ReadRec
 	qs    []int
 	bits  int
 }
@@ -175,14 +175,12 @@ func (s *Simulator) reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	}
 	if s.sys != sys {
 		s.sys = sys
-		s.seenThisRound = make([]bool, sys.N())
+		s.lastSel = make([]int, sys.N())
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
 		s.memoEntries = make([][]silentEntry, sys.N())
 	} else {
-		for i := range s.seenThisRound {
-			s.seenThisRound[i] = false
-		}
+		clear(s.lastSel)
 		for i := range s.silence {
 			s.silence[i] = silenceUnknown
 		}
@@ -193,9 +191,6 @@ func (s *Simulator) reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	}
 	s.silBroken = 0
 	s.memoReset()
-	s.memoObs, _ = obs.(BatchReadObserver)
-	s.memoReplay, _ = obs.(ReplayObserver)
-	s.memoOK = obs == nil || s.memoObs != nil
 	if scratch != nil {
 		scratch.bind(sys)
 		s.arena = scratch.arena
@@ -218,6 +213,7 @@ func (s *Simulator) reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	s.seed = seed
 	s.step = 0
 	s.round = 0
+	s.roundStart = 0
 	s.remainingInRnd = sys.N()
 	s.roundBoundaries = s.roundBoundaries[:0]
 	if s.tracker == nil {
@@ -266,6 +262,23 @@ func (s *Simulator) Step() []int {
 	if len(selected) == 0 {
 		panic(fmt.Sprintf("model: scheduler %s selected the empty set", s.sched.Name()))
 	}
+	// A selection is a set of processes. The arena stages post-step rows
+	// by selection index, so a repeated id (hence any selection longer
+	// than n) must stop here, not as an index out of range mid-step.
+	mark := s.step + 1
+	for _, p := range selected {
+		if uint(p) >= uint(len(s.lastSel)) {
+			panic(fmt.Sprintf("model: scheduler %s selected process %d of %d", s.sched.Name(), p, len(s.lastSel)))
+		}
+		if s.lastSel[p] == mark {
+			panic(fmt.Sprintf("model: scheduler %s selected process %d twice in one step (%d selections, %d processes)",
+				s.sched.Name(), p, len(selected), len(s.lastSel)))
+		}
+		if s.lastSel[p] <= s.roundStart {
+			s.remainingInRnd--
+		}
+		s.lastSel[p] = mark
+	}
 	if s.obs != nil {
 		s.obs.StepBegin(s.step, selected)
 	}
@@ -275,7 +288,7 @@ func (s *Simulator) Step() []int {
 	if s.memoActive {
 		fired, commChanged = s.memoStep(selected)
 	} else {
-		fired, commChanged = s.arena.executeStep(s.cfg, selected, s.step, s.obs, s.memoObs)
+		fired, commChanged = s.arena.executeStep(s.cfg, selected, s.step, s.obs)
 	}
 	for i, p := range selected {
 		if fired[i] < 0 {
@@ -296,22 +309,13 @@ func (s *Simulator) Step() []int {
 		}
 	}
 
-	roundCompleted := false
-	for _, p := range selected {
-		if !s.seenThisRound[p] {
-			s.seenThisRound[p] = true
-			s.remainingInRnd--
-		}
-	}
-	if s.remainingInRnd == 0 {
-		roundCompleted = true
+	roundCompleted := s.remainingInRnd == 0
+	if roundCompleted {
 		s.round++
 		if s.recordBounds {
 			s.roundBoundaries = append(s.roundBoundaries, s.step)
 		}
-		for i := range s.seenThisRound {
-			s.seenThisRound[i] = false
-		}
+		s.roundStart = s.step + 1
 		s.remainingInRnd = s.sys.N()
 	}
 	if s.obs != nil {
@@ -416,12 +420,10 @@ func (s *Simulator) SilentNow() (bool, error) {
 		}
 		s.silence[p] = silenceSilent
 	}
-	if s.memoOK {
-		// Communication silence is irrevocable under Step (the orbit
-		// argument covers every reachable successor), so from here on
-		// selections can be served from the replay memo.
-		s.memoActive = true
-	}
+	// Communication silence is irrevocable under Step (the orbit
+	// argument covers every reachable successor), so from here on
+	// selections can be served from the replay memo.
+	s.memoActive = true
 	return true, nil
 }
 
@@ -518,33 +520,21 @@ scan:
 
 // memoStep is Step's silent-phase fast path: each selected process is
 // served from the replay memo when its internal state was seen before,
-// and evaluated-and-captured otherwise. The observer call stream —
-// reads (batched), ActionFired, commit — is exactly the slow path's,
-// and internal-only commits are invisible to other processes, so
-// per-process sequential processing preserves the two-phase step
-// semantics.
+// and evaluated-and-captured otherwise. The observer sees the same
+// Selected call either way, and internal-only commits are invisible to
+// other processes, so per-process sequential processing preserves the
+// two-phase step semantics.
 func (s *Simulator) memoStep(selected []int) (fired []int, commChanged []bool) {
 	a := s.arena
 	fired = a.fired[:0]
 	commChanged = a.commChanged[:0]
 	for _, p := range selected {
 		if e := s.memoFind(p); e != nil {
-			if s.memoReplay != nil {
-				s.memoReplay.ReplaySelection(p, e.qs, len(e.qs), e.bits, e.fired)
-			} else {
-				if s.memoObs != nil && len(e.reads) > 0 {
-					s.memoObs.ReadBatch(s.step, p, e.reads)
-				}
-				if s.obs != nil {
-					s.obs.ActionFired(s.step, p, e.fired)
-				}
+			if s.obs != nil {
+				s.obs.Selected(s.step, p, e.qs, e.bits, e.fired)
 			}
 			if e.fired >= 0 {
-				next := e.next
-				row := s.cfg.Internal[p]
-				for v := range row {
-					row[v] = next[v]
-				}
+				copy(s.cfg.Internal[p], e.next)
 			}
 			fired = append(fired, e.fired)
 			commChanged = append(commChanged, false)
@@ -554,124 +544,58 @@ func (s *Simulator) memoStep(selected []int) (fired []int, commChanged []bool) {
 		fired = append(fired, f)
 		commChanged = append(commChanged, changed)
 	}
-	a.fired = fired[:0]
-	a.commChanged = commChanged[:0]
 	return fired, commChanged
 }
 
-// aggregate precomputes the entry's replay aggregates from its raw read
-// list: the distinct neighbors read and the bit total deduplicated per
-// (neighbor, kind, variable) — exactly the recorder's per-step dedup
-// rule. The quadratic scans run once per entry over a handful of reads.
-func (e *silentEntry) aggregate() {
-	e.qs = e.qs[:0]
-	e.bits = 0
-	for i := range e.reads {
-		rec := &e.reads[i]
-		dupQ := false
-		for _, q := range e.qs {
-			if q == rec.Q {
-				dupQ = true
-				break
-			}
-		}
-		if !dupQ {
-			e.qs = append(e.qs, rec.Q)
-		}
-		dupK := false
-		for j := 0; j < i; j++ {
-			o := &e.reads[j]
-			if o.Q == rec.Q && o.Kind == rec.Kind && o.V == rec.V {
-				dupK = true
-				break
-			}
-		}
-		if !dupK {
-			e.bits += rec.Bits
-		}
-	}
-}
-
-// memoExec evaluates p through the regular arena context, captures the
+// memoExec evaluates p through the arena context, captures the
 // transition into the memo and commits it. A communication write here
 // would mean the silence verdict was unsound (a spec bug, not a
 // reachable state): it is committed faithfully and the memo is dropped
 // so the run stays correct.
 func (s *Simulator) memoExec(p int) (f int, commChanged bool) {
 	a := s.arena
-	c := &a.ctxs[p]
-	c.pre = s.cfg
-	c.obs = s.obs
-	c.step = s.step
-	c.rand = nil
-	c.recordBatch = s.memoObs != nil
-	copy(c.comm, s.cfg.Comm[p])
-	copy(c.internal, s.cfg.Internal[p])
-	var e *silentEntry
-	if lst := s.memoEntries[p]; len(lst) < memoMaxEntries {
+	pre := s.cfg.Internal[p]
+	// p commits before the next process evaluates, so staging row 0
+	// serves every selection of the step.
+	f = a.eval(s.cfg, p, 0, s.obs != nil)
+	c := &a.ctx
+	if s.obs != nil {
+		s.obs.Selected(s.step, p, a.agg.qs, a.agg.bits, f)
+	}
+	// A transition whose Apply drew randomness is one sample, not a
+	// function of the internal row: replaying it would repeat the drawn
+	// outcome where the unmemoized path redraws, so the state stays
+	// uncaptured and every selection in it evaluates afresh.
+	if lst := s.memoEntries[p]; c.rand == nil && len(lst) < memoMaxEntries {
 		if len(lst) < cap(lst) {
 			lst = lst[:len(lst)+1]
 		} else {
 			lst = append(lst, silentEntry{})
 		}
 		s.memoEntries[p] = lst
-		e = &lst[len(lst)-1]
-		e.state = append(e.state[:0], s.cfg.Internal[p]...)
 		s.memoUsed = true
-	}
-	f = execOne(c)
-	if e != nil && c.rand != nil {
-		// Apply drew randomness: the transition is one sample, not a
-		// function of the internal row. Replaying it would repeat the
-		// drawn outcome where the unmemoized path redraws, so the state
-		// stays uncaptured and every selection in it evaluates afresh.
-		s.memoEntries[p] = s.memoEntries[p][:len(s.memoEntries[p])-1]
-		e = nil
-	}
-	if s.memoObs != nil {
-		if e != nil {
-			e.reads = append(e.reads[:0], a.readBuf...)
-			e.aggregate()
-		}
-		if len(a.readBuf) > 0 {
-			s.memoObs.ReadBatch(s.step, p, a.readBuf)
-		}
-		a.readBuf = a.readBuf[:0]
-	} else if e != nil {
-		e.reads = e.reads[:0]
-		e.qs = e.qs[:0]
-		e.bits = 0
-	}
-	if e != nil {
+		e := &lst[len(lst)-1]
+		e.state = append(e.state[:0], pre...)
+		e.next = append(e.next[:0], c.internal...)
 		e.fired = f
+		e.qs = append(e.qs[:0], a.agg.qs...)
+		e.bits = a.agg.bits
 	}
-	if f >= 0 {
-		for v, nv := range c.comm {
-			if s.cfg.Comm[p][v] != nv {
-				commChanged = true
-				break
-			}
-		}
-		if e != nil {
-			e.next = append(e.next[:0], c.internal...)
-		}
+	if f < 0 {
+		return f, false
 	}
-	if s.obs != nil {
-		s.obs.ActionFired(s.step, p, f)
-	}
-	if f >= 0 {
-		if commChanged {
+	for v, nv := range c.comm {
+		if ov := s.cfg.Comm[p][v]; ov != nv {
+			commChanged = true
 			if s.obs != nil {
-				for v, nv := range c.comm {
-					if ov := s.cfg.Comm[p][v]; ov != nv {
-						s.obs.CommWrite(s.step, p, v, ov, nv)
-					}
-				}
+				s.obs.CommWrite(s.step, p, v, ov, nv)
 			}
-			copy(s.cfg.Comm[p], c.comm)
-			s.memoReset()
 		}
-		copy(s.cfg.Internal[p], c.internal)
 	}
+	if commChanged {
+		copy(s.cfg.Comm[p], c.comm)
+		s.memoReset()
+	}
+	copy(s.cfg.Internal[p], c.internal)
 	return f, commChanged
 }

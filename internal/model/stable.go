@@ -2,21 +2,8 @@ package model
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
-
-// readCollector is an Observer that only collects neighbor reads.
-type readCollector struct {
-	reads map[int]bool
-}
-
-func (rc *readCollector) StepBegin(int, []int)              {}
-func (rc *readCollector) ActionFired(int, int, int)         {}
-func (rc *readCollector) CommWrite(int, int, int, int, int) {}
-func (rc *readCollector) StepEnd(int, []int, bool)          {}
-func (rc *readCollector) Read(_, _, q int, _ VarKind, _, _ int) {
-	rc.reads[q] = true
-}
 
 // EventualReadSets computes, for a communication-silent configuration,
 // the exact set of neighbors each process keeps reading forever: the
@@ -51,27 +38,26 @@ func eventualReadsOf(sys *System, cfg *Config, p int) ([]int, error) {
 	internal := append([]int(nil), cfg.Internal[p]...)
 
 	firstSeen := make(map[string]int)
-	var stateReads []map[int]bool // reads performed when stepping FROM state i
+	var stateReads [][]int // neighbors read when stepping FROM state i
+	agg := newReadAgg(sys)
 
 	for iter := 0; iter < maxOrbit; iter++ {
 		key := stateKey(comm, internal)
 		if start, seen := firstSeen[key]; seen {
 			// Cycle detected: states start..iter-1 repeat forever.
-			union := map[int]bool{}
-			for i := start; i < len(stateReads); i++ {
-				for q := range stateReads[i] {
-					union[q] = true
-				}
+			var union []int
+			for _, reads := range stateReads[start:] {
+				union = append(union, reads...)
 			}
-			return sortedKeys(union), nil
+			return sortedSet(union), nil
 		}
 		firstSeen[key] = iter
 
-		rc := &readCollector{reads: map[int]bool{}}
+		agg.begin()
 		c := &Ctx{sys: sys, pre: cfg, p: p,
 			comm:     append([]int(nil), comm...),
 			internal: append([]int(nil), internal...),
-			obs:      rc,
+			agg:      &agg,
 		}
 		idx := -1
 		for i := range sys.spec.Actions {
@@ -84,7 +70,7 @@ func eventualReadsOf(sys *System, cfg *Config, p int) ([]int, error) {
 		if idx < 0 {
 			// Disabled is a fixed point: the guard evaluations just
 			// performed repeat forever.
-			return sortedKeys(rc.reads), nil
+			return sortedSet(agg.qs), nil
 		}
 		act := sys.spec.Actions[idx]
 		if act.Randomized {
@@ -97,19 +83,17 @@ func eventualReadsOf(sys *System, cfg *Config, p int) ([]int, error) {
 		if !intsEqual(c.comm, comm) {
 			return nil, fmt.Errorf("action %q writes communication state: configuration is not silent", act.Name)
 		}
-		stateReads = append(stateReads, rc.reads)
+		stateReads = append(stateReads, append([]int(nil), agg.qs...))
 		comm, internal = c.comm, c.internal
 	}
 	return nil, fmt.Errorf("orbit exceeded %d states", maxOrbit)
 }
 
-func sortedKeys(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for q := range set {
-		out = append(out, q)
-	}
-	sort.Ints(out)
-	return out
+// sortedSet returns the distinct members of qs in ascending order.
+func sortedSet(qs []int) []int {
+	out := append(make([]int, 0, len(qs)), qs...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // StabilityProfile summarizes EventualReadSets.

@@ -34,22 +34,27 @@ func execOne(c *Ctx) int {
 }
 
 // newCtx builds an execution context for p whose own state is a scratch
-// copy taken from cfg. Both rows are carved from one allocation.
-func newCtx(sys *System, cfg *Config, p int, r *rng.Rand, obs Observer, step int) *Ctx {
+// copy taken from cfg. Both rows are carved from one allocation. With
+// record set, the context gets its own read aggregator.
+func newCtx(sys *System, cfg *Config, p int, r *rng.Rand, record bool) *Ctx {
 	comm, internal := cfg.Comm[p], cfg.Internal[p]
 	buf := make([]int, len(comm)+len(internal))
 	copy(buf, comm)
 	copy(buf[len(comm):], internal)
-	return &Ctx{
+	c := &Ctx{
 		sys:      sys,
 		pre:      cfg,
 		p:        p,
 		comm:     buf[:len(comm):len(comm)],
 		internal: buf[len(comm):],
 		rand:     r,
-		obs:      obs,
-		step:     step,
 	}
+	if record {
+		agg := newReadAgg(sys)
+		agg.begin()
+		c.agg = &agg
+	}
+	return c
 }
 
 // ExecuteStep performs one scheduler step on cfg in place: every process
@@ -63,22 +68,23 @@ func newCtx(sys *System, cfg *Config, p int, r *rng.Rand, obs Observer, step int
 // fired receives the fired action index per selected process (-1 if
 // disabled); the returned slice is indexed like selected.
 //
-// This free function is a compatibility entry point that allocates fresh
-// contexts per call; Simulator.Step runs the same semantics on a reusable
-// arena and allocates nothing after warmup.
+// This free function is the reference semantics: fresh contexts per
+// call, no arena, no memo. Simulator.Step must produce the same
+// configurations and the same Selected/CommWrite stream (the tests hold
+// it to that) while allocating nothing after warmup.
 func ExecuteStep(sys *System, cfg *Config, selected []int, step int, randFor func(p int) *rng.Rand, obs Observer) []int {
 	fired := make([]int, len(selected))
-	ctxs := make([]*Ctx, len(selected))
+	staged := make([]*Ctx, len(selected))
 	for i, p := range selected {
 		var r *rng.Rand
 		if randFor != nil {
 			r = randFor(p)
 		}
-		c := newCtx(sys, cfg, p, r, obs, step)
-		ctxs[i] = c
+		c := newCtx(sys, cfg, p, r, obs != nil)
+		staged[i] = c
 		fired[i] = execOne(c)
 		if obs != nil {
-			obs.ActionFired(step, p, fired[i])
+			obs.Selected(step, p, c.agg.qs, c.agg.bits, fired[i])
 		}
 	}
 	// Commit all writes simultaneously.
@@ -86,7 +92,7 @@ func ExecuteStep(sys *System, cfg *Config, selected []int, step int, randFor fun
 		if fired[i] < 0 {
 			continue
 		}
-		c := ctxs[i]
+		c := staged[i]
 		if obs != nil {
 			for v, nv := range c.comm {
 				if ov := cfg.Comm[p][v]; ov != nv {
@@ -109,8 +115,8 @@ func ExecuteStep(sys *System, cfg *Config, selected []int, step int, randFor fun
 // provide their own synchronization. The caller must guarantee exclusive
 // access to p's state and read access to the neighbors' communication
 // state for the duration of the call.
-func StepProcess(sys *System, cfg *Config, p int, r *rng.Rand, obs Observer, step int) int {
-	c := newCtx(sys, cfg, p, r, obs, step)
+func StepProcess(sys *System, cfg *Config, p int, r *rng.Rand) int {
+	c := newCtx(sys, cfg, p, r, false)
 	fired := execOne(c)
 	if fired >= 0 {
 		copy(cfg.Comm[p], c.comm)
@@ -128,7 +134,7 @@ func EnabledAction(sys *System, cfg *Config, p int) int {
 	if sys.g.Degree(p) == 0 {
 		return -1 // isolated: disabled by definition (see execOne)
 	}
-	c := newCtx(sys, cfg, p, nil, nil, -1)
+	c := newCtx(sys, cfg, p, nil, false)
 	spec := sys.spec
 	for i := range spec.Actions {
 		c.beginBody()

@@ -54,20 +54,23 @@ func TestRecorderResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestResetMidStepResize: a Reset to a different n landing between Read
-// and StepEnd must drop the in-flight step's touched set; stale entries
-// index the old n.
+// TestResetMidStepResize: a Reset to a different n landing between
+// Selected and StepEnd must leave nothing of the in-flight step behind;
+// the old n's process ids are out of range for the new one.
 func TestResetMidStepResize(t *testing.T) {
 	t.Parallel()
 	rec := NewRecorder(9)
 	rec.StepBegin(0, []int{8})
-	rec.Read(0, 8, 7, model.KindComm, 0, 3) // touches p=8
-	rec.Reset(3)                            // shrink mid-step
+	rec.Selected(0, 8, []int{7}, 3, 0)
+	rec.Reset(3) // shrink mid-step
 	rec.StepBegin(0, []int{0})
-	rec.Read(0, 0, 1, model.KindComm, 0, 3)
-	rec.StepEnd(0, []int{0}, false) // must not index p=8
-	if rep := rec.Report(); rep.TotalBits != 3 || rep.N != 3 {
-		t.Fatalf("post-resize report = %+v, want 3 bits over 3 processes", rep)
+	rec.Selected(0, 0, []int{1}, 3, 0)
+	rec.StepEnd(0, []int{0}, false)
+	want := Report{N: 3, Steps: 1, Moves: 1, Selections: 1, KEfficiency: 1, CommComplexityBits: 3,
+		TotalBits: 3, TotalReads: 1, ReadSetSizes: []int{1, 0, 0}, SuffixReadSetSizes: []int{1, 0, 0},
+		SuffixSteps: 1, SuffixTotalBits: 3, SuffixTotalReads: 1, SuffixSelections: 1, SuffixMoves: 1}
+	if rep := rec.Report(); !reflect.DeepEqual(rep, want) {
+		t.Fatalf("post-resize report = %+v, want %+v", rep, want)
 	}
 }
 
@@ -89,99 +92,140 @@ func TestReportIntoReusesSlices(t *testing.T) {
 	}
 }
 
-// feedReads pushes a synthetic read sequence through a recorder and
-// returns the final report. Every read claims `bits` bits.
-func feedReads(n int, reads [][4]int, bits int) Report {
-	rec := NewRecorder(n)
-	rec.StepBegin(0, []int{0})
-	for _, r := range reads {
-		rec.Read(0, r[0], r[1], model.VarKind(r[2]), r[3], bits)
+// scriptedRead is one neighbor read of a scripted guard: variable v of
+// the given kind behind port.
+type scriptedRead struct {
+	port int
+	kind model.VarKind
+	v    int
+}
+
+// pinned is a scheduler that selects the same processes every step.
+type pinned []int
+
+func (pinned) Name() string                                     { return "pinned" }
+func (s pinned) Select(int, *model.System, *model.Config) []int { return s }
+
+// runScript selects process 0 of an n-cycle for the given number of
+// steps; each selection performs the scripted reads in order (as a guard
+// that then reports disabled), every variable being `bits` wide. The
+// dedup under test is the engine's (model.Ctx folds reads as they
+// happen); the recorder receives the folded aggregate.
+func runScript(t *testing.T, n int, reads []scriptedRead, bits, steps int) Report {
+	t.Helper()
+	dom := model.FixedDomain(1 << bits)
+	spec := &model.Spec{
+		Name:  "SCRIPT",
+		Const: []model.VarSpec{{Name: "K", Domain: dom}},
+		Actions: []model.Action{{
+			Name: "read",
+			Guard: func(c *model.Ctx) bool {
+				for _, r := range reads {
+					if r.kind == model.KindConst {
+						c.NeighborConst(r.port, r.v)
+					} else {
+						c.NeighborComm(r.port, r.v)
+					}
+				}
+				return false
+			},
+			Apply: func(*model.Ctx) {},
+		}},
 	}
-	rec.StepEnd(0, []int{0}, false)
+	for _, name := range []string{"A", "B", "C", "D", "E", "F"} {
+		spec.Comm = append(spec.Comm, model.VarSpec{Name: name, Domain: dom})
+	}
+	consts := make([][]int, n)
+	for p := range consts {
+		consts[p] = []int{0}
+	}
+	sys, err := model.NewSystem(graph.Cycle(n), spec, consts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(n)
+	sim, err := model.NewSimulator(sys, model.NewZeroConfig(sys), pinned{0}, 1, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunSteps(steps)
 	return rec.Report()
 }
 
-// TestReadDedupStampedVsFallback: the generation-stamped dedup (n ≤
-// maxStampN) and the linear-scan fallback must account identically for a
-// read sequence with duplicates across (q, kind, v).
+// TestReadDedupStampedVsFallback: a read sequence with duplicates across
+// (neighbor, kind, variable) must be accounted identically at every n.
+// The recorder used to switch dedup structures at n = 128; the engine's
+// port-keyed fold has one regime, and this test keeps both sides of the
+// old boundary covered.
 func TestReadDedupStampedVsFallback(t *testing.T) {
 	t.Parallel()
-	reads := [][4]int{
-		// {p, q, kind, v}
-		{0, 1, int(model.KindComm), 0},
-		{0, 1, int(model.KindComm), 0},  // dup: not recounted
-		{0, 1, int(model.KindConst), 0}, // same q+v, other kind: counted
-		{0, 1, int(model.KindComm), 1},  // same q, other var: counted
-		{0, 2, int(model.KindComm), 0},  // other neighbor: counted
-		{0, 2, int(model.KindComm), 0},  // dup
-		{0, 1, int(model.KindConst), 0}, // dup
+	reads := []scriptedRead{
+		{1, model.KindComm, 0},
+		{1, model.KindComm, 0},  // dup: not recounted
+		{1, model.KindConst, 0}, // same neighbor+index, other kind: counted
+		{1, model.KindComm, 1},  // same neighbor, other var: counted
+		{2, model.KindComm, 0},  // other neighbor: counted
+		{2, model.KindComm, 0},  // dup
+		{1, model.KindConst, 0}, // dup
 	}
 	const bits = 3
 	// Distinct keys: (1,comm,0), (1,const,0), (1,comm,1), (2,comm,0).
-	small := feedReads(4, reads, bits) // stamped table path
-	if small.TotalBits != 4*bits {
-		t.Fatalf("stamped path counted %d bits, want %d", small.TotalBits, 4*bits)
+	small := runScript(t, 4, reads, bits, 1)
+	if small.TotalBits != 4*bits || small.CommComplexityBits != 4*bits {
+		t.Fatalf("counted %d bits (complexity %d), want %d", small.TotalBits, small.CommComplexityBits, 4*bits)
 	}
-	if small.TotalReads != 2 { // distinct neighbors: 1 and 2
-		t.Fatalf("stamped path counted %d distinct-neighbor reads, want 2", small.TotalReads)
+	if small.TotalReads != 2 || small.KEfficiency != 2 { // distinct neighbors: two
+		t.Fatalf("counted %d distinct-neighbor reads (k = %d), want 2", small.TotalReads, small.KEfficiency)
 	}
-	big := feedReads(maxStampN+2, reads, bits) // linear fallback path
+	big := runScript(t, 130, reads, bits, 1)
 	if big.TotalBits != small.TotalBits || big.TotalReads != small.TotalReads ||
 		big.KEfficiency != small.KEfficiency || big.CommComplexityBits != small.CommComplexityBits {
-		t.Fatalf("fallback path disagrees with stamped path:\nstamped  %+v\nfallback %+v", small, big)
+		t.Fatalf("n = 130 disagrees with n = 4:\nn=4   %+v\nn=130 %+v", small, big)
 	}
 }
 
-// TestReadDedupStampGrowth: reads of variable indices beyond the current
-// stamp width must grow the table mid-step without losing stamps.
+// TestReadDedupStampGrowth: reads of a high variable index between reads
+// of a low one must not disturb either's dedup.
 func TestReadDedupStampGrowth(t *testing.T) {
 	t.Parallel()
-	var reads [][4]int
-	// First touch v=0, then v=5 (forces growth), then duplicate both: the
-	// duplicates must still be recognized after the remap.
-	reads = append(reads,
-		[4]int{0, 1, int(model.KindComm), 0},
-		[4]int{0, 1, int(model.KindComm), 5},
-		[4]int{0, 1, int(model.KindComm), 0},
-		[4]int{0, 1, int(model.KindComm), 5},
-	)
-	rep := feedReads(4, reads, 2)
-	if rep.TotalBits != 4 {
-		t.Fatalf("after stamp growth TotalBits = %d, want 4 (two distinct reads)", rep.TotalBits)
+	reads := []scriptedRead{
+		{1, model.KindComm, 0},
+		{1, model.KindComm, 5},
+		{1, model.KindComm, 0},
+		{1, model.KindComm, 5},
+	}
+	if rep := runScript(t, 4, reads, 2, 1); rep.TotalBits != 4 {
+		t.Fatalf("TotalBits = %d, want 4 (two distinct reads)", rep.TotalBits)
 	}
 }
 
-// TestReadDedupAcrossSteps: dedup is per step; the same key in the next
-// step counts again (epoch bump), in both dedup regimes.
+// TestReadDedupAcrossSteps: dedup is per selection; the same key in the
+// next step counts again.
 func TestReadDedupAcrossSteps(t *testing.T) {
 	t.Parallel()
-	for _, n := range []int{4, maxStampN + 2} {
-		rec := NewRecorder(n)
-		for step := 0; step < 3; step++ {
-			rec.StepBegin(step, []int{0})
-			rec.Read(step, 0, 1, model.KindComm, 0, 3)
-			rec.Read(step, 0, 1, model.KindComm, 0, 3) // dup within step
-			rec.StepEnd(step, []int{0}, false)
-		}
-		if rep := rec.Report(); rep.TotalBits != 9 {
+	reads := []scriptedRead{{1, model.KindComm, 0}, {1, model.KindComm, 0}}
+	for _, n := range []int{4, 130} {
+		if rep := runScript(t, n, reads, 3, 3); rep.TotalBits != 9 {
 			t.Fatalf("n=%d: 3 steps × 1 distinct read = %d bits, want 9", n, rep.TotalBits)
 		}
 	}
 }
 
-// BenchmarkRecorderReadFullStep measures a full-read step on a
-// high-degree process: every neighbor contributes two distinct reads,
-// the workload whose dedup used to be quadratic in the degree.
+// BenchmarkRecorderReadFullStep measures what a full-read step on a
+// high-degree process costs the recorder: one Selected carrying every
+// neighbor, between StepBegin and StepEnd.
 func BenchmarkRecorderReadFullStep(b *testing.B) {
 	const n = 64
 	rec := NewRecorder(n)
+	neighbors := make([]int, 0, n-1)
+	for q := 1; q < n; q++ {
+		neighbors = append(neighbors, q)
+	}
+	selected := []int{0}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec.StepBegin(i, []int{0})
-		for q := 1; q < n; q++ {
-			rec.Read(i, 0, q, model.KindComm, 0, 3)
-			rec.Read(i, 0, q, model.KindConst, 0, 3)
-		}
-		rec.StepEnd(i, []int{0}, false)
+		rec.StepBegin(i, selected)
+		rec.Selected(i, 0, neighbors, 6*(n-1), 0)
+		rec.StepEnd(i, selected, false)
 	}
 }

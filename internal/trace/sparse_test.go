@@ -13,7 +13,7 @@ import (
 
 // driveFull runs a complete trial shape — run to silence, mark the
 // suffix, then a few more rounds so the simulator's silent-phase replay
-// (ReplaySelection) feeds the recorder too — and returns the report.
+// feeds the recorder too — and returns the report.
 func driveFull(t *testing.T, rec *Recorder, g *graph.Graph, seed uint64) Report {
 	t.Helper()
 	sys, err := model.NewSystem(g, coloring.Spec(), nil)

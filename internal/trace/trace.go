@@ -18,64 +18,35 @@ import (
 	"repro/internal/model"
 )
 
-type readKey struct {
-	q    int
-	kind model.VarKind
-	v    int
-}
-
-// maxStampN bounds the systems for which the per-step (q,kind,v) read
-// dedup runs on the generation-stamped table (O(n²·kinds·width) memory
-// per recorder, O(1) per read). Larger systems fall back to the linear
-// per-process key scan, whose cost is quadratic only in the per-step key
-// count, never in n.
-const maxStampN = 128
-
 // sparseThreshold bounds the systems whose read sets are kept as dense
 // n-bit bitsets. A process only ever reads its neighbors, so every read
 // set R_p has at most degree(p) members — yet the dense representation
 // charges n bits per process, O(n²) bytes per recorder, which is the
-// memory wall at large n (three sets × 10⁶ processes ≈ 375 GB). Above
+// memory wall at large n (two sets × 10⁶ processes ≈ 250 GB). Above
 // the threshold the recorder switches to per-process member lists with
 // linear dedup: O(Σ degree) memory total and O(degree) per insertion,
 // which is what makes million-process recordings fit in RAM. Both
 // representations produce byte-identical reports
 // (TestSparseRecorderMatchesDense); it is a var only so tests can force
 // the sparse path at small n.
+//
+// Ablated in PR 13, with insertion down to one probe per distinct
+// neighbor: sparse-always (threshold 0) ran the 19-experiment registry
+// at 50 trials in 0.638 s against 0.611 s dense (+4 %, 2 of 10
+// alternating pairs won), so the dense form keeps its place below the
+// threshold.
 var sparseThreshold = 4096
 
-// Recorder accumulates read/step/move statistics for one execution. Read
-// sets are bitsets and per-step scratch is reused, so the observer
-// allocates nothing on the steady-state path. A Recorder is reusable:
-// Reset rewinds it to the state of a fresh NewRecorder without
+// Recorder accumulates read/step/move statistics for one execution. The
+// engine delivers each selection's reads already folded (distinct
+// neighbors, deduplicated bits), so the recorder keeps no per-step
+// state and allocates nothing on the steady-state path. A Recorder is
+// reusable: Reset rewinds it to the state of a fresh NewRecorder without
 // reallocating, which is what lets the trial pipeline run millions of
 // executions through one recorder per worker.
 type Recorder struct {
 	n      int
 	sparse bool // n > sparseThreshold: list-backed read sets
-
-	// Scratch for the step in progress, reused across steps. touched
-	// lists the processes with reads this step; their scratch rows are
-	// reset in StepEnd. curReads is the dense representation; curList the
-	// sparse one (exactly one is live, per the sparse flag).
-	curReads     []*bitset.Set // per process: distinct neighbors read this step
-	curList      [][]int32
-	curReadCount []int
-	curBitSum    []int
-	touched      []int
-
-	// Per-step (p,q,kind,v) read dedup for the bits accounting. epoch
-	// identifies the current step (bumped by StepEnd and Reset);
-	// readStamp[idx]==epoch marks a key already counted this step, and
-	// procStamp[p]==epoch marks p as already in touched. The flat layout
-	// is [p][q][kind][v] with per-kind width stampW, grown on demand.
-	// readStamp is nil for n > maxStampN; curKeys then holds the
-	// linear-scan fallback rows.
-	epoch     uint64
-	stampW    int
-	readStamp []uint64
-	procStamp []uint64
-	curKeys   [][]readKey
 
 	maxStepReads []int // per process: max distinct neighbors read in one step
 	maxStepBits  []int // per process: max bits read in one step
@@ -116,66 +87,34 @@ func (r *Recorder) Reset(n int) {
 	sparse := n > sparseThreshold
 	if n != r.n || sparse != r.sparse {
 		r.n, r.sparse = n, sparse
-		r.curReadCount = make([]int, n)
-		r.curBitSum = make([]int, n)
 		r.maxStepReads = make([]int, n)
 		r.maxStepBits = make([]int, n)
-		r.procStamp = make([]uint64, n)
 		if sparse {
-			r.curReads, r.everRead, r.suffixRead = nil, nil, nil
-			r.curList = make([][]int32, n)
+			r.everRead, r.suffixRead = nil, nil
 			r.everList = make([][]int32, n)
 			r.suffixList = make([][]int32, n)
 		} else {
-			r.curList, r.everList, r.suffixList = nil, nil, nil
-			r.curReads = make([]*bitset.Set, n)
+			r.everList, r.suffixList = nil, nil
 			r.everRead = make([]*bitset.Set, n)
 			r.suffixRead = make([]*bitset.Set, n)
 			for p := 0; p < n; p++ {
-				r.curReads[p] = bitset.New(n)
 				r.everRead[p] = bitset.New(n)
 				r.suffixRead[p] = bitset.New(n)
 			}
 		}
-		// The stamped (q,kind,v) dedup table is itself O(n²) memory, so
-		// sparse recorders always take the linear key fallback (in real
-		// use sparse implies n > maxStampN anyway; the explicit condition
-		// keeps threshold-lowering tests honest).
-		if n <= maxStampN && !sparse {
-			r.stampW = 1
-			r.readStamp = make([]uint64, n*n*3*r.stampW)
-			r.curKeys = nil
-		} else {
-			r.stampW = 0
-			r.readStamp = nil
-			r.curKeys = make([][]readKey, n)
-		}
 	} else {
 		for p := 0; p < n; p++ {
 			if sparse {
-				r.curList[p] = r.curList[p][:0]
 				r.everList[p] = r.everList[p][:0]
 				r.suffixList[p] = r.suffixList[p][:0]
 			} else {
-				r.curReads[p].Clear()
 				r.everRead[p].Clear()
 				r.suffixRead[p].Clear()
 			}
-			r.curReadCount[p] = 0
-			r.curBitSum[p] = 0
 			r.maxStepReads[p] = 0
 			r.maxStepBits[p] = 0
-			if r.curKeys != nil {
-				r.curKeys[p] = r.curKeys[p][:0]
-			}
 		}
 	}
-	// touched may be non-empty when Reset lands mid-step (between Read
-	// and StepEnd); its entries index the old n and must not survive.
-	r.touched = r.touched[:0]
-	// Bumping the epoch invalidates every stamp at once; the table is
-	// never cleared.
-	r.epoch++
 	r.totalBits, r.totalReads = 0, 0
 	r.moves, r.disabledSelections, r.selections, r.commWrites = 0, 0, 0, 0
 	r.steps, r.rounds = 0, 0
@@ -185,8 +124,6 @@ func (r *Recorder) Reset(n int) {
 }
 
 var _ model.Observer = (*Recorder)(nil)
-var _ model.BatchReadObserver = (*Recorder)(nil)
-var _ model.ReplayObserver = (*Recorder)(nil)
 
 // addMember inserts q into a sparse read-set list if absent, reporting
 // whether it was added. Read sets only ever hold neighbors of one
@@ -200,19 +137,25 @@ func addMember(list []int32, q int32) ([]int32, bool) {
 	return append(list, q), true
 }
 
-// ReplaySelection implements model.ReplayObserver: the simulator's
-// silent-phase replay hands over one selection's precomputed aggregate
-// instead of the raw Read/ActionFired stream. The fold below is exactly
-// what the equivalent Read calls plus the StepEnd flush would have done
-// for p — counters add, maxima compare, set insertions are idempotent —
-// so reports are identical to the slow path, byte for byte.
-func (r *Recorder) ReplaySelection(p int, neighbors []int, reads, bits, fired int) {
+// StepBegin implements model.Observer.
+func (r *Recorder) StepBegin(_ int, selected []int) {
+	r.selections += int64(len(selected))
+	r.suffixSelections += int64(len(selected))
+}
+
+// Selected implements model.Observer: one selection of p that read the
+// given distinct neighbors for bits bits and fired action `fired`.
+// Counters add, maxima compare and set insertions are idempotent, so
+// the fold is the same whether the aggregate comes from an evaluation
+// or from the simulator's silent-phase replay.
+func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired int) {
 	if fired >= 0 {
 		r.moves++
 		r.suffixMoves++
 	} else {
 		r.disabledSelections++
 	}
+	reads := len(neighbors)
 	if reads == 0 {
 		return
 	}
@@ -226,163 +169,25 @@ func (r *Recorder) ReplaySelection(p int, neighbors []int, reads, bits, fired in
 	}
 	r.totalBits += int64(bits)
 	r.suffixBits += int64(bits)
+	// The suffix set is a subset of the whole-run set (MarkSuffix clears
+	// only the former), so a neighbor already in it needs no second
+	// insertion: once a process's sets saturate, a read costs one probe.
 	if r.sparse {
 		ever, suffix := r.everList[p], r.suffixList[p]
 		for _, q := range neighbors {
-			ever, _ = addMember(ever, int32(q))
-			suffix, _ = addMember(suffix, int32(q))
+			var added bool
+			if suffix, added = addMember(suffix, int32(q)); added {
+				ever, _ = addMember(ever, int32(q))
+			}
 		}
 		r.everList[p], r.suffixList[p] = ever, suffix
 		return
 	}
 	ever, suffix := r.everRead[p], r.suffixRead[p]
 	for _, q := range neighbors {
-		ever.Add(q)
-		suffix.Add(q)
-	}
-}
-
-// StepBegin implements model.Observer.
-func (r *Recorder) StepBegin(_ int, selected []int) {
-	r.selections += int64(len(selected))
-	r.suffixSelections += int64(len(selected))
-}
-
-// Read implements model.Observer. The (q,kind,v) dedup behind the bits
-// accounting is a generation-stamped table lookup (O(1) per read; see
-// maxStampN), so a full-read step on a high-degree process costs O(Δ),
-// not O(Δ²).
-func (r *Recorder) Read(_, p, q int, kind model.VarKind, v, bits int) {
-	if r.procStamp[p] != r.epoch {
-		r.procStamp[p] = r.epoch
-		r.touched = append(r.touched, p)
-	}
-	if r.sparse {
-		var added bool
-		if r.curList[p], added = addMember(r.curList[p], int32(q)); added {
-			r.curReadCount[p]++
+		if suffix.Add(q) {
+			ever.Add(q)
 		}
-	} else if r.curReads[p].Add(q) {
-		r.curReadCount[p]++
-	}
-	if r.readStamp != nil {
-		if v >= r.stampW {
-			r.growStamp(v + 1)
-		}
-		idx := ((p*r.n+q)*3+int(kind)-1)*r.stampW + v
-		if r.readStamp[idx] == r.epoch {
-			return
-		}
-		r.readStamp[idx] = r.epoch
-	} else {
-		k := readKey{q: q, kind: kind, v: v}
-		for _, seen := range r.curKeys[p] {
-			if seen == k {
-				return
-			}
-		}
-		r.curKeys[p] = append(r.curKeys[p], k)
-	}
-	r.curBitSum[p] += bits
-}
-
-// ReadBatch implements model.BatchReadObserver: the step engine hands
-// over every read of one process evaluation in a single call, letting
-// the recorder hoist the per-process bookkeeping out of the per-read
-// loop. The accounting is exactly len(reads) Read calls' worth.
-func (r *Recorder) ReadBatch(_, p int, reads []model.ReadRec) {
-	if r.procStamp[p] != r.epoch {
-		r.procStamp[p] = r.epoch
-		r.touched = append(r.touched, p)
-	}
-	count := r.curReadCount[p]
-	bitSum := r.curBitSum[p]
-	if r.sparse {
-		list := r.curList[p]
-		for i := range reads {
-			rec := &reads[i]
-			var added bool
-			if list, added = addMember(list, int32(rec.Q)); added {
-				count++
-			}
-			k := readKey{q: rec.Q, kind: rec.Kind, v: rec.V}
-			dup := false
-			for _, seen := range r.curKeys[p] {
-				if seen == k {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				r.curKeys[p] = append(r.curKeys[p], k)
-				bitSum += rec.Bits
-			}
-		}
-		r.curList[p] = list
-		r.curReadCount[p] = count
-		r.curBitSum[p] = bitSum
-		return
-	}
-	cur := r.curReads[p]
-	if r.readStamp != nil {
-		for i := range reads {
-			rec := &reads[i]
-			if cur.Add(rec.Q) {
-				count++
-			}
-			if rec.V >= r.stampW {
-				r.growStamp(rec.V + 1)
-			}
-			idx := ((p*r.n+rec.Q)*3+int(rec.Kind)-1)*r.stampW + rec.V
-			if r.readStamp[idx] != r.epoch {
-				r.readStamp[idx] = r.epoch
-				bitSum += rec.Bits
-			}
-		}
-	} else {
-		for i := range reads {
-			rec := &reads[i]
-			if cur.Add(rec.Q) {
-				count++
-			}
-			k := readKey{q: rec.Q, kind: rec.Kind, v: rec.V}
-			dup := false
-			for _, seen := range r.curKeys[p] {
-				if seen == k {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				r.curKeys[p] = append(r.curKeys[p], k)
-				bitSum += rec.Bits
-			}
-		}
-	}
-	r.curReadCount[p] = count
-	r.curBitSum[p] = bitSum
-}
-
-// growStamp widens the stamp table to at least w slots per (p,q,kind),
-// remapping existing rows so stamps of the step in progress survive.
-func (r *Recorder) growStamp(w int) {
-	if w < 2*r.stampW {
-		w = 2 * r.stampW
-	}
-	next := make([]uint64, r.n*r.n*3*w)
-	for row := 0; row*r.stampW < len(r.readStamp); row++ {
-		copy(next[row*w:row*w+r.stampW], r.readStamp[row*r.stampW:(row+1)*r.stampW])
-	}
-	r.readStamp, r.stampW = next, w
-}
-
-// ActionFired implements model.Observer.
-func (r *Recorder) ActionFired(_, _, a int) {
-	if a >= 0 {
-		r.moves++
-		r.suffixMoves++
-	} else {
-		r.disabledSelections++
 	}
 }
 
@@ -393,42 +198,6 @@ func (r *Recorder) CommWrite(_, _, _, _, _ int) {
 
 // StepEnd implements model.Observer.
 func (r *Recorder) StepEnd(_ int, _ []int, roundCompleted bool) {
-	for _, p := range r.touched {
-		reads := r.curReadCount[p]
-		if reads > r.maxStepReads[p] {
-			r.maxStepReads[p] = reads
-		}
-		r.totalReads += int64(reads)
-		r.suffixReads += int64(reads)
-		if r.sparse {
-			ever, suffix := r.everList[p], r.suffixList[p]
-			for _, q := range r.curList[p] {
-				ever, _ = addMember(ever, q)
-				suffix, _ = addMember(suffix, q)
-			}
-			r.everList[p], r.suffixList[p] = ever, suffix
-			r.curList[p] = r.curList[p][:0]
-		} else {
-			r.curReads[p].UnionInto(r.everRead[p])
-			r.curReads[p].UnionInto(r.suffixRead[p])
-			r.curReads[p].Clear()
-		}
-
-		bits := r.curBitSum[p]
-		if bits > r.maxStepBits[p] {
-			r.maxStepBits[p] = bits
-		}
-		r.totalBits += int64(bits)
-		r.suffixBits += int64(bits)
-
-		r.curReadCount[p] = 0
-		if r.curKeys != nil {
-			r.curKeys[p] = r.curKeys[p][:0]
-		}
-		r.curBitSum[p] = 0
-	}
-	r.touched = r.touched[:0]
-	r.epoch++ // invalidates this step's read stamps
 	r.steps++
 	r.suffixSteps++
 	if roundCompleted {
