@@ -12,6 +12,7 @@
 //	sscampaignd -addr 127.0.0.1:0        # pick a free port (logged on stderr)
 //	sscampaignd -cache /var/cache/ss     # persistent cache: restarts resume
 //	sscampaignd -workers 8 -queue 32     # per-run workers, submit backlog
+//	sscampaignd -cpuprofile d.prof       # CPU profile of everything served, written at shutdown
 //
 // SIGINT/SIGTERM drain gracefully: in-flight cells finish and persist
 // to the cache, queued runs fail cleanly, then the process exits. A
@@ -33,7 +34,18 @@ import (
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/prof"
 	"repro/internal/service"
+)
+
+// Server-side bounds on what a client may leave half done. There is no
+// WriteTimeout: a progress stream lives as long as its run.
+const (
+	// readHeaderTimeout bounds a connection that never finishes sending
+	// its request headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout bounds a keep-alive connection between requests.
+	idleTimeout = 2 * time.Minute
 )
 
 func main() {
@@ -58,6 +70,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 		batch    = fs.Int("batch", 0, "lockstep trial batch width for plain cells (0: auto, 1: off)")
 		queue    = fs.Int("queue", 16, "submitted-but-not-started run backlog bound")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget: in-flight cells finish and persist within this window")
+		cpuProf  = prof.Flag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -65,6 +78,13 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %q (campaigns are POSTed to /v1/runs, not passed on the command line)", fs.Args())
 	}
+	// The profile covers everything served: it stops when run returns,
+	// which on the signal path is after the drain.
+	stopProfile, err := prof.Start(*cpuProf)
+	if err != nil {
+		return err
+	}
+	defer stopProfile()
 	var cache campaign.Backend
 	if *cacheDir != "" {
 		be := campaign.NewDirBackend(*cacheDir)
@@ -90,7 +110,11 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 

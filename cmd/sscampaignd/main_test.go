@@ -109,7 +109,8 @@ func cliJSONL(t *testing.T, src string) string {
 // with the in-process CLI run, then shut down via the signal context.
 func TestDaemonEndToEnd(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "cache")
-	base, stderr, shutdown := startDaemon(t, "-cache", cache, "-workers", "3")
+	profile := filepath.Join(t.TempDir(), "daemon.prof")
+	base, stderr, shutdown := startDaemon(t, "-cache", cache, "-workers", "3", "-cpuprofile", profile)
 
 	resp, err := http.Post(base+"/v1/runs", "text/plain", strings.NewReader(daemonSrc))
 	if err != nil {
@@ -166,6 +167,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if out := stderr.String(); !strings.Contains(out, "listening on http://") || !strings.Contains(out, "stopped") {
 		t.Fatalf("daemon stderr missing lifecycle lines:\n%s", out)
+	}
+	// The profile is finished by the time the drain returns.
+	if info, err := os.Stat(profile); err != nil || info.Size() == 0 {
+		t.Fatalf("-cpuprofile after shutdown: %v, %v", info, err)
 	}
 	// The drained cache persists the run's cells for the next daemon.
 	if entries, _, err := campaign.CacheEntries(cache); err != nil || entries != 2 {

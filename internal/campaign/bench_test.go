@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/rng"
@@ -99,6 +101,35 @@ func BenchmarkWriteJSONL(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		if err := out.WriteJSONL(&w); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileHitPath times what a fully cached run pays before its
+// first cache probe: Compile over the three benchmark campaigns, and
+// nothing materialized after it.
+func BenchmarkCompileHitPath(b *testing.B) {
+	var specs []*Spec
+	for _, name := range []string{"plain", "fault", "churn"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "bench", "campaigns", name+".campaign"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec, err := Parse(string(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		for _, spec := range specs {
+			plan, err := Compile(spec, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(plan.Cells)
 		}
 	}
 }

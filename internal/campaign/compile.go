@@ -42,10 +42,9 @@ type CellSpec struct {
 	// Key is the expanded cell key: the string the cell's trial seeds
 	// derive from (rng.DeriveString(spec.Seed, Key)).
 	Key string
-	// Graph is the constructed topology; GraphLine is its canonical
-	// single-size descriptor (e.g. "grid 16"), the stable identity used
-	// for cache fingerprints.
-	Graph     *graph.Graph
+	// GraphLine is the canonical single-size descriptor of the cell's
+	// topology (e.g. "grid 16"), the stable identity used for cache
+	// fingerprints.
 	GraphLine string
 	Protocol  string
 	Daemon    string
@@ -60,8 +59,21 @@ type CellSpec struct {
 	ChurnK        int
 	ChurnSchedule fault.Schedule
 
+	topo     *topology     // shared by every cell of one (graph line, size) point
 	snapshot *model.Config // silent snapshot, filled lazily (ensureSnapshots)
 }
+
+// topology is one (graph line, size) point of the graph axis: the
+// descriptor its cells are keyed from, and the graph itself once a cell
+// that missed the cache has needed it (Plan.graphFor).
+type topology struct {
+	desc graph.Desc
+	g    *graph.Graph
+}
+
+// Graph describes the cell's topology: the name and size cell keys
+// embed. The topology itself exists only once the cell is materialized.
+func (cs *CellSpec) Graph() graph.Desc { return cs.topo.desc }
 
 // atStart reports whether the cell injects into a silent snapshot.
 func (cs *CellSpec) atStart() bool {
@@ -86,18 +98,41 @@ type Plan struct {
 	// ensureEngineCells for exactly the cells that will execute.
 	cells   []engine.Cell
 	systems map[sysKey]builtSys
+	// graphsBuilt counts the topologies graphFor has built.
+	graphsBuilt int
 }
 
-// sysKey identifies a (graph, protocol) pair whose built system is
-// shared across cells (systems are immutable).
+// sysKey identifies a (graph, protocol) pair whose built system and
+// silent snapshot are shared across cells (both are immutable).
 type sysKey struct {
-	g     *graph.Graph
+	topo  *topology
 	proto string
 }
 
 type builtSys struct {
 	sys   *model.System
 	legit engine.Legitimacy
+}
+
+// GraphsBuilt reports how many topologies the plan has built so far: one
+// per (graph line, size) point some materialized cell runs on, none for
+// a run served wholly from the cache.
+func (p *Plan) GraphsBuilt() int { return p.graphsBuilt }
+
+// graphFor builds (or returns the shared) topology of a cell. Not safe
+// for concurrent use: like the rest of materialize it runs before the
+// workers launch.
+func (p *Plan) graphFor(cs *CellSpec) (*graph.Graph, error) {
+	t := cs.topo
+	if t.g == nil {
+		g, err := t.desc.Build()
+		if err != nil {
+			return nil, fmt.Errorf("campaign: graph %s: %w", cs.GraphLine, err)
+		}
+		t.g = g
+		p.graphsBuilt++
+	}
+	return t.g, nil
 }
 
 // EngineConfig returns the engine configuration the plan runs under.
@@ -111,9 +146,9 @@ func (p *Plan) EngineConfig() engine.Config { return p.cfg }
 // before the pool launches.
 func (p *Plan) SetObserver(o obs.Observer) { p.cfg.Observer = o }
 
-// EngineCells materializes every cell (building systems and computing
-// any still-missing at-start snapshots in one warm-up batch) and
-// returns the runnable engine cells, index-aligned with Cells. Callers
+// EngineCells materializes every cell (building graphs and systems and
+// computing any still-missing at-start snapshots in one warm-up batch)
+// and returns the runnable engine cells, index-aligned with Cells. Callers
 // that bypass Run (the rewired registry experiments) feed them to
 // engine.RunFaultCellsReduce / RunCellsReduce directly.
 func (p *Plan) EngineCells() ([]engine.Cell, error) {
@@ -128,17 +163,17 @@ func (p *Plan) EngineCells() ([]engine.Cell, error) {
 }
 
 // Materialize prepares the given cells (indices into p.Cells) for
-// execution: snapshot warm-ups, then system construction and run
-// closures. Not safe for concurrent use — callers that execute cells
-// on their own workers (the campaign service's work-stealing
-// coordinator) must materialize every cell they will run before
-// launching those workers, exactly as Run does for its own pool.
+// execution: their topologies, snapshot warm-ups, then system
+// construction and run closures. Not safe for concurrent use — callers
+// that execute cells on their own workers (the campaign service's
+// work-stealing coordinator) must materialize every cell they will run
+// before launching those workers, exactly as Run does for its own pool.
 func (p *Plan) Materialize(cells []int) error { return p.materialize(cells) }
 
 // materialize prepares the given cells (indices into p.Cells) for
-// execution: snapshot warm-ups, then system construction and run
-// closures. Not safe for concurrent use (call before launching the
-// pool, as Run does).
+// execution: their topologies, snapshot warm-ups, then system
+// construction and run closures. Not safe for concurrent use (call
+// before launching the pool, as Run does).
 func (p *Plan) materialize(cells []int) error {
 	if err := p.ensureSnapshots(cells); err != nil {
 		return err
@@ -146,12 +181,14 @@ func (p *Plan) materialize(cells []int) error {
 	return p.ensureEngineCells(cells)
 }
 
-// Compile expands a campaign into its deterministic cell list and
-// builds every graph (cell keys embed graph names, so topologies must
-// exist up front). Protocol systems, run closures and the silent
-// snapshots required by at-start adversary cells are NOT built here:
-// they materialize lazily for exactly the cells a Run will execute, so
-// fully-cached resumes and foreign shards never pay for them.
+// Compile expands a campaign into its deterministic cell list. Cell keys
+// embed graph names and sizes, and both come from the families'
+// descriptors (graph.Desc): no topology is built here. Topologies,
+// protocol systems, run closures and the silent snapshots required by
+// at-start adversary cells materialize lazily for exactly the cells a
+// Run will execute, so fully-cached resumes and foreign shards never pay
+// for them. What a descriptor cannot foresee — a random regular pairing
+// that runs out of attempts — fails at materialize instead.
 //
 // Determinism: the cell order is a pure function of the Spec; cell keys
 // (and so all trial seeds) never depend on parallelism, sharding or
@@ -173,9 +210,9 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 		}.WithDefaults(),
 	}
 
-	// Reject oversized sweeps from the axis cardinalities alone, before
-	// any graph is built: the parser bounds each axis but not their
-	// product, and a hostile file must not cost more than arithmetic.
+	// Reject oversized sweeps from the axis cardinalities alone: the
+	// parser bounds each axis but not their product, and a hostile file
+	// must not cost more than arithmetic.
 	totalSizes := 0
 	for _, gs := range spec.Graphs {
 		totalSizes += len(gs.sizes())
@@ -195,18 +232,19 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 		return nil, fmt.Errorf("campaign: %d cells exceed the %d-cell limit", total, maxCells)
 	}
 
-	// Graph axis: build every (line, size) topology once.
-	type builtGraph struct {
-		g    *graph.Graph
+	// Graph axis: describe every (line, size) topology once.
+	type graphPoint struct {
+		topo *topology
 		line string
 	}
-	var graphs []builtGraph
+	var graphs []graphPoint
 	seenNames := map[string]string{}
 	for _, gs := range spec.Graphs {
 		for _, n := range gs.sizes() {
-			g, err := buildGraph(gs, n, spec.Seed)
+			line := gs.lineFor(n)
+			desc, err := describeGraph(gs, line, n, spec.Seed)
 			if err != nil {
-				return nil, fmt.Errorf("campaign: graph %s: %w", gs.lineFor(n), err)
+				return nil, fmt.Errorf("campaign: graph %s: %w", line, err)
 			}
 			// Many families clamp or round sizes (grid/torus to squares,
 			// hypercube to powers of two, spider ignores n entirely), so a
@@ -214,12 +252,11 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 			// Identically-named graphs would share cell keys — and trial
 			// seeds — so reject them here, where the colliding source
 			// lines can be named.
-			line := gs.lineFor(n)
-			if prev, dup := seenNames[g.Name()]; dup {
-				return nil, fmt.Errorf("campaign: `graph %s` and `graph %s` both build %q (the family clamps or rounds sizes): keep sizes/parameters that yield distinct graphs", prev, line, g.Name())
+			if prev, dup := seenNames[desc.Name]; dup {
+				return nil, fmt.Errorf("campaign: `graph %s` and `graph %s` both build %q (the family clamps or rounds sizes): keep sizes/parameters that yield distinct graphs", prev, line, desc.Name)
 			}
-			seenNames[g.Name()] = line
-			graphs = append(graphs, builtGraph{g: g, line: line})
+			seenNames[desc.Name] = line
+			graphs = append(graphs, graphPoint{topo: &topology{desc: desc}, line: line})
 		}
 	}
 
@@ -233,14 +270,14 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 			for _, daemon := range spec.Daemons {
 				if !p.Faulted {
 					p.Cells = append(p.Cells, CellSpec{
-						Graph: bg.g, GraphLine: bg.line,
+						topo: bg.topo, GraphLine: bg.line,
 						Protocol: proto, Daemon: daemon,
 					})
 					continue
 				}
 				appendPoint := func(advName string, k int, schedule fault.Schedule) {
 					base := CellSpec{
-						Graph: bg.g, GraphLine: bg.line,
+						topo: bg.topo, GraphLine: bg.line,
 						Protocol: proto, Daemon: daemon,
 						Adversary: advName, K: k, Schedule: schedule,
 					}
@@ -305,7 +342,7 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 // {k}/{count}/{churn-k} as 0. A brace group that is no placeholder
 // (only a hand-built Spec can carry one) is kept verbatim.
 func expandKey(template string, spec *Spec, cs *CellSpec) string {
-	buf := make([]byte, 0, 2*len(template)+len(cs.Graph.Name()))
+	buf := make([]byte, 0, 2*len(template)+len(cs.topo.desc.Name))
 	rest := template
 	for {
 		i := strings.IndexByte(rest, '{')
@@ -319,9 +356,9 @@ func expandKey(template string, spec *Spec, cs *CellSpec) string {
 		}
 		switch rest[:end+1] {
 		case "{graph}":
-			buf = append(buf, cs.Graph.Name()...)
+			buf = append(buf, cs.topo.desc.Name...)
 		case "{n}":
-			buf = strconv.AppendInt(buf, int64(cs.Graph.N()), 10)
+			buf = strconv.AppendInt(buf, int64(cs.topo.desc.N), 10)
 		case "{protocol}":
 			buf = append(buf, cs.Protocol...)
 		case "{daemon}":
@@ -363,21 +400,21 @@ func orNone(axis, value string) string {
 	return value
 }
 
-// buildGraph constructs one swept topology. Random families draw their
-// structure from a seed derived from the master seed and the canonical
-// graph descriptor, so a grown campaign re-builds identical graphs for
-// the lines it kept.
-func buildGraph(gs GraphSpec, n int, masterSeed uint64) (*graph.Graph, error) {
-	gseed := rng.DeriveString(masterSeed, "campaign-graph|"+gs.lineFor(n))
+// describeGraph describes one swept topology (line is gs.lineFor(n)).
+// Random families draw their structure from a seed derived from the
+// master seed and the canonical graph descriptor, so a grown campaign
+// re-builds identical graphs for the lines it kept.
+func describeGraph(gs GraphSpec, line string, n int, masterSeed uint64) (graph.Desc, error) {
+	gseed := rng.DeriveString(masterSeed, "campaign-graph|"+line)
 	switch {
 	case gs.D > 0: // regular with explicit degree
-		return graph.RandomRegular(n, gs.D, rng.New(gseed))
+		return graph.DescribeRegular(n, gs.D, gseed)
 	case gs.P > 0 && gs.Family == "gnp":
-		return graph.RandomConnectedGNP(n, gs.P, rng.New(gseed)), nil
+		return graph.DescribeGNP(n, gs.P, gseed), nil
 	case gs.P > 0 && gs.Family == "rgg":
-		return graph.RandomGeometric(n, gs.P, rng.New(gseed)), nil
+		return graph.DescribeGeometric(n, gs.P, gseed), nil
 	default:
-		return graph.Named(gs.Family, n, gseed)
+		return graph.Describe(gs.Family, n, gseed)
 	}
 }
 
@@ -388,21 +425,21 @@ func buildGraph(gs GraphSpec, n int, masterSeed uint64) (*graph.Graph, error) {
 // other shards or cells of the same pair are free. Not safe for
 // concurrent use (call before launching the pool, as Run does).
 func (p *Plan) ensureSnapshots(cells []int) error {
-	type pair struct {
-		g     *graph.Graph
-		proto string
-	}
-	idx := map[pair]int{}
+	idx := map[sysKey]int{}
 	var specs []engine.ProtoCell
 	for _, i := range cells {
 		cs := &p.Cells[i]
 		if !cs.atStart() || cs.snapshot != nil {
 			continue
 		}
-		key := pair{cs.Graph, cs.Protocol}
+		key := sysKey{cs.topo, cs.Protocol}
 		if _, ok := idx[key]; !ok {
+			g, err := p.graphFor(cs)
+			if err != nil {
+				return err
+			}
 			idx[key] = len(specs)
-			specs = append(specs, engine.ProtoCell{Graph: cs.Graph, Family: cs.Protocol})
+			specs = append(specs, engine.ProtoCell{Graph: g, Family: cs.Protocol})
 		}
 	}
 	if len(specs) == 0 {
@@ -415,7 +452,7 @@ func (p *Plan) ensureSnapshots(cells []int) error {
 	for i := range p.Cells {
 		cs := &p.Cells[i]
 		if cs.atStart() && cs.snapshot == nil {
-			if j, ok := idx[pair{cs.Graph, cs.Protocol}]; ok {
+			if j, ok := idx[sysKey{cs.topo, cs.Protocol}]; ok {
 				cs.snapshot = snaps[j]
 			}
 		}
@@ -426,11 +463,15 @@ func (p *Plan) ensureSnapshots(cells []int) error {
 // sysFor builds (or returns the shared) system of a cell's
 // (graph, protocol) pair; systems are immutable and shared across cells.
 func (p *Plan) sysFor(cs *CellSpec) (builtSys, error) {
-	key := sysKey{cs.Graph, cs.Protocol}
+	key := sysKey{cs.topo, cs.Protocol}
 	if b, ok := p.systems[key]; ok {
 		return b, nil
 	}
-	sys, legit, err := engine.System(cs.Graph, cs.Protocol)
+	g, err := p.graphFor(cs)
+	if err != nil {
+		return builtSys{}, err
+	}
+	sys, legit, err := engine.System(g, cs.Protocol)
 	if err != nil {
 		return builtSys{}, fmt.Errorf("campaign: %s on %s: %w", cs.Protocol, cs.GraphLine, err)
 	}

@@ -211,10 +211,10 @@ func compileCampaign(cfg Config, src string, want *graph.Graph) (*campaign.Plan,
 	}
 	plan.SetObserver(cfg.Observer)
 	if want != nil && len(plan.Cells) > 0 {
-		got := plan.Cells[0].Graph
-		if got.Name() != want.Name() || got.N() != want.N() {
+		got := plan.Cells[0].Graph()
+		if got.Name != want.Name() || got.N != want.N() {
 			return nil, fmt.Errorf("experiment: campaign graph %s (n=%d) does not match suite graph %s (n=%d): update midSuiteGraphLine",
-				got.Name(), got.N(), want.Name(), want.N())
+				got.Name, got.N, want.Name(), want.N())
 		}
 	}
 	return plan, nil

@@ -9,13 +9,68 @@ import (
 	"repro/internal/rng"
 )
 
-// Path returns the path graph p0 - p1 - ... - p(n-1).
-func Path(n int) *Graph {
-	b := NewBuilder(n, fmt.Sprintf("path-%d", n))
-	for i := 0; i+1 < n; i++ {
-		b.MustAddEdge(i, i+1)
+// Desc describes a topology without building it: the name and size the
+// built graph will report. Both cost arithmetic, so a caller that only
+// keys, de-duplicates or size-checks topologies (campaign.Compile) never
+// pays for the edges. Every family below is a descriptor function plus
+// the constructor that builds through it; the descriptor is the one
+// place the family's name is formatted.
+type Desc struct {
+	Name string
+	N    int
+
+	// seed is what Build seeds a random family's draw stream with.
+	seed uint64
+	// build lays out the edges under the given name, drawing from r (nil
+	// for the deterministic families, which ignore it).
+	build func(name string, r *rng.Rand) (*Graph, error)
+}
+
+// Build constructs the described topology. A random family draws from a
+// fresh stream of the seed it was described with, so every Build of one
+// descriptor returns the same graph.
+func (d Desc) Build() (*Graph, error) { return d.build(d.Name, rng.New(d.seed)) }
+
+// seeded returns d drawing from a stream of seed at Build.
+func (d Desc) seeded(seed uint64) Desc {
+	d.seed = seed
+	return d
+}
+
+// on builds a family whose build cannot fail, drawing from r.
+func (d Desc) on(r *rng.Rand) *Graph {
+	g, err := d.build(d.Name, r)
+	if err != nil {
+		panic(err)
 	}
-	return b.Build()
+	return g
+}
+
+// fixed describes a deterministic family.
+func fixed(name string, n int, edges func(name string) *Graph) Desc {
+	return Desc{Name: name, N: n, build: func(name string, _ *rng.Rand) (*Graph, error) {
+		return edges(name), nil
+	}}
+}
+
+// random describes a random family whose build cannot fail.
+func random(name string, n int, edges func(name string, r *rng.Rand) *Graph) Desc {
+	return Desc{Name: name, N: n, build: func(name string, r *rng.Rand) (*Graph, error) {
+		return edges(name, r), nil
+	}}
+}
+
+// Path returns the path graph p0 - p1 - ... - p(n-1).
+func Path(n int) *Graph { return pathDesc(n).on(nil) }
+
+func pathDesc(n int) Desc {
+	return fixed(fmt.Sprintf("path-%d", n), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		for i := 0; i+1 < n; i++ {
+			b.MustAddEdge(i, i+1)
+		}
+		return b.Build()
+	})
 }
 
 // Cycle returns the cycle graph on n >= 3 processes.
@@ -23,59 +78,81 @@ func Cycle(n int) *Graph {
 	if n < 3 {
 		panic("graph: Cycle requires n >= 3")
 	}
-	b := NewBuilder(n, fmt.Sprintf("cycle-%d", n))
-	for i := 0; i < n; i++ {
-		b.MustAddEdge(i, (i+1)%n)
-	}
-	return b.Build()
+	return cycleDesc(n).on(nil)
+}
+
+func cycleDesc(n int) Desc {
+	return fixed(fmt.Sprintf("cycle-%d", n), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		for i := 0; i < n; i++ {
+			b.MustAddEdge(i, (i+1)%n)
+		}
+		return b.Build()
+	})
 }
 
 // Complete returns the complete graph K_n.
-func Complete(n int) *Graph {
-	b := NewBuilder(n, fmt.Sprintf("complete-%d", n))
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			b.MustAddEdge(i, j)
+func Complete(n int) *Graph { return completeDesc(n).on(nil) }
+
+func completeDesc(n int) Desc {
+	return fixed(fmt.Sprintf("complete-%d", n), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				b.MustAddEdge(i, j)
+			}
 		}
-	}
-	return b.Build()
+		return b.Build()
+	})
 }
 
 // Star returns the star K_{1,n-1}: process 0 is the hub.
-func Star(n int) *Graph {
-	b := NewBuilder(n, fmt.Sprintf("star-%d", n))
-	for i := 1; i < n; i++ {
-		b.MustAddEdge(0, i)
-	}
-	return b.Build()
+func Star(n int) *Graph { return starDesc(n).on(nil) }
+
+func starDesc(n int) Desc {
+	return fixed(fmt.Sprintf("star-%d", n), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		for i := 1; i < n; i++ {
+			b.MustAddEdge(0, i)
+		}
+		return b.Build()
+	})
 }
 
 // CompleteBipartite returns K_{a,b}; processes 0..a-1 form one side.
-func CompleteBipartite(a, b int) *Graph {
-	bl := NewBuilder(a+b, fmt.Sprintf("bipartite-%d-%d", a, b))
-	for i := 0; i < a; i++ {
-		for j := 0; j < b; j++ {
-			bl.MustAddEdge(i, a+j)
+func CompleteBipartite(a, b int) *Graph { return bipartiteDesc(a, b).on(nil) }
+
+func bipartiteDesc(a, b int) Desc {
+	return fixed(fmt.Sprintf("bipartite-%d-%d", a, b), a+b, func(name string) *Graph {
+		bl := NewBuilder(a+b, name)
+		for i := 0; i < a; i++ {
+			for j := 0; j < b; j++ {
+				bl.MustAddEdge(i, a+j)
+			}
 		}
-	}
-	return bl.Build()
+		return bl.Build()
+	})
 }
 
 // Grid returns the w x h grid graph; process (x, y) has id y*w + x.
-func Grid(w, h int) *Graph {
-	b := NewBuilder(w*h, fmt.Sprintf("grid-%dx%d", w, h))
-	id := func(x, y int) int { return y*w + x }
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x+1 < w {
-				b.MustAddEdge(id(x, y), id(x+1, y))
-			}
-			if y+1 < h {
-				b.MustAddEdge(id(x, y), id(x, y+1))
+func Grid(w, h int) *Graph { return gridDesc(w, h).on(nil) }
+
+func gridDesc(w, h int) Desc {
+	return fixed(fmt.Sprintf("grid-%dx%d", w, h), w*h, func(name string) *Graph {
+		b := NewBuilder(w*h, name)
+		id := func(x, y int) int { return y*w + x }
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				if x+1 < w {
+					b.MustAddEdge(id(x, y), id(x+1, y))
+				}
+				if y+1 < h {
+					b.MustAddEdge(id(x, y), id(x, y+1))
+				}
 			}
 		}
-	}
-	return b.Build()
+		return b.Build()
+	})
 }
 
 // Torus returns the w x h torus (grid with wraparound); w, h >= 3.
@@ -86,67 +163,93 @@ func Torus(w, h int) *Graph {
 	if w < 3 || h < 3 {
 		panic("graph: Torus requires w, h >= 3")
 	}
+	return torusDesc(w, h).on(nil)
+}
+
+func torusDesc(w, h int) Desc {
 	n := w * h
-	id := func(x, y int) int32 { return int32(y*w + x) }
-	edges := make([][2]int32, 0, 2*n)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			edges = append(edges,
-				[2]int32{id(x, y), id((x+1)%w, y)},
-				[2]int32{id(x, y), id(x, (y+1)%h)})
+	return fixed(fmt.Sprintf("torus-%dx%d", w, h), n, func(name string) *Graph {
+		id := func(x, y int) int32 { return int32(y*w + x) }
+		edges := make([][2]int32, 0, 2*n)
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				edges = append(edges,
+					[2]int32{id(x, y), id((x+1)%w, y)},
+					[2]int32{id(x, y), id(x, (y+1)%h)})
+			}
 		}
-	}
-	return csrFromEdges(fmt.Sprintf("torus-%dx%d", w, h), n, edges)
+		return csrFromEdges(name, n, edges)
+	})
 }
 
 // Hypercube returns the d-dimensional hypercube Q_d on 2^d processes.
-func Hypercube(d int) *Graph {
+func Hypercube(d int) *Graph { return hypercubeDesc(d).on(nil) }
+
+func hypercubeDesc(d int) Desc {
 	n := 1 << d
-	b := NewBuilder(n, fmt.Sprintf("hypercube-%d", d))
-	for v := 0; v < n; v++ {
-		for bit := 0; bit < d; bit++ {
-			u := v ^ (1 << bit)
-			if v < u {
-				b.MustAddEdge(v, u)
+	return fixed(fmt.Sprintf("hypercube-%d", d), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		for v := 0; v < n; v++ {
+			for bit := 0; bit < d; bit++ {
+				u := v ^ (1 << bit)
+				if v < u {
+					b.MustAddEdge(v, u)
+				}
 			}
 		}
-	}
-	return b.Build()
+		return b.Build()
+	})
 }
 
 // BalancedBinaryTree returns a complete binary tree of the given depth
 // (depth 0 is a single process).
-func BalancedBinaryTree(depth int) *Graph {
+func BalancedBinaryTree(depth int) *Graph { return binaryTreeDesc(depth).on(nil) }
+
+func binaryTreeDesc(depth int) Desc {
 	n := (1 << (depth + 1)) - 1
-	b := NewBuilder(n, fmt.Sprintf("bintree-%d", depth))
-	for v := 1; v < n; v++ {
-		b.MustAddEdge(v, (v-1)/2)
-	}
-	return b.Build()
+	return fixed(fmt.Sprintf("bintree-%d", depth), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		for v := 1; v < n; v++ {
+			b.MustAddEdge(v, (v-1)/2)
+		}
+		return b.Build()
+	})
 }
 
 // Caterpillar returns a caterpillar tree: a spine path of `spine`
 // processes, each carrying `legs` pendant processes.
-func Caterpillar(spine, legs int) *Graph {
+func Caterpillar(spine, legs int) *Graph { return caterpillarDesc(spine, legs).on(nil) }
+
+func caterpillarDesc(spine, legs int) Desc {
 	n := spine * (1 + legs)
-	b := NewBuilder(n, fmt.Sprintf("caterpillar-%dx%d", spine, legs))
-	for i := 0; i+1 < spine; i++ {
-		b.MustAddEdge(i, i+1)
-	}
-	next := spine
-	for i := 0; i < spine; i++ {
-		for l := 0; l < legs; l++ {
-			b.MustAddEdge(i, next)
-			next++
+	return fixed(fmt.Sprintf("caterpillar-%dx%d", spine, legs), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		for i := 0; i+1 < spine; i++ {
+			b.MustAddEdge(i, i+1)
 		}
-	}
-	return b.Build()
+		next := spine
+		for i := 0; i < spine; i++ {
+			for l := 0; l < legs; l++ {
+				b.MustAddEdge(i, next)
+				next++
+			}
+		}
+		return b.Build()
+	})
 }
 
 // RandomTree returns a uniform random labelled tree on n processes using
 // a random Prüfer sequence.
-func RandomTree(n int, r *rng.Rand) *Graph {
-	b := NewBuilder(n, fmt.Sprintf("rtree-%d", n))
+func RandomTree(n int, r *rng.Rand) *Graph { return randomTreeDesc(n).on(r) }
+
+func randomTreeDesc(n int) Desc {
+	return random(fmt.Sprintf("rtree-%d", n), n, func(name string, r *rng.Rand) *Graph {
+		return randomTree(name, n, r)
+	})
+}
+
+func randomTree(name string, n int, r *rng.Rand) *Graph {
+	b := NewBuilder(n, name)
 	if n <= 1 {
 		return b.Build()
 	}
@@ -210,8 +313,15 @@ var gnpStreamThreshold = 4096
 // pairs independent at probability p). That changes the seed→graph
 // mapping at large n relative to the historical per-pair stream; see
 // gnpStreamThreshold.
-func RandomConnectedGNP(n int, p float64, r *rng.Rand) *Graph {
-	name := fmt.Sprintf("gnp-%d-%.3f", n, p)
+func RandomConnectedGNP(n int, p float64, r *rng.Rand) *Graph { return gnpDesc(n, p).on(r) }
+
+func gnpDesc(n int, p float64) Desc {
+	return random(fmt.Sprintf("gnp-%d-%.3f", n, p), n, func(name string, r *rng.Rand) *Graph {
+		return randomConnectedGNP(name, n, p, r)
+	})
+}
+
+func randomConnectedGNP(name string, n int, p float64, r *rng.Rand) *Graph {
 	// Random spanning tree by random attachment to ensure connectivity.
 	perm := r.Perm(n)
 	edges := make([][2]int32, 0, n-1+int(p*float64(n)*float64(n-1)/2))
@@ -270,15 +380,34 @@ func RandomConnectedGNP(n int, p float64, r *rng.Rand) *Graph {
 // via the pairing (configuration) model with rejection. n*d must be even
 // and d < n. It retries until a simple connected pairing is found.
 func RandomRegular(n, d int, r *rng.Rand) (*Graph, error) {
+	desc, err := regularDesc(n, d)
+	if err != nil {
+		return nil, err
+	}
+	return desc.build(desc.Name, r)
+}
+
+// regularDesc rejects the (n, d) no d-regular connected graph exists
+// for; the pairing itself can still run out of attempts at build time.
+func regularDesc(n, d int) (Desc, error) {
 	if n*d%2 != 0 {
-		return nil, fmt.Errorf("graph: RandomRegular: n*d must be even (n=%d d=%d)", n, d)
+		return Desc{}, fmt.Errorf("graph: RandomRegular: n*d must be even (n=%d d=%d)", n, d)
 	}
 	if d >= n {
-		return nil, fmt.Errorf("graph: RandomRegular: need d < n (n=%d d=%d)", n, d)
+		return Desc{}, fmt.Errorf("graph: RandomRegular: need d < n (n=%d d=%d)", n, d)
 	}
 	if d == 0 {
-		return nil, fmt.Errorf("graph: RandomRegular: need d >= 1")
+		return Desc{}, fmt.Errorf("graph: RandomRegular: need d >= 1")
 	}
+	if d == 1 && n > 2 {
+		return Desc{}, fmt.Errorf("graph: RandomRegular: a 1-regular graph on n=%d > 2 is disconnected", n)
+	}
+	return Desc{Name: fmt.Sprintf("regular-%d-%d", n, d), N: n, build: func(name string, r *rng.Rand) (*Graph, error) {
+		return randomRegular(name, n, d, r)
+	}}, nil
+}
+
+func randomRegular(name string, n, d int, r *rng.Rand) (*Graph, error) {
 	// The pairing loop fills fixed-degree CSR arenas directly (every
 	// vertex ends at exactly d neighbors, so row offsets are v*d): the
 	// duplicate-edge rejection scans u's partial row — O(d) against the
@@ -326,7 +455,7 @@ func RandomRegular(n, d int, r *rng.Rand) (*Graph, error) {
 		if !ok {
 			continue
 		}
-		g := &Graph{name: fmt.Sprintf("regular-%d-%d", n, d), m: n * d / 2,
+		g := &Graph{name: name, m: n * d / 2,
 			adj: make([][]int, n), back: make([][]int, n)}
 		for v := 0; v < n; v++ {
 			g.adj[v] = adjArena[v*d : (v+1)*d : (v+1)*d]
@@ -347,6 +476,16 @@ func RandomRegular(n, d int, r *rng.Rand) (*Graph, error) {
 // graph is always connected (documented substitution: sensor networks are
 // deployed to be connected).
 func RandomGeometric(n int, radius float64, r *rng.Rand) *Graph {
+	return geometricDesc(n, radius).on(r)
+}
+
+func geometricDesc(n int, radius float64) Desc {
+	return random(fmt.Sprintf("rgg-%d-%.2f", n, radius), n, func(name string, r *rng.Rand) *Graph {
+		return randomGeometric(name, n, radius, r)
+	})
+}
+
+func randomGeometric(name string, n int, radius float64, r *rng.Rand) *Graph {
 	type pt struct{ x, y float64 }
 	pts := make([]pt, n)
 	for i := range pts {
@@ -356,7 +495,7 @@ func RandomGeometric(n int, radius float64, r *rng.Rand) *Graph {
 		dx, dy := a.x-b.x, a.y-b.y
 		return math.Sqrt(dx*dx + dy*dy)
 	}
-	b := NewBuilder(n, fmt.Sprintf("rgg-%d-%.2f", n, radius))
+	b := NewBuilder(n, name)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if dist(pts[i], pts[j]) <= radius {
@@ -427,68 +566,101 @@ func components(b *Builder) []int {
 
 // Lollipop returns a clique of size k attached to a path of length tail.
 // A classic worst case for scan-based protocols.
-func Lollipop(k, tail int) *Graph {
+func Lollipop(k, tail int) *Graph { return lollipopDesc(k, tail).on(nil) }
+
+func lollipopDesc(k, tail int) Desc {
 	n := k + tail
-	b := NewBuilder(n, fmt.Sprintf("lollipop-%d-%d", k, tail))
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			b.MustAddEdge(i, j)
+	return fixed(fmt.Sprintf("lollipop-%d-%d", k, tail), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		for i := 0; i < k; i++ {
+			for j := i + 1; j < k; j++ {
+				b.MustAddEdge(i, j)
+			}
 		}
-	}
-	for i := 0; i < tail; i++ {
-		if i == 0 {
-			b.MustAddEdge(k-1, k)
-		} else {
-			b.MustAddEdge(k+i-1, k+i)
+		for i := 0; i < tail; i++ {
+			if i == 0 {
+				b.MustAddEdge(k-1, k)
+			} else {
+				b.MustAddEdge(k+i-1, k+i)
+			}
 		}
-	}
-	return b.Build()
+		return b.Build()
+	})
 }
 
-// Named looks up a generator by name, for CLI use. Supported names are
-// listed by NamedGenerators.
+// Named builds a generator's topology by name, for CLI use: Describe,
+// then Build. Supported names are listed by NamedGenerators.
 func Named(name string, n int, seed uint64) (*Graph, error) {
-	r := rng.New(seed)
+	d, err := Describe(name, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	return d.Build()
+}
+
+// Describe looks up a generator by name and resolves the size it will
+// actually build (many families clamp or round n) without building it.
+// seed feeds the random families' draw streams.
+func Describe(name string, n int, seed uint64) (Desc, error) {
+	d, err := describe(name, n)
+	return d.seeded(seed), err
+}
+
+// DescribeRegular describes RandomRegular(n, d, rng.New(seed)).
+func DescribeRegular(n, d int, seed uint64) (Desc, error) {
+	desc, err := regularDesc(n, d)
+	return desc.seeded(seed), err
+}
+
+// DescribeGNP describes RandomConnectedGNP(n, p, rng.New(seed)).
+func DescribeGNP(n int, p float64, seed uint64) Desc { return gnpDesc(n, p).seeded(seed) }
+
+// DescribeGeometric describes RandomGeometric(n, radius, rng.New(seed)).
+func DescribeGeometric(n int, radius float64, seed uint64) Desc {
+	return geometricDesc(n, radius).seeded(seed)
+}
+
+func describe(name string, n int) (Desc, error) {
 	switch name {
 	case "path":
-		return Path(n), nil
+		return pathDesc(n), nil
 	case "cycle":
-		return Cycle(max(n, 3)), nil
+		return cycleDesc(max(n, 3)), nil
 	case "complete":
-		return Complete(n), nil
+		return completeDesc(n), nil
 	case "star":
-		return Star(n), nil
+		return starDesc(n), nil
 	case "grid":
 		side := int(math.Round(math.Sqrt(float64(n))))
 		if side < 2 {
 			side = 2
 		}
-		return Grid(side, side), nil
+		return gridDesc(side, side), nil
 	case "torus":
 		side := int(math.Round(math.Sqrt(float64(n))))
 		if side < 3 {
 			side = 3
 		}
-		return Torus(side, side), nil
+		return torusDesc(side, side), nil
 	case "hypercube":
 		d := 1
 		for (1 << (d + 1)) <= n {
 			d++
 		}
-		return Hypercube(d), nil
+		return hypercubeDesc(d), nil
 	case "tree":
-		return RandomTree(n, r), nil
+		return randomTreeDesc(n), nil
 	case "bintree":
 		d := 0
 		for (1<<(d+2))-1 <= n {
 			d++
 		}
-		return BalancedBinaryTree(d), nil
+		return binaryTreeDesc(d), nil
 	case "caterpillar":
 		spine := max(n/3, 1)
-		return Caterpillar(spine, 2), nil
+		return caterpillarDesc(spine, 2), nil
 	case "gnp":
-		return RandomConnectedGNP(n, 4.0/float64(max(n, 2)), r), nil
+		return gnpDesc(n, 4.0/float64(max(n, 2))), nil
 	case "regular":
 		d := 4
 		if d >= n {
@@ -498,23 +670,26 @@ func Named(name string, n int, seed uint64) (*Graph, error) {
 			d--
 		}
 		if d < 1 {
-			return nil, fmt.Errorf("graph: cannot build regular graph on n=%d", n)
+			return Desc{}, fmt.Errorf("graph: cannot build regular graph on n=%d", n)
 		}
-		return RandomRegular(n, d, r)
+		return regularDesc(n, d)
 	case "rgg":
 		radius := math.Sqrt(3.0 / float64(max(n, 2)))
-		return RandomGeometric(n, radius, r), nil
+		return geometricDesc(n, radius), nil
 	case "lollipop":
+		if n < 3 {
+			return Desc{}, fmt.Errorf("graph: lollipop needs n >= 3 (n=%d)", n)
+		}
 		k := max(n/2, 3)
-		return Lollipop(k, n-k), nil
+		return lollipopDesc(k, n-k), nil
 	case "spider":
-		return TheoremOneSpider(4), nil
+		return spiderDesc(4), nil
 	case "theorem2":
-		return TheoremTwoNetwork().Graph, nil
+		return theoremTwoDesc(), nil
 	case "figure11":
-		return FigureElevenNetwork(), nil
+		return figureElevenDesc(), nil
 	default:
-		return nil, fmt.Errorf("graph: unknown generator %q (known: %v)", name, NamedGenerators())
+		return Desc{}, fmt.Errorf("graph: unknown generator %q (known: %v)", name, NamedGenerators())
 	}
 }
 

@@ -30,17 +30,23 @@ func TheoremOneSpider(delta int) *Graph {
 	if delta < 2 {
 		panic("graph: TheoremOneSpider requires Δ >= 2")
 	}
+	return spiderDesc(delta).on(nil)
+}
+
+func spiderDesc(delta int) Desc {
 	n := delta*delta + 1
-	b := NewBuilder(n, fmt.Sprintf("thm1-spider-%d", delta))
-	next := delta + 1
-	for mid := 1; mid <= delta; mid++ {
-		b.MustAddEdge(0, mid)
-		for leaf := 0; leaf < delta-1; leaf++ {
-			b.MustAddEdge(mid, next)
-			next++
+	return fixed(fmt.Sprintf("thm1-spider-%d", delta), n, func(name string) *Graph {
+		b := NewBuilder(n, name)
+		next := delta + 1
+		for mid := 1; mid <= delta; mid++ {
+			b.MustAddEdge(0, mid)
+			for leaf := 0; leaf < delta-1; leaf++ {
+				b.MustAddEdge(mid, next)
+				next++
+			}
 		}
-	}
-	return b.Build()
+		return b.Build()
+	})
 }
 
 // RootedDag is a rooted, dag-oriented network, the setting of Theorem 2.
@@ -63,15 +69,7 @@ type RootedDag struct {
 //
 // Orientation: p1→p2, p2→p5, p4→p5, p4→p6, p3→p6, p1→p3.
 func TheoremTwoNetwork() *RootedDag {
-	b := NewBuilder(6, "thm2-net")
-	// ids:      p1=0 p2=1 p3=2 p4=3 p5=4 p6=5
-	b.MustAddEdge(0, 1) // p1-p2
-	b.MustAddEdge(1, 4) // p2-p5
-	b.MustAddEdge(3, 4) // p4-p5
-	b.MustAddEdge(3, 5) // p4-p6
-	b.MustAddEdge(2, 5) // p3-p6
-	b.MustAddEdge(0, 2) // p1-p3
-	g := b.Build()
+	g := theoremTwoDesc().on(nil)
 	succ := [][]int{
 		0: {1, 2}, // p1 → p2, p3 (source, root)
 		1: {4},    // p2 → p5
@@ -85,6 +83,22 @@ func TheoremTwoNetwork() *RootedDag {
 		panic(err)
 	}
 	return &RootedDag{Graph: g, Orientation: o, Root: 0}
+}
+
+// theoremTwoDesc describes the undirected 6-cycle under
+// TheoremTwoNetwork.
+func theoremTwoDesc() Desc {
+	return fixed("thm2-net", 6, func(name string) *Graph {
+		b := NewBuilder(6, name)
+		// ids:      p1=0 p2=1 p3=2 p4=3 p5=4 p6=5
+		b.MustAddEdge(0, 1) // p1-p2
+		b.MustAddEdge(1, 4) // p2-p5
+		b.MustAddEdge(3, 4) // p4-p5
+		b.MustAddEdge(3, 5) // p4-p6
+		b.MustAddEdge(2, 5) // p3-p6
+		b.MustAddEdge(0, 2) // p1-p3
+		return b.Build()
+	})
 }
 
 // TheoremTwoGeneralized returns the Δ >= 2 generalization of the Theorem 2
@@ -145,23 +159,27 @@ func FigureNinePath(n int) *Graph {
 // endpoint of degree 4; 14 edges total; pendant processes 4..12 are only
 // adjacent to matched endpoints, and shared pendants 7 and 9 make the
 // network connected.
-func FigureElevenNetwork() *Graph {
-	b := NewBuilder(13, "fig11")
-	a1, b1, a2, b2 := 0, 1, 2, 3
-	b.MustAddEdge(a1, b1)
-	b.MustAddEdge(a2, b2)
-	// a1: pendants 4,5,6 ; b1: 6(shared-with-a1? no: shared with nothing), ...
-	b.MustAddEdge(a1, 4)
-	b.MustAddEdge(a1, 5)
-	b.MustAddEdge(a1, 6)
-	b.MustAddEdge(b1, 6) // pendant 6 shared by a1 and b1
-	b.MustAddEdge(b1, 7)
-	b.MustAddEdge(b1, 8)
-	b.MustAddEdge(a2, 8) // pendant 8 shared by b1 and a2: connects the halves
-	b.MustAddEdge(a2, 9)
-	b.MustAddEdge(a2, 10)
-	b.MustAddEdge(b2, 10) // pendant 10 shared by a2 and b2
-	b.MustAddEdge(b2, 11)
-	b.MustAddEdge(b2, 12)
-	return b.Build()
+func FigureElevenNetwork() *Graph { return figureElevenDesc().on(nil) }
+
+func figureElevenDesc() Desc {
+	return fixed("fig11", 13, func(name string) *Graph {
+		b := NewBuilder(13, name)
+		a1, b1, a2, b2 := 0, 1, 2, 3
+		b.MustAddEdge(a1, b1)
+		b.MustAddEdge(a2, b2)
+		// a1: pendants 4,5,6 ; b1: 6(shared-with-a1? no: shared with nothing), ...
+		b.MustAddEdge(a1, 4)
+		b.MustAddEdge(a1, 5)
+		b.MustAddEdge(a1, 6)
+		b.MustAddEdge(b1, 6) // pendant 6 shared by a1 and b1
+		b.MustAddEdge(b1, 7)
+		b.MustAddEdge(b1, 8)
+		b.MustAddEdge(a2, 8) // pendant 8 shared by b1 and a2: connects the halves
+		b.MustAddEdge(a2, 9)
+		b.MustAddEdge(a2, 10)
+		b.MustAddEdge(b2, 10) // pendant 10 shared by a2 and b2
+		b.MustAddEdge(b2, 11)
+		b.MustAddEdge(b2, 12)
+		return b.Build()
+	})
 }

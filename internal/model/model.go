@@ -32,9 +32,15 @@
 // and the communication rows of p's neighbors alone, and a cached verdict
 // goes stale only when (a) p itself moves, or (b) a neighbor of p changes
 // its communication row. Simulator.Step applies exactly this dirty rule
-// to both the EnabledTracker and the incremental silence cache; code that
-// mutates a tracked configuration behind the simulator's back must call
-// EnabledTracker.Invalidate/InvalidateAll itself.
+// to the EnabledTracker. The incremental silence cache narrows (a) for a
+// "silent" verdict to "p changes its own communication row": the verdict
+// says p's whole frozen-neighborhood orbit is deterministic and never
+// writes communication state, so a move of p that wrote none lands on the
+// next state of that same orbit and the verdict still holds. A "broken"
+// verdict follows (a) as stated. Code that mutates a tracked
+// configuration behind the simulator's back must call
+// EnabledTracker.Invalidate/InvalidateAll itself (Simulator.MarkDirty
+// does, and drops the silence verdicts too).
 package model
 
 import (

@@ -75,9 +75,11 @@ type Simulator struct {
 	// silenceSilent and silenceBroken are both cached, so a standing
 	// non-silent witness is re-probed only after something near it moved,
 	// not on every check. The verdict depends only on p's own state and
-	// its neighbors' communication state, so Step invalidates p when p's
-	// state changes and p's neighbors when p's communication state
-	// changes.
+	// its neighbors' communication state. A silent verdict speaks for
+	// every state of p's orbit, all of which share p's communication row,
+	// so Step invalidates it only when p's communication state changes; a
+	// broken verdict is invalidated by any move of p. Either way p's
+	// neighbors are invalidated when p's communication state changes.
 	//
 	// silUnknown queues exactly the processes whose verdict is
 	// silenceUnknown (invalidation enqueues on the silent/broken →
@@ -125,7 +127,8 @@ const memoMaxEntries = maxOrbit
 // Tri-state orbit-silence verdicts cached per process in
 // Simulator.silence. Both polarities are pure functions of p's own state
 // and its neighbors' communication rows (the same dependency cone as
-// enabledness), so both stay valid under the shared dirty rule.
+// enabledness), so both stay valid under the dirty rule of the package
+// comment; a silent verdict also survives p's internal-only moves.
 const (
 	silenceUnknown int8 = iota
 	silenceSilent
@@ -294,11 +297,18 @@ func (s *Simulator) Step() []int {
 		if fired[i] < 0 {
 			continue
 		}
-		// p moved: its own state may have changed. If its communication
-		// state changed, the neighbors' cached verdicts are stale too.
-		// Enabledness and orbit-silence share the same dependency cone, so
-		// both caches follow the same dirty rule.
-		s.invalidateSilence(p)
+		// p moved: its own state may have changed, so its enabledness is
+		// stale. If its communication state changed, the neighbors' cached
+		// verdicts are stale too. A silenceSilent verdict outlives a move
+		// that wrote no communication variable: it covers p's whole
+		// deterministic frozen-neighborhood orbit, and such a move lands
+		// on that orbit's next state (a neighbor that changed its
+		// communication row in this same step invalidates p from its own
+		// iteration). That keeps SilentNow O(communication activity), not
+		// O(moves), where internal counters keep ticking.
+		if commChanged[i] || s.silence[p] != silenceSilent {
+			s.invalidateSilence(p)
+		}
 		s.tracker.Invalidate(p)
 		if commChanged[i] {
 			for port := 1; port <= s.sys.g.Degree(p); port++ {

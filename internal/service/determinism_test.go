@@ -121,6 +121,11 @@ func TestExecuteDeterminism(t *testing.T) {
 					if outWarm.CacheHits != len(outWarm.Plan.Cells) {
 						t.Fatalf("warm run: only %d of %d cells hit", outWarm.CacheHits, len(outWarm.Plan.Cells))
 					}
+					// path 4, 6, 8 and cycle 5: built for the cells that
+					// missed, never for cells that hit.
+					if cold, warm := outCold.Plan.GraphsBuilt(), outWarm.Plan.GraphsBuilt(); cold != 4 || warm != 0 {
+						t.Fatalf("graphs built: %d cold, %d warm, want 4 and 0", cold, warm)
+					}
 				}
 			}
 			// No cache at all is the same bytes too.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -104,14 +103,19 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	}
 	r, err := s.Submit(string(src))
 	if err != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "queue full") || strings.Contains(err.Error(), "shutting down") {
-			code = http.StatusServiceUnavailable
-		}
-		writeError(w, code, err)
+		writeError(w, submitStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, runStatus(r))
+}
+
+// submitStatus is the HTTP status of a refused submit: 503 when the
+// service could not take the run, 400 when the spec is at fault.
+func submitStatus(err error) int {
+	if errors.Is(err, ErrQueueFull) || errors.Is(err, ErrShuttingDown) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
 }
 
 // submitStream is the POST /v1/runs?stream=1 form: the response body is
@@ -123,14 +127,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, req *http.Request) {
 func (s *Service) submitStream(w http.ResponseWriter, req *http.Request, src string) {
 	r, sub, err := s.SubmitStream(src, 4096)
 	if err != nil {
-		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "queue full") || strings.Contains(err.Error(), "shutting down") {
-			code = http.StatusServiceUnavailable
-		}
 		if sub != nil {
 			sub.Cancel()
 		}
-		writeError(w, code, err)
+		writeError(w, submitStatus(err), err)
 		return
 	}
 	defer sub.Cancel()
@@ -166,8 +166,8 @@ func (s *Service) handleStatus(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleStream sends the run's live events as one JSON object per line,
-// flushing per event, until the run finishes, the feed lags out, or the
+// handleStream sends the run's live events as one JSON object per line
+// (see streamEvents) until the run finishes, the feed lags out, or the
 // client disconnects. A stream opened after completion ends immediately
 // (fetch the terminal artifacts instead).
 func (s *Service) handleStream(w http.ResponseWriter, req *http.Request) {
@@ -183,9 +183,22 @@ func (s *Service) handleStream(w http.ResponseWriter, req *http.Request) {
 	streamEvents(w, req, sub)
 }
 
+// streamCap bounds one body write of a live stream. A full replay burst
+// leaves in a handful of chunks, and a client reading line by line never
+// waits on more than this much encoding before it sees bytes.
+const streamCap = 32 << 10
+
+// streamTruncated is the trailing line of a feed that was cut for lag.
+const streamTruncated = `{"ev":"stream-truncated","reason":"subscriber lagged"}` + "\n"
+
 // streamEvents drains a subscription to the response as one JSON object
-// per line, flushing per event, until the feed closes (run finished or
-// lagged out) or the client disconnects.
+// per line until the feed closes (run finished or lagged out) or the
+// client disconnects. An event is written when it is received; the
+// events already queued behind it share its write and its flush, up to
+// streamCap bytes. An event arriving on an idle feed therefore leaves at
+// once, and a burst (a cached run replaying thousands of events) costs a
+// few writes, which is what keeps this loop ahead of the producer and
+// the subscription's buffer from overflowing.
 func streamEvents(w http.ResponseWriter, req *http.Request, sub *obs.Subscription) {
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
@@ -193,24 +206,39 @@ func streamEvents(w http.ResponseWriter, req *http.Request, sub *obs.Subscriptio
 	}
 	var buf []byte
 	for {
+		var e obs.Event
+		var open bool
 		select {
 		case <-req.Context().Done():
 			return
-		case e, open := <-sub.C:
-			if !open {
-				if sub.Lagged() {
-					io.WriteString(w, `{"ev":"stream-truncated","reason":"subscriber lagged"}`+"\n")
-				}
-				return
+		case e, open = <-sub.C:
+		}
+		buf = buf[:0]
+	drain:
+		for open {
+			buf = append(e.AppendJSON(buf), '\n')
+			if len(buf) >= streamCap {
+				break drain
 			}
-			buf = e.AppendJSON(buf[:0])
-			buf = append(buf, '\n')
+			select {
+			case e, open = <-sub.C:
+			default:
+				break drain
+			}
+		}
+		if !open && sub.Lagged() {
+			buf = append(buf, streamTruncated...)
+		}
+		if len(buf) > 0 {
 			if _, err := w.Write(buf); err != nil {
 				return
 			}
 			if flusher != nil {
 				flusher.Flush()
 			}
+		}
+		if !open {
+			return
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -274,4 +275,52 @@ func TestHTTPErrors(t *testing.T) {
 	// Unknown artifact name on a real run: 404 once done (and never a
 	// panic while running).
 	getBody(t, ts.URL+"/v1/runs/"+posted.ID, http.StatusOK)
+}
+
+// TestHTTPSubmitRefusals: a submit the service could not take — full
+// queue, shutting down — is a 503 on both POST forms, told from a bad
+// spec's 400 by the error's type, not its wording.
+func TestHTTPSubmitRefusals(t *testing.T) {
+	t.Parallel()
+	gate := &gateBackend{
+		Backend: campaign.NewMemBackend(),
+		hit:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	svc, ts := startTestServer(t, Config{Cache: gate, Workers: 1, QueueDepth: 1})
+	if _, err := svc.Submit(plainCampaignSrc); err != nil { // dispatcher blocks in its cache pass
+		t.Fatal(err)
+	}
+	<-gate.hit
+	if _, err := svc.Submit(plainCampaignSrc); err != nil { // fills the queue
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(plainCampaignSrc); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit beyond the queue depth: %v, want ErrQueueFull", err)
+	}
+	post := func(path, what string, want int) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(plainCampaignSrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s with %s: status %d, want %d", path, what, resp.StatusCode, want)
+		}
+	}
+	post("/v1/runs", "a full queue", http.StatusServiceUnavailable)
+	post("/v1/runs?stream=1", "a full queue", http.StatusServiceUnavailable)
+
+	close(gate.release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(plainCampaignSrc); !errors.Is(err, ErrShuttingDown) {
+		t.Fatalf("Submit after Shutdown: %v, want ErrShuttingDown", err)
+	}
+	post("/v1/runs", "the service shut down", http.StatusServiceUnavailable)
+	post("/v1/runs?stream=1", "the service shut down", http.StatusServiceUnavailable)
 }

@@ -166,6 +166,15 @@ func New(cfg Config) *Service {
 	return s
 }
 
+// ErrQueueFull and ErrShuttingDown are the submit refusals that say
+// nothing about the spec: the same source is accepted once the backlog
+// drains, or by the next daemon. The HTTP layer maps them to 503; every
+// other submit error is the spec's and maps to 400.
+var (
+	ErrQueueFull    = errors.New("service: queue full")
+	ErrShuttingDown = errors.New("service: shutting down")
+)
+
 // Submit parses and compiles a campaign source, registers it and
 // enqueues it for execution. Bad specs are rejected here, at the POST,
 // not discovered mid-queue.
@@ -200,7 +209,7 @@ func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return nil, nil, errors.New("service: shutting down, not accepting runs")
+		return nil, nil, fmt.Errorf("%w, not accepting runs", ErrShuttingDown)
 	}
 	s.nextID++
 	r := &Run{
@@ -224,8 +233,9 @@ func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, error) {
 	case s.queue <- r:
 		return r, sub, nil
 	default:
-		s.finish(r, fmt.Errorf("service: queue full (%d runs waiting)", cap(s.queue)))
-		return nil, sub, fmt.Errorf("service: queue full (depth %d)", cap(s.queue))
+		err := fmt.Errorf("%w (%d runs waiting)", ErrQueueFull, cap(s.queue))
+		s.finish(r, err)
+		return nil, sub, err
 	}
 }
 

@@ -5,8 +5,8 @@
 # streams its progress to completion, downloads the per-trial JSONL and
 # canonical event log, and byte-compares both against a CLI sscampaign
 # run of the same file. A second POST of the same spec must be 100%
-# cache hits with identical bytes, and SIGTERM must stop the daemon
-# cleanly. Usage: scripts/service_smoke.sh [workdir]
+# cache hits with identical bytes and a whole, uncut progress stream, and
+# SIGTERM must stop the daemon cleanly. Usage: scripts/service_smoke.sh [workdir]
 set -euo pipefail
 
 DIR=${1:-/tmp/service-smoke}
@@ -51,6 +51,12 @@ curl -fsS "$BASE/v1/runs/$RUN" | jq -e '.state == "done" and .cache_misses == 12
 # Warm re-POST: every cell hits the shared cache, bytes unchanged.
 curl -fsSN -X POST --data-binary @"$CAMPAIGN" "$BASE/v1/runs?stream=1" > "$DIR/warm-stream.jsonl"
 RUN2=$(head -n 1 "$DIR/warm-stream.jsonl" | jq -r .id)
+# The replayed stream is whole: 2 campaign events plus, per cell, a
+# cache-hit, a cell-start, a cell-finish and 3 trial start/finish pairs,
+# and no lag cut.
+tail -n +2 "$DIR/warm-stream.jsonl" | jq -es 'length' | grep -qx $((2 + 12 * (3 + 2 * 3))) \
+    || { echo "warm stream did not carry all 110 replayed events"; exit 1; }
+if grep -q stream-truncated "$DIR/warm-stream.jsonl"; then echo "warm stream was cut for lag"; exit 1; fi
 curl -fsS "$BASE/v1/runs/$RUN2" | jq -e '.cache_hits == 12 and .cache_misses == 0' >/dev/null
 curl -fsS "$BASE/v1/runs/$RUN2/jsonl" > "$DIR/warm.jsonl"
 cmp "$DIR/cli.jsonl" "$DIR/warm.jsonl"
@@ -62,4 +68,4 @@ wait "$DAEMON"
 trap - EXIT
 grep -q 'sscampaignd: stopped' "$DIR/daemon.log"
 
-echo "service smoke OK: served JSONL and events byte-identical to the CLI run, warm re-POST fully cached, clean SIGTERM drain"
+echo "service smoke OK: served JSONL and events byte-identical to the CLI run, warm re-POST fully cached with a whole stream, clean SIGTERM drain"
