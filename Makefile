@@ -9,7 +9,7 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
 .PHONY: build test test-race test-full bench bench-json bench-diff bench-diff-committed \
-	scale-smoke fuzz-smoke campaign-smoke events-smoke batch-smoke service-smoke \
+	scale-smoke fuzz-smoke campaign-smoke events-smoke service-smoke \
 	lint fmt vet check help
 
 help: ## List targets with their one-line descriptions
@@ -112,15 +112,15 @@ events-smoke: ## Event-log byte-identity across parallelism and cache state
 	@echo "events smoke OK: logs byte-identical across parallelism 1/4 and cold/warm cache (churn included)"
 
 # Machine-readable perf trajectory: run the engine core benchmarks (step
-# engine, enabled tracker, trial pipeline, batched trial pipeline,
-# recorder, and the dynamic-topology hot path: graph mutation, topology
-# step, churn trial loop) and record (name, ns/op, B/op, allocs/op) in
+# engine, enabled tracker, trial pipeline, recorder, and the
+# dynamic-topology hot path: graph mutation, topology step, churn trial
+# loop) and record (name, ns/op, B/op, allocs/op) in
 # BENCH_6.json. The committed copy is the canonical baseline for this
 # PR's engine (numbers are machine-specific — regenerate locally only to
 # compare shapes, not to commit); CI uploads a fresh run as an artifact
 # on every push. Bump the N in the filename when a later PR resets the
 # baseline.
-BENCH_CORE = 'BenchmarkExecuteStep|BenchmarkEnabledTracker|BenchmarkConfigClone|BenchmarkSimulatorStep|BenchmarkTrialLoop|BenchmarkBatchedTrials|BenchmarkRecorderReadFullStep|BenchmarkGraphMutation|BenchmarkTopologyStep|BenchmarkChurnTrialLoop'
+BENCH_CORE = 'BenchmarkExecuteStep|BenchmarkEnabledTracker|BenchmarkConfigClone|BenchmarkSimulatorStep|BenchmarkTrialLoop|BenchmarkRecorderReadFullStep|BenchmarkGraphMutation|BenchmarkTopologyStep|BenchmarkChurnTrialLoop'
 BENCH_PKGS = ./internal/model ./internal/core ./internal/trace ./internal/graph .
 # Longer benchtime than the 1s default: committed baselines are compared
 # against each other by the gate, so per-run noise translates directly
@@ -160,28 +160,6 @@ bench-diff-committed: ## Committed previous vs current baseline (deterministic)
 SCALE_BUDGET_MB ?= 640
 scale-smoke: ## 10⁶-node torus cell to silence under the peak-RSS budget
 	$(GO) run ./cmd/ssscale -n 1000000 -graph torus -budget-mb $(SCALE_BUDGET_MB)
-
-# Batch smoke: the end-to-end proof of the lockstep-batching invariance
-# contract on real binaries — the full quickstart campaign's JSONL and
-# canonical -events log, and an ssbench registry table, must be
-# byte-identical between -batch 1 (off) and the auto width. The
-# package-level equivalence suites run as part of the same target.
-BATCH_SMOKE_DIR ?= /tmp/batch-smoke
-batch-smoke: ## Batched vs unbatched byte-identity end to end
-	rm -rf $(BATCH_SMOKE_DIR) && mkdir -p $(BATCH_SMOKE_DIR)
-	$(GO) run ./cmd/sscampaign -batch 1 -jsonl $(BATCH_SMOKE_DIR)/off.jsonl -events $(BATCH_SMOKE_DIR)/off.events \
-		examples/campaigns/quickstart.campaign > /dev/null 2> $(BATCH_SMOKE_DIR)/status1.txt
-	$(GO) run ./cmd/sscampaign -jsonl $(BATCH_SMOKE_DIR)/auto.jsonl -events $(BATCH_SMOKE_DIR)/auto.events \
-		examples/campaigns/quickstart.campaign > /dev/null 2> $(BATCH_SMOKE_DIR)/status2.txt
-	cmp $(BATCH_SMOKE_DIR)/off.jsonl $(BATCH_SMOKE_DIR)/auto.jsonl
-	cmp $(BATCH_SMOKE_DIR)/off.events $(BATCH_SMOKE_DIR)/auto.events
-	$(GO) run ./cmd/ssbench -run E1,E2,E3 -quick -trials 4 -batch 1 > $(BATCH_SMOKE_DIR)/tab-off.txt
-	$(GO) run ./cmd/ssbench -run E1,E2,E3 -quick -trials 4 > $(BATCH_SMOKE_DIR)/tab-auto.txt
-	cmp $(BATCH_SMOKE_DIR)/tab-off.txt $(BATCH_SMOKE_DIR)/tab-auto.txt
-	$(GO) test ./internal/experiment -run 'TestReduceBatchWidths|TestPooledMatchesUnpooled' -count=1
-	$(GO) test ./internal/campaign -run 'TestDeterminismAcrossBatchWidths' -count=1
-	$(GO) test ./internal/core -run 'TestBatchRunner|TestBatchedTrialLoopZeroAlloc' -count=1
-	@echo "batch smoke OK: JSONL, events and tables byte-identical between -batch 1 and auto"
 
 # Service smoke: the campaign daemon end to end over real TCP — start
 # sscampaignd with a directory cache, POST the quickstart campaign in

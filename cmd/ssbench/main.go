@@ -69,7 +69,6 @@ func run(args []string, out io.Writer) error {
 		quick       = fs.Bool("quick", false, "small graph suite")
 		markdown    = fs.Bool("markdown", false, "emit markdown tables")
 		parallelism = fs.Int("parallelism", 0, "trial pool workers (0: GOMAXPROCS; results are identical for every value)")
-		batch       = fs.Int("batch", 0, "lockstep trial batch width (0: auto, 1: off; results are identical for every value)")
 		timeIt      = fs.Bool("time", false, "report per-experiment wall clock on stderr")
 		adversary   = fs.String("adversary", "", fmt.Sprintf("run a custom fault scenario with this adversary instead of the registry (one of %v)", fault.Names()))
 		faults      = fs.Int("faults", 2, "fault size k for -adversary (processes corrupted per injection)")
@@ -130,9 +129,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("bad -log-level %q (want off, info or debug)", *logLevel)
 	}
 
-	if *batch < 0 {
-		return fmt.Errorf("bad -batch %d: want 0 (auto), 1 (off) or a width >= 2", *batch)
-	}
 	cfg := experiment.Config{
 		Seed:        *seed,
 		Trials:      *trials,
@@ -140,7 +136,6 @@ func run(args []string, out io.Writer) error {
 		Quick:       *quick,
 		Parallelism: *parallelism,
 		Observer:    obs.Tee(replayOrNil(replay), logSink),
-		Batch:       *batch,
 	}
 
 	type job struct {

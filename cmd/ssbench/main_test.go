@@ -165,17 +165,6 @@ func TestRunBadAdversary(t *testing.T) {
 	}
 }
 
-func TestRunBadBatch(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-run", "E1", "-quick", "-batch", "-2"}, &sb)
-	if err == nil {
-		t.Fatal("negative -batch accepted")
-	}
-	if want := "bad -batch -2: want 0 (auto), 1 (off) or a width >= 2"; err.Error() != want {
-		t.Fatalf("error = %q, want %q", err, want)
-	}
-}
-
 func TestRunFlagCombinations(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{"-inject", "on-silence:2"}, &sb); err == nil {

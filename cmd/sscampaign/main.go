@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		parallelism = fs.Int("parallelism", 0, "trial pool workers (0: GOMAXPROCS; results are identical for every value)")
-		batch       = fs.Int("batch", 0, "lockstep trial batch width for plain cells (0: auto, 1: off; results are identical for every value)")
 		shardSpec   = fs.String("shard", "", "run only shard i of n, written i/n (contiguous cell-index partition)")
 		cacheDir    = fs.String("cache", "", "content-addressed result cache directory (enables resume and incremental sweeps)")
 		jsonlPath   = fs.String("jsonl", "", "write per-trial JSONL records to this path (\"-\": stdout, suppresses the table)")
@@ -125,10 +124,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *batch < 0 {
-		return fmt.Errorf("bad -batch %d: want 0 (auto), 1 (off) or a width >= 2", *batch)
-	}
-	out, err := plan.Run(campaign.RunOptions{Shard: shard, Shards: shards, CacheDir: *cacheDir, Observer: observer, Batch: *batch})
+	out, err := plan.Run(campaign.RunOptions{Shard: shard, Shards: shards, CacheDir: *cacheDir, Observer: observer})
 	if err != nil {
 		return err
 	}

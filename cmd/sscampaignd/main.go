@@ -67,7 +67,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 		addr     = fs.String("addr", "127.0.0.1:8377", "listen address (\":0\" picks a free port, logged on stderr)")
 		cacheDir = fs.String("cache", "", "content-addressed result cache directory (empty: in-memory, lost on exit)")
 		workers  = fs.Int("workers", 0, "work-stealing workers per run (0: GOMAXPROCS; served bytes are identical for every value)")
-		batch    = fs.Int("batch", 0, "lockstep trial batch width for plain cells (0: auto, 1: off)")
 		queue    = fs.Int("queue", 16, "submitted-but-not-started run backlog bound")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget: in-flight cells finish and persist within this window")
 		cpuProf  = prof.Flag(fs)
@@ -99,7 +98,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	svc := service.New(service.Config{
 		Cache:      cache,
 		Workers:    *workers,
-		Batch:      *batch,
 		QueueDepth: *queue,
 	})
 	ln, err := net.Listen("tcp", *addr)

@@ -100,31 +100,6 @@ func (s *Set) Fill() {
 	}
 }
 
-// NextSet returns the smallest element >= from, or -1 if none. It is
-// the iterator primitive of the lockstep batch loops: starting from 0
-// and re-calling with last+1 visits every element in ascending order
-// and, unlike ForEach, stays correct when the iteration body removes
-// elements (including the current one).
-func (s *Set) NextSet(from int) int {
-	if from < 0 {
-		from = 0
-	}
-	if from >= s.n {
-		return -1
-	}
-	wi := from / 64
-	w := s.words[wi] >> (from % 64)
-	if w != 0 {
-		return from + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(s.words); wi++ {
-		if s.words[wi] != 0 {
-			return wi*64 + bits.TrailingZeros64(s.words[wi])
-		}
-	}
-	return -1
-}
-
 // CountRange returns the number of elements in the half-open range
 // [lo, hi), clamped to [0, Cap()). It is a popcount over whole words
 // with masked boundary words, not a per-element scan.

@@ -136,67 +136,6 @@ func TestBulkOpsMatchNaive(t *testing.T) {
 	}
 }
 
-// TestNextSetMatchesScan: iterating NextSet from 0 visits exactly the
-// naive ascending scan, and NextSet(from) equals the first mirror hit at
-// or after from for every starting point (including past-the-end).
-func TestNextSetMatchesScan(t *testing.T) {
-	t.Parallel()
-	for _, n := range []int{1, 63, 64, 65, 129, 200} {
-		for seed := uint64(1); seed <= 5; seed++ {
-			s, mirror := randomSet(n, seed)
-			var got []int
-			for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) {
-				got = append(got, i)
-			}
-			want := s.Elems(nil)
-			if len(got) != len(want) {
-				t.Fatalf("n=%d seed=%d: NextSet walk %v, want %v", n, seed, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d seed=%d: NextSet walk %v, want %v", n, seed, got, want)
-				}
-			}
-			for from := -1; from <= n+1; from++ {
-				want := -1
-				for i := max(from, 0); i < n; i++ {
-					if mirror[i] {
-						want = i
-						break
-					}
-				}
-				if got := s.NextSet(from); got != want {
-					t.Fatalf("n=%d seed=%d: NextSet(%d) = %d, want %d", n, seed, from, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestNextSetSurvivesRemoval: the lockstep drain pattern — removing the
-// current element mid-iteration — still visits every remaining element.
-func TestNextSetSurvivesRemoval(t *testing.T) {
-	t.Parallel()
-	s, _ := randomSet(150, 42)
-	want := s.Elems(nil)
-	var got []int
-	for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) {
-		got = append(got, i)
-		s.Remove(i)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("removal walk %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("removal walk %v, want %v", got, want)
-		}
-	}
-	if !s.Empty() {
-		t.Fatal("walk with removal left elements")
-	}
-}
-
 // TestCountRangeMatchesNaive: CountRange equals the per-element count
 // for every (lo, hi) pair over capacities straddling word boundaries,
 // including inverted and out-of-range bounds.

@@ -506,10 +506,10 @@ func (p *Plan) ensureEngineCells(cells []int) error {
 			}
 			return sc
 		}
-		// Core-level diagnostics carry the cell's absolute campaign index
-		// (engine-emitted lifecycle events of a sub-sliced run are
-		// remapped separately; see Plan.Run). The observer is read at
-		// trial time through p, after SetObserver/Run has bound it.
+		// Core-level diagnostics carry the cell's absolute campaign index,
+		// as the engine's lifecycle events do (ComputeCell passes it). The
+		// observer is read at trial time through p, after SetObserver/Run
+		// has bound it.
 		cellIdx, cellKey := cs.Index, cs.Key
 		if !p.Faulted {
 			suffix := p.Spec.SuffixRounds
@@ -525,16 +525,6 @@ func (p *Plan) ensureEngineCells(cells []int) error {
 						Legitimate:   legit,
 						Events:       obs.Scope{Obs: p.cfg.Observer, Cell: cellIdx, Key: cellKey, Trial: trial},
 					}, res)
-				},
-				RunBatchOn: func(br *core.BatchRunner, seeds []uint64, res []core.RunResult) error {
-					return br.RunRandomBatch(sys, core.BatchOptions{
-						SchedName:    daemon,
-						Sched:        mkSched,
-						MaxSteps:     p.cfg.MaxSteps,
-						CheckEvery:   1,
-						SuffixRounds: suffix,
-						Legitimate:   legit,
-					}, seeds, res)
 				},
 			}
 			continue

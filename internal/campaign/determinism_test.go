@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // The determinism suite pins the campaign executor's three output
@@ -104,7 +107,7 @@ func TestDeterminismAcrossShards(t *testing.T) {
 }
 
 // plainCampaignSrc has no adversary axis, so every cell compiles to the
-// batchable plain-protocol form.
+// plain-protocol form.
 const plainCampaignSrc = `campaign det-plain
 seed 2009
 trials 5
@@ -115,23 +118,42 @@ protocol coloring mis
 metrics silent legitimate rounds moves total-reads total-bits
 `
 
-// TestDeterminismAcrossBatchWidths: JSONL bytes and summary tables are
-// identical for every lockstep batch width — off, auto, ragged, beyond
-// the trial budget — on plain cells, and faulted cells (which have no
-// batched form) ignore the knob entirely.
-func TestDeterminismAcrossBatchWidths(t *testing.T) {
+// TestInterruptedRunKeepsFinishedCells: a run that fails part-way has
+// already stored every cell it finished, so the next run on the same
+// backend serves them as hits and its output equals an uninterrupted
+// run's. The last cell is made to fail; with one worker every other
+// cell has finished by then.
+func TestInterruptedRunKeepsFinishedCells(t *testing.T) {
 	t.Parallel()
+	errCell := errors.New("cell failed")
 	for _, src := range []string{plainCampaignSrc, testCampaignSrc} {
-		ref, refOut := renderJSONL(t, src, 2, RunOptions{Batch: 1})
-		refTable := refOut.Table().String()
-		for _, batch := range []int{0, 3, 65} {
-			got, out := renderJSONL(t, src, 2, RunOptions{Batch: batch})
-			if got != ref {
-				t.Fatalf("JSONL differs between batch 1 and %d:\n--- 1 ---\n%s\n--- %d ---\n%s", batch, ref, batch, got)
-			}
-			if tab := out.Table().String(); tab != refTable {
-				t.Fatalf("table differs between batch 1 and %d", batch)
-			}
+		want, whole := renderJSONL(t, src, 1, RunOptions{})
+		finished := len(whole.Plan.Cells) - 1
+		be := NewMemBackend()
+
+		plan, err := Compile(mustParse(t, src), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// materialize leaves a cell that already has its closure alone.
+		if plan.Faulted {
+			plan.cells[finished].RunFaultOn = func(*core.Runner, int, uint64, *core.FaultResult) error { return errCell }
+		} else {
+			plan.cells[finished].RunOn = func(*core.Runner, int, uint64, *core.RunResult) error { return errCell }
+		}
+		if _, err := plan.Run(RunOptions{Cache: be}); !errors.Is(err, errCell) {
+			t.Fatalf("interrupted run returned %v, want the cell's error", err)
+		}
+		if n, _, _ := be.Stats(); n != finished {
+			t.Fatalf("backend holds %d cells after the failed run, want %d", n, finished)
+		}
+
+		got, resumed := renderJSONL(t, src, 1, RunOptions{Cache: be})
+		if resumed.CacheHits != finished || resumed.CacheMisses != 1 {
+			t.Fatalf("resume: hits=%d misses=%d, want %d and 1", resumed.CacheHits, resumed.CacheMisses, finished)
+		}
+		if got != want {
+			t.Fatalf("resumed JSONL differs from an uninterrupted run:\n--- whole ---\n%s\n--- resumed ---\n%s", want, got)
 		}
 	}
 }

@@ -35,11 +35,6 @@ type RunOptions struct {
 	// cold-cache and warm-cache runs (and across Parallelism values; see
 	// internal/obs).
 	Observer obs.Observer
-	// Batch is the lockstep trial batch width of plain (non-faulted)
-	// cells (engine.Config.BatchSize): 0 picks the auto width, 1
-	// disables batching. Records, events and cache entries are
-	// byte-identical at every width, so the cell fingerprint ignores it.
-	Batch int
 }
 
 // CellResult pairs one owned cell with its per-trial records.
@@ -120,7 +115,7 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 	// Cache pass: fill what's already known, collect the rest. Hits
 	// replay their canonical events so observers see the full campaign
 	// regardless of cache state.
-	var missing []int // owned-relative indices
+	var missing []int // absolute cell indices
 	for i := range out.Results {
 		cs := &p.Cells[lo+i]
 		out.Results[i].Cell = cs
@@ -138,63 +133,39 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 			}
 			obs.Emit(opts.Observer, obs.Event{Kind: obs.KindCacheMiss, Cell: cs.Index, Key: cs.Key, Trial: -1})
 		}
-		out.Results[i].Records = make([]TrialRecord, 0, p.cfg.Trials)
-		missing = append(missing, i)
+		missing = append(missing, lo+i)
 	}
 
-	// Compute pass: the missing cells run as a sub-slice of the engine
-	// cell list. Sub-setting never perturbs results — each cell's trial
-	// seeds derive from its key alone — and the fold appends records in
-	// trial order per cell (the engine's ordering contract). Snapshot
-	// warm-ups and system construction happen here, for exactly the
-	// cells about to execute: a fully-cached resume, and shards owning
-	// none of a cell, never pay for it.
+	// Compute pass: each missing cell runs on the engine pool and is
+	// stored the moment it finishes, so a run that fails or is killed
+	// later keeps what it computed and the next run resumes from it.
+	// Running a sub-set never perturbs results — each cell's trial seeds
+	// derive from its key alone. Snapshot warm-ups and system
+	// construction happen here, for exactly the cells about to execute:
+	// a fully-cached resume, and shards owning none of a cell, never pay
+	// for it.
 	if len(missing) > 0 {
-		abs := make([]int, len(missing))
-		for j, i := range missing {
-			abs[j] = lo + i
-		}
-		if err := p.materialize(abs); err != nil {
+		if err := p.materialize(missing); err != nil {
 			return nil, err
 		}
-		cells := make([]engine.Cell, len(missing))
-		for j, i := range missing {
-			cells[j] = p.cells[lo+i]
-		}
-		// The engine sees only the missing sub-slice, so its lifecycle
-		// events carry sub-slice-local cell indices; remap them to the
-		// absolute campaign indices every other emitter uses.
-		runCfg := p.cfg
-		runCfg.BatchSize = opts.Batch
-		if opts.Observer != nil {
-			runCfg.Observer = remapObserver{o: opts.Observer, abs: abs}
-		}
-		if p.Faulted {
-			err = engine.RunFaultCellsReduce(runCfg, cells, func(cell, trial int, res *core.FaultResult) error {
-				var rec TrialRecord
-				rec.fillFault(res)
-				r := &out.Results[missing[cell]]
-				r.Records = append(r.Records, rec)
-				return nil
-			})
-		} else {
-			err = engine.RunCellsReduce(runCfg, cells, func(cell, trial int, res *core.RunResult) error {
-				var rec TrialRecord
-				rec.fillRun(res)
-				r := &out.Results[missing[cell]]
-				r.Records = append(r.Records, rec)
-				return nil
-			})
-		}
+		err := engine.ForEachWorker(p.cfg.Parallelism, len(missing), func(w *engine.WorkerCtx, j int) error {
+			i := missing[j]
+			recs, err := p.ComputeCell(w, i, 0)
+			if err != nil {
+				return err
+			}
+			if be != nil {
+				if err := p.StoreCell(be, i, recs); err != nil {
+					return fmt.Errorf("campaign: store cell %q: %w", p.Cells[i].Key, err)
+				}
+			}
+			out.Results[i-lo].Records = recs
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
 		if be != nil {
-			for _, i := range missing {
-				if err := p.StoreCell(be, out.Results[i].Cell.Index, out.Results[i].Records); err != nil {
-					return nil, err
-				}
-			}
 			out.CacheMisses = len(missing)
 		}
 	}
@@ -207,23 +178,22 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 // ComputeCell executes cell i's trials on the caller-owned worker
 // context, returning the records in trial order. The cell must have
 // been materialized (Materialize) and the plan's observer bound
-// (SetObserver) before any worker starts. batch is the lockstep batch
-// width of plain cells (0 auto, 1 off), exactly RunOptions.Batch.
+// (SetObserver) before any worker starts. The third parameter was the
+// lockstep batch width and is ignored: bench/trace_campaign.go still
+// passes it, and a PR that edits code may not edit the benchmark.
 //
-// Seeds, events and the stop rule are exactly the engine pool's — the
-// records (and the canonical event stream) are byte-identical to a
-// Plan.Run of the same cell, no matter which worker computes it or in
-// what order cells are claimed. This is the execution primitive of the
-// campaign service's work-stealing coordinator.
-func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, batch int) ([]TrialRecord, error) {
+// Seeds, events and the stop rule are the engine's — the records (and
+// the canonical event stream) are byte-identical no matter which worker
+// computes the cell or in what order cells are claimed. This is the
+// execution primitive of Plan.Run's pool and of the campaign service's
+// work-stealing coordinator.
+func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, _ int) ([]TrialRecord, error) {
 	if p.cells[i].RunOn == nil && p.cells[i].RunFaultOn == nil {
 		return nil, fmt.Errorf("campaign: cell %q computed without Materialize", p.Cells[i].Key)
 	}
-	cfg := p.cfg
-	cfg.BatchSize = batch
 	recs := make([]TrialRecord, 0, p.cfg.Trials)
 	if p.Faulted {
-		err := engine.RunFaultCellReduce(cfg, w, &p.cells[i], p.Cells[i].Index,
+		err := engine.RunFaultCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
 			func(_, trial int, res *core.FaultResult) error {
 				var rec TrialRecord
 				rec.fillFault(res)
@@ -232,7 +202,7 @@ func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, batch int) ([]TrialRecord, er
 			})
 		return recs, err
 	}
-	err := engine.RunCellReduce(cfg, w, &p.cells[i], p.Cells[i].Index,
+	err := engine.RunCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
 		func(_, trial int, res *core.RunResult) error {
 			var rec TrialRecord
 			rec.fillRun(res)
@@ -240,20 +210,6 @@ func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, batch int) ([]TrialRecord, er
 			return nil
 		})
 	return recs, err
-}
-
-// remapObserver translates sub-slice-local engine cell indices into
-// absolute campaign cell indices before forwarding.
-type remapObserver struct {
-	o   obs.Observer
-	abs []int // local engine index -> absolute campaign index
-}
-
-func (r remapObserver) Observe(e obs.Event) {
-	if e.Cell >= 0 && e.Cell < len(r.abs) {
-		e.Cell = r.abs[e.Cell]
-	}
-	r.o.Observe(e)
 }
 
 // ReplayCell emits cell i's canonical lifecycle events reconstructed

@@ -7,7 +7,9 @@
 // *core.Runner (recorder, simulator, scheduler, configuration buffers),
 // so the steady-state trial loop allocates nothing; results are either
 // materialized per trial (RunCells) or streamed through a fold without
-// being retained (RunCellsReduce, RunFaultCellsReduce).
+// being retained (RunCellsReduce, RunFaultCellsReduce). The fold paths
+// all run one loop, runCell: one cell's trials, in trial order, on one
+// worker.
 //
 // Determinism: the seed of trial t of a cell is
 //
@@ -116,36 +118,6 @@ type Config struct {
 	// Stop, when enabled, replaces the fixed Trials budget on the fold
 	// paths with sequential stopping; see StopRule.
 	Stop StopRule
-	// BatchSize selects the lockstep trial batch width of the cell-affine
-	// fold paths: a cell that provides RunBatchOn advances up to
-	// BatchSize trials together on the worker's BatchRunner, sharing one
-	// step arena and orbit probe across lanes. 0 picks the auto width
-	// (16, or 1 when Stop is enabled — lockstep lanes run ahead of the
-	// stopping decision and would mostly be discarded); 1 disables
-	// batching. Results, fold order and the event stream are identical at
-	// every width: trials retire raggedly inside the batch and are
-	// drained — events, fold, stop rule — strictly in trial order.
-	BatchSize int
-}
-
-// autoBatchWidth is the lockstep width BatchSize=0 selects for batchable
-// cells without a stop rule: wide enough to amortize the shared step
-// scratch, narrow enough that a cell's tail chunk stays mostly full.
-const autoBatchWidth = 16
-
-// batchWidth resolves the lockstep width for one cell.
-func (c Config) batchWidth(cell *Cell) int {
-	if cell.RunBatchOn == nil {
-		return 1
-	}
-	b := c.BatchSize
-	if b <= 0 {
-		if c.Stop.Enabled() {
-			return 1
-		}
-		b = autoBatchWidth
-	}
-	return b
 }
 
 // WithDefaults fills unset fields with the engine defaults.
@@ -164,59 +136,22 @@ func (c Config) WithDefaults() Config {
 }
 
 // Cell is one unit of the experiment grid: a stable key used for seed
-// derivation plus the function executing one adversarial trial. Exactly
-// one of Run, RunOn and RunFaultOn must be non-nil; all must be safe for
-// concurrent invocation across trials (systems and graphs are immutable
-// after construction).
+// derivation plus the function executing one adversarial trial on a
+// worker's reusable Runner. Exactly one of RunOn and RunFaultOn must be
+// non-nil; it must be safe for concurrent invocation across trials
+// (systems and graphs are immutable after construction).
 type Cell struct {
 	// Key identifies the cell in the experiment grid; distinct cells of
-	// one RunCells call must use distinct keys or they will share trial
-	// seeds.
+	// one run must use distinct keys or they will share trial seeds.
 	Key string
-	// Run executes trial `trial` with the derived seed, materializing a
-	// fresh result.
-	Run func(trial int, seed uint64) (*core.RunResult, error)
-	// RunOn executes the trial on the calling worker's reusable Runner,
-	// filling res in place. It is the allocation-free form: the pool
-	// passes a fresh res when results are retained (RunCells) and a
+	// RunOn executes a plain trial, filling res in place: the pool passes
+	// a fresh res when results are retained (RunCells) and the worker's
 	// reused buffer when they are folded away (RunCellsReduce).
 	RunOn func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error
 	// RunFaultOn executes the trial as an injected (adversarial-fault)
 	// trial, filling a FaultResult in place. Cells of this form run only
-	// under RunFaultCellsReduce.
+	// under RunFaultCellsReduce and RunFaultCellReduce.
 	RunFaultOn func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error
-	// RunBatchOn, when non-nil, executes len(seeds) trials of the cell in
-	// lockstep on the worker's reusable BatchRunner: res[k] must be
-	// exactly the result RunOn would produce for seeds[k]. Optional
-	// companion to RunOn, used only by RunCellsReduce when the resolved
-	// batch width exceeds 1; cells whose trials cannot share a system
-	// (faulted or dynamic topologies) leave it nil and always run
-	// per-trial.
-	RunBatchOn func(br *core.BatchRunner, seeds []uint64, res []core.RunResult) error
-}
-
-// runTrial executes one trial of c, materializing into reuse when
-// non-nil (RunOn cells only; legacy Run cells always allocate).
-func (c *Cell) runTrial(rn *core.Runner, trial int, seed uint64, reuse *core.RunResult) (*core.RunResult, error) {
-	if c.RunOn != nil {
-		res := reuse
-		if res == nil {
-			res = &core.RunResult{}
-		}
-		if err := c.RunOn(rn, trial, seed, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	return c.Run(trial, seed)
-}
-
-func cellSeedsFor(cfg Config, cells []Cell) []uint64 {
-	seeds := make([]uint64, len(cells))
-	for i, c := range cells {
-		seeds[i] = rng.DeriveString(cfg.Seed, c.Key)
-	}
-	return seeds
 }
 
 // RunCells executes cfg.Trials trials of every cell on the worker pool
@@ -229,11 +164,11 @@ func RunCells(cfg Config, cells []Cell) ([][]*core.RunResult, error) {
 	for i := range out {
 		out[i] = make([]*core.RunResult, cfg.Trials)
 	}
-	cellSeeds := cellSeedsFor(cfg, cells)
 	err := forEachCtx(cfg.Parallelism, len(cells)*cfg.Trials, core.NewRunner, func(rn *core.Runner, j int) error {
 		cell, trial := j/cfg.Trials, j%cfg.Trials
-		res, err := cells[cell].runTrial(rn, trial, rng.Derive(cellSeeds[cell], uint64(trial)), nil)
-		if err != nil {
+		seed := rng.Derive(rng.DeriveString(cfg.Seed, cells[cell].Key), uint64(trial))
+		res := &core.RunResult{}
+		if err := cells[cell].RunOn(rn, trial, seed, res); err != nil {
 			return fmt.Errorf("cell %q trial %d: %w", cells[cell].Key, trial, err)
 		}
 		out[cell][trial] = res
@@ -245,63 +180,85 @@ func RunCells(cfg Config, cells []Cell) ([][]*core.RunResult, error) {
 	return out, nil
 }
 
-// WorkerCtx is the reusable per-worker execution context of the
-// cell-at-a-time entry points (RunCellReduce, RunFaultCellReduce): the
-// per-trial Runner plus the lazily-bound lockstep BatchRunner and its
-// buffers. Callers that schedule cells themselves — the campaign
-// service's work-stealing coordinator — create one per worker goroutine
-// and reuse it across every cell that worker claims, exactly as the
-// pool paths do internally.
-type WorkerCtx struct{ reduceCtx }
-
-// NewWorkerCtx returns a fresh worker context.
-func NewWorkerCtx() *WorkerCtx {
-	return &WorkerCtx{reduceCtx{rn: core.NewRunner()}}
+// WorkerCtx is the reusable per-worker state of the cell loop: the
+// Runner every trial executes on and the result buffer every trial
+// fills (plain trials fill its embedded RunResult). The pool paths
+// create one per worker goroutine; callers that schedule cells
+// themselves — the campaign service's work-stealing coordinator — do
+// the same and reuse it across every cell that worker claims.
+type WorkerCtx struct {
+	rn  *core.Runner
+	res core.FaultResult
 }
 
-// RunCellReduce executes one cell's trials on w, folding every result
-// in trial order: the per-range execution primitive behind
-// RunCellsReduce. idx is the cell index stamped on events and passed to
-// fold — callers running a sub-set of a larger grid pass the absolute
-// index, so no remapping layer is needed. Trial seeds derive from
-// (cfg.Seed, cell.Key, trial) alone: for a fixed cfg the fold sequence
-// and the emitted events are byte-identical no matter which worker runs
-// the cell, in what order cells are claimed, or how a range was split.
+// NewWorkerCtx returns a fresh worker context.
+func NewWorkerCtx() *WorkerCtx { return &WorkerCtx{rn: core.NewRunner()} }
+
+// RunCellReduce executes one plain cell's trials on w — cfg.Trials of
+// them, or an adaptive count under an enabled cfg.Stop rule — folding
+// every result in trial order. idx is the cell index stamped on events
+// and passed to fold — callers running a sub-set of a larger grid pass
+// the absolute index, so no remapping layer is needed. Trial seeds
+// derive from (cfg.Seed, cell.Key, trial) alone: for a fixed cfg the
+// fold sequence and the emitted events are byte-identical no matter
+// which worker runs the cell or in what order cells are claimed. res is
+// w's buffer, valid only for the duration of the call; fold must copy
+// whatever needs to survive.
 func RunCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(cell, trial int, res *core.RunResult) error) error {
-	cfg = cfg.WithDefaults()
-	return runCellReduce(cfg, &w.reduceCtx, cell, idx, rng.DeriveString(cfg.Seed, cell.Key), fold)
+	if cell.RunOn == nil {
+		return fmt.Errorf("cell %q has no RunOn", cell.Key)
+	}
+	return runCell(cfg.WithDefaults(), w, cell, idx, func(trial int, res *core.FaultResult) error {
+		return fold(idx, trial, &res.RunResult)
+	})
 }
 
 // RunFaultCellReduce is RunCellReduce for injected-trial cells (cells
-// that set RunFaultOn).
+// that set RunFaultOn): every result — the final run outcome plus the
+// per-injection recovery episodes — streams through fold.
 func RunFaultCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(cell, trial int, res *core.FaultResult) error) error {
-	cfg = cfg.WithDefaults()
-	return runFaultCellReduce(cfg, &w.reduceCtx, cell, idx, rng.DeriveString(cfg.Seed, cell.Key), fold)
+	if cell.RunFaultOn == nil {
+		return fmt.Errorf("cell %q has no RunFaultOn", cell.Key)
+	}
+	return runCell(cfg.WithDefaults(), w, cell, idx, func(trial int, res *core.FaultResult) error {
+		return fold(idx, trial, res)
+	})
 }
 
-// runCellReduce runs one plain cell at the resolved batch width.
-func runCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed uint64, fold func(cell, trial int, res *core.RunResult) error) error {
-	if width := cfg.batchWidth(cell); width > 1 {
-		return runCellReduceBatched(cfg, cell, idx, cellSeed, w, width, fold)
-	}
+// runCell is the cell loop: it emits cell-start, then per trial
+// trial-start, the trial itself, trial-finish and the fold, applies the
+// stop rule, and emits cell-finish with the realized trial count. A
+// plain cell fills only the RunResult embedded in w.res, and its
+// trial-finish carries Count 0 where a faulted cell's carries the
+// injections performed; nothing else differs between the two.
+func runCell(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(trial int, res *core.FaultResult) error) error {
+	cellSeed := rng.DeriveString(cfg.Seed, cell.Key)
 	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellStart, Cell: idx, Key: cell.Key, Trial: -1})
 	budget := cfg.Trials
 	if cfg.Stop.Enabled() {
 		budget = cfg.Stop.Max
 	}
+	res := &w.res
 	var rounds stats.Stream
 	realized := 0
 	for trial := 0; trial < budget; trial++ {
 		seed := rng.Derive(cellSeed, uint64(trial))
 		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialStart, Cell: idx, Key: cell.Key, Trial: trial, Seed: seed})
-		res, err := cell.runTrial(w.rn, trial, seed, &w.res)
+		var err error
+		injections := 0
+		if cell.RunFaultOn != nil {
+			err = cell.RunFaultOn(w.rn, trial, seed, res)
+			injections = res.Injections
+		} else {
+			err = cell.RunOn(w.rn, trial, seed, &res.RunResult)
+		}
 		if err != nil {
 			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
 		}
 		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialFinish, Cell: idx, Key: cell.Key, Trial: trial,
 			Silent: res.Silent, Legit: res.LegitimateAtSilence,
-			Step: res.StepsToSilence, Round: res.RoundsToSilence})
-		if err := fold(idx, trial, res); err != nil {
+			Step: res.StepsToSilence, Round: res.RoundsToSilence, Count: injections})
+		if err := fold(trial, res); err != nil {
 			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
 		}
 		realized = trial + 1
@@ -316,49 +273,13 @@ func runCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed uint6
 	return nil
 }
 
-// runFaultCellReduce runs one injected-trial cell.
-func runFaultCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed uint64, fold func(cell, trial int, res *core.FaultResult) error) error {
-	if cell.RunFaultOn == nil {
-		return fmt.Errorf("cell %q has no RunFaultOn", cell.Key)
-	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellStart, Cell: idx, Key: cell.Key, Trial: -1})
-	budget := cfg.Trials
-	if cfg.Stop.Enabled() {
-		budget = cfg.Stop.Max
-	}
-	var rounds stats.Stream
-	realized := 0
-	for trial := 0; trial < budget; trial++ {
-		seed := rng.Derive(cellSeed, uint64(trial))
-		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialStart, Cell: idx, Key: cell.Key, Trial: trial, Seed: seed})
-		if err := cell.RunFaultOn(w.rn, trial, seed, &w.faultRes); err != nil {
-			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
-		}
-		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialFinish, Cell: idx, Key: cell.Key, Trial: trial,
-			Silent: w.faultRes.Silent, Legit: w.faultRes.LegitimateAtSilence,
-			Step: w.faultRes.StepsToSilence, Round: w.faultRes.RoundsToSilence, Count: w.faultRes.Injections})
-		if err := fold(idx, trial, &w.faultRes); err != nil {
-			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
-		}
-		realized = trial + 1
-		if cfg.Stop.Enabled() {
-			rounds.Add(float64(w.faultRes.RoundsToSilence))
-			if cfg.Stop.done(realized, &rounds) {
-				break
-			}
-		}
-	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellFinish, Cell: idx, Key: cell.Key, Trial: -1, Count: realized})
-	return nil
-}
-
 // RunCellsReduce executes cfg.Trials trials of every cell (or an
 // adaptive count under an enabled cfg.Stop rule) and streams every
 // result through fold instead of materializing the grid: memory stays
-// O(cells + workers) instead of O(cells × trials × n). When
-// cfg.Observer is set, the loop emits cell-start / trial-start /
-// trial-finish / cell-finish events, all from the one worker that owns
-// the cell, in trial order.
+// O(cells + workers) instead of O(cells × trials × n). It is
+// RunCellReduce over every cell, each worker of the pool on its own
+// WorkerCtx; when cfg.Observer is set, a cell's events all come from
+// the one worker that owns it, in trial order.
 //
 // Scheduling is cell-affine — one worker owns all trials of a cell,
 // running them in trial order on its reusable Runner with exactly the
@@ -367,8 +288,6 @@ func runFaultCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed 
 // deterministic at every Parallelism. fold runs concurrently for
 // DIFFERENT cells (never for the same cell): per-cell accumulators
 // indexed by cell need no locking, anything shared across cells does.
-// res is a worker-owned buffer valid only for the duration of the call;
-// fold must copy whatever needs to survive.
 //
 // Cell affinity means effective parallelism is bounded by len(cells)
 // (the registry's grids have tens of cells, comfortably above typical
@@ -377,105 +296,20 @@ func runFaultCellReduce(cfg Config, w *reduceCtx, cell *Cell, idx int, cellSeed 
 // materialization.
 func RunCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.RunResult) error) error {
 	cfg = cfg.WithDefaults()
-	cellSeeds := cellSeedsFor(cfg, cells)
-	return forEachCtx(cfg.Parallelism, len(cells), func() *reduceCtx { return &reduceCtx{rn: core.NewRunner()} },
-		func(w *reduceCtx, i int) error {
-			return runCellReduce(cfg, w, &cells[i], i, cellSeeds[i], fold)
-		})
-}
-
-// reduceCtx is the per-worker state of the fold paths: the reusable
-// per-trial Runner plus, bound lazily on the first batched cell, the
-// lockstep BatchRunner with its seed and result buffers.
-type reduceCtx struct {
-	rn       *core.Runner
-	res      core.RunResult
-	faultRes core.FaultResult
-
-	br       *core.BatchRunner
-	seeds    []uint64
-	batchRes []core.RunResult
-}
-
-// runCellReduceBatched runs one cell of RunCellsReduce at lockstep width
-// `width`: trials execute in chunks of up to `width` lanes on the
-// worker's BatchRunner, and every chunk is drained strictly in trial
-// order — per-trial events (trial-start, the silence diagnostic,
-// trial-finish) are synthesized at drain time from the lane results,
-// then the result folds, then the stop rule sees it. The synthesized
-// stream and fold sequence are exactly the unbatched loop's; under an
-// enabled stop rule, lanes past the stopping trial are computed but
-// discarded unseen, so the realized count matches the unbatched run.
-func runCellReduceBatched(cfg Config, cell *Cell, i int, cellSeed uint64, w *reduceCtx,
-	width int, fold func(cell, trial int, res *core.RunResult) error) error {
-	if w.br == nil {
-		w.br = core.NewBatchRunner()
-	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellStart, Cell: i, Key: cell.Key, Trial: -1})
-	budget := cfg.Trials
-	if cfg.Stop.Enabled() {
-		budget = cfg.Stop.Max
-	}
-	var rounds stats.Stream
-	realized := 0
-drain:
-	for base := 0; base < budget; base += width {
-		b := width
-		if rem := budget - base; b > rem {
-			b = rem
-		}
-		w.seeds = w.seeds[:0]
-		for k := 0; k < b; k++ {
-			w.seeds = append(w.seeds, rng.Derive(cellSeed, uint64(base+k)))
-		}
-		for cap(w.batchRes) < b {
-			w.batchRes = append(w.batchRes[:cap(w.batchRes)], core.RunResult{})
-		}
-		w.batchRes = w.batchRes[:b]
-		if err := cell.RunBatchOn(w.br, w.seeds, w.batchRes); err != nil {
-			return fmt.Errorf("cell %q trials %d..%d: %w", cell.Key, base, base+b-1, err)
-		}
-		for k := 0; k < b; k++ {
-			trial := base + k
-			res := &w.batchRes[k]
-			obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialStart, Cell: i, Key: cell.Key, Trial: trial, Seed: w.seeds[k]})
-			if res.Silent {
-				obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindSilence, Cell: i, Key: cell.Key, Trial: trial,
-					Step: res.StepsToSilence, Round: res.RoundsToSilence})
-			}
-			obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialFinish, Cell: i, Key: cell.Key, Trial: trial,
-				Silent: res.Silent, Legit: res.LegitimateAtSilence,
-				Step: res.StepsToSilence, Round: res.RoundsToSilence})
-			if err := fold(i, trial, res); err != nil {
-				return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
-			}
-			realized = trial + 1
-			if cfg.Stop.Enabled() {
-				rounds.Add(float64(res.RoundsToSilence))
-				if cfg.Stop.done(realized, &rounds) {
-					break drain
-				}
-			}
-		}
-	}
-	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellFinish, Cell: i, Key: cell.Key, Trial: -1, Count: realized})
-	return nil
+	return ForEachWorker(cfg.Parallelism, len(cells), func(w *WorkerCtx, i int) error {
+		return RunCellReduce(cfg, w, &cells[i], i, fold)
+	})
 }
 
 // RunFaultCellsReduce is RunCellsReduce for injected trials: every cell
-// must set RunFaultOn, and every result — the final run outcome plus the
-// per-injection recovery episodes — streams through fold. Scheduling,
-// trial seeds, cell affinity, sequential stopping, events and the
-// fold's ordering/concurrency contract are exactly RunCellsReduce's;
-// res (including res.Episodes) is a worker-owned buffer valid only for
-// the duration of the call.
+// must set RunFaultOn. Scheduling, trial seeds, cell affinity,
+// sequential stopping, events and the fold's ordering/concurrency
+// contract are exactly RunCellsReduce's.
 func RunFaultCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.FaultResult) error) error {
 	cfg = cfg.WithDefaults()
-	cellSeeds := cellSeedsFor(cfg, cells)
-	return forEachCtx(cfg.Parallelism, len(cells), func() *reduceCtx { return &reduceCtx{rn: core.NewRunner()} },
-		func(w *reduceCtx, i int) error {
-			return runFaultCellReduce(cfg, w, &cells[i], i, cellSeeds[i], fold)
-		})
+	return ForEachWorker(cfg.Parallelism, len(cells), func(w *WorkerCtx, i int) error {
+		return RunFaultCellReduce(cfg, w, &cells[i], i, fold)
+	})
 }
 
 // ForEach runs fn(0..n-1) on up to `workers` goroutines (<=0 selects
@@ -485,6 +319,13 @@ func RunFaultCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, re
 func ForEach(workers, n int, fn func(i int) error) error {
 	return forEachCtx(workers, n, func() struct{} { return struct{}{} },
 		func(_ struct{}, i int) error { return fn(i) })
+}
+
+// ForEachWorker is ForEach for cell jobs: each pool worker builds one
+// WorkerCtx and hands it to every job it runs, so a job can call
+// RunCellReduce or RunFaultCellReduce on it.
+func ForEachWorker(workers, n int, fn func(w *WorkerCtx, i int) error) error {
+	return forEachCtx(workers, n, NewWorkerCtx, fn)
 }
 
 // forEachCtx is ForEach with a lazily-built per-worker context: every

@@ -40,9 +40,9 @@ func poolFolds(t *testing.T, cfg Config, cells []Cell) map[int][]foldLog {
 // TestRunCellReduceMatchesPool: running cells one at a time through
 // RunCellReduce — on a single reused WorkerCtx, in reverse order —
 // reproduces the pool path's fold sequence exactly, including under a
-// stop rule and at every batch width. This is the primitive the
-// campaign service's work-stealing coordinator is built on: any
-// partition of cells onto workers merges byte-identically.
+// stop rule. This is the primitive the campaign service's
+// work-stealing coordinator is built on: any partition of cells onto
+// workers merges byte-identically.
 func TestRunCellReduceMatchesPool(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -50,7 +50,6 @@ func TestRunCellReduceMatchesPool(t *testing.T) {
 		cfg  Config
 	}{
 		{"fixed-budget", Config{Seed: 42, Trials: 5, Parallelism: 2}},
-		{"batched", Config{Seed: 42, Trials: 5, Parallelism: 2, BatchSize: 3}},
 		{"adaptive", Config{Seed: 42, Parallelism: 2, Stop: StopRule{HalfWidth: 0.5, Min: 2, Max: 9}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,7 +128,8 @@ type obsCollector struct{ events []obs.Event }
 func (c *obsCollector) Observe(e obs.Event) { c.events = append(c.events, e) }
 
 // TestRunFaultCellReduceGuards: a plain cell fed to the fault entry
-// point errors instead of panicking.
+// point, or a faulted cell to the plain one, errors instead of
+// panicking.
 func TestRunFaultCellReduceGuards(t *testing.T) {
 	t.Parallel()
 	cells := syntheticCells(1, func(cell, trial int) int { return 1 })
@@ -138,11 +138,16 @@ func TestRunFaultCellReduceGuards(t *testing.T) {
 	if err == nil {
 		t.Fatal("RunFaultCellReduce accepted a cell without RunFaultOn")
 	}
+	faulted := Cell{Key: "f", RunFaultOn: func(*core.Runner, int, uint64, *core.FaultResult) error { return nil }}
+	err = RunCellReduce(Config{Seed: 1, Trials: 1}, NewWorkerCtx(), &faulted, 0,
+		func(cell, trial int, res *core.RunResult) error { return nil })
+	if err == nil {
+		t.Fatal("RunCellReduce accepted a cell without RunOn")
+	}
 }
 
 // TestRunCellReduceRealProtocol: the per-cell path agrees with the pool
-// on a real simulator cell (not just synthetic closures), across batch
-// widths.
+// on a real simulator cell (not just synthetic closures).
 func TestRunCellReduceRealProtocol(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 2009, Trials: 4, MaxSteps: 100_000, Parallelism: 2}
@@ -159,25 +164,74 @@ func TestRunCellReduceRealProtocol(t *testing.T) {
 	}
 	want := poolFolds(t, cfg, build())
 
-	for _, batch := range []int{1, 0, 3} {
-		bcfg := cfg
-		bcfg.BatchSize = batch
-		w := NewWorkerCtx()
-		got := make(map[int][]foldLog)
-		cells := build()
-		for i := range cells {
-			err := RunCellReduce(bcfg, w, &cells[i], i, func(cell, trial int, res *core.RunResult) error {
-				got[cell] = append(got[cell], foldLog{cell, trial, res.RoundsToSilence, 0})
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+	w := NewWorkerCtx()
+	got := make(map[int][]foldLog)
+	cells := build()
+	for i := range cells {
+		err := RunCellReduce(cfg, w, &cells[i], i, func(cell, trial int, res *core.RunResult) error {
+			got[cell] = append(got[cell], foldLog{cell, trial, res.RoundsToSilence, 0})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cell, seq := range want {
+		if fmt.Sprint(got[cell]) != fmt.Sprint(seq) {
+			t.Fatalf("cell %d differs:\npool:     %v\nper-cell: %v", cell, seq, got[cell])
+		}
+	}
+}
+
+// TestTrialFinishCount: the one cell loop stamps a faulted cell's
+// trial-finish with the injections its trial performed and a plain
+// cell's with 0, under a fixed budget and under a stop rule. Every case
+// runs on the same WorkerCtx, faulted before plain, so a count left in
+// the shared result buffer would show.
+func TestTrialFinishCount(t *testing.T) {
+	t.Parallel()
+	faulted := Cell{
+		Key: "synthetic-fault",
+		RunFaultOn: func(_ *core.Runner, trial int, _ uint64, res *core.FaultResult) error {
+			res.RunResult = core.RunResult{Silent: true, RoundsToSilence: 7}
+			res.Injections = trial + 2
+			return nil
+		},
+	}
+	plain := syntheticCells(1, func(cell, trial int) int { return 7 })[0]
+	fixed := Config{Seed: 1, Trials: 3}
+	adaptive := Config{Seed: 1, Stop: StopRule{HalfWidth: 0.5, Min: 2, Max: 9}} // zero variance: stops at Min
+	w := NewWorkerCtx()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		cell *Cell
+		want []int // Count of each trial-finish, in trial order
+	}{
+		{"faulted/fixed", fixed, &faulted, []int{2, 3, 4}},
+		{"plain/fixed", fixed, &plain, []int{0, 0, 0}},
+		{"faulted/stop", adaptive, &faulted, []int{2, 3}},
+		{"plain/stop", adaptive, &plain, []int{0, 0}},
+	} {
+		sink := obsCollector{}
+		tc.cfg.Observer = &sink
+		var err error
+		if tc.cell.RunFaultOn != nil {
+			err = RunFaultCellReduce(tc.cfg, w, tc.cell, 0, func(int, int, *core.FaultResult) error { return nil })
+		} else {
+			err = RunCellReduce(tc.cfg, w, tc.cell, 0, func(int, int, *core.RunResult) error { return nil })
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []int
+		for _, e := range sink.events {
+			if e.Kind == obs.KindTrialFinish {
+				got = append(got, e.Count)
 			}
 		}
-		for cell, seq := range want {
-			if fmt.Sprint(got[cell]) != fmt.Sprint(seq) {
-				t.Fatalf("batch %d cell %d differs:\npool:     %v\nper-cell: %v", batch, cell, seq, got[cell])
-			}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: trial-finish counts %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -63,16 +63,6 @@ func ProtoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
 					Events:       obs.Scope{Obs: cfg.Observer, Cell: cellIdx, Key: key, Trial: trial},
 				}, res)
 			},
-			RunBatchOn: func(br *core.BatchRunner, seeds []uint64, res []core.RunResult) error {
-				return br.RunRandomBatch(sys, core.BatchOptions{
-					SchedName:    schedName,
-					Sched:        mkSched,
-					MaxSteps:     cfg.MaxSteps,
-					CheckEvery:   1,
-					SuffixRounds: suffix,
-					Legitimate:   legit,
-				}, seeds, res)
-			},
 		}
 	}
 	return cells, nil

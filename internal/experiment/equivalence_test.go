@@ -11,10 +11,10 @@ import (
 	"repro/internal/sched"
 )
 
-// legacyProtoCells rebuilds RunProtoCells' cells on the pre-Runner,
-// one-shot execution path: a fresh random configuration, scheduler,
-// recorder and simulator per trial via core.Run. The pooled engine must
-// reproduce its results exactly.
+// legacyProtoCells rebuilds RunProtoCells' cells on the one-shot
+// execution path: a fresh random configuration, scheduler, recorder and
+// simulator per trial via core.Run, ignoring the worker's Runner. The
+// pooled engine must reproduce its results exactly.
 func legacyProtoCells(t *testing.T, cfg Config, specs []ProtoCell) []Cell {
 	t.Helper()
 	cells := make([]Cell, len(specs))
@@ -30,9 +30,9 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []ProtoCell) []Cell {
 		suffix := sp.SuffixRounds
 		cells[i] = Cell{
 			Key: fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, schedName, suffix),
-			Run: func(trial int, seed uint64) (*core.RunResult, error) {
+			RunOn: func(_ *core.Runner, trial int, seed uint64, res *core.RunResult) error {
 				initial := model.NewRandomConfig(sys, rng.New(seed))
-				return core.Run(sys, initial, core.RunOptions{
+				r, err := core.Run(sys, initial, core.RunOptions{
 					Scheduler:    mkSched(seed),
 					Seed:         seed,
 					MaxSteps:     cfg.MaxSteps,
@@ -40,6 +40,11 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []ProtoCell) []Cell {
 					SuffixRounds: suffix,
 					Legitimate:   legit,
 				})
+				if err != nil {
+					return err
+				}
+				*res = *r
+				return nil
 			},
 		}
 	}
@@ -133,91 +138,6 @@ func TestReduceMatchesMaterialized(t *testing.T) {
 			if n != cfg.Trials {
 				t.Fatalf("parallelism %d: cell %d folded %d trials, want %d", par, i, n, cfg.Trials)
 			}
-		}
-	}
-}
-
-// TestReduceBatchWidths is the lockstep-batching equivalence contract:
-// for every batch width — off (1), ragged (3 against 4 trials), a full
-// word (64) and a word boundary crossing (65) — and every parallelism,
-// the streaming fold path produces results deep-equal to the unbatched
-// materialized path, trial by trial and in trial order.
-func TestReduceBatchWidths(t *testing.T) {
-	t.Parallel()
-	cfg := Config{Seed: 31, Trials: 4, MaxSteps: 400000, Quick: true}
-	graphs, err := suite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var specs []ProtoCell
-	for _, g := range graphs {
-		specs = append(specs,
-			ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
-			ProtoCell{Graph: g, Family: FamMatching},
-		)
-	}
-	cfg.Parallelism = 1
-	cfg.Batch = 1
-	want, err := RunProtoCells(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 3, 64, 65} {
-		for _, par := range []int{1, 4} {
-			cfg.Batch = batch
-			cfg.Parallelism = par
-			lastTrial := make([]int, len(specs))
-			for i := range lastTrial {
-				lastTrial[i] = -1
-			}
-			err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
-				if trial != lastTrial[cell]+1 {
-					return fmt.Errorf("cell %d: fold at trial %d after trial %d (want in-order)", cell, trial, lastTrial[cell])
-				}
-				lastTrial[cell] = trial
-				if !reflect.DeepEqual(*want[cell][trial], *res) {
-					return fmt.Errorf("cell %d trial %d: batched result differs from unbatched", cell, trial)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("batch %d parallelism %d: %v", batch, par, err)
-			}
-			for i, last := range lastTrial {
-				if last != cfg.Trials-1 {
-					t.Fatalf("batch %d parallelism %d: cell %d folded %d trials, want %d", batch, par, i, last+1, cfg.Trials)
-				}
-			}
-		}
-	}
-}
-
-// TestRegistryTablesAcrossBatchWidths: the registry's rendered tables
-// are byte-identical whether the fold paths run unbatched, at the auto
-// width or at a width far beyond the trial budget — including the
-// faulted experiments, whose cells have no batched form and must be
-// bit-for-bit indifferent to the knob. E12 (wall-clock) and E22
-// (wall-clock and heap measurements) are excluded by design.
-func TestRegistryTablesAcrossBatchWidths(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("full registry sweep is a long test")
-	}
-	for _, e := range Registry() {
-		if e.ID == "E12" || e.ID == "E22" {
-			continue
-		}
-		var tables []string
-		for _, batch := range []int{1, 0, 65} {
-			cfg := Config{Seed: 2009, Trials: 3, MaxSteps: 400000, Quick: true, Parallelism: 2, Batch: batch}
-			res, err := e.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s batch %d: %v", e.ID, batch, err)
-			}
-			tables = append(tables, res.Table.String())
-		}
-		if tables[0] != tables[1] || tables[0] != tables[2] {
-			t.Fatalf("%s: tables differ across batch widths 1/auto/65", e.ID)
 		}
 	}
 }

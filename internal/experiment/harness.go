@@ -49,10 +49,6 @@ type Config struct {
 	// Observer receives the structured run events of every experiment's
 	// trial loops (nil: none; see internal/obs).
 	Observer obs.Observer
-	// Batch is the lockstep trial batch width of the fold-path cells
-	// (engine.Config.BatchSize): 0 picks the auto width, 1 disables
-	// batching. Tables are byte-identical at every width.
-	Batch int
 }
 
 func (c Config) withDefaults() Config {

@@ -28,7 +28,6 @@ func (c Config) engineConfig() engine.Config {
 		MaxSteps:    c.MaxSteps,
 		Parallelism: c.Parallelism,
 		Observer:    c.Observer,
-		BatchSize:   c.Batch,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -68,11 +69,11 @@ func TestRunCellsSeedsPositionIndependent(t *testing.T) {
 			seeds[i] = make([]uint64, 5)
 			cells[i] = Cell{
 				Key: fmt.Sprintf("cell-%d", i),
-				Run: func(trial int, seed uint64) (*core.RunResult, error) {
+				RunOn: func(_ *core.Runner, trial int, seed uint64, _ *core.RunResult) error {
 					mu.Lock()
 					seeds[i][trial] = seed
 					mu.Unlock()
-					return &core.RunResult{}, nil
+					return nil
 				},
 			}
 		}
@@ -113,12 +114,12 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 	mk := func(key string, failAt int) Cell {
 		return Cell{
 			Key: key,
-			Run: func(trial int, seed uint64) (*core.RunResult, error) {
+			RunOn: func(_ *core.Runner, trial int, _ uint64, _ *core.RunResult) error {
 				executed.Add(1)
 				if trial == failAt {
-					return nil, boom
+					return boom
 				}
-				return &core.RunResult{}, nil
+				return nil
 			},
 		}
 	}
@@ -156,6 +157,10 @@ func TestForEachCancellation(t *testing.T) {
 			return fmt.Errorf("job 0 failed")
 		}
 		<-failed
+		// The pool records the failure only after job 0 has returned,
+		// which is after it released us: give it that moment, or the
+		// other workers can drain all n jobs first.
+		time.Sleep(time.Millisecond)
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "job 0 failed") {

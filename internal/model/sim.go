@@ -55,20 +55,16 @@ type Simulator struct {
 	recordBounds    bool
 
 	// arena holds the reusable step-execution state: after the
-	// first step, Step performs no heap allocation. It points at
-	// ownArena, or at a shared StepScratch's arena when the simulator
-	// was bound via ResetShared.
-	arena    *stepArena
-	ownArena *stepArena
+	// first step, Step performs no heap allocation.
+	arena *stepArena
 
 	// tracker serves enabledness queries incrementally; Step maintains
 	// its dirty set alongside the silence cache.
 	tracker *EnabledTracker
 
 	// probe runs the frozen-neighborhood orbit exploration of SilentNow
-	// on reusable buffers (ownProbe, or a shared StepScratch's probe).
-	probe    *orbitProbe
-	ownProbe orbitProbe
+	// on reusable buffers.
+	probe orbitProbe
 
 	// Incremental silence detection: silence[p] caches the orbit verdict
 	// of processOrbitSilent for p under the current configuration —
@@ -157,22 +153,6 @@ func NewSimulator(sys *System, cfg0 *Config, sched Scheduler, seed uint64, obs O
 // over; it must not mutate the buffer behind the simulator's back while
 // the run is in progress.
 func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint64, obs Observer) error {
-	return s.reset(sys, cfg0, sched, seed, obs, nil)
-}
-
-// ResetShared is Reset with the per-step execution scratch — the step
-// arena and the orbit probe — served by a caller-owned StepScratch
-// instead of simulator-owned buffers. Many simulators over one static
-// system can share a single scratch as long as they are stepped
-// sequentially (never concurrently): the lockstep trial batch is the
-// intended client, paying for one arena per worker instead of one per
-// lane. Sharing carries no cross-step state, so verdicts and streams
-// are identical to the unshared path.
-func (s *Simulator) ResetShared(sys *System, cfg0 *Config, sched Scheduler, seed uint64, obs Observer, scratch *StepScratch) error {
-	return s.reset(sys, cfg0, sched, seed, obs, scratch)
-}
-
-func (s *Simulator) reset(sys *System, cfg0 *Config, sched Scheduler, seed uint64, obs Observer, scratch *StepScratch) error {
 	if err := cfg0.Validate(sys); err != nil {
 		return err
 	}
@@ -182,6 +162,7 @@ func (s *Simulator) reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
 		s.memoEntries = make([][]silentEntry, sys.N())
+		s.arena = newStepArena(sys)
 	} else {
 		clear(s.lastSel)
 		for i := range s.silence {
@@ -194,18 +175,7 @@ func (s *Simulator) reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	}
 	s.silBroken = 0
 	s.memoReset()
-	if scratch != nil {
-		scratch.bind(sys)
-		s.arena = scratch.arena
-		s.probe = &scratch.probe
-	} else {
-		if s.ownArena == nil || s.ownArena.sys != sys {
-			s.ownArena = newStepArena(sys)
-		}
-		s.arena = s.ownArena
-		s.ownProbe.bind(sys)
-		s.probe = &s.ownProbe
-	}
+	s.probe.bind(sys)
 	s.cfg = cfg0
 	s.sched = sched
 	s.tsched = nil

@@ -22,7 +22,7 @@ adversary uniform k=1 inject=on-silence:2
 metrics silent legitimate rounds moves injections recovered max-radius
 `
 
-// plainCampaignSrc exercises the batched plain-cell path.
+// plainCampaignSrc exercises the plain-cell path.
 const plainCampaignSrc = `campaign svc-plain
 seed 2009
 trials 5

@@ -23,9 +23,6 @@ type ExecOptions struct {
 	// Workers is the number of in-process workers the coordinator feeds
 	// (< 1: GOMAXPROCS). Output bytes are identical for every value.
 	Workers int
-	// Batch is the lockstep trial batch width of plain cells
-	// (campaign.RunOptions.Batch).
-	Batch int
 	// Steal overrides the work-stealing victim policy (nil: StealLargest).
 	// Output bytes are identical for every policy.
 	Steal StealPolicy
@@ -105,7 +102,7 @@ func Execute(ctx context.Context, p *campaign.Plan, opts ExecOptions) (*campaign
 						return
 					}
 					i := missing[pos]
-					recs, err := p.ComputeCell(wc, i, opts.Batch)
+					recs, err := p.ComputeCell(wc, i, 0)
 					if err != nil {
 						errs[w] = err
 						coord.Stop()

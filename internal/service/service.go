@@ -118,8 +118,6 @@ type Config struct {
 	Cache campaign.Backend
 	// Workers is each run's coordinator worker count (< 1: GOMAXPROCS).
 	Workers int
-	// Batch is the lockstep trial batch width of plain cells.
-	Batch int
 	// QueueDepth bounds the submitted-but-not-started backlog (< 1: 16).
 	QueueDepth int
 	// Steal overrides the work-stealing policy (tests).
@@ -307,7 +305,6 @@ func (s *Service) execute(r *Run) {
 	r.plan = nil // a finished run must not pin its plan; out holds it until return
 	out, err := Execute(s.ctx, plan, ExecOptions{
 		Workers:  s.cfg.Workers,
-		Batch:    s.cfg.Batch,
 		Steal:    s.cfg.Steal,
 		Cache:    s.cache,
 		Observer: obs.Tee(replay, r.broadcast),
