@@ -163,9 +163,10 @@ scale-smoke: ## 10⁶-node torus cell to silence under the peak-RSS budget
 
 # Service smoke: the campaign daemon end to end over real TCP — start
 # sscampaignd with a directory cache, POST the quickstart campaign in
-# streaming form, download the served JSONL and canonical event log and
-# byte-compare both against a CLI sscampaign run, then re-POST (100%
-# cache hits, identical bytes) and SIGTERM-drain. The scripted flow
+# streaming form, download the four served artifacts and byte-compare
+# them against CLI sscampaign runs, then re-POST (100% cache hits,
+# identical bytes from the artifact store, one stored set per source)
+# and SIGTERM-drain. The scripted flow
 # lives in scripts/service_smoke.sh; internal/service's tests prove the
 # same contract in-process with adversarial steal schedules.
 SERVICE_SMOKE_DIR ?= /tmp/service-smoke

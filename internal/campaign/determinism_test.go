@@ -2,12 +2,14 @@ package campaign
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // The determinism suite pins the campaign executor's three output
@@ -154,6 +156,47 @@ func TestInterruptedRunKeepsFinishedCells(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("resumed JSONL differs from an uninterrupted run:\n--- whole ---\n%s\n--- resumed ---\n%s", want, got)
+		}
+	}
+}
+
+// panicOnFinish panics inside the trial-finish event of one cell.
+type panicOnFinish struct{ key string }
+
+func (p panicOnFinish) Observe(e obs.Event) {
+	if e.Kind == obs.KindTrialFinish && e.Key == p.key {
+		panic("observer broke")
+	}
+}
+
+// TestPanickingCellIsAnError: a panic inside a cell — here an observer
+// that panics on the cell's trial-finish, on the plain and the injected
+// trial path — used to abort the process. Plan.Run now returns an error
+// naming the cell, stores nothing for it, and a later run over the same
+// backend computes it and renders the bytes of an undisturbed run.
+func TestPanickingCellIsAnError(t *testing.T) {
+	t.Parallel()
+	for _, src := range []string{plainCampaignSrc, testCampaignSrc} {
+		want, whole := renderJSONL(t, src, 1, RunOptions{})
+		cells := len(whole.Plan.Cells)
+		key := whole.Plan.Cells[cells-1].Key
+		for _, parallelism := range []int{1, 4} {
+			be := NewMemBackend()
+			plan, err := Compile(mustParse(t, src), parallelism)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = plan.Run(RunOptions{Cache: be, Observer: panicOnFinish{key}})
+			if wantErr := fmt.Sprintf("campaign: cell %q panicked: observer broke", key); err == nil || err.Error() != wantErr {
+				t.Fatalf("parallelism %d: run over a panicking cell returned %v, want %s", parallelism, err, wantErr)
+			}
+			if n, _, _ := be.Stats(); n >= cells || (parallelism == 1 && n != cells-1) {
+				t.Fatalf("parallelism %d: backend holds %d of %d cells after the panic in the last one", parallelism, n, cells)
+			}
+			got, resumed := renderJSONL(t, src, parallelism, RunOptions{Cache: be})
+			if resumed.CacheMisses == 0 || got != want {
+				t.Fatalf("parallelism %d: run after the panic: %d misses, bytes equal %v", parallelism, resumed.CacheMisses, got == want)
+			}
 		}
 	}
 }

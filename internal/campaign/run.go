@@ -187,13 +187,24 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 // computes the cell or in what order cells are claimed. This is the
 // execution primitive of Plan.Run's pool and of the campaign service's
 // work-stealing coordinator.
-func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, _ int) ([]TrialRecord, error) {
+//
+// A panic inside the cell (a protocol body, an adversary, an observer)
+// comes back as an error naming the cell, with no records: both callers
+// stop the run on it and store nothing for the cell, and a daemon's
+// other runs are untouched. The worker context is not to be reused
+// after such an error; neither caller does.
+func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, _ int) (recs []TrialRecord, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			recs, err = nil, fmt.Errorf("campaign: cell %q panicked: %v", p.Cells[i].Key, v)
+		}
+	}()
 	if p.cells[i].RunOn == nil && p.cells[i].RunFaultOn == nil {
 		return nil, fmt.Errorf("campaign: cell %q computed without Materialize", p.Cells[i].Key)
 	}
-	recs := make([]TrialRecord, 0, p.cfg.Trials)
+	recs = make([]TrialRecord, 0, p.cfg.Trials)
 	if p.Faulted {
-		err := engine.RunFaultCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
+		err = engine.RunFaultCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
 			func(_, trial int, res *core.FaultResult) error {
 				var rec TrialRecord
 				rec.fillFault(res)
@@ -202,7 +213,7 @@ func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, _ int) ([]TrialRecord, error)
 			})
 		return recs, err
 	}
-	err := engine.RunCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
+	err = engine.RunCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
 		func(_, trial int, res *core.RunResult) error {
 			var rec TrialRecord
 			rec.fillRun(res)

@@ -33,8 +33,8 @@ protocol coloring mis
 metrics silent legitimate rounds moves total-reads total-bits
 `
 
-// artifacts is one run's three deterministic outputs.
-type artifacts struct{ jsonl, events, table string }
+// artifacts is one run's four deterministic outputs.
+type artifacts struct{ jsonl, events, table, csv string }
 
 // cliArtifacts produces the reference bytes the CLI path
 // (campaign.Plan.Run) emits for a campaign.
@@ -64,14 +64,32 @@ func compilePlan(t *testing.T, src string) *campaign.Plan {
 
 func renderArtifacts(t *testing.T, out *campaign.Outcome, replay *obs.ReplaySink) artifacts {
 	t.Helper()
-	var jsonl, events bytes.Buffer
+	var jsonl, events, csv bytes.Buffer
 	if err := out.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
 	if err := replay.WriteCanonical(&events); err != nil {
 		t.Fatal(err)
 	}
-	return artifacts{jsonl.String(), events.String(), out.Table().String()}
+	table := out.Table()
+	if err := table.CSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	return artifacts{jsonl.String(), events.String(), table.String(), csv.String()}
+}
+
+// servedArtifacts reads a finished run's four outputs.
+func servedArtifacts(t *testing.T, r *Run) artifacts {
+	t.Helper()
+	var got [len(outputKinds)]string
+	for i, kind := range outputKinds {
+		data, err := r.Output(context.Background(), kind)
+		if err != nil {
+			t.Fatalf("%s %s: %v", r.ID, kind, err)
+		}
+		got[i] = string(data)
+	}
+	return artifacts{got[0], got[1], got[2], got[3]}
 }
 
 // execArtifacts runs a campaign through the service executor.

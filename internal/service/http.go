@@ -25,15 +25,19 @@ const maxSpecBytes = 1 << 20
 //	GET  /v1/runs/{id}/events   canonical event log (once done)
 //	GET  /v1/runs/{id}/table    aligned text summary (once done)
 //	GET  /v1/runs/{id}/csv      CSV summary (once done)
-//	GET  /v1/cache              shared cache backend stats
+//	GET  /v1/cache              cache backend and artifact store stats
 //	GET  /v1/healthz            liveness
 //
-// The jsonl/events/table/csv artifacts are rendered exactly once at run
-// completion and carry the determinism contract: byte-identical to a
-// CLI run of the same campaign at the same seed, for every worker
-// count, steal schedule and cache state. The stream is live diagnostics
-// (bounded per-subscriber buffering; a lagging client's feed is cut,
-// marked by a trailing truncation line).
+// The jsonl/events/table/csv artifacts are a function of the submitted
+// source and carry the determinism contract: byte-identical to a CLI
+// run of the same campaign at the same seed, for every worker count,
+// steal schedule and cache state. They live in the service's artifact
+// store under the source's SHA-256: rendered at most once while
+// resident, whichever run of that source asked first, and rendered
+// again on demand after eviction, so two GETs never observe different
+// bytes and a GET of an evicted run costs one warm replay. The stream
+// is live diagnostics (bounded per-subscriber buffering; a lagging
+// client's feed is cut, marked by a trailing truncation line).
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -127,9 +131,6 @@ func submitStatus(err error) int {
 func (s *Service) submitStream(w http.ResponseWriter, req *http.Request, src string) {
 	r, sub, err := s.SubmitStream(src, 4096)
 	if err != nil {
-		if sub != nil {
-			sub.Cancel()
-		}
 		writeError(w, submitStatus(err), err)
 		return
 	}
@@ -249,14 +250,16 @@ func (s *Service) handleOutput(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	kind := req.PathValue("output")
-	data, err := r.Output(kind)
+	data, err := r.Output(req.Context(), kind)
 	if err != nil {
-		code := http.StatusConflict // not done yet
-		if state, _ := r.State(); state == StateFailed {
-			code = http.StatusInternalServerError
-		}
-		if errors.Is(err, errUnknownOutput) {
+		code := http.StatusInternalServerError // a failed run, or a render that failed
+		switch {
+		case errors.Is(err, errUnknownOutput):
 			code = http.StatusNotFound
+		case errors.Is(err, errNotDone):
+			code = http.StatusConflict
+		case errors.Is(err, ErrShuttingDown):
+			code = http.StatusServiceUnavailable
 		}
 		writeError(w, code, err)
 		return
@@ -278,5 +281,9 @@ func (s *Service) handleCache(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"entries": entries, "bytes": size})
+	artEntries, artBytes := s.ArtifactStats()
+	writeJSON(w, http.StatusOK, map[string]any{
+		"entries": entries, "bytes": size,
+		"artifact_entries": artEntries, "artifact_bytes": artBytes,
+	})
 }

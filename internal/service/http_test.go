@@ -136,12 +136,13 @@ func TestHTTPEndToEnd(t *testing.T) {
 		jsonl:  getBody(t, ts.URL+"/v1/runs/"+posted.ID+"/jsonl", 200),
 		events: getBody(t, ts.URL+"/v1/runs/"+posted.ID+"/events", 200),
 		table:  getBody(t, ts.URL+"/v1/runs/"+posted.ID+"/table", 200),
+		csv:    getBody(t, ts.URL+"/v1/runs/"+posted.ID+"/csv", 200),
 	}
 	if got != want {
 		t.Fatal("served artifacts differ from the CLI run")
 	}
-	if csv := getBody(t, ts.URL+"/v1/runs/"+posted.ID+"/csv", 200); !strings.HasPrefix(csv, "cell,key,trials") {
-		t.Fatalf("CSV output: %q", csv[:min(len(csv), 60)])
+	if !strings.HasPrefix(got.csv, "cell,key,trials") {
+		t.Fatalf("CSV output: %q", got.csv[:min(len(got.csv), 60)])
 	}
 
 	// Second POST of the same spec: all cells hit the shared backend,
@@ -170,14 +171,20 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("run list: %+v", list)
 	}
 	var cache struct {
-		Entries int   `json:"entries"`
-		Bytes   int64 `json:"bytes"`
+		Entries         int   `json:"entries"`
+		Bytes           int64 `json:"bytes"`
+		ArtifactEntries int   `json:"artifact_entries"`
+		ArtifactBytes   int64 `json:"artifact_bytes"`
 	}
 	if err := json.Unmarshal([]byte(getBody(t, ts.URL+"/v1/cache", 200)), &cache); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Entries != 8 || cache.Bytes <= 0 {
 		t.Fatalf("cache stats: %+v", cache)
+	}
+	// Two runs of one source: one stored set, as large as what it serves.
+	if cache.ArtifactEntries != 1 || cache.ArtifactBytes != want.size() {
+		t.Fatalf("artifact store stats: %+v, want 1 set of %d bytes", cache, want.size())
 	}
 	if !strings.Contains(getBody(t, ts.URL+"/v1/healthz", 200), `"ok":true`) {
 		t.Fatal("healthz")
@@ -271,10 +278,33 @@ func TestHTTPErrors(t *testing.T) {
 	getBody(t, ts.URL+"/v1/runs/run-9999", http.StatusNotFound)
 	getBody(t, ts.URL+"/v1/runs/run-9999/jsonl", http.StatusNotFound)
 
-	posted := postCampaign(t, ts, plainCampaignSrc)
-	// Unknown artifact name on a real run: 404 once done (and never a
-	// panic while running).
-	getBody(t, ts.URL+"/v1/runs/"+posted.ID, http.StatusOK)
+	// An unknown artifact name is a 404 whatever the run's state; a known
+	// one is 409 until the run is done and 500 on a failed run.
+	gate := &gateBackend{
+		Backend: campaign.NewMemBackend(),
+		hit:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	key := compilePlan(t, plainCampaignSrc).Cells[0].Key
+	svc, ts := startTestServer(t, bombed(Config{Cache: gate, Workers: 1}, newBomb(key)))
+	failing := postCampaign(t, ts, plainCampaignSrc) // dispatcher blocks in its cache pass
+	<-gate.hit
+	queued := postCampaign(t, ts, plainCampaignSrc)
+	for _, id := range []string{failing.ID, queued.ID} { // running, queued
+		getBody(t, ts.URL+"/v1/runs/"+id+"/nonsense", http.StatusNotFound)
+		getBody(t, ts.URL+"/v1/runs/"+id+"/jsonl", http.StatusConflict)
+	}
+	close(gate.release)
+	for _, id := range []string{failing.ID, queued.ID} {
+		r, _ := svc.Get(id)
+		waitClosed(t, r.Done())
+	}
+	getBody(t, ts.URL+"/v1/runs/"+failing.ID+"/nonsense", http.StatusNotFound)
+	if body := getBody(t, ts.URL+"/v1/runs/"+failing.ID+"/jsonl", http.StatusInternalServerError); !strings.Contains(body, "panicked") {
+		t.Fatalf("GET of a failed run's output: %q, want the run's error", body)
+	}
+	getBody(t, ts.URL+"/v1/runs/"+queued.ID+"/nonsense", http.StatusNotFound)
+	getBody(t, ts.URL+"/v1/runs/"+queued.ID+"/jsonl", http.StatusOK)
 }
 
 // TestHTTPSubmitRefusals: a submit the service could not take — full

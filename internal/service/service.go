@@ -1,10 +1,12 @@
 package service
 
 import (
-	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/campaign"
@@ -21,19 +23,24 @@ const (
 	StateFailed  State = "failed"
 )
 
-// Run is one submitted campaign: its compiled plan while it waits and
-// executes, its live progress broadcast, and — once done — the rendered
-// outputs. The registry keeps finished runs, so a finished run holds
-// only what a later GET can ask for: the plan (graphs, cells) is dropped
-// at completion and the artifacts are exact-size copies.
+// Run is one submitted campaign: its compiled plan and source while it
+// waits and executes, its live progress broadcast, and, once done, the
+// key its artifacts are stored under. The registry keeps every run, so a
+// finished run holds nothing that grows with the campaign: no plan
+// (graphs, cells), no source text (the store shares one copy among the
+// runs of a source) and nothing rendered.
 type Run struct {
 	// ID is the registry handle ("run-0001", ...).
 	ID string
 
+	svc   *Service
+	key   artifactKey
 	name  string // campaign name
 	cells int    // campaign cell count
-	// plan is read by the dispatcher only, and nil once the run finished.
+	// plan and src are read by the dispatcher only, and dropped when the
+	// run finishes.
 	plan      *campaign.Plan
+	src       string
 	broadcast *obs.Broadcast
 	// done closes when the run reaches a terminal state.
 	done chan struct{}
@@ -43,8 +50,6 @@ type Run struct {
 	err    error
 	hits   int
 	misses int
-	// Terminal outputs, rendered once at completion.
-	jsonl, events, table, csv []byte
 }
 
 // State returns the run's current phase and terminal error (nil unless
@@ -78,32 +83,35 @@ func (r *Run) Subscribe(buf int) *obs.Subscription { return r.broadcast.Subscrib
 
 // Output returns a terminal artifact by name: "jsonl" (per-trial
 // records), "events" (canonical event log), "table" (aligned text
-// summary), "csv" (CSV summary). It errors until the run is done.
-func (r *Run) Output(kind string) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch r.state {
+// summary), "csv" (CSV summary). It errors until the run is done. The
+// bytes come from the service's artifact store; when the run's set has
+// been evicted they are rendered again first (see Service), which ctx
+// and Shutdown cut short.
+func (r *Run) Output(ctx context.Context, kind string) ([]byte, error) {
+	i := slices.Index(outputKinds[:], kind)
+	if i < 0 {
+		return nil, fmt.Errorf("%w %q (want jsonl, events, table or csv)", errUnknownOutput, kind)
+	}
+	switch state, err := r.State(); state {
 	case StateFailed:
-		return nil, fmt.Errorf("run %s failed: %w", r.ID, r.err)
+		return nil, fmt.Errorf("run %s failed: %w", r.ID, err)
 	case StateQueued, StateRunning:
-		return nil, fmt.Errorf("run %s is %s; outputs exist once done", r.ID, r.state)
+		return nil, fmt.Errorf("run %s is %s: %w", r.ID, state, errNotDone)
 	}
-	switch kind {
-	case "jsonl":
-		return r.jsonl, nil
-	case "events":
-		return r.events, nil
-	case "table":
-		return r.table, nil
-	case "csv":
-		return r.csv, nil
+	set, err := r.svc.artifacts(ctx, r.key)
+	if err != nil {
+		return nil, fmt.Errorf("run %s: %w", r.ID, err)
 	}
-	return nil, fmt.Errorf("%w %q (want jsonl, events, table or csv)", errUnknownOutput, kind)
+	return set[i], nil
 }
 
-// errUnknownOutput marks an Output kind the API does not serve (the
-// HTTP layer maps it to 404 rather than 409).
-var errUnknownOutput = errors.New("unknown output")
+// errUnknownOutput marks an Output kind the API does not serve, in any
+// run state, and errNotDone a run whose outputs do not exist yet (the
+// HTTP layer maps them to 404 and 409).
+var (
+	errUnknownOutput = errors.New("unknown output")
+	errNotDone       = errors.New("outputs exist once done")
+)
 
 func (r *Run) setState(s State) {
 	r.mu.Lock()
@@ -122,19 +130,35 @@ type Config struct {
 	QueueDepth int
 	// Steal overrides the work-stealing policy (tests).
 	Steal StealPolicy
+
+	// tee overrides how a run's sinks are combined (nil: obs.Tee). Tests
+	// use it to see which sinks a run attaches and to add their own.
+	tee func(...obs.Observer) obs.Observer
 }
 
-// Service is the daemon core: a run registry and a FIFO job queue
-// executing one run at a time (each run parallelizes internally via the
-// work-stealing coordinator). All methods are safe for concurrent use.
+// Service is the daemon core: a run registry, a FIFO job queue executing
+// one run at a time (each run parallelizes internally via the
+// work-stealing coordinator), and the artifact store the finished runs
+// are served from. All methods are safe for concurrent use.
+//
+// The four artifacts are a function of the submitted source alone, so
+// the store keys them by the source's SHA-256 and a finished run keeps
+// the key. While a key is resident every run of that source is served
+// the same bytes, rendered once; a set evicted under artifactBudget is
+// rendered again by the first GET that wants it, by executing the source
+// against the cache backend with one worker: a replay of stored records
+// while the backend still has the cells, a recompute with the same bytes
+// when it does not. The registry itself never evicts: what a finished
+// run retains is its status.
 type Service struct {
 	cfg   Config
 	cache campaign.Backend
 	queue chan *Run
+	store *artifactStore
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // the dispatcher and every render started by a GET
 
 	mu     sync.Mutex
 	runs   map[string]*Run
@@ -152,10 +176,14 @@ func New(cfg Config) *Service {
 	if depth < 1 {
 		depth = 16
 	}
+	if cfg.tee == nil {
+		cfg.tee = obs.Tee
+	}
 	s := &Service{
 		cfg:   cfg,
 		cache: cfg.Cache,
 		queue: make(chan *Run, depth),
+		store: newArtifactStore(artifactBudget),
 		runs:  make(map[string]*Run),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -173,9 +201,9 @@ var (
 	ErrShuttingDown = errors.New("service: shutting down")
 )
 
-// Submit parses and compiles a campaign source, registers it and
-// enqueues it for execution. Bad specs are rejected here, at the POST,
-// not discovered mid-queue.
+// Submit parses and compiles a campaign source, enqueues it for
+// execution and registers it. Bad specs are rejected here, at the POST,
+// not discovered mid-queue; a refused submit registers nothing.
 func (s *Service) Submit(src string) (*Run, error) {
 	r, _, err := s.submit(src, -1)
 	return r, err
@@ -185,16 +213,14 @@ func (s *Service) Submit(src string) (*Run, error) {
 // the run can start, so the feed observes the run from its very first
 // event — a Subscribe after Submit races with execution and misses the
 // head of a small campaign. buf is the subscription's buffer (see
-// Run.Subscribe). The caller owns the subscription; a failed enqueue
-// returns it already closed.
+// Run.Subscribe). The caller owns the subscription of an accepted run.
 func (s *Service) SubmitStream(src string, buf int) (*Run, *obs.Subscription, error) {
 	return s.submit(src, buf)
 }
 
-// submit registers and enqueues a run, subscribing to its broadcast
-// between registration and enqueue when buf >= 0 (the dispatcher only
-// sees the run after the queue send, so the subscription cannot miss
-// events).
+// submit builds a run and enqueues it, subscribing to its broadcast
+// first when buf >= 0 (the dispatcher only sees the run after the queue
+// send, so the subscription cannot miss events).
 func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, error) {
 	spec, err := campaign.Parse(src)
 	if err != nil {
@@ -204,37 +230,46 @@ func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w, not accepting runs", ErrShuttingDown)
-	}
-	s.nextID++
 	r := &Run{
-		ID:        fmt.Sprintf("run-%04d", s.nextID),
-		name:      spec.Name,
+		svc: s,
+		key: sha256.Sum256([]byte(src)),
+		// spec.Name is a piece of src, which a finished run must not pin.
+		name:      strings.Clone(spec.Name),
 		cells:     len(plan.Cells),
 		plan:      plan,
+		src:       src,
 		broadcast: obs.NewBroadcast(),
 		done:      make(chan struct{}),
 		state:     StateQueued,
 	}
-	s.runs[r.ID] = r
-	s.order = append(s.order, r.ID)
-	s.mu.Unlock()
-
 	var sub *obs.Subscription
 	if buf >= 0 {
 		sub = r.Subscribe(buf)
 	}
+	if err := s.enqueue(r); err != nil {
+		return nil, nil, err
+	}
+	return r, sub, nil
+}
+
+// enqueue hands r to the dispatcher and, only if the queue took it,
+// names and registers it: a refusal leaves the registry as it was.
+func (s *Service) enqueue(r *Run) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("%w, not accepting runs", ErrShuttingDown)
+	}
+	r.ID = fmt.Sprintf("run-%04d", s.nextID+1)
 	select {
 	case s.queue <- r:
-		return r, sub, nil
 	default:
-		err := fmt.Errorf("%w (%d runs waiting)", ErrQueueFull, cap(s.queue))
-		s.finish(r, err)
-		return nil, sub, err
+		return fmt.Errorf("%w (%d runs waiting)", ErrQueueFull, cap(s.queue))
 	}
+	s.nextID++
+	s.runs[r.ID] = r
+	s.order = append(s.order, r.ID)
+	return nil
 }
 
 // Get looks a run up by id.
@@ -259,6 +294,12 @@ func (s *Service) Runs() []*Run {
 // CacheStats reports the shared backend's entry count and total bytes.
 func (s *Service) CacheStats() (entries int, bytes int64, err error) {
 	return s.cache.Stats()
+}
+
+// ArtifactStats reports how many artifact sets the store holds rendered
+// and their total bytes.
+func (s *Service) ArtifactStats() (entries int, bytes int64) {
+	return s.store.stats()
 }
 
 // dispatch executes queued runs FIFO until Shutdown, then fails
@@ -290,80 +331,123 @@ func (s *Service) failQueued() {
 	for {
 		select {
 		case r := <-s.queue:
-			s.finish(r, errors.New("service: shut down before the run started"))
+			s.finish(r, nil, errors.New("service: shut down before the run started"))
 		default:
 			return
 		}
 	}
 }
 
-// execute runs one campaign and renders its terminal outputs.
+// execute runs one campaign. When the store already holds the source's
+// artifacts the run only feeds its live stream; otherwise it also
+// collects the canonical events, renders once and stores the set.
 func (s *Service) execute(r *Run) {
 	r.setState(StateRunning)
-	replay := obs.NewReplaySink()
-	plan := r.plan
-	r.plan = nil // a finished run must not pin its plan; out holds it until return
-	out, err := Execute(s.ctx, plan, ExecOptions{
+	sinks := []obs.Observer{r.broadcast}
+	var replay *obs.ReplaySink
+	if s.store.get(r.key) == nil {
+		replay = obs.NewReplaySink()
+		sinks = append(sinks, replay)
+	}
+	out, err := Execute(s.ctx, r.plan, ExecOptions{
 		Workers:  s.cfg.Workers,
 		Steal:    s.cfg.Steal,
 		Cache:    s.cache,
-		Observer: obs.Tee(replay, r.broadcast),
+		Observer: s.cfg.tee(sinks...),
 	})
-	if err != nil {
-		s.finish(r, err)
-		return
+	if err == nil && replay != nil {
+		var set *artifactSet
+		if set, err = render(out, replay); err == nil {
+			s.store.put(r.key, r.src, set)
+		}
 	}
-	// Render every artifact once, at completion: serving is then a pure
-	// byte copy, and two GETs can never observe different bytes.
-	var jsonl, events, csv bytes.Buffer
-	if err := out.WriteJSONL(&jsonl); err != nil {
-		s.finish(r, err)
-		return
-	}
-	if err := replay.WriteCanonical(&events); err != nil {
-		s.finish(r, err)
-		return
-	}
-	table := out.Table()
-	if err := table.CSV(&csv); err != nil {
-		s.finish(r, err)
-		return
-	}
+	s.finish(r, out, err)
+}
+
+// finish moves a run to its terminal state, StateFailed with err or
+// StateDone with out's cache counts, and releases its subscribers and
+// waiters.
+func (s *Service) finish(r *Run, out *campaign.Outcome, err error) {
 	r.mu.Lock()
-	r.state = StateDone
-	r.hits, r.misses = out.CacheHits, out.CacheMisses
-	// Clones, not the buffers' own arrays: a buffer grown by doubling can
-	// hold up to twice its content, and the registry would keep that slack
-	// alive as long as it keeps the run.
-	r.jsonl, r.events = bytes.Clone(jsonl.Bytes()), bytes.Clone(events.Bytes())
-	r.table, r.csv = []byte(table.String()), bytes.Clone(csv.Bytes())
+	r.plan, r.src = nil, "" // a finished run must not pin them
+	if err != nil {
+		r.state, r.err = StateFailed, err
+	} else {
+		r.state = StateDone
+		r.hits, r.misses = out.CacheHits, out.CacheMisses
+	}
 	r.mu.Unlock()
 	r.broadcast.Close()
 	close(r.done)
 }
 
-// finish moves a run to a terminal state (StateFailed unless err is
-// nil) and releases its subscribers and waiters.
-func (s *Service) finish(r *Run, err error) {
-	r.mu.Lock()
-	r.plan = nil // a run that never reached execute still holds it
-	if err != nil {
-		r.state = StateFailed
-		r.err = err
-	} else {
-		r.state = StateDone
+// artifacts returns the set stored under key, rendering it again when
+// it has been evicted: at most one render per key is in flight, started
+// by the first reader and awaited by all of them. A reader stops waiting
+// when its ctx ends or the service shuts down; the render itself runs
+// under the service's context, so one reader leaving does not fail the
+// others.
+func (s *Service) artifacts(ctx context.Context, key artifactKey) (*artifactSet, error) {
+	set, fl, src, lead := s.store.begin(key)
+	if set != nil {
+		return set, nil
 	}
-	r.mu.Unlock()
-	r.broadcast.Close()
-	close(r.done)
+	if lead {
+		// Add under the lock Shutdown sets closed under, so it cannot
+		// race with Shutdown's Wait.
+		s.mu.Lock()
+		closed := s.closed
+		if !closed {
+			s.wg.Add(1)
+		}
+		s.mu.Unlock()
+		if closed {
+			s.store.end(key, fl, nil, ErrShuttingDown)
+		} else {
+			go func() {
+				defer s.wg.Done()
+				set, err := s.rerender(src)
+				s.store.end(key, fl, set, err)
+			}()
+		}
+	}
+	select {
+	case <-fl.done:
+		return fl.set, fl.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-s.ctx.Done():
+		return nil, ErrShuttingDown
+	}
+}
+
+// rerender executes src once more, for its artifacts alone: one worker,
+// no live stream, the cells taken from the cache backend where it still
+// has them.
+func (s *Service) rerender(src string) (*artifactSet, error) {
+	spec, err := campaign.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := campaign.Compile(spec, 1)
+	if err != nil {
+		return nil, err
+	}
+	replay := obs.NewReplaySink()
+	out, err := Execute(s.ctx, plan, ExecOptions{Workers: 1, Cache: s.cache, Observer: replay})
+	if err != nil {
+		return nil, err
+	}
+	return render(out, replay)
 }
 
 // Shutdown drains the service: no new submissions, the in-flight run's
 // workers finish (and persist) the cells they are computing, queued
-// runs fail cleanly, the dispatcher exits. ctx bounds the wait. A
-// drained run reports ErrDrained; re-submitting its spec to a new
-// service over the same cache backend resumes from the persisted cells
-// and produces byte-identical final output.
+// runs fail cleanly, the dispatcher exits; a GET that needs a render
+// gets ErrShuttingDown, and a render in flight drains like a run. ctx
+// bounds the wait. A drained run reports ErrDrained; re-submitting its
+// spec to a new service over the same cache backend resumes from the
+// persisted cells and produces byte-identical final output.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true

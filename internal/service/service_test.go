@@ -2,13 +2,17 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // gateBackend wraps a Backend and blocks the first call to the gated
@@ -109,11 +113,7 @@ func TestServiceShutdownDrainsAndResumes(t *testing.T) {
 	if hits, misses := r2.CacheStats(); hits != 1 || misses != 7 {
 		t.Fatalf("resume: %d hits, %d misses, want 1 and 7", hits, misses)
 	}
-	jsonl, _ := r2.Output("jsonl")
-	events, _ := r2.Output("events")
-	table, _ := r2.Output("table")
-	got := artifacts{string(jsonl), string(events), string(table)}
-	if got != want {
+	if got := servedArtifacts(t, r2); got != want {
 		t.Fatal("resumed service output differs from the CLI run")
 	}
 }
@@ -165,8 +165,12 @@ func TestServiceShutdownFailsQueuedRuns(t *testing.T) {
 	if state, err := queued.State(); state != StateFailed || err == nil || !strings.Contains(err.Error(), "before the run started") {
 		t.Fatalf("queued run: state %s, err %v", state, err)
 	}
-	if _, err := queued.Output("jsonl"); err == nil {
+	if _, err := queued.Output(context.Background(), "jsonl"); err == nil {
 		t.Fatal("failed run served an output")
+	}
+	// A run that failed without reaching execute drops its plan too.
+	if holdsPlanOrSource(first) || holdsPlanOrSource(queued) {
+		t.Fatal("a failed run still holds its plan or its source")
 	}
 }
 
@@ -188,53 +192,42 @@ func TestServiceRejectsBadSpecAtSubmit(t *testing.T) {
 	}
 }
 
-// TestFinishedRunKeepsOnlyItsArtifacts: the registry never evicts, so a
-// finished run must not pin its compiled plan or the slack of the
-// buffers its artifacts were rendered in — and must still answer Name
-// and Cells. A run that failed in the queue drops its plan too.
-func TestFinishedRunKeepsOnlyItsArtifacts(t *testing.T) {
+// holdsPlanOrSource reports whether r still pins what only a waiting or
+// executing run needs.
+func holdsPlanOrSource(r *Run) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.plan != nil || r.src != ""
+}
+
+// TestFinishedRunKeepsNoPlanSourceOrBytes: the registry never evicts, so
+// a finished run must pin neither its compiled plan nor its source text,
+// and has no rendered bytes of its own: they are the store's, held in
+// exact-size arrays. It must still answer Name and Cells.
+func TestFinishedRunKeepsNoPlanSourceOrBytes(t *testing.T) {
 	t.Parallel()
-	gate := &gateBackend{
-		Backend: campaign.NewMemBackend(),
-		hit:     make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	svc := New(Config{Cache: gate, Workers: 1, QueueDepth: 1})
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		svc.Shutdown(ctx)
-	}()
-	done, err := svc.Submit(plainCampaignSrc) // dispatcher blocks in its cache pass
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-gate.hit
-	if _, err := svc.Submit(plainCampaignSrc); err != nil { // fills the queue
-		t.Fatal(err)
-	}
-	if _, err := svc.Submit(plainCampaignSrc); err == nil {
-		t.Fatal("Submit accepted beyond the queue depth")
-	}
-	refused := svc.Runs()[2]
-	close(gate.release)
-	waitClosed(t, done.Done())
-	if state, err := done.State(); state != StateDone {
-		t.Fatalf("run state %s, err %v", state, err)
-	}
-	for _, r := range []*Run{done, refused} {
-		r.mu.Lock()
-		plan := r.plan
-		r.mu.Unlock()
-		if plan != nil {
-			t.Errorf("%s still holds its plan after finishing", r.ID)
+	svc := New(Config{Workers: 1})
+	defer shutdown(t, svc)
+	var runs []*Run
+	for i := 0; i < 2; i++ {
+		r, err := svc.Submit(plainCampaignSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitClosed(t, r.Done())
+		if state, err := r.State(); state != StateDone {
+			t.Fatalf("run state %s, err %v", state, err)
+		}
+		if holdsPlanOrSource(r) {
+			t.Errorf("%s still holds its plan or its source after finishing", r.ID)
 		}
 		if r.Name() != "svc-plain" || r.Cells() == 0 {
 			t.Errorf("%s: Name %q, Cells %d after finishing", r.ID, r.Name(), r.Cells())
 		}
+		runs = append(runs, r)
 	}
-	for _, kind := range []string{"jsonl", "events", "table", "csv"} {
-		data, err := done.Output(kind)
+	for _, kind := range outputKinds {
+		data, err := runs[0].Output(context.Background(), kind)
 		if err != nil || len(data) == 0 {
 			t.Fatalf("%s: %d bytes, err %v", kind, len(data), err)
 		}
@@ -243,5 +236,149 @@ func TestFinishedRunKeepsOnlyItsArtifacts(t *testing.T) {
 		if cap(data) > len(data)+len(data)/8+64 {
 			t.Errorf("%s: %d bytes held in a %d-byte array", kind, len(data), cap(data))
 		}
+		// One source, one set: the second run serves the first run's array.
+		again, err := runs[1].Output(context.Background(), kind)
+		if err != nil || &again[0] != &data[0] {
+			t.Errorf("%s: the second run of the source does not serve the stored bytes (err %v)", kind, err)
+		}
+	}
+	if entries, size := svc.ArtifactStats(); entries != 1 || size <= 0 {
+		t.Fatalf("store holds %d sets, %d bytes after two runs of one source", entries, size)
+	}
+}
+
+// TestRefusedSubmitRegistersNothing: a submit the queue refuses, or that
+// arrives after Shutdown, leaves the registry as it was — under overload
+// every 503 used to leave a failed run behind whose id no client knew.
+func TestRefusedSubmitRegistersNothing(t *testing.T) {
+	t.Parallel()
+	gate := &gateBackend{
+		Backend: campaign.NewMemBackend(),
+		hit:     make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	svc, ts := startTestServer(t, Config{Cache: gate, Workers: 1, QueueDepth: 1})
+	running, err := svc.Submit(plainCampaignSrc) // dispatcher blocks in its cache pass
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.hit
+	queued, err := svc.Submit(plainCampaignSrc) // fills the queue
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := func() int {
+		t.Helper()
+		var list []runJSON
+		if err := json.Unmarshal([]byte(getBody(t, ts.URL+"/v1/runs", 200)), &list); err != nil {
+			t.Fatal(err)
+		}
+		return len(list)
+	}
+	refuse := func(want error, registered int) {
+		t.Helper()
+		for i := 0; i < 50; i++ {
+			if r, err := svc.Submit(plainCampaignSrc); !errors.Is(err, want) || r != nil {
+				t.Fatalf("Submit: run %v, err %v, want %v", r, err, want)
+			}
+			if r, sub, err := svc.SubmitStream(plainCampaignSrc, 16); !errors.Is(err, want) || r != nil || sub != nil {
+				t.Fatalf("SubmitStream: run %v, subscription %v, err %v, want %v", r, sub, err, want)
+			}
+		}
+		if n := len(svc.Runs()); n != registered {
+			t.Fatalf("100 refused submits (%v) left %d runs registered, want the %d accepted", want, n, registered)
+		}
+		if n := listed(); n != registered {
+			t.Fatalf("GET /v1/runs lists %d runs after 100 refused submits (%v), want %d", n, want, registered)
+		}
+	}
+	refuse(ErrQueueFull, 2)
+	close(gate.release)
+	waitClosed(t, running.Done())
+	waitClosed(t, queued.Done())
+	// The ids stay dense: the next accepted run is the third.
+	third, err := svc.Submit(plainCampaignSrc)
+	if err != nil || third.ID != "run-0003" {
+		t.Fatalf("first submit after the refusals: %v, err %v, want run-0003", third, err)
+	}
+	waitClosed(t, third.Done())
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	refuse(ErrShuttingDown, 3)
+}
+
+// bomb panics, once, inside the trial-finish event of one cell: what a
+// broken protocol body, adversary or observer does to the worker that
+// runs it.
+type bomb struct {
+	key   string
+	armed atomic.Bool
+}
+
+func newBomb(key string) *bomb {
+	b := &bomb{key: key}
+	b.armed.Store(true)
+	return b
+}
+
+func (b *bomb) Observe(e obs.Event) {
+	if e.Kind == obs.KindTrialFinish && e.Key == b.key && b.armed.CompareAndSwap(true, false) {
+		panic("bomb in " + b.key)
+	}
+}
+
+// bombed is a service whose runs all observe b.
+func bombed(cfg Config, b *bomb) Config {
+	cfg.tee = func(sinks ...obs.Observer) obs.Observer { return obs.Tee(append(sinks, b)...) }
+	return cfg
+}
+
+// TestCellPanicFailsTheRunOnly: a panic inside a cell used to kill the
+// process, and with it every run. Now Execute returns an error naming
+// the cell, the service's run ends failed with that text in its status,
+// nothing is stored for the cell, and the next run of the same source on
+// the same service recomputes it and serves the right bytes.
+func TestCellPanicFailsTheRunOnly(t *testing.T) {
+	t.Parallel()
+	want := cliArtifacts(t, faultCampaignSrc)
+	plan := compilePlan(t, faultCampaignSrc)
+	key := plan.Cells[5].Key
+	wantErr := fmt.Sprintf("campaign: cell %q panicked: bomb in %s", key, key)
+
+	for _, workers := range []int{1, 4} {
+		_, err := Execute(context.Background(), compilePlan(t, faultCampaignSrc),
+			ExecOptions{Workers: workers, Cache: campaign.NewMemBackend(), Observer: newBomb(key)})
+		if err == nil || err.Error() != wantErr {
+			t.Fatalf("Execute with %d workers over a panicking cell: %v, want %s", workers, err, wantErr)
+		}
+	}
+
+	cache := campaign.NewMemBackend()
+	svc := New(bombed(Config{Workers: 1, Cache: cache}, newBomb(key)))
+	defer shutdown(t, svc)
+	failed, err := svc.Submit(faultCampaignSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitClosed(t, failed.Done())
+	if status := runStatus(failed); status.State != StateFailed || status.Error != wantErr {
+		t.Fatalf("status of the run with a panicking cell: %+v, want failed with %s", status, wantErr)
+	}
+	// One worker takes the cells in order: 0 to 4 are stored, 5 is not.
+	if entries, _, _ := cache.Stats(); entries != 5 {
+		t.Fatalf("cache holds %d cells after the failed run, want the 5 before the panic", entries)
+	}
+	if n, _ := svc.ArtifactStats(); n != 0 {
+		t.Fatalf("the failed run left %d artifact sets", n)
+	}
+	next := runToDone(t, svc, faultCampaignSrc)
+	if hits, misses := next.CacheStats(); hits != 5 || misses != 3 {
+		t.Fatalf("run after the failed one: %d hits, %d misses, want 5 and 3", hits, misses)
+	}
+	if got := servedArtifacts(t, next); got != want {
+		t.Fatal("run after the failed one serves bytes that differ from the CLI run")
 	}
 }

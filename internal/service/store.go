@@ -1,0 +1,180 @@
+package service
+
+import (
+	"bytes"
+	"container/list"
+	"crypto/sha256"
+	"sync"
+
+	"repro/internal/campaign"
+	"repro/internal/obs"
+)
+
+// artifactBudget bounds the rendered bytes the store keeps resident.
+// What bounds it is the daemon's memory, not its speed: one artifact set
+// is tens of KiB to a few MiB (about 0.3 MiB for an 80-cell campaign),
+// so 32 MiB keeps the sets of the last hundred or so distinct campaigns
+// a byte copy away and costs every other GET one warm replay.
+const artifactBudget = 32 << 20
+
+// artifactKey addresses a campaign's artifacts by the SHA-256 of its
+// submitted source: the artifacts are a function of the source alone.
+type artifactKey [sha256.Size]byte
+
+// outputKinds names the artifacts a finished run serves, in the order an
+// artifactSet holds them: per-trial records, canonical event log,
+// aligned text summary, CSV summary.
+var outputKinds = [...]string{"jsonl", "events", "table", "csv"}
+
+// artifactSet is the rendered artifacts of one campaign source, indexed
+// as outputKinds and immutable once built.
+type artifactSet [len(outputKinds)][]byte
+
+func (a *artifactSet) size() (n int64) {
+	for _, b := range a {
+		n += int64(len(b))
+	}
+	return n
+}
+
+// render is the one place artifacts are made: from a finished
+// execution's outcome and the ReplaySink that observed it. The slices
+// are exact-size clones, not the buffers' own arrays: a buffer grown by
+// doubling can hold up to twice its content, and the store would count
+// less than it keeps.
+func render(out *campaign.Outcome, replay *obs.ReplaySink) (*artifactSet, error) {
+	var jsonl, events, csv bytes.Buffer
+	if err := out.WriteJSONL(&jsonl); err != nil {
+		return nil, err
+	}
+	if err := replay.WriteCanonical(&events); err != nil {
+		return nil, err
+	}
+	table := out.Table()
+	if err := table.CSV(&csv); err != nil {
+		return nil, err
+	}
+	return &artifactSet{
+		bytes.Clone(jsonl.Bytes()), bytes.Clone(events.Bytes()),
+		[]byte(table.String()), bytes.Clone(csv.Bytes()),
+	}, nil
+}
+
+// artifactStore keeps rendered artifact sets by source key, least
+// recently used out first, under a byte budget. An entry outlives its
+// artifacts: it keeps the source text, shared by every run of that
+// source, so an evicted set can be rendered again. The store therefore
+// grows with the distinct sources submitted, and not with the number of
+// runs.
+type artifactStore struct {
+	mu      sync.Mutex
+	budget  int64
+	bytes   int64                          // resident artifact bytes
+	lru     list.List                      // of *artifactEntry, most recently used first
+	entries map[artifactKey]*artifactEntry // resident or not
+}
+
+type artifactEntry struct {
+	src string
+	// set and elem are nil while the artifacts are not resident.
+	set  *artifactSet
+	elem *list.Element
+	// flight is the render in progress for this key, if any.
+	flight *renderFlight
+}
+
+// renderFlight is one render of an evicted set that every concurrent
+// reader of the key waits for; set and err are written before done
+// closes.
+type renderFlight struct {
+	done chan struct{}
+	set  *artifactSet
+	err  error
+}
+
+func newArtifactStore(budget int64) *artifactStore {
+	return &artifactStore{budget: budget, entries: make(map[artifactKey]*artifactEntry)}
+}
+
+// get returns key's resident artifacts, or nil.
+func (st *artifactStore) get(key artifactKey) *artifactSet {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if e := st.entries[key]; e != nil && e.set != nil {
+		st.lru.MoveToFront(e.elem)
+		return e.set
+	}
+	return nil
+}
+
+// put makes set the resident artifacts of key, whose source is src, and
+// evicts from the cold end down to the budget. The newest set stays
+// even when it alone is over the budget, so a run's own GETs are served
+// from it.
+func (st *artifactStore) put(key artifactKey, src string, set *artifactSet) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.entries[key]
+	if e == nil {
+		e = &artifactEntry{src: src}
+		st.entries[key] = e
+	}
+	st.insert(e, set)
+}
+
+// insert is put's body, called with the lock held. A key that is
+// already resident keeps the bytes it has been serving.
+func (st *artifactStore) insert(e *artifactEntry, set *artifactSet) {
+	if e.set != nil {
+		st.lru.MoveToFront(e.elem)
+		return
+	}
+	e.set, e.elem = set, st.lru.PushFront(e)
+	st.bytes += set.size()
+	for st.bytes > st.budget && st.lru.Len() > 1 {
+		cold := st.lru.Remove(st.lru.Back()).(*artifactEntry)
+		st.bytes -= cold.set.size()
+		cold.set, cold.elem = nil, nil
+	}
+}
+
+// begin starts a read of a key some finished run holds (so its entry
+// exists). It returns the resident set; or the flight to wait on, and
+// lead true when the caller is the one that must render src and call
+// end with the result.
+func (st *artifactStore) begin(key artifactKey) (set *artifactSet, fl *renderFlight, src string, lead bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.entries[key]
+	if e.set != nil {
+		st.lru.MoveToFront(e.elem)
+		return e.set, nil, "", false
+	}
+	if e.flight != nil {
+		return nil, e.flight, "", false
+	}
+	e.flight = &renderFlight{done: make(chan struct{})}
+	return nil, e.flight, e.src, true
+}
+
+// end finishes the flight begin handed its leader: a rendered set
+// becomes resident, and the waiters are released with it or with err.
+func (st *artifactStore) end(key artifactKey, fl *renderFlight, set *artifactSet, err error) {
+	st.mu.Lock()
+	e := st.entries[key]
+	e.flight = nil
+	if err == nil {
+		st.insert(e, set)
+		set = e.set
+	}
+	st.mu.Unlock()
+	fl.set, fl.err = set, err
+	close(fl.done)
+}
+
+// stats reports the resident set count and their bytes.
+func (st *artifactStore) stats() (entries int, bytes int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.lru.Len(), st.bytes
+}

@@ -2,11 +2,14 @@
 # Campaign service smoke: the end-to-end proof of the served-run
 # determinism contract on real binaries over real TCP. Starts
 # sscampaignd with a directory cache, POSTs the quickstart campaign,
-# streams its progress to completion, downloads the per-trial JSONL and
-# canonical event log, and byte-compares both against a CLI sscampaign
-# run of the same file. A second POST of the same spec must be 100%
-# cache hits with identical bytes and a whole, uncut progress stream, and
-# SIGTERM must stop the daemon cleanly. Usage: scripts/service_smoke.sh [workdir]
+# streams its progress to completion, downloads the four artifacts
+# (per-trial JSONL, canonical event log, table, CSV) and byte-compares
+# them against CLI sscampaign runs of the same file. A second POST of
+# the same spec must be 100% cache hits with a whole, uncut progress
+# stream, and its artifacts, now served from the artifact store, the same
+# bytes again. Twenty more re-POSTs must leave the store holding one set,
+# a POST at another seed must make it two, and SIGTERM must stop the
+# daemon cleanly. Usage: scripts/service_smoke.sh [workdir]
 set -euo pipefail
 
 DIR=${1:-/tmp/service-smoke}
@@ -16,8 +19,16 @@ rm -rf "$DIR" && mkdir -p "$DIR"
 go build -o "$DIR/sscampaignd" ./cmd/sscampaignd
 go build -o "$DIR/sscampaign" ./cmd/sscampaign
 
-# CLI reference artifacts at the same seed.
-"$DIR/sscampaign" -jsonl "$DIR/cli.jsonl" -events "$DIR/cli.events" "$CAMPAIGN" >/dev/null 2>&1
+# CLI reference artifacts at the same seed: the table is the CLI's
+# stdout, the CSV a second run's.
+"$DIR/sscampaign" -jsonl "$DIR/cli.jsonl" -events "$DIR/cli.events" "$CAMPAIGN" > "$DIR/cli.table" 2>/dev/null
+"$DIR/sscampaign" -csv "$CAMPAIGN" > "$DIR/cli.csv" 2>/dev/null
+KINDS="jsonl events table csv"
+
+# fetch RUN PREFIX downloads the run's four artifacts to PREFIX.<kind>.
+fetch() {
+    for kind in $KINDS; do curl -fsS "$BASE/v1/runs/$1/$kind" > "$DIR/$2.$kind"; done
+}
 
 # Daemon on a free port; the bound address is scraped from its stderr.
 "$DIR/sscampaignd" -addr 127.0.0.1:0 -cache "$DIR/cache" -workers 4 2> "$DIR/daemon.log" &
@@ -42,10 +53,8 @@ tail -n +2 "$DIR/stream.jsonl" | jq -es 'map(select(.ev == "trial-finish")) | le
     || { echo "stream did not carry 12 cells x 3 trials of progress"; exit 1; }
 
 # Served artifacts must be byte-identical to the CLI run.
-curl -fsS "$BASE/v1/runs/$RUN/jsonl" > "$DIR/served.jsonl"
-curl -fsS "$BASE/v1/runs/$RUN/events" > "$DIR/served.events"
-cmp "$DIR/cli.jsonl" "$DIR/served.jsonl"
-cmp "$DIR/cli.events" "$DIR/served.events"
+fetch "$RUN" served
+for kind in $KINDS; do cmp "$DIR/cli.$kind" "$DIR/served.$kind"; done
 curl -fsS "$BASE/v1/runs/$RUN" | jq -e '.state == "done" and .cache_misses == 12' >/dev/null
 
 # Warm re-POST: every cell hits the shared cache, bytes unchanged.
@@ -58,9 +67,26 @@ tail -n +2 "$DIR/warm-stream.jsonl" | jq -es 'length' | grep -qx $((2 + 12 * (3 
     || { echo "warm stream did not carry all 110 replayed events"; exit 1; }
 if grep -q stream-truncated "$DIR/warm-stream.jsonl"; then echo "warm stream was cut for lag"; exit 1; fi
 curl -fsS "$BASE/v1/runs/$RUN2" | jq -e '.cache_hits == 12 and .cache_misses == 0' >/dev/null
-curl -fsS "$BASE/v1/runs/$RUN2/jsonl" > "$DIR/warm.jsonl"
-cmp "$DIR/cli.jsonl" "$DIR/warm.jsonl"
+# Its artifacts come from the store: the cold run's bytes, the CLI's.
+fetch "$RUN2" warm
+for kind in $KINDS; do
+    cmp "$DIR/served.$kind" "$DIR/warm.$kind"
+    cmp "$DIR/cli.$kind" "$DIR/warm.$kind"
+done
 curl -fsS "$BASE/v1/cache" | jq -e '.entries == 12' >/dev/null
+
+# The store follows distinct sources, not POSTs: twenty more runs of the
+# same file still hold one artifact set, another seed makes it two.
+for _ in $(seq 1 20); do
+    curl -fsSN -X POST --data-binary @"$CAMPAIGN" "$BASE/v1/runs?stream=1" > /dev/null
+done
+curl -fsS "$BASE/v1/runs" | jq -e 'length == 22 and all(.state == "done")' >/dev/null
+curl -fsS "$BASE/v1/cache" | jq -e '.artifact_entries == 1 and .artifact_bytes > 0' >/dev/null \
+    || { echo "22 runs of one source did not leave exactly one artifact set"; exit 1; }
+sed 's/^seed .*/seed 2010/' "$CAMPAIGN" > "$DIR/other-seed.campaign"
+curl -fsSN -X POST --data-binary @"$DIR/other-seed.campaign" "$BASE/v1/runs?stream=1" > /dev/null
+curl -fsS "$BASE/v1/cache" | jq -e '.artifact_entries == 2' >/dev/null \
+    || { echo "a run at another seed did not add a second artifact set"; exit 1; }
 
 # Graceful shutdown: SIGTERM drains and exits 0.
 kill -TERM "$DAEMON"
@@ -68,4 +94,4 @@ wait "$DAEMON"
 trap - EXIT
 grep -q 'sscampaignd: stopped' "$DIR/daemon.log"
 
-echo "service smoke OK: served JSONL and events byte-identical to the CLI run, warm re-POST fully cached with a whole stream, clean SIGTERM drain"
+echo "service smoke OK: served jsonl, events, table and csv byte-identical to the CLI runs, cold and from the store; warm re-POST fully cached with a whole stream; one artifact set per source; clean SIGTERM drain"
