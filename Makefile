@@ -8,7 +8,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -c
 
-.PHONY: build test test-race test-full bench bench-json bench-diff bench-diff-committed \
+.PHONY: build test test-race test-full bench bench-json bench-diff \
 	scale-smoke fuzz-smoke campaign-smoke events-smoke service-smoke \
 	lint fmt vet check help
 
@@ -143,13 +143,6 @@ bench-diff: ## Fresh local benchmark run vs the committed baseline
 		| $(GO) run ./cmd/benchjson > /tmp/bench-head.json
 	$(GO) run ./cmd/benchjson -diff -max-regress 25 -max-bytes-regress 10 -filter $(BENCH_GATE) BENCH_6.json /tmp/bench-head.json
 
-# bench-diff-committed: committed previous baseline vs committed current
-# baseline — both measured on the same machine class, so the gate is
-# deterministic. CI runs this on every push. Benchmarks new in BENCH_6
-# have no BENCH_5 counterpart and are reported without gating.
-bench-diff-committed: ## Committed previous vs current baseline (deterministic)
-	$(GO) run ./cmd/benchjson -diff -max-regress 25 -max-bytes-regress 10 -filter $(BENCH_GATE) BENCH_5.json BENCH_6.json
-
 # Large-n scale smoke: drive the E22 headline cell — a 10⁶-process torus
 # under synchronous COLORING — to a legitimate silent configuration and
 # gate its peak RSS. The budget documents the engine's large-graph
@@ -168,7 +161,7 @@ scale-smoke: ## 10⁶-node torus cell to silence under the peak-RSS budget
 # identical bytes from the artifact store, one stored set per source)
 # and SIGTERM-drain. The scripted flow
 # lives in scripts/service_smoke.sh; internal/service's tests prove the
-# same contract in-process with adversarial steal schedules.
+# same contract in-process at several worker counts and with stalled cells.
 SERVICE_SMOKE_DIR ?= /tmp/service-smoke
 service-smoke: ## Campaign daemon end to end: serve = CLI bytes, warm re-POST, clean drain
 	bash scripts/service_smoke.sh $(SERVICE_SMOKE_DIR)

@@ -1,8 +1,9 @@
 // Command sscampaign compiles and runs declarative campaign files:
 // scenario sweeps over graph × protocol × daemon × adversary axes,
-// executed on the parallel trial pool with a content-addressed result
-// cache and shard/K-of-N execution (see internal/campaign and the
-// README's "Campaigns" section for the DSL grammar).
+// executed by campaign.Execute (the executor sscampaignd runs too) on
+// the parallel trial pool, with a content-addressed result cache and
+// shard/K-of-N execution (see internal/campaign and the README's
+// "Campaigns" section for the DSL grammar).
 //
 // Usage:
 //
@@ -23,16 +24,24 @@
 // wall-clock, cell-ordered, cache hits replayed); the -log-level stream
 // is timestamped live diagnostics and deliberately does not. Cache
 // statistics go to stderr, never stdout.
+//
+// SIGINT/SIGTERM drain: no new cell starts, the cells in flight finish
+// and, with -cache, persist; the run then exits non-zero having written
+// no output, and the same command resumes from the cached cells. A
+// second signal kills the process.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
@@ -40,13 +49,19 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// The first signal drains; stop then restores the default disposition,
+	// so a second one kills a drain that is taking too long.
+	context.AfterFunc(ctx, stop)
+	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "sscampaign:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout, stderr io.Writer) error {
+// run executes one command line; canceling ctx drains the campaign (see
+// campaign.Execute).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("sscampaign", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -88,10 +103,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// Fail an unwritable cache directory now, before any trial burns —
 	// not per-cell at store time.
+	var cache campaign.Backend
 	if *cacheDir != "" {
-		if err := campaign.NewDirBackend(*cacheDir).Probe(); err != nil {
+		be := campaign.NewDirBackend(*cacheDir)
+		if err := be.Probe(); err != nil {
 			return err
 		}
+		cache = be
 	}
 	if *csvOut && *jsonlPath == "-" {
 		return fmt.Errorf("-csv and -jsonl - both claim stdout: write the JSONL to a file instead")
@@ -124,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	out, err := plan.Run(campaign.RunOptions{Shard: shard, Shards: shards, CacheDir: *cacheDir, Observer: observer})
+	out, err := campaign.Execute(ctx, plan, campaign.RunOptions{Shard: shard, Shards: shards, Cache: cache, Observer: observer})
 	if err != nil {
 		return err
 	}
@@ -150,15 +168,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return out.WriteJSONL(stdout)
 	}
 	if *jsonlPath != "" {
-		f, err := os.Create(*jsonlPath)
-		if err != nil {
-			return err
-		}
-		if err := out.WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*jsonlPath, out.WriteJSONL); err != nil {
 			return err
 		}
 	}
@@ -201,11 +211,16 @@ func writeEvents(path string, replay *obs.ReplaySink, stdout io.Writer) error {
 	if path == "-" {
 		return replay.WriteCanonical(stdout)
 	}
+	return writeFile(path, replay.WriteCanonical)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := replay.WriteCanonical(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -2,10 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 const testSrc = `campaign clitest
@@ -27,7 +31,7 @@ func writeCampaign(t *testing.T, src string) string {
 
 func TestRunTable(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{"campaign clitest: 2 cells × 2 trials", "path-4|coloring|random-subset|0", "2/2"} {
@@ -45,7 +49,7 @@ func TestRunTable(t *testing.T) {
 
 func TestRunPrintCanonical(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{"-print", writeCampaign(t, "campaign p\ngraph path 4\nprotocol coloring\n")}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-print", writeCampaign(t, "campaign p\ngraph path 4\nprotocol coloring\n")}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	// Canonical form resolves every default.
@@ -58,7 +62,7 @@ func TestRunPrintCanonical(t *testing.T) {
 
 func TestRunJSONLToStdout(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{"-jsonl", "-", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-jsonl", "-", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
@@ -75,7 +79,7 @@ func TestRunJSONLToStdout(t *testing.T) {
 
 func TestRunCSV(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{"-csv", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-csv", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out.String(), "cell,key,trials,silent,legitimate,rounds,±ci95\n") {
@@ -88,7 +92,7 @@ func TestRunCacheAndShard(t *testing.T) {
 	path := writeCampaign(t, testSrc)
 	cache := filepath.Join(t.TempDir(), "cache")
 	var first strings.Builder
-	if err := run([]string{"-cache", cache, "-shard", "0/2", path}, &first, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-cache", cache, "-shard", "0/2", path}, &first, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), "shard 0/2 owns 1") || !strings.Contains(errOut.String(), "cache 0 hits, 1 misses") {
@@ -97,7 +101,7 @@ func TestRunCacheAndShard(t *testing.T) {
 	// Unsharded resume: the shard's cell hits, the other misses.
 	errOut.Reset()
 	var second strings.Builder
-	if err := run([]string{"-cache", cache, path}, &second, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-cache", cache, path}, &second, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), "cache 1 hits, 1 misses") {
@@ -113,18 +117,18 @@ func TestRunCacheStats(t *testing.T) {
 	var out, errOut strings.Builder
 
 	// An empty (not yet created) cache reads as zero entries.
-	if err := run([]string{"-cache", cache, "-cache-stats"}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-cache", cache, "-cache-stats"}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "0 entries, 0 bytes") {
 		t.Fatalf("empty cache stats wrong:\n%s", out.String())
 	}
 
-	if err := run([]string{"-cache", cache, path}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-cache", cache, path}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run([]string{"-cache", cache, "-cache-stats"}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-cache", cache, "-cache-stats"}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "2 entries") || strings.Contains(out.String(), " 0 bytes") {
@@ -132,10 +136,10 @@ func TestRunCacheStats(t *testing.T) {
 	}
 
 	// Guard rails: -cache-stats without -cache, or with a file argument.
-	if err := run([]string{"-cache-stats"}, &out, &errOut); err == nil {
+	if err := run(context.Background(), []string{"-cache-stats"}, &out, &errOut); err == nil {
 		t.Fatal("-cache-stats without -cache accepted")
 	}
-	if err := run([]string{"-cache", cache, "-cache-stats", path}, &out, &errOut); err == nil {
+	if err := run(context.Background(), []string{"-cache", cache, "-cache-stats", path}, &out, &errOut); err == nil {
 		t.Fatal("-cache-stats with a campaign file accepted")
 	}
 }
@@ -151,7 +155,7 @@ func TestRunUnwritableCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut strings.Builder
-	err := run([]string{"-cache", filepath.Join(ro, "cache"), writeCampaign(t, testSrc)}, &out, &errOut)
+	err := run(context.Background(), []string{"-cache", filepath.Join(ro, "cache"), writeCampaign(t, testSrc)}, &out, &errOut)
 	if err == nil {
 		t.Fatal("unwritable -cache dir accepted")
 	}
@@ -162,22 +166,22 @@ func TestRunUnwritableCache(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{}, &out, &errOut); err == nil {
+	if err := run(context.Background(), []string{}, &out, &errOut); err == nil {
 		t.Fatal("missing file argument accepted")
 	}
-	if err := run([]string{filepath.Join(t.TempDir(), "absent.campaign")}, &out, &errOut); err == nil {
+	if err := run(context.Background(), []string{filepath.Join(t.TempDir(), "absent.campaign")}, &out, &errOut); err == nil {
 		t.Fatal("unreadable file accepted")
 	}
 	bad := writeCampaign(t, "campaign x\ngraph warp 4\nprotocol coloring\n")
-	if err := run([]string{bad, bad}, &out, &errOut); err == nil {
+	if err := run(context.Background(), []string{bad, bad}, &out, &errOut); err == nil {
 		t.Fatal("two file arguments accepted")
 	}
-	if err := run([]string{bad}, &out, &errOut); err == nil || !strings.Contains(err.Error(), "unknown graph family") {
+	if err := run(context.Background(), []string{bad}, &out, &errOut); err == nil || !strings.Contains(err.Error(), "unknown graph family") {
 		t.Fatalf("parse error not surfaced: %v", err)
 	}
 	good := writeCampaign(t, testSrc)
 	for _, shard := range []string{"2", "a/b", "2/2", "-1/2", "0/0", "0x1/2", "1/2abc", "0 /2"} {
-		if err := run([]string{"-shard", shard, good}, &out, &errOut); err == nil {
+		if err := run(context.Background(), []string{"-shard", shard, good}, &out, &errOut); err == nil {
 			t.Fatalf("bad -shard %q accepted", shard)
 		}
 	}
@@ -196,7 +200,7 @@ func TestRunEventsFile(t *testing.T) {
 	} {
 		ev := filepath.Join(t.TempDir(), "run.events")
 		var out, errOut strings.Builder
-		if err := run(append(append([]string{"-events", ev}, args...), path), &out, &errOut); err != nil {
+		if err := run(context.Background(), append(append([]string{"-events", ev}, args...), path), &out, &errOut); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(ev)
@@ -220,7 +224,7 @@ func TestRunEventsFile(t *testing.T) {
 // TestRunEventsStdout: -events - owns stdout and suppresses the table.
 func TestRunEventsStdout(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{"-events", "-", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-events", "-", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out.String(), `{"seq":0,"ev":"campaign-start"`) {
@@ -235,7 +239,7 @@ func TestRunEventsStdout(t *testing.T) {
 // never on stdout.
 func TestRunLogLevel(t *testing.T) {
 	var out, errOut strings.Builder
-	if err := run([]string{"-log-level", "info", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-log-level", "info", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), `"msg":"cell-finish"`) {
@@ -247,7 +251,7 @@ func TestRunLogLevel(t *testing.T) {
 	// debug adds trial granularity.
 	errOut.Reset()
 	out.Reset()
-	if err := run([]string{"-log-level", "debug", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-log-level", "debug", writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), `"msg":"trial-finish"`) {
@@ -258,13 +262,87 @@ func TestRunLogLevel(t *testing.T) {
 func TestRunEventsErrors(t *testing.T) {
 	var out, errOut strings.Builder
 	good := writeCampaign(t, testSrc)
-	if err := run([]string{"-events", "-", "-csv", good}, &out, &errOut); err == nil {
+	if err := run(context.Background(), []string{"-events", "-", "-csv", good}, &out, &errOut); err == nil {
 		t.Fatal("-events - with -csv accepted")
 	}
-	if err := run([]string{"-events", "-", "-jsonl", "-", good}, &out, &errOut); err == nil {
+	if err := run(context.Background(), []string{"-events", "-", "-jsonl", "-", good}, &out, &errOut); err == nil {
 		t.Fatal("-events - with -jsonl - accepted")
 	}
-	if err := run([]string{"-log-level", "loud", good}, &out, &errOut); err == nil {
+	if err := run(context.Background(), []string{"-log-level", "loud", good}, &out, &errOut); err == nil {
 		t.Fatal("bad -log-level accepted")
+	}
+}
+
+// cancelOnSecondCellFinish is a stderr that cancels the run's context
+// when the second cell-finish log line goes by: what Ctrl-C does, at a
+// known point.
+type cancelOnSecondCellFinish struct {
+	strings.Builder
+	cancel context.CancelFunc
+	seen   int
+}
+
+func (w *cancelOnSecondCellFinish) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"msg":"cell-finish"`)) {
+		if w.seen++; w.seen == 2 {
+			w.cancel()
+		}
+	}
+	return w.Builder.Write(p)
+}
+
+// TestRunDrainsOnCancelAndResumes: an interrupted sscampaign finishes the
+// cell it is on, stores it, starts no other and writes none of its
+// outputs; the same command again serves the finished cells from -cache
+// and prints what a run nobody interrupted prints.
+func TestRunDrainsOnCancelAndResumes(t *testing.T) {
+	path := writeCampaign(t, strings.Replace(testSrc, "graph path 4", "graph path 4..8/2", 1)) // 6 cells
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	outputs := func(tag string) []string {
+		return []string{"-jsonl", filepath.Join(dir, tag+".jsonl"), "-events", filepath.Join(dir, tag+".events")}
+	}
+	var want, wantErr strings.Builder
+	if err := run(context.Background(), append(outputs("whole"), path), &want, &wantErr); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out strings.Builder
+	errOut := &cancelOnSecondCellFinish{cancel: cancel}
+	args := append(outputs("cut"), "-parallelism", "1", "-cache", cache, "-log-level", "info", path)
+	err := run(ctx, args, &out, errOut)
+	if !errors.Is(err, campaign.ErrDrained) || !strings.Contains(err.Error(), "4 of 6 cells remain") {
+		t.Fatalf("interrupted run returned %v, want ErrDrained with 4 of 6 cells remaining", err)
+	}
+	if out.Len() != 0 || strings.Contains(errOut.String(), "campaign clitest:") {
+		t.Fatalf("interrupted run still reported:\nstdout: %s\nstderr: %s", out.String(), errOut.String())
+	}
+	for _, ext := range []string{".jsonl", ".events"} {
+		if _, err := os.Stat(filepath.Join(dir, "cut"+ext)); !os.IsNotExist(err) {
+			t.Fatalf("interrupted run wrote cut%s (stat: %v)", ext, err)
+		}
+	}
+	if n, _, err := campaign.CacheEntries(cache); err != nil || n != 2 {
+		t.Fatalf("cache holds %d cells after the interrupt (err %v), want the 2 that finished", n, err)
+	}
+
+	var resumed, resumedErr strings.Builder
+	if err := run(context.Background(), append(outputs("resumed"), "-cache", cache, path), &resumed, &resumedErr); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(resumedErr.String(), "cache 2 hits, 4 misses") {
+		t.Fatalf("resume status wrong:\n%s", resumedErr.String())
+	}
+	if resumed.String() != want.String() {
+		t.Fatalf("resumed table differs from an uninterrupted run's:\n%s\n%s", want.String(), resumed.String())
+	}
+	for _, ext := range []string{".jsonl", ".events"} {
+		a, errA := os.ReadFile(filepath.Join(dir, "whole"+ext))
+		b, errB := os.ReadFile(filepath.Join(dir, "resumed"+ext))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("resumed%s differs from an uninterrupted run's (%v, %v)", ext, errA, errB)
+		}
 	}
 }

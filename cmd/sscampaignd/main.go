@@ -1,6 +1,6 @@
 // Command sscampaignd is the campaign service daemon: a long-running
-// HTTP server that accepts POSTed .campaign specs, executes them on a
-// work-stealing in-process worker pool against a shared
+// HTTP server that accepts POSTed .campaign specs, executes them with
+// the executor sscampaign uses (campaign.Execute) against a shared
 // content-addressed result cache, streams per-trial progress as JSONL,
 // and serves the finished run's records, tables and canonical event
 // log (see internal/service for the API and the determinism contract:
@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(addr s
 	var (
 		addr     = fs.String("addr", "127.0.0.1:8377", "listen address (\":0\" picks a free port, logged on stderr)")
 		cacheDir = fs.String("cache", "", "content-addressed result cache directory (empty: in-memory, lost on exit)")
-		workers  = fs.Int("workers", 0, "work-stealing workers per run (0: GOMAXPROCS; served bytes are identical for every value)")
+		workers  = fs.Int("workers", 0, "pool workers per run (0: GOMAXPROCS; served bytes are identical for every value)")
 		queue    = fs.Int("queue", 16, "submitted-but-not-started run backlog bound")
 		drain    = fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget: in-flight cells finish and persist within this window")
 		cpuProf  = prof.Flag(fs)

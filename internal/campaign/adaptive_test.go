@@ -145,14 +145,14 @@ func TestAdaptiveCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := plan.Run(RunOptions{CacheDir: dir})
+	cold, err := plan.Run(RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.CacheHits != 0 || cold.CacheMisses != len(plan.Cells) {
 		t.Fatalf("cold run: %d hits, %d misses", cold.CacheHits, cold.CacheMisses)
 	}
-	warm, err := plan.Run(RunOptions{CacheDir: dir})
+	warm, err := plan.Run(RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestAdaptiveCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := fixedPlan.Run(RunOptions{CacheDir: dir})
+	fixed, err := fixedPlan.Run(RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,8 +198,12 @@ func canonicalLog(t *testing.T, src string, par int, cacheDir string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var be Backend // "" runs uncached
+	if cacheDir != "" {
+		be = NewDirBackend(cacheDir)
+	}
 	sink := obs.NewReplaySink()
-	if _, err := plan.Run(RunOptions{CacheDir: cacheDir, Observer: sink}); err != nil {
+	if _, err := plan.Run(RunOptions{Cache: be, Observer: sink}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -132,7 +132,7 @@ func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			clean, _ := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
+			clean, _ := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 
 			files, err := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
 			if err != nil || len(files) == 0 {
@@ -149,7 +149,7 @@ func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 			}
 
 			var c corruptCollector
-			recomputed, out := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir, Observer: &c})
+			recomputed, out := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir), Observer: &c})
 			if recomputed != clean {
 				t.Fatal("recomputed output differs from the clean run")
 			}
@@ -167,7 +167,7 @@ func TestCorruptCacheEntryDegradesToMiss(t *testing.T) {
 
 			// Third run: the overwritten entries now hit cleanly.
 			var c2 corruptCollector
-			warm, out2 := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir, Observer: &c2})
+			warm, out2 := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir), Observer: &c2})
 			if warm != clean {
 				t.Fatal("warm output differs after corruption recovery")
 			}

@@ -186,7 +186,7 @@ func checkDecode(t *testing.T, data []byte) {
 func TestLeftoverV3EntriesAreIgnored(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	clean, out := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
+	clean, out := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	files, _ := filepath.Glob(filepath.Join(dir, "*"+entrySuffix))
 	if len(files) != len(out.Results) {
 		t.Fatalf("%d entries for %d cells", len(files), len(out.Results))
@@ -205,7 +205,7 @@ func TestLeftoverV3EntriesAreIgnored(t *testing.T) {
 		t.Fatalf("CacheEntries over v3 leftovers = (%d, %d, %v), want (0, 0, nil)", n, size, err)
 	}
 	var c corruptCollector
-	again, out := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir, Observer: &c})
+	again, out := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir), Observer: &c})
 	if again != clean || out.CacheHits != 0 || out.CacheMisses != len(files) || len(c.events) != 0 {
 		t.Fatalf("run over v3 leftovers: same bytes %v, %d hits, %d misses, %d cache-corrupt events",
 			again == clean, out.CacheHits, out.CacheMisses, len(c.events))

@@ -210,11 +210,11 @@ func TestChurnDeterminism(t *testing.T) {
 		t.Fatalf("JSONL differs between parallelism 1 and 4:\n--- 1 ---\n%s\n--- 4 ---\n%s", one, four)
 	}
 	dir := t.TempDir()
-	cold, outCold := renderJSONL(t, churnCampaignSrc, 2, RunOptions{CacheDir: dir})
+	cold, outCold := renderJSONL(t, churnCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if outCold.CacheMisses != len(outCold.Plan.Cells) {
 		t.Fatalf("cold run: misses=%d", outCold.CacheMisses)
 	}
-	warm, outWarm := renderJSONL(t, churnCampaignSrc, 2, RunOptions{CacheDir: dir})
+	warm, outWarm := renderJSONL(t, churnCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if outWarm.CacheHits != len(outWarm.Plan.Cells) {
 		t.Fatalf("warm run not fully cached: hits=%d", outWarm.CacheHits)
 	}

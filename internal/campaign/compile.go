@@ -120,7 +120,7 @@ type builtSys struct {
 func (p *Plan) GraphsBuilt() int { return p.graphsBuilt }
 
 // graphFor builds (or returns the shared) topology of a cell. Not safe
-// for concurrent use: like the rest of materialize it runs before the
+// for concurrent use: like the rest of Materialize it runs before the
 // workers launch.
 func (p *Plan) graphFor(cs *CellSpec) (*graph.Graph, error) {
 	t := cs.topo
@@ -140,8 +140,8 @@ func (p *Plan) EngineConfig() engine.Config { return p.cfg }
 
 // SetObserver routes the plan's events — both the engine-level lifecycle
 // events of callers that feed EngineCells to the engine themselves and
-// the core-level diagnostics of the trial closures — to o. Plan.Run sets
-// it from its own RunOptions; callers bypassing Run set it before
+// the core-level diagnostics of the trial closures — to o. Execute sets
+// it from its RunOptions; callers bypassing Execute set it before
 // EngineCells. The closures read it at trial time, so it must be set
 // before the pool launches.
 func (p *Plan) SetObserver(o obs.Observer) { p.cfg.Observer = o }
@@ -156,7 +156,7 @@ func (p *Plan) EngineCells() ([]engine.Cell, error) {
 	for i := range all {
 		all[i] = i
 	}
-	if err := p.materialize(all); err != nil {
+	if err := p.Materialize(all); err != nil {
 		return nil, err
 	}
 	return p.cells, nil
@@ -164,17 +164,10 @@ func (p *Plan) EngineCells() ([]engine.Cell, error) {
 
 // Materialize prepares the given cells (indices into p.Cells) for
 // execution: their topologies, snapshot warm-ups, then system
-// construction and run closures. Not safe for concurrent use — callers
-// that execute cells on their own workers (the campaign service's
-// work-stealing coordinator) must materialize every cell they will run
-// before launching those workers, exactly as Run does for its own pool.
-func (p *Plan) Materialize(cells []int) error { return p.materialize(cells) }
-
-// materialize prepares the given cells (indices into p.Cells) for
-// execution: their topologies, snapshot warm-ups, then system
 // construction and run closures. Not safe for concurrent use (call
-// before launching the pool, as Run does).
-func (p *Plan) materialize(cells []int) error {
+// before launching the pool, as Execute does). Exported for bench/,
+// which times it as a step of its own.
+func (p *Plan) Materialize(cells []int) error {
 	if err := p.ensureSnapshots(cells); err != nil {
 		return err
 	}
@@ -188,7 +181,7 @@ func (p *Plan) materialize(cells []int) error {
 // at-start adversary cells materialize lazily for exactly the cells a
 // Run will execute, so fully-cached resumes and foreign shards never pay
 // for them. What a descriptor cannot foresee — a random regular pairing
-// that runs out of attempts — fails at materialize instead.
+// that runs out of attempts — fails at Materialize instead.
 //
 // Determinism: the cell order is a pure function of the Spec; cell keys
 // (and so all trial seeds) never depend on parallelism, sharding or

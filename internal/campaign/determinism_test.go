@@ -137,7 +137,7 @@ func TestInterruptedRunKeepsFinishedCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// materialize leaves a cell that already has its closure alone.
+		// Materialize leaves a cell that already has its closure alone.
 		if plan.Faulted {
 			plan.cells[finished].RunFaultOn = func(*core.Runner, int, uint64, *core.FaultResult) error { return errCell }
 		} else {
@@ -204,11 +204,11 @@ func TestPanickingCellIsAnError(t *testing.T) {
 func TestDeterminismAcrossCacheResume(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	cold, outCold := renderJSONL(t, testCampaignSrc, 4, RunOptions{CacheDir: dir})
+	cold, outCold := renderJSONL(t, testCampaignSrc, 4, RunOptions{Cache: NewDirBackend(dir)})
 	if outCold.CacheHits != 0 || outCold.CacheMisses != len(outCold.Plan.Cells) {
 		t.Fatalf("cold run: hits=%d misses=%d", outCold.CacheHits, outCold.CacheMisses)
 	}
-	warm, outWarm := renderJSONL(t, testCampaignSrc, 4, RunOptions{CacheDir: dir})
+	warm, outWarm := renderJSONL(t, testCampaignSrc, 4, RunOptions{Cache: NewDirBackend(dir)})
 	if outWarm.CacheHits != len(outWarm.Plan.Cells) || outWarm.CacheMisses != 0 {
 		t.Fatalf("warm run: hits=%d misses=%d", outWarm.CacheHits, outWarm.CacheMisses)
 	}
@@ -229,9 +229,9 @@ func TestCacheResumesInterruptedAndGrownCampaigns(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	// "Interrupted" run: shard 0/2 completes, the rest never ran.
-	_, shard0 := renderJSONL(t, testCampaignSrc, 2, RunOptions{Shard: 0, Shards: 2, CacheDir: dir})
+	_, shard0 := renderJSONL(t, testCampaignSrc, 2, RunOptions{Shard: 0, Shards: 2, Cache: NewDirBackend(dir)})
 	// Resume as an unsharded run: only the missing cells recompute.
-	_, resumed := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
+	_, resumed := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if resumed.CacheHits != len(shard0.Results) ||
 		resumed.CacheMisses != len(resumed.Plan.Cells)-len(shard0.Results) {
 		t.Fatalf("resume: hits=%d misses=%d (shard0 owned %d of %d)",
@@ -240,7 +240,7 @@ func TestCacheResumesInterruptedAndGrownCampaigns(t *testing.T) {
 	// Widened sweep: adding a fault size reuses every already-computed
 	// cell and computes only the new ones.
 	grown := strings.Replace(testCampaignSrc, "k=1", "k=1,2", 1)
-	_, g := renderJSONL(t, grown, 2, RunOptions{CacheDir: dir})
+	_, g := renderJSONL(t, grown, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if g.CacheHits != len(resumed.Plan.Cells) || g.CacheMisses != len(g.Plan.Cells)-len(resumed.Plan.Cells) {
 		t.Fatalf("grown sweep: hits=%d misses=%d (had %d, now %d cells)",
 			g.CacheHits, g.CacheMisses, len(resumed.Plan.Cells), len(g.Plan.Cells))
@@ -256,7 +256,7 @@ func TestWarmCacheSkipsSnapshotWarmups(t *testing.T) {
 	t.Parallel()
 	src := "campaign snap\ntrials 2\nmax-steps 100000\ngraph path 6\nprotocol coloring\nadversary uniform k=1 inject=at-start\n"
 	dir := t.TempDir()
-	cold, _ := renderJSONL(t, src, 2, RunOptions{CacheDir: dir})
+	cold, _ := renderJSONL(t, src, 2, RunOptions{Cache: NewDirBackend(dir)})
 
 	spec := mustParse(t, src)
 	plan, err := Compile(spec, 2)
@@ -266,7 +266,7 @@ func TestWarmCacheSkipsSnapshotWarmups(t *testing.T) {
 	if plan.Cells[0].snapshot != nil {
 		t.Fatal("Compile eagerly computed a snapshot")
 	}
-	out, err := plan.Run(RunOptions{CacheDir: dir})
+	out, err := plan.Run(RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +291,11 @@ func TestWarmCacheSkipsSnapshotWarmups(t *testing.T) {
 func TestCacheFingerprintInvalidation(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	_, first := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
+	_, first := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	// A different seed must miss everywhere (same keys, different
 	// fingerprints) — never serve another campaign's results.
 	reseeded := strings.Replace(testCampaignSrc, "seed 2009", "seed 2010", 1)
-	_, second := renderJSONL(t, reseeded, 2, RunOptions{CacheDir: dir})
+	_, second := renderJSONL(t, reseeded, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if second.CacheHits != 0 || second.CacheMisses != len(second.Plan.Cells) {
 		t.Fatalf("reseeded run: hits=%d misses=%d", second.CacheHits, second.CacheMisses)
 	}
@@ -309,7 +309,7 @@ func TestCacheFingerprintInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, third := renderJSONL(t, testCampaignSrc, 2, RunOptions{CacheDir: dir})
+	_, third := renderJSONL(t, testCampaignSrc, 2, RunOptions{Cache: NewDirBackend(dir)})
 	if third.CacheHits != 0 || third.CacheMisses != len(third.Plan.Cells) {
 		t.Fatalf("corrupted entries did not degrade to misses: hits=%d misses=%d", third.CacheHits, third.CacheMisses)
 	}

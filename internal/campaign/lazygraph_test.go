@@ -69,7 +69,7 @@ func TestGraphsAreBuiltOnDemand(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	plan := compileSrc(t, lazyGraphSrc)
-	out, err := plan.Run(RunOptions{CacheDir: dir})
+	out, err := plan.Run(RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestGraphsAreBuiltOnDemand(t *testing.T) {
 	cold := jsonlOf(t, out)
 
 	plan = compileSrc(t, lazyGraphSrc)
-	out, err = plan.Run(RunOptions{CacheDir: dir})
+	out, err = plan.Run(RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGraphsAreBuiltOnDemand(t *testing.T) {
 	if err := os.Remove(entry); err != nil {
 		t.Fatal(err)
 	}
-	out, err = plan.Run(RunOptions{CacheDir: dir})
+	out, err = plan.Run(RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
 	}

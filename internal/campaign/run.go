@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -8,6 +10,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
+
+// ErrDrained reports a run stopped by its context before every owned
+// cell completed. Cells finished before the drain are in the cache
+// backend, so the same spec run again over that backend resumes from
+// them and produces byte-identical final output.
+var ErrDrained = errors.New("campaign: run drained before completion")
 
 // RunOptions configures one execution of a compiled plan.
 type RunOptions struct {
@@ -18,21 +26,21 @@ type RunOptions struct {
 	// shards compute disjoint cells, and concatenating their outputs in
 	// shard order reproduces the unsharded output byte for byte.
 	Shard, Shards int
-	// CacheDir enables the content-addressed result cache on a local
-	// directory: completed cells persist as one file per cell
-	// fingerprint, and a re-run (or a grown campaign sharing cells)
-	// recomputes only what is missing. Empty disables caching (unless
-	// Cache is set).
-	CacheDir string
-	// Cache, when non-nil, is the cache backend to use and takes
-	// precedence over CacheDir. The campaign service injects shared
-	// (cross-run) backends here; plain CLI runs use CacheDir.
+	// Workers is the number of pool workers computing the missing cells
+	// (< 1: the parallelism the plan was compiled with). Output bytes
+	// are identical for every value.
+	Workers int
+	// Cache is the content-addressed result backend (nil: caching
+	// disabled): completed cells persist under their fingerprints, and a
+	// re-run (or a grown campaign sharing cells) recomputes only what is
+	// missing. The CLI passes a DirBackend, the campaign service its
+	// shared cross-run backend.
 	Cache Backend
 	// Observer receives the run's structured events (nil: none). Cells
 	// served from the cache replay their canonical lifecycle events from
 	// the stored records — with the same trial seeds the engine would
 	// derive — so a ReplaySink's canonical log is byte-identical between
-	// cold-cache and warm-cache runs (and across Parallelism values; see
+	// cold-cache and warm-cache runs (and across worker counts; see
 	// internal/obs).
 	Observer obs.Observer
 }
@@ -56,18 +64,6 @@ type Outcome struct {
 	// CacheHits/CacheMisses count owned cells served from / written to
 	// the cache (both zero when caching is disabled).
 	CacheHits, CacheMisses int
-}
-
-// backend resolves the cache backend the options select: Cache wins,
-// then a DirBackend over CacheDir, then nil (caching disabled).
-func (o *RunOptions) backend() Backend {
-	if o.Cache != nil {
-		return o.Cache
-	}
-	if o.CacheDir != "" {
-		return NewDirBackend(o.CacheDir)
-	}
-	return nil
 }
 
 // recordBounds returns the record-count bounds a cache entry must
@@ -96,17 +92,30 @@ func (p *Plan) StoreCell(be Backend, i int, records []TrialRecord) error {
 	return storeCache(be, p.cellFingerprint(&p.Cells[i]), records)
 }
 
-// Run executes the plan's owned shard on the engine pool, consulting
-// the cache first when enabled. Records are deterministic: for a fixed
-// campaign file the bytes of every record are identical across
-// parallelism, sharding and cache state.
+// Run is Execute without a context: nothing can drain it.
 func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
+	return Execute(context.Background(), p, opts)
+}
+
+// Execute runs the plan's owned shard on the engine pool, consulting the
+// cache first when enabled; it is the one executor behind sscampaign and
+// sscampaignd. Records are deterministic: for a fixed campaign file the
+// bytes of every record, and the canonical event stream, are identical
+// across worker counts, sharding and cache state. Canceling ctx drains:
+// no new cell starts, the cells in flight finish and are stored, and
+// Execute returns ErrDrained (a cancel that lands after the last cell
+// started is not a drain: the output is whole).
+func Execute(ctx context.Context, p *Plan, opts RunOptions) (*Outcome, error) {
 	lo, hi, err := shardRange(len(p.Cells), opts.Shard, opts.Shards)
 	if err != nil {
 		return nil, err
 	}
+	workers := opts.Workers
+	if workers < 1 {
+		workers = p.cfg.Parallelism
+	}
+	be := opts.Cache
 	p.SetObserver(opts.Observer)
-	be := opts.backend()
 	out := &Outcome{Plan: p, Results: make([]CellResult, hi-lo)}
 	obs.Emit(opts.Observer, obs.Event{
 		Kind: obs.KindCampaignStart, Cell: -1, Key: p.Spec.Name, Trial: -1, Count: hi - lo,
@@ -128,7 +137,7 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 				out.Results[i].Records = recs
 				out.Results[i].FromCache = true
 				out.CacheHits++
-				p.replayCell(opts.Observer, cs, recs)
+				p.ReplayCell(opts.Observer, lo+i, recs)
 				continue
 			}
 			obs.Emit(opts.Observer, obs.Event{Kind: obs.KindCacheMiss, Cell: cs.Index, Key: cs.Key, Trial: -1})
@@ -137,18 +146,25 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 	}
 
 	// Compute pass: each missing cell runs on the engine pool and is
-	// stored the moment it finishes, so a run that fails or is killed
-	// later keeps what it computed and the next run resumes from it.
-	// Running a sub-set never perturbs results — each cell's trial seeds
-	// derive from its key alone. Snapshot warm-ups and system
-	// construction happen here, for exactly the cells about to execute:
-	// a fully-cached resume, and shards owning none of a cell, never pay
-	// for it.
+	// stored the moment it finishes, so a run that fails, drains or is
+	// killed later keeps what it computed and the next run resumes from
+	// it. Running a sub-set never perturbs results — each cell's trial
+	// seeds derive from its key alone — and each cell's records land in
+	// its own Outcome slot, so completion order cannot either. Snapshot
+	// warm-ups and system construction happen here, for exactly the cells
+	// about to execute: a fully-cached resume, and shards owning none of
+	// a cell, never pay for it.
 	if len(missing) > 0 {
-		if err := p.materialize(missing); err != nil {
+		if err := p.Materialize(missing); err != nil {
 			return nil, err
 		}
-		err := engine.ForEachWorker(p.cfg.Parallelism, len(missing), func(w *engine.WorkerCtx, j int) error {
+		err := engine.ForEachWorker(workers, len(missing), func(w *engine.WorkerCtx, j int) error {
+			// The drain is a job that fails before it starts: the pool
+			// stops claiming after the first failure and lets the cells in
+			// flight finish.
+			if ctx.Err() != nil {
+				return ErrDrained
+			}
 			i := missing[j]
 			recs, err := p.ComputeCell(w, i, 0)
 			if err != nil {
@@ -162,6 +178,15 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 			out.Results[i-lo].Records = recs
 			return nil
 		})
+		if errors.Is(err, ErrDrained) {
+			left := 0
+			for _, i := range missing {
+				if out.Results[i-lo].Records == nil {
+					left++
+				}
+			}
+			return nil, fmt.Errorf("%w: %d of %d cells remain", ErrDrained, left, hi-lo)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -184,15 +209,14 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 //
 // Seeds, events and the stop rule are the engine's — the records (and
 // the canonical event stream) are byte-identical no matter which worker
-// computes the cell or in what order cells are claimed. This is the
-// execution primitive of Plan.Run's pool and of the campaign service's
-// work-stealing coordinator.
+// computes the cell or in what order cells are claimed. Execute's pool
+// job is the one production caller; bench/ times it as a step of its own.
 //
 // A panic inside the cell (a protocol body, an adversary, an observer)
-// comes back as an error naming the cell, with no records: both callers
-// stop the run on it and store nothing for the cell, and a daemon's
-// other runs are untouched. The worker context is not to be reused
-// after such an error; neither caller does.
+// comes back as an error naming the cell, with no records: Execute stops
+// the run on it and stores nothing for the cell, and a daemon's other
+// runs are untouched. The worker context is not to be reused after such
+// an error.
 func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, _ int) (recs []TrialRecord, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -223,23 +247,18 @@ func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, _ int) (recs []TrialRecord, e
 	return recs, err
 }
 
-// ReplayCell emits cell i's canonical lifecycle events reconstructed
-// from cached records (see replayCell); the campaign service uses it
-// for its own cache pass.
-func (p *Plan) ReplayCell(o obs.Observer, i int, recs []TrialRecord) {
-	p.replayCell(o, &p.Cells[i], recs)
-}
-
-// replayCell emits a cached cell's canonical lifecycle events,
+// ReplayCell emits cached cell i's canonical lifecycle events,
 // reconstructed from its stored records: the same cell-start,
 // trial-start (with the engine's exact derived seeds), trial-finish and
 // cell-finish a compute pass would emit. Diagnostic detail (silence
 // instants, episodes) is not stored, so only a KindCacheHit marks the
-// difference — and that kind never enters canonical logs.
-func (p *Plan) replayCell(o obs.Observer, cs *CellSpec, recs []TrialRecord) {
+// difference — and that kind never enters canonical logs. Exported for
+// bench/, which times the replay as a step of its own.
+func (p *Plan) ReplayCell(o obs.Observer, i int, recs []TrialRecord) {
 	if o == nil {
 		return
 	}
+	cs := &p.Cells[i]
 	obs.Emit(o, obs.Event{Kind: obs.KindCacheHit, Cell: cs.Index, Key: cs.Key, Trial: -1, Count: len(recs)})
 	obs.Emit(o, obs.Event{Kind: obs.KindCellStart, Cell: cs.Index, Key: cs.Key, Trial: -1})
 	cellSeed := rng.DeriveString(p.cfg.Seed, cs.Key)

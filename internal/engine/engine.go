@@ -184,8 +184,8 @@ func RunCells(cfg Config, cells []Cell) ([][]*core.RunResult, error) {
 // Runner every trial executes on and the result buffer every trial
 // fills (plain trials fill its embedded RunResult). The pool paths
 // create one per worker goroutine; callers that schedule cells
-// themselves — the campaign service's work-stealing coordinator — do
-// the same and reuse it across every cell that worker claims.
+// themselves (bench/'s traced pass) do the same and reuse it across
+// every cell that worker claims.
 type WorkerCtx struct {
 	rn  *core.Runner
 	res core.FaultResult

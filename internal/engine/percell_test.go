@@ -40,9 +40,8 @@ func poolFolds(t *testing.T, cfg Config, cells []Cell) map[int][]foldLog {
 // TestRunCellReduceMatchesPool: running cells one at a time through
 // RunCellReduce — on a single reused WorkerCtx, in reverse order —
 // reproduces the pool path's fold sequence exactly, including under a
-// stop rule. This is the primitive the campaign service's
-// work-stealing coordinator is built on: any partition of cells onto
-// workers merges byte-identically.
+// stop rule. This is what campaign.Execute's per-cell pool job rests
+// on: any partition of cells onto workers merges byte-identically.
 func TestRunCellReduceMatchesPool(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -23,16 +24,16 @@ func E2CommunicationBits(cfg Config) (*Result, error) {
 	// particular one of degree Δ — is selected at least twice while
 	// measuring (a run can otherwise reach silence before the max-degree
 	// process ever evaluates a guard).
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	for _, g := range graphs {
 		specs = append(specs,
-			ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
-			ProtoCell{Graph: g, Family: FamColoringBaseline, SuffixRounds: 2})
+			engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
+			engine.ProtoCell{Graph: g, Family: FamColoringBaseline, SuffixRounds: 2})
 	}
 	// Streaming aggregation: only the per-cell maximum witnessed
 	// communication complexity is kept.
 	maxBits := make([]int, len(specs))
-	err = RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		if res.Report.CommComplexityBits > maxBits[cell] {
 			maxBits[cell] = res.Report.CommComplexityBits
 		}
@@ -104,12 +105,12 @@ func E10StabilizedOverhead(cfg Config) (*Result, error) {
 	type cellMeta struct {
 		family, graphName string
 	}
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	var metas []cellMeta
 	for _, g := range graphs {
 		for _, pair := range pairs {
 			for _, family := range pair {
-				specs = append(specs, ProtoCell{
+				specs = append(specs, engine.ProtoCell{
 					Graph: g, Family: family, SuffixRounds: 4 * g.N(),
 				})
 				metas = append(metas, cellMeta{family: family, graphName: g.Name()})
@@ -122,7 +123,7 @@ func E10StabilizedOverhead(cfg Config) (*Result, error) {
 		reads, bits float64
 	}
 	accs := make([]acc, len(specs))
-	err = RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		if !res.Silent {
 			return fmt.Errorf("experiment: %s on %s did not stabilize",
 				metas[cell].family, metas[cell].graphName)

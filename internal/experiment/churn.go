@@ -133,13 +133,13 @@ func CustomChurn(cfg Config, churnName string, churnK int, churnSchedule fault.S
 	churnKey := fmt.Sprintf("churn:%s/%d", churnName, churnK)
 	advKey := fmt.Sprintf("%s/%d", advName, advK)
 
-	cells := make([]Cell, len(families))
+	cells := make([]engine.Cell, len(families))
 	for i, family := range families {
 		sys, legit, err := protocolSystem(g, family)
 		if err != nil {
 			return nil, err
 		}
-		cells[i] = Cell{
+		cells[i] = engine.Cell{
 			Key: fmt.Sprintf("%s|%s|churn=%s|ck=%d|%s", g.Name(), family, churnName, churnK, churnSchedule),
 			RunFaultOn: func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
 				plan := fault.Plan{
@@ -180,7 +180,7 @@ func CustomChurn(cfg Config, churnName string, churnK int, churnSchedule fault.S
 		rounds                         []float64
 	}
 	accs := make([]acc, len(families))
-	err = RunFaultCellsReduce(cfg, cells, func(cell, _ int, res *core.FaultResult) error {
+	err = engine.RunFaultCellsReduce(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.trials++
 		if res.Silent && res.LegitimateAtSilence {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -21,9 +22,9 @@ func E1ColoringConvergence(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]ProtoCell, len(graphs))
+	specs := make([]engine.ProtoCell, len(graphs))
 	for i, g := range graphs {
-		specs[i] = ProtoCell{Graph: g, Family: FamColoring}
+		specs[i] = engine.ProtoCell{Graph: g, Family: FamColoring}
 	}
 	// Streaming aggregation: each trial folds into its graph's
 	// accumulator as it finishes (trial order per cell), so the grid of
@@ -36,7 +37,7 @@ func E1ColoringConvergence(cfg Config) (*Result, error) {
 	for i := range accs {
 		accs[i].agg = core.NewConvergence()
 	}
-	err = RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		a := &accs[cell]
 		a.agg.Add(res)
 		if res.Silent {
@@ -133,10 +134,10 @@ func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
 		return nil, err
 	}
 	schedulers := boundSchedulers()
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	for _, g := range graphs {
 		for _, sc := range schedulers {
-			specs = append(specs, ProtoCell{
+			specs = append(specs, engine.ProtoCell{
 				Graph: g, Family: spec.family,
 				Sched: sc.mk, SchedName: sc.name,
 			})
@@ -151,7 +152,7 @@ func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
 		rounds                     []float64
 	}
 	accs := make([]acc, len(specs))
-	err = RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		a := &accs[cell]
 		a.runs++
 		if res.Silent {
@@ -222,11 +223,11 @@ func E11SchedulerRobustness(cfg Config) (*Result, error) {
 	g := graphs[len(graphs)/2]
 	families := []string{FamColoring, FamMIS, FamMatching}
 	names := sched.Names()
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	for _, family := range families {
 		for _, name := range names {
 			name := name
-			specs = append(specs, ProtoCell{
+			specs = append(specs, engine.ProtoCell{
 				Graph: g, Family: family,
 				SchedName: name,
 				Sched: func(s uint64) model.Scheduler {
@@ -243,7 +244,7 @@ func E11SchedulerRobustness(cfg Config) (*Result, error) {
 	for i := range aggs {
 		aggs[i] = core.NewConvergence()
 	}
-	err = RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		aggs[cell].Add(res)
 		return nil
 	})

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -15,9 +16,9 @@ import (
 // execution path: a fresh random configuration, scheduler, recorder and
 // simulator per trial via core.Run, ignoring the worker's Runner. The
 // pooled engine must reproduce its results exactly.
-func legacyProtoCells(t *testing.T, cfg Config, specs []ProtoCell) []Cell {
+func legacyProtoCells(t *testing.T, cfg Config, specs []engine.ProtoCell) []engine.Cell {
 	t.Helper()
-	cells := make([]Cell, len(specs))
+	cells := make([]engine.Cell, len(specs))
 	for i, sp := range specs {
 		sys, legit, err := protocolSystem(sp.Graph, sp.Family)
 		if err != nil {
@@ -28,7 +29,7 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []ProtoCell) []Cell {
 			mkSched, schedName = defaultSched, defaultSchedName
 		}
 		suffix := sp.SuffixRounds
-		cells[i] = Cell{
+		cells[i] = engine.Cell{
 			Key: fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, schedName, suffix),
 			RunOn: func(_ *core.Runner, trial int, seed uint64, res *core.RunResult) error {
 				initial := model.NewRandomConfig(sys, rng.New(seed))
@@ -63,24 +64,24 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	for _, g := range graphs {
 		specs = append(specs,
-			ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
-			ProtoCell{Graph: g, Family: FamMIS},
-			ProtoCell{Graph: g, Family: FamMatching,
+			engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
+			engine.ProtoCell{Graph: g, Family: FamMIS},
+			engine.ProtoCell{Graph: g, Family: FamMatching,
 				Sched:     func(uint64) model.Scheduler { return sched.NewLaziestFair() },
 				SchedName: "laziest-fair"},
 		)
 	}
 	cfg.Parallelism = 1
-	want, err := RunCells(cfg, legacyProtoCells(t, cfg, specs))
+	want, err := engine.RunCells(cfg.engineConfig(), legacyProtoCells(t, cfg, specs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
 		cfg.Parallelism = par
-		got, err := RunProtoCells(cfg, specs)
+		got, err := engine.RunProtoCells(cfg.engineConfig(), specs)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -104,12 +105,12 @@ func TestReduceMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	for _, g := range graphs {
-		specs = append(specs, ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2})
+		specs = append(specs, engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2})
 	}
 	cfg.Parallelism = 1
-	want, err := RunProtoCells(cfg, specs)
+	want, err := engine.RunProtoCells(cfg.engineConfig(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestReduceMatchesMaterialized(t *testing.T) {
 			lastTrial[i] = -1
 		}
 		seen := make([]int, len(specs))
-		err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
+		err := engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, trial int, res *core.RunResult) error {
 			if trial != lastTrial[cell]+1 {
 				return fmt.Errorf("cell %d: fold at trial %d after trial %d (want in-order)", cell, trial, lastTrial[cell])
 			}

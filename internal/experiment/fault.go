@@ -29,9 +29,9 @@ import (
 // derive from the cell keys alone, so every experiment that starts from
 // a snapshot of (g, family) sees the same configuration.
 func silentSnapshots(cfg Config, g *graph.Graph, families []string) ([]*model.Config, error) {
-	specs := make([]ProtoCell, len(families))
+	specs := make([]engine.ProtoCell, len(families))
 	for i, family := range families {
-		specs[i] = ProtoCell{Graph: g, Family: family}
+		specs[i] = engine.ProtoCell{Graph: g, Family: family}
 	}
 	return engine.SilentSnapshots(cfg.engineConfig(), specs)
 }
@@ -42,9 +42,9 @@ func silentSnapshots(cfg Config, g *graph.Graph, families []string) ([]*model.Co
 // run is driven to silence under the default scheduler.
 func snapshotFaultCell(cfg Config, key string, sys *model.System,
 	legit func(*model.System, *model.Config) bool,
-	snapshot *model.Config, advName string, k int) Cell {
+	snapshot *model.Config, advName string, k int) engine.Cell {
 	advKey := fmt.Sprintf("%s/%d", advName, k)
-	return Cell{
+	return engine.Cell{
 		Key: key,
 		RunFaultOn: func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
 			rn.InitialConfig(sys).CopyFrom(snapshot)
@@ -94,14 +94,14 @@ func CustomFault(cfg Config, advName string, k int, schedule fault.Schedule) (*R
 			return nil, err
 		}
 	}
-	cells := make([]Cell, len(families))
+	cells := make([]engine.Cell, len(families))
 	for i, family := range families {
 		sys, legit, err := protocolSystem(g, family)
 		if err != nil {
 			return nil, err
 		}
 		snapshot := snapshots[i]
-		cells[i] = Cell{
+		cells[i] = engine.Cell{
 			Key: fmt.Sprintf("%s|%s|custom=%s|k=%d|%s", g.Name(), family, advName, k, schedule),
 			RunFaultOn: func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
 				adv := rn.Adversary(advKey, func() fault.Adversary {
@@ -134,7 +134,7 @@ func CustomFault(cfg Config, advName string, k int, schedule fault.Schedule) (*R
 		rounds                         []float64
 	}
 	accs := make([]acc, len(families))
-	err = RunFaultCellsReduce(cfg, cells, func(cell, _ int, res *core.FaultResult) error {
+	err = engine.RunFaultCellsReduce(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.trials++
 		if res.Silent && res.LegitimateAtSilence {

@@ -9,7 +9,7 @@
 // directive): edge rewiring, partition-shaped cuts and crash/join churn
 // on mutable graphs, alone and composed with state faults.
 //
-// Trials run on a parallel sharded worker pool (see pool.go). The engine
+// Trials run on a parallel sharded worker pool (internal/engine). The engine
 // is deterministic: per-trial seeds are derived from (Config.Seed, cell
 // key, trial index) alone, never from scheduling order, so for a fixed
 // Seed every pool-driven experiment table is byte-identical across
@@ -62,6 +62,18 @@ func (c Config) withDefaults() Config {
 		c.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return c
+}
+
+// engineConfig projects the experiment configuration onto the trial
+// engine's (Quick only affects the graph suite, not the engine).
+func (c Config) engineConfig() engine.Config {
+	return engine.Config{
+		Seed:        c.Seed,
+		Trials:      c.Trials,
+		MaxSteps:    c.MaxSteps,
+		Parallelism: c.Parallelism,
+		Observer:    c.Observer,
+	}
 }
 
 // Result is the outcome of one experiment.

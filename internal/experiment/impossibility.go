@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -117,7 +118,7 @@ func E8TheoremTwo(cfg Config) (*Result, error) {
 func checkDemos(cfg Config, demos []*verify.Demo) ([]verify.Outcome, error) {
 	cfg = cfg.withDefaults()
 	outs := make([]verify.Outcome, len(demos))
-	err := forEach(cfg.Parallelism, len(demos), func(i int) error {
+	err := engine.ForEach(cfg.Parallelism, len(demos), func(i int) error {
 		out, err := demos[i].Check(rng.DeriveString(cfg.Seed, demos[i].Name), cfg.MaxSteps)
 		if err != nil {
 			return err

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 // TestPoolDeterminismAcrossParallelism is the engine's headline
@@ -63,11 +64,11 @@ func TestRunCellsSeedsPositionIndependent(t *testing.T) {
 	collect := func(parallelism int) [][]uint64 {
 		seeds := make([][]uint64, 3)
 		var mu sync.Mutex
-		cells := make([]Cell, 3)
+		cells := make([]engine.Cell, 3)
 		for i := range cells {
 			i := i
 			seeds[i] = make([]uint64, 5)
-			cells[i] = Cell{
+			cells[i] = engine.Cell{
 				Key: fmt.Sprintf("cell-%d", i),
 				RunOn: func(_ *core.Runner, trial int, seed uint64, _ *core.RunResult) error {
 					mu.Lock()
@@ -78,7 +79,7 @@ func TestRunCellsSeedsPositionIndependent(t *testing.T) {
 			}
 		}
 		cfg := Config{Seed: 99, Trials: 5, Parallelism: parallelism}
-		if _, err := RunCells(cfg, cells); err != nil {
+		if _, err := engine.RunCells(cfg.engineConfig(), cells); err != nil {
 			t.Fatal(err)
 		}
 		return seeds
@@ -111,8 +112,8 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 	t.Parallel()
 	boom := errors.New("boom")
 	var executed atomic.Int64
-	mk := func(key string, failAt int) Cell {
-		return Cell{
+	mk := func(key string, failAt int) engine.Cell {
+		return engine.Cell{
 			Key: key,
 			RunOn: func(_ *core.Runner, trial int, _ uint64, _ *core.RunResult) error {
 				executed.Add(1)
@@ -125,9 +126,9 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 	}
 	// Sequential: the scan stops at the failing job, and the error names
 	// the cell and trial.
-	cells := []Cell{mk("ok", -1), mk("bad", 1), mk("never", -1)}
+	cells := []engine.Cell{mk("ok", -1), mk("bad", 1), mk("never", -1)}
 	cfg := Config{Seed: 1, Trials: 3, Parallelism: 1}
-	out, err := RunCells(cfg, cells)
+	out, err := engine.RunCells(cfg.engineConfig(), cells)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -150,7 +151,7 @@ func TestForEachCancellation(t *testing.T) {
 	const n = 100
 	failed := make(chan struct{})
 	var executed atomic.Int64
-	err := forEach(8, n, func(i int) error {
+	err := engine.ForEach(8, n, func(i int) error {
 		executed.Add(1)
 		if i == 0 {
 			close(failed)
@@ -175,7 +176,7 @@ func TestForEachCancellation(t *testing.T) {
 // is the one with the lowest job index among those observed.
 func TestForEachLowestErrorWins(t *testing.T) {
 	t.Parallel()
-	err := forEach(1, 10, func(i int) error {
+	err := engine.ForEach(1, 10, func(i int) error {
 		if i >= 3 {
 			return fmt.Errorf("err-%d", i)
 		}

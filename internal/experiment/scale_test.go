@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/rng"
@@ -21,7 +22,7 @@ func largeNTable(t *testing.T, par int) string {
 	torus := graph.Torus(100, 100)
 	gnp := graph.RandomConnectedGNP(10_000, 6/10_000.0, r)
 	laziest := func(uint64) model.Scheduler { return sched.NewLaziestFair() }
-	specs := []ProtoCell{
+	specs := []engine.ProtoCell{
 		{Graph: torus, Family: FamColoring, SuffixRounds: 1},
 		{Graph: gnp, Family: FamColoring, SuffixRounds: 1},
 		{Graph: torus, Family: FamColoring, Sched: laziest, SchedName: "laziest-fair"},
@@ -31,7 +32,7 @@ func largeNTable(t *testing.T, par int) string {
 	for i := range accs {
 		accs[i] = core.NewConvergence()
 	}
-	err := RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err := engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		accs[cell].Add(res)
 		return nil
 	})

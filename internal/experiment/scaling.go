@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -29,10 +30,10 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 		r := rng.New(rng.Derive(cfg.Seed, uint64(n)))
 		sizeGraphs[i] = graph.RandomConnectedGNP(n, 4.0/float64(n), r)
 	}
-	var specs []ProtoCell
+	var specs []engine.ProtoCell
 	for _, family := range families {
 		for _, g := range sizeGraphs {
-			specs = append(specs, ProtoCell{Graph: g, Family: family})
+			specs = append(specs, engine.ProtoCell{Graph: g, Family: family})
 		}
 	}
 	// Streaming aggregation: per-cell summaries, no retained run results.
@@ -44,7 +45,7 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 	for i := range accs {
 		accs[i].agg = core.NewConvergence()
 	}
-	err := RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err := engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		a := &accs[cell]
 		a.agg.Add(res)
 		if res.Silent {
@@ -129,7 +130,7 @@ func E15FaultContainment(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	var grid []faultCell
-	var cells []Cell
+	var cells []engine.Cell
 	for fi, family := range families {
 		sys, legit, err := protocolSystem(g, family)
 		if err != nil {
@@ -152,7 +153,7 @@ func E15FaultContainment(cfg Config) (*Result, error) {
 		rounds               []float64
 	}
 	accs := make([]acc, len(grid))
-	err = RunFaultCellsReduce(cfg, cells, func(cell, _ int, res *core.FaultResult) error {
+	err = engine.RunFaultCellsReduce(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		if res.Silent && res.LegitimateAtSilence {
 			a.recovered++

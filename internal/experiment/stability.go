@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -19,10 +20,10 @@ func E4MISStability(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]ProtoCell, len(graphs))
+	specs := make([]engine.ProtoCell, len(graphs))
 	systems := make([]*model.System, len(graphs))
 	for i, g := range graphs {
-		specs[i] = ProtoCell{Graph: g, Family: FamMIS, SuffixRounds: 6 * g.N()}
+		specs[i] = engine.ProtoCell{Graph: g, Family: FamMIS, SuffixRounds: 6 * g.N()}
 		sys, _, err := protocolSystem(g, FamMIS)
 		if err != nil {
 			return nil, err
@@ -40,7 +41,7 @@ func E4MISStability(cfg Config) (*Result, error) {
 	for i, g := range graphs {
 		accs[i] = acc{minStable: g.N() + 1, minExact: g.N() + 1, dominated: -1}
 	}
-	err = RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		a := &accs[cell]
 		if !res.Silent {
 			a.nonSilent = true
@@ -105,10 +106,10 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]ProtoCell, len(graphs))
+	specs := make([]engine.ProtoCell, len(graphs))
 	systems := make([]*model.System, len(graphs))
 	for i, g := range graphs {
-		specs[i] = ProtoCell{Graph: g, Family: FamMatching, SuffixRounds: 6 * g.N()}
+		specs[i] = engine.ProtoCell{Graph: g, Family: FamMatching, SuffixRounds: 6 * g.N()}
 		sys, _, err := protocolSystem(g, FamMatching)
 		if err != nil {
 			return nil, err
@@ -123,7 +124,7 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 	for i, g := range graphs {
 		accs[i] = acc{minMarried: g.N() + 1, minStable: g.N() + 1, minExact: g.N() + 1}
 	}
-	err = RunProtoCellsReduce(cfg, specs, func(cell, _ int, res *core.RunResult) error {
+	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
 		a := &accs[cell]
 		if !res.Silent {
 			a.nonSilent = true

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/bfstree"
@@ -71,7 +72,7 @@ func E13Transformer(cfg Config) (*Result, error) {
 		graph *graph.Graph
 	}
 	var pairs []pairIdx
-	var cells []Cell
+	var cells []engine.Cell
 	for _, tg := range targets {
 		for _, g := range graphs {
 			if cfg.Quick && g.N() > 12 {
@@ -101,7 +102,7 @@ func E13Transformer(cfg Config) (*Result, error) {
 	for i := range aggs {
 		aggs[i] = core.NewConvergence()
 	}
-	err = RunCellsReduce(cfg, cells, func(cell, _ int, res *core.RunResult) error {
+	err = engine.RunCellsReduce(cfg.engineConfig(), cells, func(cell, _ int, res *core.RunResult) error {
 		aggs[cell].Add(res)
 		return nil
 	})
@@ -140,12 +141,12 @@ func E13Transformer(cfg Config) (*Result, error) {
 // specCell builds a pool cell for an explicit protocol spec (rather than
 // a registered family) on g.
 func specCell(cfg Config, key string, g *graph.Graph, spec *model.Spec, consts [][]int,
-	legit func(*model.System, *model.Config) bool) (Cell, error) {
+	legit func(*model.System, *model.Config) bool) (engine.Cell, error) {
 	sys, err := model.NewSystem(g, spec, consts)
 	if err != nil {
-		return Cell{}, err
+		return engine.Cell{}, err
 	}
-	return Cell{
+	return engine.Cell{
 		Key: key,
 		RunOn: func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error {
 			return rn.RunRandom(sys, core.RunOptions{

@@ -1,18 +1,8 @@
-// Package service is the campaign daemon's engine room: a run registry
-// and job queue over the campaign executor, a work-stealing shard
-// coordinator that spreads one run's cells across in-process workers,
-// and an HTTP API (submit a .campaign spec, stream per-trial progress
-// as JSONL, fetch tables/CSV/canonical events when done).
-//
-// Determinism contract: a served run's merged JSONL, summary tables and
-// canonical event log are byte-identical to a CLI run of the same
-// campaign at the same seed — regardless of worker count, steal
-// pattern, or cold/warm cache state. The contract holds because cells
-// are the indivisible work unit: each cell's records are a pure
-// function of (seed, cell key), stolen ranges re-split only at cell
-// boundaries, and results merge by cell index, so scheduling can never
-// reorder or perturb bytes. Live progress streams are best-effort
-// diagnostics and carry no such guarantee.
+// The work-stealing Coordinator below has no production caller: every
+// plan runs on the engine pool through campaign.Execute.
+// bench/trace_service.go times Coordinator.Next, so the next benchmark PR
+// deletes this file and coordinator_test.go together with that row.
+
 package service
 
 import "sync"

@@ -5,6 +5,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
@@ -36,8 +37,8 @@ metrics silent legitimate rounds moves total-reads total-bits
 // artifacts is one run's four deterministic outputs.
 type artifacts struct{ jsonl, events, table, csv string }
 
-// cliArtifacts produces the reference bytes the CLI path
-// (campaign.Plan.Run) emits for a campaign.
+// cliArtifacts produces the reference bytes: what Plan.Run, and so the
+// CLI, emits for a campaign at its compiled parallelism.
 func cliArtifacts(t *testing.T, src string) artifacts {
 	t.Helper()
 	plan := compilePlan(t, src)
@@ -92,7 +93,7 @@ func servedArtifacts(t *testing.T, r *Run) artifacts {
 	return artifacts{got[0], got[1], got[2], got[3]}
 }
 
-// execArtifacts runs a campaign through the service executor.
+// execArtifacts runs a campaign through Execute under opts.
 func execArtifacts(t *testing.T, src string, opts ExecOptions) (artifacts, *campaign.Outcome) {
 	t.Helper()
 	plan := compilePlan(t, src)
@@ -105,10 +106,10 @@ func execArtifacts(t *testing.T, src string, opts ExecOptions) (artifacts, *camp
 	return renderArtifacts(t, out, replay), out
 }
 
-// TestExecuteDeterminism is the tentpole acceptance test: for worker
-// counts {1, 4}, adversarial steal schedules, and cold vs warm cache,
-// the served run's JSONL, summary table and canonical event log are
-// byte-identical to the CLI run at the same seed.
+// TestExecuteDeterminism: at workers {1, 3, 4}, cold, warm and without a
+// cache, the executor's JSONL, summary table, CSV and canonical event
+// log are the reference run's bytes; a cold run builds every graph and
+// a warm one none.
 func TestExecuteDeterminism(t *testing.T) {
 	t.Parallel()
 	for _, src := range []string{faultCampaignSrc, plainCampaignSrc} {
@@ -117,41 +118,58 @@ func TestExecuteDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			want := cliArtifacts(t, src)
-			policies := map[string]StealPolicy{
-				"largest": nil, "smallest": stealSmallest, "rotate": rotatePolicy(),
-			}
-			for _, workers := range []int{1, 4} {
-				for pname, steal := range policies {
-					cache := campaign.NewMemBackend()
-					opts := ExecOptions{Workers: workers, Steal: steal, Cache: cache}
-					cold, outCold := execArtifacts(t, src, opts)
-					if cold != want {
-						t.Fatalf("workers=%d steal=%s cold: artifacts differ from CLI run\n%s",
-							workers, pname, diffHint(want.jsonl, cold.jsonl))
-					}
-					if outCold.CacheHits != 0 || outCold.CacheMisses != len(outCold.Plan.Cells) {
-						t.Fatalf("cold run: %d hits, %d misses", outCold.CacheHits, outCold.CacheMisses)
-					}
-					warm, outWarm := execArtifacts(t, src, opts)
-					if warm != want {
-						t.Fatalf("workers=%d steal=%s warm: artifacts differ from CLI run", workers, pname)
-					}
-					if outWarm.CacheHits != len(outWarm.Plan.Cells) {
-						t.Fatalf("warm run: only %d of %d cells hit", outWarm.CacheHits, len(outWarm.Plan.Cells))
-					}
-					// path 4, 6, 8 and cycle 5: built for the cells that
-					// missed, never for cells that hit.
-					if cold, warm := outCold.Plan.GraphsBuilt(), outWarm.Plan.GraphsBuilt(); cold != 4 || warm != 0 {
-						t.Fatalf("graphs built: %d cold, %d warm, want 4 and 0", cold, warm)
-					}
+			for _, workers := range []int{1, 3, 4} {
+				opts := ExecOptions{Workers: workers, Cache: campaign.NewMemBackend()}
+				cold, outCold := execArtifacts(t, src, opts)
+				if cold != want {
+					t.Fatalf("workers=%d cold: artifacts differ from the reference run\n%s",
+						workers, diffHint(want.jsonl, cold.jsonl))
+				}
+				if outCold.CacheHits != 0 || outCold.CacheMisses != len(outCold.Plan.Cells) {
+					t.Fatalf("cold run: %d hits, %d misses", outCold.CacheHits, outCold.CacheMisses)
+				}
+				warm, outWarm := execArtifacts(t, src, opts)
+				if warm != want {
+					t.Fatalf("workers=%d warm: artifacts differ from the reference run", workers)
+				}
+				if outWarm.CacheHits != len(outWarm.Plan.Cells) {
+					t.Fatalf("warm run: only %d of %d cells hit", outWarm.CacheHits, len(outWarm.Plan.Cells))
+				}
+				// path 4, 6, 8 and cycle 5: built for the cells that
+				// missed, never for cells that hit.
+				if cold, warm := outCold.Plan.GraphsBuilt(), outWarm.Plan.GraphsBuilt(); cold != 4 || warm != 0 {
+					t.Fatalf("graphs built: %d cold, %d warm, want 4 and 0", cold, warm)
+				}
+				if noCache, _ := execArtifacts(t, src, ExecOptions{Workers: workers}); noCache != want {
+					t.Fatalf("workers=%d: cache-less run differs from the reference run", workers)
 				}
 			}
-			// No cache at all is the same bytes too.
-			noCache, _ := execArtifacts(t, src, ExecOptions{Workers: 3})
-			if noCache != want {
-				t.Fatal("cache-less Execute differs from CLI run")
-			}
 		})
+	}
+}
+
+// stallEveryThird holds every third cell's cell-start for a moment, so
+// cells finish in an order that is not the order they were claimed in.
+type stallEveryThird struct{}
+
+func (stallEveryThird) Observe(e obs.Event) {
+	if e.Kind == obs.KindCellStart && e.Cell%3 == 0 {
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestCompletionOrderCannotPerturbBytes: four workers whose cells finish
+// out of claim order produce the artifacts of one worker. Each cell's
+// records land in the cell's own slot and the canonical log orders by
+// cell, so the schedule has nothing to perturb.
+func TestCompletionOrderCannotPerturbBytes(t *testing.T) {
+	t.Parallel()
+	for _, src := range []string{faultCampaignSrc, plainCampaignSrc} {
+		want, _ := execArtifacts(t, src, ExecOptions{Workers: 1})
+		got, _ := execArtifacts(t, src, ExecOptions{Workers: 4, Observer: stallEveryThird{}})
+		if got != want {
+			t.Fatalf("%s: 4 stalled workers differ from 1 worker\n%s", strings.Fields(src)[1], diffHint(want.jsonl, got.jsonl))
+		}
 	}
 }
 
@@ -166,73 +184,4 @@ func diffHint(want, got string) string {
 		}
 	}
 	return "jsonl lengths differ"
-}
-
-// TestExecuteDrainAndResume is the graceful-shutdown contract at the
-// executor level: a drain (context cancel) lets in-flight cells finish
-// and persist, already-complete cells stay cached, and a fresh executor
-// over the same backend resumes to byte-identical final output.
-func TestExecuteDrainAndResume(t *testing.T) {
-	t.Parallel()
-	want := cliArtifacts(t, faultCampaignSrc)
-	cache := campaign.NewMemBackend()
-
-	// Gate: block the (single) worker inside its second cell-start
-	// event, then cancel — the worker must finish that cell, persist it,
-	// and exit without starting a third.
-	ctx, cancel := context.WithCancel(context.Background())
-	gate := &cellGate{trigger: 2, hit: make(chan struct{}), release: make(chan struct{})}
-	plan := compilePlan(t, faultCampaignSrc)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := Execute(ctx, plan, ExecOptions{Workers: 1, Cache: cache, Observer: gate})
-		errCh <- err
-	}()
-	<-gate.hit
-	cancel()
-	close(gate.release)
-	err := <-errCh
-	if err == nil || !strings.Contains(err.Error(), "drained") {
-		t.Fatalf("drained Execute returned %v, want ErrDrained", err)
-	}
-	// Exactly the two started cells persisted: the drain neither loses
-	// finished work nor starts new work.
-	entries, _, err := cache.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if entries != 2 {
-		t.Fatalf("cache holds %d cells after drain, want 2", entries)
-	}
-
-	// Resume: a fresh plan over the same backend completes and matches
-	// the CLI bytes; the two drained cells are hits.
-	resumed, out := execArtifacts(t, faultCampaignSrc, ExecOptions{Workers: 4, Cache: cache})
-	if resumed != want {
-		t.Fatal("resumed run differs from the CLI run")
-	}
-	if out.CacheHits != 2 || out.CacheMisses != len(out.Plan.Cells)-2 {
-		t.Fatalf("resume: %d hits, %d misses, want 2 and %d", out.CacheHits, out.CacheMisses, len(out.Plan.Cells)-2)
-	}
-}
-
-// cellGate signals on the trigger-th cell-start and blocks that worker
-// until released.
-type cellGate struct {
-	trigger int
-	hit     chan struct{}
-	release chan struct{}
-	count   int
-}
-
-func (g *cellGate) Observe(e obs.Event) {
-	if e.Kind != obs.KindCellStart {
-		return
-	}
-	// Single worker: Observe runs on one goroutine, no locking needed.
-	g.count++
-	if g.count == g.trigger {
-		close(g.hit)
-		<-g.release
-	}
 }

@@ -31,7 +31,7 @@ const maxSpecBytes = 1 << 20
 // The jsonl/events/table/csv artifacts are a function of the submitted
 // source and carry the determinism contract: byte-identical to a CLI
 // run of the same campaign at the same seed, for every worker count,
-// steal schedule and cache state. They live in the service's artifact
+// completion order and cache state. They live in the service's artifact
 // store under the source's SHA-256: rendered at most once while
 // resident, whichever run of that source asked first, and rendered
 // again on demand after eviction, so two GETs never observe different

@@ -78,7 +78,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 		hit:     make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	svc, ts := startTestServer(t, Config{Workers: 4, Steal: stealSmallest, Cache: gate})
+	svc, ts := startTestServer(t, Config{Workers: 4, Cache: gate})
 
 	posted := postCampaign(t, ts, faultCampaignSrc)
 	if posted.ID == "" || posted.Cells != 8 || posted.Name != "svc-fault" {

@@ -1,3 +1,18 @@
+// Package service is the campaign daemon's engine room: a run registry
+// and FIFO job queue over the campaign executor (campaign.Execute, the
+// function sscampaign runs too), the artifact store finished runs are
+// served from, and an HTTP API (submit a .campaign spec, stream
+// per-trial progress as JSONL, fetch tables/CSV/canonical events when
+// done).
+//
+// Determinism contract: a served run's merged JSONL, summary tables and
+// canonical event log are byte-identical to a CLI run of the same
+// campaign at the same seed — regardless of worker count, completion
+// order, or cold/warm cache state. The contract holds because cells are
+// the indivisible work unit: each cell's records are a pure function of
+// (seed, cell key) and results merge by cell index, so scheduling can
+// never reorder or perturb bytes. Live progress streams are best-effort
+// diagnostics and carry no such guarantee.
 package service
 
 import (
@@ -124,12 +139,10 @@ type Config struct {
 	// Cache is the shared result backend (nil: a fresh in-memory
 	// backend — cross-run dedup without persistence).
 	Cache campaign.Backend
-	// Workers is each run's coordinator worker count (< 1: GOMAXPROCS).
+	// Workers is each run's pool worker count (< 1: GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the submitted-but-not-started backlog (< 1: 16).
 	QueueDepth int
-	// Steal overrides the work-stealing policy (tests).
-	Steal StealPolicy
 
 	// tee overrides how a run's sinks are combined (nil: obs.Tee). Tests
 	// use it to see which sinks a run attaches and to add their own.
@@ -137,8 +150,8 @@ type Config struct {
 }
 
 // Service is the daemon core: a run registry, a FIFO job queue executing
-// one run at a time (each run parallelizes internally via the
-// work-stealing coordinator), and the artifact store the finished runs
+// one run at a time (each run parallelizes internally on the engine
+// pool, see campaign.Execute), and the artifact store the finished runs
 // are served from. All methods are safe for concurrent use.
 //
 // The four artifacts are a function of the submitted source alone, so
@@ -349,12 +362,8 @@ func (s *Service) execute(r *Run) {
 		replay = obs.NewReplaySink()
 		sinks = append(sinks, replay)
 	}
-	out, err := Execute(s.ctx, r.plan, ExecOptions{
-		Workers:  s.cfg.Workers,
-		Steal:    s.cfg.Steal,
-		Cache:    s.cache,
-		Observer: s.cfg.tee(sinks...),
-	})
+	// Workers: the plan was compiled with s.cfg.Workers.
+	out, err := campaign.Execute(s.ctx, r.plan, campaign.RunOptions{Cache: s.cache, Observer: s.cfg.tee(sinks...)})
 	if err == nil && replay != nil {
 		var set *artifactSet
 		if set, err = render(out, replay); err == nil {
@@ -434,7 +443,7 @@ func (s *Service) rerender(src string) (*artifactSet, error) {
 		return nil, err
 	}
 	replay := obs.NewReplaySink()
-	out, err := Execute(s.ctx, plan, ExecOptions{Workers: 1, Cache: s.cache, Observer: replay})
+	out, err := campaign.Execute(s.ctx, plan, campaign.RunOptions{Cache: s.cache, Observer: replay})
 	if err != nil {
 		return nil, err
 	}
@@ -445,7 +454,7 @@ func (s *Service) rerender(src string) (*artifactSet, error) {
 // workers finish (and persist) the cells they are computing, queued
 // runs fail cleanly, the dispatcher exits; a GET that needs a render
 // gets ErrShuttingDown, and a render in flight drains like a run. ctx
-// bounds the wait. A drained run reports ErrDrained; re-submitting its
+// bounds the wait. A drained run reports campaign.ErrDrained; re-submitting its
 // spec to a new service over the same cache backend resumes from the
 // persisted cells and produces byte-identical final output.
 func (s *Service) Shutdown(ctx context.Context) error {

@@ -83,7 +83,7 @@ func TestServiceShutdownDrainsAndResumes(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if state, err := r1.State(); state != StateFailed || !errors.Is(err, ErrDrained) {
+	if state, err := r1.State(); state != StateFailed || !errors.Is(err, campaign.ErrDrained) {
 		t.Fatalf("drained run state %s, err %v", state, err)
 	}
 	// The in-flight cell persisted; nothing else started.
@@ -159,7 +159,7 @@ func TestServiceShutdownFailsQueuedRuns(t *testing.T) {
 	}
 	waitClosed(t, first.Done())
 	waitClosed(t, queued.Done())
-	if state, err := first.State(); state != StateFailed || !errors.Is(err, ErrDrained) {
+	if state, err := first.State(); state != StateFailed || !errors.Is(err, campaign.ErrDrained) {
 		t.Fatalf("in-flight run: state %s, err %v", state, err)
 	}
 	if state, err := queued.State(); state != StateFailed || err == nil || !strings.Contains(err.Error(), "before the run started") {
@@ -380,5 +380,42 @@ func TestCellPanicFailsTheRunOnly(t *testing.T) {
 	}
 	if got := servedArtifacts(t, next); got != want {
 		t.Fatal("run after the failed one serves bytes that differ from the CLI run")
+	}
+}
+
+// failAt panics inside the given trial-finish of each listed cell.
+type failAt map[string]int // cell key → trial
+
+func (f failAt) Observe(e obs.Event) {
+	if trial, ok := f[e.Key]; ok && e.Kind == obs.KindTrialFinish && e.Trial == trial {
+		panic("broke in " + e.Key)
+	}
+}
+
+// TestFailedRunReportsTheLowestCell: with two failing cells the run's
+// error names the lower index, whichever worker failed first. Cell 4
+// fails in its first trial and cell 3 in its last, so cell 4's failure
+// is usually the earlier one; the daemon's former executor reported the
+// failure of the lowest worker index instead, which here was often 4's.
+func TestFailedRunReportsTheLowestCell(t *testing.T) {
+	t.Parallel()
+	plan := compilePlan(t, faultCampaignSrc)
+	low, high := plan.Cells[3].Key, plan.Cells[4].Key
+	wantErr := fmt.Sprintf("campaign: cell %q panicked: broke in %s", low, low)
+	fails := failAt{low: 2, high: 0}
+	cfg := Config{Workers: 4}
+	cfg.tee = func(sinks ...obs.Observer) obs.Observer { return obs.Tee(append(sinks, fails)...) }
+	for rep := 0; rep < 20; rep++ {
+		cfg.Cache = campaign.NewMemBackend() // cold every time: all eight cells compute
+		svc := New(cfg)
+		r, err := svc.Submit(faultCampaignSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitClosed(t, r.Done())
+		if status := runStatus(r); status.State != StateFailed || status.Error != wantErr {
+			t.Fatalf("repetition %d: status %+v, want failed with %s", rep, status, wantErr)
+		}
+		shutdown(t, svc)
 	}
 }
