@@ -85,6 +85,17 @@ func (s *Set) AndNot(o *Set) {
 	}
 }
 
+// SubsetOf reports whether every element of the receiver is in o, word
+// by word (capacities must match).
+func (s *Set) SubsetOf(o *Set) bool {
+	for i, w := range s.words {
+		if w&^o.words[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Fill inserts every value in [0, Cap()), making the set full.
 func (s *Set) Fill() {
 	if s.n == 0 {

@@ -88,7 +88,7 @@ func randomSet(n int, seed uint64) (*Set, []bool) {
 	return s, mirror
 }
 
-// TestBulkOpsMatchNaive: AndNot, OrInto and Fill agree with the
+// TestBulkOpsMatchNaive: AndNot, OrInto, SubsetOf and Fill agree with the
 // element-by-element loops over every word-boundary-straddling capacity.
 func TestBulkOpsMatchNaive(t *testing.T) {
 	t.Parallel()
@@ -121,6 +121,19 @@ func TestBulkOpsMatchNaive(t *testing.T) {
 				if want := am[i] || bm[i]; or.Has(i) != want {
 					t.Fatalf("n=%d seed=%d: OrInto at %d = %v, want %v", n, seed, i, or.Has(i), want)
 				}
+			}
+
+			subset := true
+			for i := 0; i < n; i++ {
+				subset = subset && (!am[i] || bm[i])
+			}
+			if got := a.SubsetOf(b); got != subset {
+				t.Fatalf("n=%d seed=%d: a.SubsetOf(b) = %v, want %v", n, seed, got, subset)
+			}
+			// or holds a ∪ b, andNot holds a \ b: supersets and subsets
+			// of a by construction.
+			if !a.SubsetOf(or) || !andNot.SubsetOf(a) || !a.SubsetOf(a) {
+				t.Fatalf("n=%d seed=%d: SubsetOf misses a ⊆ a ∪ b, a \\ b ⊆ a or a ⊆ a", n, seed)
 			}
 
 			full := New(n)

@@ -187,9 +187,11 @@ func (p *Plan) Materialize(cells []int) error {
 // (and so all trial seeds) never depend on parallelism, sharding or
 // caching. Snapshot warm-ups use the canonical proto-cell keys
 // ("graph|family|random-subset|0") and per-trial seeds derived from
-// those keys alone, so every campaign — and the experiment registry —
-// sees the same snapshot for the same (seed, graph, family) no matter
-// how (or whether) the warm-up batches are split.
+// those keys alone, and a snapshot is the first hit in trial order (the
+// first trial to end silent and legitimate, where the warm-up stops), so
+// every campaign — and the experiment registry — sees the same snapshot
+// for the same (seed, graph, family) no matter how (or whether) the
+// warm-up batches are split.
 func Compile(spec *Spec, parallelism int) (*Plan, error) {
 	p := &Plan{
 		Spec:    spec,

@@ -124,8 +124,8 @@ var _ model.Observer = (*faultObserver)(nil)
 
 func (o *faultObserver) StepBegin(step int, selected []int) { o.rec.StepBegin(step, selected) }
 
-func (o *faultObserver) Selected(step, p int, neighbors []int, bits, fired int) {
-	o.rec.Selected(step, p, neighbors, bits, fired)
+func (o *faultObserver) Selected(step, p int, neighbors []int, bits, fired, times int) {
+	o.rec.Selected(step, p, neighbors, bits, fired, times)
 	if o.active && fired >= 0 {
 		o.contain.Moved(p)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // TestRunFaultedAtStartMatchesRun: an at-start plan is byte-equivalent
@@ -250,6 +251,83 @@ func BenchmarkFaultedTrialLoop(b *testing.B) {
 		}, &res)
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestFaultObserverEpisodeBetweenSilentStretches: the simulator hands
+// the observer a silent stretch's replays as counted batches when the
+// stepping method returns, so an episode opened after one stretch and
+// closed before the next must see none of either stretch's moves. Each
+// system is driven twice — stretches through RunRounds (one batch per
+// visited state) and through bare Steps (delivery every step) — around
+// one injection with the observer active during the recovery only, and
+// both drives must report the same radius, recorder report and final
+// configuration. COLORING and MIS keep every process moving in silence,
+// so one replay delivered inside the episode would push the radius to
+// the faulted process's eccentricity.
+func TestFaultObserverEpisodeBetweenSilentStretches(t *testing.T) {
+	t.Parallel()
+	const stretch = 4
+	for _, ts := range runnerTestSystems(t) {
+		for seed := uint64(1); seed <= 3; seed++ {
+			drive := func(batched bool) (int, trace.Report, *model.Config) {
+				t.Helper()
+				var contain fault.Containment
+				fo := &faultObserver{rec: trace.NewRecorder(ts.sys.N()), contain: &contain}
+				sim, err := model.NewSimulator(ts.sys, model.NewRandomConfig(ts.sys, rng.New(seed)),
+					sched.NewRandomSubset(seed), seed, fo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				toSilence := func() {
+					t.Helper()
+					if silent, err := sim.RunUntilSilent(400000, 1); err != nil || !silent {
+						t.Fatalf("%s seed %d: RunUntilSilent = (%v, %v)", ts.name, seed, silent, err)
+					}
+				}
+				silentStretch := func() {
+					if batched {
+						sim.RunRounds(stretch)
+						return
+					}
+					for target := sim.Rounds() + stretch; sim.Rounds() < target; {
+						sim.Step()
+					}
+				}
+				toSilence()
+				fo.rec.MarkSuffix()
+				silentStretch()
+				// The episode, in RunFaulted's order: inject and mark dirty,
+				// then open.
+				adv := fault.NewUniform(1)
+				adv.Reset(seed)
+				faulted := adv.Inject(ts.sys, sim.Config(), nil)
+				for _, p := range faulted {
+					sim.MarkDirty(p)
+				}
+				contain.Begin(ts.sys.Graph(), faulted)
+				fo.active = true
+				toSilence()
+				radius := contain.Radius()
+				fo.active = false
+				silentStretch()
+				return radius, fo.rec.Report(), sim.Config().Clone()
+			}
+			wantRadius, wantReport, wantFinal := drive(false)
+			radius, report, final := drive(true)
+			if radius != wantRadius {
+				t.Errorf("%s seed %d: radius %d with batched stretches, %d stepping", ts.name, seed, radius, wantRadius)
+			}
+			if !reflect.DeepEqual(report, wantReport) {
+				t.Errorf("%s seed %d: recorder reports differ:\n batched  %+v\n stepping %+v", ts.name, seed, report, wantReport)
+			}
+			if !final.Equal(wantFinal) {
+				t.Errorf("%s seed %d: final configurations differ", ts.name, seed)
+			}
+			if report.SuffixSelections == 0 {
+				t.Errorf("%s seed %d: no selection recorded in the suffix; the stretches exercised no replay", ts.name, seed)
+			}
 		}
 	}
 }

@@ -1,12 +1,11 @@
 // Package engine is the parallel sharded trial engine shared by the
 // experiment registry (internal/experiment) and the campaign subsystem
 // (internal/campaign). Every cell — one protocol family on one graph
-// under one scheduler, optionally with a fault adversary — expands into
-// Config.Trials independent trial jobs that a worker pool executes
-// across Config.Parallelism goroutines. Each worker owns one reusable
-// *core.Runner (recorder, simulator, scheduler, configuration buffers),
-// so the steady-state trial loop allocates nothing; results are either
-// materialized per trial (RunCells) or streamed through a fold without
+// under one scheduler, optionally with a fault adversary — runs its
+// Config.Trials trials on one worker of a pool of Config.Parallelism
+// goroutines. Each worker owns one reusable *core.Runner (recorder,
+// simulator, scheduler, configuration buffers), so the steady-state
+// trial loop allocates nothing; results stream through a fold without
 // being retained (RunCellsReduce, RunFaultCellsReduce). The fold paths
 // all run one loop, runCell: one cell's trials, in trial order, on one
 // worker.
@@ -16,11 +15,10 @@
 //	rng.Derive(rng.DeriveString(Config.Seed, cell.Key), t)
 //
 // a pure function of the master seed, the cell key and the trial index.
-// No seed depends on scheduling order, and results land in a
-// position-indexed matrix (or fold in trial order per cell), so the
-// output is byte-identical for every Parallelism value (1 reproduces
-// fully sequential execution) and identical between the pooled and
-// one-shot execution paths.
+// No seed depends on scheduling order, and results fold in trial order
+// per cell, so the output is byte-identical for every Parallelism value
+// (1 reproduces fully sequential execution) and identical between the
+// pooled and one-shot execution paths.
 package engine
 
 import (
@@ -47,9 +45,7 @@ import (
 //
 // Determinism: the realized trial count is a pure function of the trial
 // result stream, which is itself a pure function of (seed, cell key) —
-// so adaptive runs stay byte-identical across Parallelism values. The
-// rule applies only to the cell-affine fold paths (RunCellsReduce,
-// RunFaultCellsReduce); RunCells always materializes the fixed budget.
+// so adaptive runs stay byte-identical across Parallelism values.
 type StopRule struct {
 	// HalfWidth > 0 enables the rule: the target half-width of the 95%
 	// CI on mean rounds-to-silence.
@@ -112,8 +108,6 @@ type Config struct {
 	// trial-start, trial-finish and cell-finish; core-level events
 	// (silence, injections, recovery episodes) are emitted by the trial
 	// closures that thread an obs.Scope into core.RunOptions.Events.
-	// RunCells (trial-parallel, not cell-affine) emits no events: its
-	// interleaving would make per-cell event order scheduling-dependent.
 	Observer obs.Observer
 	// Stop, when enabled, replaces the fixed Trials budget on the fold
 	// paths with sequential stopping; see StopRule.
@@ -138,46 +132,20 @@ func (c Config) WithDefaults() Config {
 // Cell is one unit of the experiment grid: a stable key used for seed
 // derivation plus the function executing one adversarial trial on a
 // worker's reusable Runner. Exactly one of RunOn and RunFaultOn must be
-// non-nil; it must be safe for concurrent invocation across trials
-// (systems and graphs are immutable after construction).
+// non-nil. Different cells run concurrently, so what their closures
+// share (systems, graphs) must be immutable after construction.
 type Cell struct {
 	// Key identifies the cell in the experiment grid; distinct cells of
 	// one run must use distinct keys or they will share trial seeds.
 	Key string
 	// RunOn executes a plain trial, filling res in place: the pool passes
-	// a fresh res when results are retained (RunCells) and the worker's
-	// reused buffer when they are folded away (RunCellsReduce).
+	// the worker's reused buffer, which the fold reads before the next
+	// trial overwrites it.
 	RunOn func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error
 	// RunFaultOn executes the trial as an injected (adversarial-fault)
 	// trial, filling a FaultResult in place. Cells of this form run only
 	// under RunFaultCellsReduce and RunFaultCellReduce.
 	RunFaultOn func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error
-}
-
-// RunCells executes cfg.Trials trials of every cell on the worker pool
-// and returns the results indexed [cell][trial]. Jobs are ordered
-// cell-major, so a worker's consecutive jobs usually share a cell and its
-// Runner stays bound to one system.
-func RunCells(cfg Config, cells []Cell) ([][]*core.RunResult, error) {
-	cfg = cfg.WithDefaults()
-	out := make([][]*core.RunResult, len(cells))
-	for i := range out {
-		out[i] = make([]*core.RunResult, cfg.Trials)
-	}
-	err := forEachCtx(cfg.Parallelism, len(cells)*cfg.Trials, core.NewRunner, func(rn *core.Runner, j int) error {
-		cell, trial := j/cfg.Trials, j%cfg.Trials
-		seed := rng.Derive(rng.DeriveString(cfg.Seed, cells[cell].Key), uint64(trial))
-		res := &core.RunResult{}
-		if err := cells[cell].RunOn(rn, trial, seed, res); err != nil {
-			return fmt.Errorf("cell %q trial %d: %w", cells[cell].Key, trial, err)
-		}
-		out[cell][trial] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // WorkerCtx is the reusable per-worker state of the cell loop: the
@@ -282,8 +250,8 @@ func runCell(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(trial int,
 // the one worker that owns it, in trial order.
 //
 // Scheduling is cell-affine — one worker owns all trials of a cell,
-// running them in trial order on its reusable Runner with exactly the
-// trial seeds of RunCells — so fold(cell, trial, res) is invoked in
+// running them in trial order on its reusable Runner with the trial
+// seeds of the package comment — so fold(cell, trial, res) is invoked in
 // increasing trial order within each cell and aggregation is
 // deterministic at every Parallelism. fold runs concurrently for
 // DIFFERENT cells (never for the same cell): per-cell accumulators
@@ -291,9 +259,7 @@ func runCell(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(trial int,
 //
 // Cell affinity means effective parallelism is bounded by len(cells)
 // (the registry's grids have tens of cells, comfortably above typical
-// core counts). A grid of few cells with very many trials parallelizes
-// at the trial level only under RunCells — prefer it there and pay the
-// materialization.
+// core counts).
 func RunCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.RunResult) error) error {
 	cfg = cfg.WithDefaults()
 	return ForEachWorker(cfg.Parallelism, len(cells), func(w *WorkerCtx, i int) error {

@@ -1,10 +1,16 @@
 package engine
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 func TestFamiliesRegistry(t *testing.T) {
@@ -69,5 +75,134 @@ func TestSilentSnapshotsMatchProtoKeys(t *testing.T) {
 	}
 	if !snaps[0].Equal(solo[0]) {
 		t.Fatal("snapshot depends on warm-up batching; seed derivation broken")
+	}
+}
+
+// TestSilentSnapshotsStopAtFirstHit: a warm-up runs a spec's trials in
+// trial order and stops at the first that ends silent and legitimate —
+// index of the first hit + 1 trials, not cfg.Trials — and the snapshot
+// is that trial's final configuration as the fold path reports it, at
+// every Trials bound and Parallelism. A step budget small enough that
+// trial 0 misses moves the hit to a later trial; when none hits within
+// cfg.Trials the error names the family and the graph.
+func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
+	t.Parallel()
+	specs := []ProtoCell{
+		{Graph: graph.Cycle(13), Family: FamColoring},
+		{Graph: graph.Grid(4, 4), Family: FamMIS},
+		{Graph: graph.Torus(3, 4), Family: FamMatching},
+	}
+	// firstHits is the oracle: each spec's first silent legitimate trial
+	// on the fold path (-1: none) and a copy of its final configuration.
+	firstHits := func(cfg Config) ([]int, []*model.Config) {
+		t.Helper()
+		idx, final := make([]int, len(specs)), make([]*model.Config, len(specs))
+		for i := range idx {
+			idx[i] = -1
+		}
+		err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
+			if idx[cell] < 0 && res.Silent && res.LegitimateAtSilence {
+				idx[cell], final[cell] = trial, res.Final.Clone()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx, final
+	}
+	// counted runs the warm-up over cells whose RunOn counts its calls.
+	counted := func(cfg Config) ([]*model.Config, []int64) {
+		t.Helper()
+		cfg = cfg.WithDefaults()
+		cells, err := ProtoCells(cfg, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := make([]int64, len(cells))
+		for i := range cells {
+			run, n := cells[i].RunOn, &calls[i]
+			cells[i].RunOn = func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error {
+				atomic.AddInt64(n, 1)
+				return run(rn, trial, seed, res)
+			}
+		}
+		snaps, err := firstSilentLegitimate(cfg, cells)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snaps, calls
+	}
+
+	// Trial 0 of the first spec needs more steps than some later trial:
+	// a budget between the two makes trial 0 miss and the later one hit.
+	const trials = 50
+	full := make([]int, trials)
+	err := RunProtoCellsReduce(Config{Seed: 2009, Trials: trials, MaxSteps: 100_000, Parallelism: 1}, specs[:1],
+		func(_, trial int, res *core.RunResult) error {
+			full[trial] = res.StepsToSilence
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight := slices.Min(full[1:])
+	if tight >= full[0] {
+		t.Fatalf("test setup: trial 0 converges in %d steps, no later trial in fewer (%v)", full[0], full)
+	}
+
+	for _, maxSteps := range []int{100_000, tight} {
+		for _, n := range []int{1, 8, trials} {
+			for _, par := range []int{1, 4} {
+				cfg := Config{Seed: 2009, Trials: n, MaxSteps: maxSteps, Parallelism: par}
+				wantIdx, wantFinal := firstHits(cfg)
+				snaps, calls := counted(cfg)
+				for i := range specs {
+					wantCalls := int64(wantIdx[i] + 1)
+					if wantIdx[i] < 0 {
+						wantCalls = int64(n)
+					}
+					if calls[i] != wantCalls {
+						t.Errorf("MaxSteps %d Trials %d Parallelism %d spec %d: %d trials run, want %d (first hit at %d)",
+							maxSteps, n, par, i, calls[i], wantCalls, wantIdx[i])
+					}
+					if !reflect.DeepEqual(snaps[i], wantFinal[i]) {
+						t.Errorf("MaxSteps %d Trials %d Parallelism %d spec %d: snapshot differs from the fold path's first silent legitimate Final",
+							maxSteps, n, par, i)
+					}
+				}
+				if maxSteps == tight && n == trials && wantIdx[0] <= 0 {
+					t.Errorf("tight budget: first spec's first hit at trial %d, want a later trial than 0", wantIdx[0])
+				}
+				// The exported entry point returns the same snapshots, or
+				// the error for the first spec that has none.
+				got, err := SilentSnapshots(cfg, specs)
+				miss := slices.Index(wantIdx, -1)
+				if miss < 0 {
+					if err != nil || !reflect.DeepEqual(got, wantFinal) {
+						t.Errorf("MaxSteps %d Trials %d Parallelism %d: SilentSnapshots = (%v, %v), want the fold path's configurations",
+							maxSteps, n, par, got, err)
+					}
+					continue
+				}
+				want := fmt.Sprintf("engine: %s produced no legitimate silent run on %s", specs[miss].Family, specs[miss].Graph.Name())
+				if err == nil || err.Error() != want {
+					t.Errorf("MaxSteps %d Trials %d Parallelism %d: SilentSnapshots error %v, want %q", maxSteps, n, par, err, want)
+				}
+			}
+		}
+	}
+
+	// No trial can reach silence in one step from these configurations.
+	cfg := Config{Seed: 2009, Trials: 8, MaxSteps: 1, Parallelism: 2}
+	if idx, _ := firstHits(cfg); slices.Max(idx) >= 0 {
+		t.Fatalf("test setup: a trial is silent and legitimate after one step (%v)", idx)
+	}
+	if _, calls := counted(cfg); !slices.Equal(calls, []int64{8, 8, 8}) {
+		t.Errorf("no hit: trials run per spec %v, want all of cfg.Trials", calls)
+	}
+	_, err = SilentSnapshots(cfg, specs)
+	if want := "engine: coloring produced no legitimate silent run on " + specs[0].Graph.Name(); err == nil || err.Error() != want {
+		t.Errorf("no hit: error %v, want %q", err, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -18,7 +19,7 @@ const DefaultSchedName = "random-subset"
 func DefaultSched(seed uint64) model.Scheduler { return sched.NewRandomSubset(seed) }
 
 // ProtoCell describes a (graph, protocol family, scheduler) cell for
-// RunProtoCells.
+// ProtoCells.
 type ProtoCell struct {
 	Graph  *graph.Graph
 	Family string
@@ -68,21 +69,10 @@ func ProtoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
 	return cells, nil
 }
 
-// RunProtoCells builds each cell's system once and fans all trials out
-// across the pool: the workhorse behind the per-graph loops of E1-E15.
-func RunProtoCells(cfg Config, specs []ProtoCell) ([][]*core.RunResult, error) {
-	cfg = cfg.WithDefaults()
-	cells, err := ProtoCells(cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	return RunCells(cfg, cells)
-}
-
-// RunProtoCellsReduce is the streaming form of RunProtoCells: every trial
-// result is folded (see RunCellsReduce for the ordering and concurrency
-// contract) instead of materialized, which is how the aggregate-only
-// experiments keep their memory independent of Trials.
+// RunProtoCellsReduce builds each cell's system once and folds every
+// trial result (see RunCellsReduce for the ordering and concurrency
+// contract): the workhorse behind the per-graph loops of E1-E15, whose
+// memory is independent of Trials.
 func RunProtoCellsReduce(cfg Config, specs []ProtoCell, fold func(cell, trial int, res *core.RunResult) error) error {
 	cfg = cfg.WithDefaults()
 	cells, err := ProtoCells(cfg, specs)
@@ -92,33 +82,59 @@ func RunProtoCellsReduce(cfg Config, specs []ProtoCell, fold func(cell, trial in
 	return RunCellsReduce(cfg, cells, fold)
 }
 
-// SilentSnapshots obtains one legitimate silent configuration per spec
-// by running the standard adversarial trials of every proto cell —
-// batched into a single pool launch, so the warm-up convergence runs
-// execute concurrently — and returning each spec's first silent
-// legitimate final configuration. The trial seeds derive from the cell
+// SilentSnapshots obtains one legitimate silent configuration per spec:
+// the final configuration of the first of the spec's standard adversarial
+// trials, in trial order, that ends silent and legitimate. A spec's
+// trials run on one worker of the cell-affine pool and stop at that
+// first hit, so a warm-up costs the trials up to it, not cfg.Trials,
+// which only bounds the search. The trial seeds derive from the cell
 // keys alone, so every caller that starts from a snapshot of the same
 // (graph, family) sees the same configuration regardless of how the
 // warm-ups are batched.
 func SilentSnapshots(cfg Config, specs []ProtoCell) ([]*model.Config, error) {
+	cfg = cfg.WithDefaults()
 	// Warm-ups are infrastructure, not measured trials: they never emit
 	// events, so an observed campaign's log covers exactly its own cells.
 	cfg.Observer = nil
-	res, err := RunProtoCells(cfg, specs)
+	cells, err := ProtoCells(cfg, specs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*model.Config, len(specs))
+	out, err := firstSilentLegitimate(cfg, cells)
+	if err != nil {
+		return nil, err
+	}
 	for i, sp := range specs {
-		for _, r := range res[i] {
-			if r.Silent && r.LegitimateAtSilence {
-				out[i] = r.Final
-				break
-			}
-		}
 		if out[i] == nil {
 			return nil, fmt.Errorf("engine: %s produced no legitimate silent run on %s", sp.Family, sp.Graph.Name())
 		}
+	}
+	return out, nil
+}
+
+// firstSilentLegitimate runs each cell's trials in trial order, with the
+// seeds of the cell loop, until one ends silent and legitimate, and
+// returns a copy of that trial's final configuration (nil for a cell
+// none of whose cfg.Trials trials does).
+func firstSilentLegitimate(cfg Config, cells []Cell) ([]*model.Config, error) {
+	out := make([]*model.Config, len(cells))
+	err := ForEachWorker(cfg.Parallelism, len(cells), func(w *WorkerCtx, i int) error {
+		cell := &cells[i]
+		cellSeed := rng.DeriveString(cfg.Seed, cell.Key)
+		res := &w.res.RunResult
+		for trial := 0; trial < cfg.Trials; trial++ {
+			if err := cell.RunOn(w.rn, trial, rng.Derive(cellSeed, uint64(trial)), res); err != nil {
+				return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
+			}
+			if res.Silent && res.LegitimateAtSilence {
+				out[i] = res.Final.Clone()
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

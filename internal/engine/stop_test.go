@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 func TestStopRuleString(t *testing.T) {
@@ -142,8 +143,9 @@ func TestStopAdaptiveCountsPerCell(t *testing.T) {
 }
 
 // TestStopDisabledMatchesRunCells: with the rule disabled, the fold path
-// streams exactly the results RunCells materializes — same trials, same
-// seeds, same outcomes — on real protocol cells.
+// streams exactly cfg.Trials results per cell, each the result of that
+// cell's RunOn at the contract's seed on a Runner of its own — same
+// trials, same seeds, same outcomes — on real protocol cells.
 func TestStopDisabledMatchesRunCells(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 2009, Trials: 4, MaxSteps: 100_000, Parallelism: 2}
@@ -151,14 +153,10 @@ func TestStopDisabledMatchesRunCells(t *testing.T) {
 		{Graph: graph.Path(6), Family: FamColoring},
 		{Graph: graph.Cycle(5), Family: FamMIS},
 	}
-	grid, err := RunProtoCells(cfg, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
 	type key struct{ cell, trial int }
 	var mu sync.Mutex
 	folded := map[key]core.RunResult{}
-	err = RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
+	err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
 		mu.Lock()
 		folded[key{cell, trial}] = core.RunResult{
 			Silent:              res.Silent,
@@ -175,11 +173,19 @@ func TestStopDisabledMatchesRunCells(t *testing.T) {
 	if len(folded) != len(specs)*cfg.Trials {
 		t.Fatalf("fold saw %d trials, want %d", len(folded), len(specs)*cfg.Trials)
 	}
+	cells, err := ProtoCells(cfg.WithDefaults(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k, got := range folded {
-		want := grid[k.cell][k.trial]
+		want := &core.RunResult{}
+		seed := rng.Derive(rng.DeriveString(cfg.Seed, cells[k.cell].Key), uint64(k.trial))
+		if err := cells[k.cell].RunOn(core.NewRunner(), k.trial, seed, want); err != nil {
+			t.Fatal(err)
+		}
 		if got.Silent != want.Silent || got.LegitimateAtSilence != want.LegitimateAtSilence ||
 			got.StepsToSilence != want.StepsToSilence || got.RoundsToSilence != want.RoundsToSilence {
-			t.Fatalf("cell %d trial %d: fold %+v != grid %+v", k.cell, k.trial, got, *want)
+			t.Fatalf("cell %d trial %d: fold %+v != one-shot %+v", k.cell, k.trial, got, *want)
 		}
 	}
 }

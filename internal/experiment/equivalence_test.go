@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -12,7 +13,35 @@ import (
 	"repro/internal/sched"
 )
 
-// legacyProtoCells rebuilds RunProtoCells' cells on the one-shot
+// materialize is the tests' materializing oracle: it runs the cells
+// through the fold path and keeps a deep copy of every result, indexed
+// [cell][trial].
+func materialize(cfg engine.Config, cells []engine.Cell) ([][]*core.RunResult, error) {
+	out := make([][]*core.RunResult, len(cells))
+	err := engine.RunCellsReduce(cfg, cells, func(cell, trial int, res *core.RunResult) error {
+		cp := *res
+		cp.Report.ReadSetSizes = slices.Clone(res.Report.ReadSetSizes)
+		cp.Report.SuffixReadSetSizes = slices.Clone(res.Report.SuffixReadSetSizes)
+		cp.Final = res.Final.Clone()
+		out[cell] = append(out[cell], &cp)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// materializeProto is materialize over the pooled cells of specs.
+func materializeProto(cfg engine.Config, specs []engine.ProtoCell) ([][]*core.RunResult, error) {
+	cells, err := engine.ProtoCells(cfg.WithDefaults(), specs)
+	if err != nil {
+		return nil, err
+	}
+	return materialize(cfg, cells)
+}
+
+// legacyProtoCells rebuilds ProtoCells' cells on the one-shot
 // execution path: a fresh random configuration, scheduler, recorder and
 // simulator per trial via core.Run, ignoring the worker's Runner. The
 // pooled engine must reproduce its results exactly.
@@ -75,13 +104,13 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 		)
 	}
 	cfg.Parallelism = 1
-	want, err := engine.RunCells(cfg.engineConfig(), legacyProtoCells(t, cfg, specs))
+	want, err := materialize(cfg.engineConfig(), legacyProtoCells(t, cfg, specs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
 		cfg.Parallelism = par
-		got, err := engine.RunProtoCells(cfg.engineConfig(), specs)
+		got, err := materializeProto(cfg.engineConfig(), specs)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -96,8 +125,9 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	}
 }
 
-// TestReduceMatchesMaterialized: the streaming path folds exactly the
-// materialized path's results, in trial order per cell.
+// TestReduceMatchesMaterialized: at every parallelism the streaming path
+// folds exactly the results materialized at parallelism 1, cfg.Trials of
+// them per cell and in trial order.
 func TestReduceMatchesMaterialized(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 23, Trials: 3, MaxSteps: 400000, Quick: true}
@@ -110,7 +140,7 @@ func TestReduceMatchesMaterialized(t *testing.T) {
 		specs = append(specs, engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2})
 	}
 	cfg.Parallelism = 1
-	want, err := engine.RunProtoCells(cfg.engineConfig(), specs)
+	want, err := materializeProto(cfg.engineConfig(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,12 +22,12 @@ import (
 // RunFaultCellsReduce engine.
 
 // silentSnapshots obtains one legitimate silent configuration per
-// family on g by running the standard adversarial trials of one proto
-// cell per family — batched into a single pool launch, so the families'
-// warm-up convergence runs execute concurrently — and returning each
-// family's first silent legitimate final configuration. The trial seeds
-// derive from the cell keys alone, so every experiment that starts from
-// a snapshot of (g, family) sees the same configuration.
+// family on g: the final configuration of the first hit in trial order
+// among the standard adversarial trials of one proto cell per family,
+// the families' warm-ups batched into a single pool launch and each
+// stopping at its hit. The trial seeds derive from the cell keys alone,
+// so every experiment that starts from a snapshot of (g, family) sees
+// the same configuration.
 func silentSnapshots(cfg Config, g *graph.Graph, families []string) ([]*model.Config, error) {
 	specs := make([]engine.ProtoCell, len(families))
 	for i, family := range families {

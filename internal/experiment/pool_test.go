@@ -16,8 +16,8 @@ import (
 // TestPoolDeterminismAcrossParallelism is the engine's headline
 // guarantee: for a fixed seed the rendered experiment tables are
 // byte-identical for every Parallelism value. E1 exercises
-// RunProtoCells, E5 the multi-scheduler grid, E15 custom RunCells
-// closures and E7 the demo fan-out.
+// RunProtoCellsReduce, E5 the multi-scheduler grid, E15 snapshot-seeded
+// cells and E7 the demo fan-out.
 func TestPoolDeterminismAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	runners := []struct {
@@ -79,7 +79,8 @@ func TestRunCellsSeedsPositionIndependent(t *testing.T) {
 			}
 		}
 		cfg := Config{Seed: 99, Trials: 5, Parallelism: parallelism}
-		if _, err := engine.RunCells(cfg.engineConfig(), cells); err != nil {
+		err := engine.RunCellsReduce(cfg.engineConfig(), cells, func(int, int, *core.RunResult) error { return nil })
+		if err != nil {
 			t.Fatal(err)
 		}
 		return seeds
@@ -128,18 +129,22 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 	// the cell and trial.
 	cells := []engine.Cell{mk("ok", -1), mk("bad", 1), mk("never", -1)}
 	cfg := Config{Seed: 1, Trials: 3, Parallelism: 1}
-	out, err := engine.RunCells(cfg.engineConfig(), cells)
+	folds := 0
+	err := engine.RunCellsReduce(cfg.engineConfig(), cells, func(int, int, *core.RunResult) error {
+		folds++
+		return nil
+	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	if !strings.Contains(err.Error(), `cell "bad" trial 1`) {
 		t.Fatalf("err %q does not locate the failing cell/trial", err)
 	}
-	if out != nil {
-		t.Fatal("results returned alongside an error")
-	}
 	if got := executed.Load(); got != 5 { // 3 ok trials + bad trials 0 and 1
 		t.Fatalf("sequential pool executed %d jobs, want 5", got)
+	}
+	if folds != 4 { // the failing trial is not folded
+		t.Fatalf("fold saw %d results, want 4", folds)
 	}
 }
 

@@ -100,7 +100,7 @@ func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Obser
 		f := a.eval(cfg, p, i, obs != nil)
 		fired = append(fired, f)
 		if obs != nil {
-			obs.Selected(step, p, a.agg.qs, a.agg.bits, f)
+			obs.Selected(step, p, a.agg.qs, a.agg.bits, f, 1)
 		}
 	}
 	commChanged = a.commChanged[:0]

@@ -11,9 +11,50 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/protocols/matching"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
+
+// silentMatching returns a recorded simulator of MATCHING on the suite's
+// 16-node 4-regular graph, run to silence under the distributed daemon:
+// the state E6 and E10 measure their stabilized-phase suffix from.
+func silentMatching(tb testing.TB) (*model.Simulator, *trace.Recorder) {
+	tb.Helper()
+	g, err := graph.RandomRegular(16, 4, rng.New(2009))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := matching.NewSystem(g, matching.Spec(g.MaxDegree()+1), graph.GreedyLocalColoring(g))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := trace.NewRecorder(sys.N())
+	sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(1)), sched.NewRandomSubset(1), 1, rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if silent, err := sim.RunUntilSilent(1_000_000, 1); err != nil || !silent {
+		tb.Fatalf("RunUntilSilent = (%v, %v), want silence", silent, err)
+	}
+	return sim, rec
+}
+
+// BenchmarkSilentSuffix measures the stabilized phase as the registry
+// runs it: RunRounds(6n) on a silent configuration with a Recorder
+// attached, every selection served from the replay memo and handed to
+// the recorder as counted batches.
+func BenchmarkSilentSuffix(b *testing.B) {
+	sim, rec := silentMatching(b)
+	rounds := 6 * sim.Sys().N()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.MarkSuffix()
+		sim.RunRounds(rounds)
+	}
+}
 
 // BenchmarkExecuteStep measures one scheduler step through the
 // simulator's reusable arena (the hot path) for the synchronous and

@@ -7,21 +7,32 @@ import (
 )
 
 // Observer receives execution events from the engine: per step one
-// StepBegin, one Selected per activated process, the step's CommWrite
-// events and one StepEnd. All methods may be called frequently;
-// implementations should be cheap. A nil Observer is always allowed.
+// StepBegin, the step's CommWrite events and one StepEnd, and for every
+// activation a Selected — one call with times 1 per evaluated selection,
+// within its step, while the replays the simulator serves from its
+// silent-phase memo (where a selection's reads and action are a function
+// of the process's internal state) are counted per visited state and
+// delivered as one call with the count, before the Simulator method
+// that stepped returns. An implementation may therefore keep sums,
+// maxima and set unions of what Selected carries, but nothing that
+// depends on where its calls fall between StepBegin and StepEnd. All
+// methods may be called frequently; implementations should be cheap. A
+// nil Observer is always allowed.
 type Observer interface {
 	// StepBegin fires before the selected processes execute.
 	StepBegin(step int, selected []int)
-	// Selected fires once per selected process p, after p evaluated its
-	// guards against the pre-step configuration and executed its first
-	// enabled action. It carries exactly what the paper's measures need:
-	// neighbors lists the distinct neighbors p read (Def. 4, and the raw
-	// material of the read sets R_p of Defs. 7-9), bits is the memory p
-	// read, each (neighbor, kind, variable) counted once (Def. 5), and
-	// fired is the executed action index (-1 for a selected-but-disabled
-	// process). neighbors is engine-owned and only valid during the call.
-	Selected(step, p int, neighbors []int, bits, fired int)
+	// Selected stands for times selections of process p, each made after
+	// p evaluated its guards against the pre-step configuration and
+	// executed its first enabled action. It carries exactly what the
+	// paper's measures need: neighbors lists the distinct neighbors p
+	// read in one such selection (Def. 4, and the raw material of the
+	// read sets R_p of Defs. 7-9), bits is the memory p read in it, each
+	// (neighbor, kind, variable) counted once (Def. 5), and fired is the
+	// executed action index (-1 for a selected-but-disabled process).
+	// step is the selection's step when times is 1; a counted batch
+	// carries the simulator's step count at delivery. neighbors is
+	// engine-owned and only valid during the call.
+	Selected(step, p int, neighbors []int, bits, fired, times int)
 	// CommWrite fires when p's communication variable v changes from old
 	// to new (only for actual value changes).
 	CommWrite(step, p, v, old, new int)

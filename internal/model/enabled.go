@@ -14,6 +14,9 @@ type EnabledView interface {
 	// AppendEnabled appends the ids of all enabled processes to dst in
 	// ascending order and returns the extended slice.
 	AppendEnabled(dst []int) []int
+	// AllEnabled reports whether every process of set is enabled (set's
+	// capacity is the process count).
+	AllEnabled(set *bitset.Set) bool
 }
 
 // TrackedScheduler is an optional scheduler extension: a scheduler that
@@ -162,6 +165,21 @@ func (t *EnabledTracker) Enabled(p int) bool { return t.EnabledAction(p) >= 0 }
 // verdicts are repaired first, then the enabled bitset is walked — the
 // call never probes a process whose cached verdict is still valid.
 func (t *EnabledTracker) AppendEnabled(dst []int) []int {
+	t.repair()
+	return t.enabled.Elems(dst)
+}
+
+// AllEnabled reports whether every process of set is enabled: stale
+// verdicts are repaired like AppendEnabled's, then the answer is one
+// pass over the words of the two bitsets, O(stale-since-last-call + n/64)
+// however many processes set holds.
+func (t *EnabledTracker) AllEnabled(set *bitset.Set) bool {
+	t.repair()
+	return set.SubsetOf(t.enabled)
+}
+
+// repair recomputes every stale verdict and empties the stale queue.
+func (t *EnabledTracker) repair() {
 	if t.allStale {
 		t.allStale = false
 		for p := 0; p < t.sys.N(); p++ {
@@ -182,7 +200,6 @@ func (t *EnabledTracker) AppendEnabled(dst []int) []int {
 		}
 	}
 	t.stale = t.stale[:0]
-	return t.enabled.Elems(dst)
 }
 
 // Invalidate marks p's cached verdict stale (p's own state changed).

@@ -111,11 +111,15 @@ func TestMemoSkipsRandomizedTransitions(t *testing.T) {
 }
 
 // TestStepMatchesReference holds Simulator.Step — one context, staged
-// rows, folded reads, silent-phase memo, injections through MarkDirty —
-// to the reference simulator on real protocols: same configuration
-// after every step and the same recorder report at the end, through
-// convergence, a marked suffix served from the memo, and a mid-suffix
-// corruption that drops the memo and forces a second convergence.
+// rows, folded reads, silent-phase memo with counted replays, injections
+// through MarkDirty — to the reference simulator on real protocols: same
+// configuration after every step through convergence, a marked suffix
+// served from the memo, and a mid-suffix corruption that drops the memo
+// and forces a second convergence. The recorder report is compared
+// wherever the simulator's caller could look at it: after every bare
+// Step of the marked suffix, after a RunRounds stretch (whose replays
+// are handed over in one batch as it returns), after the MarkDirty that
+// ends the stretch, and at the end.
 func TestStepMatchesReference(t *testing.T) {
 	t.Parallel()
 	scheds := []func(seed uint64) model.Scheduler{
@@ -133,7 +137,14 @@ func TestStepMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := newRefSim(sys, initial, mk(seed), seed, refRec)
-			lockstep := func(steps int) {
+			sameReports := func(when string) {
+				t.Helper()
+				if got, want := simRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("system %d sched %d, %s (step %d): recorder reports differ:\n simulator %+v\n reference %+v",
+						si, ki, when, sim.Steps(), got, want)
+				}
+			}
+			lockstep := func(steps int, everyStep bool) {
 				t.Helper()
 				for i := 0; i < steps; i++ {
 					if _, err := sim.SilentNow(); err != nil {
@@ -144,20 +155,37 @@ func TestStepMatchesReference(t *testing.T) {
 					if !sim.Config().Equal(ref.cfg) {
 						t.Fatalf("system %d sched %d step %d: configurations diverged", si, ki, sim.Steps())
 					}
+					if everyStep {
+						sameReports("after a bare Step")
+					}
 				}
 			}
-			lockstep(400)
+			lockstep(400, false)
+			if silent, err := sim.SilentNow(); err != nil || !silent {
+				t.Fatalf("system %d sched %d: SilentNow = (%v, %v) after 400 steps, want a silent suffix", si, ki, silent, err)
+			}
 			simRec.MarkSuffix()
 			refRec.MarkSuffix()
-			lockstep(60)
+			lockstep(60, true)
+			// A stretch the simulator runs on its own: the replays are
+			// counted per visited state and delivered when RunRounds
+			// returns.
+			from := sim.Steps()
+			sim.RunRounds(3)
+			for ref.step < sim.Steps() {
+				ref.Step()
+			}
+			if !sim.Config().Equal(ref.cfg) {
+				t.Fatalf("system %d sched %d: configurations diverged over RunRounds from step %d", si, ki, from)
+			}
+			sameReports("after RunRounds")
 			// The same corruption on both sides; only the simulator has
 			// caches to repair.
 			corruptRandom(sim, 2, rng.New(seed))
 			ref.cfg.CopyFrom(sim.Config())
-			lockstep(400)
-			if got, want := simRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("system %d sched %d: recorder reports differ:\n simulator %+v\n reference %+v", si, ki, got, want)
-			}
+			sameReports("after MarkDirty")
+			lockstep(400, false)
+			sameReports("at the end")
 		}
 	}
 }

@@ -1,18 +1,16 @@
 package model
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // orbitProbe is a reusable engine for the frozen-neighborhood orbit
 // exploration behind the silence decision procedure (see CommSilent for
 // the soundness argument). The one-shot enabledOrbitSilent allocates a
 // visited map and string state keys per probe; with silence checked every
 // step that dominated the trial loop, so the simulator keeps one probe
-// and reuses its buffers: local states are packed into uint64 keys by
-// mixed-radix encoding over the process's variable domains and the orbit
-// is tracked in a reused slice. Steady-state probes allocate nothing.
+// and reuses its buffers: the orbit's states are kept as rows of one
+// reused flat slice and compared by value, which serves every state
+// width (the transformer's cache variables overflow any fixed-size key).
+// Steady-state probes allocate nothing.
 //
 // A probe may be reused across processes and configurations of one
 // system; it is not safe for concurrent use.
@@ -20,18 +18,13 @@ type orbitProbe struct {
 	sys *System
 	ctx Ctx // reusable evaluation context; own-state rows owned by probe
 
-	comm, internal []int    // current orbit state
-	visited        []uint64 // encoded states of the orbit so far
-
-	// encOK[p] caches whether p's local state space fits the 64-bit
-	// encoding: 0 unknown, 1 yes, -1 no (fall back to the one-shot path).
-	encOK []int8
+	comm, internal []int // current orbit state
+	// visited holds the internal rows of the orbit so far, InternalWidth
+	// values each. The communication row is the same in all of them (the
+	// exploration ends at the first write that changes it), so it is not
+	// stored.
+	visited []int
 }
-
-// smallOrbit bounds the reused visited buffer: orbits longer than this
-// (without closing or writing communication state) are re-explored on the
-// allocating map-backed path, keeping the linear cycle scan cheap.
-const smallOrbit = 64
 
 // bind points the probe at sys, reusing buffers when already bound.
 func (o *orbitProbe) bind(sys *System) {
@@ -47,14 +40,6 @@ func (o *orbitProbe) bind(sys *System) {
 		comm:     make([]int, wc),
 		internal: make([]int, wi),
 	}
-	if cap(o.encOK) >= sys.N() {
-		o.encOK = o.encOK[:sys.N()]
-		for i := range o.encOK {
-			o.encOK[i] = 0
-		}
-	} else {
-		o.encOK = make([]int8, sys.N())
-	}
 }
 
 func resizeInts(s []int, n int) []int {
@@ -64,66 +49,27 @@ func resizeInts(s []int, n int) []int {
 	return make([]int, n)
 }
 
-// encodable reports (and caches) whether p's local state space fits a
-// 64-bit mixed-radix encoding. All of the paper's protocols do by a wide
-// margin; enormous internal domains fall back to the allocating path.
-func (o *orbitProbe) encodable(p int) bool {
-	if o.encOK[p] != 0 {
-		return o.encOK[p] > 0
-	}
-	mult := uint64(1)
-	ok := true
-	for _, doms := range [][]int32{o.sys.commDomainRow(p), o.sys.internalDomainRow(p)} {
-		for _, dom := range doms {
-			if dom <= 1 {
-				continue
-			}
-			hi, lo := bits.Mul64(mult, uint64(dom))
-			if hi != 0 {
-				ok = false
-				break
-			}
-			mult = lo
-		}
-		if !ok {
-			break
+// seen reports whether the current internal row is one of the first n
+// visited rows.
+func (o *orbitProbe) seen(n int) bool {
+	wi := len(o.internal)
+	for i := 0; i < n; i++ {
+		if intsEqual(o.internal, o.visited[i*wi:(i+1)*wi]) {
+			return true
 		}
 	}
-	if ok {
-		o.encOK[p] = 1
-	} else {
-		o.encOK[p] = -1
-	}
-	return ok
-}
-
-// encode packs the current orbit state into one uint64 (only valid for
-// encodable processes).
-func (o *orbitProbe) encode(p int) uint64 {
-	key, mult := uint64(0), uint64(1)
-	cd, id := o.sys.commDomainRow(p), o.sys.internalDomainRow(p)
-	for v, val := range o.comm {
-		key += uint64(val) * mult
-		mult *= uint64(cd[v])
-	}
-	for v, val := range o.internal {
-		key += uint64(val) * mult
-		mult *= uint64(id[v])
-	}
-	return key
+	return false
 }
 
 // enabledOrbitSilent is enabledOrbitSilent (silent.go) on the probe's
 // reusable buffers: it decides whether p's frozen-neighborhood orbit from
-// cfg ever changes communication state. Verdicts are identical to the
-// one-shot path, which it delegates to when the local state space exceeds
-// the encoding or the orbit outgrows the reused buffer.
+// cfg ever changes communication state, with verdicts identical to the
+// one-shot path's. Silent orbits visit a handful of states, so the
+// visited rows are scanned linearly, as the replay memo scans its
+// entries.
 func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, error) {
 	if o.sys.g.Degree(p) == 0 {
 		return true, nil // isolated: disabled by definition, orbit closed
-	}
-	if !o.encodable(p) {
-		return enabledOrbitSilent(o.sys, cfg, p, maxOrbit)
 	}
 	copy(o.comm, cfg.Comm[p])
 	copy(o.internal, cfg.Internal[p])
@@ -137,18 +83,10 @@ func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, err
 
 	actions := o.sys.spec.Actions
 	for iter := 0; iter < maxOrbit; iter++ {
-		if len(o.visited) >= smallOrbit {
-			// Orbit longer than the reused buffer: rare enough that the
-			// map-backed re-exploration is the simpler correct answer.
-			return enabledOrbitSilent(o.sys, cfg, p, maxOrbit)
+		if o.seen(iter) {
+			return true, nil // orbit closed without a communication write
 		}
-		key := o.encode(p)
-		for _, seen := range o.visited {
-			if seen == key {
-				return true, nil // orbit closed without a communication write
-			}
-		}
-		o.visited = append(o.visited, key)
+		o.visited = append(o.visited, o.internal...)
 
 		copy(c.comm, o.comm)
 		copy(c.internal, o.internal)

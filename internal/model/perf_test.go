@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/coloring"
@@ -50,6 +51,25 @@ func TestStepZeroAllocCentralRoundRobin(t *testing.T) {
 	testStepZeroAlloc(t, sched.NewCentralRoundRobin())
 }
 
+// TestSilentSuffixZeroAlloc: once one suffix stretch has captured the
+// orbit's transitions, further stretches — counted replays, their
+// hand-over to the recorder included — allocate nothing.
+func TestSilentSuffixZeroAlloc(t *testing.T) {
+	sim, rec := silentMatching(t)
+	rounds := 6 * sim.Sys().N()
+	sim.RunRounds(rounds)
+	avg := testing.AllocsPerRun(20, func() {
+		rec.MarkSuffix()
+		sim.RunRounds(rounds)
+	})
+	if avg != 0 {
+		t.Fatalf("a silent suffix of %d rounds allocates %v times after warmup, want 0", rounds, avg)
+	}
+	if rep := rec.Report(); rep.SuffixRounds != rounds || rep.SuffixSelections == 0 {
+		t.Fatalf("suffix report %+v: want %d suffix rounds with selections recorded", rep, rounds)
+	}
+}
+
 func TestEnabledTrackerZeroAlloc(t *testing.T) {
 	sys := coloringSystem(t, graph.Torus(4, 4))
 	cfg := model.NewRandomConfig(sys, rng.New(3))
@@ -67,16 +87,15 @@ func TestEnabledTrackerZeroAlloc(t *testing.T) {
 // TestEnabledTrackerMatchesOracle drives random-subset computations and
 // checks after every step that the tracker's incremental verdicts match a
 // from-scratch EnabledSet rescan — the invalidation-invariant soundness
-// check.
+// check — and that AllEnabled agrees with it on a set that changes with
+// the step (MIS disables processes, so both answers occur).
 func TestEnabledTrackerMatchesOracle(t *testing.T) {
-	graphs := []*graph.Graph{
-		graph.Cycle(9),
-		graph.Star(8),
-		graph.RandomConnectedGNP(12, 0.25, rng.New(7)),
-	}
-	for gi, g := range graphs {
+	systems := append([]*model.System{
+		coloringSystem(t, graph.Star(8)),
+	}, injectionTestSystems(t)...)
+	for gi, sys := range systems {
+		all := map[bool]int{}
 		for seed := uint64(1); seed <= 5; seed++ {
-			sys := coloringSystem(t, g)
 			cfg := model.NewRandomConfig(sys, rng.New(seed))
 			sim, err := model.NewSimulator(sys, cfg, sched.NewRandomSubset(seed), seed, nil)
 			if err != nil {
@@ -88,10 +107,22 @@ func TestEnabledTrackerMatchesOracle(t *testing.T) {
 				got = sim.Tracker().AppendEnabled(got[:0])
 				want := model.EnabledSet(sys, sim.Config())
 				if !intSlicesEqual(got, want) {
-					t.Fatalf("graph %d seed %d step %d: tracker %v, oracle %v",
+					t.Fatalf("system %d seed %d step %d: tracker %v, oracle %v",
 						gi, seed, step, got, want)
 				}
+				set, wantAll := bitset.New(sys.N()), true
+				for p := step % 3; p < sys.N(); p += 3 {
+					set.Add(p)
+					wantAll = wantAll && model.Enabled(sys, sim.Config(), p)
+				}
+				if gotAll := sim.Tracker().AllEnabled(set); gotAll != wantAll {
+					t.Fatalf("system %d seed %d step %d: AllEnabled = %v, oracle %v", gi, seed, step, gotAll, wantAll)
+				}
+				all[wantAll]++
 			}
+		}
+		if gi == len(systems)-1 && (all[true] == 0 || all[false] == 0) {
+			t.Fatalf("MIS: AllEnabled answers %v, want both to occur", all)
 		}
 	}
 }
@@ -106,8 +137,8 @@ func (o oracleOnly) Select(step int, sys *model.System, cfg *model.Config) []int
 }
 
 // TestTrackedSchedulersMatchOracle runs E1-class cells (Protocol COLORING
-// on suite-style graphs from adversarial initial configurations) twice
-// per seed — once with the scheduler served by the incremental tracker,
+// on suite-style graphs, and MIS, whose processes fall disabled, on a
+// grid, from adversarial initial configurations) twice per seed — once with the scheduler served by the incremental tracker,
 // once with the same scheduler forced onto from-scratch EnabledSet
 // probes — and asserts identical selections at every step and identical
 // final configurations.
@@ -116,14 +147,11 @@ func TestTrackedSchedulersMatchOracle(t *testing.T) {
 		func(seed uint64) model.Scheduler { return sched.NewEnabledBiased(seed) },
 		func(uint64) model.Scheduler { return sched.NewLaziestFair() },
 	}
-	graphs := []*graph.Graph{
-		graph.Cycle(9),
-		graph.RandomConnectedGNP(12, 0.25, rng.New(11)),
-	}
-	for _, g := range graphs {
+	systems := injectionTestSystems(t)
+	for _, sys := range systems {
+		g := sys.Graph()
 		for _, mk := range schedulers {
 			for seed := uint64(1); seed <= 4; seed++ {
-				sys := coloringSystem(t, g)
 				cfg := model.NewRandomConfig(sys, rng.New(seed))
 
 				tracked, err := model.NewSimulator(sys, cfg, mk(seed), seed, nil)

@@ -95,10 +95,18 @@ type Simulator struct {
 	// it performs, the action it fires and its next internal state — is a
 	// pure function of its internal row. Step then captures each (process,
 	// internal-state) transition once and replays it on later selections,
-	// skipping guard re-evaluation entirely. The replay hands the
-	// observer the very Selected aggregate the evaluation delivered, so
-	// recorded traces are byte-identical to the slow path.
+	// skipping guard re-evaluation entirely. A replay costs a counter, a
+	// row copy and a link: memoCur[p] is 1 + the index of the entry for
+	// p's current internal state (0: not known) and each entry links to
+	// its successor's the same way. The observer is not called per replay:
+	// an entry's replays are counted and handed over as one Selected call
+	// carrying the aggregate its evaluation delivered and the count (see
+	// memoFlush), before any exported method returns. Every statistic an
+	// observer keeps is a sum, a maximum or a set union of that aggregate,
+	// so recorded traces are byte-identical to the slow path.
 	memoEntries [][]silentEntry
+	memoCur     []int32
+	memoPending []memoRef // entries with undelivered replays
 	memoActive  bool
 	memoUsed    bool // any entry captured since the last reset
 }
@@ -106,14 +114,22 @@ type Simulator struct {
 // silentEntry memoizes one silent-phase transition of a process: in
 // internal state `state`, the process reads the distinct neighbors qs
 // for `bits` bits in total (the Observer.Selected aggregate), fires
-// `fired` (-1 if disabled) and moves to internal state `next`.
+// `fired` (-1 if disabled) and moves to internal state `next`, whose own
+// entry is number succ-1 of the process's list (0 until a replay finds
+// it captured). hits counts the replays the observer has not been told
+// of.
 type silentEntry struct {
 	state []int
 	next  []int
 	fired int
 	qs    []int
 	bits  int
+	succ  int32
+	hits  int
 }
+
+// memoRef names entry i of process p's memo list.
+type memoRef struct{ p, i int32 }
 
 // memoMaxEntries bounds the per-process memo. A silent orbit visits at
 // most maxOrbit internal states, so the cap is never hit by a sound
@@ -156,12 +172,14 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	if err := cfg0.Validate(sys); err != nil {
 		return err
 	}
+	s.memoReset()
 	if s.sys != sys {
 		s.sys = sys
 		s.lastSel = make([]int, sys.N())
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
 		s.memoEntries = make([][]silentEntry, sys.N())
+		s.memoCur = make([]int32, sys.N())
 		s.arena = newStepArena(sys)
 	} else {
 		clear(s.lastSel)
@@ -174,7 +192,6 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		s.silUnknown = append(s.silUnknown, int32(p))
 	}
 	s.silBroken = 0
-	s.memoReset()
 	s.probe.bind(sys)
 	s.cfg = cfg0
 	s.sched = sched
@@ -226,6 +243,14 @@ func (s *Simulator) RoundBoundaries() []int {
 // The returned slice may be a scheduler-owned buffer: it is valid until
 // the next Step call and must not be mutated.
 func (s *Simulator) Step() []int {
+	selected := s.advance()
+	s.memoFlush()
+	return selected
+}
+
+// advance is Step without the hand-over of counted replays: the Run
+// loops call it and flush once before they return.
+func (s *Simulator) advance() []int {
 	var selected []int
 	if s.tsched != nil {
 		selected = s.tsched.SelectTracked(s.step, s.sys, s.cfg, s.tracker)
@@ -256,35 +281,13 @@ func (s *Simulator) Step() []int {
 		s.obs.StepBegin(s.step, selected)
 	}
 	s.arena.stepSeed = rng.Derive(s.seed, uint64(s.step))
-	var fired []int
-	var commChanged []bool
 	if s.memoActive {
-		fired, commChanged = s.memoStep(selected)
+		s.memoStep(selected)
 	} else {
-		fired, commChanged = s.arena.executeStep(s.cfg, selected, s.step, s.obs)
-	}
-	for i, p := range selected {
-		if fired[i] < 0 {
-			continue
-		}
-		// p moved: its own state may have changed, so its enabledness is
-		// stale. If its communication state changed, the neighbors' cached
-		// verdicts are stale too. A silenceSilent verdict outlives a move
-		// that wrote no communication variable: it covers p's whole
-		// deterministic frozen-neighborhood orbit, and such a move lands
-		// on that orbit's next state (a neighbor that changed its
-		// communication row in this same step invalidates p from its own
-		// iteration). That keeps SilentNow O(communication activity), not
-		// O(moves), where internal counters keep ticking.
-		if commChanged[i] || s.silence[p] != silenceSilent {
-			s.invalidateSilence(p)
-		}
-		s.tracker.Invalidate(p)
-		if commChanged[i] {
-			for port := 1; port <= s.sys.g.Degree(p); port++ {
-				q := s.sys.g.Neighbor(p, port)
-				s.invalidateSilence(q)
-				s.tracker.Invalidate(q)
+		fired, commChanged := s.arena.executeStep(s.cfg, selected, s.step, s.obs)
+		for i, p := range selected {
+			if fired[i] >= 0 {
+				s.moved(p, commChanged[i])
 			}
 		}
 	}
@@ -305,9 +308,34 @@ func (s *Simulator) Step() []int {
 	return selected
 }
 
+// moved applies the dirty rule to a process that fired an action: its own
+// state may have changed, so its enabledness is stale. If its
+// communication state changed, the neighbors' cached verdicts are stale
+// too. A silenceSilent verdict outlives a move that wrote no
+// communication variable: it covers p's whole deterministic
+// frozen-neighborhood orbit, and such a move lands on that orbit's next
+// state (a neighbor that changed its communication row in this same step
+// invalidates p from its own call). That keeps SilentNow O(communication
+// activity), not O(moves), where internal counters keep ticking.
+func (s *Simulator) moved(p int, commChanged bool) {
+	if commChanged || s.silence[p] != silenceSilent {
+		s.invalidateSilence(p)
+	}
+	s.tracker.Invalidate(p)
+	if commChanged {
+		for port := 1; port <= s.sys.g.Degree(p); port++ {
+			q := s.sys.g.Neighbor(p, port)
+			s.invalidateSilence(q)
+			s.tracker.Invalidate(q)
+		}
+	}
+}
+
 // RunUntil executes steps until stop(cfg) holds or maxSteps is reached.
 // It returns true if the predicate was met. The predicate is evaluated on
-// the initial configuration first.
+// the initial configuration first. stop is the caller's code and may
+// look at the observer, so every step here is a whole Step, as in
+// RunUntilSilent, whose loop never runs in a silent phase.
 func (s *Simulator) RunUntil(stop func(*Config) bool, maxSteps int) bool {
 	if stop(s.cfg) {
 		return true
@@ -449,82 +477,106 @@ func (s *Simulator) invalidateSilence(p int) {
 // RunSteps executes exactly k further steps.
 func (s *Simulator) RunSteps(k int) {
 	for i := 0; i < k; i++ {
-		s.Step()
+		s.advance()
 	}
+	s.memoFlush()
 }
 
 // RunRounds executes steps until k further rounds have completed.
 func (s *Simulator) RunRounds(k int) {
 	target := s.round + k
 	for s.round < target {
-		s.Step()
+		s.advance()
 	}
+	s.memoFlush()
 }
 
 // memoReset deactivates the silent-phase replay memo and drops every
 // captured transition (their frozen-communication premise no longer
-// holds after an external mutation). Entry backing arrays are kept, so
-// re-capturing in a later silent phase allocates nothing in steady
-// state.
+// holds after an external mutation), handing the observer the replays
+// counted on them first. Entry backing arrays are kept, so re-capturing
+// in a later silent phase allocates nothing in steady state.
 func (s *Simulator) memoReset() {
 	s.memoActive = false
 	if !s.memoUsed {
 		return
 	}
+	s.memoFlush()
 	s.memoUsed = false
 	for p := range s.memoEntries {
 		s.memoEntries[p] = s.memoEntries[p][:0]
 	}
+	clear(s.memoCur)
 }
 
-// memoFind returns the captured transition for p's current internal
-// state, or nil. Comparison is by value: silent orbits visit at most a
-// handful of states, so a linear scan beats any keying scheme — and
-// avoids the overflow pitfalls of mixed-radix encoding for wide
-// internal rows (the transformer's cache variables).
-func (s *Simulator) memoFind(p int) *silentEntry {
+// memoFlush hands the observer the replays counted since the last flush:
+// one Selected call per visited entry, carrying the aggregate its
+// evaluation delivered and the number of replays. Every exported method
+// that steps flushes before it returns, so an observer is current
+// whenever its owner can look at it.
+func (s *Simulator) memoFlush() {
+	for _, ref := range s.memoPending {
+		e := &s.memoEntries[ref.p][ref.i]
+		s.obs.Selected(s.step, int(ref.p), e.qs, e.bits, e.fired, e.hits)
+		e.hits = 0
+	}
+	s.memoPending = s.memoPending[:0]
+}
+
+// memoFind returns 1 + the index of the captured transition for p's
+// current internal state, or 0. Comparison is by value: silent orbits
+// visit at most a handful of states, so a linear scan beats any keying
+// scheme — and avoids the overflow pitfalls of mixed-radix encoding for
+// wide internal rows (the transformer's cache variables). It runs once
+// per link: a replay follows memoCur and succ instead.
+func (s *Simulator) memoFind(p int) int32 {
 	row := s.cfg.Internal[p]
 	lst := s.memoEntries[p]
 scan:
 	for i := range lst {
-		e := &lst[i]
-		for v, val := range e.state {
+		for v, val := range lst[i].state {
 			if row[v] != val {
 				continue scan
 			}
 		}
-		return e
+		return int32(i + 1)
 	}
-	return nil
+	return 0
 }
 
 // memoStep is Step's silent-phase fast path: each selected process is
 // served from the replay memo when its internal state was seen before,
-// and evaluated-and-captured otherwise. The observer sees the same
-// Selected call either way, and internal-only commits are invisible to
-// other processes, so per-process sequential processing preserves the
-// two-phase step semantics.
-func (s *Simulator) memoStep(selected []int) (fired []int, commChanged []bool) {
-	a := s.arena
-	fired = a.fired[:0]
-	commChanged = a.commChanged[:0]
+// and evaluated-and-captured otherwise. The observer is owed the same
+// Selected aggregate either way (a replay counts it, memoFlush delivers
+// it), and internal-only commits are invisible to other processes, so
+// per-process sequential processing preserves the two-phase step
+// semantics.
+func (s *Simulator) memoStep(selected []int) {
 	for _, p := range selected {
-		if e := s.memoFind(p); e != nil {
-			if s.obs != nil {
-				s.obs.Selected(s.step, p, e.qs, e.bits, e.fired)
+		cur := s.memoCur[p]
+		if cur == 0 {
+			if cur = s.memoFind(p); cur == 0 {
+				s.memoExec(p)
+				continue
 			}
-			if e.fired >= 0 {
-				copy(s.cfg.Internal[p], e.next)
-			}
-			fired = append(fired, e.fired)
-			commChanged = append(commChanged, false)
-			continue
 		}
-		f, changed := s.memoExec(p)
-		fired = append(fired, f)
-		commChanged = append(commChanged, changed)
+		e := &s.memoEntries[p][cur-1]
+		if s.obs != nil {
+			if e.hits == 0 {
+				s.memoPending = append(s.memoPending, memoRef{int32(p), cur - 1})
+			}
+			e.hits++
+		}
+		if e.fired >= 0 {
+			copy(s.cfg.Internal[p], e.next)
+			if e.succ == 0 {
+				e.succ = s.memoFind(p)
+			}
+			cur = e.succ
+			s.moved(p, false)
+		}
+		s.memoCur[p] = cur
 	}
-	return fired, commChanged
 }
 
 // memoExec evaluates p through the arena context, captures the
@@ -532,15 +584,15 @@ func (s *Simulator) memoStep(selected []int) (fired []int, commChanged []bool) {
 // would mean the silence verdict was unsound (a spec bug, not a
 // reachable state): it is committed faithfully and the memo is dropped
 // so the run stays correct.
-func (s *Simulator) memoExec(p int) (f int, commChanged bool) {
+func (s *Simulator) memoExec(p int) {
 	a := s.arena
 	pre := s.cfg.Internal[p]
 	// p commits before the next process evaluates, so staging row 0
 	// serves every selection of the step.
-	f = a.eval(s.cfg, p, 0, s.obs != nil)
+	f := a.eval(s.cfg, p, 0, s.obs != nil)
 	c := &a.ctx
 	if s.obs != nil {
-		s.obs.Selected(s.step, p, a.agg.qs, a.agg.bits, f)
+		s.obs.Selected(s.step, p, a.agg.qs, a.agg.bits, f, 1)
 	}
 	// A transition whose Apply drew randomness is one sample, not a
 	// function of the internal row: replaying it would repeat the drawn
@@ -560,10 +612,12 @@ func (s *Simulator) memoExec(p int) (f int, commChanged bool) {
 		e.fired = f
 		e.qs = append(e.qs[:0], a.agg.qs...)
 		e.bits = a.agg.bits
+		e.succ, e.hits = 0, 0
 	}
 	if f < 0 {
-		return f, false
+		return
 	}
+	commChanged := false
 	for v, nv := range c.comm {
 		if ov := s.cfg.Comm[p][v]; ov != nv {
 			commChanged = true
@@ -577,5 +631,5 @@ func (s *Simulator) memoExec(p int) (f int, commChanged bool) {
 		s.memoReset()
 	}
 	copy(s.cfg.Internal[p], c.internal)
-	return f, commChanged
+	s.moved(p, commChanged)
 }

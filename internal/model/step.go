@@ -84,7 +84,7 @@ func ExecuteStep(sys *System, cfg *Config, selected []int, step int, randFor fun
 		staged[i] = c
 		fired[i] = execOne(c)
 		if obs != nil {
-			obs.Selected(step, p, c.agg.qs, c.agg.bits, fired[i])
+			obs.Selected(step, p, c.agg.qs, c.agg.bits, fired[i], 1)
 		}
 	}
 	// Commit all writes simultaneously.

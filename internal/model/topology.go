@@ -147,11 +147,6 @@ func (s *Simulator) ApplyTopology(ev TopologyEvent, dst []int) []int {
 		s.sys.refreshDomains(p)
 		clampRow(s.cfg.Comm[p], s.sys.commDomainRow(p))
 		clampRow(s.cfg.Internal[p], s.sys.internalDomainRow(p))
-		if p < len(s.probe.encOK) {
-			// Domain products changed: the 64-bit encodability verdict
-			// (and its radices) must be recomputed.
-			s.probe.encOK[p] = 0
-		}
 		s.MarkDirty(p)
 	}
 	return dst

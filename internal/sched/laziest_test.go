@@ -3,8 +3,10 @@ package sched
 import (
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 )
 
@@ -67,6 +69,91 @@ func TestLaziestFairMatchesReferenceScan(t *testing.T) {
 			}
 		}
 	}
+
+	// Synthetic enabledness streams, where the warm-up's shape is chosen
+	// rather than met: each runs the probe-only path (Select's) and the
+	// path with a whole-set probe (SelectTracked's, which spares a pick
+	// its search when no never-selected id is disabled) against the
+	// reference, on an irregular static graph and on a MutableCopy whose
+	// degrees move between picks.
+	g := graph.RandomConnectedGNP(40, 0.12, rng.New(5))
+	static, err := model.NewSystem(g, coloring.Spec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := static.N()
+	streams := []struct {
+		name    string
+		enabled func(p, step int) bool
+	}{
+		{"all-enabled", func(int, int) bool { return true }},
+		{"half-disabled", func(p, _ int) bool { return p%2 == 0 }},
+		{"flipping", func(p, step int) bool {
+			// Every process enabled, then a third disabled, then the
+			// disabled third moves with each step, then none enabled.
+			switch {
+			case step < n/4:
+				return true
+			case step < n/2:
+				return p%3 != 0
+			case step < 3*n/4:
+				return (p+step)%3 != 0
+			}
+			return false
+		}},
+	}
+	// churn mutates a dynamic graph between warm-up picks: crash, join,
+	// and a rewire (one edge out, another back) that changes degrees.
+	churn := func(dg *graph.Graph, step int) {
+		switch step {
+		case 3:
+			dg.CrashNode(7)
+		case 9:
+			u := 20
+			dg.RemoveEdge(u, dg.Neighbor(u, 1))
+		case 15:
+			dg.ReviveNode(7)
+		case 21:
+			dg.CrashNode(31)
+			dg.RemoveEdge(2, dg.Neighbor(2, 1))
+		case 27:
+			dg.ReviveNode(31)
+		}
+	}
+	for _, st := range streams {
+		for _, dynamic := range []bool{false, true} {
+			for _, tracked := range []bool{false, true} {
+				sys := static
+				if dynamic {
+					sys = static.MutableCopy()
+				}
+				sc, ref := NewLaziestFair(), &legacyLaziestFair{}
+				for step := 0; step < 2*n+5; step++ {
+					if dynamic {
+						churn(sys.Graph(), step)
+					}
+					enabled := func(p int) bool { return st.enabled(p, step) }
+					var allEnabled func(*bitset.Set) bool
+					if tracked {
+						allEnabled = func(set *bitset.Set) bool {
+							for p := 0; p < n; p++ {
+								if set.Has(p) && !enabled(p) {
+									return false
+								}
+							}
+							return true
+						}
+					}
+					sel := sc.pick(sys, enabled, allEnabled)
+					want := ref.pick(step, sys, enabled)
+					if len(sel) != 1 || sel[0] != want {
+						t.Fatalf("%s dynamic=%v tracked=%v step %d: ring picks %v, reference picks %d",
+							st.name, dynamic, tracked, step, sel, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestLaziestFairMatchesReferenceOnFixpoint covers the all-disabled
@@ -97,5 +184,42 @@ func TestLaziestFairMatchesReferenceOnFixpoint(t *testing.T) {
 		if len(sel) != 1 || sel[0] != want {
 			t.Fatalf("step %d: ring picks %v, reference picks %d", step, sel, want)
 		}
+	}
+}
+
+// BenchmarkLaziestFairWarmup times the n picks of one warm-up (Reset
+// included) at n = 400 on the tracked path: with every process enabled,
+// where the whole-set probe answers every pick, and with every other one
+// disabled, where the disabled half is found at the bucket's end first.
+func BenchmarkLaziestFairWarmup(b *testing.B) {
+	sys, err := model.NewSystem(graph.Torus(20, 20), coloring.Spec(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := sys.N()
+	for _, bc := range []struct {
+		name    string
+		enabled func(p int) bool
+	}{
+		{"all-enabled", func(int) bool { return true }},
+		{"half-disabled", func(p int) bool { return p%2 == 0 }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			sc := NewLaziestFair()
+			enabledSet := bitset.New(n)
+			for p := 0; p < n; p++ {
+				if bc.enabled(p) {
+					enabledSet.Add(p)
+				}
+			}
+			allEnabled := func(set *bitset.Set) bool { return set.SubsetOf(enabledSet) }
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc.Reset(0)
+				for step := 0; step < n; step++ {
+					sc.pick(sys, bc.enabled, allEnabled)
+				}
+			}
+		})
 	}
 }

@@ -17,8 +17,12 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"repro/internal/bitset"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/rng"
 )
@@ -230,16 +234,29 @@ func (s *EnabledBiased) fromEnabled(sys *model.System) []int {
 // implementation exploits that shape instead of rescanning a last-step
 // vector: a warmup bucket of never-selected ids (where the paper's
 // disabled/degree tie-break actually engages) feeds a FIFO ring that
-// serves every subsequent pick in O(1). Selections are identical to the
-// historical two-pass O(n) scan — TestLaziestFairMatchesReferenceScan
-// replays both against the same enabledness streams.
+// serves every subsequent pick in O(1). On a static system the bucket is
+// kept in descending (degree, id) order, so the tie-break's answer is the
+// last disabled id in it, else its last id, found from the end and
+// removed in place: a pick costs the ids it passes over, and none when
+// the tracker reports the whole bucket enabled (one pass over the words
+// of two bitsets). A dynamic system's degrees move between picks (crash,
+// join, rewire) without a word to the daemon, so re-deriving the order
+// would cost a sort per pick; there the bucket is scanned with the full
+// three-way comparison, which needs no order.
+// Selections are identical to the historical two-pass O(n) scan —
+// TestLaziestFairMatchesReferenceScan replays both against the same
+// enabledness streams.
 type LaziestFair struct {
-	n     int   // process count the buckets are built for
-	never []int // never-selected ids (warmup bucket, scanned with tie-break)
-	ring  []int // FIFO ring of selected ids, stalest first; cap == n
-	head  int   // ring index of the stalest selected id
-	size  int   // live entries in ring
-	sel   [1]int
+	n        int          // process count the buckets are built for
+	g        *graph.Graph // static graph the never bucket is ordered for (nil: unordered)
+	never    []int        // never-selected ids (warmup bucket)
+	neverSet *bitset.Set  // the same ids as a set, for EnabledView.AllEnabled
+	full     []int        // all n ids in fullG's order, kept across Reset
+	fullG    *graph.Graph
+	ring     []int // FIFO ring of selected ids, stalest first; cap == n
+	head     int   // ring index of the stalest selected id
+	size     int   // live entries in ring
+	sel      [1]int
 }
 
 // NewLaziestFair returns a LaziestFair daemon.
@@ -260,25 +277,41 @@ func (*LaziestFair) Name() string { return "laziest-fair" }
 
 // Select implements model.Scheduler.
 func (s *LaziestFair) Select(step int, sys *model.System, cfg *model.Config) []int {
-	return s.pick(sys, func(p int) bool { return model.Enabled(sys, cfg, p) })
+	return s.pick(sys, func(p int) bool { return model.Enabled(sys, cfg, p) }, nil)
 }
 
 // SelectTracked implements model.TrackedScheduler: identical selections,
 // with enabledness answered by the simulator's incremental tracker.
 func (s *LaziestFair) SelectTracked(step int, sys *model.System, _ *model.Config, en model.EnabledView) []int {
-	return s.pick(sys, en.Enabled)
+	return s.pick(sys, en.Enabled, en.AllEnabled)
 }
 
-func (s *LaziestFair) pick(sys *model.System, enabled func(p int) bool) []int {
+// pick selects the next process. enabled answers the tie-break's probe;
+// allEnabled, when non-nil, reports whether a whole set is enabled,
+// which spares a warmup pick the probes when no never-selected id is
+// disabled (the paper's 1-efficient protocols keep every process
+// enabled, and the tie-break consumes the disabled ids first: in both
+// cases the search would otherwise cross the whole bucket on every pick).
+func (s *LaziestFair) pick(sys *model.System, enabled func(p int) bool, allEnabled func(*bitset.Set) bool) []int {
 	if n := sys.N(); n != s.n {
 		s.grow(n)
 	}
 	var chosen int
-	if len(s.never) > 0 {
-		// Warmup: every never-selected id shares the stalest "step" (-1),
-		// so the tie-break picks among all of them. The scan is explicit
-		// about the id tie (the historical ascending scan kept the lowest
-		// id implicitly) because swap-removal perturbs bucket order.
+	switch {
+	case len(s.never) == 0:
+		// Steady state: one selection per step keeps last-selection steps
+		// pairwise distinct, so the stalest bucket is the ring head alone
+		// and the tie-break (including its enabledness probe) never runs.
+		chosen = s.ring[s.head]
+		s.head++
+		if s.head == len(s.ring) {
+			s.head = 0
+		}
+		s.size--
+	case sys.Dynamic():
+		// Warmup, live degrees: every never-selected id shares the
+		// stalest "step" (-1), so the tie-break picks among all of them.
+		s.g = nil
 		best, bestDisabled, bestDeg, bestIdx := -1, false, 0, -1
 		for i, p := range s.never {
 			disabled := !enabled(p)
@@ -292,16 +325,24 @@ func (s *LaziestFair) pick(sys *model.System, enabled func(p int) bool) []int {
 		chosen = best
 		s.never[bestIdx] = s.never[len(s.never)-1]
 		s.never = s.never[:len(s.never)-1]
-	} else {
-		// Steady state: one selection per step keeps last-selection steps
-		// pairwise distinct, so the stalest bucket is the ring head alone
-		// and the tie-break (including its enabledness probe) never runs.
-		chosen = s.ring[s.head]
-		s.head++
-		if s.head == len(s.ring) {
-			s.head = 0
+		s.neverSet.Remove(chosen)
+	default:
+		// Warmup, fixed degrees: the same tie-break read off the order.
+		if g := sys.Graph(); g != s.g {
+			s.order(g)
 		}
-		s.size--
+		i := len(s.never) - 1
+		if allEnabled == nil || !allEnabled(s.neverSet) {
+			for j := i; j >= 0; j-- {
+				if !enabled(s.never[j]) {
+					i = j
+					break
+				}
+			}
+		}
+		chosen = s.never[i]
+		s.never = append(s.never[:i], s.never[i+1:]...)
+		s.neverSet.Remove(chosen)
 	}
 	tail := s.head + s.size
 	if tail >= len(s.ring) {
@@ -313,6 +354,27 @@ func (s *LaziestFair) pick(sys *model.System, enabled func(p int) bool) []int {
 	return s.sel[:]
 }
 
+// order sorts the never bucket by descending (degree, id) in g. A full
+// bucket, which is what every trial's first pick finds, is copied from
+// the last full bucket sorted for the same graph instead.
+func (s *LaziestFair) order(g *graph.Graph) {
+	s.g = g
+	full := len(s.never) == s.n
+	if full && g == s.fullG {
+		copy(s.never, s.full)
+		return
+	}
+	slices.SortFunc(s.never, func(p, q int) int {
+		if c := cmp.Compare(g.Degree(q), g.Degree(p)); c != 0 {
+			return c
+		}
+		return cmp.Compare(q, p)
+	})
+	if full {
+		s.full, s.fullG = append(s.full[:0], s.never...), g
+	}
+}
+
 // grow rebuilds the buckets for n processes, keeping history: ids the
 // daemon has already selected stay in the ring in selection order, new
 // ids join the never bucket (they read as never selected, exactly as the
@@ -320,6 +382,7 @@ func (s *LaziestFair) pick(sys *model.System, enabled func(p int) bool) []int {
 // n are dropped from both buckets. The common path — Reset followed by a
 // first pick — has an empty ring and reuses the buffer in place.
 func (s *LaziestFair) grow(n int) {
+	s.g = nil // the bucket changes: whatever order it had is gone
 	for p := s.n; p < n; p++ {
 		s.never = append(s.never, p)
 	}
@@ -352,6 +415,14 @@ func (s *LaziestFair) grow(n int) {
 			}
 		}
 		s.never = kept
+	}
+	if s.neverSet == nil || s.neverSet.Cap() != n {
+		s.neverSet = bitset.New(n)
+	} else {
+		s.neverSet.Clear()
+	}
+	for _, p := range s.never {
+		s.neverSet.Add(p)
 	}
 	s.head, s.n = 0, n
 }

@@ -61,10 +61,10 @@ func TestResetMidStepResize(t *testing.T) {
 	t.Parallel()
 	rec := NewRecorder(9)
 	rec.StepBegin(0, []int{8})
-	rec.Selected(0, 8, []int{7}, 3, 0)
+	rec.Selected(0, 8, []int{7}, 3, 0, 1)
 	rec.Reset(3) // shrink mid-step
 	rec.StepBegin(0, []int{0})
-	rec.Selected(0, 0, []int{1}, 3, 0)
+	rec.Selected(0, 0, []int{1}, 3, 0, 1)
 	rec.StepEnd(0, []int{0}, false)
 	want := Report{N: 3, Steps: 1, Moves: 1, Selections: 1, KEfficiency: 1, CommComplexityBits: 3,
 		TotalBits: 3, TotalReads: 1, ReadSetSizes: []int{1, 0, 0}, SuffixReadSetSizes: []int{1, 0, 0},
@@ -225,7 +225,62 @@ func BenchmarkRecorderReadFullStep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rec.StepBegin(i, selected)
-		rec.Selected(i, 0, neighbors, 6*(n-1), 0)
+		rec.Selected(i, 0, neighbors, 6*(n-1), 0, 1)
 		rec.StepEnd(i, selected, false)
+	}
+}
+
+// TestSelectedTimesEqualsRepeatedCalls: one Selected call with times = k
+// leaves the recorder where k calls with times = 1 do — the contract the
+// simulator's counted silent-phase replays rest on — for moves and
+// disabled selections, with and without reads, before and after a
+// MarkSuffix, on the dense and the sparse read-set forms.
+func TestSelectedTimesEqualsRepeatedCalls(t *testing.T) {
+	saved := sparseThreshold
+	defer func() { sparseThreshold = saved }()
+	type call struct {
+		p         int
+		neighbors []int
+		bits      int
+		fired     int
+		times     int
+	}
+	cases := []struct {
+		name  string
+		calls []call
+	}{
+		{"one move", []call{{0, []int{1}, 3, 0, 5}}},
+		{"disabled selection", []call{{2, []int{1, 3}, 6, -1, 4}}},
+		{"no reads", []call{{1, nil, 0, 0, 7}, {1, nil, 0, -1, 2}}},
+		{"times one", []call{{3, []int{2}, 2, 1, 1}}},
+		{"maxima and sets across calls", []call{
+			{0, []int{1}, 3, 0, 2},
+			{0, []int{1, 4}, 9, 1, 3},
+			{0, []int{4}, 1, -1, 6},
+			{4, []int{0, 3}, 5, 0, 1000},
+		}},
+	}
+	const n = 5
+	for _, threshold := range []int{saved, 0} {
+		sparseThreshold = threshold
+		for _, tc := range cases {
+			for _, mark := range []int{-1, 0, 1} { // MarkSuffix before call number mark
+				batched, single := NewRecorder(n), NewRecorder(n)
+				for i, c := range tc.calls {
+					if i == mark {
+						batched.MarkSuffix()
+						single.MarkSuffix()
+					}
+					batched.Selected(i, c.p, c.neighbors, c.bits, c.fired, c.times)
+					for k := 0; k < c.times; k++ {
+						single.Selected(i, c.p, c.neighbors, c.bits, c.fired, 1)
+					}
+				}
+				if got, want := batched.Report(), single.Report(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s (sparse threshold %d, mark %d): times = k reports\n%+v\nk calls report\n%+v",
+						tc.name, threshold, mark, got, want)
+				}
+			}
+		}
 	}
 }

@@ -39,7 +39,8 @@ var sparseThreshold = 4096
 
 // Recorder accumulates read/step/move statistics for one execution. The
 // engine delivers each selection's reads already folded (distinct
-// neighbors, deduplicated bits), so the recorder keeps no per-step
+// neighbors, deduplicated bits; silent-phase replays as one counted
+// call per visited state), so the recorder keeps no per-step
 // state and allocates nothing on the steady-state path. A Recorder is
 // reusable: Reset rewinds it to the state of a fresh NewRecorder without
 // reallocating, which is what lets the trial pipeline run millions of
@@ -143,17 +144,18 @@ func (r *Recorder) StepBegin(_ int, selected []int) {
 	r.suffixSelections += int64(len(selected))
 }
 
-// Selected implements model.Observer: one selection of p that read the
-// given distinct neighbors for bits bits and fired action `fired`.
-// Counters add, maxima compare and set insertions are idempotent, so
-// the fold is the same whether the aggregate comes from an evaluation
-// or from the simulator's silent-phase replay.
-func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired int) {
+// Selected implements model.Observer: times selections of p, each of
+// which read the given distinct neighbors for bits bits and fired
+// action `fired`. Counters scale by times, maxima compare and set
+// insertions are idempotent, so a batch of counted replays folds to
+// what that many single calls would.
+func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired, times int) {
+	t := int64(times)
 	if fired >= 0 {
-		r.moves++
-		r.suffixMoves++
+		r.moves += t
+		r.suffixMoves += t
 	} else {
-		r.disabledSelections++
+		r.disabledSelections += t
 	}
 	reads := len(neighbors)
 	if reads == 0 {
@@ -162,13 +164,13 @@ func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired int) {
 	if reads > r.maxStepReads[p] {
 		r.maxStepReads[p] = reads
 	}
-	r.totalReads += int64(reads)
-	r.suffixReads += int64(reads)
+	r.totalReads += int64(reads) * t
+	r.suffixReads += int64(reads) * t
 	if bits > r.maxStepBits[p] {
 		r.maxStepBits[p] = bits
 	}
-	r.totalBits += int64(bits)
-	r.suffixBits += int64(bits)
+	r.totalBits += int64(bits) * t
+	r.suffixBits += int64(bits) * t
 	// The suffix set is a subset of the whole-run set (MarkSuffix clears
 	// only the former), so a neighbor already in it needs no second
 	// insertion: once a process's sets saturate, a read costs one probe.
