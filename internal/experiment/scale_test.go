@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -72,5 +73,53 @@ func TestLargeNTablesAcrossParallelism(t *testing.T) {
 	}
 	if agg := largeNTable(t, 4); agg != parl {
 		t.Fatalf("large-n tables differ between repeated runs at Parallelism 4:\n--- a ---\n%s\n--- b ---\n%s", parl, agg)
+	}
+}
+
+// liveHeap is the heap in use after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestBytesPerProcessBudget gates what E22 and ssscale report: the live
+// heap one synchronous COLORING trial to silence leaves behind — graph,
+// system, runner (simulator, recorder, configuration) and result — per
+// process. 320 B holds the flat 32-bit graph, the one-list recorder and
+// the memo that a run ending at silence never allocates (≈ 285 B; the
+// jagged layout they replaced read ≈ 455 B), with room for the runtime's
+// size classes, not for a per-process slice header more. Not parallel,
+// so no other test allocates between the two readings.
+func TestBytesPerProcessBudget(t *testing.T) {
+	const budget = 320
+	base := liveHeap()
+	g := graph.Torus(150, 150)
+	sys, legit, err := protocolSystem(g, FamColoring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rn, res := core.NewRunner(), &core.RunResult{}
+	err = rn.RunRandom(sys, core.RunOptions{
+		Scheduler:  sched.NewSynchronous(),
+		Seed:       rng.Derive(2009, 22),
+		MaxSteps:   1_000_000,
+		Legitimate: legit,
+	}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Silent || !res.LegitimateAtSilence {
+		t.Fatalf("trial did not reach a legitimate silent configuration (%d steps)", res.StepsToSilence)
+	}
+	per := float64(liveHeap()-base) / float64(g.N())
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(sys)
+	runtime.KeepAlive(rn)
+	runtime.KeepAlive(res)
+	t.Logf("%s: %.0f B/process live after %d rounds to silence", g.Name(), per, res.RoundsToSilence)
+	if per > budget {
+		t.Fatalf("%s: %.0f B/process live after one trial to silence, budget %d B", g.Name(), per, budget)
 	}
 }

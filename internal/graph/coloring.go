@@ -22,7 +22,7 @@ func GreedyLocalColoring(g *Graph) []int {
 		for i := range used {
 			used[i] = false
 		}
-		for _, q := range g.adj[p] {
+		for _, q := range g.Row(p) {
 			if colors[q] > 0 && colors[q] < len(used) {
 				used[colors[q]] = true
 			}
@@ -52,11 +52,11 @@ func GreedyDistance2Coloring(g *Graph) []int {
 				used[colors[q]] = true
 			}
 		}
-		for _, q := range g.adj[p] {
-			mark(q)
-			for _, r := range g.adj[q] {
-				if r != p {
-					mark(r)
+		for _, q := range g.Row(p) {
+			mark(int(q))
+			for _, r := range g.Row(int(q)) {
+				if int(r) != p {
+					mark(int(r))
 				}
 			}
 		}
@@ -79,7 +79,7 @@ func RandomizedLocalColoring(g *Graph, r *rng.Rand) []int {
 		for i := range used {
 			used[i] = false
 		}
-		for _, q := range g.adj[p] {
+		for _, q := range g.Row(p) {
 			if colors[q] > 0 && colors[q] < len(used) {
 				used[colors[q]] = true
 			}
@@ -103,7 +103,7 @@ func IsProperColoring(g *Graph, colors []int) bool {
 		return false
 	}
 	for p := 0; p < g.N(); p++ {
-		for _, q := range g.adj[p] {
+		for _, q := range g.Row(p) {
 			if colors[p] == colors[q] {
 				return false
 			}
@@ -120,7 +120,7 @@ func IsDistance2Coloring(g *Graph, colors []int) bool {
 	}
 	for p := 0; p < g.N(); p++ {
 		seen := map[int]bool{colors[p]: true}
-		for _, q := range g.adj[p] {
+		for _, q := range g.Row(p) {
 			if seen[colors[q]] {
 				return false
 			}

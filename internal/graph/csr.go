@@ -2,59 +2,50 @@ package graph
 
 // CSR-direct construction: the large-graph generators (Torus,
 // RandomRegular, RandomConnectedGNP) bypass Builder entirely. Builder
-// keeps a map of seen edges and an edge list beside the rows it builds —
-// hundreds of bytes of overhead per edge, which is what makes
-// million-process graphs exhaust memory long before the simulator runs.
-// The constructors here lay every neighbor list and back-port list out
-// in two flat arenas (classic CSR), computing back ports directly from
-// per-vertex fill cursors, so a graph costs O(n + m) words plus the two
-// [][]int row headers and nothing else.
+// keeps a map of seen edges beside its edge list — hundreds of bytes of
+// overhead per edge, which is what makes million-process graphs exhaust
+// memory long before the simulator runs. They hand csrFromEdges a bare
+// edge list instead, and Builder.Build hands it the builder's: every
+// graph is laid out here, in the layout graph.go describes.
 //
-// The row-filling order is exactly Builder.Build's: scanning the edge
-// list in insertion order and appending each endpoint to the other's
-// row. Port numberings — and therefore every protocol computation on the
-// graph — are identical to the Builder path (TestCSRMatchesBuilder pins
+// Rows fill by scanning the edge list in insertion order and appending
+// each endpoint to the other's row, so port numberings — and therefore
+// every protocol computation on the graph — depend on the edge order
+// alone, not on which constructor carried it (TestCSRMatchesBuilder pins
 // this per generator).
 
 // csrFromEdges builds a Graph from a finished edge list. Edges must be
-// simple (no self-loops, no duplicates) and in range — the callers are
-// generators whose edge streams are correct by construction. Port order
-// follows edge-list order, as with Builder.
-func csrFromEdges(name string, n int, edges [][2]int32) *Graph {
-	deg := make([]int, n)
+// simple (no self-loops, no duplicates) and in range: Builder.AddEdge
+// checks, the generators' edge streams are correct by construction. The
+// one thing checked here is that n and 2m fit the layout's 32 bits (an
+// int32 edge list that was narrowed from a larger n is rejected on n
+// before any id is read).
+func csrFromEdges[V int | int32](name string, n int, edges [][2]V) (*Graph, error) {
+	if err := fits(n, 2*len(edges)); err != nil {
+		return nil, err
+	}
+	off := make([]int32, n+1)
 	for _, e := range edges {
-		deg[e[0]]++
-		deg[e[1]]++
+		off[e[0]+1]++
+		off[e[1]+1]++
 	}
-	adjArena := make([]int, 2*len(edges))
-	backArena := make([]int, 2*len(edges))
-	adj := make([][]int, n)
-	back := make([][]int, n)
-	off := 0
 	for v := 0; v < n; v++ {
-		end := off + deg[v]
-		adj[v] = adjArena[off:end:end]
-		back[v] = backArena[off:end:end]
-		off = end
+		off[v+1] += off[v]
 	}
+	g := &Graph{name: name, off: off, end: off[1:], m: len(edges),
+		nbr: make([]int32, 2*len(edges)), back: make([]int32, 2*len(edges))}
 	// Fill rows with per-vertex cursors; when edge {u,v} lands at
 	// positions iu (in u's row) and iv (in v's row), each side's back
 	// port is the other's position — no index maps needed.
-	cur := deg // reuse as cursors
-	for i := range cur {
-		cur[i] = 0
-	}
+	cur := make([]int32, n)
 	for _, e := range edges {
-		u, v := int(e[0]), int(e[1])
+		u, v := e[0], e[1]
 		iu, iv := cur[u], cur[v]
-		adj[u][iu] = v
-		adj[v][iv] = u
-		back[u][iu] = iv
-		back[v][iv] = iu
-		cur[u] = iu + 1
-		cur[v] = iv + 1
+		g.nbr[off[u]+iu], g.nbr[off[v]+iv] = int32(v), int32(u)
+		g.back[off[u]+iu], g.back[off[v]+iv] = iv, iu
+		cur[u], cur[v] = iu+1, iv+1
 	}
-	return &Graph{name: name, adj: adj, back: back, m: len(edges)}
+	return g, nil
 }
 
 // packEdge encodes the unordered pair {u,v} as a single ordered key for

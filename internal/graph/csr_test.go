@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -167,4 +169,76 @@ func TestGNPStreamingPath(t *testing.T) {
 	if RandomConnectedGNP(n, p, rng.New(10)).Equal(g) {
 		t.Fatal("different seeds produced identical streaming GNP graphs")
 	}
+}
+
+// TestBuildMatchesAppendOrder holds the one routine that lays every
+// graph out to the definition of port order it replaced: scan the edges
+// in insertion order and append each endpoint to the other's row. Back
+// ports must lead back.
+func TestBuildMatchesAppendOrder(t *testing.T) {
+	t.Parallel()
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rng.New(seed)
+		n := 2 + r.Intn(12)
+		b := NewBuilder(n, "random")
+		rows := make([][]int, n)
+		for tries := 0; tries < 3*n; tries++ {
+			u, v := r.Intn(n), r.Intn(n)
+			if b.AddEdge(u, v) == nil {
+				rows[u] = append(rows[u], v)
+				rows[v] = append(rows[v], u)
+			}
+		}
+		g := b.Build()
+		for p, row := range rows {
+			if got := g.Neighbors(p); !slices.Equal(got, row) {
+				t.Fatalf("seed %d: row of %d is %v, appending gives %v", seed, p, got, row)
+			}
+			for i, q := range row {
+				if back := g.BackPort(p, i+1); g.Neighbor(q, back) != p {
+					t.Fatalf("seed %d: BackPort(%d,%d) = %d leads to %d", seed, p, i+1, back, g.Neighbor(q, back))
+				}
+			}
+		}
+	}
+}
+
+// TestFitsLimit: ids, ports and row offsets are int32, so a graph is
+// rejected where it is frozen if n or 2m is beyond 2³¹−1, by an error
+// that names the limit (a panic carrying it where the constructor has
+// no error to return). The check is callable without the graph.
+func TestFitsLimit(t *testing.T) {
+	t.Parallel()
+	const lim = math.MaxInt32
+	for _, c := range []struct {
+		n, arcs int
+		ok      bool
+	}{
+		{0, 0, true}, {lim, 0, true}, {2, lim, true}, {lim, lim, true},
+		{lim + 1, 0, false}, {2, lim + 1, false}, {lim + 1, lim + 1, false}, {1 << 40, 1 << 41, false},
+	} {
+		err := fits(c.n, c.arcs)
+		if (err == nil) != c.ok {
+			t.Errorf("fits(%d, %d) = %v, want ok=%v", c.n, c.arcs, err, c.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "2^31-1") {
+			t.Errorf("fits(%d, %d): error %q does not name the limit", c.n, c.arcs, err)
+		}
+	}
+	// The constructors reach it before they allocate or narrow anything.
+	if _, err := csrFromEdges("big", lim+1, [][2]int32{}); err == nil {
+		t.Error("csrFromEdges accepted n = 2^31")
+	}
+	if _, err := randomRegular("big", lim/2+1, 4, rng.New(1)); err == nil {
+		t.Error("randomRegular accepted 2m = 2^32")
+	}
+	if _, err := DecodeString("n 2147483648\n"); err == nil || !strings.Contains(err.Error(), "2^31-1") {
+		t.Errorf("Decode of n = 2^31: %v", err)
+	}
+	defer func() {
+		if rec := recover(); rec == nil || !strings.Contains(fmt.Sprint(rec), "2^31-1") {
+			t.Errorf("Build of n = 2^31 panicked with %v, want the limit", rec)
+		}
+	}()
+	NewBuilder(lim+1, "big").Build()
 }

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // dynState is the mutable-topology extension of Graph. A dynamic graph
 // is born from an immutable base graph via MutableCopy and only ever
@@ -8,23 +11,18 @@ import "fmt"
 // base edge set, degrees never exceed base degrees, and the base port
 // order is restored exactly by ResetTopology.
 //
-// Storage is a single CSR arena. Process p owns the fixed arena range
-// [off[p], off[p+1]); the first deg[p] entries are its live neighbor
-// row (exposed through adj[p]/back[p] as three-index subslices of the
-// arena, so mutation never reallocates), and the remaining entries hold
-// the currently-removed base edges in arbitrary order. Removal swaps
-// the victim entry to the end of the live prefix and shrinks deg;
-// restoration swaps it back in from the dead suffix and grows deg. Both
+// Storage is Graph's own layout with a live end per process. Process p
+// owns the fixed arena range [off[p], off[p+1]); the entries up to
+// end[p] are its live neighbor row and the remaining ones hold the
+// currently-removed base edges in arbitrary order. Removal swaps the
+// victim entry to the end of the live prefix and lowers end[p];
+// restoration swaps it back in from the dead suffix and raises it. Both
 // operations are O(degree) scans with O(1) fixups, and neither — nor
 // crash/revive, which are edge-removal/restoration loops — allocates.
 type dynState struct {
-	nbrData  []int  // arena behind adj: live prefix + dead suffix per process
-	backData []int  // arena behind back, same layout
-	off      []int  // off[p]..off[p+1] = p's arena range (base CSR offsets)
-	deg      []int  // live degree of p (adj[p] = nbrData[off[p]:off[p]+deg[p]])
-	alive    []bool // false while p is crashed (deg[p] == 0 then)
-	baseNbr  []int  // pristine base arena, for ResetTopology/ReviveNode
-	baseBack []int
+	alive    []bool  // false while p is crashed (its live row is empty then)
+	baseNbr  []int32 // pristine base arenas, for ResetTopology/ReviveNode
+	baseBack []int32
 	baseM    int
 }
 
@@ -34,31 +32,21 @@ type dynState struct {
 // storage with the copy.
 func (g *Graph) MutableCopy() *Graph {
 	n := g.N()
-	d := &dynState{
-		off:   make([]int, n+1),
-		deg:   make([]int, n),
-		alive: make([]bool, n),
-		baseM: g.m,
-	}
+	off, nbr := g.liveRows()
+	back := make([]int32, len(nbr))
 	for p := 0; p < n; p++ {
-		d.off[p+1] = d.off[p] + len(g.adj[p])
-		d.deg[p] = len(g.adj[p])
+		copy(back[off[p]:], g.backRow(p))
+	}
+	d := &dynState{
+		alive:    make([]bool, n),
+		baseNbr:  slices.Clone(nbr),
+		baseBack: slices.Clone(back),
+		baseM:    g.m,
+	}
+	for p := range d.alive {
 		d.alive[p] = true
 	}
-	total := d.off[n]
-	d.nbrData = make([]int, total)
-	d.backData = make([]int, total)
-	d.baseNbr = make([]int, total)
-	d.baseBack = make([]int, total)
-	for p := 0; p < n; p++ {
-		copy(d.nbrData[d.off[p]:], g.adj[p])
-		copy(d.backData[d.off[p]:], g.back[p])
-	}
-	copy(d.baseNbr, d.nbrData)
-	copy(d.baseBack, d.backData)
-	h := &Graph{name: g.name, adj: make([][]int, n), back: make([][]int, n), m: g.m, dyn: d}
-	h.resliceViews()
-	return h
+	return &Graph{name: g.name, off: off, end: slices.Clone(off[1:]), nbr: nbr, back: back, m: g.m, dyn: d}
 }
 
 // Dynamic reports whether g was produced by MutableCopy and supports
@@ -76,43 +64,19 @@ func (g *Graph) Alive(p int) bool {
 
 // BaseDegree returns p's degree in the base graph (its maximum possible
 // live degree). On a static graph it equals Degree.
-func (g *Graph) BaseDegree(p int) int {
-	if g.dyn == nil {
-		return len(g.adj[p])
-	}
-	return g.dyn.off[p+1] - g.dyn.off[p]
-}
-
-// resliceViews rebinds adj/back to the live prefixes of the arena. The
-// capacity of each view is the full base row, so a view regrows in
-// place when a removed edge is restored.
-func (g *Graph) resliceViews() {
-	d := g.dyn
-	for p := range g.adj {
-		g.adj[p] = d.nbrData[d.off[p] : d.off[p]+d.deg[p] : d.off[p+1]]
-		g.back[p] = d.backData[d.off[p] : d.off[p]+d.deg[p] : d.off[p+1]]
-	}
-}
+func (g *Graph) BaseDegree(p int) int { return int(g.off[p+1] - g.off[p]) }
 
 // liveIndex returns the 0-based live-row position of q at p, or -1.
 func (g *Graph) liveIndex(p, q int) int {
-	for i, nb := range g.adj[p] {
-		if nb == q {
-			return i
-		}
-	}
-	return -1
+	return slices.Index(g.Row(p), int32(q))
 }
 
-// deadIndex returns the 0-based row position (>= deg[p]) of q in p's
+// deadIndex returns the 0-based row position (>= Degree(p)) of q in p's
 // dead suffix, or -1 if the base edge {p,q} is currently live or does
 // not exist.
 func (g *Graph) deadIndex(p, q int) int {
-	d := g.dyn
-	for j := d.off[p] + d.deg[p]; j < d.off[p+1]; j++ {
-		if d.nbrData[j] == q {
-			return j - d.off[p]
-		}
+	if j := slices.Index(g.nbr[g.end[p]:g.off[p+1]], int32(q)); j >= 0 {
+		return g.Degree(p) + j
 	}
 	return -1
 }
@@ -120,32 +84,25 @@ func (g *Graph) deadIndex(p, q int) int {
 // removeHalf drops p's live-row entry i by swapping it with the last
 // live entry and shrinking the row. The moved neighbor's back pointer
 // into p is patched; the dropped entry lands in the dead suffix.
-func (g *Graph) removeHalf(p, i int) {
-	d := g.dyn
-	last := d.deg[p] - 1
-	row, brow := g.adj[p], g.back[p]
+func (g *Graph) removeHalf(p int, i int32) {
+	row, brow := g.Row(p), g.backRow(p)
+	last := int32(len(row) - 1)
 	if i != last {
 		row[i], row[last] = row[last], row[i]
 		brow[i], brow[last] = brow[last], brow[i]
-		w := row[i]
-		g.back[w][brow[i]] = i
+		g.backRow(int(row[i]))[brow[i]] = i
 	}
-	d.deg[p] = last
-	g.adj[p] = row[:last]
-	g.back[p] = brow[:last]
+	g.end[p]--
 }
 
-// restoreHalf swaps p's dead-suffix entry at row position j into live
-// position deg[p] and grows the row. The entry's back value is stale
-// until the caller rewrites it.
+// restoreHalf swaps p's dead-suffix entry at row position j into the
+// first dead position and grows the row over it. The entry's back value
+// is stale until the caller rewrites it.
 func (g *Graph) restoreHalf(p, j int) {
-	d := g.dyn
-	at, to := d.off[p]+j, d.off[p]+d.deg[p]
-	d.nbrData[at], d.nbrData[to] = d.nbrData[to], d.nbrData[at]
-	d.backData[at], d.backData[to] = d.backData[to], d.backData[at]
-	d.deg[p]++
-	g.adj[p] = d.nbrData[d.off[p] : d.off[p]+d.deg[p] : d.off[p+1]]
-	g.back[p] = d.backData[d.off[p] : d.off[p]+d.deg[p] : d.off[p+1]]
+	at, to := g.off[p]+int32(j), g.end[p]
+	g.nbr[at], g.nbr[to] = g.nbr[to], g.nbr[at]
+	g.back[at], g.back[to] = g.back[to], g.back[at]
+	g.end[p]++
 }
 
 // RemoveEdge removes the live edge {u, v} from a dynamic graph,
@@ -160,8 +117,8 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	if iu < 0 {
 		return false
 	}
-	iv := g.back[u][iu] // position of u in v's row, before any swap
-	g.removeHalf(u, iu)
+	iv := g.backRow(u)[iu] // position of u in v's row, before any swap
+	g.removeHalf(u, int32(iu))
 	g.removeHalf(v, iv)
 	g.m--
 	return true
@@ -189,8 +146,9 @@ func (g *Graph) RestoreEdge(u, v int) bool {
 	}
 	g.restoreHalf(u, ju)
 	g.restoreHalf(v, jv)
-	g.back[u][d.deg[u]-1] = d.deg[v] - 1
-	g.back[v][d.deg[v]-1] = d.deg[u] - 1
+	// Both halves are now the last live entry of their row.
+	g.back[g.end[u]-1] = int32(g.Degree(v) - 1)
+	g.back[g.end[v]-1] = int32(g.Degree(u) - 1)
 	g.m++
 	return true
 }
@@ -207,8 +165,8 @@ func (g *Graph) CrashNode(p int) bool {
 	if !d.alive[p] {
 		return false
 	}
-	for d.deg[p] > 0 {
-		g.RemoveEdge(p, g.adj[p][d.deg[p]-1])
+	for g.end[p] > g.off[p] {
+		g.RemoveEdge(p, int(g.nbr[g.end[p]-1]))
 	}
 	d.alive[p] = false
 	return true
@@ -226,10 +184,9 @@ func (g *Graph) ReviveNode(p int) bool {
 		return false
 	}
 	d.alive[p] = true
-	for j := d.off[p]; j < d.off[p+1]; j++ {
-		q := d.baseNbr[j]
+	for _, q := range d.baseNbr[g.off[p]:g.off[p+1]] {
 		if d.alive[q] {
-			g.RestoreEdge(p, q)
+			g.RestoreEdge(p, int(q))
 		}
 	}
 	return true
@@ -243,13 +200,12 @@ func (g *Graph) ResetTopology() {
 	if d == nil {
 		panic("graph: ResetTopology on a static graph (use MutableCopy)")
 	}
-	copy(d.nbrData, d.baseNbr)
-	copy(d.backData, d.baseBack)
-	for p := range d.deg {
-		d.deg[p] = d.off[p+1] - d.off[p]
+	copy(g.nbr, d.baseNbr)
+	copy(g.back, d.baseBack)
+	copy(g.end, g.off[1:])
+	for p := range d.alive {
 		d.alive[p] = true
 	}
-	g.resliceViews()
 	g.m = d.baseM
 }
 
@@ -264,28 +220,29 @@ func (g *Graph) CheckInvariants() error {
 		return nil
 	}
 	degSum := 0
-	for p := range g.adj {
-		degSum += d.deg[p]
-		if !d.alive[p] && d.deg[p] != 0 {
-			return fmt.Errorf("crashed process %d has degree %d", p, d.deg[p])
+	for p := range g.end {
+		deg := g.Degree(p)
+		degSum += deg
+		if !d.alive[p] && deg != 0 {
+			return fmt.Errorf("crashed process %d has degree %d", p, deg)
 		}
-		if len(g.adj[p]) != d.deg[p] || len(g.back[p]) != d.deg[p] {
-			return fmt.Errorf("process %d: view length %d/%d != deg %d", p, len(g.adj[p]), len(g.back[p]), d.deg[p])
+		if g.end[p] < g.off[p] || g.end[p] > g.off[p+1] {
+			return fmt.Errorf("process %d: live end %d outside its arena range [%d,%d]", p, g.end[p], g.off[p], g.off[p+1])
 		}
-		for i, q := range g.adj[p] {
-			bi := g.back[p][i]
-			if bi < 0 || bi >= d.deg[q] {
-				return fmt.Errorf("process %d port %d: back %d outside live row of %d (deg %d)", p, i+1, bi, q, d.deg[q])
+		for i, q := range g.Row(p) {
+			bi := int(g.backRow(p)[i])
+			if bi < 0 || bi >= g.Degree(int(q)) {
+				return fmt.Errorf("process %d port %d: back %d outside live row of %d (deg %d)", p, i+1, bi, q, g.Degree(int(q)))
 			}
-			if g.adj[q][bi] != p || g.back[q][bi] != i {
+			if int(g.Row(int(q))[bi]) != p || int(g.backRow(int(q))[bi]) != i {
 				return fmt.Errorf("process %d port %d: back pointer to %d does not round-trip", p, i+1, q)
 			}
 		}
 		// Arena conservation: p's row must remain a permutation of its
 		// base row.
-		have := map[int]int{}
-		for j := d.off[p]; j < d.off[p+1]; j++ {
-			have[d.nbrData[j]]++
+		have := map[int32]int{}
+		for j := g.off[p]; j < g.off[p+1]; j++ {
+			have[g.nbr[j]]++
 			have[d.baseNbr[j]]--
 		}
 		for q, c := range have {

@@ -67,6 +67,9 @@ func Decode(r io.Reader) (*Graph, error) {
 			if err != nil || v < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad process count %q", lineNum, fields[1])
 			}
+			if err := fits(v, 0); err != nil {
+				return nil, fmt.Errorf("graph: line %d: %w", lineNum, err)
+			}
 			n = v
 			b = NewBuilder(n, name)
 		case "e":

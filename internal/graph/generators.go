@@ -158,7 +158,7 @@ func gridDesc(w, h int) Desc {
 // Torus returns the w x h torus (grid with wraparound); w, h >= 3.
 // Construction is CSR-direct (see csr.go): the edge stream goes straight
 // into flat adjacency arenas, no builder map — a 1000×1000 torus is two
-// 4-million-word arenas, not a 2-million-entry hash map.
+// arenas of 4 million 32-bit words, not a 2-million-entry hash map.
 func Torus(w, h int) *Graph {
 	if w < 3 || h < 3 {
 		panic("graph: Torus requires w, h >= 3")
@@ -168,7 +168,7 @@ func Torus(w, h int) *Graph {
 
 func torusDesc(w, h int) Desc {
 	n := w * h
-	return fixed(fmt.Sprintf("torus-%dx%d", w, h), n, func(name string) *Graph {
+	return Desc{Name: fmt.Sprintf("torus-%dx%d", w, h), N: n, build: func(name string, _ *rng.Rand) (*Graph, error) {
 		id := func(x, y int) int32 { return int32(y*w + x) }
 		edges := make([][2]int32, 0, 2*n)
 		for y := 0; y < h; y++ {
@@ -179,7 +179,7 @@ func torusDesc(w, h int) Desc {
 			}
 		}
 		return csrFromEdges(name, n, edges)
-	})
+	}}
 }
 
 // Hypercube returns the d-dimensional hypercube Q_d on 2^d processes.
@@ -316,12 +316,12 @@ var gnpStreamThreshold = 4096
 func RandomConnectedGNP(n int, p float64, r *rng.Rand) *Graph { return gnpDesc(n, p).on(r) }
 
 func gnpDesc(n int, p float64) Desc {
-	return random(fmt.Sprintf("gnp-%d-%.3f", n, p), n, func(name string, r *rng.Rand) *Graph {
+	return Desc{Name: fmt.Sprintf("gnp-%d-%.3f", n, p), N: n, build: func(name string, r *rng.Rand) (*Graph, error) {
 		return randomConnectedGNP(name, n, p, r)
-	})
+	}}
 }
 
-func randomConnectedGNP(name string, n int, p float64, r *rng.Rand) *Graph {
+func randomConnectedGNP(name string, n int, p float64, r *rng.Rand) (*Graph, error) {
 	// Random spanning tree by random attachment to ensure connectivity.
 	perm := r.Perm(n)
 	edges := make([][2]int32, 0, n-1+int(p*float64(n)*float64(n-1)/2))
@@ -415,57 +415,45 @@ func randomRegular(name string, n, d int, r *rng.Rand) (*Graph, error) {
 	// arenas. Edge insertion order, and with it the rejection and
 	// connectivity stream, matches the historical Builder path exactly.
 	const maxAttempts = 5000
-	stubs := make([]int, n*d)
-	adjArena := make([]int, n*d)
-	backArena := make([]int, n*d)
-	cnt := make([]int, n)
+	if err := fits(n, n*d); err != nil {
+		return nil, err
+	}
+	off := make([]int32, n+1)
+	for v := range off {
+		off[v] = int32(v * d)
+	}
+	g := &Graph{name: name, off: off, end: off[1:], m: n * d / 2,
+		nbr: make([]int32, n*d), back: make([]int32, n*d)}
+	stubs := make([]int32, n*d)
+	cnt := make([]int32, n)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		// Refill in sorted order every attempt: the historical path
 		// rebuilt the stub list from scratch, so each shuffle starts from
 		// the same arrangement — reusing the shuffled buffer would
 		// change the seed→graph mapping.
 		for i := range stubs {
-			stubs[i] = i / d
+			stubs[i] = int32(i / d)
 		}
 		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
 		for i := range cnt {
 			cnt[i] = 0
 		}
 		ok := true
-	pairing:
 		for i := 0; i < len(stubs); i += 2 {
 			u, v := stubs[i], stubs[i+1]
-			if u == v {
+			if u == v || slices.Contains(g.nbr[off[u]:off[u]+cnt[u]], v) {
 				ok = false
 				break
 			}
-			for _, q := range adjArena[u*d : u*d+cnt[u]] {
-				if q == v {
-					ok = false
-					break pairing
-				}
-			}
 			iu, iv := cnt[u], cnt[v]
-			adjArena[u*d+iu] = v
-			adjArena[v*d+iv] = u
-			backArena[u*d+iu] = iv
-			backArena[v*d+iv] = iu
+			g.nbr[off[u]+iu], g.nbr[off[v]+iv] = v, u
+			g.back[off[u]+iu], g.back[off[v]+iv] = iv, iu
 			cnt[u], cnt[v] = iu+1, iv+1
 		}
-		if !ok {
-			continue
-		}
-		g := &Graph{name: name, m: n * d / 2,
-			adj: make([][]int, n), back: make([][]int, n)}
-		for v := 0; v < n; v++ {
-			g.adj[v] = adjArena[v*d : (v+1)*d : (v+1)*d]
-			g.back[v] = backArena[v*d : (v+1)*d : (v+1)*d]
-		}
-		if g.IsConnected() {
+		if ok && g.IsConnected() {
 			return g, nil
 		}
-		// Disconnected: g is discarded and the next attempt overwrites
-		// the arenas its rows pointed at.
+		// Rejected or disconnected: the next attempt overwrites the arenas.
 	}
 	return nil, fmt.Errorf("graph: RandomRegular: no simple connected pairing after %d attempts", maxAttempts)
 }

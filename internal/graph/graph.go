@@ -13,6 +13,8 @@ package graph
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -20,20 +22,53 @@ import (
 
 // Graph is an undirected graph over processes 0..n-1 with a fixed port
 // numbering. Graphs are immutable after construction — all construction
-// lives on Builder — except for dynamic copies made with MutableCopy,
-// whose topology may move between subgraphs of the base graph (see
-// dynamic.go).
+// lives on Builder and the CSR-direct generators (csr.go) — except for
+// dynamic copies made with MutableCopy, whose topology may move between
+// subgraphs of the base graph (see dynamic.go).
+//
+// Storage is one compressed-sparse-row layout for every graph, static
+// or dynamic, whichever constructor built it: process p owns the range
+// [off[p], off[p+1]) of the two arc arenas nbr and back, and its live
+// row — the neighbors behind ports 1..δ.p — is [off[p], end[p]). Ids,
+// ports and offsets are 32 bits wide (fits rejects anything larger
+// where a graph is frozen) and there is no per-process slice header: a
+// graph costs 4(n+1) + 16m bytes, 36 per process at Δ = 4. On a static
+// graph end is off[1:] itself; a dynamic copy owns a separate end that
+// moves as edges leave and return, with the removed arcs parked in
+// [end[p], off[p+1]).
 type Graph struct {
 	name string
-	adj  [][]int // adj[p][i] = neighbor of p behind port i+1
-	back [][]int // back[p][i] = port index (0-based) of p at adj[p][i]
+	off  []int32 // off[p] = start of p's row in nbr and back; len n+1
+	end  []int32 // end[p] = end of p's live row; len n
+	nbr  []int32 // nbr[off[p]+i] = neighbor of p behind port i+1
+	back []int32 // back[off[p]+i] = port index (0-based) of p at that neighbor
 	m    int     // number of edges
 
-	// dyn, when non-nil, marks a mutable copy (see dynamic.go): adj and
-	// back become live-prefix views into a CSR arena and the topology
-	// may move between subgraphs of the base graph.
+	// dyn, when non-nil, marks a mutable copy (see dynamic.go).
 	dyn *dynState
 }
+
+// fits rejects a graph of n processes and arcs = 2m directed arcs that
+// 32-bit ids and row offsets cannot address. Every constructor that
+// freezes a graph calls it before it narrows anything.
+func fits(n, arcs int) error {
+	if n > math.MaxInt32 || arcs > math.MaxInt32 {
+		return fmt.Errorf("graph: n=%d processes and 2m=%d arcs: 32-bit ids and row offsets hold at most 2^31-1 = %d of each",
+			n, arcs, math.MaxInt32)
+	}
+	return nil
+}
+
+// Row returns p's live neighbor row in port order as a view into the
+// graph's storage: Row(p)[i] is Neighbor(p, i+1). Its capacity ends with
+// it, so no reslice reaches the next row or a dead suffix. The caller
+// must not write to it, and on a dynamic graph it is valid until the
+// next topology mutation. A guard evaluation holds it for the process it
+// is aimed at.
+func (g *Graph) Row(p int) []int32 { return g.nbr[g.off[p]:g.end[p]:g.end[p]] }
+
+// backRow returns the back ports of p's live row.
+func (g *Graph) backRow(p int) []int32 { return g.back[g.off[p]:g.end[p]:g.end[p]] }
 
 // Builder accumulates edges and produces an immutable Graph.
 type Builder struct {
@@ -80,58 +115,52 @@ func (b *Builder) HasEdge(u, v int) bool {
 }
 
 // Build freezes the builder into an immutable Graph. Port order follows
-// edge insertion order.
+// edge insertion order. A graph beyond the layout's 32-bit limit (see
+// fits) panics: Build has no error to return it in.
 func (b *Builder) Build() *Graph {
-	g := &Graph{name: b.name, adj: make([][]int, b.n), m: len(b.edges)}
-	for _, e := range b.edges {
-		g.adj[e[0]] = append(g.adj[e[0]], e[1])
-		g.adj[e[1]] = append(g.adj[e[1]], e[0])
+	g, err := csrFromEdges(b.name, b.n, b.edges)
+	if err != nil {
+		panic(err)
 	}
-	g.rebuildBackPorts()
 	return g
 }
 
-// rebuildBackPorts derives back from adj in O(n + m): the 2m arcs
-// (p, i) -> q = adj[p][i] are counting-sorted by target, then for each q
-// one index array reused across processes gives every neighbor's
-// position in adj[q], which is the back port of the arcs entering q.
-// adj must be symmetric and simple (every constructor guarantees it).
-func (g *Graph) rebuildBackPorts() {
-	n := len(g.adj)
-	// first[q] is where q's entering arcs start; as many arcs enter q as
-	// leave it, so it is also where q's row starts in the back arena.
-	first := make([]int, n+1)
-	for q, nb := range g.adj {
-		first[q+1] = first[q] + len(nb)
-	}
-	total := first[n]
-	arena := make([]int, total)
-	g.back = make([][]int, n)
-	for p := range g.adj {
-		g.back[p] = arena[first[p]:first[p+1]:first[p+1]]
-	}
-	src, port := make([]int, total), make([]int, total)
-	next := make([]int, n)
-	copy(next, first)
-	for p, nb := range g.adj {
-		for i, q := range nb {
-			src[next[q]], port[next[q]] = p, i
+// withRows returns a static graph of g's name, row offsets and edge
+// count over the neighbor arena nbr — g's arcs with rows reordered or
+// processes renamed — deriving the back ports in O(n + m): the 2m arcs
+// (p, i) -> q are counting-sorted by target (as many arcs enter q as
+// leave it, so off is the bucket table too), then for each q one index
+// array reused across processes gives every neighbor's position in q's
+// row, which is the back port of the arcs entering q. nbr must be
+// symmetric and simple.
+func (g *Graph) withRows(off, nbr []int32) *Graph {
+	n := len(off) - 1
+	h := &Graph{name: g.name, off: off, end: off[1:], nbr: nbr, back: make([]int32, len(nbr)), m: g.m}
+	// The c-th arc by target leaves src[c] from arena position at[c].
+	src, at := make([]int32, len(nbr)), make([]int32, len(nbr))
+	next := make([]int32, n)
+	copy(next, off)
+	for p := 0; p < n; p++ {
+		for c := off[p]; c < off[p+1]; c++ {
+			q := nbr[c]
+			src[next[q]], at[next[q]] = int32(p), c
 			next[q]++
 		}
 	}
 	index := next // every entry is rewritten before it is read
-	for q, nb := range g.adj {
-		for j, p := range nb {
-			index[p] = j
+	for q := 0; q < n; q++ {
+		for j, p := range h.Row(q) {
+			index[p] = int32(j)
 		}
-		for c := first[q]; c < first[q+1]; c++ {
-			g.back[src[c]][port[c]] = index[src[c]]
+		for c := off[q]; c < off[q+1]; c++ {
+			h.back[at[c]] = index[src[c]]
 		}
 	}
+	return h
 }
 
 // N returns the number of processes.
-func (g *Graph) N() int { return len(g.adj) }
+func (g *Graph) N() int { return len(g.end) }
 
 // M returns the number of edges.
 func (g *Graph) M() int { return g.m }
@@ -140,15 +169,13 @@ func (g *Graph) M() int { return g.m }
 func (g *Graph) Name() string { return g.name }
 
 // Degree returns δ.p, the number of neighbors of process p.
-func (g *Graph) Degree(p int) int { return len(g.adj[p]) }
+func (g *Graph) Degree(p int) int { return int(g.end[p] - g.off[p]) }
 
 // MaxDegree returns Δ, the maximum degree of the graph (0 for n<=1).
 func (g *Graph) MaxDegree() int {
 	d := 0
-	for p := range g.adj {
-		if len(g.adj[p]) > d {
-			d = len(g.adj[p])
-		}
+	for p := range g.end {
+		d = max(d, g.Degree(p))
 	}
 	return d
 }
@@ -158,39 +185,42 @@ func (g *Graph) MinDegree() int {
 	if g.N() == 0 {
 		return 0
 	}
-	d := len(g.adj[0])
-	for p := range g.adj {
-		if len(g.adj[p]) < d {
-			d = len(g.adj[p])
-		}
+	d := g.Degree(0)
+	for p := range g.end {
+		d = min(d, g.Degree(p))
 	}
 	return d
 }
 
-// Neighbor returns the process behind port i (1-based, 1 <= i <= δ.p) of p.
+// Neighbor returns the process behind port i (1-based, 1 <= i <= δ.p) of
+// p. Any other port panics on the row's bound, on a dynamic graph too:
+// a removed neighbor is not behind any port.
 func (g *Graph) Neighbor(p, port int) int {
-	return g.adj[p][port-1]
+	return int(g.Row(p)[port-1])
 }
 
 // BackPort returns the port (1-based) under which p appears at its
 // neighbor behind port i of p. That is, if q = Neighbor(p, i) then
 // Neighbor(q, BackPort(p, i)) == p.
 func (g *Graph) BackPort(p, port int) int {
-	return g.back[p][port-1] + 1
+	return int(g.backRow(p)[port-1]) + 1
 }
 
 // Neighbors returns a copy of p's neighbor list in port order.
 func (g *Graph) Neighbors(p int) []int {
-	out := make([]int, len(g.adj[p]))
-	copy(out, g.adj[p])
+	row := g.Row(p)
+	out := make([]int, len(row))
+	for i, q := range row {
+		out[i] = int(q)
+	}
 	return out
 }
 
 // PortOf returns the port (1-based) of neighbor q at p, or 0 if q is not
 // a neighbor of p.
 func (g *Graph) PortOf(p, q int) int {
-	for i, nb := range g.adj[p] {
-		if nb == q {
+	for i, nb := range g.Row(p) {
+		if int(nb) == q {
 			return i + 1
 		}
 	}
@@ -203,10 +233,10 @@ func (g *Graph) HasEdge(p, q int) bool { return g.PortOf(p, q) != 0 }
 // Edges returns all edges as (u, v) pairs with u < v, sorted.
 func (g *Graph) Edges() [][2]int {
 	out := make([][2]int, 0, g.m)
-	for p, nb := range g.adj {
-		for _, q := range nb {
-			if p < q {
-				out = append(out, [2]int{p, q})
+	for p := range g.end {
+		for _, q := range g.Row(p) {
+			if p < int(q) {
+				out = append(out, [2]int{p, int(q)})
 			}
 		}
 	}
@@ -224,15 +254,26 @@ func (g *Graph) Edges() [][2]int {
 // unchanged. Port shuffling models the adversarial local labelling of
 // anonymous networks.
 func (g *Graph) ShufflePorts(r *rng.Rand) *Graph {
-	h := &Graph{name: g.name, adj: make([][]int, g.N()), m: g.m}
-	for p, nb := range g.adj {
-		cp := make([]int, len(nb))
-		copy(cp, nb)
+	off, nbr := g.liveRows()
+	for p := range g.end {
+		cp := nbr[off[p]:off[p+1]]
 		r.Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
-		h.adj[p] = cp
 	}
-	h.rebuildBackPorts()
-	return h
+	return g.withRows(off, nbr)
+}
+
+// liveRows returns a fresh copy of g's live rows packed end to end and
+// their offsets (on a static graph, copies of nbr and off as they are).
+func (g *Graph) liveRows() (off, nbr []int32) {
+	off = make([]int32, g.N()+1)
+	for p := range g.end {
+		off[p+1] = off[p] + g.end[p] - g.off[p]
+	}
+	nbr = make([]int32, off[g.N()])
+	for p := range g.end {
+		copy(nbr[off[p]:], g.Row(p))
+	}
+	return off, nbr
 }
 
 // Relabel returns a copy of g in which process p becomes perm[p]. perm
@@ -248,16 +289,21 @@ func (g *Graph) Relabel(perm []int) (*Graph, error) {
 		}
 		seen[v] = true
 	}
-	h := &Graph{name: g.name, adj: make([][]int, g.N()), m: g.m}
-	for p, nb := range g.adj {
-		row := make([]int, len(nb))
-		for i, q := range nb {
-			row[i] = perm[q]
-		}
-		h.adj[perm[p]] = row
+	off := make([]int32, g.N()+1)
+	for p := range g.end {
+		off[perm[p]+1] = int32(g.Degree(p))
 	}
-	h.rebuildBackPorts()
-	return h, nil
+	for p := range g.end {
+		off[p+1] += off[p]
+	}
+	nbr := make([]int32, off[g.N()])
+	for p := range g.end {
+		row := nbr[off[perm[p]]:]
+		for i, q := range g.Row(p) {
+			row[i] = int32(perm[q])
+		}
+	}
+	return g.withRows(off, nbr), nil
 }
 
 // Equal reports whether g and h have identical vertex sets, edge sets and
@@ -266,14 +312,9 @@ func (g *Graph) Equal(h *Graph) bool {
 	if g.N() != h.N() || g.m != h.m {
 		return false
 	}
-	for p := range g.adj {
-		if len(g.adj[p]) != len(h.adj[p]) {
+	for p := range g.end {
+		if !slices.Equal(g.Row(p), h.Row(p)) {
 			return false
-		}
-		for i := range g.adj[p] {
-			if g.adj[p][i] != h.adj[p][i] {
-				return false
-			}
 		}
 	}
 	return true

@@ -50,12 +50,12 @@ func OrientByColor(g *Graph, colors []int) (*Orientation, error) {
 	}
 	succ := make([][]int, g.N())
 	for p := 0; p < g.N(); p++ {
-		for _, q := range g.adj[p] {
+		for _, q := range g.Row(p) {
 			if colors[p] == colors[q] {
 				return nil, fmt.Errorf("graph: neighbors %d and %d share color %d", p, q, colors[p])
 			}
 			if colors[p] < colors[q] {
-				succ[p] = append(succ[p], q)
+				succ[p] = append(succ[p], int(q))
 			}
 		}
 	}
@@ -73,10 +73,10 @@ func (o *Orientation) Succ(p int) []int {
 // Pred returns the predecessor set of p (neighbors q with p in Succ.q).
 func (o *Orientation) Pred(p int) []int {
 	var out []int
-	for _, q := range o.g.adj[p] {
+	for _, q := range o.g.Row(p) {
 		for _, s := range o.succ[q] {
 			if s == p {
-				out = append(out, q)
+				out = append(out, int(q))
 				break
 			}
 		}

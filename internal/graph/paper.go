@@ -5,20 +5,26 @@ import "fmt"
 // This file builds the specific networks appearing in the paper's proofs
 // and examples (Figures 1-6, 9 and 11).
 
+// named returns the static graph g under another name, sharing its
+// storage.
+func (g *Graph) named(name string) *Graph {
+	h := *g
+	h.name = name
+	return &h
+}
+
 // TheoremOneChain returns the anonymous 5-process chain p1-p2-p3-p4-p5
 // used in the proof of Theorem 1 for Δ=2 (Figure 1). Process ids are
 // 0-based: paper process p_i is id i-1.
 func TheoremOneChain() *Graph {
-	g := Path(5)
-	return &Graph{name: "thm1-chain", adj: g.adj, back: g.back, m: g.m}
+	return Path(5).named("thm1-chain")
 }
 
 // TheoremOneStitched returns the 7-process chain p'1..p'7 onto which two
 // silent executions of the 5-chain are stitched in Theorem 1's proof
 // (Figure 1 (c)).
 func TheoremOneStitched() *Graph {
-	g := Path(7)
-	return &Graph{name: "thm1-stitched", adj: g.adj, back: g.back, m: g.m}
+	return Path(7).named("thm1-stitched")
 }
 
 // TheoremOneSpider returns the generalization of the Theorem 1
@@ -146,8 +152,7 @@ func TheoremTwoGeneralized(delta int) *RootedDag {
 // On a path of n processes, Lmax = n-1 and at least ⌊n/2⌋ processes are
 // eventually dominated (hence 1-stable).
 func FigureNinePath(n int) *Graph {
-	g := Path(n)
-	return &Graph{name: fmt.Sprintf("fig9-path-%d", n), adj: g.adj, back: g.back, m: g.m}
+	return Path(n).named(fmt.Sprintf("fig9-path-%d", n))
 }
 
 // FigureElevenNetwork returns the network of Figure 11: Δ = 4, m = 14,

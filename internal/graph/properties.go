@@ -8,23 +8,48 @@ import (
 // BFS returns the distance (in hops) from src to every process, with -1
 // for unreachable processes.
 func (g *Graph) BFS(src int) []int {
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
+	s := g.newBFS()
+	s.from(src)
+	out := make([]int, len(s.dist))
+	for p, d := range s.dist {
+		out[p] = int(d)
 	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		for _, q := range g.adj[p] {
-			if dist[q] == -1 {
-				dist[q] = dist[p] + 1
-				queue = append(queue, q)
+	return out
+}
+
+// bfs is the scratch of a breadth-first search, reusable across sources:
+// hop distances (-1 for unreachable) and the visit queue, both as wide as
+// the graph's ids.
+type bfs struct {
+	g     *Graph
+	dist  []int32
+	queue []int32
+}
+
+func (g *Graph) newBFS() *bfs {
+	return &bfs{g: g, dist: make([]int32, g.N()), queue: make([]int32, 0, g.N())}
+}
+
+// from searches from src and returns how many processes it reached and
+// the distance of the farthest.
+func (s *bfs) from(src int) (reached int, far int32) {
+	for i := range s.dist {
+		s.dist[i] = -1
+	}
+	s.dist[src] = 0
+	s.queue = append(s.queue[:0], int32(src))
+	// Every process enters the queue at most once, so it never regrows.
+	for head := 0; head < len(s.queue); head++ {
+		p := s.queue[head]
+		far = s.dist[p] // distances are non-decreasing along the queue
+		for _, q := range s.g.Row(int(p)) {
+			if s.dist[q] == -1 {
+				s.dist[q] = far + 1
+				s.queue = append(s.queue, q)
 			}
 		}
 	}
-	return dist
+	return len(s.queue), far
 }
 
 // IsConnected reports whether the graph is connected (the paper's model
@@ -33,12 +58,8 @@ func (g *Graph) IsConnected() bool {
 	if g.N() == 0 {
 		return true
 	}
-	for _, d := range g.BFS(0) {
-		if d == -1 {
-			return false
-		}
-	}
-	return true
+	reached, _ := g.newBFS().from(0)
+	return reached == g.N()
 }
 
 // ConnectedComponents returns a component label per process.
@@ -57,10 +78,10 @@ func (g *Graph) ConnectedComponents() []int {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, u := range g.adj[v] {
+			for _, u := range g.Row(v) {
 				if comp[u] == -1 {
 					comp[u] = c
-					stack = append(stack, u)
+					stack = append(stack, int(u))
 				}
 			}
 		}
@@ -72,18 +93,16 @@ func (g *Graph) ConnectedComponents() []int {
 // Diameter returns D, the maximum over all pairs of the hop distance.
 // It returns an error for disconnected graphs.
 func (g *Graph) Diameter() (int, error) {
-	d := 0
+	d := int32(0)
+	s := g.newBFS()
 	for p := 0; p < g.N(); p++ {
-		for _, dd := range g.BFS(p) {
-			if dd == -1 {
-				return 0, fmt.Errorf("graph: diameter of disconnected graph")
-			}
-			if dd > d {
-				d = dd
-			}
+		reached, far := s.from(p)
+		if reached < g.N() {
+			return 0, fmt.Errorf("graph: diameter of disconnected graph")
 		}
+		d = max(d, far)
 	}
-	return d, nil
+	return int(d), nil
 }
 
 // IsTree reports whether the graph is connected and has n-1 edges.
@@ -106,10 +125,10 @@ func (g *Graph) IsBipartite() bool {
 		for len(queue) > 0 {
 			p := queue[0]
 			queue = queue[1:]
-			for _, q := range g.adj[p] {
+			for _, q := range g.Row(p) {
 				if color[q] == -1 {
 					color[q] = 1 - color[p]
-					queue = append(queue, q)
+					queue = append(queue, int(q))
 				} else if color[q] == color[p] {
 					return false
 				}
@@ -142,9 +161,9 @@ func (g *Graph) LongestPathExact(maxNodes int) (int, error) {
 			best = length
 		}
 		visited[p] = true
-		for _, q := range g.adj[p] {
+		for _, q := range g.Row(p) {
 			if !visited[q] {
-				dfs(q, length+1)
+				dfs(int(q), length+1)
 			}
 		}
 		visited[p] = false
@@ -163,8 +182,8 @@ func (g *Graph) LongestPathExact(maxNodes int) (int, error) {
 func (g *Graph) longestPathMasked() int {
 	n := g.N()
 	adj := make([]uint64, n)
-	for p, row := range g.adj {
-		for _, q := range row {
+	for p := range adj {
+		for _, q := range g.Row(p) {
 			adj[p] |= 1 << uint(q)
 		}
 	}
@@ -245,9 +264,9 @@ func (g *Graph) LongestPathLowerBound(trials int, seed uint64) int {
 		visited[p] = true
 		for {
 			var cands []int
-			for _, q := range g.adj[p] {
+			for _, q := range g.Row(p) {
 				if !visited[q] {
-					cands = append(cands, q)
+					cands = append(cands, int(q))
 				}
 			}
 			if len(cands) == 0 {

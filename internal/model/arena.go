@@ -20,8 +20,8 @@ type stepArena struct {
 	commScratch     []int // n × CommWidth
 	internalScratch []int
 
-	fired       []int  // per selected index: fired action or -1
-	commChanged []bool // per selected index: did p's comm row change
+	fired       []int16 // per selected index: fired action or -1 (Spec.Validate bounds the index)
+	commChanged []bool  // per selected index: did p's comm row change
 
 	src      rng.SplitMix
 	rand     *rng.Rand // wraps &src; reseeded per process
@@ -35,7 +35,7 @@ func newStepArena(sys *System) *stepArena {
 		agg:             newReadAgg(sys),
 		commScratch:     make([]int, n*sys.wc),
 		internalScratch: make([]int, n*sys.wi),
-		fired:           make([]int, 0, n),
+		fired:           make([]int16, 0, n),
 		commChanged:     make([]bool, 0, n),
 	}
 	a.ctx = Ctx{sys: sys, arena: a}
@@ -72,10 +72,7 @@ func (a *stepArena) internalRow(i int) []int {
 // next eval.
 func (a *stepArena) eval(cfg *Config, p, i int, record bool) int {
 	c := &a.ctx
-	c.pre = cfg
-	c.p = p
-	c.rand = nil
-	c.cacheIndex = nil
+	c.aim(cfg, p)
 	c.comm = a.commRow(i)
 	c.internal = a.internalRow(i)
 	copy(c.comm, cfg.Comm[p])
@@ -94,11 +91,11 @@ func (a *stepArena) eval(cfg *Config, p, i int, record bool) int {
 // allocation. Each process draws from the arena generator reseeded for
 // (stepSeed, p). The returned slices are owned by the arena and valid
 // until the next call.
-func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Observer) (fired []int, commChanged []bool) {
+func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Observer) (fired []int16, commChanged []bool) {
 	fired = a.fired[:0]
 	for i, p := range selected {
 		f := a.eval(cfg, p, i, obs != nil)
-		fired = append(fired, f)
+		fired = append(fired, int16(f))
 		if obs != nil {
 			obs.Selected(step, p, a.agg.qs, a.agg.bits, f, 1)
 		}

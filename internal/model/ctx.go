@@ -120,6 +120,10 @@ type Ctx struct {
 	sys *System
 	pre *Config // pre-step configuration: neighbor reads resolve here
 	p   int
+	// nbr is p's port row (graph.Row), taken once where the context is
+	// aimed at p: nbr[port-1] is the neighbor behind port, and any port
+	// outside 1..δ.p panics on its bound.
+	nbr []int32
 
 	comm     []int // scratch copy of own communication variables
 	internal []int // scratch copy of own internal variables
@@ -168,6 +172,16 @@ func (c *Ctx) Scratch(n int) []int {
 	return c.scratch[off:end:end]
 }
 
+// aim points the context at process p of cfg, as every reused context
+// is before it evaluates p: neighbor reads resolve against cfg through
+// p's port row, directly (no cached view), and no generator is bound.
+func (c *Ctx) aim(cfg *Config, p int) {
+	c.pre, c.p = cfg, p
+	c.nbr = c.sys.g.Row(p)
+	c.cacheIndex = nil
+	c.rand = nil
+}
+
 // beginBody recycles the scratch buffer for the next Guard or Apply
 // body; every evaluation site calls it immediately before invoking one.
 func (c *Ctx) beginBody() { c.scratchOff = 0 }
@@ -177,7 +191,7 @@ func (c *Ctx) beginBody() { c.scratchOff = 0 }
 func (c *Ctx) P() int { return c.p }
 
 // Deg returns δ.p.
-func (c *Ctx) Deg() int { return c.sys.g.Degree(c.p) }
+func (c *Ctx) Deg() int { return len(c.nbr) }
 
 // Delta returns Δ, the maximum degree of the network (used for palette
 // sizes, e.g. the Δ+1 colors of Protocol COLORING).
@@ -220,7 +234,7 @@ func (c *Ctx) NeighborComm(port, v int) int {
 	if c.cacheIndex != nil {
 		return c.internal[c.cacheIndex(port, KindComm, v)]
 	}
-	q := c.sys.g.Neighbor(c.p, port)
+	q := int(c.nbr[port-1])
 	if c.agg != nil {
 		c.agg.note(port, q, v, c.sys.commBit(q, v))
 	}
@@ -234,7 +248,7 @@ func (c *Ctx) NeighborConst(port, v int) int {
 	if c.cacheIndex != nil {
 		return c.internal[c.cacheIndex(port, KindConst, v)]
 	}
-	q := c.sys.g.Neighbor(c.p, port)
+	q := int(c.nbr[port-1])
 	if c.agg != nil {
 		c.agg.note(port, q, c.sys.wc+v, c.sys.constBit(q, v))
 	}
@@ -268,7 +282,7 @@ func (c *Ctx) BackPort(port int) int {
 // NeighborDeg returns δ.q of the neighbor behind port (degrees are
 // structural, not communicated).
 func (c *Ctx) NeighborDeg(port int) int {
-	return c.sys.g.Degree(c.sys.g.Neighbor(c.p, port))
+	return c.sys.g.Degree(int(c.nbr[port-1]))
 }
 
 // Rand returns a uniform value in [0, n). Only Apply bodies may draw

@@ -47,7 +47,7 @@ type EnabledTracker struct {
 	cfg *Config
 
 	valid  []bool
-	action []int // last committed verdict: first enabled action, -1 disabled
+	action []int16 // last committed verdict: first enabled action, -1 disabled
 
 	// AppendEnabled support: enabled mirrors the committed verdicts as a
 	// bitset (bit p set iff action[p] >= 0 — recomputes touch it only when
@@ -81,7 +81,7 @@ func (t *EnabledTracker) Reset(sys *System, cfg *Config) {
 	if t.sys != sys {
 		t.sys = sys
 		t.valid = make([]bool, sys.N())
-		t.action = make([]int, sys.N())
+		t.action = make([]int16, sys.N())
 		t.enabled = bitset.New(sys.N())
 		t.stale = make([]int32, 0, sys.N())
 		t.queued = make([]bool, sys.N())
@@ -115,7 +115,7 @@ var _ EnabledView = (*EnabledTracker)(nil)
 // is disabled, recomputing only if p's cached verdict was invalidated.
 func (t *EnabledTracker) EnabledAction(p int) int {
 	if t.valid[p] {
-		return t.action[p]
+		return int(t.action[p])
 	}
 	return t.recompute(p)
 }
@@ -125,15 +125,12 @@ func (t *EnabledTracker) EnabledAction(p int) int {
 // invalidations re-derive the same verdict, and the mirror stays untouched.
 func (t *EnabledTracker) recompute(p int) int {
 	idx := -1
-	if t.sys.g.Degree(p) > 0 {
+	c := &t.probe
+	c.aim(t.cfg, p)
+	if len(c.nbr) > 0 {
 		// Isolated processes (crashed under dynamic topology) stay at
 		// idx = -1: disabled by definition, and guards may not be
 		// evaluated at degree 0.
-		c := &t.probe
-		c.pre = t.cfg
-		c.p = p
-		c.cacheIndex = nil
-		c.rand = nil
 		copy(c.comm, t.cfg.Comm[p])
 		copy(c.internal, t.cfg.Internal[p])
 		actions := t.sys.spec.Actions
@@ -153,7 +150,7 @@ func (t *EnabledTracker) recompute(p int) int {
 			t.enabled.Remove(p)
 		}
 	}
-	t.action[p] = idx
+	t.action[p] = int16(idx)
 	return idx
 }
 
@@ -214,9 +211,8 @@ func (t *EnabledTracker) Invalidate(p int) {
 // InvalidateNeighbors marks the verdicts of p's neighbors stale (p's
 // communication state changed).
 func (t *EnabledTracker) InvalidateNeighbors(p int) {
-	g := t.sys.g
-	for port := 1; port <= g.Degree(p); port++ {
-		t.Invalidate(g.Neighbor(p, port))
+	for _, q := range t.sys.g.Row(p) {
+		t.Invalidate(int(q))
 	}
 }
 

@@ -45,6 +45,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -120,6 +121,10 @@ func (s *Spec) Validate() error {
 	}
 	if len(s.Actions) == 0 {
 		return fmt.Errorf("model: spec %q has no actions", s.Name)
+	}
+	if len(s.Actions) > math.MaxInt16 {
+		// The engine's per-process tables hold an action index in 16 bits.
+		return fmt.Errorf("model: spec %q has %d actions, more than %d", s.Name, len(s.Actions), math.MaxInt16)
 	}
 	for i, a := range s.Actions {
 		if a.Guard == nil || a.Apply == nil {

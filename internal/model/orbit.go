@@ -68,18 +68,14 @@ func (o *orbitProbe) seen(n int) bool {
 // visited rows are scanned linearly, as the replay memo scans its
 // entries.
 func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, error) {
-	if o.sys.g.Degree(p) == 0 {
+	c := &o.ctx
+	c.aim(cfg, p)
+	if len(c.nbr) == 0 {
 		return true, nil // isolated: disabled by definition, orbit closed
 	}
 	copy(o.comm, cfg.Comm[p])
 	copy(o.internal, cfg.Internal[p])
 	o.visited = o.visited[:0]
-
-	c := &o.ctx
-	c.pre = cfg
-	c.p = p
-	c.cacheIndex = nil
-	c.rand = nil
 
 	actions := o.sys.spec.Actions
 	for iter := 0; iter < maxOrbit; iter++ {

@@ -83,7 +83,7 @@ func enabledOrbitSilent(sys *System, cfg *Config, p, maxOrbit int) (bool, error)
 		}
 		visited[key] = true
 
-		c := &Ctx{sys: sys, pre: cfg, p: p,
+		c := &Ctx{sys: sys, pre: cfg, p: p, nbr: sys.g.Row(p),
 			comm:     append([]int(nil), comm...),
 			internal: append([]int(nil), internal...),
 		}
@@ -123,7 +123,7 @@ type probeResult struct {
 }
 
 func probeApply(sys *System, cfg *Config, p int, comm, internal []int, action int, r *rng.Rand) (probeResult, error) {
-	c := &Ctx{sys: sys, pre: cfg, p: p,
+	c := &Ctx{sys: sys, pre: cfg, p: p, nbr: sys.g.Row(p),
 		comm:        append([]int(nil), comm...),
 		internal:    append([]int(nil), internal...),
 		rand:        r,

@@ -103,7 +103,10 @@ type Simulator struct {
 	// carrying the aggregate its evaluation delivered and the count (see
 	// memoFlush), before any exported method returns. Every statistic an
 	// observer keeps is a sum, a maximum or a set union of that aggregate,
-	// so recorded traces are byte-identical to the slow path.
+	// so recorded traces are byte-identical to the slow path. Both tables
+	// are allocated by the first step of a silent phase: a run that ends
+	// at silence, as every convergence trial without a suffix does, never
+	// reads them.
 	memoEntries [][]silentEntry
 	memoCur     []int32
 	memoPending []memoRef // entries with undelivered replays
@@ -178,8 +181,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		s.lastSel = make([]int, sys.N())
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
-		s.memoEntries = make([][]silentEntry, sys.N())
-		s.memoCur = make([]int32, sys.N())
+		s.memoEntries, s.memoCur = nil, nil
 		s.arena = newStepArena(sys)
 	} else {
 		clear(s.lastSel)
@@ -323,11 +325,7 @@ func (s *Simulator) moved(p int, commChanged bool) {
 	}
 	s.tracker.Invalidate(p)
 	if commChanged {
-		for port := 1; port <= s.sys.g.Degree(p); port++ {
-			q := s.sys.g.Neighbor(p, port)
-			s.invalidateSilence(q)
-			s.tracker.Invalidate(q)
-		}
+		s.neighborsDirty(p)
 	}
 }
 
@@ -452,10 +450,15 @@ func (s *Simulator) MarkDirty(p int) {
 	s.memoReset()
 	s.invalidateSilence(p)
 	s.tracker.Invalidate(p)
-	for port := 1; port <= s.sys.g.Degree(p); port++ {
-		q := s.sys.g.Neighbor(p, port)
-		s.invalidateSilence(q)
-		s.tracker.Invalidate(q)
+	s.neighborsDirty(p)
+}
+
+// neighborsDirty invalidates the cached verdicts of p's neighbors: p's
+// communication row changed, or may have.
+func (s *Simulator) neighborsDirty(p int) {
+	for _, q := range s.sys.g.Row(p) {
+		s.invalidateSilence(int(q))
+		s.tracker.Invalidate(int(q))
 	}
 }
 
@@ -552,6 +555,10 @@ scan:
 // per-process sequential processing preserves the two-phase step
 // semantics.
 func (s *Simulator) memoStep(selected []int) {
+	if s.memoEntries == nil {
+		s.memoEntries = make([][]silentEntry, s.sys.N())
+		s.memoCur = make([]int32, s.sys.N())
+	}
 	for _, p := range selected {
 		cur := s.memoCur[p]
 		if cur == 0 {

@@ -54,7 +54,7 @@ func eventualReadsOf(sys *System, cfg *Config, p int) ([]int, error) {
 		firstSeen[key] = iter
 
 		agg.begin()
-		c := &Ctx{sys: sys, pre: cfg, p: p,
+		c := &Ctx{sys: sys, pre: cfg, p: p, nbr: sys.g.Row(p),
 			comm:     append([]int(nil), comm...),
 			internal: append([]int(nil), internal...),
 			agg:      &agg,

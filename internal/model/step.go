@@ -15,7 +15,7 @@ import (
 // dynamic topologies a crashed or fully cut-off process is isolated but
 // remains scheduled, and this rule is what keeps it from moving.
 func execOne(c *Ctx) int {
-	if c.sys.g.Degree(c.p) == 0 {
+	if len(c.nbr) == 0 {
 		return -1
 	}
 	spec := c.sys.spec
@@ -45,6 +45,7 @@ func newCtx(sys *System, cfg *Config, p int, r *rng.Rand, record bool) *Ctx {
 		sys:      sys,
 		pre:      cfg,
 		p:        p,
+		nbr:      sys.g.Row(p),
 		comm:     buf[:len(comm):len(comm)],
 		internal: buf[len(comm):],
 		rand:     r,

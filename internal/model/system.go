@@ -16,10 +16,9 @@ import (
 // entry for variable v lives at p*width+v, where width is the spec's
 // variable count for that kind. Elements are narrowed to int32 (domains
 // and constants; NewSystem rejects wider domains) and uint8 (bit
-// widths), so at n = 10⁶ the tables cost a few megabytes instead of the
-// jagged [][]int layout's six slice headers per process plus 8-byte
-// elements, and every guard-path lookup is one indexed load with no
-// pointer hop.
+// widths), so at n = 10⁶ the tables cost a few megabytes, with no slice
+// header per process, and every guard-path lookup is one indexed load
+// with no pointer hop.
 type System struct {
 	g     *graph.Graph
 	spec  *Spec

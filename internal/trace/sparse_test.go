@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -95,5 +96,69 @@ func TestSparseResetSwitchesRepresentation(t *testing.T) {
 	gotDense := driveFull(t, rec, g, 5)
 	if !reflect.DeepEqual(want, gotDense) {
 		t.Fatalf("sparse→dense switch: report differs:\nwant %+v\ngot  %+v", want, gotDense)
+	}
+}
+
+// TestSparseSuffixFlagsMatchDense drives a dense and a sparse recorder
+// through one script of selections with two MarkSuffix calls, re-reading
+// neighbors after each mark in another order than they were first read,
+// and compares the reports after every call. The sparse form keeps the
+// suffix set as a flag on each whole-run member, so what it must get
+// right is a member that is re-flagged, one that stays unflagged
+// (process 1 reads nothing after the first mark: whole-run set {0},
+// suffix set empty) and one that joins after a mark. Not parallel: it
+// lowers the package threshold.
+func TestSparseSuffixFlagsMatchDense(t *testing.T) {
+	const n = 6
+	type sel struct {
+		p  int
+		qs []int
+	}
+	stages := [][]sel{
+		{{0, []int{1, 2, 3}}, {1, []int{0}}, {2, []int{5, 4}}, {0, []int{3}}},
+		{{0, []int{3, 1}}, {2, []int{4}}, {0, []int{1}}, {3, []int{0}}},
+		{{0, []int{2}}, {2, []int{4, 5}}, {4, nil}, {3, []int{5, 0}}},
+	}
+
+	dense := NewRecorder(n)
+	old := sparseThreshold
+	sparseThreshold = 1
+	sparse := NewRecorder(n)
+	sparseThreshold = old
+	if dense.sparse || !sparse.sparse {
+		t.Fatalf("representations: dense.sparse=%v sparse.sparse=%v", dense.sparse, sparse.sparse)
+	}
+
+	var d, s Report
+	compare := func(at string) {
+		t.Helper()
+		dense.ReportInto(&d)
+		sparse.ReportInto(&s)
+		if !reflect.DeepEqual(d, s) {
+			t.Fatalf("%s: sparse report differs from dense:\ndense  %+v\nsparse %+v", at, d, s)
+		}
+	}
+	for i, stage := range stages {
+		if i > 0 {
+			dense.MarkSuffix()
+			sparse.MarkSuffix()
+			compare(fmt.Sprintf("after mark %d", i))
+		}
+		for j, c := range stage {
+			for _, rec := range []*Recorder{dense, sparse} {
+				rec.Selected(i, c.p, c.qs, 2*len(c.qs), 0, 1+j)
+			}
+			compare(fmt.Sprintf("stage %d call %d", i, j))
+		}
+		if i == 1 && (d.ReadSetSizes[1] != 1 || d.SuffixReadSetSizes[1] != 0) {
+			t.Fatalf("process 1 after the first mark: |R|=%d, suffix |R|=%d, want 1 and 0",
+				d.ReadSetSizes[1], d.SuffixReadSetSizes[1])
+		}
+	}
+	if want := []int{3, 1, 2, 2, 0, 0}; !reflect.DeepEqual(s.ReadSetSizes, want) {
+		t.Fatalf("whole-run sizes %v, want %v", s.ReadSetSizes, want)
+	}
+	if want := []int{1, 0, 2, 2, 0, 0}; !reflect.DeepEqual(s.SuffixReadSetSizes, want) {
+		t.Fatalf("suffix sizes %v, want %v", s.SuffixReadSetSizes, want)
 	}
 }

@@ -14,6 +14,8 @@
 package trace
 
 import (
+	"math"
+
 	"repro/internal/bitset"
 	"repro/internal/model"
 )
@@ -23,12 +25,12 @@ import (
 // set R_p has at most degree(p) members — yet the dense representation
 // charges n bits per process, O(n²) bytes per recorder, which is the
 // memory wall at large n (two sets × 10⁶ processes ≈ 250 GB). Above
-// the threshold the recorder switches to per-process member lists with
-// linear dedup: O(Σ degree) memory total and O(degree) per insertion,
-// which is what makes million-process recordings fit in RAM. Both
-// representations produce byte-identical reports
-// (TestSparseRecorderMatchesDense); it is a var only so tests can force
-// the sparse path at small n.
+// the threshold the recorder switches to one member list per process
+// with linear dedup (see Recorder.lists): O(Σ degree) memory total and
+// O(degree) per insertion, which is what makes million-process
+// recordings fit in RAM. Both representations produce byte-identical
+// reports (TestSparseRecorderMatchesDense); it is a var only so tests
+// can force the sparse path at small n.
 //
 // Ablated in PR 13, with insertion down to one probe per distinct
 // neighbor: sparse-always (threshold 0) ran the 19-experiment registry
@@ -49,13 +51,16 @@ type Recorder struct {
 	n      int
 	sparse bool // n > sparseThreshold: list-backed read sets
 
-	maxStepReads []int // per process: max distinct neighbors read in one step
-	maxStepBits  []int // per process: max bits read in one step
+	maxStepReads int // max distinct neighbors any process read in one step
+	maxStepBits  int // max bits any process read in one step
 
 	everRead   []*bitset.Set // R_p over the whole computation
 	suffixRead []*bitset.Set // R_p since the last MarkSuffix
-	everList   [][]int32     // sparse forms of the two sets above
-	suffixList [][]int32
+	// lists is the sparse form of both sets: lists[p] holds the members
+	// of R_p over the whole computation, each once, and a member read
+	// since the last MarkSuffix carries inSuffix (the suffix set is a
+	// subset of the whole-run set, so a flag per member is all it needs).
+	lists [][]int32
 
 	totalBits          int64
 	totalReads         int64 // distinct (process, neighbor) reads summed over steps
@@ -74,6 +79,11 @@ type Recorder struct {
 	suffixMoves      int64
 }
 
+// inSuffix is the sign bit of a sparse read-set member. Process ids are
+// non-negative int32s (package graph rejects larger networks), so the
+// bit is free.
+const inSuffix int32 = math.MinInt32
+
 // NewRecorder returns a Recorder for n processes.
 func NewRecorder(n int) *Recorder {
 	r := &Recorder{}
@@ -88,14 +98,11 @@ func (r *Recorder) Reset(n int) {
 	sparse := n > sparseThreshold
 	if n != r.n || sparse != r.sparse {
 		r.n, r.sparse = n, sparse
-		r.maxStepReads = make([]int, n)
-		r.maxStepBits = make([]int, n)
 		if sparse {
 			r.everRead, r.suffixRead = nil, nil
-			r.everList = make([][]int32, n)
-			r.suffixList = make([][]int32, n)
+			r.lists = make([][]int32, n)
 		} else {
-			r.everList, r.suffixList = nil, nil
+			r.lists = nil
 			r.everRead = make([]*bitset.Set, n)
 			r.suffixRead = make([]*bitset.Set, n)
 			for p := 0; p < n; p++ {
@@ -106,16 +113,14 @@ func (r *Recorder) Reset(n int) {
 	} else {
 		for p := 0; p < n; p++ {
 			if sparse {
-				r.everList[p] = r.everList[p][:0]
-				r.suffixList[p] = r.suffixList[p][:0]
+				r.lists[p] = r.lists[p][:0]
 			} else {
 				r.everRead[p].Clear()
 				r.suffixRead[p].Clear()
 			}
-			r.maxStepReads[p] = 0
-			r.maxStepBits[p] = 0
 		}
 	}
+	r.maxStepReads, r.maxStepBits = 0, 0
 	r.totalBits, r.totalReads = 0, 0
 	r.moves, r.disabledSelections, r.selections, r.commWrites = 0, 0, 0, 0
 	r.steps, r.rounds = 0, 0
@@ -126,16 +131,19 @@ func (r *Recorder) Reset(n int) {
 
 var _ model.Observer = (*Recorder)(nil)
 
-// addMember inserts q into a sparse read-set list if absent, reporting
-// whether it was added. Read sets only ever hold neighbors of one
-// process, so the linear dedup scan is O(degree), never O(n).
-func addMember(list []int32, q int32) ([]int32, bool) {
-	for _, m := range list {
-		if m == q {
-			return list, false
+// addMember records a read of q in a sparse read-set list: q joins the
+// list if absent and carries inSuffix either way. Read sets only ever
+// hold neighbors of one process, so the linear dedup scan is O(degree),
+// never O(n).
+func addMember(list []int32, q int32) []int32 {
+	q |= inSuffix
+	for i, m := range list {
+		if m|inSuffix == q {
+			list[i] = q
+			return list
 		}
 	}
-	return append(list, q), true
+	return append(list, q)
 }
 
 // StepBegin implements model.Observer.
@@ -161,30 +169,23 @@ func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired, times int) {
 	if reads == 0 {
 		return
 	}
-	if reads > r.maxStepReads[p] {
-		r.maxStepReads[p] = reads
-	}
+	r.maxStepReads = max(r.maxStepReads, reads)
 	r.totalReads += int64(reads) * t
 	r.suffixReads += int64(reads) * t
-	if bits > r.maxStepBits[p] {
-		r.maxStepBits[p] = bits
-	}
+	r.maxStepBits = max(r.maxStepBits, bits)
 	r.totalBits += int64(bits) * t
 	r.suffixBits += int64(bits) * t
+	if r.sparse {
+		list := r.lists[p]
+		for _, q := range neighbors {
+			list = addMember(list, int32(q))
+		}
+		r.lists[p] = list
+		return
+	}
 	// The suffix set is a subset of the whole-run set (MarkSuffix clears
 	// only the former), so a neighbor already in it needs no second
 	// insertion: once a process's sets saturate, a read costs one probe.
-	if r.sparse {
-		ever, suffix := r.everList[p], r.suffixList[p]
-		for _, q := range neighbors {
-			var added bool
-			if suffix, added = addMember(suffix, int32(q)); added {
-				ever, _ = addMember(ever, int32(q))
-			}
-		}
-		r.everList[p], r.suffixList[p] = ever, suffix
-		return
-	}
 	ever, suffix := r.everRead[p], r.suffixRead[p]
 	for _, q := range neighbors {
 		if suffix.Add(q) {
@@ -213,7 +214,9 @@ func (r *Recorder) StepEnd(_ int, _ []int, roundCompleted bool) {
 func (r *Recorder) MarkSuffix() {
 	for p := 0; p < r.n; p++ {
 		if r.sparse {
-			r.suffixList[p] = r.suffixList[p][:0]
+			for i := range r.lists[p] {
+				r.lists[p][i] &^= inSuffix
+			}
 		} else {
 			r.suffixRead[p].Clear()
 		}
@@ -287,6 +290,8 @@ func (r *Recorder) ReportInto(rep *Report) {
 		DisabledSelections: r.disabledSelections,
 		Selections:         r.selections,
 		CommWrites:         r.commWrites,
+		KEfficiency:        r.maxStepReads,
+		CommComplexityBits: r.maxStepBits,
 		TotalBits:          r.totalBits,
 		TotalReads:         r.totalReads,
 		ReadSetSizes:       resizeInts(rep.ReadSetSizes, r.n),
@@ -299,15 +304,15 @@ func (r *Recorder) ReportInto(rep *Report) {
 		SuffixMoves:        r.suffixMoves,
 	}
 	for p := 0; p < r.n; p++ {
-		if r.maxStepReads[p] > rep.KEfficiency {
-			rep.KEfficiency = r.maxStepReads[p]
-		}
-		if r.maxStepBits[p] > rep.CommComplexityBits {
-			rep.CommComplexityBits = r.maxStepBits[p]
-		}
 		if r.sparse {
-			rep.ReadSetSizes[p] = len(r.everList[p])
-			rep.SuffixReadSetSizes[p] = len(r.suffixList[p])
+			flagged := 0
+			for _, m := range r.lists[p] {
+				if m < 0 {
+					flagged++
+				}
+			}
+			rep.ReadSetSizes[p] = len(r.lists[p])
+			rep.SuffixReadSetSizes[p] = flagged
 		} else {
 			rep.ReadSetSizes[p] = r.everRead[p].Count()
 			rep.SuffixReadSetSizes[p] = r.suffixRead[p].Count()
