@@ -54,7 +54,7 @@ func main() {
 		faults := net.Graph.N() / 3
 		for i := 0; i < faults; i++ {
 			p := r.Intn(net.Graph.N())
-			corrupted.Comm[p][0] = r.Intn(budget)
+			corrupted.SetComm(p, 0, r.Intn(budget))
 		}
 		res2, err := selfstab.Run(sys, selfstab.Options{Seed: 12, Initial: corrupted})
 		if err != nil {

@@ -58,8 +58,8 @@ func main() {
 	const faults = 8
 	for i := 0; i < faults; i++ {
 		p := r.Intn(sensors)
-		corrupted.Comm[p][0] = r.Intn(2)                       // random role
-		corrupted.Internal[p][0] = r.Intn(net.Graph.Degree(p)) // random pointer
+		corrupted.SetComm(p, 0, r.Intn(2))                       // random role
+		corrupted.SetInternal(p, 0, r.Intn(net.Graph.Degree(p))) // random pointer
 	}
 	res2, err := selfstab.Run(sys, selfstab.Options{Seed: 6, Initial: corrupted})
 	if err != nil {

@@ -146,18 +146,16 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 			// atomic per register, the snapshot is not.
 			for _, q := range sys.Graph().Neighbors(p) {
 				locks[q].RLock()
-				copy(scratch.Comm[q], shared.Comm[q])
+				copyComm(sys, scratch, shared, q)
 				locks[q].RUnlock()
 			}
 			locks[p].RLock()
-			copy(scratch.Comm[p], shared.Comm[p])
-			copy(scratch.Internal[p], shared.Internal[p])
+			copyProcess(sys, scratch, shared, p)
 			locks[p].RUnlock()
 			fired := model.StepProcess(sys, scratch, p, r)
 			if fired >= 0 {
 				locks[p].Lock()
-				copy(shared.Comm[p], scratch.Comm[p])
-				copy(shared.Internal[p], scratch.Internal[p])
+				copyProcess(sys, shared, scratch, p)
 				locks[p].Unlock()
 			}
 			return fired
@@ -213,6 +211,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 	// Monitor: poll a consistent snapshot for silence (+ legitimacy).
 	monitorDone := make(chan struct{})
 	var silentSeen atomic.Bool
+	var monitorErr error // written before monitorDone closes, read after
 	go func() {
 		defer close(monitorDone)
 		for !stop.Load() {
@@ -220,6 +219,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 			snap := takeSnapshot()
 			silent, err := model.CommSilent(sys, snap)
 			if err != nil {
+				monitorErr = err
 				stop.Store(true)
 				return
 			}
@@ -234,6 +234,9 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 	wg.Wait()
 	stop.Store(true)
 	<-monitorDone
+	if monitorErr != nil {
+		return nil, fmt.Errorf("concurrent: silence check: %w", monitorErr)
+	}
 
 	final := takeSnapshot()
 	res := &Result{
@@ -246,9 +249,11 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 	if !res.Silent {
 		// The budget may have run out after silence was in fact reached;
 		// decide once more on the final snapshot.
-		if silent, err := model.CommSilent(sys, final); err == nil && silent {
-			res.Silent = true
+		silent, err := model.CommSilent(sys, final)
+		if err != nil {
+			return nil, fmt.Errorf("concurrent: silence check: %w", err)
 		}
+		res.Silent = silent
 	}
 	if opts.Legitimate != nil {
 		res.Legitimate = opts.Legitimate(sys, final)
@@ -264,11 +269,25 @@ func snapshot(sys *model.System, shared *model.Config, locks []sync.RWMutex) *mo
 	out := model.NewZeroConfig(sys)
 	for p := 0; p < sys.N(); p++ {
 		locks[p].RLock()
-		copy(out.Comm[p], shared.Comm[p])
-		copy(out.Internal[p], shared.Internal[p])
+		copyProcess(sys, out, shared, p)
 		locks[p].RUnlock()
 	}
 	return out
+}
+
+// copyComm copies process p's communication variables from src to dst,
+// copyProcess its whole state; the caller holds p's lock.
+func copyComm(sys *model.System, dst, src *model.Config, p int) {
+	for v := range sys.CommWidth() {
+		dst.SetComm(p, v, src.Comm(p, v))
+	}
+}
+
+func copyProcess(sys *model.System, dst, src *model.Config, p int) {
+	copyComm(sys, dst, src, p)
+	for v := range sys.InternalWidth() {
+		dst.SetInternal(p, v, src.Internal(p, v))
+	}
 }
 
 func sortInts(xs []int) {

@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -131,8 +132,8 @@ func TestConcurrentMatchesLockStepOutcomeMIS(t *testing.T) {
 		if colors[p] != 1 {
 			want = mis.Dominated
 		}
-		if res.Final.Comm[p][mis.VarS] != want {
-			t.Fatalf("process %d: S=%d want %d", p, res.Final.Comm[p][mis.VarS], want)
+		if res.Final.Comm(p, mis.VarS) != want {
+			t.Fatalf("process %d: S=%d want %d", p, res.Final.Comm(p, mis.VarS), want)
 		}
 	}
 }
@@ -144,7 +145,7 @@ func TestConcurrentRejectsInvalidConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := model.NewZeroConfig(sys)
-	bad.Comm[0][coloring.VarC] = 99
+	bad.SetComm(0, coloring.VarC, 99)
 	if _, err := Run(sys, bad, Options{}); err == nil {
 		t.Fatal("invalid configuration accepted")
 	}
@@ -185,5 +186,35 @@ func TestConcurrentInitialConfigNotMutated(t *testing.T) {
 	}
 	if !cfg.Equal(keep) {
 		t.Fatal("caller's configuration was mutated")
+	}
+}
+
+// A silence oracle that fails must fail the run: one internal counter
+// over a domain above the oracle's orbit cap keeps every process enabled
+// and never touches communication state, so model.CommSilent reports
+// "orbit exceeded" on every snapshot while the workers step normally.
+func TestConcurrentReturnsSilenceOracleError(t *testing.T) {
+	const domain = 1 << 17
+	spec := &model.Spec{
+		Name:     "COUNTER",
+		Internal: []model.VarSpec{{Name: "t", Domain: func(model.DomainInfo) int { return domain }}},
+		Actions: []model.Action{{
+			Name:  "tick",
+			Guard: func(*model.Ctx) bool { return true },
+			Apply: func(c *model.Ctx) { c.SetInternal(0, (c.Internal(0)+1)%domain) },
+		}},
+	}
+	sys, err := model.NewSystem(graph.Path(2), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := model.CommSilent(sys, model.NewZeroConfig(sys)); err == nil {
+		t.Fatal("the oracle decides this spec; the test needs one it cannot")
+	}
+	for _, mode := range modes() {
+		res, err := Run(sys, model.NewZeroConfig(sys), Options{Mode: mode, Seed: 1, MaxStepsPerProcess: 1000})
+		if err == nil || !strings.Contains(err.Error(), "orbit exceeded") {
+			t.Fatalf("mode %s: result %+v, error %v; want the oracle's orbit error", mode, res, err)
+		}
 	}
 }

@@ -42,20 +42,9 @@ func (pk *picker) victims(n, k int) []int {
 	return pk.perm[:k]
 }
 
-// corruptState redraws every variable of process p uniformly from its
-// domain — the "arbitrary transient fault" of the paper, restricted to
-// one process.
-func corruptState(sys *model.System, cfg *model.Config, p int, r *rng.Rand) {
-	for v := range cfg.Comm[p] {
-		cfg.Comm[p][v] = r.Intn(sys.CommDomain(p, v))
-	}
-	for v := range cfg.Internal[p] {
-		cfg.Internal[p][v] = r.Intn(sys.InternalDomain(p, v))
-	}
-}
-
 // Uniform corrupts K uniformly chosen processes by redrawing their whole
-// state (communication and internal) uniformly from the state space. It
+// state (communication and internal) uniformly from the state space —
+// the "arbitrary transient fault" of the paper, one process at a time. It
 // subsumes the legacy E15 corruption: Reset(seed) followed by one Inject
 // emits exactly the draw stream of the old clone-then-corrupt code.
 type Uniform struct {
@@ -83,7 +72,7 @@ func (a *Uniform) Reset(seed uint64) { a.pk.reset(seed) }
 // Inject implements Adversary.
 func (a *Uniform) Inject(sys *model.System, cfg *model.Config, dst []int) []int {
 	for _, p := range a.pk.victims(sys.N(), a.k) {
-		corruptState(sys, cfg, p, a.pk.r)
+		model.RandomizeProcess(sys, cfg, p, a.pk.r)
 		dst = append(dst, p)
 	}
 	return dst
@@ -119,8 +108,8 @@ func (a *CommOnly) Reset(seed uint64) { a.pk.reset(seed) }
 // Inject implements Adversary.
 func (a *CommOnly) Inject(sys *model.System, cfg *model.Config, dst []int) []int {
 	for _, p := range a.pk.victims(sys.N(), a.k) {
-		for v := range cfg.Comm[p] {
-			cfg.Comm[p][v] = a.pk.r.Intn(sys.CommDomain(p, v))
+		for v := range sys.CommWidth() {
+			cfg.SetComm(p, v, a.pk.r.Intn(sys.CommDomain(p, v)))
 		}
 		dst = append(dst, p)
 	}
@@ -156,11 +145,11 @@ func (a *CrashReset) Reset(seed uint64) { a.pk.reset(seed) }
 // Inject implements Adversary.
 func (a *CrashReset) Inject(sys *model.System, cfg *model.Config, dst []int) []int {
 	for _, p := range a.pk.victims(sys.N(), a.k) {
-		for v := range cfg.Comm[p] {
-			cfg.Comm[p][v] = 0
+		for v := range sys.CommWidth() {
+			cfg.SetComm(p, v, 0)
 		}
-		for v := range cfg.Internal[p] {
-			cfg.Internal[p][v] = 0
+		for v := range sys.InternalWidth() {
+			cfg.SetInternal(p, v, 0)
 		}
 		dst = append(dst, p)
 	}
@@ -236,7 +225,7 @@ func (a *Cluster) Inject(sys *model.System, cfg *model.Config, dst []int) []int 
 	taken := 0
 	for head := 0; head < len(a.queue) && taken < k; head++ {
 		p := a.queue[head]
-		corruptState(sys, cfg, p, a.pk.r)
+		model.RandomizeProcess(sys, cfg, p, a.pk.r)
 		dst = append(dst, p)
 		if a.dist[p] > a.lastBallRadius {
 			a.lastBallRadius = a.dist[p]

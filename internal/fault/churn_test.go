@@ -195,8 +195,8 @@ func TestChurnUndoSemantics(t *testing.T) {
 		}
 		adv.Churn(sim, nil) // rejoin
 		for _, p := range victims {
-			for v, val := range sim.Config().Comm[p] {
-				if val != 0 {
+			for v := range sys.CommWidth() {
+				if val := sim.Config().Comm(p, v); val != 0 {
 					t.Fatalf("rejoined process %d comm[%d]=%d, want 0", p, v, val)
 				}
 			}

@@ -12,6 +12,19 @@ import (
 	"repro/internal/rng"
 )
 
+// stateOf copies out process p's state: communication variables, then
+// internal ones.
+func stateOf(sys *model.System, cfg *model.Config, p int) []int {
+	out := make([]int, 0, sys.CommWidth()+sys.InternalWidth())
+	for v := range sys.CommWidth() {
+		out = append(out, cfg.Comm(p, v))
+	}
+	for v := range sys.InternalWidth() {
+		out = append(out, cfg.Internal(p, v))
+	}
+	return out
+}
+
 func testSystems(t *testing.T) []*model.System {
 	t.Helper()
 	var systems []*model.System
@@ -83,7 +96,7 @@ func TestInjectContract(t *testing.T) {
 						if isFaulted[p] {
 							continue
 						}
-						if !slices.Equal(cfg.Comm[p], before.Comm[p]) || !slices.Equal(cfg.Internal[p], before.Internal[p]) {
+						if !slices.Equal(stateOf(sys, cfg, p), stateOf(sys, before, p)) {
 							t.Fatalf("%s: process %d outside the faulted set was mutated", adv.Name(), p)
 						}
 					}
@@ -146,11 +159,11 @@ func TestUniformMatchesLegacyStream(t *testing.T) {
 				r := rng.New(seed)
 				perm := r.Perm(sys.N())
 				for _, p := range perm[:k] {
-					for v := range legacy.Comm[p] {
-						legacy.Comm[p][v] = r.Intn(sys.CommDomain(p, v))
+					for v := range sys.CommWidth() {
+						legacy.SetComm(p, v, r.Intn(sys.CommDomain(p, v)))
 					}
-					for v := range legacy.Internal[p] {
-						legacy.Internal[p][v] = r.Intn(sys.InternalDomain(p, v))
+					for v := range sys.InternalWidth() {
+						legacy.SetInternal(p, v, r.Intn(sys.InternalDomain(p, v)))
 					}
 				}
 
@@ -181,8 +194,10 @@ func TestCommOnlyLeavesInternalState(t *testing.T) {
 	adv.Reset(3)
 	adv.Inject(sys, cfg, nil)
 	for p := 0; p < sys.N(); p++ {
-		if !slices.Equal(cfg.Internal[p], before.Internal[p]) {
-			t.Fatalf("comm adversary mutated internal state of process %d", p)
+		for v := range sys.InternalWidth() {
+			if cfg.Internal(p, v) != before.Internal(p, v) {
+				t.Fatalf("comm adversary mutated internal state of process %d", p)
+			}
 		}
 	}
 }
@@ -196,14 +211,9 @@ func TestCrashResetZeroes(t *testing.T) {
 	adv := fault.NewCrashReset(3)
 	adv.Reset(5)
 	for _, p := range adv.Inject(sys, cfg, nil) {
-		for v, val := range cfg.Comm[p] {
+		for v, val := range stateOf(sys, cfg, p) {
 			if val != 0 {
-				t.Fatalf("crashed process %d comm[%d]=%d, want 0", p, v, val)
-			}
-		}
-		for v, val := range cfg.Internal[p] {
-			if val != 0 {
-				t.Fatalf("crashed process %d internal[%d]=%d, want 0", p, v, val)
+				t.Fatalf("crashed process %d variable %d = %d, want 0", p, v, val)
 			}
 		}
 	}

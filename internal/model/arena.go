@@ -75,8 +75,8 @@ func (a *stepArena) eval(cfg *Config, p, i int, record bool) int {
 	c.aim(cfg, p)
 	c.comm = a.commRow(i)
 	c.internal = a.internalRow(i)
-	copy(c.comm, cfg.Comm[p])
-	copy(c.internal, cfg.Internal[p])
+	copy(c.comm, cfg.commRow(p))
+	copy(c.internal, cfg.internalRow(p))
 	a.agg.begin()
 	c.agg = nil
 	if record {
@@ -104,17 +104,17 @@ func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Obser
 	for i, p := range selected {
 		changed := false
 		if fired[i] >= 0 {
-			comm := a.commRow(i)
+			comm, row := a.commRow(i), cfg.commRow(p)
 			for v, nv := range comm {
-				if ov := cfg.Comm[p][v]; ov != nv {
+				if ov := row[v]; ov != nv {
 					changed = true
 					if obs != nil {
 						obs.CommWrite(step, p, v, ov, nv)
 					}
 				}
 			}
-			copy(cfg.Comm[p], comm)
-			copy(cfg.Internal[p], a.internalRow(i))
+			copy(row, comm)
+			copy(cfg.internalRow(p), a.internalRow(i))
 		}
 		commChanged = append(commChanged, changed)
 	}

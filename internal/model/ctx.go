@@ -238,7 +238,7 @@ func (c *Ctx) NeighborComm(port, v int) int {
 	if c.agg != nil {
 		c.agg.note(port, q, v, c.sys.commBit(q, v))
 	}
-	return c.pre.Comm[q][v]
+	return c.pre.commRow(q)[v]
 }
 
 // NeighborConst reads communication constant v of the neighbor behind

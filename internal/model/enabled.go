@@ -131,8 +131,8 @@ func (t *EnabledTracker) recompute(p int) int {
 		// Isolated processes (crashed under dynamic topology) stay at
 		// idx = -1: disabled by definition, and guards may not be
 		// evaluated at degree 0.
-		copy(c.comm, t.cfg.Comm[p])
-		copy(c.internal, t.cfg.Internal[p])
+		copy(c.comm, t.cfg.commRow(p))
+		copy(c.internal, t.cfg.internalRow(p))
 		actions := t.sys.spec.Actions
 		for i := range actions {
 			c.beginBody()

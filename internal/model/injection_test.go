@@ -40,12 +40,7 @@ func corruptRandom(sim *model.Simulator, k int, r *rng.Rand) {
 	sys, cfg := sim.Sys(), sim.Config()
 	for i := 0; i < k; i++ {
 		p := r.Intn(sys.N())
-		for v := range cfg.Comm[p] {
-			cfg.Comm[p][v] = r.Intn(sys.CommDomain(p, v))
-		}
-		for v := range cfg.Internal[p] {
-			cfg.Internal[p][v] = r.Intn(sys.InternalDomain(p, v))
-		}
+		model.RandomizeProcess(sys, cfg, p, r)
 		sim.MarkDirty(p)
 	}
 }

@@ -102,7 +102,7 @@ func TestMemoSkipsRandomizedTransitions(t *testing.T) {
 		ref.Step()
 		if !memo.Config().Equal(ref.cfg) {
 			t.Fatalf("step %d: the memoized run replayed a drawn transition:\n memo      %v\n reference %v",
-				step, memo.Config().Internal, ref.cfg.Internal)
+				step, internals(sys, memo.Config()), internals(sys, ref.cfg))
 		}
 	}
 	if got, want := memoRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
@@ -224,4 +224,15 @@ func TestStepRejectsBadSelection(t *testing.T) {
 			t.Errorf("%s: Step accepted selection %v", name, sel)
 		}()
 	}
+}
+
+// internals lists cfg's internal values, process by process.
+func internals(sys *model.System, cfg *model.Config) []int {
+	var out []int
+	for p := range cfg.N() {
+		for v := range sys.InternalWidth() {
+			out = append(out, cfg.Internal(p, v))
+		}
+	}
+	return out
 }

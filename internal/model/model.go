@@ -15,13 +15,19 @@
 //
 // # State layout
 //
-// Config stores the whole configuration struct-of-arrays: one flat []int
-// holds every communication variable (process p's row at offset
-// p×CommWidth, see System.CommOffset) and one holds every internal
-// variable. Comm[p]/Internal[p] are views into those arrays, so indexing
-// code is unchanged while Clone/Equal/CommEqual reduce to single
-// copy/slices.Equal calls and a neighborhood read walks contiguous
-// memory.
+// Config stores the whole configuration as two flat arrays and nothing
+// else: one holds every communication variable (variable v of process p
+// at p×CommWidth+v), one every internal variable, so Clone, CopyFrom,
+// Equal and CommEqual are single copy/slices.Equal calls, a neighborhood
+// read walks contiguous memory and a process costs no slice header.
+// Outside this package the only way in is five accessors: N, Comm(p, v),
+// SetComm(p, v, x), Internal(p, v) and SetInternal(p, v, x). None returns
+// a slice, so nothing outside the package holds a row, and the element
+// width is private to system.go. Inside the package the step paths take
+// process p's row as a sub-slice cut with its capacity (commRow,
+// internalRow), which the accessors index too: a variable index outside
+// the row or a process outside [0, n) panics on the slice bound and
+// never reaches a neighboring row.
 //
 // # Enabledness invalidation invariant
 //

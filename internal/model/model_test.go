@@ -112,11 +112,11 @@ func TestSnapshotSemantics(t *testing.T) {
 	// values: both processes read the pre-step configuration.
 	sys := mustSystem(t, graph.Path(2), copySpec(), nil)
 	cfg := NewZeroConfig(sys)
-	cfg.Comm[1][0] = 1
+	cfg.SetComm(1, 0, 1)
 	ExecuteStep(sys, cfg, []int{0, 1}, 0, nil, nil)
-	if cfg.Comm[0][0] != 1 || cfg.Comm[1][0] != 0 {
+	if cfg.Comm(0, 0) != 1 || cfg.Comm(1, 0) != 0 {
 		t.Fatalf("snapshot semantics violated: got (%d,%d), want (1,0)",
-			cfg.Comm[0][0], cfg.Comm[1][0])
+			cfg.Comm(0, 0), cfg.Comm(1, 0))
 	}
 }
 
@@ -137,8 +137,8 @@ func TestActionPriority(t *testing.T) {
 	if fired[0] != 0 {
 		t.Fatalf("fired action %d, want 0 (priority order)", fired[0])
 	}
-	if cfg.Comm[0][0] != 1 {
-		t.Fatalf("X = %d, want 1", cfg.Comm[0][0])
+	if cfg.Comm(0, 0) != 1 {
+		t.Fatalf("X = %d, want 1", cfg.Comm(0, 0))
 	}
 }
 
@@ -158,7 +158,7 @@ func TestDisabledSelectedProcess(t *testing.T) {
 func TestEnabledSet(t *testing.T) {
 	sys := mustSystem(t, graph.Path(3), copySpec(), nil)
 	cfg := NewZeroConfig(sys)
-	cfg.Comm[2][0] = 3
+	cfg.SetComm(2, 0, 3)
 	// Port 1 of p0 is p1 (X=0): disabled. p1's port 1 is p0 (X=0): disabled.
 	// p2's port 1 is p1 (X=0 != 3): enabled.
 	enabled := EnabledSet(sys, cfg)
@@ -223,14 +223,72 @@ func TestConfigCloneEqualValidate(t *testing.T) {
 	if !cp.Equal(cfg) || !cp.CommEqual(cfg) {
 		t.Fatal("clone not equal")
 	}
-	cp.Comm[0][0] = (cp.Comm[0][0] + 1) % 10
+	cp.SetComm(0, 0, (cp.Comm(0, 0)+1)%10)
 	if cp.Equal(cfg) || cp.CommEqual(cfg) {
 		t.Fatal("mutated clone still equal")
 	}
 	bad := cfg.Clone()
-	bad.Comm[1][0] = 99
+	bad.SetComm(1, 0, 99)
 	if err := bad.Validate(sys); err == nil {
 		t.Fatal("invalid config accepted")
+	}
+}
+
+// TestConfigAccessorBounds: a process's variables sit beside the next
+// process's in one flat array, so an index outside the row or a process
+// outside [0, n) must stop on a bound in each accessor and never reach a
+// neighboring row.
+func TestConfigAccessorBounds(t *testing.T) {
+	nop := Action{Name: "nop", Guard: func(*Ctx) bool { return false }, Apply: func(*Ctx) {}}
+	spec := &Spec{
+		Name:     "WIDE",
+		Comm:     []VarSpec{{Name: "A", Domain: FixedDomain(4)}, {Name: "B", Domain: FixedDomain(4)}},
+		Internal: []VarSpec{{Name: "I", Domain: FixedDomain(4)}},
+		Actions:  []Action{nop},
+	}
+	sys := mustSystem(t, graph.Path(3), spec, nil)
+	cfg := NewZeroConfig(sys)
+	n := cfg.N()
+	if n != 3 {
+		t.Fatalf("N() = %d, want 3", n)
+	}
+	for _, a := range []struct {
+		name  string
+		width int
+		call  func(p, v int)
+	}{
+		{"Comm", sys.CommWidth(), func(p, v int) { cfg.Comm(p, v) }},
+		{"SetComm", sys.CommWidth(), func(p, v int) { cfg.SetComm(p, v, 1) }},
+		{"Internal", sys.InternalWidth(), func(p, v int) { cfg.Internal(p, v) }},
+		{"SetInternal", sys.InternalWidth(), func(p, v int) { cfg.SetInternal(p, v, 1) }},
+	} {
+		for _, at := range [][2]int{{1, -1}, {1, a.width}, {-1, 0}, {n, 0}} {
+			if !panics(func() { a.call(at[0], at[1]) }) {
+				t.Errorf("%s(p=%d, v=%d) did not panic (n=%d, width=%d)", a.name, at[0], at[1], n, a.width)
+			}
+		}
+	}
+	if !cfg.Equal(NewZeroConfig(sys)) {
+		t.Fatal("a rejected write landed somewhere")
+	}
+	cfg.SetComm(1, sys.CommWidth()-1, 3)
+	cfg.SetInternal(1, sys.InternalWidth()-1, 3)
+	for v := range sys.CommWidth() {
+		if got := cfg.Comm(2, v); got != 0 {
+			t.Errorf("SetComm on the last variable of process 1 wrote comm %d of process 2 (= %d)", v, got)
+		}
+	}
+	if got := cfg.Internal(2, 0); got != 0 {
+		t.Errorf("SetInternal on the last variable of process 1 wrote process 2 (= %d)", got)
+	}
+
+	bare := mustSystem(t, graph.Path(3), &Spec{
+		Name:    "BARE",
+		Comm:    []VarSpec{{Name: "A", Domain: FixedDomain(4)}},
+		Actions: []Action{nop},
+	}, nil)
+	if !panics(func() { NewZeroConfig(bare).Internal(1, 0) }) {
+		t.Error("Internal(1, 0) on a system without internal variables did not panic")
 	}
 }
 
@@ -275,7 +333,7 @@ func TestRoundTracking(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	sys := mustSystem(t, graph.Path(4), copySpec(), nil)
 	cfg := NewZeroConfig(sys)
-	cfg.Comm[0][0] = 5
+	cfg.SetComm(0, 0, 5)
 	// Each process copies from its port-1 neighbor; the port-1 pointers
 	// form a functional graph whose unique cycle here is {p0, p1}, so the
 	// system converges to an all-equal configuration.
@@ -284,8 +342,8 @@ func TestRunUntil(t *testing.T) {
 		t.Fatal(err)
 	}
 	allEqual := func(c *Config) bool {
-		for p := range c.Comm {
-			if c.Comm[p][0] != c.Comm[0][0] {
+		for p := range c.N() {
+			if c.Comm(p, 0) != c.Comm(0, 0) {
 				return false
 			}
 		}
@@ -295,7 +353,7 @@ func TestRunUntil(t *testing.T) {
 		t.Fatal("copy protocol did not equalize within 1000 steps")
 	}
 	// Caller's initial configuration must be untouched (simulator clones).
-	if cfg.Comm[1][0] != 0 {
+	if cfg.Comm(1, 0) != 0 {
 		t.Fatal("simulator mutated the caller's configuration")
 	}
 }
@@ -308,7 +366,7 @@ func TestCommSilent(t *testing.T) {
 		t.Fatalf("equal-values config not silent: %v %v", silent, err)
 	}
 	diff := NewZeroConfig(sys)
-	diff.Comm[1][0] = 1
+	diff.SetComm(1, 0, 1)
 	silent, err = CommSilent(sys, diff)
 	if err != nil || silent {
 		t.Fatalf("conflicting config reported silent: %v %v", silent, err)
@@ -347,7 +405,7 @@ func TestCommSilentRandomizedBreaks(t *testing.T) {
 		t.Fatalf("enabled randomized action should break silence: %v %v", silent, err)
 	}
 	ok := NewZeroConfig(sys)
-	ok.Comm[1][0] = 2
+	ok.SetComm(1, 0, 2)
 	silent, err = CommSilent(sys, ok)
 	if err != nil || !silent {
 		t.Fatalf("disabled randomized protocol should be silent: %v %v", silent, err)
@@ -357,7 +415,7 @@ func TestCommSilentRandomizedBreaks(t *testing.T) {
 func TestSimulatorRejectsInvalidConfig(t *testing.T) {
 	sys := mustSystem(t, graph.Path(2), copySpec(), nil)
 	bad := NewZeroConfig(sys)
-	bad.Comm[0][0] = 99
+	bad.SetComm(0, 0, 99)
 	if _, err := NewSimulator(sys, bad, roundRobin{}, 1, nil); err == nil {
 		t.Fatal("invalid initial configuration accepted")
 	}
@@ -366,7 +424,7 @@ func TestSimulatorRejectsInvalidConfig(t *testing.T) {
 func TestRunUntilSilent(t *testing.T) {
 	sys := mustSystem(t, graph.Path(4), copySpec(), nil)
 	cfg := NewZeroConfig(sys)
-	cfg.Comm[3][0] = 2
+	cfg.SetComm(3, 0, 2)
 	sim, err := NewSimulator(sys, cfg, roundRobin{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)

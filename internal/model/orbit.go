@@ -73,8 +73,8 @@ func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, err
 	if len(c.nbr) == 0 {
 		return true, nil // isolated: disabled by definition, orbit closed
 	}
-	copy(o.comm, cfg.Comm[p])
-	copy(o.internal, cfg.Internal[p])
+	copy(o.comm, cfg.commRow(p))
+	copy(o.internal, cfg.internalRow(p))
 	o.visited = o.visited[:0]
 
 	actions := o.sys.spec.Actions

@@ -113,25 +113,26 @@ func TestOrbitProbeMatchesCommSilent(t *testing.T) {
 	}
 }
 
-// TestCopyFromShapes: CopyFrom must reuse matching backing storage and
-// adapt to shape changes.
+// TestCopyFromShapes: CopyFrom must reuse matching storage (and Equal
+// compare in place) and adapt to shape changes. Not parallel: it counts
+// allocations.
 func TestCopyFromShapes(t *testing.T) {
-	t.Parallel()
 	colSys, err := model.NewSystem(graph.Cycle(8), coloring.Spec(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := model.NewRandomConfig(colSys, rng.New(5))
 	dst := model.NewZeroConfig(colSys)
-	row0 := &dst.Comm[0][0]
-	dst.CopyFrom(src)
+	if avg := testing.AllocsPerRun(100, func() { dst.CopyFrom(src) }); avg != 0 {
+		t.Fatalf("CopyFrom (same shape) allocates %.1f times per call, want 0", avg)
+	}
 	if !dst.Equal(src) {
 		t.Fatal("CopyFrom (same shape) did not copy values")
 	}
-	if &dst.Comm[0][0] != row0 {
-		t.Fatal("CopyFrom (same shape) reallocated the backing storage")
+	if avg := testing.AllocsPerRun(100, func() { dst.Equal(src) }); avg != 0 {
+		t.Fatalf("Equal allocates %.1f times per call, want 0", avg)
 	}
-	dst.Comm[0][0] = (dst.Comm[0][0] + 1) % 3
+	dst.SetComm(0, 0, (dst.Comm(0, 0)+1)%3)
 	if src.Equal(dst) {
 		t.Fatal("CopyFrom aliased the source")
 	}

@@ -72,8 +72,8 @@ func enabledOrbitSilent(sys *System, cfg *Config, p, maxOrbit int) (bool, error)
 	}
 	// Local scratch state; neighbors are read from cfg, which this probe
 	// never mutates.
-	comm := append([]int(nil), cfg.Comm[p]...)
-	internal := append([]int(nil), cfg.Internal[p]...)
+	comm := append([]int(nil), cfg.commRow(p)...)
+	internal := append([]int(nil), cfg.internalRow(p)...)
 	visited := make(map[string]bool)
 
 	for iter := 0; iter < maxOrbit; iter++ {

@@ -533,7 +533,7 @@ func (s *Simulator) memoFlush() {
 // wide internal rows (the transformer's cache variables). It runs once
 // per link: a replay follows memoCur and succ instead.
 func (s *Simulator) memoFind(p int) int32 {
-	row := s.cfg.Internal[p]
+	row := s.cfg.internalRow(p)
 	lst := s.memoEntries[p]
 scan:
 	for i := range lst {
@@ -575,7 +575,7 @@ func (s *Simulator) memoStep(selected []int) {
 			e.hits++
 		}
 		if e.fired >= 0 {
-			copy(s.cfg.Internal[p], e.next)
+			copy(s.cfg.internalRow(p), e.next)
 			if e.succ == 0 {
 				e.succ = s.memoFind(p)
 			}
@@ -593,7 +593,7 @@ func (s *Simulator) memoStep(selected []int) {
 // so the run stays correct.
 func (s *Simulator) memoExec(p int) {
 	a := s.arena
-	pre := s.cfg.Internal[p]
+	pre := s.cfg.internalRow(p)
 	// p commits before the next process evaluates, so staging row 0
 	// serves every selection of the step.
 	f := a.eval(s.cfg, p, 0, s.obs != nil)
@@ -625,8 +625,9 @@ func (s *Simulator) memoExec(p int) {
 		return
 	}
 	commChanged := false
+	row := s.cfg.commRow(p)
 	for v, nv := range c.comm {
-		if ov := s.cfg.Comm[p][v]; ov != nv {
+		if ov := row[v]; ov != nv {
 			commChanged = true
 			if s.obs != nil {
 				s.obs.CommWrite(s.step, p, v, ov, nv)
@@ -634,9 +635,9 @@ func (s *Simulator) memoExec(p int) {
 		}
 	}
 	if commChanged {
-		copy(s.cfg.Comm[p], c.comm)
+		copy(row, c.comm)
 		s.memoReset()
 	}
-	copy(s.cfg.Internal[p], c.internal)
+	copy(s.cfg.internalRow(p), c.internal)
 	s.moved(p, commChanged)
 }

@@ -34,8 +34,8 @@ func EventualReadSets(sys *System, cfg *Config) ([][]int, error) {
 
 func eventualReadsOf(sys *System, cfg *Config, p int) ([]int, error) {
 	const maxOrbit = 1 << 16
-	comm := append([]int(nil), cfg.Comm[p]...)
-	internal := append([]int(nil), cfg.Internal[p]...)
+	comm := append([]int(nil), cfg.commRow(p)...)
+	internal := append([]int(nil), cfg.internalRow(p)...)
 
 	firstSeen := make(map[string]int)
 	var stateReads [][]int // neighbors read when stepping FROM state i

@@ -52,7 +52,7 @@ func TestEventualReadSetsRejectsNonSilent(t *testing.T) {
 	g := graph.Path(2)
 	sys := mustSystem(t, g, copySpec(), nil)
 	cfg := NewZeroConfig(sys)
-	cfg.Comm[1][0] = 3 // conflict: copy action will write comm
+	cfg.SetComm(1, 0, 3) // conflict: copy action will write comm
 	if _, err := EventualReadSets(sys, cfg); err == nil {
 		t.Fatal("non-silent configuration accepted")
 	}

@@ -37,7 +37,7 @@ func execOne(c *Ctx) int {
 // copy taken from cfg. Both rows are carved from one allocation. With
 // record set, the context gets its own read aggregator.
 func newCtx(sys *System, cfg *Config, p int, r *rng.Rand, record bool) *Ctx {
-	comm, internal := cfg.Comm[p], cfg.Internal[p]
+	comm, internal := cfg.commRow(p), cfg.internalRow(p)
 	buf := make([]int, len(comm)+len(internal))
 	copy(buf, comm)
 	copy(buf[len(comm):], internal)
@@ -93,16 +93,16 @@ func ExecuteStep(sys *System, cfg *Config, selected []int, step int, randFor fun
 		if fired[i] < 0 {
 			continue
 		}
-		c := staged[i]
+		c, row := staged[i], cfg.commRow(p)
 		if obs != nil {
 			for v, nv := range c.comm {
-				if ov := cfg.Comm[p][v]; ov != nv {
+				if ov := row[v]; ov != nv {
 					obs.CommWrite(step, p, v, ov, nv)
 				}
 			}
 		}
-		copy(cfg.Comm[p], c.comm)
-		copy(cfg.Internal[p], c.internal)
+		copy(row, c.comm)
+		copy(cfg.internalRow(p), c.internal)
 	}
 	return fired
 }
@@ -120,8 +120,8 @@ func StepProcess(sys *System, cfg *Config, p int, r *rng.Rand) int {
 	c := newCtx(sys, cfg, p, r, false)
 	fired := execOne(c)
 	if fired >= 0 {
-		copy(cfg.Comm[p], c.comm)
-		copy(cfg.Internal[p], c.internal)
+		copy(cfg.commRow(p), c.comm)
+		copy(cfg.internalRow(p), c.internal)
 	}
 	return fired
 }

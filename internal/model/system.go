@@ -171,59 +171,55 @@ func (s *System) CommWidth() int { return len(s.spec.Comm) }
 // InternalWidth returns the number of internal variables per process.
 func (s *System) InternalWidth() int { return len(s.spec.Internal) }
 
-// CommOffset returns the offset of process p's communication row in the
-// flat backing array of a Config for this system.
-func (s *System) CommOffset(p int) int { return p * len(s.spec.Comm) }
-
-// InternalOffset returns the offset of process p's internal row in the
-// flat backing array of a Config for this system.
-func (s *System) InternalOffset(p int) int { return p * len(s.spec.Internal) }
-
 // Config is an instance of the states of all processes (paper §2). The
-// communication configuration is the Comm part alone.
-//
-// Storage is struct-of-arrays: all communication values live in one flat
-// []int (likewise internal values), and Comm[p]/Internal[p] are row views
-// into it, so Clone/Equal/CommEqual are single copy/slices.Equal calls
-// and a neighborhood scan walks contiguous memory. Process p's row starts
-// at offset p×arity (see System.CommOffset). Callers may mutate values
-// through the row views but must never replace a row slice itself.
+// communication configuration is the comm part alone. The layout (see
+// the package comment's "State layout") is private: outside this package
+// a Config is read and written one value at a time through N, Comm,
+// SetComm, Internal and SetInternal.
 type Config struct {
-	// Comm[p][v] is communication variable v of process p (a view into
-	// the flat backing array).
-	Comm [][]int
-	// Internal[p][v] is internal variable v of process p (a view into
-	// the flat backing array).
-	Internal [][]int
-
-	commData     []int // flat backing: Comm[p] = commData[p*wc:(p+1)*wc]
-	internalData []int
+	n, wc, wi int
+	comm      []int // comm[p*wc+v]
+	internal  []int // internal[p*wi+v]
 }
 
-// newFlatConfig builds an all-zero flat-layout configuration with n
-// processes, wc communication variables and wi internal variables each.
-func newFlatConfig(n, wc, wi int) *Config {
-	c := &Config{
-		Comm:         make([][]int, n),
-		Internal:     make([][]int, n),
-		commData:     make([]int, n*wc),
-		internalData: make([]int, n*wi),
-	}
-	for p := 0; p < n; p++ {
-		c.Comm[p] = c.commData[p*wc : (p+1)*wc : (p+1)*wc]
-		c.Internal[p] = c.internalData[p*wi : (p+1)*wi : (p+1)*wi]
-	}
-	return c
+// newConfig returns the all-zeroes configuration of n processes with wc
+// communication and wi internal variables each. The arrays' capacity is
+// their length, which the row bounds below rely on.
+func newConfig(n, wc, wi int) *Config {
+	return &Config{n: n, wc: wc, wi: wi, comm: make([]int, n*wc), internal: make([]int, n*wi)}
 }
-
-// flat reports whether the configuration uses the flat backing layout
-// (configurations assembled field-by-field by external code do not).
-func (c *Config) flat() bool { return c.commData != nil && c.internalData != nil }
 
 // NewZeroConfig returns the all-zeroes configuration.
-func NewZeroConfig(s *System) *Config {
-	return newFlatConfig(s.N(), len(s.spec.Comm), len(s.spec.Internal))
+func NewZeroConfig(s *System) *Config { return newConfig(s.N(), s.wc, s.wi) }
+
+// N returns the number of processes.
+func (c *Config) N() int { return c.n }
+
+// commRow and internalRow return process p's stretch of the flat
+// arrays, cut with its capacity: an index past the row panics on the
+// slice bound instead of reading process p+1, and so does a p outside
+// [0, n).
+func (c *Config) commRow(p int) []int {
+	lo, hi := p*c.wc, p*c.wc+c.wc
+	return c.comm[lo:hi:hi]
 }
+
+func (c *Config) internalRow(p int) []int {
+	lo, hi := p*c.wi, p*c.wi+c.wi
+	return c.internal[lo:hi:hi]
+}
+
+// Comm returns communication variable v of process p.
+func (c *Config) Comm(p, v int) int { return c.commRow(p)[v] }
+
+// SetComm assigns communication variable v of process p.
+func (c *Config) SetComm(p, v, x int) { c.commRow(p)[v] = x }
+
+// Internal returns internal variable v of process p.
+func (c *Config) Internal(p, v int) int { return c.internalRow(p)[v] }
+
+// SetInternal assigns internal variable v of process p.
+func (c *Config) SetInternal(p, v, x int) { c.internalRow(p)[v] = x }
 
 // NewRandomConfig draws a configuration uniformly at random from the full
 // state space — the adversarial "arbitrary initial configuration" of
@@ -241,131 +237,72 @@ func NewRandomConfig(s *System, r *rng.Rand) *Config {
 // both paths produce identical configurations from identical streams.
 func RandomizeConfig(s *System, cfg *Config, r *rng.Rand) {
 	for p := 0; p < s.N(); p++ {
-		cd, id := s.commDomainRow(p), s.internalDomainRow(p)
-		for v := range cfg.Comm[p] {
-			cfg.Comm[p][v] = r.Intn(int(cd[v]))
-		}
-		for v := range cfg.Internal[p] {
-			cfg.Internal[p][v] = r.Intn(int(id[v]))
-		}
+		RandomizeProcess(s, cfg, p, r)
+	}
+}
+
+// RandomizeProcess redraws the whole state of process p uniformly over
+// its domains: communication variables first, then internal ones, one
+// Intn each. It is the unit both RandomizeConfig and the transient-fault
+// adversaries are built from, so their streams cannot drift apart.
+func RandomizeProcess(s *System, cfg *Config, p int, r *rng.Rand) {
+	row, doms := cfg.commRow(p), s.commDomainRow(p)
+	for v := range row {
+		row[v] = r.Intn(int(doms[v]))
+	}
+	row, doms = cfg.internalRow(p), s.internalDomainRow(p)
+	for v := range row {
+		row[v] = r.Intn(int(doms[v]))
 	}
 }
 
 // Clone deep-copies the configuration.
 func (c *Config) Clone() *Config {
-	if c.flat() {
-		n := len(c.Comm)
-		wc, wi := 0, 0
-		if n > 0 {
-			wc, wi = len(c.Comm[0]), len(c.Internal[0])
-		}
-		out := newFlatConfig(n, wc, wi)
-		copy(out.commData, c.commData)
-		copy(out.internalData, c.internalData)
-		return out
-	}
-	// Hand-assembled layout: preserve the row shape as-is.
-	out := &Config{Comm: make([][]int, len(c.Comm)), Internal: make([][]int, len(c.Internal))}
-	for p := range c.Comm {
-		out.Comm[p] = append([]int(nil), c.Comm[p]...)
-	}
-	for p := range c.Internal {
-		out.Internal[p] = append([]int(nil), c.Internal[p]...)
-	}
+	out := newConfig(c.n, c.wc, c.wi)
+	copy(out.comm, c.comm)
+	copy(out.internal, c.internal)
 	return out
 }
 
-// CopyFrom overwrites c with d's values, reusing c's backing storage when
-// the shapes match and rebuilding it (to d's shape) otherwise. The result
+// CopyFrom overwrites c with d's values, reusing c's storage when the
+// shapes match and rebuilding it (to d's shape) otherwise. The result
 // never aliases d's memory. It is the buffer-reuse counterpart of Clone:
 // the trial pipeline copies configurations into long-lived buffers instead
 // of allocating fresh ones.
 func (c *Config) CopyFrom(d *Config) {
-	if c.flat() && d.flat() &&
-		len(c.Comm) == len(d.Comm) &&
-		len(c.commData) == len(d.commData) &&
-		len(c.internalData) == len(d.internalData) {
-		copy(c.commData, d.commData)
-		copy(c.internalData, d.internalData)
+	if c.n != d.n || c.wc != d.wc || c.wi != d.wi {
+		*c = *d.Clone()
 		return
 	}
-	if sameShape(c.Comm, d.Comm) && sameShape(c.Internal, d.Internal) {
-		for p := range d.Comm {
-			copy(c.Comm[p], d.Comm[p])
-		}
-		for p := range d.Internal {
-			copy(c.Internal[p], d.Internal[p])
-		}
-		return
-	}
-	*c = *d.Clone()
-}
-
-func sameShape(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-	}
-	return true
+	copy(c.comm, d.comm)
+	copy(c.internal, d.internal)
 }
 
 // Equal reports whether both the communication and internal parts match.
 func (c *Config) Equal(d *Config) bool {
-	if !c.CommEqual(d) {
-		return false
-	}
-	if c.flat() && d.flat() && len(c.Internal) == len(d.Internal) {
-		return slices.Equal(c.internalData, d.internalData)
-	}
-	return slices2Equal(c.Internal, d.Internal)
+	return c.CommEqual(d) && slices.Equal(c.internal, d.internal)
 }
 
 // CommEqual reports whether the communication configurations match
 // (the notion under which silence is defined).
 func (c *Config) CommEqual(d *Config) bool {
-	if c.flat() && d.flat() && len(c.Comm) == len(d.Comm) {
-		return slices.Equal(c.commData, d.commData)
-	}
-	return slices2Equal(c.Comm, d.Comm)
-}
-
-func slices2Equal(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+	return c.n == d.n && slices.Equal(c.comm, d.comm)
 }
 
 // Validate checks that every value lies in its domain.
 func (c *Config) Validate(s *System) error {
-	if len(c.Comm) != s.N() || len(c.Internal) != s.N() {
-		return fmt.Errorf("model: config size mismatch")
+	if c.n != s.N() || c.wc != s.wc || c.wi != s.wi {
+		return fmt.Errorf("model: config shape %d×(%d+%d), system is %d×(%d+%d)",
+			c.n, c.wc, c.wi, s.N(), s.wc, s.wi)
 	}
-	for p := 0; p < s.N(); p++ {
-		if len(c.Comm[p]) != len(s.spec.Comm) || len(c.Internal[p]) != len(s.spec.Internal) {
-			return fmt.Errorf("model: config row %d has wrong arity", p)
-		}
-		for v, val := range c.Comm[p] {
+	for p := 0; p < c.n; p++ {
+		for v, val := range c.commRow(p) {
 			if val < 0 || val >= s.CommDomain(p, v) {
 				return fmt.Errorf("model: process %d comm %s=%d outside [0,%d)",
 					p, s.spec.Comm[v].Name, val, s.CommDomain(p, v))
 			}
 		}
-		for v, val := range c.Internal[p] {
+		for v, val := range c.internalRow(p) {
 			if val < 0 || val >= s.InternalDomain(p, v) {
 				return fmt.Errorf("model: process %d internal %s=%d outside [0,%d)",
 					p, s.spec.Internal[v].Name, val, s.InternalDomain(p, v))

@@ -138,24 +138,18 @@ func (s *Simulator) ApplyTopology(ev TopologyEvent, dst []int) []int {
 			dst = append(dst, g.Neighbor(ev.U, port))
 		}
 		// A joining process starts from a fresh default state.
-		zero(s.cfg.Comm[ev.U])
-		zero(s.cfg.Internal[ev.U])
+		clear(s.cfg.commRow(ev.U))
+		clear(s.cfg.internalRow(ev.U))
 	default:
 		panic(fmt.Sprintf("model: unknown topology event kind %d", ev.Kind))
 	}
 	for _, p := range dst[start:] {
 		s.sys.refreshDomains(p)
-		clampRow(s.cfg.Comm[p], s.sys.commDomainRow(p))
-		clampRow(s.cfg.Internal[p], s.sys.internalDomainRow(p))
+		clampRow(s.cfg.commRow(p), s.sys.commDomainRow(p))
+		clampRow(s.cfg.internalRow(p), s.sys.internalDomainRow(p))
 		s.MarkDirty(p)
 	}
 	return dst
-}
-
-func zero(row []int) {
-	for i := range row {
-		row[i] = 0
-	}
 }
 
 // clampRow folds values into their (refreshed) domains. Reduction

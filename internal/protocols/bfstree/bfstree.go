@@ -141,10 +141,10 @@ func IsLegitimate(sys *model.System, cfg *model.Config) bool {
 	}
 	dist := g.BFS(root)
 	for p := 0; p < g.N(); p++ {
-		if cfg.Comm[p][VarD] != dist[p] {
+		if cfg.Comm(p, VarD) != dist[p] {
 			return false
 		}
-		pp := cfg.Comm[p][VarP]
+		pp := cfg.Comm(p, VarP)
 		if p == root {
 			if pp != 0 {
 				return false
@@ -168,7 +168,7 @@ func ParentEdges(sys *model.System, cfg *model.Config) [][2]int {
 	g := sys.Graph()
 	var out [][2]int
 	for p := 0; p < g.N(); p++ {
-		if pp := cfg.Comm[p][VarP]; pp != 0 {
+		if pp := cfg.Comm(p, VarP); pp != 0 {
 			out = append(out, [2]int{p, g.Neighbor(p, pp)})
 		}
 	}
@@ -178,9 +178,9 @@ func ParentEdges(sys *model.System, cfg *model.Config) [][2]int {
 // Depth returns the maximum D value (the tree height) in cfg.
 func Depth(cfg *model.Config) int {
 	d := 0
-	for p := range cfg.Comm {
-		if cfg.Comm[p][VarD] > d {
-			d = cfg.Comm[p][VarD]
+	for p := range cfg.N() {
+		if cfg.Comm(p, VarD) > d {
+			d = cfg.Comm(p, VarD)
 		}
 	}
 	return d

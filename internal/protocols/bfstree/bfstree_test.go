@@ -60,8 +60,8 @@ func TestBFSTreeDistancesExact(t *testing.T) {
 	}
 	dist := g.BFS(5)
 	for p := 0; p < g.N(); p++ {
-		if res.Final.Comm[p][VarD] != dist[p] {
-			t.Fatalf("process %d: D=%d, true distance %d", p, res.Final.Comm[p][VarD], dist[p])
+		if res.Final.Comm(p, VarD) != dist[p] {
+			t.Fatalf("process %d: D=%d, true distance %d", p, res.Final.Comm(p, VarD), dist[p])
 		}
 	}
 	if Depth(res.Final) == 0 {
@@ -118,7 +118,7 @@ func TestBFSTreeDifferentRoots(t *testing.T) {
 		if !res.Silent || !res.LegitimateAtSilence {
 			t.Fatalf("root %d: silent=%v legit=%v", root, res.Silent, res.LegitimateAtSilence)
 		}
-		if res.Final.Comm[root][VarD] != 0 || res.Final.Comm[root][VarP] != 0 {
+		if res.Final.Comm(root, VarD) != 0 || res.Final.Comm(root, VarP) != 0 {
 			t.Fatalf("root %d not anchored", root)
 		}
 	}
@@ -170,15 +170,15 @@ func TestIsLegitimateRejects(t *testing.T) {
 	// Correct distances but broken parent pointer.
 	dist := g.BFS(0)
 	for p := 0; p < g.N(); p++ {
-		cfg.Comm[p][VarD] = dist[p]
+		cfg.SetComm(p, VarD, dist[p])
 		if p > 0 {
-			cfg.Comm[p][VarP] = g.PortOf(p, p-1)
+			cfg.SetComm(p, VarP, g.PortOf(p, p-1))
 		}
 	}
 	if !IsLegitimate(sys, cfg) {
 		t.Fatal("true BFS tree rejected")
 	}
-	cfg.Comm[3][VarP] = 0
+	cfg.SetComm(3, VarP, 0)
 	if IsLegitimate(sys, cfg) {
 		t.Fatal("orphaned process accepted")
 	}

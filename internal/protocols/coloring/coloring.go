@@ -132,9 +132,9 @@ func BaselineSpec() *model.Spec {
 // Colors extracts the (1-based, paper-facing) color vector from a
 // configuration of either spec.
 func Colors(cfg *model.Config) []int {
-	out := make([]int, len(cfg.Comm))
-	for p := range cfg.Comm {
-		out[p] = cfg.Comm[p][VarC] + 1
+	out := make([]int, cfg.N())
+	for p := range cfg.N() {
+		out[p] = cfg.Comm(p, VarC) + 1
 	}
 	return out
 }
@@ -145,7 +145,7 @@ func IsLegitimate(sys *model.System, cfg *model.Config) bool {
 	g := sys.Graph()
 	for p := 0; p < g.N(); p++ {
 		for port := 1; port <= g.Degree(p); port++ {
-			if cfg.Comm[p][VarC] == cfg.Comm[g.Neighbor(p, port)][VarC] {
+			if cfg.Comm(p, VarC) == cfg.Comm(g.Neighbor(p, port), VarC) {
 				return false
 			}
 		}
@@ -161,7 +161,7 @@ func ConflictCount(sys *model.System, cfg *model.Config) int {
 	count := 0
 	for p := 0; p < g.N(); p++ {
 		for _, q := range g.Neighbors(p) {
-			if cfg.Comm[p][VarC] == cfg.Comm[q][VarC] {
+			if cfg.Comm(p, VarC) == cfg.Comm(q, VarC) {
 				count++
 				break
 			}

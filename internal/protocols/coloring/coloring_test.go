@@ -99,7 +99,7 @@ func TestColoringClosure(t *testing.T) {
 	}
 	cfg := model.NewZeroConfig(sys)
 	for p := 0; p < g.N(); p++ {
-		cfg.Comm[p][VarC] = p % 2 // proper 2-coloring of an even cycle
+		cfg.SetComm(p, VarC, p%2) // proper 2-coloring of an even cycle
 	}
 	sim, err := model.NewSimulator(sys, cfg, sched.NewRandomSubset(9), 9, nil)
 	if err != nil {
@@ -132,7 +132,7 @@ func TestSilentIffProperColoring(t *testing.T) {
 		}
 		if silent != IsLegitimate(sys, cfg) {
 			t.Fatalf("silence (%v) and legitimacy (%v) disagree on %v",
-				silent, IsLegitimate(sys, cfg), cfg.Comm)
+				silent, IsLegitimate(sys, cfg), Colors(cfg))
 		}
 	}
 }
@@ -181,7 +181,7 @@ func TestColorsDecoding(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[1][VarC] = 2
+	cfg.SetComm(1, VarC, 2)
 	colors := Colors(cfg)
 	if colors[0] != 1 || colors[1] != 3 || colors[2] != 1 {
 		t.Fatalf("Colors = %v, want paper-facing 1-based colors [1 3 1]", colors)
@@ -198,8 +198,8 @@ func TestConflictCount(t *testing.T) {
 	if got := ConflictCount(sys, cfg); got != 4 {
 		t.Fatalf("ConflictCount = %d, want 4", got)
 	}
-	cfg.Comm[0][VarC] = 1
-	cfg.Comm[2][VarC] = 1
+	cfg.SetComm(0, VarC, 1)
+	cfg.SetComm(2, VarC, 1)
 	// 0:1, 1:0, 2:1, 3:0 — proper.
 	if got := ConflictCount(sys, cfg); got != 0 {
 		t.Fatalf("ConflictCount = %d, want 0", got)

@@ -307,12 +307,12 @@ func MatchedEdges(sys *model.System, cfg *model.Config) [][2]int {
 	g := sys.Graph()
 	var out [][2]int
 	for p := 0; p < g.N(); p++ {
-		pr := cfg.Comm[p][VarPR]
+		pr := cfg.Comm(p, VarPR)
 		if pr == 0 || pr > g.Degree(p) {
 			continue
 		}
 		q := g.Neighbor(p, pr)
-		if p < q && cfg.Comm[q][VarPR] == g.BackPort(p, pr) {
+		if p < q && cfg.Comm(q, VarPR) == g.BackPort(p, pr) {
 			out = append(out, [2]int{p, q})
 		}
 	}
@@ -346,9 +346,9 @@ func IsLegitimate(sys *model.System, cfg *model.Config) bool {
 			// meaning — and an isolated vertex belongs to no matching.
 			continue
 		}
-		pr := cfg.Comm[p][VarPR]
+		pr := cfg.Comm(p, VarPR)
 		married := matchedWith[p] != 0
-		if married != (cfg.Comm[p][VarM] == 1) {
+		if married != (cfg.Comm(p, VarM) == 1) {
 			return false // stale married flag
 		}
 		if !married && pr != 0 {

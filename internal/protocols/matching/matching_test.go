@@ -169,8 +169,8 @@ func TestPRAlignedAfterFirstRound(t *testing.T) {
 		sim.Step()
 		c := sim.Config()
 		for p := 0; p < g.N(); p++ {
-			pr := c.Comm[p][VarPR]
-			if pr != 0 && pr != c.Internal[p][VarCur]+1 {
+			pr := c.Comm(p, VarPR)
+			if pr != 0 && pr != c.Internal(p, VarCur)+1 {
 				t.Fatalf("step %d: process %d violates PR ∈ {0, cur} after first round", i, p)
 			}
 		}
@@ -192,7 +192,7 @@ func TestEveryProcessFreeOrMarriedAtSilence(t *testing.T) {
 			matchedWith[e[1]] = true
 		}
 		for p := 0; p < g.N(); p++ {
-			free := res.Final.Comm[p][VarPR] == 0
+			free := res.Final.Comm(p, VarPR) == 0
 			if !free && !matchedWith[p] {
 				t.Fatalf("%s: process %d neither free nor married at silence", g, p)
 			}
@@ -249,13 +249,13 @@ func TestMatchedEdgesDecoding(t *testing.T) {
 	sys := buildSystem(t, g, false)
 	cfg := model.NewZeroConfig(sys)
 	// Marry 1 and 2: set PR pointers at each other, M flags true.
-	cfg.Comm[1][VarPR] = g.PortOf(1, 2)
-	cfg.Comm[2][VarPR] = g.PortOf(2, 1)
-	cfg.Comm[1][VarM] = 1
-	cfg.Comm[2][VarM] = 1
+	cfg.SetComm(1, VarPR, g.PortOf(1, 2))
+	cfg.SetComm(2, VarPR, g.PortOf(2, 1))
+	cfg.SetComm(1, VarM, 1)
+	cfg.SetComm(2, VarM, 1)
 	// Align cur with PR so the configuration is action-free.
-	cfg.Internal[1][VarCur] = g.PortOf(1, 2) - 1
-	cfg.Internal[2][VarCur] = g.PortOf(2, 1) - 1
+	cfg.SetInternal(1, VarCur, g.PortOf(1, 2)-1)
+	cfg.SetInternal(2, VarCur, g.PortOf(2, 1)-1)
 	edges := MatchedEdges(sys, cfg)
 	if len(edges) != 1 || edges[0] != [2]int{1, 2} {
 		t.Fatalf("MatchedEdges = %v, want [[1 2]]", edges)
@@ -275,7 +275,7 @@ func TestIsLegitimateRejectsStaleFlags(t *testing.T) {
 	g := graph.Path(4)
 	sys := buildSystem(t, g, false)
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[0][VarM] = 1 // claims married but is free
+	cfg.SetComm(0, VarM, 1) // claims married but is free
 	if IsLegitimate(sys, cfg) {
 		t.Fatal("stale married flag accepted")
 	}

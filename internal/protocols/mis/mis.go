@@ -180,9 +180,9 @@ func NewSystem(g *graph.Graph, spec *model.Spec, colors []int) (*model.System, e
 
 // InMIS extracts the membership function inMIS.p from a configuration.
 func InMIS(cfg *model.Config) []bool {
-	out := make([]bool, len(cfg.Comm))
-	for p := range cfg.Comm {
-		out[p] = cfg.Comm[p][VarS] == Dominator
+	out := make([]bool, cfg.N())
+	for p := range cfg.N() {
+		out[p] = cfg.Comm(p, VarS) == Dominator
 	}
 	return out
 }
@@ -193,16 +193,16 @@ func InMIS(cfg *model.Config) []bool {
 func IsLegitimate(sys *model.System, cfg *model.Config) bool {
 	g := sys.Graph()
 	for p := 0; p < g.N(); p++ {
-		if cfg.Comm[p][VarS] == Dominator {
+		if cfg.Comm(p, VarS) == Dominator {
 			for port := 1; port <= g.Degree(p); port++ {
-				if cfg.Comm[g.Neighbor(p, port)][VarS] == Dominator {
+				if cfg.Comm(g.Neighbor(p, port), VarS) == Dominator {
 					return false
 				}
 			}
 		} else {
 			witness := false
 			for port := 1; port <= g.Degree(p); port++ {
-				if cfg.Comm[g.Neighbor(p, port)][VarS] == Dominator {
+				if cfg.Comm(g.Neighbor(p, port), VarS) == Dominator {
 					witness = true
 					break
 				}
@@ -218,8 +218,8 @@ func IsLegitimate(sys *model.System, cfg *model.Config) bool {
 // DominatorCount returns the size of the candidate independent set.
 func DominatorCount(cfg *model.Config) int {
 	count := 0
-	for p := range cfg.Comm {
-		if cfg.Comm[p][VarS] == Dominator {
+	for p := range cfg.N() {
+		if cfg.Comm(p, VarS) == Dominator {
 			count++
 		}
 	}

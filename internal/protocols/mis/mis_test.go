@@ -174,13 +174,13 @@ func TestDominatedAreDisabledAtSilence(t *testing.T) {
 		t.Fatal("no silence")
 	}
 	for p := 0; p < g.N(); p++ {
-		if res.Final.Comm[p][VarS] == Dominated {
+		if res.Final.Comm(p, VarS) == Dominated {
 			if model.Enabled(sys, res.Final, p) {
 				t.Fatalf("dominated process %d is enabled in a silent configuration", p)
 			}
-			cur := res.Final.Internal[p][VarCur]
+			cur := res.Final.Internal(p, VarCur)
 			q := g.Neighbor(p, cur+1)
-			if res.Final.Comm[q][VarS] != Dominator {
+			if res.Final.Comm(q, VarS) != Dominator {
 				t.Fatalf("dominated process %d points at a non-Dominator", p)
 			}
 			if sys.Const(q, ConstC) >= sys.Const(p, ConstC) {
@@ -245,8 +245,8 @@ func TestInMISAndDominatorCount(t *testing.T) {
 	g := graph.Path(3)
 	sys := buildSystem(t, g, false)
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[0][VarS] = Dominator
-	cfg.Comm[2][VarS] = Dominator
+	cfg.SetComm(0, VarS, Dominator)
+	cfg.SetComm(2, VarS, Dominator)
 	in := InMIS(cfg)
 	if !in[0] || in[1] || !in[2] {
 		t.Fatalf("InMIS = %v", in)
@@ -257,7 +257,7 @@ func TestInMISAndDominatorCount(t *testing.T) {
 	if !IsLegitimate(sys, cfg) {
 		t.Fatal("{0,2} should be a legitimate MIS of a 3-path")
 	}
-	cfg.Comm[1][VarS] = Dominator
+	cfg.SetComm(1, VarS, Dominator)
 	if IsLegitimate(sys, cfg) {
 		t.Fatal("adjacent dominators accepted")
 	}

@@ -25,8 +25,8 @@ func TestExactStabilityStructure(t *testing.T) {
 		}
 		wantOneStable := 0
 		for p := 0; p < g.N(); p++ {
-			if res.Final.Comm[p][VarS] == Dominated {
-				cur := res.Final.Internal[p][VarCur]
+			if res.Final.Comm(p, VarS) == Dominated {
+				cur := res.Final.Internal(p, VarCur)
 				want := g.Neighbor(p, cur+1)
 				got := prof.ReadSets[p]
 				if len(got) != 1 || got[0] != want {

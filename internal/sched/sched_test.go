@@ -45,7 +45,7 @@ func validSelection(t *testing.T, name string, sel []int, n int) {
 func TestAllSchedulersProduceValidSelections(t *testing.T) {
 	sys := testSystem(t)
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[0][0] = 1
+	cfg.SetComm(0, 0, 1)
 	for _, name := range Names() {
 		sc, err := ByName(name, 42)
 		if err != nil {
@@ -112,7 +112,7 @@ func TestCentralRoundRobinCycle(t *testing.T) {
 func TestEnabledBiasedSelectsEnabled(t *testing.T) {
 	sys := testSystem(t)
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[0][0] = 1 // neighbors of 0 and process 0 become enabled
+	cfg.SetComm(0, 0, 1) // neighbors of 0 and process 0 become enabled
 	enabled := map[int]bool{}
 	for _, p := range model.EnabledSet(sys, cfg) {
 		enabled[p] = true
@@ -143,7 +143,7 @@ func TestLaziestFairWindow(t *testing.T) {
 	// at least once every n steps.
 	sys := testSystem(t)
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[0][0] = 1
+	cfg.SetComm(0, 0, 1)
 	sc := NewLaziestFair()
 	last := make([]int, sys.N())
 	for i := range last {
@@ -195,8 +195,8 @@ func TestLaziestFairTieBreaks(t *testing.T) {
 	// prefer a *disabled* process if one exists. Setting one leaf equal
 	// to the hub disables it; it must win the tie.
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[0][0] = 2 // hub: leaves now see a conflict and are enabled
-	cfg.Comm[3][0] = 2 // leaf 3 matches the hub: disabled
+	cfg.SetComm(0, 0, 2) // hub: leaves now see a conflict and are enabled
+	cfg.SetComm(3, 0, 2) // leaf 3 matches the hub: disabled
 	// hub is enabled too (it reads leaf via port 1).
 	sel = NewLaziestFair().Select(0, sys, cfg)
 	if len(sel) != 1 || sel[0] != 3 {

@@ -19,7 +19,7 @@ func driveRecorder(t *testing.T, rec *Recorder, seed uint64, steps int) Report {
 		t.Fatal(err)
 	}
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[0][0] = int(seed % 8)
+	cfg.SetComm(0, 0, int(seed%8))
 	sim, err := model.NewSimulator(sys, cfg, sched.NewCentralRoundRobin(), seed, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,7 @@ func TestKEfficiencyMeasured(t *testing.T) {
 	}
 	rec := NewRecorder(g.N())
 	cfg := model.NewZeroConfig(sysTwo)
-	cfg.Comm[0][0] = 3
+	cfg.SetComm(0, 0, 3)
 	sim, err := model.NewSimulator(sysTwo, cfg, sched.NewCentralRoundRobin(), 1, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestKEfficiencyMeasured(t *testing.T) {
 	}
 	rec1 := NewRecorder(g.N())
 	cfg1 := model.NewZeroConfig(sysOne)
-	cfg1.Comm[0][0] = 3
+	cfg1.SetComm(0, 0, 3)
 	sim1, err := model.NewSimulator(sysOne, cfg1, sched.NewCentralRoundRobin(), 1, rec1)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestBitsAccounting(t *testing.T) {
 	}
 	rec := NewRecorder(g.N())
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[0][0] = 1
+	cfg.SetComm(0, 0, 1)
 	sim, err := model.NewSimulator(sys, cfg, sched.NewCentralRoundRobin(), 1, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestReadDedupWithinStep(t *testing.T) {
 	}
 	rec := NewRecorder(g.N())
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[1][0] = 5
+	cfg.SetComm(1, 0, 5)
 	sim, err := model.NewSimulator(sys, cfg, sched.NewCentralRoundRobin(), 1, rec)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +154,7 @@ func TestSuffixTracking(t *testing.T) {
 	}
 	rec := NewRecorder(g.N())
 	cfg := model.NewZeroConfig(sys)
-	cfg.Comm[2][0] = 7
+	cfg.SetComm(2, 0, 7)
 	sim, err := model.NewSimulator(sys, cfg, sched.NewCentralRoundRobin(), 1, rec)
 	if err != nil {
 		t.Fatal(err)

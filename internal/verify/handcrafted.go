@@ -37,18 +37,18 @@ func Theorem1Coloring7Chain() (*Demo, error) {
 	cfg := model.NewZeroConfig(fsys)
 	colors := []int{0, 1, 0 /*seam*/, 0 /*seam*/, 1, 0, 1}
 	for p, c := range colors {
-		cfg.Comm[p][coloring.VarC] = c
+		cfg.SetComm(p, coloring.VarC, c)
 	}
 	// cur pointers: the seam processes look away from each other
 	// (p'3 at its left neighbor, p'4 at its right neighbor); everyone
 	// else rests on any conflict-free neighbor.
-	cfg.Internal[2][coloring.VarCur] = 0 // p'3 → p'2 (port 1 = left)
-	cfg.Internal[3][coloring.VarCur] = 1 // p'4 → p'5 (port 2 = right)
+	cfg.SetInternal(2, coloring.VarCur, 0) // p'3 → p'2 (port 1 = left)
+	cfg.SetInternal(3, coloring.VarCur, 1) // p'4 → p'5 (port 2 = right)
 	// Interior non-seam processes: point left (different color by
 	// construction); endpoints have a single port.
-	cfg.Internal[1][coloring.VarCur] = 0
-	cfg.Internal[4][coloring.VarCur] = 0
-	cfg.Internal[5][coloring.VarCur] = 0
+	cfg.SetInternal(1, coloring.VarCur, 0)
+	cfg.SetInternal(4, coloring.VarCur, 0)
+	cfg.SetInternal(5, coloring.VarCur, 0)
 	return &Demo{
 		Name:   "thm1-coloring-7chain",
 		Frozen: fsys,
@@ -74,11 +74,11 @@ func Theorem1Coloring5Chain() (*Demo, error) {
 	cfg := model.NewZeroConfig(fsys)
 	colors := []int{0, 1, 0 /*seam*/, 0 /*seam*/, 1}
 	for p, c := range colors {
-		cfg.Comm[p][coloring.VarC] = c
+		cfg.SetComm(p, coloring.VarC, c)
 	}
-	cfg.Internal[2][coloring.VarCur] = 0 // p'3 → left
-	cfg.Internal[3][coloring.VarCur] = 1 // p'4 → right
-	cfg.Internal[1][coloring.VarCur] = 0
+	cfg.SetInternal(2, coloring.VarCur, 0) // p'3 → left
+	cfg.SetInternal(3, coloring.VarCur, 1) // p'4 → right
+	cfg.SetInternal(1, coloring.VarCur, 0)
 	return &Demo{
 		Name:   "thm1-coloring-5chain",
 		Frozen: fsys,
@@ -112,7 +112,7 @@ func Theorem1MIS5Chain() (*Demo, error) {
 	cfg := model.NewZeroConfig(fsys)
 	states := []int{mis.Dominator, mis.Dominated, mis.Dominator, mis.Dominator, mis.Dominated}
 	for p, s := range states {
-		cfg.Comm[p][mis.VarS] = s
+		cfg.SetComm(p, mis.VarS, s)
 	}
 	// cur pointers (0-based):
 	//   p0 → p1 (only port) : Dominator watching a dominated neighbor.
@@ -120,9 +120,9 @@ func Theorem1MIS5Chain() (*Demo, error) {
 	//   p2 → p1 (port 1)    : seam Dominator looking left at a dominated.
 	//   p3 → p4 (port 2)    : seam Dominator looking right at a dominated.
 	//   p4 → p3 (only port) : dominated, watching Dominator with smaller color.
-	cfg.Internal[1][mis.VarCur] = 0
-	cfg.Internal[2][mis.VarCur] = 0
-	cfg.Internal[3][mis.VarCur] = 1
+	cfg.SetInternal(1, mis.VarCur, 0)
+	cfg.SetInternal(2, mis.VarCur, 0)
+	cfg.SetInternal(3, mis.VarCur, 1)
 	return &Demo{
 		Name:   "thm1-mis-5chain",
 		Frozen: fsys,
@@ -152,19 +152,19 @@ func Theorem1Matching6Chain() (*Demo, error) {
 	}
 	cfg := model.NewZeroConfig(fsys)
 	marry := func(a, b int) {
-		cfg.Comm[a][matching.VarPR] = g.PortOf(a, b)
-		cfg.Comm[b][matching.VarPR] = g.PortOf(b, a)
-		cfg.Comm[a][matching.VarM] = 1
-		cfg.Comm[b][matching.VarM] = 1
-		cfg.Internal[a][matching.VarCur] = g.PortOf(a, b) - 1
-		cfg.Internal[b][matching.VarCur] = g.PortOf(b, a) - 1
+		cfg.SetComm(a, matching.VarPR, g.PortOf(a, b))
+		cfg.SetComm(b, matching.VarPR, g.PortOf(b, a))
+		cfg.SetComm(a, matching.VarM, 1)
+		cfg.SetComm(b, matching.VarM, 1)
+		cfg.SetInternal(a, matching.VarCur, g.PortOf(a, b)-1)
+		cfg.SetInternal(b, matching.VarCur, g.PortOf(b, a)-1)
 	}
 	marry(0, 1)
 	marry(4, 5)
 	// Free seam processes look away from each other, at married
 	// neighbors (PR ≠ 0 there, so propose/accept stay disabled).
-	cfg.Internal[2][matching.VarCur] = g.PortOf(2, 1) - 1
-	cfg.Internal[3][matching.VarCur] = g.PortOf(3, 4) - 1
+	cfg.SetInternal(2, matching.VarCur, g.PortOf(2, 1)-1)
+	cfg.SetInternal(3, matching.VarCur, g.PortOf(3, 4)-1)
 	return &Demo{
 		Name:   "thm1-matching-6chain",
 		Frozen: fsys,
@@ -197,10 +197,10 @@ func Theorem2Coloring() (*Demo, error) {
 	// Edges: (0,1) 1-0 ok, (1,4) 0-0 SEAM, (3,4) 2-0 ok, (3,5) 2-1 ok,
 	// (2,5) 2-1 ok, (0,2) 1-2 ok.
 	for p, c := range colors {
-		cfg.Comm[p][coloring.VarC] = c
+		cfg.SetComm(p, coloring.VarC, c)
 	}
 	set := func(p, q int) {
-		cfg.Internal[p][coloring.VarCur] = g.PortOf(p, q) - 1
+		cfg.SetInternal(p, coloring.VarCur, g.PortOf(p, q)-1)
 	}
 	set(1, 0) // p2 reads p1, never p5
 	set(4, 3) // p5 reads p4, never p2
@@ -238,20 +238,20 @@ func TheoremOneSpiderColoring(delta int) (*Demo, error) {
 	cfg := model.NewZeroConfig(fsys)
 	// Colors: center = 0; middle node 1 = 0 (SEAM with center);
 	// middle nodes 2..Δ = 1; every leaf = 2 (Δ >= 2 so palette has >= 3).
-	cfg.Comm[0][coloring.VarC] = 0
-	cfg.Comm[1][coloring.VarC] = 0
+	cfg.SetComm(0, coloring.VarC, 0)
+	cfg.SetComm(1, coloring.VarC, 0)
 	for mid := 2; mid <= delta; mid++ {
-		cfg.Comm[mid][coloring.VarC] = 1
+		cfg.SetComm(mid, coloring.VarC, 1)
 	}
 	for leaf := delta + 1; leaf < g.N(); leaf++ {
-		cfg.Comm[leaf][coloring.VarC] = 2
+		cfg.SetComm(leaf, coloring.VarC, 2)
 	}
 	// Pointers: center reads middle node 2 (color 1 ≠ 0): disabled.
-	cfg.Internal[0][coloring.VarCur] = g.PortOf(0, 2) - 1
+	cfg.SetInternal(0, coloring.VarCur, g.PortOf(0, 2)-1)
 	// Middle node 1 reads its first leaf (color 2 ≠ 0): disabled.
 	for port := 1; port <= g.Degree(1); port++ {
 		if g.Neighbor(1, port) != 0 {
-			cfg.Internal[1][coloring.VarCur] = port - 1
+			cfg.SetInternal(1, coloring.VarCur, port-1)
 			break
 		}
 	}
@@ -259,7 +259,7 @@ func TheoremOneSpiderColoring(delta int) (*Demo, error) {
 	for mid := 2; mid <= delta; mid++ {
 		for port := 1; port <= g.Degree(mid); port++ {
 			if g.Neighbor(mid, port) != 0 {
-				cfg.Internal[mid][coloring.VarCur] = port - 1
+				cfg.SetInternal(mid, coloring.VarCur, port-1)
 				break
 			}
 		}

@@ -50,24 +50,24 @@ func StitchSearchColoring(startSeed uint64) (*Demo, *StitchTrace, error) {
 	)
 	// Step 1: γA with cur.p3 resting on p2 (port 1, stored 0).
 	gammaA, seedA, err := FindSilentConfig(fsys5, func(c *model.Config) bool {
-		return c.Internal[2][coloring.VarCur] == 0
+		return c.Internal(2, coloring.VarCur) == 0
 	}, startSeed, attempts, maxSteps)
 	if err != nil {
 		return nil, nil, fmt.Errorf("verify: harvesting γA: %w", err)
 	}
-	alpha3 := gammaA.Comm[2][coloring.VarC]
+	alpha3 := gammaA.Comm(2, coloring.VarC)
 
 	// Step 2: γB with C.p4 = α3; either pointer direction of p4 yields a
 	// construction.
 	gammaB, seedB, err := FindSilentConfig(fsys5, func(c *model.Config) bool {
-		return c.Comm[3][coloring.VarC] == alpha3
+		return c.Comm(3, coloring.VarC) == alpha3
 	}, startSeed+attempts, attempts, maxSteps)
 	if err != nil {
 		return nil, nil, fmt.Errorf("verify: harvesting γB: %w", err)
 	}
 
 	tr := &StitchTrace{SeedA: seedA, SeedB: seedB, GammaA: gammaA.Clone(), GammaB: gammaB.Clone()}
-	if gammaB.Internal[3][coloring.VarCur] == 1 {
+	if gammaB.Internal(3, coloring.VarCur) == 1 {
 		// p4 rests on p5 — it never reads p3: direct 5-chain stitch
 		// (Figure 1 (d)).
 		tr.Case = "direct-5"
@@ -130,7 +130,7 @@ func buildMirror7(gammaA, gammaB *model.Config) (*Demo, error) {
 		dst := 4 + i - 1 // dst = 3, 4, 5, 6
 		copyState(cfg, dst, gammaB, src)
 		if src >= 1 && src <= 3 { // interior in the 5-chain: mirror cur
-			cfg.Internal[dst][coloring.VarCur] = 1 - gammaB.Internal[src][coloring.VarCur]
+			cfg.SetInternal(dst, coloring.VarCur, 1-gammaB.Internal(src, coloring.VarCur))
 		}
 	}
 	return &Demo{
@@ -143,9 +143,10 @@ func buildMirror7(gammaA, gammaB *model.Config) (*Demo, error) {
 	}, nil
 }
 
+// copyState gives process dp of dst the COLORING state of sp in src.
 func copyState(dst *model.Config, dp int, src *model.Config, sp int) {
-	copy(dst.Comm[dp], src.Comm[sp])
-	copy(dst.Internal[dp], src.Internal[sp])
+	dst.SetComm(dp, coloring.VarC, src.Comm(sp, coloring.VarC))
+	dst.SetInternal(dp, coloring.VarCur, src.Internal(sp, coloring.VarCur))
 }
 
 // StitchSearchTheorem2Coloring executes the Theorem 2 stitch on the
@@ -171,7 +172,7 @@ func StitchSearchTheorem2Coloring(startSeed uint64) (*Demo, *StitchTrace, error)
 	)
 	// ids: p1=0 p2=1 p3=2 p4=3 p5=4 p6=5.
 	curAt := func(c *model.Config, p, q int) bool {
-		return c.Internal[p][coloring.VarCur] == g.PortOf(p, q)-1
+		return c.Internal(p, coloring.VarCur) == g.PortOf(p, q)-1
 	}
 	gamma2, seedA, err := FindSilentConfig(fsys, func(c *model.Config) bool {
 		return curAt(c, 1, 0) && // p2 reads p1, never p5
@@ -180,9 +181,9 @@ func StitchSearchTheorem2Coloring(startSeed uint64) (*Demo, *StitchTrace, error)
 	if err != nil {
 		return nil, nil, fmt.Errorf("verify: harvesting γ2: %w", err)
 	}
-	alpha2 := gamma2.Comm[1][coloring.VarC]
+	alpha2 := gamma2.Comm(1, coloring.VarC)
 	gamma5, seedB, err := FindSilentConfig(fsys, func(c *model.Config) bool {
-		return c.Comm[4][coloring.VarC] == alpha2 &&
+		return c.Comm(4, coloring.VarC) == alpha2 &&
 			curAt(c, 4, 3) && // p5 reads p4, never p2
 			curAt(c, 3, 4) // p4 reads p5, never p6
 	}, startSeed+attempts, attempts, maxSteps)

@@ -19,10 +19,10 @@ func gamma5(t *testing.T, colors, curs []int) *model.Config {
 	}
 	cfg := model.NewZeroConfig(sys)
 	for p, c := range colors {
-		cfg.Comm[p][coloring.VarC] = c
+		cfg.SetComm(p, coloring.VarC, c)
 	}
 	for p, cur := range curs {
-		cfg.Internal[p][coloring.VarCur] = cur
+		cfg.SetInternal(p, coloring.VarCur, cur)
 	}
 	silent, err := model.CommSilent(sys, cfg)
 	if err != nil {
@@ -57,7 +57,7 @@ func TestBuildDirect5(t *testing.T) {
 	if out.RealSilent || !out.RealRecovers {
 		t.Fatal("real protocol did not escape the direct-5 stitch")
 	}
-	if demo.Config.Comm[2][coloring.VarC] != demo.Config.Comm[3][coloring.VarC] {
+	if demo.Config.Comm(2, coloring.VarC) != demo.Config.Comm(3, coloring.VarC) {
 		t.Fatal("seam is not monochromatic")
 	}
 }
@@ -90,7 +90,7 @@ func TestBuildMirror7(t *testing.T) {
 	}
 	// The mirrored processes must still look away from the seam: p'4
 	// (id 3) took γB's p4 with its port swapped to the right.
-	if demo.Config.Internal[3][coloring.VarCur] != 1 {
-		t.Fatalf("p'4 cur = %d, want mirrored port 1 (right)", demo.Config.Internal[3][coloring.VarCur])
+	if demo.Config.Internal(3, coloring.VarCur) != 1 {
+		t.Fatalf("p'4 cur = %d, want mirrored port 1 (right)", demo.Config.Internal(3, coloring.VarCur))
 	}
 }

@@ -167,18 +167,21 @@ func FindNCWitness(sys *model.System, legit Predicate, p, q int,
 		}
 		silents = append(silents, res.Final)
 		for _, ga := range silents {
+			alphaP := commState(sys, ga, p)
 			for _, gb := range silents {
-				if conflict(ga.Comm[p], gb.Comm[q]) {
+				alphaQ := commState(sys, gb, q)
+				if conflict(alphaP, alphaQ) {
 					w := &NCWitness{
 						P: p, Q: q,
-						AlphaP: append([]int(nil), ga.Comm[p]...),
-						AlphaQ: append([]int(nil), gb.Comm[q]...),
+						AlphaP: alphaP, AlphaQ: alphaQ,
 						GammaP: ga.Clone(), GammaQ: gb.Clone(),
 					}
 					// Condition 2a: substituting both states yields an
 					// illegitimate configuration.
 					joint := ga.Clone()
-					copy(joint.Comm[q], gb.Comm[q])
+					for v, x := range alphaQ {
+						joint.SetComm(q, v, x)
+					}
 					if legit(sys, joint) {
 						continue
 					}
@@ -188,4 +191,13 @@ func FindNCWitness(sys *model.System, legit Predicate, p, q int,
 		}
 	}
 	return nil, fmt.Errorf("verify: no neighbor-completeness witness found in %d attempts", attempts)
+}
+
+// commState copies out the communication state of process p in cfg.
+func commState(sys *model.System, cfg *model.Config, p int) []int {
+	out := make([]int, sys.CommWidth())
+	for v := range out {
+		out[v] = cfg.Comm(p, v)
+	}
+	return out
 }

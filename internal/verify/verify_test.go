@@ -99,7 +99,7 @@ func TestStitchSearchTheorem2(t *testing.T) {
 	checkDemo(t, demo)
 	// The seam is the p2-p5 edge of Figure 3, and both carry the same
 	// color in the stitched configuration.
-	if demo.Config.Comm[1][coloring.VarC] != demo.Config.Comm[4][coloring.VarC] {
+	if demo.Config.Comm(1, coloring.VarC) != demo.Config.Comm(4, coloring.VarC) {
 		t.Fatal("seam processes do not share a color")
 	}
 }
@@ -164,7 +164,7 @@ func TestMISSilentConfigurationUnique(t *testing.T) {
 		}
 		s := make([]int, g.N())
 		for p := 0; p < g.N(); p++ {
-			s[p] = cfg.Comm[p][mis.VarS]
+			s[p] = cfg.Comm(p, mis.VarS)
 		}
 		if first == nil {
 			first = s
