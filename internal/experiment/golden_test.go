@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // The golden-table regression test pins the full fixed-seed registry
@@ -18,7 +20,10 @@ import (
 //
 // and review the diff like any other golden change. Each experiment is
 // rendered at Parallelism 1 and 4, so the committed bytes also enforce
-// the engine's parallelism-independence on every run.
+// the engine's parallelism-independence on every run. The three EX-*
+// tables pin the custom scenarios behind ssbench's -adversary and -churn
+// flags, which have no registry id: a mid-run state adversary, a churn
+// adversary, and the two composed.
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment tables under testdata/")
 
@@ -38,9 +43,24 @@ func renderGolden(res *Result) string {
 	return out
 }
 
+// goldenInputs is the registry plus the custom scenarios of the EX-*
+// tables.
+func goldenInputs() []Entry {
+	return append(Registry(),
+		Entry{ID: "EX-fault", Run: func(cfg Config) (*Result, error) {
+			return CustomFault(cfg, "cluster", 4, fault.OnSilence(3))
+		}},
+		Entry{ID: "EX-churn", Run: func(cfg Config) (*Result, error) {
+			return CustomChurn(cfg, "rewire", 2, fault.OnSilence(2), "", 0, fault.Schedule{})
+		}},
+		Entry{ID: "EX-composed", Run: func(cfg Config) (*Result, error) {
+			return CustomChurn(cfg, "crashjoin", 2, fault.OnSilence(2), "uniform", 2, fault.OnSilence(2))
+		}})
+}
+
 func TestGoldenTables(t *testing.T) {
 	t.Parallel()
-	for _, e := range Registry() {
+	for _, e := range goldenInputs() {
 		if e.ID == "E12" || e.ID == "E22" {
 			continue // wall-clock-dependent by design
 		}
