@@ -4,11 +4,7 @@
 
 GO ?= go
 
-# pipefail so piped targets (bench-json) fail when go test fails.
-SHELL := /bin/bash
-.SHELLFLAGS := -o pipefail -c
-
-.PHONY: build test test-race test-full bench bench-json bench-diff \
+.PHONY: build test test-race test-full bench \
 	scale-smoke fuzz-smoke campaign-smoke events-smoke service-smoke \
 	lint fmt vet check help
 
@@ -27,6 +23,10 @@ test-race: ## Short suite under the race detector
 test-full: ## Full (non-short) suite: what the tier-1 verify runs
 	$(GO) test -timeout 20m ./...
 
+# The micro-benchmarks are a compile-and-run smoke here, not a gate: the
+# allocation contracts they print live in testing.AllocsPerRun tests
+# (Test*ZeroAlloc*), and performance is judged by `go run ./bench`
+# (BENCHMARK.json) on paired parent/change runs.
 bench: ## Run every benchmark once (compile + smoke)
 	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/model ./internal/sched ./internal/core ./internal/trace ./internal/fault ./internal/graph ./internal/campaign ./internal/service
 
@@ -110,38 +110,6 @@ events-smoke: ## Event-log byte-identity across parallelism and cache state
 	grep -Eq ', cache [1-9][0-9]* hits, 0 misses' $(EVENTS_SMOKE_DIR)/churn-status2.txt
 	$(GO) test ./internal/experiment -run TestGoldenEvents
 	@echo "events smoke OK: logs byte-identical across parallelism 1/4 and cold/warm cache (churn included)"
-
-# Machine-readable perf trajectory: run the engine core benchmarks (step
-# engine, enabled tracker, trial pipeline, recorder, and the
-# dynamic-topology hot path: graph mutation, topology step, churn trial
-# loop) and record (name, ns/op, B/op, allocs/op) in
-# BENCH_6.json. The committed copy is the canonical baseline for this
-# PR's engine (numbers are machine-specific — regenerate locally only to
-# compare shapes, not to commit); CI uploads a fresh run as an artifact
-# on every push. Bump the N in the filename when a later PR resets the
-# baseline.
-BENCH_CORE = 'BenchmarkExecuteStep|BenchmarkEnabledTracker|BenchmarkConfigClone|BenchmarkSimulatorStep|BenchmarkTrialLoop|BenchmarkRecorderReadFullStep|BenchmarkGraphMutation|BenchmarkTopologyStep|BenchmarkChurnTrialLoop'
-BENCH_PKGS = ./internal/model ./internal/core ./internal/trace ./internal/graph .
-# Longer benchtime than the 1s default: committed baselines are compared
-# against each other by the gate, so per-run noise translates directly
-# into false regressions on noisy (single-core, shared) machines.
-BENCHTIME ?= 2s
-bench-json: ## Record the core-benchmark baseline as BENCH_6.json
-	$(GO) test -bench=$(BENCH_CORE) -benchtime=$(BENCHTIME) -benchmem -run='^$$' $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchjson > BENCH_6.json
-	@echo wrote BENCH_6.json
-
-# Regression gates (benchjson -diff): fail on >25% ns/op regressions,
-# >10% bytes_per_op regressions, or any allocs/op growth in the
-# model/trace/graph microbenchmarks (the trial-loop, churn-trial-loop
-# and experiment benches run whole executions and are too noisy to gate
-# on ns/op).
-BENCH_GATE = 'BenchmarkExecuteStep|BenchmarkEnabledTracker|BenchmarkConfigClone|BenchmarkRecorderReadFullStep|BenchmarkGraphMutation|BenchmarkTopologyStep'
-
-bench-diff: ## Fresh local benchmark run vs the committed baseline
-	$(GO) test -bench=$(BENCH_CORE) -benchtime=$(BENCHTIME) -benchmem -run='^$$' $(BENCH_PKGS) \
-		| $(GO) run ./cmd/benchjson > /tmp/bench-head.json
-	$(GO) run ./cmd/benchjson -diff -max-regress 25 -max-bytes-regress 10 -filter $(BENCH_GATE) BENCH_6.json /tmp/bench-head.json
 
 # Large-n scale smoke: drive the E22 headline cell — a 10⁶-process torus
 # under synchronous COLORING — to a legitimate silent configuration and

@@ -1,5 +1,5 @@
 // Benchmarks regenerating every paper artifact (one benchmark per
-// experiment E1-E12, see DESIGN.md for the artifact index), plus
+// experiment E1-E15; `ssbench -list` prints the artifact index), plus
 // convergence micro-benchmarks per protocol and network size, engine
 // micro-benchmarks, and before/after benchmarks for the parallel trial
 // pool and the incremental silence detector.

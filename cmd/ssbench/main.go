@@ -1,6 +1,7 @@
-// Command ssbench regenerates the paper's experiment tables (E1-E21, see
-// DESIGN.md for the artifact index; E16-E18 exercise the adversary
-// subsystem of internal/fault, E19-E21 the dynamic-topology churn axis).
+// Command ssbench regenerates the paper's experiment tables (E1-E22;
+// `ssbench -list` prints the artifact index, the README describes the
+// engine; E16-E18 exercise the adversary subsystem of internal/fault,
+// E19-E21 the dynamic-topology churn axis).
 // Every table reports measured data plus a PASS/FAIL verdict against the
 // corresponding paper claim.
 //
@@ -9,7 +10,7 @@
 //	ssbench                      # run everything, text tables
 //	ssbench -list                # print the registry (id + description)
 //	ssbench -run E3,E5           # selected experiments (unknown ids error)
-//	ssbench -markdown            # markdown output (EXPERIMENTS.md body)
+//	ssbench -markdown            # markdown output
 //	ssbench -quick -trials 2     # fast pass
 //	ssbench -parallelism 1       # sequential pool (identical tables)
 //	ssbench -time                # per-experiment wall clock on stderr

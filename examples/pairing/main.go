@@ -49,7 +49,8 @@ func main() {
 	fmt.Printf("pairs: %v\n\n", pairs)
 
 	// Concurrent run: one goroutine per overlay node, register-level
-	// atomicity (weaker than the paper's model — see DESIGN.md §4).
+	// atomicity (weaker than the paper's model — see E12 in `ssbench -list`
+	// and internal/concurrent).
 	cres, err := selfstab.RunConcurrent(sys, selfstab.ConcurrentOptions{
 		Seed: 4,
 		Mode: "registers",

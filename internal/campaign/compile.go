@@ -5,14 +5,12 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 // maxCells bounds a compiled campaign's cell count.
@@ -88,8 +86,10 @@ type Plan struct {
 	// size × protocol × daemon × adversary line × k × churn line ×
 	// churn k.
 	Cells []CellSpec
-	// Faulted reports whether the cells are injected-trial cells (the
-	// campaign has an adversary or churn axis).
+	// Faulted reports whether the campaign has an adversary or churn
+	// axis. It selects the default key template (as the parser's twin of
+	// it selects the default metrics); every cell expands and runs the
+	// same way whatever it says.
 	Faulted bool
 
 	cfg engine.Config
@@ -150,7 +150,7 @@ func (p *Plan) SetObserver(o obs.Observer) { p.cfg.Observer = o }
 // computing any still-missing at-start snapshots in one warm-up batch)
 // and returns the runnable engine cells, index-aligned with Cells. Callers
 // that bypass Run (the rewired registry experiments) feed them to
-// engine.RunFaultCellsReduce / RunCellsReduce directly.
+// engine.RunCells directly.
 func (p *Plan) EngineCells() ([]engine.Cell, error) {
 	all := make([]int, len(p.Cells))
 	for i := range all {
@@ -212,17 +212,14 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 	for _, gs := range spec.Graphs {
 		totalSizes += len(gs.sizes())
 	}
-	perGraph := 1
-	if p.Faulted {
-		advPoints, churnPoints := 0, 0
-		for _, adv := range spec.Adversaries {
-			advPoints += len(adv.Ks)
-		}
-		for _, ch := range spec.Churns {
-			churnPoints += len(ch.Ks)
-		}
-		perGraph = max(1, advPoints) * max(1, churnPoints)
+	advPoints, churnPoints := 0, 0
+	for _, adv := range spec.Adversaries {
+		advPoints += len(adv.Ks)
 	}
+	for _, ch := range spec.Churns {
+		churnPoints += len(ch.Ks)
+	}
+	perGraph := max(1, advPoints) * max(1, churnPoints)
 	if total := totalSizes * len(spec.Protocols) * len(spec.Daemons) * perGraph; total > maxCells {
 		return nil, fmt.Errorf("campaign: %d cells exceed the %d-cell limit", total, maxCells)
 	}
@@ -256,20 +253,14 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 	}
 
 	// Cell expansion, in canonical axis order. The churn axis is the
-	// innermost loop; when it is absent the single empty churn point
-	// keeps the expansion (order, keys, seed streams) identical to the
-	// pre-churn compiler.
+	// innermost loop; an absent adversary or churn axis is its single
+	// empty point, so a plain campaign is the sweep with both empty and
+	// a churn-free one expands (order, keys, seed streams) exactly as
+	// the pre-churn compiler did.
 	template := spec.KeyTemplate
 	for _, bg := range graphs {
 		for _, proto := range spec.Protocols {
 			for _, daemon := range spec.Daemons {
-				if !p.Faulted {
-					p.Cells = append(p.Cells, CellSpec{
-						topo: bg.topo, GraphLine: bg.line,
-						Protocol: proto, Daemon: daemon,
-					})
-					continue
-				}
 				appendPoint := func(advName string, k int, schedule fault.Schedule) {
 					base := CellSpec{
 						topo: bg.topo, GraphLine: bg.line,
@@ -476,15 +467,19 @@ func (p *Plan) sysFor(cs *CellSpec) (builtSys, error) {
 }
 
 // ensureEngineCells materializes the runnable closures for the given
-// still-unbuilt cells: systems are built once per (graph, protocol)
-// pair and shared, and the per-cell runners follow exactly the
-// experiment registry's trial shapes — RunRandom for plain cells,
-// RunFaulted-from-snapshot for at-start adversaries, RunRandomFaulted
-// for mid-run schedules. Cells a fully-cached resume (or another
-// shard) never executes are never built.
+// still-unbuilt cells: systems are built once per (graph, protocol) pair
+// and shared, and each cell is its coordinates handed to engine.NewCell,
+// the constructor the experiment registry's cells come from too. An
+// at-start adversary cell starts every trial from its silent snapshot,
+// every other cell from a random configuration. The closures read
+// p.cfg when a trial runs, so the observer SetObserver binds later
+// reaches them, and their diagnostics carry the cell's absolute campaign
+// index, as the engine's lifecycle events do (ComputeCell passes it).
+// Cells a fully-cached resume (or another shard) never executes are
+// never built.
 func (p *Plan) ensureEngineCells(cells []int) error {
 	for _, i := range cells {
-		if p.cells[i].RunOn != nil || p.cells[i].RunFaultOn != nil {
+		if p.cells[i].Run != nil {
 			continue
 		}
 		cs := &p.Cells[i]
@@ -492,86 +487,20 @@ func (p *Plan) ensureEngineCells(cells []int) error {
 		if err != nil {
 			return err
 		}
-		sys, legit := b.sys, b.legit
-		daemon := cs.Daemon
-		mkSched := func(s uint64) model.Scheduler {
-			sc, err := sched.ByName(daemon, s)
-			if err != nil {
-				panic(err)
-			}
-			return sc
+		if cs.atStart() && cs.snapshot == nil {
+			return fmt.Errorf("campaign: cell %q built without its snapshot (ensureSnapshots not called)", cs.Key)
 		}
-		// Core-level diagnostics carry the cell's absolute campaign index,
-		// as the engine's lifecycle events do (ComputeCell passes it). The
-		// observer is read at trial time through p, after SetObserver/Run
-		// has bound it.
-		cellIdx, cellKey := cs.Index, cs.Key
-		if !p.Faulted {
-			suffix := p.Spec.SuffixRounds
-			p.cells[i] = engine.Cell{
-				Key: cs.Key,
-				RunOn: func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error {
-					return rn.RunRandom(sys, core.RunOptions{
-						Scheduler:    rn.Scheduler(daemon, seed, mkSched),
-						Seed:         seed,
-						MaxSteps:     p.cfg.MaxSteps,
-						CheckEvery:   1,
-						SuffixRounds: suffix,
-						Legitimate:   legit,
-						Events:       obs.Scope{Obs: p.cfg.Observer, Cell: cellIdx, Key: cellKey, Trial: trial},
-					}, res)
-				},
-			}
-			continue
-		}
-		advName, k, schedule := cs.Adversary, cs.K, cs.Schedule
-		advKey := fmt.Sprintf("%s/%d", advName, k)
-		churnName, churnK, churnSchedule := cs.ChurnName, cs.ChurnK, cs.ChurnSchedule
-		churnKey := fmt.Sprintf("churn:%s/%d", churnName, churnK)
-		// The snapshot is read through cs at trial time: it is filled by
-		// ensureSnapshots after compilation, before the pool launches.
-		cell := cs
-		p.cells[i] = engine.Cell{
-			Key: cs.Key,
-			RunFaultOn: func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
-				var plan fault.Plan
-				if advName != "" {
-					plan.Adversary = rn.Adversary(advKey, func() fault.Adversary {
-						a, err := fault.ByName(advName, k)
-						if err != nil {
-							panic(err)
-						}
-						return a
-					})
-					plan.Schedule = schedule
-				}
-				if churnName != "" {
-					plan.Churn = rn.ChurnAdversary(churnKey, func() fault.ChurnAdversary {
-						a, err := fault.ChurnByName(churnName, churnK)
-						if err != nil {
-							panic(err)
-						}
-						return a
-					})
-					plan.ChurnSchedule = churnSchedule
-				}
-				opts := core.RunOptions{
-					Scheduler:  rn.Scheduler(daemon, seed, mkSched),
-					Seed:       seed,
-					MaxSteps:   p.cfg.MaxSteps,
-					CheckEvery: 1,
-					Legitimate: legit,
-					Events:     obs.Scope{Obs: p.cfg.Observer, Cell: cellIdx, Key: cellKey, Trial: trial},
-				}
-				if cell.atStart() {
-					if cell.snapshot == nil {
-						return fmt.Errorf("campaign: cell %q run without its snapshot (ensureSnapshots not called)", cell.Key)
-					}
-					rn.InitialConfig(sys).CopyFrom(cell.snapshot)
-					return rn.RunFaulted(sys, opts, plan, res)
-				}
-				return rn.RunRandomFaulted(sys, opts, plan, res)
-			},
+		p.cells[i], err = engine.NewCell(&p.cfg, engine.Scenario{
+			Key: cs.Key, Index: cs.Index,
+			System: b.sys, Legit: b.legit,
+			Daemon:       cs.Daemon,
+			SuffixRounds: p.Spec.SuffixRounds,
+			Snapshot:     cs.snapshot,
+			Adversary:    cs.Adversary, K: cs.K, Schedule: cs.Schedule,
+			Churn: cs.ChurnName, ChurnK: cs.ChurnK, ChurnSchedule: cs.ChurnSchedule,
+		})
+		if err != nil {
+			return fmt.Errorf("campaign: cell %q: %w", cs.Key, err)
 		}
 	}
 	return nil

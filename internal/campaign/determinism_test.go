@@ -138,11 +138,7 @@ func TestInterruptedRunKeepsFinishedCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Materialize leaves a cell that already has its closure alone.
-		if plan.Faulted {
-			plan.cells[finished].RunFaultOn = func(*core.Runner, int, uint64, *core.FaultResult) error { return errCell }
-		} else {
-			plan.cells[finished].RunOn = func(*core.Runner, int, uint64, *core.RunResult) error { return errCell }
-		}
+		plan.cells[finished].Run = func(*core.Runner, int, uint64, *core.FaultResult) error { return errCell }
 		if _, err := plan.Run(RunOptions{Cache: be}); !errors.Is(err, errCell) {
 			t.Fatalf("interrupted run returned %v, want the cell's error", err)
 		}

@@ -35,8 +35,10 @@ type TrialRecord struct {
 	ChurnEvents int
 }
 
-// fillRun populates the plain-run metrics from a trial result.
-func (t *TrialRecord) fillRun(res *core.RunResult) {
+// fill populates every metric from a trial result. A plain trial's
+// result has an empty fault side, so its fault fields come out zero and
+// MaxBallRadius -1.
+func (t *TrialRecord) fill(res *core.FaultResult) {
 	*t = TrialRecord{
 		Silent:             res.Silent,
 		Legitimate:         res.LegitimateAtSilence,
@@ -50,18 +52,13 @@ func (t *TrialRecord) fillRun(res *core.RunResult) {
 		CommBits:           res.Report.CommComplexityBits,
 		TotalBits:          res.Report.TotalBits,
 		TotalReads:         res.Report.TotalReads,
+		Injections:         res.Injections,
+		Recovered:          res.Recovered,
+		MaxRecoveryRounds:  res.MaxRecoveryRounds(),
+		MaxRadius:          res.MaxRadius(),
 		MaxBallRadius:      -1,
+		ChurnEvents:        res.ChurnEvents,
 	}
-}
-
-// fillFault populates all metrics from an injected trial result.
-func (t *TrialRecord) fillFault(res *core.FaultResult) {
-	t.fillRun(&res.RunResult)
-	t.Injections = res.Injections
-	t.Recovered = res.Recovered
-	t.MaxRecoveryRounds = res.MaxRecoveryRounds()
-	t.MaxRadius = res.MaxRadius()
-	t.ChurnEvents = res.ChurnEvents
 	for i := range res.Episodes {
 		if res.Episodes[i].BallRadius > t.MaxBallRadius {
 			t.MaxBallRadius = res.Episodes[i].BallRadius

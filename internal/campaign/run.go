@@ -223,24 +223,14 @@ func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, _ int) (recs []TrialRecord, e
 			recs, err = nil, fmt.Errorf("campaign: cell %q panicked: %v", p.Cells[i].Key, v)
 		}
 	}()
-	if p.cells[i].RunOn == nil && p.cells[i].RunFaultOn == nil {
+	if p.cells[i].Run == nil {
 		return nil, fmt.Errorf("campaign: cell %q computed without Materialize", p.Cells[i].Key)
 	}
 	recs = make([]TrialRecord, 0, p.cfg.Trials)
-	if p.Faulted {
-		err = engine.RunFaultCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
-			func(_, trial int, res *core.FaultResult) error {
-				var rec TrialRecord
-				rec.fillFault(res)
-				recs = append(recs, rec)
-				return nil
-			})
-		return recs, err
-	}
-	err = engine.RunCellReduce(p.cfg, w, &p.cells[i], p.Cells[i].Index,
-		func(_, trial int, res *core.RunResult) error {
+	err = engine.RunCell(p.cfg, w, &p.cells[i], p.Cells[i].Index,
+		func(_, _ int, res *core.FaultResult) error {
 			var rec TrialRecord
-			rec.fillRun(res)
+			rec.fill(res)
 			recs = append(recs, rec)
 			return nil
 		})

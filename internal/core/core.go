@@ -15,6 +15,17 @@
 //   - the suffix read sets, witnessing ♦-(x,k)-stability (Definition 9):
 //     StableProcesses(1) is the number of processes that communicated
 //     with at most one neighbor during the entire post-silence suffix.
+//
+// There is one trial body, Runner.trial (faultrun.go): a trial runs under
+// a fault.Plan, and a plain trial is the plan that never strikes. Run,
+// Runner.Run, RunRandom, RunFaulted, RunRandomFaulted and Trial differ
+// only in how the initial configuration is filled and in which plans they
+// accept; the paper draws no line between a fresh adversarial start and
+// the aftermath of a fault, and neither does the loop.
+//
+// core owns the trial loop and its result types. It imports model, trace,
+// fault, obs and rng, and must not import sched, engine, campaign or
+// anything above them (schedulers arrive as model.Scheduler values).
 package core
 
 import (
@@ -102,8 +113,8 @@ type Convergence struct {
 // starts vacuously true).
 func NewConvergence() Convergence { return Convergence{LegitimateAll: true} }
 
-// Add folds one run into the summary. It is the streaming form of
-// Aggregate: results folded one at a time need never be retained.
+// Add folds one run into the summary: results folded one at a time need
+// never be retained.
 func (c *Convergence) Add(r *RunResult) {
 	c.Runs++
 	if !r.Silent {
@@ -123,13 +134,4 @@ func (c *Convergence) Add(r *RunResult) {
 	if r.Report.KEfficiency > c.MaxKEfficiency {
 		c.MaxKEfficiency = r.Report.KEfficiency
 	}
-}
-
-// Aggregate folds run results into a Convergence summary.
-func Aggregate(results []*RunResult) Convergence {
-	agg := NewConvergence()
-	for _, r := range results {
-		agg.Add(r)
-	}
-	return agg
 }

@@ -83,7 +83,14 @@ func TestAggregate(t *testing.T) {
 		{Silent: true, LegitimateAtSilence: true, RoundsToSilence: 7, StepsToSilence: 10},
 		{Silent: false},
 	}
-	agg := Aggregate(results)
+	fold := func(results []*RunResult) Convergence {
+		agg := NewConvergence()
+		for _, r := range results {
+			agg.Add(r)
+		}
+		return agg
+	}
+	agg := fold(results)
 	if agg.Runs != 3 || agg.Converged != 2 {
 		t.Fatalf("runs=%d converged=%d", agg.Runs, agg.Converged)
 	}
@@ -93,7 +100,7 @@ func TestAggregate(t *testing.T) {
 	if agg.LegitimateAll {
 		t.Fatal("non-converged run should clear LegitimateAll")
 	}
-	agg2 := Aggregate(results[:2])
+	agg2 := fold(results[:2])
 	if !agg2.LegitimateAll {
 		t.Fatal("all-legitimate runs should keep LegitimateAll")
 	}

@@ -10,15 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the execution side of the adversary subsystem
-// (internal/fault): RunFaulted drives one trial during which an
-// adversary strikes according to a schedule — at start, at a fixed step,
-// periodically, or at each silence point — and measures every recovery
-// episode (rounds to re-silence, containment radius). Injections mutate
-// the live configuration mid-run; cache soundness is restored by marking
-// every corrupted process dirty via model.Simulator.MarkDirty, the exact
-// dirty rule Step applies to moving processes, so the incremental
-// enabled/silence caches never observe a stale verdict.
+// This file holds the one trial body, Runner.trial, and the execution side
+// of the adversary subsystem (internal/fault) it carries: a trial runs
+// under a fault plan whose adversary strikes according to a schedule (at
+// start, at a fixed step, periodically, or at each silence point) and
+// every recovery episode is measured (rounds to re-silence, containment
+// radius). A plain trial is the plan that never strikes: the same body,
+// no episode. Injections mutate the live configuration mid-run; cache
+// soundness is restored by marking every corrupted process dirty via
+// model.Simulator.MarkDirty, the exact dirty rule Step applies to moving
+// processes, so the incremental enabled/silence caches never observe a
+// stale verdict.
 //
 // Plans may also (or only) carry a churn adversary: topology mutations
 // fired on their own schedule against a runner-owned dynamic copy of
@@ -56,9 +58,10 @@ type Episode struct {
 	BallRadius int
 }
 
-// FaultResult reports one injected trial: the overall run outcome (the
-// embedded RunResult describes the final recovery, exactly as a plain
-// Run would) plus per-episode recovery statistics.
+// FaultResult reports one trial under a fault plan: the overall run
+// outcome (the embedded RunResult describes the final recovery, exactly
+// as a plain Run would) plus per-episode recovery statistics, all zero
+// after a trial under the empty plan.
 type FaultResult struct {
 	RunResult
 	// Injections is the number of state injections performed.
@@ -209,11 +212,47 @@ func (r *Runner) dynamicSystem(sys *model.System) *model.System {
 // adversary's or the scheduler's draw streams. A step at which both
 // schedules fire disturbs topology first, then state, and opens one
 // combined episode.
+//
+// A plan with neither adversary is refused: a caller that means a plain
+// trial says so with Run, and one that holds a plan which may be empty
+// (the engine's cell constructor) with Trial.
 func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan, res *FaultResult) error {
-	hasAdv, hasChurn := plan.Adversary != nil, plan.Churn != nil
-	if !hasAdv && !hasChurn {
+	if plan.Adversary == nil && plan.Churn == nil {
 		return fmt.Errorf("core: RunFaulted without an adversary or churn adversary")
 	}
+	return r.trial(sys, opts, plan, &res.RunResult, res)
+}
+
+// RunRandomFaulted is RunFaulted from a uniformly random initial
+// configuration drawn from opts.Seed, exactly as RunRandom draws it.
+func (r *Runner) RunRandomFaulted(sys *model.System, opts RunOptions, plan fault.Plan, res *FaultResult) error {
+	r.randomInitial(sys, opts.Seed)
+	return r.RunFaulted(sys, opts, plan, res)
+}
+
+// Trial executes one trial under a plan that may be empty, from a copy of
+// start or, when start is nil, from the uniformly random configuration of
+// opts.Seed. Under the zero plan it is Run or RunRandom with the fault
+// side of res zeroed (no injection, no episode); under any other it is
+// RunFaulted or RunRandomFaulted.
+func (r *Runner) Trial(sys *model.System, start *model.Config, opts RunOptions, plan fault.Plan, res *FaultResult) error {
+	if start != nil {
+		r.InitialConfig(sys).CopyFrom(start)
+	} else {
+		r.randomInitial(sys, opts.Seed)
+	}
+	return r.trial(sys, opts, plan, &res.RunResult, res)
+}
+
+// trial is the one trial body, behind every exported way to run one:
+// from the runner's initial-configuration buffer it runs to silence,
+// firing plan's disturbances at the instants their schedules select, and
+// fills res as RunFaulted documents. The zero plan never strikes: no
+// episode opens, the recorder observes the simulator directly and no
+// fault-side buffer is touched, which is all a plain trial is. eps
+// receives the episode statistics; only the zero plan may come with a nil
+// eps (Run has a RunResult to fill and nothing else).
+func (r *Runner) trial(sys *model.System, opts RunOptions, plan fault.Plan, res *RunResult, eps *FaultResult) error {
 	if opts.Scheduler == nil {
 		return fmt.Errorf("core: RunOptions.Scheduler is required")
 	}
@@ -221,13 +260,17 @@ func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan,
 		return fmt.Errorf("core: RunOptions.MaxSteps must be positive")
 	}
 	if r.sys != sys || r.cfg == nil {
-		return fmt.Errorf("core: Runner.RunFaulted without an initial configuration for this system (call InitialConfig first)")
+		return fmt.Errorf("core: trial without an initial configuration for this system (call InitialConfig first)")
 	}
 	if r.rec == nil {
 		r.rec = trace.NewRecorder(sys.N())
 	} else {
 		r.rec.Reset(sys.N())
 	}
+	if eps != nil {
+		eps.Injections, eps.ChurnEvents, eps.Recovered, eps.Episodes = 0, 0, 0, eps.Episodes[:0]
+	}
+	hasAdv, hasChurn := plan.Adversary != nil, plan.Churn != nil
 	adv := plan.Adversary
 	totalFault := 0
 	if hasAdv {
@@ -242,12 +285,14 @@ func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan,
 		totalChurn = plan.ChurnSchedule.Injections()
 	}
 
+	// Only a plan that can open an episode pays for the forwarding
+	// observer: without one the recorder is the simulator's observer.
 	fr := &r.fr
-	fr.obs.rec = r.rec
-	fr.obs.contain = &fr.contain
-	fr.obs.active = false
-	res.Injections, res.ChurnEvents, res.Recovered = 0, 0, 0
-	res.Episodes = res.Episodes[:0]
+	fr.obs = faultObserver{rec: r.rec, contain: &fr.contain}
+	var observer model.Observer = r.rec
+	if hasAdv || hasChurn {
+		observer = &fr.obs
+	}
 	fr.faulted, fr.churned = fr.faulted[:0], fr.churned[:0]
 
 	atStartFault := hasAdv && plan.Schedule.Kind == fault.KindAtStart
@@ -259,7 +304,7 @@ func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan,
 		// byte-identical to the pre-churn at-start path.)
 		fr.faulted = adv.Inject(sys, r.cfg, fr.faulted[:0])
 	}
-	if err := r.sim.Reset(runSys, r.cfg, opts.Scheduler, opts.Seed, &fr.obs); err != nil {
+	if err := r.sim.Reset(runSys, r.cfg, opts.Scheduler, opts.Seed, observer); err != nil {
 		return err
 	}
 	checkEvery := opts.CheckEvery
@@ -281,7 +326,7 @@ func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan,
 		roundsAtInjection = r.sim.Rounds()
 		fr.obs.active = true
 		if len(fr.faulted) > 0 {
-			res.Injections++
+			eps.Injections++
 			opts.Events.Emit(obs.Event{
 				Kind: obs.KindInjection, Step: ep.Step,
 				Count: ep.Faulted, Radius: ep.BallRadius,
@@ -293,9 +338,9 @@ func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan,
 		ep.RecoveryRounds = r.sim.Rounds() - roundsAtInjection
 		ep.Radius = fr.contain.Radius()
 		if recovered {
-			res.Recovered++
+			eps.Recovered++
 		}
-		res.Episodes = append(res.Episodes, ep)
+		eps.Episodes = append(eps.Episodes, ep)
 		fr.obs.active = false
 		opts.Events.Emit(obs.Event{
 			Kind: obs.KindRecovery, Step: r.sim.Steps(), Round: ep.RecoveryRounds,
@@ -304,7 +349,7 @@ func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan,
 	}
 	fireChurn := func() {
 		fr.churned = plan.Churn.Churn(&r.sim, fr.churned[:0])
-		res.ChurnEvents++
+		eps.ChurnEvents++
 		opts.Events.Emit(obs.Event{
 			Kind: obs.KindTopology, Step: r.sim.Steps(),
 			Count: len(fr.churned), Radius: -1,
@@ -340,8 +385,8 @@ func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan,
 
 	finalSilent := false
 	for {
-		faultPending := hasAdv && res.Injections < totalFault
-		churnPending := hasChurn && res.ChurnEvents < totalChurn
+		faultPending := hasAdv && eps.Injections < totalFault
+		churnPending := hasChurn && eps.ChurnEvents < totalChurn
 		limit := opts.MaxSteps
 		faultDue, churnDue := -1, -1
 		if faultPending {
@@ -403,13 +448,4 @@ func (r *Runner) RunFaulted(sys *model.System, opts RunOptions, plan fault.Plan,
 	}
 	res.Final.CopyFrom(r.sim.Config())
 	return nil
-}
-
-// RunRandomFaulted is RunFaulted from a uniformly random initial
-// configuration drawn from opts.Seed, exactly as RunRandom draws it.
-func (r *Runner) RunRandomFaulted(sys *model.System, opts RunOptions, plan fault.Plan, res *FaultResult) error {
-	cfg := r.InitialConfig(sys)
-	r.initSrc.Reseed(opts.Seed)
-	model.RandomizeConfig(sys, cfg, r.initRand)
-	return r.RunFaulted(sys, opts, plan, res)
 }

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/fault"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -45,7 +42,8 @@ type Runner struct {
 	initSrc  rng.SplitMix
 	initRand *rng.Rand
 
-	// fr holds the reusable injected-trial state behind RunFaulted.
+	// fr holds the reusable fault-side state of the trial body; a runner
+	// that only ever runs plain trials leaves its buffers nil.
 	fr faultRun
 }
 
@@ -95,53 +93,10 @@ func (r *Runner) Scheduler(name string, seed uint64, mk func(uint64) model.Sched
 // and final-configuration buffer across calls. res never aliases
 // runner-owned memory, so materialized results stay valid after the
 // runner's next trial. The initial-configuration buffer is consumed: the
-// run mutates it, and the next trial must refill it.
+// run mutates it, and the next trial must refill it. It is the trial body
+// under the plan that never strikes.
 func (r *Runner) Run(sys *model.System, opts RunOptions, res *RunResult) error {
-	if opts.Scheduler == nil {
-		return fmt.Errorf("core: RunOptions.Scheduler is required")
-	}
-	if opts.MaxSteps <= 0 {
-		return fmt.Errorf("core: RunOptions.MaxSteps must be positive")
-	}
-	if r.sys != sys || r.cfg == nil {
-		return fmt.Errorf("core: Runner.Run without an initial configuration for this system (call InitialConfig first)")
-	}
-	if r.rec == nil {
-		r.rec = trace.NewRecorder(sys.N())
-	} else {
-		r.rec.Reset(sys.N())
-	}
-	if err := r.sim.Reset(sys, r.cfg, opts.Scheduler, opts.Seed, r.rec); err != nil {
-		return err
-	}
-	checkEvery := opts.CheckEvery
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	silent, err := r.sim.RunUntilSilent(opts.MaxSteps, checkEvery)
-	if err != nil {
-		return err
-	}
-	if silent {
-		opts.Events.Emit(obs.Event{Kind: obs.KindSilence, Step: r.sim.Steps(), Round: r.sim.Rounds()})
-	}
-	res.Silent = silent
-	res.StepsToSilence = r.sim.Steps()
-	res.RoundsToSilence = r.sim.Rounds()
-	res.LegitimateAtSilence = false
-	if silent && opts.Legitimate != nil {
-		res.LegitimateAtSilence = opts.Legitimate(sys, r.sim.Config())
-	}
-	if silent && opts.SuffixRounds > 0 {
-		r.rec.MarkSuffix()
-		r.sim.RunRounds(opts.SuffixRounds)
-	}
-	r.rec.ReportInto(&res.Report)
-	if res.Final == nil {
-		res.Final = model.NewZeroConfig(sys)
-	}
-	res.Final.CopyFrom(r.sim.Config())
-	return nil
+	return r.trial(sys, opts, fault.Plan{}, res, nil)
 }
 
 // RunRandom executes one adversarial trial: the initial configuration is
@@ -150,8 +105,14 @@ func (r *Runner) Run(sys *model.System, opts RunOptions, res *RunResult) error {
 // into the runner-owned buffer, skipping the one-shot path's defensive
 // clone.
 func (r *Runner) RunRandom(sys *model.System, opts RunOptions, res *RunResult) error {
-	cfg := r.InitialConfig(sys)
-	r.initSrc.Reseed(opts.Seed)
-	model.RandomizeConfig(sys, cfg, r.initRand)
+	r.randomInitial(sys, opts.Seed)
 	return r.Run(sys, opts, res)
+}
+
+// randomInitial fills the initial-configuration buffer with the uniformly
+// random configuration of seed.
+func (r *Runner) randomInitial(sys *model.System, seed uint64) {
+	cfg := r.InitialConfig(sys)
+	r.initSrc.Reseed(seed)
+	model.RandomizeConfig(sys, cfg, r.initRand)
 }

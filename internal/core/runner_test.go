@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -127,6 +128,61 @@ func TestRunnerResultsDoNotAliasRunner(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first.Report, snapshot.Report) {
 		t.Fatal("first trial's Report mutated by the runner's second trial")
+	}
+}
+
+// TestZeroPlan: a plain trial is the trial body under the zero plan.
+// RunFaulted still refuses that plan with its own error (the exported
+// guard is input checking: a caller that means a plain trial says Run)
+// while Run, from the same buffer, is not refused; Trial accepts it, and
+// on a result buffer a faulted trial has just filled it returns Run's
+// result with the fault side zeroed, from a snapshot and from a random
+// start alike.
+func TestZeroPlan(t *testing.T) {
+	t.Parallel()
+	ts := runnerTestSystems(t)[2]
+	mk := func(s uint64) model.Scheduler { return sched.NewRandomSubset(s) }
+	rn := NewRunner()
+	opts := func(seed uint64) RunOptions {
+		return RunOptions{
+			Scheduler: rn.Scheduler("random-subset", seed, mk),
+			Seed:      seed, MaxSteps: 200000, SuffixRounds: 2, Legitimate: ts.legit,
+		}
+	}
+	var fres FaultResult
+	start := model.NewRandomConfig(ts.sys, rng.New(5))
+	rn.InitialConfig(ts.sys).CopyFrom(start)
+	err := rn.RunFaulted(ts.sys, opts(5), fault.Plan{}, &fres)
+	if err == nil || err.Error() != "core: RunFaulted without an adversary or churn adversary" {
+		t.Fatalf("RunFaulted with the zero plan: error %v, want the missing-adversary refusal", err)
+	}
+	var want RunResult
+	if err := rn.Run(ts.sys, opts(5), &want); err != nil {
+		t.Fatalf("Run from the buffer RunFaulted refused: %v", err)
+	}
+
+	for _, from := range []*model.Config{start, nil} {
+		plan := fault.Plan{Adversary: fault.NewUniform(3), Schedule: fault.OnSilence(2)}
+		if err := rn.Trial(ts.sys, from, opts(5), plan, &fres); err != nil {
+			t.Fatal(err)
+		}
+		if fres.Injections != 2 || len(fres.Episodes) != 2 {
+			t.Fatalf("test setup: faulted trial performed %d injections in %d episodes, want 2 and 2", fres.Injections, len(fres.Episodes))
+		}
+		if err := rn.Trial(ts.sys, from, opts(5), fault.Plan{}, &fres); err != nil {
+			t.Fatalf("Trial with the zero plan: %v", err)
+		}
+		if fres.Injections != 0 || fres.ChurnEvents != 0 || fres.Recovered != 0 || len(fres.Episodes) != 0 {
+			t.Fatalf("zero plan left a fault side behind: %+v", fres)
+		}
+		if from == nil {
+			if err := rn.RunRandom(ts.sys, opts(5), &want); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(want, fres.RunResult) {
+			t.Fatalf("Trial with the zero plan differs from the plain wrapper:\nwant %+v\ngot  %+v", want, fres.RunResult)
+		}
 	}
 }
 

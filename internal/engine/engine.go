@@ -1,14 +1,21 @@
 // Package engine is the parallel sharded trial engine shared by the
 // experiment registry (internal/experiment) and the campaign subsystem
 // (internal/campaign). Every cell — one protocol family on one graph
-// under one scheduler, optionally with a fault adversary — runs its
-// Config.Trials trials on one worker of a pool of Config.Parallelism
-// goroutines. Each worker owns one reusable *core.Runner (recorder,
-// simulator, scheduler, configuration buffers), so the steady-state
-// trial loop allocates nothing; results stream through a fold without
-// being retained (RunCellsReduce, RunFaultCellsReduce). The fold paths
-// all run one loop, runCell: one cell's trials, in trial order, on one
-// worker.
+// under one scheduler, optionally disturbed by a fault or churn
+// adversary — runs its Config.Trials trials on one worker of a pool of
+// Config.Parallelism goroutines. Each worker owns one reusable
+// *core.Runner (recorder, simulator, scheduler, configuration buffers),
+// so the steady-state trial loop allocates nothing; results stream
+// through a fold without being retained.
+//
+// There is one cell shape: a Key and a Run closure filling a
+// *core.FaultResult (a plain trial leaves its fault side zero). NewCell
+// builds that closure from a Scenario and is the one place a trial's
+// scheduler, adversaries and core.RunOptions are assembled; ProtoCells
+// is NewCell over (graph, family, daemon) triples. There are three ways
+// to run: RunCell (one cell's trials on a caller-owned worker), RunCells
+// (every cell on the pool) and ForEachWorker (the pool itself, for
+// callers that schedule cells or other jobs themselves).
 //
 // Determinism: the seed of trial t of a cell is
 //
@@ -19,6 +26,9 @@
 // per cell, so the output is byte-identical for every Parallelism value
 // (1 reproduces fully sequential execution) and identical between the
 // pooled and one-shot execution paths.
+//
+// engine imports core, sched, fault and the protocol packages; it must
+// not import campaign, experiment or service.
 package engine
 
 import (
@@ -34,14 +44,14 @@ import (
 	"repro/internal/stats"
 )
 
-// StopRule is the sequential trial-stopping criterion of the streaming
-// fold paths: instead of a fixed Config.Trials budget, a cell keeps
-// running trials until the normal-approximation 95% confidence interval
-// on its mean rounds-to-silence is at most HalfWidth wide (half-width),
-// bounded below by Min and above by Max trials. Low-variance cells stop
-// early; a cell whose interval never tightens runs exactly Max trials.
-// Trials that exhaust the step budget fold their censored round count
-// like any other observation, so a diverging cell cannot stall the rule.
+// StopRule is the sequential trial-stopping criterion of the cell loop:
+// instead of a fixed Config.Trials budget, a cell keeps running trials
+// until the normal-approximation 95% confidence interval on its mean
+// rounds-to-silence is at most HalfWidth wide (half-width), bounded
+// below by Min and above by Max trials. Low-variance cells stop early; a
+// cell whose interval never tightens runs exactly Max trials. Trials
+// that exhaust the step budget fold their censored round count like any
+// other observation, so a diverging cell cannot stall the rule.
 //
 // Determinism: the realized trial count is a pure function of the trial
 // result stream, which is itself a pure function of (seed, cell key) —
@@ -94,8 +104,8 @@ type Config struct {
 	// Seed drives all randomness.
 	Seed uint64
 	// Trials is the number of adversarial initial configurations per
-	// cell (default 5). The fold paths run fewer under an enabled Stop
-	// rule (which replaces the fixed budget with its Min..Max bounds).
+	// cell (default 5). A cell runs fewer under an enabled Stop rule
+	// (which replaces the fixed budget with its Min..Max bounds).
 	Trials int
 	// MaxSteps is the per-run step budget (default 1_000_000).
 	MaxSteps int
@@ -104,13 +114,13 @@ type Config struct {
 	// value; see the package documentation.
 	Parallelism int
 	// Observer receives structured run events (nil: no observation, the
-	// free default). The cell-affine fold paths emit cell-start,
-	// trial-start, trial-finish and cell-finish; core-level events
-	// (silence, injections, recovery episodes) are emitted by the trial
-	// closures that thread an obs.Scope into core.RunOptions.Events.
+	// free default). RunCell emits cell-start, trial-start, trial-finish
+	// and cell-finish; core-level diagnostics (silence, injections,
+	// recovery episodes) come from the trial closures NewCell builds,
+	// which thread an obs.Scope into core.RunOptions.Events.
 	Observer obs.Observer
-	// Stop, when enabled, replaces the fixed Trials budget on the fold
-	// paths with sequential stopping; see StopRule.
+	// Stop, when enabled, replaces the fixed Trials budget with
+	// sequential stopping; see StopRule.
 	Stop StopRule
 }
 
@@ -130,30 +140,33 @@ func (c Config) WithDefaults() Config {
 }
 
 // Cell is one unit of the experiment grid: a stable key used for seed
-// derivation plus the function executing one adversarial trial on a
-// worker's reusable Runner. Exactly one of RunOn and RunFaultOn must be
-// non-nil. Different cells run concurrently, so what their closures
-// share (systems, graphs) must be immutable after construction.
+// derivation plus the function executing one trial on a worker's
+// reusable Runner. Different cells run concurrently, so what their
+// closures share (systems, graphs) must be immutable after construction.
 type Cell struct {
 	// Key identifies the cell in the experiment grid; distinct cells of
 	// one run must use distinct keys or they will share trial seeds.
 	Key string
-	// RunOn executes a plain trial, filling res in place: the pool passes
+	// Run executes one trial, filling res in place: the cell loop passes
 	// the worker's reused buffer, which the fold reads before the next
-	// trial overwrites it.
-	RunOn func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error
-	// RunFaultOn executes the trial as an injected (adversarial-fault)
-	// trial, filling a FaultResult in place. Cells of this form run only
-	// under RunFaultCellsReduce and RunFaultCellReduce.
-	RunFaultOn func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error
+	// trial overwrites it. A plain trial fills the embedded RunResult and
+	// zeroes the rest (core.Runner.Trial under an empty plan does both).
+	Run func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error
 }
+
+// Fold receives every trial result of a run, in increasing trial order
+// within each cell. res is the worker's buffer, valid only for the
+// duration of the call: a fold copies whatever needs to survive. Under
+// RunCells folds of DIFFERENT cells run concurrently (never two of the
+// same cell): per-cell accumulators indexed by cell need no locking,
+// anything shared across cells does.
+type Fold func(cell, trial int, res *core.FaultResult) error
 
 // WorkerCtx is the reusable per-worker state of the cell loop: the
 // Runner every trial executes on and the result buffer every trial
-// fills (plain trials fill its embedded RunResult). The pool paths
-// create one per worker goroutine; callers that schedule cells
-// themselves (bench/'s traced pass) do the same and reuse it across
-// every cell that worker claims.
+// fills. The pool creates one per worker goroutine; callers that
+// schedule cells themselves (bench/'s traced pass) do the same and reuse
+// it across every cell that worker claims.
 type WorkerCtx struct {
 	rn  *core.Runner
 	res core.FaultResult
@@ -162,44 +175,22 @@ type WorkerCtx struct {
 // NewWorkerCtx returns a fresh worker context.
 func NewWorkerCtx() *WorkerCtx { return &WorkerCtx{rn: core.NewRunner()} }
 
-// RunCellReduce executes one plain cell's trials on w — cfg.Trials of
-// them, or an adaptive count under an enabled cfg.Stop rule — folding
-// every result in trial order. idx is the cell index stamped on events
-// and passed to fold — callers running a sub-set of a larger grid pass
-// the absolute index, so no remapping layer is needed. Trial seeds
-// derive from (cfg.Seed, cell.Key, trial) alone: for a fixed cfg the
-// fold sequence and the emitted events are byte-identical no matter
-// which worker runs the cell or in what order cells are claimed. res is
-// w's buffer, valid only for the duration of the call; fold must copy
-// whatever needs to survive.
-func RunCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(cell, trial int, res *core.RunResult) error) error {
-	if cell.RunOn == nil {
-		return fmt.Errorf("cell %q has no RunOn", cell.Key)
+// RunCell is the cell loop: it executes one cell's trials on w —
+// cfg.Trials of them, or an adaptive count under an enabled cfg.Stop
+// rule — emitting cell-start, then per trial trial-start, the trial
+// itself, trial-finish (Count: the injections performed, 0 for a plain
+// trial) and the fold, and cell-finish with the realized trial count.
+// idx is the cell index stamped on events and passed to fold — callers
+// running a sub-set of a larger grid pass the absolute index, so no
+// remapping layer is needed. Trial seeds derive from (cfg.Seed,
+// cell.Key, trial) alone: for a fixed cfg the fold sequence and the
+// emitted events are byte-identical no matter which worker runs the cell
+// or in what order cells are claimed.
+func RunCell(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold Fold) error {
+	if cell.Run == nil {
+		return fmt.Errorf("cell %q has no Run", cell.Key)
 	}
-	return runCell(cfg.WithDefaults(), w, cell, idx, func(trial int, res *core.FaultResult) error {
-		return fold(idx, trial, &res.RunResult)
-	})
-}
-
-// RunFaultCellReduce is RunCellReduce for injected-trial cells (cells
-// that set RunFaultOn): every result — the final run outcome plus the
-// per-injection recovery episodes — streams through fold.
-func RunFaultCellReduce(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(cell, trial int, res *core.FaultResult) error) error {
-	if cell.RunFaultOn == nil {
-		return fmt.Errorf("cell %q has no RunFaultOn", cell.Key)
-	}
-	return runCell(cfg.WithDefaults(), w, cell, idx, func(trial int, res *core.FaultResult) error {
-		return fold(idx, trial, res)
-	})
-}
-
-// runCell is the cell loop: it emits cell-start, then per trial
-// trial-start, the trial itself, trial-finish and the fold, applies the
-// stop rule, and emits cell-finish with the realized trial count. A
-// plain cell fills only the RunResult embedded in w.res, and its
-// trial-finish carries Count 0 where a faulted cell's carries the
-// injections performed; nothing else differs between the two.
-func runCell(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(trial int, res *core.FaultResult) error) error {
+	cfg = cfg.WithDefaults()
 	cellSeed := rng.DeriveString(cfg.Seed, cell.Key)
 	obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindCellStart, Cell: idx, Key: cell.Key, Trial: -1})
 	budget := cfg.Trials
@@ -212,21 +203,13 @@ func runCell(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(trial int,
 	for trial := 0; trial < budget; trial++ {
 		seed := rng.Derive(cellSeed, uint64(trial))
 		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialStart, Cell: idx, Key: cell.Key, Trial: trial, Seed: seed})
-		var err error
-		injections := 0
-		if cell.RunFaultOn != nil {
-			err = cell.RunFaultOn(w.rn, trial, seed, res)
-			injections = res.Injections
-		} else {
-			err = cell.RunOn(w.rn, trial, seed, &res.RunResult)
-		}
-		if err != nil {
+		if err := cell.Run(w.rn, trial, seed, res); err != nil {
 			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
 		}
 		obs.Emit(cfg.Observer, obs.Event{Kind: obs.KindTrialFinish, Cell: idx, Key: cell.Key, Trial: trial,
 			Silent: res.Silent, Legit: res.LegitimateAtSilence,
-			Step: res.StepsToSilence, Round: res.RoundsToSilence, Count: injections})
-		if err := fold(trial, res); err != nil {
+			Step: res.StepsToSilence, Round: res.RoundsToSilence, Count: res.Injections})
+		if err := fold(idx, trial, res); err != nil {
 			return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
 		}
 		realized = trial + 1
@@ -241,64 +224,30 @@ func runCell(cfg Config, w *WorkerCtx, cell *Cell, idx int, fold func(trial int,
 	return nil
 }
 
-// RunCellsReduce executes cfg.Trials trials of every cell (or an
-// adaptive count under an enabled cfg.Stop rule) and streams every
-// result through fold instead of materializing the grid: memory stays
-// O(cells + workers) instead of O(cells × trials × n). It is
-// RunCellReduce over every cell, each worker of the pool on its own
-// WorkerCtx; when cfg.Observer is set, a cell's events all come from
-// the one worker that owns it, in trial order.
+// RunCells executes every cell's trials and streams every result through
+// fold instead of materializing the grid: memory stays O(cells +
+// workers) instead of O(cells × trials × n). It is RunCell over every
+// cell, each worker of the pool on its own WorkerCtx.
 //
-// Scheduling is cell-affine — one worker owns all trials of a cell,
-// running them in trial order on its reusable Runner with the trial
-// seeds of the package comment — so fold(cell, trial, res) is invoked in
-// increasing trial order within each cell and aggregation is
-// deterministic at every Parallelism. fold runs concurrently for
-// DIFFERENT cells (never for the same cell): per-cell accumulators
-// indexed by cell need no locking, anything shared across cells does.
-//
-// Cell affinity means effective parallelism is bounded by len(cells)
-// (the registry's grids have tens of cells, comfortably above typical
-// core counts).
-func RunCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.RunResult) error) error {
+// Scheduling is cell-affine — one worker owns all trials of a cell — so
+// a cell's events all come from that worker, in trial order, and
+// aggregation is deterministic at every Parallelism. Cell affinity means
+// effective parallelism is bounded by len(cells) (the registry's grids
+// have tens of cells, comfortably above typical core counts).
+func RunCells(cfg Config, cells []Cell, fold Fold) error {
 	cfg = cfg.WithDefaults()
 	return ForEachWorker(cfg.Parallelism, len(cells), func(w *WorkerCtx, i int) error {
-		return RunCellReduce(cfg, w, &cells[i], i, fold)
+		return RunCell(cfg, w, &cells[i], i, fold)
 	})
 }
 
-// RunFaultCellsReduce is RunCellsReduce for injected trials: every cell
-// must set RunFaultOn. Scheduling, trial seeds, cell affinity,
-// sequential stopping, events and the fold's ordering/concurrency
-// contract are exactly RunCellsReduce's.
-func RunFaultCellsReduce(cfg Config, cells []Cell, fold func(cell, trial int, res *core.FaultResult) error) error {
-	cfg = cfg.WithDefaults()
-	return ForEachWorker(cfg.Parallelism, len(cells), func(w *WorkerCtx, i int) error {
-		return RunFaultCellReduce(cfg, w, &cells[i], i, fold)
-	})
-}
-
-// ForEach runs fn(0..n-1) on up to `workers` goroutines (<=0 selects
-// GOMAXPROCS). After the first error, idle workers stop picking up new
-// jobs; in-flight jobs run to completion. Among the errors observed, the
-// one with the lowest job index is returned.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return forEachCtx(workers, n, func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) error { return fn(i) })
-}
-
-// ForEachWorker is ForEach for cell jobs: each pool worker builds one
-// WorkerCtx and hands it to every job it runs, so a job can call
-// RunCellReduce or RunFaultCellReduce on it.
+// ForEachWorker runs fn(w, 0..n-1) on up to `workers` goroutines (<=0
+// selects GOMAXPROCS), each with one WorkerCtx of its own that it hands
+// to every job it runs, so a job can call RunCell on it. After the first
+// error, idle workers stop picking up new jobs; in-flight jobs run to
+// completion. Among the errors observed, the one with the lowest job
+// index is returned.
 func ForEachWorker(workers, n int, fn func(w *WorkerCtx, i int) error) error {
-	return forEachCtx(workers, n, NewWorkerCtx, fn)
-}
-
-// forEachCtx is ForEach with a lazily-built per-worker context: every
-// worker goroutine calls newCtx once and passes the context to each job
-// it executes, giving jobs worker-affine reusable state (the trial
-// engine's *core.Runner) without synchronization.
-func forEachCtx[T any](workers, n int, newCtx func() T, fn func(ctx T, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -306,9 +255,9 @@ func forEachCtx[T any](workers, n int, newCtx func() T, fn func(ctx T, i int) er
 		workers = n
 	}
 	if workers <= 1 {
-		ctx := newCtx()
+		w := NewWorkerCtx()
 		for i := 0; i < n; i++ {
-			if err := fn(ctx, i); err != nil {
+			if err := fn(w, i); err != nil {
 				return err
 			}
 		}
@@ -324,16 +273,16 @@ func forEachCtx[T any](workers, n int, newCtx func() T, fn func(ctx T, i int) er
 		firstErr error
 	)
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for k := 0; k < workers; k++ {
 		go func() {
 			defer wg.Done()
-			ctx := newCtx()
+			w := NewWorkerCtx()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n || failed.Load() {
 					return
 				}
-				if err := fn(ctx, i); err != nil {
+				if err := fn(w, i); err != nil {
 					mu.Lock()
 					if i < errIdx {
 						errIdx, firstErr = i, err

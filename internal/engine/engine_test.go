@@ -100,7 +100,7 @@ func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
 		for i := range idx {
 			idx[i] = -1
 		}
-		err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
+		err := runProto(cfg, specs, func(cell, trial int, res *core.FaultResult) error {
 			if idx[cell] < 0 && res.Silent && res.LegitimateAtSilence {
 				idx[cell], final[cell] = trial, res.Final.Clone()
 			}
@@ -111,7 +111,7 @@ func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
 		}
 		return idx, final
 	}
-	// counted runs the warm-up over cells whose RunOn counts its calls.
+	// counted runs the warm-up over cells whose Run counts its calls.
 	counted := func(cfg Config) ([]*model.Config, []int64) {
 		t.Helper()
 		cfg = cfg.WithDefaults()
@@ -121,8 +121,8 @@ func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
 		}
 		calls := make([]int64, len(cells))
 		for i := range cells {
-			run, n := cells[i].RunOn, &calls[i]
-			cells[i].RunOn = func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error {
+			run, n := cells[i].Run, &calls[i]
+			cells[i].Run = func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
 				atomic.AddInt64(n, 1)
 				return run(rn, trial, seed, res)
 			}
@@ -138,8 +138,8 @@ func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
 	// a budget between the two makes trial 0 miss and the later one hit.
 	const trials = 50
 	full := make([]int, trials)
-	err := RunProtoCellsReduce(Config{Seed: 2009, Trials: trials, MaxSteps: 100_000, Parallelism: 1}, specs[:1],
-		func(_, trial int, res *core.RunResult) error {
+	err := runProto(Config{Seed: 2009, Trials: trials, MaxSteps: 100_000, Parallelism: 1}, specs[:1],
+		func(_, trial int, res *core.FaultResult) error {
 			full[trial] = res.StepsToSilence
 			return nil
 		})

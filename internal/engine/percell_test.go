@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -25,7 +27,7 @@ func poolFolds(t *testing.T, cfg Config, cells []Cell) map[int][]foldLog {
 	t.Helper()
 	got := make(map[int][]foldLog)
 	var mu sync.Mutex
-	err := RunCellsReduce(cfg, cells, func(cell, trial int, res *core.RunResult) error {
+	err := RunCells(cfg, cells, func(cell, trial int, res *core.FaultResult) error {
 		mu.Lock()
 		got[cell] = append(got[cell], foldLog{cell, trial, res.RoundsToSilence, 0})
 		mu.Unlock()
@@ -38,7 +40,7 @@ func poolFolds(t *testing.T, cfg Config, cells []Cell) map[int][]foldLog {
 }
 
 // TestRunCellReduceMatchesPool: running cells one at a time through
-// RunCellReduce — on a single reused WorkerCtx, in reverse order —
+// RunCell — on a single reused WorkerCtx, in reverse order —
 // reproduces the pool path's fold sequence exactly, including under a
 // stop rule. This is what campaign.Execute's per-cell pool job rests
 // on: any partition of cells onto workers merges byte-identically.
@@ -67,7 +69,7 @@ func TestRunCellReduceMatchesPool(t *testing.T) {
 			got := make(map[int][]foldLog)
 			cells := mk()
 			for i := len(cells) - 1; i >= 0; i-- { // reverse claim order
-				err := RunCellReduce(tc.cfg, w, &cells[i], i, func(cell, trial int, res *core.RunResult) error {
+				err := RunCell(tc.cfg, w, &cells[i], i, func(cell, trial int, res *core.FaultResult) error {
 					got[cell] = append(got[cell], foldLog{cell, trial, res.RoundsToSilence, 0})
 					return nil
 				})
@@ -95,7 +97,7 @@ func TestRunCellReduceAbsoluteIndex(t *testing.T) {
 	cells := syntheticCells(1, func(cell, trial int) int { return 3 })
 	sink := obsCollector{}
 	cfg := Config{Seed: 1, Trials: 2, Parallelism: 1, Observer: &sink}
-	err := RunCellReduce(cfg, NewWorkerCtx(), &cells[0], 17, func(cell, trial int, res *core.RunResult) error {
+	err := RunCell(cfg, NewWorkerCtx(), &cells[0], 17, func(cell, trial int, res *core.FaultResult) error {
 		if cell != 17 {
 			return fmt.Errorf("fold saw cell %d, want 17", cell)
 		}
@@ -126,22 +128,45 @@ type obsCollector struct{ events []obs.Event }
 
 func (c *obsCollector) Observe(e obs.Event) { c.events = append(c.events, e) }
 
-// TestRunFaultCellReduceGuards: a plain cell fed to the fault entry
-// point, or a faulted cell to the plain one, errors instead of
-// panicking.
-func TestRunFaultCellReduceGuards(t *testing.T) {
+// TestRunCellNilRun: RunCell on a cell with a nil Run (a campaign cell
+// computed before it was materialized) returns an error naming the key,
+// it does not panic, and emits nothing.
+func TestRunCellNilRun(t *testing.T) {
 	t.Parallel()
-	cells := syntheticCells(1, func(cell, trial int) int { return 1 })
-	err := RunFaultCellReduce(Config{Seed: 1, Trials: 1}, NewWorkerCtx(), &cells[0], 0,
+	sink := obsCollector{}
+	cell := Cell{Key: "never-built"}
+	err := RunCell(Config{Seed: 1, Trials: 1, Observer: &sink}, NewWorkerCtx(), &cell, 0,
 		func(cell, trial int, res *core.FaultResult) error { return nil })
-	if err == nil {
-		t.Fatal("RunFaultCellReduce accepted a cell without RunFaultOn")
+	if err == nil || !strings.Contains(err.Error(), `"never-built"`) {
+		t.Fatalf("RunCell on a nil Run: error %v, want one naming the key", err)
 	}
-	faulted := Cell{Key: "f", RunFaultOn: func(*core.Runner, int, uint64, *core.FaultResult) error { return nil }}
-	err = RunCellReduce(Config{Seed: 1, Trials: 1}, NewWorkerCtx(), &faulted, 0,
-		func(cell, trial int, res *core.RunResult) error { return nil })
-	if err == nil {
-		t.Fatal("RunCellReduce accepted a cell without RunOn")
+	if len(sink.events) != 0 {
+		t.Fatalf("RunCell on a nil Run emitted %d events", len(sink.events))
+	}
+}
+
+// TestNewCellRefusesBadScenarios: a scenario without a system, or naming
+// an unknown daemon, adversary or churn shape, is refused when the cell
+// is built, not when its first trial runs.
+func TestNewCellRefusesBadScenarios(t *testing.T) {
+	t.Parallel()
+	sys, legit, err := System(graph.Cycle(5), FamColoring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Seed: 1, Trials: 1}.WithDefaults()
+	for name, sc := range map[string]Scenario{
+		"no system":         {Key: "k"},
+		"unknown daemon":    {Key: "k", System: sys, Legit: legit, Daemon: "round-robin-ish"},
+		"unknown adversary": {Key: "k", System: sys, Legit: legit, Adversary: "gremlin", K: 1},
+		"unknown churn":     {Key: "k", System: sys, Legit: legit, Churn: "earthquake", ChurnK: 1},
+	} {
+		if cell, err := NewCell(&cfg, sc); err == nil || cell.Run != nil {
+			t.Errorf("%s: NewCell = (Run set: %v, %v), want an error and no closure", name, cell.Run != nil, err)
+		}
+	}
+	if _, err := NewCell(&cfg, Scenario{Key: "k", System: sys, Legit: legit}); err != nil {
+		t.Errorf("the plain default scenario was refused: %v", err)
 	}
 }
 
@@ -167,7 +192,7 @@ func TestRunCellReduceRealProtocol(t *testing.T) {
 	got := make(map[int][]foldLog)
 	cells := build()
 	for i := range cells {
-		err := RunCellReduce(cfg, w, &cells[i], i, func(cell, trial int, res *core.RunResult) error {
+		err := RunCell(cfg, w, &cells[i], i, func(cell, trial int, res *core.FaultResult) error {
 			got[cell] = append(got[cell], foldLog{cell, trial, res.RoundsToSilence, 0})
 			return nil
 		})
@@ -182,44 +207,44 @@ func TestRunCellReduceRealProtocol(t *testing.T) {
 	}
 }
 
-// TestTrialFinishCount: the one cell loop stamps a faulted cell's
-// trial-finish with the injections its trial performed and a plain
-// cell's with 0, under a fixed budget and under a stop rule. Every case
-// runs on the same WorkerCtx, faulted before plain, so a count left in
-// the shared result buffer would show.
+// TestTrialFinishCount: the cell loop stamps a trial-finish with the
+// injections its trial performed, 0 for a plain trial, under a fixed
+// budget and under a stop rule. The cells are NewCell's (an on-silence
+// uniform adversary, and the same scenario without one) and every case
+// runs on the same WorkerCtx, faulted before plain, so a count an empty
+// plan left in the shared result buffer would show.
 func TestTrialFinishCount(t *testing.T) {
 	t.Parallel()
-	faulted := Cell{
-		Key: "synthetic-fault",
-		RunFaultOn: func(_ *core.Runner, trial int, _ uint64, res *core.FaultResult) error {
-			res.RunResult = core.RunResult{Silent: true, RoundsToSilence: 7}
-			res.Injections = trial + 2
-			return nil
-		},
+	sys, legit, err := System(graph.Cycle(5), FamMIS)
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain := syntheticCells(1, func(cell, trial int) int { return 7 })[0]
-	fixed := Config{Seed: 1, Trials: 3}
-	adaptive := Config{Seed: 1, Stop: StopRule{HalfWidth: 0.5, Min: 2, Max: 9}} // zero variance: stops at Min
+	fixed := Config{Seed: 1, Trials: 3, MaxSteps: 100_000}
+	adaptive := Config{Seed: 1, MaxSteps: 100_000, Stop: StopRule{HalfWidth: 1e9, Min: 2, Max: 9}} // stops at Min
 	w := NewWorkerCtx()
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		cell *Cell
+		sc   Scenario
 		want []int // Count of each trial-finish, in trial order
 	}{
-		{"faulted/fixed", fixed, &faulted, []int{2, 3, 4}},
-		{"plain/fixed", fixed, &plain, []int{0, 0, 0}},
-		{"faulted/stop", adaptive, &faulted, []int{2, 3}},
-		{"plain/stop", adaptive, &plain, []int{0, 0}},
+		{"faulted/fixed", fixed, Scenario{Adversary: "uniform", K: 2, Schedule: fault.OnSilence(2)}, []int{2, 2, 2}},
+		{"plain/fixed", fixed, Scenario{}, []int{0, 0, 0}},
+		{"faulted/stop", adaptive, Scenario{Adversary: "uniform", K: 2, Schedule: fault.OnSilence(2)}, []int{2, 2}},
+		{"plain/stop", adaptive, Scenario{}, []int{0, 0}},
 	} {
 		sink := obsCollector{}
 		tc.cfg.Observer = &sink
-		var err error
-		if tc.cell.RunFaultOn != nil {
-			err = RunFaultCellReduce(tc.cfg, w, tc.cell, 0, func(int, int, *core.FaultResult) error { return nil })
-		} else {
-			err = RunCellReduce(tc.cfg, w, tc.cell, 0, func(int, int, *core.RunResult) error { return nil })
+		tc.sc.Key, tc.sc.System, tc.sc.Legit = "finish-count", sys, legit
+		cell, err := NewCell(&tc.cfg, tc.sc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
+		var episodes []int
+		err = RunCell(tc.cfg, w, &cell, 0, func(_, _ int, res *core.FaultResult) error {
+			episodes = append(episodes, len(res.Episodes))
+			return nil
+		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -231,6 +256,9 @@ func TestTrialFinishCount(t *testing.T) {
 		}
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s: trial-finish counts %v, want %v", tc.name, got, tc.want)
+		}
+		if fmt.Sprint(episodes) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: episodes per folded result %v, want %v", tc.name, episodes, tc.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -15,71 +16,150 @@ import (
 // one: the paper's distributed fair scheduler.
 const DefaultSchedName = "random-subset"
 
-// DefaultSched builds the default scheduler from a trial seed.
-func DefaultSched(seed uint64) model.Scheduler { return sched.NewRandomSubset(seed) }
+// Scenario describes every trial of one cell: the system, the daemon
+// driving it, where a trial starts and what disturbs it. NewCell turns
+// it into the cell's per-trial closure.
+type Scenario struct {
+	// Key is the cell key (seed derivation, events) and Index the cell
+	// index the trials' diagnostic events carry: the absolute index the
+	// caller also passes to RunCell.
+	Key   string
+	Index int
+	// System is the protocol instance, Legit its legitimacy predicate
+	// (evaluated on the final silent configuration; may be nil).
+	System *model.System
+	Legit  Legitimacy
+	// Daemon names the scheduler, a sched.ByName name ("" selects
+	// DefaultSchedName). One instance per worker is rewound to each
+	// trial's seed.
+	Daemon string
+	// SuffixRounds and CheckEvery are core.RunOptions' (0 and 0: no
+	// post-silence suffix, exact silence detection).
+	SuffixRounds int
+	CheckEvery   int
+	// Snapshot, when non-nil, is the configuration every trial starts
+	// from (a copy of it); nil draws a uniformly random configuration
+	// from the trial seed.
+	Snapshot *model.Config
+	// Adversary/K/Schedule name the state adversary (fault.ByName) and
+	// when it strikes; "" runs without state faults.
+	Adversary string
+	K         int
+	Schedule  fault.Schedule
+	// Churn/ChurnK/ChurnSchedule name the topology churn adversary
+	// (fault.ChurnByName) and when it fires; "" keeps the topology static.
+	Churn         string
+	ChurnK        int
+	ChurnSchedule fault.Schedule
+}
 
-// ProtoCell describes a (graph, protocol family, scheduler) cell for
+// NewCell builds the cell that runs sc's trials. With neither adversary
+// the fault plan is empty and every trial is a plain one; nothing else
+// distinguishes the two. cfg is read when a trial runs, not here: its
+// MaxSteps bounds the trial and its Observer receives the trial's
+// diagnostic events, so a caller that binds an observer after building
+// its cells (campaign.Plan.SetObserver) passes the Config it will write.
+// Unknown daemon and adversary names are refused here, so the trial
+// closure cannot fail on them.
+func NewCell(cfg *Config, sc Scenario) (Cell, error) {
+	if sc.System == nil {
+		return Cell{}, fmt.Errorf("engine: cell %q has no system", sc.Key)
+	}
+	daemon := sc.Daemon
+	if daemon == "" {
+		daemon = DefaultSchedName
+	}
+	if _, err := sched.ByName(daemon, 0); err != nil {
+		return Cell{}, err
+	}
+	mkSched := func(seed uint64) model.Scheduler {
+		s, _ := sched.ByName(daemon, seed)
+		return s
+	}
+	var mkAdv func() fault.Adversary
+	if sc.Adversary != "" {
+		if _, err := fault.ByName(sc.Adversary, sc.K); err != nil {
+			return Cell{}, err
+		}
+		mkAdv = func() fault.Adversary {
+			a, _ := fault.ByName(sc.Adversary, sc.K)
+			return a
+		}
+	}
+	var mkChurn func() fault.ChurnAdversary
+	if sc.Churn != "" {
+		if _, err := fault.ChurnByName(sc.Churn, sc.ChurnK); err != nil {
+			return Cell{}, err
+		}
+		mkChurn = func() fault.ChurnAdversary {
+			a, _ := fault.ChurnByName(sc.Churn, sc.ChurnK)
+			return a
+		}
+	}
+	// A worker keeps one adversary per key across the cells it claims.
+	advKey := fmt.Sprintf("%s/%d", sc.Adversary, sc.K)
+	churnKey := fmt.Sprintf("churn:%s/%d", sc.Churn, sc.ChurnK)
+	return Cell{
+		Key: sc.Key,
+		Run: func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
+			var plan fault.Plan
+			if mkAdv != nil {
+				plan.Adversary, plan.Schedule = rn.Adversary(advKey, mkAdv), sc.Schedule
+			}
+			if mkChurn != nil {
+				plan.Churn, plan.ChurnSchedule = rn.ChurnAdversary(churnKey, mkChurn), sc.ChurnSchedule
+			}
+			return rn.Trial(sc.System, sc.Snapshot, core.RunOptions{
+				Scheduler:    rn.Scheduler(daemon, seed, mkSched),
+				Seed:         seed,
+				MaxSteps:     cfg.MaxSteps,
+				CheckEvery:   sc.CheckEvery,
+				SuffixRounds: sc.SuffixRounds,
+				Legitimate:   sc.Legit,
+				Events:       obs.Scope{Obs: cfg.Observer, Cell: sc.Index, Key: sc.Key, Trial: trial},
+			}, plan, res)
+		},
+	}, nil
+}
+
+// ProtoCell describes a (graph, protocol family, daemon) cell for
 // ProtoCells.
 type ProtoCell struct {
 	Graph  *graph.Graph
 	Family string
-	// Sched builds the trial's scheduler from the trial seed (nil →
-	// DefaultSched). SchedName must name it when Sched is non-nil, so the
-	// cell key stays stable (and the per-worker scheduler cache keyed by
-	// it stays sound).
-	Sched     func(uint64) model.Scheduler
-	SchedName string
+	// Daemon names the scheduler, a sched.ByName name ("" selects
+	// DefaultSchedName).
+	Daemon string
 	// SuffixRounds keeps the run going after silence (see core.RunOptions).
 	SuffixRounds int
 }
 
-// ProtoCells expands specs into runner-aware pool cells, building each
-// cell's system once. The cell key is "graph|family|scheduler|suffix" —
+// ProtoCells expands specs into plain cells from random starts, building
+// each cell's system once. The cell key is "graph|family|daemon|suffix" —
 // the canonical proto-cell key every seed stream of the registry and the
 // campaign subsystem derives from.
 func ProtoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
+	cfg = cfg.WithDefaults()
 	cells := make([]Cell, len(specs))
 	for i, sp := range specs {
 		sys, legit, err := System(sp.Graph, sp.Family)
 		if err != nil {
 			return nil, err
 		}
-		mkSched, schedName := sp.Sched, sp.SchedName
-		if mkSched == nil {
-			mkSched, schedName = DefaultSched, DefaultSchedName
+		daemon := sp.Daemon
+		if daemon == "" {
+			daemon = DefaultSchedName
 		}
-		suffix := sp.SuffixRounds
-		key := fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, schedName, suffix)
-		cellIdx := i
-		cells[i] = Cell{
-			Key: key,
-			RunOn: func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error {
-				return rn.RunRandom(sys, core.RunOptions{
-					Scheduler:    rn.Scheduler(schedName, seed, mkSched),
-					Seed:         seed,
-					MaxSteps:     cfg.MaxSteps,
-					CheckEvery:   1,
-					SuffixRounds: suffix,
-					Legitimate:   legit,
-					Events:       obs.Scope{Obs: cfg.Observer, Cell: cellIdx, Key: key, Trial: trial},
-				}, res)
-			},
+		cells[i], err = NewCell(&cfg, Scenario{
+			Key:   fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, daemon, sp.SuffixRounds),
+			Index: i, System: sys, Legit: legit,
+			Daemon: daemon, SuffixRounds: sp.SuffixRounds,
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return cells, nil
-}
-
-// RunProtoCellsReduce builds each cell's system once and folds every
-// trial result (see RunCellsReduce for the ordering and concurrency
-// contract): the workhorse behind the per-graph loops of E1-E15, whose
-// memory is independent of Trials.
-func RunProtoCellsReduce(cfg Config, specs []ProtoCell, fold func(cell, trial int, res *core.RunResult) error) error {
-	cfg = cfg.WithDefaults()
-	cells, err := ProtoCells(cfg, specs)
-	if err != nil {
-		return err
-	}
-	return RunCellsReduce(cfg, cells, fold)
 }
 
 // SilentSnapshots obtains one legitimate silent configuration per spec:
@@ -121,9 +201,9 @@ func firstSilentLegitimate(cfg Config, cells []Cell) ([]*model.Config, error) {
 	err := ForEachWorker(cfg.Parallelism, len(cells), func(w *WorkerCtx, i int) error {
 		cell := &cells[i]
 		cellSeed := rng.DeriveString(cfg.Seed, cell.Key)
-		res := &w.res.RunResult
+		res := &w.res
 		for trial := 0; trial < cfg.Trials; trial++ {
-			if err := cell.RunOn(w.rn, trial, rng.Derive(cellSeed, uint64(trial)), res); err != nil {
+			if err := cell.Run(w.rn, trial, rng.Derive(cellSeed, uint64(trial)), res); err != nil {
 				return fmt.Errorf("cell %q trial %d: %w", cell.Key, trial, err)
 			}
 			if res.Silent && res.LegitimateAtSilence {

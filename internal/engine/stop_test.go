@@ -44,6 +44,15 @@ func TestStopRuleWithDefaults(t *testing.T) {
 	}
 }
 
+// runProto is RunCells over the cells ProtoCells builds from specs.
+func runProto(cfg Config, specs []ProtoCell, fold Fold) error {
+	cells, err := ProtoCells(cfg, specs)
+	if err != nil {
+		return err
+	}
+	return RunCells(cfg, cells, fold)
+}
+
 // syntheticCells builds n pure-function cells whose trial t on cell i
 // reports rounds[i](t) rounds-to-silence, without touching a simulator.
 func syntheticCells(n int, rounds func(cell, trial int) int) []Cell {
@@ -52,13 +61,13 @@ func syntheticCells(n int, rounds func(cell, trial int) int) []Cell {
 		ci := i
 		cells[i] = Cell{
 			Key: fmt.Sprintf("synthetic-%d", i),
-			RunOn: func(_ *core.Runner, trial int, seed uint64, res *core.RunResult) error {
-				*res = core.RunResult{
+			Run: func(_ *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
+				*res = core.FaultResult{RunResult: core.RunResult{
 					Silent:              true,
 					LegitimateAtSilence: true,
 					StepsToSilence:      rounds(ci, trial) * 3,
 					RoundsToSilence:     rounds(ci, trial),
-				}
+				}}
 				return nil
 			},
 		}
@@ -66,11 +75,11 @@ func syntheticCells(n int, rounds func(cell, trial int) int) []Cell {
 	return cells
 }
 
-// realizedCounts folds a Reduce run into per-cell realized trial counts.
+// realizedCounts folds a RunCells run into per-cell realized trial counts.
 func realizedCounts(t *testing.T, cfg Config, cells []Cell) []int {
 	t.Helper()
 	counts := make([]int, len(cells))
-	err := RunCellsReduce(cfg, cells, func(cell, trial int, res *core.RunResult) error {
+	err := RunCells(cfg, cells, func(cell, trial int, res *core.FaultResult) error {
 		counts[cell]++
 		return nil
 	})
@@ -144,7 +153,7 @@ func TestStopAdaptiveCountsPerCell(t *testing.T) {
 
 // TestStopDisabledMatchesRunCells: with the rule disabled, the fold path
 // streams exactly cfg.Trials results per cell, each the result of that
-// cell's RunOn at the contract's seed on a Runner of its own — same
+// cell's Run at the contract's seed on a Runner of its own — same
 // trials, same seeds, same outcomes — on real protocol cells.
 func TestStopDisabledMatchesRunCells(t *testing.T) {
 	t.Parallel()
@@ -156,7 +165,7 @@ func TestStopDisabledMatchesRunCells(t *testing.T) {
 	type key struct{ cell, trial int }
 	var mu sync.Mutex
 	folded := map[key]core.RunResult{}
-	err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error {
+	err := runProto(cfg, specs, func(cell, trial int, res *core.FaultResult) error {
 		mu.Lock()
 		folded[key{cell, trial}] = core.RunResult{
 			Silent:              res.Silent,
@@ -178,20 +187,20 @@ func TestStopDisabledMatchesRunCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, got := range folded {
-		want := &core.RunResult{}
+		want := &core.FaultResult{}
 		seed := rng.Derive(rng.DeriveString(cfg.Seed, cells[k.cell].Key), uint64(k.trial))
-		if err := cells[k.cell].RunOn(core.NewRunner(), k.trial, seed, want); err != nil {
+		if err := cells[k.cell].Run(core.NewRunner(), k.trial, seed, want); err != nil {
 			t.Fatal(err)
 		}
 		if got.Silent != want.Silent || got.LegitimateAtSilence != want.LegitimateAtSilence ||
 			got.StepsToSilence != want.StepsToSilence || got.RoundsToSilence != want.RoundsToSilence {
-			t.Fatalf("cell %d trial %d: fold %+v != one-shot %+v", k.cell, k.trial, got, *want)
+			t.Fatalf("cell %d trial %d: fold %+v != one-shot %+v", k.cell, k.trial, got, want.RunResult)
 		}
 	}
 }
 
 // TestObserverEventStreamDeterministic: the canonical event log of a
-// Reduce run over real protocol cells is byte-identical across
+// RunCells run over real protocol cells is byte-identical across
 // Parallelism values — the contract the CLI's -events flag rests on.
 func TestObserverEventStreamDeterministic(t *testing.T) {
 	t.Parallel()
@@ -204,7 +213,7 @@ func TestObserverEventStreamDeterministic(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		sink := obs.NewReplaySink()
 		cfg := Config{Seed: 2009, Trials: 3, MaxSteps: 100_000, Parallelism: par, Observer: sink}
-		err := RunProtoCellsReduce(cfg, specs, func(cell, trial int, res *core.RunResult) error { return nil })
+		err := runProto(cfg, specs, func(cell, trial int, res *core.FaultResult) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}

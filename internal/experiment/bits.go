@@ -33,7 +33,7 @@ func E2CommunicationBits(cfg Config) (*Result, error) {
 	// Streaming aggregation: only the per-cell maximum witnessed
 	// communication complexity is kept.
 	maxBits := make([]int, len(specs))
-	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
+	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
 		if res.Report.CommComplexityBits > maxBits[cell] {
 			maxBits[cell] = res.Report.CommComplexityBits
 		}
@@ -55,7 +55,7 @@ func E2CommunicationBits(cfg Config) (*Result, error) {
 		// Space complexity of a maximum-degree process of the efficient
 		// protocol: comm var log(Δ+1) + internal log(δ.p) + measured
 		// communication complexity.
-		sys, _, err := protocolSystem(g, FamColoring)
+		sys, _, err := engine.System(g, FamColoring)
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +123,7 @@ func E10StabilizedOverhead(cfg Config) (*Result, error) {
 		reads, bits float64
 	}
 	accs := make([]acc, len(specs))
-	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
+	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
 		if !res.Silent {
 			return fmt.Errorf("experiment: %s on %s did not stabilize",
 				metas[cell].family, metas[cell].graphName)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/stats"
@@ -12,8 +11,8 @@ import (
 // This file holds the dynamic-topology experiments E19-E21: convergence
 // under edge rewiring, healing after partition-shaped cuts, and the
 // composed crash/join-plus-state-fault regime, all expressed as campaign
-// specs over the `churn` axis and driven through core.Runner.RunFaulted
-// on mutable (CSR dynamic) topologies.
+// specs over the `churn` axis and run on mutable (CSR dynamic)
+// topologies, plus the custom churn scenario behind ssbench -churn.
 
 // E19ChurnedConvergence sweeps the topology-rewiring axis: a rewire
 // churn adversary removes edges at each silence point (restoring its
@@ -31,7 +30,7 @@ func E19ChurnedConvergence(cfg Config) (*Result, error) {
 	}
 	g := graphs[len(graphs)/4]
 	const firings = 3
-	plan, err := compileCampaign(cfg, fmt.Sprintf(`campaign e19-churned-convergence
+	plan, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e19-churned-convergence
 seed %d
 trials %d
 max-steps %d
@@ -43,51 +42,18 @@ churn rewire k=2 inject=on-silence:%d
 	if err != nil {
 		return nil, err
 	}
-	type acc struct {
-		trials, finalSilent            int
-		episodeCount, episodeRecovered int
-		churnEvents, maxRounds         int
-		rounds                         []float64
-	}
-	cells, err := plan.EngineCells()
-	if err != nil {
-		return nil, err
-	}
-	accs := make([]acc, len(plan.Cells))
-	err = engine.RunFaultCellsReduce(plan.EngineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		a.trials++
-		if res.Silent && res.LegitimateAtSilence {
-			a.finalSilent++
-		}
-		a.churnEvents += res.ChurnEvents
-		a.episodeCount += len(res.Episodes)
-		a.episodeRecovered += res.Recovered
-		for _, ep := range res.Episodes {
-			a.rounds = append(a.rounds, float64(ep.RecoveryRounds))
-			if ep.RecoveryRounds > a.maxRounds {
-				a.maxRounds = ep.RecoveryRounds
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	table := stats.NewTable(
 		fmt.Sprintf("E19: convergence under edge rewiring, %d firings per trial", firings),
 		"protocol", "churn events", "episodes", "recovered", "mean rounds", "max rounds", "final silent")
 	pass := true
 	for i := range plan.Cells {
 		cs, a := &plan.Cells[i], &accs[i]
-		ok := a.finalSilent == a.trials &&
-			a.episodeRecovered == a.episodeCount &&
+		ok := a.legit == a.trials &&
+			a.recovered == a.episodes &&
 			a.churnEvents == firings*a.trials
 		pass = pass && ok
-		table.AddRow(cs.Protocol, a.churnEvents, a.episodeCount,
-			fmt.Sprintf("%d/%d", a.episodeRecovered, a.episodeCount),
-			stats.Summarize(a.rounds).Mean, a.maxRounds,
-			fmt.Sprintf("%d/%d", a.finalSilent, a.trials))
+		table.AddRow(cs.Protocol, a.churnEvents, a.episodes, outOf(a.recovered, a.episodes),
+			stats.Summarize(a.rounds).Mean, a.maxRounds, outOf(a.legit, a.trials))
 	}
 	return &Result{
 		ID:       "E19",
@@ -130,74 +96,24 @@ func CustomChurn(cfg Config, churnName string, churnK int, churnSchedule fault.S
 	}
 	g := graphs[len(graphs)/4]
 	families := []string{FamColoring, FamMIS, FamMatching}
-	churnKey := fmt.Sprintf("churn:%s/%d", churnName, churnK)
-	advKey := fmt.Sprintf("%s/%d", advName, advK)
-
+	ecfg := cfg.engineConfig()
 	cells := make([]engine.Cell, len(families))
 	for i, family := range families {
-		sys, legit, err := protocolSystem(g, family)
+		sys, legit, err := engine.System(g, family)
 		if err != nil {
 			return nil, err
 		}
-		cells[i] = engine.Cell{
-			Key: fmt.Sprintf("%s|%s|churn=%s|ck=%d|%s", g.Name(), family, churnName, churnK, churnSchedule),
-			RunFaultOn: func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
-				plan := fault.Plan{
-					Churn: rn.ChurnAdversary(churnKey, func() fault.ChurnAdversary {
-						a, err := fault.ChurnByName(churnName, churnK)
-						if err != nil {
-							panic(err)
-						}
-						return a
-					}),
-					ChurnSchedule: churnSchedule,
-				}
-				if advName != "" {
-					plan.Adversary = rn.Adversary(advKey, func() fault.Adversary {
-						a, err := fault.ByName(advName, advK)
-						if err != nil {
-							panic(err)
-						}
-						return a
-					})
-					plan.Schedule = advSchedule
-				}
-				return rn.RunRandomFaulted(sys, core.RunOptions{
-					Scheduler:  rn.Scheduler(defaultSchedName, seed, defaultSched),
-					Seed:       seed,
-					MaxSteps:   cfg.MaxSteps,
-					CheckEvery: 1,
-					Legitimate: legit,
-				}, plan, res)
-			},
+		cells[i], err = engine.NewCell(&ecfg, engine.Scenario{
+			Key:   fmt.Sprintf("%s|%s|churn=%s|ck=%d|%s", g.Name(), family, churnName, churnK, churnSchedule),
+			Index: i, System: sys, Legit: legit,
+			Adversary: advName, K: advK, Schedule: advSchedule,
+			Churn: churnName, ChurnK: churnK, ChurnSchedule: churnSchedule,
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	type acc struct {
-		trials, finalSilent            int
-		episodeCount, episodeRecovered int
-		churnEvents, injections        int
-		maxRounds                      int
-		rounds                         []float64
-	}
-	accs := make([]acc, len(families))
-	err = engine.RunFaultCellsReduce(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		a.trials++
-		if res.Silent && res.LegitimateAtSilence {
-			a.finalSilent++
-		}
-		a.churnEvents += res.ChurnEvents
-		a.injections += res.Injections
-		a.episodeCount += len(res.Episodes)
-		a.episodeRecovered += res.Recovered
-		for _, ep := range res.Episodes {
-			a.rounds = append(a.rounds, float64(ep.RecoveryRounds))
-			if ep.RecoveryRounds > a.maxRounds {
-				a.maxRounds = ep.RecoveryRounds
-			}
-		}
-		return nil
-	})
+	accs, err := foldRecovery(ecfg, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -210,12 +126,10 @@ func CustomChurn(cfg Config, churnName string, churnK int, churnSchedule fault.S
 	pass := true
 	for i, family := range families {
 		a := &accs[i]
-		ok := a.finalSilent == a.trials && a.episodeRecovered == a.episodeCount
+		ok := a.legit == a.trials && a.recovered == a.episodes
 		pass = pass && ok
-		table.AddRow(family, g.Name(), a.churnEvents, a.injections, a.episodeCount,
-			fmt.Sprintf("%d/%d", a.episodeRecovered, a.episodeCount),
-			stats.Summarize(a.rounds).Mean, a.maxRounds,
-			fmt.Sprintf("%d/%d", a.finalSilent, a.trials))
+		table.AddRow(family, g.Name(), a.churnEvents, a.injections, a.episodes, outOf(a.recovered, a.episodes),
+			stats.Summarize(a.rounds).Mean, a.maxRounds, outOf(a.legit, a.trials))
 	}
 	res := &Result{
 		ID:       "EX",
@@ -243,7 +157,7 @@ func E20CutHealing(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	g := graphs[len(graphs)/2]
-	plan, err := compileCampaign(cfg, fmt.Sprintf(`campaign e20-cut-healing
+	plan, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e20-cut-healing
 seed %d
 trials %d
 max-steps %d
@@ -255,49 +169,16 @@ churn cut k=1,2 inject=on-silence:2
 	if err != nil {
 		return nil, err
 	}
-	type acc struct {
-		trials, finalSilent            int
-		episodeCount, episodeRecovered int
-		maxAffected                    int
-		affected, rounds               []float64
-	}
-	cells, err := plan.EngineCells()
-	if err != nil {
-		return nil, err
-	}
-	accs := make([]acc, len(plan.Cells))
-	err = engine.RunFaultCellsReduce(plan.EngineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		a.trials++
-		if res.Silent && res.LegitimateAtSilence {
-			a.finalSilent++
-		}
-		a.episodeCount += len(res.Episodes)
-		a.episodeRecovered += res.Recovered
-		for _, ep := range res.Episodes {
-			a.rounds = append(a.rounds, float64(ep.RecoveryRounds))
-			a.affected = append(a.affected, float64(ep.Churned))
-			if ep.Churned > a.maxAffected {
-				a.maxAffected = ep.Churned
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	table := stats.NewTable("E20: cut-and-heal recovery (sever ball boundary, re-silence, restore)",
 		"protocol", "ball", "episodes", "recovered", "mean affected", "max affected", "mean rounds", "final silent")
 	pass := true
 	for i := range plan.Cells {
 		cs, a := &plan.Cells[i], &accs[i]
-		ok := a.finalSilent == a.trials && a.episodeRecovered == a.episodeCount
+		ok := a.legit == a.trials && a.recovered == a.episodes
 		pass = pass && ok
-		table.AddRow(cs.Protocol, cs.ChurnK, a.episodeCount,
-			fmt.Sprintf("%d/%d", a.episodeRecovered, a.episodeCount),
+		table.AddRow(cs.Protocol, cs.ChurnK, a.episodes, outOf(a.recovered, a.episodes),
 			stats.Summarize(a.affected).Mean, a.maxAffected,
-			stats.Summarize(a.rounds).Mean,
-			fmt.Sprintf("%d/%d", a.finalSilent, a.trials))
+			stats.Summarize(a.rounds).Mean, outOf(a.legit, a.trials))
 	}
 	return &Result{
 		ID:       "E20",
@@ -323,7 +204,7 @@ func E21CrashJoinComposed(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	g := graphs[len(graphs)/4]
-	plan, err := compileCampaign(cfg, fmt.Sprintf(`campaign e21-crashjoin-composed
+	plan, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e21-crashjoin-composed
 seed %d
 trials %d
 max-steps %d
@@ -336,52 +217,17 @@ churn crashjoin k=1,3 inject=on-silence:2
 	if err != nil {
 		return nil, err
 	}
-	type acc struct {
-		trials, finalSilent            int
-		episodeCount, episodeRecovered int
-		injections, churnEvents        int
-		maxRounds                      int
-		rounds                         []float64
-	}
-	cells, err := plan.EngineCells()
-	if err != nil {
-		return nil, err
-	}
-	accs := make([]acc, len(plan.Cells))
-	err = engine.RunFaultCellsReduce(plan.EngineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		a.trials++
-		if res.Silent && res.LegitimateAtSilence && res.AllRecovered() {
-			a.finalSilent++
-		}
-		a.injections += res.Injections
-		a.churnEvents += res.ChurnEvents
-		a.episodeCount += len(res.Episodes)
-		a.episodeRecovered += res.Recovered
-		for _, ep := range res.Episodes {
-			a.rounds = append(a.rounds, float64(ep.RecoveryRounds))
-			if ep.RecoveryRounds > a.maxRounds {
-				a.maxRounds = ep.RecoveryRounds
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	table := stats.NewTable("E21: composed crash/join churn + state faults at each silence point",
 		"protocol", "crash k", "injections", "churn events", "episodes", "recovered", "mean rounds", "max rounds", "final silent")
 	pass := true
 	for i := range plan.Cells {
 		cs, a := &plan.Cells[i], &accs[i]
-		ok := a.finalSilent == a.trials &&
-			a.episodeRecovered == a.episodeCount &&
+		ok := a.allRecovered == a.trials &&
+			a.recovered == a.episodes &&
 			a.injections == 2*a.trials && a.churnEvents == 2*a.trials
 		pass = pass && ok
-		table.AddRow(cs.Protocol, cs.ChurnK, a.injections, a.churnEvents, a.episodeCount,
-			fmt.Sprintf("%d/%d", a.episodeRecovered, a.episodeCount),
-			stats.Summarize(a.rounds).Mean, a.maxRounds,
-			fmt.Sprintf("%d/%d", a.finalSilent, a.trials))
+		table.AddRow(cs.Protocol, cs.ChurnK, a.injections, a.churnEvents, a.episodes, outOf(a.recovered, a.episodes),
+			stats.Summarize(a.rounds).Mean, a.maxRounds, outOf(a.allRecovered, a.trials))
 	}
 	return &Result{
 		ID:       "E21",

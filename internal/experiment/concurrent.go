@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/concurrent"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -53,7 +54,7 @@ func E12ConcurrentRuntime(cfg Config) (*Result, error) {
 		trials = 3 // wall-clock bound: concurrent runs are time-based
 	}
 	for _, family := range []string{FamColoring, FamMIS, FamMatching} {
-		sys, legit, err := protocolSystem(g, family)
+		sys, legit, err := engine.System(g, family)
 		if err != nil {
 			return nil, err
 		}

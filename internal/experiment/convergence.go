@@ -37,9 +37,9 @@ func E1ColoringConvergence(cfg Config) (*Result, error) {
 	for i := range accs {
 		accs[i].agg = core.NewConvergence()
 	}
-	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
+	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
-		a.agg.Add(res)
+		a.agg.Add(&res.RunResult)
 		if res.Silent {
 			a.steps = append(a.steps, float64(res.StepsToSilence))
 		}
@@ -112,35 +112,18 @@ type roundBoundSpec struct {
 	boundName                  string
 }
 
-// namedScheduler pairs a scheduler factory with the stable name used in
-// cell keys.
-type namedScheduler struct {
-	name string
-	mk   func(uint64) model.Scheduler
-}
-
-func boundSchedulers() []namedScheduler {
-	return []namedScheduler{
-		{"synchronous", func(uint64) model.Scheduler { return sched.NewSynchronous() }},
-		{"central-rr", func(uint64) model.Scheduler { return sched.NewCentralRoundRobin() }},
-		{"random-subset", func(s uint64) model.Scheduler { return sched.NewRandomSubset(s) }},
-		{"laziest-fair", func(uint64) model.Scheduler { return sched.NewLaziestFair() }},
-	}
-}
+// boundDaemons are the daemons the round bounds are checked under.
+var boundDaemons = []string{"synchronous", "central-rr", "random-subset", "laziest-fair"}
 
 func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
 	graphs, err := suite(cfg)
 	if err != nil {
 		return nil, err
 	}
-	schedulers := boundSchedulers()
 	var specs []engine.ProtoCell
 	for _, g := range graphs {
-		for _, sc := range schedulers {
-			specs = append(specs, engine.ProtoCell{
-				Graph: g, Family: spec.family,
-				Sched: sc.mk, SchedName: sc.name,
-			})
+		for _, daemon := range boundDaemons {
+			specs = append(specs, engine.ProtoCell{Graph: g, Family: spec.family, Daemon: daemon})
 		}
 	}
 	// Streaming aggregation: one accumulator per (graph, scheduler) cell,
@@ -152,7 +135,7 @@ func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
 		rounds                     []float64
 	}
 	accs := make([]acc, len(specs))
-	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
+	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.runs++
 		if res.Silent {
@@ -176,15 +159,15 @@ func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
 		"converged", "within bound")
 	pass := true
 	for gi, g := range graphs {
-		sys, _, err := protocolSystem(g, spec.family)
+		sys, _, err := engine.System(g, spec.family)
 		if err != nil {
 			return nil, err
 		}
 		bound := spec.bound(sys)
 		maxRounds, converged, runs := 0, 0, 0
 		var rounds []float64
-		for si := range schedulers {
-			a := &accs[gi*len(schedulers)+si]
+		for si := range boundDaemons {
+			a := &accs[gi*len(boundDaemons)+si]
 			runs += a.runs
 			converged += a.converged
 			rounds = append(rounds, a.rounds...)
@@ -226,26 +209,15 @@ func E11SchedulerRobustness(cfg Config) (*Result, error) {
 	var specs []engine.ProtoCell
 	for _, family := range families {
 		for _, name := range names {
-			name := name
-			specs = append(specs, engine.ProtoCell{
-				Graph: g, Family: family,
-				SchedName: name,
-				Sched: func(s uint64) model.Scheduler {
-					sc, err := sched.ByName(name, s)
-					if err != nil {
-						panic(err)
-					}
-					return sc
-				},
-			})
+			specs = append(specs, engine.ProtoCell{Graph: g, Family: family, Daemon: name})
 		}
 	}
 	aggs := make([]core.Convergence, len(specs))
 	for i := range aggs {
 		aggs[i] = core.NewConvergence()
 	}
-	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
-		aggs[cell].Add(res)
+	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+		aggs[cell].Add(&res.RunResult)
 		return nil
 	})
 	if err != nil {

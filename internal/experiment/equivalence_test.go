@@ -18,8 +18,8 @@ import (
 // [cell][trial].
 func materialize(cfg engine.Config, cells []engine.Cell) ([][]*core.RunResult, error) {
 	out := make([][]*core.RunResult, len(cells))
-	err := engine.RunCellsReduce(cfg, cells, func(cell, trial int, res *core.RunResult) error {
-		cp := *res
+	err := engine.RunCells(cfg, cells, func(cell, trial int, res *core.FaultResult) error {
+		cp := res.RunResult
 		cp.Report.ReadSetSizes = slices.Clone(res.Report.ReadSetSizes)
 		cp.Report.SuffixReadSetSizes = slices.Clone(res.Report.SuffixReadSetSizes)
 		cp.Final = res.Final.Clone()
@@ -49,21 +49,25 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []engine.ProtoCell) []engi
 	t.Helper()
 	cells := make([]engine.Cell, len(specs))
 	for i, sp := range specs {
-		sys, legit, err := protocolSystem(sp.Graph, sp.Family)
+		sys, legit, err := engine.System(sp.Graph, sp.Family)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mkSched, schedName := sp.Sched, sp.SchedName
-		if mkSched == nil {
-			mkSched, schedName = defaultSched, defaultSchedName
+		daemon := sp.Daemon
+		if daemon == "" {
+			daemon = engine.DefaultSchedName
 		}
 		suffix := sp.SuffixRounds
 		cells[i] = engine.Cell{
-			Key: fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, schedName, suffix),
-			RunOn: func(_ *core.Runner, trial int, seed uint64, res *core.RunResult) error {
+			Key: fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, daemon, suffix),
+			Run: func(_ *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
 				initial := model.NewRandomConfig(sys, rng.New(seed))
+				scheduler, err := sched.ByName(daemon, seed)
+				if err != nil {
+					return err
+				}
 				r, err := core.Run(sys, initial, core.RunOptions{
-					Scheduler:    mkSched(seed),
+					Scheduler:    scheduler,
 					Seed:         seed,
 					MaxSteps:     cfg.MaxSteps,
 					CheckEvery:   1,
@@ -73,7 +77,7 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []engine.ProtoCell) []engi
 				if err != nil {
 					return err
 				}
-				*res = *r
+				*res = core.FaultResult{RunResult: *r}
 				return nil
 			},
 		}
@@ -98,9 +102,7 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 		specs = append(specs,
 			engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
 			engine.ProtoCell{Graph: g, Family: FamMIS},
-			engine.ProtoCell{Graph: g, Family: FamMatching,
-				Sched:     func(uint64) model.Scheduler { return sched.NewLaziestFair() },
-				SchedName: "laziest-fair"},
+			engine.ProtoCell{Graph: g, Family: FamMatching, Daemon: "laziest-fair"},
 		)
 	}
 	cfg.Parallelism = 1
@@ -151,13 +153,13 @@ func TestReduceMatchesMaterialized(t *testing.T) {
 			lastTrial[i] = -1
 		}
 		seen := make([]int, len(specs))
-		err := engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, trial int, res *core.RunResult) error {
+		err := runProtoCells(cfg, specs, func(cell, trial int, res *core.FaultResult) error {
 			if trial != lastTrial[cell]+1 {
 				return fmt.Errorf("cell %d: fold at trial %d after trial %d (want in-order)", cell, trial, lastTrial[cell])
 			}
 			lastTrial[cell] = trial
 			seen[cell]++
-			if !reflect.DeepEqual(*want[cell][trial], *res) {
+			if !reflect.DeepEqual(*want[cell][trial], res.RunResult) {
 				return fmt.Errorf("cell %d trial %d: streamed result differs from materialized", cell, trial)
 			}
 			return nil

@@ -3,6 +3,8 @@ package experiment
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 func quickCfg() Config {
@@ -106,8 +108,8 @@ func TestProtocolSystemFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fam := range familyNames() {
-		sys, legit, err := protocolSystem(graphs[0], fam)
+	for _, fam := range engine.Families() {
+		sys, legit, err := engine.System(graphs[0], fam)
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
@@ -115,7 +117,7 @@ func TestProtocolSystemFamilies(t *testing.T) {
 			t.Fatalf("%s: nil system or predicate", fam)
 		}
 	}
-	if _, _, err := protocolSystem(graphs[0], "nope"); err == nil {
+	if _, _, err := engine.System(graphs[0], "nope"); err == nil {
 		t.Fatal("unknown family accepted")
 	}
 }

@@ -16,10 +16,10 @@ import (
 	"repro/internal/stats"
 )
 
-// This file holds the adversary-subsystem experiments E16-E18 (plus the
-// snapshot/fault-cell plumbing E15 shares): fault shape, fault timing
-// and fault locality, all driven through core.Runner.RunFaulted on the
-// RunFaultCellsReduce engine.
+// This file holds the adversary-subsystem experiments E16-E18, the
+// custom fault scenario behind ssbench -adversary, and what E15 and the
+// churn experiments E19-E21 share with them: the snapshot warm-up, the
+// campaign runner and the one fold every recovery table reads from.
 
 // silentSnapshots obtains one legitimate silent configuration per
 // family on g: the final configuration of the first hit in trial order
@@ -36,34 +36,68 @@ func silentSnapshots(cfg Config, g *graph.Graph, families []string) ([]*model.Co
 	return engine.SilentSnapshots(cfg.engineConfig(), specs)
 }
 
-// snapshotFaultCell builds the standard injected-trial cell: per trial,
-// the silent snapshot is copied into the runner's buffer, the named
-// adversary (rewound to the trial seed) corrupts it at start, and the
-// run is driven to silence under the default scheduler.
-func snapshotFaultCell(cfg Config, key string, sys *model.System,
-	legit func(*model.System, *model.Config) bool,
-	snapshot *model.Config, advName string, k int) engine.Cell {
-	advKey := fmt.Sprintf("%s/%d", advName, k)
-	return engine.Cell{
-		Key: key,
-		RunFaultOn: func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
-			rn.InitialConfig(sys).CopyFrom(snapshot)
-			adv := rn.Adversary(advKey, func() fault.Adversary {
-				a, err := fault.ByName(advName, k)
-				if err != nil {
-					panic(err)
-				}
-				return a
-			})
-			return rn.RunFaulted(sys, core.RunOptions{
-				Scheduler:  rn.Scheduler(defaultSchedName, seed, defaultSched),
-				Seed:       seed,
-				MaxSteps:   cfg.MaxSteps,
-				CheckEvery: 1,
-				Legitimate: legit,
-			}, fault.Plan{Adversary: adv, Schedule: fault.AtStart()}, res)
-		},
+// recovery is the one fold of the adversary and churn experiments
+// (E15-E21 and the two custom scenarios): what a cell's trials add up
+// to, from which each table reads the columns it prints. The series
+// grow in fold order (trials in trial order, a trial's episodes in
+// firing order), so a mean sums the same floats in the same order
+// whichever table asks for it.
+type recovery struct {
+	trials int
+	// legit counts the trials that ended silent and legitimate,
+	// allRecovered those of them whose every episode recovered;
+	// finalRounds and maxFinalRounds are the legit trials'
+	// rounds-to-silence.
+	legit, allRecovered int
+	finalRounds         []float64
+	maxFinalRounds      int
+	// Sums over trials: injections and churn firings performed, episodes
+	// opened and episodes recovered.
+	injections, churnEvents int
+	episodes, recovered     int
+	// Per episode: recovery rounds, containment radius and processes
+	// affected by churn, with their maxima and the largest fault ball.
+	rounds, radii, affected                    []float64
+	maxRounds, maxRadius, maxAffected, maxBall int
+}
+
+func (a *recovery) add(res *core.FaultResult) {
+	a.trials++
+	if res.Silent && res.LegitimateAtSilence {
+		a.legit++
+		if res.AllRecovered() {
+			a.allRecovered++
+		}
+		a.finalRounds = append(a.finalRounds, float64(res.RoundsToSilence))
+		a.maxFinalRounds = max(a.maxFinalRounds, res.RoundsToSilence)
 	}
+	a.injections += res.Injections
+	a.churnEvents += res.ChurnEvents
+	a.episodes += len(res.Episodes)
+	a.recovered += res.Recovered
+	for _, ep := range res.Episodes {
+		a.rounds = append(a.rounds, float64(ep.RecoveryRounds))
+		a.radii = append(a.radii, float64(ep.Radius))
+		a.affected = append(a.affected, float64(ep.Churned))
+		a.maxRounds = max(a.maxRounds, ep.RecoveryRounds)
+		a.maxRadius = max(a.maxRadius, ep.Radius)
+		a.maxAffected = max(a.maxAffected, ep.Churned)
+		a.maxBall = max(a.maxBall, ep.BallRadius)
+	}
+}
+
+// outOf renders "part/whole", the shape of every recovered and
+// final-silent column.
+func outOf(part, whole int) string { return fmt.Sprintf("%d/%d", part, whole) }
+
+// foldRecovery runs the cells and returns one recovery fold per cell.
+func foldRecovery(ecfg engine.Config, cells []engine.Cell) ([]recovery, error) {
+	accs := make([]recovery, len(cells))
+	err := engine.RunCells(ecfg, cells, func(cell, _ int, res *core.FaultResult) error {
+		accs[cell].add(res)
+		return nil
+	})
+	return accs, err
 }
 
 // CustomFault runs an ad-hoc adversary scenario outside the registry —
@@ -86,73 +120,29 @@ func CustomFault(cfg Config, advName string, k int, schedule fault.Schedule) (*R
 	}
 	g := graphs[len(graphs)/4]
 	families := []string{FamColoring, FamMIS, FamMatching}
-	advKey := fmt.Sprintf("%s/%d", advName, k)
-
 	snapshots := make([]*model.Config, len(families))
 	if schedule.Kind == fault.KindAtStart {
 		if snapshots, err = silentSnapshots(cfg, g, families); err != nil {
 			return nil, err
 		}
 	}
+	ecfg := cfg.engineConfig()
 	cells := make([]engine.Cell, len(families))
 	for i, family := range families {
-		sys, legit, err := protocolSystem(g, family)
+		sys, legit, err := engine.System(g, family)
 		if err != nil {
 			return nil, err
 		}
-		snapshot := snapshots[i]
-		cells[i] = engine.Cell{
-			Key: fmt.Sprintf("%s|%s|custom=%s|k=%d|%s", g.Name(), family, advName, k, schedule),
-			RunFaultOn: func(rn *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
-				adv := rn.Adversary(advKey, func() fault.Adversary {
-					a, err := fault.ByName(advName, k)
-					if err != nil {
-						panic(err)
-					}
-					return a
-				})
-				opts := core.RunOptions{
-					Scheduler:  rn.Scheduler(defaultSchedName, seed, defaultSched),
-					Seed:       seed,
-					MaxSteps:   cfg.MaxSteps,
-					CheckEvery: 1,
-					Legitimate: legit,
-				}
-				plan := fault.Plan{Adversary: adv, Schedule: schedule}
-				if snapshot != nil {
-					rn.InitialConfig(sys).CopyFrom(snapshot)
-					return rn.RunFaulted(sys, opts, plan, res)
-				}
-				return rn.RunRandomFaulted(sys, opts, plan, res)
-			},
+		cells[i], err = engine.NewCell(&ecfg, engine.Scenario{
+			Key:   fmt.Sprintf("%s|%s|custom=%s|k=%d|%s", g.Name(), family, advName, k, schedule),
+			Index: i, System: sys, Legit: legit, Snapshot: snapshots[i],
+			Adversary: advName, K: k, Schedule: schedule,
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
-	type acc struct {
-		trials, finalSilent            int
-		episodeCount, episodeRecovered int
-		maxRounds, maxRadius           int
-		rounds                         []float64
-	}
-	accs := make([]acc, len(families))
-	err = engine.RunFaultCellsReduce(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		a.trials++
-		if res.Silent && res.LegitimateAtSilence {
-			a.finalSilent++
-		}
-		a.episodeCount += res.Injections
-		a.episodeRecovered += res.Recovered
-		for _, ep := range res.Episodes {
-			a.rounds = append(a.rounds, float64(ep.RecoveryRounds))
-			if ep.RecoveryRounds > a.maxRounds {
-				a.maxRounds = ep.RecoveryRounds
-			}
-			if ep.Radius > a.maxRadius {
-				a.maxRadius = ep.Radius
-			}
-		}
-		return nil
-	})
+	accs, err := foldRecovery(ecfg, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -162,12 +152,10 @@ func CustomFault(cfg Config, advName string, k int, schedule fault.Schedule) (*R
 	pass := true
 	for i, family := range families {
 		a := &accs[i]
-		ok := a.finalSilent == a.trials && a.episodeRecovered == a.episodeCount
+		ok := a.legit == a.trials && a.recovered == a.injections
 		pass = pass && ok
-		table.AddRow(family, g.Name(), a.episodeCount,
-			fmt.Sprintf("%d/%d", a.episodeRecovered, a.episodeCount),
-			stats.Summarize(a.rounds).Mean, a.maxRounds, a.maxRadius,
-			fmt.Sprintf("%d/%d", a.finalSilent, a.trials))
+		table.AddRow(family, g.Name(), a.injections, outOf(a.recovered, a.injections),
+			stats.Summarize(a.rounds).Mean, a.maxRounds, a.maxRadius, outOf(a.legit, a.trials))
 	}
 	return &Result{
 		ID:       "EX",
@@ -181,7 +169,7 @@ func CustomFault(cfg Config, advName string, k int, schedule fault.Schedule) (*R
 
 // midSuiteGraphLine reconstructs the campaign `graph` directive for the
 // mid-suite topology at suite index len/div — the graphs the adversary
-// experiments historically pinned. compileCampaign verifies the
+// experiments historically pinned. runCampaign verifies the
 // reconstruction against the live suite, so a future suite change
 // surfaces as a hard error here instead of a silent drift.
 func midSuiteGraphLine(cfg Config, div int) string {
@@ -197,27 +185,34 @@ func midSuiteGraphLine(cfg Config, div int) string {
 	return "grid 16"
 }
 
-// compileCampaign parses and compiles a campaign source written by a
-// rewired registry experiment, checking that the compiled cells run on
-// the intended suite graph.
-func compileCampaign(cfg Config, src string, want *graph.Graph) (*campaign.Plan, error) {
+// runCampaign runs a campaign source written by a rewired registry
+// experiment through the engine, off the cache: it parses and compiles
+// src, checks that the compiled cells run on the intended suite graph,
+// and returns the plan (for the cells' coordinates) with one recovery
+// fold per cell.
+func runCampaign(cfg Config, src string, want *graph.Graph) (*campaign.Plan, []recovery, error) {
 	spec, err := campaign.Parse(src)
 	if err != nil {
-		return nil, fmt.Errorf("experiment: campaign spec: %w", err)
+		return nil, nil, fmt.Errorf("experiment: campaign spec: %w", err)
 	}
 	plan, err := campaign.Compile(spec, cfg.Parallelism)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	plan.SetObserver(cfg.Observer)
-	if want != nil && len(plan.Cells) > 0 {
+	if len(plan.Cells) > 0 {
 		got := plan.Cells[0].Graph()
 		if got.Name != want.Name() || got.N != want.N() {
-			return nil, fmt.Errorf("experiment: campaign graph %s (n=%d) does not match suite graph %s (n=%d): update midSuiteGraphLine",
+			return nil, nil, fmt.Errorf("experiment: campaign graph %s (n=%d) does not match suite graph %s (n=%d): update midSuiteGraphLine",
 				got.Name, got.N, want.Name(), want.N())
 		}
 	}
-	return plan, nil
+	cells, err := plan.EngineCells()
+	if err != nil {
+		return nil, nil, err
+	}
+	accs, err := foldRecovery(plan.EngineConfig(), cells)
+	return plan, accs, err
 }
 
 // ksCSV renders a fault-size list as the k= argument of an `adversary`
@@ -255,7 +250,7 @@ func E16AdversaryGrid(cfg Config) (*Result, error) {
 	for _, advName := range fault.Names() {
 		fmt.Fprintf(&advLines, "adversary %s k=%s inject=at-start\n", advName, ksCSV(ks))
 	}
-	plan, err := compileCampaign(cfg, fmt.Sprintf(`campaign e16-adversary-grid
+	plan, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e16-adversary-grid
 seed %d
 trials %d
 max-steps %d
@@ -266,42 +261,15 @@ protocol coloring mis matching
 	if err != nil {
 		return nil, err
 	}
-	type acc struct {
-		recovered, maxRounds, maxRadius int
-		rounds                          []float64
-	}
-	cells, err := plan.EngineCells()
-	if err != nil {
-		return nil, err
-	}
-	accs := make([]acc, len(plan.Cells))
-	err = engine.RunFaultCellsReduce(plan.EngineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		if res.Silent && res.LegitimateAtSilence {
-			a.recovered++
-			a.rounds = append(a.rounds, float64(res.RoundsToSilence))
-			if res.RoundsToSilence > a.maxRounds {
-				a.maxRounds = res.RoundsToSilence
-			}
-		}
-		if r := res.MaxRadius(); r > a.maxRadius {
-			a.maxRadius = r
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	table := stats.NewTable("E16: recovery per adversary shape (fault-model grid)",
 		"protocol", "adversary", "faults", "recovered", "mean rounds", "max rounds", "max radius")
 	pass := true
 	for i := range plan.Cells {
 		cs, a := &plan.Cells[i], &accs[i]
-		ok := a.recovered == cfg.Trials
+		ok := a.legit == cfg.Trials
 		pass = pass && ok
-		table.AddRow(cs.Protocol, cs.Adversary, cs.K,
-			fmt.Sprintf("%d/%d", a.recovered, cfg.Trials),
-			stats.Summarize(a.rounds).Mean, a.maxRounds, a.maxRadius)
+		table.AddRow(cs.Protocol, cs.Adversary, cs.K, outOf(a.legit, cfg.Trials),
+			stats.Summarize(a.finalRounds).Mean, a.maxFinalRounds, a.maxRadius)
 	}
 	return &Result{
 		ID:       "E16",
@@ -327,7 +295,7 @@ func E17RepeatedInjection(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	g := graphs[len(graphs)/2]
-	sys, _, err := protocolSystem(g, FamMIS)
+	sys, _, err := engine.System(g, FamMIS)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +304,7 @@ func E17RepeatedInjection(cfg Config) (*Result, error) {
 	const episodes = 4
 
 	names := sched.Names()
-	plan, err := compileCampaign(cfg, fmt.Sprintf(`campaign e17-repeated-injection
+	_, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e17-repeated-injection
 seed %d
 trials %d
 max-steps %d
@@ -346,39 +314,6 @@ protocol mis
 daemon %s
 adversary uniform k=%d inject=on-silence:%d
 `, cfg.Seed, cfg.Trials, cfg.MaxSteps, midSuiteGraphLine(cfg, 2), strings.Join(names, " "), k, episodes), g)
-	if err != nil {
-		return nil, err
-	}
-	type acc struct {
-		trials, allRecovered           int
-		episodeCount, episodeRecovered int
-		maxRounds, maxRadius           int
-		rounds                         []float64
-	}
-	cells, err := plan.EngineCells()
-	if err != nil {
-		return nil, err
-	}
-	accs := make([]acc, len(names))
-	err = engine.RunFaultCellsReduce(plan.EngineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		a.trials++
-		if res.AllRecovered() && res.Silent && res.LegitimateAtSilence {
-			a.allRecovered++
-		}
-		a.episodeCount += res.Injections
-		a.episodeRecovered += res.Recovered
-		for _, ep := range res.Episodes {
-			a.rounds = append(a.rounds, float64(ep.RecoveryRounds))
-			if ep.RecoveryRounds > a.maxRounds {
-				a.maxRounds = ep.RecoveryRounds
-			}
-			if ep.Radius > a.maxRadius {
-				a.maxRadius = ep.Radius
-			}
-		}
-		return nil
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -392,11 +327,10 @@ adversary uniform k=%d inject=on-silence:%d
 		// early, so the measured per-episode count can exceed the
 		// from-scratch bound by at most one partial round.
 		ok := a.allRecovered == a.trials &&
-			a.episodeRecovered == a.episodeCount &&
+			a.recovered == a.injections &&
 			a.maxRounds <= bound+1
 		pass = pass && ok
-		table.AddRow(name, a.episodeCount,
-			fmt.Sprintf("%d/%d", a.episodeRecovered, a.episodeCount),
+		table.AddRow(name, a.injections, outOf(a.recovered, a.injections),
 			stats.Summarize(a.rounds).Mean, a.maxRounds, bound+1, a.maxRadius, ok)
 	}
 	return &Result{
@@ -428,7 +362,7 @@ func E18ClusterContainment(cfg Config) (*Result, error) {
 			ks = append(ks, k)
 		}
 	}
-	plan, err := compileCampaign(cfg, fmt.Sprintf(`campaign e18-cluster-containment
+	plan, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e18-cluster-containment
 seed %d
 trials %d
 max-steps %d
@@ -440,47 +374,15 @@ adversary cluster k=%s inject=at-start
 	if err != nil {
 		return nil, err
 	}
-	type acc struct {
-		recovered, maxRounds, maxRadius, maxBall int
-		radii                                    []float64
-	}
-	cells, err := plan.EngineCells()
-	if err != nil {
-		return nil, err
-	}
-	accs := make([]acc, len(plan.Cells))
-	err = engine.RunFaultCellsReduce(plan.EngineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		if res.Silent && res.LegitimateAtSilence {
-			a.recovered++
-			if res.RoundsToSilence > a.maxRounds {
-				a.maxRounds = res.RoundsToSilence
-			}
-		}
-		for _, ep := range res.Episodes {
-			a.radii = append(a.radii, float64(ep.Radius))
-			if ep.Radius > a.maxRadius {
-				a.maxRadius = ep.Radius
-			}
-			if ep.BallRadius > a.maxBall {
-				a.maxBall = ep.BallRadius
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	table := stats.NewTable("E18: containment radius vs fault-cluster size",
 		"protocol", "cluster", "ball r", "recovered", "mean radius", "max radius", "max rounds")
 	pass := true
 	for i := range plan.Cells {
 		cs, a := &plan.Cells[i], &accs[i]
-		ok := a.recovered == cfg.Trials
+		ok := a.legit == cfg.Trials
 		pass = pass && ok
-		table.AddRow(cs.Protocol, cs.K, a.maxBall,
-			fmt.Sprintf("%d/%d", a.recovered, cfg.Trials),
-			stats.Summarize(a.radii).Mean, a.maxRadius, a.maxRounds)
+		table.AddRow(cs.Protocol, cs.K, a.maxBall, outOf(a.legit, cfg.Trials),
+			stats.Summarize(a.radii).Mean, a.maxRadius, a.maxFinalRounds)
 	}
 	return &Result{
 		ID:       "E18",

@@ -1,13 +1,14 @@
 // Package experiment regenerates every quantitative artifact of the
 // paper: each theorem, lemma, proof construction and example figure is
-// an experiment (E1-E15, indexed in DESIGN.md) producing a table that
-// EXPERIMENTS.md records, together with a pass flag stating whether the
-// measured data is consistent with the paper's claim. E16-E18 extend
-// the registry along the adversary axis (internal/fault): fault shape,
-// fault timing and fault locality of the recovery the paper promises.
-// E19-E21 extend it along the topology axis (the `churn` campaign
-// directive): edge rewiring, partition-shaped cuts and crash/join churn
-// on mutable graphs, alone and composed with state faults.
+// an experiment (E1-E15; `ssbench -list` prints the index, and each
+// Result names the paper artifact and the claim it checks) producing a
+// table together with a pass flag stating whether the measured data is
+// consistent with the paper's claim. E16-E18 extend the registry along
+// the adversary axis (internal/fault): fault shape, fault timing and
+// fault locality of the recovery the paper promises. E19-E21 extend it
+// along the topology axis (the `churn` campaign directive): edge
+// rewiring, partition-shaped cuts and crash/join churn on mutable
+// graphs, alone and composed with state faults.
 //
 // Trials run on a parallel sharded worker pool (internal/engine). The engine
 // is deterministic: per-trial seeds are derived from (Config.Seed, cell
@@ -20,12 +21,10 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -51,16 +50,10 @@ type Config struct {
 	Observer obs.Observer
 }
 
+// withDefaults fills unset fields with the engine's defaults.
 func (c Config) withDefaults() Config {
-	if c.Trials <= 0 {
-		c.Trials = 5
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 1_000_000
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
+	e := c.engineConfig().WithDefaults()
+	c.Trials, c.MaxSteps, c.Parallelism = e.Trials, e.MaxSteps, e.Parallelism
 	return c
 }
 
@@ -191,16 +184,15 @@ func suite(cfg Config) ([]*graph.Graph, error) {
 	}, nil
 }
 
-// protocolSystem builds a System for a named protocol family on g (see
-// engine.System for the registered families).
-func protocolSystem(g *graph.Graph, family string) (*model.System, func(*model.System, *model.Config) bool, error) {
-	sys, legit, err := engine.System(g, family)
-	return sys, legit, err
+// runProtoCells builds the plain cells of specs, each system once, and
+// folds every trial result (see engine.Fold for the ordering and
+// concurrency contract): the workhorse behind the per-graph loops of
+// E1-E14, whose memory is independent of Trials.
+func runProtoCells(cfg Config, specs []engine.ProtoCell, fold engine.Fold) error {
+	ecfg := cfg.engineConfig()
+	cells, err := engine.ProtoCells(ecfg, specs)
+	if err != nil {
+		return err
+	}
+	return engine.RunCells(ecfg, cells, fold)
 }
-
-// familyNames lists the registered protocol families, sorted.
-func familyNames() []string { return engine.Families() }
-
-const defaultSchedName = engine.DefaultSchedName
-
-func defaultSched(seed uint64) model.Scheduler { return engine.DefaultSched(seed) }

@@ -118,7 +118,7 @@ func E8TheoremTwo(cfg Config) (*Result, error) {
 func checkDemos(cfg Config, demos []*verify.Demo) ([]verify.Outcome, error) {
 	cfg = cfg.withDefaults()
 	outs := make([]verify.Outcome, len(demos))
-	err := engine.ForEach(cfg.Parallelism, len(demos), func(i int) error {
+	err := engine.ForEachWorker(cfg.Parallelism, len(demos), func(_ *engine.WorkerCtx, i int) error {
 		out, err := demos[i].Check(rng.DeriveString(cfg.Seed, demos[i].Name), cfg.MaxSteps)
 		if err != nil {
 			return err

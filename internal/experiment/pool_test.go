@@ -16,7 +16,7 @@ import (
 // TestPoolDeterminismAcrossParallelism is the engine's headline
 // guarantee: for a fixed seed the rendered experiment tables are
 // byte-identical for every Parallelism value. E1 exercises
-// RunProtoCellsReduce, E5 the multi-scheduler grid, E15 snapshot-seeded
+// runProtoCells, E5 the multi-scheduler grid, E15 snapshot-seeded
 // cells and E7 the demo fan-out.
 func TestPoolDeterminismAcrossParallelism(t *testing.T) {
 	t.Parallel()
@@ -70,7 +70,7 @@ func TestRunCellsSeedsPositionIndependent(t *testing.T) {
 			seeds[i] = make([]uint64, 5)
 			cells[i] = engine.Cell{
 				Key: fmt.Sprintf("cell-%d", i),
-				RunOn: func(_ *core.Runner, trial int, seed uint64, _ *core.RunResult) error {
+				Run: func(_ *core.Runner, trial int, seed uint64, _ *core.FaultResult) error {
 					mu.Lock()
 					seeds[i][trial] = seed
 					mu.Unlock()
@@ -79,7 +79,7 @@ func TestRunCellsSeedsPositionIndependent(t *testing.T) {
 			}
 		}
 		cfg := Config{Seed: 99, Trials: 5, Parallelism: parallelism}
-		err := engine.RunCellsReduce(cfg.engineConfig(), cells, func(int, int, *core.RunResult) error { return nil })
+		err := engine.RunCells(cfg.engineConfig(), cells, func(int, int, *core.FaultResult) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 	mk := func(key string, failAt int) engine.Cell {
 		return engine.Cell{
 			Key: key,
-			RunOn: func(_ *core.Runner, trial int, _ uint64, _ *core.RunResult) error {
+			Run: func(_ *core.Runner, trial int, _ uint64, _ *core.FaultResult) error {
 				executed.Add(1)
 				if trial == failAt {
 					return boom
@@ -130,7 +130,7 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 	cells := []engine.Cell{mk("ok", -1), mk("bad", 1), mk("never", -1)}
 	cfg := Config{Seed: 1, Trials: 3, Parallelism: 1}
 	folds := 0
-	err := engine.RunCellsReduce(cfg.engineConfig(), cells, func(int, int, *core.RunResult) error {
+	err := engine.RunCells(cfg.engineConfig(), cells, func(int, int, *core.FaultResult) error {
 		folds++
 		return nil
 	})
@@ -156,7 +156,7 @@ func TestForEachCancellation(t *testing.T) {
 	const n = 100
 	failed := make(chan struct{})
 	var executed atomic.Int64
-	err := engine.ForEach(8, n, func(i int) error {
+	err := engine.ForEachWorker(8, n, func(_ *engine.WorkerCtx, i int) error {
 		executed.Add(1)
 		if i == 0 {
 			close(failed)
@@ -181,7 +181,7 @@ func TestForEachCancellation(t *testing.T) {
 // is the one with the lowest job index among those observed.
 func TestForEachLowestErrorWins(t *testing.T) {
 	t.Parallel()
-	err := engine.ForEach(1, 10, func(i int) error {
+	err := engine.ForEachWorker(1, 10, func(_ *engine.WorkerCtx, i int) error {
 		if i >= 3 {
 			return fmt.Errorf("err-%d", i)
 		}

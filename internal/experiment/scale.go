@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -60,7 +61,7 @@ func E22MillionScale(cfg Config) (*Result, error) {
 		// runner and system stay referenced until after the heap
 		// measurement.
 		g := c.build(rng.New(rng.Derive(cfg.Seed, uint64(ci))))
-		sys, legit, err := protocolSystem(g, FamColoring)
+		sys, legit, err := engine.System(g, FamColoring)
 		if err != nil {
 			return nil, err
 		}

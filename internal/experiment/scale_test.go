@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -22,19 +21,18 @@ func largeNTable(t *testing.T, par int) string {
 	r := rng.New(rng.Derive(2009, 9))
 	torus := graph.Torus(100, 100)
 	gnp := graph.RandomConnectedGNP(10_000, 6/10_000.0, r)
-	laziest := func(uint64) model.Scheduler { return sched.NewLaziestFair() }
 	specs := []engine.ProtoCell{
 		{Graph: torus, Family: FamColoring, SuffixRounds: 1},
 		{Graph: gnp, Family: FamColoring, SuffixRounds: 1},
-		{Graph: torus, Family: FamColoring, Sched: laziest, SchedName: "laziest-fair"},
+		{Graph: torus, Family: FamColoring, Daemon: "laziest-fair"},
 	}
 	cfg := Config{Seed: 2009, Trials: 2, MaxSteps: 5_000_000, Parallelism: par}
 	accs := make([]core.Convergence, len(specs))
 	for i := range accs {
 		accs[i] = core.NewConvergence()
 	}
-	err := engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
-		accs[cell].Add(res)
+	err := runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+		accs[cell].Add(&res.RunResult)
 		return nil
 	})
 	if err != nil {
@@ -43,9 +41,9 @@ func largeNTable(t *testing.T, par int) string {
 	table := stats.NewTable("large-n smoke",
 		"graph", "sched", "converged", "max rounds", "max steps", "max k-eff")
 	for i, sp := range specs {
-		name := sp.SchedName
+		name := sp.Daemon
 		if name == "" {
-			name = defaultSchedName
+			name = engine.DefaultSchedName
 		}
 		a := accs[i]
 		table.AddRow(sp.Graph.Name(), name,
@@ -98,7 +96,7 @@ func TestBytesPerProcessBudget(t *testing.T) {
 	const budget = 226
 	base := liveHeap()
 	g := graph.Torus(150, 150)
-	sys, legit, err := protocolSystem(g, FamColoring)
+	sys, legit, err := engine.System(g, FamColoring)
 	if err != nil {
 		t.Fatal(err)
 	}

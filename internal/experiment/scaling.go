@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -45,9 +46,9 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 	for i := range accs {
 		accs[i].agg = core.NewConvergence()
 	}
-	err := engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
+	err := runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
-		a.agg.Add(res)
+		a.agg.Add(&res.RunResult)
 		if res.Silent {
 			a.rounds = append(a.rounds, float64(res.RoundsToSilence))
 		}
@@ -62,7 +63,7 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 	for fi, family := range families {
 		for si, n := range sizes {
 			g := sizeGraphs[si]
-			sys, _, err := protocolSystem(g, family)
+			sys, _, err := engine.System(g, family)
 			if err != nil {
 				return nil, err
 			}
@@ -129,41 +130,32 @@ func E15FaultContainment(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	ecfg := cfg.engineConfig()
 	var grid []faultCell
 	var cells []engine.Cell
 	for fi, family := range families {
-		sys, legit, err := protocolSystem(g, family)
+		sys, legit, err := engine.System(g, family)
 		if err != nil {
 			return nil, err
 		}
-		silentCfg := snapshots[fi]
 		for _, frac := range faultFractions {
 			k := int(frac * float64(g.N()))
 			if k < 1 {
 				k = 1
 			}
-			grid = append(grid, faultCell{family: family, k: k})
-			cells = append(cells, snapshotFaultCell(cfg,
-				fmt.Sprintf("%s|%s|faults=%d", g.Name(), family, k),
-				sys, legit, silentCfg, "uniform", k))
-		}
-	}
-	type acc struct {
-		recovered, maxRounds int
-		rounds               []float64
-	}
-	accs := make([]acc, len(grid))
-	err = engine.RunFaultCellsReduce(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
-		a := &accs[cell]
-		if res.Silent && res.LegitimateAtSilence {
-			a.recovered++
-			a.rounds = append(a.rounds, float64(res.RoundsToSilence))
-			if res.RoundsToSilence > a.maxRounds {
-				a.maxRounds = res.RoundsToSilence
+			cell, err := engine.NewCell(&ecfg, engine.Scenario{
+				Key:   fmt.Sprintf("%s|%s|faults=%d", g.Name(), family, k),
+				Index: len(cells), System: sys, Legit: legit, Snapshot: snapshots[fi],
+				Adversary: "uniform", K: k, Schedule: fault.AtStart(),
+			})
+			if err != nil {
+				return nil, err
 			}
+			grid = append(grid, faultCell{family: family, k: k})
+			cells = append(cells, cell)
 		}
-		return nil
-	})
+	}
+	accs, err := foldRecovery(ecfg, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -173,11 +165,10 @@ func E15FaultContainment(cfg Config) (*Result, error) {
 	pass := true
 	for i, fc := range grid {
 		a := &accs[i]
-		ok := a.recovered == cfg.Trials
+		ok := a.legit == cfg.Trials
 		pass = pass && ok
-		table.AddRow(fc.family, g.Name(), fc.k,
-			fmt.Sprintf("%d/%d", a.recovered, cfg.Trials),
-			stats.Summarize(a.rounds).Mean, a.maxRounds)
+		table.AddRow(fc.family, g.Name(), fc.k, outOf(a.legit, cfg.Trials),
+			stats.Summarize(a.finalRounds).Mean, a.maxFinalRounds)
 	}
 	return &Result{
 		ID:       "E15",

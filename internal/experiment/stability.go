@@ -24,7 +24,7 @@ func E4MISStability(cfg Config) (*Result, error) {
 	systems := make([]*model.System, len(graphs))
 	for i, g := range graphs {
 		specs[i] = engine.ProtoCell{Graph: g, Family: FamMIS, SuffixRounds: 6 * g.N()}
-		sys, _, err := protocolSystem(g, FamMIS)
+		sys, _, err := engine.System(g, FamMIS)
 		if err != nil {
 			return nil, err
 		}
@@ -41,7 +41,7 @@ func E4MISStability(cfg Config) (*Result, error) {
 	for i, g := range graphs {
 		accs[i] = acc{minStable: g.N() + 1, minExact: g.N() + 1, dominated: -1}
 	}
-	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
+	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		if !res.Silent {
 			a.nonSilent = true
@@ -110,7 +110,7 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 	systems := make([]*model.System, len(graphs))
 	for i, g := range graphs {
 		specs[i] = engine.ProtoCell{Graph: g, Family: FamMatching, SuffixRounds: 6 * g.N()}
-		sys, _, err := protocolSystem(g, FamMatching)
+		sys, _, err := engine.System(g, FamMatching)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +124,7 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 	for i, g := range graphs {
 		accs[i] = acc{minMarried: g.N() + 1, minStable: g.N() + 1, minExact: g.N() + 1}
 	}
-	err = engine.RunProtoCellsReduce(cfg.engineConfig(), specs, func(cell, _ int, res *core.RunResult) error {
+	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		if !res.Silent {
 			a.nonSilent = true

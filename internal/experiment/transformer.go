@@ -71,6 +71,7 @@ func E13Transformer(cfg Config) (*Result, error) {
 		name  string
 		graph *graph.Graph
 	}
+	ecfg := cfg.engineConfig()
 	var pairs []pairIdx
 	var cells []engine.Cell
 	for _, tg := range targets {
@@ -86,24 +87,32 @@ func E13Transformer(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			origCell, err := specCell(cfg, fmt.Sprintf("%s|%s|orig", tg.name, g.Name()), g, origSpec, consts, legit)
-			if err != nil {
-				return nil, err
-			}
-			xCell, err := specCell(cfg, fmt.Sprintf("%s|%s|xform", tg.name, g.Name()), g, xSpec, consts, legit)
-			if err != nil {
-				return nil, err
+			for _, v := range []struct {
+				label string
+				spec  *model.Spec
+			}{{"orig", origSpec}, {"xform", xSpec}} {
+				sys, err := model.NewSystem(g, v.spec, consts)
+				if err != nil {
+					return nil, err
+				}
+				cell, err := engine.NewCell(&ecfg, engine.Scenario{
+					Key:   fmt.Sprintf("%s|%s|%s", tg.name, g.Name(), v.label),
+					Index: len(cells), System: sys, Legit: legit, CheckEvery: 2,
+				})
+				if err != nil {
+					return nil, err
+				}
+				cells = append(cells, cell)
 			}
 			pairs = append(pairs, pairIdx{name: tg.name, graph: g})
-			cells = append(cells, origCell, xCell)
 		}
 	}
 	aggs := make([]core.Convergence, len(cells))
 	for i := range aggs {
 		aggs[i] = core.NewConvergence()
 	}
-	err = engine.RunCellsReduce(cfg.engineConfig(), cells, func(cell, _ int, res *core.RunResult) error {
-		aggs[cell].Add(res)
+	err = engine.RunCells(ecfg, cells, func(cell, _ int, res *core.FaultResult) error {
+		aggs[cell].Add(&res.RunResult)
 		return nil
 	})
 	if err != nil {
@@ -135,27 +144,5 @@ func E13Transformer(cfg Config) (*Result, error) {
 		Table:    table,
 		Pass:     pass,
 		Notes:    "empirical answer: the transformer preserves stabilization for these four protocols; the paper leaves the general guarantee open",
-	}, nil
-}
-
-// specCell builds a pool cell for an explicit protocol spec (rather than
-// a registered family) on g.
-func specCell(cfg Config, key string, g *graph.Graph, spec *model.Spec, consts [][]int,
-	legit func(*model.System, *model.Config) bool) (engine.Cell, error) {
-	sys, err := model.NewSystem(g, spec, consts)
-	if err != nil {
-		return engine.Cell{}, err
-	}
-	return engine.Cell{
-		Key: key,
-		RunOn: func(rn *core.Runner, trial int, seed uint64, res *core.RunResult) error {
-			return rn.RunRandom(sys, core.RunOptions{
-				Scheduler:  rn.Scheduler(defaultSchedName, seed, defaultSched),
-				Seed:       seed,
-				MaxSteps:   cfg.MaxSteps,
-				CheckEvery: 2,
-				Legitimate: legit,
-			}, res)
-		},
 	}, nil
 }

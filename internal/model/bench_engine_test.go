@@ -1,10 +1,9 @@
 package model_test
 
 // Step-engine micro-benchmarks: the per-step constant factor every
-// experiment in the registry pays millions of times. `make bench-json`
-// runs these (plus the root engine benchmarks) and records name, ns/op
-// and allocs/op in BENCH_2.json; the zero-allocs contract they exhibit is
-// pinned by the tests in perf_test.go.
+// experiment in the registry pays millions of times. `make bench` runs
+// each once as a smoke; the zero-allocs contract they exhibit is pinned
+// by the tests in perf_test.go.
 
 import (
 	"testing"

@@ -4,8 +4,7 @@ package model_test
 // Simulator.Step and the incremental EnabledTracker allocate nothing, and
 // the tracker's verdicts are indistinguishable from a from-scratch
 // EnabledSet oracle. These tests pin the contract; the benchmarks in
-// bench_engine_test.go quantify it (and feed BENCH_2.json via
-// `make bench-json`).
+// bench_engine_test.go quantify it.
 
 import (
 	"fmt"

@@ -132,6 +132,9 @@ func TestCopyFromShapes(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { dst.Equal(src) }); avg != 0 {
 		t.Fatalf("Equal allocates %.1f times per call, want 0", avg)
 	}
+	if avg := testing.AllocsPerRun(100, func() { _ = src.Clone() }); avg > 3 {
+		t.Fatalf("Clone allocates %.1f times per call, want at most 3 (the Config and its two flat arrays)", avg)
+	}
 	dst.SetComm(0, 0, (dst.Comm(0, 0)+1)%3)
 	if src.Equal(dst) {
 		t.Fatal("CopyFrom aliased the source")

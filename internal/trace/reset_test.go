@@ -211,10 +211,10 @@ func TestReadDedupAcrossSteps(t *testing.T) {
 	}
 }
 
-// BenchmarkRecorderReadFullStep measures what a full-read step on a
-// high-degree process costs the recorder: one Selected carrying every
-// neighbor, between StepBegin and StepEnd.
-func BenchmarkRecorderReadFullStep(b *testing.B) {
+// fullReadStep returns one full-read step on a high-degree process as the
+// recorder sees it: one Selected carrying every neighbor, between
+// StepBegin and StepEnd.
+func fullReadStep() func(step int) {
 	const n = 64
 	rec := NewRecorder(n)
 	neighbors := make([]int, 0, n-1)
@@ -222,11 +222,29 @@ func BenchmarkRecorderReadFullStep(b *testing.B) {
 		neighbors = append(neighbors, q)
 	}
 	selected := []int{0}
+	return func(step int) {
+		rec.StepBegin(step, selected)
+		rec.Selected(step, 0, neighbors, 6*(n-1), 0, 1)
+		rec.StepEnd(step, selected, false)
+	}
+}
+
+// BenchmarkRecorderReadFullStep measures what a full-read step costs the
+// recorder.
+func BenchmarkRecorderReadFullStep(b *testing.B) {
+	step := fullReadStep()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec.StepBegin(i, selected)
-		rec.Selected(i, 0, neighbors, 6*(n-1), 0, 1)
-		rec.StepEnd(i, selected, false)
+		step(i)
+	}
+}
+
+// TestRecorderReadFullStepZeroAlloc: recording a full-read step allocates
+// nothing once the recorder is built. Not parallel: it counts allocations.
+func TestRecorderReadFullStepZeroAlloc(t *testing.T) {
+	step, i := fullReadStep(), 0
+	if avg := testing.AllocsPerRun(200, func() { step(i); i++ }); avg != 0 {
+		t.Fatalf("a recorded full-read step allocates %.1f times, want 0", avg)
 	}
 }
 

@@ -20,8 +20,9 @@
 //	res, _ := selfstab.Run(sys, selfstab.Options{Seed: 1, SuffixRounds: 64})
 //	fmt.Println(res.Silent, res.Report.KEfficiency, res.Report.StableProcesses(1))
 //
-// The paper's experiments (E1-E15, see DESIGN.md and EXPERIMENTS.md) are
-// runnable through ExperimentIDs and RunExperiment.
+// The paper's experiments (E1-E15; `ssbench -list` prints the index, the
+// README describes the engine that runs them) are runnable through
+// ExperimentIDs and RunExperiment.
 package selfstab
 
 import (
