@@ -28,7 +28,7 @@ test-full: ## Full (non-short) suite: what the tier-1 verify runs
 # (Test*ZeroAlloc*), and performance is judged by `go run ./bench`
 # (BENCHMARK.json) on paired parent/change runs.
 bench: ## Run every benchmark once (compile + smoke)
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/model ./internal/sched ./internal/core ./internal/trace ./internal/fault ./internal/graph ./internal/campaign ./internal/service
+	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/model ./internal/sched ./internal/core ./internal/trace ./internal/fault ./internal/graph ./internal/obs ./internal/stats ./internal/campaign ./internal/service
 
 # Static analysis beyond go vet, plus the vulnerability scanner over the
 # dependency graph (trivial here: the module is stdlib-only, so the scan

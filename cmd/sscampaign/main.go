@@ -117,6 +117,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *eventsPath == "-" && (*jsonlPath == "-" || *csvOut) {
 		return fmt.Errorf("-events - conflicts with other stdout output: write the event log to a file instead")
 	}
+	if *jsonlPath != "" && *jsonlPath == *eventsPath {
+		return fmt.Errorf("-jsonl and -events both name %s: the records would overwrite the event log", *jsonlPath)
+	}
 	observer, replay, err := buildObserver(*eventsPath, *logLevel, stderr)
 	if err != nil {
 		return err

@@ -268,6 +268,12 @@ func TestRunEventsErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-events", "-", "-jsonl", "-", good}, &out, &errOut); err == nil {
 		t.Fatal("-events - with -jsonl - accepted")
 	}
+	shared := filepath.Join(t.TempDir(), "run.out")
+	if err := run(context.Background(), []string{"-jsonl", shared, "-events", shared, good}, &out, &errOut); err == nil {
+		t.Fatal("-jsonl and -events on one path accepted")
+	} else if _, statErr := os.Stat(shared); !os.IsNotExist(statErr) {
+		t.Fatalf("rejected run still touched %s: %v", shared, statErr)
+	}
 	if err := run(context.Background(), []string{"-log-level", "loud", good}, &out, &errOut); err == nil {
 		t.Fatal("bad -log-level accepted")
 	}

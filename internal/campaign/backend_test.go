@@ -1,10 +1,12 @@
 package campaign
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +33,49 @@ func TestDirBackendRoundTrip(t *testing.T) {
 	n, size, err := be.Stats()
 	if err != nil || n != 1 || size != int64(len(payload)) {
 		t.Fatalf("Stats() = (%d, %d, %v), want (1, %d, nil)", n, size, err, len(payload))
+	}
+}
+
+// TestDirBackendLoadMatchesReadFile: Load hands back what os.ReadFile
+// would, whatever the entry's length is to its first buffer's: shorter,
+// exactly as long, a byte longer, many times longer, and empty (a
+// non-nil empty slice, which is how a blank file stays distinct from an
+// absent one). A directory where the file should be fails with
+// os.ReadFile's own message.
+func TestDirBackendLoadMatchesReadFile(t *testing.T) {
+	t.Parallel()
+	be := NewDirBackend(t.TempDir())
+	for _, size := range []int{0, 1, 500, loadBufSize - 1, loadBufSize, loadBufSize + 1, 2 * loadBufSize, 7*loadBufSize + 13} {
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i*31 + size)
+		}
+		hash := "size-" + strconv.Itoa(size)
+		if err := be.Store(hash, payload); err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := os.ReadFile(be.path(hash))
+		got, err := be.Load(hash)
+		if err != nil || wantErr != nil || got == nil || !bytes.Equal(got, want) || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte entry: Load gave (%d bytes, nil %v, %v), os.ReadFile (%d bytes, %v)",
+				size, len(got), got == nil, err, len(want), wantErr)
+		}
+	}
+	if err := os.Mkdir(be.path("a-directory"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, wantErr := os.ReadFile(be.path("a-directory"))
+	got, err := be.Load("a-directory")
+	if err == nil || wantErr == nil || err.Error() != wantErr.Error() || got != nil {
+		t.Fatalf("directory in place of an entry: Load gave (%v, %v), os.ReadFile fails with %v", got, err, wantErr)
+	}
+	// Through loadCache that is an unreadable entry, which Execute reports
+	// as a cache-corrupt diagnostic and a miss.
+	if err := os.Mkdir(be.path(cellHash("fp")), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if recs, err := loadCache(be, "fp", 1, 1); err == nil || recs != nil || !strings.Contains(err.Error(), "unreadable") {
+		t.Fatalf("directory in place of an entry through loadCache: (%v, %v)", recs, err)
 	}
 }
 

@@ -1,32 +1,38 @@
 package campaign
 
 import (
-	"os"
-	"path/filepath"
+	"context"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
 // benchPlan is the 80-cell × 10-trial shape of bench/campaigns/plain.campaign
 // with synthetic records: what a warm pass decodes and renders.
-func benchPlan(b *testing.B) (*Plan, [][]TrialRecord) {
-	b.Helper()
+func benchPlan(tb testing.TB) (*Plan, [][]TrialRecord) {
+	tb.Helper()
 	spec, err := Parse("campaign bench\ntrials 10\ngraph cycle 8..84/4\nprotocol coloring mis\ndaemon synchronous central-rr\n")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	plan, err := Compile(spec, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if len(plan.Cells) != 80 {
-		b.Fatalf("%d cells, want 80", len(plan.Cells))
+		tb.Fatalf("%d cells, want 80", len(plan.Cells))
 	}
+	return plan, syntheticRecords(plan)
+}
+
+// syntheticRecords draws every cell of plan its trial budget of
+// plausible records.
+func syntheticRecords(plan *Plan) [][]TrialRecord {
 	r := rng.New(1)
 	recs := make([][]TrialRecord, len(plan.Cells))
 	for i := range recs {
-		recs[i] = make([]TrialRecord, spec.Trials)
+		recs[i] = make([]TrialRecord, plan.Spec.Trials)
 		for j := range recs[i] {
 			steps := 200 + r.Intn(20000)
 			recs[i][j] = TrialRecord{
@@ -37,7 +43,17 @@ func benchPlan(b *testing.B) (*Plan, [][]TrialRecord) {
 			}
 		}
 	}
-	return plan, recs
+	return recs
+}
+
+// benchOutcome is benchPlan's records as a finished run's Outcome.
+func benchOutcome(tb testing.TB) *Outcome {
+	plan, recs := benchPlan(tb)
+	out := &Outcome{Plan: plan, Results: make([]CellResult, len(plan.Cells))}
+	for i := range out.Results {
+		out.Results[i] = CellResult{Cell: &plan.Cells[i], Records: recs[i]}
+	}
+	return out
 }
 
 var benchSink int
@@ -86,11 +102,7 @@ func (w *countWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p
 // BenchmarkWriteJSONL times rendering one plan's records with the
 // default metric selection.
 func BenchmarkWriteJSONL(b *testing.B) {
-	plan, recs := benchPlan(b)
-	out := &Outcome{Plan: plan, Results: make([]CellResult, len(plan.Cells))}
-	for i := range out.Results {
-		out.Results[i] = CellResult{Cell: &plan.Cells[i], Records: recs[i]}
-	}
+	out := benchOutcome(b)
 	var w countWriter
 	if err := out.WriteJSONL(&w); err != nil {
 		b.Fatal(err)
@@ -105,21 +117,25 @@ func BenchmarkWriteJSONL(b *testing.B) {
 	}
 }
 
+// BenchmarkOutcomeTable times building and rendering one plan's summary
+// table: what a render pays after WriteJSONL.
+func BenchmarkOutcomeTable(b *testing.B) {
+	out := benchOutcome(b)
+	b.SetBytes(int64(len(out.Table().String())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		benchSink += len(out.Table().String())
+	}
+}
+
 // BenchmarkCompileHitPath times what a fully cached run pays before its
 // first cache probe: Compile over the three benchmark campaigns, and
 // nothing materialized after it.
 func BenchmarkCompileHitPath(b *testing.B) {
 	var specs []*Spec
 	for _, name := range []string{"plain", "fault", "churn"} {
-		src, err := os.ReadFile(filepath.Join("..", "..", "bench", "campaigns", name+".campaign"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec, err := Parse(string(src))
-		if err != nil {
-			b.Fatal(err)
-		}
-		specs = append(specs, spec)
+		specs = append(specs, benchCampaign(b, name).Spec)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -131,5 +147,40 @@ func BenchmarkCompileHitPath(b *testing.B) {
 			}
 			benchSink += len(plan.Cells)
 		}
+	}
+}
+
+// TestWarmPathAllocations holds the serving path's allocation counts:
+// what a cache hit costs is syscalls and these. A warm Execute of
+// bench/campaigns/plain.campaign over a filled MemBackend, a ReplaySink
+// attached, stays under 12 a cell (fingerprint, hash, decoded records and
+// the sink's buffer are the ones that scale with cells); the summary
+// table, built and rendered, under 32 a row (the boxed cells of AddRow's
+// argument list are most of them).
+func TestWarmPathAllocations(t *testing.T) {
+	plan := benchCampaign(t, "plain")
+	be := NewMemBackend()
+	for i, recs := range syntheticRecords(plan) {
+		if err := plan.StoreCell(be, i, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out *Outcome
+	execute := testing.AllocsPerRun(10, func() {
+		var err error
+		out, err = Execute(context.Background(), plan, RunOptions{Workers: 1, Cache: be, Observer: obs.NewReplaySink()})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out.CacheHits != len(plan.Cells) {
+		t.Fatalf("%d of %d cells hit: the pass was not warm", out.CacheHits, len(plan.Cells))
+	}
+	if perCell := execute / float64(len(plan.Cells)); perCell >= 12 {
+		t.Errorf("warm Execute: %.0f allocations, %.1f a cell, want under 12", execute, perCell)
+	}
+	table := testing.AllocsPerRun(10, func() { benchSink += len(out.Table().String()) })
+	if perRow := table / float64(len(out.Results)); perRow >= 32 {
+		t.Errorf("Table().String(): %.0f allocations, %.1f a row, want under 32", table, perRow)
 	}
 }

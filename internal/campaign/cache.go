@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strconv"
-	"strings"
 )
 
 // EngineVersion stamps every cache fingerprint. Bump it whenever a
@@ -33,25 +32,38 @@ const EngineVersion = "campaign-engine-v4"
 // deliberately absent: the cache stores complete records, so re-running
 // with different selectors stays a pure cache hit.
 func (p *Plan) cellFingerprint(cs *CellSpec) string {
-	parts := []string{
-		EngineVersion,
-		"seed=" + strconv.FormatUint(p.cfg.Seed, 10),
-		"trials=" + strconv.Itoa(p.cfg.Trials),
-		"stop=" + p.cfg.Stop.String(),
-		"max-steps=" + strconv.Itoa(p.cfg.MaxSteps),
-		"suffix-rounds=" + strconv.Itoa(p.Spec.SuffixRounds),
-		"graph=" + cs.GraphLine,
-		"protocol=" + cs.Protocol,
-		"daemon=" + cs.Daemon,
-		"adversary=" + cs.Adversary,
-		"k=" + strconv.Itoa(cs.K),
-		"inject=" + cs.Schedule.String(),
-		"churn=" + cs.ChurnName,
-		"churn-k=" + strconv.Itoa(cs.ChurnK),
-		"churn-inject=" + cs.ChurnSchedule.String(),
-		"key=" + cs.Key,
-	}
-	return strings.Join(parts, "\n")
+	buf := make([]byte, 0, 512)
+	buf = append(buf, EngineVersion...)
+	buf = append(buf, "\nseed="...)
+	buf = strconv.AppendUint(buf, p.cfg.Seed, 10)
+	buf = appendIntLine(buf, "trials=", p.cfg.Trials)
+	buf = appendLine(buf, "stop=", p.cfg.Stop.String())
+	buf = appendIntLine(buf, "max-steps=", p.cfg.MaxSteps)
+	buf = appendIntLine(buf, "suffix-rounds=", p.Spec.SuffixRounds)
+	buf = appendLine(buf, "graph=", cs.GraphLine)
+	buf = appendLine(buf, "protocol=", cs.Protocol)
+	buf = appendLine(buf, "daemon=", cs.Daemon)
+	buf = appendLine(buf, "adversary=", cs.Adversary)
+	buf = appendIntLine(buf, "k=", cs.K)
+	buf = appendLine(buf, "inject=", cs.Schedule.String())
+	buf = appendLine(buf, "churn=", cs.ChurnName)
+	buf = appendIntLine(buf, "churn-k=", cs.ChurnK)
+	buf = appendLine(buf, "churn-inject=", cs.ChurnSchedule.String())
+	buf = appendLine(buf, "key=", cs.Key)
+	return string(buf)
+}
+
+// appendLine starts a new fingerprint line holding name and value.
+func appendLine(buf []byte, name, value string) []byte {
+	buf = append(buf, '\n')
+	buf = append(buf, name...)
+	return append(buf, value...)
+}
+
+func appendIntLine(buf []byte, name string, v int) []byte {
+	buf = append(buf, '\n')
+	buf = append(buf, name...)
+	return strconv.AppendInt(buf, int64(v), 10)
 }
 
 // cellHash is the content address: the hex SHA-256 of the fingerprint.

@@ -96,6 +96,11 @@ func entryBody(fingerprint string, records []TrialRecord) []byte {
 var corruptions = map[string]func(valid []byte) []byte{
 	"truncated":   func(valid []byte) []byte { return valid[:len(valid)/2] },
 	"bit-flipped": func(valid []byte) []byte { c := bytes.Clone(valid); c[len(c)/2] ^= 0x10; return c },
+	"emptied":     func([]byte) []byte { return nil },
+	"overlong": func(valid []byte) []byte {
+		// Several of DirBackend.Load's first buffers long.
+		return append(bytes.Clone(valid), make([]byte, 5*loadBufSize)...)
+	},
 	"oversized-count": func(valid []byte) []byte {
 		// A body that promises 2^40 records and holds none, correctly
 		// checksummed: only the count check stands between it and the
@@ -216,6 +221,66 @@ func TestLeftoverV3EntriesAreIgnored(t *testing.T) {
 	for _, f := range files {
 		if got, err := os.ReadFile(strings.TrimSuffix(f, entrySuffix) + ".json"); err != nil || !bytes.Equal(got, v3) {
 			t.Fatalf("leftover %s was touched (err %v)", filepath.Base(f), err)
+		}
+	}
+}
+
+// benchCampaign compiles one of the three benchmark campaigns.
+func benchCampaign(tb testing.TB, name string) *Plan {
+	tb.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "bench", "campaigns", name+".campaign"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	spec, err := Parse(string(src))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := Compile(spec, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return plan
+}
+
+// TestCellFingerprintPinned: the fingerprint is the cache's address space,
+// so a byte of drift in it (a renamed line, a reordered one, a number
+// formatted another way) silently orphans every entry users hold. The
+// literals below are what campaign-engine-v4 has always written for a
+// plain, a faulted and a churned cell; change them only together with
+// EngineVersion.
+func TestCellFingerprintPinned(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		campaign    string
+		cell        int
+		fingerprint string
+		hash        string
+	}{
+		{"plain", 37,
+			"campaign-engine-v4\nseed=2009\ntrials=10\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
+				"graph=torus 400\nprotocol=mis\ndaemon=synchronous\nadversary=\nk=0\ninject=at-start\n" +
+				"churn=\nchurn-k=0\nchurn-inject=at-start\nkey=torus-20x20|mis|synchronous|0",
+			"9a59364e083c08ddd580dfcf7bc7108e9240c91053d53e1e5916c4aa25d1bba5"},
+		{"fault", 0,
+			"campaign-engine-v4\nseed=2009\ntrials=8\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
+				"graph=grid 400\nprotocol=coloring\ndaemon=random-subset\nadversary=uniform\nk=1\ninject=on-silence:3\n" +
+				"churn=\nchurn-k=0\nchurn-inject=at-start\nkey=grid-20x20|coloring|random-subset|adv=uniform|k=1|inject=on-silence:3",
+			"11770cd857ce88dff8016b4b34ddbf89b7e0e1d563ca3c215f2412a4764d4e7c"},
+		{"churn", 11,
+			"campaign-engine-v4\nseed=2009\ntrials=20\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
+				"graph=torus 400\nprotocol=mis\ndaemon=random-subset\nadversary=uniform\nk=1\ninject=on-silence:2\n" +
+				"churn=rewire\nchurn-k=4\nchurn-inject=on-silence:2\n" +
+				"key=torus-20x20|mis|random-subset|adv=uniform|k=1|inject=on-silence:2|churn=rewire|ck=4|cinject=on-silence:2",
+			"61f248337d6409e188591394c4238f01ff1bc211fa92274f41a1fcb0341d9d2a"},
+	} {
+		plan := benchCampaign(t, c.campaign)
+		got := plan.cellFingerprint(&plan.Cells[c.cell])
+		if got != c.fingerprint {
+			t.Errorf("%s cell %d: fingerprint\n%q\nwant\n%q", c.campaign, c.cell, got, c.fingerprint)
+		}
+		if hash := cellHash(got); hash != c.hash {
+			t.Errorf("%s cell %d: hash %s, want %s", c.campaign, c.cell, hash, c.hash)
 		}
 	}
 }

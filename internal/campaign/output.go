@@ -93,6 +93,7 @@ func (o *Outcome) Table() *stats.Table {
 		title += fmt.Sprintf(", showing %d owned cells", len(o.Results))
 	}
 	t := stats.NewTable(title, headers...)
+	var ratio []byte
 	for i := range o.Results {
 		r := &o.Results[i]
 		row := make([]any, 0, len(headers))
@@ -112,7 +113,10 @@ func (o *Outcome) Table() *stats.Table {
 						trues++
 					}
 				}
-				row = append(row, fmt.Sprintf("%d/%d", trues, len(r.Records)))
+				ratio = strconv.AppendInt(ratio[:0], int64(trues), 10)
+				ratio = append(ratio, '/')
+				ratio = strconv.AppendInt(ratio, int64(len(r.Records)), 10)
+				row = append(row, string(ratio))
 				continue
 			}
 			mean, ci := aggregate(m, r.Records)
@@ -124,15 +128,14 @@ func (o *Outcome) Table() *stats.Table {
 }
 
 // aggregate folds one numeric metric over a cell's trials into its mean
-// and the 95% CI half-width on that mean.
-func aggregate(m metricDef, records []TrialRecord) (mean, ci string) {
+// and the 95% CI half-width on that mean ("n/a" below two trials).
+func aggregate(m metricDef, records []TrialRecord) (mean float64, ci any) {
 	var s stats.Stream
 	for i := range records {
 		s.Add(float64(m.intVal(&records[i])))
 	}
-	mean = strconv.FormatFloat(s.Mean(), 'f', 2, 64)
 	if s.N() < 2 {
-		return mean, "n/a"
+		return s.Mean(), "n/a"
 	}
-	return mean, strconv.FormatFloat(s.CI95Half(), 'f', 2, 64)
+	return s.Mean(), s.CI95Half()
 }

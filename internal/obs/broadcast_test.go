@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
@@ -116,12 +117,12 @@ func TestAppendJSONMatchesCanonicalFields(t *testing.T) {
 	e := Event{Cell: 3, Key: "k<\"1\">", Trial: 2, Seed: 1<<64 - 1,
 		Silent: true, Legit: false, Step: 11, Round: 4, Count: 1}
 	want := map[Kind]string{
-		KindCampaignStart:  `{"seq":7,"ev":"campaign-start","key":"k\u003c\"1\"\u003e","cells":1}`,
-		KindCampaignFinish: `{"seq":7,"ev":"campaign-finish","key":"k\u003c\"1\"\u003e","cells":1}`,
-		KindCellStart:      `{"seq":7,"ev":"cell-start","cell":3,"key":"k\u003c\"1\"\u003e"}`,
-		KindCellFinish:     `{"seq":7,"ev":"cell-finish","cell":3,"key":"k\u003c\"1\"\u003e","trials":1}`,
-		KindTrialStart:     `{"seq":7,"ev":"trial-start","cell":3,"trial":2,"seed":18446744073709551615}`,
-		KindTrialFinish:    `{"seq":7,"ev":"trial-finish","cell":3,"trial":2,"silent":true,"legit":false,"steps":11,"rounds":4,"injections":1}`,
+		KindCampaignStart:  `{"seq":0,"ev":"campaign-start","key":"k\u003c\"1\"\u003e","cells":1}`,
+		KindCampaignFinish: `{"seq":0,"ev":"campaign-finish","key":"k\u003c\"1\"\u003e","cells":1}`,
+		KindCellStart:      `{"seq":0,"ev":"cell-start","cell":3,"key":"k\u003c\"1\"\u003e"}`,
+		KindCellFinish:     `{"seq":0,"ev":"cell-finish","cell":3,"key":"k\u003c\"1\"\u003e","trials":1}`,
+		KindTrialStart:     `{"seq":0,"ev":"trial-start","cell":3,"trial":2,"seed":18446744073709551615}`,
+		KindTrialFinish:    `{"seq":0,"ev":"trial-finish","cell":3,"trial":2,"silent":true,"legit":false,"steps":11,"rounds":4,"injections":1}`,
 	}
 	for k := KindCampaignStart; k <= KindCacheCorrupt; k++ {
 		if _, pinned := want[k]; pinned != k.Canonical() {
@@ -131,12 +132,18 @@ func TestAppendJSONMatchesCanonicalFields(t *testing.T) {
 			continue
 		}
 		e.Kind = k
-		canon := string(appendCanonical(nil, 7, e))
+		sink := NewReplaySink()
+		sink.Observe(e)
+		var log bytes.Buffer
+		if err := sink.WriteCanonical(&log); err != nil {
+			t.Fatal(err)
+		}
+		canon := log.String()
 		if canon != want[k]+"\n" {
 			t.Errorf("kind %s: canonical line\n got %s want %s", k, canon, want[k])
 		}
 		live := string(e.AppendJSON(nil))
-		if canon != `{"seq":7,`+live[1:]+"\n" {
+		if canon != `{"seq":0,`+live[1:]+"\n" {
 			t.Errorf("kind %s: canonical line %q is not seq + live object %q", k, canon, live)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -124,21 +125,91 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row; cells are formatted with %v.
+// AddRow appends a row. A string is copied as it is, an int prints as %d
+// and a float64 as %.2f, all three through strconv; a cell of any other
+// type is formatted with %v. The row's cells are rendered into one
+// buffer and share the one string made of it.
 func (t *Table) AddRow(cells ...any) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
+	buf := make([]byte, 0, 256)
+	ends := make([]int, 0, 32)
+	for _, c := range cells {
 		switch v := c.(type) {
+		case string:
+			buf = append(buf, v...)
+		case int:
+			buf = strconv.AppendInt(buf, int64(v), 10)
 		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
+			buf = appendFixed2(buf, v)
 		default:
-			row[i] = fmt.Sprintf("%v", c)
+			buf = fmt.Append(buf, c)
 		}
+		ends = append(ends, len(buf))
+	}
+	text := string(buf)
+	row := make([]string, len(cells))
+	start := 0
+	for i, end := range ends {
+		row[i] = text[start:end]
+		start = end
 	}
 	t.Rows = append(t.Rows, row)
 }
 
-// String renders the table with aligned columns.
+// appendFixed2 appends v as strconv formats it with 'f' and two
+// decimals, without strconv's multiprecision path (the only one it has
+// for a fixed count of decimals). A finite float64 below 2^53 is
+// mant/2^shift with mant < 2^53, so its hundredths are the integer
+// mant*100 >> shift and the bits shifted out decide the rounding exactly:
+// up past the half, to even on it.
+func appendFixed2(buf []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	exp, mant := int(bits>>52&0x7ff), bits&(1<<52-1)
+	if exp == 0 {
+		exp = 1 // subnormal: no implicit bit
+	} else {
+		mant |= 1 << 52
+	}
+	shift := 1075 - exp
+	if exp == 0x7ff || shift < 0 {
+		return strconv.AppendFloat(buf, v, 'f', 2, 64) // NaN, ±Inf, 2^53 and beyond
+	}
+	var cents uint64
+	if shift < 64 { // at 64 and beyond v*100 is under 1/16
+		n := mant * 100
+		cents = n >> shift
+		if shift > 0 {
+			rest, half := n&(1<<shift-1), uint64(1)<<(shift-1)
+			if rest > half || rest == half && cents&1 == 1 {
+				cents++
+			}
+		}
+	}
+	if bits>>63 != 0 {
+		buf = append(buf, '-')
+	}
+	buf = strconv.AppendUint(buf, cents/100, 10)
+	return append(buf, '.', byte('0'+cents%100/10), byte('0'+cents%10))
+}
+
+// Padding is copied out of these, a run at a time.
+const (
+	spaces = "                                                                "
+	dashes = "----------------------------------------------------------------"
+)
+
+// writeRun appends n bytes of fill, a string of one repeated byte.
+func writeRun(sb *strings.Builder, fill string, n int) {
+	for ; n > len(fill); n -= len(fill) {
+		sb.WriteString(fill)
+	}
+	if n > 0 {
+		sb.WriteString(fill[:n])
+	}
+}
+
+// String renders the table with aligned columns. Widths are byte
+// lengths, so a multi-byte header (the campaign tables' "±ci95") pads
+// as its bytes.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
@@ -151,7 +222,13 @@ func (t *Table) String() string {
 			}
 		}
 	}
+	// A full line: every column at its width, two spaces between, a newline.
+	line := 1
+	for _, w := range widths {
+		line += w + 2
+	}
 	var sb strings.Builder
+	sb.Grow(len(t.Title) + 1 + line*(len(t.Rows)+2))
 	if t.Title != "" {
 		sb.WriteString(t.Title)
 		sb.WriteByte('\n')
@@ -163,17 +240,19 @@ func (t *Table) String() string {
 			}
 			sb.WriteString(cell)
 			if i < len(cells)-1 {
-				sb.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+				writeRun(&sb, spaces, widths[i]-len(cell))
 			}
 		}
 		sb.WriteByte('\n')
 	}
 	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for i, w := range widths {
+		if i > 0 {
+			sb.WriteString("  ")
+		}
+		writeRun(&sb, dashes, w)
 	}
-	writeRow(sep)
+	sb.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
 	}

@@ -2,7 +2,10 @@ package stats
 
 import (
 	"encoding/csv"
+	"fmt"
 	"math"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -169,5 +172,119 @@ func TestTableCSV(t *testing.T) {
 	// The raw bytes must actually quote the hazardous cells.
 	if !strings.Contains(out, `"comma,cell"`) || !strings.Contains(out, `"quote ""q"" cell"`) {
 		t.Fatalf("hazardous cells not quoted:\n%s", out)
+	}
+}
+
+// TestTableTypedCellsMatchSprintf: the cells AddRow formats without fmt
+// read as fmt would print them (a string and an int as %v, a float64 as
+// %.2f), over the values a formatter of its own could get wrong: signs,
+// -0.0, NaN, the infinities, exact halves (which round to even),
+// subnormals, and integers too large for the fast path. Other types
+// still go through %v.
+func TestTableTypedCellsMatchSprintf(t *testing.T) {
+	t.Parallel()
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.004, 0.005, 0.0050000000000000001, 0.015, 0.025, 0.125, 0.375, -0.125,
+		2.675, 1.005, 99.995, 999999.995, -1234.5678, 1e-300, -1e-300, math.SmallestNonzeroFloat64,
+		1 << 52, 1<<53 - 1, 1 << 53, 1<<53 + 2, 1e15 + 0.125, 4503599627370495.5, 1e20, -1e22, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	r := rand.New(rand.NewSource(23))
+	for i := 0; i < 20000; i++ {
+		floats = append(floats,
+			math.Float64frombits(r.Uint64()),         // any exponent
+			float64(r.Int63n(1<<30))/8,               // exact halves and quarters of a hundredth's neighbours
+			float64(r.Int63n(1<<40))/200,             // a hair either side of a half
+			r.NormFloat64()*1e4,                      // table-sized values
+			float64(r.Int63n(1<<50))/float64(1+i%97), // means of integer samples
+		)
+	}
+	for _, v := range floats {
+		tb := NewTable("", "v")
+		tb.AddRow(v)
+		if got, want := tb.Rows[0][0], fmt.Sprintf("%.2f", v); got != want {
+			t.Fatalf("float64 %v (bits %#x): cell %q, %%.2f prints %q", v, math.Float64bits(v), got, want)
+		}
+	}
+	for _, v := range []int{0, 7, -7, 255, 256, 1e9, math.MaxInt32, math.MinInt32, math.MaxInt64, math.MinInt64} {
+		tb := NewTable("", "v")
+		tb.AddRow(v)
+		if got, want := tb.Rows[0][0], fmt.Sprintf("%v", v); got != want {
+			t.Fatalf("int %d: cell %q, %%v prints %q", v, got, want)
+		}
+	}
+	mixed := []any{"", "text", "±ci95", true, int64(-5), uint8(200), 2.5, float32(2.5), []int{1, 2}, nil, "tail"}
+	tb := NewTable("", "v")
+	tb.AddRow(mixed...)
+	for i, c := range mixed {
+		want := fmt.Sprintf("%v", c)
+		if _, isFloat := c.(float64); isFloat {
+			want = fmt.Sprintf("%.2f", c)
+		}
+		if got := tb.Rows[0][i]; got != want {
+			t.Fatalf("cell %d (%T): %q, want %q", i, c, got, want)
+		}
+	}
+}
+
+// TestTableWidthsAreByteWidths: a column is as wide as its longest cell
+// in bytes, not in runes: the campaign tables' "±ci95" header counts 6,
+// and every golden table was rendered that way.
+func TestTableWidthsAreByteWidths(t *testing.T) {
+	t.Parallel()
+	tb := NewTable("t", "key", "±ci95", "n")
+	tb.AddRow("a", 1.5, 3)
+	tb.AddRow("long-key", 12345.678, 10)
+	want := "t\n" +
+		"key       ±ci95    n\n" + // 6 bytes + 2 of padding: one column short to the eye
+		"--------  --------  --\n" +
+		"a         1.50      3\n" +
+		"long-key  12345.68  10\n"
+	if got := tb.String(); got != want {
+		t.Fatalf("rendered\n%s\nwant\n%s", got, want)
+	}
+	narrow := NewTable("", "±ci95", "n")
+	narrow.AddRow("n/a", 1)
+	if got, want := narrow.String(), "±ci95  n\n------  -\nn/a     1\n"; got != want {
+		t.Fatalf("rendered\n%q\nwant\n%q", got, want)
+	}
+	// Padding longer than the fill it is copied from.
+	wide := NewTable("", "k", "v")
+	wide.AddRow(strings.Repeat("x", 150), 1)
+	wide.AddRow("y", 2)
+	want = "k" + strings.Repeat(" ", 149) + "  v\n" + strings.Repeat("-", 150) + "  -\n" +
+		strings.Repeat("x", 150) + "  1\n" + "y" + strings.Repeat(" ", 149) + "  2\n"
+	if got := wide.String(); got != want {
+		t.Fatalf("wide column rendered\n%q\nwant\n%q", got, want)
+	}
+}
+
+var benchSink int
+
+// BenchmarkTable times a summary table the size of a campaign's (80
+// rows of a key, two counts and ten mean/interval pairs), built through
+// AddRow and rendered.
+func BenchmarkTable(b *testing.B) {
+	headers := []string{"cell", "key", "trials"}
+	for i := 0; i < 10; i++ {
+		headers = append(headers, "metric-"+strconv.Itoa(i), "±ci95")
+	}
+	row := []any{0, "torus-20x20|matching|laziest-fair|0", 10}
+	for i := 0; i < 10; i++ {
+		row = append(row, 1234.5678*float64(i+1), 12.345/float64(i+1))
+	}
+	build := func() string {
+		t := NewTable("bench", headers...)
+		for i := 0; i < 80; i++ {
+			row[0] = i
+			t.AddRow(row...)
+		}
+		return t.String()
+	}
+	b.SetBytes(int64(len(build())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		benchSink += len(build())
 	}
 }
