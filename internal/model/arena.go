@@ -6,19 +6,21 @@ import (
 
 // stepArena holds the reusable execution state behind Simulator.Step: a
 // single Ctx re-aimed at each selected process, the read aggregator it
-// feeds, two flat scratch arrays staging the selected processes'
-// post-step rows by selection index, the fired/commChanged result
-// buffers, and a single reseedable generator. After construction, the
-// steady-state step path performs no heap allocation.
+// feeds, one flat array staging the communication rows written during
+// the step, the list of selections that wrote one, the fired/commChanged
+// result buffers, and a single reseedable generator. After construction,
+// the steady-state step path performs no heap allocation.
 type stepArena struct {
 	sys *System
 	ctx Ctx
 	agg readAgg
 
-	// Row i holds the post-step own state of the i-th selected process
-	// until the commit phase; Simulator.Step bounds a selection by n.
-	commScratch     []int // n × CommWidth
-	internalScratch []int
+	// Row k holds the post-step communication row of the k-th process
+	// that called SetComm in this step, and writers[k] is its selection
+	// index: the commit phase visits these and nothing else. Internal rows
+	// are written where they live. Simulator.Step bounds a selection by n.
+	commScratch []int   // n × CommWidth
+	writers     []int32 // ascending selection indices
 
 	fired       []int16 // per selected index: fired action or -1 (Spec.Validate bounds the index)
 	commChanged []bool  // per selected index: did p's comm row change
@@ -31,12 +33,12 @@ type stepArena struct {
 func newStepArena(sys *System) *stepArena {
 	n := sys.N()
 	a := &stepArena{
-		sys:             sys,
-		agg:             newReadAgg(sys),
-		commScratch:     make([]int, n*sys.wc),
-		internalScratch: make([]int, n*sys.wi),
-		fired:           make([]int16, 0, n),
-		commChanged:     make([]bool, 0, n),
+		sys:         sys,
+		agg:         newReadAgg(sys),
+		commScratch: make([]int, n*sys.wc),
+		writers:     make([]int32, 0, n),
+		fired:       make([]int16, 0, n),
+		commChanged: make([]bool, n),
 	}
 	a.ctx = Ctx{sys: sys, arena: a}
 	a.rand = rng.FromSource(&a.src)
@@ -53,70 +55,73 @@ func (a *stepArena) processRand(p int) *rng.Rand {
 	return a.rand
 }
 
-// commRow and internalRow return staging row i of the scratch arrays.
-func (a *stepArena) commRow(i int) []int {
+// commRow returns staging row k.
+func (a *stepArena) commRow(k int) []int {
 	wc := a.sys.wc
-	return a.commScratch[i*wc : (i+1)*wc : (i+1)*wc]
+	return a.commScratch[k*wc : (k+1)*wc : (k+1)*wc]
 }
 
-func (a *stepArena) internalRow(i int) []int {
-	wi := a.sys.wi
-	return a.internalScratch[i*wi : (i+1)*wi : (i+1)*wi]
-}
-
-// eval aims the context at p — own state copied from cfg into staging
-// row i, neighbor reads resolving against cfg, the generator reseeded
-// lazily on the first Rand call (see Ctx.Rand) — and executes p's first
-// enabled action on the staged rows. With record set the evaluation's
-// reads are folded into a.agg (left empty otherwise), valid until the
-// next eval.
-func (a *stepArena) eval(cfg *Config, p, i int, record bool) int {
+// eval aims the context at p — own rows aliasing cfg's, staging row k
+// ready for the first SetComm, neighbor reads resolving against cfg, the
+// generator reseeded lazily on the first Rand call (see Ctx.Rand) — and
+// executes p's first enabled action. staged reports whether it wrote its
+// communication row, which then sits in row k while cfg still holds the
+// pre-step one. With record set the evaluation's reads are folded into
+// a.agg (left empty otherwise), valid until the next eval.
+func (a *stepArena) eval(cfg *Config, p, k int, record bool) (fired int, staged bool) {
 	c := &a.ctx
 	c.aim(cfg, p)
-	c.comm = a.commRow(i)
-	c.internal = a.internalRow(i)
-	copy(c.comm, cfg.commRow(p))
-	copy(c.internal, cfg.internalRow(p))
+	c.comm = cfg.commRow(p)
+	c.internal = cfg.internalRow(p)
+	c.stage = a.commRow(k)
 	a.agg.begin()
 	c.agg = nil
 	if record {
 		c.agg = &a.agg
 	}
-	return execOne(c)
+	fired = execOne(c)
+	return fired, c.stage == nil
+}
+
+// commit copies staging row k over p's communication row, reporting each
+// changed variable to obs, and returns whether any changed.
+func (a *stepArena) commit(cfg *Config, p, k, step int, obs Observer) bool {
+	changed := false
+	row := cfg.commRow(p)
+	for v, nv := range a.commRow(k) {
+		if ov := row[v]; ov != nv {
+			changed = true
+			row[v] = nv
+			if obs != nil {
+				obs.CommWrite(step, p, v, ov, nv)
+			}
+		}
+	}
+	return changed
 }
 
 // executeStep is ExecuteStep on the arena's reusable buffers: the same
 // two-phase semantics (evaluate every selected process against the
-// pre-step configuration, then commit all writes), with no per-step heap
-// allocation. Each process draws from the arena generator reseeded for
-// (stepSeed, p). The returned slices are owned by the arena and valid
-// until the next call.
+// pre-step configuration, then commit all communication writes in
+// selection order), with no per-step heap allocation. Each process draws
+// from the arena generator reseeded for (stepSeed, p). The returned
+// slices are owned by the arena and valid until the next call.
 func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Observer) (fired []int16, commChanged []bool) {
-	fired = a.fired[:0]
+	fired, writers := a.fired[:0], a.writers[:0]
 	for i, p := range selected {
-		f := a.eval(cfg, p, i, obs != nil)
+		f, staged := a.eval(cfg, p, len(writers), obs != nil)
 		fired = append(fired, int16(f))
+		if staged {
+			writers = append(writers, int32(i))
+		}
 		if obs != nil {
 			obs.Selected(step, p, a.agg.qs, a.agg.bits, f, 1)
 		}
 	}
-	commChanged = a.commChanged[:0]
-	for i, p := range selected {
-		changed := false
-		if fired[i] >= 0 {
-			comm, row := a.commRow(i), cfg.commRow(p)
-			for v, nv := range comm {
-				if ov := row[v]; ov != nv {
-					changed = true
-					if obs != nil {
-						obs.CommWrite(step, p, v, ov, nv)
-					}
-				}
-			}
-			copy(row, comm)
-			copy(cfg.internalRow(p), a.internalRow(i))
-		}
-		commChanged = append(commChanged, changed)
+	commChanged = a.commChanged[:len(selected)]
+	clear(commChanged)
+	for k, i := range writers {
+		commChanged[i] = a.commit(cfg, selected[i], k, step, obs)
 	}
 	return fired, commChanged
 }

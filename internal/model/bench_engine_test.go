@@ -6,6 +6,7 @@ package model_test
 // by the tests in perf_test.go.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -58,11 +59,13 @@ func BenchmarkSilentSuffix(b *testing.B) {
 // BenchmarkExecuteStep measures one scheduler step through the
 // simulator's reusable arena (the hot path) for the synchronous and
 // central round-robin daemons, against the allocating free-function
-// compatibility shim.
+// compatibility shim. The writers rows are synchronous steps of
+// writersSpec in which none, a fifth and all of the sixteen processes
+// write communication state: what staging a row and committing it costs
+// over an internal write made in place.
 func BenchmarkExecuteStep(b *testing.B) {
-	newSim := func(b *testing.B, sc model.Scheduler) *model.Simulator {
+	newSim := func(b *testing.B, sys *model.System, sc model.Scheduler) *model.Simulator {
 		b.Helper()
-		sys := coloringSystem(b, graph.Torus(4, 4))
 		sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(1)), sc, 1, nil)
 		if err != nil {
 			b.Fatal(err)
@@ -70,22 +73,23 @@ func BenchmarkExecuteStep(b *testing.B) {
 		sim.RunSteps(256) // warm the arena and converge past the noisy phase
 		return sim
 	}
-	b.Run("arena-synchronous", func(b *testing.B) {
-		sim := newSim(b, sched.NewSynchronous())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.Step()
-		}
-	})
-	b.Run("arena-central-rr", func(b *testing.B) {
-		sim := newSim(b, sched.NewCentralRoundRobin())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.Step()
-		}
-	})
+	steps := func(name string, sys *model.System, sc func() model.Scheduler) {
+		b.Run(name, func(b *testing.B) {
+			sim := newSim(b, sys, sc())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Step()
+			}
+		})
+	}
+	synchronous := func() model.Scheduler { return sched.NewSynchronous() }
+	coloring := coloringSystem(b, graph.Torus(4, 4))
+	steps("arena-synchronous", coloring, synchronous)
+	steps("arena-central-rr", coloring, func() model.Scheduler { return sched.NewCentralRoundRobin() })
+	for _, w := range []int{0, 1, 5} {
+		steps(fmt.Sprintf("arena-synchronous-writers-%d%%", 20*w), writersSystem(b, w), synchronous)
+	}
 	b.Run("free-central-rr", func(b *testing.B) {
 		sys := coloringSystem(b, graph.Torus(4, 4))
 		cfg := model.NewRandomConfig(sys, rng.New(1))

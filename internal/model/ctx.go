@@ -114,8 +114,8 @@ func (a *readAgg) grow(ports int) {
 // Ports are 1-based local indices 1..δ.p, exactly the paper's labelling.
 //
 // A Ctx is only valid for the duration of one guard/apply evaluation:
-// the engine re-aims one context (and its own-state scratch rows) at
-// every process it evaluates, so protocols must never retain one.
+// the engine re-aims one context at every process it evaluates, so
+// protocols must never retain one.
 type Ctx struct {
 	sys *System
 	pre *Config // pre-step configuration: neighbor reads resolve here
@@ -125,11 +125,15 @@ type Ctx struct {
 	// outside 1..δ.p panics on its bound.
 	nbr []int32
 
-	comm     []int // scratch copy of own communication variables
-	internal []int // scratch copy of own internal variables
+	// Own state: private copies on a probe or the reference step. On the
+	// step arena internal is the configuration's row, written in place,
+	// and comm is the configuration's row until the first SetComm copies
+	// it into stage (nil elsewhere, and once staged) and re-aims comm
+	// there. See "Own state during a step" in the package comment.
+	comm, internal, stage []int
 
-	rand        *rng.Rand
-	randAllowed bool
+	rand    *rng.Rand
+	inApply bool // inside an Apply body: Rand, SetComm and SetInternal allowed
 
 	// Arena back-pointer (arena-driven evaluation only) for lazy
 	// per-process reseeding: most applies never draw, so the
@@ -203,11 +207,19 @@ func (c *Ctx) N() int { return c.sys.N() }
 // Comm returns the process's own communication variable v.
 func (c *Ctx) Comm(v int) int { return c.comm[v] }
 
-// SetComm assigns the process's own communication variable v.
+// SetComm assigns the process's own communication variable v. Like
+// SetInternal and Rand it panics in a guard: a guard is a predicate.
 func (c *Ctx) SetComm(v, val int) {
+	if !c.inApply {
+		panic("model: own state is only writable inside Apply")
+	}
 	if val < 0 || val >= c.sys.CommDomain(c.p, v) {
 		panic(fmt.Sprintf("model: %s: comm %s=%d outside [0,%d) at process %d",
 			c.sys.spec.Name, c.sys.spec.Comm[v].Name, val, c.sys.CommDomain(c.p, v), c.p))
+	}
+	if c.stage != nil {
+		copy(c.stage, c.comm)
+		c.comm, c.stage = c.stage, nil
 	}
 	c.comm[v] = val
 }
@@ -217,6 +229,9 @@ func (c *Ctx) Internal(v int) int { return c.internal[v] }
 
 // SetInternal assigns the process's own internal variable v.
 func (c *Ctx) SetInternal(v, val int) {
+	if !c.inApply {
+		panic("model: own state is only writable inside Apply")
+	}
 	if val < 0 || val >= c.sys.InternalDomain(c.p, v) {
 		panic(fmt.Sprintf("model: %s: internal %s=%d outside [0,%d) at process %d",
 			c.sys.spec.Name, c.sys.spec.Internal[v].Name, val, c.sys.InternalDomain(c.p, v), c.p))
@@ -288,7 +303,7 @@ func (c *Ctx) NeighborDeg(port int) int {
 // Rand returns a uniform value in [0, n). Only Apply bodies may draw
 // randomness; guards must be deterministic predicates.
 func (c *Ctx) Rand(n int) int {
-	if !c.randAllowed {
+	if !c.inApply {
 		panic("model: randomness is only available inside Apply")
 	}
 	if c.rand == nil {

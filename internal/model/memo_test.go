@@ -1,15 +1,19 @@
 package model_test
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/protocols/mis"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/transformer"
 )
 
 // refSim is the abstract simulator the optimized one is judged against:
@@ -25,8 +29,9 @@ type refSim struct {
 	seed  uint64
 	obs   model.Observer
 
-	step int
-	seen map[int]bool
+	step  int
+	seen  map[int]bool
+	fired []int // ExecuteStep's result for the latest step
 }
 
 func newRefSim(sys *model.System, cfg0 *model.Config, sc model.Scheduler, seed uint64, obs model.Observer) *refSim {
@@ -37,7 +42,7 @@ func (r *refSim) Step() {
 	selected := append([]int(nil), r.sched.Select(r.step, r.sys, r.cfg)...)
 	r.obs.StepBegin(r.step, selected)
 	stepSeed := rng.Derive(r.seed, uint64(r.step))
-	model.ExecuteStep(r.sys, r.cfg, selected, r.step, func(p int) *rng.Rand {
+	r.fired = model.ExecuteStep(r.sys, r.cfg, selected, r.step, func(p int) *rng.Rand {
 		return rng.New(rng.Derive(stepSeed, uint64(p)))
 	}, r.obs)
 	for _, p := range selected {
@@ -110,16 +115,163 @@ func TestMemoSkipsRandomizedTransitions(t *testing.T) {
 	}
 }
 
-// TestStepMatchesReference holds Simulator.Step — one context, staged
-// rows, folded reads, silent-phase memo with counted replays, injections
-// through MarkDirty — to the reference simulator on real protocols: same
-// configuration after every step through convergence, a marked suffix
-// served from the memo, and a mid-suffix corruption that drops the memo
-// and forces a second convergence. The recorder report is compared
-// wherever the simulator's caller could look at it: after every bare
-// Step of the marked suffix, after a RunRounds stretch (whose replays
-// are handed over in one batch as it returns), after the MarkDirty that
-// ends the stretch, and at the end.
+// eventLog forwards every observer call to the recorder it wraps and
+// keeps the Selected and CommWrite calls made since the last take, so
+// two engines can be compared call for call.
+type eventLog struct {
+	model.Observer
+	selected, writes []string
+}
+
+func (l *eventLog) Selected(step, p int, neighbors []int, bits, fired, times int) {
+	l.Observer.Selected(step, p, neighbors, bits, fired, times)
+	l.selected = append(l.selected, fmt.Sprintf("p%d read %v (%d bits) fired %d x%d", p, neighbors, bits, fired, times))
+}
+
+func (l *eventLog) CommWrite(step, p, v, old, new int) {
+	l.Observer.CommWrite(step, p, v, old, new)
+	l.writes = append(l.writes, fmt.Sprintf("step %d: p%d v%d %d->%d", step, p, v, old, new))
+}
+
+// take returns and forgets the logged calls: the CommWrite stream in
+// call order, the Selected calls sorted by process. A step selects a
+// process at most once, so over one bare Step the sorted list is the
+// same whether a selection was reported as it was evaluated or as a
+// counted replay when Step returned (which carries a later step number:
+// the log leaves the step out).
+func (l *eventLog) take() (selected, writes []string) {
+	selected, writes = l.selected, l.writes
+	l.selected, l.writes = nil, nil
+	slices.Sort(selected)
+	return selected, writes
+}
+
+// Variables of stagingSpec, and its actions in priority order.
+const (
+	stX, stY   = 0, 1 // communication
+	stCur, stT = 0, 1 // internal
+
+	stBoot, stRaise, stReassert, stAdvance, stIdle, stWrap = 0, 1, 2, 3, 4, 5
+)
+
+// stagingSpec is a protocol built to put every kind of own-state write
+// in front of the step engine. X climbs to the largest X a process sees
+// behind its scanning pointer cur, so every run ends silent; until then,
+// and along the internal orbit of the silent phase, the actions are
+//
+//	boot      Y = 0: sets Y. From an all-zero Y every process of a
+//	          synchronous step writes communication state.
+//	raise     writes X twice, first to the value it holds.
+//	reassert  writes X to the value it holds: a staged row, no change,
+//	          no CommWrite. Also steps t.
+//	advance   writes t, reads it back and moves cur by it.
+//	idle      fires and writes nothing (every third process parks here).
+//	wrap      one internal write.
+func stagingSpec() *model.Spec {
+	behindCur := func(c *model.Ctx) int { return c.NeighborComm(c.Internal(stCur)+1, stX) }
+	return &model.Spec{
+		Name: "STAGING",
+		Comm: []model.VarSpec{
+			{Name: "X", Domain: model.FixedDomain(4)},
+			{Name: "Y", Domain: model.FixedDomain(2)},
+		},
+		Internal: []model.VarSpec{
+			{Name: "cur", Domain: func(i model.DomainInfo) int { return i.Degree }},
+			{Name: "t", Domain: model.FixedDomain(3)},
+		},
+		Actions: []model.Action{
+			stBoot: {Name: "boot",
+				Guard: func(c *model.Ctx) bool { return c.Comm(stY) == 0 },
+				Apply: func(c *model.Ctx) { c.SetComm(stY, 1) }},
+			stRaise: {Name: "raise",
+				Guard: func(c *model.Ctx) bool { return behindCur(c) > c.Comm(stX) },
+				Apply: func(c *model.Ctx) {
+					c.SetComm(stX, c.Comm(stX))
+					c.SetComm(stX, behindCur(c))
+				}},
+			stReassert: {Name: "reassert",
+				Guard: func(c *model.Ctx) bool { return c.Internal(stT) == 0 },
+				Apply: func(c *model.Ctx) {
+					c.SetComm(stX, c.Comm(stX))
+					c.SetInternal(stT, 1)
+				}},
+			stAdvance: {Name: "advance",
+				Guard: func(c *model.Ctx) bool { return c.Internal(stT) == 1 },
+				Apply: func(c *model.Ctx) {
+					c.SetInternal(stT, 2)
+					c.SetInternal(stCur, (c.Internal(stCur)+c.Internal(stT)-1)%c.Deg())
+				}},
+			stIdle: {Name: "idle",
+				Guard: func(c *model.Ctx) bool { return c.P()%3 == 0 },
+				Apply: func(c *model.Ctx) {}},
+			stWrap: {Name: "wrap",
+				Guard: func(c *model.Ctx) bool { return true },
+				Apply: func(c *model.Ctx) { c.SetInternal(stT, 0) }},
+		},
+	}
+}
+
+// referenceCase is one system of TestStepMatchesReference and the way
+// its initial configuration is drawn.
+type referenceCase struct {
+	name    string
+	sys     *model.System
+	initial func(seed uint64) *model.Config
+}
+
+// referenceCases lists the real protocols of the injection tests, the
+// staging protocol (started from Y = 0 everywhere) and the transformer's
+// cached-view MIS, whose actions run against wide internal rows; the
+// last two on a static graph and on a MutableCopy.
+func referenceCases(t *testing.T) []referenceCase {
+	t.Helper()
+	random := func(sys *model.System) func(uint64) *model.Config {
+		return func(seed uint64) *model.Config { return model.NewRandomConfig(sys, rng.New(seed)) }
+	}
+	var cases []referenceCase
+	for i, sys := range injectionTestSystems(t) {
+		cases = append(cases, referenceCase{fmt.Sprintf("injection system %d", i), sys, random(sys)})
+	}
+	staging, err := model.NewSystem(graph.RandomConnectedGNP(12, 0.25, rng.New(3)), stagingSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.Grid(3, 3)
+	x, err := transformer.Transform(mis.BaselineSpec(g.MaxDegree()+1), g.MaxDegree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := mis.NewSystem(g, x, graph.GreedyLocalColoring(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []*model.System{staging, staging.MutableCopy()} {
+		cases = append(cases, referenceCase{"staging", sys, func(seed uint64) *model.Config {
+			cfg := model.NewRandomConfig(sys, rng.New(seed))
+			for p := range cfg.N() {
+				cfg.SetComm(p, stY, 0)
+			}
+			return cfg
+		}})
+	}
+	for _, sys := range []*model.System{cached, cached.MutableCopy()} {
+		cases = append(cases, referenceCase{"cached-view MIS", sys, random(sys)})
+	}
+	return cases
+}
+
+// TestStepMatchesReference holds Simulator.Step — one context, internal
+// rows written in place, communication rows staged on first write, folded
+// reads, silent-phase memo with counted replays, injections through
+// MarkDirty — to the reference simulator: same configuration, same
+// Selected calls (so the same fired vector) and same CommWrite stream
+// after every step through convergence, a marked suffix served from the
+// memo, and a mid-suffix corruption (on a MutableCopy a crash as well)
+// that drops the memo and forces a second convergence. The recorder
+// report is compared wherever the simulator's caller could look at it:
+// after every bare Step of the marked suffix, after a RunRounds stretch
+// (whose replays are handed over in one batch as it returns), after the
+// MarkDirty that ends the stretch, and at the end.
 func TestStepMatchesReference(t *testing.T) {
 	t.Parallel()
 	scheds := []func(seed uint64) model.Scheduler{
@@ -127,21 +279,78 @@ func TestStepMatchesReference(t *testing.T) {
 		func(uint64) model.Scheduler { return sched.NewSynchronous() },
 		func(uint64) model.Scheduler { return sched.NewCentralRoundRobin() },
 	}
-	for si, sys := range injectionTestSystems(t) {
+	const synchronous = 1
+	stagingFired := make([]int, len(stagingSpec().Actions))
+	for _, tc := range referenceCases(t) {
 		for ki, mk := range scheds {
 			const seed = 7
-			initial := model.NewRandomConfig(sys, rng.New(seed))
+			sys := tc.sys
+			if sys.Dynamic() {
+				sys.ResetDynamic() // the previous daemon's run ended with a crash
+			}
+			initial := tc.initial(seed)
 			simRec, refRec := trace.NewRecorder(sys.N()), trace.NewRecorder(sys.N())
-			sim, err := model.NewSimulator(sys, initial, mk(seed), seed, simRec)
+			simLog, refLog := &eventLog{Observer: simRec}, &eventLog{Observer: refRec}
+			sim, err := model.NewSimulator(sys, initial, mk(seed), seed, simLog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefSim(sys, initial, mk(seed), seed, refRec)
+			ref := newRefSim(sys, initial, mk(seed), seed, refLog)
+			fatalf := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%s (dynamic %v) sched %d step %d: %s",
+					tc.name, sys.Dynamic(), ki, sim.Steps(), fmt.Sprintf(format, args...))
+			}
 			sameReports := func(when string) {
 				t.Helper()
 				if got, want := simRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("system %d sched %d, %s (step %d): recorder reports differ:\n simulator %+v\n reference %+v",
-						si, ki, when, sim.Steps(), got, want)
+					fatalf("%s: recorder reports differ:\n simulator %+v\n reference %+v", when, got, want)
+				}
+			}
+			// step advances both engines by one step and compares
+			// everything they produced.
+			step := func() {
+				t.Helper()
+				sim.Step()
+				ref.Step()
+				if !sim.Config().Equal(ref.cfg) {
+					fatalf("configurations diverged")
+				}
+				simSel, simWrites := simLog.take()
+				refSel, refWrites := refLog.take()
+				if !slices.Equal(simSel, refSel) {
+					fatalf("Selected calls differ:\n simulator %v\n reference %v", simSel, refSel)
+				}
+				if !slices.Equal(simWrites, refWrites) {
+					fatalf("CommWrite streams differ:\n simulator %v\n reference %v", simWrites, refWrites)
+				}
+				if tc.name == "staging" {
+					if sim.Steps() == 1 && ki == synchronous && len(simWrites) != sys.N() {
+						fatalf("%d CommWrite calls, want one per process: the step that fills the staging array", len(simWrites))
+					}
+					for _, f := range ref.fired {
+						if f >= 0 {
+							stagingFired[f]++
+						}
+					}
+				}
+			}
+			// converge steps until the simulator reports silence, so the
+			// steps after it cross into the memo.
+			converge := func() {
+				t.Helper()
+				for {
+					silent, err := sim.SilentNow()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if silent {
+						return
+					}
+					if sim.Steps() > 20000 {
+						fatalf("no silence")
+					}
+					step()
 				}
 			}
 			lockstep := func(steps int, everyStep bool) {
@@ -150,20 +359,14 @@ func TestStepMatchesReference(t *testing.T) {
 					if _, err := sim.SilentNow(); err != nil {
 						t.Fatal(err)
 					}
-					sim.Step()
-					ref.Step()
-					if !sim.Config().Equal(ref.cfg) {
-						t.Fatalf("system %d sched %d step %d: configurations diverged", si, ki, sim.Steps())
-					}
+					step()
 					if everyStep {
 						sameReports("after a bare Step")
 					}
 				}
 			}
-			lockstep(400, false)
-			if silent, err := sim.SilentNow(); err != nil || !silent {
-				t.Fatalf("system %d sched %d: SilentNow = (%v, %v) after 400 steps, want a silent suffix", si, ki, silent, err)
-			}
+			lockstep(50, false)
+			converge()
 			simRec.MarkSuffix()
 			refRec.MarkSuffix()
 			lockstep(60, true)
@@ -176,16 +379,29 @@ func TestStepMatchesReference(t *testing.T) {
 				ref.Step()
 			}
 			if !sim.Config().Equal(ref.cfg) {
-				t.Fatalf("system %d sched %d: configurations diverged over RunRounds from step %d", si, ki, from)
+				fatalf("configurations diverged over RunRounds from step %d", from)
 			}
+			if _, writes := simLog.take(); len(writes) != 0 {
+				fatalf("a silent stretch wrote communication state: %v", writes)
+			}
+			refLog.take()
 			sameReports("after RunRounds")
 			// The same corruption on both sides; only the simulator has
 			// caches to repair.
 			corruptRandom(sim, 2, rng.New(seed))
+			if sys.Dynamic() {
+				sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoCrash, U: 1}, nil)
+			}
 			ref.cfg.CopyFrom(sim.Config())
 			sameReports("after MarkDirty")
-			lockstep(400, false)
+			converge()
+			lockstep(60, false)
 			sameReports("at the end")
+		}
+	}
+	for a, n := range stagingFired {
+		if n == 0 {
+			t.Errorf("staging action %d never fired: the case it was written for is not covered", a)
 		}
 	}
 }

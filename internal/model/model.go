@@ -29,6 +29,23 @@
 // the row or a process outside [0, n) panics on the slice bound and
 // never reaches a neighboring row.
 //
+// # Own state during a step
+//
+// A step is two-phase: every selected process evaluates against the
+// pre-step configuration, then all writes land. Only communication rows
+// need the second phase. Ctx shows a process nothing of another but
+// NeighborComm and NeighborConst, and a process is evaluated once per
+// step, so Simulator.Step lets SetInternal write the configuration's row
+// where it lives. The communication row is copy-on-write: the context
+// reads the configuration's row until the first SetComm copies it into
+// the arena's staging array, and the commit visits the processes that
+// staged, in selection order; a selection that is disabled or writes
+// internal state only costs no copy and no visit. Own state is writable
+// only inside an Apply body: SetComm, SetInternal and Rand panic in a
+// guard on every context, or a guard that wrote and returned false would
+// have moved a disabled process. ExecuteStep, the probes and the tracker
+// evaluate on private copies of both rows.
+//
 // # Enabledness invalidation invariant
 //
 // A guard may read only its process's own variables and its neighbors'

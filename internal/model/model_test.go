@@ -1,6 +1,7 @@
 package model
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -191,6 +192,54 @@ func TestRandPanicsInGuard(t *testing.T) {
 		}
 	}()
 	ExecuteStep(sys, cfg, []int{0}, 0, func(int) *rng.Rand { return rng.New(1) }, nil)
+}
+
+// TestGuardWriteRefused: a guard is a predicate. One that writes own
+// state, communication or internal, panics on every context that can
+// evaluate it — the arena's, the reference step's, the tracker's probe
+// and the silence check — and the configuration is left as it was.
+func TestGuardWriteRefused(t *testing.T) {
+	writes := map[string]func(c *Ctx){
+		"SetComm":     func(c *Ctx) { c.SetComm(0, 1) },
+		"SetInternal": func(c *Ctx) { c.SetInternal(0, 1) },
+	}
+	for name, write := range writes {
+		spec := &Spec{
+			Name:     "BADGUARD",
+			Comm:     []VarSpec{{Name: "X", Domain: FixedDomain(2)}},
+			Internal: []VarSpec{{Name: "y", Domain: FixedDomain(2)}},
+			Actions: []Action{{
+				Name:  "bad",
+				Guard: func(c *Ctx) bool { write(c); return false },
+				Apply: func(c *Ctx) {},
+			}},
+		}
+		sys := mustSystem(t, graph.Path(2), spec, nil)
+		sim, err := NewSimulator(sys, NewZeroConfig(sys), roundRobin{}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := NewZeroConfig(sys)
+		entries := map[string]func(){
+			"Simulator.Step": func() { sim.Step() },
+			"ExecuteStep":    func() { ExecuteStep(sys, cfg, []int{0}, 0, nil, nil) },
+			"EnabledTracker": func() { NewEnabledTracker(sys, cfg).EnabledAction(0) },
+			"SilentNow":      func() { _, _ = sim.SilentNow() },
+		}
+		for entry, run := range entries {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "only writable inside Apply") {
+						t.Errorf("%s in a guard through %s: recovered %q, want the own-state panic", name, entry, msg)
+					}
+				}()
+				run()
+			}()
+		}
+		if !sim.Config().Equal(cfg) || !cfg.Equal(NewZeroConfig(sys)) {
+			t.Errorf("%s in a guard changed a configuration", name)
+		}
+	}
 }
 
 func TestSetCommDomainEnforced(t *testing.T) {

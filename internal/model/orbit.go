@@ -16,9 +16,11 @@ import "fmt"
 // system; it is not safe for concurrent use.
 type orbitProbe struct {
 	sys *System
-	ctx Ctx // reusable evaluation context; own-state rows owned by probe
+	// ctx is the reusable evaluation context. Its private own-state rows
+	// are the current orbit state: guards cannot write them and Apply
+	// moves them to the next one.
+	ctx Ctx
 
-	comm, internal []int // current orbit state
 	// visited holds the internal rows of the orbit so far, InternalWidth
 	// values each. The communication row is the same in all of them (the
 	// exploration ends at the first write that changes it), so it is not
@@ -32,29 +34,19 @@ func (o *orbitProbe) bind(sys *System) {
 		return
 	}
 	o.sys = sys
-	wc, wi := sys.CommWidth(), sys.InternalWidth()
-	o.comm = resizeInts(o.comm, wc)
-	o.internal = resizeInts(o.internal, wi)
 	o.ctx = Ctx{
 		sys:      sys,
-		comm:     make([]int, wc),
-		internal: make([]int, wi),
+		comm:     make([]int, sys.CommWidth()),
+		internal: make([]int, sys.InternalWidth()),
 	}
-}
-
-func resizeInts(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int, n)
 }
 
 // seen reports whether the current internal row is one of the first n
 // visited rows.
 func (o *orbitProbe) seen(n int) bool {
-	wi := len(o.internal)
+	row := o.ctx.internal
 	for i := 0; i < n; i++ {
-		if intsEqual(o.internal, o.visited[i*wi:(i+1)*wi]) {
+		if intsEqual(row, o.visited[i*len(row):(i+1)*len(row)]) {
 			return true
 		}
 	}
@@ -73,8 +65,9 @@ func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, err
 	if len(c.nbr) == 0 {
 		return true, nil // isolated: disabled by definition, orbit closed
 	}
-	copy(o.comm, cfg.commRow(p))
-	copy(o.internal, cfg.internalRow(p))
+	comm := cfg.commRow(p)
+	copy(c.comm, comm)
+	copy(c.internal, cfg.internalRow(p))
 	o.visited = o.visited[:0]
 
 	actions := o.sys.spec.Actions
@@ -82,10 +75,8 @@ func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, err
 		if o.seen(iter) {
 			return true, nil // orbit closed without a communication write
 		}
-		o.visited = append(o.visited, o.internal...)
+		o.visited = append(o.visited, c.internal...)
 
-		copy(c.comm, o.comm)
-		copy(c.internal, o.internal)
 		idx := -1
 		for i := range actions {
 			c.beginBody()
@@ -106,10 +97,9 @@ func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, err
 		if err := o.applyChecked(idx); err != nil {
 			return false, err
 		}
-		if !intsEqual(c.comm, o.comm) {
+		if !intsEqual(c.comm, comm) {
 			return false, nil // deterministic communication write
 		}
-		copy(o.internal, c.internal)
 	}
 	return false, fmt.Errorf("orbit exceeded %d states", maxOrbit)
 }
@@ -120,12 +110,12 @@ func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, err
 func (o *orbitProbe) applyChecked(action int) (err error) {
 	c := &o.ctx
 	defer func() {
-		c.randAllowed = false
+		c.inApply = false
 		if rec := recover(); rec != nil {
 			err = fmt.Errorf("apply panicked: %v", rec)
 		}
 	}()
-	c.randAllowed = true
+	c.inApply = true
 	c.beginBody()
 	o.sys.spec.Actions[action].Apply(c)
 	return nil

@@ -27,11 +27,43 @@ func coloringSystem(t testing.TB, g *graph.Graph) *model.System {
 	return sys
 }
 
+// writersSpec is a protocol in which every selected process fires: those
+// with p mod 5 < writers flip their communication bit, the others advance
+// an internal pointer, and each reads one neighbor first, as COLORING's
+// common action does. It puts a chosen share of communication writers in
+// every step.
+func writersSpec(writers int) *model.Spec {
+	return &model.Spec{
+		Name:     "WRITERS",
+		Comm:     []model.VarSpec{{Name: "X", Domain: model.FixedDomain(2)}},
+		Internal: []model.VarSpec{{Name: "cur", Domain: func(i model.DomainInfo) int { return i.Degree }}},
+		Actions: []model.Action{{
+			Name:  "move",
+			Guard: func(c *model.Ctx) bool { return c.NeighborComm(c.Internal(0)+1, 0) >= 0 },
+			Apply: func(c *model.Ctx) {
+				if c.P()%5 < writers {
+					c.SetComm(0, 1-c.Comm(0))
+				} else {
+					c.SetInternal(0, (c.Internal(0)+1)%c.Deg())
+				}
+			},
+		}},
+	}
+}
+
+func writersSystem(t testing.TB, writers int) *model.System {
+	t.Helper()
+	sys, err := model.NewSystem(graph.Torus(4, 4), writersSpec(writers), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // testStepZeroAlloc drives a simulator past warmup and asserts that
 // further steps perform no heap allocation.
-func testStepZeroAlloc(t *testing.T, sc model.Scheduler) {
+func testStepZeroAlloc(t *testing.T, sys *model.System, sc model.Scheduler) {
 	t.Helper()
-	sys := coloringSystem(t, graph.Torus(4, 4))
 	sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(1)), sc, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -43,11 +75,18 @@ func testStepZeroAlloc(t *testing.T, sc model.Scheduler) {
 }
 
 func TestStepZeroAllocSynchronous(t *testing.T) {
-	testStepZeroAlloc(t, sched.NewSynchronous())
+	testStepZeroAlloc(t, coloringSystem(t, graph.Torus(4, 4)), sched.NewSynchronous())
 }
 
 func TestStepZeroAllocCentralRoundRobin(t *testing.T) {
-	testStepZeroAlloc(t, sched.NewCentralRoundRobin())
+	testStepZeroAlloc(t, coloringSystem(t, graph.Torus(4, 4)), sched.NewCentralRoundRobin())
+}
+
+// TestStepZeroAllocAllWriters: a synchronous step in which every process
+// stages its communication row fills the staging array and the writer
+// list to the brim, and neither grows.
+func TestStepZeroAllocAllWriters(t *testing.T) {
+	testStepZeroAlloc(t, writersSystem(t, 5), sched.NewSynchronous())
 }
 
 // TestSilentSuffixZeroAlloc: once one suffix stretch has captured the

@@ -124,10 +124,10 @@ type probeResult struct {
 
 func probeApply(sys *System, cfg *Config, p int, comm, internal []int, action int, r *rng.Rand) (probeResult, error) {
 	c := &Ctx{sys: sys, pre: cfg, p: p, nbr: sys.g.Row(p),
-		comm:        append([]int(nil), comm...),
-		internal:    append([]int(nil), internal...),
-		rand:        r,
-		randAllowed: true,
+		comm:     append([]int(nil), comm...),
+		internal: append([]int(nil), internal...),
+		rand:     r,
+		inApply:  true,
 	}
 	var err error
 	func() {

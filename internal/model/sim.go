@@ -262,9 +262,11 @@ func (s *Simulator) advance() []int {
 	if len(selected) == 0 {
 		panic(fmt.Sprintf("model: scheduler %s selected the empty set", s.sched.Name()))
 	}
-	// A selection is a set of processes. The arena stages post-step rows
-	// by selection index, so a repeated id (hence any selection longer
-	// than n) must stop here, not as an index out of range mid-step.
+	// A selection is a set of processes. The arena writes internal rows
+	// in place and has one staging row per process, so a repeated id (a
+	// process evaluated twice on its own half-made step, and any
+	// selection longer than n) must stop here, not as an index out of
+	// range mid-step.
 	mark := s.step + 1
 	for _, p := range selected {
 		if uint(p) >= uint(len(s.lastSel)) {
@@ -593,11 +595,24 @@ func (s *Simulator) memoStep(selected []int) {
 // so the run stays correct.
 func (s *Simulator) memoExec(p int) {
 	a := s.arena
-	pre := s.cfg.internalRow(p)
+	// The evaluation writes p's internal row in place, so the entry's
+	// state is taken first; the entry joins the list only if the
+	// transition turns out to be capturable.
+	lst := s.memoEntries[p]
+	var e *silentEntry
+	if len(lst) < memoMaxEntries {
+		if len(lst) < cap(lst) {
+			lst = lst[:len(lst)+1]
+		} else {
+			lst = append(lst, silentEntry{})
+		}
+		e = &lst[len(lst)-1]
+		e.state = append(e.state[:0], s.cfg.internalRow(p)...)
+		s.memoEntries[p] = lst[:len(lst)-1]
+	}
 	// p commits before the next process evaluates, so staging row 0
 	// serves every selection of the step.
-	f := a.eval(s.cfg, p, 0, s.obs != nil)
-	c := &a.ctx
+	f, staged := a.eval(s.cfg, p, 0, s.obs != nil)
 	if s.obs != nil {
 		s.obs.Selected(s.step, p, a.agg.qs, a.agg.bits, f, 1)
 	}
@@ -605,17 +620,10 @@ func (s *Simulator) memoExec(p int) {
 	// function of the internal row: replaying it would repeat the drawn
 	// outcome where the unmemoized path redraws, so the state stays
 	// uncaptured and every selection in it evaluates afresh.
-	if lst := s.memoEntries[p]; c.rand == nil && len(lst) < memoMaxEntries {
-		if len(lst) < cap(lst) {
-			lst = lst[:len(lst)+1]
-		} else {
-			lst = append(lst, silentEntry{})
-		}
+	if e != nil && a.ctx.rand == nil {
 		s.memoEntries[p] = lst
 		s.memoUsed = true
-		e := &lst[len(lst)-1]
-		e.state = append(e.state[:0], pre...)
-		e.next = append(e.next[:0], c.internal...)
+		e.next = append(e.next[:0], s.cfg.internalRow(p)...)
 		e.fired = f
 		e.qs = append(e.qs[:0], a.agg.qs...)
 		e.bits = a.agg.bits
@@ -624,20 +632,9 @@ func (s *Simulator) memoExec(p int) {
 	if f < 0 {
 		return
 	}
-	commChanged := false
-	row := s.cfg.commRow(p)
-	for v, nv := range c.comm {
-		if ov := row[v]; ov != nv {
-			commChanged = true
-			if s.obs != nil {
-				s.obs.CommWrite(s.step, p, v, ov, nv)
-			}
-		}
-	}
+	commChanged := staged && a.commit(s.cfg, p, 0, s.step, s.obs)
 	if commChanged {
-		copy(row, c.comm)
 		s.memoReset()
 	}
-	copy(s.cfg.internalRow(p), c.internal)
 	s.moved(p, commChanged)
 }

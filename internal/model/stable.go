@@ -76,10 +76,10 @@ func eventualReadsOf(sys *System, cfg *Config, p int) ([]int, error) {
 		if act.Randomized {
 			return nil, fmt.Errorf("enabled randomized action %q: configuration is not silent", act.Name)
 		}
-		c.randAllowed = true
+		c.inApply = true
 		c.beginBody()
 		act.Apply(c)
-		c.randAllowed = false
+		c.inApply = false
 		if !intsEqual(c.comm, comm) {
 			return nil, fmt.Errorf("action %q writes communication state: configuration is not silent", act.Name)
 		}

@@ -4,10 +4,9 @@ import (
 	"repro/internal/rng"
 )
 
-// execOne evaluates p's guards in priority order against ctx's scratch
-// state (own) and pre configuration (neighbors) and applies the first
-// enabled action. It returns the fired action index or -1 if p is
-// disabled.
+// execOne evaluates p's guards in priority order against ctx's own
+// state and pre configuration (neighbors) and applies the first enabled
+// action. It returns the fired action index or -1 if p is disabled.
 //
 // A degree-0 process is disabled by definition: it cannot communicate,
 // and protocol guards may assume δ.p >= 1 (the paper's model). Static
@@ -19,14 +18,14 @@ func execOne(c *Ctx) int {
 		return -1
 	}
 	spec := c.sys.spec
+	c.inApply = false // a panic may have left a reused context inside Apply
 	for i := range spec.Actions {
-		c.randAllowed = false
 		c.beginBody()
 		if spec.Actions[i].Guard(c) {
-			c.randAllowed = true
+			c.inApply = true
 			c.beginBody()
 			spec.Actions[i].Apply(c)
-			c.randAllowed = false
+			c.inApply = false
 			return i
 		}
 	}
