@@ -3,6 +3,7 @@ package campaign
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -97,13 +98,6 @@ func TestParseErrors(t *testing.T) {
 		{"campaign t\ngraph path 4\nprotocol teleport\n", "unknown protocol"},
 		{"campaign t\ngraph path 4\nprotocol coloring coloring\n", "duplicate protocol"},
 		{"campaign t\ngraph path 4\nprotocol coloring\ndaemon lazy\n", "unknown daemon"},
-		{"campaign t\ngraph path 4\nprotocol coloring\nadversary gremlin k=1\n", "unknown adversary"},
-		{"campaign t\ngraph path 4\nprotocol coloring\nadversary uniform\n", "want `adversary"},
-		{"campaign t\ngraph path 4\nprotocol coloring\nadversary uniform inject=at-start\n", "missing k="},
-		{"campaign t\ngraph path 4\nprotocol coloring\nadversary uniform k=0\n", "bad fault size"},
-		{"campaign t\ngraph path 4\nprotocol coloring\nadversary uniform k=1,1\n", "duplicate fault size"},
-		{"campaign t\ngraph path 4\nprotocol coloring\nadversary uniform k=1 inject=never\n", "unknown schedule"},
-		{"campaign t\ngraph path 4\nprotocol coloring\nadversary uniform k=1 inject=at-start inject=on-silence:2\n", "duplicate inject="},
 		{"campaign t\ngraph path 4\nprotocol coloring\nadversary uniform k=1 inject=at-start:3\n", "at-start takes no arguments"},
 		{"campaign t\ngraph path 4\nprotocol coloring\nmetrics vibes\n", "unknown metric"},
 		{"campaign t\ngraph path 4\nprotocol coloring\nmetrics silent silent\n", "duplicate metric"},
@@ -122,6 +116,41 @@ func TestParseErrors(t *testing.T) {
 			t.Fatalf("Parse(%q) error %q missing %q", c.src, err, c.frag)
 		}
 	}
+	// Every error path of an adversary line, pinned to the full message.
+	checkAxisErrors(t, []struct{ body, want string }{
+		{"adversary gremlin k=1", `campaign: line 4: adversary: unknown adversary "gremlin" (known: [uniform comm crash cluster])`},
+		{"adversary uniform", "campaign: line 4: adversary: want `adversary NAME k=K1,K2,... [inject=SCHEDULE]`"},
+		{"adversary uniform k=1 k=2", "campaign: line 4: adversary: duplicate k= option"},
+		{"adversary uniform k=0", `campaign: line 4: adversary: bad fault size "0"`},
+		{"adversary uniform k=4097", `campaign: line 4: adversary: bad fault size "4097"`},
+		{"adversary uniform k=1,1", "campaign: line 4: adversary: duplicate fault size 1"},
+		{"adversary uniform k=" + kList(65), "campaign: line 4: adversary: more than 64 fault sizes"},
+		{"adversary uniform k=1 inject=at-start inject=on-silence:2", "campaign: line 4: adversary: duplicate inject= option"},
+		{"adversary uniform k=1 inject=never", `campaign: line 4: adversary: fault: unknown schedule "never" (want one of: at-start | at-step:T | every:T[:N] | on-silence[:N])`},
+		{"adversary uniform k=1 speed=9", `campaign: line 4: adversary: unknown adversary option "speed=9" (want k=... or inject=...)`},
+		{"adversary uniform inject=at-start", "campaign: line 4: adversary: missing k= fault sizes"},
+		{strings.Repeat("adversary uniform k=1\n", 65), "campaign: line 68: adversary: more than 64 adversary lines"},
+	})
+}
+
+// checkAxisErrors parses each body after a minimal three-line campaign
+// head and requires exactly the wanted error text.
+func checkAxisErrors(t *testing.T, cases []struct{ body, want string }) {
+	t.Helper()
+	for _, c := range cases {
+		if _, err := Parse("campaign t\ngraph path 4\nprotocol coloring\n" + c.body + "\n"); err == nil || err.Error() != c.want {
+			t.Fatalf("Parse(%.60q) error %v, want %q", c.body, err, c.want)
+		}
+	}
+}
+
+// kList renders the size list 1,2,...,n.
+func kList(n int) string {
+	ks := make([]string, n)
+	for i := range ks {
+		ks[i] = strconv.Itoa(i + 1)
+	}
+	return strings.Join(ks, ",")
 }
 
 func TestCompileCellExpansion(t *testing.T) {
