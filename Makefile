@@ -55,7 +55,6 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/campaign -fuzz FuzzParseCampaign -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/campaign -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
-	$(GO) test ./internal/fault -fuzz FuzzParseChurn -fuzztime $(FUZZTIME) -run '^$$'
 
 # Campaign smoke: run the bundled quickstart campaign twice against one
 # cache directory; the second run must be 100% cache hits and both runs

@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strconv"
 	"strings"
@@ -117,17 +116,9 @@ func run(args []string, out io.Writer) error {
 		}
 		replay = obs.NewReplaySink()
 	}
-	var logSink obs.Observer
-	switch *logLevel {
-	case "off", "":
-	case "info", "debug":
-		lvl := slog.LevelInfo
-		if *logLevel == "debug" {
-			lvl = slog.LevelDebug
-		}
-		logSink = obs.NewSlogSink(slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lvl})))
-	default:
-		return fmt.Errorf("bad -log-level %q (want off, info or debug)", *logLevel)
+	logSink, err := obs.LogLevelSink(*logLevel, os.Stderr)
+	if err != nil {
+		return err
 	}
 
 	cfg := experiment.Config{

@@ -36,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"os/signal"
 	"strconv"
@@ -190,18 +189,9 @@ func buildObserver(eventsPath, logLevel string, stderr io.Writer) (obs.Observer,
 	if eventsPath != "" {
 		replay = obs.NewReplaySink()
 	}
-	var logSink obs.Observer
-	switch logLevel {
-	case "off", "":
-	case "info", "debug":
-		lvl := slog.LevelInfo
-		if logLevel == "debug" {
-			lvl = slog.LevelDebug
-		}
-		h := slog.NewJSONHandler(stderr, &slog.HandlerOptions{Level: lvl})
-		logSink = obs.NewSlogSink(slog.New(h))
-	default:
-		return nil, nil, fmt.Errorf("bad -log-level %q (want off, info or debug)", logLevel)
+	logSink, err := obs.LogLevelSink(logLevel, stderr)
+	if err != nil {
+		return nil, nil, err
 	}
 	if replay == nil {
 		return obs.Tee(logSink), nil, nil

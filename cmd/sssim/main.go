@@ -1,6 +1,8 @@
 // Command sssim runs one of the paper's self-stabilizing protocols on a
 // generated network from an adversarial initial configuration and prints
-// the convergence and communication-efficiency report.
+// the convergence and communication-efficiency report. It is for
+// looking at one trial whole: ssbench and sscampaign aggregate trials
+// into tables and never print a single run's full recorder report.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 // Command ssviz runs a protocol to silence and emits the final
 // configuration as Graphviz DOT: colors as fill colors, MIS dominators
-// as doubled circles, matched edges in bold.
+// as doubled circles, matched edges in bold. It is for checking a
+// protocol's output by eye: no other command draws a configuration.
 //
 // Usage:
 //

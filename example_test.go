@@ -79,16 +79,3 @@ func ExampleNewTransformed() {
 	// BFS tree correct: true
 	// neighbors read per step: 1
 }
-
-// ExampleRunExperiment regenerates one of the paper's experiment tables.
-func ExampleRunExperiment() {
-	res, err := selfstab.RunExperiment("E9", selfstab.ExperimentConfig{
-		Seed: 9, Trials: 1, Quick: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(res.PaperRef, "passes:", res.Pass)
-	// Output:
-	// Theorem 4 passes: true
-}

@@ -5,6 +5,9 @@
 // anonymously (no identifiers needed) while probing a single interfering
 // neighbor per activation, and repairs the assignment after channel
 // database corruption.
+//
+// It is one of the five programs that use the selfstab facade, and the
+// way a reader sees that API at work.
 package main
 
 import (

@@ -10,6 +10,9 @@
 // (♦-1-stable) protocol variants, checks the deadlock, and shows the
 // real 1-efficient protocols escaping from the very same configuration
 // because their perpetual scan eventually looks across the seam.
+//
+// It is the runnable form of the Theorem 1 and 2 witnesses that
+// internal/verify builds for experiments E7 and E8.
 package main
 
 import (

@@ -9,6 +9,9 @@
 //
 // The example also runs the goroutine-per-process runtime: every overlay
 // node is a real goroutine over shared registers.
+//
+// It is one of the five programs that use the selfstab facade, and the
+// way a reader sees that API at work.
 package main
 
 import (

@@ -1,6 +1,9 @@
 // Quickstart: build a network, run the paper's three 1-efficient
 // protocols on it from adversarial initial configurations, and print the
 // communication-efficiency measures of Section 3.
+//
+// It is one of the five programs that use the selfstab facade, and the
+// way a reader sees that API at work.
 package main
 
 import (

@@ -12,6 +12,9 @@
 //     keeps listening to a single neighbor only (1-stability), so the
 //     radio duty cycle of most of the network drops to one neighbor
 //     probe per cycle instead of Δ.
+//
+// It is one of the five programs that use the selfstab facade, and the
+// way a reader sees that API at work.
 package main
 
 import (

@@ -12,6 +12,9 @@
 //   - the transformed protocol reads exactly one neighbor per step, by
 //     construction — and, measured here, still self-stabilizes to the
 //     same BFS tree.
+//
+// It is one of the five programs that use the selfstab facade, and the
+// way a reader sees that API at work.
 package main
 
 import (

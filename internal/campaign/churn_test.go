@@ -14,7 +14,7 @@ import (
 func TestParseChurnAxis(t *testing.T) {
 	t.Parallel()
 	spec := mustParse(t, minimal()+"churn crashjoin k=1,2 inject=on-silence:2\n")
-	want := ChurnSpec{Name: "crashjoin", Ks: []int{1, 2}, Schedule: fault.OnSilence(2)}
+	want := AxisSpec{Name: "crashjoin", Ks: []int{1, 2}, Schedule: fault.OnSilence(2)}
 	if len(spec.Churns) != 1 || !reflect.DeepEqual(spec.Churns[0], want) {
 		t.Fatalf("churn axis parsed wrong: %+v", spec.Churns)
 	}

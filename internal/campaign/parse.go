@@ -218,24 +218,19 @@ func Parse(src string) (*Spec, error) {
 				}
 				s.Daemons = append(s.Daemons, name)
 			}
-		case "adversary":
-			as, err := parseAdversary(args)
+		case "adversary", "churn":
+			dst, known, nameNoun, sizeNoun := &s.Adversaries, fault.Names(), "adversary", "fault"
+			if directive == "churn" {
+				dst, known, nameNoun, sizeNoun = &s.Churns, fault.ChurnNames(), "churn shape", "churn"
+			}
+			ax, err := parseAxis(directive, args, known, nameNoun, sizeNoun)
 			if err != nil {
 				return nil, fail("%v", err)
 			}
-			if len(s.Adversaries) >= maxAxisEntries {
-				return nil, fail("more than %d adversary lines", maxAxisEntries)
+			if len(*dst) >= maxAxisEntries {
+				return nil, fail("more than %d %s lines", maxAxisEntries, directive)
 			}
-			s.Adversaries = append(s.Adversaries, as)
-		case "churn":
-			ch, err := parseChurnAxis(args)
-			if err != nil {
-				return nil, fail("%v", err)
-			}
-			if len(s.Churns) >= maxAxisEntries {
-				return nil, fail("more than %d churn lines", maxAxisEntries)
-			}
-			s.Churns = append(s.Churns, ch)
+			*dst = append(*dst, ax)
 		case "metrics":
 			if len(args) == 0 {
 				return nil, fail("want at least one metric name")
@@ -434,113 +429,60 @@ func parseSizes(tok string) (lo, hi, step int, err error) {
 	return n, n, 0, nil
 }
 
-func parseAdversary(args []string) (AdversarySpec, error) {
-	var as AdversarySpec
+// parseAxis parses the body of an `adversary` or `churn` line,
+// NAME k=K1,K2,... [inject=SCHEDULE] with NAME one of known. nameNoun
+// and sizeNoun are what its errors call NAME and each K ("adversary"
+// and "fault" on an adversary line, "churn shape" and "churn" on a
+// churn line).
+func parseAxis(directive string, args, known []string, nameNoun, sizeNoun string) (AxisSpec, error) {
+	var ax AxisSpec
 	if len(args) < 2 {
-		return as, fmt.Errorf("want `adversary NAME k=K1,K2,... [inject=SCHEDULE]`")
+		return ax, fmt.Errorf("want `%s NAME k=K1,K2,... [inject=SCHEDULE]`", directive)
 	}
-	as.Name = args[0]
-	if !slices.Contains(fault.Names(), as.Name) {
-		return as, fmt.Errorf("unknown adversary %q (known: %v)", as.Name, fault.Names())
+	ax.Name = args[0]
+	if !slices.Contains(known, ax.Name) {
+		return ax, fmt.Errorf("unknown %s %q (known: %v)", nameNoun, ax.Name, known)
 	}
-	as.Schedule = fault.AtStart()
+	ax.Schedule = fault.AtStart()
 	sawK, sawInject := false, false
 	for _, opt := range args[1:] {
 		switch {
 		case strings.HasPrefix(opt, "k="):
 			if sawK {
-				return as, fmt.Errorf("duplicate k= option")
+				return ax, fmt.Errorf("duplicate k= option")
 			}
 			sawK = true
 			for _, tok := range strings.Split(opt[2:], ",") {
 				k, err := strconv.Atoi(tok)
 				if err != nil || k < 1 || k > maxFaultK {
-					return as, fmt.Errorf("bad fault size %q", tok)
+					return ax, fmt.Errorf("bad %s size %q", sizeNoun, tok)
 				}
-				for _, prev := range as.Ks {
-					if prev == k {
-						return as, fmt.Errorf("duplicate fault size %d", k)
-					}
+				if slices.Contains(ax.Ks, k) {
+					return ax, fmt.Errorf("duplicate %s size %d", sizeNoun, k)
 				}
-				if len(as.Ks) >= maxAxisEntries {
-					return as, fmt.Errorf("more than %d fault sizes", maxAxisEntries)
+				if len(ax.Ks) >= maxAxisEntries {
+					return ax, fmt.Errorf("more than %d %s sizes", maxAxisEntries, sizeNoun)
 				}
-				as.Ks = append(as.Ks, k)
+				ax.Ks = append(ax.Ks, k)
 			}
 		case strings.HasPrefix(opt, "inject="):
 			if sawInject {
-				return as, fmt.Errorf("duplicate inject= option")
+				return ax, fmt.Errorf("duplicate inject= option")
 			}
 			sawInject = true
 			sc, err := fault.ParseSchedule(opt[len("inject="):])
 			if err != nil {
-				return as, err
+				return ax, err
 			}
-			as.Schedule = sc
+			ax.Schedule = sc
 		default:
-			return as, fmt.Errorf("unknown adversary option %q (want k=... or inject=...)", opt)
+			return ax, fmt.Errorf("unknown %s option %q (want k=... or inject=...)", directive, opt)
 		}
 	}
-	if !sawK || len(as.Ks) == 0 {
-		return as, fmt.Errorf("missing k= fault sizes")
+	if !sawK || len(ax.Ks) == 0 {
+		return ax, fmt.Errorf("missing k= %s sizes", sizeNoun)
 	}
-	return as, nil
-}
-
-// parseChurnAxis parses a `churn` line body: the same NAME k=...
-// inject=... shape as an adversary line, validated against the churn
-// adversary registry.
-func parseChurnAxis(args []string) (ChurnSpec, error) {
-	var cs ChurnSpec
-	if len(args) < 2 {
-		return cs, fmt.Errorf("want `churn NAME k=K1,K2,... [inject=SCHEDULE]`")
-	}
-	cs.Name = args[0]
-	if !slices.Contains(fault.ChurnNames(), cs.Name) {
-		return cs, fmt.Errorf("unknown churn shape %q (known: %v)", cs.Name, fault.ChurnNames())
-	}
-	cs.Schedule = fault.AtStart()
-	sawK, sawInject := false, false
-	for _, opt := range args[1:] {
-		switch {
-		case strings.HasPrefix(opt, "k="):
-			if sawK {
-				return cs, fmt.Errorf("duplicate k= option")
-			}
-			sawK = true
-			for _, tok := range strings.Split(opt[2:], ",") {
-				k, err := strconv.Atoi(tok)
-				if err != nil || k < 1 || k > maxFaultK {
-					return cs, fmt.Errorf("bad churn size %q", tok)
-				}
-				for _, prev := range cs.Ks {
-					if prev == k {
-						return cs, fmt.Errorf("duplicate churn size %d", k)
-					}
-				}
-				if len(cs.Ks) >= maxAxisEntries {
-					return cs, fmt.Errorf("more than %d churn sizes", maxAxisEntries)
-				}
-				cs.Ks = append(cs.Ks, k)
-			}
-		case strings.HasPrefix(opt, "inject="):
-			if sawInject {
-				return cs, fmt.Errorf("duplicate inject= option")
-			}
-			sawInject = true
-			sc, err := fault.ParseSchedule(opt[len("inject="):])
-			if err != nil {
-				return cs, err
-			}
-			cs.Schedule = sc
-		default:
-			return cs, fmt.Errorf("unknown churn option %q (want k=... or inject=...)", opt)
-		}
-	}
-	if !sawK || len(cs.Ks) == 0 {
-		return cs, fmt.Errorf("missing k= churn sizes")
-	}
-	return cs, nil
+	return ax, nil
 }
 
 // parseStop parses a `stop` rule: ci:WIDTH or ci:WIDTH:MIN..MAX. WIDTH

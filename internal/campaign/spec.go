@@ -87,49 +87,31 @@ func (g GraphSpec) lineFor(n int) string {
 	return one.line()
 }
 
-// AdversarySpec is one `adversary` axis line: a fault.ByName adversary
-// swept over fault sizes under one injection schedule.
-type AdversarySpec struct {
-	// Name is a fault.Names adversary (uniform, comm, crash, cluster).
+// AxisSpec is one `adversary` or `churn` axis line: a named disturbance
+// swept over sizes under one schedule.
+type AxisSpec struct {
+	// Name is a fault.Names adversary (uniform, comm, crash, cluster) on
+	// an adversary line, a fault.ChurnNames shape (rewire, cut,
+	// crashjoin) on a churn line.
 	Name string
-	// Ks are the fault sizes (processes corrupted per injection).
+	// Ks are the sizes: processes corrupted per injection, or edges
+	// rewired / ball radius / processes crashed per churn firing.
 	Ks []int
-	// Schedule decides when the adversary strikes. An at-start schedule
-	// injects into a legitimate silent snapshot of the cell's protocol
-	// (the E15/E16 regime); every other schedule starts from a random
-	// adversarial configuration and strikes mid-run.
+	// Schedule decides when the disturbance strikes. An at-start
+	// adversary injects into a legitimate silent snapshot of the cell's
+	// protocol (the E15/E16 regime); at-start churn mutates the topology
+	// right after the (random) initial configuration is installed. Every
+	// other schedule starts from a random adversarial configuration and
+	// strikes mid-run.
 	Schedule fault.Schedule
 }
 
-func (a AdversarySpec) line() string {
+func (a AxisSpec) line() string {
 	ks := make([]string, len(a.Ks))
 	for i, k := range a.Ks {
 		ks[i] = strconv.Itoa(k)
 	}
 	return fmt.Sprintf("%s k=%s inject=%s", a.Name, strings.Join(ks, ","), a.Schedule)
-}
-
-// ChurnSpec is one `churn` axis line: a fault.ChurnByName topology
-// adversary swept over churn sizes under one firing schedule.
-type ChurnSpec struct {
-	// Name is a fault.ChurnNames shape (rewire, cut, crashjoin).
-	Name string
-	// Ks are the churn sizes (edges rewired / ball radius / processes
-	// crashed per firing).
-	Ks []int
-	// Schedule decides when the topology changes. Unlike the adversary
-	// axis, at-start churn does not inject into a silent snapshot: the
-	// topology mutates right after the (random) initial configuration is
-	// installed, and the run recovers from there.
-	Schedule fault.Schedule
-}
-
-func (c ChurnSpec) line() string {
-	ks := make([]string, len(c.Ks))
-	for i, k := range c.Ks {
-		ks[i] = strconv.Itoa(k)
-	}
-	return fmt.Sprintf("%s k=%s inject=%s", c.Name, strings.Join(ks, ","), c.Schedule)
 }
 
 // Spec is a parsed campaign: the full declarative description of a
@@ -173,8 +155,8 @@ type Spec struct {
 	Graphs      []GraphSpec
 	Protocols   []string
 	Daemons     []string
-	Adversaries []AdversarySpec
-	Churns      []ChurnSpec
+	Adversaries []AxisSpec
+	Churns      []AxisSpec
 	// Metrics selects the per-trial outputs, in emission order.
 	Metrics []string
 }

@@ -1,7 +1,8 @@
 // Package concurrent is a goroutine-per-process runtime for the paper's
 // protocols: the "realistic implementation" setting the paper motivates.
 // Each process is a goroutine over shared per-process registers; the Go
-// scheduler plays the role of the distributed fair daemon.
+// scheduler plays the role of the distributed fair daemon. Experiment
+// E12, the facade's RunConcurrent and examples/pairing run on it.
 //
 // Three synchronization regimes are offered:
 //

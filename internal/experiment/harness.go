@@ -1,22 +1,24 @@
 // Package experiment regenerates every quantitative artifact of the
-// paper: each theorem, lemma, proof construction and example figure is
-// an experiment (E1-E15; `ssbench -list` prints the index, and each
-// Result names the paper artifact and the claim it checks) producing a
-// table together with a pass flag stating whether the measured data is
-// consistent with the paper's claim. E16-E18 extend the registry along
-// the adversary axis (internal/fault): fault shape, fault timing and
-// fault locality of the recovery the paper promises. E19-E21 extend it
-// along the topology axis (the `churn` campaign directive): edge
-// rewiring, partition-shaped cuts and crash/join churn on mutable
-// graphs, alone and composed with state faults.
+// paper as the registry E1-E22 (`ssbench -list` prints the index, and
+// each Result names the paper artifact and the claim it checks): each
+// experiment produces a table together with a pass flag stating whether
+// the measured data is consistent with the paper's claim. E1-E15 cover
+// the paper's theorems, lemmas, proof constructions and example
+// figures. E16-E18 extend the registry along the adversary axis
+// (internal/fault): fault shape, fault timing and fault locality of the
+// recovery the paper promises. E19-E21 extend it along the topology axis
+// (the `churn` campaign directive): edge rewiring, partition-shaped cuts
+// and crash/join churn on mutable graphs, alone and composed with state
+// faults. E22 runs one trial at growing n up to a million processes.
 //
 // Trials run on a parallel sharded worker pool (internal/engine). The engine
 // is deterministic: per-trial seeds are derived from (Config.Seed, cell
 // key, trial index) alone, never from scheduling order, so for a fixed
 // Seed every pool-driven experiment table is byte-identical across
 // Parallelism values — Parallelism: 1 reproduces fully sequential
-// execution. The one exception is E12, whose goroutine-per-process
-// runtime is wall-clock-dependent by design and varies run to run.
+// execution. The two exceptions are wall-clock by design and are kept
+// off the golden tables: E12, whose goroutine-per-process runtime varies
+// run to run, and E22, whose table reports seconds and heap bytes.
 package experiment
 
 import (

@@ -60,9 +60,6 @@ func NewUniform(k int) *Uniform {
 	return a
 }
 
-// K returns the per-injection fault size.
-func (a *Uniform) K() int { return a.k }
-
 // Name implements Adversary.
 func (*Uniform) Name() string { return "uniform" }
 
@@ -95,9 +92,6 @@ func NewCommOnly(k int) *CommOnly {
 	a.pk.init()
 	return a
 }
-
-// K returns the per-injection fault size.
-func (a *CommOnly) K() int { return a.k }
 
 // Name implements Adversary.
 func (*CommOnly) Name() string { return "comm" }
@@ -133,9 +127,6 @@ func NewCrashReset(k int) *CrashReset {
 	return a
 }
 
-// K returns the per-injection fault size.
-func (a *CrashReset) K() int { return a.k }
-
 // Name implements Adversary.
 func (*CrashReset) Name() string { return "crash" }
 
@@ -169,20 +160,16 @@ type Cluster struct {
 	dist  []int
 	queue []int
 
-	lastEpicenter  int
 	lastBallRadius int
 }
 
 // NewCluster returns a Cluster adversary corrupting a BFS ball of k
 // processes per injection (at least 1).
 func NewCluster(k int) *Cluster {
-	a := &Cluster{k: max(1, k), lastEpicenter: -1, lastBallRadius: -1}
+	a := &Cluster{k: max(1, k), lastBallRadius: -1}
 	a.pk.init()
 	return a
 }
-
-// K returns the per-injection fault size.
-func (a *Cluster) K() int { return a.k }
 
 // Name implements Adversary.
 func (*Cluster) Name() string { return "cluster" }
@@ -190,12 +177,8 @@ func (*Cluster) Name() string { return "cluster" }
 // Reset implements Adversary.
 func (a *Cluster) Reset(seed uint64) {
 	a.pk.reset(seed)
-	a.lastEpicenter, a.lastBallRadius = -1, -1
+	a.lastBallRadius = -1
 }
-
-// LastEpicenter returns the epicenter of the most recent injection (-1
-// before the first).
-func (a *Cluster) LastEpicenter() int { return a.lastEpicenter }
 
 // LastBallRadius returns the graph radius of the most recent injection's
 // fault ball: the distance from the epicenter to the farthest corrupted
@@ -217,7 +200,6 @@ func (a *Cluster) Inject(sys *model.System, cfg *model.Config, dst []int) []int 
 	}
 	g := sys.Graph()
 	epi := a.pk.r.Intn(n)
-	a.lastEpicenter = epi
 	a.lastBallRadius = 0
 	a.dist[epi] = 0
 	a.queue = append(a.queue[:0], epi)

@@ -17,8 +17,6 @@ package fault
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"repro/internal/model"
 )
@@ -58,9 +56,6 @@ func NewRewire(k int) *Rewire {
 	a.pk.init()
 	return a
 }
-
-// K returns the per-firing edge count.
-func (a *Rewire) K() int { return a.k }
 
 // Name implements ChurnAdversary.
 func (*Rewire) Name() string { return "rewire" }
@@ -123,9 +118,6 @@ func NewCut(k int) *Cut {
 	a.pk.init()
 	return a
 }
-
-// K returns the ball size.
-func (a *Cut) K() int { return a.k }
 
 // Name implements ChurnAdversary.
 func (*Cut) Name() string { return "cut" }
@@ -207,9 +199,6 @@ func NewCrashJoin(k int) *CrashJoin {
 	return a
 }
 
-// K returns the per-firing crash count.
-func (a *CrashJoin) K() int { return a.k }
-
 // Name implements ChurnAdversary.
 func (*CrashJoin) Name() string { return "crashjoin" }
 
@@ -235,56 +224,6 @@ func (a *CrashJoin) Churn(sim *model.Simulator, dst []int) []int {
 		dst = sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoCrash, U: p}, dst)
 	}
 	return dst
-}
-
-// maxChurnK bounds the parsed churn size (a defensive cap shared with
-// the campaign axis limits).
-const maxChurnK = 4096
-
-// ChurnSpec is the parsed "NAME[:K]" churn specification of the CLI and
-// campaign grammars.
-type ChurnSpec struct {
-	// Name is one of ChurnNames.
-	Name string
-	// K is the per-firing size (edges for rewire, ball size for cut,
-	// processes for crashjoin), at least 1.
-	K int
-}
-
-// String renders the canonical form "name:k"; parse → String → parse is
-// the identity.
-func (c ChurnSpec) String() string { return c.Name + ":" + strconv.Itoa(c.K) }
-
-// New constructs the adversary the spec describes.
-func (c ChurnSpec) New() (ChurnAdversary, error) { return ChurnByName(c.Name, c.K) }
-
-// ParseChurn parses the churn-spec syntax:
-//
-//	NAME[:K]    e.g. rewire:2, cut:4, crashjoin (K defaults to 1)
-func ParseChurn(s string) (ChurnSpec, error) {
-	parts := strings.Split(s, ":")
-	known := false
-	for _, name := range ChurnNames() {
-		if parts[0] == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return ChurnSpec{}, fmt.Errorf("fault: unknown churn shape %q in %q (want NAME[:K] with NAME one of %v)", parts[0], s, ChurnNames())
-	}
-	if len(parts) > 2 {
-		return ChurnSpec{}, fmt.Errorf("fault: bad churn spec %q (want NAME[:K], e.g. %s:2)", s, parts[0])
-	}
-	k := 1
-	if len(parts) == 2 {
-		v, err := strconv.Atoi(parts[1])
-		if err != nil || v < 1 || v > maxChurnK {
-			return ChurnSpec{}, fmt.Errorf("fault: bad churn size %q in %q (want an integer in [1,%d])", parts[1], s, maxChurnK)
-		}
-		k = v
-	}
-	return ChurnSpec{Name: parts[0], K: k}, nil
 }
 
 // ChurnByName constructs a churn adversary from its CLI/table name with

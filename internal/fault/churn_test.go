@@ -249,46 +249,6 @@ func TestChurnResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestParseChurnRoundTrip: String() output parses back to the same
-// spec, defaults apply, and malformed specs are rejected.
-func TestParseChurnRoundTrip(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct {
-		in   string
-		want fault.ChurnSpec
-	}{
-		{"rewire", fault.ChurnSpec{Name: "rewire", K: 1}},
-		{"rewire:2", fault.ChurnSpec{Name: "rewire", K: 2}},
-		{"cut:4", fault.ChurnSpec{Name: "cut", K: 4}},
-		{"crashjoin", fault.ChurnSpec{Name: "crashjoin", K: 1}},
-		{"crashjoin:4096", fault.ChurnSpec{Name: "crashjoin", K: 4096}},
-	} {
-		got, err := fault.ParseChurn(tc.in)
-		if err != nil {
-			t.Fatalf("ParseChurn(%q): %v", tc.in, err)
-		}
-		if got != tc.want {
-			t.Fatalf("ParseChurn(%q) = %+v, want %+v", tc.in, got, tc.want)
-		}
-		again, err := fault.ParseChurn(got.String())
-		if err != nil || again != got {
-			t.Fatalf("round trip of %q via %q: %+v, %v", tc.in, got.String(), again, err)
-		}
-		adv, err := got.New()
-		if err != nil {
-			t.Fatalf("%q.New(): %v", got, err)
-		}
-		if adv.Name() != got.Name {
-			t.Fatalf("%q.New().Name() = %q", got, adv.Name())
-		}
-	}
-	for _, bad := range []string{"", "meteor", "rewire:0", "rewire:x", "rewire:1:2", "cut:4097", "cut:-1"} {
-		if _, err := fault.ParseChurn(bad); err == nil {
-			t.Fatalf("ParseChurn(%q) accepted", bad)
-		}
-	}
-}
-
 // TestParseErrorsEnumerateShapes: rejected specs name every valid
 // alternative, so a typo in a campaign file or CLI flag is
 // self-correcting from the message alone.
@@ -309,42 +269,6 @@ func TestParseErrorsEnumerateShapes(t *testing.T) {
 	check(err, "at-start", "at-step:T", "every:T[:N]", "on-silence[:N]")
 	_, err = fault.ParseSchedule("every:x")
 	check(err, "want a positive integer", "at-step:T")
-	_, err = fault.ParseChurn("meteor")
-	check(err, "rewire", "cut", "crashjoin", "NAME[:K]")
-	_, err = fault.ParseChurn("cut:0")
-	check(err, "[1,4096]")
 	_, err = fault.ChurnByName("meteor", 1)
 	check(err, "rewire", "cut", "crashjoin")
-}
-
-// FuzzParseChurn: parse → String → parse is the identity on every
-// accepted input, and every accepted spec constructs its adversary.
-func FuzzParseChurn(f *testing.F) {
-	for _, s := range []string{"rewire", "rewire:2", "cut:4", "crashjoin:1", "cut", "crashjoin:4096", "rewire:0", "cut:"} {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, s string) {
-		spec, err := fault.ParseChurn(s)
-		if err != nil {
-			return
-		}
-		canon := spec.String()
-		again, err := fault.ParseChurn(canon)
-		if err != nil {
-			t.Fatalf("canonical form %q of %q rejected: %v", canon, s, err)
-		}
-		if again != spec {
-			t.Fatalf("ParseChurn(%q) = %+v, but ParseChurn(%q) = %+v", s, spec, canon, again)
-		}
-		if again.String() != canon {
-			t.Fatalf("String not a fixed point: %q -> %q", canon, again.String())
-		}
-		adv, err := spec.New()
-		if err != nil {
-			t.Fatalf("accepted spec %q does not construct: %v", canon, err)
-		}
-		if adv.Name() != spec.Name {
-			t.Fatalf("New().Name() = %q, spec name %q", adv.Name(), spec.Name)
-		}
-	})
 }

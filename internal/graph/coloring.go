@@ -36,39 +36,6 @@ func GreedyLocalColoring(g *Graph) []int {
 	return colors
 }
 
-// GreedyDistance2Coloring returns a coloring in which every process's
-// color is unique within distance 2 (all colors in any closed
-// neighborhood are pairwise distinct), using at most Δ²+1 colors.
-func GreedyDistance2Coloring(g *Graph) []int {
-	colors := make([]int, g.N())
-	maxPalette := g.MaxDegree()*g.MaxDegree() + 2
-	used := make([]bool, maxPalette+1)
-	for p := 0; p < g.N(); p++ {
-		for i := range used {
-			used[i] = false
-		}
-		mark := func(q int) {
-			if colors[q] > 0 {
-				used[colors[q]] = true
-			}
-		}
-		for _, q := range g.Row(p) {
-			mark(int(q))
-			for _, r := range g.Row(int(q)) {
-				if int(r) != p {
-					mark(int(r))
-				}
-			}
-		}
-		c := 1
-		for used[c] {
-			c++
-		}
-		colors[p] = c
-	}
-	return colors
-}
-
 // RandomizedLocalColoring returns a proper distance-1 coloring computed
 // in a random process order, yielding varied color assignments across
 // seeds while keeping the palette within Δ+1.
@@ -112,24 +79,6 @@ func IsProperColoring(g *Graph, colors []int) bool {
 	return true
 }
 
-// IsDistance2Coloring reports whether all colors within every closed
-// neighborhood are pairwise distinct.
-func IsDistance2Coloring(g *Graph, colors []int) bool {
-	if !IsProperColoring(g, colors) {
-		return false
-	}
-	for p := 0; p < g.N(); p++ {
-		seen := map[int]bool{colors[p]: true}
-		for _, q := range g.Row(p) {
-			if seen[colors[q]] {
-				return false
-			}
-			seen[colors[q]] = true
-		}
-	}
-	return true
-}
-
 // ColorCount returns #C, the number of distinct colors in use (Notation 1
 // of the paper).
 func ColorCount(colors []int) int {
@@ -138,35 +87,6 @@ func ColorCount(colors []int) int {
 		set[c] = true
 	}
 	return len(set)
-}
-
-// ColorRank returns R(c) for every process: the number of distinct colors
-// strictly smaller than the process's color (Notation 1; drives the
-// convergence induction of Lemma 4).
-func ColorRank(colors []int) []int {
-	set := make(map[int]bool, len(colors))
-	for _, c := range colors {
-		set[c] = true
-	}
-	distinct := make([]int, 0, len(set))
-	for c := range set {
-		distinct = append(distinct, c)
-	}
-	// insertion sort; #C is small.
-	for i := 1; i < len(distinct); i++ {
-		for j := i; j > 0 && distinct[j-1] > distinct[j]; j-- {
-			distinct[j-1], distinct[j] = distinct[j], distinct[j-1]
-		}
-	}
-	rank := make(map[int]int, len(distinct))
-	for i, c := range distinct {
-		rank[c] = i
-	}
-	out := make([]int, len(colors))
-	for p, c := range colors {
-		out[p] = rank[c]
-	}
-	return out
 }
 
 // ValidateLocalIdentifiers returns an error unless colors is a proper

@@ -39,15 +39,6 @@ func TestGreedyLocalColoringProper(t *testing.T) {
 	}
 }
 
-func TestGreedyDistance2Coloring(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		colors := GreedyDistance2Coloring(g)
-		if !IsDistance2Coloring(g, colors) {
-			t.Fatalf("%s: distance-2 coloring invalid", g)
-		}
-	}
-}
-
 func TestRandomizedLocalColoringProper(t *testing.T) {
 	r := rng.New(5)
 	for _, g := range testGraphs(t) {
@@ -88,27 +79,10 @@ func TestIsProperColoringRejects(t *testing.T) {
 	}
 }
 
-func TestIsDistance2ColoringRejects(t *testing.T) {
-	g := Path(3) // 0-1-2: distance-2 coloring must give 0 and 2 distinct colors
-	if IsDistance2Coloring(g, []int{1, 2, 1}) {
-		t.Fatal("distance-2 violation accepted")
-	}
-	if !IsDistance2Coloring(g, []int{1, 2, 3}) {
-		t.Fatal("valid distance-2 coloring rejected")
-	}
-}
-
-func TestColorCountAndRank(t *testing.T) {
+func TestColorCount(t *testing.T) {
 	colors := []int{5, 2, 2, 9, 5}
 	if ColorCount(colors) != 3 {
 		t.Fatalf("ColorCount=%d want 3", ColorCount(colors)) //nolint
-	}
-	rank := ColorRank(colors)
-	want := []int{1, 0, 0, 2, 1}
-	for i := range want {
-		if rank[i] != want[i] {
-			t.Fatalf("ColorRank=%v want %v", rank, want)
-		}
 	}
 }
 

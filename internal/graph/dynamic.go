@@ -62,10 +62,6 @@ func (g *Graph) Alive(p int) bool {
 	return g.dyn.alive[p]
 }
 
-// BaseDegree returns p's degree in the base graph (its maximum possible
-// live degree). On a static graph it equals Degree.
-func (g *Graph) BaseDegree(p int) int { return int(g.off[p+1] - g.off[p]) }
-
 // liveIndex returns the 0-based live-row position of q at p, or -1.
 func (g *Graph) liveIndex(p, q int) int {
 	return slices.Index(g.Row(p), int32(q))

@@ -119,21 +119,6 @@ func starDesc(n int) Desc {
 	})
 }
 
-// CompleteBipartite returns K_{a,b}; processes 0..a-1 form one side.
-func CompleteBipartite(a, b int) *Graph { return bipartiteDesc(a, b).on(nil) }
-
-func bipartiteDesc(a, b int) Desc {
-	return fixed(fmt.Sprintf("bipartite-%d-%d", a, b), a+b, func(name string) *Graph {
-		bl := NewBuilder(a+b, name)
-		for i := 0; i < a; i++ {
-			for j := 0; j < b; j++ {
-				bl.MustAddEdge(i, a+j)
-			}
-		}
-		return bl.Build()
-	})
-}
-
 // Grid returns the w x h grid graph; process (x, y) has id y*w + x.
 func Grid(w, h int) *Graph { return gridDesc(w, h).on(nil) }
 
@@ -238,10 +223,8 @@ func caterpillarDesc(spine, legs int) Desc {
 	})
 }
 
-// RandomTree returns a uniform random labelled tree on n processes using
-// a random Prüfer sequence.
-func RandomTree(n int, r *rng.Rand) *Graph { return randomTreeDesc(n).on(r) }
-
+// randomTreeDesc describes a uniform random labelled tree on n processes
+// drawn from a random Prüfer sequence (the `tree` family).
 func randomTreeDesc(n int) Desc {
 	return random(fmt.Sprintf("rtree-%d", n), n, func(name string, r *rng.Rand) *Graph {
 		return randomTree(name, n, r)

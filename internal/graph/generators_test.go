@@ -45,16 +45,6 @@ func TestStarShape(t *testing.T) {
 	}
 }
 
-func TestCompleteBipartiteShape(t *testing.T) {
-	g := CompleteBipartite(3, 4)
-	if g.N() != 7 || g.M() != 12 {
-		t.Fatal("K(3,4) malformed")
-	}
-	if !g.IsBipartite() {
-		t.Fatal("K(3,4) not detected bipartite")
-	}
-}
-
 func TestGridTorusShape(t *testing.T) {
 	g := Grid(4, 3)
 	if g.N() != 12 || g.M() != 3*3+4*2 { // horizontal: 3 per row * 3 rows; vertical: 4 per col-gap * 2
@@ -104,11 +94,10 @@ func TestCaterpillar(t *testing.T) {
 }
 
 func TestRandomTreeIsTree(t *testing.T) {
-	r := rng.New(8)
-	check := func(raw uint8) bool {
+	check := func(raw uint8, seed uint64) bool {
 		n := int(raw%40) + 2
-		g := RandomTree(n, r)
-		return g.IsTree()
+		g, err := Named("tree", n, seed)
+		return err == nil && g.IsTree()
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

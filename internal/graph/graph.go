@@ -16,8 +16,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-
-	"repro/internal/rng"
 )
 
 // Graph is an undirected graph over processes 0..n-1 with a fixed port
@@ -125,40 +123,6 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
-// withRows returns a static graph of g's name, row offsets and edge
-// count over the neighbor arena nbr — g's arcs with rows reordered or
-// processes renamed — deriving the back ports in O(n + m): the 2m arcs
-// (p, i) -> q are counting-sorted by target (as many arcs enter q as
-// leave it, so off is the bucket table too), then for each q one index
-// array reused across processes gives every neighbor's position in q's
-// row, which is the back port of the arcs entering q. nbr must be
-// symmetric and simple.
-func (g *Graph) withRows(off, nbr []int32) *Graph {
-	n := len(off) - 1
-	h := &Graph{name: g.name, off: off, end: off[1:], nbr: nbr, back: make([]int32, len(nbr)), m: g.m}
-	// The c-th arc by target leaves src[c] from arena position at[c].
-	src, at := make([]int32, len(nbr)), make([]int32, len(nbr))
-	next := make([]int32, n)
-	copy(next, off)
-	for p := 0; p < n; p++ {
-		for c := off[p]; c < off[p+1]; c++ {
-			q := nbr[c]
-			src[next[q]], at[next[q]] = int32(p), c
-			next[q]++
-		}
-	}
-	index := next // every entry is rewritten before it is read
-	for q := 0; q < n; q++ {
-		for j, p := range h.Row(q) {
-			index[p] = int32(j)
-		}
-		for c := off[q]; c < off[q+1]; c++ {
-			h.back[at[c]] = index[src[c]]
-		}
-	}
-	return h
-}
-
 // N returns the number of processes.
 func (g *Graph) N() int { return len(g.end) }
 
@@ -249,19 +213,6 @@ func (g *Graph) Edges() [][2]int {
 	return out
 }
 
-// ShufflePorts returns a copy of g whose per-process port numbering has
-// been permuted uniformly at random. The underlying edge set is
-// unchanged. Port shuffling models the adversarial local labelling of
-// anonymous networks.
-func (g *Graph) ShufflePorts(r *rng.Rand) *Graph {
-	off, nbr := g.liveRows()
-	for p := range g.end {
-		cp := nbr[off[p]:off[p+1]]
-		r.Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
-	}
-	return g.withRows(off, nbr)
-}
-
 // liveRows returns a fresh copy of g's live rows packed end to end and
 // their offsets (on a static graph, copies of nbr and off as they are).
 func (g *Graph) liveRows() (off, nbr []int32) {
@@ -274,36 +225,6 @@ func (g *Graph) liveRows() (off, nbr []int32) {
 		copy(nbr[off[p]:], g.Row(p))
 	}
 	return off, nbr
-}
-
-// Relabel returns a copy of g in which process p becomes perm[p]. perm
-// must be a permutation of 0..n-1. Port order is preserved.
-func (g *Graph) Relabel(perm []int) (*Graph, error) {
-	if len(perm) != g.N() {
-		return nil, fmt.Errorf("graph: permutation length %d != n %d", len(perm), g.N())
-	}
-	seen := make([]bool, g.N())
-	for _, v := range perm {
-		if v < 0 || v >= g.N() || seen[v] {
-			return nil, fmt.Errorf("graph: invalid permutation %v", perm)
-		}
-		seen[v] = true
-	}
-	off := make([]int32, g.N()+1)
-	for p := range g.end {
-		off[perm[p]+1] = int32(g.Degree(p))
-	}
-	for p := range g.end {
-		off[p+1] += off[p]
-	}
-	nbr := make([]int32, off[g.N()])
-	for p := range g.end {
-		row := nbr[off[perm[p]]:]
-		for i, q := range g.Row(p) {
-			row[i] = int32(perm[q])
-		}
-	}
-	return g.withRows(off, nbr), nil
 }
 
 // Equal reports whether g and h have identical vertex sets, edge sets and

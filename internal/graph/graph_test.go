@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"testing"
-
-	"repro/internal/rng"
-)
+import "testing"
 
 func TestBuilderRejectsBadEdges(t *testing.T) {
 	b := NewBuilder(3, "t")
@@ -71,60 +67,6 @@ func TestEdgesSortedAndComplete(t *testing.T) {
 		if !g.HasEdge(e[0], e[1]) || !g.HasEdge(e[1], e[0]) {
 			t.Fatalf("edge %v not symmetric", e)
 		}
-	}
-}
-
-func TestShufflePortsPreservesEdgeSet(t *testing.T) {
-	r := rng.New(4)
-	g := Grid(4, 4)
-	h := g.ShufflePorts(r)
-	if h.N() != g.N() || h.M() != g.M() {
-		t.Fatal("shuffle changed size")
-	}
-	for p := 0; p < g.N(); p++ {
-		want := map[int]bool{}
-		for _, q := range g.Neighbors(p) {
-			want[q] = true
-		}
-		for _, q := range h.Neighbors(p) {
-			if !want[q] {
-				t.Fatalf("shuffle invented edge %d-%d", p, q)
-			}
-		}
-		if len(h.Neighbors(p)) != len(want) {
-			t.Fatalf("shuffle lost edges at %d", p)
-		}
-	}
-	// BackPort invariant must survive shuffling.
-	for p := 0; p < h.N(); p++ {
-		for port := 1; port <= h.Degree(p); port++ {
-			q := h.Neighbor(p, port)
-			if h.Neighbor(q, h.BackPort(p, port)) != p {
-				t.Fatalf("BackPort invariant broken after shuffle at p=%d", p)
-			}
-		}
-	}
-}
-
-func TestRelabel(t *testing.T) {
-	g := Path(4)
-	perm := []int{3, 2, 1, 0}
-	h, err := g.Relabel(perm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Path 0-1-2-3 reversed is still a path with same degree sequence.
-	if h.Degree(0) != 1 || h.Degree(3) != 1 || h.Degree(1) != 2 {
-		t.Fatalf("relabel broke degrees: %v %v %v", h.Degree(0), h.Degree(1), h.Degree(3))
-	}
-	if !h.HasEdge(3, 2) || !h.HasEdge(2, 1) || !h.HasEdge(1, 0) {
-		t.Fatal("relabel broke adjacency")
-	}
-	if _, err := g.Relabel([]int{0, 0, 1, 2}); err == nil {
-		t.Fatal("invalid permutation accepted")
-	}
-	if _, err := g.Relabel([]int{0, 1}); err == nil {
-		t.Fatal("short permutation accepted")
 	}
 }
 

@@ -62,9 +62,6 @@ func OrientByColor(g *Graph, colors []int) (*Orientation, error) {
 	return NewOrientation(g, succ)
 }
 
-// Graph returns the underlying undirected graph.
-func (o *Orientation) Graph() *Graph { return o.g }
-
 // Succ returns a copy of the successor set of p.
 func (o *Orientation) Succ(p int) []int {
 	return append([]int(nil), o.succ[p]...)

@@ -89,9 +89,6 @@ func TestSuccPredSourceSink(t *testing.T) {
 	if len(o.Succ(1)) != 1 || o.Succ(1)[0] != 2 {
 		t.Fatalf("Succ(1)=%v", o.Succ(1))
 	}
-	if o.Graph() != g {
-		t.Fatal("Graph() accessor broken")
-	}
 }
 
 func TestCyclicOrientationDetected(t *testing.T) {

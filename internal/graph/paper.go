@@ -107,46 +107,6 @@ func theoremTwoDesc() Desc {
 	})
 }
 
-// TheoremTwoGeneralized returns the Δ >= 2 generalization of the Theorem 2
-// network (Figure 6): Δ-2 pendant nodes are attached to each of the six
-// core processes, with pendant edges oriented so that p1 and p4 remain
-// sources and p5 and p6 remain sinks.
-func TheoremTwoGeneralized(delta int) *RootedDag {
-	if delta < 2 {
-		panic("graph: TheoremTwoGeneralized requires Δ >= 2")
-	}
-	base := TheoremTwoNetwork()
-	n := 6 + 6*(delta-2)
-	b := NewBuilder(n, fmt.Sprintf("thm2-net-%d", delta))
-	for _, e := range base.Graph.Edges() {
-		b.MustAddEdge(e[0], e[1])
-	}
-	succ := make([][]int, n)
-	for p := 0; p < 6; p++ {
-		succ[p] = base.Orientation.Succ(p)
-	}
-	next := 6
-	for core := 0; core < 6; core++ {
-		for k := 0; k < delta-2; k++ {
-			b.MustAddEdge(core, next)
-			switch core {
-			case 0, 3: // p1, p4 stay sources: pendant edges point away.
-				succ[core] = append(succ[core], next)
-			default: // everyone else: pendants point into the core node,
-				// keeping p5 and p6 sinks.
-				succ[next] = append(succ[next], core)
-			}
-			next++
-		}
-	}
-	g := b.Build()
-	o, err := NewOrientation(g, succ)
-	if err != nil {
-		panic(err)
-	}
-	return &RootedDag{Graph: g, Orientation: o, Root: 0}
-}
-
 // FigureNinePath returns the path network of Figure 9: the example
 // matching the ♦-(⌊(Lmax+1)/2⌋, 1)-stability lower bound of Theorem 6.
 // On a path of n processes, Lmax = n-1 and at least ⌊n/2⌋ processes are

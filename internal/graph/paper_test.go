@@ -80,31 +80,6 @@ func TestTheoremTwoNetwork(t *testing.T) {
 	}
 }
 
-func TestTheoremTwoGeneralized(t *testing.T) {
-	for delta := 2; delta <= 4; delta++ {
-		rd := TheoremTwoGeneralized(delta)
-		g, o := rd.Graph, rd.Orientation
-		if g.MaxDegree() != delta {
-			t.Fatalf("Δ=%d: max degree %d", delta, g.MaxDegree())
-		}
-		if g.N() != 6+6*(delta-2) {
-			t.Fatalf("Δ=%d: n=%d", delta, g.N())
-		}
-		if !o.IsAcyclic() {
-			t.Fatalf("Δ=%d: orientation cyclic", delta)
-		}
-		if !o.IsSource(0) || !o.IsSource(3) || !o.IsSink(4) || !o.IsSink(5) {
-			t.Fatalf("Δ=%d: source/sink structure broken", delta)
-		}
-		// All six core processes now have degree Δ.
-		for p := 0; p < 6; p++ {
-			if g.Degree(p) != delta {
-				t.Fatalf("Δ=%d: core %d degree %d", delta, p, g.Degree(p))
-			}
-		}
-	}
-}
-
 func TestFigureNinePath(t *testing.T) {
 	g := FigureNinePath(7)
 	if g.N() != 7 || g.M() != 6 {

@@ -62,34 +62,6 @@ func (g *Graph) IsConnected() bool {
 	return reached == g.N()
 }
 
-// ConnectedComponents returns a component label per process.
-func (g *Graph) ConnectedComponents() []int {
-	comp := make([]int, g.N())
-	for i := range comp {
-		comp[i] = -1
-	}
-	c := 0
-	for s := 0; s < g.N(); s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		stack := []int{s}
-		comp[s] = c
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.Row(v) {
-				if comp[u] == -1 {
-					comp[u] = c
-					stack = append(stack, int(u))
-				}
-			}
-		}
-		c++
-	}
-	return comp
-}
-
 // Diameter returns D, the maximum over all pairs of the hop distance.
 // It returns an error for disconnected graphs.
 func (g *Graph) Diameter() (int, error) {
@@ -300,13 +272,4 @@ func (g *Graph) treeLowerBoundDoubleBFS() int {
 	a, _ := far(0)
 	_, d := far(a)
 	return d
-}
-
-// DegreeHistogram returns counts[d] = number of processes of degree d.
-func (g *Graph) DegreeHistogram() []int {
-	counts := make([]int, g.MaxDegree()+1)
-	for p := 0; p < g.N(); p++ {
-		counts[g.Degree(p)]++
-	}
-	return counts
 }

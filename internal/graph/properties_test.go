@@ -24,10 +24,6 @@ func TestConnectivity(t *testing.T) {
 	if g.IsConnected() {
 		t.Fatal("disconnected graph reported connected")
 	}
-	comp := g.ConnectedComponents()
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[0] == comp[2] {
-		t.Fatalf("components wrong: %v", comp)
-	}
 	if _, err := g.Diameter(); err == nil {
 		t.Fatal("diameter of disconnected graph did not error")
 	}
@@ -127,13 +123,5 @@ func TestTreeLongestPathViaDoubleBFS(t *testing.T) {
 	}
 	if got != 5 { // leg-0-1-2-3-leg
 		t.Fatalf("caterpillar Lmax=%d want 5", got)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := Star(5)
-	h := g.DegreeHistogram()
-	if h[1] != 4 || h[4] != 1 {
-		t.Fatalf("star degree histogram wrong: %v", h)
 	}
 }

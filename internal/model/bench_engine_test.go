@@ -130,7 +130,7 @@ func BenchmarkEnabledTracker(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			tr.InvalidateAll()
+			tr.Reset(sys, cfg)
 			buf = tr.AppendEnabled(buf[:0])
 		}
 	})

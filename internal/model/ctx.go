@@ -294,12 +294,6 @@ func (c *Ctx) BackPort(port int) int {
 	return c.sys.g.BackPort(c.p, port)
 }
 
-// NeighborDeg returns δ.q of the neighbor behind port (degrees are
-// structural, not communicated).
-func (c *Ctx) NeighborDeg(port int) int {
-	return c.sys.g.Degree(int(c.nbr[port-1]))
-}
-
 // Rand returns a uniform value in [0, n). Only Apply bodies may draw
 // randomness; guards must be deterministic predicates.
 func (c *Ctx) Rand(n int) int {

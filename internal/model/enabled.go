@@ -38,7 +38,7 @@ type TrackedScheduler interface {
 // else), so a verdict goes stale only when p moves or a neighbor's
 // communication row changes. Simulator.Step maintains the invalidation;
 // external code mutating the configuration must call Invalidate or
-// InvalidateAll itself.
+// Simulator.MarkDirty itself.
 //
 // The tracker allocates only at construction: probes evaluate guards on a
 // reusable Ctx whose own-state scratch rows are preallocated.
@@ -206,23 +206,4 @@ func (t *EnabledTracker) Invalidate(p int) {
 		t.queued[p] = true
 		t.stale = append(t.stale, int32(p))
 	}
-}
-
-// InvalidateNeighbors marks the verdicts of p's neighbors stale (p's
-// communication state changed).
-func (t *EnabledTracker) InvalidateNeighbors(p int) {
-	for _, q := range t.sys.g.Row(p) {
-		t.Invalidate(int(q))
-	}
-}
-
-// InvalidateAll marks every verdict stale. Call it after mutating the
-// configuration outside the simulator. The whole-set case bypasses the
-// stale queue: clearing valid[] is a memclr and allStale tells the next
-// AppendEnabled to sweep linearly instead of draining n queue entries.
-func (t *EnabledTracker) InvalidateAll() {
-	for p := range t.valid {
-		t.valid[p] = false
-	}
-	t.allStale = true
 }

@@ -62,8 +62,8 @@
 // next state of that same orbit and the verdict still holds. A "broken"
 // verdict follows (a) as stated. Code that mutates a tracked
 // configuration behind the simulator's back must call
-// EnabledTracker.Invalidate/InvalidateAll itself (Simulator.MarkDirty
-// does, and drops the silence verdicts too).
+// EnabledTracker.Invalidate itself (Simulator.MarkDirty does, and drops
+// the silence verdicts too).
 package model
 
 import (

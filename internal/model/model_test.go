@@ -357,53 +357,44 @@ func (roundRobin) Select(step int, sys *System, _ *Config) []int {
 	return []int{step % sys.N()}
 }
 
+// RoundLog is an Observer that keeps the step at which each round
+// completed, as StepEnd reports it.
+type RoundLog struct{ Ends []int }
+
+func (*RoundLog) StepBegin(int, []int)                    {}
+func (*RoundLog) Selected(int, int, []int, int, int, int) {}
+func (*RoundLog) CommWrite(int, int, int, int, int)       {}
+func (l *RoundLog) StepEnd(step int, _ []int, roundCompleted bool) {
+	if roundCompleted {
+		l.Ends = append(l.Ends, step)
+	}
+}
+
 func TestRoundTracking(t *testing.T) {
 	sys := mustSystem(t, graph.Path(3), copySpec(), nil)
-	sim, err := NewSimulator(sys, NewZeroConfig(sys), roundRobin{}, 1, nil)
+	cfg := NewZeroConfig(sys)
+	cfg.SetComm(0, 0, 5)
+	log := &RoundLog{}
+	sim, err := NewSimulator(sys, cfg, roundRobin{}, 1, log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordRoundBoundaries(true)
 	sim.RunSteps(7)
+	// The simulator runs on a copy: the caller's configuration is untouched.
+	if sim.Config().Comm(0, 0) != 0 || cfg.Comm(0, 0) != 5 {
+		t.Fatalf("p0 holds %d in the run and %d in the caller's configuration, want 0 and 5",
+			sim.Config().Comm(0, 0), cfg.Comm(0, 0))
+	}
 	// Selections 0,1,2 complete round 1 at step 2; 3,4,5 complete round 2
 	// at step 5; step 6 is mid-round.
 	if sim.Rounds() != 2 {
 		t.Fatalf("rounds = %d, want 2", sim.Rounds())
 	}
-	rb := sim.RoundBoundaries()
-	if len(rb) != 2 || rb[0] != 2 || rb[1] != 5 {
+	if rb := log.Ends; len(rb) != 2 || rb[0] != 2 || rb[1] != 5 {
 		t.Fatalf("round boundaries = %v, want [2 5]", rb)
 	}
 	if sim.Steps() != 7 {
 		t.Fatalf("steps = %d", sim.Steps())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	sys := mustSystem(t, graph.Path(4), copySpec(), nil)
-	cfg := NewZeroConfig(sys)
-	cfg.SetComm(0, 0, 5)
-	// Each process copies from its port-1 neighbor; the port-1 pointers
-	// form a functional graph whose unique cycle here is {p0, p1}, so the
-	// system converges to an all-equal configuration.
-	sim, err := NewSimulator(sys, cfg, roundRobin{}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allEqual := func(c *Config) bool {
-		for p := range c.N() {
-			if c.Comm(p, 0) != c.Comm(0, 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if !sim.RunUntil(allEqual, 1000) {
-		t.Fatal("copy protocol did not equalize within 1000 steps")
-	}
-	// Caller's initial configuration must be untouched (simulator clones).
-	if cfg.Comm(1, 0) != 0 {
-		t.Fatal("simulator mutated the caller's configuration")
 	}
 }
 

@@ -114,7 +114,7 @@ func TestEnabledTrackerZeroAlloc(t *testing.T) {
 	tr := model.NewEnabledTracker(sys, cfg)
 	buf := make([]int, 0, sys.N())
 	avg := testing.AllocsPerRun(100, func() {
-		tr.InvalidateAll()
+		tr.Reset(sys, cfg)
 		buf = tr.AppendEnabled(buf[:0])
 	})
 	if avg != 0 {

@@ -29,7 +29,6 @@ func TestSimulatorResetMatchesFresh(t *testing.T) {
 	}
 
 	reused := &model.Simulator{}
-	reused.RecordRoundBoundaries(true)
 	for trial := 0; trial < 6; trial++ {
 		sys := colSys
 		if trial%2 == 1 {
@@ -38,13 +37,13 @@ func TestSimulatorResetMatchesFresh(t *testing.T) {
 		seed := uint64(trial + 1)
 		initial := model.NewRandomConfig(sys, rng.New(seed))
 
-		fresh, err := model.NewSimulator(sys, initial, sched.NewRandomSubset(seed), seed, nil)
+		freshLog, reusedLog := &model.RoundLog{}, &model.RoundLog{}
+		fresh, err := model.NewSimulator(sys, initial, sched.NewRandomSubset(seed), seed, freshLog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.RecordRoundBoundaries(true)
 		// Reset adopts its configuration, so hand it a private copy.
-		if err := reused.Reset(sys, initial.Clone(), sched.NewRandomSubset(seed), seed, nil); err != nil {
+		if err := reused.Reset(sys, initial.Clone(), sched.NewRandomSubset(seed), seed, reusedLog); err != nil {
 			t.Fatal(err)
 		}
 
@@ -71,7 +70,7 @@ func TestSimulatorResetMatchesFresh(t *testing.T) {
 		if !fresh.Config().Equal(reused.Config()) {
 			t.Fatalf("trial %d: final configurations differ", trial)
 		}
-		if !slices.Equal(fresh.RoundBoundaries(), reused.RoundBoundaries()) {
+		if !slices.Equal(freshLog.Ends, reusedLog.Ends) {
 			t.Fatalf("trial %d: round boundaries differ", trial)
 		}
 	}

@@ -46,14 +46,6 @@ type Simulator struct {
 	lastSel        []int
 	remainingInRnd int
 
-	// roundBoundaries retains the step index at which each round
-	// completed — an O(rounds) log kept only when recordBoundaries is
-	// set (RecordRoundBoundaries): production runs need Rounds(), not
-	// the per-round history, and the log would otherwise grow without
-	// bound over long executions.
-	roundBoundaries []int
-	recordBounds    bool
-
 	// arena holds the reusable step-execution state: after the
 	// first step, Step performs no heap allocation.
 	arena *stepArena
@@ -207,7 +199,6 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	s.round = 0
 	s.roundStart = 0
 	s.remainingInRnd = sys.N()
-	s.roundBoundaries = s.roundBoundaries[:0]
 	if s.tracker == nil {
 		s.tracker = NewEnabledTracker(sys, cfg0)
 	} else {
@@ -227,19 +218,6 @@ func (s *Simulator) Steps() int { return s.step }
 
 // Rounds returns the number of completed rounds.
 func (s *Simulator) Rounds() int { return s.round }
-
-// RecordRoundBoundaries toggles retention of the per-round boundary log
-// read by RoundBoundaries. Off by default: the log grows O(rounds) with
-// no bound, and only diagnostic consumers read it. The setting survives
-// Reset.
-func (s *Simulator) RecordRoundBoundaries(on bool) { s.recordBounds = on }
-
-// RoundBoundaries returns the step index at which each completed round
-// ended. Empty unless RecordRoundBoundaries(true) was set before the
-// run.
-func (s *Simulator) RoundBoundaries() []int {
-	return append([]int(nil), s.roundBoundaries...)
-}
 
 // Step executes one scheduler step and returns the selected processes.
 // The returned slice may be a scheduler-owned buffer: it is valid until
@@ -299,9 +277,6 @@ func (s *Simulator) advance() []int {
 	roundCompleted := s.remainingInRnd == 0
 	if roundCompleted {
 		s.round++
-		if s.recordBounds {
-			s.roundBoundaries = append(s.roundBoundaries, s.step)
-		}
 		s.roundStart = s.step + 1
 		s.remainingInRnd = s.sys.N()
 	}
@@ -329,24 +304,6 @@ func (s *Simulator) moved(p int, commChanged bool) {
 	if commChanged {
 		s.neighborsDirty(p)
 	}
-}
-
-// RunUntil executes steps until stop(cfg) holds or maxSteps is reached.
-// It returns true if the predicate was met. The predicate is evaluated on
-// the initial configuration first. stop is the caller's code and may
-// look at the observer, so every step here is a whole Step, as in
-// RunUntilSilent, whose loop never runs in a silent phase.
-func (s *Simulator) RunUntil(stop func(*Config) bool, maxSteps int) bool {
-	if stop(s.cfg) {
-		return true
-	}
-	for s.step < maxSteps {
-		s.Step()
-		if stop(s.cfg) {
-			return true
-		}
-	}
-	return false
 }
 
 // RunUntilSilent executes steps until the configuration is communication-

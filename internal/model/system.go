@@ -148,9 +148,6 @@ func (s *System) CommDomain(p, v int) int { return int(s.commDomains[p*s.wc+v]) 
 // InternalDomain returns the domain size of internal variable v at p.
 func (s *System) InternalDomain(p, v int) int { return int(s.internalDomains[p*s.wi+v]) }
 
-// ConstDomain returns the domain size of constant v at p.
-func (s *System) ConstDomain(p, v int) int { return int(s.constDomains[p*s.lc+v]) }
-
 // commDomainRow and internalDomainRow return process p's stretch of the
 // flat domain tables, for call sites that walk a whole row.
 func (s *System) commDomainRow(p int) []int32 { return s.commDomains[p*s.wc : (p+1)*s.wc] }

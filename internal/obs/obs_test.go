@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -180,12 +179,25 @@ func TestReplaySinkNoWallClock(t *testing.T) {
 	}
 }
 
-// TestSlogSinkLevels: trial-scoped kinds log at Debug and stay silent
-// under an Info handler; cell/campaign/cache kinds appear at Info.
+// TestSlogSinkLevels: the -log-level vocabulary maps off and "" to no
+// sink and rejects anything but info and debug; trial-scoped kinds log
+// at Debug and stay silent under info, cell/campaign/cache kinds appear
+// at info.
 func TestSlogSinkLevels(t *testing.T) {
 	t.Parallel()
+	for _, level := range []string{"off", ""} {
+		if sink, err := LogLevelSink(level, nil); sink != nil || err != nil {
+			t.Fatalf("LogLevelSink(%q) = %v, %v, want no sink", level, sink, err)
+		}
+	}
+	if _, err := LogLevelSink("warn", nil); err == nil || err.Error() != `bad -log-level "warn" (want off, info or debug)` {
+		t.Fatalf("LogLevelSink(warn) error %v", err)
+	}
 	var buf bytes.Buffer
-	sink := NewSlogSink(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo})))
+	sink, err := LogLevelSink("info", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sink.Observe(Event{Kind: KindTrialStart, Cell: 0, Key: "k", Trial: 0, Seed: 1})
 	sink.Observe(Event{Kind: KindSilence, Cell: 0, Key: "k", Trial: 0, Step: 3})
 	if buf.Len() != 0 {
@@ -197,7 +209,10 @@ func TestSlogSinkLevels(t *testing.T) {
 	}
 
 	buf.Reset()
-	debug := NewSlogSink(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	debug, err := LogLevelSink("debug", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	debug.Observe(Event{Kind: KindRecovery, Cell: 2, Key: "k", Trial: 1, Round: 9, Count: 3, Recovered: true, Radius: 2, Step: 40})
 	out := buf.String()
 	for _, want := range []string{`"msg":"recovery"`, `"recovered":true`, `"rounds":9`, `"radius":2`, `"cell":2`} {

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"log/slog"
 )
 
@@ -21,6 +23,23 @@ func NewSlogSink(l *slog.Logger) SlogSink {
 		l = slog.Default()
 	}
 	return SlogSink{l: l}
+}
+
+// LogLevelSink returns the live sink a command's -log-level flag names,
+// logging JSON to w: nil for "off" or "", an Info handler for "info"
+// (cell granularity), a Debug handler for "debug" (every trial).
+func LogLevelSink(level string, w io.Writer) (Observer, error) {
+	lvl := slog.LevelInfo
+	switch level {
+	case "off", "":
+		return nil, nil
+	case "info":
+	case "debug":
+		lvl = slog.LevelDebug
+	default:
+		return nil, fmt.Errorf("bad -log-level %q (want off, info or debug)", level)
+	}
+	return NewSlogSink(slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: lvl}))), nil
 }
 
 func level(k Kind) slog.Level {

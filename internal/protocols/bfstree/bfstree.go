@@ -162,19 +162,6 @@ func IsLegitimate(sys *model.System, cfg *model.Config) bool {
 	return true
 }
 
-// ParentEdges returns the tree edges (p, parent-of-p) for non-root
-// processes.
-func ParentEdges(sys *model.System, cfg *model.Config) [][2]int {
-	g := sys.Graph()
-	var out [][2]int
-	for p := 0; p < g.N(); p++ {
-		if pp := cfg.Comm(p, VarP); pp != 0 {
-			out = append(out, [2]int{p, g.Neighbor(p, pp)})
-		}
-	}
-	return out
-}
-
 // Depth returns the maximum D value (the tree height) in cfg.
 func Depth(cfg *model.Config) int {
 	d := 0

@@ -152,20 +152,3 @@ func IsLegitimate(sys *model.System, cfg *model.Config) bool {
 	}
 	return true
 }
-
-// ConflictCount returns the number of processes having at least one
-// neighbor with the same color (the potential function Conflit(γ) from
-// Lemma 2's proof).
-func ConflictCount(sys *model.System, cfg *model.Config) int {
-	g := sys.Graph()
-	count := 0
-	for p := 0; p < g.N(); p++ {
-		for _, q := range g.Neighbors(p) {
-			if cfg.Comm(p, VarC) == cfg.Comm(q, VarC) {
-				count++
-				break
-			}
-		}
-	}
-	return count
-}

@@ -188,27 +188,6 @@ func TestColorsDecoding(t *testing.T) {
 	}
 }
 
-func TestConflictCount(t *testing.T) {
-	g := graph.Path(4)
-	sys, err := model.NewSystem(g, Spec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := model.NewZeroConfig(sys) // all same color: everyone conflicts
-	if got := ConflictCount(sys, cfg); got != 4 {
-		t.Fatalf("ConflictCount = %d, want 4", got)
-	}
-	cfg.SetComm(0, VarC, 1)
-	cfg.SetComm(2, VarC, 1)
-	// 0:1, 1:0, 2:1, 3:0 — proper.
-	if got := ConflictCount(sys, cfg); got != 0 {
-		t.Fatalf("ConflictCount = %d, want 0", got)
-	}
-	if !IsLegitimate(sys, cfg) {
-		t.Fatal("proper coloring not legitimate")
-	}
-}
-
 func TestWorstCaseAllSameColor(t *testing.T) {
 	// The canonical adversarial start: a monochromatic clique.
 	g := graph.Complete(6)

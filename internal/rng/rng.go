@@ -8,9 +8,8 @@
 // new consumer never perturbs existing streams.
 //
 // The implementation is SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) used
-// both as a generator and as a seed-derivation hash, plus a PCG-XSH-RR
-// 32-bit generator for callers that want a longer-period stream. Only the
-// standard library is used.
+// both as a generator and as a seed-derivation hash. Only the standard
+// library is used.
 package rng
 
 import "math/bits"
@@ -75,50 +74,6 @@ func (s *SplitMix) Uint64() uint64 {
 // single generator across processes without perturbing determinism.
 func (s *SplitMix) Reseed(seed uint64) { s.state = seed }
 
-// Split returns a new generator whose stream is independent of the
-// receiver's future output.
-func (s *SplitMix) Split() *SplitMix {
-	return NewSplitMix(s.Uint64())
-}
-
-// PCG is a PCG-XSH-RR 64/32 generator (O'Neill 2014). The zero value is
-// usable but all callers should prefer NewPCG for a well-mixed start.
-type PCG struct {
-	state uint64
-	inc   uint64
-}
-
-// NewPCG returns a PCG generator seeded from seed with the default stream.
-func NewPCG(seed uint64) *PCG {
-	return NewPCGStream(seed, 0xDA3E39CB94B95BDB)
-}
-
-// NewPCGStream returns a PCG generator with an explicit stream selector.
-func NewPCGStream(seed, stream uint64) *PCG {
-	p := &PCG{inc: stream<<1 | 1}
-	p.state = p.inc + mix64(seed)
-	p.step()
-	return p
-}
-
-func (p *PCG) step() {
-	p.state = p.state*6364136223846793005 + p.inc
-}
-
-// Uint32 returns the next 32 pseudo-random bits.
-func (p *PCG) Uint32() uint32 {
-	old := p.state
-	p.step()
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint(old >> 59)
-	return bits.RotateLeft32(xorshifted, -int(rot))
-}
-
-// Uint64 returns the next 64 pseudo-random bits.
-func (p *PCG) Uint64() uint64 {
-	return uint64(p.Uint32())<<32 | uint64(p.Uint32())
-}
-
 // Rand wraps a Source with convenience samplers. All methods are
 // deterministic functions of the underlying stream.
 type Rand struct {
@@ -165,9 +120,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.src.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns a uniform boolean.
-func (r *Rand) Bool() bool { return r.src.Uint64()&1 == 1 }
-
 // Perm returns a uniform random permutation of [0, n).
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)
@@ -184,12 +136,6 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Pick returns a uniformly chosen element index from a non-empty set of
-// candidate indices.
-func (r *Rand) Pick(candidates []int) int {
-	return candidates[r.Intn(len(candidates))]
 }
 
 // SubsetNonEmpty returns a uniformly chosen non-empty subset of [0, n),

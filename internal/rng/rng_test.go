@@ -49,39 +49,6 @@ func TestSplitMixReproducible(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := NewSplitMix(5)
-	child := parent.Split()
-	// The child must not replay the parent's tail.
-	p, c := parent.Uint64(), child.Uint64()
-	if p == c {
-		t.Fatal("split child replays parent stream")
-	}
-}
-
-func TestPCGReproducible(t *testing.T) {
-	a, b := NewPCG(1234), NewPCG(1234)
-	for i := 0; i < 1000; i++ {
-		if a.Uint32() != b.Uint32() {
-			t.Fatalf("PCG streams diverged at step %d", i)
-		}
-	}
-}
-
-func TestPCGStreamsDiffer(t *testing.T) {
-	a := NewPCGStream(1, 10)
-	b := NewPCGStream(1, 11)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint32() == b.Uint32() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("distinct PCG streams agree on %d/100 outputs", same)
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := New(7)
 	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
@@ -173,35 +140,6 @@ func TestSubsetNonEmpty(t *testing.T) {
 				t.Fatalf("subset not sorted/unique: %v", s)
 			}
 		}
-	}
-}
-
-func TestPick(t *testing.T) {
-	r := New(17)
-	cands := []int{3, 9, 27}
-	counts := map[int]int{}
-	for i := 0; i < 3000; i++ {
-		v := r.Pick(cands)
-		counts[v]++
-	}
-	for _, c := range cands {
-		if counts[c] < 700 {
-			t.Fatalf("candidate %d picked only %d/3000 times", c, counts[c])
-		}
-	}
-}
-
-func TestBoolBalance(t *testing.T) {
-	r := New(19)
-	trues := 0
-	const trials = 100000
-	for i := 0; i < trials; i++ {
-		if r.Bool() {
-			trues++
-		}
-	}
-	if trues < trials*45/100 || trues > trials*55/100 {
-		t.Fatalf("Bool true-rate %d/%d is unbalanced", trues, trials)
 	}
 }
 

@@ -73,46 +73,6 @@ func Percentile(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Ints converts an int sample to float64 for Summarize.
-func Ints(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// Histogram bins xs into n equal-width buckets over [min, max].
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-}
-
-// NewHistogram builds a histogram with n >= 1 buckets.
-func NewHistogram(xs []float64, n int) Histogram {
-	h := Histogram{Counts: make([]int, n)}
-	if len(xs) == 0 || n < 1 {
-		return h
-	}
-	h.Lo, h.Hi = xs[0], xs[0]
-	for _, x := range xs {
-		h.Lo = math.Min(h.Lo, x)
-		h.Hi = math.Max(h.Hi, x)
-	}
-	width := (h.Hi - h.Lo) / float64(n)
-	for _, x := range xs {
-		idx := n - 1
-		if width > 0 {
-			idx = int((x - h.Lo) / width)
-			if idx >= n {
-				idx = n - 1
-			}
-		}
-		h.Counts[idx]++
-	}
-	return h
-}
-
 // Table renders aligned textual tables for harness output.
 type Table struct {
 	Title   string

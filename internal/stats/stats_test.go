@@ -71,43 +71,6 @@ func TestSummaryBoundsQuick(t *testing.T) {
 	}
 }
 
-func TestIntsConversion(t *testing.T) {
-	xs := Ints([]int{1, 2, 3})
-	if len(xs) != 3 || xs[2] != 3.0 {
-		t.Fatal("Ints conversion wrong")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 10 {
-		t.Fatalf("histogram lost samples: %v", h.Counts)
-	}
-	if h.Lo != 0 || h.Hi != 9 {
-		t.Fatalf("bounds: %v %v", h.Lo, h.Hi)
-	}
-	for _, c := range h.Counts {
-		if c != 2 {
-			t.Fatalf("uniform data unevenly binned: %v", h.Counts)
-		}
-	}
-	if empty := NewHistogram(nil, 3); empty.Counts[0] != 0 {
-		t.Fatal("empty histogram")
-	}
-	constant := NewHistogram([]float64{5, 5, 5}, 4)
-	sum := 0
-	for _, c := range constant.Counts {
-		sum += c
-	}
-	if sum != 3 {
-		t.Fatal("constant data lost")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "graph", "rounds", "ratio")
 	tb.AddRow("path-8", 12, 1.5)

@@ -21,9 +21,6 @@ func (s *Stream) Add(x float64) {
 	s.m2 += d * (x - s.mean)
 }
 
-// Reset empties the stream for reuse.
-func (s *Stream) Reset() { *s = Stream{} }
-
 // N returns the number of observations folded so far.
 func (s *Stream) N() int { return s.n }
 

@@ -84,21 +84,3 @@ func TestStreamZeroVariance(t *testing.T) {
 		t.Fatalf("n=3 zero-variance: half %g mean %g", s.CI95Half(), s.Mean())
 	}
 }
-
-// TestStreamReset: a reset stream is indistinguishable from a fresh one.
-func TestStreamReset(t *testing.T) {
-	t.Parallel()
-	var s Stream
-	for _, x := range []float64{3, 1, 4, 1, 5} {
-		s.Add(x)
-	}
-	s.Reset()
-	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 {
-		t.Fatalf("reset stream not empty: %+v", s)
-	}
-	s.Add(2)
-	s.Add(4)
-	if s.Mean() != 3 {
-		t.Fatalf("mean after reset = %g, want 3", s.Mean())
-	}
-}

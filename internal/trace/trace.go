@@ -342,47 +342,6 @@ func (rep Report) StableProcesses(k int) int {
 	return count
 }
 
-// KStable returns the smallest k such that every process's whole-run
-// read set has size at most k (Def. 7 witnessed on this computation).
-func (rep Report) KStable() int {
-	k := 0
-	for _, size := range rep.ReadSetSizes {
-		if size > k {
-			k = size
-		}
-	}
-	return k
-}
-
-// SuffixKStable returns the smallest k such that every process's suffix
-// read set has size at most k (Def. 8 witnessed on this suffix).
-func (rep Report) SuffixKStable() int {
-	k := 0
-	for _, size := range rep.SuffixReadSetSizes {
-		if size > k {
-			k = size
-		}
-	}
-	return k
-}
-
-// AvgBitsPerStep returns TotalBits / Steps (0 when no steps ran).
-func (rep Report) AvgBitsPerStep() float64 {
-	if rep.Steps == 0 {
-		return 0
-	}
-	return float64(rep.TotalBits) / float64(rep.Steps)
-}
-
-// AvgBitsPerSelection returns TotalBits / Selections: the mean
-// communication cost of activating one process once.
-func (rep Report) AvgBitsPerSelection() float64 {
-	if rep.Selections == 0 {
-		return 0
-	}
-	return float64(rep.TotalBits) / float64(rep.Selections)
-}
-
 // SuffixAvgBitsPerSelection returns the mean bits read per selection in
 // the current suffix: the per-activation communication price of the
 // stabilized phase.

@@ -102,7 +102,7 @@ func TestBitsAccounting(t *testing.T) {
 	if rep.CommComplexityBits != 6 {
 		t.Fatalf("comm complexity = %d bits, want 6", rep.CommComplexityBits)
 	}
-	if rep.TotalBits <= 0 || rep.AvgBitsPerStep() <= 0 || rep.AvgBitsPerSelection() <= 0 {
+	if rep.TotalBits <= 0 || rep.Steps <= 0 || rep.Selections <= 0 {
 		t.Fatal("bit totals not accumulated")
 	}
 }
@@ -187,7 +187,7 @@ func TestSuffixTracking(t *testing.T) {
 	}
 }
 
-func TestStableProcessesAndKStable(t *testing.T) {
+func TestStableProcesses(t *testing.T) {
 	rep := Report{
 		N:                  4,
 		ReadSetSizes:       []int{2, 1, 3, 0},
@@ -198,12 +198,6 @@ func TestStableProcessesAndKStable(t *testing.T) {
 	}
 	if rep.StableProcesses(0) != 1 {
 		t.Fatalf("StableProcesses(0) = %d, want 1", rep.StableProcesses(0))
-	}
-	if rep.KStable() != 3 {
-		t.Fatalf("KStable = %d, want 3", rep.KStable())
-	}
-	if rep.SuffixKStable() != 2 {
-		t.Fatalf("SuffixKStable = %d, want 2", rep.SuffixKStable())
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package transformer implements the generalization raised in the
 // paper's concluding remarks (Section 6): "the possibility of designing
 // an efficient general transformer for protocols matching the local
-// checking paradigm remains an open question".
+// checking paradigm remains an open question". Experiment E13, the
+// facade's NewTransformed and examples/spanningtree use it.
 //
 // Transform converts ANY protocol of the model — in particular the
 // full-read local-checking baselines — into a 1-efficient protocol:

@@ -1,6 +1,8 @@
 // Package selfstab is the public API of this reproduction of
 // "Communication Efficiency in Self-stabilizing Silent Protocols"
-// (Devismes, Masuzawa, Tixeuil — INRIA RR-6731 / ICDCS 2009).
+// (Devismes, Masuzawa, Tixeuil — INRIA RR-6731 / ICDCS 2009). Its
+// callers are five of the six programs under examples/; the commands
+// and the experiment registry use internal/ directly.
 //
 // The package wires together the building blocks under internal/:
 //
@@ -20,9 +22,8 @@
 //	res, _ := selfstab.Run(sys, selfstab.Options{Seed: 1, SuffixRounds: 64})
 //	fmt.Println(res.Silent, res.Report.KEfficiency, res.Report.StableProcesses(1))
 //
-// The paper's experiments (E1-E15; `ssbench -list` prints the index, the
-// README describes the engine that runs them) are runnable through
-// ExperimentIDs and RunExperiment.
+// The paper's experiments (E1-E22) are not part of this API: `ssbench
+// -list` prints their index and `ssbench -run` regenerates them.
 package selfstab
 
 import (
@@ -31,7 +32,6 @@ import (
 
 	"repro/internal/concurrent"
 	"repro/internal/core"
-	"repro/internal/experiment"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/bfstree"
@@ -261,22 +261,4 @@ func InMIS(cfg *model.Config) []bool { return mis.InMIS(cfg) }
 // MatchedEdges decodes the matched edge set of a MATCHING configuration.
 func MatchedEdges(sys *model.System, cfg *model.Config) [][2]int {
 	return matching.MatchedEdges(sys, cfg)
-}
-
-// ExperimentIDs lists the experiment identifiers E1..E18.
-func ExperimentIDs() []string { return experiment.IDs() }
-
-// ExperimentConfig re-exports the experiment configuration.
-type ExperimentConfig = experiment.Config
-
-// ExperimentResult re-exports the experiment result.
-type ExperimentResult = experiment.Result
-
-// RunExperiment executes one of the paper's experiments by id.
-func RunExperiment(id string, cfg ExperimentConfig) (*ExperimentResult, error) {
-	run, err := experiment.ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return run(cfg)
 }

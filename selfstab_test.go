@@ -160,24 +160,6 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-func TestExperimentFacade(t *testing.T) {
-	t.Parallel()
-	ids := ExperimentIDs()
-	if len(ids) != 22 {
-		t.Fatalf("%d experiment ids", len(ids))
-	}
-	res, err := RunExperiment("E9", ExperimentConfig{Seed: 9, Quick: true, Trials: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Pass {
-		t.Fatalf("E9 failed:\n%s", res.Table.String())
-	}
-	if _, err := RunExperiment("E0", ExperimentConfig{}); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
 func TestGenerateUnknown(t *testing.T) {
 	t.Parallel()
 	if _, err := Generate("mobius", 10, 1); err == nil {
