@@ -44,10 +44,10 @@ lint: ## staticcheck + govulncheck (pinned versions, fetched on demand)
 	$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...
 
 # Native fuzz smoke: each target fuzzes for a short budget (a regression
-# in the encoding round-trip or the subset sampler surfaces within
-# seconds; the committed corpora under testdata/fuzz/ run as plain tests
-# on every `go test`). `go test -fuzz` takes one target per invocation,
-# hence one run each.
+# in the encoding round-trip, the subset sampler or the step engine
+# against the reference semantics surfaces within seconds; the committed
+# corpora under testdata/fuzz/ run as plain tests on every `go test`).
+# `go test -fuzz` takes one target per invocation, hence one run each.
 FUZZTIME ?= 20s
 fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/graph -fuzz FuzzGraphEncodingRoundTrip -fuzztime $(FUZZTIME) -run '^$$'
@@ -55,6 +55,7 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/campaign -fuzz FuzzParseCampaign -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/campaign -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
 
 # Campaign smoke: run the bundled quickstart campaign twice against one
 # cache directory; the second run must be 100% cache hits and both runs

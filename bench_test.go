@@ -159,8 +159,9 @@ func BenchmarkTrialPool(b *testing.B) {
 }
 
 // BenchmarkSilenceDetection compares the incremental dirty-set silence
-// check that RunUntilSilent now uses against the old behaviour of
-// re-deciding CommSilent from scratch every step.
+// check that RunUntilSilent uses against re-deciding silence from scratch
+// every step: full-rescan is a CommSilent call per step, the orbit walker
+// swept over every process.
 func BenchmarkSilenceDetection(b *testing.B) {
 	n := 32
 	if testing.Short() {
@@ -218,33 +219,21 @@ func BenchmarkSilenceDetection(b *testing.B) {
 	})
 }
 
-// BenchmarkRecorderStep measures the per-step observer cost of the
-// bitset-backed trace recorder (the old recorder allocated three maps
-// per step).
+// BenchmarkRecorderStep measures one central round-robin step of MIS on
+// a 16-node torus through Simulator with the bitset-backed trace
+// recorder attached; BenchmarkSimulatorStep is the same step with no
+// observer, so the difference is the recorder's per-step cost.
 func BenchmarkRecorderStep(b *testing.B) {
-	net, err := Generate("torus", 16, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := NewMIS(net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := model.NewRandomConfig(sys, rng.New(1))
-	rec := trace.NewRecorder(sys.N())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		selected := []int{i % sys.N()}
-		rec.StepBegin(i, selected)
-		model.ExecuteStep(sys, cfg, selected, i, nil, rec)
-		rec.StepEnd(i, selected, false)
-	}
+	benchSimulatorStep(b, true)
 }
 
 // Engine micro-benchmarks.
 
 func BenchmarkSimulatorStep(b *testing.B) {
+	benchSimulatorStep(b, false)
+}
+
+func benchSimulatorStep(b *testing.B, recorded bool) {
 	net, err := Generate("torus", 16, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -253,14 +242,23 @@ func BenchmarkSimulatorStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := model.NewRandomConfig(sys, rng.New(1))
+	var obs model.Observer
+	if recorded {
+		obs = trace.NewRecorder(sys.N())
+	}
+	sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(1)), sched.NewCentralRoundRobin(), 1, obs)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.ExecuteStep(sys, cfg, []int{i % sys.N()}, i, nil, nil)
+		sim.Step()
 	}
 }
 
+// BenchmarkCommSilent measures one CommSilent call: the orbit walker swept
+// over every process of MIS on a 16-node torus.
 func BenchmarkCommSilent(b *testing.B) {
 	net, err := Generate("torus", 16, 3)
 	if err != nil {

@@ -20,8 +20,6 @@ import (
 // path against it or reads a live path through it, or the ROADMAP item
 // that rewrites or removes it as a whole.
 var unpaid = map[string]string{
-	"repro/internal/model.ExecuteStep":                  "the reference step TestStepMatchesReference holds Simulator.Step to",
-	"repro/internal/model.EnabledSet":                   "the oracle of TestEnabledTrackerMatchesOracle",
 	"repro/internal/model.Simulator.RunSteps":           "drives TestRoundTracking and the step zero-alloc tests",
 	"repro/internal/model.Config.Equal":                 "compares engines in TestSimulatorResetMatchesFresh",
 	"repro/internal/model.Ctx.P":                        "read by the staging protocol of TestStepMatchesReference",
@@ -49,7 +47,12 @@ var unpaid = map[string]string{
 // unpaidPackages exempts whole packages the same way.
 var unpaidPackages = map[string]string{
 	"repro/internal/verify": "ROADMAP item 1 replaces it with an exhaustive checker",
+	referencePkg:            "the reference semantics FuzzSimulatorVsReference and TestStepMatchesReference hold the engine to",
 }
+
+// referencePkg is the reference semantics: tests import it, and no other
+// package may.
+const referencePkg = "repro/internal/model/ref"
 
 type importerFunc func(path string) (*types.Package, error)
 
@@ -60,11 +63,12 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // type of internal/ or the root package that none of them uses. bench/,
 // cmd/ and examples/ count as users. A method also counts as used when
 // its type satisfies an interface that declares it, from the module or
-// from a standard package the module imports.
+// from a standard package the module imports. It also fails on a non-test
+// file that imports referencePkg.
 func TestExportsHaveCallers(t *testing.T) {
 	t.Parallel()
 	out, err := exec.Command("go", "list", "-deps", "-export", "-f",
-		"{{.ImportPath}}\t{{.Standard}}\t{{.Dir}}\t{{.Export}}\t{{join .GoFiles \" \"}}", "./...").Output()
+		"{{.ImportPath}}\t{{.Standard}}\t{{.Dir}}\t{{.Export}}\t{{join .GoFiles \" \"}}\t{{join .Imports \" \"}}", "./...").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
@@ -80,13 +84,21 @@ func TestExportsHaveCallers(t *testing.T) {
 	})
 	used := map[string]bool{}
 	var owned []*types.Package
-	// go list -deps prints every package after its dependencies.
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+	// go list -deps prints every package after its dependencies. A package
+	// of test files only ends its line in empty fields, so the output is
+	// split as printed, not trimmed first.
+	for _, line := range strings.Split(string(out), "\n") {
 		f := strings.Split(line, "\t")
+		if len(f) < 6 {
+			continue // the empty line after the final newline
+		}
 		path, dir := f[0], f[2]
 		if f[1] == "true" {
 			exports[path] = f[3]
 			continue
+		}
+		if slices.Contains(strings.Fields(f[5]), referencePkg) {
+			t.Errorf("%s imports %s, which only tests may import", path, referencePkg)
 		}
 		var files []*ast.File
 		for _, name := range strings.Fields(f[4]) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -99,7 +100,7 @@ func TestChurnContract(t *testing.T) {
 							t.Fatalf("%s k=%d fire %d: config out of domain: %v", adv.Name(), k, fire, err)
 						}
 						got := sim.Tracker().AppendEnabled(nil)
-						want := model.EnabledSet(sys, sim.Config())
+						want := ref.EnabledSet(sys, sim.Config())
 						if !slices.Equal(got, want) {
 							t.Fatalf("%s k=%d fire %d: tracker %v, oracle %v", adv.Name(), k, fire, got, want)
 						}

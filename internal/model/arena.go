@@ -100,12 +100,13 @@ func (a *stepArena) commit(cfg *Config, p, k, step int, obs Observer) bool {
 	return changed
 }
 
-// executeStep is ExecuteStep on the arena's reusable buffers: the same
-// two-phase semantics (evaluate every selected process against the
-// pre-step configuration, then commit all communication writes in
-// selection order), with no per-step heap allocation. Each process draws
-// from the arena generator reseeded for (stepSeed, p). The returned
-// slices are owned by the arena and valid until the next call.
+// executeStep performs one step of the selected processes with the
+// two-phase semantics of ref.Step (evaluate every selected process
+// against the pre-step configuration, then commit all communication
+// writes in selection order) on the arena's reusable buffers, with no
+// per-step heap allocation. Each process draws from the arena generator
+// reseeded for (stepSeed, p). The returned slices are owned by the arena
+// and valid until the next call.
 func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Observer) (fired []int16, commChanged []bool) {
 	fired, writers := a.fired[:0], a.writers[:0]
 	for i, p := range selected {

@@ -58,8 +58,7 @@ func BenchmarkSilentSuffix(b *testing.B) {
 
 // BenchmarkExecuteStep measures one scheduler step through the
 // simulator's reusable arena (the hot path) for the synchronous and
-// central round-robin daemons, against the allocating free-function
-// compatibility shim. The writers rows are synchronous steps of
+// central round-robin daemons. The writers rows are synchronous steps of
 // writersSpec in which none, a fifth and all of the sixteen processes
 // write communication state: what staging a row and committing it costs
 // over an internal write made in place.
@@ -90,26 +89,12 @@ func BenchmarkExecuteStep(b *testing.B) {
 	for _, w := range []int{0, 1, 5} {
 		steps(fmt.Sprintf("arena-synchronous-writers-%d%%", 20*w), writersSystem(b, w), synchronous)
 	}
-	b.Run("free-central-rr", func(b *testing.B) {
-		sys := coloringSystem(b, graph.Torus(4, 4))
-		cfg := model.NewRandomConfig(sys, rng.New(1))
-		sel := make([]int, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			stepSeed := rng.Derive(1, uint64(i))
-			sel[0] = i % sys.N()
-			model.ExecuteStep(sys, cfg, sel, i, func(p int) *rng.Rand {
-				return rng.New(rng.Derive(stepSeed, uint64(p)))
-			}, nil)
-		}
-	})
 }
 
 // BenchmarkEnabledTracker measures enabledness maintenance: the
 // steady-state incremental path (one process invalidated per step, as
-// after a typical move) against the from-scratch EnabledSet oracle the
-// schedulers used to call every step.
+// after a typical move) against a full revalidation, which is what an
+// untracked Select pays every step.
 func BenchmarkEnabledTracker(b *testing.B) {
 	sys := coloringSystem(b, graph.Torus(4, 4))
 	cfg := model.NewRandomConfig(sys, rng.New(1))
@@ -132,12 +117,6 @@ func BenchmarkEnabledTracker(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tr.Reset(sys, cfg)
 			buf = tr.AppendEnabled(buf[:0])
-		}
-	})
-	b.Run("oracle-enabledset", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = model.EnabledSet(sys, cfg)
 		}
 	})
 }

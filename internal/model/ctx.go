@@ -125,7 +125,7 @@ type Ctx struct {
 	// outside 1..δ.p panics on its bound.
 	nbr []int32
 
-	// Own state: private copies on a probe or the reference step. On the
+	// Own state: private copies on a probe or a one-shot evaluation. On the
 	// step arena internal is the configuration's row, written in place,
 	// and comm is the configuration's row until the first SetComm copies
 	// it into stage (nil elsewhere, and once staged) and re-aims comm
@@ -294,15 +294,15 @@ func (c *Ctx) BackPort(port int) int {
 	return c.sys.g.BackPort(c.p, port)
 }
 
-// Rand returns a uniform value in [0, n). Only Apply bodies may draw
-// randomness; guards must be deterministic predicates.
+// Rand returns a uniform value in [0, n). Only Apply bodies of actions
+// marked Randomized may draw randomness; guards must be deterministic.
 func (c *Ctx) Rand(n int) int {
 	if !c.inApply {
 		panic("model: randomness is only available inside Apply")
 	}
 	if c.rand == nil {
 		if c.arena == nil {
-			panic("model: randomness is only available inside Apply")
+			panic("model: Rand with no generator: the action draws but is not marked Randomized")
 		}
 		c.rand = c.arena.processRand(c.p)
 	}

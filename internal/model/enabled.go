@@ -23,8 +23,8 @@ type EnabledView interface {
 // consults enabledness should implement it to receive the simulator's
 // incremental EnabledTracker instead of re-deriving the enabled set from
 // scratch each step. Implementations must select exactly as their Select
-// method would with EnabledSet, so that routing through the tracker never
-// changes a computation.
+// method would, so that routing through the tracker never changes a
+// computation.
 type TrackedScheduler interface {
 	Scheduler
 	// SelectTracked is Select with an incremental enabledness probe.
@@ -124,24 +124,11 @@ func (t *EnabledTracker) EnabledAction(p int) int {
 // enabled bitset only when the verdict changed sign — in steady state most
 // invalidations re-derive the same verdict, and the mirror stays untouched.
 func (t *EnabledTracker) recompute(p int) int {
-	idx := -1
 	c := &t.probe
 	c.aim(t.cfg, p)
-	if len(c.nbr) > 0 {
-		// Isolated processes (crashed under dynamic topology) stay at
-		// idx = -1: disabled by definition, and guards may not be
-		// evaluated at degree 0.
-		copy(c.comm, t.cfg.commRow(p))
-		copy(c.internal, t.cfg.internalRow(p))
-		actions := t.sys.spec.Actions
-		for i := range actions {
-			c.beginBody()
-			if actions[i].Guard(c) {
-				idx = i
-				break
-			}
-		}
-	}
+	copy(c.comm, t.cfg.commRow(p))
+	copy(c.internal, t.cfg.internalRow(p))
+	idx := firstEnabled(c)
 	t.valid[p] = true
 	if old := t.action[p]; (old >= 0) != (idx >= 0) {
 		if idx >= 0 {
@@ -158,9 +145,9 @@ func (t *EnabledTracker) recompute(p int) int {
 func (t *EnabledTracker) Enabled(p int) bool { return t.EnabledAction(p) >= 0 }
 
 // AppendEnabled appends all enabled process ids to dst in ascending order
-// (exactly EnabledSet's order) and returns the extended slice. Stale
-// verdicts are repaired first, then the enabled bitset is walked — the
-// call never probes a process whose cached verdict is still valid.
+// and returns the extended slice. Stale verdicts are repaired first, then
+// the enabled bitset is walked — the call never probes a process whose
+// cached verdict is still valid.
 func (t *EnabledTracker) AppendEnabled(dst []int) []int {
 	t.repair()
 	return t.enabled.Elems(dst)

@@ -1,0 +1,254 @@
+package model_test
+
+import (
+	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/bitset"
+	"repro/internal/engine"
+	"repro/internal/graph"
+	"repro/internal/model"
+	"repro/internal/model/ref"
+	"repro/internal/protocols/mis"
+	"repro/internal/rng"
+	"repro/internal/sched"
+	"repro/internal/trace"
+	"repro/internal/transformer"
+)
+
+// fuzzGraph builds the graph a FuzzSimulatorVsReference input names:
+// shape%5 picks a cycle, path, star, 3-wide grid or connected G(n, 0.25)
+// drawn from seed shape/5, on n = 2 + size%11 processes (a cycle has at
+// least 3, a grid 3 × ⌊n/3⌋).
+func fuzzGraph(shape, size uint8) *graph.Graph {
+	n := 2 + int(size)%11
+	switch shape % 5 {
+	case 0:
+		return graph.Cycle(max(n, 3))
+	case 1:
+		return graph.Path(n)
+	case 2:
+		return graph.Star(n)
+	case 3:
+		return graph.Grid(3, max(n/3, 1))
+	default:
+		return graph.RandomConnectedGNP(n, 0.25, rng.New(uint64(shape/5)))
+	}
+}
+
+// cachedViewMIS is MIS through the local-checking transformer: every
+// neighbor read goes through cache variables in wide internal rows.
+func cachedViewMIS(g *graph.Graph) (*model.System, error) {
+	x, err := transformer.Transform(mis.BaselineSpec(g.MaxDegree()+1), g.MaxDegree())
+	if err != nil {
+		return nil, err
+	}
+	return mis.NewSystem(g, x, graph.GreedyLocalColoring(g))
+}
+
+// fuzzSystem builds the protocol proto%5 names on g: COLORING, MIS,
+// MATCHING, stagingSpec (started from Y = 0 everywhere) or the cached-view
+// MIS, and its initial configuration drawn from seed.
+func fuzzSystem(g *graph.Graph, proto uint8, seed uint64) (*model.System, *model.Config, error) {
+	var sys *model.System
+	var err error
+	switch proto % 5 {
+	case 0:
+		sys, _, err = engine.System(g, engine.FamColoring)
+	case 1:
+		sys, _, err = engine.System(g, engine.FamMIS)
+	case 2:
+		sys, _, err = engine.System(g, engine.FamMatching)
+	case 3:
+		sys, err = model.NewSystem(g, stagingSpec(), nil)
+	default:
+		sys, err = cachedViewMIS(g)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := model.NewRandomConfig(sys, rng.New(seed))
+	if proto%5 == 3 {
+		for p := range cfg.N() {
+			cfg.SetComm(p, stY, 0)
+		}
+	}
+	return sys, cfg, nil
+}
+
+// Operations of a FuzzSimulatorVsReference stream: op = b & 7 of each
+// byte b, and arg = b >> 3 its parameter.
+const (
+	opStep           = 0 // 1 + arg steps, each checked (so are the unnamed codes 6 and 7)
+	opRunRounds      = 1 // RunRounds(1 + arg%3)
+	opRunUntilSilent = 2 // 16·(1 + arg%8) more steps at most, checking every 1 + arg/8
+	opCorrupt        = 3 // randomize 1 + arg%3 processes, then MarkDirty each
+	opTopology       = 4 // one valid topology event on a MutableCopy (none on a static system)
+	opMarkSuffix     = 5
+
+	// maxFuzzOps bounds the operations run from one input: the fuzzer
+	// minimizes every input it keeps in time quadratic in its length.
+	maxFuzzOps = 64
+)
+
+// FuzzSimulatorVsReference runs model.Simulator and the reference
+// simulator ref.Sim in lockstep through one stream of operations: steps,
+// stretches of rounds (over which the replay memo counts and flushes),
+// runs to silence, corruptions repaired with MarkDirty, topology events
+// on a MutableCopy and suffix marks. After every step and every other
+// operation it requires the same configuration, step and round counts,
+// selections and verdicts; the tracker's enabled set equal to
+// ref.EnabledSet and its AllEnabled answer to the reference's on a set
+// that moves with the stream; SilentNow equal to ref.Silent; the same
+// Selected aggregates (however the replays were batched) and CommWrite
+// stream; the same recorder report; and on a MutableCopy a valid graph
+// and configuration.
+//
+// The committed corpus under testdata/fuzz holds the cases of the
+// equivalence tests it replaced, one file per system, daemon and seed,
+// named after the test.
+func FuzzSimulatorVsReference(f *testing.F) {
+	f.Add(uint8(3), uint8(7), false, uint8(1), uint8(1), uint64(1), []byte{opRunUntilSilent, opMarkSuffix, opStep | 3<<3, opRunRounds, opCorrupt, opStep})
+	f.Fuzz(func(t *testing.T, shape, size uint8, dynamic bool, proto, daemon uint8, seed uint64, ops []byte) {
+		g := fuzzGraph(shape, size)
+		sys, initial, err := fuzzSystem(g, proto, seed)
+		if err != nil {
+			t.Skip(err)
+		}
+		if dynamic {
+			sys = sys.MutableCopy()
+		}
+		name := sched.Names()[int(daemon)%len(sched.Names())]
+		simSched, err := sched.ByName(name, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refSched, err := sched.ByName(name, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simRec, refRec := trace.NewRecorder(sys.N()), trace.NewRecorder(sys.N())
+		simLog, refLog := &eventLog{Observer: simRec}, &eventLog{Observer: refRec}
+		sim, err := model.NewSimulator(sys, initial, simSched, seed, simLog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive := ref.NewSim(sys, initial, refSched, seed, refLog)
+		mut := newTopoMutator(g, rng.New(rng.Derive(seed, 7)))
+
+		var i, op, arg, checks int
+		fatalf := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("%s on %s (dynamic %v) under %s, op %d (%d, arg %d) at step %d: %s",
+				sys.Spec().Name, g.Name(), dynamic, name, i, op, arg, sim.Steps(), fmt.Sprintf(format, args...))
+		}
+		var enabled []int
+		set := bitset.New(sys.N())
+		check := func() {
+			t.Helper()
+			if !sim.Config().Equal(naive.Config()) {
+				fatalf("configurations diverged")
+			}
+			if sim.Steps() != naive.Steps() || sim.Rounds() != naive.Rounds() {
+				fatalf("%d steps, %d rounds; reference %d, %d", sim.Steps(), sim.Rounds(), naive.Steps(), naive.Rounds())
+			}
+			if dynamic {
+				if err := sys.Graph().CheckInvariants(); err != nil {
+					fatalf("%v", err)
+				}
+				if err := sim.Config().Validate(sys); err != nil {
+					fatalf("%v", err)
+				}
+			}
+			want := ref.EnabledSet(sys, naive.Config())
+			if enabled = sim.Tracker().AppendEnabled(enabled[:0]); !slices.Equal(enabled, want) {
+				fatalf("tracker enabled set %v, reference %v", enabled, want)
+			}
+			set.Clear()
+			wantAll := true
+			for p := checks % 3; p < sys.N(); p += 3 {
+				set.Add(p)
+				wantAll = wantAll && slices.Contains(want, p)
+			}
+			checks++
+			if got := sim.Tracker().AllEnabled(set); got != wantAll {
+				fatalf("AllEnabled = %v, reference %v", got, wantAll)
+			}
+			silent, err := sim.SilentNow()
+			if err != nil {
+				fatalf("SilentNow: %v", err)
+			}
+			if want := ref.Silent(sys, naive.Config()); silent != want {
+				fatalf("SilentNow = %v, ref.Silent %v", silent, want)
+			}
+			simSel, simWrites := simLog.take()
+			refSel, refWrites := refLog.take()
+			if !maps.Equal(simSel, refSel) {
+				fatalf("Selected aggregates differ:\n simulator %v\n reference %v", simSel, refSel)
+			}
+			if !slices.Equal(simWrites, refWrites) {
+				fatalf("CommWrite streams differ:\n simulator %v\n reference %v", simWrites, refWrites)
+			}
+			if got, want := simRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
+				fatalf("recorder reports differ:\n simulator %+v\n reference %+v", got, want)
+			}
+		}
+
+		for i = 0; i < min(len(ops), maxFuzzOps); i++ {
+			op, arg = int(ops[i]&7), int(ops[i]>>3)
+			switch op {
+			case opRunRounds:
+				if name == "enabled-biased" {
+					// It never selects a disabled process while another is
+					// enabled, so a round may never end.
+					k := (1 + arg%3) * sys.N()
+					sim.RunSteps(k)
+					for range k {
+						naive.Step()
+					}
+				} else {
+					sim.RunRounds(1 + arg%3)
+					naive.RunRounds(1 + arg%3)
+				}
+			case opRunUntilSilent:
+				maxSteps, every := sim.Steps()+16*(1+arg%8), 1+arg/8
+				got, err := sim.RunUntilSilent(maxSteps, every)
+				if err != nil {
+					fatalf("RunUntilSilent: %v", err)
+				}
+				if want := naive.RunUntilSilent(maxSteps, every); got != want {
+					fatalf("RunUntilSilent = %v, reference %v", got, want)
+				}
+			case opCorrupt:
+				for k := range 1 + arg%3 {
+					r := rng.New(rng.Derive(seed, uint64(i*8+k)))
+					p := r.Intn(sys.N())
+					model.RandomizeProcess(sys, sim.Config(), p, r)
+					sim.MarkDirty(p)
+					r = rng.New(rng.Derive(seed, uint64(i*8+k)))
+					model.RandomizeProcess(sys, naive.Config(), r.Intn(sys.N()), r)
+				}
+			case opTopology:
+				if dynamic {
+					mut.apply(sim, nil)
+					naive.Config().CopyFrom(sim.Config())
+				}
+			case opMarkSuffix:
+				simRec.MarkSuffix()
+				refRec.MarkSuffix()
+			default:
+				for range 1 + arg {
+					if got, want := sim.Step(), naive.Step(); !slices.Equal(got, want) {
+						fatalf("selected %v, reference %v", got, want)
+					}
+					check()
+				}
+				continue
+			}
+			check()
+		}
+	})
+}

@@ -9,11 +9,11 @@ package model_test
 // from-scratch oracles.
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/protocols/mis"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -45,56 +45,6 @@ func corruptRandom(sim *model.Simulator, k int, r *rng.Rand) {
 	}
 }
 
-// TestMarkDirtyPreservesCaches is the tracker-vs-oracle equivalence
-// across injections: after every step and every mid-run corruption, the
-// incremental enabledness tracker must agree with a from-scratch
-// EnabledSet rescan and SilentNow must agree with the CommSilent oracle.
-func TestMarkDirtyPreservesCaches(t *testing.T) {
-	t.Parallel()
-	for si, sys := range injectionTestSystems(t) {
-		for seed := uint64(1); seed <= 3; seed++ {
-			sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(seed)),
-				sched.NewRandomSubset(seed), seed, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			adv := rng.New(rng.Derive(seed, 99))
-			var buf []int
-			check := func(step int, what string) {
-				t.Helper()
-				want := model.EnabledSet(sys, sim.Config())
-				buf = sim.Tracker().AppendEnabled(buf[:0])
-				if !slices.Equal(want, buf) {
-					t.Fatalf("system %d seed %d step %d (%s): tracker enabled set %v, oracle %v",
-						si, seed, step, what, buf, want)
-				}
-				gotSilent, err := sim.SilentNow()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSilent, err := model.CommSilent(sys, sim.Config())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotSilent != wantSilent {
-					t.Fatalf("system %d seed %d step %d (%s): SilentNow=%v, CommSilent oracle=%v",
-						si, seed, step, what, gotSilent, wantSilent)
-				}
-			}
-			for step := 0; step < 160; step++ {
-				if step%11 == 10 {
-					// Mid-run injection between steps, including after the
-					// system may already have converged.
-					corruptRandom(sim, 1+adv.Intn(3), adv)
-					check(step, "post-injection")
-				}
-				sim.Step()
-				check(step, "post-step")
-			}
-		}
-	}
-}
-
 // TestMarkDirtyRecoversSilenceDetection: a run driven to silence, then
 // corrupted with MarkDirty, must come out of the silent verdict (when
 // the corruption broke silence) and reconverge to a state the oracle
@@ -118,11 +68,7 @@ func TestMarkDirtyRecoversSilenceDetection(t *testing.T) {
 		if !silent {
 			t.Fatalf("round %d: no silence within budget", round)
 		}
-		oracle, err := model.CommSilent(sys, sim.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !oracle {
+		if !ref.Silent(sys, sim.Config()) {
 			t.Fatalf("round %d: SilentNow true but oracle disagrees", round)
 		}
 		corruptRandom(sim, 3, adv)
@@ -130,11 +76,7 @@ func TestMarkDirtyRecoversSilenceDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := model.CommSilent(sys, sim.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		if want := ref.Silent(sys, sim.Config()); got != want {
 			t.Fatalf("round %d: post-corruption SilentNow=%v, oracle=%v", round, got, want)
 		}
 	}

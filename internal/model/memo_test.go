@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -9,52 +10,11 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/protocols/mis"
+	"repro/internal/model/ref"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/transformer"
 )
-
-// refSim is the abstract simulator the optimized one is judged against:
-// every step goes through model.ExecuteStep (fresh contexts, no arena,
-// no memo, no incremental cache) and rounds are counted with a plain
-// set. Given the scheduler, seed and initial configuration of a
-// model.Simulator it must walk through the same configurations and hand
-// its observer the same call stream.
-type refSim struct {
-	sys   *model.System
-	cfg   *model.Config
-	sched model.Scheduler
-	seed  uint64
-	obs   model.Observer
-
-	step  int
-	seen  map[int]bool
-	fired []int // ExecuteStep's result for the latest step
-}
-
-func newRefSim(sys *model.System, cfg0 *model.Config, sc model.Scheduler, seed uint64, obs model.Observer) *refSim {
-	return &refSim{sys: sys, cfg: cfg0.Clone(), sched: sc, seed: seed, obs: obs, seen: map[int]bool{}}
-}
-
-func (r *refSim) Step() {
-	selected := append([]int(nil), r.sched.Select(r.step, r.sys, r.cfg)...)
-	r.obs.StepBegin(r.step, selected)
-	stepSeed := rng.Derive(r.seed, uint64(r.step))
-	r.fired = model.ExecuteStep(r.sys, r.cfg, selected, r.step, func(p int) *rng.Rand {
-		return rng.New(rng.Derive(stepSeed, uint64(p)))
-	}, r.obs)
-	for _, p := range selected {
-		r.seen[p] = true
-	}
-	roundCompleted := len(r.seen) == r.sys.N()
-	if roundCompleted {
-		r.seen = map[int]bool{}
-	}
-	r.obs.StepEnd(r.step, selected, roundCompleted)
-	r.step++
-}
 
 // rerollSpec is a toy protocol whose one action is always enabled,
 // never touches the communication variable and redraws the internal one
@@ -98,16 +58,16 @@ func TestMemoSkipsRandomizedTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefSim(sys, initial, sched.NewRandomSubset(seed), seed, refRec)
+	naive := ref.NewSim(sys, initial, sched.NewRandomSubset(seed), seed, refRec)
 	for step := 0; step < 300; step++ {
 		if silent, err := memo.SilentNow(); err != nil || !silent {
 			t.Fatalf("step %d: SilentNow = (%v, %v), want silent: the memo is only live in a silent phase", step, silent, err)
 		}
 		memo.Step()
-		ref.Step()
-		if !memo.Config().Equal(ref.cfg) {
+		naive.Step()
+		if !memo.Config().Equal(naive.Config()) {
 			t.Fatalf("step %d: the memoized run replayed a drawn transition:\n memo      %v\n reference %v",
-				step, internals(sys, memo.Config()), internals(sys, ref.cfg))
+				step, internals(sys, memo.Config()), internals(sys, naive.Config()))
 		}
 	}
 	if got, want := memoRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
@@ -120,12 +80,16 @@ func TestMemoSkipsRandomizedTransitions(t *testing.T) {
 // two engines can be compared call for call.
 type eventLog struct {
 	model.Observer
-	selected, writes []string
+	selected map[string]int // Selected aggregate → selections it stands for
+	writes   []string
 }
 
 func (l *eventLog) Selected(step, p int, neighbors []int, bits, fired, times int) {
 	l.Observer.Selected(step, p, neighbors, bits, fired, times)
-	l.selected = append(l.selected, fmt.Sprintf("p%d read %v (%d bits) fired %d x%d", p, neighbors, bits, fired, times))
+	if l.selected == nil {
+		l.selected = map[string]int{}
+	}
+	l.selected[fmt.Sprintf("p%d read %v (%d bits) fired %d", p, neighbors, bits, fired)] += times
 }
 
 func (l *eventLog) CommWrite(step, p, v, old, new int) {
@@ -134,15 +98,14 @@ func (l *eventLog) CommWrite(step, p, v, old, new int) {
 }
 
 // take returns and forgets the logged calls: the CommWrite stream in
-// call order, the Selected calls sorted by process. A step selects a
-// process at most once, so over one bare Step the sorted list is the
-// same whether a selection was reported as it was evaluated or as a
-// counted replay when Step returned (which carries a later step number:
-// the log leaves the step out).
-func (l *eventLog) take() (selected, writes []string) {
+// call order, and each distinct Selected aggregate with the number of
+// selections it stood for. The tally is the same whether a selection was
+// reported as it was evaluated or in a counted replay batch when the
+// stepping method returned (which carries a later step number: the log
+// leaves the step out).
+func (l *eventLog) take() (selected map[string]int, writes []string) {
 	selected, writes = l.selected, l.writes
 	l.selected, l.writes = nil, nil
-	slices.Sort(selected)
 	return selected, writes
 }
 
@@ -236,12 +199,7 @@ func referenceCases(t *testing.T) []referenceCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := graph.Grid(3, 3)
-	x, err := transformer.Transform(mis.BaselineSpec(g.MaxDegree()+1), g.MaxDegree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := mis.NewSystem(g, x, graph.GreedyLocalColoring(g))
+	cached, err := cachedViewMIS(graph.Grid(3, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +253,7 @@ func TestStepMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefSim(sys, initial, mk(seed), seed, refLog)
+			naive := ref.NewSim(sys, initial, mk(seed), seed, refLog)
 			fatalf := func(format string, args ...any) {
 				t.Helper()
 				t.Fatalf("%s (dynamic %v) sched %d step %d: %s",
@@ -312,13 +270,13 @@ func TestStepMatchesReference(t *testing.T) {
 			step := func() {
 				t.Helper()
 				sim.Step()
-				ref.Step()
-				if !sim.Config().Equal(ref.cfg) {
+				naive.Step()
+				if !sim.Config().Equal(naive.Config()) {
 					fatalf("configurations diverged")
 				}
 				simSel, simWrites := simLog.take()
 				refSel, refWrites := refLog.take()
-				if !slices.Equal(simSel, refSel) {
+				if !maps.Equal(simSel, refSel) {
 					fatalf("Selected calls differ:\n simulator %v\n reference %v", simSel, refSel)
 				}
 				if !slices.Equal(simWrites, refWrites) {
@@ -328,7 +286,7 @@ func TestStepMatchesReference(t *testing.T) {
 					if sim.Steps() == 1 && ki == synchronous && len(simWrites) != sys.N() {
 						fatalf("%d CommWrite calls, want one per process: the step that fills the staging array", len(simWrites))
 					}
-					for _, f := range ref.fired {
+					for _, f := range naive.Fired() {
 						if f >= 0 {
 							stagingFired[f]++
 						}
@@ -375,10 +333,10 @@ func TestStepMatchesReference(t *testing.T) {
 			// returns.
 			from := sim.Steps()
 			sim.RunRounds(3)
-			for ref.step < sim.Steps() {
-				ref.Step()
+			for naive.Steps() < sim.Steps() {
+				naive.Step()
 			}
-			if !sim.Config().Equal(ref.cfg) {
+			if !sim.Config().Equal(naive.Config()) {
 				fatalf("configurations diverged over RunRounds from step %d", from)
 			}
 			if _, writes := simLog.take(); len(writes) != 0 {
@@ -392,7 +350,7 @@ func TestStepMatchesReference(t *testing.T) {
 			if sys.Dynamic() {
 				sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoCrash, U: 1}, nil)
 			}
-			ref.cfg.CopyFrom(sim.Config())
+			naive.Config().CopyFrom(sim.Config())
 			sameReports("after MarkDirty")
 			converge()
 			lockstep(60, false)

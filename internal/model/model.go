@@ -43,8 +43,10 @@
 // internal state only costs no copy and no visit. Own state is writable
 // only inside an Apply body: SetComm, SetInternal and Rand panic in a
 // guard on every context, or a guard that wrote and returned false would
-// have moved a disabled process. ExecuteStep, the probes and the tracker
-// evaluate on private copies of both rows.
+// have moved a disabled process. Everything else that evaluates a process
+// — the orbit walker, the tracker, StepProcess and Evaluate, through which
+// the reference semantics in internal/model/ref steps — does so on private
+// copies of both rows.
 //
 // # Enabledness invalidation invariant
 //

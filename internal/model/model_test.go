@@ -1,43 +1,46 @@
-package model
+package model_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/rng"
 )
 
 // copySpec is a toy deterministic protocol: X.p ≠ X.(port 1) → X.p ← X.(port 1).
-func copySpec() *Spec {
-	return &Spec{
+func copySpec() *model.Spec {
+	return &model.Spec{
 		Name: "COPY",
-		Comm: []VarSpec{{Name: "X", Domain: FixedDomain(10)}},
-		Actions: []Action{{
+		Comm: []model.VarSpec{{Name: "X", Domain: model.FixedDomain(10)}},
+		Actions: []model.Action{{
 			Name:  "copy",
-			Guard: func(c *Ctx) bool { return c.Comm(0) != c.NeighborComm(1, 0) },
-			Apply: func(c *Ctx) { c.SetComm(0, c.NeighborComm(1, 0)) },
+			Guard: func(c *model.Ctx) bool { return c.Comm(0) != c.NeighborComm(1, 0) },
+			Apply: func(c *model.Ctx) { c.SetComm(0, c.NeighborComm(1, 0)) },
 		}},
 	}
 }
 
 // scanSpec rotates an internal pointer forever without writing comm.
-func scanSpec() *Spec {
-	return &Spec{
+func scanSpec() *model.Spec {
+	return &model.Spec{
 		Name:     "SCAN",
-		Comm:     []VarSpec{{Name: "X", Domain: FixedDomain(3)}},
-		Internal: []VarSpec{{Name: "cur", Domain: func(i DomainInfo) int { return i.Degree }}},
-		Actions: []Action{{
+		Comm:     []model.VarSpec{{Name: "X", Domain: model.FixedDomain(3)}},
+		Internal: []model.VarSpec{{Name: "cur", Domain: func(i model.DomainInfo) int { return i.Degree }}},
+		Actions: []model.Action{{
 			Name:  "scan",
-			Guard: func(c *Ctx) bool { _ = c.NeighborComm(c.Internal(0)+1, 0); return true },
-			Apply: func(c *Ctx) { c.SetInternal(0, (c.Internal(0)+1)%c.Deg()) },
+			Guard: func(c *model.Ctx) bool { _ = c.NeighborComm(c.Internal(0)+1, 0); return true },
+			Apply: func(c *model.Ctx) { c.SetInternal(0, (c.Internal(0)+1)%c.Deg()) },
 		}},
 	}
 }
 
-func mustSystem(t *testing.T, g *graph.Graph, spec *Spec, consts [][]int) *System {
+func mustSystem(t *testing.T, g *graph.Graph, spec *model.Spec, consts [][]int) *model.System {
 	t.Helper()
-	sys, err := NewSystem(g, spec, consts)
+	sys, err := model.NewSystem(g, spec, consts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,19 +50,19 @@ func mustSystem(t *testing.T, g *graph.Graph, spec *Spec, consts [][]int) *Syste
 func TestSpecValidate(t *testing.T) {
 	cases := []struct {
 		name string
-		spec *Spec
+		spec *model.Spec
 	}{
-		{"empty name", &Spec{Actions: []Action{{Guard: func(*Ctx) bool { return false }, Apply: func(*Ctx) {}}}}},
-		{"no actions", &Spec{Name: "X"}},
-		{"nil guard", &Spec{Name: "X", Actions: []Action{{Apply: func(*Ctx) {}}}}},
-		{"unnamed var", &Spec{Name: "X", Comm: []VarSpec{{Domain: FixedDomain(2)}},
-			Actions: []Action{{Guard: func(*Ctx) bool { return false }, Apply: func(*Ctx) {}}}}},
-		{"nil domain", &Spec{Name: "X", Comm: []VarSpec{{Name: "v"}},
-			Actions: []Action{{Guard: func(*Ctx) bool { return false }, Apply: func(*Ctx) {}}}}},
-		{"dup var", &Spec{Name: "X",
-			Comm:     []VarSpec{{Name: "v", Domain: FixedDomain(2)}},
-			Internal: []VarSpec{{Name: "v", Domain: FixedDomain(2)}},
-			Actions:  []Action{{Guard: func(*Ctx) bool { return false }, Apply: func(*Ctx) {}}}}},
+		{"empty name", &model.Spec{Actions: []model.Action{{Guard: func(*model.Ctx) bool { return false }, Apply: func(*model.Ctx) {}}}}},
+		{"no actions", &model.Spec{Name: "X"}},
+		{"nil guard", &model.Spec{Name: "X", Actions: []model.Action{{Apply: func(*model.Ctx) {}}}}},
+		{"unnamed var", &model.Spec{Name: "X", Comm: []model.VarSpec{{Domain: model.FixedDomain(2)}},
+			Actions: []model.Action{{Guard: func(*model.Ctx) bool { return false }, Apply: func(*model.Ctx) {}}}}},
+		{"nil domain", &model.Spec{Name: "X", Comm: []model.VarSpec{{Name: "v"}},
+			Actions: []model.Action{{Guard: func(*model.Ctx) bool { return false }, Apply: func(*model.Ctx) {}}}}},
+		{"dup var", &model.Spec{Name: "X",
+			Comm:     []model.VarSpec{{Name: "v", Domain: model.FixedDomain(2)}},
+			Internal: []model.VarSpec{{Name: "v", Domain: model.FixedDomain(2)}},
+			Actions:  []model.Action{{Guard: func(*model.Ctx) bool { return false }, Apply: func(*model.Ctx) {}}}}},
 	}
 	for _, c := range cases {
 		if err := c.spec.Validate(); err == nil {
@@ -74,7 +77,7 @@ func TestSpecValidate(t *testing.T) {
 func TestBitsFor(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 1024: 10, 1025: 11}
 	for domain, want := range cases {
-		if got := BitsFor(domain); got != want {
+		if got := model.BitsFor(domain); got != want {
 			t.Errorf("BitsFor(%d) = %d, want %d", domain, got, want)
 		}
 	}
@@ -82,28 +85,28 @@ func TestBitsFor(t *testing.T) {
 
 func TestNewSystemValidation(t *testing.T) {
 	spec := copySpec()
-	if _, err := NewSystem(graph.Path(1), spec, nil); err == nil {
+	if _, err := model.NewSystem(graph.Path(1), spec, nil); err == nil {
 		t.Error("single-process system accepted")
 	}
 	b := graph.NewBuilder(4, "disc")
 	b.MustAddEdge(0, 1)
 	b.MustAddEdge(2, 3)
-	if _, err := NewSystem(b.Build(), spec, nil); err == nil {
+	if _, err := model.NewSystem(b.Build(), spec, nil); err == nil {
 		t.Error("disconnected system accepted")
 	}
-	constSpec := &Spec{
+	constSpec := &model.Spec{
 		Name:    "K",
-		Comm:    []VarSpec{{Name: "X", Domain: FixedDomain(2)}},
-		Const:   []VarSpec{{Name: "C", Domain: FixedDomain(3)}},
+		Comm:    []model.VarSpec{{Name: "X", Domain: model.FixedDomain(2)}},
+		Const:   []model.VarSpec{{Name: "C", Domain: model.FixedDomain(3)}},
 		Actions: spec.Actions,
 	}
-	if _, err := NewSystem(graph.Path(3), constSpec, nil); err == nil {
+	if _, err := model.NewSystem(graph.Path(3), constSpec, nil); err == nil {
 		t.Error("missing consts accepted")
 	}
-	if _, err := NewSystem(graph.Path(3), constSpec, [][]int{{0}, {5}, {1}}); err == nil {
+	if _, err := model.NewSystem(graph.Path(3), constSpec, [][]int{{0}, {5}, {1}}); err == nil {
 		t.Error("out-of-domain const accepted")
 	}
-	if _, err := NewSystem(graph.Path(3), constSpec, [][]int{{0}, {1}, {2}}); err != nil {
+	if _, err := model.NewSystem(graph.Path(3), constSpec, [][]int{{0}, {1}, {2}}); err != nil {
 		t.Errorf("valid consts rejected: %v", err)
 	}
 }
@@ -112,9 +115,9 @@ func TestSnapshotSemantics(t *testing.T) {
 	// On a 2-path with X = (0, 1), a synchronous step must *swap* the
 	// values: both processes read the pre-step configuration.
 	sys := mustSystem(t, graph.Path(2), copySpec(), nil)
-	cfg := NewZeroConfig(sys)
+	cfg := model.NewZeroConfig(sys)
 	cfg.SetComm(1, 0, 1)
-	ExecuteStep(sys, cfg, []int{0, 1}, 0, nil, nil)
+	ref.Step(sys, cfg, []int{0, 1}, 0, nil, nil)
 	if cfg.Comm(0, 0) != 1 || cfg.Comm(1, 0) != 0 {
 		t.Fatalf("snapshot semantics violated: got (%d,%d), want (1,0)",
 			cfg.Comm(0, 0), cfg.Comm(1, 0))
@@ -122,19 +125,19 @@ func TestSnapshotSemantics(t *testing.T) {
 }
 
 func TestActionPriority(t *testing.T) {
-	spec := &Spec{
+	spec := &model.Spec{
 		Name: "PRIO",
-		Comm: []VarSpec{{Name: "X", Domain: FixedDomain(5)}},
-		Actions: []Action{
-			{Name: "first", Guard: func(c *Ctx) bool { return true },
-				Apply: func(c *Ctx) { c.SetComm(0, 1) }},
-			{Name: "second", Guard: func(c *Ctx) bool { return true },
-				Apply: func(c *Ctx) { c.SetComm(0, 2) }},
+		Comm: []model.VarSpec{{Name: "X", Domain: model.FixedDomain(5)}},
+		Actions: []model.Action{
+			{Name: "first", Guard: func(c *model.Ctx) bool { return true },
+				Apply: func(c *model.Ctx) { c.SetComm(0, 1) }},
+			{Name: "second", Guard: func(c *model.Ctx) bool { return true },
+				Apply: func(c *model.Ctx) { c.SetComm(0, 2) }},
 		},
 	}
 	sys := mustSystem(t, graph.Path(2), spec, nil)
-	cfg := NewZeroConfig(sys)
-	fired := ExecuteStep(sys, cfg, []int{0}, 0, nil, nil)
+	cfg := model.NewZeroConfig(sys)
+	fired := ref.Step(sys, cfg, []int{0}, 0, nil, nil)
 	if fired[0] != 0 {
 		t.Fatalf("fired action %d, want 0 (priority order)", fired[0])
 	}
@@ -145,9 +148,9 @@ func TestActionPriority(t *testing.T) {
 
 func TestDisabledSelectedProcess(t *testing.T) {
 	sys := mustSystem(t, graph.Path(2), copySpec(), nil)
-	cfg := NewZeroConfig(sys) // X equal everywhere: everyone disabled
+	cfg := model.NewZeroConfig(sys) // X equal everywhere: everyone disabled
 	before := cfg.Clone()
-	fired := ExecuteStep(sys, cfg, []int{0, 1}, 0, nil, nil)
+	fired := ref.Step(sys, cfg, []int{0, 1}, 0, nil, nil)
 	if fired[0] != -1 || fired[1] != -1 {
 		t.Fatalf("fired = %v, want [-1 -1]", fired)
 	}
@@ -158,72 +161,126 @@ func TestDisabledSelectedProcess(t *testing.T) {
 
 func TestEnabledSet(t *testing.T) {
 	sys := mustSystem(t, graph.Path(3), copySpec(), nil)
-	cfg := NewZeroConfig(sys)
+	cfg := model.NewZeroConfig(sys)
 	cfg.SetComm(2, 0, 3)
 	// Port 1 of p0 is p1 (X=0): disabled. p1's port 1 is p0 (X=0): disabled.
 	// p2's port 1 is p1 (X=0 != 3): enabled.
-	enabled := EnabledSet(sys, cfg)
+	enabled := ref.EnabledSet(sys, cfg)
 	if len(enabled) != 1 || enabled[0] != 2 {
 		t.Fatalf("EnabledSet = %v, want [2]", enabled)
 	}
-	if EnabledAction(sys, cfg, 2) != 0 {
-		t.Fatal("EnabledAction wrong")
-	}
-	if Enabled(sys, cfg, 0) {
-		t.Fatal("p0 should be disabled")
+	if a := model.NewEnabledTracker(sys, cfg).EnabledAction(2); a != 0 {
+		t.Fatalf("tracker: p2 fires action %d, want 0", a)
 	}
 }
 
+// TestRandPanicsInGuard pins where randomness is refused and what the
+// panic says: in a guard on every context, and in an Apply that runs
+// without a generator, which only an action not marked Randomized meets
+// in the orbit walker (there as the silence check's error).
 func TestRandPanicsInGuard(t *testing.T) {
-	spec := &Spec{
-		Name: "BADRAND",
-		Comm: []VarSpec{{Name: "X", Domain: FixedDomain(2)}},
-		Actions: []Action{{
-			Name:  "bad",
-			Guard: func(c *Ctx) bool { return c.Rand(2) == 0 },
-			Apply: func(c *Ctx) {},
-		}},
+	const (
+		inGuard     = "model: randomness is only available inside Apply"
+		unmarked    = "model: Rand with no generator: the action draws but is not marked Randomized"
+		guardDraws  = "guard draws"
+		unmarkedRnd = "unmarked apply draws"
+	)
+	specs := map[string]*model.Spec{
+		guardDraws: {
+			Name: "BADRAND",
+			Comm: []model.VarSpec{{Name: "X", Domain: model.FixedDomain(2)}},
+			Actions: []model.Action{{
+				Name:  "bad",
+				Guard: func(c *model.Ctx) bool { return c.Rand(2) == 0 },
+				Apply: func(c *model.Ctx) {},
+			}},
+		},
+		unmarkedRnd: {
+			Name: "UNMARKED",
+			Comm: []model.VarSpec{{Name: "X", Domain: model.FixedDomain(2)}},
+			Actions: []model.Action{{
+				Name:  "draw",
+				Guard: func(c *model.Ctx) bool { return true },
+				Apply: func(c *model.Ctx) { c.SetComm(0, c.Rand(2)) },
+			}},
+		},
 	}
-	sys := mustSystem(t, graph.Path(2), spec, nil)
-	cfg := NewZeroConfig(sys)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("randomness in guard did not panic")
+	gen := func(int) *rng.Rand { return rng.New(1) }
+	for _, tc := range []struct {
+		name, spec, want string
+		run              func(sys *model.System, cfg *model.Config) error
+	}{
+		{"guard, ref.Step", guardDraws, inGuard, func(sys *model.System, cfg *model.Config) error {
+			ref.Step(sys, cfg, []int{0}, 0, gen, nil)
+			return nil
+		}},
+		{"guard, Simulator.Step", guardDraws, inGuard, func(sys *model.System, cfg *model.Config) error {
+			sim, err := model.NewSimulator(sys, cfg, roundRobin{}, 1, nil)
+			if err == nil {
+				sim.Step()
+			}
+			return err
+		}},
+		{"apply without a generator, ref.Step", unmarkedRnd, unmarked, func(sys *model.System, cfg *model.Config) error {
+			ref.Step(sys, cfg, []int{0}, 0, nil, nil)
+			return nil
+		}},
+		{"apply in the orbit walker", unmarkedRnd, "model: silence check at process 0: apply panicked: " + unmarked,
+			func(sys *model.System, cfg *model.Config) error {
+				_, err := model.CommSilent(sys, cfg)
+				return err
+			}},
+	} {
+		sys := mustSystem(t, graph.Path(2), specs[tc.spec], nil)
+		var got string
+		func() {
+			defer func() {
+				if rec := recover(); rec != nil {
+					got = fmt.Sprint(rec)
+				}
+			}()
+			if err := tc.run(sys, model.NewZeroConfig(sys)); err != nil {
+				got = err.Error()
+			}
+		}()
+		if got != tc.want {
+			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
 		}
-	}()
-	ExecuteStep(sys, cfg, []int{0}, 0, func(int) *rng.Rand { return rng.New(1) }, nil)
+	}
 }
 
 // TestGuardWriteRefused: a guard is a predicate. One that writes own
 // state, communication or internal, panics on every context that can
-// evaluate it — the arena's, the reference step's, the tracker's probe
-// and the silence check — and the configuration is left as it was.
+// evaluate it — the arena's, the reference step's, the tracker's probe,
+// the orbit walker's and SilentNow's — and the configuration is left as
+// it was.
 func TestGuardWriteRefused(t *testing.T) {
-	writes := map[string]func(c *Ctx){
-		"SetComm":     func(c *Ctx) { c.SetComm(0, 1) },
-		"SetInternal": func(c *Ctx) { c.SetInternal(0, 1) },
+	writes := map[string]func(c *model.Ctx){
+		"SetComm":     func(c *model.Ctx) { c.SetComm(0, 1) },
+		"SetInternal": func(c *model.Ctx) { c.SetInternal(0, 1) },
 	}
 	for name, write := range writes {
-		spec := &Spec{
+		spec := &model.Spec{
 			Name:     "BADGUARD",
-			Comm:     []VarSpec{{Name: "X", Domain: FixedDomain(2)}},
-			Internal: []VarSpec{{Name: "y", Domain: FixedDomain(2)}},
-			Actions: []Action{{
+			Comm:     []model.VarSpec{{Name: "X", Domain: model.FixedDomain(2)}},
+			Internal: []model.VarSpec{{Name: "y", Domain: model.FixedDomain(2)}},
+			Actions: []model.Action{{
 				Name:  "bad",
-				Guard: func(c *Ctx) bool { write(c); return false },
-				Apply: func(c *Ctx) {},
+				Guard: func(c *model.Ctx) bool { write(c); return false },
+				Apply: func(c *model.Ctx) {},
 			}},
 		}
 		sys := mustSystem(t, graph.Path(2), spec, nil)
-		sim, err := NewSimulator(sys, NewZeroConfig(sys), roundRobin{}, 1, nil)
+		sim, err := model.NewSimulator(sys, model.NewZeroConfig(sys), roundRobin{}, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := NewZeroConfig(sys)
+		cfg := model.NewZeroConfig(sys)
 		entries := map[string]func(){
 			"Simulator.Step": func() { sim.Step() },
-			"ExecuteStep":    func() { ExecuteStep(sys, cfg, []int{0}, 0, nil, nil) },
-			"EnabledTracker": func() { NewEnabledTracker(sys, cfg).EnabledAction(0) },
+			"ref.Step":       func() { ref.Step(sys, cfg, []int{0}, 0, nil, nil) },
+			"EnabledTracker": func() { model.NewEnabledTracker(sys, cfg).EnabledAction(0) },
+			"CommSilent":     func() { _, _ = model.CommSilent(sys, cfg) },
 			"SilentNow":      func() { _, _ = sim.SilentNow() },
 		}
 		for entry, run := range entries {
@@ -236,35 +293,35 @@ func TestGuardWriteRefused(t *testing.T) {
 				run()
 			}()
 		}
-		if !sim.Config().Equal(cfg) || !cfg.Equal(NewZeroConfig(sys)) {
+		if !sim.Config().Equal(cfg) || !cfg.Equal(model.NewZeroConfig(sys)) {
 			t.Errorf("%s in a guard changed a configuration", name)
 		}
 	}
 }
 
 func TestSetCommDomainEnforced(t *testing.T) {
-	spec := &Spec{
+	spec := &model.Spec{
 		Name: "OOB",
-		Comm: []VarSpec{{Name: "X", Domain: FixedDomain(2)}},
-		Actions: []Action{{
+		Comm: []model.VarSpec{{Name: "X", Domain: model.FixedDomain(2)}},
+		Actions: []model.Action{{
 			Name:  "oob",
-			Guard: func(c *Ctx) bool { return true },
-			Apply: func(c *Ctx) { c.SetComm(0, 7) },
+			Guard: func(c *model.Ctx) bool { return true },
+			Apply: func(c *model.Ctx) { c.SetComm(0, 7) },
 		}},
 	}
 	sys := mustSystem(t, graph.Path(2), spec, nil)
-	cfg := NewZeroConfig(sys)
+	cfg := model.NewZeroConfig(sys)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-domain write did not panic")
 		}
 	}()
-	ExecuteStep(sys, cfg, []int{0}, 0, nil, nil)
+	ref.Step(sys, cfg, []int{0}, 0, nil, nil)
 }
 
 func TestConfigCloneEqualValidate(t *testing.T) {
 	sys := mustSystem(t, graph.Path(3), copySpec(), nil)
-	cfg := NewRandomConfig(sys, rng.New(3))
+	cfg := model.NewRandomConfig(sys, rng.New(3))
 	if err := cfg.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
@@ -288,15 +345,15 @@ func TestConfigCloneEqualValidate(t *testing.T) {
 // outside [0, n) must stop on a bound in each accessor and never reach a
 // neighboring row.
 func TestConfigAccessorBounds(t *testing.T) {
-	nop := Action{Name: "nop", Guard: func(*Ctx) bool { return false }, Apply: func(*Ctx) {}}
-	spec := &Spec{
+	nop := model.Action{Name: "nop", Guard: func(*model.Ctx) bool { return false }, Apply: func(*model.Ctx) {}}
+	spec := &model.Spec{
 		Name:     "WIDE",
-		Comm:     []VarSpec{{Name: "A", Domain: FixedDomain(4)}, {Name: "B", Domain: FixedDomain(4)}},
-		Internal: []VarSpec{{Name: "I", Domain: FixedDomain(4)}},
-		Actions:  []Action{nop},
+		Comm:     []model.VarSpec{{Name: "A", Domain: model.FixedDomain(4)}, {Name: "B", Domain: model.FixedDomain(4)}},
+		Internal: []model.VarSpec{{Name: "I", Domain: model.FixedDomain(4)}},
+		Actions:  []model.Action{nop},
 	}
 	sys := mustSystem(t, graph.Path(3), spec, nil)
-	cfg := NewZeroConfig(sys)
+	cfg := model.NewZeroConfig(sys)
 	n := cfg.N()
 	if n != 3 {
 		t.Fatalf("N() = %d, want 3", n)
@@ -317,7 +374,7 @@ func TestConfigAccessorBounds(t *testing.T) {
 			}
 		}
 	}
-	if !cfg.Equal(NewZeroConfig(sys)) {
+	if !cfg.Equal(model.NewZeroConfig(sys)) {
 		t.Fatal("a rejected write landed somewhere")
 	}
 	cfg.SetComm(1, sys.CommWidth()-1, 3)
@@ -331,20 +388,20 @@ func TestConfigAccessorBounds(t *testing.T) {
 		t.Errorf("SetInternal on the last variable of process 1 wrote process 2 (= %d)", got)
 	}
 
-	bare := mustSystem(t, graph.Path(3), &Spec{
+	bare := mustSystem(t, graph.Path(3), &model.Spec{
 		Name:    "BARE",
-		Comm:    []VarSpec{{Name: "A", Domain: FixedDomain(4)}},
-		Actions: []Action{nop},
+		Comm:    []model.VarSpec{{Name: "A", Domain: model.FixedDomain(4)}},
+		Actions: []model.Action{nop},
 	}, nil)
-	if !panics(func() { NewZeroConfig(bare).Internal(1, 0) }) {
+	if !panics(func() { model.NewZeroConfig(bare).Internal(1, 0) }) {
 		t.Error("Internal(1, 0) on a system without internal variables did not panic")
 	}
 }
 
 func TestRandomConfigDeterministic(t *testing.T) {
 	sys := mustSystem(t, graph.Cycle(6), copySpec(), nil)
-	a := NewRandomConfig(sys, rng.New(7))
-	b := NewRandomConfig(sys, rng.New(7))
+	a := model.NewRandomConfig(sys, rng.New(7))
+	b := model.NewRandomConfig(sys, rng.New(7))
 	if !a.Equal(b) {
 		t.Fatal("NewRandomConfig not deterministic in seed")
 	}
@@ -353,18 +410,18 @@ func TestRandomConfigDeterministic(t *testing.T) {
 type roundRobin struct{}
 
 func (roundRobin) Name() string { return "rr" }
-func (roundRobin) Select(step int, sys *System, _ *Config) []int {
+func (roundRobin) Select(step int, sys *model.System, _ *model.Config) []int {
 	return []int{step % sys.N()}
 }
 
-// RoundLog is an Observer that keeps the step at which each round
+// roundLog is an Observer that keeps the step at which each round
 // completed, as StepEnd reports it.
-type RoundLog struct{ Ends []int }
+type roundLog struct{ Ends []int }
 
-func (*RoundLog) StepBegin(int, []int)                    {}
-func (*RoundLog) Selected(int, int, []int, int, int, int) {}
-func (*RoundLog) CommWrite(int, int, int, int, int)       {}
-func (l *RoundLog) StepEnd(step int, _ []int, roundCompleted bool) {
+func (*roundLog) StepBegin(int, []int)                    {}
+func (*roundLog) Selected(int, int, []int, int, int, int) {}
+func (*roundLog) CommWrite(int, int, int, int, int)       {}
+func (l *roundLog) StepEnd(step int, _ []int, roundCompleted bool) {
 	if roundCompleted {
 		l.Ends = append(l.Ends, step)
 	}
@@ -372,10 +429,10 @@ func (l *RoundLog) StepEnd(step int, _ []int, roundCompleted bool) {
 
 func TestRoundTracking(t *testing.T) {
 	sys := mustSystem(t, graph.Path(3), copySpec(), nil)
-	cfg := NewZeroConfig(sys)
+	cfg := model.NewZeroConfig(sys)
 	cfg.SetComm(0, 0, 5)
-	log := &RoundLog{}
-	sim, err := NewSimulator(sys, cfg, roundRobin{}, 1, log)
+	log := &roundLog{}
+	sim, err := model.NewSimulator(sys, cfg, roundRobin{}, 1, log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,14 +457,14 @@ func TestRoundTracking(t *testing.T) {
 
 func TestCommSilent(t *testing.T) {
 	sys := mustSystem(t, graph.Path(2), copySpec(), nil)
-	eq := NewZeroConfig(sys)
-	silent, err := CommSilent(sys, eq)
+	eq := model.NewZeroConfig(sys)
+	silent, err := model.CommSilent(sys, eq)
 	if err != nil || !silent {
 		t.Fatalf("equal-values config not silent: %v %v", silent, err)
 	}
-	diff := NewZeroConfig(sys)
+	diff := model.NewZeroConfig(sys)
 	diff.SetComm(1, 0, 1)
-	silent, err = CommSilent(sys, diff)
+	silent, err = model.CommSilent(sys, diff)
 	if err != nil || silent {
 		t.Fatalf("conflicting config reported silent: %v %v", silent, err)
 	}
@@ -417,8 +474,8 @@ func TestCommSilentWithRotatingInternal(t *testing.T) {
 	// A protocol whose internal pointer rotates forever but never writes
 	// comm is silent in every configuration: the orbit closes.
 	sys := mustSystem(t, graph.Cycle(4), scanSpec(), nil)
-	cfg := NewRandomConfig(sys, rng.New(9))
-	silent, err := CommSilent(sys, cfg)
+	cfg := model.NewRandomConfig(sys, rng.New(9))
+	silent, err := model.CommSilent(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,25 +485,25 @@ func TestCommSilentWithRotatingInternal(t *testing.T) {
 }
 
 func TestCommSilentRandomizedBreaks(t *testing.T) {
-	spec := &Spec{
+	spec := &model.Spec{
 		Name: "RND",
-		Comm: []VarSpec{{Name: "X", Domain: FixedDomain(4)}},
-		Actions: []Action{{
+		Comm: []model.VarSpec{{Name: "X", Domain: model.FixedDomain(4)}},
+		Actions: []model.Action{{
 			Name:       "rnd",
-			Guard:      func(c *Ctx) bool { return c.Comm(0) == c.NeighborComm(1, 0) },
-			Apply:      func(c *Ctx) { c.SetComm(0, c.Rand(4)) },
+			Guard:      func(c *model.Ctx) bool { return c.Comm(0) == c.NeighborComm(1, 0) },
+			Apply:      func(c *model.Ctx) { c.SetComm(0, c.Rand(4)) },
 			Randomized: true,
 		}},
 	}
 	sys := mustSystem(t, graph.Path(2), spec, nil)
-	conflict := NewZeroConfig(sys) // equal values: randomized action enabled
-	silent, err := CommSilent(sys, conflict)
+	conflict := model.NewZeroConfig(sys) // equal values: randomized action enabled
+	silent, err := model.CommSilent(sys, conflict)
 	if err != nil || silent {
 		t.Fatalf("enabled randomized action should break silence: %v %v", silent, err)
 	}
-	ok := NewZeroConfig(sys)
+	ok := model.NewZeroConfig(sys)
 	ok.SetComm(1, 0, 2)
-	silent, err = CommSilent(sys, ok)
+	silent, err = model.CommSilent(sys, ok)
 	if err != nil || !silent {
 		t.Fatalf("disabled randomized protocol should be silent: %v %v", silent, err)
 	}
@@ -454,18 +511,18 @@ func TestCommSilentRandomizedBreaks(t *testing.T) {
 
 func TestSimulatorRejectsInvalidConfig(t *testing.T) {
 	sys := mustSystem(t, graph.Path(2), copySpec(), nil)
-	bad := NewZeroConfig(sys)
+	bad := model.NewZeroConfig(sys)
 	bad.SetComm(0, 0, 99)
-	if _, err := NewSimulator(sys, bad, roundRobin{}, 1, nil); err == nil {
+	if _, err := model.NewSimulator(sys, bad, roundRobin{}, 1, nil); err == nil {
 		t.Fatal("invalid initial configuration accepted")
 	}
 }
 
 func TestRunUntilSilent(t *testing.T) {
 	sys := mustSystem(t, graph.Path(4), copySpec(), nil)
-	cfg := NewZeroConfig(sys)
+	cfg := model.NewZeroConfig(sys)
 	cfg.SetComm(3, 0, 2)
-	sim, err := NewSimulator(sys, cfg, roundRobin{}, 1, nil)
+	sim, err := model.NewSimulator(sys, cfg, roundRobin{}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,16 +534,16 @@ func TestRunUntilSilent(t *testing.T) {
 		t.Fatal("copy protocol did not reach silence")
 	}
 	// At silence all values along port-1 chains are equal; verify fixpoint.
-	if got, err := CommSilent(sys, sim.Config()); err != nil || !got {
+	if got, err := model.CommSilent(sys, sim.Config()); err != nil || !got {
 		t.Fatal("final configuration not silent")
 	}
 }
 
 func TestVarKindString(t *testing.T) {
-	if KindComm.String() != "comm" || KindConst.String() != "const" || KindInternal.String() != "internal" {
+	if model.KindComm.String() != "comm" || model.KindConst.String() != "const" || model.KindInternal.String() != "internal" {
 		t.Fatal("VarKind strings wrong")
 	}
-	if VarKind(99).String() == "" {
+	if model.VarKind(99).String() == "" {
 		t.Fatal("unknown kind has empty string")
 	}
 }

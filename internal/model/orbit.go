@@ -1,31 +1,63 @@
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// orbitProbe is a reusable engine for the frozen-neighborhood orbit
-// exploration behind the silence decision procedure (see CommSilent for
-// the soundness argument). The one-shot enabledOrbitSilent allocates a
-// visited map and string state keys per probe; with silence checked every
-// step that dominated the trial loop, so the simulator keeps one probe
-// and reuses its buffers: the orbit's states are kept as rows of one
-// reused flat slice and compared by value, which serves every state
-// width (the transformer's cache variables overflow any fixed-size key).
-// Steady-state probes allocate nothing.
+// orbitBudget caps the transitions one orbit walk evaluates, as a defence
+// against enormous internal domains. Every state of an orbit the walk
+// closes cost it at least one transition, so a closed orbit has at most
+// orbitBudget states.
+const orbitBudget = 1 << 16
+
+// orbitProbe walks a process's frozen-neighborhood orbit: the states p
+// moves through when it is selected alone, again and again, while every
+// neighbor's communication row stays at its value in cfg. The paper's
+// silent configuration (Definition 3, Section 2.2) and its eventual read
+// sets (Definition 9) are both questions about that orbit, and this walker
+// is the only one that answers them: SilentNow and CommSilent ask whether
+// any orbit changes communication state, EventualReadSets which neighbors
+// a closed orbit keeps reading.
+//
+// Deciding silence this way is sound and complete for this model:
+//
+//   - If some orbit transition writes a communication variable with a
+//     changed value (or an enabled Randomized action writes one at all),
+//     cfg is not silent: the scheduler that selects only p repeatedly
+//     realizes exactly that orbit, so a computation changing communication
+//     state exists.
+//   - If no orbit ever changes communication state, no computation from
+//     cfg can: the first communication change overall would have to be
+//     made by some process whose neighbors' communication states were
+//     still at their cfg values, and that process's state evolution up to
+//     that point is exactly its frozen-neighborhood orbit (its guards
+//     depend only on its own state and neighbor communication state).
+//
+// Randomized actions end the walk, so the orbit is deterministic, and
+// local state spaces are finite, so it is a ρ: a tail into a cycle, or
+// into a disabled state. The walk finds the cycle with Brent's algorithm
+// (one saved row, the tortoise, moved up to the current state whenever
+// the steps since the last move reach a power of two) and also compares
+// each state with the start row, which closes an orbit that is a cycle
+// from the start on its first return. That needs no visited set and takes
+// O(1) memory and time linear in the orbit: at most about three times its
+// length in transitions, and exactly its length for a cycle. Only internal
+// rows are compared: the walk ends at the first transition that changes
+// the communication row, so every state it compares has cfg's.
 //
 // A probe may be reused across processes and configurations of one
-// system; it is not safe for concurrent use.
+// system; it is not safe for concurrent use. Steady-state walks allocate
+// nothing.
 type orbitProbe struct {
 	sys *System
 	// ctx is the reusable evaluation context. Its private own-state rows
 	// are the current orbit state: guards cannot write them and Apply
 	// moves them to the next one.
 	ctx Ctx
-
-	// visited holds the internal rows of the orbit so far, InternalWidth
-	// values each. The communication row is the same in all of them (the
-	// exploration ends at the first write that changes it), so it is not
-	// stored.
-	visited []int
+	// start and tortoise are internal rows: the walk's first state and
+	// Brent's saved one.
+	start, tortoise []int
 }
 
 // bind points the probe at sys, reusing buffers when already bound.
@@ -39,76 +71,66 @@ func (o *orbitProbe) bind(sys *System) {
 		comm:     make([]int, sys.CommWidth()),
 		internal: make([]int, sys.InternalWidth()),
 	}
+	o.start = make([]int, sys.InternalWidth())
+	o.tortoise = make([]int, sys.InternalWidth())
 }
 
-// seen reports whether the current internal row is one of the first n
-// visited rows.
-func (o *orbitProbe) seen(n int) bool {
-	row := o.ctx.internal
-	for i := 0; i < n; i++ {
-		if intsEqual(row, o.visited[i*len(row):(i+1)*len(row)]) {
-			return true
-		}
-	}
-	return false
-}
-
-// enabledOrbitSilent is enabledOrbitSilent (silent.go) on the probe's
-// reusable buffers: it decides whether p's frozen-neighborhood orbit from
-// cfg ever changes communication state, with verdicts identical to the
-// one-shot path's. Silent orbits visit a handful of states, so the
-// visited rows are scanned linearly, as the replay memo scans its
-// entries.
-func (o *orbitProbe) enabledOrbitSilent(cfg *Config, p, maxOrbit int) (bool, error) {
+// walk walks p's orbit from cfg. silent reports that no transition of it
+// changes communication state. A silent walk leaves the context on the
+// orbit's end and reports its period: the transitions around the final
+// cycle, or 0 when the orbit ends at a disabled state (a degree-0 process
+// is one from the start). An error means the budget ran out or an Apply
+// panicked.
+func (o *orbitProbe) walk(cfg *Config, p int) (silent bool, period int, err error) {
 	c := &o.ctx
 	c.aim(cfg, p)
-	if len(c.nbr) == 0 {
-		return true, nil // isolated: disabled by definition, orbit closed
-	}
-	comm := cfg.commRow(p)
-	copy(c.comm, comm)
+	c.agg = nil
+	copy(c.comm, cfg.commRow(p))
 	copy(c.internal, cfg.internalRow(p))
-	o.visited = o.visited[:0]
-
-	actions := o.sys.spec.Actions
-	for iter := 0; iter < maxOrbit; iter++ {
-		if o.seen(iter) {
-			return true, nil // orbit closed without a communication write
+	copy(o.start, c.internal)
+	copy(o.tortoise, c.internal)
+	power, lam := 1, 0
+	for n := 1; n <= orbitBudget; n++ {
+		fired, silent, err := o.transition(cfg, p)
+		if err != nil || !silent {
+			return false, 0, err
 		}
-		o.visited = append(o.visited, c.internal...)
-
-		idx := -1
-		for i := range actions {
-			c.beginBody()
-			if actions[i].Guard(c) {
-				idx = i
-				break
-			}
+		if fired < 0 {
+			return true, 0, nil // disabled: local fixed point
 		}
-		if idx < 0 {
-			return true, nil // disabled: local fixed point
+		if slices.Equal(c.internal, o.start) {
+			return true, n, nil // back at the start: the orbit is one cycle
 		}
-		if actions[idx].Randomized {
-			// A Randomized action draws fresh values for communication
-			// variables; if one is enabled, some computation changes the
-			// communication state with positive probability.
-			return false, nil
+		if lam++; slices.Equal(c.internal, o.tortoise) {
+			return true, lam, nil
 		}
-		if err := o.applyChecked(idx); err != nil {
-			return false, err
-		}
-		if !intsEqual(c.comm, comm) {
-			return false, nil // deterministic communication write
+		if lam == power {
+			copy(o.tortoise, c.internal)
+			power *= 2
+			lam = 0
 		}
 	}
-	return false, fmt.Errorf("orbit exceeded %d states", maxOrbit)
+	return false, 0, fmt.Errorf("orbit exceeded %d transitions", orbitBudget)
 }
 
-// applyChecked runs the action's Apply on the probe context, converting a
-// panic (out-of-domain write, randomness drawn without a generator) into
-// an error exactly like the one-shot probeApply.
-func (o *orbitProbe) applyChecked(action int) (err error) {
+// transition moves the context one step along p's orbit: it runs p's
+// first enabled action, if any, and reports whether the orbit is still
+// silent after it. An enabled Randomized action breaks silence without
+// running (it draws fresh communication values, so some computation
+// changes communication state with positive probability), and so does an
+// action that leaves the communication row different from cfg's. A panic
+// in Apply (an out-of-domain write, a draw by an action not marked
+// Randomized) becomes the error.
+func (o *orbitProbe) transition(cfg *Config, p int) (fired int, silent bool, err error) {
 	c := &o.ctx
+	fired = firstEnabled(c)
+	if fired < 0 {
+		return fired, true, nil
+	}
+	action := &o.sys.spec.Actions[fired]
+	if action.Randomized {
+		return fired, false, nil
+	}
 	defer func() {
 		c.inApply = false
 		if rec := recover(); rec != nil {
@@ -117,6 +139,27 @@ func (o *orbitProbe) applyChecked(action int) (err error) {
 	}()
 	c.inApply = true
 	c.beginBody()
-	o.sys.spec.Actions[action].Apply(c)
-	return nil
+	action.Apply(c)
+	return fired, slices.Equal(c.comm, cfg.commRow(p)), nil
+}
+
+// CommSilent decides whether cfg is a silent configuration: one from
+// which the values of all communication variables are fixed in every
+// possible computation (Definition 3 and the "silent configuration"
+// notion of Section 2.2). It walks every process's orbit; see orbitProbe
+// for why that decides it. Simulator.SilentNow gives the same verdict
+// incrementally.
+func CommSilent(sys *System, cfg *Config) (bool, error) {
+	var o orbitProbe
+	o.bind(sys)
+	for p := 0; p < sys.N(); p++ {
+		silent, _, err := o.walk(cfg, p)
+		if err != nil {
+			return false, fmt.Errorf("model: silence check at process %d: %w", p, err)
+		}
+		if !silent {
+			return false, nil
+		}
+	}
+	return true, nil
 }

@@ -2,17 +2,18 @@ package model_test
 
 // Steady-state performance contract of the step engine: after warmup,
 // Simulator.Step and the incremental EnabledTracker allocate nothing, and
-// the tracker's verdicts are indistinguishable from a from-scratch
-// EnabledSet oracle. These tests pin the contract; the benchmarks in
-// bench_engine_test.go quantify it.
+// a daemon served by the simulator's tracker selects as one served by a
+// fresh tracker each step. These tests pin the contract; the benchmarks
+// in bench_engine_test.go quantify it (FuzzSimulatorVsReference holds the
+// tracker to the reference's enabled set).
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -122,51 +123,8 @@ func TestEnabledTrackerZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEnabledTrackerMatchesOracle drives random-subset computations and
-// checks after every step that the tracker's incremental verdicts match a
-// from-scratch EnabledSet rescan — the invalidation-invariant soundness
-// check — and that AllEnabled agrees with it on a set that changes with
-// the step (MIS disables processes, so both answers occur).
-func TestEnabledTrackerMatchesOracle(t *testing.T) {
-	systems := append([]*model.System{
-		coloringSystem(t, graph.Star(8)),
-	}, injectionTestSystems(t)...)
-	for gi, sys := range systems {
-		all := map[bool]int{}
-		for seed := uint64(1); seed <= 5; seed++ {
-			cfg := model.NewRandomConfig(sys, rng.New(seed))
-			sim, err := model.NewSimulator(sys, cfg, sched.NewRandomSubset(seed), seed, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []int
-			for step := 0; step < 150; step++ {
-				sim.Step()
-				got = sim.Tracker().AppendEnabled(got[:0])
-				want := model.EnabledSet(sys, sim.Config())
-				if !intSlicesEqual(got, want) {
-					t.Fatalf("system %d seed %d step %d: tracker %v, oracle %v",
-						gi, seed, step, got, want)
-				}
-				set, wantAll := bitset.New(sys.N()), true
-				for p := step % 3; p < sys.N(); p += 3 {
-					set.Add(p)
-					wantAll = wantAll && model.Enabled(sys, sim.Config(), p)
-				}
-				if gotAll := sim.Tracker().AllEnabled(set); gotAll != wantAll {
-					t.Fatalf("system %d seed %d step %d: AllEnabled = %v, oracle %v", gi, seed, step, gotAll, wantAll)
-				}
-				all[wantAll]++
-			}
-		}
-		if gi == len(systems)-1 && (all[true] == 0 || all[false] == 0) {
-			t.Fatalf("MIS: AllEnabled answers %v, want both to occur", all)
-		}
-	}
-}
-
 // oracleOnly hides a scheduler's SelectTracked method, forcing the
-// simulator down the untracked path (from-scratch EnabledSet probes).
+// simulator down the untracked path (a fresh tracker per Select).
 type oracleOnly struct{ s model.Scheduler }
 
 func (o oracleOnly) Name() string { return o.s.Name() }
@@ -176,9 +134,10 @@ func (o oracleOnly) Select(step int, sys *model.System, cfg *model.Config) []int
 
 // TestTrackedSchedulersMatchOracle runs E1-class cells (Protocol COLORING
 // on suite-style graphs, and MIS, whose processes fall disabled, on a
-// grid, from adversarial initial configurations) twice per seed — once with the scheduler served by the incremental tracker,
-// once with the same scheduler forced onto from-scratch EnabledSet
-// probes — and asserts identical selections at every step and identical
+// grid, from adversarial initial configurations) twice per seed — once
+// with the scheduler served by the simulator's incremental tracker, once
+// with the same scheduler forced onto a tracker built from scratch per
+// step — and asserts identical selections at every step and identical
 // final configurations.
 func TestTrackedSchedulersMatchOracle(t *testing.T) {
 	schedulers := []func(seed uint64) model.Scheduler{
@@ -253,9 +212,9 @@ func TestEnabledSetNeverNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := model.NewZeroConfig(sys)
-	set := model.EnabledSet(sys, cfg)
+	set := ref.EnabledSet(sys, cfg)
 	if set == nil {
-		t.Fatal("EnabledSet returned nil for a fixpoint, want empty non-nil slice")
+		t.Fatal("ref.EnabledSet returned nil for a fixpoint, want empty non-nil slice")
 	}
 	if len(set) != 0 {
 		t.Fatalf("EnabledSet = %v, want empty", set)

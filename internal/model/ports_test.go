@@ -1,22 +1,23 @@
-package model
+package model_test
 
 import (
 	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 // portProbeSpec is a protocol whose one guard reads communication
 // variable 0 of the neighbor behind *port, whatever that is.
-func portProbeSpec(port *int) *Spec {
-	return &Spec{
+func portProbeSpec(port *int) *model.Spec {
+	return &model.Spec{
 		Name: "PORTPROBE",
-		Comm: []VarSpec{{Name: "X", Domain: FixedDomain(2)}},
-		Actions: []Action{{
+		Comm: []model.VarSpec{{Name: "X", Domain: model.FixedDomain(2)}},
+		Actions: []model.Action{{
 			Name:  "probe",
-			Guard: func(c *Ctx) bool { return c.NeighborComm(*port, 0) >= 0 },
-			Apply: func(c *Ctx) {},
+			Guard: func(c *model.Ctx) bool { return c.NeighborComm(*port, 0) >= 0 },
+			Apply: func(c *model.Ctx) {},
 		}},
 	}
 }
@@ -24,8 +25,8 @@ func portProbeSpec(port *int) *Spec {
 // only is the daemon that selects one fixed process.
 type only int
 
-func (only) Name() string                         { return "only" }
-func (o only) Select(int, *System, *Config) []int { return []int{int(o)} }
+func (only) Name() string                                     { return "only" }
+func (o only) Select(int, *model.System, *model.Config) []int { return []int{int(o)} }
 
 // panics reports whether f panicked.
 func panics(f func()) (did bool) {
@@ -38,12 +39,12 @@ func panics(f func()) (did bool) {
 // to its neighbor's in one arena, and a dynamic graph parks removed arcs
 // right behind the live ones, so a port outside 1..δ.p must stop on the
 // row's bound at the graph's accessors and in every context a guard is
-// evaluated through (the one-shot probe, the tracker's probe, the step
-// arena), and must never surface a removed neighbor.
+// evaluated through (a one-shot evaluation, the tracker's probe, the
+// step arena), and must never surface a removed neighbor.
 func TestNeighborBeyondLiveDegreePanics(t *testing.T) {
 	port := 0
 	spec := portProbeSpec(&port)
-	check := func(t *testing.T, sys *System, p int, gone ...int) {
+	check := func(t *testing.T, sys *model.System, p int, gone ...int) {
 		t.Helper()
 		g := sys.Graph()
 		d := g.Degree(p)
@@ -52,16 +53,16 @@ func TestNeighborBeyondLiveDegreePanics(t *testing.T) {
 				t.Errorf("process %d port %d: removed neighbor %d is still behind it", p, i, q)
 			}
 		}
-		cfg := NewZeroConfig(sys)
+		cfg := model.NewZeroConfig(sys)
 		probes := map[string]func(){
 			"Neighbor": func() { g.Neighbor(p, port) },
 			"BackPort": func() { g.BackPort(p, port) },
 		}
 		if d > 0 { // guards are not evaluated at degree 0
-			probes["guard via EnabledAction"] = func() { EnabledAction(sys, cfg, p) }
-			probes["guard via EnabledTracker"] = func() { NewEnabledTracker(sys, cfg).EnabledAction(p) }
+			probes["guard via StepProcess"] = func() { model.StepProcess(sys, cfg, p, nil) }
+			probes["guard via EnabledTracker"] = func() { model.NewEnabledTracker(sys, cfg).EnabledAction(p) }
 			probes["guard via Step"] = func() {
-				sim, err := NewSimulator(sys, cfg, only(p), 1, nil)
+				sim, err := model.NewSimulator(sys, cfg, only(p), 1, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

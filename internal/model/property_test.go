@@ -1,15 +1,17 @@
-package model
+package model_test
 
 import (
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/rng"
 )
 
 // TestSingletonStepEquivalence: executing a singleton selection through
-// ExecuteStep must produce exactly the same configuration as the direct
+// ref.Step must produce exactly the same configuration as the direct
 // StepProcess entry point used by external runtimes.
 func TestSingletonStepEquivalence(t *testing.T) {
 	r := rng.New(51)
@@ -17,10 +19,10 @@ func TestSingletonStepEquivalence(t *testing.T) {
 	sys := mustSystem(t, g, copySpec(), nil)
 	check := func(rawP, rawSeed uint8) bool {
 		p := int(rawP) % sys.N()
-		cfgA := NewRandomConfig(sys, rng.New(uint64(rawSeed)))
+		cfgA := model.NewRandomConfig(sys, rng.New(uint64(rawSeed)))
 		cfgB := cfgA.Clone()
-		ExecuteStep(sys, cfgA, []int{p}, 0, nil, nil)
-		StepProcess(sys, cfgB, p, nil)
+		ref.Step(sys, cfgA, []int{p}, 0, nil, nil)
+		model.StepProcess(sys, cfgB, p, nil)
 		return cfgA.Equal(cfgB)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
@@ -36,10 +38,10 @@ func TestStepsPreserveDomains(t *testing.T) {
 	sys := mustSystem(t, g, copySpec(), nil)
 	check := func(seed uint16) bool {
 		r := rng.New(uint64(seed))
-		cfg := NewRandomConfig(sys, r)
+		cfg := model.NewRandomConfig(sys, r)
 		for step := 0; step < 30; step++ {
 			sel := r.SubsetNonEmpty(sys.N())
-			ExecuteStep(sys, cfg, sel, step, nil, nil)
+			ref.Step(sys, cfg, sel, step, nil, nil)
 			if err := cfg.Validate(sys); err != nil {
 				return false
 			}
@@ -51,16 +53,16 @@ func TestStepsPreserveDomains(t *testing.T) {
 	}
 }
 
-// TestSilenceClosedUnderExecution: if CommSilent accepts a configuration
-// then no schedule can ever change its communication part — the
+// TestSilenceClosedUnderExecution: if CommSilent accepts a
+// configuration then no schedule can ever change its communication part — the
 // soundness direction of the decision procedure, validated empirically.
 func TestSilenceClosedUnderExecution(t *testing.T) {
 	g := graph.Cycle(6)
 	sys := mustSystem(t, g, copySpec(), nil)
 	check := func(seed uint16) bool {
 		r := rng.New(uint64(seed))
-		cfg := NewRandomConfig(sys, r)
-		silent, err := CommSilent(sys, cfg)
+		cfg := model.NewRandomConfig(sys, r)
+		silent, err := model.CommSilent(sys, cfg)
 		if err != nil {
 			return false
 		}
@@ -69,7 +71,7 @@ func TestSilenceClosedUnderExecution(t *testing.T) {
 		}
 		snap := cfg.Clone()
 		for step := 0; step < 60; step++ {
-			ExecuteStep(sys, cfg, r.SubsetNonEmpty(sys.N()), step, nil, nil)
+			ref.Step(sys, cfg, r.SubsetNonEmpty(sys.N()), step, nil, nil)
 			if !cfg.CommEqual(snap) {
 				return false
 			}
@@ -81,15 +83,15 @@ func TestSilenceClosedUnderExecution(t *testing.T) {
 	}
 }
 
-// TestNonSilenceIsReachable: if CommSilent rejects a configuration, some
-// schedule changes the communication state — the completeness direction,
+// TestNonSilenceIsReachable: if CommSilent rejects a configuration,
+// some schedule changes the communication state — the completeness direction,
 // validated by running each process solo (the schedule the proof uses).
 func TestNonSilenceIsReachable(t *testing.T) {
 	g := graph.Path(5)
 	sys := mustSystem(t, g, copySpec(), nil)
 	check := func(seed uint16) bool {
-		cfg := NewRandomConfig(sys, rng.New(uint64(seed)))
-		silent, err := CommSilent(sys, cfg)
+		cfg := model.NewRandomConfig(sys, rng.New(uint64(seed)))
+		silent, err := model.CommSilent(sys, cfg)
 		if err != nil {
 			return false
 		}
@@ -101,7 +103,7 @@ func TestNonSilenceIsReachable(t *testing.T) {
 		for p := 0; p < sys.N(); p++ {
 			probe := cfg.Clone()
 			for i := 0; i < 32; i++ {
-				StepProcess(sys, probe, p, nil)
+				model.StepProcess(sys, probe, p, nil)
 				if !probe.CommEqual(cfg) {
 					return true
 				}
@@ -121,14 +123,14 @@ func TestDisjointSelectionsCommute(t *testing.T) {
 	g := graph.Path(6)
 	sys := mustSystem(t, g, copySpec(), nil)
 	check := func(seed uint16) bool {
-		cfg := NewRandomConfig(sys, rng.New(uint64(seed)))
+		cfg := model.NewRandomConfig(sys, rng.New(uint64(seed)))
 		// Processes 0, 3, 5 are pairwise non-adjacent on a 6-path.
 		sel := []int{0, 3, 5}
 		together := cfg.Clone()
-		ExecuteStep(sys, together, sel, 0, nil, nil)
+		ref.Step(sys, together, sel, 0, nil, nil)
 		oneByOne := cfg.Clone()
 		for _, p := range sel {
-			ExecuteStep(sys, oneByOne, []int{p}, 0, nil, nil)
+			ref.Step(sys, oneByOne, []int{p}, 0, nil, nil)
 		}
 		return together.Equal(oneByOne)
 	}

@@ -2,33 +2,33 @@ package model_test
 
 // The silence cache keeps a "silent" verdict across moves that write no
 // communication variable (see the package comment's invalidation
-// invariant). These tests hold SilentNow to the from-scratch CommSilent
-// oracle where that rule matters — protocols whose internal counters
-// keep ticking in the silent phase — and pin what the rule buys.
+// invariant). These tests hold SilentNow to the reference's ref.Silent
+// where that rule matters — protocols whose internal counters keep
+// ticking in the silent phase — pin what the rule buys, and pin the orbit
+// walker's budget.
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
-// checkSilence fails unless SilentNow agrees with the CommSilent oracle.
+// checkSilence fails unless SilentNow agrees with the reference.
 func checkSilence(t *testing.T, sim *model.Simulator, what string) bool {
 	t.Helper()
 	got, err := sim.SilentNow()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := model.CommSilent(sim.Sys(), sim.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("step %d (%s): SilentNow=%v, CommSilent oracle=%v", sim.Steps(), what, got, want)
+	if want := ref.Silent(sim.Sys(), sim.Config()); got != want {
+		t.Fatalf("step %d (%s): SilentNow=%v, ref.Silent=%v", sim.Steps(), what, got, want)
 	}
 	return got
 }
@@ -36,7 +36,7 @@ func checkSilence(t *testing.T, sim *model.Simulator, what string) bool {
 // TestSilentNowMatchesOracle walks every protocol family under every
 // daemon shape through convergence, a marked suffix, a mid-suffix
 // MarkDirty corruption and a churn stream, comparing SilentNow with the
-// oracle after every step and every external mutation.
+// reference after every step and every external mutation.
 func TestSilentNowMatchesOracle(t *testing.T) {
 	t.Parallel()
 	g := graph.Grid(3, 4)
@@ -155,5 +155,75 @@ func TestSilentNowCostFollowsCommActivity(t *testing.T) {
 	sim.MarkDirty(p)
 	if got, limit := silentNow(), g.MaxDegree()+1; got > limit {
 		t.Fatalf("SilentNow after one MarkDirty probed %d processes, want <= Δ+1 = %d", got, limit)
+	}
+}
+
+// counterSpec is a protocol whose every process ticks an internal counter
+// through an orbit of states states without writing communication state:
+// 0, 1, ..., states-1, then back to loop (0: a cycle from the start; any
+// other: a ρ whose tail is 0..loop-1).
+func counterSpec(states, loop int) *model.Spec {
+	return &model.Spec{
+		Name:     "COUNTER",
+		Comm:     []model.VarSpec{{Name: "c", Domain: model.FixedDomain(2)}},
+		Internal: []model.VarSpec{{Name: "t", Domain: model.FixedDomain(states)}},
+		Actions: []model.Action{{
+			Name:  "tick",
+			Guard: func(*model.Ctx) bool { return true },
+			Apply: func(c *model.Ctx) {
+				if t := c.Internal(0) + 1; t < states {
+					c.SetInternal(0, t)
+				} else {
+					c.SetInternal(0, loop)
+				}
+			},
+		}},
+	}
+}
+
+// TestOrbitBudget: the walker behind SilentNow and CommSilent takes time
+// linear in the orbit and no visited set. A 2¹⁷-state counter overruns
+// its budget of 2¹⁶ transitions and both report "orbit exceeded" well
+// inside half a second; a 2¹⁴-state orbit, a cycle or a ρ, is decided
+// silent by both, as the reference decides it.
+func TestOrbitBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		states, loop int
+		wantExceeded bool
+	}{
+		{"2^17 cycle", 1 << 17, 0, true},
+		{"2^14 cycle", 1 << 14, 0, false},
+		{"2^14 rho", 1 << 14, 1 << 13, false},
+	} {
+		sys, err := model.NewSystem(graph.Path(2), counterSpec(tc.states, tc.loop), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := model.NewSimulator(sys, model.NewZeroConfig(sys), sched.NewSynchronous(), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, check := range map[string]func() (bool, error){
+			"SilentNow":  sim.SilentNow,
+			"CommSilent": func() (bool, error) { return model.CommSilent(sys, sim.Config()) },
+		} {
+			start := time.Now()
+			silent, err := check()
+			elapsed := time.Since(start)
+			if tc.wantExceeded {
+				if err == nil || !strings.Contains(err.Error(), "orbit exceeded") {
+					t.Errorf("%s, %s: (%v, %v), want the orbit exceeded error", tc.name, name, silent, err)
+				}
+			} else if err != nil || !silent {
+				t.Errorf("%s, %s: (%v, %v), want silent", tc.name, name, silent, err)
+			}
+			if elapsed > 500*time.Millisecond {
+				t.Errorf("%s, %s took %v, want under 0.5 s", tc.name, name, elapsed)
+			}
+		}
+		if !tc.wantExceeded && !ref.Silent(sys, sim.Config()) {
+			t.Errorf("%s: ref.Silent disagrees", tc.name)
+		}
 	}
 }

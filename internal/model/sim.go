@@ -17,8 +17,9 @@ type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
 	// Select returns the processes activated at this step. It must be
-	// non-empty; it may consult enabledness via EnabledSet (that probe
-	// is the daemon's omniscience and does not count as communication).
+	// non-empty; it may consult enabledness through an EnabledTracker
+	// over cfg (that probe is the daemon's omniscience and does not count
+	// as communication).
 	// The returned slice may be a reused internal buffer: it is only
 	// valid until the next Select call on the same scheduler.
 	Select(step int, sys *System, cfg *Config) []int
@@ -54,15 +55,14 @@ type Simulator struct {
 	// its dirty set alongside the silence cache.
 	tracker *EnabledTracker
 
-	// probe runs the frozen-neighborhood orbit exploration of SilentNow
-	// on reusable buffers.
+	// probe walks the frozen-neighborhood orbits of SilentNow on reusable
+	// buffers.
 	probe orbitProbe
 
-	// Incremental silence detection: silence[p] caches the orbit verdict
-	// of processOrbitSilent for p under the current configuration —
-	// silenceSilent and silenceBroken are both cached, so a standing
-	// non-silent witness is re-probed only after something near it moved,
-	// not on every check. The verdict depends only on p's own state and
+	// Incremental silence detection: silence[p] caches the verdict of p's
+	// orbit walk under the current configuration — silenceSilent and
+	// silenceBroken are both cached, so a standing non-silent witness is
+	// re-probed only after something near it moved, not on every check. The verdict depends only on p's own state and
 	// its neighbors' communication state. A silent verdict speaks for
 	// every state of p's orbit, all of which share p's communication row,
 	// so Step invalidates it only when p's communication state changes; a
@@ -83,7 +83,7 @@ type Simulator struct {
 	// Silent-phase replay memo (see memoStep). Once SilentNow proves the
 	// configuration communication-silent, no process ever changes its
 	// communication row again (the frozen-neighborhood orbit argument of
-	// CommSilent), so a process's response to being selected — the reads
+	// orbitProbe), so a process's response to being selected — the reads
 	// it performs, the action it fires and its next internal state — is a
 	// pure function of its internal row. Step then captures each (process,
 	// internal-state) transition once and replays it on later selections,
@@ -126,10 +126,11 @@ type silentEntry struct {
 // memoRef names entry i of process p's memo list.
 type memoRef struct{ p, i int32 }
 
-// memoMaxEntries bounds the per-process memo. A silent orbit visits at
-// most maxOrbit internal states, so the cap is never hit by a sound
-// silence verdict; selections beyond it simply fall back to evaluation.
-const memoMaxEntries = maxOrbit
+// memoMaxEntries bounds the per-process memo. The walker closes an orbit
+// only within orbitBudget transitions, one at least per state, so a silent
+// orbit has at most that many internal states and a sound silence verdict
+// never hits the cap; selections beyond it simply fall back to evaluation.
+const memoMaxEntries = orbitBudget
 
 // Tri-state orbit-silence verdicts cached per process in
 // Simulator.silence. Both polarities are pure functions of p's own state
@@ -351,8 +352,8 @@ func (s *Simulator) RunUntilSilent(maxSteps, checkEvery int) (bool, error) {
 // processes whose verdicts were invalidated (queued by Step/MarkDirty)
 // are re-probed — the verdict vector is never swept. Of those, a
 // disabled process is a local fixed point whose disabledness comes from
-// the incremental tracker; only enabled processes pay for the full orbit
-// exploration. Probes are side-effect-free and every queued process gets
+// the incremental tracker; only enabled processes pay for the orbit
+// walk. Probes are side-effect-free and every queued process gets
 // the same verdict it would under an ascending sweep, so drain order
 // cannot be observed.
 func (s *Simulator) SilentNow() (bool, error) {
@@ -372,7 +373,7 @@ func (s *Simulator) SilentNow() (bool, error) {
 			s.silence[p] = silenceSilent
 			continue
 		}
-		silent, err := s.probe.enabledOrbitSilent(s.cfg, p, maxOrbit)
+		silent, _, err := s.probe.walk(s.cfg, p)
 		if err != nil {
 			// Keep the invariant: p is still unknown, so it stays queued.
 			s.silUnknown = append(s.silUnknown, int32(p))

@@ -1,9 +1,13 @@
-package model
+package model_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/model"
+	"repro/internal/model/ref"
+	"repro/internal/sched"
 )
 
 func TestEventualReadSetsScanner(t *testing.T) {
@@ -11,8 +15,8 @@ func TestEventualReadSetsScanner(t *testing.T) {
 	// cycle: every process's eventual read set is its whole neighborhood.
 	g := graph.Cycle(5)
 	sys := mustSystem(t, g, scanSpec(), nil)
-	cfg := NewZeroConfig(sys)
-	prof, err := AnalyzeStability(sys, cfg)
+	cfg := model.NewZeroConfig(sys)
+	prof, err := model.AnalyzeStability(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +36,8 @@ func TestEventualReadSetsDisabledFixpoint(t *testing.T) {
 	// process is exactly 1-stable.
 	g := graph.Path(4)
 	sys := mustSystem(t, g, copySpec(), nil)
-	cfg := NewZeroConfig(sys)
-	prof, err := AnalyzeStability(sys, cfg)
+	cfg := model.NewZeroConfig(sys)
+	prof, err := model.AnalyzeStability(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,27 +55,27 @@ func TestEventualReadSetsDisabledFixpoint(t *testing.T) {
 func TestEventualReadSetsRejectsNonSilent(t *testing.T) {
 	g := graph.Path(2)
 	sys := mustSystem(t, g, copySpec(), nil)
-	cfg := NewZeroConfig(sys)
+	cfg := model.NewZeroConfig(sys)
 	cfg.SetComm(1, 0, 3) // conflict: copy action will write comm
-	if _, err := EventualReadSets(sys, cfg); err == nil {
+	if _, err := model.EventualReadSets(sys, cfg); err == nil {
 		t.Fatal("non-silent configuration accepted")
 	}
 }
 
 func TestEventualReadSetsRejectsEnabledRandomized(t *testing.T) {
-	spec := &Spec{
+	spec := &model.Spec{
 		Name: "RND",
-		Comm: []VarSpec{{Name: "X", Domain: FixedDomain(4)}},
-		Actions: []Action{{
+		Comm: []model.VarSpec{{Name: "X", Domain: model.FixedDomain(4)}},
+		Actions: []model.Action{{
 			Name:       "rnd",
-			Guard:      func(c *Ctx) bool { return c.Comm(0) == c.NeighborComm(1, 0) },
-			Apply:      func(c *Ctx) { c.SetComm(0, c.Rand(4)) },
+			Guard:      func(c *model.Ctx) bool { return c.Comm(0) == c.NeighborComm(1, 0) },
+			Apply:      func(c *model.Ctx) { c.SetComm(0, c.Rand(4)) },
 			Randomized: true,
 		}},
 	}
 	sys := mustSystem(t, graph.Path(2), spec, nil)
-	cfg := NewZeroConfig(sys) // randomized action enabled
-	if _, err := EventualReadSets(sys, cfg); err == nil {
+	cfg := model.NewZeroConfig(sys) // randomized action enabled
+	if _, err := model.EventualReadSets(sys, cfg); err == nil {
 		t.Fatal("enabled randomized action accepted")
 	}
 }
@@ -79,23 +83,23 @@ func TestEventualReadSetsRejectsEnabledRandomized(t *testing.T) {
 func TestEventualReadSetsTailExcluded(t *testing.T) {
 	// A protocol whose internal pointer walks to its last port and stays
 	// there: the tail reads several neighbors, the cycle reads only one.
-	spec := &Spec{
+	spec := &model.Spec{
 		Name:     "WALK",
-		Comm:     []VarSpec{{Name: "X", Domain: FixedDomain(2)}},
-		Internal: []VarSpec{{Name: "i", Domain: func(d DomainInfo) int { return d.Degree }}},
-		Actions: []Action{{
+		Comm:     []model.VarSpec{{Name: "X", Domain: model.FixedDomain(2)}},
+		Internal: []model.VarSpec{{Name: "i", Domain: func(d model.DomainInfo) int { return d.Degree }}},
+		Actions: []model.Action{{
 			Name: "walk",
-			Guard: func(c *Ctx) bool {
+			Guard: func(c *model.Ctx) bool {
 				_ = c.NeighborComm(c.Internal(0)+1, 0)
 				return c.Internal(0) < c.Deg()-1
 			},
-			Apply: func(c *Ctx) { c.SetInternal(0, c.Internal(0)+1) },
+			Apply: func(c *model.Ctx) { c.SetInternal(0, c.Internal(0)+1) },
 		}},
 	}
 	g := graph.Star(5) // hub degree 4
 	sys := mustSystem(t, g, spec, nil)
-	cfg := NewZeroConfig(sys) // all pointers at port 1
-	prof, err := AnalyzeStability(sys, cfg)
+	cfg := model.NewZeroConfig(sys) // all pointers at port 1
+	prof, err := model.AnalyzeStability(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,5 +116,36 @@ func TestEventualReadSetsTailExcluded(t *testing.T) {
 	}
 	if prof.OneStable != g.N() {
 		t.Fatalf("OneStable = %d", prof.OneStable)
+	}
+}
+
+// TestEventualReadSetsCrashedProcess: on a silent ring with one process
+// crashed, the crashed process sits at degree 0, disabled by definition,
+// and reads nothing forever, while each former neighbor keeps reading the
+// one neighbor it has left. The silence checks call the ring silent, and
+// the stability analysis must answer too instead of evaluating a guard
+// at degree 0.
+func TestEventualReadSetsCrashedProcess(t *testing.T) {
+	sys := mustSystem(t, graph.Cycle(5), scanSpec(), nil).MutableCopy()
+	sim, err := model.NewSimulator(sys, model.NewZeroConfig(sys), sched.NewSynchronous(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoCrash, U: 2}, nil)
+	if silent, err := sim.SilentNow(); err != nil || !silent || !ref.Silent(sys, sim.Config()) {
+		t.Fatalf("SilentNow = (%v, %v), ref.Silent = %v: want a silent ring", silent, err, ref.Silent(sys, sim.Config()))
+	}
+	prof, err := model.AnalyzeStability(sys, sim.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int{{1, 4}, {0}, {}, {4}, {0, 3}}
+	for p, set := range want {
+		if !slices.Equal(prof.ReadSets[p], set) {
+			t.Errorf("process %d eventual reads = %v, want %v", p, prof.ReadSets[p], set)
+		}
+	}
+	if prof.OneStable != 3 || prof.SuffixK != 2 {
+		t.Fatalf("profile %+v: want 3 processes 1-stable and SuffixK 2", prof)
 	}
 }

@@ -78,65 +78,6 @@ func (m *topoMutator) apply(sim *model.Simulator, dst []int) []int {
 	}
 }
 
-// TestApplyTopologyPreservesCaches: after every topology event and every
-// step on the mutated graph, the incremental tracker must agree with a
-// from-scratch EnabledSet rescan, SilentNow with the CommSilent oracle,
-// the configuration must validate against the refreshed domains, and
-// the graph representation must hold its invariants.
-func TestApplyTopologyPreservesCaches(t *testing.T) {
-	t.Parallel()
-	for si, base := range injectionTestSystems(t) {
-		for seed := uint64(1); seed <= 3; seed++ {
-			sys := base.MutableCopy()
-			sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(seed)),
-				sched.NewRandomSubset(seed), seed, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mut := newTopoMutator(base.Graph(), rng.New(rng.Derive(seed, 99)))
-			var buf, affected []int
-			check := func(step int, what string) {
-				t.Helper()
-				if err := sys.Graph().CheckInvariants(); err != nil {
-					t.Fatalf("system %d seed %d step %d (%s): %v", si, seed, step, what, err)
-				}
-				if err := sim.Config().Validate(sys); err != nil {
-					t.Fatalf("system %d seed %d step %d (%s): config invalid: %v", si, seed, step, what, err)
-				}
-				want := model.EnabledSet(sys, sim.Config())
-				buf = sim.Tracker().AppendEnabled(buf[:0])
-				if !slices.Equal(want, buf) {
-					t.Fatalf("system %d seed %d step %d (%s): tracker enabled set %v, oracle %v",
-						si, seed, step, what, buf, want)
-				}
-				gotSilent, err := sim.SilentNow()
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantSilent, err := model.CommSilent(sys, sim.Config())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotSilent != wantSilent {
-					t.Fatalf("system %d seed %d step %d (%s): SilentNow=%v, CommSilent oracle=%v",
-						si, seed, step, what, gotSilent, wantSilent)
-				}
-			}
-			for step := 0; step < 200; step++ {
-				if step%7 == 6 {
-					affected = mut.apply(sim, affected[:0])
-					if len(affected) == 0 {
-						t.Fatalf("system %d seed %d step %d: event affected no process", si, seed, step)
-					}
-					check(step, "post-event")
-				}
-				sim.Step()
-				check(step, "post-step")
-			}
-		}
-	}
-}
-
 // TestMutableCopyIsolation: mutating the dynamic copy never perturbs
 // the base system's graph or domains, and ResetDynamic restores the
 // copy to an exact structural match of the base.

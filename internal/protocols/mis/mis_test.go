@@ -1,11 +1,13 @@
 package mis
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -175,7 +177,7 @@ func TestDominatedAreDisabledAtSilence(t *testing.T) {
 	}
 	for p := 0; p < g.N(); p++ {
 		if res.Final.Comm(p, VarS) == Dominated {
-			if model.Enabled(sys, res.Final, p) {
+			if slices.Contains(ref.EnabledSet(sys, res.Final), p) {
 				t.Fatalf("dominated process %d is enabled in a silent configuration", p)
 			}
 			cur := res.Final.Internal(p, VarCur)

@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 )
@@ -55,12 +57,13 @@ func TestLaziestFairMatchesReferenceScan(t *testing.T) {
 	for si, sys := range propertySystems(t) {
 		for seed := uint64(1); seed <= 3; seed++ {
 			sc := NewLaziestFair()
-			ref := &legacyLaziestFair{}
+			legacy := &legacyLaziestFair{}
 			cfg := model.NewRandomConfig(sys, rng.New(seed))
 			steps := 4*sys.N() + 40
 			for step := 0; step < steps; step++ {
 				sel := sc.Select(step, sys, cfg)
-				want := ref.pick(step, sys, func(p int) bool { return model.Enabled(sys, cfg, p) })
+				en := ref.EnabledSet(sys, cfg)
+				want := legacy.pick(step, sys, func(p int) bool { return slices.Contains(en, p) })
 				if len(sel) != 1 || sel[0] != want {
 					t.Fatalf("system %d seed %d step %d: ring picks %v, reference picks %d",
 						si, seed, step, sel, want)
@@ -71,11 +74,11 @@ func TestLaziestFairMatchesReferenceScan(t *testing.T) {
 	}
 
 	// Synthetic enabledness streams, where the warm-up's shape is chosen
-	// rather than met: each runs the probe-only path (Select's) and the
-	// path with a whole-set probe (SelectTracked's, which spares a pick
-	// its search when no never-selected id is disabled) against the
-	// reference, on an irregular static graph and on a MutableCopy whose
-	// degrees move between picks.
+	// rather than met: each runs the probe-only path (a whole-set probe
+	// that never answers yes) and the path with a whole-set probe that
+	// does (which spares a pick its search when no never-selected id is
+	// disabled) against the reference, on an irregular static graph and
+	// on a MutableCopy whose degrees move between picks.
 	g := graph.RandomConnectedGNP(40, 0.12, rng.New(5))
 	static, err := model.NewSystem(g, coloring.Spec(), nil)
 	if err != nil {
@@ -127,25 +130,22 @@ func TestLaziestFairMatchesReferenceScan(t *testing.T) {
 				if dynamic {
 					sys = static.MutableCopy()
 				}
-				sc, ref := NewLaziestFair(), &legacyLaziestFair{}
+				sc, legacy := NewLaziestFair(), &legacyLaziestFair{}
 				for step := 0; step < 2*n+5; step++ {
 					if dynamic {
 						churn(sys.Graph(), step)
 					}
 					enabled := func(p int) bool { return st.enabled(p, step) }
-					var allEnabled func(*bitset.Set) bool
-					if tracked {
-						allEnabled = func(set *bitset.Set) bool {
-							for p := 0; p < n; p++ {
-								if set.Has(p) && !enabled(p) {
-									return false
-								}
+					allEnabled := func(set *bitset.Set) bool {
+						for p := 0; p < n; p++ {
+							if set.Has(p) && !enabled(p) {
+								return false
 							}
-							return true
 						}
+						return tracked
 					}
 					sel := sc.pick(sys, enabled, allEnabled)
-					want := ref.pick(step, sys, enabled)
+					want := legacy.pick(step, sys, enabled)
 					if len(sel) != 1 || sel[0] != want {
 						t.Fatalf("%s dynamic=%v tracked=%v step %d: ring picks %v, reference picks %d",
 							st.name, dynamic, tracked, step, sel, want)
@@ -177,10 +177,11 @@ func TestLaziestFairMatchesReferenceOnFixpoint(t *testing.T) {
 	}
 	cfg := model.NewZeroConfig(sys) // a fixpoint: everyone stays disabled
 	sc := NewLaziestFair()
-	ref := &legacyLaziestFair{}
+	legacy := &legacyLaziestFair{}
 	for step := 0; step < 3*sys.N()+10; step++ {
 		sel := sc.Select(step, sys, cfg)
-		want := ref.pick(step, sys, func(p int) bool { return model.Enabled(sys, cfg, p) })
+		en := ref.EnabledSet(sys, cfg)
+		want := legacy.pick(step, sys, func(p int) bool { return slices.Contains(en, p) })
 		if len(sel) != 1 || sel[0] != want {
 			t.Fatalf("step %d: ring picks %v, reference picks %d", step, sel, want)
 		}

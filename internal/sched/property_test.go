@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/protocols/coloring"
 	"repro/internal/protocols/mis"
 	"repro/internal/rng"
@@ -43,7 +44,7 @@ func propertySystems(t *testing.T) []*model.System {
 // stepAll advances cfg by applying sel with the deterministic per-step
 // streams the reset tests use.
 func stepAll(sys *model.System, cfg *model.Config, sel []int, step int, seed uint64) {
-	model.ExecuteStep(sys, cfg, sel, step, func(p int) *rng.Rand {
+	ref.Step(sys, cfg, sel, step, func(p int) *rng.Rand {
 		return rng.New(rng.Derive(seed, uint64(step*1000+p)))
 	}, nil)
 }
@@ -81,7 +82,7 @@ func TestSelectIsValidSubset(t *testing.T) {
 						seen[p] = true
 					}
 					if name == "enabled-biased" {
-						if enabled := model.EnabledSet(sys, cfg); len(enabled) > 0 {
+						if enabled := ref.EnabledSet(sys, cfg); len(enabled) > 0 {
 							for _, p := range sel {
 								if !slices.Contains(enabled, p) {
 									t.Fatalf("system %d %s seed %d step %d: selected disabled %d while %v enabled",

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 )
@@ -55,7 +56,7 @@ func TestResetMatchesFresh(t *testing.T) {
 						t.Fatalf("seed %d step %d: reset selects %v, fresh selects %v",
 							seed, step, got, want)
 					}
-					model.ExecuteStep(sys, cfg, want, step, func(p int) *rng.Rand {
+					ref.Step(sys, cfg, want, step, func(p int) *rng.Rand {
 						return rng.New(rng.Derive(seed, uint64(step*1000+p)))
 					}, nil)
 				}

@@ -189,15 +189,9 @@ func (s *EnabledBiased) Reset(seed uint64) {
 // Name implements model.Scheduler.
 func (*EnabledBiased) Name() string { return "enabled-biased" }
 
-// Select implements model.Scheduler.
-func (s *EnabledBiased) Select(_ int, sys *model.System, cfg *model.Config) []int {
-	s.enabled = s.enabled[:0]
-	for p := 0; p < sys.N(); p++ {
-		if model.Enabled(sys, cfg, p) {
-			s.enabled = append(s.enabled, p)
-		}
-	}
-	return s.fromEnabled(sys)
+// Select implements model.Scheduler: SelectTracked over a fresh tracker.
+func (s *EnabledBiased) Select(step int, sys *model.System, cfg *model.Config) []int {
+	return s.SelectTracked(step, sys, cfg, model.NewEnabledTracker(sys, cfg))
 }
 
 // SelectTracked implements model.TrackedScheduler: identical selections,
@@ -275,9 +269,9 @@ func (s *LaziestFair) Reset(uint64) {
 // Name implements model.Scheduler.
 func (*LaziestFair) Name() string { return "laziest-fair" }
 
-// Select implements model.Scheduler.
+// Select implements model.Scheduler: SelectTracked over a fresh tracker.
 func (s *LaziestFair) Select(step int, sys *model.System, cfg *model.Config) []int {
-	return s.pick(sys, func(p int) bool { return model.Enabled(sys, cfg, p) }, nil)
+	return s.SelectTracked(step, sys, cfg, model.NewEnabledTracker(sys, cfg))
 }
 
 // SelectTracked implements model.TrackedScheduler: identical selections,
@@ -287,9 +281,9 @@ func (s *LaziestFair) SelectTracked(step int, sys *model.System, _ *model.Config
 }
 
 // pick selects the next process. enabled answers the tie-break's probe;
-// allEnabled, when non-nil, reports whether a whole set is enabled,
-// which spares a warmup pick the probes when no never-selected id is
-// disabled (the paper's 1-efficient protocols keep every process
+// allEnabled reports whether a whole set is enabled, which spares a
+// warmup pick the probes when no never-selected id is disabled (the
+// paper's 1-efficient protocols keep every process
 // enabled, and the tie-break consumes the disabled ids first: in both
 // cases the search would otherwise cross the whole bucket on every pick).
 func (s *LaziestFair) pick(sys *model.System, enabled func(p int) bool, allEnabled func(*bitset.Set) bool) []int {
@@ -332,7 +326,7 @@ func (s *LaziestFair) pick(sys *model.System, enabled func(p int) bool, allEnabl
 			s.order(g)
 		}
 		i := len(s.never) - 1
-		if allEnabled == nil || !allEnabled(s.neverSet) {
+		if !allEnabled(s.neverSet) {
 			for j := i; j >= 0; j-- {
 				if !enabled(s.never[j]) {
 					i = j

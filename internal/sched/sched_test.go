@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/model/ref"
 )
 
 func testSystem(t *testing.T) *model.System {
@@ -114,7 +115,7 @@ func TestEnabledBiasedSelectsEnabled(t *testing.T) {
 	cfg := model.NewZeroConfig(sys)
 	cfg.SetComm(0, 0, 1) // neighbors of 0 and process 0 become enabled
 	enabled := map[int]bool{}
-	for _, p := range model.EnabledSet(sys, cfg) {
+	for _, p := range ref.EnabledSet(sys, cfg) {
 		enabled[p] = true
 	}
 	if len(enabled) == 0 {
