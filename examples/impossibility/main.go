@@ -6,18 +6,20 @@
 // stitched into a configuration that is silent — nobody ever reads
 // across the seam — yet globally illegitimate.
 //
-// This example builds those configurations against the frozen
-// (♦-1-stable) protocol variants, checks the deadlock, and shows the
-// real 1-efficient protocols escaping from the very same configuration
-// because their perpetual scan eventually looks across the seam.
+// This example searches for those configurations against the frozen
+// (♦-1-stable) protocol variants, prints each witness, checks the
+// deadlock, and shows the real 1-efficient protocols escaping from the
+// very same configuration because their perpetual scan eventually looks
+// across the seam.
 //
 // It is the runnable form of the Theorem 1 and 2 witnesses that
-// internal/verify builds for experiments E7 and E8.
+// internal/verify finds for experiments E7 and E8.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/verify"
 )
@@ -25,31 +27,22 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	fmt.Println("=== Theorem 1/2 constructions (handcrafted, Figures 1-6) ===")
-	demos, err := verify.AllHandcrafted()
+	one, err := verify.TheoremOne()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, d := range demos {
+	two, err := verify.TheoremTwo()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("=== Theorem 1: anonymous networks (Figures 1-2) ===")
+	for _, d := range one {
 		report(d)
 	}
-
-	fmt.Println("=== Theorem 1: the proof's cut-and-stitch procedure, live ===")
-	demo, tr, err := verify.StitchSearchColoring(2009)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Println("=== Theorem 2: the rooted dag-oriented network (Figures 3-4) ===")
+	for _, d := range two {
+		report(d)
 	}
-	fmt.Printf("harvested silent γA (seed %d) and γB (seed %d); stitch case: %s\n",
-		tr.SeedA, tr.SeedB, tr.Case)
-	report(demo)
-
-	fmt.Println("=== Theorem 2: stitch on the rooted dag-oriented network (Fig. 3) ===")
-	demo2, tr2, err := verify.StitchSearchTheorem2Coloring(2010)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("harvested γ2 (seed %d) and γ5 (seed %d)\n", tr2.SeedA, tr2.SeedB)
-	report(demo2)
 }
 
 func report(d *verify.Demo) {
@@ -57,9 +50,28 @@ func report(d *verify.Demo) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%-32s seam {%d,%d}:\n", d.Name, d.SeamP, d.SeamQ)
+	fmt.Printf("%s on %s\n", d.Name, d.Frozen.Graph().Name())
+	fmt.Printf("  witness (communication | internal, per process): %s\n", states(d))
 	fmt.Printf("  frozen variant:  silent=%v illegitimate=%v -> impossibility witnessed: %v\n",
 		out.FrozenSilent, out.Illegitimate, out.FrozenImpossible)
 	fmt.Printf("  real protocol:   silent=%v recovers=%v (in %d steps)\n\n",
 		out.RealSilent, out.RealRecovers, out.RecoverySteps)
+}
+
+// states renders each process's variables as "comm,...|internal,...".
+func states(d *verify.Demo) string {
+	sys, cfg := d.Frozen, d.Config
+	procs := make([]string, cfg.N())
+	for p := range procs {
+		comm := make([]string, sys.CommWidth())
+		for v := range comm {
+			comm[v] = fmt.Sprint(cfg.Comm(p, v))
+		}
+		internal := make([]string, sys.InternalWidth())
+		for v := range internal {
+			internal[v] = fmt.Sprint(cfg.Internal(p, v))
+		}
+		procs[p] = strings.Join(comm, ",") + "|" + strings.Join(internal, ",")
+	}
+	return strings.Join(procs, " ")
 }

@@ -46,8 +46,7 @@ var unpaid = map[string]string{
 
 // unpaidPackages exempts whole packages the same way.
 var unpaidPackages = map[string]string{
-	"repro/internal/verify": "ROADMAP item 1 replaces it with an exhaustive checker",
-	referencePkg:            "the reference semantics FuzzSimulatorVsReference and TestStepMatchesReference hold the engine to",
+	referencePkg: "the reference semantics FuzzSimulatorVsReference and TestStepMatchesReference hold the engine to",
 }
 
 // referencePkg is the reference semantics: tests import it, and no other

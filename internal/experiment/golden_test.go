@@ -97,3 +97,28 @@ func TestGoldenTables(t *testing.T) {
 		})
 	}
 }
+
+// TestImpossibilitySeedIndependent renders E7 and E8 at seeds 1-64, the
+// seeds the registry benchmark rotates through, and requires each table
+// to equal its golden: the witnesses are searched, not sampled, so only
+// the recovery runs read the seed, and they must recover at every one.
+func TestImpossibilitySeedIndependent(t *testing.T) {
+	t.Parallel()
+	for _, e := range []Entry{{ID: "E7", Run: E7TheoremOne}, {ID: "E8", Run: E8TheoremTwo}} {
+		want, err := os.ReadFile(filepath.Join("testdata", e.ID+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(1); seed <= 64; seed++ {
+			cfg := goldenConfig(2)
+			cfg.Seed = seed
+			res, err := e.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s at seed %d: %v", e.ID, seed, err)
+			}
+			if got := renderGolden(res); got != string(want) {
+				t.Fatalf("%s at seed %d differs from the golden:\n%s", e.ID, seed, got)
+			}
+		}
+	}
+}

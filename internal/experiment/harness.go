@@ -110,8 +110,8 @@ func Registry() []Entry {
 		{"E4", "MIS post-silence ♦-(x,1)-stability of the read sets", E4MISStability},
 		{"E5", "MATCHING convergence rounds against the (Δ+1)n+2 bound", E5MatchingRounds},
 		{"E6", "MATCHING post-silence stability and suffix communication", E6MatchingStability},
-		{"E7", "Theorem 1 impossibility witnessed by stitching (coloring)", E7TheoremOne},
-		{"E8", "Theorem 2 impossibility witnessed on the rooted DAG", E8TheoremTwo},
+		{"E7", "Theorem 1 impossibility: searched silent illegitimate witnesses of the frozen variants", E7TheoremOne},
+		{"E8", "Theorem 2 impossibility: searched witnesses on the rooted DAG", E8TheoremTwo},
 		{"E9", "DAG orientation layer on arbitrary connected graphs", E9DagOrientation},
 		{"E10", "stabilized-phase communication overhead vs baselines", E10StabilizedOverhead},
 		{"E11", "convergence robustness under all six daemons", E11SchedulerRobustness},

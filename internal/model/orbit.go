@@ -153,13 +153,27 @@ func CommSilent(sys *System, cfg *Config) (bool, error) {
 	var o orbitProbe
 	o.bind(sys)
 	for p := 0; p < sys.N(); p++ {
-		silent, _, err := o.walk(cfg, p)
-		if err != nil {
-			return false, fmt.Errorf("model: silence check at process %d: %w", p, err)
-		}
-		if !silent {
-			return false, nil
+		if silent, err := o.processSilent(cfg, p); err != nil || !silent {
+			return false, err
 		}
 	}
 	return true, nil
+}
+
+// ProcessSilent reports whether p's frozen-neighborhood orbit from cfg
+// never changes communication state: CommSilent's verdict for one
+// process. It reads only p's state and its neighbors' communication
+// state, so a search may decide it as soon as those are fixed.
+func ProcessSilent(sys *System, cfg *Config, p int) (bool, error) {
+	var o orbitProbe
+	o.bind(sys)
+	return o.processSilent(cfg, p)
+}
+
+func (o *orbitProbe) processSilent(cfg *Config, p int) (bool, error) {
+	silent, _, err := o.walk(cfg, p)
+	if err != nil {
+		return false, fmt.Errorf("model: silence check at process %d: %w", p, err)
+	}
+	return silent, nil
 }

@@ -10,9 +10,9 @@
 // The variants here realize exactly the protocols the theorems forbid:
 // each is the paper's protocol with its perpetual-scan behaviour removed,
 // making every process eventually read at most one fixed neighbor
-// (♦-1-stable). The verify package uses them to build the theorems'
-// counterexample configurations executably; their existence is the
-// impossibility result made concrete.
+// (♦-1-stable). The verify package searches their configurations for the
+// theorems' counterexamples, silent and illegitimate ones; their
+// existence is the impossibility result made concrete.
 package frozen
 
 import (

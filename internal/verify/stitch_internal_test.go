@@ -6,17 +6,13 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/coloring"
-	"repro/internal/protocols/frozen"
 )
 
-// gamma5 builds a frozen-coloring configuration on the 5-chain.
+// gamma5 builds a frozen-coloring configuration on the 5-chain and
+// requires it to be silent.
 func gamma5(t *testing.T, colors, curs []int) *model.Config {
 	t.Helper()
-	g := graph.TheoremOneChain()
-	sys, err := model.NewSystem(g, frozen.ColoringSpec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := mustDemo(t, row{g: graph.TheoremOneChain()}).Frozen
 	cfg := model.NewZeroConfig(sys)
 	for p, c := range colors {
 		cfg.SetComm(p, coloring.VarC, c)
@@ -29,54 +25,29 @@ func gamma5(t *testing.T, colors, curs []int) *model.Config {
 		t.Fatal(err)
 	}
 	if !silent {
-		t.Fatalf("handmade source configuration not silent: colors=%v curs=%v", colors, curs)
+		t.Fatalf("source configuration not silent: colors=%v curs=%v", colors, curs)
 	}
 	return cfg
 }
 
-// TestBuildDirect5 exercises the Figure 1 (d) construction with
-// deterministic handmade sources (the search procedure may land on
-// either case depending on the seed, so both builders are pinned here).
-func TestBuildDirect5(t *testing.T) {
-	// γA: p3 (id 2) rests on its left neighbor; its color is 0.
-	gammaA := gamma5(t, []int{0, 1, 0, 1, 0}, []int{0, 0, 0, 0, 0})
-	// γB: p4 (id 3) has color 0 = α3 and rests on its right neighbor.
-	gammaB := gamma5(t, []int{0, 1, 2, 0, 1}, []int{0, 0, 0, 1, 0})
-
-	demo, err := buildDirect5(gammaA, gammaB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := demo.Check(5, 200000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.FrozenImpossible {
-		t.Fatal("direct-5 stitch did not witness the impossibility")
-	}
-	if out.RealSilent || !out.RealRecovers {
-		t.Fatal("real protocol did not escape the direct-5 stitch")
-	}
-	if demo.Config.Comm(2, coloring.VarC) != demo.Config.Comm(3, coloring.VarC) {
-		t.Fatal("seam is not monochromatic")
-	}
-}
-
-// TestBuildMirror7 exercises the Figure 1 (c) construction: γB's p4
-// rests on its LEFT neighbor, so the second half must be mirrored onto a
-// 7-chain with the interior ports swapped.
+// TestBuildMirror7 pins splice7 on sources written out by hand: γB's p4
+// rests on its LEFT neighbor, so the second half must be mirrored onto
+// the 7-chain with the interior ports swapped.
 func TestBuildMirror7(t *testing.T) {
 	gammaA := gamma5(t, []int{0, 1, 0, 1, 0}, []int{0, 0, 0, 0, 0})
-	// γB: p4 (id 3) has color 0 = α3 and rests on its LEFT neighbor
+	// γB: p4 (id 3) has color 0 = α3 and rests on its left neighbor
 	// (id 2, color 2): the pj = p5 case of the proof.
 	gammaB := gamma5(t, []int{0, 1, 2, 0, 1}, []int{0, 0, 0, 0, 0})
 
-	demo, err := buildMirror7(gammaA, gammaB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if demo.Frozen.Graph().N() != 7 {
-		t.Fatal("mirror stitch must live on the 7-chain")
+	demo := mustDemo(t, row{name: "mirror7", g: graph.TheoremOneStitched()})
+	demo.Config = model.NewZeroConfig(demo.Frozen)
+	splice7(demo.Config, gammaA, gammaB)
+	wantColors := []int{0, 1, 0, 0, 2, 1, 0}
+	wantCurs := []int{0, 0, 0, 1, 1, 1, 0}
+	for p := range 7 {
+		if c, cur := demo.Config.Comm(p, coloring.VarC), demo.Config.Internal(p, coloring.VarCur); c != wantColors[p] || cur != wantCurs[p] {
+			t.Fatalf("p'%d: color %d cur %d, want %d %d", p+1, c, cur, wantColors[p], wantCurs[p])
+		}
 	}
 	out, err := demo.Check(7, 200000)
 	if err != nil {
@@ -87,10 +58,5 @@ func TestBuildMirror7(t *testing.T) {
 	}
 	if out.RealSilent || !out.RealRecovers {
 		t.Fatal("real protocol did not escape the mirror-7 stitch")
-	}
-	// The mirrored processes must still look away from the seam: p'4
-	// (id 3) took γB's p4 with its port swapped to the right.
-	if demo.Config.Internal(3, coloring.VarCur) != 1 {
-		t.Fatalf("p'4 cur = %d, want mirrored port 1 (right)", demo.Config.Internal(3, coloring.VarCur))
 	}
 }

@@ -8,20 +8,30 @@
 // neighbor, and stitch them into a configuration that is silent — nobody
 // ever reads across the seam — yet violates the predicate at the seam.
 //
-// This package builds those configurations concretely for the frozen
-// (♦-1-stable) protocol variants of internal/protocols/frozen, checks
-// them (silent + illegitimate = the protocol is not self-stabilizing),
-// and runs the *control*: the same configuration under the paper's real
-// 1-efficient protocol is not silent, because some process's perpetual
-// scan eventually reads across the seam, and the system recovers.
+// This package finds those configurations by exhaustive search for the
+// frozen (♦-1-stable) protocol variants of internal/protocols/frozen: a
+// row declares the network, the protocol and its constants, and its
+// witness is the first silent configuration of the frozen system that
+// violates the predicate. It checks them (silent + illegitimate = the
+// protocol is not self-stabilizing) and runs the *control*: the same
+// configuration under the paper's real 1-efficient protocol is not
+// silent, because some process's perpetual scan eventually reads across
+// the seam, and the system recovers. The same search, run on the real
+// protocols, proves on each small network that they have no silent
+// illegitimate configuration at all.
 package verify
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/rng"
+	"repro/internal/protocols/coloring"
+	"repro/internal/protocols/frozen"
+	"repro/internal/protocols/matching"
+	"repro/internal/protocols/mis"
 	"repro/internal/sched"
 )
 
@@ -39,21 +49,18 @@ type Demo struct {
 	// Real is the system running the paper's 1-efficient protocol on
 	// the same network with the same constants.
 	Real *model.System
-	// Config is the stitched configuration.
+	// Config is the searched (or stitched) configuration.
 	Config *model.Config
 	// Legit is the predicate both protocols should stabilize to.
 	Legit Predicate
-	// SeamP and SeamQ are the two adjacent processes whose communication
-	// states jointly violate the predicate.
-	SeamP, SeamQ int
 }
 
 // Outcome reports the four checks run on a Demo.
 type Outcome struct {
-	// FrozenSilent: the stitched configuration is silent under the
-	// frozen protocol (the deadlock exists).
+	// FrozenSilent: the configuration is silent under the frozen
+	// protocol (the deadlock exists).
 	FrozenSilent bool
-	// Illegitimate: the stitched configuration violates the predicate.
+	// Illegitimate: the configuration violates the predicate.
 	Illegitimate bool
 	// FrozenImpossible is the impossibility witness:
 	// FrozenSilent && Illegitimate means the frozen protocol is not
@@ -63,8 +70,8 @@ type Outcome struct {
 	// RealSilent: the same configuration under the real protocol
 	// (expected false — a scanning process sees across the seam).
 	RealSilent bool
-	// RealRecovers: the real protocol converges from the stitched
-	// configuration to a legitimate silent configuration.
+	// RealRecovers: the real protocol converges from the configuration
+	// to a legitimate silent configuration.
 	RealRecovers bool
 	// RecoverySteps is the step count of the recovery run.
 	RecoverySteps int
@@ -102,102 +109,213 @@ func (d *Demo) Check(seed uint64, maxSteps int) (Outcome, error) {
 	return out, nil
 }
 
-// FindSilentConfig runs the system from random initial configurations
-// until reaching a silent configuration satisfying accept, trying
-// successive seeds. It is the "let the protocol stabilize, then harvest
-// the silent configuration" step of the stitch procedure.
-func FindSilentConfig(sys *model.System, accept func(*model.Config) bool, startSeed uint64, attempts, maxSteps int) (*model.Config, uint64, error) {
-	for a := 0; a < attempts; a++ {
-		seed := startSeed + uint64(a)
-		cfg := model.NewRandomConfig(sys, rng.New(rng.Derive(seed, 0xC0)))
-		res, err := core.Run(sys, cfg, core.RunOptions{
-			Scheduler:  sched.NewRandomSubset(seed),
-			Seed:       seed,
-			MaxSteps:   maxSteps,
-			CheckEvery: 2,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		if res.Silent && accept(res.Final) {
-			return res.Final, seed, nil
-		}
-	}
-	return nil, 0, fmt.Errorf("verify: no accepted silent configuration in %d attempts", attempts)
+// protocol names one of the paper's protocols together with its frozen
+// (♦-1-stable) variant.
+type protocol int
+
+const (
+	protoColoring protocol = iota
+	protoMIS
+	protoMatching
+)
+
+// row declares one witness: a name, a network, a protocol and, for MIS
+// and MATCHING, the local identifiers (greedy when nil). What it
+// declares is what is checked; the configuration is searched.
+type row struct {
+	name   string
+	g      *graph.Graph
+	proto  protocol
+	colors []int
+	// stitch, when set, builds the configuration by a proof's
+	// cut-and-stitch procedure instead of the row's own search.
+	stitch func(*Demo) (*model.Config, error)
 }
 
-// NCWitness is an executable witness of neighbor-completeness
-// (Definition 10) for a predicate P: two adjacent processes p, q and two
-// *silent* configurations γp, γq such that the communication state of p
-// in γp (αp) and of q in γq (αq) cannot coexist legitimately.
-type NCWitness struct {
-	P, Q           int
-	AlphaP, AlphaQ []int
-	GammaP, GammaQ *model.Config
+// demo builds the row's frozen and real systems, on one network with
+// one set of constants and a palette of Δ+1 colors, without a
+// configuration.
+func (r row) demo() (*Demo, error) {
+	d := &Demo{Name: r.name}
+	palette := r.g.MaxDegree() + 1
+	colors := r.colors
+	if colors == nil {
+		colors = graph.GreedyLocalColoring(r.g)
+	}
+	var errFrozen, errReal error
+	switch r.proto {
+	case protoColoring:
+		d.Frozen, errFrozen = model.NewSystem(r.g, frozen.ColoringSpec(), nil)
+		d.Real, errReal = model.NewSystem(r.g, coloring.Spec(), nil)
+		d.Legit = coloring.IsLegitimate
+	case protoMIS:
+		d.Frozen, errFrozen = mis.NewSystem(r.g, frozen.MISSpec(palette), colors)
+		d.Real, errReal = mis.NewSystem(r.g, mis.Spec(palette), colors)
+		d.Legit = mis.IsLegitimate
+	case protoMatching:
+		d.Frozen, errFrozen = matching.NewSystem(r.g, frozen.MatchingSpec(palette), colors)
+		d.Real, errReal = matching.NewSystem(r.g, matching.Spec(palette), colors)
+		d.Legit = matching.IsLegitimate
+	}
+	if err := errors.Join(errFrozen, errReal); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
-// FindNCWitness searches executions of the (real, self-stabilizing)
-// protocol for a neighbor-completeness witness on the edge (p, q):
-// conflict(αp, αq) must report whether the two communication states are
-// jointly illegitimate. Definition 10's conditions 1 and 2b (silence of
-// γp and γq) hold by construction; condition 2a is re-checked by
-// substituting both states into γp and evaluating the predicate.
-func FindNCWitness(sys *model.System, legit Predicate, p, q int,
-	conflict func(alphaP, alphaQ []int) bool,
-	startSeed uint64, attempts, maxSteps int) (*NCWitness, error) {
-
-	if sys.Graph().PortOf(p, q) == 0 {
-		return nil, fmt.Errorf("verify: %d and %d are not neighbors", p, q)
-	}
-	var silents []*model.Config
-	for a := 0; a < attempts; a++ {
-		seed := startSeed + uint64(a)
-		cfg := model.NewRandomConfig(sys, rng.New(rng.Derive(seed, 0xAC)))
-		res, err := core.Run(sys, cfg, core.RunOptions{
-			Scheduler:  sched.NewRandomSubset(seed),
-			Seed:       seed,
-			MaxSteps:   maxSteps,
-			CheckEvery: 2,
-		})
+// witnesses builds each row's Demo with its configuration: the stitch,
+// or else the first silent configuration of the frozen system that
+// violates the predicate.
+func witnesses(rows []row) ([]*Demo, error) {
+	demos := make([]*Demo, len(rows))
+	for i, r := range rows {
+		d, err := r.demo()
 		if err != nil {
 			return nil, err
 		}
-		if !res.Silent {
-			continue
+		if r.stitch != nil {
+			d.Config, err = r.stitch(d)
+		} else {
+			d.Config, err = find(d.Frozen, func(c *model.Config) bool { return !d.Legit(d.Frozen, c) }, r.name)
 		}
-		silents = append(silents, res.Final)
-		for _, ga := range silents {
-			alphaP := commState(sys, ga, p)
-			for _, gb := range silents {
-				alphaQ := commState(sys, gb, q)
-				if conflict(alphaP, alphaQ) {
-					w := &NCWitness{
-						P: p, Q: q,
-						AlphaP: alphaP, AlphaQ: alphaQ,
-						GammaP: ga.Clone(), GammaQ: gb.Clone(),
-					}
-					// Condition 2a: substituting both states yields an
-					// illegitimate configuration.
-					joint := ga.Clone()
-					for v, x := range alphaQ {
-						joint.SetComm(q, v, x)
-					}
-					if legit(sys, joint) {
-						continue
-					}
-					return w, nil
-				}
-			}
+		if err != nil {
+			return nil, err
 		}
+		demos[i] = d
 	}
-	return nil, fmt.Errorf("verify: no neighbor-completeness witness found in %d attempts", attempts)
+	return demos, nil
 }
 
-// commState copies out the communication state of process p in cfg.
-func commState(sys *model.System, cfg *model.Config, p int) []int {
-	out := make([]int, sys.CommWidth())
-	for v := range out {
-		out[v] = cfg.Comm(p, v)
+// find is firstSilent with "none" as an error: the caller needs a
+// configuration.
+func find(sys *model.System, accept func(*model.Config) bool, what string) (*model.Config, error) {
+	cfg, err := firstSilent(sys, accept, searchBudget)
+	if err == nil && cfg == nil {
+		err = errors.New("no such silent configuration exists")
 	}
-	return out
+	if err != nil {
+		return nil, fmt.Errorf("verify: %s: %w", what, err)
+	}
+	return cfg, nil
+}
+
+// TheoremOne returns E7's Theorem 1 witnesses on anonymous networks:
+// frozen COLORING on the 7- and 5-chains (Figure 1) and the spiders of
+// Δ = 2..4 (Figure 2), frozen MIS and MATCHING on chains, and last the
+// proof's own cut-and-stitch procedure onto the 7-chain.
+//
+// The MIS row's local identifiers are [1 2 1 2 3]: under the greedy
+// [1 2 1 2 1] the frozen MIS has no silent illegitimate configuration on
+// the 5-chain, which the search proves.
+func TheoremOne() ([]*Demo, error) {
+	chain := graph.TheoremOneChain()
+	rows := []row{
+		{name: "thm1-coloring-7chain", g: graph.TheoremOneStitched()},
+		{name: "thm1-coloring-5chain", g: chain},
+		{name: "thm1-mis-5chain", g: chain, proto: protoMIS, colors: []int{1, 2, 1, 2, 3}},
+		{name: "thm1-matching-6chain", g: graph.Path(6), proto: protoMatching},
+	}
+	for delta := 2; delta <= 4; delta++ {
+		rows = append(rows, row{name: fmt.Sprintf("thm1-coloring-spider-%d", delta), g: graph.TheoremOneSpider(delta)})
+	}
+	return witnesses(append(rows, row{name: "thm1-coloring-stitch-mirror7", g: graph.TheoremOneStitched(), stitch: stitchMirror7}))
+}
+
+// TheoremTwo returns E8's Theorem 2 witnesses on the rooted dag-oriented
+// network of Figure 3: frozen COLORING's first silent illegitimate
+// configuration there, and the proof's stitch (Figure 4 (c)).
+func TheoremTwo() ([]*Demo, error) {
+	g := graph.TheoremTwoNetwork().Graph
+	return witnesses([]row{
+		{name: "thm2-coloring-dag", g: g},
+		{name: "thm2-coloring-stitch", g: g, stitch: stitchTheorem2},
+	})
+}
+
+// stitchMirror7 runs the cut-and-stitch procedure of Theorem 1's proof
+// against frozen COLORING on the anonymous 5-chain p1..p5 (ids 0..4),
+// for d's 7-chain:
+//
+//  1. γA is a silent configuration in which p3 has stopped reading p4
+//     (cur.p3 rests on p2);
+//  2. γB is a silent configuration in which p4 carries p3's γA color α3
+//     and rests on p3, so it has stopped reading p5: the case of the
+//     proof that needs the mirrored 7-chain (Figure 1 (c));
+//  3. splice7 transplants the process states; nobody reads across the
+//     seam {p'3, p'4}, so the result is silent yet monochromatic there.
+func stitchMirror7(d *Demo) (*model.Config, error) {
+	src, err := row{g: graph.TheoremOneChain()}.demo()
+	if err != nil {
+		return nil, err
+	}
+	gammaA, err := find(src.Frozen, func(c *model.Config) bool {
+		return c.Internal(2, coloring.VarCur) == 0
+	}, "γA")
+	if err != nil {
+		return nil, err
+	}
+	alpha3 := gammaA.Comm(2, coloring.VarC)
+	gammaB, err := find(src.Frozen, func(c *model.Config) bool {
+		return c.Comm(3, coloring.VarC) == alpha3 && c.Internal(3, coloring.VarCur) == 0
+	}, "γB")
+	if err != nil {
+		return nil, err
+	}
+	cfg := model.NewZeroConfig(d.Frozen)
+	splice7(cfg, gammaA, gammaB)
+	return cfg, nil
+}
+
+// splice7 writes the Figure 1 (c) stitch of two 5-chain COLORING
+// configurations into dst on the 7-chain: p'1..p'3 take p1..p3 from γA
+// as they are, p'4..p'7 take p4, p3, p2, p1 from γB mirrored, which on a
+// path swaps the two ports of an interior process.
+func splice7(dst, gammaA, gammaB *model.Config) {
+	for p := 0; p <= 2; p++ {
+		copyState(dst, p, gammaA, p)
+	}
+	for i, src := range []int{3, 2, 1, 0} {
+		dp := 3 + i
+		copyState(dst, dp, gammaB, src)
+		if src >= 1 {
+			dst.SetInternal(dp, coloring.VarCur, 1-gammaB.Internal(src, coloring.VarCur))
+		}
+	}
+}
+
+// stitchTheorem2 runs the Theorem 2 stitch on d's rooted dag-oriented
+// network of Figure 3 (p1..p6 are ids 0..5): γ2 is silent with p2
+// reading p1, never p5, and p6 reading p3, never p4; γ5 is silent with
+// p5 carrying p2's γ2 color and reading p4, never p2, while p4 reads p5,
+// never p6. {p1, p2, p3, p6} from γ2 and {p4, p5} from γ5 make Figure 4
+// (c), with the seam {p2, p5}.
+func stitchTheorem2(d *Demo) (*model.Config, error) {
+	g := d.Frozen.Graph()
+	curAt := func(c *model.Config, p, q int) bool {
+		return c.Internal(p, coloring.VarCur) == g.PortOf(p, q)-1
+	}
+	gamma2, err := find(d.Frozen, func(c *model.Config) bool {
+		return curAt(c, 1, 0) && curAt(c, 5, 2)
+	}, "γ2")
+	if err != nil {
+		return nil, err
+	}
+	alpha2 := gamma2.Comm(1, coloring.VarC)
+	gamma5, err := find(d.Frozen, func(c *model.Config) bool {
+		return c.Comm(4, coloring.VarC) == alpha2 && curAt(c, 4, 3) && curAt(c, 3, 4)
+	}, "γ5")
+	if err != nil {
+		return nil, err
+	}
+	cfg := gamma2.Clone()
+	for _, p := range []int{3, 4} {
+		copyState(cfg, p, gamma5, p)
+	}
+	return cfg, nil
+}
+
+// copyState gives process dp of dst the COLORING state of sp in src.
+func copyState(dst *model.Config, dp int, src *model.Config, sp int) {
+	dst.SetComm(dp, coloring.VarC, src.Comm(sp, coloring.VarC))
+	dst.SetInternal(dp, coloring.VarCur, src.Internal(sp, coloring.VarCur))
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/coloring"
-	"repro/internal/protocols/frozen"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
 )
@@ -18,84 +17,117 @@ func checkDemo(t *testing.T, d *Demo) Outcome {
 		t.Fatalf("%s: %v", d.Name, err)
 	}
 	if !out.FrozenSilent {
-		t.Errorf("%s: stitched configuration is not silent under the frozen protocol", d.Name)
+		t.Errorf("%s: configuration is not silent under the frozen protocol", d.Name)
 	}
 	if !out.Illegitimate {
-		t.Errorf("%s: stitched configuration does not violate the predicate", d.Name)
+		t.Errorf("%s: configuration does not violate the predicate", d.Name)
 	}
 	if !out.FrozenImpossible {
 		t.Errorf("%s: impossibility not witnessed", d.Name)
 	}
 	if out.RealSilent {
-		t.Errorf("%s: real protocol is silent on the stitched configuration; the scan should detect the seam", d.Name)
+		t.Errorf("%s: real protocol is silent on the configuration; the scan should detect the seam", d.Name)
 	}
 	if !out.RealRecovers {
-		t.Errorf("%s: real protocol did not recover from the stitched configuration", d.Name)
+		t.Errorf("%s: real protocol did not recover from the configuration", d.Name)
 	}
 	return out
 }
 
-func TestHandcraftedDemos(t *testing.T) {
-	demos, err := AllHandcrafted()
+// mustDemo builds a row's systems.
+func mustDemo(t *testing.T, r row) *Demo {
+	t.Helper()
+	d, err := r.demo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(demos) < 8 {
-		t.Fatalf("expected at least 8 handcrafted demos, got %d", len(demos))
+	return d
+}
+
+// mustWitness builds a row's Demo with its witness.
+func mustWitness(t *testing.T, r row) *Demo {
+	t.Helper()
+	demos, err := witnesses([]row{r})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range demos {
+	return demos[0]
+}
+
+// search runs firstSilent with the package budget and fails on an error.
+func search(t *testing.T, sys *model.System, accept func(*model.Config) bool) *model.Config {
+	t.Helper()
+	cfg, err := firstSilent(sys, accept, searchBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+func TestTheoremWitnesses(t *testing.T) {
+	one, err := TheoremOne()
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := TheoremTwo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 8 || len(two) != 2 {
+		t.Fatalf("got %d Theorem 1 and %d Theorem 2 witnesses, want 8 and 2", len(one), len(two))
+	}
+	for _, d := range append(one, two...) {
+		if err := d.Config.Validate(d.Frozen); err != nil {
+			t.Fatalf("%s: %v", d.Name, err)
+		}
 		checkDemo(t, d)
 	}
 }
 
-func TestSeamIsAdjacentAndConflicting(t *testing.T) {
-	demos, err := AllHandcrafted()
-	if err != nil {
-		t.Fatal(err)
+// TestSilentImpliesLegitimate proves, by exhausting every configuration
+// the search can reach, that the real COLORING, MIS and MATCHING have no
+// silent illegitimate configuration on each network below, and pins
+// which frozen variants have one. Frozen MIS under greedy local colors
+// has none on most of them: E7's MIS row declares other identifiers.
+func TestSilentImpliesLegitimate(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.TheoremOneChain(), graph.TheoremOneStitched(), graph.Path(6),
+		graph.Cycle(5), graph.Cycle(6), graph.TheoremTwoNetwork().Graph, graph.TheoremOneSpider(2),
 	}
-	for _, d := range demos {
-		if d.Frozen.Graph().PortOf(d.SeamP, d.SeamQ) == 0 {
-			t.Errorf("%s: seam processes %d,%d not adjacent", d.Name, d.SeamP, d.SeamQ)
+	frozenMISWitness := map[string]bool{"cycle-5": true, "thm2-net": true}
+	for _, proto := range []protocol{protoColoring, protoMIS, protoMatching} {
+		for _, g := range graphs {
+			d := mustDemo(t, row{g: g, proto: proto})
+			illegit := func(sys *model.System) func(*model.Config) bool {
+				return func(c *model.Config) bool { return !d.Legit(sys, c) }
+			}
+			if cfg := search(t, d.Real, illegit(d.Real)); cfg != nil {
+				t.Errorf("%s on %s: silent illegitimate configuration found", d.Real.Spec().Name, g.Name())
+			}
+			want := proto != protoMIS || frozenMISWitness[g.Name()]
+			if got := search(t, d.Frozen, illegit(d.Frozen)) != nil; got != want {
+				t.Errorf("%s on %s: witness found = %v, want %v", d.Frozen.Spec().Name, g.Name(), got, want)
+			}
 		}
 	}
 }
 
 func TestStitchSearchColoring(t *testing.T) {
-	demo, tr, err := StitchSearchColoring(9000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Case != "direct-5" && tr.Case != "mirror-7" {
-		t.Fatalf("unexpected stitch case %q", tr.Case)
-	}
-	// The harvested sources must themselves be silent under the frozen
-	// protocol.
-	chain := graph.TheoremOneChain()
-	fsys := demo.Frozen
-	if tr.Case == "mirror-7" {
-		var err2 error
-		fsys, err2 = model.NewSystem(chain, demo.Frozen.Spec(), nil)
-		if err2 != nil {
-			t.Fatal(err2)
-		}
-	}
-	for name, g := range map[string]*model.Config{"γA": tr.GammaA, "γB": tr.GammaB} {
-		silent, err := model.CommSilent(fsys, g)
-		if err != nil || !silent {
-			t.Fatalf("source %s not silent: %v %v", name, silent, err)
-		}
-	}
+	demo := mustWitness(t, row{name: "mirror7", g: graph.TheoremOneStitched(), stitch: stitchMirror7})
 	checkDemo(t, demo)
+	// The seam {p'3, p'4} is monochromatic, and both ends look away
+	// from it: p'3 at p'2 (port 1), p'4 at p'5 (port 2).
+	cfg := demo.Config
+	if cfg.Comm(2, coloring.VarC) != cfg.Comm(3, coloring.VarC) {
+		t.Fatal("seam processes do not share a color")
+	}
+	if cfg.Internal(2, coloring.VarCur) != 0 || cfg.Internal(3, coloring.VarCur) != 1 {
+		t.Fatalf("seam pointers %d, %d; want 0, 1", cfg.Internal(2, coloring.VarCur), cfg.Internal(3, coloring.VarCur))
+	}
 }
 
 func TestStitchSearchTheorem2(t *testing.T) {
-	demo, tr, err := StitchSearchTheorem2Coloring(11000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Case != "theorem2" {
-		t.Fatalf("unexpected case %q", tr.Case)
-	}
+	demo := mustWitness(t, row{name: "thm2-stitch", g: graph.TheoremTwoNetwork().Graph, stitch: stitchTheorem2})
 	checkDemo(t, demo)
 	// The seam is the p2-p5 edge of Figure 3, and both carry the same
 	// color in the stitched configuration.
@@ -104,145 +136,120 @@ func TestStitchSearchTheorem2(t *testing.T) {
 	}
 }
 
-func TestFindSilentConfigRejects(t *testing.T) {
-	g := graph.TheoremOneChain()
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
-	if err != nil {
-		t.Fatal(err)
+func TestFirstSilentRejects(t *testing.T) {
+	sys := mustDemo(t, row{g: graph.TheoremOneChain()}).Real
+	never := func(*model.Config) bool { return false }
+	t.Run("never-accepts", func(t *testing.T) {
+		if cfg := search(t, sys, never); cfg != nil {
+			t.Fatal("a search that accepts nothing returned a configuration")
+		}
+	})
+	t.Run("budget", func(t *testing.T) {
+		cfg, err := firstSilent(sys, never, 10)
+		if err == nil || cfg != nil {
+			t.Fatalf("a 10-state budget returned %v, %v; want an error", cfg, err)
+		}
+	})
+}
+
+// ncWitness checks Definition 10 on an edge (p, q) of sys: a silent
+// configuration γp in which p's communication state αp is one alphaP
+// takes, a silent γq in which q's αq is one alphaQ takes, and αq
+// substituted into γp is illegitimate.
+func ncWitness(t *testing.T, d *Demo, sys *model.System, q int, alphaP, alphaQ func(*model.Config) bool) {
+	t.Helper()
+	gammaP, gammaQ := search(t, sys, alphaP), search(t, sys, alphaQ)
+	if gammaP == nil || gammaQ == nil {
+		t.Fatalf("%s: no silent configuration for p (%v) or q (%v)", d.Name, gammaP != nil, gammaQ != nil)
 	}
-	// Impossible acceptance condition: exhausts attempts.
-	_, _, err = FindSilentConfig(sys, func(*model.Config) bool { return false }, 1, 3, 5000)
-	if err == nil {
-		t.Fatal("impossible acceptance condition did not error")
+	joint := gammaP.Clone()
+	for v := range sys.CommWidth() {
+		joint.SetComm(q, v, gammaQ.Comm(q, v))
+	}
+	if d.Legit(sys, joint) {
+		t.Fatalf("%s: αp and αq coexist legitimately", d.Name)
 	}
 }
 
 func TestNCWitnessColoring(t *testing.T) {
-	g := graph.Cycle(6)
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := FindNCWitness(sys, coloring.IsLegitimate, 0, 1,
-		func(a, b []int) bool { return a[coloring.VarC] == b[coloring.VarC] },
-		500, 200, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.AlphaP[coloring.VarC] != w.AlphaQ[coloring.VarC] {
-		t.Fatal("witness states do not conflict")
-	}
-	// Both source configurations are silent (condition 2b).
-	for _, gcfg := range []*model.Config{w.GammaP, w.GammaQ} {
-		silent, err := model.CommSilent(sys, gcfg)
-		if err != nil || !silent {
-			t.Fatalf("witness source configuration not silent: %v %v", silent, err)
-		}
+	// Every color a process can carry silently, its neighbor can carry
+	// silently too, and the two conflict.
+	d := mustDemo(t, row{name: "coloring-ring-6", g: graph.Cycle(6)})
+	for a := range d.Real.CommDomain(0, coloring.VarC) {
+		ncWitness(t, d, d.Real, 1,
+			func(c *model.Config) bool { return c.Comm(0, coloring.VarC) == a },
+			func(c *model.Config) bool { return c.Comm(1, coloring.VarC) == a })
 	}
 }
 
 func TestMISSilentConfigurationUnique(t *testing.T) {
 	// With fixed local identifiers, the silent configuration of the real
-	// MIS protocol is unique: p is a Dominator iff no smaller-colored
-	// neighbor is (induction over color ranks). This is why no
-	// neighbor-completeness witness can be harvested from the protocol's
+	// MIS protocol is unique up to pointers: p is a Dominator iff no
+	// smaller-colored neighbor is (induction over color ranks). This is
+	// why no neighbor-completeness witness exists among the protocol's
 	// own silent configurations on one colored system — the local
 	// identifiers are exactly what lets MIS evade the anonymous-network
 	// impossibility of Theorem 1.
 	g := graph.Path(6)
-	colors := graph.GreedyLocalColoring(g)
-	sys, err := mis.NewSystem(g, mis.Spec(g.MaxDegree()+1), colors)
-	if err != nil {
-		t.Fatal(err)
+	sys := mustDemo(t, row{g: g, proto: protoMIS}).Real
+	first := search(t, sys, func(*model.Config) bool { return true })
+	if first == nil {
+		t.Fatal("MIS has no silent configuration")
 	}
-	var first []int
-	for seed := uint64(0); seed < 20; seed++ {
-		cfg, _, err := FindSilentConfig(sys, func(*model.Config) bool { return true },
-			seed*31+1, 5, 100000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := make([]int, g.N())
-		for p := 0; p < g.N(); p++ {
-			s[p] = cfg.Comm(p, mis.VarS)
-		}
-		if first == nil {
-			first = s
-			continue
-		}
-		for p := range s {
-			if s[p] != first[p] {
-				t.Fatalf("seed %d: silent Dominator set differs at %d: %v vs %v", seed, p, s, first)
+	other := search(t, sys, func(c *model.Config) bool {
+		for p := range g.N() {
+			if c.Comm(p, mis.VarS) != first.Comm(p, mis.VarS) {
+				return true
 			}
 		}
+		return false
+	})
+	if other != nil {
+		t.Fatal("two silent configurations differ in their Dominators")
 	}
 }
 
 func TestNCWitnessFrozenMIS(t *testing.T) {
-	// The frozen (♦-1-stable) MIS variant has many silent configurations
-	// — including ones with Dominators that never see each other — so
-	// the Definition 10 witness pair (both Dominator) is harvestable.
-	// Colors are chosen so that both witness processes can stabilize as
-	// Dominators in some run: with a 2-coloring the color-1 processes
-	// are forced Dominators even when frozen.
-	g := graph.Path(6)
-	colors := []int{1, 2, 3, 1, 2, 3}
-	sys, err := mis.NewSystem(g, frozen.MISSpec(3), colors)
-	if err != nil {
-		t.Fatal(err)
+	// The frozen (♦-1-stable) MIS variant has many silent configurations,
+	// so the Definition 10 witness pair (both Dominator) exists across
+	// two of them. The real MIS's silent configuration is unique (see
+	// TestMISSilentConfigurationUnique), and in it process 2 is never a
+	// Dominator. With a 2-coloring the color-1 processes are forced
+	// Dominators even when frozen; these identifiers leave room.
+	d := mustDemo(t, row{name: "frozen-mis-path-6", g: graph.Path(6), proto: protoMIS, colors: []int{1, 2, 3, 1, 2, 3}})
+	dominator := func(p int) func(*model.Config) bool {
+		return func(c *model.Config) bool { return c.Comm(p, mis.VarS) == mis.Dominator }
 	}
-	w, err := FindNCWitness(sys, mis.IsLegitimate, 1, 2,
-		func(a, b []int) bool {
-			return a[mis.VarS] == mis.Dominator && b[mis.VarS] == mis.Dominator
-		},
-		700, 400, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.AlphaP[mis.VarS] != mis.Dominator || w.AlphaQ[mis.VarS] != mis.Dominator {
-		t.Fatal("witness states are not both Dominator")
+	ncWitness(t, d, d.Frozen, 2, dominator(1), dominator(2))
+	if search(t, d.Real, dominator(2)) != nil {
+		t.Fatal("real MIS has a silent configuration in which process 2 is a Dominator")
 	}
 }
 
 func TestNCWitnessMatching(t *testing.T) {
-	g := graph.Path(6)
-	colors := graph.GreedyLocalColoring(g)
-	sys, err := matching.NewSystem(g, matching.Spec(g.MaxDegree()+1), colors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two adjacent free processes violate maximality.
-	w, err := FindNCWitness(sys, matching.IsLegitimate, 2, 3,
-		func(a, b []int) bool {
-			return a[matching.VarPR] == 0 && b[matching.VarPR] == 0
-		},
-		900, 300, 200000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.AlphaP[matching.VarPR] != 0 || w.AlphaQ[matching.VarPR] != 0 {
-		t.Fatal("witness states are not both free")
-	}
+	// Each of two adjacent processes is free in some silent
+	// configuration; both free violates maximality.
+	d := mustDemo(t, row{name: "matching-path-6", g: graph.Path(6), proto: protoMatching})
+	ncWitness(t, d, d.Real, 3,
+		func(c *model.Config) bool { return c.Comm(2, matching.VarPR) == 0 },
+		func(c *model.Config) bool { return c.Comm(3, matching.VarPR) == 0 })
 }
 
 func TestNCWitnessRequiresAdjacency(t *testing.T) {
-	g := graph.Path(5)
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := FindNCWitness(sys, coloring.IsLegitimate, 0, 4,
-		func(a, b []int) bool { return true }, 1, 5, 1000); err == nil {
-		t.Fatal("non-adjacent witness pair accepted")
+	// Processes 0 and 4 of the 5-chain share a color in a silent
+	// configuration that is legitimate: a conflict of states across a
+	// non-edge is no witness.
+	d := mustDemo(t, row{g: graph.Path(5)})
+	cfg := search(t, d.Real, func(c *model.Config) bool {
+		return c.Comm(0, coloring.VarC) == c.Comm(4, coloring.VarC)
+	})
+	if cfg == nil || !d.Legit(d.Real, cfg) {
+		t.Fatal("no legitimate silent configuration with processes 0 and 4 sharing a color")
 	}
 }
 
 func TestRecoveryStepsReported(t *testing.T) {
-	d, err := Theorem1Coloring5Chain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := d.Check(7, 200000)
+	out, err := mustWitness(t, row{name: "thm1-coloring-5chain", g: graph.TheoremOneChain()}).Check(7, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}
