@@ -81,13 +81,13 @@ func BenchmarkE15Faults(b *testing.B)             { benchExperiment(b, "E15") }
 
 // Convergence micro-benchmarks: one full stabilization per iteration.
 
-func benchProtocol(b *testing.B, build func(*Network) (*model.System, error), topo string, n int) {
+func benchProtocol(b *testing.B, protocol, topo string, n int) {
 	b.Helper()
 	net, err := Generate(topo, n, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := build(net)
+	sys, err := New(net, protocol)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func benchProtocol(b *testing.B, build func(*Network) (*model.System, error), to
 func BenchmarkColoringConvergence(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(fmt.Sprintf("gnp-%d", n), func(b *testing.B) {
-			benchProtocol(b, NewColoring, "gnp", n)
+			benchProtocol(b, "coloring", "gnp", n)
 		})
 	}
 }
@@ -117,7 +117,7 @@ func BenchmarkColoringConvergence(b *testing.B) {
 func BenchmarkMISConvergence(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(fmt.Sprintf("gnp-%d", n), func(b *testing.B) {
-			benchProtocol(b, NewMIS, "gnp", n)
+			benchProtocol(b, "mis", "gnp", n)
 		})
 	}
 }
@@ -125,7 +125,7 @@ func BenchmarkMISConvergence(b *testing.B) {
 func BenchmarkMatchingConvergence(b *testing.B) {
 	for _, n := range benchSizes() {
 		b.Run(fmt.Sprintf("gnp-%d", n), func(b *testing.B) {
-			benchProtocol(b, NewMatching, "gnp", n)
+			benchProtocol(b, "matching", "gnp", n)
 		})
 	}
 }
@@ -171,7 +171,7 @@ func BenchmarkSilenceDetection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := NewMIS(net)
+	sys, err := New(net, "mis")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func benchSimulatorStep(b *testing.B, recorded bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := NewMIS(net)
+	sys, err := New(net, "mis")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func BenchmarkCommSilent(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := NewMIS(net)
+	sys, err := New(net, "mis")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func BenchmarkConcurrentMIS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys, err := NewMIS(net)
+	sys, err := New(net, "mis")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown -graph %q (torus or gnp)", *kind)
 	}
 
-	sys, legit, err := engine.System(g, engine.FamColoring)
+	sys, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		return err
 	}
@@ -84,10 +84,9 @@ func run(args []string, out io.Writer) error {
 	res := &core.RunResult{}
 	start := time.Now()
 	err = rn.RunRandom(sys, core.RunOptions{
-		Scheduler:  sched.NewSynchronous(),
-		Seed:       rng.Derive(*seed, 1),
-		MaxSteps:   *maxSteps,
-		Legitimate: legit,
+		Scheduler: sched.NewSynchronous(),
+		Seed:      rng.Derive(*seed, 1),
+		MaxSteps:  *maxSteps,
 	}, res)
 	if err != nil {
 		return err

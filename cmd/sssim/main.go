@@ -17,8 +17,8 @@ import (
 	"strings"
 
 	selfstab "repro"
+	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -33,7 +33,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("sssim", flag.ContinueOnError)
 	var (
-		protocol  = fs.String("protocol", "coloring", "protocol: coloring|mis|matching|bfstree (+ '-baseline' for full-read, '-xform' for the transformed variant)")
+		protocol  = fs.String("protocol", "coloring", "protocol: "+strings.Join(engine.Families(), "|"))
 		graphName = fs.String("graph", "gnp", "topology: "+strings.Join(graph.NamedGenerators(), "|"))
 		graphFile = fs.String("file", "", "read the network from an edge-list file instead of generating one")
 		n         = fs.Int("n", 16, "approximate network size")
@@ -69,7 +69,7 @@ func run(args []string, out io.Writer) error {
 		}
 		net = generated
 	}
-	sys, err := buildSystem(net, *protocol)
+	sys, err := selfstab.New(net, *protocol)
 	if err != nil {
 		return err
 	}
@@ -108,43 +108,4 @@ func run(args []string, out io.Writer) error {
 			rep.SuffixAvgReadsPerSelection(), rep.SuffixAvgBitsPerSelection())
 	}
 	return nil
-}
-
-func buildSystem(net *selfstab.Network, protocol string) (*model.System, error) {
-	switch protocol {
-	case "coloring":
-		return selfstab.NewColoring(net)
-	case "coloring-baseline":
-		return selfstab.NewColoringBaseline(net)
-	case "mis":
-		return selfstab.NewMIS(net)
-	case "mis-baseline":
-		return selfstab.NewMISBaseline(net)
-	case "matching":
-		return selfstab.NewMatching(net)
-	case "matching-baseline":
-		return selfstab.NewMatchingBaseline(net)
-	case "bfstree":
-		return selfstab.NewBFSTree(net, 0)
-	case "bfstree-xform":
-		sys, err := selfstab.NewBFSTree(net, 0)
-		if err != nil {
-			return nil, err
-		}
-		return selfstab.NewTransformed(sys)
-	case "coloring-xform":
-		sys, err := selfstab.NewColoringBaseline(net)
-		if err != nil {
-			return nil, err
-		}
-		return selfstab.NewTransformed(sys)
-	case "mis-xform":
-		sys, err := selfstab.NewMISBaseline(net)
-		if err != nil {
-			return nil, err
-		}
-		return selfstab.NewTransformed(sys)
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", protocol)
-	}
 }

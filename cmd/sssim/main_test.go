@@ -4,16 +4,14 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
+// TestRunAllProtocols runs every protocol of the family table. The
+// frozen variants are allowed to stop in an illegitimate silence.
 func TestRunAllProtocols(t *testing.T) {
-	protocols := []string{
-		"coloring", "coloring-baseline", "coloring-xform",
-		"mis", "mis-baseline", "mis-xform",
-		"matching", "matching-baseline",
-		"bfstree", "bfstree-xform",
-	}
-	for _, proto := range protocols {
+	for _, proto := range engine.Families() {
 		var sb strings.Builder
 		err := run([]string{"-protocol", proto, "-graph", "cycle", "-n", "8", "-seed", "3"}, &sb)
 		if err != nil {
@@ -23,7 +21,7 @@ func TestRunAllProtocols(t *testing.T) {
 		if !strings.Contains(out, "silent=true") {
 			t.Fatalf("%s: did not stabilize:\n%s", proto, out)
 		}
-		if !strings.Contains(out, "legitimate=true") {
+		if !strings.Contains(proto, "frozen") && !strings.Contains(out, "legitimate=true") {
 			t.Fatalf("%s: not legitimate:\n%s", proto, out)
 		}
 		if !strings.Contains(out, "k-efficiency") {

@@ -19,7 +19,6 @@ import (
 
 	selfstab "repro"
 	"repro/internal/graph"
-	"repro/internal/model"
 )
 
 var palette = []string{
@@ -64,17 +63,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var sys *model.System
-	switch *protocol {
-	case "coloring":
-		sys, err = selfstab.NewColoring(net)
-	case "mis":
-		sys, err = selfstab.NewMIS(net)
-	case "matching":
-		sys, err = selfstab.NewMatching(net)
-	default:
+	if *protocol != "coloring" && *protocol != "mis" && *protocol != "matching" {
 		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
+	sys, err := selfstab.New(net, *protocol)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := selfstab.NewMIS(net)
+	sys, err := selfstab.New(net, "mis")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func ExampleRun_stabilizedPhase() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys, err := selfstab.NewMatching(net)
+	sys, err := selfstab.New(net, "matching")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,18 +54,14 @@ func ExampleRun_stabilizedPhase() {
 	// matched processes >= Theorem 8 bound: true
 }
 
-// ExampleNewTransformed demonstrates the paper's Section 6 open
+// ExampleNew_transformed demonstrates the paper's Section 6 open
 // question: a full-read protocol mechanically becomes 1-efficient.
-func ExampleNewTransformed() {
+func ExampleNew_transformed() {
 	net, err := selfstab.Generate("grid", 9, 3)
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, err := selfstab.NewBFSTree(net, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	xform, err := selfstab.NewTransformed(full)
+	xform, err := selfstab.New(net, "bfstree-xform")
 	if err != nil {
 		log.Fatal(err)
 	}

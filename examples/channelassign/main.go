@@ -35,7 +35,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sys, err := selfstab.NewColoring(net)
+		sys, err := selfstab.New(net, "coloring")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func main() {
 	bound := matching.StabilityBound(g.M(), g.MaxDegree())
 	fmt.Printf("Theorem 8 guarantee: at least %d of %d nodes end up paired\n\n", bound, g.N())
 
-	sys, err := selfstab.NewMatching(net)
+	sys, err := selfstab.New(net, "matching")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	selfstab "repro"
-	"repro/internal/model"
 )
 
 func main() {
@@ -25,16 +24,13 @@ func main() {
 	}
 	fmt.Printf("network: %s\n\n", net.Graph)
 
-	protocols := []struct {
-		name  string
-		build func(*selfstab.Network) (*model.System, error)
-	}{
-		{"COLORING (Fig. 7)", selfstab.NewColoring},
-		{"MIS      (Fig. 8)", selfstab.NewMIS},
-		{"MATCHING (Fig. 10)", selfstab.NewMatching},
+	protocols := []struct{ name, protocol string }{
+		{"COLORING (Fig. 7)", "coloring"},
+		{"MIS      (Fig. 8)", "mis"},
+		{"MATCHING (Fig. 10)", "matching"},
 	}
 	for _, p := range protocols {
-		sys, err := p.build(net)
+		sys, err := selfstab.New(net, p.protocol)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +51,7 @@ func main() {
 	}
 
 	// Decode the outputs of one protocol run.
-	sys, err := selfstab.NewMatching(net)
+	sys, err := selfstab.New(net, "matching")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 	}
 	fmt.Printf("sensor field: %s (radio degree Δ=%d)\n\n", net.Graph, net.Graph.MaxDegree())
 
-	sys, err := selfstab.NewMIS(net)
+	sys, err := selfstab.New(net, "mis")
 	if err != nil {
 		log.Fatal(err)
 	}

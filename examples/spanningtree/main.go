@@ -33,14 +33,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	const root = 0
+	const root = 0 // the bfstree protocols are rooted at process 0
 	fmt.Printf("network: %s, root %d\n\n", net.Graph, root)
 
-	full, err := selfstab.NewBFSTree(net, root)
+	full, err := selfstab.New(net, "bfstree")
 	if err != nil {
 		log.Fatal(err)
 	}
-	xform, err := selfstab.NewTransformed(full)
+	xform, err := selfstab.New(net, "bfstree-xform")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -296,7 +296,7 @@ func TestRunRecordsAndJSONL(t *testing.T) {
 // the impossibility result observed through campaign metrics.
 func TestFrozenFamilyObservesIllegitimateSilence(t *testing.T) {
 	t.Parallel()
-	spec := mustParse(t, "campaign frz\ntrials 6\nmax-steps 50000\ngraph cycle 6\nprotocol frozen\nmetrics silent legitimate\n")
+	spec := mustParse(t, "campaign frz\ntrials 6\nmax-steps 50000\ngraph cycle 6\nprotocol frozen mis-frozen matching-frozen\nmetrics silent legitimate\n")
 	plan, err := Compile(spec, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -305,20 +305,22 @@ func TestFrozenFamilyObservesIllegitimateSilence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	silent, legit := 0, 0
-	for _, rec := range out.Results[0].Records {
-		if rec.Silent {
-			silent++
+	for i, res := range out.Results {
+		silent, legit := 0, 0
+		for _, rec := range res.Records {
+			if rec.Silent {
+				silent++
+			}
+			if rec.Legitimate {
+				legit++
+			}
 		}
-		if rec.Legitimate {
-			legit++
+		if silent == 0 {
+			t.Fatalf("%s never froze into silence", plan.Cells[i].Protocol)
 		}
-	}
-	if silent == 0 {
-		t.Fatal("frozen coloring never froze into silence")
-	}
-	if legit == silent {
-		t.Log("all frozen runs happened to be legitimate at this seed (acceptable, just unlucky)")
+		if legit == silent {
+			t.Logf("%s: all frozen runs happened to be legitimate at this seed (acceptable, just unlucky)", plan.Cells[i].Protocol)
+		}
 	}
 }
 

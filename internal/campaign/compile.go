@@ -97,7 +97,7 @@ type Plan struct {
 	// the run closures (and the systems they capture) lazily by
 	// ensureEngineCells for exactly the cells that will execute.
 	cells   []engine.Cell
-	systems map[sysKey]builtSys
+	systems map[sysKey]*model.System
 	// graphsBuilt counts the topologies graphFor has built.
 	graphsBuilt int
 }
@@ -107,11 +107,6 @@ type Plan struct {
 type sysKey struct {
 	topo  *topology
 	proto string
-}
-
-type builtSys struct {
-	sys   *model.System
-	legit engine.Legitimacy
 }
 
 // GraphsBuilt reports how many topologies the plan has built so far: one
@@ -317,7 +312,7 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 	for i := range p.Cells {
 		p.cells[i].Key = p.Cells[i].Key
 	}
-	p.systems = map[sysKey]builtSys{}
+	p.systems = map[sysKey]*model.System{}
 	return p, nil
 }
 
@@ -448,22 +443,21 @@ func (p *Plan) ensureSnapshots(cells []int) error {
 
 // sysFor builds (or returns the shared) system of a cell's
 // (graph, protocol) pair; systems are immutable and shared across cells.
-func (p *Plan) sysFor(cs *CellSpec) (builtSys, error) {
+func (p *Plan) sysFor(cs *CellSpec) (*model.System, error) {
 	key := sysKey{cs.topo, cs.Protocol}
-	if b, ok := p.systems[key]; ok {
-		return b, nil
+	if sys, ok := p.systems[key]; ok {
+		return sys, nil
 	}
 	g, err := p.graphFor(cs)
 	if err != nil {
-		return builtSys{}, err
+		return nil, err
 	}
-	sys, legit, err := engine.System(g, cs.Protocol)
+	sys, err := engine.Build(g, cs.Protocol, nil)
 	if err != nil {
-		return builtSys{}, fmt.Errorf("campaign: %s on %s: %w", cs.Protocol, cs.GraphLine, err)
+		return nil, fmt.Errorf("campaign: %s on %s: %w", cs.Protocol, cs.GraphLine, err)
 	}
-	b := builtSys{sys: sys, legit: legit}
-	p.systems[key] = b
-	return b, nil
+	p.systems[key] = sys
+	return sys, nil
 }
 
 // ensureEngineCells materializes the runnable closures for the given
@@ -483,7 +477,7 @@ func (p *Plan) ensureEngineCells(cells []int) error {
 			continue
 		}
 		cs := &p.Cells[i]
-		b, err := p.sysFor(cs)
+		sys, err := p.sysFor(cs)
 		if err != nil {
 			return err
 		}
@@ -492,7 +486,7 @@ func (p *Plan) ensureEngineCells(cells []int) error {
 		}
 		p.cells[i], err = engine.NewCell(&p.cfg, engine.Scenario{
 			Key: cs.Key, Index: cs.Index,
-			System: b.sys, Legit: b.legit,
+			System:       sys,
 			Daemon:       cs.Daemon,
 			SuffixRounds: p.Spec.SuffixRounds,
 			Snapshot:     cs.snapshot,

@@ -82,7 +82,7 @@ func TestGraphsAreBuiltOnDemand(t *testing.T) {
 	}
 	for i := range plan.Cells {
 		cs := &plan.Cells[i]
-		if b := plan.systems[sysKey{cs.topo, cs.Protocol}]; b.sys.Graph() != cs.topo.g {
+		if sys := plan.systems[sysKey{cs.topo, cs.Protocol}]; sys.Graph() != cs.topo.g {
 			t.Fatalf("cell %d runs on a graph other than its topology's", i)
 		}
 	}

@@ -19,8 +19,8 @@
 //
 // The runtime stops when a monitor detects that the communication
 // configuration is silent (using the model's decision procedure) and the
-// optional legitimacy predicate holds, or when the per-process step
-// budget is exhausted.
+// protocol's legitimacy predicate (Spec.Legitimate, when it declares one)
+// holds, or when the per-process step budget is exhausted.
 package concurrent
 
 import (
@@ -69,16 +69,14 @@ type Options struct {
 	// PollInterval is the monitor's quiescence polling period (default
 	// 500µs).
 	PollInterval time.Duration
-	// Legitimate, when non-nil, must hold in addition to silence for the
-	// monitor to stop the run.
-	Legitimate func(*model.System, *model.Config) bool
 }
 
 // Result reports a concurrent run.
 type Result struct {
 	// Silent reports whether the monitor observed a silent configuration.
 	Silent bool
-	// Legitimate is the predicate value on the final configuration.
+	// Legitimate is the protocol's predicate (Spec.Legitimate) on the
+	// final configuration; false when it declares none.
 	Legitimate bool
 	// TotalSteps is the number of process steps executed.
 	TotalSteps int64
@@ -107,6 +105,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 
 	shared := cfg0.Clone()
 	n := sys.N()
+	legit := sys.Spec().Legitimate
 	locks := make([]sync.RWMutex, n)
 	var global sync.Mutex
 	var stop atomic.Bool
@@ -224,7 +223,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 				stop.Store(true)
 				return
 			}
-			if silent && (opts.Legitimate == nil || opts.Legitimate(sys, snap)) {
+			if silent && (legit == nil || legit(sys, snap)) {
 				silentSeen.Store(true)
 				stop.Store(true)
 				return
@@ -256,8 +255,8 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 		}
 		res.Silent = silent
 	}
-	if opts.Legitimate != nil {
-		res.Legitimate = opts.Legitimate(sys, final)
+	if legit != nil {
+		res.Legitimate = legit(sys, final)
 	}
 	return res, nil
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/coloring"
-	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
 	"repro/internal/rng"
 )
@@ -30,7 +30,7 @@ func TestModeString(t *testing.T) {
 
 func TestConcurrentColoringAllModes(t *testing.T) {
 	g := graph.RandomConnectedGNP(12, 0.3, rng.New(77))
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
+	sys, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,6 @@ func TestConcurrentColoringAllModes(t *testing.T) {
 			Mode:               mode,
 			Seed:               42,
 			MaxStepsPerProcess: 300000,
-			Legitimate:         coloring.IsLegitimate,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,7 +57,7 @@ func TestConcurrentColoringAllModes(t *testing.T) {
 func TestConcurrentMISAllModes(t *testing.T) {
 	g := graph.Grid(3, 4)
 	colors := graph.GreedyLocalColoring(g)
-	sys, err := mis.NewSystem(g, mis.Spec(g.MaxDegree()+1), colors)
+	sys, err := engine.Build(g, engine.FamMIS, colors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +67,6 @@ func TestConcurrentMISAllModes(t *testing.T) {
 			Mode:               mode,
 			Seed:               43,
 			MaxStepsPerProcess: 300000,
-			Legitimate:         mis.IsLegitimate,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -82,7 +80,7 @@ func TestConcurrentMISAllModes(t *testing.T) {
 func TestConcurrentMatchingAllModes(t *testing.T) {
 	g := graph.Cycle(10)
 	colors := graph.GreedyLocalColoring(g)
-	sys, err := matching.NewSystem(g, matching.Spec(g.MaxDegree()+1), colors)
+	sys, err := engine.Build(g, engine.FamMatching, colors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +90,6 @@ func TestConcurrentMatchingAllModes(t *testing.T) {
 			Mode:               mode,
 			Seed:               44,
 			MaxStepsPerProcess: 300000,
-			Legitimate:         matching.IsLegitimate,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +105,7 @@ func TestConcurrentMatchesLockStepOutcomeMIS(t *testing.T) {
 	// concurrent runtime must land on exactly the lock-step outcome.
 	g := graph.Path(8)
 	colors := graph.GreedyLocalColoring(g)
-	sys, err := mis.NewSystem(g, mis.Spec(g.MaxDegree()+1), colors)
+	sys, err := engine.Build(g, engine.FamMIS, colors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +114,6 @@ func TestConcurrentMatchesLockStepOutcomeMIS(t *testing.T) {
 		Mode:               ModeNeighborhood,
 		Seed:               9,
 		MaxStepsPerProcess: 300000,
-		Legitimate:         mis.IsLegitimate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +136,7 @@ func TestConcurrentMatchesLockStepOutcomeMIS(t *testing.T) {
 
 func TestConcurrentRejectsInvalidConfig(t *testing.T) {
 	g := graph.Path(3)
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
+	sys, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +150,7 @@ func TestConcurrentRejectsInvalidConfig(t *testing.T) {
 func TestConcurrentBudgetExhaustion(t *testing.T) {
 	// A tiny budget must terminate promptly and report honestly.
 	g := graph.Complete(5)
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
+	sys, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +171,7 @@ func TestConcurrentBudgetExhaustion(t *testing.T) {
 
 func TestConcurrentInitialConfigNotMutated(t *testing.T) {
 	g := graph.Cycle(6)
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
+	sys, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

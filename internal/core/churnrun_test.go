@@ -32,7 +32,6 @@ func TestRunChurnedEpisodes(t *testing.T) {
 					Seed:       seed,
 					MaxSteps:   400000,
 					CheckEvery: 1,
-					Legitimate: ts.legit,
 				}, fault.Plan{
 					Churn:         rn.ChurnAdversary("churn:"+name+"/2", func() fault.ChurnAdversary { a, _ := fault.ChurnByName(name, 2); return a }),
 					ChurnSchedule: fault.OnSilence(firings),

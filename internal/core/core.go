@@ -49,8 +49,8 @@ type RunOptions struct {
 	// running for that many further rounds while recording the suffix
 	// read sets used for stability measurements.
 	SuffixRounds int
-	// Legitimate, when non-nil, is evaluated on the silent configuration
-	// (protocol-specific legitimacy predicate).
+	// Legitimate, when non-nil, replaces the protocol's own predicate
+	// (Spec.Legitimate) as the one evaluated on the silent configuration.
 	Legitimate func(*model.System, *model.Config) bool
 	// Events receives the run's diagnostic events (silence detection,
 	// fault injections, recovery episodes) tagged with the cell/trial
@@ -68,7 +68,7 @@ type RunResult struct {
 	StepsToSilence  int
 	RoundsToSilence int
 	// LegitimateAtSilence holds the predicate value at silence (false if
-	// no predicate was supplied or silence was not reached).
+	// the protocol declares no predicate or silence was not reached).
 	LegitimateAtSilence bool
 	// Report carries the trace metrics. If SuffixRounds > 0 the suffix
 	// fields cover exactly the post-silence window.

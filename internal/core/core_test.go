@@ -33,13 +33,34 @@ func TestRunRequiresMaxSteps(t *testing.T) {
 	}
 }
 
+// TestLegitimacyComesFromTheSpec runs COLORING to silence twice: with no
+// predicate in the options the spec's is evaluated, and an explicit one
+// replaces it.
+func TestLegitimacyComesFromTheSpec(t *testing.T) {
+	opts := RunOptions{Scheduler: sched.NewRandomSubset(3), Seed: 3, MaxSteps: 100000}
+	res, err := testRun(t, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Silent || !res.LegitimateAtSilence {
+		t.Fatalf("spec predicate: silent=%v legit=%v", res.Silent, res.LegitimateAtSilence)
+	}
+	opts.Scheduler = sched.NewRandomSubset(3)
+	opts.Legitimate = func(*model.System, *model.Config) bool { return false }
+	if res, err = testRun(t, opts); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Silent || res.LegitimateAtSilence {
+		t.Fatalf("replaced predicate: silent=%v legit=%v", res.Silent, res.LegitimateAtSilence)
+	}
+}
+
 func TestRunConvergesAndMeasures(t *testing.T) {
 	res, err := testRun(t, RunOptions{
 		Scheduler:    sched.NewRandomSubset(5),
 		Seed:         5,
 		MaxSteps:     100000,
 		SuffixRounds: 10,
-		Legitimate:   coloring.IsLegitimate,
 	})
 	if err != nil {
 		t.Fatal(err)

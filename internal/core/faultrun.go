@@ -435,8 +435,12 @@ func (r *Runner) trial(sys *model.System, opts RunOptions, plan fault.Plan, res 
 	res.StepsToSilence = r.sim.Steps()
 	res.RoundsToSilence = r.sim.Rounds()
 	res.LegitimateAtSilence = false
-	if finalSilent && opts.Legitimate != nil {
-		res.LegitimateAtSilence = opts.Legitimate(runSys, r.sim.Config())
+	legit := opts.Legitimate
+	if legit == nil {
+		legit = runSys.Spec().Legitimate
+	}
+	if finalSilent && legit != nil {
+		res.LegitimateAtSilence = legit(runSys, r.sim.Config())
 	}
 	if finalSilent && opts.SuffixRounds > 0 {
 		r.rec.MarkSuffix()

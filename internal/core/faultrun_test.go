@@ -33,7 +33,6 @@ func TestRunFaultedAtStartMatchesRun(t *testing.T) {
 					Seed:       seed,
 					MaxSteps:   200000,
 					CheckEvery: 1,
-					Legitimate: ts.legit,
 				}
 
 				// Manual path: legacy clone-then-corrupt, plain Run.
@@ -100,7 +99,6 @@ func TestRunFaultedOnSilenceEpisodes(t *testing.T) {
 				Seed:       seed,
 				MaxSteps:   400000,
 				CheckEvery: 1,
-				Legitimate: ts.legit,
 			}, fault.Plan{
 				Adversary: rn.Adversary("cluster-test", func() fault.Adversary { return fault.NewCluster(3) }),
 				Schedule:  fault.OnSilence(episodes),

@@ -18,9 +18,8 @@ import (
 // protocols, and state shapes, so runner reuse is exercised across
 // rebinds.
 func runnerTestSystems(t *testing.T) []struct {
-	name  string
-	sys   *model.System
-	legit func(*model.System, *model.Config) bool
+	name string
+	sys  *model.System
 } {
 	t.Helper()
 	colSys, err := model.NewSystem(graph.Cycle(9), coloring.Spec(), nil)
@@ -37,13 +36,12 @@ func runnerTestSystems(t *testing.T) []struct {
 		t.Fatal(err)
 	}
 	return []struct {
-		name  string
-		sys   *model.System
-		legit func(*model.System, *model.Config) bool
+		name string
+		sys  *model.System
 	}{
-		{"coloring-cycle9", colSys, coloring.IsLegitimate},
-		{"coloring-baseline-star6", baseSys, coloring.IsLegitimate},
-		{"mis-grid3x3", misSys, mis.IsLegitimate},
+		{"coloring-cycle9", colSys},
+		{"coloring-baseline-star6", baseSys},
+		{"mis-grid3x3", misSys},
 	}
 }
 
@@ -73,7 +71,6 @@ func TestRunnerMatchesRun(t *testing.T) {
 					MaxSteps:     200000,
 					CheckEvery:   1,
 					SuffixRounds: 4,
-					Legitimate:   ts.legit,
 				}
 
 				opts.Scheduler = sc.mk(seed)
@@ -146,7 +143,7 @@ func TestZeroPlan(t *testing.T) {
 	opts := func(seed uint64) RunOptions {
 		return RunOptions{
 			Scheduler: rn.Scheduler("random-subset", seed, mk),
-			Seed:      seed, MaxSteps: 200000, SuffixRounds: 2, Legitimate: ts.legit,
+			Seed:      seed, MaxSteps: 200000, SuffixRounds: 2,
 		}
 	}
 	var fres FaultResult

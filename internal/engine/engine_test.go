@@ -15,42 +15,62 @@ import (
 
 func TestFamiliesRegistry(t *testing.T) {
 	t.Parallel()
-	fams := Families()
-	for _, want := range []string{
-		FamColoring, FamColoringBaseline, FamMIS, FamMISBaseline,
-		FamMatching, FamMatchingBaseline, FamBFSTree, FamFrozen,
-	} {
-		found := false
-		for _, f := range fams {
-			if f == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("Families() missing %q: %v", want, fams)
-		}
+	want := []string{
+		FamBFSTree, FamBFSTreeXform, FamColoring, FamColoringBaseline, FamColoringXform, FamFrozen,
+		FamMatching, FamMatchingBaseline, FamMatchingFrozen, FamMatchingXform,
+		FamMIS, FamMISBaseline, FamMISFrozen, FamMISXform,
 	}
-	for i := 1; i < len(fams); i++ {
-		if fams[i-1] >= fams[i] {
-			t.Fatalf("Families() not sorted: %v", fams)
-		}
+	if got := Families(); !slices.Equal(got, want) {
+		t.Fatalf("Families() = %v, want %v", got, want)
 	}
 }
 
+// TestSystemBuildsEveryFamily builds every family of the table on one
+// network: each spec carries its predicate, System hands it back beside
+// the system, a -xform family is its full-read family transformed, and
+// the families that hold local identifiers hold the ones they are given.
 func TestSystemBuildsEveryFamily(t *testing.T) {
 	t.Parallel()
 	g := graph.Cycle(5)
+	colors := []int{1, 2, 1, 2, 3}
+	fullRead := map[string]string{
+		FamColoringXform: FamColoringBaseline, FamMISXform: FamMISBaseline,
+		FamMatchingXform: FamMatchingBaseline, FamBFSTreeXform: FamBFSTree,
+	}
 	for _, fam := range Families() {
 		sys, legit, err := System(g, fam)
 		if err != nil {
 			t.Fatalf("System(%s): %v", fam, err)
 		}
-		if sys == nil || legit == nil {
-			t.Fatalf("System(%s): nil system or legitimacy", fam)
+		if sys.Spec().Legitimate == nil || legit == nil {
+			t.Fatalf("System(%s): the spec declares no predicate", fam)
+		}
+		if orig, ok := fullRead[fam]; ok {
+			base, err := Build(g, orig, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := base.Spec().Name + "-XFORM"; sys.Spec().Name != want {
+				t.Fatalf("%s builds %s, want %s", fam, sys.Spec().Name, want)
+			}
+		}
+		sys, err = Build(g, fam, colors)
+		if err != nil {
+			t.Fatalf("Build(%s) with colors: %v", fam, err)
+		}
+		if len(sys.Spec().Const) == 0 || sys.Spec().Const[0].Name != "C" {
+			continue
+		}
+		for p, c := range colors {
+			if sys.Const(p, 0) != c-1 {
+				t.Fatalf("%s: process %d holds identifier %d, given %d", fam, p, sys.Const(p, 0)+1, c)
+			}
+		}
+		if _, err := Build(g, fam, []int{1, 1, 2, 1, 2}); err == nil {
+			t.Fatalf("%s accepted an improper coloring", fam)
 		}
 	}
-	if _, _, err := System(g, "teleport"); err == nil || !strings.Contains(err.Error(), "unknown protocol family") {
+	if _, err := Build(g, "teleport", nil); err == nil || !strings.Contains(err.Error(), "unknown protocol family") {
 		t.Fatalf("unknown family accepted: %v", err)
 	}
 }

@@ -11,9 +11,11 @@ import (
 	"repro/internal/protocols/frozen"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
+	"repro/internal/transformer"
 )
 
-// Protocol family names used across experiments and campaigns.
+// Protocol family names: every protocol the campaign DSL, the registry,
+// the selfstab facade and the commands run, under one name each.
 const (
 	FamColoring         = "coloring"
 	FamColoringBaseline = "coloring-baseline"
@@ -24,79 +26,95 @@ const (
 	// FamBFSTree is the classical full-read BFS spanning tree rooted at
 	// process 0 — the local-checking paradigm the paper improves on.
 	FamBFSTree = "bfstree"
+	// The -xform families are the full-read ones made 1-efficient by the
+	// local-checking transformer (internal/transformer, experiment E13).
+	FamColoringXform = "coloring-xform"
+	FamMISXform      = "mis-xform"
+	FamMatchingXform = "matching-xform"
+	FamBFSTreeXform  = "bfstree-xform"
 	// FamFrozen is the deliberately ♦-1-stable (and therefore broken)
 	// frozen coloring of Theorems 1/2: it freezes into silence but the
 	// silent configuration need not be a proper coloring, so campaigns
-	// over it observe silent-but-illegitimate outcomes.
-	FamFrozen = "frozen"
+	// over it observe silent-but-illegitimate outcomes. FamMISFrozen and
+	// FamMatchingFrozen are its MIS and MATCHING counterparts.
+	FamFrozen         = "frozen"
+	FamMISFrozen      = "mis-frozen"
+	FamMatchingFrozen = "matching-frozen"
 )
 
-// Legitimacy is a protocol-specific legitimacy predicate evaluated on a
-// silent configuration.
-type Legitimacy func(*model.System, *model.Config) bool
-
-// Builder instantiates a protocol family on a graph, returning the
-// system and its legitimacy predicate.
-type Builder func(*graph.Graph) (*model.System, Legitimacy, error)
-
-var builders = map[string]Builder{}
-
-func init() {
-	builders[FamColoring] = func(g *graph.Graph) (*model.System, Legitimacy, error) {
-		sys, err := model.NewSystem(g, coloring.Spec(), nil)
-		return sys, coloring.IsLegitimate, err
-	}
-	builders[FamColoringBaseline] = func(g *graph.Graph) (*model.System, Legitimacy, error) {
-		sys, err := model.NewSystem(g, coloring.BaselineSpec(), nil)
-		return sys, coloring.IsLegitimate, err
-	}
-	builders[FamMIS] = func(g *graph.Graph) (*model.System, Legitimacy, error) {
-		colors := graph.GreedyLocalColoring(g)
-		sys, err := mis.NewSystem(g, mis.Spec(g.MaxDegree()+1), colors)
-		return sys, mis.IsLegitimate, err
-	}
-	builders[FamMISBaseline] = func(g *graph.Graph) (*model.System, Legitimacy, error) {
-		colors := graph.GreedyLocalColoring(g)
-		sys, err := mis.NewSystem(g, mis.BaselineSpec(g.MaxDegree()+1), colors)
-		return sys, mis.IsLegitimate, err
-	}
-	builders[FamMatching] = func(g *graph.Graph) (*model.System, Legitimacy, error) {
-		colors := graph.GreedyLocalColoring(g)
-		sys, err := matching.NewSystem(g, matching.Spec(g.MaxDegree()+1), colors)
-		return sys, matching.IsLegitimate, err
-	}
-	builders[FamMatchingBaseline] = func(g *graph.Graph) (*model.System, Legitimacy, error) {
-		colors := graph.GreedyLocalColoring(g)
-		sys, err := matching.NewSystem(g, matching.BaselineSpec(g.MaxDegree()+1), colors)
-		// The baseline's silent configurations satisfy the maximal
-		// matching predicate on matched edges; its M/PR flag discipline
-		// differs from Figure 10, so legitimacy is the graph predicate.
-		return sys, matching.IsMaximalMatching, err
-	}
-	builders[FamBFSTree] = func(g *graph.Graph) (*model.System, Legitimacy, error) {
-		sys, err := bfstree.NewSystem(g, bfstree.Spec(), 0)
-		return sys, bfstree.IsLegitimate, err
-	}
-	builders[FamFrozen] = func(g *graph.Graph) (*model.System, Legitimacy, error) {
-		sys, err := model.NewSystem(g, frozen.ColoringSpec(), nil)
-		return sys, coloring.IsLegitimate, err
-	}
+// family declares one protocol family: its spec for a palette of Δ+1
+// local identifiers, how a system of it gets its constants, and whether
+// the local-checking transformer is applied to the spec first. The spec
+// carries the legitimacy predicate.
+type family struct {
+	spec   func(palette int) *model.Spec
+	system func(g *graph.Graph, spec *model.Spec, colors []int) (*model.System, error)
+	xform  bool
 }
 
-// System builds a System for a named protocol family on g, returning it
-// with the family's legitimacy predicate.
-func System(g *graph.Graph, family string) (*model.System, Legitimacy, error) {
-	b := builders[family]
-	if b == nil {
-		return nil, nil, fmt.Errorf("engine: unknown protocol family %q (known: %v)", family, Families())
-	}
-	return b(g)
+var families = map[string]family{
+	FamColoring:         {spec: anonymous(coloring.Spec), system: noConsts},
+	FamColoringBaseline: {spec: anonymous(coloring.BaselineSpec), system: noConsts},
+	FamColoringXform:    {spec: anonymous(coloring.BaselineSpec), system: noConsts, xform: true},
+	FamMIS:              {spec: mis.Spec, system: mis.NewSystem},
+	FamMISBaseline:      {spec: mis.BaselineSpec, system: mis.NewSystem},
+	FamMISXform:         {spec: mis.BaselineSpec, system: mis.NewSystem, xform: true},
+	FamMatching:         {spec: matching.Spec, system: matching.NewSystem},
+	FamMatchingBaseline: {spec: matching.BaselineSpec, system: matching.NewSystem},
+	FamMatchingXform:    {spec: matching.BaselineSpec, system: matching.NewSystem, xform: true},
+	FamBFSTree:          {spec: anonymous(bfstree.Spec), system: rootedAtZero},
+	FamBFSTreeXform:     {spec: anonymous(bfstree.Spec), system: rootedAtZero, xform: true},
+	FamFrozen:           {spec: anonymous(frozen.ColoringSpec), system: noConsts},
+	FamMISFrozen:        {spec: frozen.MISSpec, system: mis.NewSystem},
+	FamMatchingFrozen:   {spec: frozen.MatchingSpec, system: matching.NewSystem},
 }
 
-// Families lists the registered protocol family names, sorted.
+// anonymous adapts a spec that needs no palette.
+func anonymous(spec func() *model.Spec) func(int) *model.Spec {
+	return func(int) *model.Spec { return spec() }
+}
+
+func noConsts(g *graph.Graph, spec *model.Spec, _ []int) (*model.System, error) {
+	return model.NewSystem(g, spec, nil)
+}
+
+func rootedAtZero(g *graph.Graph, spec *model.Spec, _ []int) (*model.System, error) {
+	return bfstree.NewSystem(g, spec, 0)
+}
+
+// Build instantiates the named protocol family on g. colors are the local
+// identifiers (values 1..Δ+1) of the families whose processes hold them,
+// nil for graph.GreedyLocalColoring's; the other families ignore them.
+func Build(g *graph.Graph, name string, colors []int) (*model.System, error) {
+	f, ok := families[name]
+	if !ok {
+		return nil, fmt.Errorf("engine: unknown protocol family %q (known: %v)", name, Families())
+	}
+	spec := f.spec(g.MaxDegree() + 1)
+	if f.xform {
+		var err error
+		if spec, err = transformer.Transform(spec, g.MaxDegree()); err != nil {
+			return nil, err
+		}
+	}
+	return f.system(g, spec, colors)
+}
+
+// System is Build with greedy local identifiers that also returns the
+// family's predicate, sys.Spec().Legitimate, in the shape the traced runs
+// of bench/ pass to core.RunOptions.Legitimate.
+func System(g *graph.Graph, name string) (*model.System, func(*model.System, *model.Config) bool, error) {
+	sys, err := Build(g, name, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sys, sys.Spec().Legitimate, nil
+}
+
+// Families lists the protocol family names, sorted.
 func Families() []string {
-	var names []string
-	for name := range builders {
+	names := make([]string, 0, len(families))
+	for name := range families {
 		names = append(names, name)
 	}
 	sort.Strings(names)

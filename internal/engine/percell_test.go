@@ -150,22 +150,22 @@ func TestRunCellNilRun(t *testing.T) {
 // is built, not when its first trial runs.
 func TestNewCellRefusesBadScenarios(t *testing.T) {
 	t.Parallel()
-	sys, legit, err := System(graph.Cycle(5), FamColoring)
+	sys, err := Build(graph.Cycle(5), FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Seed: 1, Trials: 1}.WithDefaults()
 	for name, sc := range map[string]Scenario{
 		"no system":         {Key: "k"},
-		"unknown daemon":    {Key: "k", System: sys, Legit: legit, Daemon: "round-robin-ish"},
-		"unknown adversary": {Key: "k", System: sys, Legit: legit, Adversary: "gremlin", K: 1},
-		"unknown churn":     {Key: "k", System: sys, Legit: legit, Churn: "earthquake", ChurnK: 1},
+		"unknown daemon":    {Key: "k", System: sys, Daemon: "round-robin-ish"},
+		"unknown adversary": {Key: "k", System: sys, Adversary: "gremlin", K: 1},
+		"unknown churn":     {Key: "k", System: sys, Churn: "earthquake", ChurnK: 1},
 	} {
 		if cell, err := NewCell(&cfg, sc); err == nil || cell.Run != nil {
 			t.Errorf("%s: NewCell = (Run set: %v, %v), want an error and no closure", name, cell.Run != nil, err)
 		}
 	}
-	if _, err := NewCell(&cfg, Scenario{Key: "k", System: sys, Legit: legit}); err != nil {
+	if _, err := NewCell(&cfg, Scenario{Key: "k", System: sys}); err != nil {
 		t.Errorf("the plain default scenario was refused: %v", err)
 	}
 }
@@ -215,7 +215,7 @@ func TestRunCellReduceRealProtocol(t *testing.T) {
 // plan left in the shared result buffer would show.
 func TestTrialFinishCount(t *testing.T) {
 	t.Parallel()
-	sys, legit, err := System(graph.Cycle(5), FamMIS)
+	sys, err := Build(graph.Cycle(5), FamMIS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestTrialFinishCount(t *testing.T) {
 	} {
 		sink := obsCollector{}
 		tc.cfg.Observer = &sink
-		tc.sc.Key, tc.sc.System, tc.sc.Legit = "finish-count", sys, legit
+		tc.sc.Key, tc.sc.System = "finish-count", sys
 		cell, err := NewCell(&tc.cfg, tc.sc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

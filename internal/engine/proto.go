@@ -25,10 +25,9 @@ type Scenario struct {
 	// caller also passes to RunCell.
 	Key   string
 	Index int
-	// System is the protocol instance, Legit its legitimacy predicate
-	// (evaluated on the final silent configuration; may be nil).
+	// System is the protocol instance; its spec's predicate is the one
+	// evaluated on a trial's final silent configuration.
 	System *model.System
-	Legit  Legitimacy
 	// Daemon names the scheduler, a sched.ByName name ("" selects
 	// DefaultSchedName). One instance per worker is rewound to each
 	// trial's seed.
@@ -115,7 +114,6 @@ func NewCell(cfg *Config, sc Scenario) (Cell, error) {
 				MaxSteps:     cfg.MaxSteps,
 				CheckEvery:   sc.CheckEvery,
 				SuffixRounds: sc.SuffixRounds,
-				Legitimate:   sc.Legit,
 				Events:       obs.Scope{Obs: cfg.Observer, Cell: sc.Index, Key: sc.Key, Trial: trial},
 			}, plan, res)
 		},
@@ -142,7 +140,7 @@ func ProtoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
 	cfg = cfg.WithDefaults()
 	cells := make([]Cell, len(specs))
 	for i, sp := range specs {
-		sys, legit, err := System(sp.Graph, sp.Family)
+		sys, err := Build(sp.Graph, sp.Family, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +150,7 @@ func ProtoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
 		}
 		cells[i], err = NewCell(&cfg, Scenario{
 			Key:   fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, daemon, sp.SuffixRounds),
-			Index: i, System: sys, Legit: legit,
+			Index: i, System: sys,
 			Daemon: daemon, SuffixRounds: sp.SuffixRounds,
 		})
 		if err != nil {

@@ -27,8 +27,8 @@ func E2CommunicationBits(cfg Config) (*Result, error) {
 	var specs []engine.ProtoCell
 	for _, g := range graphs {
 		specs = append(specs,
-			engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
-			engine.ProtoCell{Graph: g, Family: FamColoringBaseline, SuffixRounds: 2})
+			engine.ProtoCell{Graph: g, Family: engine.FamColoring, SuffixRounds: 2},
+			engine.ProtoCell{Graph: g, Family: engine.FamColoringBaseline, SuffixRounds: 2})
 	}
 	// Streaming aggregation: only the per-cell maximum witnessed
 	// communication complexity is kept.
@@ -55,7 +55,7 @@ func E2CommunicationBits(cfg Config) (*Result, error) {
 		// Space complexity of a maximum-degree process of the efficient
 		// protocol: comm var log(Δ+1) + internal log(δ.p) + measured
 		// communication complexity.
-		sys, _, err := engine.System(g, FamColoring)
+		sys, err := engine.Build(g, engine.FamColoring, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -98,9 +98,9 @@ func E10StabilizedOverhead(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	pairs := [][2]string{
-		{FamColoring, FamColoringBaseline},
-		{FamMIS, FamMISBaseline},
-		{FamMatching, FamMatchingBaseline},
+		{engine.FamColoring, engine.FamColoringBaseline},
+		{engine.FamMIS, engine.FamMISBaseline},
+		{engine.FamMatching, engine.FamMatchingBaseline},
 	}
 	type cellMeta struct {
 		family, graphName string

@@ -95,17 +95,17 @@ func CustomChurn(cfg Config, churnName string, churnK int, churnSchedule fault.S
 		return nil, err
 	}
 	g := graphs[len(graphs)/4]
-	families := []string{FamColoring, FamMIS, FamMatching}
+	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
 	ecfg := cfg.engineConfig()
 	cells := make([]engine.Cell, len(families))
 	for i, family := range families {
-		sys, legit, err := engine.System(g, family)
+		sys, err := engine.Build(g, family, nil)
 		if err != nil {
 			return nil, err
 		}
 		cells[i], err = engine.NewCell(&ecfg, engine.Scenario{
 			Key:   fmt.Sprintf("%s|%s|churn=%s|ck=%d|%s", g.Name(), family, churnName, churnK, churnSchedule),
-			Index: i, System: sys, Legit: legit,
+			Index: i, System: sys,
 			Adversary: advName, K: advK, Schedule: advSchedule,
 			Churn: churnName, ChurnK: churnK, ChurnSchedule: churnSchedule,
 		})

@@ -53,8 +53,8 @@ func E12ConcurrentRuntime(cfg Config) (*Result, error) {
 	if trials > 3 {
 		trials = 3 // wall-clock bound: concurrent runs are time-based
 	}
-	for _, family := range []string{FamColoring, FamMIS, FamMatching} {
-		sys, legit, err := engine.System(g, family)
+	for _, family := range []string{engine.FamColoring, engine.FamMIS, engine.FamMatching} {
+		sys, err := engine.Build(g, family, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -68,7 +68,6 @@ func E12ConcurrentRuntime(cfg Config) (*Result, error) {
 					Mode:               mode,
 					Seed:               seed,
 					MaxStepsPerProcess: perProcessBudget,
-					Legitimate:         legit,
 				})
 				if err != nil {
 					return nil, err

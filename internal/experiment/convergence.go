@@ -24,7 +24,7 @@ func E1ColoringConvergence(cfg Config) (*Result, error) {
 	}
 	specs := make([]engine.ProtoCell, len(graphs))
 	for i, g := range graphs {
-		specs[i] = engine.ProtoCell{Graph: g, Family: FamColoring}
+		specs[i] = engine.ProtoCell{Graph: g, Family: engine.FamColoring}
 	}
 	// Streaming aggregation: each trial folds into its graph's
 	// accumulator as it finishes (trial order per cell), so the grid of
@@ -76,14 +76,12 @@ func E1ColoringConvergence(cfg Config) (*Result, error) {
 func E3MISRounds(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	return roundBoundExperiment(cfg, roundBoundSpec{
-		id:       "E3",
-		title:    "MIS convergence within Δ × #C rounds",
-		paperRef: "Theorem 5, Lemma 4, Figure 8",
-		claim:    "rounds-to-silence ≤ Δ × #C under every scheduler",
-		family:   FamMIS,
-		bound: func(sys *model.System) int {
-			return mis.RoundBound(sys)
-		},
+		id:        "E3",
+		title:     "MIS convergence within Δ × #C rounds",
+		paperRef:  "Theorem 5, Lemma 4, Figure 8",
+		claim:     "rounds-to-silence ≤ Δ × #C under every scheduler",
+		family:    engine.FamMIS,
+		bound:     mis.RoundBound,
 		boundName: "Δ×#C",
 	})
 }
@@ -93,14 +91,12 @@ func E3MISRounds(cfg Config) (*Result, error) {
 func E5MatchingRounds(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	return roundBoundExperiment(cfg, roundBoundSpec{
-		id:       "E5",
-		title:    "MATCHING convergence within (Δ+1)n+2 rounds",
-		paperRef: "Theorem 7, Lemma 9, Figure 10",
-		claim:    "rounds-to-silence ≤ (Δ+1)n+2 under every scheduler",
-		family:   FamMatching,
-		bound: func(sys *model.System) int {
-			return matching.RoundBound(sys)
-		},
+		id:        "E5",
+		title:     "MATCHING convergence within (Δ+1)n+2 rounds",
+		paperRef:  "Theorem 7, Lemma 9, Figure 10",
+		claim:     "rounds-to-silence ≤ (Δ+1)n+2 under every scheduler",
+		family:    engine.FamMatching,
+		bound:     matching.RoundBound,
 		boundName: "(Δ+1)n+2",
 	})
 }
@@ -159,7 +155,7 @@ func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
 		"converged", "within bound")
 	pass := true
 	for gi, g := range graphs {
-		sys, _, err := engine.System(g, spec.family)
+		sys, err := engine.Build(g, spec.family, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +200,7 @@ func E11SchedulerRobustness(cfg Config) (*Result, error) {
 	}
 	// A medium graph keeps the cross product manageable.
 	g := graphs[len(graphs)/2]
-	families := []string{FamColoring, FamMIS, FamMatching}
+	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
 	names := sched.Names()
 	var specs []engine.ProtoCell
 	for _, family := range families {

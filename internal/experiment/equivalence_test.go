@@ -49,7 +49,7 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []engine.ProtoCell) []engi
 	t.Helper()
 	cells := make([]engine.Cell, len(specs))
 	for i, sp := range specs {
-		sys, legit, err := engine.System(sp.Graph, sp.Family)
+		sys, err := engine.Build(sp.Graph, sp.Family, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,6 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []engine.ProtoCell) []engi
 					MaxSteps:     cfg.MaxSteps,
 					CheckEvery:   1,
 					SuffixRounds: suffix,
-					Legitimate:   legit,
 				})
 				if err != nil {
 					return err
@@ -100,9 +99,9 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 	var specs []engine.ProtoCell
 	for _, g := range graphs {
 		specs = append(specs,
-			engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2},
-			engine.ProtoCell{Graph: g, Family: FamMIS},
-			engine.ProtoCell{Graph: g, Family: FamMatching, Daemon: "laziest-fair"},
+			engine.ProtoCell{Graph: g, Family: engine.FamColoring, SuffixRounds: 2},
+			engine.ProtoCell{Graph: g, Family: engine.FamMIS},
+			engine.ProtoCell{Graph: g, Family: engine.FamMatching, Daemon: "laziest-fair"},
 		)
 	}
 	cfg.Parallelism = 1
@@ -139,7 +138,7 @@ func TestReduceMatchesMaterialized(t *testing.T) {
 	}
 	var specs []engine.ProtoCell
 	for _, g := range graphs {
-		specs = append(specs, engine.ProtoCell{Graph: g, Family: FamColoring, SuffixRounds: 2})
+		specs = append(specs, engine.ProtoCell{Graph: g, Family: engine.FamColoring, SuffixRounds: 2})
 	}
 	cfg.Parallelism = 1
 	want, err := materializeProto(cfg.engineConfig(), specs)

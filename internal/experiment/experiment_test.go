@@ -109,15 +109,15 @@ func TestProtocolSystemFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fam := range engine.Families() {
-		sys, legit, err := engine.System(graphs[0], fam)
+		sys, err := engine.Build(graphs[0], fam, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", fam, err)
 		}
-		if sys == nil || legit == nil {
-			t.Fatalf("%s: nil system or predicate", fam)
+		if sys.Spec().Legitimate == nil {
+			t.Fatalf("%s: the spec declares no predicate", fam)
 		}
 	}
-	if _, _, err := engine.System(graphs[0], "nope"); err == nil {
+	if _, err := engine.Build(graphs[0], "nope", nil); err == nil {
 		t.Fatal("unknown family accepted")
 	}
 }

@@ -119,7 +119,7 @@ func CustomFault(cfg Config, advName string, k int, schedule fault.Schedule) (*R
 		return nil, err
 	}
 	g := graphs[len(graphs)/4]
-	families := []string{FamColoring, FamMIS, FamMatching}
+	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
 	snapshots := make([]*model.Config, len(families))
 	if schedule.Kind == fault.KindAtStart {
 		if snapshots, err = silentSnapshots(cfg, g, families); err != nil {
@@ -129,13 +129,13 @@ func CustomFault(cfg Config, advName string, k int, schedule fault.Schedule) (*R
 	ecfg := cfg.engineConfig()
 	cells := make([]engine.Cell, len(families))
 	for i, family := range families {
-		sys, legit, err := engine.System(g, family)
+		sys, err := engine.Build(g, family, nil)
 		if err != nil {
 			return nil, err
 		}
 		cells[i], err = engine.NewCell(&ecfg, engine.Scenario{
 			Key:   fmt.Sprintf("%s|%s|custom=%s|k=%d|%s", g.Name(), family, advName, k, schedule),
-			Index: i, System: sys, Legit: legit, Snapshot: snapshots[i],
+			Index: i, System: sys, Snapshot: snapshots[i],
 			Adversary: advName, K: k, Schedule: schedule,
 		})
 		if err != nil {
@@ -295,7 +295,7 @@ func E17RepeatedInjection(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	g := graphs[len(graphs)/2]
-	sys, _, err := engine.System(g, FamMIS)
+	sys, err := engine.Build(g, engine.FamMIS, nil)
 	if err != nil {
 		return nil, err
 	}

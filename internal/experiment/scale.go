@@ -61,7 +61,7 @@ func E22MillionScale(cfg Config) (*Result, error) {
 		// runner and system stay referenced until after the heap
 		// measurement.
 		g := c.build(rng.New(rng.Derive(cfg.Seed, uint64(ci))))
-		sys, legit, err := engine.System(g, FamColoring)
+		sys, err := engine.Build(g, engine.FamColoring, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -69,10 +69,9 @@ func E22MillionScale(cfg Config) (*Result, error) {
 		res := &core.RunResult{}
 		start := time.Now()
 		err = rn.RunRandom(sys, core.RunOptions{
-			Scheduler:  sched.NewSynchronous(),
-			Seed:       rng.Derive(cfg.Seed, uint64(ci)+1_000),
-			MaxSteps:   cfg.MaxSteps,
-			Legitimate: legit,
+			Scheduler: sched.NewSynchronous(),
+			Seed:      rng.Derive(cfg.Seed, uint64(ci)+1_000),
+			MaxSteps:  cfg.MaxSteps,
 		}, res)
 		if err != nil {
 			return nil, err

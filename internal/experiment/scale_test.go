@@ -22,9 +22,9 @@ func largeNTable(t *testing.T, par int) string {
 	torus := graph.Torus(100, 100)
 	gnp := graph.RandomConnectedGNP(10_000, 6/10_000.0, r)
 	specs := []engine.ProtoCell{
-		{Graph: torus, Family: FamColoring, SuffixRounds: 1},
-		{Graph: gnp, Family: FamColoring, SuffixRounds: 1},
-		{Graph: torus, Family: FamColoring, Daemon: "laziest-fair"},
+		{Graph: torus, Family: engine.FamColoring, SuffixRounds: 1},
+		{Graph: gnp, Family: engine.FamColoring, SuffixRounds: 1},
+		{Graph: torus, Family: engine.FamColoring, Daemon: "laziest-fair"},
 	}
 	cfg := Config{Seed: 2009, Trials: 2, MaxSteps: 5_000_000, Parallelism: par}
 	accs := make([]core.Convergence, len(specs))
@@ -97,16 +97,15 @@ func TestBytesPerProcessBudget(t *testing.T) {
 	const budget = 221
 	base := liveHeap()
 	g := graph.Torus(150, 150)
-	sys, legit, err := engine.System(g, FamColoring)
+	sys, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rn, res := core.NewRunner(), &core.RunResult{}
 	err = rn.RunRandom(sys, core.RunOptions{
-		Scheduler:  sched.NewSynchronous(),
-		Seed:       rng.Derive(2009, 22),
-		MaxSteps:   1_000_000,
-		Legitimate: legit,
+		Scheduler: sched.NewSynchronous(),
+		Seed:      rng.Derive(2009, 22),
+		MaxSteps:  1_000_000,
 	}, res)
 	if err != nil {
 		t.Fatal(err)

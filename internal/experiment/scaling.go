@@ -25,7 +25,7 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		sizes = []int{8, 16}
 	}
-	families := []string{FamColoring, FamMIS, FamMatching}
+	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
 	sizeGraphs := make([]*graph.Graph, len(sizes))
 	for i, n := range sizes {
 		r := rng.New(rng.Derive(cfg.Seed, uint64(n)))
@@ -63,15 +63,15 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 	for fi, family := range families {
 		for si, n := range sizes {
 			g := sizeGraphs[si]
-			sys, _, err := engine.System(g, family)
+			sys, err := engine.Build(g, family, nil)
 			if err != nil {
 				return nil, err
 			}
 			bound, haveBound := 0, true
 			switch family {
-			case FamMIS:
+			case engine.FamMIS:
 				bound = mis.RoundBound(sys)
-			case FamMatching:
+			case engine.FamMatching:
 				bound = matching.RoundBound(sys)
 			default:
 				haveBound = false // COLORING's convergence is probabilistic
@@ -120,7 +120,7 @@ func E15FaultContainment(cfg Config) (*Result, error) {
 	}
 	g := graphs[len(graphs)/3]
 	faultFractions := []float64{0.1, 0.25, 0.5, 1.0}
-	families := []string{FamColoring, FamMIS, FamMatching}
+	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
 
 	type faultCell struct {
 		family string
@@ -134,7 +134,7 @@ func E15FaultContainment(cfg Config) (*Result, error) {
 	var grid []faultCell
 	var cells []engine.Cell
 	for fi, family := range families {
-		sys, legit, err := engine.System(g, family)
+		sys, err := engine.Build(g, family, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func E15FaultContainment(cfg Config) (*Result, error) {
 			}
 			cell, err := engine.NewCell(&ecfg, engine.Scenario{
 				Key:   fmt.Sprintf("%s|%s|faults=%d", g.Name(), family, k),
-				Index: len(cells), System: sys, Legit: legit, Snapshot: snapshots[fi],
+				Index: len(cells), System: sys, Snapshot: snapshots[fi],
 				Adversary: "uniform", K: k, Schedule: fault.AtStart(),
 			})
 			if err != nil {

@@ -23,8 +23,8 @@ func E4MISStability(cfg Config) (*Result, error) {
 	specs := make([]engine.ProtoCell, len(graphs))
 	systems := make([]*model.System, len(graphs))
 	for i, g := range graphs {
-		specs[i] = engine.ProtoCell{Graph: g, Family: FamMIS, SuffixRounds: 6 * g.N()}
-		sys, _, err := engine.System(g, FamMIS)
+		specs[i] = engine.ProtoCell{Graph: g, Family: engine.FamMIS, SuffixRounds: 6 * g.N()}
+		sys, err := engine.Build(g, engine.FamMIS, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -109,8 +109,8 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 	specs := make([]engine.ProtoCell, len(graphs))
 	systems := make([]*model.System, len(graphs))
 	for i, g := range graphs {
-		specs[i] = engine.ProtoCell{Graph: g, Family: FamMatching, SuffixRounds: 6 * g.N()}
-		sys, _, err := engine.System(g, FamMatching)
+		specs[i] = engine.ProtoCell{Graph: g, Family: engine.FamMatching, SuffixRounds: 6 * g.N()}
+		sys, err := engine.Build(g, engine.FamMatching, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -6,13 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/model"
-	"repro/internal/protocols/bfstree"
-	"repro/internal/protocols/coloring"
-	"repro/internal/protocols/matching"
-	"repro/internal/protocols/mis"
 	"repro/internal/stats"
-	"repro/internal/transformer"
 )
 
 // E13Transformer explores the open question of the paper's concluding
@@ -27,42 +21,13 @@ func E13Transformer(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	type target struct {
-		name  string
-		build func(g *graph.Graph) (orig *model.Spec, consts [][]int,
-			legit func(*model.System, *model.Config) bool, err error)
-	}
-	targets := []target{
-		{"coloring-fullread", func(g *graph.Graph) (*model.Spec, [][]int, func(*model.System, *model.Config) bool, error) {
-			return coloring.BaselineSpec(), nil, coloring.IsLegitimate, nil
-		}},
-		{"mis-fullread", func(g *graph.Graph) (*model.Spec, [][]int, func(*model.System, *model.Config) bool, error) {
-			colors := graph.GreedyLocalColoring(g)
-			consts := make([][]int, g.N())
-			for p := range consts {
-				consts[p] = []int{colors[p] - 1}
-			}
-			return mis.BaselineSpec(g.MaxDegree() + 1), consts, mis.IsLegitimate, nil
-		}},
-		{"matching-fullread", func(g *graph.Graph) (*model.Spec, [][]int, func(*model.System, *model.Config) bool, error) {
-			colors := graph.GreedyLocalColoring(g)
-			consts := make([][]int, g.N())
-			for p := range consts {
-				consts[p] = []int{colors[p] - 1}
-			}
-			return matching.BaselineSpec(g.MaxDegree() + 1), consts, matching.IsMaximalMatching, nil
-		}},
-		{"bfstree-fullread", func(g *graph.Graph) (*model.Spec, [][]int, func(*model.System, *model.Config) bool, error) {
-			consts := make([][]int, g.N())
-			for p := range consts {
-				flag := 0
-				if p == 0 {
-					flag = 1
-				}
-				consts[p] = []int{flag}
-			}
-			return bfstree.Spec(), consts, bfstree.IsLegitimate, nil
-		}},
+	// Each target names a full-read family and its transformed twin; the
+	// label keys the cells.
+	targets := []struct{ name, orig, xform string }{
+		{"coloring-fullread", engine.FamColoringBaseline, engine.FamColoringXform},
+		{"mis-fullread", engine.FamMISBaseline, engine.FamMISXform},
+		{"matching-fullread", engine.FamMatchingBaseline, engine.FamMatchingXform},
+		{"bfstree-fullread", engine.FamBFSTree, engine.FamBFSTreeXform},
 	}
 
 	// Every (target, graph) pair expands into two pool cells: the original
@@ -79,25 +44,14 @@ func E13Transformer(cfg Config) (*Result, error) {
 			if cfg.Quick && g.N() > 12 {
 				continue
 			}
-			origSpec, consts, legit, err := tg.build(g)
-			if err != nil {
-				return nil, err
-			}
-			xSpec, err := transformer.Transform(origSpec, g.MaxDegree())
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range []struct {
-				label string
-				spec  *model.Spec
-			}{{"orig", origSpec}, {"xform", xSpec}} {
-				sys, err := model.NewSystem(g, v.spec, consts)
+			for _, v := range []struct{ label, family string }{{"orig", tg.orig}, {"xform", tg.xform}} {
+				sys, err := engine.Build(g, v.family, nil)
 				if err != nil {
 					return nil, err
 				}
 				cell, err := engine.NewCell(&ecfg, engine.Scenario{
 					Key:   fmt.Sprintf("%s|%s|%s", tg.name, g.Name(), v.label),
-					Index: len(cells), System: sys, Legit: legit, CheckEvery: 2,
+					Index: len(cells), System: sys, CheckEvery: 2,
 				})
 				if err != nil {
 					return nil, err

@@ -3,10 +3,10 @@ package fault_test
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 )
 
@@ -15,7 +15,7 @@ import (
 // inside RunFaulted. All shapes must be allocation-free after warmup.
 func BenchmarkInject(b *testing.B) {
 	g := graph.Grid(4, 4)
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
+	sys, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,11 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/model/ref"
-	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -18,7 +18,7 @@ import (
 // a live simulator, the setup every churn firing requires.
 func dynamicSim(t *testing.T, g *graph.Graph, seed uint64) (*model.Simulator, *model.System) {
 	t.Helper()
-	base, err := model.NewSystem(g, coloring.Spec(), nil)
+	base, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,10 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/protocols/coloring"
-	"repro/internal/protocols/matching"
 	"repro/internal/rng"
 )
 
@@ -33,7 +32,7 @@ func testSystems(t *testing.T) []*model.System {
 		graph.Grid(4, 4),
 		graph.RandomConnectedGNP(12, 0.3, rng.New(5)),
 	} {
-		sys, err := model.NewSystem(g, coloring.Spec(), nil)
+		sys, err := engine.Build(g, engine.FamColoring, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +41,7 @@ func testSystems(t *testing.T) []*model.System {
 	// A protocol with internal variables, so comm-only vs whole-state
 	// corruption differ.
 	g := graph.Grid(3, 3)
-	matSys, err := matching.NewSystem(g, matching.Spec(g.MaxDegree()+1), graph.GreedyLocalColoring(g))
+	matSys, err := engine.Build(g, engine.FamMatching, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

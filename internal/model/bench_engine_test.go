@@ -9,9 +9,9 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/protocols/matching"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -26,7 +26,7 @@ func silentMatching(tb testing.TB) (*model.Simulator, *trace.Recorder) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys, err := matching.NewSystem(g, matching.Spec(g.MaxDegree()+1), graph.GreedyLocalColoring(g))
+	sys, err := engine.Build(g, engine.FamMatching, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

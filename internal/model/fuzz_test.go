@@ -12,11 +12,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/model/ref"
-	"repro/internal/protocols/mis"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/transformer"
 )
 
 // fuzzGraph builds the graph a FuzzSimulatorVsReference input names:
@@ -39,33 +37,24 @@ func fuzzGraph(shape, size uint8) *graph.Graph {
 	}
 }
 
-// cachedViewMIS is MIS through the local-checking transformer: every
-// neighbor read goes through cache variables in wide internal rows.
-func cachedViewMIS(g *graph.Graph) (*model.System, error) {
-	x, err := transformer.Transform(mis.BaselineSpec(g.MaxDegree()+1), g.MaxDegree())
-	if err != nil {
-		return nil, err
-	}
-	return mis.NewSystem(g, x, graph.GreedyLocalColoring(g))
-}
-
 // fuzzSystem builds the protocol proto%5 names on g: COLORING, MIS,
 // MATCHING, stagingSpec (started from Y = 0 everywhere) or the cached-view
-// MIS, and its initial configuration drawn from seed.
+// MIS (every neighbor read goes through cache variables in wide internal
+// rows), and its initial configuration drawn from seed.
 func fuzzSystem(g *graph.Graph, proto uint8, seed uint64) (*model.System, *model.Config, error) {
 	var sys *model.System
 	var err error
 	switch proto % 5 {
 	case 0:
-		sys, _, err = engine.System(g, engine.FamColoring)
+		sys, err = engine.Build(g, engine.FamColoring, nil)
 	case 1:
-		sys, _, err = engine.System(g, engine.FamMIS)
+		sys, err = engine.Build(g, engine.FamMIS, nil)
 	case 2:
-		sys, _, err = engine.System(g, engine.FamMatching)
+		sys, err = engine.Build(g, engine.FamMatching, nil)
 	case 3:
 		sys, err = model.NewSystem(g, stagingSpec(), nil)
 	default:
-		sys, err = cachedViewMIS(g)
+		sys, err = engine.Build(g, engine.FamMISXform, nil)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -11,10 +11,10 @@ package model_test
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/model/ref"
-	"repro/internal/protocols/mis"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -26,7 +26,7 @@ func injectionTestSystems(t *testing.T) []*model.System {
 		coloringSystem(t, graph.RandomConnectedGNP(12, 0.25, rng.New(3))),
 	}
 	g := graph.Grid(3, 3)
-	misSys, err := mis.NewSystem(g, mis.Spec(g.MaxDegree()+1), graph.GreedyLocalColoring(g))
+	misSys, err := engine.Build(g, engine.FamMIS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/model/ref"
@@ -199,7 +200,7 @@ func referenceCases(t *testing.T) []referenceCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := cachedViewMIS(graph.Grid(3, 3))
+	cached, err := engine.Build(graph.Grid(3, 3), engine.FamMISXform, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -137,6 +137,10 @@ type Spec struct {
 	Internal []VarSpec
 	// Actions is the prioritized guarded-action list.
 	Actions []Action
+	// Legitimate is the predicate the protocol stabilizes to, evaluated on
+	// a configuration of a system running it; nil when the protocol
+	// declares none. Every run that reports legitimacy reads it here.
+	Legitimate func(*System, *Config) bool
 }
 
 // Validate checks structural sanity of the spec.

@@ -11,17 +11,17 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/model/ref"
-	"repro/internal/protocols/coloring"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
 func coloringSystem(t testing.TB, g *graph.Graph) *model.System {
 	t.Helper()
-	sys, err := model.NewSystem(g, coloring.Spec(), nil)
+	sys, err := engine.Build(g, engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func intSlicesEqual(a, b []int) bool {
 
 func ExampleEnabledTracker() {
 	g := graph.Cycle(4)
-	sys, _ := model.NewSystem(g, coloring.Spec(), nil)
+	sys, _ := engine.Build(g, engine.FamColoring, nil)
 	cfg := model.NewZeroConfig(sys) // monochromatic: every process enabled
 	tr := model.NewEnabledTracker(sys, cfg)
 	fmt.Println(tr.AppendEnabled(nil))

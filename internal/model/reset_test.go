@@ -4,10 +4,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/protocols/coloring"
-	"repro/internal/protocols/mis"
 	"repro/internal/rng"
 	"repro/internal/sched"
 )
@@ -18,12 +17,12 @@ import (
 // verdicts and final configuration.
 func TestSimulatorResetMatchesFresh(t *testing.T) {
 	t.Parallel()
-	colSys, err := model.NewSystem(graph.Cycle(8), coloring.Spec(), nil)
+	colSys, err := engine.Build(graph.Cycle(8), engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := graph.Star(6)
-	misSys, err := mis.NewSystem(g, mis.Spec(g.MaxDegree()+1), graph.GreedyLocalColoring(g))
+	misSys, err := engine.Build(g, engine.FamMIS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +79,7 @@ func TestSimulatorResetMatchesFresh(t *testing.T) {
 // compare in place) and adapt to shape changes. Not parallel: it counts
 // allocations.
 func TestCopyFromShapes(t *testing.T) {
-	colSys, err := model.NewSystem(graph.Cycle(8), coloring.Spec(), nil)
+	colSys, err := engine.Build(graph.Cycle(8), engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestCopyFromShapes(t *testing.T) {
 
 	// Shape change: a wider system's buffer must adapt to the source.
 	g := graph.Star(5)
-	misSys, err := mis.NewSystem(g, mis.Spec(g.MaxDegree()+1), graph.GreedyLocalColoring(g))
+	misSys, err := engine.Build(g, engine.FamMIS, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +122,7 @@ func TestCopyFromShapes(t *testing.T) {
 // same configuration from the same stream.
 func TestRandomizeConfigMatchesNewRandomConfig(t *testing.T) {
 	t.Parallel()
-	sys, err := model.NewSystem(graph.Cycle(8), coloring.Spec(), nil)
+	sys, err := engine.Build(graph.Cycle(8), engine.FamColoring, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,6 +105,7 @@ func Spec() *model.Spec {
 				},
 			},
 		},
+		Legitimate: legitimate,
 	}
 }
 
@@ -124,10 +125,10 @@ func NewSystem(g *graph.Graph, spec *model.Spec, root int) (*model.System, error
 	return model.NewSystem(g, spec, consts)
 }
 
-// IsLegitimate reports whether cfg encodes the BFS tree of the system's
-// root: D.p equals the true hop distance and every non-root parent
-// pointer designates a neighbor one hop closer to the root.
-func IsLegitimate(sys *model.System, cfg *model.Config) bool {
+// legitimate is Spec's predicate: cfg encodes the BFS tree of the
+// system's root, D.p equals the true hop distance and every non-root
+// parent pointer designates a neighbor one hop closer to the root.
+func legitimate(sys *model.System, cfg *model.Config) bool {
 	g := sys.Graph()
 	root := -1
 	for p := 0; p < g.N(); p++ {

@@ -33,7 +33,6 @@ func runOnce(t *testing.T, g *graph.Graph, spec *model.Spec, root int, seed uint
 		Seed:       seed,
 		MaxSteps:   800000,
 		CheckEvery: 2,
-		Legitimate: IsLegitimate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +160,7 @@ func TestIsLegitimateRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := model.NewZeroConfig(sys) // all D=0: wrong distances
-	if IsLegitimate(sys, cfg) {
+	if legitimate(sys, cfg) {
 		t.Fatal("all-zero configuration accepted")
 	}
 	// Correct distances but broken parent pointer.
@@ -172,11 +171,11 @@ func TestIsLegitimateRejects(t *testing.T) {
 			cfg.SetComm(p, VarP, g.PortOf(p, p-1))
 		}
 	}
-	if !IsLegitimate(sys, cfg) {
+	if !legitimate(sys, cfg) {
 		t.Fatal("true BFS tree rejected")
 	}
 	cfg.SetComm(3, VarP, 0)
-	if IsLegitimate(sys, cfg) {
+	if legitimate(sys, cfg) {
 		t.Fatal("orphaned process accepted")
 	}
 }

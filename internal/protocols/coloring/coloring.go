@@ -66,6 +66,7 @@ func Spec() *model.Spec {
 				},
 			},
 		},
+		Legitimate: legitimate,
 	}
 }
 
@@ -126,6 +127,7 @@ func BaselineSpec() *model.Spec {
 				Randomized: true,
 			},
 		},
+		Legitimate: legitimate,
 	}
 }
 
@@ -139,9 +141,9 @@ func Colors(cfg *model.Config) []int {
 	return out
 }
 
-// IsLegitimate reports whether cfg satisfies the vertex coloring
-// predicate: for every process p and every neighbor q, C.p ≠ C.q.
-func IsLegitimate(sys *model.System, cfg *model.Config) bool {
+// legitimate is both specs' predicate, the vertex coloring: for every
+// process p and every neighbor q, C.p ≠ C.q.
+func legitimate(sys *model.System, cfg *model.Config) bool {
 	g := sys.Graph()
 	for p := 0; p < g.N(); p++ {
 		for port := 1; port <= g.Degree(p); port++ {

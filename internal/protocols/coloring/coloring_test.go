@@ -38,7 +38,6 @@ func runOnce(t *testing.T, g *graph.Graph, spec *model.Spec, sch model.Scheduler
 		MaxSteps:     200000,
 		CheckEvery:   4,
 		SuffixRounds: suffix,
-		Legitimate:   IsLegitimate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +106,7 @@ func TestColoringClosure(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		sim.Step()
-		if !IsLegitimate(sys, sim.Config()) {
+		if !legitimate(sys, sim.Config()) {
 			t.Fatalf("legitimacy violated at step %d", i)
 		}
 	}
@@ -130,9 +129,9 @@ func TestSilentIffProperColoring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if silent != IsLegitimate(sys, cfg) {
+		if silent != legitimate(sys, cfg) {
 			t.Fatalf("silence (%v) and legitimacy (%v) disagree on %v",
-				silent, IsLegitimate(sys, cfg), Colors(cfg))
+				silent, legitimate(sys, cfg), Colors(cfg))
 		}
 	}
 }
@@ -201,7 +200,6 @@ func TestWorstCaseAllSameColor(t *testing.T) {
 		Seed:       13,
 		MaxSteps:   200000,
 		CheckEvery: 4,
-		Legitimate: IsLegitimate,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -10,8 +10,10 @@
 // The variants here realize exactly the protocols the theorems forbid:
 // each is the paper's protocol with its perpetual-scan behaviour removed,
 // making every process eventually read at most one fixed neighbor
-// (♦-1-stable). The verify package searches their configurations for the
-// theorems' counterexamples, silent and illegitimate ones; their
+// (♦-1-stable), and keeps the paper's protocol's legitimacy predicate,
+// the one it fails. The engine names them frozen, mis-frozen and
+// matching-frozen; the verify package searches their configurations for
+// the theorems' counterexamples, silent and illegitimate ones; their
 // existence is the impossibility result made concrete.
 package frozen
 
@@ -28,13 +30,7 @@ import (
 // Every process is eventually 1-stable; conflicts across unobserved edges
 // are never detected.
 func ColoringSpec() *model.Spec {
-	full := coloring.Spec()
-	return &model.Spec{
-		Name:     "COLORING-FROZEN",
-		Comm:     full.Comm,
-		Internal: full.Internal,
-		Actions:  full.Actions[:1], // keep only the conflict action
-	}
+	return freeze(coloring.Spec(), "COLORING-FROZEN", 1) // keep only the conflict action
 }
 
 // MISSpec is Protocol MIS without the "scan: dominator advances cur"
@@ -42,14 +38,7 @@ func ColoringSpec() *model.Spec {
 // anything else. Two adjacent Dominators looking away from each other
 // deadlock.
 func MISSpec(maxColors int) *model.Spec {
-	full := mis.Spec(maxColors)
-	return &model.Spec{
-		Name:     "MIS-FROZEN",
-		Comm:     full.Comm,
-		Const:    full.Const,
-		Internal: full.Internal,
-		Actions:  full.Actions[:2], // drop the dominator scan
-	}
+	return freeze(mis.Spec(maxColors), "MIS-FROZEN", 2) // drop the dominator scan
 }
 
 // MatchingSpec is Protocol MATCHING without the "seek: advance cur past
@@ -57,12 +46,13 @@ func MISSpec(maxColors int) *model.Spec {
 // unusable stops searching. Two free neighbors that never look at each
 // other stay unmatched forever.
 func MatchingSpec(maxColors int) *model.Spec {
-	full := matching.Spec(maxColors)
-	return &model.Spec{
-		Name:     "MATCHING-FROZEN",
-		Comm:     full.Comm,
-		Const:    full.Const,
-		Internal: full.Internal,
-		Actions:  full.Actions[:5], // drop the seek action
-	}
+	return freeze(matching.Spec(maxColors), "MATCHING-FROZEN", 5) // drop the seek action
+}
+
+// freeze renames full and keeps only its first keep actions: the
+// variables and the legitimacy predicate stay the real protocol's.
+func freeze(full *model.Spec, name string, keep int) *model.Spec {
+	frozen := *full
+	frozen.Name, frozen.Actions = name, full.Actions[:keep]
+	return &frozen
 }

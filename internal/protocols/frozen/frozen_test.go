@@ -89,7 +89,6 @@ func TestFrozenColoringSometimesDeadlocksIllegitimately(t *testing.T) {
 			Seed:       seed,
 			MaxSteps:   50000,
 			CheckEvery: 2,
-			Legitimate: coloring.IsLegitimate,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +117,6 @@ func TestFrozenMISDeadlocksIllegitimately(t *testing.T) {
 			Seed:       seed,
 			MaxSteps:   50000,
 			CheckEvery: 2,
-			Legitimate: mis.IsLegitimate,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +145,6 @@ func TestFrozenMatchingDeadlocksIllegitimately(t *testing.T) {
 			Seed:       seed,
 			MaxSteps:   50000,
 			CheckEvery: 2,
-			Legitimate: matching.IsLegitimate,
 		})
 		if err != nil {
 			t.Fatal(err)

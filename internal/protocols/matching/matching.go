@@ -144,6 +144,7 @@ func Spec(maxColors int) *model.Spec {
 				},
 			},
 		},
+		Legitimate: legitimate,
 	}
 }
 
@@ -281,13 +282,20 @@ func BaselineSpec(maxColors int) *model.Spec {
 				Apply: func(c *model.Ctx) { c.SetComm(VarPR, 0) },
 			},
 		},
+		// The baseline's silent configurations satisfy the maximal matching
+		// predicate on matched edges; its M/PR flag discipline differs from
+		// Figure 10's, so its legitimacy is the graph predicate alone.
+		Legitimate: maximalMatching,
 	}
 }
 
 // NewSystem builds a System for the given spec over a locally identified
 // network: colors must be a proper distance-1 coloring with values
-// 1..maxColors (1-based).
+// 1..maxColors (1-based; nil selects graph.GreedyLocalColoring).
 func NewSystem(g *graph.Graph, spec *model.Spec, colors []int) (*model.System, error) {
+	if colors == nil {
+		colors = graph.GreedyLocalColoring(g)
+	}
 	if err := graph.ValidateLocalIdentifiers(g, colors); err != nil {
 		return nil, fmt.Errorf("matching: %w", err)
 	}
@@ -325,11 +333,11 @@ func MarriedCount(sys *model.System, cfg *model.Config) int {
 	return 2 * len(MatchedEdges(sys, cfg))
 }
 
-// IsLegitimate reports whether the matched-edge set is a maximal
+// legitimate is Spec's predicate: the matched-edge set is a maximal
 // matching and all flags are consistent: every process is either married
 // or free (Lemma 5), M.p reflects marriage, and no two free neighbors
 // remain.
-func IsLegitimate(sys *model.System, cfg *model.Config) bool {
+func legitimate(sys *model.System, cfg *model.Config) bool {
 	g := sys.Graph()
 	matchedWith := make([]int, g.N()) // 0 = unmarried, else neighbor+1
 	for _, e := range MatchedEdges(sys, cfg) {
@@ -365,9 +373,9 @@ func IsLegitimate(sys *model.System, cfg *model.Config) bool {
 	return true
 }
 
-// IsMaximalMatching checks just the graph-theoretic predicate on the
-// matched edges (ignoring flag consistency).
-func IsMaximalMatching(sys *model.System, cfg *model.Config) bool {
+// maximalMatching is BaselineSpec's predicate: just the graph-theoretic
+// one on the matched edges (ignoring flag consistency).
+func maximalMatching(sys *model.System, cfg *model.Config) bool {
 	g := sys.Graph()
 	matched := make([]bool, g.N())
 	for _, e := range MatchedEdges(sys, cfg) {

@@ -51,7 +51,6 @@ func runOnce(t *testing.T, sys *model.System, sch model.Scheduler, seed uint64, 
 		MaxSteps:     600000,
 		CheckEvery:   1,
 		SuffixRounds: suffix,
-		Legitimate:   IsLegitimate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +227,7 @@ func TestBaselineMatchingConverges(t *testing.T) {
 			if !res.Silent {
 				t.Fatalf("%s seed %d: baseline did not reach silence", g, seed)
 			}
-			if !IsMaximalMatching(sys, res.Final) {
+			if !maximalMatching(sys, res.Final) {
 				t.Fatalf("%s seed %d: baseline silent but not a maximal matching", g, seed)
 			}
 		}
@@ -263,10 +262,10 @@ func TestMatchedEdgesDecoding(t *testing.T) {
 	if MarriedCount(sys, cfg) != 2 {
 		t.Fatal("MarriedCount wrong")
 	}
-	if !IsMaximalMatching(sys, cfg) {
+	if !maximalMatching(sys, cfg) {
 		t.Fatal("{1-2} should be maximal on a 4-path")
 	}
-	if !IsLegitimate(sys, cfg) {
+	if !legitimate(sys, cfg) {
 		t.Fatal("consistent matched configuration rejected")
 	}
 }
@@ -276,7 +275,7 @@ func TestIsLegitimateRejectsStaleFlags(t *testing.T) {
 	sys := buildSystem(t, g, false)
 	cfg := model.NewZeroConfig(sys)
 	cfg.SetComm(0, VarM, 1) // claims married but is free
-	if IsLegitimate(sys, cfg) {
+	if legitimate(sys, cfg) {
 		t.Fatal("stale married flag accepted")
 	}
 }

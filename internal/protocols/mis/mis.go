@@ -97,6 +97,7 @@ func Spec(maxColors int) *model.Spec {
 				},
 			},
 		},
+		Legitimate: legitimate,
 	}
 }
 
@@ -161,13 +162,18 @@ func BaselineSpec(maxColors int) *model.Spec {
 				Apply: func(c *model.Ctx) { c.SetComm(VarS, Dominator) },
 			},
 		},
+		Legitimate: legitimate,
 	}
 }
 
 // NewSystem builds a System for the given spec over a locally identified
 // network: colors must be a proper distance-1 coloring with values
-// 1..maxColors (1-based, as produced by graph.GreedyLocalColoring).
+// 1..maxColors (1-based, as produced by graph.GreedyLocalColoring, which
+// nil selects).
 func NewSystem(g *graph.Graph, spec *model.Spec, colors []int) (*model.System, error) {
+	if colors == nil {
+		colors = graph.GreedyLocalColoring(g)
+	}
 	if err := graph.ValidateLocalIdentifiers(g, colors); err != nil {
 		return nil, fmt.Errorf("mis: %w", err)
 	}
@@ -187,10 +193,9 @@ func InMIS(cfg *model.Config) []bool {
 	return out
 }
 
-// IsLegitimate reports whether cfg satisfies the MIS predicate:
-// the Dominators form an independent set (condition 1) that is maximal
-// (condition 2).
-func IsLegitimate(sys *model.System, cfg *model.Config) bool {
+// legitimate is both specs' predicate, the MIS: the Dominators form an
+// independent set (condition 1) that is maximal (condition 2).
+func legitimate(sys *model.System, cfg *model.Config) bool {
 	g := sys.Graph()
 	for p := 0; p < g.N(); p++ {
 		if cfg.Comm(p, VarS) == Dominator {

@@ -53,7 +53,6 @@ func runOnce(t *testing.T, sys *model.System, sch model.Scheduler, seed uint64, 
 		MaxSteps:     400000,
 		CheckEvery:   1,
 		SuffixRounds: suffix,
-		Legitimate:   IsLegitimate,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,11 +255,11 @@ func TestInMISAndDominatorCount(t *testing.T) {
 	if DominatorCount(cfg) != 2 {
 		t.Fatal("DominatorCount wrong")
 	}
-	if !IsLegitimate(sys, cfg) {
+	if !legitimate(sys, cfg) {
 		t.Fatal("{0,2} should be a legitimate MIS of a 3-path")
 	}
 	cfg.SetComm(1, VarS, Dominator)
-	if IsLegitimate(sys, cfg) {
+	if legitimate(sys, cfg) {
 		t.Fatal("adjacent dominators accepted")
 	}
 }

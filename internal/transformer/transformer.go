@@ -1,8 +1,9 @@
 // Package transformer implements the generalization raised in the
 // paper's concluding remarks (Section 6): "the possibility of designing
 // an efficient general transformer for protocols matching the local
-// checking paradigm remains an open question". Experiment E13, the
-// facade's NewTransformed and examples/spanningtree use it.
+// checking paradigm remains an open question". The engine's -xform
+// protocol families apply it; experiment E13, sssim and
+// examples/spanningtree run them.
 //
 // Transform converts ANY protocol of the model — in particular the
 // full-read local-checking baselines — into a 1-efficient protocol:
@@ -167,6 +168,9 @@ func Transform(orig *model.Spec, delta int) (*model.Spec, error) {
 		Const:    orig.Const,
 		Internal: internal,
 		Actions:  actions,
+		// The transformed protocol keeps orig's communication interface, so
+		// it stabilizes to the same predicate.
+		Legitimate: orig.Legitimate,
 	}, nil
 }
 

@@ -45,8 +45,9 @@ func TestTransformLayout(t *testing.T) {
 	}
 }
 
-func runTransformed(t *testing.T, g *graph.Graph, orig *model.Spec, consts [][]int,
-	legit func(*model.System, *model.Config) bool, seed uint64) *core.RunResult {
+// runTransformed runs orig's transformed spec from a random configuration;
+// LegitimateAtSilence is orig's predicate, which the transformed spec keeps.
+func runTransformed(t *testing.T, g *graph.Graph, orig *model.Spec, consts [][]int, seed uint64) *core.RunResult {
 	t.Helper()
 	x, err := Transform(orig, g.MaxDegree())
 	if err != nil {
@@ -63,7 +64,6 @@ func runTransformed(t *testing.T, g *graph.Graph, orig *model.Spec, consts [][]i
 		MaxSteps:     800000,
 		CheckEvery:   2,
 		SuffixRounds: 4 * g.N(),
-		Legitimate:   legit,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestTransformedColoringConverges(t *testing.T) {
 		graph.RandomConnectedGNP(12, 0.3, rng.New(5)),
 	} {
 		for seed := uint64(0); seed < 3; seed++ {
-			res := runTransformed(t, g, coloring.BaselineSpec(), nil, coloring.IsLegitimate, seed)
+			res := runTransformed(t, g, coloring.BaselineSpec(), nil, seed)
 			if !res.Silent || !res.LegitimateAtSilence {
 				t.Fatalf("%s seed %d: transformed coloring silent=%v legit=%v",
 					g, seed, res.Silent, res.LegitimateAtSilence)
@@ -103,8 +103,8 @@ func TestTransformedIsOneEfficient(t *testing.T) {
 	// only the refresh action communicates, with exactly one neighbor.
 	g := graph.Grid(3, 4)
 	for name, run := range map[string]*core.RunResult{
-		"coloring": runTransformed(t, g, coloring.BaselineSpec(), nil, coloring.IsLegitimate, 1),
-		"mis":      runTransformed(t, g, mis.BaselineSpec(g.MaxDegree()+1), colorConsts(g), mis.IsLegitimate, 1),
+		"coloring": runTransformed(t, g, coloring.BaselineSpec(), nil, 1),
+		"mis":      runTransformed(t, g, mis.BaselineSpec(g.MaxDegree()+1), colorConsts(g), 1),
 	} {
 		if run.Report.KEfficiency > 1 {
 			t.Fatalf("%s: transformed protocol read %d neighbors in one step", name, run.Report.KEfficiency)
@@ -117,7 +117,7 @@ func TestTransformedMISConverges(t *testing.T) {
 		graph.Path(8), graph.Cycle(9), graph.Grid(3, 4),
 	} {
 		for seed := uint64(0); seed < 3; seed++ {
-			res := runTransformed(t, g, mis.BaselineSpec(g.MaxDegree()+1), colorConsts(g), mis.IsLegitimate, seed)
+			res := runTransformed(t, g, mis.BaselineSpec(g.MaxDegree()+1), colorConsts(g), seed)
 			if !res.Silent || !res.LegitimateAtSilence {
 				t.Fatalf("%s seed %d: transformed MIS silent=%v legit=%v",
 					g, seed, res.Silent, res.LegitimateAtSilence)
@@ -131,8 +131,7 @@ func TestTransformedMatchingConverges(t *testing.T) {
 		graph.Path(8), graph.Cycle(9),
 	} {
 		for seed := uint64(0); seed < 3; seed++ {
-			res := runTransformed(t, g, matching.BaselineSpec(g.MaxDegree()+1), colorConsts(g),
-				matching.IsMaximalMatching, seed)
+			res := runTransformed(t, g, matching.BaselineSpec(g.MaxDegree()+1), colorConsts(g), seed)
 			if !res.Silent || !res.LegitimateAtSilence {
 				t.Fatalf("%s seed %d: transformed matching silent=%v legit=%v",
 					g, seed, res.Silent, res.LegitimateAtSilence)
@@ -145,7 +144,7 @@ func TestTransformedSilenceIsPreserved(t *testing.T) {
 	// Once a transformed run is silent, the communication configuration
 	// never changes again (the refresh/advance churn is internal only).
 	g := graph.Cycle(8)
-	res := runTransformed(t, g, coloring.BaselineSpec(), nil, coloring.IsLegitimate, 9)
+	res := runTransformed(t, g, coloring.BaselineSpec(), nil, 9)
 	if !res.Silent {
 		t.Fatal("no silence")
 	}
@@ -175,7 +174,7 @@ func TestCachedViewDoesNotRecordReads(t *testing.T) {
 	// silent transformed system, each step reads at most the one real
 	// neighbor probed by the staleness check.
 	g := graph.Star(6)
-	res := runTransformed(t, g, coloring.BaselineSpec(), nil, coloring.IsLegitimate, 3)
+	res := runTransformed(t, g, coloring.BaselineSpec(), nil, 3)
 	if !res.Silent {
 		t.Fatal("no silence")
 	}

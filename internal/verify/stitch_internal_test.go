@@ -3,6 +3,7 @@ package verify
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/coloring"
@@ -12,7 +13,7 @@ import (
 // requires it to be silent.
 func gamma5(t *testing.T, colors, curs []int) *model.Config {
 	t.Helper()
-	sys := mustDemo(t, row{g: graph.TheoremOneChain()}).Frozen
+	sys := mustDemo(t, row{g: graph.TheoremOneChain(), family: engine.FamColoring}).Frozen
 	cfg := model.NewZeroConfig(sys)
 	for p, c := range colors {
 		cfg.SetComm(p, coloring.VarC, c)
@@ -39,7 +40,7 @@ func TestBuildMirror7(t *testing.T) {
 	// (id 2, color 2): the pj = p5 case of the proof.
 	gammaB := gamma5(t, []int{0, 1, 2, 0, 1}, []int{0, 0, 0, 0, 0})
 
-	demo := mustDemo(t, row{name: "mirror7", g: graph.TheoremOneStitched()})
+	demo := mustDemo(t, row{name: "mirror7", g: graph.TheoremOneStitched(), family: engine.FamColoring})
 	demo.Config = model.NewZeroConfig(demo.Frozen)
 	splice7(demo.Config, gammaA, gammaB)
 	wantColors := []int{0, 1, 0, 0, 2, 1, 0}

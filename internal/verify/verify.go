@@ -10,9 +10,10 @@
 //
 // This package finds those configurations by exhaustive search for the
 // frozen (♦-1-stable) protocol variants of internal/protocols/frozen: a
-// row declares the network, the protocol and its constants, and its
-// witness is the first silent configuration of the frozen system that
-// violates the predicate. It checks them (silent + illegitimate = the
+// row declares the network, the protocol family and its constants, both
+// systems come from the engine's family table, and the row's witness is
+// the first silent configuration of the frozen system that violates the
+// predicate its spec carries. It checks them (silent + illegitimate = the
 // protocol is not self-stabilizing) and runs the *control*: the same
 // configuration under the paper's real 1-efficient protocol is not
 // silent, because some process's perpetual scan eventually reads across
@@ -26,17 +27,12 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/coloring"
-	"repro/internal/protocols/frozen"
-	"repro/internal/protocols/matching"
-	"repro/internal/protocols/mis"
 	"repro/internal/sched"
 )
-
-// Predicate is a protocol legitimacy predicate.
-type Predicate func(*model.System, *model.Config) bool
 
 // Demo is one executable impossibility instance: a configuration on a
 // network, a frozen (♦-k-stable) system it deadlocks, and the real
@@ -47,12 +43,16 @@ type Demo struct {
 	// Frozen is the system running the ♦-k-stable variant.
 	Frozen *model.System
 	// Real is the system running the paper's 1-efficient protocol on
-	// the same network with the same constants.
+	// the same network with the same constants. Both specs carry the
+	// predicate the protocols should stabilize to.
 	Real *model.System
 	// Config is the searched (or stitched) configuration.
 	Config *model.Config
-	// Legit is the predicate both protocols should stabilize to.
-	Legit Predicate
+}
+
+// illegitimate reports whether cfg violates the demo's predicate.
+func (d *Demo) illegitimate(cfg *model.Config) bool {
+	return !d.Real.Spec().Legitimate(d.Real, cfg)
 }
 
 // Outcome reports the four checks run on a Demo.
@@ -85,7 +85,7 @@ func (d *Demo) Check(seed uint64, maxSteps int) (Outcome, error) {
 		return out, fmt.Errorf("verify: frozen silence check: %w", err)
 	}
 	out.FrozenSilent = frozenSilent
-	out.Illegitimate = !d.Legit(d.Frozen, d.Config)
+	out.Illegitimate = d.illegitimate(d.Config)
 	out.FrozenImpossible = out.FrozenSilent && out.Illegitimate
 
 	realSilent, err := model.CommSilent(d.Real, d.Config)
@@ -99,7 +99,6 @@ func (d *Demo) Check(seed uint64, maxSteps int) (Outcome, error) {
 		Seed:       seed,
 		MaxSteps:   maxSteps,
 		CheckEvery: 4,
-		Legitimate: func(s *model.System, c *model.Config) bool { return d.Legit(s, c) },
 	})
 	if err != nil {
 		return out, fmt.Errorf("verify: recovery run: %w", err)
@@ -109,54 +108,35 @@ func (d *Demo) Check(seed uint64, maxSteps int) (Outcome, error) {
 	return out, nil
 }
 
-// protocol names one of the paper's protocols together with its frozen
-// (♦-1-stable) variant.
-type protocol int
+// frozenOf names the frozen (♦-1-stable) variant of each of the paper's
+// protocol families.
+var frozenOf = map[string]string{
+	engine.FamColoring: engine.FamFrozen,
+	engine.FamMIS:      engine.FamMISFrozen,
+	engine.FamMatching: engine.FamMatchingFrozen,
+}
 
-const (
-	protoColoring protocol = iota
-	protoMIS
-	protoMatching
-)
-
-// row declares one witness: a name, a network, a protocol and, for MIS
-// and MATCHING, the local identifiers (greedy when nil). What it
-// declares is what is checked; the configuration is searched.
+// row declares one witness: a name, a network, one of the paper's
+// protocol families and, for MIS and MATCHING, the local identifiers
+// (greedy when nil). What it declares is what is checked; the
+// configuration is searched.
 type row struct {
 	name   string
 	g      *graph.Graph
-	proto  protocol
+	family string
 	colors []int
 	// stitch, when set, builds the configuration by a proof's
 	// cut-and-stitch procedure instead of the row's own search.
 	stitch func(*Demo) (*model.Config, error)
 }
 
-// demo builds the row's frozen and real systems, on one network with
-// one set of constants and a palette of Δ+1 colors, without a
-// configuration.
+// demo builds the row's frozen and real systems from the family table,
+// on one network with one set of constants, without a configuration.
 func (r row) demo() (*Demo, error) {
 	d := &Demo{Name: r.name}
-	palette := r.g.MaxDegree() + 1
-	colors := r.colors
-	if colors == nil {
-		colors = graph.GreedyLocalColoring(r.g)
-	}
 	var errFrozen, errReal error
-	switch r.proto {
-	case protoColoring:
-		d.Frozen, errFrozen = model.NewSystem(r.g, frozen.ColoringSpec(), nil)
-		d.Real, errReal = model.NewSystem(r.g, coloring.Spec(), nil)
-		d.Legit = coloring.IsLegitimate
-	case protoMIS:
-		d.Frozen, errFrozen = mis.NewSystem(r.g, frozen.MISSpec(palette), colors)
-		d.Real, errReal = mis.NewSystem(r.g, mis.Spec(palette), colors)
-		d.Legit = mis.IsLegitimate
-	case protoMatching:
-		d.Frozen, errFrozen = matching.NewSystem(r.g, frozen.MatchingSpec(palette), colors)
-		d.Real, errReal = matching.NewSystem(r.g, matching.Spec(palette), colors)
-		d.Legit = matching.IsLegitimate
-	}
+	d.Frozen, errFrozen = engine.Build(r.g, frozenOf[r.family], r.colors)
+	d.Real, errReal = engine.Build(r.g, r.family, r.colors)
 	if err := errors.Join(errFrozen, errReal); err != nil {
 		return nil, err
 	}
@@ -176,7 +156,7 @@ func witnesses(rows []row) ([]*Demo, error) {
 		if r.stitch != nil {
 			d.Config, err = r.stitch(d)
 		} else {
-			d.Config, err = find(d.Frozen, func(c *model.Config) bool { return !d.Legit(d.Frozen, c) }, r.name)
+			d.Config, err = find(d.Frozen, d.illegitimate, r.name)
 		}
 		if err != nil {
 			return nil, err
@@ -210,15 +190,15 @@ func find(sys *model.System, accept func(*model.Config) bool, what string) (*mod
 func TheoremOne() ([]*Demo, error) {
 	chain := graph.TheoremOneChain()
 	rows := []row{
-		{name: "thm1-coloring-7chain", g: graph.TheoremOneStitched()},
-		{name: "thm1-coloring-5chain", g: chain},
-		{name: "thm1-mis-5chain", g: chain, proto: protoMIS, colors: []int{1, 2, 1, 2, 3}},
-		{name: "thm1-matching-6chain", g: graph.Path(6), proto: protoMatching},
+		{name: "thm1-coloring-7chain", g: graph.TheoremOneStitched(), family: engine.FamColoring},
+		{name: "thm1-coloring-5chain", g: chain, family: engine.FamColoring},
+		{name: "thm1-mis-5chain", g: chain, family: engine.FamMIS, colors: []int{1, 2, 1, 2, 3}},
+		{name: "thm1-matching-6chain", g: graph.Path(6), family: engine.FamMatching},
 	}
 	for delta := 2; delta <= 4; delta++ {
-		rows = append(rows, row{name: fmt.Sprintf("thm1-coloring-spider-%d", delta), g: graph.TheoremOneSpider(delta)})
+		rows = append(rows, row{name: fmt.Sprintf("thm1-coloring-spider-%d", delta), g: graph.TheoremOneSpider(delta), family: engine.FamColoring})
 	}
-	return witnesses(append(rows, row{name: "thm1-coloring-stitch-mirror7", g: graph.TheoremOneStitched(), stitch: stitchMirror7}))
+	return witnesses(append(rows, row{name: "thm1-coloring-stitch-mirror7", g: graph.TheoremOneStitched(), family: engine.FamColoring, stitch: stitchMirror7}))
 }
 
 // TheoremTwo returns E8's Theorem 2 witnesses on the rooted dag-oriented
@@ -227,8 +207,8 @@ func TheoremOne() ([]*Demo, error) {
 func TheoremTwo() ([]*Demo, error) {
 	g := graph.TheoremTwoNetwork().Graph
 	return witnesses([]row{
-		{name: "thm2-coloring-dag", g: g},
-		{name: "thm2-coloring-stitch", g: g, stitch: stitchTheorem2},
+		{name: "thm2-coloring-dag", g: g, family: engine.FamColoring},
+		{name: "thm2-coloring-stitch", g: g, family: engine.FamColoring, stitch: stitchTheorem2},
 	})
 }
 
@@ -244,7 +224,7 @@ func TheoremTwo() ([]*Demo, error) {
 //  3. splice7 transplants the process states; nobody reads across the
 //     seam {p'3, p'4}, so the result is silent yet monochromatic there.
 func stitchMirror7(d *Demo) (*model.Config, error) {
-	src, err := row{g: graph.TheoremOneChain()}.demo()
+	src, err := row{g: graph.TheoremOneChain(), family: engine.FamColoring}.demo()
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/coloring"
@@ -95,16 +96,16 @@ func TestSilentImpliesLegitimate(t *testing.T) {
 		graph.Cycle(5), graph.Cycle(6), graph.TheoremTwoNetwork().Graph, graph.TheoremOneSpider(2),
 	}
 	frozenMISWitness := map[string]bool{"cycle-5": true, "thm2-net": true}
-	for _, proto := range []protocol{protoColoring, protoMIS, protoMatching} {
+	for _, family := range []string{engine.FamColoring, engine.FamMIS, engine.FamMatching} {
 		for _, g := range graphs {
-			d := mustDemo(t, row{g: g, proto: proto})
+			d := mustDemo(t, row{g: g, family: family})
 			illegit := func(sys *model.System) func(*model.Config) bool {
-				return func(c *model.Config) bool { return !d.Legit(sys, c) }
+				return func(c *model.Config) bool { return !sys.Spec().Legitimate(sys, c) }
 			}
 			if cfg := search(t, d.Real, illegit(d.Real)); cfg != nil {
 				t.Errorf("%s on %s: silent illegitimate configuration found", d.Real.Spec().Name, g.Name())
 			}
-			want := proto != protoMIS || frozenMISWitness[g.Name()]
+			want := family != engine.FamMIS || frozenMISWitness[g.Name()]
 			if got := search(t, d.Frozen, illegit(d.Frozen)) != nil; got != want {
 				t.Errorf("%s on %s: witness found = %v, want %v", d.Frozen.Spec().Name, g.Name(), got, want)
 			}
@@ -113,7 +114,7 @@ func TestSilentImpliesLegitimate(t *testing.T) {
 }
 
 func TestStitchSearchColoring(t *testing.T) {
-	demo := mustWitness(t, row{name: "mirror7", g: graph.TheoremOneStitched(), stitch: stitchMirror7})
+	demo := mustWitness(t, row{name: "mirror7", g: graph.TheoremOneStitched(), family: engine.FamColoring, stitch: stitchMirror7})
 	checkDemo(t, demo)
 	// The seam {p'3, p'4} is monochromatic, and both ends look away
 	// from it: p'3 at p'2 (port 1), p'4 at p'5 (port 2).
@@ -127,7 +128,7 @@ func TestStitchSearchColoring(t *testing.T) {
 }
 
 func TestStitchSearchTheorem2(t *testing.T) {
-	demo := mustWitness(t, row{name: "thm2-stitch", g: graph.TheoremTwoNetwork().Graph, stitch: stitchTheorem2})
+	demo := mustWitness(t, row{name: "thm2-stitch", g: graph.TheoremTwoNetwork().Graph, family: engine.FamColoring, stitch: stitchTheorem2})
 	checkDemo(t, demo)
 	// The seam is the p2-p5 edge of Figure 3, and both carry the same
 	// color in the stitched configuration.
@@ -137,7 +138,7 @@ func TestStitchSearchTheorem2(t *testing.T) {
 }
 
 func TestFirstSilentRejects(t *testing.T) {
-	sys := mustDemo(t, row{g: graph.TheoremOneChain()}).Real
+	sys := mustDemo(t, row{g: graph.TheoremOneChain(), family: engine.FamColoring}).Real
 	never := func(*model.Config) bool { return false }
 	t.Run("never-accepts", func(t *testing.T) {
 		if cfg := search(t, sys, never); cfg != nil {
@@ -166,7 +167,7 @@ func ncWitness(t *testing.T, d *Demo, sys *model.System, q int, alphaP, alphaQ f
 	for v := range sys.CommWidth() {
 		joint.SetComm(q, v, gammaQ.Comm(q, v))
 	}
-	if d.Legit(sys, joint) {
+	if sys.Spec().Legitimate(sys, joint) {
 		t.Fatalf("%s: αp and αq coexist legitimately", d.Name)
 	}
 }
@@ -174,7 +175,7 @@ func ncWitness(t *testing.T, d *Demo, sys *model.System, q int, alphaP, alphaQ f
 func TestNCWitnessColoring(t *testing.T) {
 	// Every color a process can carry silently, its neighbor can carry
 	// silently too, and the two conflict.
-	d := mustDemo(t, row{name: "coloring-ring-6", g: graph.Cycle(6)})
+	d := mustDemo(t, row{name: "coloring-ring-6", g: graph.Cycle(6), family: engine.FamColoring})
 	for a := range d.Real.CommDomain(0, coloring.VarC) {
 		ncWitness(t, d, d.Real, 1,
 			func(c *model.Config) bool { return c.Comm(0, coloring.VarC) == a },
@@ -191,7 +192,7 @@ func TestMISSilentConfigurationUnique(t *testing.T) {
 	// identifiers are exactly what lets MIS evade the anonymous-network
 	// impossibility of Theorem 1.
 	g := graph.Path(6)
-	sys := mustDemo(t, row{g: g, proto: protoMIS}).Real
+	sys := mustDemo(t, row{g: g, family: engine.FamMIS}).Real
 	first := search(t, sys, func(*model.Config) bool { return true })
 	if first == nil {
 		t.Fatal("MIS has no silent configuration")
@@ -216,7 +217,7 @@ func TestNCWitnessFrozenMIS(t *testing.T) {
 	// TestMISSilentConfigurationUnique), and in it process 2 is never a
 	// Dominator. With a 2-coloring the color-1 processes are forced
 	// Dominators even when frozen; these identifiers leave room.
-	d := mustDemo(t, row{name: "frozen-mis-path-6", g: graph.Path(6), proto: protoMIS, colors: []int{1, 2, 3, 1, 2, 3}})
+	d := mustDemo(t, row{name: "frozen-mis-path-6", g: graph.Path(6), family: engine.FamMIS, colors: []int{1, 2, 3, 1, 2, 3}})
 	dominator := func(p int) func(*model.Config) bool {
 		return func(c *model.Config) bool { return c.Comm(p, mis.VarS) == mis.Dominator }
 	}
@@ -229,7 +230,7 @@ func TestNCWitnessFrozenMIS(t *testing.T) {
 func TestNCWitnessMatching(t *testing.T) {
 	// Each of two adjacent processes is free in some silent
 	// configuration; both free violates maximality.
-	d := mustDemo(t, row{name: "matching-path-6", g: graph.Path(6), proto: protoMatching})
+	d := mustDemo(t, row{name: "matching-path-6", g: graph.Path(6), family: engine.FamMatching})
 	ncWitness(t, d, d.Real, 3,
 		func(c *model.Config) bool { return c.Comm(2, matching.VarPR) == 0 },
 		func(c *model.Config) bool { return c.Comm(3, matching.VarPR) == 0 })
@@ -239,17 +240,17 @@ func TestNCWitnessRequiresAdjacency(t *testing.T) {
 	// Processes 0 and 4 of the 5-chain share a color in a silent
 	// configuration that is legitimate: a conflict of states across a
 	// non-edge is no witness.
-	d := mustDemo(t, row{g: graph.Path(5)})
+	d := mustDemo(t, row{g: graph.Path(5), family: engine.FamColoring})
 	cfg := search(t, d.Real, func(c *model.Config) bool {
 		return c.Comm(0, coloring.VarC) == c.Comm(4, coloring.VarC)
 	})
-	if cfg == nil || !d.Legit(d.Real, cfg) {
+	if cfg == nil || !d.Real.Spec().Legitimate(d.Real, cfg) {
 		t.Fatal("no legitimate silent configuration with processes 0 and 4 sharing a color")
 	}
 }
 
 func TestRecoveryStepsReported(t *testing.T) {
-	out, err := mustWitness(t, row{name: "thm1-coloring-5chain", g: graph.TheoremOneChain()}).Check(7, 200000)
+	out, err := mustWitness(t, row{name: "thm1-coloring-5chain", g: graph.TheoremOneChain(), family: engine.FamColoring}).Check(7, 200000)
 	if err != nil {
 		t.Fatal(err)
 	}

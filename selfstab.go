@@ -7,8 +7,8 @@
 // The package wires together the building blocks under internal/:
 //
 //   - build a network (Generate or any internal/graph constructor);
-//   - instantiate one of the paper's protocols on it (NewColoring,
-//     NewMIS, NewMatching — or a full-read baseline for comparison);
+//   - instantiate one of the paper's protocols on it (New with "coloring",
+//     "mis" or "matching", or a full-read baseline for comparison);
 //   - run it from an adversarial configuration (Run, or RunConcurrent
 //     for the goroutine-per-process runtime);
 //   - read the convergence result and the paper's communication-
@@ -18,7 +18,7 @@
 // Quick start:
 //
 //	net, _ := selfstab.Generate("grid", 16, 1)
-//	sys, _ := selfstab.NewMIS(net)
+//	sys, _ := selfstab.New(net, "mis")
 //	res, _ := selfstab.Run(sys, selfstab.Options{Seed: 1, SuffixRounds: 64})
 //	fmt.Println(res.Silent, res.Report.KEfficiency, res.Report.StableProcesses(1))
 //
@@ -28,19 +28,17 @@ package selfstab
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/concurrent"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
-	"repro/internal/protocols/bfstree"
 	"repro/internal/protocols/coloring"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/transformer"
 )
 
 // Network is a connected communication graph together with the local
@@ -48,20 +46,14 @@ import (
 type Network struct {
 	// Graph is the underlying port-numbered graph.
 	Graph *graph.Graph
-	// Colors is a proper distance-1 coloring with values 1..MaxColors
-	// (the paper's communication constants C.p).
+	// Colors is a proper distance-1 coloring with values 1..Δ+1 (the
+	// paper's communication constants C.p, drawn from a palette of Δ+1).
 	Colors []int
-	// MaxColors is the palette size (Δ+1 for the greedy coloring).
-	MaxColors int
 }
 
 // NewNetwork wraps a graph, computing greedy local identifiers.
 func NewNetwork(g *graph.Graph) *Network {
-	return &Network{
-		Graph:     g,
-		Colors:    graph.GreedyLocalColoring(g),
-		MaxColors: g.MaxDegree() + 1,
-	}
+	return &Network{Graph: g, Colors: graph.GreedyLocalColoring(g)}
 }
 
 // Generate builds a named topology (see graph.NamedGenerators for the
@@ -74,68 +66,16 @@ func Generate(name string, n int, seed uint64) (*Network, error) {
 	return NewNetwork(g), nil
 }
 
-// NewColoring instantiates Protocol COLORING (Figure 7) on the network.
-// The protocol is anonymous: the network's colors are not used.
-func NewColoring(net *Network) (*model.System, error) {
-	return model.NewSystem(net.Graph, coloring.Spec(), nil)
-}
-
-// NewColoringBaseline instantiates the traditional full-read coloring.
-func NewColoringBaseline(net *Network) (*model.System, error) {
-	return model.NewSystem(net.Graph, coloring.BaselineSpec(), nil)
-}
-
-// NewMIS instantiates Protocol MIS (Figure 8) on the locally identified
-// network.
-func NewMIS(net *Network) (*model.System, error) {
-	return mis.NewSystem(net.Graph, mis.Spec(net.MaxColors), net.Colors)
-}
-
-// NewMISBaseline instantiates the full-read MIS baseline.
-func NewMISBaseline(net *Network) (*model.System, error) {
-	return mis.NewSystem(net.Graph, mis.BaselineSpec(net.MaxColors), net.Colors)
-}
-
-// NewMatching instantiates Protocol MATCHING (Figure 10).
-func NewMatching(net *Network) (*model.System, error) {
-	return matching.NewSystem(net.Graph, matching.Spec(net.MaxColors), net.Colors)
-}
-
-// NewMatchingBaseline instantiates the full-read matching baseline
-// (Manne et al. 2007 style).
-func NewMatchingBaseline(net *Network) (*model.System, error) {
-	return matching.NewSystem(net.Graph, matching.BaselineSpec(net.MaxColors), net.Colors)
-}
-
-// NewBFSTree instantiates the classical full-read silent BFS
-// spanning-tree protocol rooted at the given process — the
-// local-checking paradigm whose communication cost the paper improves.
-func NewBFSTree(net *Network, root int) (*model.System, error) {
-	return bfstree.NewSystem(net.Graph, bfstree.Spec(), root)
-}
-
-// NewTransformed applies the local-checking transformer (the paper's
-// Section 6 open question, internal/transformer) to a system's protocol
-// and rebuilds it on the same network with the same constants: the
-// result reads at most one neighbor per step by construction.
-func NewTransformed(sys *model.System) (*model.System, error) {
-	g := sys.Graph()
-	x, err := transformer.Transform(sys.Spec(), g.MaxDegree())
-	if err != nil {
-		return nil, err
-	}
-	var consts [][]int
-	if len(sys.Spec().Const) > 0 {
-		consts = make([][]int, g.N())
-		for p := 0; p < g.N(); p++ {
-			row := make([]int, len(sys.Spec().Const))
-			for v := range row {
-				row[v] = sys.Const(p, v)
-			}
-			consts[p] = row
-		}
-	}
-	return model.NewSystem(g, x, consts)
+// New instantiates a named protocol on the network. The names are
+// engine.Families(): the paper's "coloring" (Figure 7), "mis" (Figure 8) and
+// "matching" (Figure 10), each with a full-read "-baseline" and its
+// cached-view "-xform" (the local-checking transformer of the paper's
+// Section 6 open question), the classical full-read "bfstree" rooted at
+// process 0 with its "bfstree-xform", and the deliberately ♦-1-stable
+// "frozen", "mis-frozen" and "matching-frozen" of Theorems 1-2. The
+// protocols that need local identifiers read the network's colors.
+func New(net *Network, protocol string) (*model.System, error) {
+	return engine.Build(net.Graph, protocol, net.Colors)
 }
 
 // Options configures Run.
@@ -184,31 +124,7 @@ func Run(sys *model.System, opts Options) (*RunResult, error) {
 		MaxSteps:     opts.MaxSteps,
 		CheckEvery:   1,
 		SuffixRounds: opts.SuffixRounds,
-		Legitimate:   LegitimacyFor(sys),
 	})
-}
-
-// LegitimacyFor returns the legitimacy predicate matching the system's
-// protocol spec, or nil for unknown specs.
-func LegitimacyFor(sys *model.System) func(*model.System, *model.Config) bool {
-	name := sys.Spec().Name
-	// Transformed specs keep the original communication interface and
-	// legitimacy predicate.
-	name = strings.TrimSuffix(name, "-XFORM")
-	switch name {
-	case "COLORING", "COLORING-FULLREAD", "COLORING-FROZEN":
-		return coloring.IsLegitimate
-	case "MIS", "MIS-FULLREAD", "MIS-FROZEN":
-		return mis.IsLegitimate
-	case "MATCHING", "MATCHING-FROZEN":
-		return matching.IsLegitimate
-	case "MATCHING-FULLREAD":
-		return matching.IsMaximalMatching
-	case "BFSTREE":
-		return bfstree.IsLegitimate
-	default:
-		return nil
-	}
 }
 
 // ConcurrentOptions configures RunConcurrent.
@@ -248,7 +164,6 @@ func RunConcurrent(sys *model.System, opts ConcurrentOptions) (*ConcurrentResult
 		Mode:               mode,
 		Seed:               opts.Seed,
 		MaxStepsPerProcess: opts.MaxStepsPerProcess,
-		Legitimate:         LegitimacyFor(sys),
 	})
 }
 

@@ -12,7 +12,7 @@ func TestGenerateAndRunColoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewColoring(net)
+	sys, err := New(net, "coloring")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRunMISWithStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewMIS(net)
+	sys, err := New(net, "mis")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRunMatchingDecoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewMatching(net)
+	sys, err := New(net, "matching")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,21 +91,21 @@ func TestBaselines(t *testing.T) {
 	net := NewNetwork(graph.Grid(3, 3))
 	for _, build := range []func(*Network) (res *RunResult, err error){
 		func(n *Network) (*RunResult, error) {
-			sys, err := NewColoringBaseline(n)
+			sys, err := New(n, "coloring-baseline")
 			if err != nil {
 				return nil, err
 			}
 			return Run(sys, Options{Seed: 5})
 		},
 		func(n *Network) (*RunResult, error) {
-			sys, err := NewMISBaseline(n)
+			sys, err := New(n, "mis-baseline")
 			if err != nil {
 				return nil, err
 			}
 			return Run(sys, Options{Seed: 5})
 		},
 		func(n *Network) (*RunResult, error) {
-			sys, err := NewMatchingBaseline(n)
+			sys, err := New(n, "matching-baseline")
 			if err != nil {
 				return nil, err
 			}
@@ -127,7 +127,7 @@ func TestRunConcurrentFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewMIS(net)
+	sys, err := New(net, "mis")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewColoring(net)
+	sys, err := New(net, "coloring")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestBFSTreeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewBFSTree(net, 0)
+	sys, err := New(net, "bfstree")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,31 +195,12 @@ func TestTransformedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, build := range []func(*Network) (*RunResult, error){
-		func(n *Network) (*RunResult, error) {
-			sys, err := NewBFSTree(n, 0)
-			if err != nil {
-				return nil, err
-			}
-			x, err := NewTransformed(sys)
-			if err != nil {
-				return nil, err
-			}
-			return Run(x, Options{Seed: 10})
-		},
-		func(n *Network) (*RunResult, error) {
-			sys, err := NewMISBaseline(n)
-			if err != nil {
-				return nil, err
-			}
-			x, err := NewTransformed(sys)
-			if err != nil {
-				return nil, err
-			}
-			return Run(x, Options{Seed: 10})
-		},
-	} {
-		res, err := build(net)
+	for _, protocol := range []string{"bfstree-xform", "mis-xform"} {
+		sys, err := New(net, protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(sys, Options{Seed: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
