@@ -23,7 +23,9 @@ import (
 // v4: entries moved from reflective JSON to the binary format below (and
 // to a new file suffix, see DirBackend), with no reader for the old one:
 // v3 entries are never opened, miss cleanly, and are safe to delete.
-const EngineVersion = "campaign-engine-v4"
+// v5: MIS's legitimacy predicate leaves isolated processes out, so a
+// churned MIS trial that ends with one can change its legitimate field.
+const EngineVersion = "campaign-engine-v5"
 
 // cellFingerprint is the canonical content identity of one cell's
 // results: everything that determines the records' bytes — the engine

@@ -246,7 +246,7 @@ func benchCampaign(tb testing.TB, name string) *Plan {
 // TestCellFingerprintPinned: the fingerprint is the cache's address space,
 // so a byte of drift in it (a renamed line, a reordered one, a number
 // formatted another way) silently orphans every entry users hold. The
-// literals below are what campaign-engine-v4 has always written for a
+// literals below are what campaign-engine-v5 has always written for a
 // plain, a faulted and a churned cell; change them only together with
 // EngineVersion.
 func TestCellFingerprintPinned(t *testing.T) {
@@ -258,21 +258,21 @@ func TestCellFingerprintPinned(t *testing.T) {
 		hash        string
 	}{
 		{"plain", 37,
-			"campaign-engine-v4\nseed=2009\ntrials=10\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
+			"campaign-engine-v5\nseed=2009\ntrials=10\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
 				"graph=torus 400\nprotocol=mis\ndaemon=synchronous\nadversary=\nk=0\ninject=at-start\n" +
 				"churn=\nchurn-k=0\nchurn-inject=at-start\nkey=torus-20x20|mis|synchronous|0",
-			"9a59364e083c08ddd580dfcf7bc7108e9240c91053d53e1e5916c4aa25d1bba5"},
+			"b5fc196797b3c3b3e34ecc1d74e49996950c2b01dae31e5d5f36494333c39e87"},
 		{"fault", 0,
-			"campaign-engine-v4\nseed=2009\ntrials=8\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
+			"campaign-engine-v5\nseed=2009\ntrials=8\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
 				"graph=grid 400\nprotocol=coloring\ndaemon=random-subset\nadversary=uniform\nk=1\ninject=on-silence:3\n" +
 				"churn=\nchurn-k=0\nchurn-inject=at-start\nkey=grid-20x20|coloring|random-subset|adv=uniform|k=1|inject=on-silence:3",
-			"11770cd857ce88dff8016b4b34ddbf89b7e0e1d563ca3c215f2412a4764d4e7c"},
+			"f7be1e8b91bc9d34143c68e5a8cd83826f9a446c28cd270b5b306a4ca78a29da"},
 		{"churn", 11,
-			"campaign-engine-v4\nseed=2009\ntrials=20\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
+			"campaign-engine-v5\nseed=2009\ntrials=20\nstop=none\nmax-steps=1000000\nsuffix-rounds=0\n" +
 				"graph=torus 400\nprotocol=mis\ndaemon=random-subset\nadversary=uniform\nk=1\ninject=on-silence:2\n" +
 				"churn=rewire\nchurn-k=4\nchurn-inject=on-silence:2\n" +
 				"key=torus-20x20|mis|random-subset|adv=uniform|k=1|inject=on-silence:2|churn=rewire|ck=4|cinject=on-silence:2",
-			"61f248337d6409e188591394c4238f01ff1bc211fa92274f41a1fcb0341d9d2a"},
+			"0e91caf19f1b6199a058daf859dc257d26c9616965cbe780ad475514993cc016"},
 	} {
 		plan := benchCampaign(t, c.campaign)
 		got := plan.cellFingerprint(&plan.Cells[c.cell])

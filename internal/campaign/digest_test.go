@@ -1,0 +1,84 @@
+package campaign
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"regexp"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// benchCampaignDigests pins the bytes the three benchmark campaigns
+// render, each read in place from bench/campaigns with its trials line
+// rewritten to 2 and its seed line to 2009: the SHA-256 of the JSONL, of
+// the canonical event log and of the summary table. The same digests
+// hold at parallelism 1 and 2. An engine change that claims to leave
+// every output byte alone runs this test unchanged; one that moves a
+// byte on purpose regenerates the literals and says why.
+var benchCampaignDigests = map[string][3]string{
+	"plain": {
+		"60de9f94bfc6c8e81f4e16f2c2c92086ff4f252aee3af146055b716da7e6f330",
+		"8f8e14e164855c42457dd1dff8944513975d161ed14ec7832d77f530576361d3",
+		"fa3213989583e817104d158e15a388d428dd0f5c73c97a78c66a31d943489616",
+	},
+	"fault": {
+		"14527ed7c0569235af826ba133e1a901566d67043fc3d025c47bbdac85d29d86",
+		"e1fc2c0a0a5d97b9ce59a6b724a6be9ecc332a3541284c181f2a0dfed049cf13",
+		"30625fed7d6aafd36d00135567c1692adce7acfe198df7b8572de75752170dc6",
+	},
+	"churn": {
+		"14587be8a3800a2948ac25fbac4333628a17ab68e49f298ca8360777f2fdfcf7",
+		"31fb25a01189fea6677fa328f1ecf0279e7ced8a0f58e23719fc3ab3680ad367",
+		"0105f648d16238e29bd39d5a54c0166f8581c836b8e956cfdd73f80faf685ca9",
+	},
+}
+
+var (
+	trialsLine = regexp.MustCompile(`(?m)^trials .*$`)
+	seedLine   = regexp.MustCompile(`(?m)^seed .*$`)
+)
+
+// TestBenchCampaignDigests runs each benchmark campaign at two trials on
+// one and on two workers and compares the digests of its three
+// artifacts with the pinned ones.
+func TestBenchCampaignDigests(t *testing.T) {
+	t.Parallel()
+	for name, want := range benchCampaignDigests {
+		src, err := os.ReadFile(filepath.Join("..", "..", "bench", "campaigns", name+".campaign"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src = trialsLine.ReplaceAll(src, []byte("trials 2"))
+		src = seedLine.ReplaceAll(src, []byte("seed 2009"))
+		for _, parallelism := range []int{1, 2} {
+			plan, err := Compile(mustParse(t, string(src)), parallelism)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replay := obs.NewReplaySink()
+			out, err := Execute(context.Background(), plan, RunOptions{Observer: replay})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jsonl, events bytes.Buffer
+			if err := out.WriteJSONL(&jsonl); err != nil {
+				t.Fatal(err)
+			}
+			if err := replay.WriteCanonical(&events); err != nil {
+				t.Fatal(err)
+			}
+			artifacts := [3][]byte{jsonl.Bytes(), events.Bytes(), []byte(out.Table().String())}
+			for i, label := range []string{"JSONL", "event log", "table"} {
+				sum := sha256.Sum256(artifacts[i])
+				if got := hex.EncodeToString(sum[:]); got != want[i] {
+					t.Errorf("%s at parallelism %d: %s digest %s, want %s", name, parallelism, label, got, want[i])
+				}
+			}
+		}
+	}
+}

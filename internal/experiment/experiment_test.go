@@ -82,6 +82,27 @@ func TestAllExperimentsPassQuick(t *testing.T) {
 	}
 }
 
+// TestE19PassesAtEverySeed runs E19 at 50 trials for seeds 1–60. Rewiring
+// the 4×4 grid can leave a corner isolated at the last firing; MIS's
+// predicate once demanded a Dominator neighbor of an isolated dominated
+// process, and E19 failed at nine of these seeds.
+func TestE19PassesAtEverySeed(t *testing.T) {
+	t.Parallel()
+	var failed []uint64
+	for seed := uint64(1); seed <= 60; seed++ {
+		res, err := E19ChurnedConvergence(Config{Seed: seed, Trials: 50, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Pass {
+			failed = append(failed, seed)
+		}
+	}
+	if len(failed) > 0 {
+		t.Fatalf("E19 fails at seeds %v", failed)
+	}
+}
+
 func TestSuiteSizes(t *testing.T) {
 	t.Parallel()
 	q, err := suite(Config{Seed: 1, Quick: true})

@@ -65,6 +65,13 @@ func fits(n, arcs int) error {
 // is aimed at.
 func (g *Graph) Row(p int) []int32 { return g.nbr[g.off[p]:g.end[p]:g.end[p]] }
 
+// RowStart returns where p's row begins in the graph's arc arena: p owns
+// the indices [RowStart(p), RowStart(p+1)), its live row the first δ.p
+// of them, and RowStart(N()) is the arena's length. A table of one entry
+// per port of every process, sized RowStart(N()) and cut at RowStart,
+// costs no slice header per process and outlives every topology event.
+func (g *Graph) RowStart(p int) int { return int(g.off[p]) }
+
 // backRow returns the back ports of p's live row.
 func (g *Graph) backRow(p int) []int32 { return g.back[g.off[p]:g.end[p]:g.end[p]] }
 

@@ -105,24 +105,39 @@ func (a *stepArena) commit(cfg *Config, p, k, step int, obs Observer) bool {
 // against the pre-step configuration, then commit all communication
 // writes in selection order) on the arena's reusable buffers, with no
 // per-step heap allocation. Each process draws from the arena generator
-// reseeded for (stepSeed, p). The returned slices are owned by the arena
-// and valid until the next call.
-func (a *stepArena) executeStep(cfg *Config, selected []int, step int, obs Observer) (fired []int16, commChanged []bool) {
+// reseeded for (stepSeed, p). A process whose disabled verdict stands is
+// not evaluated: its selection is a counted replay (see
+// Simulator.disReads). The returned slices are owned by the arena and
+// valid until the next call.
+func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bool) {
+	a, cfg, obs := s.arena, s.cfg, s.obs
 	fired, writers := a.fired[:0], a.writers[:0]
 	for i, p := range selected {
+		if s.tracker.valid[p] == verdictStepped {
+			s.replayDisabled(p)
+			fired = append(fired, -1)
+			continue
+		}
+		if len(s.disSeen) > 0 && s.disSeen[p].pend > 1 {
+			// p's kept reads are about to be overwritten.
+			s.deliverDisabled(p)
+		}
 		f, staged := a.eval(cfg, p, len(writers), obs != nil)
 		fired = append(fired, int16(f))
 		if staged {
 			writers = append(writers, int32(i))
 		}
 		if obs != nil {
-			obs.Selected(step, p, a.agg.qs, a.agg.bits, f, 1)
+			obs.Selected(s.step, p, a.agg.qs, a.agg.bits, f, 1)
+		}
+		if f < 0 {
+			s.keepDisabled(p)
 		}
 	}
 	commChanged = a.commChanged[:len(selected)]
 	clear(commChanged)
 	for k, i := range writers {
-		commChanged[i] = a.commit(cfg, selected[i], k, step, obs)
+		commChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)
 	}
 	return fired, commChanged
 }

@@ -61,7 +61,10 @@ func BenchmarkSilentSuffix(b *testing.B) {
 // central round-robin daemons. The writers rows are synchronous steps of
 // writersSpec in which none, a fifth and all of the sixteen processes
 // write communication state: what staging a row and committing it costs
-// over an internal write made in place.
+// over an internal write made in place. The replay row is a recorded BFS
+// tree on a 256-cycle under the central-random daemon, stepped to its
+// fixed point without a silence check: every step selects a disabled
+// process, counts its replay and flushes it to the recorder.
 func BenchmarkExecuteStep(b *testing.B) {
 	newSim := func(b *testing.B, sys *model.System, sc model.Scheduler) *model.Simulator {
 		b.Helper()
@@ -89,6 +92,24 @@ func BenchmarkExecuteStep(b *testing.B) {
 	for _, w := range []int{0, 1, 5} {
 		steps(fmt.Sprintf("arena-synchronous-writers-%d%%", 20*w), writersSystem(b, w), synchronous)
 	}
+	b.Run("replay-bfstree-cycle-256-central-random", func(b *testing.B) {
+		sys, err := engine.Build(graph.Cycle(256), engine.FamBFSTree, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(1)), sched.NewCentralRandom(1), 1, trace.NewRecorder(sys.N()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for len(sim.Tracker().AppendEnabled(nil)) > 0 {
+			sim.RunSteps(sys.N())
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sim.Step()
+		}
+	})
 }
 
 // BenchmarkEnabledTracker measures enabledness maintenance: the

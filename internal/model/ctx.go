@@ -9,13 +9,17 @@ import (
 // Observer receives execution events from the engine: per step one
 // StepBegin, the step's CommWrite events and one StepEnd, and for every
 // activation a Selected — one call with times 1 per evaluated selection,
-// within its step, while the replays the simulator serves from its
-// silent-phase memo (where a selection's reads and action are a function
-// of the process's internal state) are counted per visited state and
-// delivered as one call with the count, before the Simulator method
-// that stepped returns. An implementation may therefore keep sums,
-// maxima and set unions of what Selected carries, but nothing that
-// depends on where its calls fall between StepBegin and StepEnd. All
+// within its step, while the selections the simulator replays instead of
+// evaluating are counted and delivered as one call with the count: those
+// of a disabled process whose verdict stands (its reads are a function of
+// its own state and its neighbors' communication rows, neither of which
+// moved), counted per process and delivered before it is evaluated
+// again, and those served from the silent-phase memo (where a selection's
+// reads and action are a function of the process's internal state),
+// counted per visited state. Every count reaches the observer before the
+// Simulator method that stepped returns. An implementation may therefore
+// keep sums, maxima and set unions of what Selected carries, but nothing
+// that depends on where its calls fall between StepBegin and StepEnd. All
 // methods may be called frequently; implementations should be cheap. A
 // nil Observer is always allowed.
 type Observer interface {

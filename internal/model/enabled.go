@@ -46,7 +46,7 @@ type EnabledTracker struct {
 	sys *System
 	cfg *Config
 
-	valid  []bool
+	valid  []uint8 // verdictStale, verdictProbed or verdictStepped
 	action []int16 // last committed verdict: first enabled action, -1 disabled
 
 	// AppendEnabled support: enabled mirrors the committed verdicts as a
@@ -80,7 +80,7 @@ func NewEnabledTracker(sys *System, cfg *Config) *EnabledTracker {
 func (t *EnabledTracker) Reset(sys *System, cfg *Config) {
 	if t.sys != sys {
 		t.sys = sys
-		t.valid = make([]bool, sys.N())
+		t.valid = make([]uint8, sys.N())
 		t.action = make([]int16, sys.N())
 		t.enabled = bitset.New(sys.N())
 		t.stale = make([]int32, 0, sys.N())
@@ -91,9 +91,7 @@ func (t *EnabledTracker) Reset(sys *System, cfg *Config) {
 			internal: make([]int, sys.InternalWidth()),
 		}
 	} else {
-		for i := range t.valid {
-			t.valid[i] = false
-		}
+		clear(t.valid)
 		for i := range t.queued {
 			t.queued[i] = false
 		}
@@ -111,10 +109,20 @@ func (t *EnabledTracker) Reset(sys *System, cfg *Config) {
 
 var _ EnabledView = (*EnabledTracker)(nil)
 
+// States of a tracker verdict. A stepped verdict is a disabled one that
+// the simulator's step evaluation found (see judgeDisabled): it stands
+// under the same dirty rule as a probed one, and while it stands the
+// simulator replays p's selections instead of evaluating them.
+const (
+	verdictStale uint8 = iota
+	verdictProbed
+	verdictStepped
+)
+
 // EnabledAction returns the index of p's first enabled action, or -1 if p
 // is disabled, recomputing only if p's cached verdict was invalidated.
 func (t *EnabledTracker) EnabledAction(p int) int {
-	if t.valid[p] {
+	if t.valid[p] != verdictStale {
 		return int(t.action[p])
 	}
 	return t.recompute(p)
@@ -129,7 +137,7 @@ func (t *EnabledTracker) recompute(p int) int {
 	copy(c.comm, t.cfg.commRow(p))
 	copy(c.internal, t.cfg.internalRow(p))
 	idx := firstEnabled(c)
-	t.valid[p] = true
+	t.valid[p] = verdictProbed
 	if old := t.action[p]; (old >= 0) != (idx >= 0) {
 		if idx >= 0 {
 			t.enabled.Add(p)
@@ -139,6 +147,18 @@ func (t *EnabledTracker) recompute(p int) int {
 	}
 	t.action[p] = int16(idx)
 	return idx
+}
+
+// judgeDisabled commits the verdict of a step evaluation that found p
+// disabled. It was taken against the configuration the tracker serves,
+// since the simulator applies the step's dirty marks after every
+// selected process evaluated, so it spares the next probe of p.
+func (t *EnabledTracker) judgeDisabled(p int) {
+	t.valid[p] = verdictStepped
+	if t.action[p] >= 0 {
+		t.enabled.Remove(p)
+	}
+	t.action[p] = -1
 }
 
 // Enabled reports whether p has an enabled action.
@@ -167,7 +187,7 @@ func (t *EnabledTracker) repair() {
 	if t.allStale {
 		t.allStale = false
 		for p := 0; p < t.sys.N(); p++ {
-			if !t.valid[p] {
+			if t.valid[p] == verdictStale {
 				t.recompute(p)
 			}
 		}
@@ -178,7 +198,7 @@ func (t *EnabledTracker) repair() {
 		for _, p32 := range t.stale {
 			p := int(p32)
 			t.queued[p] = false
-			if !t.valid[p] {
+			if t.valid[p] == verdictStale {
 				t.recompute(p)
 			}
 		}
@@ -188,7 +208,7 @@ func (t *EnabledTracker) repair() {
 
 // Invalidate marks p's cached verdict stale (p's own state changed).
 func (t *EnabledTracker) Invalidate(p int) {
-	t.valid[p] = false
+	t.valid[p] = verdictStale
 	if !t.queued[p] {
 		t.queued[p] = true
 		t.stale = append(t.stale, int32(p))

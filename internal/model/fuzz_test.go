@@ -37,14 +37,15 @@ func fuzzGraph(shape, size uint8) *graph.Graph {
 	}
 }
 
-// fuzzSystem builds the protocol proto%5 names on g: COLORING, MIS,
-// MATCHING, stagingSpec (started from Y = 0 everywhere) or the cached-view
+// fuzzSystem builds the protocol proto%6 names on g: COLORING, MIS,
+// MATCHING, stagingSpec (started from Y = 0 everywhere), the cached-view
 // MIS (every neighbor read goes through cache variables in wide internal
-// rows), and its initial configuration drawn from seed.
+// rows) or the full-read BFS tree rooted at 0, and its initial
+// configuration drawn from seed.
 func fuzzSystem(g *graph.Graph, proto uint8, seed uint64) (*model.System, *model.Config, error) {
 	var sys *model.System
 	var err error
-	switch proto % 5 {
+	switch proto % 6 {
 	case 0:
 		sys, err = engine.Build(g, engine.FamColoring, nil)
 	case 1:
@@ -53,14 +54,16 @@ func fuzzSystem(g *graph.Graph, proto uint8, seed uint64) (*model.System, *model
 		sys, err = engine.Build(g, engine.FamMatching, nil)
 	case 3:
 		sys, err = model.NewSystem(g, stagingSpec(), nil)
-	default:
+	case 4:
 		sys, err = engine.Build(g, engine.FamMISXform, nil)
+	default:
+		sys, err = engine.Build(g, engine.FamBFSTree, nil)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg := model.NewRandomConfig(sys, rng.New(seed))
-	if proto%5 == 3 {
+	if proto%6 == 3 {
 		for p := range cfg.N() {
 			cfg.SetComm(p, stY, 0)
 		}
@@ -98,7 +101,11 @@ const (
 //
 // The committed corpus under testdata/fuzz holds the cases of the
 // equivalence tests it replaced, one file per system, daemon and seed,
-// named after the test.
+// named after the test, and the replay cases: BFS tree and MATCHING
+// under central-random and laziest-fair on a MutableCopy, where
+// disabled processes are selected again and again between a
+// corruption and a topology event, so counted replays are kept,
+// invalidated, delivered early and flushed.
 func FuzzSimulatorVsReference(f *testing.F) {
 	f.Add(uint8(3), uint8(7), false, uint8(1), uint8(1), uint64(1), []byte{opRunUntilSilent, opMarkSuffix, opStep | 3<<3, opRunRounds, opCorrupt, opStep})
 	f.Fuzz(func(t *testing.T, shape, size uint8, dynamic bool, proto, daemon uint8, seed uint64, ops []byte) {

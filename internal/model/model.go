@@ -57,15 +57,19 @@
 // and the communication rows of p's neighbors alone, and a cached verdict
 // goes stale only when (a) p itself moves, or (b) a neighbor of p changes
 // its communication row. Simulator.Step applies exactly this dirty rule
-// to the EnabledTracker. The incremental silence cache narrows (a) for a
-// "silent" verdict to "p changes its own communication row": the verdict
-// says p's whole frozen-neighborhood orbit is deterministic and never
-// writes communication state, so a move of p that wrote none lands on the
-// next state of that same orbit and the verdict still holds. A "broken"
-// verdict follows (a) as stated. Code that mutates a tracked
-// configuration behind the simulator's back must call
-// EnabledTracker.Invalidate itself (Simulator.MarkDirty does, and drops
-// the silence verdicts too).
+// to the EnabledTracker, and feeds it too: a step evaluation that finds p
+// disabled commits that verdict. The reads the evaluation made depend on
+// the same state, so they are kept beside the verdict and share its
+// lifetime; while it stands, a selection of p is a counted replay, not an
+// evaluation (see Simulator.disReads). The incremental silence cache
+// narrows (a) for a "silent" verdict to "p changes its own communication
+// row": the verdict says p's whole frozen-neighborhood orbit is
+// deterministic and never writes communication state, so a move of p
+// that wrote none lands on the next state of that same orbit and the
+// verdict still holds. A "broken" verdict follows (a) as stated. Code
+// that mutates a tracked configuration behind the simulator's back must
+// call EnabledTracker.Invalidate itself (Simulator.MarkDirty does, and
+// drops the silence verdicts and the kept reads too).
 package model
 
 import (

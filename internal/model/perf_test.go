@@ -17,6 +17,7 @@ import (
 	"repro/internal/model/ref"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 func coloringSystem(t testing.TB, g *graph.Graph) *model.System {
@@ -88,6 +89,36 @@ func TestStepZeroAllocCentralRoundRobin(t *testing.T) {
 // list to the brim, and neither grows.
 func TestStepZeroAllocAllWriters(t *testing.T) {
 	testStepZeroAlloc(t, writersSystem(t, 5), sched.NewSynchronous())
+}
+
+// TestStepZeroAllocDisabledReplay: a recorded BFS tree on a cycle under
+// the central-random daemon, stepped to its fixed point without a
+// silence check, so every selection is a disabled process served from its
+// stepped verdict. Counting the replay, listing it and the flush that
+// hands it to the recorder as Step returns allocate nothing.
+func TestStepZeroAllocDisabledReplay(t *testing.T) {
+	sys, err := engine.Build(graph.Cycle(16), engine.FamBFSTree, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(sys.N())
+	sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(1)), sched.NewCentralRandom(1), 1, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunSteps(5000)
+	if en := sim.Tracker().AppendEnabled(nil); len(en) != 0 {
+		t.Fatalf("processes %v still enabled after warmup", en)
+	}
+	before := rec.Report()
+	const steps = 200
+	if avg := testing.AllocsPerRun(steps, func() { sim.Step() }); avg != 0 {
+		t.Fatalf("a replayed selection allocates %v times per step after warmup, want 0", avg)
+	}
+	// AllocsPerRun adds one warm-up call to the runs it counts.
+	if got := rec.Report().DisabledSelections - before.DisabledSelections; got != steps+1 {
+		t.Fatalf("the recorder saw %d disabled selections over %d steps", got, steps+1)
+	}
 }
 
 // TestSilentSuffixZeroAlloc: once one suffix stretch has captured the

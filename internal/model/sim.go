@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -104,6 +105,33 @@ type Simulator struct {
 	memoPending []memoRef // entries with undelivered replays
 	memoActive  bool
 	memoUsed    bool // any entry captured since the last reset
+
+	// Disabled replays, at any phase of a run. A step evaluation that
+	// finds p disabled hands the tracker a stepped verdict (judgeDisabled),
+	// and with an observer attached keeps what the evaluation read: the
+	// distinct neighbors at disReads[RowStart(p):], disSeen[p].n of them,
+	// and disSeen[p].bits. Guards are predicates over p's own state and
+	// its neighbors' communication rows, so the verdict and the reads both
+	// hold until the dirty rule drops the verdict; until then a selection
+	// of p only counts a replay (executeStep). The replays reach the
+	// observer the silent-phase memo's way: p joins memoPending as
+	// memoRef{p, -1} and memoFlush delivers one counted Selected call, as
+	// does deliverDisabled before p is evaluated again, when the reads are
+	// about to be overwritten. Both tables are sized by the first kept
+	// evaluation on a system, so a run where no recorded selection finds a
+	// process disabled has none, and a Reset to another system keeps their
+	// storage for the next.
+	disReads []int
+	disSeen  []disabledSeen
+}
+
+// disabledSeen is what Simulator.disSeen holds for one process: how many
+// distinct neighbors and bits its kept disabled evaluation read, and its
+// place on the pending list (0: not on it; k ≥ 1: on it, with k−1
+// replays the observer has not been told of).
+type disabledSeen struct {
+	n, bits int32
+	pend    int
 }
 
 // silentEntry memoizes one silent-phase transition of a process: in
@@ -123,7 +151,8 @@ type silentEntry struct {
 	hits  int
 }
 
-// memoRef names entry i of process p's memo list.
+// memoRef names entry i of process p's memo list, or with i = -1 p's
+// disabled replays.
 type memoRef struct{ p, i int32 }
 
 // memoMaxEntries bounds the per-process memo. The walker closes an orbit
@@ -175,6 +204,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
 		s.memoEntries, s.memoCur = nil, nil
+		s.disReads, s.disSeen = s.disReads[:0], s.disSeen[:0]
 		s.arena = newStepArena(sys)
 	} else {
 		clear(s.lastSel)
@@ -267,7 +297,7 @@ func (s *Simulator) advance() []int {
 	if s.memoActive {
 		s.memoStep(selected)
 	} else {
-		fired, commChanged := s.arena.executeStep(s.cfg, selected, s.step, s.obs)
+		fired, commChanged := s.executeStep(selected)
 		for i, p := range selected {
 			if fired[i] >= 0 {
 				s.moved(p, commChanged[i])
@@ -315,8 +345,10 @@ func (s *Simulator) moved(p int, commChanged bool) {
 // verdict is re-evaluated only when its own state or a neighbor's
 // communication state changed since the last check, so the amortized cost
 // per step is proportional to the activity, not to n. The caller must not
-// mutate Config() between steps, or cached verdicts go stale.
+// mutate Config() between steps, or cached verdicts go stale. Counted
+// replays are handed to the observer once, as the run returns.
 func (s *Simulator) RunUntilSilent(maxSteps, checkEvery int) (bool, error) {
+	defer s.memoFlush()
 	if checkEvery < 1 {
 		checkEvery = 1
 	}
@@ -328,7 +360,7 @@ func (s *Simulator) RunUntilSilent(maxSteps, checkEvery int) (bool, error) {
 		return true, nil
 	}
 	for s.step < maxSteps {
-		s.Step()
+		s.advance()
 		if s.step%checkEvery == 0 {
 			silent, err := s.SilentNow()
 			if err != nil {
@@ -473,12 +505,19 @@ func (s *Simulator) memoReset() {
 }
 
 // memoFlush hands the observer the replays counted since the last flush:
-// one Selected call per visited entry, carrying the aggregate its
-// evaluation delivered and the number of replays. Every exported method
-// that steps flushes before it returns, so an observer is current
-// whenever its owner can look at it.
+// one Selected call per visited memo entry and per disabled process,
+// carrying the aggregate its evaluation delivered and the number of
+// replays. Every exported method that steps flushes before it returns,
+// so an observer is current whenever its owner can look at it.
 func (s *Simulator) memoFlush() {
 	for _, ref := range s.memoPending {
+		if ref.i < 0 {
+			if s.disSeen[ref.p].pend > 1 {
+				s.deliverDisabled(int(ref.p))
+			}
+			s.disSeen[ref.p].pend = 0
+			continue
+		}
 		e := &s.memoEntries[ref.p][ref.i]
 		s.obs.Selected(s.step, int(ref.p), e.qs, e.bits, e.fired, e.hits)
 		e.hits = 0
@@ -595,4 +634,46 @@ func (s *Simulator) memoExec(p int) {
 		s.memoReset()
 	}
 	s.moved(p, commChanged)
+}
+
+// keepDisabled records a step evaluation of p that found it disabled:
+// the tracker takes the verdict, and with an observer attached the
+// evaluation's reads are kept for p's replays (see disReads).
+func (s *Simulator) keepDisabled(p int) {
+	s.tracker.judgeDisabled(p)
+	if s.obs == nil {
+		return
+	}
+	g := s.sys.g
+	if len(s.disSeen) == 0 {
+		s.disReads = slices.Grow(s.disReads, g.RowStart(g.N()))[:g.RowStart(g.N())]
+		s.disSeen = slices.Grow(s.disSeen, g.N())[:g.N()]
+	}
+	agg := &s.arena.agg
+	copy(s.disReads[g.RowStart(p):], agg.qs)
+	e := &s.disSeen[p]
+	e.n, e.bits = int32(len(agg.qs)), int32(agg.bits)
+}
+
+// replayDisabled counts a selection of p served from its stepped verdict.
+func (s *Simulator) replayDisabled(p int) {
+	if s.obs == nil {
+		return
+	}
+	e := &s.disSeen[p]
+	if e.pend == 0 {
+		s.memoPending = append(s.memoPending, memoRef{int32(p), -1})
+		e.pend = 1
+	}
+	e.pend++
+}
+
+// deliverDisabled hands the observer p's counted disabled replays, of
+// which there must be some, as one Selected call; p stays on the pending
+// list.
+func (s *Simulator) deliverDisabled(p int) {
+	e := &s.disSeen[p]
+	off := s.sys.g.RowStart(p)
+	s.obs.Selected(s.step, p, s.disReads[off:off+int(e.n)], int(e.bits), -1, e.pend-1)
+	e.pend = 1
 }

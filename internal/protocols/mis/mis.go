@@ -198,6 +198,13 @@ func InMIS(cfg *model.Config) []bool {
 func legitimate(sys *model.System, cfg *model.Config) bool {
 	g := sys.Graph()
 	for p := 0; p < g.N(); p++ {
+		if g.Degree(p) == 0 {
+			// An isolated (crashed or churned-off) process is disabled by
+			// the degree-0 rule, so a dominated one can never promote, and
+			// on its own it has no neighbor to conflict with or to be
+			// dominated by: it is outside the predicate, as in MATCHING's.
+			continue
+		}
 		if cfg.Comm(p, VarS) == Dominator {
 			for port := 1; port <= g.Degree(p); port++ {
 				if cfg.Comm(g.Neighbor(p, port), VarS) == Dominator {

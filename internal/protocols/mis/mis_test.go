@@ -264,6 +264,29 @@ func TestInMISAndDominatorCount(t *testing.T) {
 	}
 }
 
+// TestIsolatedDominatedIsLegitimate: churn can cut a process off. The
+// degree-0 rule disables it, so a dominated one never promotes; the
+// predicate leaves it out, as MATCHING's does, and still judges the
+// processes that kept an edge.
+func TestIsolatedDominatedIsLegitimate(t *testing.T) {
+	sys := buildSystem(t, graph.Path(3), false).MutableCopy()
+	if !sys.Graph().RemoveEdge(0, 1) {
+		t.Fatal("edge {0,1} not removed")
+	}
+	cfg := model.NewZeroConfig(sys) // every process dominated
+	cfg.SetComm(2, VarS, Dominator)
+	if en := ref.EnabledSet(sys, cfg); slices.Contains(en, 0) {
+		t.Fatalf("enabled set %v holds the isolated process 0", en)
+	}
+	if !legitimate(sys, cfg) {
+		t.Fatal("isolated dominated process 0 made {2} illegitimate on 0 | 1-2")
+	}
+	cfg.SetComm(2, VarS, Dominated)
+	if legitimate(sys, cfg) {
+		t.Fatal("dominated 1 and 2 with no Dominator between them accepted")
+	}
+}
+
 func TestStabilityBoundFormula(t *testing.T) {
 	cases := []struct{ lmax, want int }{{0, 0}, {1, 1}, {2, 1}, {3, 2}, {8, 4}, {9, 5}}
 	for _, c := range cases {

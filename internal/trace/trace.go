@@ -41,9 +41,10 @@ var sparseThreshold = 4096
 
 // Recorder accumulates read/step/move statistics for one execution. The
 // engine delivers each selection's reads already folded (distinct
-// neighbors, deduplicated bits; silent-phase replays as one counted
-// call per visited state), so the recorder keeps no per-step
-// state and allocates nothing on the steady-state path. A Recorder is
+// neighbors, deduplicated bits), and the selections it replays as
+// counted calls: one per disabled process whose verdict stood, and one
+// per silent-phase memo state. So the recorder keeps no per-step state
+// and allocates nothing on the steady-state path. A Recorder is
 // reusable: Reset rewinds it to the state of a fresh NewRecorder without
 // reallocating, which is what lets the trial pipeline run millions of
 // executions through one recorder per worker.
