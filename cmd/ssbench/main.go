@@ -17,20 +17,9 @@
 //	ssbench -events run.events   # canonical deterministic event log
 //	ssbench -log-level debug     # live slog JSON events on stderr
 //
-// A custom fault scenario (instead of the registry) is selected with
-// -adversary; -faults sizes it and -inject schedules it:
-//
-//	ssbench -adversary cluster -faults 4                 # BFS-ball faults at start
-//	ssbench -adversary uniform -faults 2 -inject on-silence:3
-//	ssbench -adversary comm -inject every:200:4
-//
-// A custom dynamic-topology scenario is selected with -churn (shape, or
-// shape:k); -churn-inject schedules the topology mutations, and -churn
-// composes with -adversary for simultaneous state-and-topology faults:
-//
-//	ssbench -churn rewire:2                              # rewire 2 edges at each silence
-//	ssbench -churn cut -churn-inject every:500:2
-//	ssbench -churn crashjoin:3 -adversary uniform -inject on-silence:2
+// A single fault or churn scenario is a campaign file, not a flag set:
+// `sscampaign examples/campaigns/ex-fault.campaign` (and ex-churn,
+// ex-composed) runs what the registry's E16-E21 sweep, on one graph.
 //
 // Trials run on the parallel sharded pool of internal/experiment; for a
 // fixed -seed the tables are byte-identical for every -parallelism.
@@ -41,12 +30,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiment"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/prof"
 )
@@ -70,11 +57,6 @@ func run(args []string, out io.Writer) error {
 		markdown    = fs.Bool("markdown", false, "emit markdown tables")
 		parallelism = fs.Int("parallelism", 0, "trial pool workers (0: GOMAXPROCS; results are identical for every value)")
 		timeIt      = fs.Bool("time", false, "report per-experiment wall clock on stderr")
-		adversary   = fs.String("adversary", "", fmt.Sprintf("run a custom fault scenario with this adversary instead of the registry (one of %v)", fault.Names()))
-		faults      = fs.Int("faults", 2, "fault size k for -adversary (processes corrupted per injection)")
-		inject      = fs.String("inject", "at-start", "injection schedule for -adversary: at-start | at-step:T | every:T[:N] | on-silence[:N]")
-		churn       = fs.String("churn", "", fmt.Sprintf("run a custom dynamic-topology scenario with this churn shape, as NAME or NAME:K (one of %v; composes with -adversary)", fault.ChurnNames()))
-		churnInject = fs.String("churn-inject", "on-silence:2", "mutation schedule for -churn: at-start | at-step:T | every:T[:N] | on-silence[:N]")
 		eventsPath  = fs.String("events", "", "write the canonical deterministic event log to this file")
 		logLevel    = fs.String("log-level", "off", "live slog JSON events on stderr: off, info (cell granularity) or debug (every trial)")
 		cpuProfile  = prof.Flag(fs)
@@ -93,18 +75,6 @@ func run(args []string, out io.Writer) error {
 		}
 		return nil
 	}
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *adversary == "" && (set["inject"] || set["faults"]) {
-		return fmt.Errorf("-inject and -faults only apply to a custom fault scenario: pass -adversary too")
-	}
-	if *churn == "" && set["churn-inject"] {
-		return fmt.Errorf("-churn-inject only applies to a custom churn scenario: pass -churn too")
-	}
-	if (*adversary != "" || *churn != "") && set["run"] {
-		return fmt.Errorf("-adversary and -churn run a custom scenario instead of the registry: drop -run (or drop them)")
-	}
-
 	ids := experiment.IDs()
 	if *runIDs != "" {
 		ids = strings.Split(*runIDs, ",")
@@ -130,55 +100,21 @@ func run(args []string, out io.Writer) error {
 		Observer:    obs.Tee(replayOrNil(replay), logSink),
 	}
 
-	type job struct {
-		id  string
-		run experiment.Runner
-	}
-	var jobs []job
-	if *churn != "" {
-		churnName, churnK, err := parseChurnFlag(*churn)
+	var runners []experiment.Runner
+	for i, id := range ids {
+		ids[i] = strings.TrimSpace(id)
+		runner, err := experiment.ByID(ids[i])
 		if err != nil {
 			return err
 		}
-		churnSchedule, err := fault.ParseSchedule(*churnInject)
-		if err != nil {
-			return err
-		}
-		advName, advK := *adversary, *faults
-		var advSchedule fault.Schedule
-		if advName != "" {
-			if advSchedule, err = fault.ParseSchedule(*inject); err != nil {
-				return err
-			}
-		}
-		jobs = append(jobs, job{id: "EX", run: func(c experiment.Config) (*experiment.Result, error) {
-			return experiment.CustomChurn(c, churnName, churnK, churnSchedule, advName, advK, advSchedule)
-		}})
-	} else if *adversary != "" {
-		schedule, err := fault.ParseSchedule(*inject)
-		if err != nil {
-			return err
-		}
-		advName, k := *adversary, *faults
-		jobs = append(jobs, job{id: "EX", run: func(c experiment.Config) (*experiment.Result, error) {
-			return experiment.CustomFault(c, advName, k, schedule)
-		}})
-	} else {
-		for _, id := range ids {
-			id = strings.TrimSpace(id)
-			runner, err := experiment.ByID(id)
-			if err != nil {
-				return err
-			}
-			jobs = append(jobs, job{id: id, run: runner})
-		}
+		runners = append(runners, runner)
 	}
 
 	allPass := true
-	for _, j := range jobs {
-		id := j.id
+	for i, runner := range runners {
+		id := ids[i]
 		started := time.Now()
-		res, err := j.run(cfg)
+		res, err := runner(cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", id, err)
 		}
@@ -221,24 +157,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("some experiments FAILED their paper-claim checks")
 	}
 	return nil
-}
-
-// parseChurnFlag splits a -churn value, NAME or NAME:K, into its shape
-// name and churn size (default 2). Shape validation happens downstream
-// in experiment.CustomChurn so its error lists the known shapes.
-func parseChurnFlag(v string) (string, int, error) {
-	name, kStr, found := strings.Cut(v, ":")
-	if name == "" {
-		return "", 0, fmt.Errorf("bad -churn %q: want NAME or NAME:K", v)
-	}
-	if !found {
-		return name, 2, nil
-	}
-	k, err := strconv.Atoi(kStr)
-	if err != nil || k < 1 {
-		return "", 0, fmt.Errorf("bad -churn size in %q: want a positive integer after the colon", v)
-	}
-	return name, k, nil
 }
 
 // replayOrNil avoids handing obs.Tee a typed-nil Observer interface (a

@@ -85,96 +85,38 @@ func TestRunList(t *testing.T) {
 	}
 }
 
-func TestRunCustomAdversary(t *testing.T) {
+// refused runs ssbench with args, a use of the custom fault and churn
+// scenario flags it no longer defines (a single scenario is a campaign
+// file run by sscampaign, e.g. examples/campaigns/ex-fault.campaign),
+// and requires an undefined-flag error and no table.
+func refused(t *testing.T, args ...string) {
+	t.Helper()
 	var sb strings.Builder
-	err := run([]string{"-adversary", "cluster", "-faults", "3", "-inject", "on-silence:2", "-quick", "-trials", "1"}, &sb)
-	if err != nil {
-		t.Fatal(err)
+	err := run(args, &sb)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("%v: error %v, want an undefined-flag error", args, err)
 	}
-	out := sb.String()
-	for _, frag := range []string{"EX: adversary cluster (k=3) scheduled on-silence:2", "max radius", "verdict: PASS"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("output missing %q:\n%s", frag, out)
-		}
-	}
-}
-
-func TestRunCustomChurn(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-churn", "rewire:2", "-quick", "-trials", "1"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, frag := range []string{"EX: churn rewire (k=2) scheduled on-silence:2", "churn events", "verdict: PASS"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("output missing %q:\n%s", frag, out)
-		}
-	}
-}
-
-func TestRunCustomChurnComposed(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-churn", "crashjoin", "-churn-inject", "on-silence:2",
-		"-adversary", "uniform", "-faults", "1", "-inject", "on-silence:2",
-		"-quick", "-trials", "1"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	frag := "EX: churn crashjoin (k=2) scheduled on-silence:2 + adversary uniform (k=1) scheduled on-silence:2"
-	if !strings.Contains(out, frag) || !strings.Contains(out, "verdict: PASS") {
-		t.Fatalf("composed churn output missing %q:\n%s", frag, out)
-	}
-}
-
-func TestRunBadChurn(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-churn", "meteor"}, &sb); err == nil {
-		t.Fatal("unknown churn shape accepted")
-	} else if !strings.Contains(err.Error(), "rewire") {
-		t.Fatalf("unknown-shape error does not list shapes: %v", err)
-	}
-	if err := run([]string{"-churn", "rewire:zero"}, &sb); err == nil {
-		t.Fatal("bad churn size accepted")
-	}
-	if err := run([]string{"-churn", "rewire:0"}, &sb); err == nil {
-		t.Fatal("zero churn size accepted")
-	}
-	if err := run([]string{"-churn", "rewire", "-churn-inject", "sometimes"}, &sb); err == nil {
-		t.Fatal("bad churn schedule accepted")
-	}
-	if err := run([]string{"-churn-inject", "on-silence:2"}, &sb); err == nil {
-		t.Fatal("-churn-inject without -churn accepted")
-	}
-	if err := run([]string{"-run", "E3", "-churn", "rewire"}, &sb); err == nil {
-		t.Fatal("-run combined with -churn accepted")
+	if sb.Len() != 0 {
+		t.Errorf("%v: printed a table:\n%s", args, sb.String())
 	}
 }
 
 func TestRunBadAdversary(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-adversary", "bitrot"}, &sb); err == nil {
-		t.Fatal("unknown adversary accepted")
-	}
-	if err := run([]string{"-adversary", "uniform", "-inject", "sometimes"}, &sb); err == nil {
-		t.Fatal("bad schedule accepted")
-	}
-	if err := run([]string{"-adversary", "uniform", "-faults", "0"}, &sb); err == nil {
-		t.Fatal("zero fault size accepted")
-	}
+	refused(t, "-adversary", "bitrot")
+	refused(t, "-adversary", "uniform", "-inject", "on-silence:2", "-quick", "-trials", "1")
+	refused(t, "-faults", "2", "-adversary", "uniform")
 }
 
+func TestRunBadChurn(t *testing.T) {
+	refused(t, "-churn", "rewire:2", "-quick", "-trials", "1")
+	refused(t, "-churn-inject", "on-silence:2", "-churn", "rewire")
+}
+
+// TestRunFlagCombinations: combined with a registry selection, each of
+// the five former custom-scenario flags is still a usage error.
 func TestRunFlagCombinations(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-inject", "on-silence:2"}, &sb); err == nil {
-		t.Fatal("-inject without -adversary accepted")
-	}
-	if err := run([]string{"-faults", "3"}, &sb); err == nil {
-		t.Fatal("-faults without -adversary accepted")
-	}
-	if err := run([]string{"-run", "E3", "-adversary", "uniform"}, &sb); err == nil {
-		t.Fatal("-run combined with -adversary accepted")
+	for _, flag := range []string{"-adversary", "-faults", "-inject", "-churn", "-churn-inject"} {
+		refused(t, "-run", "E3", "-quick", "-trials", "1", flag, "2")
 	}
 }
 

@@ -41,7 +41,7 @@ func (p *Plan) cellFingerprint(cs *CellSpec) string {
 	buf = appendIntLine(buf, "trials=", p.cfg.Trials)
 	buf = appendLine(buf, "stop=", p.cfg.Stop.String())
 	buf = appendIntLine(buf, "max-steps=", p.cfg.MaxSteps)
-	buf = appendIntLine(buf, "suffix-rounds=", p.Spec.SuffixRounds)
+	buf = appendIntLine(buf, "suffix-rounds=", cs.suffix)
 	buf = appendLine(buf, "graph=", cs.GraphLine)
 	buf = appendLine(buf, "protocol=", cs.Protocol)
 	buf = appendLine(buf, "daemon=", cs.Daemon)

@@ -2,6 +2,9 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/graph"
 )
 
 // minimal returns the smallest useful plain campaign source.
@@ -59,6 +63,10 @@ func TestParseStringRoundTrip(t *testing.T) {
 		"campaign faulty\ngraph torus 9\nprotocol matching\n" +
 			"adversary cluster k=1,2 inject=on-silence:3\n" +
 			"adversary crash k=4 inject=every:100:2\n",
+		"campaign suite\ngraph suite\ngraph suite quick\nprotocol coloring\n",
+		"campaign width\ngraph torus 12 w=3\ngraph grid 8..16/4 w=4\nprotocol mis\n",
+		"campaign seeded\ngraph gnp 8 seed=12345\ngraph regular 8 d=3 seed=0\ngraph tree 5..7 seed=9\nprotocol mis\n",
+		"campaign per-process\nsuffix-rounds 6n\ngraph path 4\nprotocol coloring\n",
 	}
 	for _, src := range sources {
 		spec := mustParse(t, src)
@@ -106,6 +114,21 @@ func TestParseErrors(t *testing.T) {
 		{"campaign t\nkey {bogus}\ngraph path 4\nprotocol coloring\n", "unknown placeholder"},
 		{"campaign t\nkey {graph\ngraph path 4\nprotocol coloring\n", "unterminated"},
 		{"campaign t\nkey {graph}|\x01x\ngraph path 4\nprotocol coloring\n", "non-printable"},
+		{"campaign t\ngraph suite slow\nprotocol coloring\n", "unknown suite variant \"slow\""},
+		{"campaign t\ngraph suite quick 8\nprotocol coloring\n", "unknown suite variant \"quick 8\""},
+		{"campaign t\ngraph path 12 w=3\nprotocol coloring\n", "w= only applies to the grid and torus families"},
+		{"campaign t\ngraph grid 16 w=3\nprotocol coloring\n", "w=3 does not divide n=16"},
+		{"campaign t\ngraph torus 12..16 w=4\nprotocol coloring\n", "w=4 does not divide n=13"},
+		{"campaign t\ngraph torus 12 w=6\nprotocol coloring\n", "a torus needs w, h >= 3 (w=6 h=2)"},
+		{"campaign t\ngraph grid 16 w=4 w=4\nprotocol coloring\n", "duplicate w="},
+		{"campaign t\ngraph grid 16 w=0\nprotocol coloring\n", "bad width"},
+		{"campaign t\ngraph path 8 seed=3\nprotocol coloring\n", "seed= only applies to the random families"},
+		{"campaign t\ngraph gnp 8 seed=3 seed=4\nprotocol coloring\n", "duplicate seed="},
+		{"campaign t\ngraph gnp 8 seed=-1\nprotocol coloring\n", "bad seed"},
+		{"campaign t\nsuffix-rounds 0n\ngraph path 4\nprotocol coloring\n", "per-process value \"0n\" out of range (1n..256n)"},
+		{"campaign t\nsuffix-rounds 257n\ngraph path 4\nprotocol coloring\n", "per-process value \"257n\" out of range (1n..256n)"},
+		{"campaign t\nsuffix-rounds n\ngraph path 4\nprotocol coloring\n", "bad value \"n\""},
+		{"campaign t\nsuffix-rounds 6n\ngraph path 4\nprotocol coloring\nadversary uniform k=1\n", "suffix-rounds does not apply"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)
@@ -174,6 +197,89 @@ func TestCompileCellExpansion(t *testing.T) {
 		plan.Cells[2].Key != "path-4|mis|random-subset|0" ||
 		plan.Cells[4].Key != "cycle-5|coloring|random-subset|0" {
 		t.Fatalf("axis order wrong: %v", keysOf(plan))
+	}
+}
+
+// TestCompileSuiteAndGraphForms: `graph suite` yields the registry
+// suite at the campaign seed, in suite order; `w=` fixes a lattice's
+// width, `seed=` a random graph's draw seed, and `suffix-rounds Kn`
+// resolves to K × n per cell, which {suffix} renders.
+func TestCompileSuiteAndGraphForms(t *testing.T) {
+	t.Parallel()
+	plan, err := Compile(mustParse(t, "campaign s\nseed 2009\ngraph suite\nprotocol coloring\nsuffix-rounds 6n\n"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"path-12", "cycle-13", "complete-6", "star-10", "grid-4x4", "torus-3x4",
+		"hypercube-3", "bintree-3", "caterpillar-5x2", "gnp-16-0.200", "regular-16-4",
+		"rgg-16-0.35", "lollipop-5-5", "thm1-spider-3", "fig9-path-11", "fig11",
+	}
+	var names []string
+	for i := range plan.Cells {
+		cs := &plan.Cells[i]
+		names = append(names, cs.Graph().Name)
+		if key := fmt.Sprintf("%s|coloring|random-subset|%d", cs.Graph().Name, 6*cs.Graph().N); cs.Key != key {
+			t.Errorf("cell %d key %q, want %q", i, cs.Key, key)
+		}
+		if line := "suite " + cs.Graph().Name; cs.GraphLine != line {
+			t.Errorf("cell %d graph line %q, want %q", i, cs.GraphLine, line)
+		}
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("graph suite at seed 2009 = %v, want %v", names, want)
+	}
+
+	plan, err = Compile(mustParse(t, "campaign f\ngraph torus 12 w=3\ngraph grid 12 w=2\ngraph gnp 16 seed=77\nprotocol mis\n"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keysOf(plan); !reflect.DeepEqual(got, []string{
+		"torus-3x4|mis|random-subset|0", "grid-2x6|mis|random-subset|0", "gnp-16-0.250|mis|random-subset|0",
+	}) {
+		t.Fatalf("keys = %v", got)
+	}
+	g, err := plan.Cells[2].Graph().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantG, _ := graph.DescribeGNP(16, 0.25, 77).Build(); !g.Equal(wantG) {
+		t.Fatal("seed=77 did not draw the graph of seed 77")
+	}
+}
+
+// TestExampleCampaignsCompile: every campaign file the repository ships
+// (examples/campaigns and the benchmark's bench/campaigns) parses,
+// round-trips and compiles.
+func TestExampleCampaignsCompile(t *testing.T) {
+	t.Parallel()
+	var paths []string
+	for _, dir := range []string{"../../examples/campaigns", "../../bench/campaigns"} {
+		found, err := filepath.Glob(filepath.Join(dir, "*.campaign"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(found) == 0 {
+			t.Fatalf("no campaign files under %s", dir)
+		}
+		paths = append(paths, found...)
+	}
+	for _, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := Parse(string(src))
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if again := mustParse(t, spec.String()); !reflect.DeepEqual(spec, again) {
+			t.Errorf("%s: canonical form does not round-trip", path)
+		}
+		if plan, err := Compile(spec, 1); err != nil || len(plan.Cells) == 0 {
+			t.Errorf("%s: compile error %v", path, err)
+		}
 	}
 }
 

@@ -58,6 +58,7 @@ type CellSpec struct {
 	ChurnSchedule fault.Schedule
 
 	topo     *topology     // shared by every cell of one (graph line, size) point
+	suffix   int           // post-silence suffix rounds, resolved for the topology's n
 	snapshot *model.Config // silent snapshot, filled lazily (ensureSnapshots)
 }
 
@@ -130,9 +131,6 @@ func (p *Plan) graphFor(cs *CellSpec) (*graph.Graph, error) {
 	return t.g, nil
 }
 
-// EngineConfig returns the engine configuration the plan runs under.
-func (p *Plan) EngineConfig() engine.Config { return p.cfg }
-
 // SetObserver routes the plan's events — both the engine-level lifecycle
 // events of callers that feed EngineCells to the engine themselves and
 // the core-level diagnostics of the trial closures — to o. Execute sets
@@ -144,7 +142,7 @@ func (p *Plan) SetObserver(o obs.Observer) { p.cfg.Observer = o }
 // EngineCells materializes every cell (building graphs and systems and
 // computing any still-missing at-start snapshots in one warm-up batch)
 // and returns the runnable engine cells, index-aligned with Cells. Callers
-// that bypass Run (the rewired registry experiments) feed them to
+// that bypass Execute (the registry's experiments) feed them to
 // engine.RunCells directly.
 func (p *Plan) EngineCells() ([]engine.Cell, error) {
 	all := make([]int, len(p.Cells))
@@ -171,7 +169,8 @@ func (p *Plan) Materialize(cells []int) error {
 
 // Compile expands a campaign into its deterministic cell list. Cell keys
 // embed graph names and sizes, and both come from the families'
-// descriptors (graph.Desc): no topology is built here. Topologies,
+// descriptors (graph.Desc): no topology is built here but the small
+// graphs of a `graph suite` line (graph.DescribeSuite). Topologies,
 // protocol systems, run closures and the silent snapshots required by
 // at-start adversary cells materialize lazily for exactly the cells a
 // Run will execute, so fully-cached resumes and foreign shards never pay
@@ -202,9 +201,20 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 
 	// Reject oversized sweeps from the axis cardinalities alone: the
 	// parser bounds each axis but not their product, and a hostile file
-	// must not cost more than arithmetic.
+	// must not cost more than arithmetic (and the suite, whose at most
+	// two lines build twenty small graphs).
 	totalSizes := 0
+	suites := map[bool][]graph.Desc{} // by GraphSpec.Quick
 	for _, gs := range spec.Graphs {
+		if gs.Family == suiteFamily {
+			descs, err := graph.DescribeSuite(spec.Seed, gs.Quick)
+			if err != nil {
+				return nil, fmt.Errorf("campaign: graph %s: %w", gs.line(), err)
+			}
+			suites[gs.Quick] = descs
+			totalSizes += len(descs)
+			continue
+		}
 		totalSizes += len(gs.sizes())
 	}
 	advPoints, churnPoints := 0, 0
@@ -226,24 +236,38 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 	}
 	var graphs []graphPoint
 	seenNames := map[string]string{}
+	addGraph := func(desc graph.Desc, line string) error {
+		// Many families clamp or round sizes (grid/torus to squares,
+		// hypercube to powers of two, spider ignores n entirely), and the
+		// suite holds graphs other lines build too, so the graph axis can
+		// collapse distinct points into one topology. Identically-named
+		// graphs would share cell keys — and trial seeds — so reject them
+		// here, where the colliding source lines can be named.
+		if prev, dup := seenNames[desc.Name]; dup {
+			return fmt.Errorf("campaign: `graph %s` and `graph %s` both build %q (the family clamps or rounds sizes, or the suite holds it): keep sizes/parameters that yield distinct graphs", prev, line, desc.Name)
+		}
+		seenNames[desc.Name] = line
+		graphs = append(graphs, graphPoint{topo: &topology{desc: desc}, line: line})
+		return nil
+	}
 	for _, gs := range spec.Graphs {
+		if gs.Family == suiteFamily {
+			for _, desc := range suites[gs.Quick] {
+				if err := addGraph(desc, gs.line()+" "+desc.Name); err != nil {
+					return nil, err
+				}
+			}
+			continue
+		}
 		for _, n := range gs.sizes() {
 			line := gs.lineFor(n)
 			desc, err := describeGraph(gs, line, n, spec.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("campaign: graph %s: %w", line, err)
 			}
-			// Many families clamp or round sizes (grid/torus to squares,
-			// hypercube to powers of two, spider ignores n entirely), so a
-			// sweep can collapse distinct swept sizes into one topology.
-			// Identically-named graphs would share cell keys — and trial
-			// seeds — so reject them here, where the colliding source
-			// lines can be named.
-			if prev, dup := seenNames[desc.Name]; dup {
-				return nil, fmt.Errorf("campaign: `graph %s` and `graph %s` both build %q (the family clamps or rounds sizes): keep sizes/parameters that yield distinct graphs", prev, line, desc.Name)
+			if err := addGraph(desc, line); err != nil {
+				return nil, err
 			}
-			seenNames[desc.Name] = line
-			graphs = append(graphs, graphPoint{topo: &topology{desc: desc}, line: line})
 		}
 	}
 
@@ -261,6 +285,7 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 						topo: bg.topo, GraphLine: bg.line,
 						Protocol: proto, Daemon: daemon,
 						Adversary: advName, K: k, Schedule: schedule,
+						suffix: spec.suffixFor(bg.topo.desc.N),
 					}
 					if len(spec.Churns) == 0 {
 						p.Cells = append(p.Cells, base)
@@ -357,7 +382,7 @@ func expandKey(template string, spec *Spec, cs *CellSpec) string {
 			}
 			buf = strconv.AppendInt(buf, int64(count), 10)
 		case "{suffix}":
-			buf = strconv.AppendInt(buf, int64(spec.SuffixRounds), 10)
+			buf = strconv.AppendInt(buf, int64(cs.suffix), 10)
 		case "{churn}":
 			buf = append(buf, orNone(cs.ChurnName, cs.ChurnName)...)
 		case "{churn-k}":
@@ -382,12 +407,17 @@ func orNone(axis, value string) string {
 }
 
 // describeGraph describes one swept topology (line is gs.lineFor(n)).
-// Random families draw their structure from a seed derived from the
-// master seed and the canonical graph descriptor, so a grown campaign
-// re-builds identical graphs for the lines it kept.
+// Random families draw their structure from the line's seed= or else a
+// seed derived from the master seed and the canonical graph descriptor,
+// so a grown campaign re-builds identical graphs for the lines it kept.
 func describeGraph(gs GraphSpec, line string, n int, masterSeed uint64) (graph.Desc, error) {
 	gseed := rng.DeriveString(masterSeed, "campaign-graph|"+line)
+	if gs.Seeded {
+		gseed = gs.Seed
+	}
 	switch {
+	case gs.W > 0: // grid or torus of fixed width
+		return graph.DescribeLattice(gs.Family, gs.W, n/gs.W)
 	case gs.D > 0: // regular with explicit degree
 		return graph.DescribeRegular(n, gs.D, gseed)
 	case gs.P > 0 && gs.Family == "gnp":
@@ -488,7 +518,7 @@ func (p *Plan) ensureEngineCells(cells []int) error {
 			Key: cs.Key, Index: cs.Index,
 			System:       sys,
 			Daemon:       cs.Daemon,
-			SuffixRounds: p.Spec.SuffixRounds,
+			SuffixRounds: cs.suffix,
 			Snapshot:     cs.snapshot,
 			Adversary:    cs.Adversary, K: cs.K, Schedule: cs.Schedule,
 			Churn: cs.ChurnName, ChurnK: cs.ChurnK, ChurnSchedule: cs.ChurnSchedule,

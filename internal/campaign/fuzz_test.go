@@ -25,6 +25,10 @@ func FuzzParseCampaign(f *testing.F) {
 	f.Add("campaign c\ngraph cycle 9\nprotocol coloring\nchurn crashjoin k=1,2 inject=on-silence:2\n")
 	f.Add("campaign cc\ngraph grid 16\nprotocol coloring\nadversary uniform k=1 inject=on-silence:2\n" +
 		"churn rewire k=2 inject=on-silence:2\nmetrics silent churn-events\n")
+	f.Add("campaign suite\ngraph suite\ngraph suite quick\nprotocol coloring\n")
+	f.Add("campaign width\ngraph torus 12 w=3\ngraph grid 8..16/4 w=4\nprotocol mis\n")
+	f.Add("campaign seeded\ngraph gnp 8 seed=12345\ngraph regular 8 d=3 seed=0\nprotocol mis\n")
+	f.Add("campaign per-process\nsuffix-rounds 6n\ngraph path 4\nprotocol coloring\n")
 	f.Add("campaign bad\ngraph path 0\n")
 	f.Add("seed 5\ncampaign late\n")
 	f.Add("campaign t\ngraph rgg 12 p=0.4\nprotocol frozen bfstree\ndaemon laziest-fair\n")

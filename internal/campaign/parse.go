@@ -58,9 +58,10 @@ var directiveNames = []string{
 //	trials N                    # trials per cell (default 5)
 //	max-steps N                 # per-run step budget (default 1000000)
 //	stop ci:WIDTH[:MIN..MAX]    # sequential stopping (default off; MIN..MAX default 5..100)
-//	suffix-rounds N             # post-silence suffix (plain campaigns)
+//	suffix-rounds N | Kn        # post-silence suffix (plain campaigns; Kn: K rounds per process)
 //	key TEMPLATE                # cell-key template (see package doc)
-//	graph FAMILY SIZES [d=D] [p=P]   # SIZES = N | LO..HI[/STEP]
+//	graph FAMILY SIZES [d=D] [p=P] [w=W] [seed=S]   # SIZES = N | LO..HI[/STEP]
+//	graph suite [quick]         # the registry suite (graph.DescribeSuite) at the campaign seed
 //	protocol NAME...            # engine.Families names
 //	daemon NAME...              # sched.Names names (default random-subset)
 //	adversary NAME k=K1,K2,... inject=SCHEDULE
@@ -116,6 +117,17 @@ func Parse(src string) (*Spec, error) {
 			seen[directive] = true
 			if len(args) != 1 {
 				return nil, fail("want exactly one value")
+			}
+			if perN, ok := strings.CutSuffix(args[0], "n"); ok && directive == "suffix-rounds" {
+				k, err := strconv.ParseUint(perN, 10, 64)
+				if err != nil {
+					return nil, fail("bad value %q", args[0])
+				}
+				if k < 1 || k > maxSuffixRounds/maxGraphN {
+					return nil, fail("per-process value %q out of range (1n..%dn)", args[0], maxSuffixRounds/maxGraphN)
+				}
+				s.SuffixRounds, s.SuffixPerProcess = int(k), true
+				continue
 			}
 			v, err := strconv.ParseUint(args[0], 10, 64)
 			if err != nil {
@@ -344,8 +356,19 @@ func checkTemplate(t string) error {
 
 func parseGraph(args []string) (GraphSpec, error) {
 	var gs GraphSpec
+	if len(args) > 0 && args[0] == suiteFamily {
+		gs.Family = suiteFamily
+		switch {
+		case len(args) == 1:
+		case len(args) == 2 && args[1] == "quick":
+			gs.Quick = true
+		default:
+			return gs, fmt.Errorf("unknown suite variant %q (want `graph suite` or `graph suite quick`)", strings.Join(args[1:], " "))
+		}
+		return gs, nil
+	}
 	if len(args) < 2 {
-		return gs, fmt.Errorf("want `graph FAMILY SIZES [d=D] [p=P]`")
+		return gs, fmt.Errorf("want `graph FAMILY SIZES [d=D] [p=P] [w=W] [seed=S]` or `graph suite [quick]`")
 	}
 	gs.Family = args[0]
 	if !slices.Contains(graph.NamedGenerators(), gs.Family) {
@@ -382,8 +405,42 @@ func parseGraph(args []string) (GraphSpec, error) {
 				return gs, fmt.Errorf("bad probability/radius %q", opt)
 			}
 			gs.P = p
+		case strings.HasPrefix(opt, "w="):
+			if gs.Family != "grid" && gs.Family != "torus" {
+				return gs, fmt.Errorf("w= only applies to the grid and torus families")
+			}
+			if gs.W != 0 {
+				return gs, fmt.Errorf("duplicate w= option")
+			}
+			w, err := strconv.Atoi(opt[2:])
+			if err != nil || w < 1 || w > maxGraphN {
+				return gs, fmt.Errorf("bad width %q", opt)
+			}
+			gs.W = w
+		case strings.HasPrefix(opt, "seed="):
+			if !slices.Contains(randomFamilies, gs.Family) {
+				return gs, fmt.Errorf("seed= only applies to the random families %v", randomFamilies)
+			}
+			if gs.Seeded {
+				return gs, fmt.Errorf("duplicate seed= option")
+			}
+			seed, err := strconv.ParseUint(opt[len("seed="):], 10, 64)
+			if err != nil {
+				return gs, fmt.Errorf("bad seed %q", opt)
+			}
+			gs.Seed, gs.Seeded = seed, true
 		default:
-			return gs, fmt.Errorf("unknown graph option %q (want d=D or p=P)", opt)
+			return gs, fmt.Errorf("unknown graph option %q (want d=D, p=P, w=W or seed=S)", opt)
+		}
+	}
+	if gs.W > 0 {
+		for _, n := range gs.sizes() {
+			if n%gs.W != 0 {
+				return gs, fmt.Errorf("w=%d does not divide n=%d", gs.W, n)
+			}
+			if _, err := graph.DescribeLattice(gs.Family, gs.W, n/gs.W); err != nil {
+				return gs, err
+			}
 		}
 	}
 	return gs, nil

@@ -25,20 +25,37 @@ import (
 )
 
 // GraphSpec is one `graph` axis line: a named family swept over a size
-// range with optional family parameters.
+// range with optional family parameters, or the registry suite.
 type GraphSpec struct {
 	// Family is a graph.NamedGenerators name (path, cycle, grid, torus,
-	// gnp, regular, rgg, ...).
+	// gnp, regular, rgg, ...) or suiteFamily.
 	Family string
 	// Lo..Hi is the inclusive size range, advanced by Step. A single size
-	// is Lo == Hi with Step == 0.
+	// is Lo == Hi with Step == 0. The suite has no sizes.
 	Lo, Hi, Step int
 	// D overrides the degree of the `regular` family (0: family default).
 	D int
 	// P overrides the edge probability of `gnp` / the radius of `rgg`
 	// (0: family default).
 	P float64
+	// W fixes the width of a grid or torus: size n builds the W × n/W
+	// lattice (0: the squarest one the family rounds n to).
+	W int
+	// Seed, when Seeded, is the draw seed of a random family's graphs,
+	// in place of the one derived from the campaign seed and the line.
+	Seed   uint64
+	Seeded bool
+	// Quick selects the suite's four-graph variant (`graph suite quick`).
+	Quick bool
 }
+
+// suiteFamily names the `graph suite` line: graph.DescribeSuite at the
+// campaign seed, every member one topology of the axis.
+const suiteFamily = "suite"
+
+// randomFamilies are the graph families that draw their structure from
+// a seed, the ones `seed=` applies to.
+var randomFamilies = []string{"gnp", "regular", "rgg", "tree"}
 
 // sizes expands the range into the concrete sweep sizes.
 func (g GraphSpec) sizes() []int {
@@ -59,6 +76,12 @@ func (g GraphSpec) sizes() []int {
 // line renders the canonical directive body (without the `graph `
 // keyword) for the whole range.
 func (g GraphSpec) line() string {
+	if g.Family == suiteFamily {
+		if g.Quick {
+			return suiteFamily + " quick"
+		}
+		return suiteFamily
+	}
 	var sb strings.Builder
 	sb.WriteString(g.Family)
 	sb.WriteByte(' ')
@@ -75,6 +98,12 @@ func (g GraphSpec) line() string {
 	}
 	if g.P > 0 {
 		sb.WriteString(" p=" + strconv.FormatFloat(g.P, 'g', -1, 64))
+	}
+	if g.W > 0 {
+		fmt.Fprintf(&sb, " w=%d", g.W)
+	}
+	if g.Seeded {
+		fmt.Fprintf(&sb, " seed=%d", g.Seed)
 	}
 	return sb.String()
 }
@@ -140,11 +169,14 @@ type Spec struct {
 	// deterministic function of (seed, cell) and lands in the cache.
 	Stop engine.StopRule
 	// SuffixRounds keeps each run going after silence to measure the
-	// stabilized phase (default 0; plain campaigns only).
-	SuffixRounds int
+	// stabilized phase (default 0; plain campaigns only). With
+	// SuffixPerProcess (`suffix-rounds Kn`) it counts rounds per process:
+	// a cell on n processes runs SuffixRounds × n of them.
+	SuffixRounds     int
+	SuffixPerProcess bool
 	// KeyTemplate overrides the canonical cell-key format (see
 	// expandKey). Pinning a template keeps a campaign's seed streams
-	// byte-compatible with pre-campaign experiment code.
+	// byte-compatible with the cell keys an experiment used before.
 	KeyTemplate string
 	// Graphs, Protocols, Daemons, Adversaries and Churns are the sweep
 	// axes, expanded in declaration order as graph × protocol × daemon ×
@@ -161,6 +193,14 @@ type Spec struct {
 	Metrics []string
 }
 
+// suffixFor resolves the post-silence suffix of a cell on n processes.
+func (s *Spec) suffixFor(n int) int {
+	if s.SuffixPerProcess {
+		return s.SuffixRounds * n
+	}
+	return s.SuffixRounds
+}
+
 // String renders the canonical campaign source accepted by Parse:
 // directives in fixed order with every default resolved.
 func (s *Spec) String() string {
@@ -172,7 +212,9 @@ func (s *Spec) String() string {
 	if s.Stop.Enabled() {
 		fmt.Fprintf(&sb, "stop %s\n", s.Stop)
 	}
-	if s.SuffixRounds > 0 {
+	if s.SuffixPerProcess {
+		fmt.Fprintf(&sb, "suffix-rounds %dn\n", s.SuffixRounds)
+	} else if s.SuffixRounds > 0 {
 		fmt.Fprintf(&sb, "suffix-rounds %d\n", s.SuffixRounds)
 	}
 	if s.KeyTemplate != "" {

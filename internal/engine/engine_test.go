@@ -135,7 +135,7 @@ func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
 	counted := func(cfg Config) ([]*model.Config, []int64) {
 		t.Helper()
 		cfg = cfg.WithDefaults()
-		cells, err := ProtoCells(cfg, specs)
+		cells, err := protoCells(cfg, specs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -180,7 +180,7 @@ func TestRunCellReduceRealProtocol(t *testing.T) {
 		{Graph: graph.Cycle(5), Family: FamMIS},
 	}
 	build := func() []Cell {
-		cells, err := ProtoCells(cfg, specs)
+		cells, err := protoCells(cfg, specs)
 		if err != nil {
 			t.Fatal(err)
 		}

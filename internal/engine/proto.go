@@ -120,23 +120,19 @@ func NewCell(cfg *Config, sc Scenario) (Cell, error) {
 	}, nil
 }
 
-// ProtoCell describes a (graph, protocol family, daemon) cell for
-// ProtoCells.
+// ProtoCell names one (graph, protocol family) pair SilentSnapshots
+// warms up.
 type ProtoCell struct {
 	Graph  *graph.Graph
 	Family string
-	// Daemon names the scheduler, a sched.ByName name ("" selects
-	// DefaultSchedName).
-	Daemon string
-	// SuffixRounds keeps the run going after silence (see core.RunOptions).
-	SuffixRounds int
 }
 
-// ProtoCells expands specs into plain cells from random starts, building
-// each cell's system once. The cell key is "graph|family|daemon|suffix" —
-// the canonical proto-cell key every seed stream of the registry and the
-// campaign subsystem derives from.
-func ProtoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
+// protoCells expands specs into plain cells from random starts under the
+// default daemon, building each cell's system once. The cell key is
+// "graph|family|random-subset|0" — the canonical proto-cell key, which
+// is also the default key of a plain campaign cell on the same graph and
+// family, so a snapshot warm-up replays that cell's trials.
+func protoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
 	cfg = cfg.WithDefaults()
 	cells := make([]Cell, len(specs))
 	for i, sp := range specs {
@@ -144,14 +140,9 @@ func ProtoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
 		if err != nil {
 			return nil, err
 		}
-		daemon := sp.Daemon
-		if daemon == "" {
-			daemon = DefaultSchedName
-		}
 		cells[i], err = NewCell(&cfg, Scenario{
-			Key:   fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, daemon, sp.SuffixRounds),
+			Key:   fmt.Sprintf("%s|%s|%s|0", sp.Graph.Name(), sp.Family, DefaultSchedName),
 			Index: i, System: sys,
-			Daemon: daemon, SuffixRounds: sp.SuffixRounds,
 		})
 		if err != nil {
 			return nil, err
@@ -174,7 +165,7 @@ func SilentSnapshots(cfg Config, specs []ProtoCell) ([]*model.Config, error) {
 	// Warm-ups are infrastructure, not measured trials: they never emit
 	// events, so an observed campaign's log covers exactly its own cells.
 	cfg.Observer = nil
-	cells, err := ProtoCells(cfg, specs)
+	cells, err := protoCells(cfg, specs)
 	if err != nil {
 		return nil, err
 	}

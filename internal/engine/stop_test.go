@@ -44,9 +44,9 @@ func TestStopRuleWithDefaults(t *testing.T) {
 	}
 }
 
-// runProto is RunCells over the cells ProtoCells builds from specs.
+// runProto is RunCells over the cells protoCells builds from specs.
 func runProto(cfg Config, specs []ProtoCell, fold Fold) error {
-	cells, err := ProtoCells(cfg, specs)
+	cells, err := protoCells(cfg, specs)
 	if err != nil {
 		return err
 	}
@@ -182,7 +182,7 @@ func TestStopDisabledMatchesRunCells(t *testing.T) {
 	if len(folded) != len(specs)*cfg.Trials {
 		t.Fatalf("fold saw %d trials, want %d", len(folded), len(specs)*cfg.Trials)
 	}
-	cells, err := ProtoCells(cfg.WithDefaults(), specs)
+	cells, err := protoCells(cfg.WithDefaults(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

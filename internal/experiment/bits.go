@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -16,7 +17,7 @@ import (
 // is 2·log(Δ+1) + log(δ.p) bits.
 func E2CommunicationBits(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}
@@ -24,16 +25,17 @@ func E2CommunicationBits(cfg Config) (*Result, error) {
 	// particular one of degree Δ — is selected at least twice while
 	// measuring (a run can otherwise reach silence before the max-degree
 	// process ever evaluates a guard).
-	var specs []engine.ProtoCell
-	for _, g := range graphs {
-		specs = append(specs,
-			engine.ProtoCell{Graph: g, Family: engine.FamColoring, SuffixRounds: 2},
-			engine.ProtoCell{Graph: g, Family: engine.FamColoringBaseline, SuffixRounds: 2})
+	_, cells, err := compileSpec(cfg, "e2-communication-bits", suiteLine(cfg)+`
+protocol coloring coloring-baseline
+suffix-rounds 2
+`, nil)
+	if err != nil {
+		return nil, err
 	}
 	// Streaming aggregation: only the per-cell maximum witnessed
 	// communication complexity is kept.
-	maxBits := make([]int, len(specs))
-	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	maxBits := make([]int, len(cells))
+	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		if res.Report.CommComplexityBits > maxBits[cell] {
 			maxBits[cell] = res.Report.CommComplexityBits
 		}
@@ -93,7 +95,7 @@ func E2CommunicationBits(cfg Config) (*Result, error) {
 // efficient vs full-read baseline.
 func E10StabilizedOverhead(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}
@@ -102,31 +104,23 @@ func E10StabilizedOverhead(cfg Config) (*Result, error) {
 		{engine.FamMIS, engine.FamMISBaseline},
 		{engine.FamMatching, engine.FamMatchingBaseline},
 	}
-	type cellMeta struct {
-		family, graphName string
-	}
-	var specs []engine.ProtoCell
-	var metas []cellMeta
-	for _, g := range graphs {
-		for _, pair := range pairs {
-			for _, family := range pair {
-				specs = append(specs, engine.ProtoCell{
-					Graph: g, Family: family, SuffixRounds: 4 * g.N(),
-				})
-				metas = append(metas, cellMeta{family: family, graphName: g.Name()})
-			}
-		}
+	plan, cells, err := compileSpec(cfg, "e10-stabilized-overhead", suiteLine(cfg)+`
+protocol coloring coloring-baseline mis mis-baseline matching matching-baseline
+suffix-rounds 4n
+`, nil)
+	if err != nil {
+		return nil, err
 	}
 	// Streaming aggregation: per-cell maxima of the suffix overhead
-	// rates; a non-stabilizing run aborts the experiment as before.
+	// rates; a non-stabilizing run aborts the experiment.
 	type acc struct {
 		reads, bits float64
 	}
-	accs := make([]acc, len(specs))
-	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	accs := make([]acc, len(cells))
+	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		if !res.Silent {
-			return fmt.Errorf("experiment: %s on %s did not stabilize",
-				metas[cell].family, metas[cell].graphName)
+			cs := &plan.Cells[cell]
+			return fmt.Errorf("experiment: %s on %s did not stabilize", cs.Protocol, cs.Graph().Name)
 		}
 		a := &accs[cell]
 		if v := res.Report.SuffixAvgReadsPerSelection(); v > a.reads {

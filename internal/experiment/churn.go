@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/stats"
 )
 
@@ -12,7 +10,7 @@ import (
 // under edge rewiring, healing after partition-shaped cuts, and the
 // composed crash/join-plus-state-fault regime, all expressed as campaign
 // specs over the `churn` axis and run on mutable (CSR dynamic)
-// topologies, plus the custom churn scenario behind ssbench -churn.
+// topologies.
 
 // E19ChurnedConvergence sweeps the topology-rewiring axis: a rewire
 // churn adversary removes edges at each silence point (restoring its
@@ -24,21 +22,16 @@ import (
 // configuration — so recovery is expected from each.
 func E19ChurnedConvergence(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	g, line, err := midSuite(cfg, 4)
 	if err != nil {
 		return nil, err
 	}
-	g := graphs[len(graphs)/4]
 	const firings = 3
-	plan, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e19-churned-convergence
-seed %d
-trials %d
-max-steps %d
-key {graph}|{protocol}|churn={churn}|ck={churn-k}|cinject={churn-inject}
-graph %s
+	plan, accs, err := runCampaign(cfg, "e19-churned-convergence", fmt.Sprintf(`key {graph}|{protocol}|churn={churn}|ck={churn-k}|cinject={churn-inject}
+%s
 protocol coloring mis matching
 churn rewire k=2 inject=on-silence:%d
-`, cfg.Seed, cfg.Trials, cfg.MaxSteps, midSuiteGraphLine(cfg, 4), firings), g)
+`, line, firings), g)
 	if err != nil {
 		return nil, err
 	}
@@ -66,83 +59,6 @@ churn rewire k=2 inject=on-silence:%d
 	}, nil
 }
 
-// CustomChurn runs an ad-hoc dynamic-topology scenario outside the
-// registry — the engine behind cmd/ssbench's -churn flag: the named
-// churn adversary with churn size churnK mutates a mid-suite topology
-// under churnSchedule while each protocol family runs from a random
-// adversarial configuration. When advName is non-empty a state
-// adversary (size advK, schedule advSchedule) composes with the churn,
-// the regime E21 pins down.
-func CustomChurn(cfg Config, churnName string, churnK int, churnSchedule fault.Schedule,
-	advName string, advK int, advSchedule fault.Schedule) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if churnK < 1 {
-		return nil, fmt.Errorf("experiment: churn size k must be at least 1, got %d", churnK)
-	}
-	if _, err := fault.ChurnByName(churnName, churnK); err != nil {
-		return nil, err
-	}
-	if advName != "" {
-		if advK < 1 {
-			return nil, fmt.Errorf("experiment: fault size k must be at least 1, got %d", advK)
-		}
-		if _, err := fault.ByName(advName, advK); err != nil {
-			return nil, err
-		}
-	}
-	graphs, err := suite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	g := graphs[len(graphs)/4]
-	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
-	ecfg := cfg.engineConfig()
-	cells := make([]engine.Cell, len(families))
-	for i, family := range families {
-		sys, err := engine.Build(g, family, nil)
-		if err != nil {
-			return nil, err
-		}
-		cells[i], err = engine.NewCell(&ecfg, engine.Scenario{
-			Key:   fmt.Sprintf("%s|%s|churn=%s|ck=%d|%s", g.Name(), family, churnName, churnK, churnSchedule),
-			Index: i, System: sys,
-			Adversary: advName, K: advK, Schedule: advSchedule,
-			Churn: churnName, ChurnK: churnK, ChurnSchedule: churnSchedule,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	accs, err := foldRecovery(ecfg, cells)
-	if err != nil {
-		return nil, err
-	}
-	title := fmt.Sprintf("EX: churn %s (k=%d) scheduled %s", churnName, churnK, churnSchedule)
-	if advName != "" {
-		title += fmt.Sprintf(" + adversary %s (k=%d) scheduled %s", advName, advK, advSchedule)
-	}
-	table := stats.NewTable(title,
-		"protocol", "graph", "churn events", "injections", "episodes", "recovered", "mean rounds", "max rounds", "final silent")
-	pass := true
-	for i, family := range families {
-		a := &accs[i]
-		ok := a.legit == a.trials && a.recovered == a.episodes
-		pass = pass && ok
-		table.AddRow(family, g.Name(), a.churnEvents, a.injections, a.episodes, outOf(a.recovered, a.episodes),
-			stats.Summarize(a.rounds).Mean, a.maxRounds, outOf(a.legit, a.trials))
-	}
-	res := &Result{
-		ID:       "EX",
-		Title:    fmt.Sprintf("custom churn scenario: %s, k=%d, %s", churnName, churnK, churnSchedule),
-		PaperRef: "Section 1 (recovery from arbitrary transient faults, here: topology changes)",
-		Claim:    "every churn (and fault) episode recovers and the run ends silent and legitimate on the live topology",
-		Table:    table,
-		Pass:     pass,
-		Notes:    "legitimacy is evaluated against the live (churned) topology",
-	}
-	return res, nil
-}
-
 // E20CutHealing probes partition-shaped topology faults: a cut churn
 // adversary severs every edge on the boundary of a BFS ball around a
 // random epicenter, the protocol re-silences on the severed topology,
@@ -152,20 +68,15 @@ func CustomChurn(cfg Config, churnName string, churnK int, churnSchedule fault.S
 // must be silent and legitimate there.
 func E20CutHealing(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	g, line, err := midSuite(cfg, 2)
 	if err != nil {
 		return nil, err
 	}
-	g := graphs[len(graphs)/2]
-	plan, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e20-cut-healing
-seed %d
-trials %d
-max-steps %d
-key {graph}|{protocol}|churn={churn}|ck={churn-k}|cinject={churn-inject}
-graph %s
+	plan, accs, err := runCampaign(cfg, "e20-cut-healing", fmt.Sprintf(`key {graph}|{protocol}|churn={churn}|ck={churn-k}|cinject={churn-inject}
+%s
 protocol coloring mis matching
 churn cut k=1,2 inject=on-silence:2
-`, cfg.Seed, cfg.Trials, cfg.MaxSteps, midSuiteGraphLine(cfg, 2)), g)
+`, line), g)
 	if err != nil {
 		return nil, err
 	}
@@ -199,21 +110,16 @@ churn cut k=1,2 inject=on-silence:2
 // recover — the strongest robustness regime the harness exercises.
 func E21CrashJoinComposed(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	g, line, err := midSuite(cfg, 4)
 	if err != nil {
 		return nil, err
 	}
-	g := graphs[len(graphs)/4]
-	plan, accs, err := runCampaign(cfg, fmt.Sprintf(`campaign e21-crashjoin-composed
-seed %d
-trials %d
-max-steps %d
-key {graph}|{protocol}|adv={adversary}|k={k}|churn={churn}|ck={churn-k}
-graph %s
+	plan, accs, err := runCampaign(cfg, "e21-crashjoin-composed", fmt.Sprintf(`key {graph}|{protocol}|adv={adversary}|k={k}|churn={churn}|ck={churn-k}
+%s
 protocol coloring mis
 adversary uniform k=1 inject=on-silence:2
 churn crashjoin k=1,3 inject=on-silence:2
-`, cfg.Seed, cfg.Trials, cfg.MaxSteps, midSuiteGraphLine(cfg, 4)), g)
+`, line), g)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/concurrent"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -21,7 +22,7 @@ import (
 // oversubscribe the machine and distort the measurement.
 func E12ConcurrentRuntime(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}

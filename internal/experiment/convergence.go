@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -18,13 +20,15 @@ import (
 // and never reads more than one neighbor per step.
 func E1ColoringConvergence(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}
-	specs := make([]engine.ProtoCell, len(graphs))
-	for i, g := range graphs {
-		specs[i] = engine.ProtoCell{Graph: g, Family: engine.FamColoring}
+	_, cells, err := compileSpec(cfg, "e1-coloring-convergence", suiteLine(cfg)+`
+protocol coloring
+`, nil)
+	if err != nil {
+		return nil, err
 	}
 	// Streaming aggregation: each trial folds into its graph's
 	// accumulator as it finishes (trial order per cell), so the grid of
@@ -33,11 +37,11 @@ func E1ColoringConvergence(cfg Config) (*Result, error) {
 		agg   core.Convergence
 		steps []float64
 	}
-	accs := make([]acc, len(graphs))
+	accs := make([]acc, len(cells))
 	for i := range accs {
 		accs[i].agg = core.NewConvergence()
 	}
-	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.agg.Add(&res.RunResult)
 		if res.Silent {
@@ -112,15 +116,16 @@ type roundBoundSpec struct {
 var boundDaemons = []string{"synchronous", "central-rr", "random-subset", "laziest-fair"}
 
 func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
-	graphs, err := suite(cfg)
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}
-	var specs []engine.ProtoCell
-	for _, g := range graphs {
-		for _, daemon := range boundDaemons {
-			specs = append(specs, engine.ProtoCell{Graph: g, Family: spec.family, Daemon: daemon})
-		}
+	_, cells, err := compileSpec(cfg, strings.ToLower(spec.id)+"-round-bound", fmt.Sprintf(`%s
+protocol %s
+daemon %s
+`, suiteLine(cfg), spec.family, strings.Join(boundDaemons, " ")), nil)
+	if err != nil {
+		return nil, err
 	}
 	// Streaming aggregation: one accumulator per (graph, scheduler) cell,
 	// merged per graph afterwards in scheduler order, so the mean is
@@ -130,8 +135,8 @@ func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
 		illegitimate               bool
 		rounds                     []float64
 	}
-	accs := make([]acc, len(specs))
-	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	accs := make([]acc, len(cells))
+	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.runs++
 		if res.Silent {
@@ -194,25 +199,25 @@ func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
 // variant shipped with the simulator.
 func E11SchedulerRobustness(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	// A medium graph keeps the cross product manageable.
+	g, line, err := midSuite(cfg, 2)
 	if err != nil {
 		return nil, err
 	}
-	// A medium graph keeps the cross product manageable.
-	g := graphs[len(graphs)/2]
 	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
 	names := sched.Names()
-	var specs []engine.ProtoCell
-	for _, family := range families {
-		for _, name := range names {
-			specs = append(specs, engine.ProtoCell{Graph: g, Family: family, Daemon: name})
-		}
+	_, cells, err := compileSpec(cfg, "e11-scheduler-robustness", fmt.Sprintf(`%s
+protocol %s
+daemon %s
+`, line, strings.Join(families, " "), strings.Join(names, " ")), g)
+	if err != nil {
+		return nil, err
 	}
-	aggs := make([]core.Convergence, len(specs))
+	aggs := make([]core.Convergence, len(cells))
 	for i := range aggs {
 		aggs[i] = core.NewConvergence()
 	}
-	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		aggs[cell].Add(&res.RunResult)
 		return nil
 	})

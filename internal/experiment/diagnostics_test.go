@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -20,40 +19,52 @@ func (l *eventLog) Observe(e obs.Event) {
 	l.mu.Unlock()
 }
 
-// TestEveryRegistryCellEmitsDiagnostics: every cell the registry and the
-// custom scenarios build comes from engine.NewCell, so none can forget
-// core.RunOptions.Events. For the five producers whose hand-written
-// closures did forget it (ssbench -adversary and -churn, E13, E15 logged
-// no silence, injection, recovery or topology line), under a collecting
-// observer: each diagnostic lies inside a trial of its own cell and
-// carries that trial's Cell, Key and Trial; a trial's injection events
-// number what its trial-finish counts; a trial that ends silent saw a
-// silence; and every injection and topology firing is followed by a
-// recovery before its trial finishes.
+// TestEveryRegistryCellEmitsDiagnostics: every cell the registry builds
+// comes from engine.NewCell — a campaign cell through the compiler, an
+// E13 cell directly — so none can forget core.RunOptions.Events. For an
+// at-start and an on-silence state adversary, a churn adversary (the
+// regimes of E15-E21, here one campaign each) and for E13 and E15,
+// under a collecting observer: each diagnostic lies inside a trial of
+// its own cell and carries that trial's Cell, Key and Trial; a trial's
+// injection events number what its trial-finish counts; a trial that
+// ends silent saw a silence; and every injection and topology firing is
+// followed by a recovery before its trial finishes.
 func TestEveryRegistryCellEmitsDiagnostics(t *testing.T) {
 	t.Parallel()
+	// onCampaign runs one disturbance line against the three protocols
+	// on the mid-suite graph of E16.
+	onCampaign := func(disturbance string) func(Config) error {
+		return func(cfg Config) error {
+			g, line, err := midSuite(cfg, 4)
+			if err != nil {
+				return err
+			}
+			_, _, err = runCampaign(cfg, "diagnostics", line+"\nprotocol coloring mis matching\n"+disturbance+"\n", g)
+			return err
+		}
+	}
+	experiment := func(run Runner) func(Config) error {
+		return func(cfg Config) error {
+			_, err := run(cfg)
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name string
-		run  Runner
+		run  func(Config) error
 		// injects and churns say which disturbance events must appear.
 		injects, churns bool
 	}{
-		{"fault-at-start", func(cfg Config) (*Result, error) {
-			return CustomFault(cfg, "uniform", 2, fault.AtStart())
-		}, true, false},
-		{"fault-on-silence", func(cfg Config) (*Result, error) {
-			return CustomFault(cfg, "cluster", 4, fault.OnSilence(3))
-		}, true, false},
-		{"churn", func(cfg Config) (*Result, error) {
-			return CustomChurn(cfg, "rewire", 2, fault.OnSilence(2), "", 0, fault.Schedule{})
-		}, false, true},
-		{"E13", E13Transformer, false, false},
-		{"E15", E15FaultContainment, true, false},
+		{"fault-at-start", onCampaign("adversary uniform k=2 inject=at-start"), true, false},
+		{"fault-on-silence", onCampaign("adversary cluster k=4 inject=on-silence:3"), true, false},
+		{"churn", onCampaign("churn rewire k=2 inject=on-silence:2"), false, true},
+		{"E13", experiment(E13Transformer), false, false},
+		{"E15", experiment(E15FaultContainment), true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			log := &eventLog{}
-			if _, err := tc.run(Config{Seed: 2009, Trials: 2, MaxSteps: 400_000, Quick: true, Parallelism: 2, Observer: log}); err != nil {
+			if err := tc.run(Config{Seed: 2009, Trials: 2, MaxSteps: 400_000, Quick: true, Parallelism: 2, Observer: log}); err != nil {
 				t.Fatal(err)
 			}
 			// A cell's events come from one worker, in order: split by cell.

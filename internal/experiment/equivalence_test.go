@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
@@ -32,34 +33,26 @@ func materialize(cfg engine.Config, cells []engine.Cell) ([][]*core.RunResult, e
 	return out, nil
 }
 
-// materializeProto is materialize over the pooled cells of specs.
-func materializeProto(cfg engine.Config, specs []engine.ProtoCell) ([][]*core.RunResult, error) {
-	cells, err := engine.ProtoCells(cfg.WithDefaults(), specs)
-	if err != nil {
-		return nil, err
-	}
-	return materialize(cfg, cells)
-}
-
-// legacyProtoCells rebuilds ProtoCells' cells on the one-shot
+// legacyCells rebuilds a plain campaign's cells on the one-shot
 // execution path: a fresh random configuration, scheduler, recorder and
 // simulator per trial via core.Run, ignoring the worker's Runner. The
 // pooled engine must reproduce its results exactly.
-func legacyProtoCells(t *testing.T, cfg Config, specs []engine.ProtoCell) []engine.Cell {
+func legacyCells(t *testing.T, cfg Config, plan *campaign.Plan) []engine.Cell {
 	t.Helper()
-	cells := make([]engine.Cell, len(specs))
-	for i, sp := range specs {
-		sys, err := engine.Build(sp.Graph, sp.Family, nil)
+	cells := make([]engine.Cell, len(plan.Cells))
+	for i := range plan.Cells {
+		cs := &plan.Cells[i]
+		g, err := cs.Graph().Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		daemon := sp.Daemon
-		if daemon == "" {
-			daemon = engine.DefaultSchedName
+		sys, err := engine.Build(g, cs.Protocol, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		suffix := sp.SuffixRounds
+		daemon, suffix := cs.Daemon, plan.Spec.SuffixRounds
 		cells[i] = engine.Cell{
-			Key: fmt.Sprintf("%s|%s|%s|%d", sp.Graph.Name(), sp.Family, daemon, suffix),
+			Key: cs.Key,
 			Run: func(_ *core.Runner, trial int, seed uint64, res *core.FaultResult) error {
 				initial := model.NewRandomConfig(sys, rng.New(seed))
 				scheduler, err := sched.ByName(daemon, seed)
@@ -87,39 +80,39 @@ func legacyProtoCells(t *testing.T, cfg Config, specs []engine.ProtoCell) []engi
 // TestPooledMatchesUnpooled is the engine's correctness contract at the
 // result level: the worker-affine Runner path (reused recorders,
 // simulators, schedulers, configuration buffers) produces run results
-// deep-equal to the one-shot path, trial by trial, across schedulers and
-// parallelism levels.
+// deep-equal to the one-shot path, trial by trial, across protocols,
+// schedulers and parallelism levels.
 func TestPooledMatchesUnpooled(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Seed: 11, Trials: 4, MaxSteps: 400000, Quick: true}
-	graphs, err := suite(cfg)
+	cfg := Config{Seed: 11, Trials: 4, MaxSteps: 400000, Quick: true, Parallelism: 1}
+	const axes = `graph suite quick
+protocol coloring mis matching
+daemon random-subset laziest-fair
+suffix-rounds 2
+`
+	plan, _, err := compileSpec(cfg, "pooled-vs-unpooled", axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []engine.ProtoCell
-	for _, g := range graphs {
-		specs = append(specs,
-			engine.ProtoCell{Graph: g, Family: engine.FamColoring, SuffixRounds: 2},
-			engine.ProtoCell{Graph: g, Family: engine.FamMIS},
-			engine.ProtoCell{Graph: g, Family: engine.FamMatching, Daemon: "laziest-fair"},
-		)
-	}
-	cfg.Parallelism = 1
-	want, err := materialize(cfg.engineConfig(), legacyProtoCells(t, cfg, specs))
+	want, err := materialize(cfg.engineConfig(), legacyCells(t, cfg, plan))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
 		cfg.Parallelism = par
-		got, err := materializeProto(cfg.engineConfig(), specs)
+		_, cells, err := compileSpec(cfg, "pooled-vs-unpooled", axes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := materialize(cfg.engineConfig(), cells)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
 		for ci := range want {
 			for ti := range want[ci] {
 				if !reflect.DeepEqual(want[ci][ti], got[ci][ti]) {
-					t.Fatalf("parallelism %d: cell %d (%s) trial %d differs:\nunpooled %+v\npooled   %+v",
-						par, ci, specs[ci].Family, ti, want[ci][ti], got[ci][ti])
+					t.Fatalf("parallelism %d: cell %s trial %d differs:\nunpooled %+v\npooled   %+v",
+						par, plan.Cells[ci].Key, ti, want[ci][ti], got[ci][ti])
 				}
 			}
 		}
@@ -131,28 +124,31 @@ func TestPooledMatchesUnpooled(t *testing.T) {
 // them per cell and in trial order.
 func TestReduceMatchesMaterialized(t *testing.T) {
 	t.Parallel()
-	cfg := Config{Seed: 23, Trials: 3, MaxSteps: 400000, Quick: true}
-	graphs, err := suite(cfg)
+	cfg := Config{Seed: 23, Trials: 3, MaxSteps: 400000, Quick: true, Parallelism: 1}
+	const axes = `graph suite quick
+protocol coloring
+suffix-rounds 2
+`
+	_, cells, err := compileSpec(cfg, "reduce-vs-materialized", axes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var specs []engine.ProtoCell
-	for _, g := range graphs {
-		specs = append(specs, engine.ProtoCell{Graph: g, Family: engine.FamColoring, SuffixRounds: 2})
-	}
-	cfg.Parallelism = 1
-	want, err := materializeProto(cfg.engineConfig(), specs)
+	want, err := materialize(cfg.engineConfig(), cells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
 		cfg.Parallelism = par
-		lastTrial := make([]int, len(specs))
+		_, cells, err := compileSpec(cfg, "reduce-vs-materialized", axes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastTrial := make([]int, len(cells))
 		for i := range lastTrial {
 			lastTrial[i] = -1
 		}
-		seen := make([]int, len(specs))
-		err := runProtoCells(cfg, specs, func(cell, trial int, res *core.FaultResult) error {
+		seen := make([]int, len(cells))
+		err = engine.RunCells(cfg.engineConfig(), cells, func(cell, trial int, res *core.FaultResult) error {
 			if trial != lastTrial[cell]+1 {
 				return fmt.Errorf("cell %d: fold at trial %d after trial %d (want in-order)", cell, trial, lastTrial[cell])
 			}

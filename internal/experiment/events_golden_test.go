@@ -10,7 +10,7 @@ import (
 )
 
 // TestGoldenEvents pins the canonical event log of one registry
-// experiment (E1, a runProtoCells user) at the golden
+// experiment (E1, a campaign spec) at the golden
 // configuration: the committed bytes prove the event schema, the seq
 // numbering and the seed derivation stay stable, and rendering at
 // Parallelism 1 and 4 enforces the log's scheduling-independence on

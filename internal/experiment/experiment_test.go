@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/graph"
 )
 
 func quickCfg() Config {
@@ -105,11 +106,11 @@ func TestE19PassesAtEverySeed(t *testing.T) {
 
 func TestSuiteSizes(t *testing.T) {
 	t.Parallel()
-	q, err := suite(Config{Seed: 1, Quick: true})
+	q, err := graph.Suite(1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := suite(Config{Seed: 1})
+	full, err := graph.Suite(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestSuiteSizes(t *testing.T) {
 
 func TestProtocolSystemFamilies(t *testing.T) {
 	t.Parallel()
-	graphs, err := suite(Config{Seed: 2, Quick: true})
+	graphs, err := graph.Suite(2, true)
 	if err != nil {
 		t.Fatal(err)
 	}

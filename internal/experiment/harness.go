@@ -11,6 +11,16 @@
 // and crash/join churn on mutable graphs, alone and composed with state
 // faults. E22 runs one trial at growing n up to a million processes.
 //
+// Every experiment but six is a campaign spec plus a claim: it declares
+// its cells in the campaign DSL (internal/campaign) — a source string
+// compileSpec parses and compiles, as a .campaign file would be — and
+// keeps only the fold that reads their trials and the check of the
+// paper's claim. The claims that stay in Go are E7-E9 (searched
+// impossibility witnesses and the orientation layer), E12 (the
+// goroutine-per-process runtime), E13 (transformer cells that check
+// silence every second step, which the DSL does not express) and E22
+// (one wall-clock trial per size up to a million processes).
+//
 // Trials run on a parallel sharded worker pool (internal/engine). The engine
 // is deterministic: per-trial seeds are derived from (Config.Seed, cell
 // key, trial index) alone, never from scheduling order, so for a fixed
@@ -25,10 +35,10 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/stats"
 )
 
@@ -149,52 +159,61 @@ func IDs() []string {
 	return out
 }
 
-// suite returns the benchmark graph suite. Quick mode keeps four small
-// graphs; the full suite spans the topology families of the paper's
-// setting (arbitrary connected networks) plus the paper's own figures.
-func suite(cfg Config) ([]*graph.Graph, error) {
-	r := rng.New(rng.DeriveString(cfg.Seed, "suite"))
+// suiteLine is the campaign `graph` line of the registry suite at the
+// run's seed (graph.Suite).
+func suiteLine(cfg Config) string {
 	if cfg.Quick {
-		return []*graph.Graph{
-			graph.Path(8),
-			graph.Cycle(9),
-			graph.Star(8),
-			graph.RandomConnectedGNP(12, 0.25, r),
-		}, nil
+		return "graph suite quick"
 	}
-	reg, err := graph.RandomRegular(16, 4, r)
-	if err != nil {
-		return nil, err
-	}
-	return []*graph.Graph{
-		graph.Path(12),
-		graph.Cycle(13),
-		graph.Complete(6),
-		graph.Star(10),
-		graph.Grid(4, 4),
-		graph.Torus(3, 4),
-		graph.Hypercube(3),
-		graph.BalancedBinaryTree(3),
-		graph.Caterpillar(5, 2),
-		graph.RandomConnectedGNP(16, 0.2, r),
-		reg,
-		graph.RandomGeometric(16, 0.35, r),
-		graph.Lollipop(5, 5),
-		graph.TheoremOneSpider(3),
-		graph.FigureNinePath(11),
-		graph.FigureElevenNetwork(),
-	}, nil
+	return "graph suite"
 }
 
-// runProtoCells builds the plain cells of specs, each system once, and
-// folds every trial result (see engine.Fold for the ordering and
-// concurrency contract): the workhorse behind the per-graph loops of
-// E1-E14, whose memory is independent of Trials.
-func runProtoCells(cfg Config, specs []engine.ProtoCell, fold engine.Fold) error {
-	ecfg := cfg.engineConfig()
-	cells, err := engine.ProtoCells(ecfg, specs)
+// midSuite returns the suite graph at index len/div, the topology the
+// single-graph experiments run on, and the campaign `graph` line that
+// builds it (compileSpec checks the one against the other).
+func midSuite(cfg Config, div int) (*graph.Graph, string, error) {
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	return engine.RunCells(ecfg, cells, fold)
+	lines := map[int][2]string{ // div -> {quick, full}
+		2: {"star 8", "caterpillar 15"},
+		3: {"cycle 9", "torus 12 w=3"},
+		4: {"cycle 9", "grid 16"},
+	}[div]
+	line := lines[1]
+	if cfg.Quick {
+		line = lines[0]
+	}
+	return graphs[len(graphs)/div], "graph " + line, nil
+}
+
+// compileSpec compiles the campaign an experiment declares — its name
+// and its axes, under the run's seed, trials and step budget — and
+// materializes every cell: the plan gives each cell index its
+// coordinates, the cells run on engine.RunCells under
+// cfg.engineConfig(), off the cache. When on is non-nil every cell must
+// run on a graph of its name and size, so a suite change that a
+// midSuite line no longer matches is a hard error, not a silent drift.
+func compileSpec(cfg Config, name, axes string, on *graph.Graph) (*campaign.Plan, []engine.Cell, error) {
+	spec, err := campaign.Parse(fmt.Sprintf("campaign %s\nseed %d\ntrials %d\nmax-steps %d\n%s",
+		name, cfg.Seed, cfg.Trials, cfg.MaxSteps, axes))
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiment: campaign spec: %w", err)
+	}
+	plan, err := campaign.Compile(spec, cfg.Parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	if on != nil {
+		for i := range plan.Cells {
+			if got := plan.Cells[i].Graph(); got.Name != on.Name() || got.N != on.N() {
+				return nil, nil, fmt.Errorf("experiment: campaign graph %s (n=%d) does not match suite graph %s (n=%d): update midSuite",
+					got.Name, got.N, on.Name(), on.N())
+			}
+		}
+	}
+	plan.SetObserver(cfg.Observer)
+	cells, err := plan.EngineCells()
+	return plan, cells, err
 }

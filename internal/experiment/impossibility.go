@@ -73,7 +73,7 @@ func witnessResult(cfg Config, witnesses func() ([]*verify.Demo, error), title s
 // greater color yields a directed acyclic graph, on every suite graph.
 func E9DagOrientation(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}

@@ -15,9 +15,9 @@ import (
 
 // TestPoolDeterminismAcrossParallelism is the engine's headline
 // guarantee: for a fixed seed the rendered experiment tables are
-// byte-identical for every Parallelism value. E1 exercises
-// runProtoCells, E5 the multi-scheduler grid, E15 snapshot-seeded
-// cells and E7 the demo fan-out.
+// byte-identical for every Parallelism value. E1 exercises a
+// one-protocol suite campaign, E5 the multi-scheduler grid, E15
+// snapshot-seeded cells and E7 the demo fan-out.
 func TestPoolDeterminismAcrossParallelism(t *testing.T) {
 	t.Parallel()
 	runners := []struct {

@@ -21,17 +21,37 @@ func largeNTable(t *testing.T, par int) string {
 	r := rng.New(rng.Derive(2009, 9))
 	torus := graph.Torus(100, 100)
 	gnp := graph.RandomConnectedGNP(10_000, 6/10_000.0, r)
-	specs := []engine.ProtoCell{
-		{Graph: torus, Family: engine.FamColoring, SuffixRounds: 1},
-		{Graph: gnp, Family: engine.FamColoring, SuffixRounds: 1},
-		{Graph: torus, Family: engine.FamColoring, Daemon: "laziest-fair"},
+	// n = 10⁴ is above the campaign DSL's graph-size ceiling, so the
+	// cells come from engine.NewCell directly, keyed as a campaign would.
+	ecfg := Config{Seed: 2009, Trials: 2, MaxSteps: 5_000_000, Parallelism: par}.engineConfig()
+	specs := []struct {
+		g      *graph.Graph
+		daemon string
+		suffix int
+	}{
+		{torus, engine.DefaultSchedName, 1},
+		{gnp, engine.DefaultSchedName, 1},
+		{torus, "laziest-fair", 0},
 	}
-	cfg := Config{Seed: 2009, Trials: 2, MaxSteps: 5_000_000, Parallelism: par}
+	cells := make([]engine.Cell, len(specs))
+	for i, sp := range specs {
+		sys, err := engine.Build(sp.g, engine.FamColoring, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[i], err = engine.NewCell(&ecfg, engine.Scenario{
+			Key:   fmt.Sprintf("%s|%s|%s|%d", sp.g.Name(), engine.FamColoring, sp.daemon, sp.suffix),
+			Index: i, System: sys, Daemon: sp.daemon, SuffixRounds: sp.suffix,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	accs := make([]core.Convergence, len(specs))
 	for i := range accs {
 		accs[i] = core.NewConvergence()
 	}
-	err := runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	err := engine.RunCells(ecfg, cells, func(cell, _ int, res *core.FaultResult) error {
 		accs[cell].Add(&res.RunResult)
 		return nil
 	})
@@ -41,12 +61,8 @@ func largeNTable(t *testing.T, par int) string {
 	table := stats.NewTable("large-n smoke",
 		"graph", "sched", "converged", "max rounds", "max steps", "max k-eff")
 	for i, sp := range specs {
-		name := sp.Daemon
-		if name == "" {
-			name = engine.DefaultSchedName
-		}
 		a := accs[i]
-		table.AddRow(sp.Graph.Name(), name,
+		table.AddRow(sp.g.Name(), sp.daemon,
 			fmt.Sprintf("%d/%d", a.Converged, a.Runs), a.MaxRounds, a.MaxSteps, a.MaxKEfficiency)
 	}
 	return table.String()

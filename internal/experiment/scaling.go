@@ -2,10 +2,10 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -26,27 +26,26 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 		sizes = []int{8, 16}
 	}
 	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
-	sizeGraphs := make([]*graph.Graph, len(sizes))
-	for i, n := range sizes {
-		r := rng.New(rng.Derive(cfg.Seed, uint64(n)))
-		sizeGraphs[i] = graph.RandomConnectedGNP(n, 4.0/float64(n), r)
+	// Each size draws its G(n, 4/n) graph from a stream of its own.
+	var lines strings.Builder
+	for _, n := range sizes {
+		fmt.Fprintf(&lines, "graph gnp %d seed=%d\n", n, rng.Derive(cfg.Seed, uint64(n)))
 	}
-	var specs []engine.ProtoCell
-	for _, family := range families {
-		for _, g := range sizeGraphs {
-			specs = append(specs, engine.ProtoCell{Graph: g, Family: family})
-		}
+	plan, cells, err := compileSpec(cfg, "e14-scaling-curves", fmt.Sprintf(`%sprotocol %s
+`, lines.String(), strings.Join(families, " ")), nil)
+	if err != nil {
+		return nil, err
 	}
 	// Streaming aggregation: per-cell summaries, no retained run results.
 	type acc struct {
 		agg    core.Convergence
 		rounds []float64
 	}
-	accs := make([]acc, len(specs))
+	accs := make([]acc, len(cells))
 	for i := range accs {
 		accs[i].agg = core.NewConvergence()
 	}
-	err := runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.agg.Add(&res.RunResult)
 		if res.Silent {
@@ -56,6 +55,12 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	sizeGraphs := make([]*graph.Graph, len(sizes))
+	for si := range sizes {
+		if sizeGraphs[si], err = plan.Cells[si*len(families)].Graph().Build(); err != nil {
+			return nil, err
+		}
 	}
 	table := stats.NewTable("E14: convergence scaling (rounds vs n)",
 		"protocol", "n", "Δ", "mean rounds", "max rounds", "bound", "within")
@@ -76,8 +81,9 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 			default:
 				haveBound = false // COLORING's convergence is probabilistic
 			}
-			agg := accs[fi*len(sizes)+si].agg
-			rounds := accs[fi*len(sizes)+si].rounds
+			// Cells run size-major, protocol-minor.
+			agg := accs[si*len(families)+fi].agg
+			rounds := accs[si*len(families)+fi].rounds
 			within := agg.Converged == agg.Runs
 			boundCell := "—"
 			if haveBound {
@@ -114,60 +120,30 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 // clustered faults.
 func E15FaultContainment(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	g, line, err := midSuite(cfg, 3)
 	if err != nil {
 		return nil, err
 	}
-	g := graphs[len(graphs)/3]
-	faultFractions := []float64{0.1, 0.25, 0.5, 1.0}
-	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
-
-	type faultCell struct {
-		family string
-		k      int
+	var ks []int
+	for _, frac := range []float64{0.1, 0.25, 0.5, 1.0} {
+		ks = append(ks, max(1, int(frac*float64(g.N()))))
 	}
-	snapshots, err := silentSnapshots(cfg, g, families)
+	plan, accs, err := runCampaign(cfg, "e15-fault-containment", fmt.Sprintf(`key {graph}|{protocol}|faults={k}
+%s
+protocol coloring mis matching
+adversary uniform k=%s inject=at-start
+`, line, ksCSV(ks)), g)
 	if err != nil {
 		return nil, err
 	}
-	ecfg := cfg.engineConfig()
-	var grid []faultCell
-	var cells []engine.Cell
-	for fi, family := range families {
-		sys, err := engine.Build(g, family, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, frac := range faultFractions {
-			k := int(frac * float64(g.N()))
-			if k < 1 {
-				k = 1
-			}
-			cell, err := engine.NewCell(&ecfg, engine.Scenario{
-				Key:   fmt.Sprintf("%s|%s|faults=%d", g.Name(), family, k),
-				Index: len(cells), System: sys, Snapshot: snapshots[fi],
-				Adversary: "uniform", K: k, Schedule: fault.AtStart(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			grid = append(grid, faultCell{family: family, k: k})
-			cells = append(cells, cell)
-		}
-	}
-	accs, err := foldRecovery(ecfg, cells)
-	if err != nil {
-		return nil, err
-	}
-
 	table := stats.NewTable("E15: recovery rounds after k-process corruption",
 		"protocol", "graph", "faults", "recovered", "mean rounds", "max rounds")
 	pass := true
-	for i, fc := range grid {
-		a := &accs[i]
+	for i := range plan.Cells {
+		cs, a := &plan.Cells[i], &accs[i]
 		ok := a.legit == cfg.Trials
 		pass = pass && ok
-		table.AddRow(fc.family, g.Name(), fc.k, outOf(a.legit, cfg.Trials),
+		table.AddRow(cs.Protocol, g.Name(), cs.K, outOf(a.legit, cfg.Trials),
 			stats.Summarize(a.finalRounds).Mean, a.maxFinalRounds)
 	}
 	return &Result{

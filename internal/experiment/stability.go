@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -16,19 +17,9 @@ import (
 // Lmax is the longest elementary path.
 func E4MISStability(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	graphs, systems, cells, err := stabilitySpec(cfg, "e4-mis-stability", engine.FamMIS)
 	if err != nil {
 		return nil, err
-	}
-	specs := make([]engine.ProtoCell, len(graphs))
-	systems := make([]*model.System, len(graphs))
-	for i, g := range graphs {
-		specs[i] = engine.ProtoCell{Graph: g, Family: engine.FamMIS, SuffixRounds: 6 * g.N()}
-		sys, err := engine.Build(g, engine.FamMIS, nil)
-		if err != nil {
-			return nil, err
-		}
-		systems[i] = sys
 	}
 	// Streaming aggregation: the exact stability analysis runs inside the
 	// fold on the worker's transient result, so no trial result (with its
@@ -41,7 +32,7 @@ func E4MISStability(cfg Config) (*Result, error) {
 	for i, g := range graphs {
 		accs[i] = acc{minStable: g.N() + 1, minExact: g.N() + 1, dominated: -1}
 	}
-	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		if !res.Silent {
 			a.nonSilent = true
@@ -102,19 +93,9 @@ func E4MISStability(cfg Config) (*Result, error) {
 // at least 2⌈m/(2Δ-1)⌉ processes are matched and hence 1-stable.
 func E6MatchingStability(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	graphs, systems, cells, err := stabilitySpec(cfg, "e6-matching-stability", engine.FamMatching)
 	if err != nil {
 		return nil, err
-	}
-	specs := make([]engine.ProtoCell, len(graphs))
-	systems := make([]*model.System, len(graphs))
-	for i, g := range graphs {
-		specs[i] = engine.ProtoCell{Graph: g, Family: engine.FamMatching, SuffixRounds: 6 * g.N()}
-		sys, err := engine.Build(g, engine.FamMatching, nil)
-		if err != nil {
-			return nil, err
-		}
-		systems[i] = sys
 	}
 	type acc struct {
 		minMarried, minStable, minExact int
@@ -124,13 +105,13 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 	for i, g := range graphs {
 		accs[i] = acc{minMarried: g.N() + 1, minStable: g.N() + 1, minExact: g.N() + 1}
 	}
-	err = runProtoCells(cfg, specs, func(cell, _ int, res *core.FaultResult) error {
+	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		if !res.Silent {
 			a.nonSilent = true
 			return nil
 		}
-		if married := countMarried(systems[cell], res.Final); married < a.minMarried {
+		if married := matching.MarriedCount(systems[cell], res.Final); married < a.minMarried {
 			a.minMarried = married
 		}
 		if stable := res.Report.StableProcesses(1); stable < a.minStable {
@@ -172,6 +153,24 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 	}, nil
 }
 
-func countMarried(sys *model.System, cfg *model.Config) int {
-	return matching.MarriedCount(sys, cfg)
+// stabilitySpec compiles the cells of E4 and E6: family on every suite
+// graph with a 6n-round post-silence suffix, one cell per graph, and
+// returns the suite and each graph's system for the fold's exact
+// stability analysis.
+func stabilitySpec(cfg Config, name, family string) ([]*graph.Graph, []*model.System, []engine.Cell, error) {
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	systems := make([]*model.System, len(graphs))
+	for i, g := range graphs {
+		if systems[i], err = engine.Build(g, family, nil); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	_, cells, err := compileSpec(cfg, name, fmt.Sprintf(`%s
+protocol %s
+suffix-rounds 6n
+`, suiteLine(cfg), family), nil)
+	return graphs, systems, cells, err
 }

@@ -17,7 +17,7 @@ import (
 // protocol still self-stabilizes and at what convergence cost.
 func E13Transformer(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := suite(cfg)
+	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
 	if err != nil {
 		return nil, err
 	}

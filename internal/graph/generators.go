@@ -591,6 +591,22 @@ func DescribeGeometric(n int, radius float64, seed uint64) Desc {
 	return geometricDesc(n, radius).seeded(seed)
 }
 
+// DescribeLattice describes the w × h grid or torus (family "grid" or
+// "torus"); a torus needs w, h >= 3.
+func DescribeLattice(family string, w, h int) (Desc, error) {
+	switch {
+	case family != "grid" && family != "torus":
+		return Desc{}, fmt.Errorf("graph: %q is not a lattice family (want grid or torus)", family)
+	case w < 1 || h < 1:
+		return Desc{}, fmt.Errorf("graph: a %s needs w, h >= 1 (w=%d h=%d)", family, w, h)
+	case family == "grid":
+		return gridDesc(w, h), nil
+	case w < 3 || h < 3:
+		return Desc{}, fmt.Errorf("graph: a torus needs w, h >= 3 (w=%d h=%d)", w, h)
+	}
+	return torusDesc(w, h), nil
+}
+
 func describe(name string, n int) (Desc, error) {
 	switch name {
 	case "path":
