@@ -114,14 +114,13 @@ events-smoke: ## Event-log byte-identity across parallelism and cache state
 # Large-n scale smoke: drive the E22 headline cell — a 10⁶-process torus
 # under synchronous COLORING — to a legitimate silent configuration and
 # gate its peak RSS. The budget documents the engine's large-graph
-# memory claim: the cell measures 175 MiB peak on the reference runner
-# (177 B/process live heap), and 256 MiB (the 185 MiB it measured when
-# the budget was set plus 25 %, rounded up to a multiple of 32) leaves
-# headroom for allocator and GC variance while failing on a return of
-# the 266 MiB the configuration's per-process row-view slice headers
-# cost (24 B × 2 views × 2 configurations), let alone an O(n²)
-# reintroduction.
-SCALE_BUDGET_MB ?= 256
+# memory claim: the cell measures 120 MiB peak on a 2-CPU container
+# (125 B/process live heap), and 160 MiB (that plus 25 %, rounded up to
+# a multiple of 32) leaves headroom for allocator and GC variance while
+# failing on a return of the 175 MiB that 64-bit state values, a
+# recorder list per process and n-length report tables cost, let alone
+# an O(n²) reintroduction.
+SCALE_BUDGET_MB ?= 160
 scale-smoke: ## 10⁶-node torus cell to silence under the peak-RSS budget
 	$(GO) run ./cmd/ssscale -n 1000000 -graph torus -budget-mb $(SCALE_BUDGET_MB)
 

@@ -271,8 +271,10 @@ func TestChurnJoinGrowsReadTables(t *testing.T) {
 		t.Fatalf("all-crashed trial performed %d reads, want none", down.Report.TotalReads)
 	}
 	run(reused, 2, &grown) // crash at start, rejoin at the first silence
-	if hub := grown.Report.ReadSetSizes[0]; hub != g.N()-1 {
-		t.Fatalf("rejoined hub read %d distinct neighbors, want %d: the high ports were never exercised", hub, g.N()-1)
+	// The hub is the one process with more than one neighbor, so the
+	// largest suffix read set is its.
+	if hist := grown.Report.SuffixReadSetHist; len(hist)-1 != g.N()-1 || hist[g.N()-1] != 1 {
+		t.Fatalf("rejoined hub's read-set histogram %v: want one set of %d distinct neighbors; the high ports were never exercised", hist, g.N()-1)
 	}
 	run(NewRunner(), 2, &fresh)
 	if !reflect.DeepEqual(grown, fresh) {

@@ -116,8 +116,7 @@ func TestRunnerResultsDoNotAliasRunner(t *testing.T) {
 	first := run(7)
 	snapshot := *first
 	snapshot.Final = first.Final.Clone()
-	snapshot.Report.ReadSetSizes = append([]int(nil), first.Report.ReadSetSizes...)
-	snapshot.Report.SuffixReadSetSizes = append([]int(nil), first.Report.SuffixReadSetSizes...)
+	snapshot.Report.SuffixReadSetHist = append([]int(nil), first.Report.SuffixReadSetHist...)
 
 	run(8) // second trial on the same runner
 	if !first.Final.Equal(snapshot.Final) {

@@ -21,8 +21,7 @@ func materialize(cfg engine.Config, cells []engine.Cell) ([][]*core.RunResult, e
 	out := make([][]*core.RunResult, len(cells))
 	err := engine.RunCells(cfg, cells, func(cell, trial int, res *core.FaultResult) error {
 		cp := res.RunResult
-		cp.Report.ReadSetSizes = slices.Clone(res.Report.ReadSetSizes)
-		cp.Report.SuffixReadSetSizes = slices.Clone(res.Report.SuffixReadSetSizes)
+		cp.Report.SuffixReadSetHist = slices.Clone(res.Report.SuffixReadSetHist)
 		cp.Final = res.Final.Clone()
 		out[cell] = append(out[cell], &cp)
 		return nil

@@ -19,7 +19,7 @@ type stepArena struct {
 	// that called SetComm in this step, and writers[k] is its selection
 	// index: the commit phase visits these and nothing else. Internal rows
 	// are written where they live. Simulator.Step bounds a selection by n.
-	commScratch []int   // n × CommWidth
+	commScratch []int32 // n × CommWidth
 	writers     []int32 // ascending selection indices
 
 	fired       []int16 // per selected index: fired action or -1 (Spec.Validate bounds the index)
@@ -35,7 +35,7 @@ func newStepArena(sys *System) *stepArena {
 	a := &stepArena{
 		sys:         sys,
 		agg:         newReadAgg(sys),
-		commScratch: make([]int, n*sys.wc),
+		commScratch: make([]int32, n*sys.wc),
 		writers:     make([]int32, 0, n),
 		fired:       make([]int16, 0, n),
 		commChanged: make([]bool, n),
@@ -56,7 +56,7 @@ func (a *stepArena) processRand(p int) *rng.Rand {
 }
 
 // commRow returns staging row k.
-func (a *stepArena) commRow(k int) []int {
+func (a *stepArena) commRow(k int) []int32 {
 	wc := a.sys.wc
 	return a.commScratch[k*wc : (k+1)*wc : (k+1)*wc]
 }
@@ -93,7 +93,7 @@ func (a *stepArena) commit(cfg *Config, p, k, step int, obs Observer) bool {
 			changed = true
 			row[v] = nv
 			if obs != nil {
-				obs.CommWrite(step, p, v, ov, nv)
+				obs.CommWrite(step, p, v, int(ov), int(nv))
 			}
 		}
 	}

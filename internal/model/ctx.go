@@ -134,7 +134,7 @@ type Ctx struct {
 	// and comm is the configuration's row until the first SetComm copies
 	// it into stage (nil elsewhere, and once staged) and re-aims comm
 	// there. See "Own state during a step" in the package comment.
-	comm, internal, stage []int
+	comm, internal, stage []int32
 
 	rand    *rng.Rand
 	inApply bool // inside an Apply body: Rand, SetComm and SetInternal allowed
@@ -209,7 +209,7 @@ func (c *Ctx) Delta() int { return c.sys.delta }
 func (c *Ctx) N() int { return c.sys.N() }
 
 // Comm returns the process's own communication variable v.
-func (c *Ctx) Comm(v int) int { return c.comm[v] }
+func (c *Ctx) Comm(v int) int { return int(c.comm[v]) }
 
 // SetComm assigns the process's own communication variable v. Like
 // SetInternal and Rand it panics in a guard: a guard is a predicate.
@@ -225,11 +225,11 @@ func (c *Ctx) SetComm(v, val int) {
 		copy(c.stage, c.comm)
 		c.comm, c.stage = c.stage, nil
 	}
-	c.comm[v] = val
+	c.comm[v] = int32(val)
 }
 
 // Internal returns the process's own internal variable v.
-func (c *Ctx) Internal(v int) int { return c.internal[v] }
+func (c *Ctx) Internal(v int) int { return int(c.internal[v]) }
 
 // SetInternal assigns the process's own internal variable v.
 func (c *Ctx) SetInternal(v, val int) {
@@ -240,7 +240,7 @@ func (c *Ctx) SetInternal(v, val int) {
 		panic(fmt.Sprintf("model: %s: internal %s=%d outside [0,%d) at process %d",
 			c.sys.spec.Name, c.sys.spec.Internal[v].Name, val, c.sys.InternalDomain(c.p, v), c.p))
 	}
-	c.internal[v] = val
+	c.internal[v] = int32(val)
 }
 
 // Const returns the process's own communication constant v.
@@ -251,13 +251,13 @@ func (c *Ctx) Const(v int) int { return c.sys.Const(c.p, v) }
 // read set, the raw material of Definitions 4-9.
 func (c *Ctx) NeighborComm(port, v int) int {
 	if c.cacheIndex != nil {
-		return c.internal[c.cacheIndex(port, KindComm, v)]
+		return int(c.internal[c.cacheIndex(port, KindComm, v)])
 	}
 	q := int(c.nbr[port-1])
 	if c.agg != nil {
 		c.agg.note(port, q, v, c.sys.commBit(q, v))
 	}
-	return c.pre.commRow(q)[v]
+	return int(c.pre.commRow(q)[v])
 }
 
 // NeighborConst reads communication constant v of the neighbor behind
@@ -265,7 +265,7 @@ func (c *Ctx) NeighborComm(port, v int) int {
 // communication and is instrumented.
 func (c *Ctx) NeighborConst(port, v int) int {
 	if c.cacheIndex != nil {
-		return c.internal[c.cacheIndex(port, KindConst, v)]
+		return int(c.internal[c.cacheIndex(port, KindConst, v)])
 	}
 	q := int(c.nbr[port-1])
 	if c.agg != nil {

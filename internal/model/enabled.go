@@ -87,8 +87,8 @@ func (t *EnabledTracker) Reset(sys *System, cfg *Config) {
 		t.queued = make([]bool, sys.N())
 		t.probe = Ctx{
 			sys:      sys,
-			comm:     make([]int, sys.CommWidth()),
-			internal: make([]int, sys.InternalWidth()),
+			comm:     make([]int32, sys.CommWidth()),
+			internal: make([]int32, sys.InternalWidth()),
 		}
 	} else {
 		clear(t.valid)

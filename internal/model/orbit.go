@@ -57,7 +57,7 @@ type orbitProbe struct {
 	ctx Ctx
 	// start and tortoise are internal rows: the walk's first state and
 	// Brent's saved one.
-	start, tortoise []int
+	start, tortoise []int32
 }
 
 // bind points the probe at sys, reusing buffers when already bound.
@@ -68,11 +68,11 @@ func (o *orbitProbe) bind(sys *System) {
 	o.sys = sys
 	o.ctx = Ctx{
 		sys:      sys,
-		comm:     make([]int, sys.CommWidth()),
-		internal: make([]int, sys.InternalWidth()),
+		comm:     make([]int32, sys.CommWidth()),
+		internal: make([]int32, sys.InternalWidth()),
 	}
-	o.start = make([]int, sys.InternalWidth())
-	o.tortoise = make([]int, sys.InternalWidth())
+	o.start = make([]int32, sys.InternalWidth())
+	o.tortoise = make([]int32, sys.InternalWidth())
 }
 
 // walk walks p's orbit from cfg. silent reports that no transition of it

@@ -142,8 +142,8 @@ type disabledSeen struct {
 // it captured). hits counts the replays the observer has not been told
 // of.
 type silentEntry struct {
-	state []int
-	next  []int
+	state []int32
+	next  []int32
 	fired int
 	qs    []int
 	bits  int

@@ -64,13 +64,29 @@ func evaluate(c *Ctx, cfg *Config, p int, apply bool, r *rng.Rand) int {
 // enabled action then runs on the caller's rows, drawing from r. It
 // returns that action (-1: disabled) and what Observer.Selected carries
 // for the evaluation: the distinct neighbors read, in first-read order,
-// and the bits read.
+// and the bits read. The context holds int32 copies of the rows, and
+// the values it ends with are written back.
 func Evaluate(sys *System, cfg *Config, p int, comm, internal []int, apply bool, r *rng.Rand) (action int, reads []int, bits int) {
 	agg := newReadAgg(sys)
 	agg.begin()
-	c := &Ctx{sys: sys, comm: comm, internal: internal, agg: &agg}
+	c := &Ctx{sys: sys, comm: toInt32(comm), internal: toInt32(internal), agg: &agg}
 	action = evaluate(c, cfg, p, apply, r)
+	for v, x := range c.comm {
+		comm[v] = int(x)
+	}
+	for v, x := range c.internal {
+		internal[v] = int(x)
+	}
 	return action, agg.qs, agg.bits
+}
+
+// toInt32 narrows a caller's row for Evaluate's context.
+func toInt32(row []int) []int32 {
+	out := make([]int32, len(row))
+	for v, x := range row {
+		out[v] = narrow(x)
+	}
+	return out
 }
 
 // StepProcess executes one atomic step of process p directly on cfg:

@@ -172,18 +172,21 @@ func (s *System) InternalWidth() int { return len(s.spec.Internal) }
 // communication configuration is the comm part alone. The layout (see
 // the package comment's "State layout") is private: outside this package
 // a Config is read and written one value at a time through N, Comm,
-// SetComm, Internal and SetInternal.
+// SetComm, Internal and SetInternal, as ints. Values are stored as
+// int32: NewSystem rejects any domain above 2³¹ − 1, so every in-domain
+// value fits, and a value costs 4 B instead of 8 in the live and the
+// final configuration alike.
 type Config struct {
 	n, wc, wi int
-	comm      []int // comm[p*wc+v]
-	internal  []int // internal[p*wi+v]
+	comm      []int32 // comm[p*wc+v]
+	internal  []int32 // internal[p*wi+v]
 }
 
 // newConfig returns the all-zeroes configuration of n processes with wc
 // communication and wi internal variables each. The arrays' capacity is
 // their length, which the row bounds below rely on.
 func newConfig(n, wc, wi int) *Config {
-	return &Config{n: n, wc: wc, wi: wi, comm: make([]int, n*wc), internal: make([]int, n*wi)}
+	return &Config{n: n, wc: wc, wi: wi, comm: make([]int32, n*wc), internal: make([]int32, n*wi)}
 }
 
 // NewZeroConfig returns the all-zeroes configuration.
@@ -196,27 +199,37 @@ func (c *Config) N() int { return c.n }
 // arrays, cut with its capacity: an index past the row panics on the
 // slice bound instead of reading process p+1, and so does a p outside
 // [0, n).
-func (c *Config) commRow(p int) []int {
+func (c *Config) commRow(p int) []int32 {
 	lo, hi := p*c.wc, p*c.wc+c.wc
 	return c.comm[lo:hi:hi]
 }
 
-func (c *Config) internalRow(p int) []int {
+func (c *Config) internalRow(p int) []int32 {
 	lo, hi := p*c.wi, p*c.wi+c.wi
 	return c.internal[lo:hi:hi]
 }
 
+// narrow stores an accessor's value as the int32 it is kept as. A value
+// outside int32 lies outside every domain NewSystem accepts; it panics
+// here rather than wrap into one that Validate would pass.
+func narrow(x int) int32 {
+	if x != int(int32(x)) {
+		panic(fmt.Sprintf("model: value %d outside int32", x))
+	}
+	return int32(x)
+}
+
 // Comm returns communication variable v of process p.
-func (c *Config) Comm(p, v int) int { return c.commRow(p)[v] }
+func (c *Config) Comm(p, v int) int { return int(c.commRow(p)[v]) }
 
 // SetComm assigns communication variable v of process p.
-func (c *Config) SetComm(p, v, x int) { c.commRow(p)[v] = x }
+func (c *Config) SetComm(p, v, x int) { c.commRow(p)[v] = narrow(x) }
 
 // Internal returns internal variable v of process p.
-func (c *Config) Internal(p, v int) int { return c.internalRow(p)[v] }
+func (c *Config) Internal(p, v int) int { return int(c.internalRow(p)[v]) }
 
 // SetInternal assigns internal variable v of process p.
-func (c *Config) SetInternal(p, v, x int) { c.internalRow(p)[v] = x }
+func (c *Config) SetInternal(p, v, x int) { c.internalRow(p)[v] = narrow(x) }
 
 // NewRandomConfig draws a configuration uniformly at random from the full
 // state space — the adversarial "arbitrary initial configuration" of
@@ -245,11 +258,11 @@ func RandomizeConfig(s *System, cfg *Config, r *rng.Rand) {
 func RandomizeProcess(s *System, cfg *Config, p int, r *rng.Rand) {
 	row, doms := cfg.commRow(p), s.commDomainRow(p)
 	for v := range row {
-		row[v] = r.Intn(int(doms[v]))
+		row[v] = int32(r.Intn(int(doms[v])))
 	}
 	row, doms = cfg.internalRow(p), s.internalDomainRow(p)
 	for v := range row {
-		row[v] = r.Intn(int(doms[v]))
+		row[v] = int32(r.Intn(int(doms[v])))
 	}
 }
 
@@ -294,13 +307,13 @@ func (c *Config) Validate(s *System) error {
 	}
 	for p := 0; p < c.n; p++ {
 		for v, val := range c.commRow(p) {
-			if val < 0 || val >= s.CommDomain(p, v) {
+			if val < 0 || int(val) >= s.CommDomain(p, v) {
 				return fmt.Errorf("model: process %d comm %s=%d outside [0,%d)",
 					p, s.spec.Comm[v].Name, val, s.CommDomain(p, v))
 			}
 		}
 		for v, val := range c.internalRow(p) {
-			if val < 0 || val >= s.InternalDomain(p, v) {
+			if val < 0 || int(val) >= s.InternalDomain(p, v) {
 				return fmt.Errorf("model: process %d internal %s=%d outside [0,%d)",
 					p, s.spec.Internal[v].Name, val, s.InternalDomain(p, v))
 			}

@@ -155,9 +155,9 @@ func (s *Simulator) ApplyTopology(ev TopologyEvent, dst []int) []int {
 // clampRow folds values into their (refreshed) domains. Reduction
 // modulo the new domain is deterministic and keeps in-domain values
 // untouched.
-func clampRow(row []int, doms []int32) {
+func clampRow(row, doms []int32) {
 	for v, val := range row {
-		if d := int(doms[v]); val >= d {
+		if d := doms[v]; val >= d {
 			row[v] = val % d
 		}
 	}

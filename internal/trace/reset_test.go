@@ -67,15 +67,20 @@ func TestResetMidStepResize(t *testing.T) {
 	rec.Selected(0, 0, []int{1}, 3, 0, 1)
 	rec.StepEnd(0, []int{0}, false)
 	want := Report{N: 3, Steps: 1, Moves: 1, Selections: 1, KEfficiency: 1, CommComplexityBits: 3,
-		TotalBits: 3, TotalReads: 1, ReadSetSizes: []int{1, 0, 0}, SuffixReadSetSizes: []int{1, 0, 0},
+		TotalBits: 3, TotalReads: 1, SuffixReadSetHist: []int{2, 1},
 		SuffixSteps: 1, SuffixTotalBits: 3, SuffixTotalReads: 1, SuffixSelections: 1, SuffixMoves: 1}
 	if rep := rec.Report(); !reflect.DeepEqual(rep, want) {
 		t.Fatalf("post-resize report = %+v, want %+v", rep, want)
 	}
+	for p, want := range []int{1, 0, 0} {
+		if got := rec.suffixSize(p); got != want {
+			t.Fatalf("post-resize |R_%d| = %d, want %d", p, got, want)
+		}
+	}
 }
 
 // TestReportIntoReusesSlices: ReportInto must fill a reused Report
-// without reallocating its slices, and agree with Report.
+// without reallocating its histogram, and agree with Report.
 func TestReportIntoReusesSlices(t *testing.T) {
 	t.Parallel()
 	rec := NewRecorder(5)
@@ -85,10 +90,10 @@ func TestReportIntoReusesSlices(t *testing.T) {
 	if !reflect.DeepEqual(want, rep) {
 		t.Fatalf("ReportInto = %+v, Report = %+v", rep, want)
 	}
-	p0, p1 := &rep.ReadSetSizes[0], &rep.SuffixReadSetSizes[0]
+	h0 := &rep.SuffixReadSetHist[0]
 	rec.ReportInto(&rep)
-	if &rep.ReadSetSizes[0] != p0 || &rep.SuffixReadSetSizes[0] != p1 {
-		t.Fatal("ReportInto reallocated slices that had sufficient capacity")
+	if &rep.SuffixReadSetHist[0] != h0 {
+		t.Fatal("ReportInto reallocated a histogram that had sufficient capacity")
 	}
 }
 

@@ -6,15 +6,20 @@
 //   - communication complexity (Def. 5): the maximum amount of memory (in
 //     bits) a process reads from its neighbors in a single step;
 //   - ♦-(x,k)-stability (Defs. 7-9): the per-process sets R_p of distinct
-//     neighbors read over a computation or over a suffix (MarkSuffix
-//     starts a new suffix, typically at the silence point).
+//     neighbors read over a suffix of the computation (MarkSuffix starts
+//     a new suffix, typically at the silence point; without one the
+//     suffix is the whole recording).
 //
 // Recorder implements model.Observer; attach one to a Simulator and read
-// the Report afterwards.
+// the Report afterwards. The report carries the read sets as a histogram
+// of their sizes, which is all the stability count needs, so it costs
+// O(Δ) however many processes there are.
 package trace
 
 import (
+	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/model"
@@ -24,13 +29,13 @@ import (
 // n-bit bitsets. A process only ever reads its neighbors, so every read
 // set R_p has at most degree(p) members — yet the dense representation
 // charges n bits per process, O(n²) bytes per recorder, which is the
-// memory wall at large n (two sets × 10⁶ processes ≈ 250 GB). Above
-// the threshold the recorder switches to one member list per process
-// with linear dedup (see Recorder.lists): O(Σ degree) memory total and
-// O(degree) per insertion, which is what makes million-process
-// recordings fit in RAM. Both representations produce byte-identical
-// reports (TestSparseRecorderMatchesDense); it is a var only so tests
-// can force the sparse path at small n.
+// memory wall at large n (10⁶ processes ≈ 125 GB). Above the threshold
+// the recorder keeps every read set in one int32 slab (see
+// Recorder.runs): O(Σ degree) memory total and O(degree) per insertion,
+// which is what makes million-process recordings fit in RAM. Both
+// representations produce identical reports
+// (TestSparseRecorderMatchesDense); it is a var only so tests can force
+// the sparse path at small n.
 //
 // Ablated in PR 13, with insertion down to one probe per distinct
 // neighbor: sparse-always (threshold 0) ran the 19-experiment registry
@@ -38,6 +43,10 @@ import (
 // alternating pairs won), so the dense form keeps its place below the
 // threshold.
 var sparseThreshold = 4096
+
+// firstRow is the room of a process's first run in the sparse slab: a
+// read set of up to firstRow members (every one at Δ ≤ 4) never moves.
+const firstRow = 4
 
 // Recorder accumulates read/step/move statistics for one execution. The
 // engine delivers each selection's reads already folded (distinct
@@ -48,20 +57,23 @@ var sparseThreshold = 4096
 // reusable: Reset rewinds it to the state of a fresh NewRecorder without
 // reallocating, which is what lets the trial pipeline run millions of
 // executions through one recorder per worker.
+//
+// The only per-process state is the read set R_p since the last
+// MarkSuffix (or Reset): ♦-(x,k)-stability needs nothing else.
 type Recorder struct {
 	n      int
-	sparse bool // n > sparseThreshold: list-backed read sets
+	sparse bool // n > sparseThreshold: slab-backed read sets
 
 	maxStepReads int // max distinct neighbors any process read in one step
 	maxStepBits  int // max bits any process read in one step
 
-	everRead   []*bitset.Set // R_p over the whole computation
-	suffixRead []*bitset.Set // R_p since the last MarkSuffix
-	// lists is the sparse form of both sets: lists[p] holds the members
-	// of R_p over the whole computation, each once, and a member read
-	// since the last MarkSuffix carries inSuffix (the suffix set is a
-	// subset of the whole-run set, so a flag per member is all it needs).
-	lists [][]int32
+	read []*bitset.Set // dense form: read[p] = R_p
+	// runs and slab are the sparse form: R_p is slab[runs[p].off:][:runs[p].len],
+	// each member once. Every process starts in its first row,
+	// slab[p*firstRow:(p+1)*firstRow]; a run that fills up moves to the
+	// slab's end with twice its room (see add).
+	runs []run
+	slab []int32
 
 	totalBits          int64
 	totalReads         int64 // distinct (process, neighbor) reads summed over steps
@@ -80,10 +92,12 @@ type Recorder struct {
 	suffixMoves      int64
 }
 
-// inSuffix is the sign bit of a sparse read-set member. Process ids are
-// non-negative int32s (package graph rejects larger networks), so the
-// bit is free.
-const inSuffix int32 = math.MinInt32
+// run addresses one process's read set in the sparse slab. A run in its
+// first row has room for firstRow members; a moved run was given twice
+// the members it held, a power of two, and then one more, so it holds
+// more than half its room and is full exactly when len is a power of
+// two.
+type run struct{ off, len int32 }
 
 // NewRecorder returns a Recorder for n processes.
 func NewRecorder(n int) *Recorder {
@@ -100,31 +114,44 @@ func (r *Recorder) Reset(n int) {
 	if n != r.n || sparse != r.sparse {
 		r.n, r.sparse = n, sparse
 		if sparse {
-			r.everRead, r.suffixRead = nil, nil
-			r.lists = make([][]int32, n)
-		} else {
-			r.lists = nil
-			r.everRead = make([]*bitset.Set, n)
-			r.suffixRead = make([]*bitset.Set, n)
-			for p := 0; p < n; p++ {
-				r.everRead[p] = bitset.New(n)
-				r.suffixRead[p] = bitset.New(n)
+			if n > math.MaxInt32/firstRow {
+				panic(fmt.Sprintf("trace: %d processes overflow the read-set slab", n))
 			}
-		}
-	} else {
-		for p := 0; p < n; p++ {
-			if sparse {
-				r.lists[p] = r.lists[p][:0]
-			} else {
-				r.everRead[p].Clear()
-				r.suffixRead[p].Clear()
+			r.read = nil
+			r.runs = make([]run, n)
+			r.slab = make([]int32, n*firstRow)
+		} else {
+			r.runs, r.slab = nil, nil
+			r.read = make([]*bitset.Set, n)
+			for p := range r.read {
+				r.read[p] = bitset.New(n)
 			}
 		}
 	}
+	r.clearReadSets()
 	r.maxStepReads, r.maxStepBits = 0, 0
 	r.totalBits, r.totalReads = 0, 0
 	r.moves, r.disabledSelections, r.selections, r.commWrites = 0, 0, 0, 0
 	r.steps, r.rounds = 0, 0
+	r.clearSuffixCounts()
+}
+
+// clearReadSets empties every R_p; the sparse form puts every run back
+// in its first row and drops the moved ones, keeping the slab's storage.
+func (r *Recorder) clearReadSets() {
+	if !r.sparse {
+		for _, set := range r.read {
+			set.Clear()
+		}
+		return
+	}
+	for p := range r.runs {
+		r.runs[p] = run{off: int32(p * firstRow)}
+	}
+	r.slab = r.slab[:r.n*firstRow]
+}
+
+func (r *Recorder) clearSuffixCounts() {
 	r.suffixSteps, r.suffixRounds = 0, 0
 	r.suffixBits, r.suffixReads = 0, 0
 	r.suffixSelections, r.suffixMoves = 0, 0
@@ -132,19 +159,40 @@ func (r *Recorder) Reset(n int) {
 
 var _ model.Observer = (*Recorder)(nil)
 
-// addMember records a read of q in a sparse read-set list: q joins the
-// list if absent and carries inSuffix either way. Read sets only ever
-// hold neighbors of one process, so the linear dedup scan is O(degree),
-// never O(n).
-func addMember(list []int32, q int32) []int32 {
-	q |= inSuffix
-	for i, m := range list {
-		if m|inSuffix == q {
-			list[i] = q
-			return list
-		}
+// add puts q into the sparse read set of p if it is absent. Read sets
+// only ever hold neighbors of one process, so the dedup scan is
+// O(degree), never O(n). A full run moves to the slab's end with twice
+// its room; the run it leaves is dead until the next MarkSuffix or
+// Reset rewinds the slab.
+func (r *Recorder) add(p int, q int32) {
+	rn := &r.runs[p]
+	members := r.slab[rn.off : rn.off+rn.len]
+	if slices.Contains(members, q) {
+		return
 	}
-	return append(list, q)
+	full := rn.len == firstRow
+	if int(rn.off) >= r.n*firstRow {
+		full = rn.len&(rn.len-1) == 0
+	}
+	if full {
+		off := len(r.slab)
+		if off+2*len(members) > math.MaxInt32 {
+			panic("trace: read-set slab exceeds 2³¹ − 1 members")
+		}
+		r.slab = slices.Grow(r.slab, 2*len(members))[:off+2*len(members)]
+		copy(r.slab[off:], members)
+		rn.off = int32(off)
+	}
+	r.slab[rn.off+rn.len] = q
+	rn.len++
+}
+
+// suffixSize returns |R_p| since the last MarkSuffix.
+func (r *Recorder) suffixSize(p int) int {
+	if r.sparse {
+		return int(r.runs[p].len)
+	}
+	return r.read[p].Count()
 }
 
 // StepBegin implements model.Observer.
@@ -177,21 +225,14 @@ func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired, times int) {
 	r.totalBits += int64(bits) * t
 	r.suffixBits += int64(bits) * t
 	if r.sparse {
-		list := r.lists[p]
 		for _, q := range neighbors {
-			list = addMember(list, int32(q))
+			r.add(p, int32(q))
 		}
-		r.lists[p] = list
 		return
 	}
-	// The suffix set is a subset of the whole-run set (MarkSuffix clears
-	// only the former), so a neighbor already in it needs no second
-	// insertion: once a process's sets saturate, a read costs one probe.
-	ever, suffix := r.everRead[p], r.suffixRead[p]
+	set := r.read[p]
 	for _, q := range neighbors {
-		if suffix.Add(q) {
-			ever.Add(q)
-		}
+		set.Add(q)
 	}
 }
 
@@ -210,24 +251,11 @@ func (r *Recorder) StepEnd(_ int, _ []int, roundCompleted bool) {
 	}
 }
 
-// MarkSuffix starts a new suffix: the per-process suffix read sets are
+// MarkSuffix starts a new suffix: the per-process read sets are
 // cleared. Call it at the silence point to measure ♦-(x,k)-stability.
 func (r *Recorder) MarkSuffix() {
-	for p := 0; p < r.n; p++ {
-		if r.sparse {
-			for i := range r.lists[p] {
-				r.lists[p][i] &^= inSuffix
-			}
-		} else {
-			r.suffixRead[p].Clear()
-		}
-	}
-	r.suffixSteps = 0
-	r.suffixRounds = 0
-	r.suffixBits = 0
-	r.suffixReads = 0
-	r.suffixSelections = 0
-	r.suffixMoves = 0
+	r.clearReadSets()
+	r.clearSuffixCounts()
 }
 
 // Report summarizes a recorded execution.
@@ -255,10 +283,10 @@ type Report struct {
 	TotalBits int64
 	// TotalReads is the sum over steps of distinct neighbors read.
 	TotalReads int64
-	// ReadSetSizes[p] = |R_p| over the whole computation.
-	ReadSetSizes []int
-	// SuffixReadSetSizes[p] = |R_p| over the current suffix.
-	SuffixReadSetSizes []int
+	// SuffixReadSetHist[s] is the number of processes whose read set
+	// R_p over the current suffix has s members; its length is one more
+	// than the largest such set, at most Δ + 1.
+	SuffixReadSetHist []int
 	// SuffixSteps and SuffixRounds cover the current suffix.
 	SuffixSteps  int
 	SuffixRounds int
@@ -295,8 +323,7 @@ func (r *Recorder) ReportInto(rep *Report) {
 		CommComplexityBits: r.maxStepBits,
 		TotalBits:          r.totalBits,
 		TotalReads:         r.totalReads,
-		ReadSetSizes:       resizeInts(rep.ReadSetSizes, r.n),
-		SuffixReadSetSizes: resizeInts(rep.SuffixReadSetSizes, r.n),
+		SuffixReadSetHist:  rep.SuffixReadSetHist[:0],
 		SuffixSteps:        r.suffixSteps,
 		SuffixRounds:       r.suffixRounds,
 		SuffixTotalBits:    r.suffixBits,
@@ -305,29 +332,12 @@ func (r *Recorder) ReportInto(rep *Report) {
 		SuffixMoves:        r.suffixMoves,
 	}
 	for p := 0; p < r.n; p++ {
-		if r.sparse {
-			flagged := 0
-			for _, m := range r.lists[p] {
-				if m < 0 {
-					flagged++
-				}
-			}
-			rep.ReadSetSizes[p] = len(r.lists[p])
-			rep.SuffixReadSetSizes[p] = flagged
-		} else {
-			rep.ReadSetSizes[p] = r.everRead[p].Count()
-			rep.SuffixReadSetSizes[p] = r.suffixRead[p].Count()
+		size := r.suffixSize(p)
+		for len(rep.SuffixReadSetHist) <= size {
+			rep.SuffixReadSetHist = append(rep.SuffixReadSetHist, 0)
 		}
+		rep.SuffixReadSetHist[size]++
 	}
-}
-
-// resizeInts returns a length-n int slice, reusing s's storage when it is
-// large enough.
-func resizeInts(s []int, n int) []int {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int, n)
 }
 
 // StableProcesses returns the number of processes whose suffix read set
@@ -335,9 +345,9 @@ func resizeInts(s []int, n int) []int {
 // recorded suffix.
 func (rep Report) StableProcesses(k int) int {
 	count := 0
-	for _, size := range rep.SuffixReadSetSizes {
+	for size, c := range rep.SuffixReadSetHist {
 		if size <= k {
-			count++
+			count += c
 		}
 	}
 	return count

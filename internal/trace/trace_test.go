@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -169,35 +170,37 @@ func TestSuffixTracking(t *testing.T) {
 	if afterMark.SuffixSteps != 0 {
 		t.Fatal("MarkSuffix did not reset suffix steps")
 	}
-	for p, s := range afterMark.SuffixReadSetSizes {
-		if s != 0 {
+	for p := 0; p < g.N(); p++ {
+		if s := rec.suffixSize(p); s != 0 {
 			t.Fatalf("suffix read set of %d not cleared: %d", p, s)
 		}
+	}
+	if want := []int{g.N()}; !reflect.DeepEqual(afterMark.SuffixReadSetHist, want) {
+		t.Fatalf("histogram after MarkSuffix = %v, want %v", afterMark.SuffixReadSetHist, want)
 	}
 	sim.RunSteps(10)
 	final := rec.Report()
 	if final.SuffixSteps != 10 {
 		t.Fatalf("suffix steps = %d, want 10", final.SuffixSteps)
 	}
-	// Whole-run read sets must be preserved across MarkSuffix.
-	for p, s := range final.ReadSetSizes {
-		if s == 0 {
-			t.Fatalf("whole-run read set of %d lost", p)
+	// Every process was selected in the suffix and read its neighbor.
+	for p := 0; p < g.N(); p++ {
+		if s := rec.suffixSize(p); s != 1 {
+			t.Fatalf("suffix read set of %d has %d members, want 1", p, s)
 		}
+	}
+	if want := []int{0, g.N()}; !reflect.DeepEqual(final.SuffixReadSetHist, want) {
+		t.Fatalf("histogram after the suffix = %v, want %v", final.SuffixReadSetHist, want)
 	}
 }
 
 func TestStableProcesses(t *testing.T) {
-	rep := Report{
-		N:                  4,
-		ReadSetSizes:       []int{2, 1, 3, 0},
-		SuffixReadSetSizes: []int{1, 1, 2, 0},
-	}
-	if rep.StableProcesses(1) != 3 {
-		t.Fatalf("StableProcesses(1) = %d, want 3", rep.StableProcesses(1))
-	}
-	if rep.StableProcesses(0) != 1 {
-		t.Fatalf("StableProcesses(0) = %d, want 1", rep.StableProcesses(0))
+	// Suffix read sets of sizes 1, 1, 2 and 0.
+	rep := Report{N: 4, SuffixReadSetHist: []int{1, 2, 1}}
+	for k, want := range map[int]int{-1: 0, 0: 1, 1: 3, 2: 4, 7: 4} {
+		if got := rep.StableProcesses(k); got != want {
+			t.Fatalf("StableProcesses(%d) = %d, want %d", k, got, want)
+		}
 	}
 }
 
