@@ -5,7 +5,7 @@
 GO ?= go
 
 .PHONY: build test test-race test-full bench \
-	scale-smoke fuzz-smoke campaign-smoke events-smoke service-smoke \
+	scale-smoke fuzz-smoke mutants campaign-smoke events-smoke service-smoke \
 	verdict-sweep lint fmt vet check help
 
 help: ## List targets with their one-line descriptions
@@ -56,6 +56,16 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/campaign -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
+
+# Mutation check: scripts/mutants.sh applies each engine mutation it
+# names (a dropped replay flush, a skipped tracker invalidation, a port
+# row rotated in range, which only a reference with its own neighbor
+# reads can see, and three more) to a temporary copy of the tree; the
+# committed FuzzSimulatorVsReference corpus, run as a plain test, must
+# fail on every one. A pattern that no longer applies fails the target.
+MUTANTS_DIR ?= /tmp/mutants
+mutants: ## Engine mutations the committed fuzz corpus must each catch
+	bash scripts/mutants.sh $(MUTANTS_DIR)
 
 # Campaign smoke: run the bundled quickstart campaign twice against one
 # cache directory; the second run must be 100% cache hits and both runs

@@ -23,7 +23,6 @@ var unpaid = map[string]string{
 	"repro/internal/model.Simulator.RunSteps":           "drives TestRoundTracking and the step zero-alloc tests",
 	"repro/internal/model.Simulator.Step":               "FuzzSimulatorVsReference steps it in lockstep with ref.Sim",
 	"repro/internal/model.Config.Equal":                 "compares engines in TestSimulatorResetMatchesFresh",
-	"repro/internal/model.Ctx.P":                        "read by the staging protocol of TestStepMatchesReference",
 	"repro/internal/graph.Graph.Equal":                  "compares generators in TestCSRMatchesBuilder",
 	"repro/internal/graph.Builder.HasEdge":              "the naive G(n,p) and regular references of TestCSRMatchesBuilder",
 	"repro/internal/graph.Graph.Diameter":               "TestDiameter and TestRunFaultedOnSilenceEpisodes",

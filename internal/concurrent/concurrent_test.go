@@ -77,25 +77,29 @@ func TestConcurrentMISAllModes(t *testing.T) {
 	}
 }
 
+// TestConcurrentMatchingAllModes runs MATCHING and its cached-view
+// transform, whose one model.View every goroutine evaluates through.
 func TestConcurrentMatchingAllModes(t *testing.T) {
 	g := graph.Cycle(10)
 	colors := graph.GreedyLocalColoring(g)
-	sys, err := engine.Build(g, engine.FamMatching, colors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range modes() {
-		cfg := model.NewRandomConfig(sys, rng.New(3))
-		res, err := Run(sys, cfg, Options{
-			Mode:               mode,
-			Seed:               44,
-			MaxStepsPerProcess: 300000,
-		})
+	for _, family := range []string{engine.FamMatching, engine.FamMatchingXform} {
+		sys, err := engine.Build(g, family, colors)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Silent || !res.Legitimate {
-			t.Fatalf("mode %s: silent=%v legit=%v", mode, res.Silent, res.Legitimate)
+		for _, mode := range modes() {
+			cfg := model.NewRandomConfig(sys, rng.New(3))
+			res, err := Run(sys, cfg, Options{
+				Mode:               mode,
+				Seed:               44,
+				MaxStepsPerProcess: 300000,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Silent || !res.Legitimate {
+				t.Fatalf("%s, mode %s: silent=%v legit=%v", family, mode, res.Silent, res.Legitimate)
+			}
 		}
 	}
 }

@@ -28,10 +28,9 @@ func TestRunChurnedEpisodes(t *testing.T) {
 		for _, name := range []string{"cut", "crashjoin"} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				err := rn.RunRandomFaulted(ts.sys, RunOptions{
-					Scheduler:  rn.Scheduler("random-subset", seed, mk),
-					Seed:       seed,
-					MaxSteps:   400000,
-					CheckEvery: 1,
+					Scheduler: rn.Scheduler("random-subset", seed, mk),
+					Seed:      seed,
+					MaxSteps:  400000,
 				}, fault.Plan{
 					Churn:         rn.ChurnAdversary("churn:"+name+"/2", func() fault.ChurnAdversary { a, _ := fault.ChurnByName(name, 2); return a }),
 					ChurnSchedule: fault.OnSilence(firings),
@@ -83,10 +82,9 @@ func TestRunChurnedWithAdversary(t *testing.T) {
 	for _, ts := range systems {
 		for seed := uint64(1); seed <= 3; seed++ {
 			err := rn.RunRandomFaulted(ts.sys, RunOptions{
-				Scheduler:  rn.Scheduler("random-subset", seed, mk),
-				Seed:       seed,
-				MaxSteps:   400000,
-				CheckEvery: 1,
+				Scheduler: rn.Scheduler("random-subset", seed, mk),
+				Seed:      seed,
+				MaxSteps:  400000,
 			}, fault.Plan{
 				Adversary:     rn.Adversary("uniform/2", func() fault.Adversary { return fault.NewUniform(2) }),
 				Schedule:      fault.OnSilence(2),
@@ -123,10 +121,9 @@ func TestRunChurnedDeterministic(t *testing.T) {
 	run := func(rn *Runner, sys *model.System, seed uint64, res *FaultResult) {
 		t.Helper()
 		err := rn.RunRandomFaulted(sys, RunOptions{
-			Scheduler:  rn.Scheduler("random-subset", seed, mk),
-			Seed:       seed,
-			MaxSteps:   400000,
-			CheckEvery: 1,
+			Scheduler: rn.Scheduler("random-subset", seed, mk),
+			Seed:      seed,
+			MaxSteps:  400000,
 		}, fault.Plan{
 			Adversary:     rn.Adversary("uniform/2", func() fault.Adversary { return fault.NewUniform(2) }),
 			Schedule:      fault.Every(30, 2),
@@ -176,11 +173,10 @@ func TestChurnTrialLoopZeroAlloc(t *testing.T) {
 	trial := func() {
 		seed++
 		opts := RunOptions{
-			Scheduler:  rn.Scheduler("random-subset", seed, mk),
-			Seed:       seed,
-			MaxSteps:   400000,
-			CheckEvery: 1,
-			Events:     obs.Scope{Obs: obs.Nop{}, Cell: 0, Key: "zero-alloc", Trial: int(seed)},
+			Scheduler: rn.Scheduler("random-subset", seed, mk),
+			Seed:      seed,
+			MaxSteps:  400000,
+			Events:    obs.Scope{Obs: obs.Nop{}, Cell: 0, Key: "zero-alloc", Trial: int(seed)},
 		}
 		plan := fault.Plan{
 			Adversary:     rn.Adversary("uniform/2", func() fault.Adversary { return fault.NewUniform(2) }),
@@ -219,7 +215,7 @@ func BenchmarkChurnTrialLoop(b *testing.B) {
 		seed := uint64(i)%64 + 1
 		err := rn.RunRandomFaulted(sys, RunOptions{
 			Scheduler: rn.Scheduler("random-subset", seed, mk),
-			Seed:      seed, MaxSteps: 400000, CheckEvery: 1,
+			Seed:      seed, MaxSteps: 400000,
 		}, fault.Plan{
 			Churn:         rn.ChurnAdversary("churn:crashjoin/2", func() fault.ChurnAdversary { return fault.NewCrashJoin(2) }),
 			ChurnSchedule: fault.OnSilence(2),
@@ -249,10 +245,9 @@ func TestChurnJoinGrowsReadTables(t *testing.T) {
 		t.Helper()
 		const seed = 11
 		err := rn.RunRandomFaulted(sys, RunOptions{
-			Scheduler:  rn.Scheduler("random-subset", seed, mk),
-			Seed:       seed,
-			MaxSteps:   400000,
-			CheckEvery: 1,
+			Scheduler: rn.Scheduler("random-subset", seed, mk),
+			Seed:      seed,
+			MaxSteps:  400000,
 			// The hub checks one neighbor per activation, round-robin:
 			// the suffix is where it gets past port 1.
 			SuffixRounds: 2 * g.N(),

@@ -42,9 +42,6 @@ type RunOptions struct {
 	Seed uint64
 	// MaxSteps bounds the search for silence (required, > 0).
 	MaxSteps int
-	// CheckEvery is the silence-check period in steps (default 1: exact
-	// detection; larger values trade detection precision for speed).
-	CheckEvery int
 	// SuffixRounds, when > 0 and silence is reached, keeps the system
 	// running for that many further rounds while recording the suffix
 	// read sets used for stability measurements.

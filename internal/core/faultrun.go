@@ -307,10 +307,6 @@ func (r *Runner) trial(sys *model.System, opts RunOptions, plan fault.Plan, res 
 	if err := r.sim.Reset(runSys, r.cfg, opts.Scheduler, opts.Seed, observer); err != nil {
 		return err
 	}
-	checkEvery := opts.CheckEvery
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
 
 	var roundsAtInjection int
 	var ep Episode
@@ -399,7 +395,7 @@ func (r *Runner) trial(sys *model.System, opts RunOptions, plan fault.Plan, res 
 				limit = churnDue
 			}
 		}
-		silent, err := r.sim.RunUntilSilent(limit, checkEvery)
+		silent, err := r.sim.RunUntilSilent(limit, 1)
 		if err != nil {
 			return err
 		}

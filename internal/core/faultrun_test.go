@@ -30,9 +30,8 @@ func TestRunFaultedAtStartMatchesRun(t *testing.T) {
 		for _, k := range []int{1, ts.sys.N() / 2} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				opts := RunOptions{
-					Seed:       seed,
-					MaxSteps:   200000,
-					CheckEvery: 1,
+					Seed:     seed,
+					MaxSteps: 200000,
 				}
 
 				// Manual path: legacy clone-then-corrupt, plain Run.
@@ -95,10 +94,9 @@ func TestRunFaultedOnSilenceEpisodes(t *testing.T) {
 		}
 		for seed := uint64(1); seed <= 3; seed++ {
 			err := rn.RunRandomFaulted(ts.sys, RunOptions{
-				Scheduler:  rn.Scheduler("random-subset", seed, mk),
-				Seed:       seed,
-				MaxSteps:   400000,
-				CheckEvery: 1,
+				Scheduler: rn.Scheduler("random-subset", seed, mk),
+				Seed:      seed,
+				MaxSteps:  400000,
 			}, fault.Plan{
 				Adversary: rn.Adversary("cluster-test", func() fault.Adversary { return fault.NewCluster(3) }),
 				Schedule:  fault.OnSilence(episodes),
@@ -154,10 +152,9 @@ func TestRunFaultedMidRunOracle(t *testing.T) {
 	var res FaultResult
 	for seed := uint64(1); seed <= 5; seed++ {
 		err := rn.RunRandomFaulted(sys, RunOptions{
-			Scheduler:  rn.Scheduler("random-subset", seed, mk),
-			Seed:       seed,
-			MaxSteps:   400000,
-			CheckEvery: 1,
+			Scheduler: rn.Scheduler("random-subset", seed, mk),
+			Seed:      seed,
+			MaxSteps:  400000,
 		}, fault.Plan{
 			Adversary: rn.Adversary("comm-test", func() fault.Adversary { return fault.NewCommOnly(2) }),
 			Schedule:  fault.Every(25, 3),
@@ -201,11 +198,10 @@ func TestFaultedTrialLoopZeroAlloc(t *testing.T) {
 	trial := func() {
 		seed++
 		opts := RunOptions{
-			Scheduler:  rn.Scheduler("random-subset", seed, mk),
-			Seed:       seed,
-			MaxSteps:   400000,
-			CheckEvery: 1,
-			Events:     obs.Scope{Obs: obs.Nop{}, Cell: 0, Key: "zero-alloc", Trial: int(seed)},
+			Scheduler: rn.Scheduler("random-subset", seed, mk),
+			Seed:      seed,
+			MaxSteps:  400000,
+			Events:    obs.Scope{Obs: obs.Nop{}, Cell: 0, Key: "zero-alloc", Trial: int(seed)},
 		}
 		plan := fault.Plan{
 			Adversary: rn.Adversary("uniform/3", func() fault.Adversary { return fault.NewUniform(3) }),
@@ -242,7 +238,7 @@ func BenchmarkFaultedTrialLoop(b *testing.B) {
 		seed := uint64(i)%64 + 1
 		err := rn.RunRandomFaulted(sys, RunOptions{
 			Scheduler: rn.Scheduler("random-subset", seed, mk),
-			Seed:      seed, MaxSteps: 400000, CheckEvery: 1,
+			Seed:      seed, MaxSteps: 400000,
 		}, fault.Plan{
 			Adversary: rn.Adversary("uniform/3", func() fault.Adversary { return fault.NewUniform(3) }),
 			Schedule:  fault.OnSilence(2),

@@ -69,7 +69,6 @@ func TestRunnerMatchesRun(t *testing.T) {
 				opts := RunOptions{
 					Seed:         seed,
 					MaxSteps:     200000,
-					CheckEvery:   1,
 					SuffixRounds: 4,
 				}
 
@@ -203,7 +202,6 @@ func TestTrialLoopZeroAlloc(t *testing.T) {
 			Scheduler:    rn.Scheduler("random-subset", seed, mk),
 			Seed:         seed,
 			MaxSteps:     200000,
-			CheckEvery:   1,
 			SuffixRounds: 2,
 			Events:       obs.Scope{Obs: obs.Nop{}, Cell: 0, Key: "zero-alloc", Trial: int(seed)},
 		}
@@ -240,7 +238,7 @@ func BenchmarkTrialLoop(b *testing.B) {
 		seed := uint64(i)%64 + 1
 		err := rn.RunRandom(sys, RunOptions{
 			Scheduler: rn.Scheduler("random-subset", seed, mk),
-			Seed:      seed, MaxSteps: 200000, CheckEvery: 1,
+			Seed:      seed, MaxSteps: 200000,
 		}, &res)
 		if err != nil {
 			b.Fatal(err)
@@ -259,7 +257,7 @@ func BenchmarkTrialLoopOneShot(b *testing.B) {
 		initial := model.NewRandomConfig(sys, rng.New(seed))
 		_, err := Run(sys, initial, RunOptions{
 			Scheduler: sched.NewRandomSubset(seed),
-			Seed:      seed, MaxSteps: 200000, CheckEvery: 1,
+			Seed:      seed, MaxSteps: 200000,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -32,10 +32,8 @@ type Scenario struct {
 	// DefaultSchedName). One instance per worker is rewound to each
 	// trial's seed.
 	Daemon string
-	// SuffixRounds and CheckEvery are core.RunOptions' (0 and 0: no
-	// post-silence suffix, exact silence detection).
+	// SuffixRounds is core.RunOptions' (0: no post-silence suffix).
 	SuffixRounds int
-	CheckEvery   int
 	// Snapshot, when non-nil, is the configuration every trial starts
 	// from (a copy of it); nil draws a uniformly random configuration
 	// from the trial seed.
@@ -112,7 +110,6 @@ func NewCell(cfg *Config, sc Scenario) (Cell, error) {
 				Scheduler:    rn.Scheduler(daemon, seed, mkSched),
 				Seed:         seed,
 				MaxSteps:     cfg.MaxSteps,
-				CheckEvery:   sc.CheckEvery,
 				SuffixRounds: sc.SuffixRounds,
 				Events:       obs.Scope{Obs: cfg.Observer, Cell: sc.Index, Key: sc.Key, Trial: trial},
 			}, plan, res)

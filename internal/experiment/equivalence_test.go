@@ -62,7 +62,6 @@ func legacyCells(t *testing.T, cfg Config, plan *campaign.Plan) []engine.Cell {
 					Scheduler:    scheduler,
 					Seed:         seed,
 					MaxSteps:     cfg.MaxSteps,
-					CheckEvery:   1,
 					SuffixRounds: suffix,
 				})
 				if err != nil {

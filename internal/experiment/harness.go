@@ -17,9 +17,10 @@
 // keeps only the fold that reads their trials and the check of the
 // paper's claim. The claims that stay in Go are E7-E9 (searched
 // impossibility witnesses and the orientation layer), E12 (the
-// goroutine-per-process runtime), E13 (transformer cells that check
-// silence every second step, which the DSL does not express) and E22
-// (one wall-clock trial per size up to a million processes).
+// goroutine-per-process runtime), E13 (transformer cells built with
+// engine.NewCell: as a spec their cell keys, and with them their trials,
+// would change) and E22 (one wall-clock trial per size up to a million
+// processes).
 //
 // Trials run on a parallel sharded worker pool (internal/engine). The engine
 // is deterministic: per-trial seeds are derived from (Config.Seed, cell

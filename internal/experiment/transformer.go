@@ -51,7 +51,7 @@ func E13Transformer(cfg Config) (*Result, error) {
 				}
 				cell, err := engine.NewCell(&ecfg, engine.Scenario{
 					Key:   fmt.Sprintf("%s|%s|%s", tg.name, g.Name(), v.label),
-					Index: len(cells), System: sys, CheckEvery: 2,
+					Index: len(cells), System: sys,
 				})
 				if err != nil {
 					return nil, err

@@ -111,9 +111,27 @@ func (a *readAgg) grow(ports int) {
 	a.qs = append(make([]int, 0, ports), a.qs...)
 }
 
+// View answers the neighbor reads of the process a Ctx is aimed at
+// (NeighborComm, NeighborConst and BackPort) in place of the engine's
+// arrays. Two implement it: the transformer's cached view
+// (internal/transformer), which GuardThrough and ApplyThrough install
+// around each original action, and the reference semantics' own walk of
+// its own adjacency (internal/model/ref), which it hands to Evaluate. A
+// view installed by a spec is shared by every context that evaluates the
+// spec, from any goroutine, so it keeps no state: what one evaluation
+// needs, such as the view it was installed over, lives on the Ctx.
+type View interface {
+	NeighborComm(c *Ctx, port, v int) int
+	NeighborConst(c *Ctx, port, v int) int
+	BackPort(c *Ctx, port int) int
+}
+
 // Ctx is the window through which a process's guarded actions see the
 // system: its own variables (read/write) and its neighbors'
-// communication state (read-only, instrumented).
+// communication state (read-only, instrumented). Every neighbor read
+// passes one seam, the view field: while it is nil the read resolves
+// against the engine's arrays (pre, nbr, and agg to record it), and
+// otherwise the installed View answers it.
 //
 // Ports are 1-based local indices 1..δ.p, exactly the paper's labelling.
 //
@@ -124,9 +142,9 @@ type Ctx struct {
 	sys *System
 	pre *Config // pre-step configuration: neighbor reads resolve here
 	p   int
-	// nbr is p's port row (graph.Row), taken once where the context is
-	// aimed at p: nbr[port-1] is the neighbor behind port, and any port
-	// outside 1..δ.p panics on its bound.
+	// nbr is p's port row (graph.Row, or Evaluate's nbr), taken once where
+	// the context is aimed at p: nbr[port-1] is the neighbor behind port,
+	// and any port outside 1..δ.p panics on its bound.
 	nbr []int32
 
 	// Own state: private copies on a probe or a one-shot evaluation. On the
@@ -150,10 +168,10 @@ type Ctx struct {
 	// observer).
 	agg *readAgg
 
-	// Cached-view redirection (see BeginCachedView): when set, neighbor
-	// reads resolve to the process's own internal cache variables
-	// instead of the network, and are not recorded as communication.
-	cacheIndex func(port int, kind VarKind, v int) int
+	// view, when set, answers the neighbor reads instead of pre, nbr and
+	// agg; outer is the view it was installed over (nil: the engine's
+	// arrays), which answers the reads view passes on (OuterBackPort).
+	view, outer View
 
 	// Per-body scratch allocator (see Scratch): the buffer is recycled
 	// between guard/apply bodies, so the steady-state evaluation path of
@@ -182,11 +200,12 @@ func (c *Ctx) Scratch(n int) []int {
 
 // aim points the context at process p of cfg, as every reused context
 // is before it evaluates p: neighbor reads resolve against cfg through
-// p's port row, directly (no cached view), and no generator is bound.
+// p's port row, with no view (a panic may have left one), and no
+// generator is bound.
 func (c *Ctx) aim(cfg *Config, p int) {
 	c.pre, c.p = cfg, p
 	c.nbr = c.sys.g.Row(p)
-	c.cacheIndex = nil
+	c.view = nil
 	c.rand = nil
 }
 
@@ -250,8 +269,8 @@ func (c *Ctx) Const(v int) int { return c.sys.Const(c.p, v) }
 // port (1..δ.p). The read is instrumented: it counts toward the step's
 // read set, the raw material of Definitions 4-9.
 func (c *Ctx) NeighborComm(port, v int) int {
-	if c.cacheIndex != nil {
-		return int(c.internal[c.cacheIndex(port, KindComm, v)])
+	if c.view != nil {
+		return c.view.NeighborComm(c, port, v)
 	}
 	q := int(c.nbr[port-1])
 	if c.agg != nil {
@@ -264,8 +283,8 @@ func (c *Ctx) NeighborComm(port, v int) int {
 // port. Constants are communication state too: reading one is a
 // communication and is instrumented.
 func (c *Ctx) NeighborConst(port, v int) int {
-	if c.cacheIndex != nil {
-		return int(c.internal[c.cacheIndex(port, KindConst, v)])
+	if c.view != nil {
+		return c.view.NeighborConst(c, port, v)
 	}
 	q := int(c.nbr[port-1])
 	if c.agg != nil {
@@ -274,27 +293,40 @@ func (c *Ctx) NeighborConst(port, v int) int {
 	return c.sys.Const(q, v)
 }
 
-// BeginCachedView redirects subsequent NeighborComm/NeighborConst calls
-// to the process's own internal variables: index(port, kind, v) must
-// return the internal-variable index holding the cached copy of the
-// neighbor's variable. Cached reads are local and are not recorded as
-// communication. Used by the local-checking transformer
-// (internal/transformer) that realizes the generalization discussed in
-// the paper's concluding remarks.
-func (c *Ctx) BeginCachedView(index func(port int, kind VarKind, v int) int) {
-	c.cacheIndex = index
-}
-
-// EndCachedView restores direct (instrumented) neighbor reads.
-func (c *Ctx) EndCachedView() {
-	c.cacheIndex = nil
-}
-
 // BackPort returns the port under which this process appears in the
 // local labelling of the neighbor behind port. This is structural
 // knowledge of the bidirectional link (needed, e.g., to evaluate
 // "PR.(cur.p) = p" in Protocol MATCHING).
 func (c *Ctx) BackPort(port int) int {
+	if c.view != nil {
+		return c.view.BackPort(c, port)
+	}
+	return c.sys.g.BackPort(c.p, port)
+}
+
+// GuardThrough evaluates guard with v answering c's neighbor reads,
+// installed over the view in place (nil: the engine's arrays), which it
+// restores before it returns.
+func (c *Ctx) GuardThrough(v View, guard func(*Ctx) bool) bool {
+	view, outer := c.view, c.outer
+	c.view, c.outer = v, view
+	ok := guard(c)
+	c.view, c.outer = view, outer
+	return ok
+}
+
+// ApplyThrough is GuardThrough for an Apply body.
+func (c *Ctx) ApplyThrough(v View, apply func(*Ctx)) {
+	c.GuardThrough(v, func(c *Ctx) bool { apply(c); return true })
+}
+
+// OuterBackPort is BackPort as the view the installed one went over
+// answers it: the installed view calls it for the back ports it does not
+// know.
+func (c *Ctx) OuterBackPort(port int) int {
+	if c.outer != nil {
+		return c.outer.BackPort(c, port)
+	}
 	return c.sys.g.BackPort(c.p, port)
 }
 

@@ -37,15 +37,16 @@ func fuzzGraph(shape, size uint8) *graph.Graph {
 	}
 }
 
-// fuzzSystem builds the protocol proto%6 names on g: COLORING, MIS,
+// fuzzSystem builds the protocol proto%7 names on g: COLORING, MIS,
 // MATCHING, stagingSpec (started from Y = 0 everywhere), the cached-view
 // MIS (every neighbor read goes through cache variables in wide internal
-// rows) or the full-read BFS tree rooted at 0, and its initial
-// configuration drawn from seed.
+// rows), the full-read BFS tree rooted at 0 or the cached-view MATCHING
+// (whose cached bodies read back ports through the view below the
+// cache), and its initial configuration drawn from seed.
 func fuzzSystem(g *graph.Graph, proto uint8, seed uint64) (*model.System, *model.Config, error) {
 	var sys *model.System
 	var err error
-	switch proto % 6 {
+	switch proto % 7 {
 	case 0:
 		sys, err = engine.Build(g, engine.FamColoring, nil)
 	case 1:
@@ -56,14 +57,16 @@ func fuzzSystem(g *graph.Graph, proto uint8, seed uint64) (*model.System, *model
 		sys, err = model.NewSystem(g, stagingSpec(), nil)
 	case 4:
 		sys, err = engine.Build(g, engine.FamMISXform, nil)
-	default:
+	case 5:
 		sys, err = engine.Build(g, engine.FamBFSTree, nil)
+	default:
+		sys, err = engine.Build(g, engine.FamMatchingXform, nil)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 	cfg := model.NewRandomConfig(sys, rng.New(seed))
-	if proto%6 == 3 {
+	if proto%7 == 3 {
 		for p := range cfg.N() {
 			cfg.SetComm(p, stY, 0)
 		}
@@ -77,7 +80,7 @@ const (
 	opStep           = 0 // 1 + arg steps, each checked (so are the unnamed codes 6 and 7)
 	opRunRounds      = 1 // RunRounds(1 + arg%3)
 	opRunUntilSilent = 2 // 16·(1 + arg%8) more steps at most, checking every 1 + arg/8
-	opCorrupt        = 3 // randomize 1 + arg%3 processes, then MarkDirty each
+	opCorrupt        = 3 // randomize 1 + arg%3 processes (then MarkDirty each on the simulator)
 	opTopology       = 4 // one valid topology event on a MutableCopy (none on a static system)
 	opMarkSuffix     = 5
 
@@ -89,15 +92,17 @@ const (
 // FuzzSimulatorVsReference runs model.Simulator and the reference
 // simulator ref.Sim in lockstep through one stream of operations: steps,
 // stretches of rounds (over which the replay memo counts and flushes),
-// runs to silence, corruptions repaired with MarkDirty, topology events
-// on a MutableCopy and suffix marks. After every step and every other
-// operation it requires the same configuration, step and round counts,
-// selections and verdicts; the tracker's enabled set equal to
-// ref.EnabledSet and its AllEnabled answer to the reference's on a set
-// that moves with the stream; SilentNow equal to ref.Silent; the same
-// Selected aggregates (however the replays were batched) and CommWrite
-// stream; the same recorder report; and on a MutableCopy a valid graph
-// and configuration.
+// runs to silence, corruptions (repaired with MarkDirty on the
+// simulator), topology events on a MutableCopy and suffix marks. Each
+// side applies every corruption and topology event itself, the reference
+// to its own configuration, port lists and domains. After every step and
+// every other operation it requires the same configuration, step and
+// round counts, selections and verdicts; the tracker's enabled set equal
+// to the reference's and its AllEnabled answer to the reference's on a
+// set that moves with the stream; SilentNow equal to the reference's
+// verdict; the same Selected aggregates (however the replays were
+// batched) and CommWrite stream; the same recorder report; and on a
+// MutableCopy a valid graph and configuration.
 //
 // The committed corpus under testdata/fuzz holds the cases of the
 // equivalence tests it replaced, one file per system, daemon and seed,
@@ -105,7 +110,10 @@ const (
 // under central-random and laziest-fair on a MutableCopy, where
 // disabled processes are selected again and again between a
 // corruption and a topology event, so counted replays are kept,
-// invalidated, delivered early and flushed.
+// invalidated, delivered early and flushed. The topology-ref cases run
+// MATCHING, the cached-view MIS and the cached-view MATCHING on a
+// MutableCopy through crashes, joins, removals and restorations, so the
+// reference's own port rule and domain reduction run on every go test.
 func FuzzSimulatorVsReference(f *testing.F) {
 	f.Add(uint8(3), uint8(7), false, uint8(1), uint8(1), uint64(1), []byte{opRunUntilSilent, opMarkSuffix, opStep | 3<<3, opRunRounds, opCorrupt, opStep})
 	f.Fuzz(func(t *testing.T, shape, size uint8, dynamic bool, proto, daemon uint8, seed uint64, ops []byte) {
@@ -159,7 +167,7 @@ func FuzzSimulatorVsReference(f *testing.F) {
 					fatalf("%v", err)
 				}
 			}
-			want := ref.EnabledSet(sys, naive.Config())
+			want := naive.EnabledSet()
 			if enabled = sim.Tracker().AppendEnabled(enabled[:0]); !slices.Equal(enabled, want) {
 				fatalf("tracker enabled set %v, reference %v", enabled, want)
 			}
@@ -177,8 +185,8 @@ func FuzzSimulatorVsReference(f *testing.F) {
 			if err != nil {
 				fatalf("SilentNow: %v", err)
 			}
-			if want := ref.Silent(sys, naive.Config()); silent != want {
-				fatalf("SilentNow = %v, ref.Silent %v", silent, want)
+			if want := naive.Silent(); silent != want {
+				fatalf("SilentNow = %v, reference %v", silent, want)
 			}
 			simSel, simWrites := simLog.take()
 			refSel, refWrites := refLog.take()
@@ -225,12 +233,13 @@ func FuzzSimulatorVsReference(f *testing.F) {
 					model.RandomizeProcess(sys, sim.Config(), p, r)
 					sim.MarkDirty(p)
 					r = rng.New(rng.Derive(seed, uint64(i*8+k)))
-					model.RandomizeProcess(sys, naive.Config(), r.Intn(sys.N()), r)
+					naive.Corrupt(r.Intn(sys.N()), r)
 				}
 			case opTopology:
 				if dynamic {
-					mut.apply(sim, nil)
-					naive.Config().CopyFrom(sim.Config())
+					ev := mut.next(sys.Graph())
+					sim.ApplyTopology(ev, nil)
+					naive.ApplyTopology(ev)
 				}
 			case opMarkSuffix:
 				simRec.MarkSuffix()

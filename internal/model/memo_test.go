@@ -345,13 +345,18 @@ func TestStepMatchesReference(t *testing.T) {
 			}
 			refLog.take()
 			sameReports("after RunRounds")
-			// The same corruption on both sides; only the simulator has
-			// caches to repair.
+			// The same corruption and crash on both sides; only the
+			// simulator has caches to repair.
 			corruptRandom(sim, 2, rng.New(seed))
-			if sys.Dynamic() {
-				sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoCrash, U: 1}, nil)
+			r := rng.New(seed)
+			for range 2 {
+				naive.Corrupt(r.Intn(sys.N()), r)
 			}
-			naive.Config().CopyFrom(sim.Config())
+			if sys.Dynamic() {
+				crash := model.TopologyEvent{Kind: model.TopoCrash, U: 1}
+				sim.ApplyTopology(crash, nil)
+				naive.ApplyTopology(crash)
+			}
 			sameReports("after MarkDirty")
 			converge()
 			lockstep(60, false)

@@ -193,27 +193,3 @@ func BitsFor(domain int) int {
 	}
 	return bits.Len(uint(domain - 1))
 }
-
-// VarKind distinguishes the three variable classes.
-type VarKind int
-
-// Variable classes, in the order they appear in the paper's model.
-const (
-	KindComm VarKind = iota + 1
-	KindConst
-	KindInternal
-)
-
-// String returns the lower-case kind name.
-func (k VarKind) String() string {
-	switch k {
-	case KindComm:
-		return "comm"
-	case KindConst:
-		return "const"
-	case KindInternal:
-		return "internal"
-	default:
-		return fmt.Sprintf("VarKind(%d)", int(k))
-	}
-}

@@ -538,12 +538,3 @@ func TestRunUntilSilent(t *testing.T) {
 		t.Fatal("final configuration not silent")
 	}
 }
-
-func TestVarKindString(t *testing.T) {
-	if model.KindComm.String() != "comm" || model.KindConst.String() != "const" || model.KindInternal.String() != "internal" {
-		t.Fatal("VarKind strings wrong")
-	}
-	if model.VarKind(99).String() == "" {
-		t.Fatal("unknown kind has empty string")
-	}
-}

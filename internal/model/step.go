@@ -45,39 +45,30 @@ func execOne(c *Ctx) int {
 	return i
 }
 
-// evaluate aims c, whose own-state rows the caller set, at p of cfg with
-// generator r and runs p's guards, then with apply set its first enabled
-// action. It is the one-shot evaluation behind StepProcess and Evaluate.
-func evaluate(c *Ctx, cfg *Config, p int, apply bool, r *rng.Rand) int {
-	c.aim(cfg, p)
-	c.rand = r
-	if apply {
-		return execOne(c)
-	}
-	return firstEnabled(c)
-}
-
 // Evaluate evaluates process p once on a fresh context, for the reference
 // semantics in internal/model/ref: p's own state is the caller's rows comm
-// and internal (CommWidth and InternalWidth values), its neighbors' state
-// is cfg's. The guards run in priority order; with apply set, the first
+// and internal (CommWidth and InternalWidth values), nbr lists the
+// neighbor behind each of p's ports in the caller's adjacency, and view
+// answers every neighbor read, so what the evaluation read is the view's
+// to record. The guards run in priority order; with apply set, the first
 // enabled action then runs on the caller's rows, drawing from r. It
-// returns that action (-1: disabled) and what Observer.Selected carries
-// for the evaluation: the distinct neighbors read, in first-read order,
-// and the bits read. The context holds int32 copies of the rows, and
-// the values it ends with are written back.
-func Evaluate(sys *System, cfg *Config, p int, comm, internal []int, apply bool, r *rng.Rand) (action int, reads []int, bits int) {
-	agg := newReadAgg(sys)
-	agg.begin()
-	c := &Ctx{sys: sys, comm: toInt32(comm), internal: toInt32(internal), agg: &agg}
-	action = evaluate(c, cfg, p, apply, r)
+// returns that action (-1: disabled). The context holds int32 copies of
+// the rows, and the values it ends with are written back.
+func Evaluate(sys *System, view View, p int, nbr, comm, internal []int, apply bool, r *rng.Rand) int {
+	c := &Ctx{sys: sys, p: p, nbr: toInt32(nbr), view: view, comm: toInt32(comm), internal: toInt32(internal), rand: r}
+	var action int
+	if apply {
+		action = execOne(c)
+	} else {
+		action = firstEnabled(c)
+	}
 	for v, x := range c.comm {
 		comm[v] = int(x)
 	}
 	for v, x := range c.internal {
 		internal[v] = int(x)
 	}
-	return action, agg.qs, agg.bits
+	return action
 }
 
 // toInt32 narrows a caller's row for Evaluate's context.
@@ -99,7 +90,9 @@ func toInt32(row []int) []int32 {
 // the neighbors' communication state for the duration of the call.
 func StepProcess(sys *System, cfg *Config, p int, r *rng.Rand) int {
 	c := &Ctx{sys: sys, comm: slices.Clone(cfg.commRow(p)), internal: slices.Clone(cfg.internalRow(p))}
-	fired := evaluate(c, cfg, p, true, r)
+	c.aim(cfg, p)
+	c.rand = r
+	fired := execOne(c)
 	if fired >= 0 {
 		copy(cfg.commRow(p), c.comm)
 		copy(cfg.internalRow(p), c.internal)

@@ -39,10 +39,14 @@ func flatten(edges [][2]int) []int {
 	return out
 }
 
-// apply fires one random valid event (retrying kinds with no valid
-// candidate) and returns the affected processes.
+// apply fires next on sim and returns the affected processes.
 func (m *topoMutator) apply(sim *model.Simulator, dst []int) []int {
-	g := sim.Sys().Graph()
+	return sim.ApplyTopology(m.next(sim.Sys().Graph()), dst)
+}
+
+// next draws one random event valid on the live graph g (retrying kinds
+// with no valid candidate).
+func (m *topoMutator) next(g *graph.Graph) model.TopologyEvent {
 	for {
 		switch m.r.Intn(4) {
 		case 0: // remove a live edge
@@ -50,20 +54,20 @@ func (m *topoMutator) apply(sim *model.Simulator, dst []int) []int {
 			if !g.HasEdge(e[0], e[1]) {
 				continue
 			}
-			return sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoEdgeRemove, U: e[0], V: e[1]}, dst)
+			return model.TopologyEvent{Kind: model.TopoEdgeRemove, U: e[0], V: e[1]}
 		case 1: // restore a removed base edge between alive endpoints
 			e := m.edges[m.r.Intn(len(m.edges))]
 			if g.HasEdge(e[0], e[1]) || m.crashed[e[0]] || m.crashed[e[1]] {
 				continue
 			}
-			return sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoEdgeAdd, U: e[0], V: e[1]}, dst)
+			return model.TopologyEvent{Kind: model.TopoEdgeAdd, U: e[0], V: e[1]}
 		case 2: // crash an alive process
 			p := m.r.Intn(m.base.N())
 			if m.crashed[p] {
 				continue
 			}
 			m.crashed[p] = true
-			return sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoCrash, U: p}, dst)
+			return model.TopologyEvent{Kind: model.TopoCrash, U: p}
 		default: // rejoin a crashed process
 			if len(m.crashed) == 0 {
 				continue
@@ -73,7 +77,7 @@ func (m *topoMutator) apply(sim *model.Simulator, dst []int) []int {
 				continue
 			}
 			delete(m.crashed, p)
-			return sim.ApplyTopology(model.TopologyEvent{Kind: model.TopoJoin, U: p}, dst)
+			return model.TopologyEvent{Kind: model.TopoJoin, U: p}
 		}
 	}
 }

@@ -29,10 +29,9 @@ func runOnce(t *testing.T, g *graph.Graph, spec *model.Spec, root int, seed uint
 	}
 	cfg := model.NewRandomConfig(sys, rng.New(seed))
 	res, err := core.Run(sys, cfg, core.RunOptions{
-		Scheduler:  sched.NewRandomSubset(seed),
-		Seed:       seed,
-		MaxSteps:   800000,
-		CheckEvery: 2,
+		Scheduler: sched.NewRandomSubset(seed),
+		Seed:      seed,
+		MaxSteps:  800000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ func runOnce(t *testing.T, g *graph.Graph, spec *model.Spec, sch model.Scheduler
 		Scheduler:    sch,
 		Seed:         seed,
 		MaxSteps:     200000,
-		CheckEvery:   4,
 		SuffixRounds: suffix,
 	})
 	if err != nil {
@@ -196,10 +195,9 @@ func TestWorstCaseAllSameColor(t *testing.T) {
 	}
 	cfg := model.NewZeroConfig(sys)
 	res, err := core.Run(sys, cfg, core.RunOptions{
-		Scheduler:  sched.NewRandomSubset(13),
-		Seed:       13,
-		MaxSteps:   200000,
-		CheckEvery: 4,
+		Scheduler: sched.NewRandomSubset(13),
+		Seed:      13,
+		MaxSteps:  200000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,6 @@ func TestFrozenColoringIsEventuallyOneStable(t *testing.T) {
 		Scheduler:    sched.NewRandomSubset(3),
 		Seed:         3,
 		MaxSteps:     100000,
-		CheckEvery:   2,
 		SuffixRounds: 20,
 	})
 	if err != nil {
@@ -85,10 +84,9 @@ func TestFrozenColoringSometimesDeadlocksIllegitimately(t *testing.T) {
 	for seed := uint64(0); seed < 60 && !sawIllegitimate; seed++ {
 		cfg := model.NewRandomConfig(sys, rng.New(seed))
 		res, err := core.Run(sys, cfg, core.RunOptions{
-			Scheduler:  sched.NewRandomSubset(seed),
-			Seed:       seed,
-			MaxSteps:   50000,
-			CheckEvery: 2,
+			Scheduler: sched.NewRandomSubset(seed),
+			Seed:      seed,
+			MaxSteps:  50000,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -113,10 +111,9 @@ func TestFrozenMISDeadlocksIllegitimately(t *testing.T) {
 	for seed := uint64(0); seed < 80 && !sawIllegitimate; seed++ {
 		cfg := model.NewRandomConfig(sys, rng.New(seed))
 		res, err := core.Run(sys, cfg, core.RunOptions{
-			Scheduler:  sched.NewRandomSubset(seed),
-			Seed:       seed,
-			MaxSteps:   50000,
-			CheckEvery: 2,
+			Scheduler: sched.NewRandomSubset(seed),
+			Seed:      seed,
+			MaxSteps:  50000,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -141,10 +138,9 @@ func TestFrozenMatchingDeadlocksIllegitimately(t *testing.T) {
 	for seed := uint64(0); seed < 120 && !sawIllegitimate; seed++ {
 		cfg := model.NewRandomConfig(sys, rng.New(seed))
 		res, err := core.Run(sys, cfg, core.RunOptions{
-			Scheduler:  sched.NewRandomSubset(seed),
-			Seed:       seed,
-			MaxSteps:   50000,
-			CheckEvery: 2,
+			Scheduler: sched.NewRandomSubset(seed),
+			Seed:      seed,
+			MaxSteps:  50000,
 		})
 		if err != nil {
 			t.Fatal(err)

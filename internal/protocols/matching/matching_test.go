@@ -49,7 +49,6 @@ func runOnce(t *testing.T, sys *model.System, sch model.Scheduler, seed uint64, 
 		Scheduler:    sch,
 		Seed:         seed,
 		MaxSteps:     600000,
-		CheckEvery:   1,
 		SuffixRounds: suffix,
 	})
 	if err != nil {

@@ -51,7 +51,6 @@ func runOnce(t *testing.T, sys *model.System, sch model.Scheduler, seed uint64, 
 		Scheduler:    sch,
 		Seed:         seed,
 		MaxSteps:     400000,
-		CheckEvery:   1,
 		SuffixRounds: suffix,
 	})
 	if err != nil {

@@ -97,13 +97,16 @@ func TestReportIntoReusesSlices(t *testing.T) {
 	}
 }
 
-// scriptedRead is one neighbor read of a scripted guard: variable v of
-// the given kind behind port.
+// scriptedRead is one neighbor read of a scripted guard: communication
+// variable v, or constant v with konst set, of the neighbor behind port.
 type scriptedRead struct {
-	port int
-	kind model.VarKind
-	v    int
+	port  int
+	konst bool
+	v     int
 }
+
+// The kinds a scriptedRead names.
+const comm, konst = false, true
 
 // pinned is a scheduler that selects the same processes every step.
 type pinned []int
@@ -126,7 +129,7 @@ func runScript(t *testing.T, n int, reads []scriptedRead, bits, steps int) Repor
 			Name: "read",
 			Guard: func(c *model.Ctx) bool {
 				for _, r := range reads {
-					if r.kind == model.KindConst {
+					if r.konst {
 						c.NeighborConst(r.port, r.v)
 					} else {
 						c.NeighborComm(r.port, r.v)
@@ -165,13 +168,13 @@ func runScript(t *testing.T, n int, reads []scriptedRead, bits, steps int) Repor
 func TestReadDedupStampedVsFallback(t *testing.T) {
 	t.Parallel()
 	reads := []scriptedRead{
-		{1, model.KindComm, 0},
-		{1, model.KindComm, 0},  // dup: not recounted
-		{1, model.KindConst, 0}, // same neighbor+index, other kind: counted
-		{1, model.KindComm, 1},  // same neighbor, other var: counted
-		{2, model.KindComm, 0},  // other neighbor: counted
-		{2, model.KindComm, 0},  // dup
-		{1, model.KindConst, 0}, // dup
+		{1, comm, 0},
+		{1, comm, 0},  // dup: not recounted
+		{1, konst, 0}, // same neighbor+index, other kind: counted
+		{1, comm, 1},  // same neighbor, other var: counted
+		{2, comm, 0},  // other neighbor: counted
+		{2, comm, 0},  // dup
+		{1, konst, 0}, // dup
 	}
 	const bits = 3
 	// Distinct keys: (1,comm,0), (1,const,0), (1,comm,1), (2,comm,0).
@@ -194,10 +197,10 @@ func TestReadDedupStampedVsFallback(t *testing.T) {
 func TestReadDedupStampGrowth(t *testing.T) {
 	t.Parallel()
 	reads := []scriptedRead{
-		{1, model.KindComm, 0},
-		{1, model.KindComm, 5},
-		{1, model.KindComm, 0},
-		{1, model.KindComm, 5},
+		{1, comm, 0},
+		{1, comm, 5},
+		{1, comm, 0},
+		{1, comm, 5},
 	}
 	if rep := runScript(t, 4, reads, 2, 1); rep.TotalBits != 4 {
 		t.Fatalf("TotalBits = %d, want 4 (two distinct reads)", rep.TotalBits)
@@ -208,7 +211,7 @@ func TestReadDedupStampGrowth(t *testing.T) {
 // next step counts again.
 func TestReadDedupAcrossSteps(t *testing.T) {
 	t.Parallel()
-	reads := []scriptedRead{{1, model.KindComm, 0}, {1, model.KindComm, 0}}
+	reads := []scriptedRead{{1, comm, 0}, {1, comm, 0}}
 	for _, n := range []int{4, 130} {
 		if rep := runScript(t, n, reads, 3, 3); rep.TotalBits != 9 {
 			t.Fatalf("n=%d: 3 steps × 1 distinct read = %d bits, want 9", n, rep.TotalBits)

@@ -14,9 +14,13 @@
 //     neighbor behind cur into the cache and advances cur (this is the
 //     only action that communicates: the transformed protocol reads at
 //     most one neighbor per step by construction);
-//   - every original action runs against the cached view: its guard and
-//     statement see the cache instead of the network, so they perform no
-//     communication at all.
+//   - every original action runs against the cached view, a model.View
+//     that Ctx.GuardThrough and Ctx.ApplyThrough install around its guard
+//     and statement: their neighbor reads see the cache instead of the
+//     network, so they perform no communication at all. A back port,
+//     which the cache does not hold, is read through the view the cache
+//     was installed over: the engine's graph, or under the reference
+//     semantics (internal/model/ref) the reference's own adjacency.
 //
 // The transformation preserves silence semantics: in a silent
 // configuration the refresh action keeps cycling (exactly like the
@@ -59,20 +63,10 @@ func Transform(orig *model.Spec, delta int) (*model.Spec, error) {
 	// Internal layout: [orig internals][cur][cache port1 .. port delta],
 	// each port block holding the comm vars then the const vars.
 	curIdx := nOrigInternal
-	cacheBase := curIdx + 1
-	cacheIdx := func(port int, kind model.VarKind, v int) int {
-		base := cacheBase + (port-1)*perPort
-		switch kind {
-		case model.KindComm:
-			return base + v
-		case model.KindConst:
-			return base + nComm + v
-		default:
-			panic(fmt.Sprintf("transformer: cached read of %v variable", kind))
-		}
-	}
+	cache := cacheView{base: curIdx + 1, perPort: perPort, nComm: nComm}
+	var cached model.View = cache // converted once: a view per call would allocate
 
-	internal := make([]model.VarSpec, 0, cacheBase+delta*perPort)
+	internal := make([]model.VarSpec, 0, cache.base+delta*perPort)
 	internal = append(internal, orig.Internal...)
 	internal = append(internal, model.VarSpec{
 		Name:   "xcur",
@@ -110,12 +104,12 @@ func Transform(orig *model.Spec, delta int) (*model.Spec, error) {
 	staleAtCur := func(c *model.Ctx) bool {
 		port := c.Internal(curIdx) + 1
 		for v := 0; v < nComm; v++ {
-			if c.Internal(cacheIdx(port, model.KindComm, v)) != c.NeighborComm(port, v) {
+			if c.Internal(cache.commAt(port, v)) != c.NeighborComm(port, v) {
 				return true
 			}
 		}
 		for v := 0; v < nConst; v++ {
-			if c.Internal(cacheIdx(port, model.KindConst, v)) != c.NeighborConst(port, v) {
+			if c.Internal(cache.constAt(port, v)) != c.NeighborConst(port, v) {
 				return true
 			}
 		}
@@ -128,10 +122,10 @@ func Transform(orig *model.Spec, delta int) (*model.Spec, error) {
 		Apply: func(c *model.Ctx) {
 			port := c.Internal(curIdx) + 1
 			for v := 0; v < nComm; v++ {
-				c.SetInternal(cacheIdx(port, model.KindComm, v), c.NeighborComm(port, v))
+				c.SetInternal(cache.commAt(port, v), c.NeighborComm(port, v))
 			}
 			for v := 0; v < nConst; v++ {
-				c.SetInternal(cacheIdx(port, model.KindConst, v), c.NeighborConst(port, v))
+				c.SetInternal(cache.constAt(port, v), c.NeighborConst(port, v))
 			}
 			c.SetInternal(curIdx, (c.Internal(curIdx)+1)%c.Deg())
 		},
@@ -139,18 +133,9 @@ func Transform(orig *model.Spec, delta int) (*model.Spec, error) {
 	for i := range orig.Actions {
 		oa := orig.Actions[i]
 		actions = append(actions, model.Action{
-			Name: "cached: " + oa.Name,
-			Guard: func(c *model.Ctx) bool {
-				c.BeginCachedView(cacheIdx)
-				ok := oa.Guard(c)
-				c.EndCachedView()
-				return ok
-			},
-			Apply: func(c *model.Ctx) {
-				c.BeginCachedView(cacheIdx)
-				oa.Apply(c)
-				c.EndCachedView()
-			},
+			Name:       "cached: " + oa.Name,
+			Guard:      func(c *model.Ctx) bool { return c.GuardThrough(cached, oa.Guard) },
+			Apply:      func(c *model.Ctx) { c.ApplyThrough(cached, oa.Apply) },
 			Randomized: oa.Randomized,
 		})
 	}
@@ -173,6 +158,27 @@ func Transform(orig *model.Spec, delta int) (*model.Spec, error) {
 		Legitimate: orig.Legitimate,
 	}, nil
 }
+
+// cacheView is the view the original actions run against: a neighbor's
+// communication variables and constants come from the process's cache
+// variables, local reads that record no communication, and BackPort,
+// which the cache does not hold, from the view it was installed over.
+// The cache of port holds the comm variables, then the constants, from
+// internal variable base+(port-1)·perPort on.
+type cacheView struct{ base, perPort, nComm int }
+
+func (v cacheView) commAt(port, i int) int  { return v.base + (port-1)*v.perPort + i }
+func (v cacheView) constAt(port, i int) int { return v.commAt(port, v.nComm+i) }
+
+func (v cacheView) NeighborComm(c *model.Ctx, port, i int) int {
+	return c.Internal(v.commAt(port, i))
+}
+
+func (v cacheView) NeighborConst(c *model.Ctx, port, i int) int {
+	return c.Internal(v.constAt(port, i))
+}
+
+func (cacheView) BackPort(c *model.Ctx, port int) int { return c.OuterBackPort(port) }
 
 func capDomain(domain func(model.DomainInfo) int) func(model.DomainInfo) int {
 	return func(i model.DomainInfo) int {

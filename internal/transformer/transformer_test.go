@@ -62,7 +62,6 @@ func runTransformed(t *testing.T, g *graph.Graph, orig *model.Spec, consts [][]i
 		Scheduler:    sched.NewRandomSubset(seed),
 		Seed:         seed,
 		MaxSteps:     800000,
-		CheckEvery:   2,
 		SuffixRounds: 4 * g.N(),
 	})
 	if err != nil {

@@ -95,10 +95,9 @@ func (d *Demo) Check(seed uint64, maxSteps int) (Outcome, error) {
 	out.RealSilent = realSilent
 
 	res, err := core.Run(d.Real, d.Config, core.RunOptions{
-		Scheduler:  sched.NewRandomSubset(seed),
-		Seed:       seed,
-		MaxSteps:   maxSteps,
-		CheckEvery: 4,
+		Scheduler: sched.NewRandomSubset(seed),
+		Seed:      seed,
+		MaxSteps:  maxSteps,
 	})
 	if err != nil {
 		return out, fmt.Errorf("verify: recovery run: %w", err)

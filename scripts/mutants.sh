@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# Engine mutation check: the committed FuzzSimulatorVsReference corpus,
+# run as a plain test, must fail on every mutation below. Each mutation
+# is applied to one file of a temporary copy of the tree (never to the
+# working tree), the model test binary is rebuilt from that copy (it
+# must still compile) and run over the corpus, and the file is put back
+# before the next one. A pattern that no longer matches exactly once
+# fails the check, so the list cannot go stale unnoticed.
+# Usage: scripts/mutants.sh [workdir]
+set -euo pipefail
+
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+DIR=${1:-/tmp/mutants}
+TREE=$DIR/tree
+rm -rf "$DIR" && mkdir -p "$TREE"
+tar -C "$ROOT" --exclude=./.git --exclude=./bench/out -cf - . | tar -C "$TREE" -xf -
+
+# Each mutation: a name, a file of the tree, and a perl substitution
+# (delimited by ~) applied to the whole file.
+MUTATIONS=(
+	"memoFlush dropped from Step|internal/model/sim.go|s~selected := s.advance\(\)\n\ts.memoFlush\(\)\n~selected := s.advance()\n~"
+	"tracker.Invalidate skipped in moved|internal/model/sim.go|s~\n\ts.tracker.Invalidate\(p\)\n\tif commChanged \{~\n\tif commChanged {~"
+	"NeighborComm reads port+1|internal/model/ctx.go|s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port])\$1~"
+	"second writer skipped in executeStep's commit walk|internal/model/arena.go|s~\t\tcommChanged\[i\] = a.commit\(cfg, selected\[i\], k, s.step, obs\)\n~\t\tif k != 1 {\n\t\t\tcommChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)\n\t\t}\n~"
+	"NeighborComm port row rotated in range|internal/model/ctx.go|s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port%len(c.nbr)])\$1~"
+	"removeHalf skips the moved neighbor's back pointer|internal/graph/dynamic.go|s~\t\tg.backRow\(int\(row\[i\]\)\)\[brow\[i\]\] = i\n~~"
+)
+
+fail=0
+for m in "${MUTATIONS[@]}"; do
+	IFS='|' read -r name file subst <<<"$m"
+	cp "$TREE/$file" "$DIR/original"
+	if ! perl -0777 -i -pe "BEGIN { \$n = 0 } \$n += $subst; END { exit(\$n == 1 ? 0 : 3) }" "$TREE/$file"; then
+		echo "STALE   $name: the pattern no longer matches $file exactly once"
+		fail=1
+	elif ! (cd "$TREE" && go test -c -o "$DIR/model.test" ./internal/model) >"$DIR/build.log" 2>&1; then
+		echo "BROKEN  $name: the mutated tree does not compile"
+		cat "$DIR/build.log"
+		fail=1
+	elif (cd "$TREE/internal/model" && "$DIR/model.test" -test.run '^FuzzSimulatorVsReference$' -test.timeout 5m) >"$DIR/run.log" 2>&1; then
+		echo "MISSED  $name: the corpus passes"
+		fail=1
+	else
+		echo "caught  $name ($(grep -m1 -o 'FuzzSimulatorVsReference/[^ ]*' "$DIR/run.log" || echo 'see run.log'))"
+	fi
+	cp "$DIR/original" "$TREE/$file"
+done
+if [ "$fail" -ne 0 ]; then
+	echo "mutants FAIL"
+	exit 1
+fi
+echo "mutants OK: the corpus catches all ${#MUTATIONS[@]} mutations"

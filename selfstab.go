@@ -122,7 +122,6 @@ func Run(sys *model.System, opts Options) (*RunResult, error) {
 		Scheduler:    sc,
 		Seed:         opts.Seed,
 		MaxSteps:     opts.MaxSteps,
-		CheckEvery:   1,
 		SuffixRounds: opts.SuffixRounds,
 	})
 }
