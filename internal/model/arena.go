@@ -118,10 +118,7 @@ func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bo
 			fired = append(fired, -1)
 			continue
 		}
-		if len(s.disSeen) > 0 && s.disSeen[p].pend > 1 {
-			// p's kept reads are about to be overwritten.
-			s.deliverDisabled(p)
-		}
+		s.deliverDisabled(p) // p's kept reads are about to be overwritten
 		f, staged := a.eval(cfg, p, len(writers), obs != nil)
 		fired = append(fired, int16(f))
 		if staged {

@@ -17,21 +17,25 @@ import (
 	"repro/internal/trace"
 )
 
-// silentMatching returns a recorded simulator of MATCHING on the suite's
-// 16-node 4-regular graph, run to silence under the distributed daemon:
-// the state E6 and E10 measure their stabilized-phase suffix from.
-func silentMatching(tb testing.TB) (*model.Simulator, *trace.Recorder) {
+// silentSystem returns a recorded simulator of protocol family fam on
+// the suite's 16-node 4-regular graph, run to silence under daemon: the
+// state E6, E10 and E13 measure their stabilized-phase suffix from.
+func silentSystem(tb testing.TB, fam, daemon string) (*model.Simulator, *trace.Recorder) {
 	tb.Helper()
 	g, err := graph.RandomRegular(16, 4, rng.New(2009))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys, err := engine.Build(g, engine.FamMatching, nil)
+	sys, err := engine.Build(g, fam, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sc, err := sched.ByName(daemon, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	rec := trace.NewRecorder(sys.N())
-	sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(1)), sched.NewRandomSubset(1), 1, rec)
+	sim, err := model.NewSimulator(sys, model.NewRandomConfig(sys, rng.New(1)), sc, 1, rec)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -43,16 +47,29 @@ func silentMatching(tb testing.TB) (*model.Simulator, *trace.Recorder) {
 
 // BenchmarkSilentSuffix measures the stabilized phase as the registry
 // runs it: RunRounds(6n) on a silent configuration with a Recorder
-// attached, every selection served from the replay memo and handed to
-// the recorder as counted batches.
+// attached, every selection counted on its process's closed orbit and
+// handed to the recorder as counted batches. random-subset is MATCHING
+// under the distributed daemon, E6's and E10's suffix; laziest-fair is
+// the same under a tracked daemon, whose probes make the simulator apply
+// the counts before every step; matching-xform is the cached-view
+// full-read MATCHING of E13, whose orbits cycle through the cache
+// pointer after a tail of refreshes.
 func BenchmarkSilentSuffix(b *testing.B) {
-	sim, rec := silentMatching(b)
-	rounds := 6 * sim.Sys().N()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.MarkSuffix()
-		sim.RunRounds(rounds)
+	for _, c := range []struct{ name, fam, daemon string }{
+		{"random-subset", engine.FamMatching, "random-subset"},
+		{"laziest-fair", engine.FamMatching, "laziest-fair"},
+		{"matching-xform", engine.FamMatchingXform, "random-subset"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sim, rec := silentSystem(b, c.fam, c.daemon)
+			rounds := 6 * sim.Sys().N()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rec.MarkSuffix()
+				sim.RunRounds(rounds)
+			}
+		})
 	}
 }
 

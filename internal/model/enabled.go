@@ -128,15 +128,24 @@ func (t *EnabledTracker) EnabledAction(p int) int {
 	return t.recompute(p)
 }
 
-// recompute re-evaluates p's guards and commits the verdict, updating the
-// enabled bitset only when the verdict changed sign — in steady state most
-// invalidations re-derive the same verdict, and the mirror stays untouched.
+// recompute re-evaluates p's guards and commits the verdict.
 func (t *EnabledTracker) recompute(p int) int {
 	c := &t.probe
 	c.aim(t.cfg, p)
 	copy(c.comm, t.cfg.commRow(p))
 	copy(c.internal, t.cfg.internalRow(p))
 	idx := firstEnabled(c)
+	t.commit(p, idx)
+	return idx
+}
+
+// commit records idx, p's first enabled action (-1: disabled) under the
+// configuration the tracker serves, as a probed verdict: recompute's,
+// or the first transition of a silence probe's orbit walk. The enabled
+// bitset changes only when the verdict changed sign — in steady state
+// most invalidations re-derive the same verdict, and the mirror stays
+// untouched.
+func (t *EnabledTracker) commit(p, idx int) {
 	t.valid[p] = verdictProbed
 	if old := t.action[p]; (old >= 0) != (idx >= 0) {
 		if idx >= 0 {
@@ -146,7 +155,6 @@ func (t *EnabledTracker) recompute(p int) int {
 		}
 	}
 	t.action[p] = int16(idx)
-	return idx
 }
 
 // judgeDisabled commits the verdict of a step evaluation that found p

@@ -114,6 +114,9 @@ const (
 // MATCHING, the cached-view MIS and the cached-view MATCHING on a
 // MutableCopy through crashes, joins, removals and restorations, so the
 // reference's own port rule and domain reduction run on every go test.
+// The suffix cases run five protocols to silence and then through a
+// dozen RunRounds stretches, so orbits close and their counts are
+// applied, before and after a corruption or a topology event.
 func FuzzSimulatorVsReference(f *testing.F) {
 	f.Add(uint8(3), uint8(7), false, uint8(1), uint8(1), uint64(1), []byte{opRunUntilSilent, opMarkSuffix, opStep | 3<<3, opRunRounds, opCorrupt, opStep})
 	f.Fuzz(func(t *testing.T, shape, size uint8, dynamic bool, proto, daemon uint8, seed uint64, ops []byte) {

@@ -58,6 +58,9 @@ type orbitProbe struct {
 	// start and tortoise are internal rows: the walk's first state and
 	// Brent's saved one.
 	start, tortoise []int32
+	// first is the action the walk's first transition found enabled (-1:
+	// none): p's enabledness under cfg, which SilentNow hands the tracker.
+	first int
 }
 
 // bind points the probe at sys, reusing buffers when already bound.
@@ -92,6 +95,9 @@ func (o *orbitProbe) walk(cfg *Config, p int) (silent bool, period int, err erro
 	power, lam := 1, 0
 	for n := 1; n <= orbitBudget; n++ {
 		fired, silent, err := o.transition(cfg, p)
+		if n == 1 {
+			o.first = fired
+		}
 		if err != nil || !silent {
 			return false, 0, err
 		}

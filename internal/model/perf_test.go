@@ -125,7 +125,7 @@ func TestStepZeroAllocDisabledReplay(t *testing.T) {
 // orbit's transitions, further stretches — counted replays, their
 // hand-over to the recorder included — allocate nothing.
 func TestSilentSuffixZeroAlloc(t *testing.T) {
-	sim, rec := silentMatching(t)
+	sim, rec := silentSystem(t, engine.FamMatching, "random-subset")
 	rounds := 6 * sim.Sys().N()
 	sim.RunRounds(rounds)
 	avg := testing.AllocsPerRun(20, func() {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/rng"
@@ -11,16 +12,21 @@ import (
 // activate. Implementations live in internal/sched; the distributed fair
 // scheduler of the paper is the reference semantics.
 //
-// Schedulers that consult enabledness should additionally implement
+// Schedulers that consult enabledness must additionally implement
 // TrackedScheduler: the simulator then serves their probes from its
-// incremental EnabledTracker instead of a from-scratch rescan.
+// incremental EnabledTracker instead of a from-scratch rescan, and brings
+// every internal row up to date before it asks. Within one RunRounds,
+// RunSteps or RunUntilSilent call, the internal rows of the processes on
+// closed silent orbits lag their selections (see Simulator.memoLazy), so
+// a scheduler the simulator calls through Select may read cfg's
+// communication rows, not its internal ones.
 type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
 	// Select returns the processes activated at this step. It must be
-	// non-empty; it may consult enabledness through an EnabledTracker
-	// over cfg (that probe is the daemon's omniscience and does not count
-	// as communication).
+	// non-empty. Called directly on a settled configuration, it may
+	// consult enabledness through an EnabledTracker over cfg (that probe
+	// is the daemon's omniscience and does not count as communication).
 	// The returned slice may be a reused internal buffer: it is only
 	// valid until the next Select call on the same scheduler.
 	Select(step int, sys *System, cfg *Config) []int
@@ -87,21 +93,42 @@ type Simulator struct {
 	// orbitProbe), so a process's response to being selected — the reads
 	// it performs, the action it fires and its next internal state — is a
 	// pure function of its internal row. Step then captures each (process,
-	// internal-state) transition once and replays it on later selections,
-	// skipping guard re-evaluation entirely. A replay costs a counter, a
-	// row copy and a link: memoCur[p] is 1 + the index of the entry for
-	// p's current internal state (0: not known) and each entry links to
-	// its successor's the same way. The observer is not called per replay:
-	// an entry's replays are counted and handed over as one Selected call
-	// carrying the aggregate its evaluation delivered and the count (see
-	// memoFlush), before any exported method returns. Every statistic an
-	// observer keeps is a sum, a maximum or a set union of that aggregate,
-	// so recorded traces are byte-identical to the slow path. Both tables
-	// are allocated by the first step of a silent phase: a run that ends
-	// at silence, as every convergence trial without a suffix does, never
-	// reads them.
+	// internal-state) transition that fires once, in the order p's orbit
+	// visits them, and replays it on later selections, skipping guard
+	// re-evaluation entirely; a state in which p is disabled ends the orbit
+	// and is served by the disabled replays below. A replay costs a
+	// counter, a row copy and a link: memoCur[p] is 1 + the index of the
+	// entry for p's current internal state (0: not known) and each entry
+	// links to its successor's the same way.
+	//
+	// Once p's entries close a cycle (memoCyc), a selection of p is not
+	// even a replay: it adds one to memoLazy[p], and the count is applied
+	// in closed form when the stretch of steps ends (memoSettle): each
+	// entry of the cycle gets its share of the replays, and p's internal
+	// row and memoCur move to where that many replays would have left
+	// them. Nothing reads p's internal row in between: other processes
+	// read only communication rows, and a TrackedScheduler's probes, which
+	// do read it, are served after a settle (a plain Scheduler must not
+	// read it, see Scheduler.Select).
+	//
+	// The observer is not called per replay: an entry's replays are
+	// counted and handed over as one Selected call carrying the aggregate
+	// its evaluation delivered and the count (see memoFlush). Every
+	// statistic an observer keeps is a sum, a maximum or a set union of
+	// that aggregate, so recorded traces are byte-identical to the slow
+	// path. The tables are allocated by the first step of a silent phase:
+	// a run that ends at silence, as every convergence trial without a
+	// suffix does, never reads them.
+	//
+	// Invariant: no count is pending when an exported method returns —
+	// every stepping method ends in memoFlush, which settles. MarkDirty and
+	// ApplyTopology rely on it: their callers write rows before memoReset
+	// flushes, and a pending count would then be applied over those rows.
 	memoEntries [][]silentEntry
 	memoCur     []int32
+	memoCyc     []memoCycle
+	memoLazy    []int32   // selections counted on p's closed cycle, not yet applied
+	memoDue     []int32   // the processes whose memoLazy is non-zero
 	memoPending []memoRef // entries with undelivered replays
 	memoActive  bool
 	memoUsed    bool // any entry captured since the last reset
@@ -137,7 +164,7 @@ type disabledSeen struct {
 // silentEntry memoizes one silent-phase transition of a process: in
 // internal state `state`, the process reads the distinct neighbors qs
 // for `bits` bits in total (the Observer.Selected aggregate), fires
-// `fired` (-1 if disabled) and moves to internal state `next`, whose own
+// action `fired` and moves to internal state `next`, whose own
 // entry is number succ-1 of the process's list (0 until a replay finds
 // it captured). hits counts the replays the observer has not been told
 // of.
@@ -154,6 +181,11 @@ type silentEntry struct {
 // memoRef names entry i of process p's memo list, or with i = -1 p's
 // disabled replays.
 type memoRef struct{ p, i int32 }
+
+// memoCycle is the closed cycle of a process's memo list: entries start
+// to start+n−1, each leading to the next and the last back to start.
+// n = 0: no cycle closed yet.
+type memoCycle struct{ start, n int32 }
 
 // memoMaxEntries bounds the per-process memo. The walker closes an orbit
 // only within orbitBudget transitions, one at least per state, so a silent
@@ -203,7 +235,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		s.lastSel = make([]int, sys.N())
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
-		s.memoEntries, s.memoCur = nil, nil
+		s.memoEntries, s.memoCur, s.memoCyc, s.memoLazy = nil, nil, nil, nil
 		s.disReads, s.disSeen = s.disReads[:0], s.disSeen[:0]
 		s.arena = newStepArena(sys)
 	} else {
@@ -264,6 +296,7 @@ func (s *Simulator) Step() []int {
 func (s *Simulator) advance() []int {
 	var selected []int
 	if s.tsched != nil {
+		s.memoSettle() // the probes read internal rows
 		selected = s.tsched.SelectTracked(s.step, s.sys, s.cfg, s.tracker)
 	} else {
 		selected = s.sched.Select(s.step, s.sys, s.cfg)
@@ -382,12 +415,14 @@ func (s *Simulator) RunUntilSilent(maxSteps, checkEvery int) (bool, error) {
 // The fast path is allocation-free and O(invalidated-since-last-check):
 // a standing broken verdict answers false from a counter, and only the
 // processes whose verdicts were invalidated (queued by Step/MarkDirty)
-// are re-probed — the verdict vector is never swept. Of those, a
-// disabled process is a local fixed point whose disabledness comes from
-// the incremental tracker; only enabled processes pay for the orbit
-// walk. Probes are side-effect-free and every queued process gets
-// the same verdict it would under an ascending sweep, so drain order
-// cannot be observed.
+// are re-probed — the verdict vector is never swept. Of those, a process
+// whose tracker verdict is a valid "disabled" is a local fixed point and
+// costs nothing more; every other one goes straight to the orbit walk,
+// whose first transition evaluates p's guards once for both questions:
+// the walk decides p's silence and hands the tracker p's enabledness as
+// a probed verdict. Probes leave the configuration alone and every
+// queued process gets the same verdict it would under an ascending
+// sweep, so drain order cannot be observed.
 func (s *Simulator) SilentNow() (bool, error) {
 	if s.silBroken > 0 {
 		return false, nil
@@ -400,12 +435,13 @@ func (s *Simulator) SilentNow() (bool, error) {
 			// loosens.
 			continue
 		}
-		if s.tracker.EnabledAction(p) < 0 {
+		if t := s.tracker; t.valid[p] != verdictStale && t.action[p] < 0 {
 			// Disabled: the orbit is closed at the first state.
 			s.silence[p] = silenceSilent
 			continue
 		}
 		silent, _, err := s.probe.walk(s.cfg, p)
+		s.tracker.commit(p, s.probe.first)
 		if err != nil {
 			// Keep the invariant: p is still unknown, so it stays queued.
 			s.silUnknown = append(s.silUnknown, int32(p))
@@ -502,19 +538,20 @@ func (s *Simulator) memoReset() {
 		s.memoEntries[p] = s.memoEntries[p][:0]
 	}
 	clear(s.memoCur)
+	clear(s.memoCyc)
 }
 
-// memoFlush hands the observer the replays counted since the last flush:
-// one Selected call per visited memo entry and per disabled process,
-// carrying the aggregate its evaluation delivered and the number of
-// replays. Every exported method that steps flushes before it returns,
-// so an observer is current whenever its owner can look at it.
+// memoFlush applies the counts on closed cycles (memoSettle), then hands
+// the observer the replays counted since the last flush: one Selected
+// call per visited memo entry and per disabled process, carrying the
+// aggregate its evaluation delivered and the number of replays. Every
+// exported method that steps flushes before it returns, so an observer
+// is current whenever its owner can look at it.
 func (s *Simulator) memoFlush() {
+	s.memoSettle()
 	for _, ref := range s.memoPending {
 		if ref.i < 0 {
-			if s.disSeen[ref.p].pend > 1 {
-				s.deliverDisabled(int(ref.p))
-			}
+			s.deliverDisabled(int(ref.p))
 			s.disSeen[ref.p].pend = 0
 			continue
 		}
@@ -546,19 +583,38 @@ scan:
 	return 0
 }
 
-// memoStep is Step's silent-phase fast path: each selected process is
-// served from the replay memo when its internal state was seen before,
-// and evaluated-and-captured otherwise. The observer is owed the same
-// Selected aggregate either way (a replay counts it, memoFlush delivers
-// it), and internal-only commits are invisible to other processes, so
-// per-process sequential processing preserves the two-phase step
-// semantics.
+// memoStep is Step's silent-phase fast path: a selected process whose
+// disabled verdict stands is a disabled replay, one whose memo entries
+// close a cycle is counted (memoLazy), one whose internal state was seen
+// before is served from the replay memo, and any other is evaluated and,
+// if it fires, captured. The observer is owed the same Selected
+// aggregate either way (a count or a replay defers it, memoFlush
+// delivers it), and internal-only commits are invisible to other
+// processes, so per-process sequential processing preserves the
+// two-phase step semantics.
 func (s *Simulator) memoStep(selected []int) {
 	if s.memoEntries == nil {
-		s.memoEntries = make([][]silentEntry, s.sys.N())
-		s.memoCur = make([]int32, s.sys.N())
+		n := s.sys.N()
+		s.memoEntries = make([][]silentEntry, n)
+		s.memoCur = make([]int32, n)
+		s.memoCyc = make([]memoCycle, n)
+		s.memoLazy = make([]int32, n)
 	}
 	for _, p := range selected {
+		if s.tracker.valid[p] == verdictStepped {
+			s.replayDisabled(p)
+			continue
+		}
+		if s.memoCyc[p].n > 0 {
+			switch s.memoLazy[p] {
+			case 0:
+				s.memoDue = append(s.memoDue, int32(p))
+			case math.MaxInt32:
+				s.memoApply(p) // p stays due
+			}
+			s.memoLazy[p]++
+			continue
+		}
 		cur := s.memoCur[p]
 		if cur == 0 {
 			if cur = s.memoFind(p); cur == 0 {
@@ -566,32 +622,101 @@ func (s *Simulator) memoStep(selected []int) {
 				continue
 			}
 		}
-		e := &s.memoEntries[p][cur-1]
 		if s.obs != nil {
-			if e.hits == 0 {
-				s.memoPending = append(s.memoPending, memoRef{int32(p), cur - 1})
-			}
-			e.hits++
+			s.memoHit(p, cur-1, 1)
 		}
-		if e.fired >= 0 {
-			copy(s.cfg.internalRow(p), e.next)
-			if e.succ == 0 {
-				e.succ = s.memoFind(p)
+		e := &s.memoEntries[p][cur-1]
+		copy(s.cfg.internalRow(p), e.next)
+		if e.succ == 0 {
+			if e.succ = s.memoFind(p); e.succ != 0 && e.succ <= cur {
+				s.memoClose(p, e.succ-1, cur-1)
 			}
-			cur = e.succ
-			s.moved(p, false)
 		}
-		s.memoCur[p] = cur
+		s.memoCur[p] = e.succ
+		s.moved(p, false)
 	}
 }
 
+// memoClose records entries j..i of p's memo list as p's closed cycle
+// when they form one: entry i leads back to entry j (a successor link
+// just found it), and each entry before i leads to the next.
+func (s *Simulator) memoClose(p int, j, i int32) {
+	lst := s.memoEntries[p]
+	for t := j; t < i; t++ {
+		if !slices.Equal(lst[t].next, lst[t+1].state) {
+			return
+		}
+	}
+	s.memoCyc[p] = memoCycle{j, i - j + 1}
+}
+
+// memoSettle applies the selections counted on closed cycles since the
+// last settle.
+func (s *Simulator) memoSettle() {
+	for _, p := range s.memoDue {
+		s.memoApply(int(p))
+	}
+	s.memoDue = s.memoDue[:0]
+}
+
+// memoApply applies the k selections of p counted on its closed cycle of
+// n entries in closed form: starting from p's current entry, k replays
+// give every entry k/n hits and the k mod n entries from the current one
+// one more, and leave p k mod n entries further on. Every entry fires, so
+// p moves, and the dirty rule runs once for all k.
+func (s *Simulator) memoApply(p int) {
+	k := int(s.memoLazy[p])
+	if k == 0 {
+		return
+	}
+	s.memoLazy[p] = 0
+	c := s.memoCyc[p]
+	cyc := s.memoEntries[p][c.start : c.start+c.n]
+	n, off := len(cyc), int(s.memoCur[p]-1-c.start)
+	q, r := 0, k // k = q·n + r; a tracked daemon settles every step, where k < n is the rule
+	if k >= n {
+		q, r = k/n, k%n
+	}
+	if s.obs != nil {
+		at := off
+		for i := range min(k, n) {
+			hits := q
+			if i < r {
+				hits++
+			}
+			s.memoHit(p, c.start+int32(at), hits)
+			if at++; at == n {
+				at = 0
+			}
+		}
+	}
+	land := off + r
+	if land >= n {
+		land -= n
+	}
+	copy(s.cfg.internalRow(p), cyc[land].state)
+	s.memoCur[p] = c.start + int32(land) + 1
+	s.moved(p, false)
+}
+
+// memoHit counts hits more undelivered replays of entry i of p's memo
+// list.
+func (s *Simulator) memoHit(p int, i int32, hits int) {
+	e := &s.memoEntries[p][i]
+	if e.hits == 0 {
+		s.memoPending = append(s.memoPending, memoRef{int32(p), i})
+	}
+	e.hits += hits
+}
+
 // memoExec evaluates p through the arena context, captures the
-// transition into the memo and commits it. A communication write here
-// would mean the silence verdict was unsound (a spec bug, not a
-// reachable state): it is committed faithfully and the memo is dropped
-// so the run stays correct.
+// transition into the memo and commits it, or keeps the evaluation as a
+// disabled one. A communication write here would mean the silence
+// verdict was unsound (a spec bug, not a reachable state): it is
+// committed faithfully and the memo is dropped so the run stays correct.
 func (s *Simulator) memoExec(p int) {
 	a := s.arena
+	s.deliverDisabled(p) // p's kept reads are about to be overwritten
 	// The evaluation writes p's internal row in place, so the entry's
 	// state is taken first; the entry joins the list only if the
 	// transition turns out to be capturable.
@@ -613,6 +738,12 @@ func (s *Simulator) memoExec(p int) {
 	if s.obs != nil {
 		s.obs.Selected(s.step, p, a.agg.qs, a.agg.bits, f, 1)
 	}
+	if f < 0 {
+		// A disabled process stays put while the configuration is silent:
+		// its later selections are the disabled replays of any phase.
+		s.keepDisabled(p)
+		return
+	}
 	// A transition whose Apply drew randomness is one sample, not a
 	// function of the internal row: replaying it would repeat the drawn
 	// outcome where the unmemoized path redraws, so the state stays
@@ -625,9 +756,6 @@ func (s *Simulator) memoExec(p int) {
 		e.qs = append(e.qs[:0], a.agg.qs...)
 		e.bits = a.agg.bits
 		e.succ, e.hits = 0, 0
-	}
-	if f < 0 {
-		return
 	}
 	commChanged := staged && a.commit(s.cfg, p, 0, s.step, s.obs)
 	if commChanged {
@@ -668,10 +796,12 @@ func (s *Simulator) replayDisabled(p int) {
 	e.pend++
 }
 
-// deliverDisabled hands the observer p's counted disabled replays, of
-// which there must be some, as one Selected call; p stays on the pending
-// list.
+// deliverDisabled hands the observer p's counted disabled replays, if
+// any, as one Selected call; p stays on the pending list.
 func (s *Simulator) deliverDisabled(p int) {
+	if len(s.disSeen) == 0 || s.disSeen[p].pend <= 1 {
+		return
+	}
 	e := &s.disSeen[p]
 	off := s.sys.g.RowStart(p)
 	s.obs.Selected(s.step, p, s.disReads[off:off+int(e.n)], int(e.bits), -1, e.pend-1)

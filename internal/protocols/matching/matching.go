@@ -150,7 +150,7 @@ func Spec(maxColors int) *model.Spec {
 
 // BaselineSpec returns the full-read maximal-matching protocol Figure 10
 // derives from (Manne et al. 2007, with local colors in place of global
-// identifiers): every guard reads all neighbors.
+// identifiers): every evaluation reads all neighbors.
 //
 //	update:  (M.p ≠ married(p))                       → M.p ← married(p)
 //	marry:   (PR.p = 0 ∧ ∃q: PR.q = p)                → PR.p ← first such q
@@ -158,31 +158,27 @@ func Spec(maxColors int) *model.Spec {
 //	          ∃q: PR.q = 0 ∧ ¬M.q ∧ C.p ≺ C.q)        → PR.p ← max-color such q
 //	abandon: (PR.p = q ≠ 0 ∧ PR.q ≠ p ∧ (M.q ∨ C.q ≺ C.p)) → PR.p ← 0
 //
-// where married(p) ≡ PR.p ≠ 0 ∧ PR.(PR.p) = p.
+// where married(p) ≡ PR.p ≠ 0 ∧ PR.(PR.p) = p. The first guard reads
+// all neighbors; later bodies read only what they use. Every evaluation
+// runs the first guard before any other body, and a read counts once per
+// (neighbor, variable) in an evaluation, so what an evaluation reads is
+// the full read either way.
 func BaselineSpec(maxColors int) *model.Spec {
-	type view struct {
-		pr, m, color, backPort []int
+	// proposes reports whether the neighbor behind port points back at p.
+	proposes := func(c *model.Ctx, port int) bool {
+		return c.NeighborComm(port, VarPR) == c.BackPort(port)
 	}
-	readAll := func(c *model.Ctx) view {
-		deg := c.Deg()
-		buf := c.Scratch(4 * deg)
-		v := view{
-			pr:       buf[:deg],
-			m:        buf[deg : 2*deg],
-			color:    buf[2*deg : 3*deg],
-			backPort: buf[3*deg:],
+	married := func(c *model.Ctx) int {
+		if pr := c.Comm(VarPR); pr != 0 && proposes(c, pr) {
+			return 1
 		}
-		for port := 1; port <= c.Deg(); port++ {
-			v.pr[port-1] = c.NeighborComm(port, VarPR)
-			v.m[port-1] = c.NeighborComm(port, VarM)
-			v.color[port-1] = c.NeighborConst(port, ConstC)
-			v.backPort[port-1] = c.BackPort(port)
-		}
-		return v
+		return 0
 	}
-	married := func(c *model.Ctx, v view) bool {
-		pr := c.Comm(VarPR)
-		return pr != 0 && v.pr[pr-1] == v.backPort[pr-1]
+	// candidate reports whether the neighbor behind port is free, unmarried
+	// and higher-colored than p: one seduce may court.
+	candidate := func(c *model.Ctx, port int) bool {
+		return c.NeighborComm(port, VarPR) == 0 && c.NeighborComm(port, VarM) == 0 &&
+			c.Const(ConstC) < c.NeighborConst(port, ConstC)
 	}
 	return &model.Spec{
 		Name: "MATCHING-FULLREAD",
@@ -198,21 +194,15 @@ func BaselineSpec(maxColors int) *model.Spec {
 			{
 				Name: "update married flag",
 				Guard: func(c *model.Ctx) bool {
-					v := readAll(c)
-					m := 0
-					if married(c, v) {
-						m = 1
+					for port := 1; port <= c.Deg(); port++ {
+						c.NeighborComm(port, VarPR)
+						c.NeighborComm(port, VarM)
+						c.NeighborConst(port, ConstC)
+						c.BackPort(port)
 					}
-					return c.Comm(VarM) != m
+					return c.Comm(VarM) != married(c)
 				},
-				Apply: func(c *model.Ctx) {
-					v := readAll(c)
-					m := 0
-					if married(c, v) {
-						m = 1
-					}
-					c.SetComm(VarM, m)
-				},
+				Apply: func(c *model.Ctx) { c.SetComm(VarM, married(c)) },
 			},
 			{
 				Name: "marry a proposer",
@@ -220,19 +210,17 @@ func BaselineSpec(maxColors int) *model.Spec {
 					if c.Comm(VarPR) != 0 {
 						return false
 					}
-					v := readAll(c)
-					for i := range v.pr {
-						if v.pr[i] == v.backPort[i] {
+					for port := 1; port <= c.Deg(); port++ {
+						if proposes(c, port) {
 							return true
 						}
 					}
 					return false
 				},
 				Apply: func(c *model.Ctx) {
-					v := readAll(c)
-					for i := range v.pr {
-						if v.pr[i] == v.backPort[i] {
-							c.SetComm(VarPR, i+1)
+					for port := 1; port <= c.Deg(); port++ {
+						if proposes(c, port) {
+							c.SetComm(VarPR, port)
 							return
 						}
 					}
@@ -244,25 +232,23 @@ func BaselineSpec(maxColors int) *model.Spec {
 					if c.Comm(VarPR) != 0 {
 						return false
 					}
-					v := readAll(c)
-					for i := range v.pr {
-						if v.pr[i] == v.backPort[i] {
+					for port := 1; port <= c.Deg(); port++ {
+						if proposes(c, port) {
 							return false // marry has priority anyway
 						}
 					}
-					for i := range v.pr {
-						if v.pr[i] == 0 && v.m[i] == 0 && c.Const(ConstC) < v.color[i] {
+					for port := 1; port <= c.Deg(); port++ {
+						if candidate(c, port) {
 							return true
 						}
 					}
 					return false
 				},
 				Apply: func(c *model.Ctx) {
-					v := readAll(c)
 					best, bestColor := 0, -1
-					for i := range v.pr {
-						if v.pr[i] == 0 && v.m[i] == 0 && c.Const(ConstC) < v.color[i] && v.color[i] > bestColor {
-							best, bestColor = i+1, v.color[i]
+					for port := 1; port <= c.Deg(); port++ {
+						if candidate(c, port) && c.NeighborConst(port, ConstC) > bestColor {
+							best, bestColor = port, c.NeighborConst(port, ConstC)
 						}
 					}
 					c.SetComm(VarPR, best)
@@ -272,12 +258,8 @@ func BaselineSpec(maxColors int) *model.Spec {
 				Name: "abandon dead proposal",
 				Guard: func(c *model.Ctx) bool {
 					pr := c.Comm(VarPR)
-					if pr == 0 {
-						return false
-					}
-					v := readAll(c)
-					return v.pr[pr-1] != v.backPort[pr-1] &&
-						(v.m[pr-1] == 1 || v.color[pr-1] < c.Const(ConstC))
+					return pr != 0 && !proposes(c, pr) &&
+						(c.NeighborComm(pr, VarM) == 1 || c.NeighborConst(pr, ConstC) < c.Const(ConstC))
 				},
 				Apply: func(c *model.Ctx) { c.SetComm(VarPR, 0) },
 			},
