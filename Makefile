@@ -124,13 +124,16 @@ events-smoke: ## Event-log byte-identity across parallelism and cache state
 # Large-n scale smoke: drive the E22 headline cell — a 10⁶-process torus
 # under synchronous COLORING — to a legitimate silent configuration and
 # gate its peak RSS. The budget documents the engine's large-graph
-# memory claim: the cell measures 120 MiB peak on a 2-CPU container
-# (125 B/process live heap), and 160 MiB (that plus 25 %, rounded up to
-# a multiple of 32) leaves headroom for allocator and GC variance while
-# failing on a return of the 175 MiB that 64-bit state values, a
-# recorder list per process and n-length report tables cost, let alone
-# an O(n²) reintroduction.
-SCALE_BUDGET_MB ?= 160
+# memory claim: the cell measures about 86 MiB peak on a 2-CPU
+# container (93 B/process live heap), and 128 MiB (that plus 25 %,
+# rounded up to a multiple of 32) leaves headroom for allocator and GC
+# variance while failing on a return of the 175 MiB that 64-bit state
+# values, a recorder list per process and n-length report tables cost,
+# let alone an O(n²) reintroduction. (The 120 MiB of a second
+# configuration copy, per-process domain tables, 32-bit back ports,
+# 64-bit selection steps and an n-length stale queue would still pass:
+# TestBytesPerProcessBudget is the tighter gate on those.)
+SCALE_BUDGET_MB ?= 128
 scale-smoke: ## 10⁶-node torus cell to silence under the peak-RSS budget
 	$(GO) run ./cmd/ssscale -n 1000000 -graph torus -budget-mb $(SCALE_BUDGET_MB)
 

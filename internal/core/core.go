@@ -70,7 +70,9 @@ type RunResult struct {
 	// Report carries the trace metrics. If SuffixRounds > 0 the suffix
 	// fields cover exactly the post-silence window.
 	Report trace.Report
-	// Final is the configuration at the end of the run.
+	// Final is the configuration at the end of the run: the run's own
+	// buffer, handed over by the runner rather than copied (see
+	// Runner.Run for what a reused result does with it).
 	Final *model.Config
 }
 

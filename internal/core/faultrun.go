@@ -202,8 +202,8 @@ func (r *Runner) dynamicSystem(sys *model.System) *model.System {
 // silence point regardless of schedule kind; an episode still unrecovered
 // when the next injection is due is closed as unrecovered.
 //
-// Like Run, res never aliases runner-owned memory and the
-// initial-configuration buffer is consumed.
+// Like Run, res.Final is the run's own buffer, and the runner keeps
+// res's previous Final as its next initial-configuration buffer.
 //
 // When plan.Churn is set the trial executes on the runner's dynamic
 // copy of sys (reset to the base topology first): churn firings follow
@@ -443,9 +443,19 @@ func (r *Runner) trial(sys *model.System, opts RunOptions, plan fault.Plan, res 
 		r.sim.RunRounds(opts.SuffixRounds)
 	}
 	r.rec.ReportInto(&res.Report)
-	if res.Final == nil {
-		res.Final = model.NewZeroConfig(sys)
-	}
-	res.Final.CopyFrom(r.sim.Config())
+	r.handOver(res)
 	return nil
+}
+
+// handOver gives the live configuration to res as its Final, without a
+// copy, and takes res's previous Final as the next initial-configuration
+// buffer when it has the system's shape (InitialConfig allocates one
+// otherwise). A caller that reuses res therefore alternates two buffers,
+// and a result it stops reusing keeps its Final.
+func (r *Runner) handOver(res *RunResult) {
+	prev := res.Final
+	res.Final, r.cfg = r.cfg, nil
+	if prev != nil && prev.Fits(r.sys) {
+		r.cfg = prev
+	}
 }

@@ -182,10 +182,11 @@ func TestRunFaultedMidRunOracle(t *testing.T) {
 // TestTrialLoopZeroAlloc: a complete steady-state injected trial —
 // scheduler and adversary reset, random initial configuration,
 // recorder+simulator reset, repeated injection and recovery to silence,
-// ReportInto, final-config copy — allocates nothing beyond the amortized
-// round-boundary append. The trial carries a no-op event scope (which
-// the injection/recovery/silence emissions all route through), so the
-// observation plumbing is part of the 0 allocs/op contract.
+// ReportInto, final-configuration hand-over — allocates nothing beyond
+// the amortized round-boundary append. The trial carries a no-op event
+// scope (which the injection/recovery/silence emissions all route
+// through), so the observation plumbing is part of the 0 allocs/op
+// contract.
 func TestFaultedTrialLoopZeroAlloc(t *testing.T) {
 	sys, err := model.NewSystem(graph.Cycle(9), coloring.Spec(), nil)
 	if err != nil {

@@ -55,10 +55,12 @@ func NewRunner() *Runner {
 }
 
 // InitialConfig returns the runner-owned initial-configuration buffer
-// bound to sys (rebuilt only when the system changes). Callers assemble
-// the trial's initial configuration in it — model.RandomizeConfig, a
-// Config.CopyFrom of a snapshot, fault injection — and then call Run,
-// which adopts the buffer as the execution's live configuration.
+// bound to sys (rebuilt only when the system changes or the last trial
+// handed its buffer over with none to take back). Its contents are
+// unspecified until the caller fills them: callers assemble the trial's
+// whole initial configuration in it — model.RandomizeConfig, a
+// Config.CopyFrom of a snapshot, then fault injection — and then call
+// Run, which adopts the buffer as the execution's live configuration.
 func (r *Runner) InitialConfig(sys *model.System) *model.Config {
 	if r.sys != sys || r.cfg == nil {
 		r.sys = sys
@@ -89,12 +91,15 @@ func (r *Runner) Scheduler(name string, seed uint64, mk func(uint64) model.Sched
 }
 
 // Run executes one trial from the runner's initial-configuration buffer
-// (see InitialConfig) and fills res in place, reusing res's report slices
-// and final-configuration buffer across calls. res never aliases
-// runner-owned memory, so materialized results stay valid after the
-// runner's next trial. The initial-configuration buffer is consumed: the
-// run mutates it, and the next trial must refill it. It is the trial body
-// under the plan that never strikes.
+// (see InitialConfig) and fills res in place, reusing res's report
+// slices across calls. The buffer the run mutated becomes res.Final, the
+// run's own buffer, not a copy: no later trial writes it unless res is
+// passed to the runner again, so a result stays valid after the runner's
+// next trial into a different result. res's previous Final, if it has
+// sys's shape, becomes the runner's next initial-configuration buffer,
+// so a loop that reuses res alternates two buffers and allocates none.
+// The next trial must refill the buffer. It is the trial body under the
+// plan that never strikes.
 func (r *Runner) Run(sys *model.System, opts RunOptions, res *RunResult) error {
 	return r.trial(sys, opts, fault.Plan{}, res, nil)
 }

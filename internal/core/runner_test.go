@@ -126,6 +126,54 @@ func TestRunnerResultsDoNotAliasRunner(t *testing.T) {
 	}
 }
 
+// TestFinalIsHandedOver: a trial's Final is the buffer the run mutated,
+// not a copy. A result passed to the runner again gives its Final back
+// as the next initial-configuration buffer, so a reused result
+// alternates between two buffers, and a result the caller stops passing
+// keeps its Final through the runner's later trials. Every Final holds
+// what the one-shot Run computes.
+func TestFinalIsHandedOver(t *testing.T) {
+	t.Parallel()
+	sys := runnerTestSystems(t)[0].sys
+	mk := func(s uint64) model.Scheduler { return sched.NewRandomSubset(s) }
+	rn := NewRunner()
+	run := func(seed uint64, res *RunResult) {
+		t.Helper()
+		opts := RunOptions{Scheduler: rn.Scheduler("random-subset", seed, mk), Seed: seed, MaxSteps: 200000}
+		if err := rn.RunRandom(sys, opts, res); err != nil {
+			t.Fatal(err)
+		}
+		opts.Scheduler = mk(seed)
+		want, err := Run(sys, model.NewRandomConfig(sys, rng.New(seed)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Final.Equal(want.Final) {
+			t.Fatalf("seed %d: Final differs from the one-shot Run's", seed)
+		}
+	}
+	var res RunResult
+	run(1, &res)
+	a := res.Final
+	run(2, &res)
+	b := res.Final
+	if a == b {
+		t.Fatal("a reused result's second trial ran in its first trial's Final")
+	}
+	run(3, &res)
+	if res.Final != a || rn.InitialConfig(sys) != b {
+		t.Fatal("a reused result does not alternate between two buffers")
+	}
+
+	kept := res.Final.Clone()
+	var other RunResult
+	run(4, &other)
+	run(5, &other)
+	if !res.Final.Equal(kept) {
+		t.Fatal("a result's Final changed in the runner's later trials into another result")
+	}
+}
+
 // TestZeroPlan: a plain trial is the trial body under the zero plan.
 // RunFaulted still refuses that plan with its own error (the exported
 // guard is input checking: a caller that means a plain trial says Run)
@@ -184,7 +232,8 @@ func TestZeroPlan(t *testing.T) {
 // TestTrialLoopZeroAlloc is the tentpole acceptance check: a complete
 // steady-state pooled trial — scheduler reset, random initial
 // configuration, recorder+simulator reset, run to silence, suffix
-// recording, ReportInto, final-config copy — allocates nothing. The
+// recording, ReportInto, final-configuration hand-over (the reused
+// result and the runner trade two buffers) — allocates nothing. The
 // trial carries a no-op event scope: observation plumbing is part of
 // the 0 allocs/op contract.
 func TestTrialLoopZeroAlloc(t *testing.T) {

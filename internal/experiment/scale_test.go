@@ -102,25 +102,36 @@ func liveHeap() int64 {
 // heap one synchronous COLORING trial to silence leaves behind — graph,
 // system, runner (simulator, recorder, configuration) and result — per
 // process, on both graph families E22 charts. Each budget is its cell's
-// reading plus 25 %, rounded up. The torus reads 125 B: the flat 32-bit
-// graph (36 B), int32 state values in a Config of two flat arrays (8 B
-// in each of the live and the final configuration), a recorder slab
-// whose first rows of four hold every read set at Δ = 4 (24 B with the
-// offset and length), the memo a run ending at silence never allocates
-// and a report whose read sets are a histogram. 64-bit values, a list
-// per process in the recorder and n-length report tables read 177 B
-// and fail. The G(n, 6/n) cell reads 222 B: its read sets outgrow their
-// first rows, and the rows they leave stay in the slab. Not parallel,
-// so no other test allocates between the two readings.
+// reading plus 25 %, rounded up. The torus reads 93 B:
+//   - the graph, 28 B: 32-bit offsets and neighbor ids, 16-bit back
+//     ports (4 + 16 + 8 at Δ = 4);
+//   - one configuration of int32 values, 8 B: the run's live buffer is
+//     handed over as the result's Final, not copied;
+//   - the recorder slab, 24 B: a first row of four members holds every
+//     read set at Δ = 4, plus its offset and length;
+//   - the system's constant and bit-width rows (its domains are one row
+//     per degree, not per process);
+//   - the simulator's and tracker's per-process tables: 32-bit
+//     selection stamps, verdicts, silence verdicts and queues, the stale
+//     queue capped at n/8;
+//   - nothing for the memo, which a run ending at silence never
+//     allocates, and a report whose read sets are a histogram.
+//
+// The previous layout (a copied final configuration, per-process domain
+// tables, 32-bit back ports, 64-bit selection steps and an n-length
+// stale queue) read 125 B and fails. The G(n, 6/n) cell reads 182 B: its
+// read sets outgrow their first rows, and the rows they leave stay in
+// the slab. Not parallel, so no other test allocates between the two
+// readings.
 func TestBytesPerProcessBudget(t *testing.T) {
 	cells := []struct {
 		graph  func() *graph.Graph
 		budget int
 	}{
-		{func() *graph.Graph { return graph.Torus(150, 150) }, 157},
+		{func() *graph.Graph { return graph.Torus(150, 150) }, 117},
 		{func() *graph.Graph {
 			return graph.RandomConnectedGNP(20_000, 6/20_000.0, rng.New(rng.Derive(2009, 22)))
-		}, 278},
+		}, 228},
 	}
 	for _, c := range cells {
 		name, per, rounds := bytesPerProcess(t, c.graph)

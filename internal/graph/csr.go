@@ -33,7 +33,7 @@ func csrFromEdges[V int | int32](name string, n int, edges [][2]V) (*Graph, erro
 		off[v+1] += off[v]
 	}
 	g := &Graph{name: name, off: off, end: off[1:], m: len(edges),
-		nbr: make([]int32, 2*len(edges)), back: make([]int32, 2*len(edges))}
+		nbr: make([]int32, 2*len(edges)), back: make([]uint16, 2*len(edges))}
 	// Fill rows with per-vertex cursors; when edge {u,v} lands at
 	// positions iu (in u's row) and iv (in v's row), each side's back
 	// port is the other's position — no index maps needed.
@@ -42,7 +42,7 @@ func csrFromEdges[V int | int32](name string, n int, edges [][2]V) (*Graph, erro
 		u, v := e[0], e[1]
 		iu, iv := cur[u], cur[v]
 		g.nbr[off[u]+iu], g.nbr[off[v]+iv] = int32(v), int32(u)
-		g.back[off[u]+iu], g.back[off[v]+iv] = iv, iu
+		g.back[off[u]+iu], g.back[off[v]+iv] = narrowBack(iv), narrowBack(iu)
 		cur[u], cur[v] = iu+1, iv+1
 	}
 	return g, nil

@@ -22,7 +22,7 @@ import (
 type dynState struct {
 	alive    []bool  // false while p is crashed (its live row is empty then)
 	baseNbr  []int32 // pristine base arenas, for ResetTopology/ReviveNode
-	baseBack []int32
+	baseBack []uint16
 	baseM    int
 }
 
@@ -33,7 +33,7 @@ type dynState struct {
 func (g *Graph) MutableCopy() *Graph {
 	n := g.N()
 	off, nbr := g.liveRows()
-	back := make([]int32, len(nbr))
+	back := make([]uint16, len(nbr))
 	for p := 0; p < n; p++ {
 		copy(back[off[p]:], g.backRow(p))
 	}
@@ -80,13 +80,13 @@ func (g *Graph) deadIndex(p, q int) int {
 // removeHalf drops p's live-row entry i by swapping it with the last
 // live entry and shrinking the row. The moved neighbor's back pointer
 // into p is patched; the dropped entry lands in the dead suffix.
-func (g *Graph) removeHalf(p int, i int32) {
+func (g *Graph) removeHalf(p, i int) {
 	row, brow := g.Row(p), g.backRow(p)
-	last := int32(len(row) - 1)
+	last := len(row) - 1
 	if i != last {
 		row[i], row[last] = row[last], row[i]
 		brow[i], brow[last] = brow[last], brow[i]
-		g.backRow(int(row[i]))[brow[i]] = i
+		g.backRow(int(row[i]))[g.backIndex(p, i)] = narrowBack(i)
 	}
 	g.end[p]--
 }
@@ -113,8 +113,8 @@ func (g *Graph) RemoveEdge(u, v int) bool {
 	if iu < 0 {
 		return false
 	}
-	iv := g.backRow(u)[iu] // position of u in v's row, before any swap
-	g.removeHalf(u, int32(iu))
+	iv := g.backIndex(u, iu) // position of u in v's row, before any swap
+	g.removeHalf(u, iu)
 	g.removeHalf(v, iv)
 	g.m--
 	return true
@@ -143,8 +143,8 @@ func (g *Graph) RestoreEdge(u, v int) bool {
 	g.restoreHalf(u, ju)
 	g.restoreHalf(v, jv)
 	// Both halves are now the last live entry of their row.
-	g.back[g.end[u]-1] = int32(g.Degree(v) - 1)
-	g.back[g.end[v]-1] = int32(g.Degree(u) - 1)
+	g.back[g.end[u]-1] = narrowBack(g.Degree(v) - 1)
+	g.back[g.end[v]-1] = narrowBack(g.Degree(u) - 1)
 	g.m++
 	return true
 }
@@ -226,11 +226,11 @@ func (g *Graph) CheckInvariants() error {
 			return fmt.Errorf("process %d: live end %d outside its arena range [%d,%d]", p, g.end[p], g.off[p], g.off[p+1])
 		}
 		for i, q := range g.Row(p) {
-			bi := int(g.backRow(p)[i])
+			bi := g.backIndex(p, i)
 			if bi < 0 || bi >= g.Degree(int(q)) {
 				return fmt.Errorf("process %d port %d: back %d outside live row of %d (deg %d)", p, i+1, bi, q, g.Degree(int(q)))
 			}
-			if int(g.Row(int(q))[bi]) != p || int(g.backRow(int(q))[bi]) != i {
+			if int(g.Row(int(q))[bi]) != p || g.backIndex(int(q), bi) != i {
 				return fmt.Errorf("process %d port %d: back pointer to %d does not round-trip", p, i+1, q)
 			}
 		}

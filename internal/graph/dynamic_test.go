@@ -48,6 +48,10 @@ func (s edgeSet) checkAgainst(t *testing.T, g *Graph) {
 // edge-set oracle after every event.
 func TestDynamicMutationsAgainstOracle(t *testing.T) {
 	t.Parallel()
+	checkMutationsAgainstOracle(t)
+}
+
+func checkMutationsAgainstOracle(t *testing.T) {
 	for _, base := range dynamicTestGraphs(t) {
 		g := base.MutableCopy()
 		if !g.Equal(base) {
@@ -125,6 +129,10 @@ func TestDynamicMutationsAgainstOracle(t *testing.T) {
 // ResetTopology returns to the exact base ports.
 func TestDynamicRemoveRestoreRoundTrip(t *testing.T) {
 	t.Parallel()
+	checkRemoveRestoreRoundTrip(t)
+}
+
+func checkRemoveRestoreRoundTrip(t *testing.T) {
 	for _, base := range dynamicTestGraphs(t) {
 		g := base.MutableCopy()
 		edges := base.Edges()
@@ -176,6 +184,10 @@ func TestDynamicRejectsStatic(t *testing.T) {
 // other endpoint is alive.
 func TestDynamicCrashReviveIsolation(t *testing.T) {
 	t.Parallel()
+	checkCrashReviveIsolation(t)
+}
+
+func checkCrashReviveIsolation(t *testing.T) {
 	base := Grid(3, 3)
 	g := base.MutableCopy()
 	g.CrashNode(4) // center of the grid

@@ -406,7 +406,7 @@ func randomRegular(name string, n, d int, r *rng.Rand) (*Graph, error) {
 		off[v] = int32(v * d)
 	}
 	g := &Graph{name: name, off: off, end: off[1:], m: n * d / 2,
-		nbr: make([]int32, n*d), back: make([]int32, n*d)}
+		nbr: make([]int32, n*d), back: make([]uint16, n*d)}
 	stubs := make([]int32, n*d)
 	cnt := make([]int32, n)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -430,7 +430,7 @@ func randomRegular(name string, n, d int, r *rng.Rand) (*Graph, error) {
 			}
 			iu, iv := cnt[u], cnt[v]
 			g.nbr[off[u]+iu], g.nbr[off[v]+iv] = v, u
-			g.back[off[u]+iu], g.back[off[v]+iv] = iv, iu
+			g.back[off[u]+iu], g.back[off[v]+iv] = narrowBack(iv), narrowBack(iu)
 			cnt[u], cnt[v] = iu+1, iv+1
 		}
 		if ok && g.IsConnected() {

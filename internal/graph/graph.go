@@ -27,20 +27,20 @@ import (
 // Storage is one compressed-sparse-row layout for every graph, static
 // or dynamic, whichever constructor built it: process p owns the range
 // [off[p], off[p+1]) of the two arc arenas nbr and back, and its live
-// row — the neighbors behind ports 1..δ.p — is [off[p], end[p]). Ids,
-// ports and offsets are 32 bits wide (fits rejects anything larger
-// where a graph is frozen) and there is no per-process slice header: a
-// graph costs 4(n+1) + 16m bytes, 36 per process at Δ = 4. On a static
-// graph end is off[1:] itself; a dynamic copy owns a separate end that
-// moves as edges leave and return, with the removed arcs parked in
-// [end[p], off[p+1]).
+// row — the neighbors behind ports 1..δ.p — is [off[p], end[p]). Ids
+// and offsets are 32 bits wide (fits rejects anything larger where a
+// graph is frozen), back ports 16 bits (see backIndex), and there is no
+// per-process slice header: a graph costs 4(n+1) + 12m bytes, 28 per
+// process at Δ = 4. On a static graph end is off[1:] itself; a dynamic
+// copy owns a separate end that moves as edges leave and return, with
+// the removed arcs parked in [end[p], off[p+1]).
 type Graph struct {
 	name string
-	off  []int32 // off[p] = start of p's row in nbr and back; len n+1
-	end  []int32 // end[p] = end of p's live row; len n
-	nbr  []int32 // nbr[off[p]+i] = neighbor of p behind port i+1
-	back []int32 // back[off[p]+i] = port index (0-based) of p at that neighbor
-	m    int     // number of edges
+	off  []int32  // off[p] = start of p's row in nbr and back; len n+1
+	end  []int32  // end[p] = end of p's live row; len n
+	nbr  []int32  // nbr[off[p]+i] = neighbor of p behind port i+1
+	back []uint16 // back[off[p]+i] = port index (0-based) of p at that neighbor, saturated at backLimit
+	m    int      // number of edges
 
 	// dyn, when non-nil, marks a mutable copy (see dynamic.go).
 	dyn *dynState
@@ -72,8 +72,41 @@ func (g *Graph) Row(p int) []int32 { return g.nbr[g.off[p]:g.end[p]:g.end[p]] }
 // costs no slice header per process and outlives every topology event.
 func (g *Graph) RowStart(p int) int { return int(g.off[p]) }
 
-// backRow returns the back ports of p's live row.
-func (g *Graph) backRow(p int) []int32 { return g.back[g.off[p]:g.end[p]:g.end[p]] }
+// backLimit is the value a back entry saturates at. An entry below it
+// is the back port index itself; an entry equal to it says the index is
+// backLimit or more, and backIndex finds it by scanning the neighbor's
+// row from there. Only a process of degree above backLimit can sit at
+// such an index, so every graph with Δ ≤ 0xFFFF stores exact entries.
+// In-package tests lower it to put the scan under every generator.
+var backLimit uint16 = math.MaxUint16
+
+// narrowBack stores the 0-based back port index i as its back entry.
+func narrowBack[I int | int32](i I) uint16 {
+	if i >= I(backLimit) {
+		return backLimit
+	}
+	return uint16(i)
+}
+
+// backRow returns the back entries of p's live row.
+func (g *Graph) backRow(p int) []uint16 { return g.back[g.off[p]:g.end[p]:g.end[p]] }
+
+// backIndex returns the 0-based position of p in the live row of its
+// neighbor behind p's 0-based port i (a port outside p's live row
+// panics on its bound): the back entry itself, or, when it is
+// saturated, the position of p at or after backLimit in the neighbor's
+// row. It returns -1 only on a graph whose back entries are
+// inconsistent (CheckInvariants reports it).
+func (g *Graph) backIndex(p, i int) int {
+	if b := g.backRow(p)[i]; b < backLimit {
+		return int(b)
+	}
+	row := g.Row(int(g.Row(p)[i]))
+	if j := slices.Index(row[min(int(backLimit), len(row)):], int32(p)); j >= 0 {
+		return int(backLimit) + j
+	}
+	return -1
+}
 
 // Builder accumulates edges and produces an immutable Graph.
 type Builder struct {
@@ -174,7 +207,7 @@ func (g *Graph) Neighbor(p, port int) int {
 // neighbor behind port i of p. That is, if q = Neighbor(p, i) then
 // Neighbor(q, BackPort(p, i)) == p.
 func (g *Graph) BackPort(p, port int) int {
-	return int(g.backRow(p)[port-1]) + 1
+	return g.backIndex(p, port-1) + 1
 }
 
 // Neighbors returns a copy of p's neighbor list in port order.

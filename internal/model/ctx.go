@@ -236,9 +236,9 @@ func (c *Ctx) SetComm(v, val int) {
 	if !c.inApply {
 		panic("model: own state is only writable inside Apply")
 	}
-	if val < 0 || val >= c.sys.CommDomain(c.p, v) {
+	if d := int(c.sys.commDomains[len(c.nbr)*c.sys.wc+v]); val < 0 || val >= d {
 		panic(fmt.Sprintf("model: %s: comm %s=%d outside [0,%d) at process %d",
-			c.sys.spec.Name, c.sys.spec.Comm[v].Name, val, c.sys.CommDomain(c.p, v), c.p))
+			c.sys.spec.Name, c.sys.spec.Comm[v].Name, val, d, c.p))
 	}
 	if c.stage != nil {
 		copy(c.stage, c.comm)
@@ -255,9 +255,9 @@ func (c *Ctx) SetInternal(v, val int) {
 	if !c.inApply {
 		panic("model: own state is only writable inside Apply")
 	}
-	if val < 0 || val >= c.sys.InternalDomain(c.p, v) {
+	if d := int(c.sys.internalDomains[len(c.nbr)*c.sys.wi+v]); val < 0 || val >= d {
 		panic(fmt.Sprintf("model: %s: internal %s=%d outside [0,%d) at process %d",
-			c.sys.spec.Name, c.sys.spec.Internal[v].Name, val, c.sys.InternalDomain(c.p, v), c.p))
+			c.sys.spec.Name, c.sys.spec.Internal[v].Name, val, d, c.p))
 	}
 	c.internal[v] = int32(val)
 }

@@ -52,12 +52,14 @@ type EnabledTracker struct {
 	// AppendEnabled support: enabled mirrors the committed verdicts as a
 	// bitset (bit p set iff action[p] >= 0 — recomputes touch it only when
 	// the verdict flips sign), and stale queues individually invalidated
-	// processes (queued[p] dedups entries, so the queue never exceeds n);
-	// allStale replaces the queue after a whole-configuration
-	// invalidation. Enumerating the enabled set then costs
-	// O(stale-since-last-call) verdict repairs plus an O(n/64 + |enabled|)
-	// bitset walk instead of n probe calls — the per-step scan this
-	// removes was the enabled-biased daemon's large-n bottleneck.
+	// processes (queued[p] dedups entries); allStale replaces the queue
+	// after a whole-configuration invalidation, and when the queue is full
+	// (staleCap: an eighth of n, at least 64). Enumerating the enabled set
+	// then costs O(stale-since-last-call) verdict repairs plus an
+	// O(n/64 + |enabled|) bitset walk instead of n probe calls — the
+	// per-step scan this removes was the enabled-biased daemon's large-n
+	// bottleneck — and a sweep over n verdicts follows at least n/8
+	// invalidations.
 	enabled  *bitset.Set
 	stale    []int32
 	queued   []bool
@@ -83,7 +85,7 @@ func (t *EnabledTracker) Reset(sys *System, cfg *Config) {
 		t.valid = make([]uint8, sys.N())
 		t.action = make([]int16, sys.N())
 		t.enabled = bitset.New(sys.N())
-		t.stale = make([]int32, 0, sys.N())
+		t.stale = make([]int32, 0, staleCap(sys.N()))
 		t.queued = make([]bool, sys.N())
 		t.probe = Ctx{
 			sys:      sys,
@@ -214,11 +216,20 @@ func (t *EnabledTracker) repair() {
 	t.stale = t.stale[:0]
 }
 
-// Invalidate marks p's cached verdict stale (p's own state changed).
+// staleCap is the stale queue's capacity for n processes.
+func staleCap(n int) int { return max(n/8, 64) }
+
+// Invalidate marks p's cached verdict stale (p's own state changed). A
+// full queue turns into a sweep (allStale), which needs no queue.
 func (t *EnabledTracker) Invalidate(p int) {
 	t.valid[p] = verdictStale
-	if !t.queued[p] {
-		t.queued[p] = true
-		t.stale = append(t.stale, int32(p))
+	if t.allStale || t.queued[p] {
+		return
 	}
+	if len(t.stale) == cap(t.stale) {
+		t.allStale = true
+		return
+	}
+	t.queued[p] = true
+	t.stale = append(t.stale, int32(p))
 }

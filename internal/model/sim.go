@@ -45,13 +45,18 @@ type Simulator struct {
 	seed uint64
 	step int
 
-	// Round accounting and the selection check share one table:
-	// lastSel[p] is 1 + the step of p's latest selection (0: never), so
-	// "already selected this step" is lastSel[p] == step+1 and "already
-	// seen this round" is lastSel[p] > roundStart.
+	// Round accounting and the selection check share one table of 32-bit
+	// stamps: selStamp is the stamp of the step in progress, lastSel[p]
+	// the stamp of p's latest selection (0: none), and roundStamp the
+	// stamp of the step that completed the last round. So "already
+	// selected this step" is lastSel[p] == selStamp and "already seen
+	// this round" is lastSel[p] > roundStamp. Before selStamp would pass
+	// stampLimit, rebaseStamps folds the table to the one fact it carries
+	// from step to step: selected in the round in progress or not.
 	round          int
-	roundStart     int // first step of the round in progress
-	lastSel        []int
+	roundStamp     uint32
+	selStamp       uint32
+	lastSel        []uint32
 	remainingInRnd int
 
 	// arena holds the reusable step-execution state: after the
@@ -232,7 +237,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	s.memoReset()
 	if s.sys != sys {
 		s.sys = sys
-		s.lastSel = make([]int, sys.N())
+		s.lastSel = make([]uint32, sys.N())
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
 		s.memoEntries, s.memoCur, s.memoCyc, s.memoLazy = nil, nil, nil, nil
@@ -260,7 +265,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	s.seed = seed
 	s.step = 0
 	s.round = 0
-	s.roundStart = 0
+	s.roundStamp, s.selStamp = 0, 0
 	s.remainingInRnd = sys.N()
 	if s.tracker == nil {
 		s.tracker = NewEnabledTracker(sys, cfg0)
@@ -309,7 +314,11 @@ func (s *Simulator) advance() []int {
 	// process evaluated twice on its own half-made step, and any
 	// selection longer than n) must stop here, not as an index out of
 	// range mid-step.
-	mark := s.step + 1
+	if s.selStamp >= stampLimit {
+		s.rebaseStamps()
+	}
+	s.selStamp++
+	mark := s.selStamp
 	for _, p := range selected {
 		if uint(p) >= uint(len(s.lastSel)) {
 			panic(fmt.Sprintf("model: scheduler %s selected process %d of %d", s.sched.Name(), p, len(s.lastSel)))
@@ -318,7 +327,7 @@ func (s *Simulator) advance() []int {
 			panic(fmt.Sprintf("model: scheduler %s selected process %d twice in one step (%d selections, %d processes)",
 				s.sched.Name(), p, len(selected), len(s.lastSel)))
 		}
-		if s.lastSel[p] <= s.roundStart {
+		if s.lastSel[p] <= s.roundStamp {
 			s.remainingInRnd--
 		}
 		s.lastSel[p] = mark
@@ -341,7 +350,7 @@ func (s *Simulator) advance() []int {
 	roundCompleted := s.remainingInRnd == 0
 	if roundCompleted {
 		s.round++
-		s.roundStart = s.step + 1
+		s.roundStamp = mark
 		s.remainingInRnd = s.sys.N()
 	}
 	if s.obs != nil {
@@ -349,6 +358,26 @@ func (s *Simulator) advance() []int {
 	}
 	s.step++
 	return selected
+}
+
+// stampLimit is the last selection stamp before rebaseStamps runs. It is
+// a variable only so that in-package tests can lower it and rebase in
+// the middle of rounds.
+var stampLimit uint32 = math.MaxUint32
+
+// rebaseStamps restarts the selection stamps: a process selected in the
+// round in progress gets stamp 1, every other one 0, and the next step
+// stamps 2. It runs between steps, once every stampLimit steps, so its
+// O(n) pass costs nothing per step.
+func (s *Simulator) rebaseStamps() {
+	for p, st := range s.lastSel {
+		if st > s.roundStamp {
+			s.lastSel[p] = 1
+		} else {
+			s.lastSel[p] = 0
+		}
+	}
+	s.roundStamp, s.selStamp = 0, 1
 }
 
 // moved applies the dirty rule to a process that fired an action: its own

@@ -12,13 +12,19 @@ import (
 // System binds a protocol spec to a network: the graph, the per-process
 // communication constants, and precomputed variable domains.
 //
-// The per-process tables are flat stride-indexed arenas: process p's
-// entry for variable v lives at p*width+v, where width is the spec's
-// variable count for that kind. Elements are narrowed to int32 (domains
-// and constants; NewSystem rejects wider domains) and uint8 (bit
-// widths), so at n = 10⁶ the tables cost a few megabytes, with no slice
-// header per process, and every guard-path lookup is one indexed load
-// with no pointer hop.
+// The tables are flat stride-indexed arenas: the entry for variable v
+// lives at row*width+v, where width is the spec's variable count for
+// that kind. A variable's domain is a function of DomainInfo, in which
+// only the degree varies from process to process, so the domain tables
+// have one row per degree, filled at construction, and process p reads
+// the row of its live degree: row d for degree 1..Δ, and row 0, which
+// repeats degree 1's so that no domain empties, for an isolated process
+// (a crashed one on a dynamic system). The constant and bit-width tables
+// have one row per process. Elements are narrowed to int32
+// (domains and constants; NewSystem rejects wider domains) and uint8
+// (bit widths), so at n = 10⁶ the per-process tables cost a few bytes a
+// process, with no slice header per process, and every guard-path
+// lookup is an indexed load with no pointer hop.
 type System struct {
 	g     *graph.Graph
 	spec  *Spec
@@ -26,15 +32,14 @@ type System struct {
 
 	consts []int32 // consts[p*lc+v]
 
-	commDomains     []int32 // commDomains[p*wc+v]
-	internalDomains []int32 // internalDomains[p*wi+v]
-	constDomains    []int32 // constDomains[p*lc+v]
+	commDomains     []int32 // commDomains[δ*wc+v]; rows 0..Δ
+	internalDomains []int32 // internalDomains[δ*wi+v]; rows 0..Δ
 
-	// Precomputed BitsFor over the domain tables: neighbor reads are the
-	// innermost operation of every guard, so the read-instrumentation
-	// path looks the width up instead of recomputing it. commBits
-	// entries follow refreshDomains under dynamic topologies; constBits
-	// is structural and never refreshed.
+	// Precomputed BitsFor over the domains, one row per process: neighbor
+	// reads are the innermost operation of every guard, so the
+	// read-instrumentation path looks the width up instead of recomputing
+	// it. commBits entries follow refreshDomains under dynamic
+	// topologies; constBits is structural and never refreshed.
 	commBits  []uint8 // commBits[p*wc+v] = BitsFor(CommDomain(p, v))
 	constBits []uint8
 
@@ -72,57 +77,63 @@ func NewSystem(g *graph.Graph, spec *Spec, consts [][]int) (*System, error) {
 		g: g, spec: spec, delta: g.MaxDegree(),
 		wc: len(spec.Comm), wi: len(spec.Internal), lc: len(spec.Const),
 	}
-	s.commDomains = make([]int32, n*s.wc)
-	s.internalDomains = make([]int32, n*s.wi)
-	s.constDomains = make([]int32, n*s.lc)
+	var err error
+	if s.commDomains, err = degreeDomains("comm", spec.Comm, n, s.delta); err != nil {
+		return nil, err
+	}
+	if s.internalDomains, err = degreeDomains("internal", spec.Internal, n, s.delta); err != nil {
+		return nil, err
+	}
 	s.commBits = make([]uint8, n*s.wc)
 	s.constBits = make([]uint8, n*s.lc)
 	s.consts = make([]int32, n*s.lc)
 	for p := 0; p < n; p++ {
+		s.refreshDomains(p)
+		if len(spec.Const) == 0 {
+			continue
+		}
+		if len(consts[p]) != len(spec.Const) {
+			return nil, fmt.Errorf("model: process %d has %d constants, want %d", p, len(consts[p]), len(spec.Const))
+		}
+		// Constant domains are read only here, to check the constants.
 		info := DomainInfo{N: n, Delta: s.delta, Degree: g.Degree(p)}
-		for v, vs := range spec.Comm {
-			d := vs.Domain(info)
-			if d < 1 {
-				return nil, fmt.Errorf("model: comm var %s has empty domain at process %d", vs.Name, p)
-			}
-			if d > math.MaxInt32 {
-				return nil, fmt.Errorf("model: comm var %s domain %d at process %d exceeds int32", vs.Name, d, p)
-			}
-			s.commDomains[p*s.wc+v] = int32(d)
-			s.commBits[p*s.wc+v] = uint8(BitsFor(d))
-		}
-		for v, vs := range spec.Internal {
-			d := vs.Domain(info)
-			if d < 1 {
-				return nil, fmt.Errorf("model: internal var %s has empty domain at process %d", vs.Name, p)
-			}
-			if d > math.MaxInt32 {
-				return nil, fmt.Errorf("model: internal var %s domain %d at process %d exceeds int32", vs.Name, d, p)
-			}
-			s.internalDomains[p*s.wi+v] = int32(d)
-		}
 		for v, vs := range spec.Const {
 			d := vs.Domain(info)
 			if d > math.MaxInt32 {
 				return nil, fmt.Errorf("model: const var %s domain %d at process %d exceeds int32", vs.Name, d, p)
 			}
-			s.constDomains[p*s.lc+v] = int32(d)
+			val := consts[p][v]
+			if val < 0 || val >= d {
+				return nil, fmt.Errorf("model: process %d constant %s=%d outside domain [0,%d)", p, vs.Name, val, d)
+			}
+			s.consts[p*s.lc+v] = int32(val)
 			s.constBits[p*s.lc+v] = uint8(BitsFor(d))
-		}
-		if len(spec.Const) > 0 {
-			if len(consts[p]) != len(spec.Const) {
-				return nil, fmt.Errorf("model: process %d has %d constants, want %d", p, len(consts[p]), len(spec.Const))
-			}
-			for v, val := range consts[p] {
-				if val < 0 || val >= int(s.constDomains[p*s.lc+v]) {
-					return nil, fmt.Errorf("model: process %d constant %s=%d outside domain [0,%d)",
-						p, spec.Const[v].Name, val, s.constDomains[p*s.lc+v])
-				}
-				s.consts[p*s.lc+v] = int32(val)
-			}
 		}
 	}
 	return s, nil
+}
+
+// degreeDomains evaluates the domains of vars at every degree 1..delta
+// of an n-process system into a table of one row per degree, row 0
+// repeating degree 1's.
+func degreeDomains(kind string, vars []VarSpec, n, delta int) ([]int32, error) {
+	w := len(vars)
+	table := make([]int32, (delta+1)*w)
+	for deg := 1; deg <= delta; deg++ {
+		info := DomainInfo{N: n, Delta: delta, Degree: deg}
+		for v, vs := range vars {
+			d := vs.Domain(info)
+			if d < 1 {
+				return nil, fmt.Errorf("model: %s var %s has empty domain at degree %d", kind, vs.Name, deg)
+			}
+			if d > math.MaxInt32 {
+				return nil, fmt.Errorf("model: %s var %s domain %d at degree %d exceeds int32", kind, vs.Name, d, deg)
+			}
+			table[deg*w+v] = int32(d)
+		}
+	}
+	copy(table[:w], table[w:2*w])
+	return table, nil
 }
 
 // Graph returns the network.
@@ -143,16 +154,22 @@ func (s *System) Const(p, v int) int {
 }
 
 // CommDomain returns the domain size of communication variable v at p.
-func (s *System) CommDomain(p, v int) int { return int(s.commDomains[p*s.wc+v]) }
+func (s *System) CommDomain(p, v int) int { return int(s.commDomainRow(p)[v]) }
 
 // InternalDomain returns the domain size of internal variable v at p.
-func (s *System) InternalDomain(p, v int) int { return int(s.internalDomains[p*s.wi+v]) }
+func (s *System) InternalDomain(p, v int) int { return int(s.internalDomainRow(p)[v]) }
 
-// commDomainRow and internalDomainRow return process p's stretch of the
-// flat domain tables, for call sites that walk a whole row.
-func (s *System) commDomainRow(p int) []int32 { return s.commDomains[p*s.wc : (p+1)*s.wc] }
+// commDomainRow and internalDomainRow return process p's domain row, the
+// row of its live degree, cut with its capacity.
+func (s *System) commDomainRow(p int) []int32 {
+	lo := s.g.Degree(p) * s.wc
+	return s.commDomains[lo : lo+s.wc : lo+s.wc]
+}
 
-func (s *System) internalDomainRow(p int) []int32 { return s.internalDomains[p*s.wi : (p+1)*s.wi] }
+func (s *System) internalDomainRow(p int) []int32 {
+	lo := s.g.Degree(p) * s.wi
+	return s.internalDomains[lo : lo+s.wi : lo+s.wi]
+}
 
 // commBit returns the precomputed BitsFor(CommDomain(q, v)) — the
 // per-read bit count charged by the instrumentation path.
@@ -174,8 +191,9 @@ func (s *System) InternalWidth() int { return len(s.spec.Internal) }
 // a Config is read and written one value at a time through N, Comm,
 // SetComm, Internal and SetInternal, as ints. Values are stored as
 // int32: NewSystem rejects any domain above 2³¹ − 1, so every in-domain
-// value fits, and a value costs 4 B instead of 8 in the live and the
-// final configuration alike.
+// value fits, and a value costs 4 B instead of 8. A trial keeps one
+// configuration, not two: the runner hands its live buffer over as the
+// result's final configuration instead of copying it.
 type Config struct {
 	n, wc, wi int
 	comm      []int32 // comm[p*wc+v]
@@ -299,23 +317,31 @@ func (c *Config) CommEqual(d *Config) bool {
 	return c.n == d.n && slices.Equal(c.comm, d.comm)
 }
 
+// Fits reports whether c has s's shape: as many processes, and as many
+// communication and internal variables per process. A configuration
+// that fits can be filled for s in place (RandomizeConfig, CopyFrom
+// without a rebuild).
+func (c *Config) Fits(s *System) bool { return c.n == s.N() && c.wc == s.wc && c.wi == s.wi }
+
 // Validate checks that every value lies in its domain.
 func (c *Config) Validate(s *System) error {
-	if c.n != s.N() || c.wc != s.wc || c.wi != s.wi {
+	if !c.Fits(s) {
 		return fmt.Errorf("model: config shape %d×(%d+%d), system is %d×(%d+%d)",
 			c.n, c.wc, c.wi, s.N(), s.wc, s.wi)
 	}
 	for p := 0; p < c.n; p++ {
+		doms := s.commDomainRow(p)
 		for v, val := range c.commRow(p) {
-			if val < 0 || int(val) >= s.CommDomain(p, v) {
+			if val < 0 || val >= doms[v] {
 				return fmt.Errorf("model: process %d comm %s=%d outside [0,%d)",
-					p, s.spec.Comm[v].Name, val, s.CommDomain(p, v))
+					p, s.spec.Comm[v].Name, val, doms[v])
 			}
 		}
+		doms = s.internalDomainRow(p)
 		for v, val := range c.internalRow(p) {
-			if val < 0 || int(val) >= s.InternalDomain(p, v) {
+			if val < 0 || val >= doms[v] {
 				return fmt.Errorf("model: process %d internal %s=%d outside [0,%d)",
-					p, s.spec.Internal[v].Name, val, s.InternalDomain(p, v))
+					p, s.spec.Internal[v].Name, val, doms[v])
 			}
 		}
 	}

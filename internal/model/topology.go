@@ -1,7 +1,7 @@
 package model
 
 // Dynamic topology support: a System built with MutableCopy owns a
-// mutable graph (graph.MutableCopy) plus private domain tables, and the
+// mutable graph (graph.MutableCopy) plus private bit-width tables, and the
 // Simulator applies discrete topology events — edge removal/restore,
 // node crash/join — through ApplyTopology, which keeps the incremental
 // enabled/silence caches sound via the same MarkDirty rule the fault
@@ -11,22 +11,22 @@ package model
 // ever leave and return, a crashed process is isolated (degree 0, still
 // scheduled, per the round model) and rejoins with its base edges to
 // alive endpoints. Structural parameters visible to protocols stay at
-// their base values (N, Δ, constants and constant domains); per-process
-// degree-dependent variable domains are refreshed from the live degree
-// (clamped to >= 1 so no domain empties), and values pushed outside a
-// shrunken domain are clamped deterministically.
+// their base values (N, Δ, constants and constant domains); a process's
+// degree-dependent variable domains are the per-degree row of its live
+// degree (clamped to >= 1 so no domain empties), its bit widths are
+// refreshed from that row, and values pushed outside a shrunken domain
+// are clamped deterministically.
 
 import "fmt"
 
 // MutableCopy returns a dynamic copy of the system: same spec,
 // constants and structural parameters, but a mutable graph and private
-// per-process domain tables that follow the live topology. The receiver
-// is unchanged and keeps its immutable graph.
+// per-process bit widths that follow the live topology. The per-degree
+// domain tables are shared: a process reads the row of its live degree.
+// The receiver is unchanged and keeps its immutable graph.
 func (s *System) MutableCopy() *System {
 	c := *s
 	c.g = s.g.MutableCopy()
-	c.commDomains = append([]int32(nil), s.commDomains...)
-	c.internalDomains = append([]int32(nil), s.internalDomains...)
 	c.commBits = append([]uint8(nil), s.commBits...)
 	return &c
 }
@@ -35,31 +35,20 @@ func (s *System) MutableCopy() *System {
 // accepts topology events.
 func (s *System) Dynamic() bool { return s.g.Dynamic() }
 
-// refreshDomains recomputes p's variable domains from its live degree.
-// A crashed or isolated process keeps degree-1 domains so no domain
-// empties; N and Δ stay at their base values. Constant domains are
-// structural and never refreshed (stored constants stay valid).
+// refreshDomains recomputes p's communication bit widths from the
+// domain row of its live degree (a crashed or isolated process reads
+// row 0, which repeats degree 1's). The domains themselves need
+// no refresh: they are read through the live degree. Constant bit widths
+// are structural and never refreshed (stored constants stay valid).
 func (s *System) refreshDomains(p int) {
-	deg := s.g.Degree(p)
-	if deg < 1 {
-		deg = 1
-	}
-	info := DomainInfo{N: s.g.N(), Delta: s.delta, Degree: deg}
-	cd := s.commDomainRow(p)
 	cb := s.commBits[p*s.wc : (p+1)*s.wc]
-	for v := range cd {
-		d := s.spec.Comm[v].Domain(info)
-		cd[v] = int32(d)
-		cb[v] = uint8(BitsFor(d))
-	}
-	id := s.internalDomainRow(p)
-	for v := range id {
-		id[v] = int32(s.spec.Internal[v].Domain(info))
+	for v, d := range s.commDomainRow(p) {
+		cb[v] = uint8(BitsFor(int(d)))
 	}
 }
 
 // ResetDynamic restores a dynamic system to its base topology and base
-// domains. It allocates nothing; calling it on a non-dynamic system
+// bit widths. It allocates nothing; calling it on a non-dynamic system
 // panics.
 func (s *System) ResetDynamic() {
 	s.g.ResetTopology()

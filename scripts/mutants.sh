@@ -23,7 +23,7 @@ MUTATIONS=(
 	"NeighborComm reads port+1|internal/model/ctx.go|s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port])\$1~"
 	"second writer skipped in executeStep's commit walk|internal/model/arena.go|s~\t\tcommChanged\[i\] = a.commit\(cfg, selected\[i\], k, s.step, obs\)\n~\t\tif k != 1 {\n\t\t\tcommChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)\n\t\t}\n~"
 	"NeighborComm port row rotated in range|internal/model/ctx.go|s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port%len(c.nbr)])\$1~"
-	"removeHalf skips the moved neighbor's back pointer|internal/graph/dynamic.go|s~\t\tg.backRow\(int\(row\[i\]\)\)\[brow\[i\]\] = i\n~~"
+	"removeHalf skips the moved neighbor's back pointer|internal/graph/dynamic.go|s~\t\tg.backRow\(int\(row\[i\]\)\)\[g.backIndex\(p, i\)\] = narrowBack\(i\)\n~~"
 	"memoApply lands p one entry short|internal/model/sim.go|s~\tland := off \+ r\n~\tland := (off + r + n - 1) % n\n~"
 	"SilentNow's disabled shortcut trusts a stale verdict|internal/model/sim.go|s~t.valid\[p\] != verdictStale && t.action\[p\] < 0~t.action[p] < 0~"
 )
