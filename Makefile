@@ -60,7 +60,8 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 # Mutation check: scripts/mutants.sh applies each engine mutation it
 # names (a dropped replay flush, a skipped tracker invalidation, a port
 # row rotated in range, which only a reference with its own neighbor
-# reads can see, and five more) to a temporary copy of the tree; the
+# reads can see, and seven more, two of them in the convergence-phase
+# counts) to a temporary copy of the tree; the
 # committed FuzzSimulatorVsReference corpus, run as a plain test, must
 # fail on every one. A pattern that no longer applies fails the target.
 MUTANTS_DIR ?= /tmp/mutants

@@ -107,14 +107,22 @@ func (a *stepArena) commit(cfg *Config, p, k, step int, obs Observer) bool {
 // per-step heap allocation. Each process draws from the arena generator
 // reseeded for (stepSeed, p). A process whose disabled verdict stands is
 // not evaluated: its selection is a counted replay (see
-// Simulator.disReads). The returned slices are owned by the arena and
-// valid until the next call.
+// Simulator.disReads), and neither is one on a closed cycle, whose
+// selection is a count (see Simulator.cntState; both report fired -1,
+// and the settle moves p). The returned slices are owned by the arena
+// and valid until the next call.
 func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bool) {
 	a, cfg, obs := s.arena, s.cfg, s.obs
+	feed := s.tsched == nil
 	fired, writers := a.fired[:0], a.writers[:0]
 	for i, p := range selected {
 		if s.tracker.valid[p] == verdictStepped {
 			s.replayDisabled(p)
+			fired = append(fired, -1)
+			continue
+		}
+		if s.countClosed(p) {
+			s.countSelect(p, len(writers))
 			fired = append(fired, -1)
 			continue
 		}
@@ -130,11 +138,35 @@ func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bo
 		if f < 0 {
 			s.keepDisabled(p)
 		}
+		if feed {
+			if f >= 0 && !staged && a.ctx.rand == nil && !s.sys.spec.Actions[f].Randomized {
+				s.countFeed(p)
+			} else {
+				s.countForget(p)
+			}
+		}
 	}
+	s.countSettleWriters(selected, writers)
 	commChanged = a.commChanged[:len(selected)]
 	clear(commChanged)
 	for k, i := range writers {
 		commChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)
 	}
 	return fired, commChanged
+}
+
+// countSettleWriters settles the counts of the writers' neighbors against
+// the rows they were taken under, before the commit changes them. The
+// settles stage on the first row no writer holds.
+func (s *Simulator) countSettleWriters(selected []int, writers []int32) {
+	if len(s.memoDue) == 0 && !s.memoDueAll {
+		return
+	}
+	for _, i := range writers {
+		for _, q := range s.sys.g.Row(selected[i]) {
+			if s.memoLazy[q] > 0 {
+				s.countApply(int(q), len(writers))
+			}
+		}
+	}
 }

@@ -73,6 +73,56 @@ func BenchmarkSilentSuffix(b *testing.B) {
 	}
 }
 
+// BenchmarkConvergence measures COLORING from a random configuration
+// to silence, the convergence phase in which processes whose
+// neighborhood settled keep turning their cur pointer: sync-torus is
+// the synchronous daemon on torus-100x100 with a Recorder attached (one
+// E22 cell in small), random-subset the distributed daemon on
+// torus-20x20 with no observer. Every iteration starts from the same
+// configuration on a reused simulator.
+func BenchmarkConvergence(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		daemon string
+		record bool
+	}{
+		{"sync-torus", graph.Torus(100, 100), "synchronous", true},
+		{"random-subset", graph.Torus(20, 20), "random-subset", false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			sys, err := engine.Build(c.g, engine.FamColoring, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			initial := model.NewRandomConfig(sys, rng.New(1))
+			cfg := initial.Clone()
+			rec := trace.NewRecorder(sys.N())
+			var obs model.Observer
+			if c.record {
+				obs = rec
+			}
+			var sim model.Simulator
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.CopyFrom(initial)
+				rec.Reset(sys.N())
+				sc, err := sched.ByName(c.daemon, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := sim.Reset(sys, cfg, sc, 1, obs); err != nil {
+					b.Fatal(err)
+				}
+				if silent, err := sim.RunUntilSilent(1_000_000, 1); err != nil || !silent {
+					b.Fatalf("RunUntilSilent = (%v, %v), want silence", silent, err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkExecuteStep measures one scheduler step through the
 // simulator's reusable arena (the hot path) for the synchronous and
 // central round-robin daemons. The writers rows are synchronous steps of

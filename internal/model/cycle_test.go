@@ -174,3 +174,156 @@ func checkClosedOrbits(t *testing.T, sys *model.System, daemon string) (tails, c
 	}
 	return tails, cycles, remainders
 }
+
+// settleProbe forwards every call to the recorder it wraps and counts
+// the two shapes of convergence settle TestCountedCyclesMatchSteppedSteps
+// must cover. Before silence only a settle hands over a Selected call
+// with fired ≥ 0 and a count other than one, or one for a process the
+// step in progress did not select. So a settle forced by a neighbor's
+// write is such a call inside a step, and a settle of k ≥ L counts
+// ending mid-cycle shows as two consecutive entries of one process
+// carrying k/L + 1 and k/L ≥ 1 selections.
+type settleProbe struct {
+	model.Observer
+	inStep    bool
+	selected  []bool
+	last      [3]int // p, fired, times of the previous Selected call
+	forced    int
+	remainder int
+}
+
+func (o *settleProbe) StepBegin(step int, selected []int) {
+	o.Observer.StepBegin(step, selected)
+	o.inStep = true
+	for _, p := range selected {
+		o.selected[p] = true
+	}
+}
+
+func (o *settleProbe) StepEnd(step int, selected []int, roundCompleted bool) {
+	o.Observer.StepEnd(step, selected, roundCompleted)
+	o.inStep = false
+	for _, p := range selected {
+		o.selected[p] = false
+	}
+}
+
+func (o *settleProbe) Selected(step, p int, neighbors []int, bits, fired, times int) {
+	o.Observer.Selected(step, p, neighbors, bits, fired, times)
+	if fired >= 0 {
+		if o.inStep && (times != 1 || !o.selected[p]) {
+			o.forced++
+		}
+		if last := o.last; last[0] == p && last[1] >= 0 && times >= 1 && last[2] == times+1 {
+			o.remainder++
+		}
+	}
+	o.last = [3]int{p, fired, times}
+}
+
+// TestCountedCyclesMatchSteppedSteps: before silence, a process whose
+// neighborhood is frozen and whose transitions close a cycle is counted,
+// not evaluated, and its count is settled in closed form when the
+// stepping method returns or a neighbor is about to write. From random
+// configurations, RunUntilSilent — one stretch to a point mid-run, a
+// MarkDirty corruption, one stretch to silence — must leave the same
+// configuration, step and round counts and recorder report as a twin on
+// the same seed driven by bare Step calls, each of which settles its
+// counts, with a silence check after each. The cases run COLORING, MIS,
+// MATCHING, the cached-view MATCHING and the BFS tree on four graphs
+// under three daemons, and must cover a settle forced by a neighbor's
+// write and one whose count is at least its cycle's length and not a
+// multiple of it.
+func TestCountedCyclesMatchSteppedSteps(t *testing.T) {
+	t.Parallel()
+	// torus-12x12 counts more processes at once than the due list holds
+	// (64), so its settles sweep the counts.
+	graphs := []*graph.Graph{graph.Cycle(9), graph.Grid(3, 4), graph.RandomConnectedGNP(12, 0.3, rng.New(4)), graph.Torus(12, 12)}
+	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching, engine.FamMatchingXform, engine.FamBFSTree}
+	daemons := []string{"synchronous", "random-subset", "central-random"}
+	var forced, remainder int
+	for _, g := range graphs {
+		for _, fam := range families {
+			sys, err := engine.Build(g, fam, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, daemon := range daemons {
+				name := fmt.Sprintf("%s on %s under %s", fam, g.Name(), daemon)
+				t.Run(name, func(t *testing.T) {
+					f, r := checkCountedCycles(t, sys, daemon)
+					forced += f
+					remainder += r
+				})
+			}
+		}
+	}
+	if forced == 0 || remainder == 0 {
+		t.Fatalf("coverage: %d settles forced by a neighbor's write, %d settles of k >= L with k mod L != 0; want each > 0",
+			forced, remainder)
+	}
+}
+
+// checkCountedCycles runs one case of TestCountedCyclesMatchSteppedSteps
+// at three seeds and returns the forced and mid-cycle settles it saw.
+func checkCountedCycles(t *testing.T, sys *model.System, daemon string) (forced, remainder int) {
+	t.Helper()
+	n := sys.N()
+	mid := map[string]int{"synchronous": 3, "random-subset": 6, "central-random": 2 * n}[daemon]
+	for seed := uint64(1); seed <= 3; seed++ {
+		initial := model.NewRandomConfig(sys, rng.New(seed))
+		mk := func(obs model.Observer) *model.Simulator {
+			sc, err := sched.ByName(daemon, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := model.NewSimulator(sys, initial, sc, seed, obs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sim
+		}
+		countedRec, steppedRec := trace.NewRecorder(n), trace.NewRecorder(n)
+		probe := &settleProbe{Observer: countedRec, selected: make([]bool, n)}
+		counted, stepped := mk(probe), mk(steppedRec)
+		stretch := func(maxSteps int, when string) {
+			t.Helper()
+			got, err := counted.RunUntilSilent(maxSteps, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := stepped.SilentNow()
+			for err == nil && !want && stepped.Steps() < maxSteps {
+				stepped.Step()
+				want, err = stepped.SilentNow()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("seed %d, %s: silent %v, stepped %v", seed, when, got, want)
+			}
+			if !counted.Config().Equal(stepped.Config()) {
+				t.Fatalf("seed %d, %s: configurations differ:\n counted %v\n stepped %v",
+					seed, when, internals(sys, counted.Config()), internals(sys, stepped.Config()))
+			}
+			if counted.Steps() != stepped.Steps() || counted.Rounds() != stepped.Rounds() {
+				t.Fatalf("seed %d, %s: %d steps, %d rounds; stepped %d, %d",
+					seed, when, counted.Steps(), counted.Rounds(), stepped.Steps(), stepped.Rounds())
+			}
+			if got, want := countedRec.Report(), steppedRec.Report(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s: recorder reports differ:\n counted %+v\n stepped %+v", seed, when, got, want)
+			}
+		}
+		stretch(mid, "mid-run")
+		p := int(rng.Derive(seed, 99) % uint64(n))
+		for _, sim := range []*model.Simulator{counted, stepped} {
+			model.RandomizeProcess(sys, sim.Config(), p, rng.New(rng.Derive(seed, 100)))
+			sim.MarkDirty(p)
+		}
+		stretch(counted.Steps()+200_000, "after a corruption")
+		forced += probe.forced
+		remainder += probe.remainder
+	}
+	return forced, remainder
+}

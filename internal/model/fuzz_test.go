@@ -116,7 +116,12 @@ const (
 // reference's own port rule and domain reduction run on every go test.
 // The suffix cases run five protocols to silence and then through a
 // dozen RunRounds stretches, so orbits close and their counts are
-// applied, before and after a corruption or a topology event.
+// applied, before and after a corruption or a topology event. The count
+// cases run five protocols under the synchronous and random-subset
+// daemons on a MutableCopy through stretches of rounds and runs to
+// silence with corruptions and topology events mid-convergence, so
+// cycles close before silence, their counts settle early when a
+// neighbor writes, and their detectors are forgotten.
 func FuzzSimulatorVsReference(f *testing.F) {
 	f.Add(uint8(3), uint8(7), false, uint8(1), uint8(1), uint64(1), []byte{opRunUntilSilent, opMarkSuffix, opStep | 3<<3, opRunRounds, opCorrupt, opStep})
 	f.Fuzz(func(t *testing.T, shape, size uint8, dynamic bool, proto, daemon uint8, seed uint64, ops []byte) {

@@ -69,10 +69,15 @@
 // row": the verdict says p's whole frozen-neighborhood orbit is
 // deterministic and never writes communication state, so a move of p
 // that wrote none lands on the next state of that same orbit and the
-// verdict still holds. A "broken" verdict follows (a) as stated. Code
-// that mutates a tracked configuration behind the simulator's back must
-// call EnabledTracker.Invalidate itself (Simulator.MarkDirty does, and
-// drops the silence verdicts and the kept reads too).
+// verdict still holds. A "broken" verdict follows (a) as stated. The
+// cycle detectors behind convergence-phase counts (Simulator.cntState)
+// follow (b) and narrow (a) the same way: a move of p that the orbit
+// walker would call silent (an action not marked Randomized, no draw,
+// no staged communication write) feeds p's detector instead of
+// dropping it. Code that mutates a tracked configuration behind the
+// simulator's back must call EnabledTracker.Invalidate itself
+// (Simulator.MarkDirty does, and drops the silence verdicts, the kept
+// reads and the detectors too).
 package model
 
 import (

@@ -16,10 +16,12 @@ import (
 // TrackedScheduler: the simulator then serves their probes from its
 // incremental EnabledTracker instead of a from-scratch rescan, and brings
 // every internal row up to date before it asks. Within one RunRounds,
-// RunSteps or RunUntilSilent call, the internal rows of the processes on
-// closed silent orbits lag their selections (see Simulator.memoLazy), so
-// a scheduler the simulator calls through Select may read cfg's
-// communication rows, not its internal ones.
+// RunSteps or RunUntilSilent call, in any phase of the run, the internal
+// rows of the processes on closed cycles lag their selections (see
+// Simulator.memoLazy and Simulator.cntState), so a scheduler the
+// simulator calls through Select may read cfg's communication rows, not
+// its internal ones. No count is pending when an exported method of the
+// Simulator returns.
 type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
@@ -121,9 +123,13 @@ type Simulator struct {
 	// its evaluation delivered and the count (see memoFlush). Every
 	// statistic an observer keeps is a sum, a maximum or a set union of
 	// that aggregate, so recorded traces are byte-identical to the slow
-	// path. The tables are allocated by the first step of a silent phase:
-	// a run that ends at silence, as every convergence trial without a
-	// suffix does, never reads them.
+	// path. The entry tables are allocated by the first step of a silent
+	// phase: a run that ends at silence, as every convergence trial
+	// without a suffix does, never reads them.
+	//
+	// memoLazy, memoDue and the settles serve the convergence phase too
+	// (see cntState), so in any phase an internal row may lag its
+	// process's selections.
 	//
 	// Invariant: no count is pending when an exported method returns —
 	// every stepping method ends in memoFlush, which settles. MarkDirty and
@@ -133,10 +139,36 @@ type Simulator struct {
 	memoCur     []int32
 	memoCyc     []memoCycle
 	memoLazy    []int32   // selections counted on p's closed cycle, not yet applied
-	memoDue     []int32   // the processes whose memoLazy is non-zero
+	memoDue     []int32   // processes whose memoLazy is non-zero, at most dueCap of them
+	memoDueAll  bool      // memoDue overflowed: the next settle sweeps memoLazy
 	memoPending []memoRef // entries with undelivered replays
 	memoActive  bool
 	memoUsed    bool // any entry captured since the last reset
+
+	// Closed cycles before global silence. While p's communication row and
+	// its neighbors' stay put, a transition of p that fires an action not
+	// marked Randomized, draws no randomness and stages no communication
+	// write is a function of p's internal row: the protocols of Theorems
+	// 3, 5 and 7 keep turning their cur pointer long after their
+	// neighborhood settled. executeStep feeds each such transition to p's
+	// cycle detector (countFeed), Brent's walk of orbitProbe kept between
+	// selections: cntAnchor holds p's saved internal row and cntState[p]
+	// the packed walk (cntRunning, cntClosed). Once the walk returns to
+	// its anchor, p is on a closed cycle of L transitions, and a selection
+	// of p adds one to memoLazy[p] like a silent-phase count; the settle
+	// re-evaluates at most L transitions, whatever the count (countApply).
+	// Any other evaluation of p, a change to p's communication row or a
+	// neighbor's, MarkDirty, ApplyTopology and Reset forget p's walk, and
+	// a step that stages a communication write settles the writer's
+	// counted neighbors against the pre-step rows first. At global silence
+	// the stored-entry memo takes over (SilentNow). Under a
+	// TrackedScheduler nothing is fed: it settles before every selection,
+	// so a count never exceeds one. The tables are allocated by the first
+	// transition fed on a system.
+	cntState  []uint32
+	cntAnchor []int32 // n × InternalWidth
+	cntLand   []int32 // countApply's scratch row
+	cntUsed   bool    // a walk started since the tables were last cleared
 
 	// Disabled replays, at any phase of a run. A step evaluation that
 	// finds p disabled hands the tracker a stepped verdict (judgeDisabled),
@@ -240,7 +272,8 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		s.lastSel = make([]uint32, sys.N())
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
-		s.memoEntries, s.memoCur, s.memoCyc, s.memoLazy = nil, nil, nil, nil
+		s.memoEntries, s.memoCur, s.memoCyc, s.memoLazy, s.memoDue = nil, nil, nil, nil, nil
+		s.cntState, s.cntAnchor, s.cntUsed = nil, nil, false
 		s.disReads, s.disSeen = s.disReads[:0], s.disSeen[:0]
 		s.arena = newStepArena(sys)
 	} else {
@@ -248,6 +281,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		for i := range s.silence {
 			s.silence[i] = silenceUnknown
 		}
+		s.countForgetAll()
 	}
 	s.silUnknown = s.silUnknown[:0]
 	for p := 0; p < sys.N(); p++ {
@@ -464,6 +498,12 @@ func (s *Simulator) SilentNow() (bool, error) {
 			// loosens.
 			continue
 		}
+		if s.countClosed(p) {
+			// p's row may lag, but under frozen inputs its cycle is its
+			// orbit, and no transition of it writes communication state.
+			s.silence[p] = silenceSilent
+			continue
+		}
 		if t := s.tracker; t.valid[p] != verdictStale && t.action[p] < 0 {
 			// Disabled: the orbit is closed at the first state.
 			s.silence[p] = silenceSilent
@@ -486,7 +526,15 @@ func (s *Simulator) SilentNow() (bool, error) {
 	// Communication silence is irrevocable under Step (the orbit
 	// argument covers every reachable successor), so from here on
 	// selections can be served from the replay memo.
-	s.memoActive = true
+	// The stored-entry memo takes over from the cycle detectors: their
+	// counts are settled and their walks forgotten, since the memo's
+	// replays move internal rows that a stale anchor would take for a
+	// closed cycle.
+	if !s.memoActive {
+		s.memoSettle()
+		s.countForgetAll()
+		s.memoActive = true
+	}
 	return true, nil
 }
 
@@ -505,17 +553,19 @@ func (s *Simulator) Tracker() *EnabledTracker { return s.tracker }
 // or tracker probe.
 func (s *Simulator) MarkDirty(p int) {
 	s.memoReset()
+	s.countForget(p)
 	s.invalidateSilence(p)
 	s.tracker.Invalidate(p)
 	s.neighborsDirty(p)
 }
 
-// neighborsDirty invalidates the cached verdicts of p's neighbors: p's
-// communication row changed, or may have.
+// neighborsDirty invalidates the cached verdicts and cycle detectors of
+// p's neighbors: p's communication row changed, or may have.
 func (s *Simulator) neighborsDirty(p int) {
 	for _, q := range s.sys.g.Row(p) {
 		s.invalidateSilence(int(q))
 		s.tracker.Invalidate(int(q))
+		s.countForget(int(q))
 	}
 }
 
@@ -557,11 +607,12 @@ func (s *Simulator) RunRounds(k int) {
 // counted on them first. Entry backing arrays are kept, so re-capturing
 // in a later silent phase allocates nothing in steady state.
 func (s *Simulator) memoReset() {
-	s.memoActive = false
 	if !s.memoUsed {
+		s.memoActive = false
 		return
 	}
-	s.memoFlush()
+	s.memoFlush() // while memoActive still routes the counts to memoApply
+	s.memoActive = false
 	s.memoUsed = false
 	for p := range s.memoEntries {
 		s.memoEntries[p] = s.memoEntries[p][:0]
@@ -627,7 +678,7 @@ func (s *Simulator) memoStep(selected []int) {
 		s.memoEntries = make([][]silentEntry, n)
 		s.memoCur = make([]int32, n)
 		s.memoCyc = make([]memoCycle, n)
-		s.memoLazy = make([]int32, n)
+		s.memoAllocCounts()
 	}
 	for _, p := range selected {
 		if s.tracker.valid[p] == verdictStepped {
@@ -637,7 +688,7 @@ func (s *Simulator) memoStep(selected []int) {
 		if s.memoCyc[p].n > 0 {
 			switch s.memoLazy[p] {
 			case 0:
-				s.memoDue = append(s.memoDue, int32(p))
+				s.memoMarkDue(p)
 			case math.MaxInt32:
 				s.memoApply(p) // p stays due
 			}
@@ -680,13 +731,57 @@ func (s *Simulator) memoClose(p int, j, i int32) {
 }
 
 // memoSettle applies the selections counted on closed cycles since the
-// last settle.
+// last settle: the stored-entry memo's in the silent phase, the cycle
+// detectors' before it.
 func (s *Simulator) memoSettle() {
-	for _, p := range s.memoDue {
-		s.memoApply(int(p))
+	if s.memoDueAll {
+		s.memoDueAll = false
+		for p, k := range s.memoLazy {
+			if k != 0 {
+				s.memoSettleOne(p)
+			}
+		}
+	} else {
+		for _, p := range s.memoDue {
+			s.memoSettleOne(int(p))
+		}
 	}
 	s.memoDue = s.memoDue[:0]
 }
+
+func (s *Simulator) memoSettleOne(p int) {
+	if s.memoActive {
+		s.memoApply(p)
+	} else {
+		s.countApply(p, 0)
+	}
+}
+
+// memoMarkDue puts p, whose memoLazy is about to leave 0, on the due
+// list. A full list turns into a sweep of memoLazy at the next settle,
+// which then follows at least dueCap counts: the list costs an eighth
+// of a byte per process, not four.
+func (s *Simulator) memoMarkDue(p int) {
+	switch {
+	case s.memoDueAll:
+	case len(s.memoDue) == cap(s.memoDue):
+		s.memoDueAll = true
+	default:
+		s.memoDue = append(s.memoDue, int32(p))
+	}
+}
+
+// memoAllocCounts allocates memoLazy and the due list on first use.
+func (s *Simulator) memoAllocCounts() {
+	if s.memoLazy == nil {
+		n := s.sys.N()
+		s.memoLazy = make([]int32, n)
+		s.memoDue = make([]int32, 0, dueCap(n))
+	}
+}
+
+// dueCap is the due list's capacity for n processes.
+func dueCap(n int) int { return max(n/32, 64) }
 
 // memoApply applies the k selections of p counted on its closed cycle of
 // n entries in closed form: starting from p's current entry, k replays
@@ -835,4 +930,145 @@ func (s *Simulator) deliverDisabled(p int) {
 	off := s.sys.g.RowStart(p)
 	s.obs.Selected(s.step, p, s.disReads[off:off+int(e.n)], int(e.bits), -1, e.pend-1)
 	e.pend = 1
+}
+
+// Packed cycle-detector states (Simulator.cntState). 0: no walk. A
+// running walk has cntRunning set, its power, the transitions after
+// which it moves the anchor, in the field at cntPowerShift and the
+// transitions since its anchor in the low field. The power starts at
+// δ.p + 1, so a walk that starts on a cur rotation of δ.p transitions
+// closes on its first return, and doubles at each move. A closed walk
+// has cntClosed set and the cycle's length in the low field.
+const (
+	cntClosed     uint32 = 1 << 31
+	cntRunning    uint32 = 1 << 30
+	cntPowerShift        = 15
+	cntField      uint32 = 1<<cntPowerShift - 1
+)
+
+// countClosed reports whether p is on a closed cycle: its selections are
+// counts.
+func (s *Simulator) countClosed(p int) bool {
+	return s.cntState != nil && s.cntState[p] >= cntClosed
+}
+
+// countForget drops p's walk. p has no pending count: a count is settled
+// before anything that forgets it can happen.
+func (s *Simulator) countForget(p int) {
+	if s.cntState != nil {
+		s.cntState[p] = 0
+	}
+}
+
+// countForgetAll drops every walk.
+func (s *Simulator) countForgetAll() {
+	if s.cntUsed {
+		clear(s.cntState)
+		s.cntUsed = false
+	}
+}
+
+// countFeed advances p's walk over the transition p just made in a step
+// (fired an action not marked Randomized, drew nothing, staged no
+// communication write: what the orbit walker calls silent), with p's
+// internal row now the transition's result. A walk starts by anchoring
+// that row; a later row equal to the anchor closes the cycle. A walk
+// whose power would outgrow its field gives up, and the next transition
+// fed starts a new one.
+func (s *Simulator) countFeed(p int) {
+	if s.cntState == nil {
+		n, wi := s.sys.N(), s.sys.wi
+		s.cntState = make([]uint32, n)
+		s.cntAnchor = make([]int32, n*wi)
+		s.cntLand = make([]int32, wi)
+	}
+	wi := s.sys.wi
+	row := s.cfg.internalRow(p)
+	anchor := s.cntAnchor[p*wi : p*wi+wi]
+	st := s.cntState[p]
+	if st == 0 {
+		if power := uint32(s.sys.g.Degree(p) + 1); power <= cntField {
+			copy(anchor, row)
+			s.cntState[p] = cntRunning | power<<cntPowerShift
+			s.cntUsed = true
+		}
+		return
+	}
+	lam := st&cntField + 1
+	if slices.Equal(row, anchor) {
+		s.memoAllocCounts()
+		s.cntState[p] = cntClosed | lam
+		return
+	}
+	if power := st >> cntPowerShift & cntField; lam == power {
+		if power > cntField/2 {
+			s.cntState[p] = 0
+			return
+		}
+		copy(anchor, row)
+		st, lam = cntRunning|2*power<<cntPowerShift, 0
+	}
+	s.cntState[p] = st&^cntField | lam
+}
+
+// countSelect counts a selection of p on its closed cycle; a full count
+// is settled on staging row stage.
+func (s *Simulator) countSelect(p, stage int) {
+	switch s.memoLazy[p] {
+	case 0:
+		s.memoMarkDue(p)
+	case math.MaxInt32:
+		s.countApply(p, stage) // p stays due
+	}
+	s.memoLazy[p]++
+}
+
+// countApply applies the k selections of p counted on its closed cycle
+// of L transitions: it re-evaluates the transitions from p's row, at
+// most L of them, delivers the i-th with k/L selections, one more when
+// i < k mod L, and leaves p k mod L transitions on. Without an observer
+// only those k mod L run. The evaluations use the arena's staging row
+// stage, which none of them writes. The dirty rule runs once for all k.
+func (s *Simulator) countApply(p, stage int) {
+	k := int(s.memoLazy[p])
+	if k == 0 {
+		return
+	}
+	s.memoLazy[p] = 0
+	n := int(s.cntState[p] &^ cntClosed)
+	q, r := k/n, k%n
+	if s.obs == nil {
+		for range r {
+			s.countTransition(p, stage, false)
+		}
+	} else {
+		row, agg := s.cfg.internalRow(p), &s.arena.agg
+		for i := range min(k, n) {
+			f := s.countTransition(p, stage, true)
+			hits := q
+			if i < r {
+				hits++
+			}
+			s.obs.Selected(s.step, p, agg.qs, agg.bits, f, hits)
+			if i+1 == r && k > n {
+				copy(s.cntLand, row)
+			}
+		}
+		if r > 0 && k > n {
+			copy(row, s.cntLand)
+		}
+	}
+	s.moved(p, false)
+}
+
+// countTransition re-evaluates one transition of p's closed cycle and
+// returns the action it fired. A transition off the cycle means p's
+// inputs moved under a count, which the forget rules exclude.
+func (s *Simulator) countTransition(p, stage int, record bool) int {
+	a := s.arena
+	f, staged := a.eval(s.cfg, p, stage, record)
+	if f < 0 || staged || a.ctx.rand != nil {
+		panic(fmt.Sprintf("model: process %d left its counted cycle: its inputs moved under a count", p))
+	}
+	return f
 }

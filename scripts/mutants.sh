@@ -26,6 +26,8 @@ MUTATIONS=(
 	"removeHalf skips the moved neighbor's back pointer|internal/graph/dynamic.go|s~\t\tg.backRow\(int\(row\[i\]\)\)\[g.backIndex\(p, i\)\] = narrowBack\(i\)\n~~"
 	"memoApply lands p one entry short|internal/model/sim.go|s~\tland := off \+ r\n~\tland := (off + r + n - 1) % n\n~"
 	"SilentNow's disabled shortcut trusts a stale verdict|internal/model/sim.go|s~t.valid\[p\] != verdictStale && t.action\[p\] < 0~t.action[p] < 0~"
+	"counted neighbors settle after the commit, not before it|internal/model/arena.go|s~\ts.countSettleWriters\(selected, writers\)\n(.*?)\treturn fired, commChanged\n~\$1\ts.countSettleWriters(selected, writers)\n\treturn fired, commChanged\n~s"
+	"neighborsDirty leaves a neighbor's count running|internal/model/sim.go|s~\t\ts.countForget\(int\(q\)\)\n~~"
 )
 
 fail=0
