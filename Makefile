@@ -28,7 +28,7 @@ test-full: ## Full (non-short) suite: what the tier-1 verify runs
 # (Test*ZeroAlloc*), and performance is judged by `go run ./bench`
 # (BENCHMARK.json) on paired parent/change runs.
 bench: ## Run every benchmark once (compile + smoke)
-	$(GO) test -bench=. -benchtime=1x -run='^$$' . ./internal/model ./internal/sched ./internal/core ./internal/trace ./internal/fault ./internal/graph ./internal/obs ./internal/stats ./internal/campaign ./internal/service
+	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # Static analysis beyond go vet, plus the vulnerability scanner over the
 # dependency graph (trivial here: the module is stdlib-only, so the scan
@@ -60,8 +60,9 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 # Mutation check: scripts/mutants.sh applies each engine mutation it
 # names (a dropped replay flush, a skipped tracker invalidation, a port
 # row rotated in range, which only a reference with its own neighbor
-# reads can see, and seven more, two of them in the convergence-phase
-# counts) to a temporary copy of the tree; the
+# reads can see, and nine more, two of them in the convergence-phase
+# counts and two in the synchronous daemon's live set and count
+# windows) to a temporary copy of the tree; the
 # committed FuzzSimulatorVsReference corpus, run as a plain test, must
 # fail on every one. A pattern that no longer applies fails the target.
 MUTANTS_DIR ?= /tmp/mutants

@@ -103,7 +103,7 @@ func liveHeap() int64 {
 // system, runner (simulator, recorder, configuration) and result — per
 // process, on both graph families E22 charts. Each budget is its cell's
 // reading before the convergence-phase cycle detectors (93 and 182 B)
-// plus 25 %, rounded up. The torus reads 105 B:
+// plus 25 %, rounded up. The torus reads 106 B:
 //   - the graph, 28 B: 32-bit offsets and neighbor ids, 16-bit back
 //     ports (4 + 16 + 8 at Δ = 4);
 //   - one configuration of int32 values, 8 B: the run's live buffer is
@@ -114,7 +114,8 @@ func liveHeap() int64 {
 //     per degree, not per process);
 //   - the simulator's and tracker's per-process tables: 32-bit
 //     selection stamps, verdicts, silence verdicts and queues, the stale
-//     queue capped at n/8;
+//     queue capped at n/8, and the synchronous daemon's live set and the
+//     copy a step walks, one bit each;
 //   - the cycle detectors, 12 B: an anchor of one int32 (COLORING's
 //     internal row is its cur pointer), a packed 32-bit walk and the
 //     32-bit count, plus a due list capped at n/32 entries;
@@ -124,7 +125,7 @@ func liveHeap() int64 {
 // An older layout (a copied final configuration, per-process domain
 // tables, 32-bit back ports, 64-bit selection steps and an n-length
 // stale queue) read 125 B and fails. The G(n, 6/n) cell
-// reads 194 B: its read sets outgrow their first rows, and the rows they
+// reads 195 B: its read sets outgrow their first rows, and the rows they
 // leave stay in the slab. Not parallel, so no other test allocates
 // between the two readings.
 func TestBytesPerProcessBudget(t *testing.T) {

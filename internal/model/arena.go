@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math/bits"
+
 	"repro/internal/rng"
 )
 
@@ -113,7 +115,6 @@ func (a *stepArena) commit(cfg *Config, p, k, step int, obs Observer) bool {
 // and valid until the next call.
 func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bool) {
 	a, cfg, obs := s.arena, s.cfg, s.obs
-	feed := s.tsched == nil
 	fired, writers := a.fired[:0], a.writers[:0]
 	for i, p := range selected {
 		if s.tracker.valid[p] == verdictStepped {
@@ -126,24 +127,10 @@ func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bo
 			fired = append(fired, -1)
 			continue
 		}
-		s.deliverDisabled(p) // p's kept reads are about to be overwritten
-		f, staged := a.eval(cfg, p, len(writers), obs != nil)
+		f, staged := s.evalSelected(p, len(writers))
 		fired = append(fired, int16(f))
 		if staged {
 			writers = append(writers, int32(i))
-		}
-		if obs != nil {
-			obs.Selected(s.step, p, a.agg.qs, a.agg.bits, f, 1)
-		}
-		if f < 0 {
-			s.keepDisabled(p)
-		}
-		if feed {
-			if f >= 0 && !staged && a.ctx.rand == nil && !s.sys.spec.Actions[f].Randomized {
-				s.countFeed(p)
-			} else {
-				s.countForget(p)
-			}
 		}
 	}
 	s.countSettleWriters(selected, writers)
@@ -155,18 +142,93 @@ func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bo
 	return fired, commChanged
 }
 
+// stepLive is executeStep and advance's dirty marks under a
+// SynchronousScheduler, where selected[p] = p: it evaluates the live
+// processes only (see Simulator.live), in ascending order, so the
+// evaluations, Selected calls, writers and CommWrites come in the order
+// executeStep gives them, and the step costs O(evaluated + n/64). A
+// process on a closed cycle or with a stepped verdict is counted by the
+// step clock instead. fired and commChanged are indexed by process, and
+// commChanged is all false between steps.
+func (s *Simulator) stepLive(selected []int) {
+	a := s.arena
+	fired, writers := a.fired[:len(selected)], a.writers[:0]
+	for j, w := range s.live {
+		s.visit[j] = w
+		for ; w != 0; w &= w - 1 {
+			p := j<<6 | bits.TrailingZeros64(w)
+			f, staged := s.evalSelected(p, len(writers))
+			fired[p] = int16(f)
+			if staged {
+				writers = append(writers, int32(p))
+			}
+		}
+	}
+	s.countSettleWriters(selected, writers)
+	for k, p := range writers {
+		a.commChanged[p] = a.commit(s.cfg, int(p), k, s.step, s.obs)
+	}
+	for j, w := range s.visit {
+		for ; w != 0; w &= w - 1 {
+			if p := j<<6 | bits.TrailingZeros64(w); fired[p] >= 0 {
+				s.moved(p, a.commChanged[p])
+			}
+		}
+	}
+	for _, p := range writers {
+		a.commChanged[p] = false
+	}
+}
+
+// evalSelected evaluates selected process p on staging row stage and
+// keeps what the step engine keeps of it: a disabled verdict with its
+// reads, or a transition fed to p's cycle detector.
+func (s *Simulator) evalSelected(p, stage int) (fired int, staged bool) {
+	a, obs := s.arena, s.obs
+	s.deliverDisabled(p) // p's kept reads are about to be overwritten
+	fired, staged = a.eval(s.cfg, p, stage, obs != nil)
+	if obs != nil {
+		obs.Selected(s.step, p, a.agg.qs, a.agg.bits, fired, 1)
+	}
+	if fired < 0 {
+		s.keepDisabled(p)
+	}
+	if s.tsched == nil {
+		if fired >= 0 && !staged && a.ctx.rand == nil && !s.sys.spec.Actions[fired].Randomized {
+			s.countFeed(p)
+		} else {
+			s.countForget(p)
+		}
+	}
+	return fired, staged
+}
+
 // countSettleWriters settles the counts of the writers' neighbors against
 // the rows they were taken under, before the commit changes them. The
 // settles stage on the first row no writer holds.
 func (s *Simulator) countSettleWriters(selected []int, writers []int32) {
-	if len(s.memoDue) == 0 && !s.memoDueAll {
+	if s.allSel {
+		if !s.cntUsed {
+			return
+		}
+	} else if len(s.memoDue) == 0 && !s.memoDueAll {
 		return
 	}
 	for _, i := range writers {
 		for _, q := range s.sys.g.Row(selected[i]) {
-			if s.memoLazy[q] > 0 {
+			if s.countPending(int(q)) {
 				s.countApply(int(q), len(writers))
 			}
 		}
 	}
+}
+
+// countPending reports whether q has selections counted and not applied.
+// Under a SynchronousScheduler every process on a closed cycle has (its
+// window may be empty, which countApply skips).
+func (s *Simulator) countPending(q int) bool {
+	if s.allSel {
+		return s.countClosed(q)
+	}
+	return s.memoLazy[q] > 0
 }

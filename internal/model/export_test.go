@@ -8,3 +8,8 @@ func SetStampLimit(limit uint32) (restore func()) {
 	stampLimit = limit
 	return func() { stampLimit = old }
 }
+
+// Live reports whether p is in the simulator's live set: under a
+// SynchronousScheduler, whether its next selection is evaluated rather
+// than counted. It is false under every other scheduler.
+func (s *Simulator) Live(p int) bool { return s.allSel && s.live[p>>6]&(1<<(p&63)) != 0 }

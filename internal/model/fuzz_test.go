@@ -121,7 +121,12 @@ const (
 // daemons on a MutableCopy through stretches of rounds and runs to
 // silence with corruptions and topology events mid-convergence, so
 // cycles close before silence, their counts settle early when a
-// neighbor writes, and their detectors are forgotten.
+// neighbor writes, and their detectors are forgotten. The sync cases run
+// five protocols under the synchronous daemon on a MutableCopy through
+// the same kind of stream, so processes leave the live set and rejoin
+// it, count windows settle when a neighbor writes, and disabled replay
+// windows close on a corruption or a topology event and reach the
+// observer when their process is evaluated again.
 func FuzzSimulatorVsReference(f *testing.F) {
 	f.Add(uint8(3), uint8(7), false, uint8(1), uint8(1), uint64(1), []byte{opRunUntilSilent, opMarkSuffix, opStep | 3<<3, opRunRounds, opCorrupt, opStep})
 	f.Fuzz(func(t *testing.T, shape, size uint8, dynamic bool, proto, daemon uint8, seed uint64, ops []byte) {

@@ -1,0 +1,191 @@
+package model_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/graph"
+	"repro/internal/model"
+	"repro/internal/rng"
+	"repro/internal/sched"
+	"repro/internal/trace"
+)
+
+// undeclaredSync selects what sched.Synchronous selects without
+// declaring it, so the simulator serves it on the per-selection path.
+type undeclaredSync struct{ sync sched.Synchronous }
+
+func (*undeclaredSync) Name() string { return "synchronous" }
+
+func (u *undeclaredSync) Select(step int, sys *model.System, cfg *model.Config) []int {
+	return u.sync.Select(step, sys, cfg)
+}
+
+// liveProbe extends settleProbe with the two shapes of the live set that
+// TestLiveSetMatchesPerSelectionPath must cover: a process that leaves
+// the live set and rejoins it, read off the simulator after every step,
+// and a disabled replay window delivered when its process is evaluated
+// again, which shows as a disabled Selected call followed, in the same
+// step, by another call for the same process.
+type liveProbe struct {
+	settleProbe
+	sim       *model.Simulator
+	left      []bool
+	disabled  []bool // a disabled Selected call for p in the step in progress
+	rejoined  int
+	delivered int
+}
+
+func (o *liveProbe) Selected(step, p int, neighbors []int, bits, fired, times int) {
+	o.settleProbe.Selected(step, p, neighbors, bits, fired, times)
+	if !o.inStep {
+		return
+	}
+	if o.disabled[p] {
+		o.delivered++
+	}
+	o.disabled[p] = fired < 0
+}
+
+func (o *liveProbe) StepEnd(step int, selected []int, roundCompleted bool) {
+	o.settleProbe.StepEnd(step, selected, roundCompleted)
+	clear(o.disabled)
+	for p := range o.left {
+		switch live := o.sim.Live(p); {
+		case !live:
+			o.left[p] = true
+		case o.left[p]:
+			o.left[p] = false
+			o.rejoined++
+		}
+	}
+}
+
+// TestLiveSetMatchesPerSelectionPath: under sched.Synchronous a step
+// evaluates only the processes of the live set and counts the others'
+// selections by the step clock. The synchronous cases of
+// TestCountedCyclesMatchSteppedSteps — COLORING, MIS, MATCHING, the
+// cached-view MATCHING and the BFS tree on four graphs, seeds 1–3, one
+// stretch to a point mid-run, a MarkDirty corruption, one stretch to
+// silence — and the same cases on a MutableCopy with a topology event
+// in place of the corruption must leave, after every stretch, the same
+// configuration, step and round counts and recorder report as a twin
+// whose scheduler selects the same lists without declaring them. Each
+// run goes on past silence through RunRounds stretches, a second
+// corruption and a run back to silence. The cases must cover a settle
+// forced by a neighbor's write, a disabled replay window delivered when
+// its process is evaluated again, and a process that leaves the live set
+// and rejoins it.
+func TestLiveSetMatchesPerSelectionPath(t *testing.T) {
+	t.Parallel()
+	graphs := []*graph.Graph{graph.Cycle(9), graph.Grid(3, 4), graph.RandomConnectedGNP(12, 0.3, rng.New(4)), graph.Torus(12, 12)}
+	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching, engine.FamMatchingXform, engine.FamBFSTree}
+	var forced, delivered, rejoined int
+	for _, g := range graphs {
+		for _, fam := range families {
+			sys, err := engine.Build(g, fam, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dynamic := range []bool{false, true} {
+				name := fmt.Sprintf("%s on %s (dynamic %v)", fam, g.Name(), dynamic)
+				t.Run(name, func(t *testing.T) {
+					for seed := uint64(1); seed <= 3; seed++ {
+						probe := checkLiveSet(t, sys, dynamic, seed)
+						forced += probe.forced
+						delivered += probe.delivered
+						rejoined += probe.rejoined
+					}
+				})
+			}
+		}
+	}
+	if forced == 0 || delivered == 0 || rejoined == 0 {
+		t.Fatalf("coverage: %d settles forced by a neighbor's write, %d replay windows delivered at an evaluation, %d returns to the live set; want each > 0",
+			forced, delivered, rejoined)
+	}
+}
+
+// checkLiveSet runs one seed of a TestLiveSetMatchesPerSelectionPath
+// case and returns the live side's probe.
+func checkLiveSet(t *testing.T, sys *model.System, dynamic bool, seed uint64) *liveProbe {
+	t.Helper()
+	g, n := sys.Graph(), sys.N()
+	liveSys, plainSys := sys, sys
+	if dynamic {
+		liveSys, plainSys = sys.MutableCopy(), sys.MutableCopy()
+	}
+	initial := model.NewRandomConfig(sys, rng.New(seed))
+	liveRec, plainRec := trace.NewRecorder(n), trace.NewRecorder(n)
+	probe := &liveProbe{
+		settleProbe: settleProbe{Observer: liveRec, selected: make([]bool, n)},
+		left:        make([]bool, n),
+		disabled:    make([]bool, n),
+	}
+	live, err := model.NewSimulator(liveSys, initial, sched.NewSynchronous(), seed, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.sim = live
+	plain, err := model.NewSimulator(plainSys, initial, &undeclaredSync{}, seed, plainRec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(when string) {
+		t.Helper()
+		if !live.Config().Equal(plain.Config()) {
+			t.Fatalf("seed %d, %s: configurations differ:\n live %v\n plain %v",
+				seed, when, internals(sys, live.Config()), internals(sys, plain.Config()))
+		}
+		if live.Steps() != plain.Steps() || live.Rounds() != plain.Rounds() {
+			t.Fatalf("seed %d, %s: %d steps, %d rounds; plain %d, %d",
+				seed, when, live.Steps(), live.Rounds(), plain.Steps(), plain.Rounds())
+		}
+		if got, want := liveRec.Report(), plainRec.Report(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, %s: recorder reports differ:\n live %+v\n plain %+v", seed, when, got, want)
+		}
+	}
+	stretch := func(maxSteps int, when string) {
+		t.Helper()
+		var silent [2]bool
+		for i, sim := range []*model.Simulator{live, plain} {
+			var err error
+			if silent[i], err = sim.RunUntilSilent(maxSteps, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if silent[0] != silent[1] {
+			t.Fatalf("seed %d, %s: silent %v, plain %v", seed, when, silent[0], silent[1])
+		}
+		same(when)
+	}
+	// strike corrupts one process on both sides, or on a MutableCopy
+	// applies one topology event.
+	mut := [2]*topoMutator{newTopoMutator(g, rng.New(rng.Derive(seed, 7))), newTopoMutator(g, rng.New(rng.Derive(seed, 7)))}
+	strike := func(salt uint64) {
+		p := int(rng.Derive(seed, salt) % uint64(n))
+		for i, sim := range []*model.Simulator{live, plain} {
+			if dynamic {
+				mut[i].apply(sim, nil)
+				continue
+			}
+			model.RandomizeProcess(sys, sim.Config(), p, rng.New(rng.Derive(seed, salt+1)))
+			sim.MarkDirty(p)
+		}
+	}
+	stretch(3, "mid-run")
+	strike(99)
+	stretch(live.Steps()+200_000, "after a strike")
+	liveRec.MarkSuffix()
+	plainRec.MarkSuffix()
+	for _, k := range []int{1, 2, 5} {
+		live.RunRounds(k)
+		plain.RunRounds(k)
+		same(fmt.Sprintf("after RunRounds(%d) past silence", k))
+	}
+	strike(199)
+	stretch(live.Steps()+200_000, "after a strike past silence")
+	return probe
+}

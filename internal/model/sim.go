@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/rng"
@@ -22,6 +23,10 @@ import (
 // simulator calls through Select may read cfg's communication rows, not
 // its internal ones. No count is pending when an exported method of the
 // Simulator returns.
+//
+// A scheduler that selects every process at every step implements
+// SynchronousScheduler, and the simulator then evaluates only the
+// processes whose selections it cannot count (see Simulator.live).
 type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
@@ -34,6 +39,18 @@ type Scheduler interface {
 	Select(step int, sys *System, cfg *Config) []int
 }
 
+// SynchronousScheduler is an optional Scheduler extension, like
+// TrackedScheduler: a scheduler that implements it declares that Select
+// returns every process, 0 to n−1 in ascending order, at every step. The simulator still calls Select and hands the list to the
+// Observer, checks its length and skips the per-selection stamps, and a
+// step visits only the live processes (see Simulator.live). A scheduler
+// that is also a TrackedScheduler is served as one.
+type SynchronousScheduler interface {
+	Scheduler
+	// SelectsAll marks the declaration; the simulator never calls it.
+	SelectsAll()
+}
+
 // Simulator drives a system through a computation: scheduler selections,
 // atomic steps, round accounting (Dolev-Israeli-Moran rounds as defined
 // in Section 2), and observer callbacks.
@@ -42,6 +59,7 @@ type Simulator struct {
 	cfg    *Config
 	sched  Scheduler
 	tsched TrackedScheduler // non-nil iff sched implements TrackedScheduler
+	allSel bool             // sched is a SynchronousScheduler and not a TrackedScheduler
 	obs    Observer
 
 	seed uint64
@@ -54,7 +72,10 @@ type Simulator struct {
 	// selected this step" is lastSel[p] == selStamp and "already seen
 	// this round" is lastSel[p] > roundStamp. Before selStamp would pass
 	// stampLimit, rebaseStamps folds the table to the one fact it carries
-	// from step to step: selected in the round in progress or not.
+	// from step to step: selected in the round in progress or not. Under
+	// a SynchronousScheduler lastSel is never written, every step
+	// completes a round, and selStamp is the clock of the count windows
+	// (see live).
 	round          int
 	roundStamp     uint32
 	selStamp       uint32
@@ -129,7 +150,8 @@ type Simulator struct {
 	//
 	// memoLazy, memoDue and the settles serve the convergence phase too
 	// (see cntState), so in any phase an internal row may lag its
-	// process's selections.
+	// process's selections. Before silence under a SynchronousScheduler
+	// memoLazy holds window stamps, not counts (see live).
 	//
 	// Invariant: no count is pending when an exported method returns —
 	// every stepping method ends in memoFlush, which settles. MarkDirty and
@@ -155,7 +177,8 @@ type Simulator struct {
 	// selections: cntAnchor holds p's saved internal row and cntState[p]
 	// the packed walk (cntRunning, cntClosed). Once the walk returns to
 	// its anchor, p is on a closed cycle of L transitions, and a selection
-	// of p adds one to memoLazy[p] like a silent-phase count; the settle
+	// of p adds one to memoLazy[p] like a silent-phase count (under a
+	// SynchronousScheduler p is not even visited, see live); the settle
 	// re-evaluates at most L transitions, whatever the count (countApply).
 	// Any other evaluation of p, a change to p's communication row or a
 	// neighbor's, MarkDirty, ApplyTopology and Reset forget p's walk, and
@@ -187,12 +210,35 @@ type Simulator struct {
 	// storage for the next.
 	disReads []int
 	disSeen  []disabledSeen
+
+	// Counts by epoch, under a SynchronousScheduler only. Every process is
+	// selected at every step, so a process whose selections are counts
+	// needs no visit: live has bit p set while p is neither on a closed
+	// cycle nor holding a stepped disabled verdict, and a step evaluates
+	// the live processes in ascending order (stepLive), with visit the
+	// live set it began with. The other processes' counts follow from the
+	// step clock selStamp: a counted process's memoLazy holds the stamp at
+	// which its window opened (its close or its last settle), and its
+	// pending count is selStamp minus that, so every process on a closed
+	// cycle is pending and a settle sweeps them. With an observer attached
+	// a stepped disabled process's disSeen.pend holds the negated stamp at
+	// which its replay window opened; the end of the verdict turns the
+	// window into an ordinary count (invalidate), and a flush hands it
+	// over and reopens it. The settle points are those of the counts: a
+	// writer's neighbors before the commit, a flush, global silence and
+	// memoReset. Every other scheduler pays one predictable branch at each
+	// hook. A rebase of the stamps flushes every window first, so none
+	// outlasts stampLimit steps. The silent-phase memo keeps walking the
+	// full list (memoStep), but its disabled replays ride their windows.
+	live  []uint64
+	visit []uint64
 }
 
 // disabledSeen is what Simulator.disSeen holds for one process: how many
 // distinct neighbors and bits its kept disabled evaluation read, and its
 // place on the pending list (0: not on it; k ≥ 1: on it, with k−1
-// replays the observer has not been told of).
+// replays the observer has not been told of; −e: on it, with a replay
+// window open since stamp e, see Simulator.live).
 type disabledSeen struct {
 	n, bits int32
 	pend    int
@@ -267,6 +313,13 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		return err
 	}
 	s.memoReset()
+	// Replay windows stay listed across a flush (see live).
+	for _, ref := range s.memoPending {
+		if ref.i < 0 {
+			s.disSeen[ref.p].pend = 0
+		}
+	}
+	s.memoPending = s.memoPending[:0]
 	if s.sys != sys {
 		s.sys = sys
 		s.lastSel = make([]uint32, sys.N())
@@ -275,6 +328,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		s.memoEntries, s.memoCur, s.memoCyc, s.memoLazy, s.memoDue = nil, nil, nil, nil, nil
 		s.cntState, s.cntAnchor, s.cntUsed = nil, nil, false
 		s.disReads, s.disSeen = s.disReads[:0], s.disSeen[:0]
+		s.live, s.visit = nil, nil
 		s.arena = newStepArena(sys)
 	} else {
 		clear(s.lastSel)
@@ -282,6 +336,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 			s.silence[i] = silenceUnknown
 		}
 		s.countForgetAll()
+		clear(s.arena.commChanged) // stepLive reads it by process
 	}
 	s.silUnknown = s.silUnknown[:0]
 	for p := 0; p < sys.N(); p++ {
@@ -294,6 +349,20 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	s.tsched = nil
 	if ts, ok := sched.(TrackedScheduler); ok {
 		s.tsched = ts
+	}
+	_, all := sched.(SynchronousScheduler)
+	s.allSel = all && s.tsched == nil
+	if s.allSel {
+		n := sys.N()
+		if s.live == nil {
+			s.live, s.visit = make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
+		}
+		for i := range s.live {
+			s.live[i] = math.MaxUint64
+		}
+		if n%64 != 0 {
+			s.live[len(s.live)-1] = 1<<(n%64) - 1
+		}
 	}
 	s.obs = obs
 	s.seed = seed
@@ -353,26 +422,39 @@ func (s *Simulator) advance() []int {
 	}
 	s.selStamp++
 	mark := s.selStamp
-	for _, p := range selected {
-		if uint(p) >= uint(len(s.lastSel)) {
-			panic(fmt.Sprintf("model: scheduler %s selected process %d of %d", s.sched.Name(), p, len(s.lastSel)))
+	if s.allSel {
+		// Every process is selected, so the step completes a round and
+		// every lastSel stays at or below roundStamp.
+		if len(selected) != len(s.lastSel) {
+			panic(fmt.Sprintf("model: scheduler %s declares every process but selected %d of %d",
+				s.sched.Name(), len(selected), len(s.lastSel)))
 		}
-		if s.lastSel[p] == mark {
-			panic(fmt.Sprintf("model: scheduler %s selected process %d twice in one step (%d selections, %d processes)",
-				s.sched.Name(), p, len(selected), len(s.lastSel)))
+		s.remainingInRnd = 0
+	} else {
+		for _, p := range selected {
+			if uint(p) >= uint(len(s.lastSel)) {
+				panic(fmt.Sprintf("model: scheduler %s selected process %d of %d", s.sched.Name(), p, len(s.lastSel)))
+			}
+			if s.lastSel[p] == mark {
+				panic(fmt.Sprintf("model: scheduler %s selected process %d twice in one step (%d selections, %d processes)",
+					s.sched.Name(), p, len(selected), len(s.lastSel)))
+			}
+			if s.lastSel[p] <= s.roundStamp {
+				s.remainingInRnd--
+			}
+			s.lastSel[p] = mark
 		}
-		if s.lastSel[p] <= s.roundStamp {
-			s.remainingInRnd--
-		}
-		s.lastSel[p] = mark
 	}
 	if s.obs != nil {
 		s.obs.StepBegin(s.step, selected)
 	}
 	s.arena.stepSeed = rng.Derive(s.seed, uint64(s.step))
-	if s.memoActive {
+	switch {
+	case s.memoActive:
 		s.memoStep(selected)
-	} else {
+	case s.allSel:
+		s.stepLive(selected)
+	default:
 		fired, commChanged := s.executeStep(selected)
 		for i, p := range selected {
 			if fired[i] >= 0 {
@@ -402,8 +484,25 @@ var stampLimit uint32 = math.MaxUint32
 // rebaseStamps restarts the selection stamps: a process selected in the
 // round in progress gets stamp 1, every other one 0, and the next step
 // stamps 2. It runs between steps, once every stampLimit steps, so its
-// O(n) pass costs nothing per step.
+// O(n) pass costs nothing per step. Under a SynchronousScheduler, where
+// the stamps are the windows' clock and every lastSel is 0, a flush
+// closes every window and each reopens at stamp 1.
 func (s *Simulator) rebaseStamps() {
+	if s.allSel {
+		s.memoFlush()
+		s.roundStamp, s.selStamp = 0, 1
+		if s.cntUsed {
+			for p, st := range s.cntState {
+				if st >= cntClosed {
+					s.memoLazy[p] = 1
+				}
+			}
+		}
+		for _, ref := range s.memoPending {
+			s.disSeen[ref.p].pend = -1 // a flush keeps only open windows
+		}
+		return
+	}
 	for p, st := range s.lastSel {
 		if st > s.roundStamp {
 			s.lastSel[p] = 1
@@ -433,6 +532,23 @@ func (s *Simulator) moved(p int, commChanged bool) {
 	}
 }
 
+// rejoin runs before the tracker drops p's verdict on a neighbor's
+// write or a MarkDirty (moved never meets a stepped verdict: a process
+// that moved was evaluated, counted or replayed from the memo). Under a
+// SynchronousScheduler the end of a stepped verdict puts p back in the
+// live set and turns its open replay window into an ordinary count,
+// which p's next evaluation or the next flush delivers.
+func (s *Simulator) rejoin(p int) {
+	if s.allSel && s.tracker.valid[p] == verdictStepped {
+		s.live[p>>6] |= 1 << (p & 63)
+		if len(s.disSeen) > 0 {
+			if e := &s.disSeen[p]; e.pend < 0 {
+				e.pend += 1 + int(s.selStamp)
+			}
+		}
+	}
+}
+
 // RunUntilSilent executes steps until the configuration is communication-
 // silent, checking silence every checkEvery steps (and on the initial
 // configuration). It returns whether silence was reached within maxSteps.
@@ -455,9 +571,12 @@ func (s *Simulator) RunUntilSilent(maxSteps, checkEvery int) (bool, error) {
 	if silent {
 		return true, nil
 	}
-	for s.step < maxSteps {
+	// A countdown to the next multiple of checkEvery, not a division per
+	// step.
+	for next := checkEvery - s.step%checkEvery; s.step < maxSteps; {
 		s.advance()
-		if s.step%checkEvery == 0 {
+		if next--; next == 0 {
+			next = checkEvery
 			silent, err := s.SilentNow()
 			if err != nil {
 				return false, err
@@ -555,6 +674,7 @@ func (s *Simulator) MarkDirty(p int) {
 	s.memoReset()
 	s.countForget(p)
 	s.invalidateSilence(p)
+	s.rejoin(p)
 	s.tracker.Invalidate(p)
 	s.neighborsDirty(p)
 }
@@ -564,6 +684,7 @@ func (s *Simulator) MarkDirty(p int) {
 func (s *Simulator) neighborsDirty(p int) {
 	for _, q := range s.sys.g.Row(p) {
 		s.invalidateSilence(int(q))
+		s.rejoin(int(q))
 		s.tracker.Invalidate(int(q))
 		s.countForget(int(q))
 	}
@@ -629,17 +750,29 @@ func (s *Simulator) memoReset() {
 // is current whenever its owner can look at it.
 func (s *Simulator) memoFlush() {
 	s.memoSettle()
+	kept := s.memoPending[:0]
 	for _, ref := range s.memoPending {
 		if ref.i < 0 {
+			e := &s.disSeen[ref.p]
+			open := e.pend < 0
+			if open {
+				// An open replay window (see live) is delivered as a
+				// count, reopens and stays listed.
+				e.pend += 1 + int(s.selStamp)
+			}
 			s.deliverDisabled(int(ref.p))
-			s.disSeen[ref.p].pend = 0
+			e.pend = 0
+			if open {
+				e.pend = -int(s.selStamp)
+				kept = append(kept, ref)
+			}
 			continue
 		}
 		e := &s.memoEntries[ref.p][ref.i]
 		s.obs.Selected(s.step, int(ref.p), e.qs, e.bits, e.fired, e.hits)
 		e.hits = 0
 	}
-	s.memoPending = s.memoPending[:0]
+	s.memoPending = kept
 }
 
 // memoFind returns 1 + the index of the captured transition for p's
@@ -682,7 +815,9 @@ func (s *Simulator) memoStep(selected []int) {
 	}
 	for _, p := range selected {
 		if s.tracker.valid[p] == verdictStepped {
-			s.replayDisabled(p)
+			if !s.allSel { // else p's replay window counts it (see live)
+				s.replayDisabled(p)
+			}
 			continue
 		}
 		if s.memoCyc[p].n > 0 {
@@ -732,8 +867,28 @@ func (s *Simulator) memoClose(p int, j, i int32) {
 
 // memoSettle applies the selections counted on closed cycles since the
 // last settle: the stored-entry memo's in the silent phase, the cycle
-// detectors' before it.
+// detectors' before it. Under a SynchronousScheduler every process on a
+// closed cycle is pending before silence, and the settle sweeps the
+// processes off the live set.
 func (s *Simulator) memoSettle() {
+	if s.allSel && !s.memoActive {
+		if !s.cntUsed {
+			return
+		}
+		n := s.sys.N()
+		for j, w := range s.live {
+			for w = ^w; w != 0; w &= w - 1 {
+				p := j<<6 | bits.TrailingZeros64(w)
+				if p >= n {
+					break
+				}
+				if s.cntState[p] >= cntClosed {
+					s.countApply(p, 0)
+				}
+			}
+		}
+		return
+	}
 	if s.memoDueAll {
 		s.memoDueAll = false
 		for p, k := range s.memoLazy {
@@ -890,9 +1045,15 @@ func (s *Simulator) memoExec(p int) {
 
 // keepDisabled records a step evaluation of p that found it disabled:
 // the tracker takes the verdict, and with an observer attached the
-// evaluation's reads are kept for p's replays (see disReads).
+// evaluation's reads are kept for p's replays (see disReads). Under a
+// SynchronousScheduler p leaves the live set and its replay window opens
+// (see live); an evaluation has delivered p's earlier replays, so pend
+// is 0 or 1 here.
 func (s *Simulator) keepDisabled(p int) {
 	s.tracker.judgeDisabled(p)
+	if s.allSel {
+		s.live[p>>6] &^= 1 << (p & 63)
+	}
 	if s.obs == nil {
 		return
 	}
@@ -905,6 +1066,12 @@ func (s *Simulator) keepDisabled(p int) {
 	copy(s.disReads[g.RowStart(p):], agg.qs)
 	e := &s.disSeen[p]
 	e.n, e.bits = int32(len(agg.qs)), int32(agg.bits)
+	if s.allSel {
+		if e.pend == 0 {
+			s.memoPending = append(s.memoPending, memoRef{int32(p), -1})
+		}
+		e.pend = -int(s.selStamp)
+	}
 }
 
 // replayDisabled counts a selection of p served from its stepped verdict.
@@ -953,19 +1120,34 @@ func (s *Simulator) countClosed(p int) bool {
 }
 
 // countForget drops p's walk. p has no pending count: a count is settled
-// before anything that forgets it can happen.
+// before anything that forgets it can happen. Under a
+// SynchronousScheduler a closed p rejoins the live set.
 func (s *Simulator) countForget(p int) {
 	if s.cntState != nil {
+		if s.allSel && s.cntState[p] >= cntClosed {
+			s.live[p>>6] |= 1 << (p & 63)
+		}
 		s.cntState[p] = 0
 	}
 }
 
-// countForgetAll drops every walk.
+// countForgetAll drops every walk. Under a SynchronousScheduler the
+// closed processes rejoin the live set and the window stamps leave
+// memoLazy, which the silent-phase memo counts in.
 func (s *Simulator) countForgetAll() {
-	if s.cntUsed {
-		clear(s.cntState)
-		s.cntUsed = false
+	if !s.cntUsed {
+		return
 	}
+	if s.allSel {
+		for p, st := range s.cntState {
+			if st >= cntClosed {
+				s.live[p>>6] |= 1 << (p & 63)
+			}
+		}
+		clear(s.memoLazy)
+	}
+	clear(s.cntState)
+	s.cntUsed = false
 }
 
 // countFeed advances p's walk over the transition p just made in a step
@@ -998,6 +1180,10 @@ func (s *Simulator) countFeed(p int) {
 	if slices.Equal(row, anchor) {
 		s.memoAllocCounts()
 		s.cntState[p] = cntClosed | lam
+		if s.allSel {
+			s.live[p>>6] &^= 1 << (p & 63)
+			s.memoLazy[p] = int32(s.selStamp)
+		}
 		return
 	}
 	if power := st >> cntPowerShift & cntField; lam == power {
@@ -1029,12 +1215,19 @@ func (s *Simulator) countSelect(p, stage int) {
 // i < k mod L, and leaves p k mod L transitions on. Without an observer
 // only those k mod L run. The evaluations use the arena's staging row
 // stage, which none of them writes. The dirty rule runs once for all k.
+// Under a SynchronousScheduler k is the window's length, and the window
+// reopens at the current stamp.
 func (s *Simulator) countApply(p, stage int) {
 	k := int(s.memoLazy[p])
+	if s.allSel {
+		k = int(s.selStamp - uint32(k))
+		s.memoLazy[p] = int32(s.selStamp)
+	} else {
+		s.memoLazy[p] = 0
+	}
 	if k == 0 {
 		return
 	}
-	s.memoLazy[p] = 0
 	n := int(s.cntState[p] &^ cntClosed)
 	q, r := k/n, k%n
 	if s.obs == nil {

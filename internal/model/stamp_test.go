@@ -14,7 +14,7 @@ import (
 )
 
 // stampRun is one execution whose result a selection-stamp rebase must
-// not move: MATCHING from a random start run to silence, then a suffix
+// not move: a system from a random start run to silence, then a suffix
 // of rounds and single steps on the silent phase's replays.
 type stampRun struct {
 	cfg          *model.Config
@@ -51,22 +51,29 @@ func runStamped(t *testing.T, sys *model.System, sc model.Scheduler) stampRun {
 // scheduler's run is repeated with the stamp limit lowered so that
 // rebases fall before every step or every few steps, most of them in
 // the middle of a round, and must match the run that never rebased in
-// configuration, steps, rounds and recorder report.
+// configuration, steps, rounds and recorder report. The systems are
+// MATCHING on torus-4x4 and, under the synchronous daemon, COLORING on
+// torus-8x8, whose processes sit on counted cycles before silence, so a
+// rebase closes and reopens their count windows.
 func TestStampRebaseKeepsRounds(t *testing.T) {
-	sys, err := engine.Build(graph.Torus(4, 4), engine.FamMatching, nil)
+	matching, err := engine.Build(graph.Torus(4, 4), engine.FamMatching, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	coloring := coloringSystem(t, graph.Torus(8, 8))
 	daemons := []struct {
 		name      string
+		sys       *model.System
 		mk        func() model.Scheduler
 		multiStep bool // rounds span several steps, so rebases land mid-round
 	}{
-		{"central-random", func() model.Scheduler { return sched.NewCentralRandom(7) }, true},
-		{"synchronous", func() model.Scheduler { return sched.NewSynchronous() }, false},
-		{"laziest-fair", func() model.Scheduler { return sched.NewLaziestFair() }, true},
+		{"central-random", matching, func() model.Scheduler { return sched.NewCentralRandom(7) }, true},
+		{"synchronous", matching, func() model.Scheduler { return sched.NewSynchronous() }, false},
+		{"synchronous on COLORING", coloring, func() model.Scheduler { return sched.NewSynchronous() }, false},
+		{"laziest-fair", matching, func() model.Scheduler { return sched.NewLaziestFair() }, true},
 	}
 	for _, d := range daemons {
+		sys := d.sys
 		want := runStamped(t, sys, d.mk())
 		if d.multiStep && want.steps < 2*want.rounds {
 			t.Fatalf("%s: %d steps in %d rounds: rounds do not span several steps", d.name, want.steps, want.rounds)

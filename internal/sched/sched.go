@@ -40,8 +40,11 @@ type Resettable interface {
 	Reset(seed uint64)
 }
 
-// Compile-time checks: every scheduler is resettable.
+// Compile-time checks: every scheduler is resettable, and the
+// synchronous one declares that it selects every process.
 var (
+	_ model.SynchronousScheduler = (*Synchronous)(nil)
+
 	_ Resettable = (*Synchronous)(nil)
 	_ Resettable = (*CentralRoundRobin)(nil)
 	_ Resettable = (*CentralRandom)(nil)
@@ -63,6 +66,10 @@ func (s *Synchronous) Reset(uint64) {}
 
 // Name implements model.Scheduler.
 func (*Synchronous) Name() string { return "synchronous" }
+
+// SelectsAll implements model.SynchronousScheduler: Select returns every
+// process in ascending order.
+func (*Synchronous) SelectsAll() {}
 
 // Select implements model.Scheduler.
 func (s *Synchronous) Select(_ int, sys *model.System, _ *model.Config) []int {

@@ -28,6 +28,8 @@ MUTATIONS=(
 	"SilentNow's disabled shortcut trusts a stale verdict|internal/model/sim.go|s~t.valid\[p\] != verdictStale && t.action\[p\] < 0~t.action[p] < 0~"
 	"counted neighbors settle after the commit, not before it|internal/model/arena.go|s~\ts.countSettleWriters\(selected, writers\)\n(.*?)\treturn fired, commChanged\n~\$1\ts.countSettleWriters(selected, writers)\n\treturn fired, commChanged\n~s"
 	"neighborsDirty leaves a neighbor's count running|internal/model/sim.go|s~\t\ts.countForget\(int\(q\)\)\n~~"
+	"an invalidated stepped verdict leaves its process off the live set|internal/model/sim.go|s~(valid\[p\] == verdictStepped \{\n)\t\ts.live\[p>>6\] \|= 1 << \(p & 63\)\n~\$1~"
+	"a writer-forced settle's epoch count leaves out the current step|internal/model/arena.go|s~\t\t\t\ts.countApply\(int\(q\), len\(writers\)\)\n~\t\t\t\ts.selStamp--\n\t\t\t\ts.countApply(int(q), len(writers))\n\t\t\t\ts.selStamp++\n~"
 )
 
 fail=0
