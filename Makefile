@@ -64,9 +64,12 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 # counts and two in the synchronous daemon's live set and count
 # windows) to a temporary copy of the tree; the
 # committed FuzzSimulatorVsReference corpus, run as a plain test, must
-# fail on every one. A pattern that no longer applies fails the target.
+# fail on every one. Two more mutations weaken the MIS and MATCHING
+# legitimacy predicates, and internal/verify's equivalence test against
+# the old whole-configuration predicates must catch them. A pattern that
+# no longer applies fails the target.
 MUTANTS_DIR ?= /tmp/mutants
-mutants: ## Engine mutations the committed fuzz corpus must each catch
+mutants: ## Engine and predicate mutations the tests must each catch
 	bash scripts/mutants.sh $(MUTANTS_DIR)
 
 # Campaign smoke: run the bundled quickstart campaign twice against one

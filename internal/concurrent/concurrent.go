@@ -19,8 +19,9 @@
 //
 // The runtime stops when a monitor detects that the communication
 // configuration is silent (using the model's decision procedure) and the
-// protocol's legitimacy predicate (Spec.Legitimate, when it declares one)
-// holds, or when the per-process step budget is exhausted.
+// protocol's legitimacy predicate (model.Legitimate, the conjunction of
+// Spec.Legitimate over the processes) holds, or when the per-process step
+// budget is exhausted.
 package concurrent
 
 import (
@@ -75,7 +76,7 @@ type Options struct {
 type Result struct {
 	// Silent reports whether the monitor observed a silent configuration.
 	Silent bool
-	// Legitimate is the protocol's predicate (Spec.Legitimate) on the
+	// Legitimate is the protocol's predicate (model.Legitimate) on the
 	// final configuration; false when it declares none.
 	Legitimate bool
 	// TotalSteps is the number of process steps executed.
@@ -105,7 +106,6 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 
 	shared := cfg0.Clone()
 	n := sys.N()
-	legit := sys.Spec().Legitimate
 	locks := make([]sync.RWMutex, n)
 	var global sync.Mutex
 	var stop atomic.Bool
@@ -223,7 +223,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 				stop.Store(true)
 				return
 			}
-			if silent && (legit == nil || legit(sys, snap)) {
+			if silent && (sys.Spec().Legitimate == nil || model.Legitimate(sys, snap)) {
 				silentSeen.Store(true)
 				stop.Store(true)
 				return
@@ -255,9 +255,7 @@ func Run(sys *model.System, cfg0 *model.Config, opts Options) (*Result, error) {
 		}
 		res.Silent = silent
 	}
-	if legit != nil {
-		res.Legitimate = legit(sys, final)
-	}
+	res.Legitimate = model.Legitimate(sys, final)
 	return res, nil
 }
 

@@ -47,7 +47,8 @@ type RunOptions struct {
 	// read sets used for stability measurements.
 	SuffixRounds int
 	// Legitimate, when non-nil, replaces the protocol's own predicate
-	// (Spec.Legitimate) as the one evaluated on the silent configuration.
+	// (model.Legitimate, the conjunction of Spec.Legitimate) as the one
+	// evaluated on the silent configuration.
 	Legitimate func(*model.System, *model.Config) bool
 	// Events receives the run's diagnostic events (silence detection,
 	// fault injections, recovery episodes) tagged with the cell/trial

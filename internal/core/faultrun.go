@@ -431,11 +431,11 @@ func (r *Runner) trial(sys *model.System, opts RunOptions, plan fault.Plan, res 
 	res.StepsToSilence = r.sim.Steps()
 	res.RoundsToSilence = r.sim.Rounds()
 	res.LegitimateAtSilence = false
-	legit := opts.Legitimate
-	if legit == nil {
-		legit = runSys.Spec().Legitimate
-	}
-	if finalSilent && legit != nil {
+	if finalSilent {
+		legit := opts.Legitimate
+		if legit == nil {
+			legit = model.Legitimate
+		}
 		res.LegitimateAtSilence = legit(runSys, r.sim.Config())
 	}
 	if finalSilent && opts.SuffixRounds > 0 {

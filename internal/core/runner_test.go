@@ -8,7 +8,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/protocols/bfstree"
 	"repro/internal/protocols/coloring"
+	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -231,43 +233,61 @@ func TestZeroPlan(t *testing.T) {
 
 // TestTrialLoopZeroAlloc is the tentpole acceptance check: a complete
 // steady-state pooled trial — scheduler reset, random initial
-// configuration, recorder+simulator reset, run to silence, suffix
-// recording, ReportInto, final-configuration hand-over (the reused
-// result and the runner trade two buffers) — allocates nothing. The
-// trial carries a no-op event scope: observation plumbing is part of
-// the 0 allocs/op contract.
+// configuration, recorder+simulator reset, run to silence, the legitimacy
+// predicate at silence, suffix recording, ReportInto, final-configuration
+// hand-over (the reused result and the runner trade two buffers) —
+// allocates nothing, for every protocol family with a predicate of its
+// own. The trial carries a no-op event scope: observation plumbing is
+// part of the 0 allocs/op contract.
 func TestTrialLoopZeroAlloc(t *testing.T) {
-	sys, err := model.NewSystem(graph.Cycle(9), coloring.Spec(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(s uint64) model.Scheduler { return sched.NewRandomSubset(s) }
-	rn := NewRunner()
-	var res RunResult
-	seed := uint64(0)
-	trial := func() {
-		seed++
-		opts := RunOptions{
-			Scheduler:    rn.Scheduler("random-subset", seed, mk),
-			Seed:         seed,
-			MaxSteps:     200000,
-			SuffixRounds: 2,
-			Events:       obs.Scope{Obs: obs.Nop{}, Cell: 0, Key: "zero-alloc", Trial: int(seed)},
-		}
-		if err := rn.RunRandom(sys, opts, &res); err != nil {
-			t.Fatal(err)
-		}
-		if !res.Silent {
-			t.Fatal("trial did not converge")
-		}
-	}
-	// Warm up: bind buffers, grow the round-boundary and report slices to
-	// their steady-state capacity.
-	for i := 0; i < 25; i++ {
-		trial()
-	}
-	if avg := testing.AllocsPerRun(100, trial); avg != 0 {
-		t.Fatalf("steady-state trial loop allocates %.2f allocs/op, want 0", avg)
+	g := graph.Cycle(9)
+	palette := g.MaxDegree() + 1
+	for _, tc := range []struct {
+		name string
+		sys  func() (*model.System, error)
+	}{
+		{"coloring", func() (*model.System, error) { return model.NewSystem(g, coloring.Spec(), nil) }},
+		{"mis", func() (*model.System, error) { return mis.NewSystem(g, mis.Spec(palette), nil) }},
+		{"matching", func() (*model.System, error) { return matching.NewSystem(g, matching.Spec(palette), nil) }},
+		{"matching-baseline", func() (*model.System, error) {
+			return matching.NewSystem(g, matching.BaselineSpec(palette), nil)
+		}},
+		{"bfstree", func() (*model.System, error) { return bfstree.NewSystem(g, bfstree.Spec(), 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := tc.sys()
+			if err != nil {
+				t.Fatal(err)
+			}
+			mk := func(s uint64) model.Scheduler { return sched.NewRandomSubset(s) }
+			rn := NewRunner()
+			var res RunResult
+			seed := uint64(0)
+			trial := func() {
+				seed++
+				opts := RunOptions{
+					Scheduler:    rn.Scheduler("random-subset", seed, mk),
+					Seed:         seed,
+					MaxSteps:     200000,
+					SuffixRounds: 2,
+					Events:       obs.Scope{Obs: obs.Nop{}, Cell: 0, Key: "zero-alloc", Trial: int(seed)},
+				}
+				if err := rn.RunRandom(sys, opts, &res); err != nil {
+					t.Fatal(err)
+				}
+				if !res.Silent || !res.LegitimateAtSilence {
+					t.Fatalf("trial ended silent=%v legitimate=%v", res.Silent, res.LegitimateAtSilence)
+				}
+			}
+			// Warm up: bind buffers, grow the round-boundary and report slices
+			// to their steady-state capacity.
+			for i := 0; i < 25; i++ {
+				trial()
+			}
+			if avg := testing.AllocsPerRun(100, trial); avg != 0 {
+				t.Fatalf("steady-state trial loop allocates %.2f allocs/op, want 0", avg)
+			}
+		})
 	}
 }
 

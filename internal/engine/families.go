@@ -101,14 +101,15 @@ func Build(g *graph.Graph, name string, colors []int) (*model.System, error) {
 }
 
 // System is Build with greedy local identifiers that also returns the
-// family's predicate, sys.Spec().Legitimate, in the shape the traced runs
-// of bench/ pass to core.RunOptions.Legitimate.
+// family's predicate, model.Legitimate (the conjunction of the spec's
+// per-process Spec.Legitimate), in the shape the traced runs of bench/
+// pass to core.RunOptions.Legitimate.
 func System(g *graph.Graph, name string) (*model.System, func(*model.System, *model.Config) bool, error) {
 	sys, err := Build(g, name, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sys, sys.Spec().Legitimate, nil
+	return sys, model.Legitimate, nil
 }
 
 // Families lists the protocol family names, sorted.

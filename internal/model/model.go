@@ -149,10 +149,15 @@ type Spec struct {
 	Internal []VarSpec
 	// Actions is the prioritized guarded-action list.
 	Actions []Action
-	// Legitimate is the predicate the protocol stabilizes to, evaluated on
-	// a configuration of a system running it; nil when the protocol
-	// declares none. Every run that reports legitimacy reads it here.
-	Legitimate func(*System, *Config) bool
+	// Legitimate is the predicate the protocol stabilizes to, stated at
+	// one process p of a configuration of a system running it: it may
+	// read p's communication state and constants and those of p's live
+	// neighbors, and the ports p has at them (Graph().BackPort). It is
+	// nil when the protocol declares none. The predicate of a
+	// configuration is the package's Legitimate, the conjunction over the
+	// processes that have a neighbor; every run that reports legitimacy
+	// evaluates that.
+	Legitimate func(sys *System, cfg *Config, p int) bool
 }
 
 // Validate checks structural sanity of the spec.

@@ -17,6 +17,7 @@ import (
 // systems never contain one (NewSystem requires min degree 1); under
 // dynamic topologies a crashed or fully cut-off process is isolated but
 // remains scheduled, and this rule is what keeps it from moving.
+// Legitimate leaves such a process out of the predicate.
 func firstEnabled(c *Ctx) int {
 	if len(c.nbr) == 0 {
 		return -1
@@ -30,6 +31,25 @@ func firstEnabled(c *Ctx) int {
 		}
 	}
 	return -1
+}
+
+// Legitimate reports whether cfg satisfies sys's legitimacy predicate:
+// Spec.Legitimate at every process of live degree 1 or more, and false
+// when the spec declares none. An isolated process is left out: it has
+// no neighbor to agree with, and firstEnabled keeps it from moving to
+// mend its state until an edge returns. This is the one place the
+// exemption is stated, for every protocol.
+func Legitimate(sys *System, cfg *Config) bool {
+	at := sys.spec.Legitimate
+	if at == nil {
+		return false
+	}
+	for p := range sys.N() {
+		if sys.g.Degree(p) > 0 && !at(sys, cfg, p) {
+			return false
+		}
+	}
+	return true
 }
 
 // execOne applies p's first enabled action and returns its index, or -1

@@ -125,38 +125,24 @@ func NewSystem(g *graph.Graph, spec *model.Spec, root int) (*model.System, error
 	return model.NewSystem(g, spec, consts)
 }
 
-// legitimate is Spec's predicate: cfg encodes the BFS tree of the
-// system's root, D.p equals the true hop distance and every non-root
-// parent pointer designates a neighbor one hop closer to the root.
-func legitimate(sys *model.System, cfg *model.Config) bool {
+// legitimate is Spec's predicate at p: the root has D = P = 0, and any
+// other process has D.p = 1 + min D.q over its neighbors q, with P.p
+// naming a neighbor at D.p − 1. On a connected network with one root the
+// conjunction pins every D to the hop distance from the root (a chain of
+// parents descends one step at a time and ends only at the root, and no
+// neighbor sits lower than the parent), so the parent pointers form a
+// BFS tree.
+func legitimate(sys *model.System, cfg *model.Config, p int) bool {
 	g := sys.Graph()
-	root := -1
-	for p := 0; p < g.N(); p++ {
-		if sys.Const(p, ConstRoot) == 1 {
-			root = p
-			break
-		}
+	d, pp := cfg.Comm(p, VarD), cfg.Comm(p, VarP)
+	if sys.Const(p, ConstRoot) == 1 {
+		return d == 0 && pp == 0
 	}
-	if root < 0 {
+	if pp == 0 || pp > g.Degree(p) || cfg.Comm(g.Neighbor(p, pp), VarD) != d-1 {
 		return false
 	}
-	dist := g.BFS(root)
-	for p := 0; p < g.N(); p++ {
-		if cfg.Comm(p, VarD) != dist[p] {
-			return false
-		}
-		pp := cfg.Comm(p, VarP)
-		if p == root {
-			if pp != 0 {
-				return false
-			}
-			continue
-		}
-		if pp == 0 {
-			return false
-		}
-		parent := g.Neighbor(p, pp)
-		if dist[parent] != dist[p]-1 {
+	for port := 1; port <= g.Degree(p); port++ {
+		if cfg.Comm(g.Neighbor(p, port), VarD) < d-1 {
 			return false
 		}
 	}

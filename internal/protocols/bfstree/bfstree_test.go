@@ -159,7 +159,7 @@ func TestIsLegitimateRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := model.NewZeroConfig(sys) // all D=0: wrong distances
-	if legitimate(sys, cfg) {
+	if model.Legitimate(sys, cfg) {
 		t.Fatal("all-zero configuration accepted")
 	}
 	// Correct distances but broken parent pointer.
@@ -170,11 +170,11 @@ func TestIsLegitimateRejects(t *testing.T) {
 			cfg.SetComm(p, VarP, g.PortOf(p, p-1))
 		}
 	}
-	if !legitimate(sys, cfg) {
+	if !model.Legitimate(sys, cfg) {
 		t.Fatal("true BFS tree rejected")
 	}
 	cfg.SetComm(3, VarP, 0)
-	if legitimate(sys, cfg) {
+	if model.Legitimate(sys, cfg) {
 		t.Fatal("orphaned process accepted")
 	}
 }

@@ -141,15 +141,13 @@ func Colors(cfg *model.Config) []int {
 	return out
 }
 
-// legitimate is both specs' predicate, the vertex coloring: for every
-// process p and every neighbor q, C.p ≠ C.q.
-func legitimate(sys *model.System, cfg *model.Config) bool {
+// legitimate is both specs' predicate at p, the vertex coloring there:
+// C.p ≠ C.q for every neighbor q.
+func legitimate(sys *model.System, cfg *model.Config, p int) bool {
 	g := sys.Graph()
-	for p := 0; p < g.N(); p++ {
-		for port := 1; port <= g.Degree(p); port++ {
-			if cfg.Comm(p, VarC) == cfg.Comm(g.Neighbor(p, port), VarC) {
-				return false
-			}
+	for port := 1; port <= g.Degree(p); port++ {
+		if cfg.Comm(p, VarC) == cfg.Comm(g.Neighbor(p, port), VarC) {
+			return false
 		}
 	}
 	return true

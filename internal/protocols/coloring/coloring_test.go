@@ -105,7 +105,7 @@ func TestColoringClosure(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		sim.Step()
-		if !legitimate(sys, sim.Config()) {
+		if !model.Legitimate(sys, sim.Config()) {
 			t.Fatalf("legitimacy violated at step %d", i)
 		}
 	}
@@ -128,9 +128,9 @@ func TestSilentIffProperColoring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if silent != legitimate(sys, cfg) {
+		if silent != model.Legitimate(sys, cfg) {
 			t.Fatalf("silence (%v) and legitimacy (%v) disagree on %v",
-				silent, legitimate(sys, cfg), Colors(cfg))
+				silent, model.Legitimate(sys, cfg), Colors(cfg))
 		}
 	}
 }

@@ -264,10 +264,12 @@ func BaselineSpec(maxColors int) *model.Spec {
 				Apply: func(c *model.Ctx) { c.SetComm(VarPR, 0) },
 			},
 		},
-		// The baseline's silent configurations satisfy the maximal matching
-		// predicate on matched edges; its M/PR flag discipline differs from
-		// Figure 10's, so its legitimacy is the graph predicate alone.
-		Legitimate: maximalMatching,
+		// Silence leaves the baseline's flags as exact as Figure 10's: with
+		// update disabled M is exact, with marry and abandon disabled an
+		// unmarried process is free (a dangling proposal would start a
+		// chain of rising colors), and with seduce disabled no two free
+		// processes are adjacent.
+		Legitimate: legitimate,
 	}
 }
 
@@ -289,24 +291,32 @@ func NewSystem(g *graph.Graph, spec *model.Spec, colors []int) (*model.System, e
 }
 
 // MatchedEdges returns the edge set {{p,q}: PR.p and PR.q point at each
-// other}, each edge once with p < q. On dynamic topologies an isolated
-// process can hold a dangling pointer (domains never shrink below
-// {0,1}, see model.ApplyTopology); a pointer beyond the live degree
-// addresses no port and is treated as free.
+// other}, each edge once with p < q.
 func MatchedEdges(sys *model.System, cfg *model.Config) [][2]int {
 	g := sys.Graph()
 	var out [][2]int
 	for p := 0; p < g.N(); p++ {
-		pr := cfg.Comm(p, VarPR)
-		if pr == 0 || pr > g.Degree(p) {
-			continue
-		}
-		q := g.Neighbor(p, pr)
-		if p < q && cfg.Comm(q, VarPR) == g.BackPort(p, pr) {
+		if q := partner(g, cfg, p); p < q {
 			out = append(out, [2]int{p, q})
 		}
 	}
 	return out
+}
+
+// partner returns the process p is married to, -1 when p is unmarried:
+// PR.p and PR.q point at each other. On dynamic topologies an isolated
+// process can hold a dangling pointer (domains never shrink below
+// {0,1}, see model.ApplyTopology); a pointer beyond the live degree
+// addresses no port and is free.
+func partner(g *graph.Graph, cfg *model.Config, p int) int {
+	pr := cfg.Comm(p, VarPR)
+	if pr == 0 || pr > g.Degree(p) {
+		return -1
+	}
+	if q := g.Neighbor(p, pr); cfg.Comm(q, VarPR) == g.BackPort(p, pr) {
+		return q
+	}
+	return -1
 }
 
 // MarriedCount returns the number of processes incident to a matched
@@ -315,60 +325,26 @@ func MarriedCount(sys *model.System, cfg *model.Config) int {
 	return 2 * len(MatchedEdges(sys, cfg))
 }
 
-// legitimate is Spec's predicate: the matched-edge set is a maximal
-// matching and all flags are consistent: every process is either married
-// or free (Lemma 5), M.p reflects marriage, and no two free neighbors
-// remain.
-func legitimate(sys *model.System, cfg *model.Config) bool {
+// legitimate is both specs' predicate at p: M.p says whether p is
+// married, an unmarried p is free (PR.p = 0, Lemma 5), and every
+// neighbor of a free p has M.q = 1, which q's own predicate ties to q's
+// marriage. A process points at one neighbor at most, so over all
+// processes the married pairs form a matching, no two free processes are
+// adjacent (maximality), and every flag is exact.
+func legitimate(sys *model.System, cfg *model.Config, p int) bool {
 	g := sys.Graph()
-	matchedWith := make([]int, g.N()) // 0 = unmarried, else neighbor+1
-	for _, e := range MatchedEdges(sys, cfg) {
-		if matchedWith[e[0]] != 0 || matchedWith[e[1]] != 0 {
-			return false // some process in two matched edges
-		}
-		matchedWith[e[0]] = e[1] + 1
-		matchedWith[e[1]] = e[0] + 1
+	married := partner(g, cfg, p) >= 0
+	if married != (cfg.Comm(p, VarM) == 1) {
+		return false
 	}
-	for p := 0; p < g.N(); p++ {
-		if g.Degree(p) == 0 {
-			// An isolated (crashed or churned-off) process is disabled by
-			// the degree-0 rule, so its frozen flags carry no matching
-			// meaning — and an isolated vertex belongs to no matching.
-			continue
-		}
-		pr := cfg.Comm(p, VarPR)
-		married := matchedWith[p] != 0
-		if married != (cfg.Comm(p, VarM) == 1) {
-			return false // stale married flag
-		}
-		if !married && pr != 0 {
-			return false // neither free nor married (Lemma 5)
-		}
-		if !married {
-			for port := 1; port <= g.Degree(p); port++ {
-				if matchedWith[g.Neighbor(p, port)] == 0 {
-					return false // two free neighbors: not maximal
-				}
-			}
-		}
+	if married {
+		return true
 	}
-	return true
-}
-
-// maximalMatching is BaselineSpec's predicate: just the graph-theoretic
-// one on the matched edges (ignoring flag consistency).
-func maximalMatching(sys *model.System, cfg *model.Config) bool {
-	g := sys.Graph()
-	matched := make([]bool, g.N())
-	for _, e := range MatchedEdges(sys, cfg) {
-		if matched[e[0]] || matched[e[1]] {
-			return false
-		}
-		matched[e[0]] = true
-		matched[e[1]] = true
+	if cfg.Comm(p, VarPR) != 0 {
+		return false
 	}
-	for _, e := range g.Edges() {
-		if !matched[e[0]] && !matched[e[1]] {
+	for port := 1; port <= g.Degree(p); port++ {
+		if cfg.Comm(g.Neighbor(p, port), VarM) != 1 {
 			return false
 		}
 	}

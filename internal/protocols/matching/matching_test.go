@@ -226,8 +226,8 @@ func TestBaselineMatchingConverges(t *testing.T) {
 			if !res.Silent {
 				t.Fatalf("%s seed %d: baseline did not reach silence", g, seed)
 			}
-			if !maximalMatching(sys, res.Final) {
-				t.Fatalf("%s seed %d: baseline silent but not a maximal matching", g, seed)
+			if !model.Legitimate(sys, res.Final) {
+				t.Fatalf("%s seed %d: baseline silent but illegitimate", g, seed)
 			}
 		}
 	}
@@ -261,11 +261,8 @@ func TestMatchedEdgesDecoding(t *testing.T) {
 	if MarriedCount(sys, cfg) != 2 {
 		t.Fatal("MarriedCount wrong")
 	}
-	if !maximalMatching(sys, cfg) {
-		t.Fatal("{1-2} should be maximal on a 4-path")
-	}
-	if !legitimate(sys, cfg) {
-		t.Fatal("consistent matched configuration rejected")
+	if !model.Legitimate(sys, cfg) {
+		t.Fatal("{1-2} with exact flags should be a legitimate maximal matching of a 4-path")
 	}
 }
 
@@ -274,7 +271,7 @@ func TestIsLegitimateRejectsStaleFlags(t *testing.T) {
 	sys := buildSystem(t, g, false)
 	cfg := model.NewZeroConfig(sys)
 	cfg.SetComm(0, VarM, 1) // claims married but is free
-	if legitimate(sys, cfg) {
+	if model.Legitimate(sys, cfg) {
 		t.Fatal("stale married flag accepted")
 	}
 }

@@ -193,38 +193,30 @@ func InMIS(cfg *model.Config) []bool {
 	return out
 }
 
-// legitimate is both specs' predicate, the MIS: the Dominators form an
-// independent set (condition 1) that is maximal (condition 2).
-func legitimate(sys *model.System, cfg *model.Config) bool {
+// legitimate is both specs' predicate at p: a Dominator has no Dominator
+// neighbor of smaller color, and a dominated process has a Dominator
+// neighbor. Adjacent processes carry different colors (NewSystem checks
+// it, and a churned topology keeps a subset of the base edges), so of
+// two adjacent Dominators the larger-colored one fails: over all
+// processes the Dominators form an independent set (condition 1) that is
+// maximal (condition 2). Stated this way, the predicate at p holds
+// whenever p's own frozen-neighborhood orbit is silent.
+func legitimate(sys *model.System, cfg *model.Config, p int) bool {
 	g := sys.Graph()
-	for p := 0; p < g.N(); p++ {
-		if g.Degree(p) == 0 {
-			// An isolated (crashed or churned-off) process is disabled by
-			// the degree-0 rule, so a dominated one can never promote, and
-			// on its own it has no neighbor to conflict with or to be
-			// dominated by: it is outside the predicate, as in MATCHING's.
+	dominator := cfg.Comm(p, VarS) == Dominator
+	for port := 1; port <= g.Degree(p); port++ {
+		q := g.Neighbor(p, port)
+		if cfg.Comm(q, VarS) != Dominator {
 			continue
 		}
-		if cfg.Comm(p, VarS) == Dominator {
-			for port := 1; port <= g.Degree(p); port++ {
-				if cfg.Comm(g.Neighbor(p, port), VarS) == Dominator {
-					return false
-				}
-			}
-		} else {
-			witness := false
-			for port := 1; port <= g.Degree(p); port++ {
-				if cfg.Comm(g.Neighbor(p, port), VarS) == Dominator {
-					witness = true
-					break
-				}
-			}
-			if !witness {
-				return false
-			}
+		if !dominator {
+			return true
+		}
+		if sys.Const(q, ConstC) < sys.Const(p, ConstC) {
+			return false
 		}
 	}
-	return true
+	return dominator
 }
 
 // DominatorCount returns the size of the candidate independent set.

@@ -254,35 +254,12 @@ func TestInMISAndDominatorCount(t *testing.T) {
 	if DominatorCount(cfg) != 2 {
 		t.Fatal("DominatorCount wrong")
 	}
-	if !legitimate(sys, cfg) {
+	if !model.Legitimate(sys, cfg) {
 		t.Fatal("{0,2} should be a legitimate MIS of a 3-path")
 	}
 	cfg.SetComm(1, VarS, Dominator)
-	if legitimate(sys, cfg) {
+	if model.Legitimate(sys, cfg) {
 		t.Fatal("adjacent dominators accepted")
-	}
-}
-
-// TestIsolatedDominatedIsLegitimate: churn can cut a process off. The
-// degree-0 rule disables it, so a dominated one never promotes; the
-// predicate leaves it out, as MATCHING's does, and still judges the
-// processes that kept an edge.
-func TestIsolatedDominatedIsLegitimate(t *testing.T) {
-	sys := buildSystem(t, graph.Path(3), false).MutableCopy()
-	if !sys.Graph().RemoveEdge(0, 1) {
-		t.Fatal("edge {0,1} not removed")
-	}
-	cfg := model.NewZeroConfig(sys) // every process dominated
-	cfg.SetComm(2, VarS, Dominator)
-	if en := ref.EnabledSet(sys, cfg); slices.Contains(en, 0) {
-		t.Fatalf("enabled set %v holds the isolated process 0", en)
-	}
-	if !legitimate(sys, cfg) {
-		t.Fatal("isolated dominated process 0 made {2} illegitimate on 0 | 1-2")
-	}
-	cfg.SetComm(2, VarS, Dominated)
-	if legitimate(sys, cfg) {
-		t.Fatal("dominated 1 and 2 with no Dominator between them accepted")
 	}
 }
 

@@ -46,7 +46,9 @@ import (
 
 // Transform returns the 1-efficient cached-view version of orig for
 // networks of maximum degree at most delta. The cache is dimensioned for
-// delta ports; processes of smaller degree leave the tail unused.
+// delta ports; processes of smaller degree leave the tail unused. The
+// result keeps orig's communication variables and constants, and with
+// them orig's per-process Spec.Legitimate.
 func Transform(orig *model.Spec, delta int) (*model.Spec, error) {
 	if err := orig.Validate(); err != nil {
 		return nil, fmt.Errorf("transformer: %w", err)
@@ -153,8 +155,8 @@ func Transform(orig *model.Spec, delta int) (*model.Spec, error) {
 		Const:    orig.Const,
 		Internal: internal,
 		Actions:  actions,
-		// The transformed protocol keeps orig's communication interface, so
-		// it stabilizes to the same predicate.
+		// A per-process predicate reads communication variables and
+		// constants only, which keep their indices here.
 		Legitimate: orig.Legitimate,
 	}, nil
 }

@@ -113,12 +113,8 @@ func preorder(g *graph.Graph) []int {
 // domains, communication variables the low digits and internal ones the
 // high, and reports false when it wraps around to all zeros.
 func nextState(sys *model.System, cfg *model.Config, p int) bool {
-	for v := range sys.CommWidth() {
-		if x := cfg.Comm(p, v) + 1; x < sys.CommDomain(p, v) {
-			cfg.SetComm(p, v, x)
-			return true
-		}
-		cfg.SetComm(p, v, 0)
+	if nextComm(sys, cfg, p) {
+		return true
 	}
 	for v := range sys.InternalWidth() {
 		if x := cfg.Internal(p, v) + 1; x < sys.InternalDomain(p, v) {
@@ -126,6 +122,18 @@ func nextState(sys *model.System, cfg *model.Config, p int) bool {
 			return true
 		}
 		cfg.SetInternal(p, v, 0)
+	}
+	return false
+}
+
+// nextComm is nextState over p's communication row alone.
+func nextComm(sys *model.System, cfg *model.Config, p int) bool {
+	for v := range sys.CommWidth() {
+		if x := cfg.Comm(p, v) + 1; x < sys.CommDomain(p, v) {
+			cfg.SetComm(p, v, x)
+			return true
+		}
+		cfg.SetComm(p, v, 0)
 	}
 	return false
 }

@@ -52,7 +52,7 @@ type Demo struct {
 
 // illegitimate reports whether cfg violates the demo's predicate.
 func (d *Demo) illegitimate(cfg *model.Config) bool {
-	return !d.Real.Spec().Legitimate(d.Real, cfg)
+	return !model.Legitimate(d.Real, cfg)
 }
 
 // Outcome reports the four checks run on a Demo.

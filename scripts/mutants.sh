@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Engine mutation check: the committed FuzzSimulatorVsReference corpus,
-# run as a plain test, must fail on every mutation below. Each mutation
-# is applied to one file of a temporary copy of the tree (never to the
-# working tree), the model test binary is rebuilt from that copy (it
-# must still compile) and run over the corpus, and the file is put back
-# before the next one. A pattern that no longer matches exactly once
-# fails the check, so the list cannot go stale unnoticed.
+# Mutation check: every mutation below must make a test fail. By default
+# that test is the committed FuzzSimulatorVsReference corpus of
+# internal/model, run as a plain test; a mutation may name another
+# package and test pattern. Each mutation is applied to one file of a
+# temporary copy of the tree (never to the working tree), the package's
+# test binary is rebuilt from that copy (it must still compile) and run,
+# and the file is put back before the next one. A pattern that no longer
+# matches exactly once fails the check, so the list cannot go stale
+# unnoticed.
 # Usage: scripts/mutants.sh [workdir]
 set -euo pipefail
 
@@ -15,39 +17,44 @@ TREE=$DIR/tree
 rm -rf "$DIR" && mkdir -p "$TREE"
 tar -C "$ROOT" --exclude=./.git --exclude=./bench/out -cf - . | tar -C "$TREE" -xf -
 
-# Each mutation: a name, a file of the tree, and a perl substitution
-# (delimited by ~) applied to the whole file.
+# Each mutation: a name, a file of the tree, the package and the test
+# pattern that must catch it (empty: the model corpus), and a perl
+# substitution (delimited by ~) applied to the whole file.
 MUTATIONS=(
-	"memoFlush dropped from Step|internal/model/sim.go|s~selected := s.advance\(\)\n\ts.memoFlush\(\)\n~selected := s.advance()\n~"
-	"tracker.Invalidate skipped in moved|internal/model/sim.go|s~\n\ts.tracker.Invalidate\(p\)\n\tif commChanged \{~\n\tif commChanged {~"
-	"NeighborComm reads port+1|internal/model/ctx.go|s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port])\$1~"
-	"second writer skipped in executeStep's commit walk|internal/model/arena.go|s~\t\tcommChanged\[i\] = a.commit\(cfg, selected\[i\], k, s.step, obs\)\n~\t\tif k != 1 {\n\t\t\tcommChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)\n\t\t}\n~"
-	"NeighborComm port row rotated in range|internal/model/ctx.go|s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port%len(c.nbr)])\$1~"
-	"removeHalf skips the moved neighbor's back pointer|internal/graph/dynamic.go|s~\t\tg.backRow\(int\(row\[i\]\)\)\[g.backIndex\(p, i\)\] = narrowBack\(i\)\n~~"
-	"memoApply lands p one entry short|internal/model/sim.go|s~\tland := off \+ r\n~\tland := (off + r + n - 1) % n\n~"
-	"SilentNow's disabled shortcut trusts a stale verdict|internal/model/sim.go|s~t.valid\[p\] != verdictStale && t.action\[p\] < 0~t.action[p] < 0~"
-	"counted neighbors settle after the commit, not before it|internal/model/arena.go|s~\ts.countSettleWriters\(selected, writers\)\n(.*?)\treturn fired, commChanged\n~\$1\ts.countSettleWriters(selected, writers)\n\treturn fired, commChanged\n~s"
-	"neighborsDirty leaves a neighbor's count running|internal/model/sim.go|s~\t\ts.countForget\(int\(q\)\)\n~~"
-	"an invalidated stepped verdict leaves its process off the live set|internal/model/sim.go|s~(valid\[p\] == verdictStepped \{\n)\t\ts.live\[p>>6\] \|= 1 << \(p & 63\)\n~\$1~"
-	"a writer-forced settle's epoch count leaves out the current step|internal/model/arena.go|s~\t\t\t\ts.countApply\(int\(q\), len\(writers\)\)\n~\t\t\t\ts.selStamp--\n\t\t\t\ts.countApply(int(q), len(writers))\n\t\t\t\ts.selStamp++\n~"
+	"memoFlush dropped from Step|internal/model/sim.go|||s~selected := s.advance\(\)\n\ts.memoFlush\(\)\n~selected := s.advance()\n~"
+	"tracker.Invalidate skipped in moved|internal/model/sim.go|||s~\n\ts.tracker.Invalidate\(p\)\n\tif commChanged \{~\n\tif commChanged {~"
+	"NeighborComm reads port+1|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port])\$1~"
+	"second writer skipped in executeStep's commit walk|internal/model/arena.go|||s~\t\tcommChanged\[i\] = a.commit\(cfg, selected\[i\], k, s.step, obs\)\n~\t\tif k != 1 {\n\t\t\tcommChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)\n\t\t}\n~"
+	"NeighborComm port row rotated in range|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port%len(c.nbr)])\$1~"
+	"removeHalf skips the moved neighbor's back pointer|internal/graph/dynamic.go|||s~\t\tg.backRow\(int\(row\[i\]\)\)\[g.backIndex\(p, i\)\] = narrowBack\(i\)\n~~"
+	"memoApply lands p one entry short|internal/model/sim.go|||s~\tland := off \+ r\n~\tland := (off + r + n - 1) % n\n~"
+	"SilentNow's disabled shortcut trusts a stale verdict|internal/model/sim.go|||s~t.valid\[p\] != verdictStale && t.action\[p\] < 0~t.action[p] < 0~"
+	"counted neighbors settle after the commit, not before it|internal/model/arena.go|||s~\ts.countSettleWriters\(selected, writers\)\n(.*?)\treturn fired, commChanged\n~\$1\ts.countSettleWriters(selected, writers)\n\treturn fired, commChanged\n~s"
+	"neighborsDirty leaves a neighbor's count running|internal/model/sim.go|||s~\t\ts.countForget\(int\(q\)\)\n~~"
+	"an invalidated stepped verdict leaves its process off the live set|internal/model/sim.go|||s~(valid\[p\] == verdictStepped \{\n)\t\ts.live\[p>>6\] \|= 1 << \(p & 63\)\n~\$1~"
+	"a writer-forced settle's epoch count leaves out the current step|internal/model/arena.go|||s~\t\t\t\ts.countApply\(int\(q\), len\(writers\)\)\n~\t\t\t\ts.selStamp--\n\t\t\t\ts.countApply(int(q), len(writers))\n\t\t\t\ts.selStamp++\n~"
+	"MIS's predicate accepts a dominated process with no Dominator neighbor|internal/protocols/mis/mis.go|internal/verify|^TestLegitimateMatchesOracle\$|s~\n\treturn dominator\n\}~\n\treturn true\n}~"
+	"MATCHING's predicate accepts a stale M flag|internal/protocols/matching/matching.go|internal/verify|^TestLegitimateMatchesOracle\$|s~\tif married != \(cfg.Comm\(p, VarM\) == 1\) \{\n\t\treturn false\n\t\}\n~~"
 )
 
 fail=0
 for m in "${MUTATIONS[@]}"; do
-	IFS='|' read -r name file subst <<<"$m"
+	IFS='|' read -r name file pkg pattern subst <<<"$m"
+	pkg=${pkg:-internal/model}
+	pattern=${pattern:-^FuzzSimulatorVsReference\$}
 	cp "$TREE/$file" "$DIR/original"
 	if ! perl -0777 -i -pe "BEGIN { \$n = 0 } \$n += $subst; END { exit(\$n == 1 ? 0 : 3) }" "$TREE/$file"; then
 		echo "STALE   $name: the pattern no longer matches $file exactly once"
 		fail=1
-	elif ! (cd "$TREE" && go test -c -o "$DIR/model.test" ./internal/model) >"$DIR/build.log" 2>&1; then
+	elif ! (cd "$TREE" && go test -c -o "$DIR/pkg.test" "./$pkg") >"$DIR/build.log" 2>&1; then
 		echo "BROKEN  $name: the mutated tree does not compile"
 		cat "$DIR/build.log"
 		fail=1
-	elif (cd "$TREE/internal/model" && "$DIR/model.test" -test.run '^FuzzSimulatorVsReference$' -test.timeout 5m) >"$DIR/run.log" 2>&1; then
-		echo "MISSED  $name: the corpus passes"
+	elif (cd "$TREE/$pkg" && "$DIR/pkg.test" -test.run "$pattern" -test.timeout 5m) >"$DIR/run.log" 2>&1; then
+		echo "MISSED  $name: $pkg passes $pattern"
 		fail=1
 	else
-		echo "caught  $name ($(grep -m1 -o 'FuzzSimulatorVsReference/[^ ]*' "$DIR/run.log" || echo 'see run.log'))"
+		echo "caught  $name ($(grep -o -- '--- FAIL: [^ ]*' "$DIR/run.log" | tail -1 | cut -c11- || echo 'see run.log'))"
 	fi
 	cp "$DIR/original" "$TREE/$file"
 done
@@ -55,4 +62,4 @@ if [ "$fail" -ne 0 ]; then
 	echo "mutants FAIL"
 	exit 1
 fi
-echo "mutants OK: the corpus catches all ${#MUTATIONS[@]} mutations"
+echo "mutants OK: the tests catch all ${#MUTATIONS[@]} mutations"
