@@ -57,17 +57,19 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
 
-# Mutation check: scripts/mutants.sh applies each engine mutation it
-# names (a dropped replay flush, a skipped tracker invalidation, a port
-# row rotated in range, which only a reference with its own neighbor
-# reads can see, and nine more, two of them in the convergence-phase
-# counts and two in the synchronous daemon's live set and count
-# windows) to a temporary copy of the tree; the
-# committed FuzzSimulatorVsReference corpus, run as a plain test, must
-# fail on every one. Two more mutations weaken the MIS and MATCHING
-# legitimacy predicates, and internal/verify's equivalence test against
-# the old whole-configuration predicates must catch them. A pattern that
-# no longer applies fails the target.
+# Mutation check: scripts/mutants.sh applies sixteen named mutations,
+# one at a time, to a temporary copy of the tree. Twelve are engine ones
+# (a dropped replay flush, a skipped tracker invalidation, a port row
+# rotated in range, which only a reference with its own neighbor reads
+# can see, and nine more, two of them in the convergence-phase counts
+# and two in the synchronous daemon's live set and count windows), and
+# the committed FuzzSimulatorVsReference corpus, run as a plain test,
+# must fail on every one. Two weaken the MIS and MATCHING legitimacy
+# predicates, and internal/verify's equivalence test against the old
+# whole-configuration predicates must catch them. Two make MIS's and
+# MATCHING's one-pass decisions (Spec.First) depart from their guards,
+# and internal/verify's TestFirstMatchesGuards must catch them. A
+# pattern that no longer applies fails the target.
 MUTANTS_DIR ?= /tmp/mutants
 mutants: ## Engine and predicate mutations the tests must each catch
 	bash scripts/mutants.sh $(MUTANTS_DIR)

@@ -73,25 +73,34 @@ func BenchmarkSilentSuffix(b *testing.B) {
 	}
 }
 
-// BenchmarkConvergence measures COLORING from a random configuration
+// BenchmarkConvergence measures a protocol from a random configuration
 // to silence, the convergence phase in which processes whose
-// neighborhood settled keep turning their cur pointer: sync-torus is
-// the synchronous daemon on torus-100x100 with a Recorder attached (one
-// E22 cell in small), random-subset the distributed daemon on
-// torus-20x20 with no observer. Every iteration starts from the same
-// configuration on a reused simulator.
+// neighborhood settled keep turning their cur pointer. The first two
+// rows run COLORING: sync-torus is the synchronous daemon on
+// torus-100x100 with a Recorder attached (one E22 cell in small),
+// random-subset the distributed daemon on torus-20x20 with no observer.
+// The mis-* and matching-* rows run MIS and MATCHING on torus-20x20 with
+// no observer, under random-subset and under laziest-fair, whose tracker
+// re-evaluates every process a step dirties. With the COLORING rows
+// they give each one-pass decision (Spec.First) a row of its own. Every
+// iteration starts from the same configuration on a reused simulator.
 func BenchmarkConvergence(b *testing.B) {
 	for _, c := range []struct {
 		name   string
+		family string
 		g      *graph.Graph
 		daemon string
 		record bool
 	}{
-		{"sync-torus", graph.Torus(100, 100), "synchronous", true},
-		{"random-subset", graph.Torus(20, 20), "random-subset", false},
+		{"sync-torus", engine.FamColoring, graph.Torus(100, 100), "synchronous", true},
+		{"random-subset", engine.FamColoring, graph.Torus(20, 20), "random-subset", false},
+		{"mis-random-subset", engine.FamMIS, graph.Torus(20, 20), "random-subset", false},
+		{"mis-laziest-fair", engine.FamMIS, graph.Torus(20, 20), "laziest-fair", false},
+		{"matching-random-subset", engine.FamMatching, graph.Torus(20, 20), "random-subset", false},
+		{"matching-laziest-fair", engine.FamMatching, graph.Torus(20, 20), "laziest-fair", false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			sys, err := engine.Build(c.g, engine.FamColoring, nil)
+			sys, err := engine.Build(c.g, c.family, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -104,6 +104,11 @@ const (
 // batched) and CommWrite stream; the same recorder report; and on a
 // MutableCopy a valid graph and configuration.
 //
+// The simulator decides every evaluation with the spec's First where it
+// declares one (COLORING, MIS and MATCHING), and the reference walks the
+// guards (model.Evaluate), so each case of those protocols also checks
+// First against the guards on every state the stream reaches.
+//
 // The committed corpus under testdata/fuzz holds the cases of the
 // equivalence tests it replaced, one file per system, daemon and seed,
 // named after the test, and the replay cases: BFS tree and MATCHING

@@ -51,6 +51,19 @@
 // the reference semantics in internal/model/ref steps — does so on private
 // copies of both rows.
 //
+// # One pass per evaluation
+//
+// A spec's Actions are its definition: guards in priority order, as the
+// paper writes them. A spec may also declare First, a one-pass decision
+// held to the guard walk (see Spec.First). Every engine evaluation site
+// then calls First once instead of the guards: the step arena
+// (Simulator.Step, and countTransition's re-evaluation of a counted
+// cycle), the tracker's recompute, the orbit probe (SilentNow,
+// CommSilent, ProcessSilent and EventualReadSets) and StepProcess.
+// Evaluate alone walks the guards, so the reference semantics in
+// internal/model/ref, and every test that compares the simulator with it,
+// checks First against them.
+//
 // # Enabledness invalidation invariant
 //
 // A guard may read only its process's own variables and its neighbors'
@@ -149,6 +162,22 @@ type Spec struct {
 	Internal []VarSpec
 	// Actions is the prioritized guarded-action list.
 	Actions []Action
+	// First, when set, decides in one pass what walking the guards of
+	// Actions in priority order decides: it returns the index of p's first
+	// enabled action, or -1 if none is enabled. Its contract, for every
+	// state of p and of its neighbors:
+	//   - it returns the index the guard walk returns;
+	//   - it reads the same neighbors in the same first-read order and, at
+	//     each, the same variables and back port (NeighborComm,
+	//     NeighborConst and BackPort, each once or more), so every read set
+	//     and bit count is the guard walk's;
+	//   - it does not write and does not draw (Ctx.SetComm, SetInternal
+	//     and Rand panic in it, as in a guard).
+	// Every engine evaluation calls it in place of the guards; Evaluate,
+	// and so the reference semantics, keeps walking the guards, which stay
+	// the definition. A spec derived by dropping or wrapping actions must
+	// not carry First over. nil means the guard walk.
+	First func(c *Ctx) int
 	// Legitimate is the predicate the protocol stabilizes to, stated at
 	// one process p of a configuration of a system running it: it may
 	// read p's communication state and constants and those of p's live

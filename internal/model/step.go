@@ -6,11 +6,13 @@ import (
 	"repro/internal/rng"
 )
 
-// firstEnabled evaluates p's guards in priority order against ctx's own
-// state and pre configuration (neighbors) and returns the index of the
-// first enabled action, or -1 if p is disabled. Every evaluation site
-// (the step arena, the tracker, the orbit walker, StepProcess and
-// Evaluate) goes through it.
+// firstEnabled returns the index of p's first enabled action, or -1 if
+// p is disabled, against ctx's own state and pre configuration
+// (neighbors). When the spec declares First it makes one call to it;
+// otherwise it walks the guards (walkGuards). Every engine evaluation
+// site (the step arena, countTransition, the tracker, the orbit walker,
+// EventualReadSets and StepProcess) goes through it. Evaluate does not:
+// it walks the guards, the reference First is held to.
 //
 // A degree-0 process is disabled by definition: it cannot communicate,
 // and protocol guards may assume δ.p >= 1 (the paper's model). Static
@@ -23,6 +25,17 @@ func firstEnabled(c *Ctx) int {
 		return -1
 	}
 	c.inApply = false // a panic may have left a reused context inside Apply
+	if first := c.sys.spec.First; first != nil {
+		c.beginBody()
+		return first(c)
+	}
+	return walkGuards(c)
+}
+
+// walkGuards evaluates p's guards in priority order, as the paper writes
+// them, and returns the index of the first that holds, or -1. The caller
+// has applied the degree-0 rule and left Apply.
+func walkGuards(c *Ctx) int {
 	actions := c.sys.spec.Actions
 	for i := range actions {
 		c.beginBody()
@@ -56,13 +69,18 @@ func Legitimate(sys *System, cfg *Config) bool {
 // if p is disabled.
 func execOne(c *Ctx) int {
 	i := firstEnabled(c)
+	applyAction(c, i)
+	return i
+}
+
+// applyAction runs the Apply body of action i, if i >= 0.
+func applyAction(c *Ctx, i int) {
 	if i >= 0 {
 		c.inApply = true
 		c.beginBody()
 		c.sys.spec.Actions[i].Apply(c)
 		c.inApply = false
 	}
-	return i
 }
 
 // Evaluate evaluates process p once on a fresh context, for the reference
@@ -70,17 +88,20 @@ func execOne(c *Ctx) int {
 // and internal (CommWidth and InternalWidth values), nbr lists the
 // neighbor behind each of p's ports in the caller's adjacency, and view
 // answers every neighbor read, so what the evaluation read is the view's
-// to record. The guards run in priority order; with apply set, the first
-// enabled action then runs on the caller's rows, drawing from r. It
-// returns that action (-1: disabled). The context holds int32 copies of
-// the rows, and the values it ends with are written back.
+// to record. The guards run in priority order, as the paper writes them,
+// even when the spec declares First: Evaluate is the reference First is
+// held to. With apply set, the first enabled action then runs on the
+// caller's rows, drawing from r. It returns that action (-1: disabled).
+// The context holds int32 copies of the rows, and the values it ends
+// with are written back.
 func Evaluate(sys *System, view View, p int, nbr, comm, internal []int, apply bool, r *rng.Rand) int {
 	c := &Ctx{sys: sys, p: p, nbr: toInt32(nbr), view: view, comm: toInt32(comm), internal: toInt32(internal), rand: r}
-	var action int
+	action := -1
+	if len(c.nbr) > 0 {
+		action = walkGuards(c)
+	}
 	if apply {
-		action = execOne(c)
-	} else {
-		action = firstEnabled(c)
+		applyAction(c, action)
 	}
 	for v, x := range c.comm {
 		comm[v] = int(x)

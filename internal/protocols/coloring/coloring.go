@@ -66,8 +66,18 @@ func Spec() *model.Spec {
 				},
 			},
 		},
+		First:      first,
 		Legitimate: legitimate,
 	}
+}
+
+// first is Spec's guard walk in one pass: one read of C.(cur.p) decides
+// between the two complementary guards.
+func first(c *model.Ctx) int {
+	if c.Comm(VarC) == c.NeighborComm(c.Internal(VarCur)+1, VarC) {
+		return 0
+	}
+	return 1
 }
 
 // BaselineSpec returns the traditional full-read randomized coloring the

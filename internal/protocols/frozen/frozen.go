@@ -50,9 +50,11 @@ func MatchingSpec(maxColors int) *model.Spec {
 }
 
 // freeze renames full and keeps only its first keep actions: the
-// variables and the legitimacy predicate stay the real protocol's.
+// variables and the legitimacy predicate stay the real protocol's. The
+// one-pass decision does not: full's First picks among actions the
+// variant dropped, so the variant walks its guards.
 func freeze(full *model.Spec, name string, keep int) *model.Spec {
 	frozen := *full
-	frozen.Name, frozen.Actions = name, full.Actions[:keep]
+	frozen.Name, frozen.Actions, frozen.First = name, full.Actions[:keep], nil
 	return &frozen
 }

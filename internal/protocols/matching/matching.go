@@ -144,7 +144,58 @@ func Spec(maxColors int) *model.Spec {
 				},
 			},
 		},
+		First:      first,
 		Legitimate: legitimate,
+	}
+}
+
+// first is Spec's six guards in one pass, folded into one case analysis
+// on PR.p. Each neighbor variable and the back port are read at most
+// once, in the order the guards first read them: PR.(cur.p) and the back
+// port, then M.(cur.p) before C.(cur.p) when p proposes to cur.p (the
+// abandon guard), C.(cur.p) before M.(cur.p) when p is free (the propose
+// and seek guards), each only where a guard's short circuit reaches it.
+func first(c *model.Ctx) int {
+	cur := c.Internal(VarCur) + 1
+	m, cp := c.Comm(VarM), c.Const(ConstC)
+	switch pr := c.Comm(VarPR); pr {
+	case 0:
+		// PRmarried(p) is false without a read: publish needs M.p = 1.
+		if m != 0 {
+			return 1
+		}
+		q := c.NeighborComm(cur, VarPR)
+		if q == c.BackPort(cur) {
+			return 2 // accept
+		}
+		if q != 0 {
+			return 5 // seek: cur.p is taken
+		}
+		cq := c.NeighborConst(cur, ConstC)
+		switch {
+		case cp < cq:
+			if c.NeighborComm(cur, VarM) == 0 {
+				return 4 // propose
+			}
+			return 5
+		case cq < cp:
+			return 5
+		}
+		if c.NeighborComm(cur, VarM) == 1 {
+			return 5
+		}
+		return -1
+	case cur:
+		married := c.NeighborComm(cur, VarPR) == c.BackPort(cur)
+		if married != (m == 1) {
+			return 1 // publish
+		}
+		if !married && (c.NeighborComm(cur, VarM) == 1 || c.NeighborConst(cur, ConstC) < cp) {
+			return 3 // abandon
+		}
+		return -1
+	default:
+		return 0 // align
 	}
 }
 

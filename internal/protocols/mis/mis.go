@@ -97,8 +97,35 @@ func Spec(maxColors int) *model.Spec {
 				},
 			},
 		},
+		First:      first,
 		Legitimate: legitimate,
 	}
+}
+
+// first is Spec's guard walk in one pass. S.(cur.p) is read first, as
+// the demote guard does; C.(cur.p) is read only when S.(cur.p) is
+// Dominator, where the demote guard's short circuit reads it (and the
+// promote guard's re-reads it).
+func first(c *model.Ctx) int {
+	port := c.Internal(VarCur) + 1
+	own := c.Comm(VarS)
+	if c.NeighborComm(port, VarS) == Dominated {
+		if own == Dominated {
+			return 1
+		}
+	} else {
+		cq, cp := c.NeighborConst(port, ConstC), c.Const(ConstC)
+		switch {
+		case cq < cp && own == Dominator:
+			return 0
+		case cp < cq && own == Dominated:
+			return 1
+		}
+	}
+	if own == Dominator {
+		return 2
+	}
+	return -1
 }
 
 // BaselineSpec returns the classical full-read MIS protocol: a process

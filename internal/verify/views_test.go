@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/model"
+	"repro/internal/protocols/matching"
 	"repro/internal/rng"
 )
 
@@ -37,6 +38,14 @@ type ball struct {
 	// build makes the system on a ball graph with the given local
 	// identifiers (values 1.., one per process; nil for greedy ones).
 	build func(g *graph.Graph, colors []int) (*model.System, error)
+	// focus, when set, names the port whose neighbor a view of p's state
+	// cfg varies: the neighbor behind it takes every communication row,
+	// local identifier and (with structural) back port, and every other
+	// neighbor holds one, the zero row, back port 1 and the first
+	// identifier after p's. That stands for every view only where each
+	// evaluation reads no port but focus(cfg), which the visit must check:
+	// a body sees its neighbors only through what it reads.
+	focus func(cfg *model.Config) int
 }
 
 // familyBuild is ball.build for an engine protocol family.
@@ -49,36 +58,60 @@ func familyBuild(family string) func(*graph.Graph, []int) (*model.System, error)
 // views calls visit with every view of b: for every vector of back ports,
 // every assignment of local identifiers to p and its neighbors that the
 // system constructor accepts, every state of p and every communication
-// row of each neighbor. cfg is one buffer the walk rewrites: a visit
-// that keeps a view copies it. It returns the number of views.
+// row of each neighbor (with focus, of the neighbor behind focus only).
+// cfg is one buffer the walk rewrites: a visit that keeps a view copies
+// it. It returns the number of views.
 func (b ball) views(t *testing.T, visit func(sys *model.System, cfg *model.Config)) int {
+	t.Helper()
+	from, to := 0, 0
+	if b.focus != nil {
+		from, to = 1, b.d
+	}
+	count := 0
+	for k := from; k <= to; k++ {
+		b.walk(t, k, func(sys *model.System, cfg *model.Config) {
+			if k == 0 || b.focus(cfg) == k {
+				visit(sys, cfg)
+				count++
+			}
+		})
+	}
+	return count
+}
+
+// walk is views with every neighbor varying (k = 0) or only the one
+// behind port k.
+func (b ball) walk(t *testing.T, k int, visit func(sys *model.System, cfg *model.Config)) {
 	t.Helper()
 	back := make([]int, b.d)
 	for i := range back {
 		back[i] = 1
 	}
-	count := 0
+	varied := back
+	if k > 0 {
+		varied = back[k-1 : k]
+	}
 	for {
-		b.systems(t, ballGraph(b.delta, back), func(sys *model.System) {
+		b.systems(t, ballGraph(b.delta, back), k, func(sys *model.System) {
 			cfg := model.NewZeroConfig(sys)
-			for more := true; more; more = nextView(sys, cfg, b.d) {
+			for more := true; more; more = nextView(sys, cfg, b.d, k) {
 				visit(sys, cfg)
-				count++
 			}
 		})
-		if !b.structural || !odometer(back, b.delta) {
-			return count
+		if !b.structural || !odometer(varied, b.delta) {
+			return
 		}
 	}
 }
 
 // systems calls each with the system on g for every assignment of local
-// identifiers over the spec's constant domain to p and its neighbors that
-// the constructor accepts: a proper coloring of the ball, checked by the
-// constructor itself. The leaves carry p's color, which no accepted
-// assignment gives their neighbor. A spec without constants has one
-// system.
-func (b ball) systems(t *testing.T, g *graph.Graph, each func(*model.System)) {
+// identifiers over the spec's constant domain to p and its neighbors
+// (with k > 0, to p and the neighbor behind port k; the others take the
+// first identifier after p's) that the constructor accepts: a proper
+// coloring of the ball, checked by the constructor itself. The leaves
+// carry p's color, which no accepted assignment gives their neighbor. A
+// spec without constants has one system.
+func (b ball) systems(t *testing.T, g *graph.Graph, k int, each func(*model.System)) {
 	t.Helper()
 	sys, err := b.build(g, nil)
 	if err != nil {
@@ -96,10 +129,19 @@ func (b ball) systems(t *testing.T, g *graph.Graph, each func(*model.System)) {
 	palette := spec.Const[0].Domain(model.DomainInfo{N: g.N(), Delta: b.delta, Degree: b.d})
 	colors := make([]int, g.N())
 	ids := colors[:b.d+1]
+	if k > 0 {
+		ids = make([]int, 2)
+	}
 	for i := range ids {
 		ids[i] = 1
 	}
 	for {
+		if k > 0 {
+			for q := 1; q <= b.d; q++ {
+				colors[q] = ids[0]%palette + 1
+			}
+			colors[0], colors[k] = ids[0], ids[1]
+		}
 		for leaf := b.d + 1; leaf < g.N(); leaf++ {
 			colors[leaf] = colors[0]
 		}
@@ -148,11 +190,14 @@ func odometer(digits []int, hi int) bool {
 
 // nextView advances cfg to the next view of the process of degree d at
 // process 0: p's whole state is the low digits, each neighbor's
-// communication row the next ones. It reports false when every view has
-// been visited.
-func nextView(sys *model.System, cfg *model.Config, d int) bool {
+// communication row (with k > 0, that of neighbor k only) the next ones.
+// It reports false when every view has been visited.
+func nextView(sys *model.System, cfg *model.Config, d, k int) bool {
 	if nextState(sys, cfg, 0) {
 		return true
+	}
+	if k > 0 {
+		return nextComm(sys, cfg, k)
 	}
 	for q := 1; q <= d; q++ {
 		if nextComm(sys, cfg, q) {
@@ -173,6 +218,19 @@ type readLog struct {
 	ports [maxDelta]int
 	n     int
 	mask  [maxDelta + 1]uint16
+}
+
+// covers reports whether b's views stand for every view of p with the
+// same state, given that the evaluation of view cfg on sys read l. With
+// focus, l must read no port but focus(cfg), since the other neighbors
+// held one row; otherwise no back port and no degree-dependent variable,
+// since neighbor degrees and back ports were fixed. A body sees its
+// neighbors only through what it reads.
+func (b ball) covers(l readLog, sys *model.System, cfg *model.Config) bool {
+	if b.focus != nil {
+		return l.n == 0 || l.n == 1 && l.ports[0] == b.focus(cfg)
+	}
+	return !l.structural(sys.Spec(), sys.N(), b.delta)
 }
 
 // structural reports whether the log read a back port, or a neighbor
@@ -295,8 +353,8 @@ func describe(sys *model.System, cfg *model.Config) string {
 }
 
 // TestViewProof enumerates every view of a process of degree d ≤ Δ in a
-// network of maximum degree Δ ≤ 4, under COLORING and MIS, and so proves
-// for every such network:
+// network of maximum degree Δ ≤ 4, under COLORING, MIS and MATCHING, and
+// so proves for every such network:
 //
 //	(a) 1-efficiency: every step reads at most one neighbor;
 //	(b) silent ⇒ legitimate: every view whose frozen-neighborhood orbit is
@@ -304,20 +362,26 @@ func describe(sys *model.System, cfg *model.Config) string {
 //	    in which every process's orbit is silent, so it satisfies the
 //	    predicate at every process.
 //
-// It also shows that (b) fails for COLORING-FROZEN and MIS-FROZEN, and
-// logs the first counterexample view: the local seed of every Theorem 1
-// witness. Neighbor degrees and back ports are fixed (ball.structural is
-// off), which the test checks from what every step reads.
+// MATCHING is held to (a) only: its (b) needs the pair view, both closed
+// neighborhoods of an edge. The test also shows that (b) fails for
+// COLORING-FROZEN and MIS-FROZEN, and logs the first counterexample view:
+// the local seed of every Theorem 1 witness. COLORING's and MIS's views
+// fix neighbor degrees and back ports, MATCHING's vary only the neighbor
+// behind cur.p (matchingViews), and the test checks on every view that
+// what the step read is covered (ball.covers).
 func TestViewProof(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
 		family         string
+		views          func(delta, d int) ball
+		pairView       bool // (b) is not claimed
 		counterexample bool
 	}{
-		{engine.FamColoring, false},
-		{engine.FamMIS, false},
-		{engine.FamFrozen, true},
-		{engine.FamMISFrozen, true},
+		{engine.FamColoring, fixedViews(engine.FamColoring), false, false},
+		{engine.FamMIS, fixedViews(engine.FamMIS), false, false},
+		{engine.FamMatching, matchingViews, true, false},
+		{engine.FamFrozen, fixedViews(engine.FamFrozen), false, true},
+		{engine.FamMISFrozen, fixedViews(engine.FamMISFrozen), false, true},
 	} {
 		t.Run(tc.family, func(t *testing.T) {
 			t.Parallel()
@@ -326,14 +390,17 @@ func TestViewProof(t *testing.T) {
 			views, first := 0, ""
 			for delta := 1; delta <= maxDelta; delta++ {
 				for d := 1; d <= delta; d++ {
-					b := ball{delta: delta, d: d, build: familyBuild(tc.family)}
+					b := tc.views(delta, d)
 					views += b.views(t, func(sys *model.System, cfg *model.Config) {
 						reads := ev.run(sys, cfg, true, rnd).reads
 						if reads.n > 1 {
 							t.Fatalf("a step reads %d neighbors at %s", reads.n, describe(sys, cfg))
 						}
-						if reads.structural(sys.Spec(), sys.N(), delta) {
-							t.Fatalf("a step reads a back port or a degree-dependent variable at %s: fixed neighbor degrees do not cover it", describe(sys, cfg))
+						if !b.covers(reads, sys, cfg) {
+							t.Fatalf("a step reads %+v at %s, which the views do not cover", reads, describe(sys, cfg))
+						}
+						if tc.pairView {
+							return
 						}
 						silent, err := model.ProcessSilent(sys, cfg, 0)
 						if err != nil {
@@ -356,9 +423,31 @@ func TestViewProof(t *testing.T) {
 				t.Fatalf("no silent illegitimate view in %d", views)
 			case tc.counterexample:
 				t.Logf("%d views; first silent illegitimate one: %s", views, first)
+			case tc.pairView:
+				t.Logf("%d views: each step reads at most one neighbor", views)
 			default:
 				t.Logf("%d views: each step reads at most one neighbor, every silent view is legitimate", views)
 			}
 		})
+	}
+}
+
+// fixedViews declares the views of a family's process of degree d in a
+// network of maximum degree delta with fixed neighbor degrees and back
+// ports: they cover a protocol that reads no back port and no
+// degree-dependent variable.
+func fixedViews(family string) func(delta, d int) ball {
+	return func(delta, d int) ball { return ball{delta: delta, d: d, build: familyBuild(family)} }
+}
+
+// matchingViews declares the MATCHING views of a process of degree d in a
+// network of maximum degree delta: structural (every back port), with
+// only the neighbor behind cur.p varying. They cover every evaluation
+// that reads no other port.
+func matchingViews(delta, d int) ball {
+	return ball{
+		delta: delta, d: d, structural: true,
+		build: familyBuild(engine.FamMatching),
+		focus: func(cfg *model.Config) int { return cfg.Internal(0, matching.VarCur) + 1 },
 	}
 }

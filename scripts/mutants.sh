@@ -35,6 +35,8 @@ MUTATIONS=(
 	"a writer-forced settle's epoch count leaves out the current step|internal/model/arena.go|||s~\t\t\t\ts.countApply\(int\(q\), len\(writers\)\)\n~\t\t\t\ts.selStamp--\n\t\t\t\ts.countApply(int(q), len(writers))\n\t\t\t\ts.selStamp++\n~"
 	"MIS's predicate accepts a dominated process with no Dominator neighbor|internal/protocols/mis/mis.go|internal/verify|^TestLegitimateMatchesOracle\$|s~\n\treturn dominator\n\}~\n\treturn true\n}~"
 	"MATCHING's predicate accepts a stale M flag|internal/protocols/matching/matching.go|internal/verify|^TestLegitimateMatchesOracle\$|s~\tif married != \(cfg.Comm\(p, VarM\) == 1\) \{\n\t\treturn false\n\t\}\n~~"
+	"MIS's First skips C.(cur) for a dominated p whose cur neighbor is a Dominator|internal/protocols/mis/mis.go|internal/verify|^TestFirstMatchesGuards\$|s~\t\} else \{\n\t\tcq, cp := ~\t} else if own == Dominator {\n\t\tcq, cp := ~"
+	"MATCHING's First answers seek where the guards answer propose|internal/protocols/matching/matching.go|internal/verify|^TestFirstMatchesGuards\$|s~return 4 // propose~return 5 // propose~"
 )
 
 fail=0
