@@ -57,19 +57,22 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
 
-# Mutation check: scripts/mutants.sh applies sixteen named mutations,
+# Mutation check: scripts/mutants.sh applies eighteen named mutations,
 # one at a time, to a temporary copy of the tree. Twelve are engine ones
 # (a dropped replay flush, a skipped tracker invalidation, a port row
 # rotated in range, which only a reference with its own neighbor reads
 # can see, and nine more, two of them in the convergence-phase counts
 # and two in the synchronous daemon's live set and count windows), and
 # the committed FuzzSimulatorVsReference corpus, run as a plain test,
-# must fail on every one. Two weaken the MIS and MATCHING legitimacy
-# predicates, and internal/verify's equivalence test against the old
-# whole-configuration predicates must catch them. Two make MIS's and
-# MATCHING's one-pass decisions (Spec.First) depart from their guards,
-# and internal/verify's TestFirstMatchesGuards must catch them. A
-# pattern that no longer applies fails the target.
+# must fail on every one. Two break the read sets' arcs (a dynamic
+# graph's Arc that follows the port, not the neighbor, and a recorder
+# that counts an arc twice), and internal/trace's
+# TestArcReadSetsUnderChurn must catch them. Two weaken the MIS and
+# MATCHING legitimacy predicates, and internal/verify's equivalence test
+# against the old whole-configuration predicates must catch them. Two
+# make MIS's and MATCHING's one-pass decisions (Spec.First) depart from
+# their guards, and internal/verify's TestFirstMatchesGuards must catch
+# them. A pattern that no longer applies fails the target.
 MUTANTS_DIR ?= /tmp/mutants
 mutants: ## Engine and predicate mutations the tests must each catch
 	bash scripts/mutants.sh $(MUTANTS_DIR)
@@ -131,18 +134,22 @@ events-smoke: ## Event-log byte-identity across parallelism and cache state
 # Large-n scale smoke: drive the E22 headline cell — a 10⁶-process torus
 # under synchronous COLORING — to a legitimate silent configuration and
 # gate its peak RSS. The budget documents the engine's large-graph
-# memory claim: the cell measures about 86 MiB peak on a 2-CPU
-# container (93 B/process live heap), and 128 MiB (that plus 25 %,
+# memory claim: the cell measures about 85 MiB peak on a 2-CPU
+# container (87 B/process live heap), and 128 MiB (that plus 25 %,
 # rounded up to a multiple of 32) leaves headroom for allocator and GC
 # variance while failing on a return of the 175 MiB that 64-bit state
 # values, a recorder list per process and n-length report tables cost,
 # let alone an O(n²) reintroduction. (The 120 MiB of a second
 # configuration copy, per-process domain tables, 32-bit back ports,
 # 64-bit selection steps and an n-length stale queue would still pass:
-# TestBytesPerProcessBudget is the tighter gate on those.)
+# TestBytesPerProcessBudget is the tighter gate on those.) The second
+# run is the other E22 shape, a 2·10⁵-process G(n, 6/n) (Δ ≈ 28), by
+# the same rule: about 27 MiB peak, so 64 MiB, which the 87 MiB of read
+# sets kept as an int32 slab, whose outgrown rows stay behind, fail.
 SCALE_BUDGET_MB ?= 128
-scale-smoke: ## 10⁶-node torus cell to silence under the peak-RSS budget
+scale-smoke: ## 10⁶-node torus and 2·10⁵-node G(n, 6/n) cells to silence under peak-RSS budgets
 	$(GO) run ./cmd/ssscale -n 1000000 -graph torus -budget-mb $(SCALE_BUDGET_MB)
+	$(GO) run ./cmd/ssscale -n 200000 -graph gnp -budget-mb 64
 
 # Service smoke: the campaign daemon end to end over real TCP — start
 # sscampaignd with a directory cache, POST the quickstart campaign in

@@ -1,6 +1,7 @@
 // Package bitset provides a fixed-capacity bitset used by the hot paths
-// of the simulator: per-process read sets in the trace recorder and the
-// dirty sets of the incremental silence checker. Stdlib only.
+// of the simulator: the enabled set of the enabledness tracker and the
+// laziest-fair daemon's set of processes it has never selected. Stdlib
+// only.
 package bitset
 
 import "math/bits"
@@ -38,15 +39,6 @@ func (s *Set) Remove(i int) {
 // Has reports whether i is in the set.
 func (s *Set) Has(i int) bool {
 	return s.words[i/64]&(uint64(1)<<(i%64)) != 0
-}
-
-// Count returns the number of elements.
-func (s *Set) Count() int {
-	total := 0
-	for _, w := range s.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
 }
 
 // Clear removes all elements, keeping capacity.

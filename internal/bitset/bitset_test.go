@@ -7,7 +7,7 @@ import (
 func TestAddHasRemove(t *testing.T) {
 	t.Parallel()
 	s := New(130)
-	if s.Count() != 0 || s.Cap() != 130 {
+	if len(s.Elems(nil)) != 0 || s.Cap() != 130 {
 		t.Fatal("fresh set not empty")
 	}
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
@@ -21,15 +21,15 @@ func TestAddHasRemove(t *testing.T) {
 			t.Fatalf("Has(%d) false after Add", i)
 		}
 	}
-	if s.Count() != 8 {
-		t.Fatalf("Count = %d, want 8", s.Count())
+	if len(s.Elems(nil)) != 8 {
+		t.Fatalf("Count = %d, want 8", len(s.Elems(nil)))
 	}
 	s.Remove(64)
-	if s.Has(64) || s.Count() != 7 {
+	if s.Has(64) || len(s.Elems(nil)) != 7 {
 		t.Fatal("Remove(64) did not remove")
 	}
 	s.Clear()
-	if s.Count() != 0 {
+	if len(s.Elems(nil)) != 0 {
 		t.Fatal("Clear left elements")
 	}
 }

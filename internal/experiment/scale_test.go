@@ -69,7 +69,7 @@ func largeNTable(t *testing.T, par int) string {
 }
 
 // TestLargeNTablesAcrossParallelism is the large-n determinism smoke:
-// at n = 10⁴ the sparse recorder, the incremental enabled/silence
+// at n = 10⁴ the recorder's arc bits, the incremental enabled/silence
 // queues and the laziest-fair ring all replace what used to be dense
 // per-step structures, and the rendered trial tables must remain
 // byte-identical between Parallelism 1 and 4 — the same contract the
@@ -102,14 +102,13 @@ func liveHeap() int64 {
 // heap one synchronous COLORING trial to silence leaves behind — graph,
 // system, runner (simulator, recorder, configuration) and result — per
 // process, on both graph families E22 charts. Each budget is its cell's
-// reading before the convergence-phase cycle detectors (93 and 182 B)
-// plus 25 %, rounded up. The torus reads 106 B:
+// reading (86 and 113 B) plus 25 %, rounded up. The torus reads 86 B:
 //   - the graph, 28 B: 32-bit offsets and neighbor ids, 16-bit back
 //     ports (4 + 16 + 8 at Δ = 4);
 //   - one configuration of int32 values, 8 B: the run's live buffer is
 //     handed over as the result's Final, not copied;
-//   - the recorder slab, 24 B: a first row of four members holds every
-//     read set at Δ = 4, plus its offset and length;
+//   - the recorder, about 4.5 B: one bit per arc of the graph for the
+//     read sets and a 32-bit size per process;
 //   - the system's constant and bit-width rows (its domains are one row
 //     per degree, not per process);
 //   - the simulator's and tracker's per-process tables: 32-bit
@@ -122,21 +121,19 @@ func liveHeap() int64 {
 //   - nothing for the memo's entries, which a run ending at silence
 //     never allocates, and a report whose read sets are a histogram.
 //
-// An older layout (a copied final configuration, per-process domain
-// tables, 32-bit back ports, 64-bit selection steps and an n-length
-// stale queue) read 125 B and fails. The G(n, 6/n) cell
-// reads 195 B: its read sets outgrow their first rows, and the rows they
-// leave stay in the slab. Not parallel, so no other test allocates
-// between the two readings.
+// The read sets as an int32 slab of four-member first rows (24 B per
+// process) read 106 B on the torus and 195 B on G(n, 6/n), where rows
+// outgrown at Δ ≈ 25 stayed behind in the slab, and fail both budgets.
+// Not parallel, so no other test allocates between the two readings.
 func TestBytesPerProcessBudget(t *testing.T) {
 	cells := []struct {
 		graph  func() *graph.Graph
 		budget int
 	}{
-		{func() *graph.Graph { return graph.Torus(150, 150) }, 117},
+		{func() *graph.Graph { return graph.Torus(150, 150) }, 108},
 		{func() *graph.Graph {
 			return graph.RandomConnectedGNP(20_000, 6/20_000.0, rng.New(rng.Derive(2009, 22)))
-		}, 228},
+		}, 142},
 	}
 	for _, c := range cells {
 		name, per, rounds := bytesPerProcess(t, c.graph)

@@ -24,6 +24,11 @@ type dynState struct {
 	baseNbr  []int32 // pristine base arenas, for ResetTopology/ReviveNode
 	baseBack []uint16
 	baseM    int
+
+	// arc[i] is the base arc of the entry at arena slot i (see
+	// Graph.Arc): the slot it held in the base arena. It moves with the
+	// entry, so a neighbor keeps its arc whatever port it is behind.
+	arc []int32
 }
 
 // MutableCopy returns a dynamic copy of g: same vertices, edges and
@@ -42,11 +47,20 @@ func (g *Graph) MutableCopy() *Graph {
 		baseNbr:  slices.Clone(nbr),
 		baseBack: slices.Clone(back),
 		baseM:    g.m,
+		arc:      make([]int32, len(nbr)),
 	}
 	for p := range d.alive {
 		d.alive[p] = true
 	}
+	d.resetArcs()
 	return &Graph{name: g.name, off: off, end: slices.Clone(off[1:]), nbr: nbr, back: back, m: g.m, dyn: d}
+}
+
+// resetArcs puts every arena slot's base arc back to the slot itself.
+func (d *dynState) resetArcs() {
+	for i := range d.arc {
+		d.arc[i] = int32(i)
+	}
 }
 
 // Dynamic reports whether g was produced by MutableCopy and supports
@@ -86,6 +100,8 @@ func (g *Graph) removeHalf(p, i int) {
 	if i != last {
 		row[i], row[last] = row[last], row[i]
 		brow[i], brow[last] = brow[last], brow[i]
+		arc := g.dyn.arc[g.off[p]:g.end[p]]
+		arc[i], arc[last] = arc[last], arc[i]
 		g.backRow(int(row[i]))[g.backIndex(p, i)] = narrowBack(i)
 	}
 	g.end[p]--
@@ -98,6 +114,7 @@ func (g *Graph) restoreHalf(p, j int) {
 	at, to := g.off[p]+int32(j), g.end[p]
 	g.nbr[at], g.nbr[to] = g.nbr[to], g.nbr[at]
 	g.back[at], g.back[to] = g.back[to], g.back[at]
+	g.dyn.arc[at], g.dyn.arc[to] = g.dyn.arc[to], g.dyn.arc[at]
 	g.end[p]++
 }
 
@@ -198,6 +215,7 @@ func (g *Graph) ResetTopology() {
 	}
 	copy(g.nbr, d.baseNbr)
 	copy(g.back, d.baseBack)
+	d.resetArcs()
 	copy(g.end, g.off[1:])
 	for p := range d.alive {
 		d.alive[p] = true
@@ -207,9 +225,11 @@ func (g *Graph) ResetTopology() {
 
 // CheckInvariants verifies the dynamic representation: edge count,
 // live-row symmetry (back pointers round-trip), crashed processes at
-// degree zero, and conservation of the base arena (live prefix plus
-// dead suffix of every process is a permutation of its base row).
-// Intended for tests; returns nil on a static graph.
+// degree zero, conservation of the base arena (live prefix plus dead
+// suffix of every process is a permutation of its base row), and base
+// arcs that follow their neighbors (the arc of every slot indexes the
+// same neighbor in the base row). Intended for tests; returns nil on a
+// static graph.
 func (g *Graph) CheckInvariants() error {
 	d := g.dyn
 	if d == nil {
@@ -235,9 +255,12 @@ func (g *Graph) CheckInvariants() error {
 			}
 		}
 		// Arena conservation: p's row must remain a permutation of its
-		// base row.
+		// base row, and each slot's arc must name its neighbor there.
 		have := map[int32]int{}
 		for j := g.off[p]; j < g.off[p+1]; j++ {
+			if a := d.arc[j]; a < g.off[p] || a >= g.off[p+1] || d.baseNbr[a] != g.nbr[j] {
+				return fmt.Errorf("process %d slot %d: arc %d does not name neighbor %d in its base row", p, j-g.off[p], a, g.nbr[j])
+			}
 			have[g.nbr[j]]++
 			have[d.baseNbr[j]]--
 		}

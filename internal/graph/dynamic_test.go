@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -27,18 +28,35 @@ func newEdgeSet(g *Graph) edgeSet {
 }
 
 // checkAgainst verifies the dynamic graph's structure against the
-// oracle edge set plus the representation invariants.
+// oracle edge set plus the representation invariants and checkArcs.
 func (s edgeSet) checkAgainst(t *testing.T, g *Graph) {
 	t.Helper()
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	checkArcs(t, g)
 	if g.M() != len(s) {
 		t.Fatalf("M() = %d, oracle has %d edges", g.M(), len(s))
 	}
 	for _, e := range g.Edges() {
 		if !s[e] {
 			t.Fatalf("graph has edge %v the oracle lacks", e)
+		}
+	}
+}
+
+// checkArcs checks every live port's arc against its definition:
+// RowStart(p) plus the neighbor's index in BaseRow(p), mapped back to
+// the neighbor by ArcHead.
+func checkArcs(t *testing.T, g *Graph) {
+	t.Helper()
+	for p := range g.N() {
+		for port := 1; port <= g.Degree(p); port++ {
+			q := g.Neighbor(p, port)
+			a := g.Arc(p, port)
+			if want := g.RowStart(p) + slices.Index(g.BaseRow(p), int32(q)); a != want || g.ArcHead(a) != q {
+				t.Fatalf("%s: process %d port %d (neighbor %d): Arc = %d, want %d; ArcHead = %d", g.Name(), p, port, q, a, want, g.ArcHead(a))
+			}
 		}
 	}
 }
@@ -53,6 +71,7 @@ func TestDynamicMutationsAgainstOracle(t *testing.T) {
 
 func checkMutationsAgainstOracle(t *testing.T) {
 	for _, base := range dynamicTestGraphs(t) {
+		checkArcs(t, base)
 		g := base.MutableCopy()
 		if !g.Equal(base) {
 			t.Fatalf("%s: MutableCopy not Equal to base", base.Name())

@@ -72,6 +72,43 @@ func (g *Graph) Row(p int) []int32 { return g.nbr[g.off[p]:g.end[p]:g.end[p]] }
 // costs no slice header per process and outlives every topology event.
 func (g *Graph) RowStart(p int) int { return int(g.off[p]) }
 
+// Arc returns the base arc of p's port (1..δ.p): the arena index
+// RowStart(p) + i where the neighbor behind port sits at index i of
+// BaseRow(p). A base arc names the pair (p, neighbor) for the life of
+// the graph: on a static graph it is the port's own slot, and on a
+// dynamic one, where removals and restorations move neighbors between
+// ports, it stays with the neighbor (see dynState.arc). Arcs of distinct
+// processes are distinct, so a set of (process, neighbor) pairs is a
+// set of arcs. A port outside p's live row is not checked here; the
+// caller must have read the neighbor behind it. O(1).
+func (g *Graph) Arc(p, port int) int {
+	i := int(g.off[p]) + port - 1
+	if g.dyn != nil {
+		return int(g.dyn.arc[i])
+	}
+	return i
+}
+
+// ArcHead returns the neighbor an arc points to: ArcHead(Arc(p, port))
+// is Neighbor(p, port).
+func (g *Graph) ArcHead(a int) int {
+	if g.dyn != nil {
+		return int(g.dyn.baseNbr[a])
+	}
+	return int(g.nbr[a])
+}
+
+// BaseRow returns p's base neighbor row, the one its arcs are numbered
+// by: Row(p) on a static graph, and on a dynamic one p's row as
+// MutableCopy found it, whatever has been removed since. The caller must
+// not write to it.
+func (g *Graph) BaseRow(p int) []int32 {
+	if g.dyn != nil {
+		return g.dyn.baseNbr[g.off[p]:g.off[p+1]:g.off[p+1]]
+	}
+	return g.Row(p)
+}
+
 // backLimit is the value a back entry saturates at. An entry below it
 // is the back port index itself; an entry equal to it says the index is
 // backLimit or more, and backIndex finds it by scanning the neighbor's

@@ -3,28 +3,40 @@ package model
 import (
 	"slices"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // aggRead is one neighbor read fed to a readAgg: slot is the variable's
 // index in the per-port row (communication variables first, then
 // constants).
-type aggRead struct{ port, q, slot, bits int }
+type aggRead struct{ port, slot, bits int }
 
-// naiveAggregate is Definitions 4 and 5 spelled out: the distinct
-// neighbors in first-read order, and the bits of every distinct
+// aggHub is the process the aggregator tests read from: the hub of a
+// 41-star, with 40 ports.
+const aggHub = 0
+
+// aggGraph is the graph the aggregator tests read from.
+var aggGraph = graph.Star(41)
+
+// naiveAggregate is Definitions 4 and 5 spelled out: the base arcs of the
+// distinct neighbors in first-read order, each its neighbor's index in
+// the hub's base row past RowStart, and the bits of every distinct
 // (neighbor, slot).
-func naiveAggregate(reads []aggRead) (qs []int, bits int) {
+func naiveAggregate(reads []aggRead) (arcs []int, bits int) {
+	g := aggGraph
 	seen := map[[2]int]bool{}
 	for _, r := range reads {
-		if !slices.Contains(qs, r.q) {
-			qs = append(qs, r.q)
+		q := g.Neighbor(aggHub, r.port)
+		if a := g.RowStart(aggHub) + slices.Index(g.BaseRow(aggHub), int32(q)); !slices.Contains(arcs, a) {
+			arcs = append(arcs, a)
 		}
-		if k := [2]int{r.q, r.slot}; !seen[k] {
+		if k := [2]int{q, r.slot}; !seen[k] {
 			seen[k] = true
 			bits += r.bits
 		}
 	}
-	return qs, bits
+	return arcs, bits
 }
 
 // TestReadAgg drives the aggregator with read sequences and checks each
@@ -38,22 +50,22 @@ func TestReadAgg(t *testing.T) {
 		reads []aggRead
 	}{
 		{"no reads", nil},
-		{"duplicate reads of one variable", []aggRead{{1, 7, comm0, 3}, {1, 7, comm0, 3}, {1, 7, comm0, 3}}},
-		{"comm vs const of the same index", []aggRead{{1, 7, comm0, 3}, {1, 7, const0, 5}, {1, 7, const0, 5}}},
-		{"two variables of one neighbor", []aggRead{{2, 9, comm0, 3}, {2, 9, comm1, 4}, {2, 9, comm0, 3}}},
-		{"two neighbors, interleaved", []aggRead{{1, 7, comm0, 3}, {2, 9, comm0, 2}, {1, 7, comm1, 1}, {2, 9, comm0, 2}}},
-		{"a port beyond every earlier one", []aggRead{{1, 7, comm0, 3}, {40, 11, const0, 6}, {40, 11, const0, 6}, {1, 7, comm0, 3}}},
-		{"the same reads again", []aggRead{{1, 7, comm0, 3}, {40, 11, const0, 6}}},
+		{"duplicate reads of one variable", []aggRead{{1, comm0, 3}, {1, comm0, 3}, {1, comm0, 3}}},
+		{"comm vs const of the same index", []aggRead{{1, comm0, 3}, {1, const0, 5}, {1, const0, 5}}},
+		{"two variables of one neighbor", []aggRead{{2, comm0, 3}, {2, comm1, 4}, {2, comm0, 3}}},
+		{"two neighbors, interleaved", []aggRead{{1, comm0, 3}, {2, comm0, 2}, {1, comm1, 1}, {2, comm0, 2}}},
+		{"a port beyond every earlier one", []aggRead{{1, comm0, 3}, {40, const0, 6}, {40, const0, 6}, {1, comm0, 3}}},
+		{"the same reads again", []aggRead{{1, comm0, 3}, {40, const0, 6}}},
 	}
-	a := &readAgg{slots: 3}
+	a := &readAgg{slots: 3, g: aggGraph}
 	for _, tc := range cases {
-		a.begin()
+		a.begin(aggHub)
 		for _, r := range tc.reads {
-			a.note(r.port, r.q, r.slot, r.bits)
+			a.note(r.port, r.slot, r.bits)
 		}
-		qs, bits := naiveAggregate(tc.reads)
-		if !slices.Equal(a.qs, qs) || a.bits != bits {
-			t.Errorf("%s: aggregate = (%v, %d bits), want (%v, %d bits)", tc.name, a.qs, a.bits, qs, bits)
+		arcs, bits := naiveAggregate(tc.reads)
+		if !slices.Equal(a.arcs, arcs) || a.bits != bits {
+			t.Errorf("%s: aggregate = (%v, %d bits), want (%v, %d bits)", tc.name, a.arcs, a.bits, arcs, bits)
 		}
 	}
 }
@@ -63,24 +75,24 @@ func TestReadAgg(t *testing.T) {
 // already counted.
 func TestReadAggGrowsMidEvaluation(t *testing.T) {
 	t.Parallel()
-	a := &readAgg{slots: 2}
-	a.begin()
-	a.note(1, 5, 0, 3)
-	a.note(1, 5, 1, 4)
+	a := &readAgg{slots: 2, g: aggGraph}
+	a.begin(aggHub)
+	a.note(1, 0, 3)
+	a.note(1, 1, 4)
 	ports := len(a.port)
-	a.note(ports+3, 6, 1, 2) // grows
+	a.note(ports+3, 1, 2) // grows
 	if len(a.port) <= ports+3 || len(a.slot) != len(a.port)*a.slots {
 		t.Fatalf("tables not grown: %d ports, %d slots", len(a.port), len(a.slot))
 	}
-	a.note(1, 5, 0, 3) // duplicates of pre-growth reads
-	a.note(1, 5, 1, 4)
-	if want := []int{5, 6}; !slices.Equal(a.qs, want) || a.bits != 9 {
-		t.Fatalf("aggregate after growth = (%v, %d bits), want (%v, 9 bits)", a.qs, a.bits, want)
+	a.note(1, 0, 3) // duplicates of pre-growth reads
+	a.note(1, 1, 4)
+	if want := []int{0, ports + 2}; !slices.Equal(a.arcs, want) || a.bits != 9 {
+		t.Fatalf("aggregate after growth = (%v, %d bits), want (%v, 9 bits)", a.arcs, a.bits, want)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		a.begin()
+		a.begin(aggHub)
 		for port := 1; port < len(a.port); port++ {
-			a.note(port, port, 0, 1)
+			a.note(port, 0, 1)
 		}
 	}); allocs != 0 {
 		t.Fatalf("full-width evaluation allocated %.0f times after growth", allocs)
@@ -91,18 +103,18 @@ func TestReadAggGrowsMidEvaluation(t *testing.T) {
 // written 2³² evaluations ago must not read as current.
 func TestReadAggStampWrap(t *testing.T) {
 	t.Parallel()
-	a := &readAgg{slots: 1}
-	a.begin() // gen 1
-	a.note(1, 5, 0, 3)
+	a := &readAgg{slots: 1, g: aggGraph}
+	a.begin(aggHub) // gen 1
+	a.note(1, 0, 3)
 	a.gen = ^uint32(0) // as if 2³²-2 evaluations went by
-	a.note(2, 6, 0, 3) // stamped with the last generation before the wrap
-	a.begin()          // wraps
+	a.note(2, 0, 3)    // stamped with the last generation before the wrap
+	a.begin(aggHub)    // wraps
 	if a.gen == 0 {
 		t.Fatal("generation 0 is the tables' zero value: every fresh entry would read as counted")
 	}
-	a.note(1, 5, 0, 3) // stamped 1 before the wrap, and gen is 1 again
-	a.note(2, 6, 0, 3)
-	if want := []int{5, 6}; !slices.Equal(a.qs, want) || a.bits != 6 {
-		t.Fatalf("aggregate after wrap = (%v, %d bits), want (%v, 6 bits)", a.qs, a.bits, want)
+	a.note(1, 0, 3) // stamped 1 before the wrap, and gen is 1 again
+	a.note(2, 0, 3)
+	if want := []int{0, 1}; !slices.Equal(a.arcs, want) || a.bits != 6 {
+		t.Fatalf("aggregate after wrap = (%v, %d bits), want (%v, 6 bits)", a.arcs, a.bits, want)
 	}
 }

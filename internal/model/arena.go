@@ -76,7 +76,7 @@ func (a *stepArena) eval(cfg *Config, p, k int, record bool) (fired int, staged 
 	c.comm = cfg.commRow(p)
 	c.internal = cfg.internalRow(p)
 	c.stage = a.commRow(k)
-	a.agg.begin()
+	a.agg.begin(p)
 	c.agg = nil
 	if record {
 		c.agg = &a.agg
@@ -188,7 +188,7 @@ func (s *Simulator) evalSelected(p, stage int) (fired int, staged bool) {
 	s.deliverDisabled(p) // p's kept reads are about to be overwritten
 	fired, staged = a.eval(s.cfg, p, stage, obs != nil)
 	if obs != nil {
-		obs.Selected(s.step, p, a.agg.qs, a.agg.bits, fired, 1)
+		obs.Selected(s.step, p, a.agg.arcs, a.agg.bits, fired, 1)
 	}
 	if fired < 0 {
 		s.keepDisabled(p)

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -31,12 +32,14 @@ type Observer interface {
 	// p evaluated its guards against the pre-step configuration and
 	// executed its first enabled action. It carries exactly what the
 	// paper's measures need: neighbors lists the distinct neighbors p
-	// read in one such selection (Def. 4, and the raw material of the
-	// read sets R_p of Defs. 7-9), bits is the memory p read in it, each
-	// (neighbor, kind, variable) counted once (Def. 5), and fired is the
-	// executed action index (-1 for a selected-but-disabled process).
-	// step is the selection's step when times is 1; a counted batch
-	// carries the simulator's step count at delivery. neighbors is
+	// read in one such selection, in first-read order, each as the base
+	// arc (p, neighbor) of the system's graph (graph.Graph.Arc; ArcHead
+	// maps it back) — Def. 4, and the raw material of the read sets R_p
+	// of Defs. 7-9, which are sets of p's arcs; bits is the memory p read
+	// in it, each (neighbor, kind, variable) counted once (Def. 5), and
+	// fired is the executed action index (-1 for a selected-but-disabled
+	// process). step is the selection's step when times is 1; a counted
+	// batch carries the simulator's step count at delivery. neighbors is
 	// engine-owned and only valid during the call.
 	Selected(step, p int, neighbors []int, bits, fired, times int)
 	// CommWrite fires when p's communication variable v changes from old
@@ -55,25 +58,31 @@ type Observer interface {
 // its variable s (communication variables first, then constants) as
 // already counted. Bumping gen invalidates both tables at once. The
 // tables start empty and grow to the highest port read, so a topology
-// event that raises a degree needs no resizing hook.
+// event that raises a degree needs no resizing hook. A neighbor is
+// listed by its base arc (graph.Graph.Arc), taken once, on its first
+// read.
 type readAgg struct {
 	slots int
 	gen   uint32
 	port  []uint32
 	slot  []uint32
 
-	qs   []int // distinct neighbors read, in first-read order
+	g *graph.Graph // the graph arcs are taken from
+	p int          // the process being evaluated
+
+	arcs []int // base arcs of the distinct neighbors read, in first-read order
 	bits int   // bits read, each (neighbor, kind, variable) once
 }
 
 // newReadAgg returns an aggregator for evaluations over sys. Call begin
 // before the first evaluation: generation 0 is the tables' zero value.
 func newReadAgg(sys *System) readAgg {
-	return readAgg{slots: sys.wc + sys.lc}
+	return readAgg{slots: sys.wc + sys.lc, g: sys.g}
 }
 
-// begin starts the aggregate of the next evaluation.
-func (a *readAgg) begin() {
+// begin starts the aggregate of the next evaluation, of process p.
+func (a *readAgg) begin(p int) {
+	a.p = p
 	a.gen++
 	if a.gen == 0 {
 		// The stamp wrapped: entries written 2³² evaluations ago would
@@ -82,19 +91,19 @@ func (a *readAgg) begin() {
 		clear(a.slot)
 		a.gen = 1
 	}
-	a.qs = a.qs[:0]
+	a.arcs = a.arcs[:0]
 	a.bits = 0
 }
 
-// note folds one read of variable slot s (bits wide) of neighbor q
+// note folds one read of variable slot s (bits wide) of the neighbor
 // behind port.
-func (a *readAgg) note(port, q, s, bits int) {
+func (a *readAgg) note(port, s, bits int) {
 	if port >= len(a.port) {
 		a.grow(port + 1)
 	}
 	if a.port[port] != a.gen {
 		a.port[port] = a.gen
-		a.qs = append(a.qs, q)
+		a.arcs = append(a.arcs, a.g.Arc(a.p, port))
 	}
 	if i := port*a.slots + s; a.slot[i] != a.gen {
 		a.slot[i] = a.gen
@@ -104,13 +113,13 @@ func (a *readAgg) note(port, q, s, bits int) {
 
 // grow widens the tables to at least ports entries, keeping the stamps
 // of the evaluation in progress (rows are port-major, so they stay in
-// place). qs gets the same capacity: an evaluation lists each port at
+// place). arcs gets the same capacity: an evaluation lists each port at
 // most once, so note's append never allocates.
 func (a *readAgg) grow(ports int) {
 	ports = max(ports, 2*len(a.port))
 	a.port = append(make([]uint32, 0, ports), a.port...)[:ports]
 	a.slot = append(make([]uint32, 0, ports*a.slots), a.slot...)[:ports*a.slots]
-	a.qs = append(make([]int, 0, ports), a.qs...)
+	a.arcs = append(make([]int, 0, ports), a.arcs...)
 }
 
 // View answers the neighbor reads of the process a Ctx is aimed at
@@ -276,7 +285,7 @@ func (c *Ctx) NeighborComm(port, v int) int {
 	}
 	q := int(c.nbr[port-1])
 	if c.agg != nil {
-		c.agg.note(port, q, v, c.sys.commBit(q, v))
+		c.agg.note(port, v, c.sys.commBit(q, v))
 	}
 	return int(c.pre.commRow(q)[v])
 }
@@ -290,7 +299,7 @@ func (c *Ctx) NeighborConst(port, v int) int {
 	}
 	q := int(c.nbr[port-1])
 	if c.agg != nil {
-		c.agg.note(port, q, c.sys.wc+v, c.sys.constBit(q, v))
+		c.agg.note(port, c.sys.wc+v, c.sys.constBit(q, v))
 	}
 	return c.sys.Const(q, v)
 }

@@ -33,13 +33,20 @@ import (
 // net is the reference's own picture of the network: the neighbor behind
 // each port of each process, seeded once from a system's graph, the
 // seeded lists a joining process gets its edges back from, which
-// processes are crashed, and each process's variable domains, the
-// variables' at its live degree and the constants' at its seeded one.
+// processes are crashed, each process's variable domains, the variables'
+// at its live degree and the constants' at its seeded one, and the
+// numbering of the arcs model.Observer.Selected names neighbors by.
 type net struct {
 	sys     *model.System
 	ports   [][]int // ports[p][i] is the neighbor behind port i+1 of p
 	base    [][]int
 	crashed []bool
+
+	// The arc (p, q) is arcStart[p] plus q's index in arcRow[p]: the
+	// graph's RowStart and BaseRow, which no topology event moves, taken
+	// once, so no arc comes from the engine's port bookkeeping.
+	arcStart []int
+	arcRow   [][]int32
 
 	commDom, internalDom, constDom [][]int
 }
@@ -51,6 +58,8 @@ func newNet(sys *model.System) *net {
 	for p := range g.N() {
 		n.ports = append(n.ports, g.Neighbors(p))
 		n.base = append(n.base, g.Neighbors(p))
+		n.arcStart = append(n.arcStart, g.RowStart(p))
+		n.arcRow = append(n.arcRow, g.BaseRow(p))
 		n.commDom = append(n.commDom, nil)
 		n.internalDom = append(n.internalDom, nil)
 		n.refresh(p)
@@ -102,13 +111,14 @@ func (n *net) link(u, v int) {
 
 // reads is the view one evaluation reads its neighbors through. It finds
 // each neighbor in the network's port lists and its state in cfg, and
-// records what model.Observer.Selected carries: the distinct neighbors
-// read, in first-read order, and the bits read, each (neighbor, kind,
-// variable) counted once at model.BitsFor of the network's domain.
+// records what model.Observer.Selected carries: the arcs of the distinct
+// neighbors read, in first-read order, and the bits read, each
+// (neighbor, kind, variable) counted once at model.BitsFor of the
+// network's domain.
 type reads struct {
 	n    *net
 	cfg  *model.Config
-	qs   []int
+	arcs []int
 	seen map[string]bool
 	bits int
 }
@@ -117,9 +127,10 @@ type reads struct {
 // read of its variable v of kind ("comm" or "const"), whose domain is
 // dom[q][v].
 func (r *reads) read(c *model.Ctx, port int, kind string, v int, dom [][]int) int {
-	q := r.n.ports[c.P()][port-1]
-	if !slices.Contains(r.qs, q) {
-		r.qs = append(r.qs, q)
+	p := c.P()
+	q := r.n.ports[p][port-1]
+	if a := r.n.arcStart[p] + slices.Index(r.n.arcRow[p], int32(q)); !slices.Contains(r.arcs, a) {
+		r.arcs = append(r.arcs, a)
 	}
 	if k := fmt.Sprint(q, kind, v); !r.seen[k] {
 		r.seen[k] = true
@@ -212,7 +223,7 @@ func (n *net) step(cfg *model.Config, selected []int, step int, randFor func(p i
 		action, rd := n.evaluate(cfg, p, comms[i], internals[i], true, r)
 		fired[i] = action
 		if obs != nil {
-			obs.Selected(step, p, rd.qs, rd.bits, action, 1)
+			obs.Selected(step, p, rd.arcs, rd.bits, action, 1)
 		}
 	}
 	for i, p := range selected {

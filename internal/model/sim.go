@@ -196,18 +196,18 @@ type Simulator struct {
 	// Disabled replays, at any phase of a run. A step evaluation that
 	// finds p disabled hands the tracker a stepped verdict (judgeDisabled),
 	// and with an observer attached keeps what the evaluation read: the
-	// distinct neighbors at disReads[RowStart(p):], disSeen[p].n of them,
-	// and disSeen[p].bits. Guards are predicates over p's own state and
-	// its neighbors' communication rows, so the verdict and the reads both
-	// hold until the dirty rule drops the verdict; until then a selection
-	// of p only counts a replay (executeStep). The replays reach the
-	// observer the silent-phase memo's way: p joins memoPending as
-	// memoRef{p, -1} and memoFlush delivers one counted Selected call, as
-	// does deliverDisabled before p is evaluated again, when the reads are
-	// about to be overwritten. Both tables are sized by the first kept
-	// evaluation on a system, so a run where no recorded selection finds a
-	// process disabled has none, and a Reset to another system keeps their
-	// storage for the next.
+	// base arcs of the distinct neighbors at disReads[RowStart(p):],
+	// disSeen[p].n of them, and disSeen[p].bits. Guards are predicates
+	// over p's own state and its neighbors' communication rows, so the
+	// verdict and the reads both hold until the dirty rule drops the
+	// verdict; until then a selection of p only counts a replay
+	// (executeStep). The replays reach the observer the silent-phase
+	// memo's way: p joins memoPending as memoRef{p, -1} and memoFlush
+	// delivers one counted Selected call, as does deliverDisabled before p
+	// is evaluated again, when the reads are about to be overwritten. Both
+	// tables are sized by the first kept evaluation on a system, so a run
+	// where no recorded selection finds a process disabled has none, and a
+	// Reset to another system keeps their storage for the next.
 	disReads []int
 	disSeen  []disabledSeen
 
@@ -245,17 +245,17 @@ type disabledSeen struct {
 }
 
 // silentEntry memoizes one silent-phase transition of a process: in
-// internal state `state`, the process reads the distinct neighbors qs
-// for `bits` bits in total (the Observer.Selected aggregate), fires
-// action `fired` and moves to internal state `next`, whose own
-// entry is number succ-1 of the process's list (0 until a replay finds
-// it captured). hits counts the replays the observer has not been told
-// of.
+// internal state `state`, the process reads the distinct neighbors whose
+// base arcs are arcs for `bits` bits in total (the Observer.Selected
+// aggregate), fires action `fired` and moves to internal state `next`,
+// whose own entry is number succ-1 of the process's list (0 until a
+// replay finds it captured). hits counts the replays the observer has
+// not been told of.
 type silentEntry struct {
 	state []int32
 	next  []int32
 	fired int
-	qs    []int
+	arcs  []int
 	bits  int
 	succ  int32
 	hits  int
@@ -769,7 +769,7 @@ func (s *Simulator) memoFlush() {
 			continue
 		}
 		e := &s.memoEntries[ref.p][ref.i]
-		s.obs.Selected(s.step, int(ref.p), e.qs, e.bits, e.fired, e.hits)
+		s.obs.Selected(s.step, int(ref.p), e.arcs, e.bits, e.fired, e.hits)
 		e.hits = 0
 	}
 	s.memoPending = kept
@@ -1015,7 +1015,7 @@ func (s *Simulator) memoExec(p int) {
 	// serves every selection of the step.
 	f, staged := a.eval(s.cfg, p, 0, s.obs != nil)
 	if s.obs != nil {
-		s.obs.Selected(s.step, p, a.agg.qs, a.agg.bits, f, 1)
+		s.obs.Selected(s.step, p, a.agg.arcs, a.agg.bits, f, 1)
 	}
 	if f < 0 {
 		// A disabled process stays put while the configuration is silent:
@@ -1032,7 +1032,7 @@ func (s *Simulator) memoExec(p int) {
 		s.memoUsed = true
 		e.next = append(e.next[:0], s.cfg.internalRow(p)...)
 		e.fired = f
-		e.qs = append(e.qs[:0], a.agg.qs...)
+		e.arcs = append(e.arcs[:0], a.agg.arcs...)
 		e.bits = a.agg.bits
 		e.succ, e.hits = 0, 0
 	}
@@ -1063,9 +1063,9 @@ func (s *Simulator) keepDisabled(p int) {
 		s.disSeen = slices.Grow(s.disSeen, g.N())[:g.N()]
 	}
 	agg := &s.arena.agg
-	copy(s.disReads[g.RowStart(p):], agg.qs)
+	copy(s.disReads[g.RowStart(p):], agg.arcs)
 	e := &s.disSeen[p]
-	e.n, e.bits = int32(len(agg.qs)), int32(agg.bits)
+	e.n, e.bits = int32(len(agg.arcs)), int32(agg.bits)
 	if s.allSel {
 		if e.pend == 0 {
 			s.memoPending = append(s.memoPending, memoRef{int32(p), -1})
@@ -1242,7 +1242,7 @@ func (s *Simulator) countApply(p, stage int) {
 			if i < r {
 				hits++
 			}
-			s.obs.Selected(s.step, p, agg.qs, agg.bits, f, hits)
+			s.obs.Selected(s.step, p, agg.arcs, agg.bits, f, hits)
 			if i+1 == r && k > n {
 				copy(s.cntLand, row)
 			}

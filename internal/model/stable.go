@@ -34,7 +34,7 @@ func EventualReadSets(sys *System, cfg *Config) ([][]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("model: eventual reads of process %d: %w", p, err)
 		}
-		agg.begin()
+		agg.begin(p)
 		c.agg = &agg
 		if period == 0 {
 			firstEnabled(c)
@@ -42,7 +42,10 @@ func EventualReadSets(sys *System, cfg *Config) ([][]int, error) {
 		for range period {
 			o.transition(cfg, p)
 		}
-		out[p] = append(make([]int, 0, len(agg.qs)), agg.qs...)
+		out[p] = make([]int, len(agg.arcs))
+		for i, a := range agg.arcs {
+			out[p][i] = sys.g.ArcHead(a)
+		}
 		slices.Sort(out[p])
 	}
 	return out, nil

@@ -73,7 +73,7 @@ func TestResetMidStepResize(t *testing.T) {
 		t.Fatalf("post-resize report = %+v, want %+v", rep, want)
 	}
 	for p, want := range []int{1, 0, 0} {
-		if got := rec.suffixSize(p); got != want {
+		if got := int(rec.size[p]); got != want {
 			t.Fatalf("post-resize |R_%d| = %d, want %d", p, got, want)
 		}
 	}
@@ -220,19 +220,19 @@ func TestReadDedupAcrossSteps(t *testing.T) {
 }
 
 // fullReadStep returns one full-read step on a high-degree process as the
-// recorder sees it: one Selected carrying every neighbor, between
+// recorder sees it: one Selected carrying an arc per neighbor, between
 // StepBegin and StepEnd.
 func fullReadStep() func(step int) {
 	const n = 64
 	rec := NewRecorder(n)
-	neighbors := make([]int, 0, n-1)
-	for q := 1; q < n; q++ {
-		neighbors = append(neighbors, q)
+	arcs := make([]int, 0, n-1)
+	for a := 1; a < n; a++ {
+		arcs = append(arcs, a)
 	}
 	selected := []int{0}
 	return func(step int) {
 		rec.StepBegin(step, selected)
-		rec.Selected(step, 0, neighbors, 6*(n-1), 0, 1)
+		rec.Selected(step, 0, arcs, 6*(n-1), 0, 1)
 		rec.StepEnd(step, selected, false)
 	}
 }
@@ -260,16 +260,16 @@ func TestRecorderReadFullStepZeroAlloc(t *testing.T) {
 // leaves the recorder where k calls with times = 1 do — the contract the
 // simulator's counted silent-phase replays rest on — for moves and
 // disabled selections, with and without reads, before and after a
-// MarkSuffix, on the dense and the sparse read-set forms.
+// MarkSuffix. The arcs of distinct processes are distinct, as a graph's
+// are.
 func TestSelectedTimesEqualsRepeatedCalls(t *testing.T) {
-	saved := sparseThreshold
-	defer func() { sparseThreshold = saved }()
+	t.Parallel()
 	type call struct {
-		p         int
-		neighbors []int
-		bits      int
-		fired     int
-		times     int
+		p     int
+		arcs  []int
+		bits  int
+		fired int
+		times int
 	}
 	cases := []struct {
 		name  string
@@ -287,25 +287,21 @@ func TestSelectedTimesEqualsRepeatedCalls(t *testing.T) {
 		}},
 	}
 	const n = 5
-	for _, threshold := range []int{saved, 0} {
-		sparseThreshold = threshold
-		for _, tc := range cases {
-			for _, mark := range []int{-1, 0, 1} { // MarkSuffix before call number mark
-				batched, single := NewRecorder(n), NewRecorder(n)
-				for i, c := range tc.calls {
-					if i == mark {
-						batched.MarkSuffix()
-						single.MarkSuffix()
-					}
-					batched.Selected(i, c.p, c.neighbors, c.bits, c.fired, c.times)
-					for k := 0; k < c.times; k++ {
-						single.Selected(i, c.p, c.neighbors, c.bits, c.fired, 1)
-					}
+	for _, tc := range cases {
+		for _, mark := range []int{-1, 0, 1} { // MarkSuffix before call number mark
+			batched, single := NewRecorder(n), NewRecorder(n)
+			for i, c := range tc.calls {
+				if i == mark {
+					batched.MarkSuffix()
+					single.MarkSuffix()
 				}
-				if got, want := batched.Report(), single.Report(); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s (sparse threshold %d, mark %d): times = k reports\n%+v\nk calls report\n%+v",
-						tc.name, threshold, mark, got, want)
+				batched.Selected(i, c.p, c.arcs, c.bits, c.fired, c.times)
+				for k := 0; k < c.times; k++ {
+					single.Selected(i, c.p, c.arcs, c.bits, c.fired, 1)
 				}
+			}
+			if got, want := batched.Report(), single.Report(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (mark %d): times = k reports\n%+v\nk calls report\n%+v", tc.name, mark, got, want)
 			}
 		}
 	}

@@ -11,42 +11,14 @@
 //     suffix is the whole recording).
 //
 // Recorder implements model.Observer; attach one to a Simulator and read
-// the Report afterwards. The report carries the read sets as a histogram
-// of their sizes, which is all the stability count needs, so it costs
-// O(Δ) however many processes there are.
+// the Report afterwards. The engine names each neighbor read by its base
+// arc (graph.Graph.Arc), so the read sets are one bit per arc of the
+// graph and a size per process, at every n. The report carries them as a
+// histogram of their sizes, which is all the stability count needs, so
+// it costs O(Δ) however many processes there are.
 package trace
 
-import (
-	"fmt"
-	"math"
-	"slices"
-
-	"repro/internal/bitset"
-	"repro/internal/model"
-)
-
-// sparseThreshold bounds the systems whose read sets are kept as dense
-// n-bit bitsets. A process only ever reads its neighbors, so every read
-// set R_p has at most degree(p) members — yet the dense representation
-// charges n bits per process, O(n²) bytes per recorder, which is the
-// memory wall at large n (10⁶ processes ≈ 125 GB). Above the threshold
-// the recorder keeps every read set in one int32 slab (see
-// Recorder.runs): O(Σ degree) memory total and O(degree) per insertion,
-// which is what makes million-process recordings fit in RAM. Both
-// representations produce identical reports
-// (TestSparseRecorderMatchesDense); it is a var only so tests can force
-// the sparse path at small n.
-//
-// Ablated in PR 13, with insertion down to one probe per distinct
-// neighbor: sparse-always (threshold 0) ran the 19-experiment registry
-// at 50 trials in 0.638 s against 0.611 s dense (+4 %, 2 of 10
-// alternating pairs won), so the dense form keeps its place below the
-// threshold.
-var sparseThreshold = 4096
-
-// firstRow is the room of a process's first run in the sparse slab: a
-// read set of up to firstRow members (every one at Δ ≤ 4) never moves.
-const firstRow = 4
+import "repro/internal/model"
 
 // Recorder accumulates read/step/move statistics for one execution. The
 // engine delivers each selection's reads already folded (distinct
@@ -59,21 +31,19 @@ const firstRow = 4
 // executions through one recorder per worker.
 //
 // The only per-process state is the read set R_p since the last
-// MarkSuffix (or Reset): ♦-(x,k)-stability needs nothing else.
+// MarkSuffix (or Reset): ♦-(x,k)-stability needs nothing else. R_p is a
+// set of p's arcs (the engine names each neighbor read by its base arc,
+// see model.Observer.Selected), and arcs of distinct processes are
+// distinct, so every read set lives in one bitset over arcs, read, with
+// its size in size[p]: a bit per arc and four bytes per process, 4.5 B
+// per process at Δ = 4, whatever n is. The bitset grows to the highest
+// arc read and keeps its storage across MarkSuffix and Reset.
 type Recorder struct {
-	n      int
-	sparse bool // n > sparseThreshold: slab-backed read sets
-
 	maxStepReads int // max distinct neighbors any process read in one step
 	maxStepBits  int // max bits any process read in one step
 
-	read []*bitset.Set // dense form: read[p] = R_p
-	// runs and slab are the sparse form: R_p is slab[runs[p].off:][:runs[p].len],
-	// each member once. Every process starts in its first row,
-	// slab[p*firstRow:(p+1)*firstRow]; a run that fills up moves to the
-	// slab's end with twice its room (see add).
-	runs []run
-	slab []int32
+	read []uint64 // bit a set: arc a is in R_p of the process that owns it
+	size []int32  // size[p] = |R_p|, one entry per process
 
 	totalBits          int64
 	totalReads         int64 // distinct (process, neighbor) reads summed over steps
@@ -92,13 +62,6 @@ type Recorder struct {
 	suffixMoves      int64
 }
 
-// run addresses one process's read set in the sparse slab. A run in its
-// first row has room for firstRow members; a moved run was given twice
-// the members it held, a power of two, and then one more, so it holds
-// more than half its room and is full exactly when len is a power of
-// two.
-type run struct{ off, len int32 }
-
 // NewRecorder returns a Recorder for n processes.
 func NewRecorder(n int) *Recorder {
 	r := &Recorder{}
@@ -110,23 +73,8 @@ func NewRecorder(n int) *Recorder {
 // reusing every allocation when n is unchanged. Statistics, read sets and
 // the suffix mark are all cleared.
 func (r *Recorder) Reset(n int) {
-	sparse := n > sparseThreshold
-	if n != r.n || sparse != r.sparse {
-		r.n, r.sparse = n, sparse
-		if sparse {
-			if n > math.MaxInt32/firstRow {
-				panic(fmt.Sprintf("trace: %d processes overflow the read-set slab", n))
-			}
-			r.read = nil
-			r.runs = make([]run, n)
-			r.slab = make([]int32, n*firstRow)
-		} else {
-			r.runs, r.slab = nil, nil
-			r.read = make([]*bitset.Set, n)
-			for p := range r.read {
-				r.read[p] = bitset.New(n)
-			}
-		}
+	if n != len(r.size) {
+		r.read, r.size = nil, make([]int32, n)
 	}
 	r.clearReadSets()
 	r.maxStepReads, r.maxStepBits = 0, 0
@@ -136,19 +84,10 @@ func (r *Recorder) Reset(n int) {
 	r.clearSuffixCounts()
 }
 
-// clearReadSets empties every R_p; the sparse form puts every run back
-// in its first row and drops the moved ones, keeping the slab's storage.
+// clearReadSets empties every R_p.
 func (r *Recorder) clearReadSets() {
-	if !r.sparse {
-		for _, set := range r.read {
-			set.Clear()
-		}
-		return
-	}
-	for p := range r.runs {
-		r.runs[p] = run{off: int32(p * firstRow)}
-	}
-	r.slab = r.slab[:r.n*firstRow]
+	clear(r.read)
+	clear(r.size)
 }
 
 func (r *Recorder) clearSuffixCounts() {
@@ -159,42 +98,6 @@ func (r *Recorder) clearSuffixCounts() {
 
 var _ model.Observer = (*Recorder)(nil)
 
-// add puts q into the sparse read set of p if it is absent. Read sets
-// only ever hold neighbors of one process, so the dedup scan is
-// O(degree), never O(n). A full run moves to the slab's end with twice
-// its room; the run it leaves is dead until the next MarkSuffix or
-// Reset rewinds the slab.
-func (r *Recorder) add(p int, q int32) {
-	rn := &r.runs[p]
-	members := r.slab[rn.off : rn.off+rn.len]
-	if slices.Contains(members, q) {
-		return
-	}
-	full := rn.len == firstRow
-	if int(rn.off) >= r.n*firstRow {
-		full = rn.len&(rn.len-1) == 0
-	}
-	if full {
-		off := len(r.slab)
-		if off+2*len(members) > math.MaxInt32 {
-			panic("trace: read-set slab exceeds 2³¹ − 1 members")
-		}
-		r.slab = slices.Grow(r.slab, 2*len(members))[:off+2*len(members)]
-		copy(r.slab[off:], members)
-		rn.off = int32(off)
-	}
-	r.slab[rn.off+rn.len] = q
-	rn.len++
-}
-
-// suffixSize returns |R_p| since the last MarkSuffix.
-func (r *Recorder) suffixSize(p int) int {
-	if r.sparse {
-		return int(r.runs[p].len)
-	}
-	return r.read[p].Count()
-}
-
 // StepBegin implements model.Observer.
 func (r *Recorder) StepBegin(_ int, selected []int) {
 	r.selections += int64(len(selected))
@@ -202,11 +105,11 @@ func (r *Recorder) StepBegin(_ int, selected []int) {
 }
 
 // Selected implements model.Observer: times selections of p, each of
-// which read the given distinct neighbors for bits bits and fired
-// action `fired`. Counters scale by times, maxima compare and set
-// insertions are idempotent, so a batch of counted replays folds to
+// which read the distinct neighbors behind the given arcs for bits bits
+// and fired action `fired`. Counters scale by times, maxima compare and
+// set insertions are idempotent, so a batch of counted replays folds to
 // what that many single calls would.
-func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired, times int) {
+func (r *Recorder) Selected(_, p int, arcs []int, bits, fired, times int) {
 	t := int64(times)
 	if fired >= 0 {
 		r.moves += t
@@ -214,7 +117,7 @@ func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired, times int) {
 	} else {
 		r.disabledSelections += t
 	}
-	reads := len(neighbors)
+	reads := len(arcs)
 	if reads == 0 {
 		return
 	}
@@ -224,15 +127,15 @@ func (r *Recorder) Selected(_, p int, neighbors []int, bits, fired, times int) {
 	r.maxStepBits = max(r.maxStepBits, bits)
 	r.totalBits += int64(bits) * t
 	r.suffixBits += int64(bits) * t
-	if r.sparse {
-		for _, q := range neighbors {
-			r.add(p, int32(q))
+	for _, a := range arcs {
+		w, b := a>>6, uint64(1)<<(a&63)
+		if w >= len(r.read) {
+			r.read = append(r.read, make([]uint64, w+1-len(r.read))...)
 		}
-		return
-	}
-	set := r.read[p]
-	for _, q := range neighbors {
-		set.Add(q)
+		if r.read[w]&b == 0 {
+			r.read[w] |= b
+			r.size[p]++
+		}
 	}
 }
 
@@ -312,7 +215,7 @@ func (r *Recorder) Report() Report {
 // reporting path (Report is the allocating convenience form).
 func (r *Recorder) ReportInto(rep *Report) {
 	*rep = Report{
-		N:                  r.n,
+		N:                  len(r.size),
 		Steps:              r.steps,
 		Rounds:             r.rounds,
 		Moves:              r.moves,
@@ -331,9 +234,8 @@ func (r *Recorder) ReportInto(rep *Report) {
 		SuffixSelections:   r.suffixSelections,
 		SuffixMoves:        r.suffixMoves,
 	}
-	for p := 0; p < r.n; p++ {
-		size := r.suffixSize(p)
-		for len(rep.SuffixReadSetHist) <= size {
+	for _, size := range r.size {
+		for len(rep.SuffixReadSetHist) <= int(size) {
 			rep.SuffixReadSetHist = append(rep.SuffixReadSetHist, 0)
 		}
 		rep.SuffixReadSetHist[size]++

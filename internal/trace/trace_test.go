@@ -171,7 +171,7 @@ func TestSuffixTracking(t *testing.T) {
 		t.Fatal("MarkSuffix did not reset suffix steps")
 	}
 	for p := 0; p < g.N(); p++ {
-		if s := rec.suffixSize(p); s != 0 {
+		if s := int(rec.size[p]); s != 0 {
 			t.Fatalf("suffix read set of %d not cleared: %d", p, s)
 		}
 	}
@@ -185,7 +185,7 @@ func TestSuffixTracking(t *testing.T) {
 	}
 	// Every process was selected in the suffix and read its neighbor.
 	for p := 0; p < g.N(); p++ {
-		if s := rec.suffixSize(p); s != 1 {
+		if s := int(rec.size[p]); s != 1 {
 			t.Fatalf("suffix read set of %d has %d members, want 1", p, s)
 		}
 	}

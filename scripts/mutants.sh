@@ -23,9 +23,9 @@ tar -C "$ROOT" --exclude=./.git --exclude=./bench/out -cf - . | tar -C "$TREE" -
 MUTATIONS=(
 	"memoFlush dropped from Step|internal/model/sim.go|||s~selected := s.advance\(\)\n\ts.memoFlush\(\)\n~selected := s.advance()\n~"
 	"tracker.Invalidate skipped in moved|internal/model/sim.go|||s~\n\ts.tracker.Invalidate\(p\)\n\tif commChanged \{~\n\tif commChanged {~"
-	"NeighborComm reads port+1|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port])\$1~"
+	"NeighborComm reads port+1|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, v,)~q := int(c.nbr[port])\$1~"
 	"second writer skipped in executeStep's commit walk|internal/model/arena.go|||s~\t\tcommChanged\[i\] = a.commit\(cfg, selected\[i\], k, s.step, obs\)\n~\t\tif k != 1 {\n\t\t\tcommChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)\n\t\t}\n~"
-	"NeighborComm port row rotated in range|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, q, v,)~q := int(c.nbr[port%len(c.nbr)])\$1~"
+	"NeighborComm port row rotated in range|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, v,)~q := int(c.nbr[port%len(c.nbr)])\$1~"
 	"removeHalf skips the moved neighbor's back pointer|internal/graph/dynamic.go|||s~\t\tg.backRow\(int\(row\[i\]\)\)\[g.backIndex\(p, i\)\] = narrowBack\(i\)\n~~"
 	"memoApply lands p one entry short|internal/model/sim.go|||s~\tland := off \+ r\n~\tland := (off + r + n - 1) % n\n~"
 	"SilentNow's disabled shortcut trusts a stale verdict|internal/model/sim.go|||s~t.valid\[p\] != verdictStale && t.action\[p\] < 0~t.action[p] < 0~"
@@ -33,6 +33,8 @@ MUTATIONS=(
 	"neighborsDirty leaves a neighbor's count running|internal/model/sim.go|||s~\t\ts.countForget\(int\(q\)\)\n~~"
 	"an invalidated stepped verdict leaves its process off the live set|internal/model/sim.go|||s~(valid\[p\] == verdictStepped \{\n)\t\ts.live\[p>>6\] \|= 1 << \(p & 63\)\n~\$1~"
 	"a writer-forced settle's epoch count leaves out the current step|internal/model/arena.go|||s~\t\t\t\ts.countApply\(int\(q\), len\(writers\)\)\n~\t\t\t\ts.selStamp--\n\t\t\t\ts.countApply(int(q), len(writers))\n\t\t\t\ts.selStamp++\n~"
+	"Arc returns the live slot on a dynamic graph|internal/graph/graph.go|internal/trace|^TestArcReadSetsUnderChurn\$|s~\t\treturn int\(g.dyn.arc\[i\]\)\n~\t\treturn i\n~"
+	"Recorder counts an arc already in R_p again|internal/trace/trace.go|internal/trace|^TestArcReadSetsUnderChurn\$|s~\t\tif r.read\[w\]&b == 0 \{~\t\t{~"
 	"MIS's predicate accepts a dominated process with no Dominator neighbor|internal/protocols/mis/mis.go|internal/verify|^TestLegitimateMatchesOracle\$|s~\n\treturn dominator\n\}~\n\treturn true\n}~"
 	"MATCHING's predicate accepts a stale M flag|internal/protocols/matching/matching.go|internal/verify|^TestLegitimateMatchesOracle\$|s~\tif married != \(cfg.Comm\(p, VarM\) == 1\) \{\n\t\treturn false\n\t\}\n~~"
 	"MIS's First skips C.(cur) for a dominated p whose cur neighbor is a Dominator|internal/protocols/mis/mis.go|internal/verify|^TestFirstMatchesGuards\$|s~\t\} else \{\n\t\tcq, cp := ~\t} else if own == Dominator {\n\t\tcq, cp := ~"
