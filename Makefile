@@ -57,7 +57,7 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
 
-# Mutation check: scripts/mutants.sh applies eighteen named mutations,
+# Mutation check: scripts/mutants.sh applies twenty named mutations,
 # one at a time, to a temporary copy of the tree. Twelve are engine ones
 # (a dropped replay flush, a skipped tracker invalidation, a port row
 # rotated in range, which only a reference with its own neighbor reads
@@ -69,10 +69,13 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 # that counts an arc twice), and internal/trace's
 # TestArcReadSetsUnderChurn must catch them. Two weaken the MIS and
 # MATCHING legitimacy predicates, and internal/verify's equivalence test
-# against the old whole-configuration predicates must catch them. Two
-# make MIS's and MATCHING's one-pass decisions (Spec.First) depart from
-# their guards, and internal/verify's TestFirstMatchesGuards must catch
-# them. A pattern that no longer applies fails the target.
+# against the old whole-configuration predicates must catch them. Three
+# make MIS's, MATCHING's and the BFS tree's one-pass decisions
+# (Spec.First) depart from their guards or their statement, and
+# internal/verify's TestFirstMatchesGuards must catch them. One keeps
+# First's hand-off to the statement (Ctx.Keep) alive past its
+# evaluation, and internal/model's TestHandoffIsPerEvaluation must catch
+# it. A pattern that no longer applies fails the target.
 MUTANTS_DIR ?= /tmp/mutants
 mutants: ## Engine and predicate mutations the tests must each catch
 	bash scripts/mutants.sh $(MUTANTS_DIR)

@@ -81,9 +81,12 @@ func BenchmarkSilentSuffix(b *testing.B) {
 // random-subset the distributed daemon on torus-20x20 with no observer.
 // The mis-* and matching-* rows run MIS and MATCHING on torus-20x20 with
 // no observer, under random-subset and under laziest-fair, whose tracker
-// re-evaluates every process a step dirties. With the COLORING rows
-// they give each one-pass decision (Spec.First) a row of its own. Every
-// iteration starts from the same configuration on a reused simulator.
+// re-evaluates every process a step dirties. The bfstree-* rows run the
+// BFS tree, rooted at process 0, on the benchmark campaign's two heaviest
+// BFS cells: cycle-256 under central-random and grid-20x20 under
+// random-subset, with no observer. With the COLORING rows they give each
+// one-pass decision (Spec.First) a row of its own. Every iteration starts
+// from the same configuration on a reused simulator.
 func BenchmarkConvergence(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -98,6 +101,8 @@ func BenchmarkConvergence(b *testing.B) {
 		{"mis-laziest-fair", engine.FamMIS, graph.Torus(20, 20), "laziest-fair", false},
 		{"matching-random-subset", engine.FamMatching, graph.Torus(20, 20), "random-subset", false},
 		{"matching-laziest-fair", engine.FamMatching, graph.Torus(20, 20), "laziest-fair", false},
+		{"bfstree-central-random", engine.FamBFSTree, graph.Cycle(256), "central-random", false},
+		{"bfstree-random-subset", engine.FamBFSTree, graph.Grid(20, 20), "random-subset", false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			sys, err := engine.Build(c.g, c.family, nil)

@@ -189,6 +189,11 @@ type Ctx struct {
 	// full-read protocols performs no heap allocation.
 	scratch    []int
 	scratchOff int
+
+	// What Spec.First handed to the Apply body of the same evaluation
+	// (see Keep); firstEnabled clears kept before every evaluation.
+	keptA, keptB int
+	kept         bool
 }
 
 // Scratch returns a length-n scratch slice for protocol bodies that
@@ -208,6 +213,19 @@ func (c *Ctx) Scratch(n int) []int {
 	c.scratchOff = end
 	return c.scratch[off:end:end]
 }
+
+// Keep hands a and b from Spec.First to the Apply body of the action it
+// returns, which reads them with Kept: values First computed in its pass
+// over the neighbors (the BFS tree's minimum distance and its port) that
+// the statement would otherwise compute again. It is not a write: First
+// may call it, as may any body, and nothing but Kept sees it.
+func (c *Ctx) Keep(a, b int) { c.keptA, c.keptB, c.kept = a, b, true }
+
+// Kept returns what First kept in the evaluation under way, with ok
+// false when it kept nothing: every engine evaluation starts with the
+// hand-off empty, and Evaluate's guard walk, which calls no First, leaves
+// it so. An Apply body that uses it must write what it writes without it.
+func (c *Ctx) Kept() (a, b int, ok bool) { return c.keptA, c.keptB, c.kept }
 
 // aim points the context at process p of cfg, as every reused context
 // is before it evaluates p: neighbor reads resolve against cfg through

@@ -105,9 +105,11 @@ const (
 // MutableCopy a valid graph and configuration.
 //
 // The simulator decides every evaluation with the spec's First where it
-// declares one (COLORING, MIS and MATCHING), and the reference walks the
+// declares one (COLORING, MIS, MATCHING and the BFS tree, whose relax
+// statement then takes First's hand-off), and the reference walks the
 // guards (model.Evaluate), so each case of those protocols also checks
-// First against the guards on every state the stream reaches.
+// First and the hand-off against the guards and the statement on every
+// state the stream reaches.
 //
 // The committed corpus under testdata/fuzz holds the cases of the
 // equivalence tests it replaced, one file per system, daemon and seed,

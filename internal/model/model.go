@@ -62,7 +62,14 @@
 // CommSilent, ProcessSilent and EventualReadSets) and StepProcess.
 // Evaluate alone walks the guards, so the reference semantics in
 // internal/model/ref, and every test that compares the simulator with it,
-// checks First against them.
+// checks First against them. First may also hand the Apply body that
+// follows it what its pass found (Ctx.Keep and Ctx.Kept): the BFS tree's
+// relax statement takes the minimum distance and its port from First
+// instead of scanning the neighbors again. firstEnabled empties the
+// hand-off before every evaluation, so an Apply run after a guard walk
+// (Evaluate's, or a transformed spec's) finds it empty and computes what
+// it needs itself; its reads repeat the decision's, which a read set
+// counts once either way.
 //
 // # Enabledness invalidation invariant
 //
@@ -172,7 +179,11 @@ type Spec struct {
 	//     NeighborConst and BackPort, each once or more), so every read set
 	//     and bit count is the guard walk's;
 	//   - it does not write and does not draw (Ctx.SetComm, SetInternal
-	//     and Rand panic in it, as in a guard).
+	//     and Rand panic in it, as in a guard);
+	//   - it may hand what its pass computed to the Apply body of the
+	//     action it returns (Ctx.Keep, read with Ctx.Kept), and an Apply
+	//     that uses the hand-off makes the same writes as it makes
+	//     without it, which is what it gets after a guard walk.
 	// Every engine evaluation calls it in place of the guards; Evaluate,
 	// and so the reference semantics, keeps walking the guards, which stay
 	// the definition. A spec derived by dropping or wrapping actions must

@@ -9,7 +9,9 @@ import (
 // firstEnabled returns the index of p's first enabled action, or -1 if
 // p is disabled, against ctx's own state and pre configuration
 // (neighbors). When the spec declares First it makes one call to it;
-// otherwise it walks the guards (walkGuards). Every engine evaluation
+// otherwise it walks the guards (walkGuards). Either way it first empties
+// the hand-off (Ctx.Keep), so an Apply body sees only what First kept in
+// this evaluation, and nothing after a guard walk. Every engine evaluation
 // site (the step arena, countTransition, the tracker, the orbit walker,
 // EventualReadSets and StepProcess) goes through it. Evaluate does not:
 // it walks the guards, the reference First is held to.
@@ -21,6 +23,7 @@ import (
 // remains scheduled, and this rule is what keeps it from moving.
 // Legitimate leaves such a process out of the predicate.
 func firstEnabled(c *Ctx) int {
+	c.kept = false
 	if len(c.nbr) == 0 {
 		return -1
 	}

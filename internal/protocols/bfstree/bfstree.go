@@ -23,6 +23,14 @@
 //	(¬R.p ∧ (D.p ≠ best+1 ∨ D at P.p ≠ best))    → D.p ← best+1; P.p ← argbest
 //
 // where best = min over neighbors q of D.q (clamped to n-1+1 = n).
+//
+// Spec.First decides in one pass: it reads D.q of each neighbor once,
+// in port order as the relax guard does, and takes best, the first port
+// that holds it (argbest) and D at P.p from the same scan. It hands best
+// and argbest to the relax statement (model.Ctx.Keep), which otherwise
+// scans the neighbors a second time to find them; the statement's reads
+// repeat the guard's, so the read sets and bit counts are the same
+// either way.
 package bfstree
 
 import (
@@ -44,23 +52,6 @@ const (
 
 // Spec returns the full-read BFS spanning-tree protocol.
 func Spec() *model.Spec {
-	readAll := func(c *model.Ctx) (best, bestPort int) {
-		best, bestPort = -1, 0
-		for port := 1; port <= c.Deg(); port++ {
-			d := c.NeighborComm(port, VarD)
-			if best < 0 || d < best {
-				best, bestPort = d, port
-			}
-		}
-		return best, bestPort
-	}
-	clampInc := func(c *model.Ctx, best int) int {
-		d := best + 1
-		if limit := c.N(); d > limit {
-			d = limit
-		}
-		return d
-	}
 	return &model.Spec{
 		Name: "BFSTREE",
 		Comm: []model.VarSpec{
@@ -99,14 +90,73 @@ func Spec() *model.Spec {
 					return c.NeighborComm(pp, VarD) != best
 				},
 				Apply: func(c *model.Ctx) {
-					best, bestPort := readAll(c)
+					best, bestPort, ok := c.Kept()
+					if !ok {
+						best, bestPort = readAll(c)
+					}
 					c.SetComm(VarD, clampInc(c, best))
 					c.SetComm(VarP, bestPort)
 				},
 			},
 		},
+		First:      first,
 		Legitimate: legitimate,
 	}
+}
+
+// first is Spec's guard walk in one pass. The root reads no neighbor. Any
+// other process reads D.q behind every port once, in port order, and
+// keeps the minimum, the first port that holds it and D behind P.p; the
+// relax guard's re-read of D at P.p is one of the scan's reads. When relax
+// fires, the minimum and its port go to the statement.
+func first(c *model.Ctx) int {
+	own, pp := c.Comm(VarD), c.Comm(VarP)
+	if c.Const(ConstRoot) == 1 {
+		if own != 0 || pp != 0 {
+			return 0
+		}
+		return -1
+	}
+	best, bestPort, atParent := c.NeighborComm(1, VarD), 1, -1
+	if pp == 1 {
+		atParent = best
+	}
+	for port := 2; port <= c.Deg(); port++ {
+		d := c.NeighborComm(port, VarD)
+		if d < best {
+			best, bestPort = d, port
+		}
+		if port == pp {
+			atParent = d
+		}
+	}
+	if own == clampInc(c, best) && atParent == best {
+		return -1
+	}
+	c.Keep(best, bestPort)
+	return 1
+}
+
+// readAll reads D.q behind every port, in port order, and returns the
+// minimum and the first port that holds it.
+func readAll(c *model.Ctx) (best, bestPort int) {
+	best, bestPort = -1, 0
+	for port := 1; port <= c.Deg(); port++ {
+		d := c.NeighborComm(port, VarD)
+		if best < 0 || d < best {
+			best, bestPort = d, port
+		}
+	}
+	return best, bestPort
+}
+
+// clampInc is best+1 clamped to the top of D's domain, n.
+func clampInc(c *model.Ctx, best int) int {
+	d := best + 1
+	if limit := c.N(); d > limit {
+		d = limit
+	}
+	return d
 }
 
 // NewSystem builds a rooted system: root is the distinguished process.

@@ -263,12 +263,13 @@ type evaluation struct {
 	reads  readLog
 }
 
-// recorder is the model.View one evaluation of p (process 0) reads its
+// recorder is the model.View one evaluation of process p reads its
 // neighbors through: it answers from cfg on sys's graph, where nbr lists
 // the neighbor behind each of p's ports, and logs each read.
 type recorder struct {
 	sys *model.System
 	cfg *model.Config
+	p   int
 	nbr []int
 	log readLog
 }
@@ -293,10 +294,10 @@ func (r *recorder) NeighborConst(_ *model.Ctx, port, v int) int {
 
 func (r *recorder) BackPort(_ *model.Ctx, port int) int {
 	r.note(port, backBit)
-	return r.sys.Graph().BackPort(0, port)
+	return r.sys.Graph().BackPort(r.p, port)
 }
 
-// evaluator evaluates process 0 of a view once through a recorder,
+// evaluator evaluates a process of a view once through a recorder,
 // reusing its buffers from one evaluation to the next.
 type evaluator struct {
 	rec                 recorder
@@ -306,23 +307,28 @@ type evaluator struct {
 // run evaluates process 0 of cfg on sys, running the first enabled action
 // when apply is set (drawing from rnd), and leaves cfg as it was.
 func (ev *evaluator) run(sys *model.System, cfg *model.Config, apply bool, rnd *rng.Rand) evaluation {
+	return ev.runAt(sys, cfg, 0, apply, rnd)
+}
+
+// runAt is run at process p.
+func (ev *evaluator) runAt(sys *model.System, cfg *model.Config, p int, apply bool, rnd *rng.Rand) evaluation {
 	g := sys.Graph()
 	ev.nbr, ev.comm, ev.internal = ev.nbr[:0], ev.comm[:0], ev.internal[:0]
-	for port := 1; port <= g.Degree(0); port++ {
-		ev.nbr = append(ev.nbr, g.Neighbor(0, port))
+	for port := 1; port <= g.Degree(p); port++ {
+		ev.nbr = append(ev.nbr, g.Neighbor(p, port))
 	}
 	for v := range sys.CommWidth() {
-		ev.comm = append(ev.comm, cfg.Comm(0, v))
+		ev.comm = append(ev.comm, cfg.Comm(p, v))
 	}
 	for v := range sys.InternalWidth() {
-		ev.internal = append(ev.internal, cfg.Internal(0, v))
+		ev.internal = append(ev.internal, cfg.Internal(p, v))
 	}
 	var e evaluation
 	if len(ev.comm)+len(ev.internal) > len(e.own) {
 		panic(fmt.Sprintf("%s: own state wider than an evaluation holds", sys.Spec().Name))
 	}
-	ev.rec = recorder{sys: sys, cfg: cfg, nbr: ev.nbr}
-	e.action = model.Evaluate(sys, &ev.rec, 0, ev.nbr, ev.comm, ev.internal, apply, rnd)
+	ev.rec = recorder{sys: sys, cfg: cfg, p: p, nbr: ev.nbr}
+	e.action = model.Evaluate(sys, &ev.rec, p, ev.nbr, ev.comm, ev.internal, apply, rnd)
 	e.reads = ev.rec.log
 	copy(e.own[copy(e.own[:], ev.comm):], ev.internal)
 	return e

@@ -39,6 +39,8 @@ MUTATIONS=(
 	"MATCHING's predicate accepts a stale M flag|internal/protocols/matching/matching.go|internal/verify|^TestLegitimateMatchesOracle\$|s~\tif married != \(cfg.Comm\(p, VarM\) == 1\) \{\n\t\treturn false\n\t\}\n~~"
 	"MIS's First skips C.(cur) for a dominated p whose cur neighbor is a Dominator|internal/protocols/mis/mis.go|internal/verify|^TestFirstMatchesGuards\$|s~\t\} else \{\n\t\tcq, cp := ~\t} else if own == Dominator {\n\t\tcq, cp := ~"
 	"MATCHING's First answers seek where the guards answer propose|internal/protocols/matching/matching.go|internal/verify|^TestFirstMatchesGuards\$|s~return 4 // propose~return 5 // propose~"
+	"BFS's First takes the last minimal port|internal/protocols/bfstree/bfstree.go|internal/verify|^TestFirstMatchesGuards\$|s~if d < best \{~if d <= best {~"
+	"firstEnabled no longer clears the hand-off|internal/model/step.go|internal/model|^TestHandoffIsPerEvaluation\$|s~\tc.kept = false\n~~"
 )
 
 fail=0
