@@ -57,22 +57,25 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
 
-# Mutation check: scripts/mutants.sh applies twenty named mutations,
+# Mutation check: scripts/mutants.sh applies twenty-one named mutations,
 # one at a time, to a temporary copy of the tree. Twelve are engine ones
-# (a dropped replay flush, a skipped tracker invalidation, a port row
-# rotated in range, which only a reference with its own neighbor reads
-# can see, and nine more, two of them in the convergence-phase counts
-# and two in the synchronous daemon's live set and count windows), and
-# the committed FuzzSimulatorVsReference corpus, run as a plain test,
-# must fail on every one. Two break the read sets' arcs (a dynamic
-# graph's Arc that follows the port, not the neighbor, and a recorder
-# that counts an arc twice), and internal/trace's
-# TestArcReadSetsUnderChurn must catch them. Two weaken the MIS and
-# MATCHING legitimacy predicates, and internal/verify's equivalence test
-# against the old whole-configuration predicates must catch them. Three
-# make MIS's, MATCHING's and the BFS tree's one-pass decisions
-# (Spec.First) depart from their guards or their statement, and
-# internal/verify's TestFirstMatchesGuards must catch them. One keeps
+# (a dropped flush, a skipped tracker invalidation, a port row rotated
+# in range, which only a reference with its own neighbor reads can see,
+# and nine more, three of them in the counts on closed cycles, one an
+# observed settle that lands its process a transition too far, and two
+# in the synchronous daemon's live set and count windows), and the
+# committed FuzzSimulatorVsReference corpus, run as a plain test, must
+# fail on every one. One makes a settle without an observer stop a
+# transition short, which the corpus cannot see (it always records), and
+# internal/model's TestTrackedSchedulersMatchOracle must catch it. Two
+# break the read sets' arcs (a dynamic graph's Arc that follows the port,
+# not the neighbor, and a recorder that counts an arc twice), and
+# internal/trace's TestArcReadSetsUnderChurn must catch them. Two weaken
+# the MIS and MATCHING legitimacy predicates, and internal/verify's
+# equivalence test against the old whole-configuration predicates must
+# catch them. Three make MIS's, MATCHING's and the BFS tree's one-pass
+# decisions (Spec.First) depart from their guards or their statement,
+# and internal/verify's TestFirstMatchesGuards must catch them. One keeps
 # First's hand-off to the statement (Ctx.Keep) alive past its
 # evaluation, and internal/model's TestHandoffIsPerEvaluation must catch
 # it. A pattern that no longer applies fails the target.

@@ -118,8 +118,7 @@ func liveHeap() int64 {
 //   - the cycle detectors, 12 B: an anchor of one int32 (COLORING's
 //     internal row is its cur pointer), a packed 32-bit walk and the
 //     32-bit count, plus a due list capped at n/32 entries;
-//   - nothing for the memo's entries, which a run ending at silence
-//     never allocates, and a report whose read sets are a histogram.
+//   - a report whose read sets are a histogram.
 //
 // The read sets as an int32 slab of four-member first rows (24 B per
 // process) read 106 B on the torus and 195 B on G(n, 6/n), where rows

@@ -27,9 +27,16 @@ type stepArena struct {
 	fired       []int16 // per selected index: fired action or -1 (Spec.Validate bounds the index)
 	commChanged []bool  // per selected index: did p's comm row change
 
+	// The generator of process p at step step draws from
+	// rng.Derive(rng.Derive(seed, step), p). The step seed is derived on the
+	// step's first draw and kept for the others: derived is 1 + the step it
+	// belongs to (0: none), and a step that draws nothing derives nothing.
 	src      rng.SplitMix
 	rand     *rng.Rand // wraps &src; reseeded per process
+	seed     uint64
+	step     int
 	stepSeed uint64
+	derived  int
 }
 
 func newStepArena(sys *System) *stepArena {
@@ -53,6 +60,9 @@ func newStepArena(sys *System) *stepArena {
 // Rand is valid until the next processRand call; the step engine executes
 // processes sequentially, so no two live users overlap.
 func (a *stepArena) processRand(p int) *rng.Rand {
+	if a.derived != a.step+1 {
+		a.stepSeed, a.derived = rng.Derive(a.seed, uint64(a.step)), a.step+1
+	}
 	a.src.Reseed(rng.Derive(a.stepSeed, uint64(p)))
 	return a.rand
 }
@@ -211,7 +221,7 @@ func (s *Simulator) countSettleWriters(selected []int, writers []int32) {
 		if !s.cntUsed {
 			return
 		}
-	} else if len(s.memoDue) == 0 && !s.memoDueAll {
+	} else if len(s.due) == 0 && !s.dueAll {
 		return
 	}
 	for _, i := range writers {
@@ -230,5 +240,5 @@ func (s *Simulator) countPending(q int) bool {
 	if s.allSel {
 		return s.countClosed(q)
 	}
-	return s.memoLazy[q] > 0
+	return s.counts[q] > 0
 }

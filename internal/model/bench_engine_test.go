@@ -47,13 +47,13 @@ func silentSystem(tb testing.TB, fam, daemon string) (*model.Simulator, *trace.R
 
 // BenchmarkSilentSuffix measures the stabilized phase as the registry
 // runs it: RunRounds(6n) on a silent configuration with a Recorder
-// attached, every selection counted on its process's closed orbit and
-// handed to the recorder as counted batches. random-subset is MATCHING
-// under the distributed daemon, E6's and E10's suffix; laziest-fair is
-// the same under a tracked daemon, whose probes make the simulator apply
-// the counts before every step; matching-xform is the cached-view
-// full-read MATCHING of E13, whose orbits cycle through the cache
-// pointer after a tail of refreshes.
+// attached. random-subset is MATCHING under the distributed daemon, E6's
+// and E10's suffix, where every selection is counted on its process's
+// closed cycle and handed to the recorder once per transition of the
+// cycle; laziest-fair is the same under a tracked daemon, which feeds no
+// cycle detector, so every selection is evaluated; matching-xform is the
+// cached-view full-read MATCHING of E13, whose cycles run through the
+// cache pointer after a tail of refreshes.
 func BenchmarkSilentSuffix(b *testing.B) {
 	for _, c := range []struct{ name, fam, daemon string }{
 		{"random-subset", engine.FamMatching, "random-subset"},

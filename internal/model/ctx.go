@@ -15,16 +15,14 @@ import (
 // of a disabled process whose verdict stands (its reads are a function of
 // its own state and its neighbors' communication rows, neither of which
 // moved), counted per process and delivered before it is evaluated
-// again, those served from the silent-phase memo (where a selection's
-// reads and action are a function of the process's internal state),
-// counted per visited state, and those of a process on a closed cycle
-// before silence, counted per process and delivered per transition of
-// the cycle. Every count reaches the observer before the Simulator method
-// that stepped returns. An implementation may therefore
-// keep sums, maxima and set unions of what Selected carries, but nothing
-// that depends on where its calls fall between StepBegin and StepEnd. All
-// methods may be called frequently; implementations should be cheap. A
-// nil Observer is always allowed.
+// again, and those of a process on a closed cycle (whose neighborhood
+// is frozen, before silence or after it), counted per process and
+// delivered per transition of the cycle. Every count reaches the
+// observer before the Simulator method that stepped returns. An
+// implementation may therefore keep sums, maxima and set unions of what
+// Selected carries, but nothing that depends on where its calls fall
+// between StepBegin and StepEnd. All methods may be called frequently;
+// implementations should be cheap. A nil Observer is always allowed.
 type Observer interface {
 	// StepBegin fires before the selected processes execute.
 	StepBegin(step int, selected []int)

@@ -91,7 +91,7 @@ const (
 
 // FuzzSimulatorVsReference runs model.Simulator and the reference
 // simulator ref.Sim in lockstep through one stream of operations: steps,
-// stretches of rounds (over which the replay memo counts and flushes),
+// stretches of rounds (over which the cycle detectors count and flush),
 // runs to silence, corruptions (repaired with MarkDirty on the
 // simulator), topology events on a MutableCopy and suffix marks. Each
 // side applies every corruption and topology event itself, the reference

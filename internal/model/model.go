@@ -25,8 +25,8 @@
 // a slice, so nothing outside the package holds a row, and the element
 // width is private: values are int32 (NewSystem rejects any domain above
 // 2³¹ − 1), and so are the rows every evaluation context, the step
-// arena's staging and the silent-phase memo hold, while the accessors
-// and Ctx speak int. Inside the package the step paths take
+// arena's staging and the cycle detectors' anchors hold, while the
+// accessors and Ctx speak int. Inside the package the step paths take
 // process p's row as a sub-slice cut with its capacity (commRow,
 // internalRow), which the accessors index too: a variable index outside
 // the row or a process outside [0, n) panics on the slice bound and

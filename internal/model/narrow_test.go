@@ -21,8 +21,8 @@ const wideTop = math.MaxInt32 - 1
 // widest domain NewSystem accepts. A process first writes wideTop to
 // both; once its neighbor behind port 1 shows wideTop too it keeps
 // flipping its internal variable between wideTop and wideTop − 1, an
-// internal-only orbit of period 2, so the silent phase runs on the
-// replay memo.
+// internal-only orbit of period 2, so the silent phase runs on counts on
+// closed cycles.
 func wideSpec(domain int) *model.Spec {
 	return &model.Spec{
 		Name:     "WIDE",
@@ -49,9 +49,9 @@ func wideSpec(domain int) *model.Spec {
 // TestInt32Narrowing: Config keeps its values as int32, so values near
 // the top of a 2³¹ − 1 domain must come through every path that stores
 // or copies them unchanged — the accessors, Validate, Clone, CopyFrom, a
-// committed step, silent-phase memo replays and RandomizeConfig — while
-// a domain of 2³¹ is still refused and a value outside int32 is not
-// wrapped into range.
+// committed step, counts applied on closed cycles and RandomizeConfig —
+// while a domain of 2³¹ is still refused and a value outside int32 is
+// not wrapped into range.
 func TestInt32Narrowing(t *testing.T) {
 	g := graph.Cycle(4)
 	if _, err := model.NewSystem(g, wideSpec(math.MaxInt32+1), nil); err == nil || !strings.Contains(err.Error(), "exceeds int32") {
@@ -106,7 +106,7 @@ func TestInt32Narrowing(t *testing.T) {
 	if silent, err := sim.RunUntilSilent(10, 1); err != nil || !silent {
 		t.Fatalf("RunUntilSilent = %v, %v; want silent", silent, err)
 	}
-	// Silent: from here every selection is a flip served by the memo.
+	// Silent: from here every selection is a flip counted on its cycle.
 	prev := make([]int, n)
 	for p := range prev {
 		prev[p] = live.Internal(p, 0)

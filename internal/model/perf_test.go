@@ -121,9 +121,10 @@ func TestStepZeroAllocDisabledReplay(t *testing.T) {
 	}
 }
 
-// TestSilentSuffixZeroAlloc: once one suffix stretch has captured the
-// orbit's transitions, further stretches — counted replays, their
-// hand-over to the recorder included — allocate nothing.
+// TestSilentSuffixZeroAlloc: once one suffix stretch has closed the
+// processes' cycles, further stretches — selections counted on those
+// cycles and the settles that hand them to the recorder — allocate
+// nothing.
 func TestSilentSuffixZeroAlloc(t *testing.T) {
 	sim, rec := silentSystem(t, engine.FamMatching, "random-subset")
 	rounds := 6 * sim.Sys().N()

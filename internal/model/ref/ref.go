@@ -9,7 +9,7 @@
 // set. It is what *An Introduction to Classic DEVS* calls the abstract
 // simulator: it defines the semantics, and the engine in package model
 // (port rows, read aggregation, step arena, enabledness tracker, orbit
-// walker, replay memo) is judged against it by FuzzSimulatorVsReference
+// walker, cycle detectors, disabled replays) is judged against it by FuzzSimulatorVsReference
 // and TestStepMatchesReference.
 //
 // Of a model.System the reference takes the spec, the constants, N and Δ,

@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-
-	"repro/internal/rng"
 )
 
 // Scheduler chooses, for each step, the non-empty subset of processes to
@@ -19,10 +17,9 @@ import (
 // every internal row up to date before it asks. Within one RunRounds,
 // RunSteps or RunUntilSilent call, in any phase of the run, the internal
 // rows of the processes on closed cycles lag their selections (see
-// Simulator.memoLazy and Simulator.cntState), so a scheduler the
-// simulator calls through Select may read cfg's communication rows, not
-// its internal ones. No count is pending when an exported method of the
-// Simulator returns.
+// Simulator.cntState), so a scheduler the simulator calls through Select
+// may read cfg's communication rows, not its internal ones. No count is
+// pending when an exported method of the Simulator returns.
 //
 // A scheduler that selects every process at every step implements
 // SynchronousScheduler, and the simulator then evaluates only the
@@ -62,7 +59,6 @@ type Simulator struct {
 	allSel bool             // sched is a SynchronousScheduler and not a TrackedScheduler
 	obs    Observer
 
-	seed uint64
 	step int
 
 	// Round accounting and the selection check share one table of 32-bit
@@ -115,83 +111,50 @@ type Simulator struct {
 	silUnknown []int32
 	silBroken  int
 
-	// Silent-phase replay memo (see memoStep). Once SilentNow proves the
-	// configuration communication-silent, no process ever changes its
-	// communication row again (the frozen-neighborhood orbit argument of
-	// orbitProbe), so a process's response to being selected — the reads
-	// it performs, the action it fires and its next internal state — is a
-	// pure function of its internal row. Step then captures each (process,
-	// internal-state) transition that fires once, in the order p's orbit
-	// visits them, and replays it on later selections, skipping guard
-	// re-evaluation entirely; a state in which p is disabled ends the orbit
-	// and is served by the disabled replays below. A replay costs a
-	// counter, a row copy and a link: memoCur[p] is 1 + the index of the
-	// entry for p's current internal state (0: not known) and each entry
-	// links to its successor's the same way.
-	//
-	// Once p's entries close a cycle (memoCyc), a selection of p is not
-	// even a replay: it adds one to memoLazy[p], and the count is applied
-	// in closed form when the stretch of steps ends (memoSettle): each
-	// entry of the cycle gets its share of the replays, and p's internal
-	// row and memoCur move to where that many replays would have left
-	// them. Nothing reads p's internal row in between: other processes
-	// read only communication rows, and a TrackedScheduler's probes, which
-	// do read it, are served after a settle (a plain Scheduler must not
-	// read it, see Scheduler.Select).
-	//
-	// The observer is not called per replay: an entry's replays are
-	// counted and handed over as one Selected call carrying the aggregate
-	// its evaluation delivered and the count (see memoFlush). Every
+	// Closed cycles, in every phase of a run. While p's communication row
+	// and its neighbors' stay put, a transition of p that fires an action
+	// not marked Randomized, draws no randomness and stages no
+	// communication write is a function of p's internal row: the protocols
+	// of Theorems 3, 5 and 7 keep turning their cur pointer long after
+	// their neighborhood settled, and once the configuration is silent
+	// every neighborhood has. executeStep feeds each such transition to
+	// p's cycle detector (countFeed), Brent's walk of orbitProbe kept
+	// between selections: cntAnchor holds p's saved internal row and
+	// cntState[p] the packed walk (cntRunning, cntClosed). Once the walk
+	// returns to its anchor, p is on a closed cycle of L transitions, and
+	// a selection of p adds one to counts[p] instead of evaluating p
+	// (under a SynchronousScheduler p is not even visited, see live); the
+	// settle re-evaluates at most L transitions, whatever the count
+	// (countApply), and hands the observer one Selected call per
+	// transition with the number of selections it stands for. Every
 	// statistic an observer keeps is a sum, a maximum or a set union of
-	// that aggregate, so recorded traces are byte-identical to the slow
-	// path. The entry tables are allocated by the first step of a silent
-	// phase: a run that ends at silence, as every convergence trial
-	// without a suffix does, never reads them.
+	// that aggregate, so recorded traces are byte-identical to evaluating
+	// every selection. Nothing reads p's internal row in between: other
+	// processes read only communication rows, and a TrackedScheduler's
+	// probes, which do read it, are served after a settle (a plain
+	// Scheduler must not read it, see Scheduler.Select).
 	//
-	// memoLazy, memoDue and the settles serve the convergence phase too
-	// (see cntState), so in any phase an internal row may lag its
-	// process's selections. Before silence under a SynchronousScheduler
-	// memoLazy holds window stamps, not counts (see live).
-	//
-	// Invariant: no count is pending when an exported method returns —
-	// every stepping method ends in memoFlush, which settles. MarkDirty and
-	// ApplyTopology rely on it: their callers write rows before memoReset
-	// flushes, and a pending count would then be applied over those rows.
-	memoEntries [][]silentEntry
-	memoCur     []int32
-	memoCyc     []memoCycle
-	memoLazy    []int32   // selections counted on p's closed cycle, not yet applied
-	memoDue     []int32   // processes whose memoLazy is non-zero, at most dueCap of them
-	memoDueAll  bool      // memoDue overflowed: the next settle sweeps memoLazy
-	memoPending []memoRef // entries with undelivered replays
-	memoActive  bool
-	memoUsed    bool // any entry captured since the last reset
-
-	// Closed cycles before global silence. While p's communication row and
-	// its neighbors' stay put, a transition of p that fires an action not
-	// marked Randomized, draws no randomness and stages no communication
-	// write is a function of p's internal row: the protocols of Theorems
-	// 3, 5 and 7 keep turning their cur pointer long after their
-	// neighborhood settled. executeStep feeds each such transition to p's
-	// cycle detector (countFeed), Brent's walk of orbitProbe kept between
-	// selections: cntAnchor holds p's saved internal row and cntState[p]
-	// the packed walk (cntRunning, cntClosed). Once the walk returns to
-	// its anchor, p is on a closed cycle of L transitions, and a selection
-	// of p adds one to memoLazy[p] like a silent-phase count (under a
-	// SynchronousScheduler p is not even visited, see live); the settle
-	// re-evaluates at most L transitions, whatever the count (countApply).
 	// Any other evaluation of p, a change to p's communication row or a
 	// neighbor's, MarkDirty, ApplyTopology and Reset forget p's walk, and
 	// a step that stages a communication write settles the writer's
-	// counted neighbors against the pre-step rows first. At global silence
-	// the stored-entry memo takes over (SilentNow). Under a
+	// counted neighbors against the pre-step rows first. Under a
 	// TrackedScheduler nothing is fed: it settles before every selection,
-	// so a count never exceeds one. The tables are allocated by the first
-	// transition fed on a system.
+	// so a count never exceeds one. The walk tables are allocated by the
+	// first transition fed on a system, counts and due by the first cycle
+	// that closes. Under a SynchronousScheduler counts holds window
+	// stamps, not counts (see live).
+	//
+	// Invariant: no count is pending when an exported method returns —
+	// every stepping method ends in flush, which settles. MarkDirty and
+	// ApplyTopology rely on it: their callers write rows first, and a
+	// pending count would then be applied over those rows.
 	cntState  []uint32
 	cntAnchor []int32 // n × InternalWidth
 	cntLand   []int32 // countApply's scratch row
 	cntUsed   bool    // a walk started since the tables were last cleared
+	counts    []int32 // selections counted on p's closed cycle, not yet applied
+	due       []int32 // processes whose count is non-zero, at most dueCap of them
+	dueAll    bool    // due overflowed: the next settle sweeps counts
 
 	// Disabled replays, at any phase of a run. A step evaluation that
 	// finds p disabled hands the tracker a stepped verdict (judgeDisabled),
@@ -201,15 +164,15 @@ type Simulator struct {
 	// over p's own state and its neighbors' communication rows, so the
 	// verdict and the reads both hold until the dirty rule drops the
 	// verdict; until then a selection of p only counts a replay
-	// (executeStep). The replays reach the observer the silent-phase
-	// memo's way: p joins memoPending as memoRef{p, -1} and memoFlush
-	// delivers one counted Selected call, as does deliverDisabled before p
-	// is evaluated again, when the reads are about to be overwritten. Both
-	// tables are sized by the first kept evaluation on a system, so a run
-	// where no recorded selection finds a process disabled has none, and a
-	// Reset to another system keeps their storage for the next.
-	disReads []int
-	disSeen  []disabledSeen
+	// (executeStep). p then joins disPending, and flush delivers one
+	// counted Selected call, as does deliverDisabled before p is evaluated
+	// again, when the reads are about to be overwritten. Both tables are
+	// sized by the first kept evaluation on a system, so a run where no
+	// recorded selection finds a process disabled has none, and a Reset to
+	// another system keeps their storage for the next.
+	disReads   []int
+	disSeen    []disabledSeen
+	disPending []int32 // processes with replays to deliver or an open window
 
 	// Counts by epoch, under a SynchronousScheduler only. Every process is
 	// selected at every step, so a process whose selections are counts
@@ -217,19 +180,18 @@ type Simulator struct {
 	// cycle nor holding a stepped disabled verdict, and a step evaluates
 	// the live processes in ascending order (stepLive), with visit the
 	// live set it began with. The other processes' counts follow from the
-	// step clock selStamp: a counted process's memoLazy holds the stamp at
-	// which its window opened (its close or its last settle), and its
+	// step clock selStamp: a counted process's counts[p] holds the stamp
+	// at which its window opened (its close or its last settle), and its
 	// pending count is selStamp minus that, so every process on a closed
 	// cycle is pending and a settle sweeps them. With an observer attached
 	// a stepped disabled process's disSeen.pend holds the negated stamp at
 	// which its replay window opened; the end of the verdict turns the
 	// window into an ordinary count (invalidate), and a flush hands it
 	// over and reopens it. The settle points are those of the counts: a
-	// writer's neighbors before the commit, a flush, global silence and
-	// memoReset. Every other scheduler pays one predictable branch at each
-	// hook. A rebase of the stamps flushes every window first, so none
-	// outlasts stampLimit steps. The silent-phase memo keeps walking the
-	// full list (memoStep), but its disabled replays ride their windows.
+	// writer's neighbors before the commit and a flush. Every other
+	// scheduler pays one predictable branch at each hook. A rebase of the
+	// stamps flushes every window first, so none outlasts stampLimit
+	// steps.
 	live  []uint64
 	visit []uint64
 }
@@ -243,38 +205,6 @@ type disabledSeen struct {
 	n, bits int32
 	pend    int
 }
-
-// silentEntry memoizes one silent-phase transition of a process: in
-// internal state `state`, the process reads the distinct neighbors whose
-// base arcs are arcs for `bits` bits in total (the Observer.Selected
-// aggregate), fires action `fired` and moves to internal state `next`,
-// whose own entry is number succ-1 of the process's list (0 until a
-// replay finds it captured). hits counts the replays the observer has
-// not been told of.
-type silentEntry struct {
-	state []int32
-	next  []int32
-	fired int
-	arcs  []int
-	bits  int
-	succ  int32
-	hits  int
-}
-
-// memoRef names entry i of process p's memo list, or with i = -1 p's
-// disabled replays.
-type memoRef struct{ p, i int32 }
-
-// memoCycle is the closed cycle of a process's memo list: entries start
-// to start+n−1, each leading to the next and the last back to start.
-// n = 0: no cycle closed yet.
-type memoCycle struct{ start, n int32 }
-
-// memoMaxEntries bounds the per-process memo. The walker closes an orbit
-// only within orbitBudget transitions, one at least per state, so a silent
-// orbit has at most that many internal states and a sound silence verdict
-// never hits the cap; selections beyond it simply fall back to evaluation.
-const memoMaxEntries = orbitBudget
 
 // Tri-state orbit-silence verdicts cached per process in
 // Simulator.silence. Both polarities are pure functions of p's own state
@@ -312,21 +242,17 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	if err := cfg0.Validate(sys); err != nil {
 		return err
 	}
-	s.memoReset()
 	// Replay windows stay listed across a flush (see live).
-	for _, ref := range s.memoPending {
-		if ref.i < 0 {
-			s.disSeen[ref.p].pend = 0
-		}
+	for _, p := range s.disPending {
+		s.disSeen[p].pend = 0
 	}
-	s.memoPending = s.memoPending[:0]
+	s.disPending = s.disPending[:0]
 	if s.sys != sys {
 		s.sys = sys
 		s.lastSel = make([]uint32, sys.N())
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
-		s.memoEntries, s.memoCur, s.memoCyc, s.memoLazy, s.memoDue = nil, nil, nil, nil, nil
-		s.cntState, s.cntAnchor, s.cntUsed = nil, nil, false
+		s.cntState, s.cntAnchor, s.cntUsed, s.counts, s.due = nil, nil, false, nil, nil
 		s.disReads, s.disSeen = s.disReads[:0], s.disSeen[:0]
 		s.live, s.visit = nil, nil
 		s.arena = newStepArena(sys)
@@ -335,7 +261,12 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		for i := range s.silence {
 			s.silence[i] = silenceUnknown
 		}
-		s.countForgetAll()
+		if s.cntUsed {
+			// Under a SynchronousScheduler counts holds window stamps.
+			clear(s.cntState)
+			clear(s.counts)
+			s.cntUsed = false
+		}
 		clear(s.arena.commChanged) // stepLive reads it by process
 	}
 	s.silUnknown = s.silUnknown[:0]
@@ -365,7 +296,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		}
 	}
 	s.obs = obs
-	s.seed = seed
+	s.arena.seed, s.arena.derived = seed, 0
 	s.step = 0
 	s.round = 0
 	s.roundStamp, s.selStamp = 0, 0
@@ -395,7 +326,7 @@ func (s *Simulator) Rounds() int { return s.round }
 // the next Step call and must not be mutated.
 func (s *Simulator) Step() []int {
 	selected := s.advance()
-	s.memoFlush()
+	s.flush()
 	return selected
 }
 
@@ -404,7 +335,7 @@ func (s *Simulator) Step() []int {
 func (s *Simulator) advance() []int {
 	var selected []int
 	if s.tsched != nil {
-		s.memoSettle() // the probes read internal rows
+		s.settle() // the probes read internal rows
 		selected = s.tsched.SelectTracked(s.step, s.sys, s.cfg, s.tracker)
 	} else {
 		selected = s.sched.Select(s.step, s.sys, s.cfg)
@@ -448,13 +379,10 @@ func (s *Simulator) advance() []int {
 	if s.obs != nil {
 		s.obs.StepBegin(s.step, selected)
 	}
-	s.arena.stepSeed = rng.Derive(s.seed, uint64(s.step))
-	switch {
-	case s.memoActive:
-		s.memoStep(selected)
-	case s.allSel:
+	s.arena.step = s.step
+	if s.allSel {
 		s.stepLive(selected)
-	default:
+	} else {
 		fired, commChanged := s.executeStep(selected)
 		for i, p := range selected {
 			if fired[i] >= 0 {
@@ -489,17 +417,17 @@ var stampLimit uint32 = math.MaxUint32
 // closes every window and each reopens at stamp 1.
 func (s *Simulator) rebaseStamps() {
 	if s.allSel {
-		s.memoFlush()
+		s.flush()
 		s.roundStamp, s.selStamp = 0, 1
 		if s.cntUsed {
 			for p, st := range s.cntState {
 				if st >= cntClosed {
-					s.memoLazy[p] = 1
+					s.counts[p] = 1
 				}
 			}
 		}
-		for _, ref := range s.memoPending {
-			s.disSeen[ref.p].pend = -1 // a flush keeps only open windows
+		for _, p := range s.disPending {
+			s.disSeen[p].pend = -1 // a flush keeps only open windows
 		}
 		return
 	}
@@ -534,10 +462,10 @@ func (s *Simulator) moved(p int, commChanged bool) {
 
 // rejoin runs before the tracker drops p's verdict on a neighbor's
 // write or a MarkDirty (moved never meets a stepped verdict: a process
-// that moved was evaluated, counted or replayed from the memo). Under a
-// SynchronousScheduler the end of a stepped verdict puts p back in the
-// live set and turns its open replay window into an ordinary count,
-// which p's next evaluation or the next flush delivers.
+// that moved was evaluated or counted). Under a SynchronousScheduler the
+// end of a stepped verdict puts p back in the live set and turns its open
+// replay window into an ordinary count, which p's next evaluation or the
+// next flush delivers.
 func (s *Simulator) rejoin(p int) {
 	if s.allSel && s.tracker.valid[p] == verdictStepped {
 		s.live[p>>6] |= 1 << (p & 63)
@@ -560,7 +488,7 @@ func (s *Simulator) rejoin(p int) {
 // mutate Config() between steps, or cached verdicts go stale. Counted
 // replays are handed to the observer once, as the run returns.
 func (s *Simulator) RunUntilSilent(maxSteps, checkEvery int) (bool, error) {
-	defer s.memoFlush()
+	defer s.flush()
 	if checkEvery < 1 {
 		checkEvery = 1
 	}
@@ -642,18 +570,6 @@ func (s *Simulator) SilentNow() (bool, error) {
 		}
 		s.silence[p] = silenceSilent
 	}
-	// Communication silence is irrevocable under Step (the orbit
-	// argument covers every reachable successor), so from here on
-	// selections can be served from the replay memo.
-	// The stored-entry memo takes over from the cycle detectors: their
-	// counts are settled and their walks forgotten, since the memo's
-	// replays move internal rows that a stale anchor would take for a
-	// closed cycle.
-	if !s.memoActive {
-		s.memoSettle()
-		s.countForgetAll()
-		s.memoActive = true
-	}
 	return true, nil
 }
 
@@ -664,14 +580,14 @@ func (s *Simulator) Tracker() *EnabledTracker { return s.tracker }
 
 // MarkDirty declares that process p's state was mutated outside of Step
 // (fault injection, external writes) and restores the soundness of the
-// incremental enabled/silence caches: p's own cached verdicts and those
-// of its neighbors are invalidated — exactly the dirty rule Step applies
-// to a process that moved and changed its communication row (see the
-// package comment on the invalidation invariant). External mutators must
-// call it for every process they touched before the next Step, SilentNow
-// or tracker probe.
+// incremental enabled/silence caches: p's own cached verdicts and cycle
+// walk and those of its neighbors are dropped — exactly the dirty rule
+// Step applies to a process that moved and changed its communication row
+// (see the package comment on the invalidation invariant), and nothing
+// beyond p's closed neighborhood. External mutators must call it for
+// every process they touched before the next Step, SilentNow or tracker
+// probe.
 func (s *Simulator) MarkDirty(p int) {
-	s.memoReset()
 	s.countForget(p)
 	s.invalidateSilence(p)
 	s.rejoin(p)
@@ -710,7 +626,7 @@ func (s *Simulator) RunSteps(k int) {
 	for i := 0; i < k; i++ {
 		s.advance()
 	}
-	s.memoFlush()
+	s.flush()
 }
 
 // RunRounds executes steps until k further rounds have completed.
@@ -719,159 +635,41 @@ func (s *Simulator) RunRounds(k int) {
 	for s.round < target {
 		s.advance()
 	}
-	s.memoFlush()
+	s.flush()
 }
 
-// memoReset deactivates the silent-phase replay memo and drops every
-// captured transition (their frozen-communication premise no longer
-// holds after an external mutation), handing the observer the replays
-// counted on them first. Entry backing arrays are kept, so re-capturing
-// in a later silent phase allocates nothing in steady state.
-func (s *Simulator) memoReset() {
-	if !s.memoUsed {
-		s.memoActive = false
-		return
+// flush applies the counts on closed cycles (settle), then hands the
+// observer the disabled replays counted since the last flush: one
+// Selected call per disabled process, carrying the aggregate its
+// evaluation delivered and the number of replays. Every exported method
+// that steps flushes before it returns, so an observer is current
+// whenever its owner can look at it.
+func (s *Simulator) flush() {
+	s.settle()
+	kept := s.disPending[:0]
+	for _, p := range s.disPending {
+		e := &s.disSeen[p]
+		open := e.pend < 0
+		if open {
+			// An open replay window (see live) is delivered as a count,
+			// reopens and stays listed.
+			e.pend += 1 + int(s.selStamp)
+		}
+		s.deliverDisabled(int(p))
+		e.pend = 0
+		if open {
+			e.pend = -int(s.selStamp)
+			kept = append(kept, p)
+		}
 	}
-	s.memoFlush() // while memoActive still routes the counts to memoApply
-	s.memoActive = false
-	s.memoUsed = false
-	for p := range s.memoEntries {
-		s.memoEntries[p] = s.memoEntries[p][:0]
-	}
-	clear(s.memoCur)
-	clear(s.memoCyc)
+	s.disPending = kept
 }
 
-// memoFlush applies the counts on closed cycles (memoSettle), then hands
-// the observer the replays counted since the last flush: one Selected
-// call per visited memo entry and per disabled process, carrying the
-// aggregate its evaluation delivered and the number of replays. Every
-// exported method that steps flushes before it returns, so an observer
-// is current whenever its owner can look at it.
-func (s *Simulator) memoFlush() {
-	s.memoSettle()
-	kept := s.memoPending[:0]
-	for _, ref := range s.memoPending {
-		if ref.i < 0 {
-			e := &s.disSeen[ref.p]
-			open := e.pend < 0
-			if open {
-				// An open replay window (see live) is delivered as a
-				// count, reopens and stays listed.
-				e.pend += 1 + int(s.selStamp)
-			}
-			s.deliverDisabled(int(ref.p))
-			e.pend = 0
-			if open {
-				e.pend = -int(s.selStamp)
-				kept = append(kept, ref)
-			}
-			continue
-		}
-		e := &s.memoEntries[ref.p][ref.i]
-		s.obs.Selected(s.step, int(ref.p), e.arcs, e.bits, e.fired, e.hits)
-		e.hits = 0
-	}
-	s.memoPending = kept
-}
-
-// memoFind returns 1 + the index of the captured transition for p's
-// current internal state, or 0. Comparison is by value: silent orbits
-// visit at most a handful of states, so a linear scan beats any keying
-// scheme — and avoids the overflow pitfalls of mixed-radix encoding for
-// wide internal rows (the transformer's cache variables). It runs once
-// per link: a replay follows memoCur and succ instead.
-func (s *Simulator) memoFind(p int) int32 {
-	row := s.cfg.internalRow(p)
-	lst := s.memoEntries[p]
-scan:
-	for i := range lst {
-		for v, val := range lst[i].state {
-			if row[v] != val {
-				continue scan
-			}
-		}
-		return int32(i + 1)
-	}
-	return 0
-}
-
-// memoStep is Step's silent-phase fast path: a selected process whose
-// disabled verdict stands is a disabled replay, one whose memo entries
-// close a cycle is counted (memoLazy), one whose internal state was seen
-// before is served from the replay memo, and any other is evaluated and,
-// if it fires, captured. The observer is owed the same Selected
-// aggregate either way (a count or a replay defers it, memoFlush
-// delivers it), and internal-only commits are invisible to other
-// processes, so per-process sequential processing preserves the
-// two-phase step semantics.
-func (s *Simulator) memoStep(selected []int) {
-	if s.memoEntries == nil {
-		n := s.sys.N()
-		s.memoEntries = make([][]silentEntry, n)
-		s.memoCur = make([]int32, n)
-		s.memoCyc = make([]memoCycle, n)
-		s.memoAllocCounts()
-	}
-	for _, p := range selected {
-		if s.tracker.valid[p] == verdictStepped {
-			if !s.allSel { // else p's replay window counts it (see live)
-				s.replayDisabled(p)
-			}
-			continue
-		}
-		if s.memoCyc[p].n > 0 {
-			switch s.memoLazy[p] {
-			case 0:
-				s.memoMarkDue(p)
-			case math.MaxInt32:
-				s.memoApply(p) // p stays due
-			}
-			s.memoLazy[p]++
-			continue
-		}
-		cur := s.memoCur[p]
-		if cur == 0 {
-			if cur = s.memoFind(p); cur == 0 {
-				s.memoExec(p)
-				continue
-			}
-		}
-		if s.obs != nil {
-			s.memoHit(p, cur-1, 1)
-		}
-		e := &s.memoEntries[p][cur-1]
-		copy(s.cfg.internalRow(p), e.next)
-		if e.succ == 0 {
-			if e.succ = s.memoFind(p); e.succ != 0 && e.succ <= cur {
-				s.memoClose(p, e.succ-1, cur-1)
-			}
-		}
-		s.memoCur[p] = e.succ
-		s.moved(p, false)
-	}
-}
-
-// memoClose records entries j..i of p's memo list as p's closed cycle
-// when they form one: entry i leads back to entry j (a successor link
-// just found it), and each entry before i leads to the next.
-func (s *Simulator) memoClose(p int, j, i int32) {
-	lst := s.memoEntries[p]
-	for t := j; t < i; t++ {
-		if !slices.Equal(lst[t].next, lst[t+1].state) {
-			return
-		}
-	}
-	s.memoCyc[p] = memoCycle{j, i - j + 1}
-}
-
-// memoSettle applies the selections counted on closed cycles since the
-// last settle: the stored-entry memo's in the silent phase, the cycle
-// detectors' before it. Under a SynchronousScheduler every process on a
-// closed cycle is pending before silence, and the settle sweeps the
-// processes off the live set.
-func (s *Simulator) memoSettle() {
-	if s.allSel && !s.memoActive {
+// settle applies the selections counted on closed cycles since the last
+// settle. Under a SynchronousScheduler every process on a closed cycle
+// is pending, and the settle sweeps the processes off the live set.
+func (s *Simulator) settle() {
+	if s.allSel {
 		if !s.cntUsed {
 			return
 		}
@@ -889,159 +687,37 @@ func (s *Simulator) memoSettle() {
 		}
 		return
 	}
-	if s.memoDueAll {
-		s.memoDueAll = false
-		for p, k := range s.memoLazy {
+	if s.dueAll {
+		s.dueAll = false
+		for p, k := range s.counts {
 			if k != 0 {
-				s.memoSettleOne(p)
+				s.countApply(p, 0)
 			}
 		}
 	} else {
-		for _, p := range s.memoDue {
-			s.memoSettleOne(int(p))
+		for _, p := range s.due {
+			s.countApply(int(p), 0)
 		}
 	}
-	s.memoDue = s.memoDue[:0]
+	s.due = s.due[:0]
 }
 
-func (s *Simulator) memoSettleOne(p int) {
-	if s.memoActive {
-		s.memoApply(p)
-	} else {
-		s.countApply(p, 0)
-	}
-}
-
-// memoMarkDue puts p, whose memoLazy is about to leave 0, on the due
-// list. A full list turns into a sweep of memoLazy at the next settle,
-// which then follows at least dueCap counts: the list costs an eighth
-// of a byte per process, not four.
-func (s *Simulator) memoMarkDue(p int) {
+// markDue puts p, whose count is about to leave 0, on the due list. A
+// full list turns into a sweep of counts at the next settle, which then
+// follows at least dueCap counts: the list costs an eighth of a byte per
+// process, not four.
+func (s *Simulator) markDue(p int) {
 	switch {
-	case s.memoDueAll:
-	case len(s.memoDue) == cap(s.memoDue):
-		s.memoDueAll = true
+	case s.dueAll:
+	case len(s.due) == cap(s.due):
+		s.dueAll = true
 	default:
-		s.memoDue = append(s.memoDue, int32(p))
-	}
-}
-
-// memoAllocCounts allocates memoLazy and the due list on first use.
-func (s *Simulator) memoAllocCounts() {
-	if s.memoLazy == nil {
-		n := s.sys.N()
-		s.memoLazy = make([]int32, n)
-		s.memoDue = make([]int32, 0, dueCap(n))
+		s.due = append(s.due, int32(p))
 	}
 }
 
 // dueCap is the due list's capacity for n processes.
 func dueCap(n int) int { return max(n/32, 64) }
-
-// memoApply applies the k selections of p counted on its closed cycle of
-// n entries in closed form: starting from p's current entry, k replays
-// give every entry k/n hits and the k mod n entries from the current one
-// one more, and leave p k mod n entries further on. Every entry fires, so
-// p moves, and the dirty rule runs once for all k.
-func (s *Simulator) memoApply(p int) {
-	k := int(s.memoLazy[p])
-	if k == 0 {
-		return
-	}
-	s.memoLazy[p] = 0
-	c := s.memoCyc[p]
-	cyc := s.memoEntries[p][c.start : c.start+c.n]
-	n, off := len(cyc), int(s.memoCur[p]-1-c.start)
-	q, r := 0, k // k = q·n + r; a tracked daemon settles every step, where k < n is the rule
-	if k >= n {
-		q, r = k/n, k%n
-	}
-	if s.obs != nil {
-		at := off
-		for i := range min(k, n) {
-			hits := q
-			if i < r {
-				hits++
-			}
-			s.memoHit(p, c.start+int32(at), hits)
-			if at++; at == n {
-				at = 0
-			}
-		}
-	}
-	land := off + r
-	if land >= n {
-		land -= n
-	}
-	copy(s.cfg.internalRow(p), cyc[land].state)
-	s.memoCur[p] = c.start + int32(land) + 1
-	s.moved(p, false)
-}
-
-// memoHit counts hits more undelivered replays of entry i of p's memo
-// list.
-func (s *Simulator) memoHit(p int, i int32, hits int) {
-	e := &s.memoEntries[p][i]
-	if e.hits == 0 {
-		s.memoPending = append(s.memoPending, memoRef{int32(p), i})
-	}
-	e.hits += hits
-}
-
-// memoExec evaluates p through the arena context, captures the
-// transition into the memo and commits it, or keeps the evaluation as a
-// disabled one. A communication write here would mean the silence
-// verdict was unsound (a spec bug, not a reachable state): it is
-// committed faithfully and the memo is dropped so the run stays correct.
-func (s *Simulator) memoExec(p int) {
-	a := s.arena
-	s.deliverDisabled(p) // p's kept reads are about to be overwritten
-	// The evaluation writes p's internal row in place, so the entry's
-	// state is taken first; the entry joins the list only if the
-	// transition turns out to be capturable.
-	lst := s.memoEntries[p]
-	var e *silentEntry
-	if len(lst) < memoMaxEntries {
-		if len(lst) < cap(lst) {
-			lst = lst[:len(lst)+1]
-		} else {
-			lst = append(lst, silentEntry{})
-		}
-		e = &lst[len(lst)-1]
-		e.state = append(e.state[:0], s.cfg.internalRow(p)...)
-		s.memoEntries[p] = lst[:len(lst)-1]
-	}
-	// p commits before the next process evaluates, so staging row 0
-	// serves every selection of the step.
-	f, staged := a.eval(s.cfg, p, 0, s.obs != nil)
-	if s.obs != nil {
-		s.obs.Selected(s.step, p, a.agg.arcs, a.agg.bits, f, 1)
-	}
-	if f < 0 {
-		// A disabled process stays put while the configuration is silent:
-		// its later selections are the disabled replays of any phase.
-		s.keepDisabled(p)
-		return
-	}
-	// A transition whose Apply drew randomness is one sample, not a
-	// function of the internal row: replaying it would repeat the drawn
-	// outcome where the unmemoized path redraws, so the state stays
-	// uncaptured and every selection in it evaluates afresh.
-	if e != nil && a.ctx.rand == nil {
-		s.memoEntries[p] = lst
-		s.memoUsed = true
-		e.next = append(e.next[:0], s.cfg.internalRow(p)...)
-		e.fired = f
-		e.arcs = append(e.arcs[:0], a.agg.arcs...)
-		e.bits = a.agg.bits
-		e.succ, e.hits = 0, 0
-	}
-	commChanged := staged && a.commit(s.cfg, p, 0, s.step, s.obs)
-	if commChanged {
-		s.memoReset()
-	}
-	s.moved(p, commChanged)
-}
 
 // keepDisabled records a step evaluation of p that found it disabled:
 // the tracker takes the verdict, and with an observer attached the
@@ -1068,7 +744,7 @@ func (s *Simulator) keepDisabled(p int) {
 	e.n, e.bits = int32(len(agg.arcs)), int32(agg.bits)
 	if s.allSel {
 		if e.pend == 0 {
-			s.memoPending = append(s.memoPending, memoRef{int32(p), -1})
+			s.disPending = append(s.disPending, int32(p))
 		}
 		e.pend = -int(s.selStamp)
 	}
@@ -1081,7 +757,7 @@ func (s *Simulator) replayDisabled(p int) {
 	}
 	e := &s.disSeen[p]
 	if e.pend == 0 {
-		s.memoPending = append(s.memoPending, memoRef{int32(p), -1})
+		s.disPending = append(s.disPending, int32(p))
 		e.pend = 1
 	}
 	e.pend++
@@ -1131,25 +807,6 @@ func (s *Simulator) countForget(p int) {
 	}
 }
 
-// countForgetAll drops every walk. Under a SynchronousScheduler the
-// closed processes rejoin the live set and the window stamps leave
-// memoLazy, which the silent-phase memo counts in.
-func (s *Simulator) countForgetAll() {
-	if !s.cntUsed {
-		return
-	}
-	if s.allSel {
-		for p, st := range s.cntState {
-			if st >= cntClosed {
-				s.live[p>>6] |= 1 << (p & 63)
-			}
-		}
-		clear(s.memoLazy)
-	}
-	clear(s.cntState)
-	s.cntUsed = false
-}
-
 // countFeed advances p's walk over the transition p just made in a step
 // (fired an action not marked Randomized, drew nothing, staged no
 // communication write: what the orbit walker calls silent), with p's
@@ -1178,11 +835,14 @@ func (s *Simulator) countFeed(p int) {
 	}
 	lam := st&cntField + 1
 	if slices.Equal(row, anchor) {
-		s.memoAllocCounts()
+		if s.counts == nil {
+			n := s.sys.N()
+			s.counts, s.due = make([]int32, n), make([]int32, 0, dueCap(n))
+		}
 		s.cntState[p] = cntClosed | lam
 		if s.allSel {
 			s.live[p>>6] &^= 1 << (p & 63)
-			s.memoLazy[p] = int32(s.selStamp)
+			s.counts[p] = int32(s.selStamp)
 		}
 		return
 	}
@@ -1200,13 +860,13 @@ func (s *Simulator) countFeed(p int) {
 // countSelect counts a selection of p on its closed cycle; a full count
 // is settled on staging row stage.
 func (s *Simulator) countSelect(p, stage int) {
-	switch s.memoLazy[p] {
+	switch s.counts[p] {
 	case 0:
-		s.memoMarkDue(p)
+		s.markDue(p)
 	case math.MaxInt32:
 		s.countApply(p, stage) // p stays due
 	}
-	s.memoLazy[p]++
+	s.counts[p]++
 }
 
 // countApply applies the k selections of p counted on its closed cycle
@@ -1218,12 +878,12 @@ func (s *Simulator) countSelect(p, stage int) {
 // Under a SynchronousScheduler k is the window's length, and the window
 // reopens at the current stamp.
 func (s *Simulator) countApply(p, stage int) {
-	k := int(s.memoLazy[p])
+	k := int(s.counts[p])
 	if s.allSel {
 		k = int(s.selStamp - uint32(k))
-		s.memoLazy[p] = int32(s.selStamp)
+		s.counts[p] = int32(s.selStamp)
 	} else {
-		s.memoLazy[p] = 0
+		s.counts[p] = 0
 	}
 	if k == 0 {
 		return

@@ -15,7 +15,7 @@ import (
 
 // stampRun is one execution whose result a selection-stamp rebase must
 // not move: a system from a random start run to silence, then a suffix
-// of rounds and single steps on the silent phase's replays.
+// of rounds and single steps on the silent phase's counts.
 type stampRun struct {
 	cfg          *model.Config
 	steps        int

@@ -40,13 +40,16 @@ func rerollSpec() *model.Spec {
 	}
 }
 
-// TestMemoSkipsRandomizedTransitions: a silent-phase transition whose
-// Apply drew randomness must not be replayed from the memo, or a memoized
-// run repeats one drawn outcome where an unmemoized run redraws. The memo
-// is on for every observer, so the unmemoized side is the reference
-// simulator: both must walk through the same configurations and leave
+// TestDrawnTransitionsAreNeverCounted: a transition whose Apply drew
+// randomness is one sample, not a function of the process's internal
+// row, so evalSelected never feeds it to a cycle detector, not even in a
+// silent phase, where every neighborhood is frozen and every other
+// transition is fed. A detector fed drawn transitions could close a
+// cycle on them and repeat drawn outcomes where an evaluation redraws,
+// so the reference simulator, which evaluates every selection, is the
+// other side: both must walk through the same configurations and leave
 // the same recorder report.
-func TestMemoSkipsRandomizedTransitions(t *testing.T) {
+func TestDrawnTransitionsAreNeverCounted(t *testing.T) {
 	t.Parallel()
 	sys, err := model.NewSystem(graph.Cycle(6), rerollSpec(), nil)
 	if err != nil {
@@ -54,25 +57,25 @@ func TestMemoSkipsRandomizedTransitions(t *testing.T) {
 	}
 	const seed = 2009
 	initial := model.NewRandomConfig(sys, rng.New(seed))
-	memoRec, refRec := trace.NewRecorder(sys.N()), trace.NewRecorder(sys.N())
-	memo, err := model.NewSimulator(sys, initial, sched.NewRandomSubset(seed), seed, memoRec)
+	simRec, refRec := trace.NewRecorder(sys.N()), trace.NewRecorder(sys.N())
+	sim, err := model.NewSimulator(sys, initial, sched.NewRandomSubset(seed), seed, simRec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	naive := ref.NewSim(sys, initial, sched.NewRandomSubset(seed), seed, refRec)
 	for step := 0; step < 300; step++ {
-		if silent, err := memo.SilentNow(); err != nil || !silent {
-			t.Fatalf("step %d: SilentNow = (%v, %v), want silent: the memo is only live in a silent phase", step, silent, err)
+		if silent, err := sim.SilentNow(); err != nil || !silent {
+			t.Fatalf("step %d: SilentNow = (%v, %v), want silent: every step of this run is in the silent phase", step, silent, err)
 		}
-		memo.Step()
+		sim.Step()
 		naive.Step()
-		if !memo.Config().Equal(naive.Config()) {
-			t.Fatalf("step %d: the memoized run replayed a drawn transition:\n memo      %v\n reference %v",
-				step, internals(sys, memo.Config()), internals(sys, naive.Config()))
+		if !sim.Config().Equal(naive.Config()) {
+			t.Fatalf("step %d: the simulator counted a drawn transition:\n simulator %v\n reference %v",
+				step, internals(sys, sim.Config()), internals(sys, naive.Config()))
 		}
 	}
-	if got, want := memoRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recorder reports differ:\n memo      %+v\n reference %+v", got, want)
+	if got, want := simRec.Report(), refRec.Report(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recorder reports differ:\n simulator %+v\n reference %+v", got, want)
 	}
 }
 
@@ -221,12 +224,14 @@ func referenceCases(t *testing.T) []referenceCase {
 
 // TestStepMatchesReference holds Simulator.Step — one context, internal
 // rows written in place, communication rows staged on first write, folded
-// reads, silent-phase memo with counted replays, injections through
-// MarkDirty — to the reference simulator: same configuration, same
-// Selected calls (so the same fired vector) and same CommWrite stream
-// after every step through convergence, a marked suffix served from the
-// memo, and a mid-suffix corruption (on a MutableCopy a crash as well)
-// that drops the memo and forces a second convergence. The recorder
+// reads, counts on closed cycles and disabled replays, injections
+// through MarkDirty — to the reference simulator: same configuration,
+// same Selected calls (so the same fired vector) and same CommWrite
+// stream after every step through convergence, a marked suffix whose
+// selections are counted on their processes' closed cycles, and a
+// mid-suffix corruption (on a MutableCopy a crash as well) that makes
+// the corrupted processes and their neighbors forget their cycles and
+// forces a second convergence. The recorder
 // report is compared wherever the simulator's caller could look at it:
 // after every bare Step of the marked suffix, after a RunRounds stretch
 // (whose replays are handed over in one batch as it returns), after the
@@ -295,7 +300,7 @@ func TestStepMatchesReference(t *testing.T) {
 				}
 			}
 			// converge steps until the simulator reports silence, so the
-			// steps after it cross into the memo.
+			// steps after it are the silent phase.
 			converge := func() {
 				t.Helper()
 				for {
@@ -329,9 +334,9 @@ func TestStepMatchesReference(t *testing.T) {
 			simRec.MarkSuffix()
 			refRec.MarkSuffix()
 			lockstep(60, true)
-			// A stretch the simulator runs on its own: the replays are
-			// counted per visited state and delivered when RunRounds
-			// returns.
+			// A stretch the simulator runs on its own: the selections are
+			// counted per process and delivered, per transition of each
+			// cycle, when RunRounds returns.
 			from := sim.Steps()
 			sim.RunRounds(3)
 			for naive.Steps() < sim.Steps() {

@@ -70,8 +70,8 @@ func (o *arcOracle) check(at string) {
 // operation: a neighbor keeps its arc whatever port a topology event
 // moves it to, so R_p counts it once. The specs read every port
 // (twoReadSpec, with disabled replays) and one rotating port (COLORING,
-// with counted cycles and, once silent, the memo's replays), under the
-// synchronous daemon and a random subset.
+// with counted cycles before and after silence), under the synchronous
+// daemon and a random subset.
 func TestArcReadSetsUnderChurn(t *testing.T) {
 	t.Parallel()
 	specs := []func() *model.Spec{twoReadSpec, coloring.Spec}
@@ -94,8 +94,8 @@ func TestArcReadSetsUnderChurn(t *testing.T) {
 				t.Fatal(err)
 			}
 			name := fmt.Sprintf("%s/%s", sys.Spec().Name, sch.Name())
-			// Up to 12 steps that stop at silence, then 6 more, which the
-			// silent-phase memo serves once silence was found.
+			// Up to 12 steps that stop at silence, then 6 more, which
+			// count on closed cycles once silence was found.
 			run := func(at string) {
 				t.Helper()
 				if _, err := sim.RunUntilSilent(sim.Steps()+12, 1); err != nil {

@@ -258,7 +258,7 @@ func TestRecorderReadFullStepZeroAlloc(t *testing.T) {
 
 // TestSelectedTimesEqualsRepeatedCalls: one Selected call with times = k
 // leaves the recorder where k calls with times = 1 do — the contract the
-// simulator's counted silent-phase replays rest on — for moves and
+// simulator's counted selections rest on — for moves and
 // disabled selections, with and without reads, before and after a
 // MarkSuffix. The arcs of distinct processes are distinct, as a graph's
 // are.

@@ -24,7 +24,7 @@ import "repro/internal/model"
 // engine delivers each selection's reads already folded (distinct
 // neighbors, deduplicated bits), and the selections it replays as
 // counted calls: one per disabled process whose verdict stood, and one
-// per silent-phase memo state. So the recorder keeps no per-step state
+// per transition of a closed cycle. So the recorder keeps no per-step state
 // and allocates nothing on the steady-state path. A Recorder is
 // reusable: Reset rewinds it to the state of a fresh NewRecorder without
 // reallocating, which is what lets the trial pipeline run millions of

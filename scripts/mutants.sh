@@ -21,13 +21,14 @@ tar -C "$ROOT" --exclude=./.git --exclude=./bench/out -cf - . | tar -C "$TREE" -
 # pattern that must catch it (empty: the model corpus), and a perl
 # substitution (delimited by ~) applied to the whole file.
 MUTATIONS=(
-	"memoFlush dropped from Step|internal/model/sim.go|||s~selected := s.advance\(\)\n\ts.memoFlush\(\)\n~selected := s.advance()\n~"
+	"flush dropped from Step|internal/model/sim.go|||s~selected := s.advance\(\)\n\ts.flush\(\)\n~selected := s.advance()\n~"
 	"tracker.Invalidate skipped in moved|internal/model/sim.go|||s~\n\ts.tracker.Invalidate\(p\)\n\tif commChanged \{~\n\tif commChanged {~"
 	"NeighborComm reads port+1|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, v,)~q := int(c.nbr[port])\$1~"
 	"second writer skipped in executeStep's commit walk|internal/model/arena.go|||s~\t\tcommChanged\[i\] = a.commit\(cfg, selected\[i\], k, s.step, obs\)\n~\t\tif k != 1 {\n\t\t\tcommChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)\n\t\t}\n~"
 	"NeighborComm port row rotated in range|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, v,)~q := int(c.nbr[port%len(c.nbr)])\$1~"
 	"removeHalf skips the moved neighbor's back pointer|internal/graph/dynamic.go|||s~\t\tg.backRow\(int\(row\[i\]\)\)\[g.backIndex\(p, i\)\] = narrowBack\(i\)\n~~"
-	"memoApply lands p one entry short|internal/model/sim.go|||s~\tland := off \+ r\n~\tland := (off + r + n - 1) % n\n~"
+	"countApply with an observer lands p one transition past its count|internal/model/sim.go|||s~if i\+1 == r && k > n \{~if i == r && k > n {~"
+	"countApply without an observer leaves p one transition short|internal/model/sim.go|internal/model|^TestTrackedSchedulersMatchOracle\$|s~\t\tfor range r \{\n~\t\tfor range r - 1 {\n~"
 	"SilentNow's disabled shortcut trusts a stale verdict|internal/model/sim.go|||s~t.valid\[p\] != verdictStale && t.action\[p\] < 0~t.action[p] < 0~"
 	"counted neighbors settle after the commit, not before it|internal/model/arena.go|||s~\ts.countSettleWriters\(selected, writers\)\n(.*?)\treturn fired, commChanged\n~\$1\ts.countSettleWriters(selected, writers)\n\treturn fired, commChanged\n~s"
 	"neighborsDirty leaves a neighbor's count running|internal/model/sim.go|||s~\t\ts.countForget\(int\(q\)\)\n~~"
