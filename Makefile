@@ -57,7 +57,7 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
 
-# Mutation check: scripts/mutants.sh applies twenty-one named mutations,
+# Mutation check: scripts/mutants.sh applies twenty-three named mutations,
 # one at a time, to a temporary copy of the tree. Twelve are engine ones
 # (a dropped flush, a skipped tracker invalidation, a port row rotated
 # in range, which only a reference with its own neighbor reads can see,
@@ -78,7 +78,11 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 # and internal/verify's TestFirstMatchesGuards must catch them. One keeps
 # First's hand-off to the statement (Ctx.Keep) alive past its
 # evaluation, and internal/model's TestHandoffIsPerEvaluation must catch
-# it. A pattern that no longer applies fails the target.
+# it. One makes SilentNow's sweep over the processes never probed since
+# Reset stop a process short, and internal/model's TestSilentNowSweep
+# must catch it. One makes the connectivity check skip each row's last
+# port, and internal/graph's TestConnectivity must catch it. A pattern
+# that no longer applies fails the target.
 MUTANTS_DIR ?= /tmp/mutants
 mutants: ## Engine and predicate mutations the tests must each catch
 	bash scripts/mutants.sh $(MUTANTS_DIR)
@@ -140,19 +144,22 @@ events-smoke: ## Event-log byte-identity across parallelism and cache state
 # Large-n scale smoke: drive the E22 headline cell — a 10⁶-process torus
 # under synchronous COLORING — to a legitimate silent configuration and
 # gate its peak RSS. The budget documents the engine's large-graph
-# memory claim: the cell measures about 85 MiB peak on a 2-CPU
-# container (87 B/process live heap), and 128 MiB (that plus 25 %,
+# memory claim: the cell measures about 73 MiB peak on a 2-CPU
+# container (87 B/process live heap), and 96 MiB (that plus 25 %,
 # rounded up to a multiple of 32) leaves headroom for allocator and GC
-# variance while failing on a return of the 175 MiB that 64-bit state
-# values, a recorder list per process and n-length report tables cost,
-# let alone an O(n²) reintroduction. (The 120 MiB of a second
+# variance while failing on a return of the 120 MiB of a second
 # configuration copy, per-process domain tables, 32-bit back ports,
-# 64-bit selection steps and an n-length stale queue would still pass:
-# TestBytesPerProcessBudget is the tighter gate on those.) The second
+# 64-bit selection steps and an n-length stale queue, or of the
+# 175 MiB that 64-bit state values, a recorder list per process and
+# n-length report tables cost, let alone an O(n²) reintroduction. (The
+# 85 MiB of a torus edge list, BFS distances and a queue for the
+# connectivity check and a silence queue seeded with every id would
+# still pass: internal/graph's TestConstructionAllocations gates the
+# first two, TestBytesPerProcessBudget the live heap.) The second
 # run is the other E22 shape, a 2·10⁵-process G(n, 6/n) (Δ ≈ 28), by
 # the same rule: about 27 MiB peak, so 64 MiB, which the 87 MiB of read
 # sets kept as an int32 slab, whose outgrown rows stay behind, fail.
-SCALE_BUDGET_MB ?= 128
+SCALE_BUDGET_MB ?= 96
 scale-smoke: ## 10⁶-node torus and 2·10⁵-node G(n, 6/n) cells to silence under peak-RSS budgets
 	$(GO) run ./cmd/ssscale -n 1000000 -graph torus -budget-mb $(SCALE_BUDGET_MB)
 	$(GO) run ./cmd/ssscale -n 200000 -graph gnp -budget-mb 64

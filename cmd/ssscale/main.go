@@ -100,7 +100,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "graph      %s (n=%d, Δ=%d, m=%d)\n", g.Name(), g.N(), g.MaxDegree(), g.M())
 	fmt.Fprintf(out, "silent     %v (legitimate %v) after %d rounds, %d steps\n",
 		res.Silent, res.LegitimateAtSilence, res.RoundsToSilence, res.StepsToSilence)
-	fmt.Fprintf(out, "wall       %.2fs\n", wall.Seconds())
+	fmt.Fprintf(out, "wall       %.3fs\n", wall.Seconds())
 	fmt.Fprintf(out, "live heap  %.1f MiB (%.0f B/process)\n",
 		float64(m.HeapAlloc)/(1<<20), float64(m.HeapAlloc)/float64(g.N()))
 	peakMB, havePeak := peakRSSMB()

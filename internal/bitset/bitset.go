@@ -1,6 +1,7 @@
 // Package bitset provides a fixed-capacity bitset used by the hot paths
 // of the simulator: the enabled set of the enabledness tracker and the
-// laziest-fair daemon's set of processes it has never selected. Stdlib
+// laziest-fair daemon's set of processes it has never selected; the
+// graph's connectivity check keeps its visited set in one too. Stdlib
 // only.
 package bitset
 

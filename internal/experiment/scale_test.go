@@ -112,7 +112,9 @@ func liveHeap() int64 {
 //   - the system's constant and bit-width rows (its domains are one row
 //     per degree, not per process);
 //   - the simulator's and tracker's per-process tables: 32-bit
-//     selection stamps, verdicts, silence verdicts and queues, the stale
+//     selection stamps, verdicts, silence verdicts and the silence
+//     queue's capacity of n (counted here, though a run writes only as
+//     much of it as it uses, so most of it is never resident), the stale
 //     queue capped at n/8, and the synchronous daemon's live set and the
 //     copy a step walks, one bit each;
 //   - the cycle detectors, 12 B: an anchor of one int32 (COLORING's

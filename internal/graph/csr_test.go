@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -241,4 +242,36 @@ func TestFitsLimit(t *testing.T) {
 		}
 	}()
 	NewBuilder(lim+1, "big").Build()
+}
+
+// TestConstructionAllocations: building a torus writes its layout and
+// one 32-bit row cursor per process, and nothing else that grows with n
+// (an edge list was 16 B per process more), and the connectivity check
+// every system makes writes under a byte per process: a visited bit and
+// a frontier, not a distance and a queue entry per process. Not
+// parallel, so no other test allocates between the two readings.
+func TestConstructionAllocations(t *testing.T) {
+	const w, h = 150, 150
+	const n = w * h
+	allocated := func(f func()) int {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int(after.TotalAlloc - before.TotalAlloc)
+	}
+	var g *Graph
+	built := allocated(func() { g = Torus(w, h) })
+	layout := 4*(n+1) + 12*g.M() // off, then 4 B of nbr and 2 B of back per arc
+	if over, limit := built-layout, 4*n+4096; over > limit {
+		t.Errorf("Torus(%d, %d) allocated %d B beyond its %d B layout (%.1f B/process), want at most %d: a row cursor and a constant",
+			w, h, over, layout, float64(over)/n, limit)
+	}
+	connected := true
+	if got := allocated(func() { connected = g.IsConnected() }); got >= n {
+		t.Errorf("IsConnected on %s allocated %d B (%.2f B/process), want under 1 B/process", g.Name(), got, float64(got)/n)
+	}
+	if !connected {
+		t.Fatalf("%s reported disconnected", g.Name())
+	}
 }

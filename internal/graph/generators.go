@@ -141,9 +141,11 @@ func gridDesc(w, h int) Desc {
 }
 
 // Torus returns the w x h torus (grid with wraparound); w, h >= 3.
-// Construction is CSR-direct (see csr.go): the edge stream goes straight
-// into flat adjacency arenas, no builder map — a 1000×1000 torus is two
-// arenas of 4 million 32-bit words, not a 2-million-entry hash map.
+// Construction is CSR-direct (see csr.go): the edges are emitted twice,
+// once to count degrees and once to fill rows, straight into the flat
+// adjacency arenas, with no edge list and no builder map — a 1000×1000
+// torus is 4 million neighbor ids and back ports, not a 2-million-entry
+// hash map.
 func Torus(w, h int) *Graph {
 	if w < 3 || h < 3 {
 		panic("graph: Torus requires w, h >= 3")
@@ -155,15 +157,14 @@ func torusDesc(w, h int) Desc {
 	n := w * h
 	return Desc{Name: fmt.Sprintf("torus-%dx%d", w, h), N: n, build: func(name string, _ *rng.Rand) (*Graph, error) {
 		id := func(x, y int) int32 { return int32(y*w + x) }
-		edges := make([][2]int32, 0, 2*n)
-		for y := 0; y < h; y++ {
-			for x := 0; x < w; x++ {
-				edges = append(edges,
-					[2]int32{id(x, y), id((x+1)%w, y)},
-					[2]int32{id(x, y), id(x, (y+1)%h)})
+		return csrFromStream(name, n, func(edge func(u, v int32)) {
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					edge(id(x, y), id((x+1)%w, y))
+					edge(id(x, y), id(x, (y+1)%h))
+				}
 			}
-		}
-		return csrFromEdges(name, n, edges)
+		})
 	}}
 }
 

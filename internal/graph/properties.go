@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+
+	"repro/internal/bitset"
 )
 
 // BFS returns the distance (in hops) from src to every process, with -1
@@ -53,13 +55,33 @@ func (s *bfs) from(src int) (reached int, far int32) {
 }
 
 // IsConnected reports whether the graph is connected (the paper's model
-// assumes connected topologies). The empty graph is connected.
+// assumes connected topologies). The empty graph is connected. Every
+// system is checked once at construction, so the search keeps a visited
+// bit per process and the frontier of one hop distance at a time, not
+// BFS's n distances and n-entry queue: on a torus or a grid the frontier
+// is a ring of O(√n) processes.
 func (g *Graph) IsConnected() bool {
-	if g.N() == 0 {
+	n := g.N()
+	if n == 0 {
 		return true
 	}
-	reached, _ := g.newBFS().from(0)
-	return reached == g.N()
+	seen := bitset.New(n)
+	seen.Add(0)
+	reached := 1
+	frontier, next := []int32{0}, []int32(nil)
+	for len(frontier) > 0 {
+		next = next[:0]
+		for _, p := range frontier {
+			for _, q := range g.Row(int(p)) {
+				if seen.Add(int(q)) {
+					next = append(next, q)
+				}
+			}
+		}
+		reached += len(next)
+		frontier, next = next, frontier
+	}
+	return reached == n
 }
 
 // Diameter returns D, the maximum over all pairs of the hop distance.

@@ -17,6 +17,11 @@ func TestBFSDistances(t *testing.T) {
 }
 
 func TestConnectivity(t *testing.T) {
+	for _, g := range []*Graph{Path(1), Path(5), Star(6), Cycle(7), Grid(4, 3), Torus(5, 4), BalancedBinaryTree(3)} {
+		if !g.IsConnected() {
+			t.Fatalf("%s reported disconnected", g.Name())
+		}
+	}
 	b := NewBuilder(4, "disc")
 	b.MustAddEdge(0, 1)
 	b.MustAddEdge(2, 3)

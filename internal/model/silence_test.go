@@ -8,6 +8,7 @@ package model_test
 // walker's budget.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -155,6 +156,73 @@ func TestSilentNowCostFollowsCommActivity(t *testing.T) {
 	sim.MarkDirty(p)
 	if got, limit := silentNow(), g.MaxDegree()+1; got > limit {
 		t.Fatalf("SilentNow after one MarkDirty probed %d processes, want <= Δ+1 = %d", got, limit)
+	}
+}
+
+// trapSpec is a protocol that is silent everywhere but at a trap: every
+// process ticks an internal counter without writing communication
+// state, and one whose communication variable is 1 panics in Apply, so
+// its orbit walk ends in an error.
+func trapSpec() *model.Spec {
+	return &model.Spec{
+		Name:     "TRAP",
+		Comm:     []model.VarSpec{{Name: "trap", Domain: model.FixedDomain(2)}},
+		Internal: []model.VarSpec{{Name: "cur", Domain: model.FixedDomain(8)}},
+		Actions: []model.Action{{
+			Name:  "tick",
+			Guard: func(*model.Ctx) bool { return true },
+			Apply: func(c *model.Ctx) {
+				if c.Comm(0) == 1 {
+					panic("trap")
+				}
+				c.SetInternal(0, (c.Internal(0)+1)%8)
+			},
+		}},
+	}
+}
+
+// TestSilentNowSweep holds SilentNow to CommSilent, error included, on
+// the sweep over the processes never probed since Reset: with the trap
+// at the sweep's first process, in its middle and at its last; set by a
+// MarkDirty on a never-probed process before the first call; probed
+// again by the next call after its walk failed; cleared by a MarkDirty;
+// and set again in a configuration Reset hands the same system, which
+// must start the sweep over.
+func TestSilentNowSweep(t *testing.T) {
+	t.Parallel()
+	sys, err := model.NewSystem(graph.Grid(5, 4), trapSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{sys.N() - 1, sys.N() / 2, 0} {
+		sim, err := model.NewSimulator(sys, model.NewZeroConfig(sys), sched.NewSynchronous(), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agree := func(what string, wantTrap bool) {
+			t.Helper()
+			got, gotErr := sim.SilentNow()
+			want, wantErr := model.CommSilent(sys, sim.Config())
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("trap at %d, %s: SilentNow = (%v, %v), CommSilent = (%v, %v)", k, what, got, gotErr, want, wantErr)
+			}
+			if (wantErr != nil) != wantTrap {
+				t.Fatalf("trap at %d, %s: CommSilent error %v, want one: %v", k, what, wantErr, wantTrap)
+			}
+		}
+		sim.Config().SetComm(k, 0, 1)
+		sim.MarkDirty(k)
+		agree("first call", true)
+		agree("call after the failed walk", true)
+		sim.Config().SetComm(k, 0, 0)
+		sim.MarkDirty(k)
+		agree("trap cleared", false)
+		trapped := model.NewZeroConfig(sys)
+		trapped.SetComm(k, 0, 1)
+		if err := sim.Reset(sys, trapped, sched.NewSynchronous(), 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		agree("after Reset", true)
 	}
 }
 

@@ -100,15 +100,21 @@ type Simulator struct {
 	// broken verdict is invalidated by any move of p. Either way p's
 	// neighbors are invalidated when p's communication state changes.
 	//
-	// silUnknown queues exactly the processes whose verdict is
-	// silenceUnknown (invalidation enqueues on the silent/broken →
-	// unknown transition only, probing dequeues), and silBroken counts
-	// the cached silenceBroken verdicts. Together they make SilentNow
-	// O(invalidated-since-last-check) instead of an O(n) sweep over the
-	// verdict vector — the difference between a per-step silence check
-	// costing O(activity) and costing O(n) at n = 10⁶.
+	// The processes whose verdict is silenceUnknown are exactly those
+	// below silSweep, which SilentNow has not yet probed since Reset, and
+	// those queued on silUnknown, whose verdict was invalidated after a
+	// probe (invalidation enqueues on the silent/broken → unknown
+	// transition only, probing dequeues or lowers silSweep). silBroken
+	// counts the cached silenceBroken verdicts. Together they make
+	// SilentNow O(invalidated-since-last-check) instead of an O(n) sweep
+	// over the verdict vector — the difference between a per-step silence
+	// check costing O(activity) and costing O(n) at n = 10⁶ — and Reset
+	// writes no id: it only sets silSweep to n. silUnknown holds each
+	// process at most once, so its capacity of n is never outgrown; the
+	// pages of it no run reaches are never written, so never resident.
 	silence    []int8
 	silUnknown []int32
+	silSweep   int
 	silBroken  int
 
 	// Closed cycles, in every phase of a run. While p's communication row
@@ -269,10 +275,7 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		}
 		clear(s.arena.commChanged) // stepLive reads it by process
 	}
-	s.silUnknown = s.silUnknown[:0]
-	for p := 0; p < sys.N(); p++ {
-		s.silUnknown = append(s.silUnknown, int32(p))
-	}
+	s.silUnknown, s.silSweep = s.silUnknown[:0], sys.N()
 	s.silBroken = 0
 	s.probe.bind(sys)
 	s.cfg = cfg0
@@ -525,21 +528,28 @@ func (s *Simulator) RunUntilSilent(maxSteps, checkEvery int) (bool, error) {
 // The fast path is allocation-free and O(invalidated-since-last-check):
 // a standing broken verdict answers false from a counter, and only the
 // processes whose verdicts were invalidated (queued by Step/MarkDirty)
-// are re-probed — the verdict vector is never swept. Of those, a process
-// whose tracker verdict is a valid "disabled" is a local fixed point and
-// costs nothing more; every other one goes straight to the orbit walk,
-// whose first transition evaluates p's guards once for both questions:
-// the walk decides p's silence and hands the tracker p's enabledness as
-// a probed verdict. Probes leave the configuration alone and every
-// queued process gets the same verdict it would under an ascending
-// sweep, so drain order cannot be observed.
+// are re-probed, then the sweep over those not yet probed since Reset
+// resumes, downwards, where it stopped; the verdict vector is never
+// scanned. Of those, a process whose tracker verdict is a valid
+// "disabled" is a local fixed point and costs nothing more; every other
+// one goes straight to the orbit walk, whose first transition evaluates
+// p's guards once for both questions: the walk decides p's silence and
+// hands the tracker p's enabledness as a probed verdict. Probes leave
+// the configuration alone and every queued process gets the same
+// verdict it would under an ascending sweep, so drain order cannot be
+// observed.
 func (s *Simulator) SilentNow() (bool, error) {
 	if s.silBroken > 0 {
 		return false, nil
 	}
-	for len(s.silUnknown) > 0 {
-		p := int(s.silUnknown[len(s.silUnknown)-1])
-		s.silUnknown = s.silUnknown[:len(s.silUnknown)-1]
+	for len(s.silUnknown) > 0 || s.silSweep > 0 {
+		var p int
+		if k := len(s.silUnknown); k > 0 {
+			p, s.silUnknown = int(s.silUnknown[k-1]), s.silUnknown[:k-1]
+		} else {
+			s.silSweep--
+			p = s.silSweep
+		}
 		if s.silence[p] != silenceUnknown {
 			// Unreachable under the queue invariant; harmless if it ever
 			// loosens.
@@ -559,7 +569,8 @@ func (s *Simulator) SilentNow() (bool, error) {
 		silent, _, err := s.probe.walk(s.cfg, p)
 		s.tracker.commit(p, s.probe.first)
 		if err != nil {
-			// Keep the invariant: p is still unknown, so it stays queued.
+			// Keep the invariant: p is still unknown and above silSweep,
+			// so it is queued.
 			s.silUnknown = append(s.silUnknown, int32(p))
 			return false, fmt.Errorf("model: silence check at process %d: %w", p, err)
 		}
@@ -608,8 +619,8 @@ func (s *Simulator) neighborsDirty(p int) {
 
 // invalidateSilence drops p's cached silence verdict, maintaining the
 // unknown queue's invariant: a process is queued exactly when its
-// verdict is silenceUnknown, so re-invalidating an already-unknown
-// process enqueues nothing.
+// verdict is silenceUnknown and it is not below silSweep, so
+// re-invalidating an already-unknown process enqueues nothing.
 func (s *Simulator) invalidateSilence(p int) {
 	switch s.silence[p] {
 	case silenceUnknown:

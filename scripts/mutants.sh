@@ -42,6 +42,8 @@ MUTATIONS=(
 	"MATCHING's First answers seek where the guards answer propose|internal/protocols/matching/matching.go|internal/verify|^TestFirstMatchesGuards\$|s~return 4 // propose~return 5 // propose~"
 	"BFS's First takes the last minimal port|internal/protocols/bfstree/bfstree.go|internal/verify|^TestFirstMatchesGuards\$|s~if d < best \{~if d <= best {~"
 	"firstEnabled no longer clears the hand-off|internal/model/step.go|internal/model|^TestHandoffIsPerEvaluation\$|s~\tc.kept = false\n~~"
+	"the silence sweep stops one process short|internal/model/sim.go|internal/model|^TestSilentNowSweep\$|s~len\(s.silUnknown\) > 0 \|\| s.silSweep > 0~len(s.silUnknown) > 0 || s.silSweep > 1~"
+	"IsConnected skips each row's last port|internal/graph/properties.go|internal/graph|^TestConnectivity\$|s~for _, q := range g.Row\(int\(p\)\) \{\n(\t+if seen.Add)~for _, q := range g.nbr[g.off[p]:max(g.off[p], g.end[p]-1)] {\n\$1~"
 )
 
 fail=0
