@@ -57,32 +57,9 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
 
-# Mutation check: scripts/mutants.sh applies twenty-three named mutations,
-# one at a time, to a temporary copy of the tree. Twelve are engine ones
-# (a dropped flush, a skipped tracker invalidation, a port row rotated
-# in range, which only a reference with its own neighbor reads can see,
-# and nine more, three of them in the counts on closed cycles, one an
-# observed settle that lands its process a transition too far, and two
-# in the synchronous daemon's live set and count windows), and the
-# committed FuzzSimulatorVsReference corpus, run as a plain test, must
-# fail on every one. One makes a settle without an observer stop a
-# transition short, which the corpus cannot see (it always records), and
-# internal/model's TestTrackedSchedulersMatchOracle must catch it. Two
-# break the read sets' arcs (a dynamic graph's Arc that follows the port,
-# not the neighbor, and a recorder that counts an arc twice), and
-# internal/trace's TestArcReadSetsUnderChurn must catch them. Two weaken
-# the MIS and MATCHING legitimacy predicates, and internal/verify's
-# equivalence test against the old whole-configuration predicates must
-# catch them. Three make MIS's, MATCHING's and the BFS tree's one-pass
-# decisions (Spec.First) depart from their guards or their statement,
-# and internal/verify's TestFirstMatchesGuards must catch them. One keeps
-# First's hand-off to the statement (Ctx.Keep) alive past its
-# evaluation, and internal/model's TestHandoffIsPerEvaluation must catch
-# it. One makes SilentNow's sweep over the processes never probed since
-# Reset stop a process short, and internal/model's TestSilentNowSweep
-# must catch it. One makes the connectivity check skip each row's last
-# port, and internal/graph's TestConnectivity must catch it. A pattern
-# that no longer applies fails the target.
+# Mutation check: scripts/mutants.sh lists each mutation with the package
+# and test that must catch it, and applies them one at a time to a copy of
+# the tree. A mutation missed, or a pattern gone stale, fails the target.
 MUTANTS_DIR ?= /tmp/mutants
 mutants: ## Engine and predicate mutations the tests must each catch
 	bash scripts/mutants.sh $(MUTANTS_DIR)

@@ -119,7 +119,10 @@ func liveHeap() int64 {
 //     copy a step walks, one bit each;
 //   - the cycle detectors, 12 B: an anchor of one int32 (COLORING's
 //     internal row is its cur pointer), a packed 32-bit walk and the
-//     32-bit count, plus a due list capped at n/32 entries;
+//     32-bit count, plus a due list capped at n/32 entries; count and
+//     list serve disabled windows too;
+//   - no kept disabled reads: COLORING is never disabled, so neither
+//     the int per arc nor the two int32 sizes per process are allocated;
 //   - a report whose read sets are a histogram.
 //
 // The read sets as an int32 slab of four-member first rows (24 B per

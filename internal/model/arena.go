@@ -117,18 +117,19 @@ func (a *stepArena) commit(cfg *Config, p, k, step int, obs Observer) bool {
 // against the pre-step configuration, then commit all communication
 // writes in selection order) on the arena's reusable buffers, with no
 // per-step heap allocation. Each process draws from the arena generator
-// reseeded for (stepSeed, p). A process whose disabled verdict stands is
-// not evaluated: its selection is a counted replay (see
-// Simulator.disReads), and neither is one on a closed cycle, whose
-// selection is a count (see Simulator.cntState; both report fired -1,
-// and the settle moves p). The returned slices are owned by the arena
-// and valid until the next call.
+// reseeded for (stepSeed, p). A process whose disabled verdict stands or
+// that is on a closed cycle is not evaluated: its selection is a count in
+// its window (see Simulator.counts), it reports fired -1, and the settle
+// moves a cycle's p. The returned slices are owned by the arena and valid
+// until the next call.
 func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bool) {
 	a, cfg, obs := s.arena, s.cfg, s.obs
 	fired, writers := a.fired[:0], a.writers[:0]
 	for i, p := range selected {
 		if s.tracker.valid[p] == verdictStepped {
-			s.replayDisabled(p)
+			if s.obs != nil {
+				s.countSelect(p, len(writers))
+			}
 			fired = append(fired, -1)
 			continue
 		}
@@ -157,9 +158,9 @@ func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bo
 // processes only (see Simulator.live), in ascending order, so the
 // evaluations, Selected calls, writers and CommWrites come in the order
 // executeStep gives them, and the step costs O(evaluated + n/64). A
-// process on a closed cycle or with a stepped verdict is counted by the
-// step clock instead. fired and commChanged are indexed by process, and
-// commChanged is all false between steps.
+// process with a window is counted by the step clock instead. fired and
+// commChanged are indexed by process, and commChanged is all false
+// between steps.
 func (s *Simulator) stepLive(selected []int) {
 	a := s.arena
 	fired, writers := a.fired[:len(selected)], a.writers[:0]
@@ -195,7 +196,6 @@ func (s *Simulator) stepLive(selected []int) {
 // reads, or a transition fed to p's cycle detector.
 func (s *Simulator) evalSelected(p, stage int) (fired int, staged bool) {
 	a, obs := s.arena, s.obs
-	s.deliverDisabled(p) // p's kept reads are about to be overwritten
 	fired, staged = a.eval(s.cfg, p, stage, obs != nil)
 	if obs != nil {
 		obs.Selected(s.step, p, a.agg.arcs, a.agg.bits, fired, 1)
@@ -213,15 +213,11 @@ func (s *Simulator) evalSelected(p, stage int) (fired int, staged bool) {
 	return fired, staged
 }
 
-// countSettleWriters settles the counts of the writers' neighbors against
-// the rows they were taken under, before the commit changes them. The
-// settles stage on the first row no writer holds.
+// countSettleWriters settles the windows of the writers' neighbors
+// against the rows they were taken under, before the commit changes
+// them. The settles stage on the first row no writer holds.
 func (s *Simulator) countSettleWriters(selected []int, writers []int32) {
-	if s.allSel {
-		if !s.cntUsed {
-			return
-		}
-	} else if len(s.due) == 0 && !s.dueAll {
+	if !s.allSel && len(s.due) == 0 && !s.dueAll {
 		return
 	}
 	for _, i := range writers {
@@ -234,11 +230,11 @@ func (s *Simulator) countSettleWriters(selected []int, writers []int32) {
 }
 
 // countPending reports whether q has selections counted and not applied.
-// Under a SynchronousScheduler every process on a closed cycle has (its
+// Under a SynchronousScheduler every process off the live set has (its
 // window may be empty, which countApply skips).
 func (s *Simulator) countPending(q int) bool {
 	if s.allSel {
-		return s.countClosed(q)
+		return s.live[q>>6]&(1<<(q&63)) == 0
 	}
 	return s.counts[q] > 0
 }

@@ -145,7 +145,7 @@ func BenchmarkConvergence(b *testing.B) {
 // over an internal write made in place. The replay row is a recorded BFS
 // tree on a 256-cycle under the central-random daemon, stepped to its
 // fixed point without a silence check: every step selects a disabled
-// process, counts its replay and flushes it to the recorder.
+// process, counts its replay and settles it to the recorder.
 func BenchmarkExecuteStep(b *testing.B) {
 	newSim := func(b *testing.B, sys *model.System, sc model.Scheduler) *model.Simulator {
 		b.Helper()

@@ -14,10 +14,10 @@ import (
 // evaluating are counted and delivered as one call with the count: those
 // of a disabled process whose verdict stands (its reads are a function of
 // its own state and its neighbors' communication rows, neither of which
-// moved), counted per process and delivered before it is evaluated
-// again, and those of a process on a closed cycle (whose neighborhood
-// is frozen, before silence or after it), counted per process and
-// delivered per transition of the cycle. Every count reaches the
+// moved), counted per process and delivered as one call, and those of a
+// process on a closed cycle (whose neighborhood is frozen, before
+// silence or after it), counted per process and delivered per
+// transition of the cycle. Every count reaches the
 // observer before the Simulator method that stepped returns. An
 // implementation may therefore keep sums, maxima and set unions of what
 // Selected carries, but nothing that depends on where its calls fall

@@ -13,3 +13,16 @@ func SetStampLimit(limit uint32) (restore func()) {
 // SynchronousScheduler, whether its next selection is evaluated rather
 // than counted. It is false under every other scheduler.
 func (s *Simulator) Live(p int) bool { return s.allSel && s.live[p>>6]&(1<<(p&63)) != 0 }
+
+// OpenWindows counts the processes whose window holds selections not
+// yet settled (see Simulator.counts). It is 0 whenever an exported method
+// has returned.
+func (s *Simulator) OpenWindows() int {
+	open := 0
+	for p, c := range s.counts {
+		if s.allSel && !s.Live(p) && uint32(c) != s.selStamp || !s.allSel && c != 0 {
+			open++
+		}
+	}
+	return open
+}

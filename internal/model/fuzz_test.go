@@ -91,17 +91,18 @@ const (
 
 // FuzzSimulatorVsReference runs model.Simulator and the reference
 // simulator ref.Sim in lockstep through one stream of operations: steps,
-// stretches of rounds (over which the cycle detectors count and flush),
+// stretches of rounds (over which the cycle detectors count and settle),
 // runs to silence, corruptions (repaired with MarkDirty on the
 // simulator), topology events on a MutableCopy and suffix marks. Each
 // side applies every corruption and topology event itself, the reference
 // to its own configuration, port lists and domains. After every step and
-// every other operation it requires the same configuration, step and
-// round counts, selections and verdicts; the tracker's enabled set equal
-// to the reference's and its AllEnabled answer to the reference's on a
-// set that moves with the stream; SilentNow equal to the reference's
-// verdict; the same Selected aggregates (however the replays were
-// batched) and CommWrite stream; the same recorder report; and on a
+// every other operation it requires no open window (OpenWindows), so a
+// missed settle fails where it was missed; the same configuration, step
+// and round counts, selections and verdicts; the tracker's enabled set
+// equal to the reference's and its AllEnabled answer to the reference's
+// on a set that moves with the stream; SilentNow equal to the
+// reference's verdict; the same Selected aggregates (however the replays
+// were batched) and CommWrite stream; the same recorder report; and on a
 // MutableCopy a valid graph and configuration.
 //
 // The simulator decides every evaluation with the spec's First where it
@@ -116,8 +117,9 @@ const (
 // named after the test, and the replay cases: BFS tree and MATCHING
 // under central-random and laziest-fair on a MutableCopy, where
 // disabled processes are selected again and again between a
-// corruption and a topology event, so counted replays are kept,
-// invalidated, delivered early and flushed. The topology-ref cases run
+// corruption and a topology event, so counted replays are kept, settled
+// early when a neighbor writes, settled as each operation returns and
+// invalidated. The topology-ref cases run
 // MATCHING, the cached-view MIS and the cached-view MATCHING on a
 // MutableCopy through crashes, joins, removals and restorations, so the
 // reference's own port rule and domain reduction run on every go test.
@@ -131,9 +133,8 @@ const (
 // neighbor writes, and their detectors are forgotten. The sync cases run
 // five protocols under the synchronous daemon on a MutableCopy through
 // the same kind of stream, so processes leave the live set and rejoin
-// it, count windows settle when a neighbor writes, and disabled replay
-// windows close on a corruption or a topology event and reach the
-// observer when their process is evaluated again.
+// it, and windows of both kinds settle when a neighbor writes and as each
+// operation returns, before a corruption or a topology event ends them.
 func FuzzSimulatorVsReference(f *testing.F) {
 	f.Add(uint8(3), uint8(7), false, uint8(1), uint8(1), uint64(1), []byte{opRunUntilSilent, opMarkSuffix, opStep | 3<<3, opRunRounds, opCorrupt, opStep})
 	f.Fuzz(func(t *testing.T, shape, size uint8, dynamic bool, proto, daemon uint8, seed uint64, ops []byte) {
@@ -173,6 +174,9 @@ func FuzzSimulatorVsReference(f *testing.F) {
 		set := bitset.New(sys.N())
 		check := func() {
 			t.Helper()
+			if open := sim.OpenWindows(); open != 0 {
+				fatalf("%d windows open after the operation returned", open)
+			}
 			if !sim.Config().Equal(naive.Config()) {
 				fatalf("configurations diverged")
 			}

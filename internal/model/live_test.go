@@ -26,32 +26,26 @@ func (u *undeclaredSync) Select(step int, sys *model.System, cfg *model.Config) 
 // liveProbe extends settleProbe with the two shapes of the live set that
 // TestLiveSetMatchesPerSelectionPath must cover: a process that leaves
 // the live set and rejoins it, read off the simulator after every step,
-// and a disabled replay window delivered when its process is evaluated
-// again, which shows as a disabled Selected call followed, in the same
-// step, by another call for the same process.
+// and a disabled window settled by a neighbor's write, which shows as a
+// disabled Selected call inside a step standing for more than one
+// selection (an evaluation stands for one).
 type liveProbe struct {
 	settleProbe
-	sim       *model.Simulator
-	left      []bool
-	disabled  []bool // a disabled Selected call for p in the step in progress
-	rejoined  int
-	delivered int
+	sim      *model.Simulator
+	left     []bool
+	rejoined int
+	settled  int
 }
 
 func (o *liveProbe) Selected(step, p int, neighbors []int, bits, fired, times int) {
 	o.settleProbe.Selected(step, p, neighbors, bits, fired, times)
-	if !o.inStep {
-		return
+	if o.inStep && fired < 0 && times > 1 {
+		o.settled++
 	}
-	if o.disabled[p] {
-		o.delivered++
-	}
-	o.disabled[p] = fired < 0
 }
 
 func (o *liveProbe) StepEnd(step int, selected []int, roundCompleted bool) {
 	o.settleProbe.StepEnd(step, selected, roundCompleted)
-	clear(o.disabled)
 	for p := range o.left {
 		switch live := o.sim.Live(p); {
 		case !live:
@@ -75,14 +69,14 @@ func (o *liveProbe) StepEnd(step int, selected []int, roundCompleted bool) {
 // whose scheduler selects the same lists without declaring them. Each
 // run goes on past silence through RunRounds stretches, a second
 // corruption and a run back to silence. The cases must cover a settle
-// forced by a neighbor's write, a disabled replay window delivered when
-// its process is evaluated again, and a process that leaves the live set
-// and rejoins it.
+// forced by a neighbor's write, a disabled window settled by a
+// neighbor's write, and a process that leaves the live set and rejoins
+// it.
 func TestLiveSetMatchesPerSelectionPath(t *testing.T) {
 	t.Parallel()
 	graphs := []*graph.Graph{graph.Cycle(9), graph.Grid(3, 4), graph.RandomConnectedGNP(12, 0.3, rng.New(4)), graph.Torus(12, 12)}
 	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching, engine.FamMatchingXform, engine.FamBFSTree}
-	var forced, delivered, rejoined int
+	var forced, settled, rejoined int
 	for _, g := range graphs {
 		for _, fam := range families {
 			sys, err := engine.Build(g, fam, nil)
@@ -95,16 +89,16 @@ func TestLiveSetMatchesPerSelectionPath(t *testing.T) {
 					for seed := uint64(1); seed <= 3; seed++ {
 						probe := checkLiveSet(t, sys, dynamic, seed)
 						forced += probe.forced
-						delivered += probe.delivered
+						settled += probe.settled
 						rejoined += probe.rejoined
 					}
 				})
 			}
 		}
 	}
-	if forced == 0 || delivered == 0 || rejoined == 0 {
-		t.Fatalf("coverage: %d settles forced by a neighbor's write, %d replay windows delivered at an evaluation, %d returns to the live set; want each > 0",
-			forced, delivered, rejoined)
+	if forced == 0 || settled == 0 || rejoined == 0 {
+		t.Fatalf("coverage: %d settles forced by a neighbor's write, %d disabled windows settled by one, %d returns to the live set; want each > 0",
+			forced, settled, rejoined)
 	}
 }
 
@@ -122,7 +116,6 @@ func checkLiveSet(t *testing.T, sys *model.System, dynamic bool, seed uint64) *l
 	probe := &liveProbe{
 		settleProbe: settleProbe{Observer: liveRec, selected: make([]bool, n)},
 		left:        make([]bool, n),
-		disabled:    make([]bool, n),
 	}
 	live, err := model.NewSimulator(liveSys, initial, sched.NewSynchronous(), seed, probe)
 	if err != nil {

@@ -94,8 +94,9 @@ func TestStepZeroAllocAllWriters(t *testing.T) {
 // TestStepZeroAllocDisabledReplay: a recorded BFS tree on a cycle under
 // the central-random daemon, stepped to its fixed point without a
 // silence check, so every selection is a disabled process served from its
-// stepped verdict. Counting the replay, listing it and the flush that
-// hands it to the recorder as Step returns allocate nothing.
+// stepped verdict. Counting the replay, putting it on the due list and
+// the settle that hands it to the recorder as Step returns allocate
+// nothing.
 func TestStepZeroAllocDisabledReplay(t *testing.T) {
 	sys, err := engine.Build(graph.Cycle(16), engine.FamBFSTree, nil)
 	if err != nil {

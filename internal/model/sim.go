@@ -13,13 +13,15 @@ import (
 //
 // Schedulers that consult enabledness must additionally implement
 // TrackedScheduler: the simulator then serves their probes from its
-// incremental EnabledTracker instead of a from-scratch rescan, and brings
-// every internal row up to date before it asks. Within one RunRounds,
-// RunSteps or RunUntilSilent call, in any phase of the run, the internal
-// rows of the processes on closed cycles lag their selections (see
-// Simulator.cntState), so a scheduler the simulator calls through Select
-// may read cfg's communication rows, not its internal ones. No count is
-// pending when an exported method of the Simulator returns.
+// incremental EnabledTracker instead of a from-scratch rescan. Nothing is
+// counted on a closed cycle under a tracked daemon, so the internal rows
+// its probes read are current. Under any other scheduler, within one
+// RunRounds, RunSteps or RunUntilSilent call, in any phase of the run,
+// the internal rows of the processes on closed cycles lag their
+// selections (see Simulator.counts), so a scheduler the simulator calls
+// through Select may read cfg's communication rows, not its internal
+// ones. No window is open when an exported method of the Simulator
+// returns.
 //
 // A scheduler that selects every process at every step implements
 // SynchronousScheduler, and the simulator then evaluates only the
@@ -38,10 +40,11 @@ type Scheduler interface {
 
 // SynchronousScheduler is an optional Scheduler extension, like
 // TrackedScheduler: a scheduler that implements it declares that Select
-// returns every process, 0 to n−1 in ascending order, at every step. The simulator still calls Select and hands the list to the
-// Observer, checks its length and skips the per-selection stamps, and a
-// step visits only the live processes (see Simulator.live). A scheduler
-// that is also a TrackedScheduler is served as one.
+// returns every process, 0 to n−1 in ascending order, at every step. The
+// simulator still calls Select and hands the list to the Observer, checks
+// its length and skips the per-selection stamps, and a step visits only
+// the live processes (see Simulator.live). A scheduler that is also a
+// TrackedScheduler is served as one.
 type SynchronousScheduler interface {
 	Scheduler
 	// SelectsAll marks the declaration; the simulator never calls it.
@@ -93,12 +96,13 @@ type Simulator struct {
 	// Incremental silence detection: silence[p] caches the verdict of p's
 	// orbit walk under the current configuration — silenceSilent and
 	// silenceBroken are both cached, so a standing non-silent witness is
-	// re-probed only after something near it moved, not on every check. The verdict depends only on p's own state and
-	// its neighbors' communication state. A silent verdict speaks for
-	// every state of p's orbit, all of which share p's communication row,
-	// so Step invalidates it only when p's communication state changes; a
-	// broken verdict is invalidated by any move of p. Either way p's
-	// neighbors are invalidated when p's communication state changes.
+	// re-probed only after something near it moved, not on every check.
+	// The verdict depends only on p's own state and its neighbors'
+	// communication state. A silent verdict speaks for every state of p's
+	// orbit, all of which share p's communication row, so Step invalidates
+	// it only when p's communication state changes; a broken verdict is
+	// invalidated by any move of p. Either way p's neighbors are
+	// invalidated when p's communication state changes.
 	//
 	// The processes whose verdict is silenceUnknown are exactly those
 	// below silSweep, which SilentNow has not yet probed since Reset, and
@@ -117,100 +121,78 @@ type Simulator struct {
 	silSweep   int
 	silBroken  int
 
-	// Closed cycles, in every phase of a run. While p's communication row
-	// and its neighbors' stay put, a transition of p that fires an action
-	// not marked Randomized, draws no randomness and stages no
-	// communication write is a function of p's internal row: the protocols
-	// of Theorems 3, 5 and 7 keep turning their cur pointer long after
-	// their neighborhood settled, and once the configuration is silent
-	// every neighborhood has. executeStep feeds each such transition to
-	// p's cycle detector (countFeed), Brent's walk of orbitProbe kept
-	// between selections: cntAnchor holds p's saved internal row and
-	// cntState[p] the packed walk (cntRunning, cntClosed). Once the walk
-	// returns to its anchor, p is on a closed cycle of L transitions, and
-	// a selection of p adds one to counts[p] instead of evaluating p
-	// (under a SynchronousScheduler p is not even visited, see live); the
-	// settle re-evaluates at most L transitions, whatever the count
-	// (countApply), and hands the observer one Selected call per
-	// transition with the number of selections it stands for. Every
-	// statistic an observer keeps is a sum, a maximum or a set union of
-	// that aggregate, so recorded traces are byte-identical to evaluating
-	// every selection. Nothing reads p's internal row in between: other
-	// processes read only communication rows, and a TrackedScheduler's
-	// probes, which do read it, are served after a settle (a plain
-	// Scheduler must not read it, see Scheduler.Select).
+	// Windows, in every phase of a run: a selection whose outcome the
+	// engine already knows is counted, not evaluated. A window is one of
+	// two kinds.
 	//
-	// Any other evaluation of p, a change to p's communication row or a
-	// neighbor's, MarkDirty, ApplyTopology and Reset forget p's walk, and
-	// a step that stages a communication write settles the writer's
-	// counted neighbors against the pre-step rows first. Under a
-	// TrackedScheduler nothing is fed: it settles before every selection,
-	// so a count never exceeds one. The walk tables are allocated by the
-	// first transition fed on a system, counts and due by the first cycle
-	// that closes. Under a SynchronousScheduler counts holds window
-	// stamps, not counts (see live).
+	// A closed cycle. While p's communication row and its neighbors' stay
+	// put, a transition of p that fires an action not marked Randomized,
+	// draws no randomness and stages no communication write is a function
+	// of p's internal row: the protocols of Theorems 3, 5 and 7 keep
+	// turning their cur pointer long after their neighborhood settled, and
+	// once the configuration is silent every neighborhood has. executeStep
+	// feeds each such transition to p's cycle detector (countFeed), Brent's
+	// walk of orbitProbe kept between selections: cntAnchor holds p's saved
+	// internal row and cntState[p] the packed walk (cntRunning, cntClosed).
+	// Once the walk returns to its anchor, p is on a closed cycle of L
+	// transitions. Any other evaluation of p, a change to p's communication
+	// row or a neighbor's, MarkDirty, ApplyTopology and Reset forget the
+	// walk. Nothing is fed under a TrackedScheduler.
 	//
-	// Invariant: no count is pending when an exported method returns —
-	// every stepping method ends in flush, which settles. MarkDirty and
-	// ApplyTopology rely on it: their callers write rows first, and a
-	// pending count would then be applied over those rows.
+	// A stepped disabled verdict. A step evaluation that finds p disabled
+	// hands the tracker the verdict (judgeDisabled), and with an observer
+	// attached keeps what the evaluation read: the base arcs of the
+	// distinct neighbors at disReads[RowStart(p):], disSeen[p].n of them,
+	// and disSeen[p].bits, sized by the first kept evaluation on a system.
+	// Guards are predicates over p's own state and its neighbors'
+	// communication rows, so the verdict and the reads hold until the
+	// dirty rule drops the verdict.
+	//
+	// Either way a selection of p adds one to counts[p] (countSelect; a
+	// disabled one only with an observer attached), and a count that
+	// leaves 0 puts p on due. countApply, the one settle, hands a disabled
+	// window to the observer as one Selected call with the kept reads, and
+	// re-evaluates a cycle's at most L transitions, whatever the count,
+	// with one Selected call per transition carrying the number of
+	// selections it stands for. Every statistic an observer keeps is a
+	// sum, a maximum or a set union of that aggregate, so recorded traces
+	// are byte-identical to evaluating every selection. A step that stages
+	// a communication write settles the writer's neighbors against the
+	// pre-step rows before the commit (countSettleWriters), and every
+	// exported stepping method ends in settle. counts and due are
+	// allocated by the first window a system opens.
+	//
+	// Invariant: no window is open when an exported method returns. A
+	// stepped verdict or a closed walk ends only between methods or on a
+	// neighbor's write, so its window has settled by then and never
+	// settles at a re-evaluation; MarkDirty and ApplyTopology rely on it
+	// too, as their callers write rows first.
 	cntState  []uint32
 	cntAnchor []int32 // n × InternalWidth
 	cntLand   []int32 // countApply's scratch row
-	cntUsed   bool    // a walk started since the tables were last cleared
-	counts    []int32 // selections counted on p's closed cycle, not yet applied
+	counts    []int32 // p's count, or its window's opening stamp (see live)
 	due       []int32 // processes whose count is non-zero, at most dueCap of them
 	dueAll    bool    // due overflowed: the next settle sweeps counts
+	disReads  []int
+	disSeen   []disabledSeen
 
-	// Disabled replays, at any phase of a run. A step evaluation that
-	// finds p disabled hands the tracker a stepped verdict (judgeDisabled),
-	// and with an observer attached keeps what the evaluation read: the
-	// base arcs of the distinct neighbors at disReads[RowStart(p):],
-	// disSeen[p].n of them, and disSeen[p].bits. Guards are predicates
-	// over p's own state and its neighbors' communication rows, so the
-	// verdict and the reads both hold until the dirty rule drops the
-	// verdict; until then a selection of p only counts a replay
-	// (executeStep). p then joins disPending, and flush delivers one
-	// counted Selected call, as does deliverDisabled before p is evaluated
-	// again, when the reads are about to be overwritten. Both tables are
-	// sized by the first kept evaluation on a system, so a run where no
-	// recorded selection finds a process disabled has none, and a Reset to
-	// another system keeps their storage for the next.
-	disReads   []int
-	disSeen    []disabledSeen
-	disPending []int32 // processes with replays to deliver or an open window
-
-	// Counts by epoch, under a SynchronousScheduler only. Every process is
-	// selected at every step, so a process whose selections are counts
-	// needs no visit: live has bit p set while p is neither on a closed
-	// cycle nor holding a stepped disabled verdict, and a step evaluates
-	// the live processes in ascending order (stepLive), with visit the
-	// live set it began with. The other processes' counts follow from the
-	// step clock selStamp: a counted process's counts[p] holds the stamp
-	// at which its window opened (its close or its last settle), and its
-	// pending count is selStamp minus that, so every process on a closed
-	// cycle is pending and a settle sweeps them. With an observer attached
-	// a stepped disabled process's disSeen.pend holds the negated stamp at
-	// which its replay window opened; the end of the verdict turns the
-	// window into an ordinary count (invalidate), and a flush hands it
-	// over and reopens it. The settle points are those of the counts: a
-	// writer's neighbors before the commit and a flush. Every other
-	// scheduler pays one predictable branch at each hook. A rebase of the
-	// stamps flushes every window first, so none outlasts stampLimit
-	// steps.
+	// Windows by epoch, under a SynchronousScheduler only. Every process is
+	// selected at every step, so a process with a window needs no visit:
+	// live has bit p set exactly when p has none, and a step evaluates the
+	// live processes in ascending order (stepLive), with visit the live set
+	// it began with. counts[p] holds the stamp at which p's window opened
+	// (its close, its stepped verdict or its last settle), and its count is
+	// selStamp minus that; a settle sweeps the processes off the live set.
+	// A rebase of the stamps settles every window and reopens each at
+	// stamp 1. Every other scheduler pays one predictable branch at each
+	// hook.
 	live  []uint64
 	visit []uint64
 }
 
 // disabledSeen is what Simulator.disSeen holds for one process: how many
-// distinct neighbors and bits its kept disabled evaluation read, and its
-// place on the pending list (0: not on it; k ≥ 1: on it, with k−1
-// replays the observer has not been told of; −e: on it, with a replay
-// window open since stamp e, see Simulator.live).
-type disabledSeen struct {
-	n, bits int32
-	pend    int
-}
+// distinct neighbors and bits its kept disabled evaluation read.
+type disabledSeen struct{ n, bits int32 }
 
 // Tri-state orbit-silence verdicts cached per process in
 // Simulator.silence. Both polarities are pure functions of p's own state
@@ -248,17 +230,12 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	if err := cfg0.Validate(sys); err != nil {
 		return err
 	}
-	// Replay windows stay listed across a flush (see live).
-	for _, p := range s.disPending {
-		s.disSeen[p].pend = 0
-	}
-	s.disPending = s.disPending[:0]
 	if s.sys != sys {
 		s.sys = sys
 		s.lastSel = make([]uint32, sys.N())
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
-		s.cntState, s.cntAnchor, s.cntUsed, s.counts, s.due = nil, nil, false, nil, nil
+		s.cntState, s.cntAnchor, s.counts, s.due = nil, nil, nil, nil
 		s.disReads, s.disSeen = s.disReads[:0], s.disSeen[:0]
 		s.live, s.visit = nil, nil
 		s.arena = newStepArena(sys)
@@ -267,13 +244,11 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 		for i := range s.silence {
 			s.silence[i] = silenceUnknown
 		}
-		if s.cntUsed {
-			// Under a SynchronousScheduler counts holds window stamps.
-			clear(s.cntState)
-			clear(s.counts)
-			s.cntUsed = false
-		}
-		clear(s.arena.commChanged) // stepLive reads it by process
+		// A SynchronousScheduler leaves stamps in counts, and stepLive
+		// reads commChanged by process.
+		clear(s.cntState)
+		clear(s.counts)
+		clear(s.arena.commChanged)
 	}
 	s.silUnknown, s.silSweep = s.silUnknown[:0], sys.N()
 	s.silBroken = 0
@@ -329,16 +304,15 @@ func (s *Simulator) Rounds() int { return s.round }
 // the next Step call and must not be mutated.
 func (s *Simulator) Step() []int {
 	selected := s.advance()
-	s.flush()
+	s.settle()
 	return selected
 }
 
-// advance is Step without the hand-over of counted replays: the Run
-// loops call it and flush once before they return.
+// advance is Step without the settle of its windows: the Run loops call
+// it and settle once before they return.
 func (s *Simulator) advance() []int {
 	var selected []int
 	if s.tsched != nil {
-		s.settle() // the probes read internal rows
 		selected = s.tsched.SelectTracked(s.step, s.sys, s.cfg, s.tracker)
 	} else {
 		selected = s.sched.Select(s.step, s.sys, s.cfg)
@@ -416,21 +390,14 @@ var stampLimit uint32 = math.MaxUint32
 // round in progress gets stamp 1, every other one 0, and the next step
 // stamps 2. It runs between steps, once every stampLimit steps, so its
 // O(n) pass costs nothing per step. Under a SynchronousScheduler, where
-// the stamps are the windows' clock and every lastSel is 0, a flush
+// the stamps are the windows' clock and every lastSel is 0, a settle
 // closes every window and each reopens at stamp 1.
 func (s *Simulator) rebaseStamps() {
 	if s.allSel {
-		s.flush()
+		s.settle()
 		s.roundStamp, s.selStamp = 0, 1
-		if s.cntUsed {
-			for p, st := range s.cntState {
-				if st >= cntClosed {
-					s.counts[p] = 1
-				}
-			}
-		}
-		for _, p := range s.disPending {
-			s.disSeen[p].pend = -1 // a flush keeps only open windows
+		for p := range s.counts {
+			s.counts[p] = 1
 		}
 		return
 	}
@@ -466,17 +433,11 @@ func (s *Simulator) moved(p int, commChanged bool) {
 // rejoin runs before the tracker drops p's verdict on a neighbor's
 // write or a MarkDirty (moved never meets a stepped verdict: a process
 // that moved was evaluated or counted). Under a SynchronousScheduler the
-// end of a stepped verdict puts p back in the live set and turns its open
-// replay window into an ordinary count, which p's next evaluation or the
-// next flush delivers.
+// end of a stepped verdict puts p back in the live set; its window has
+// settled (see Simulator.counts).
 func (s *Simulator) rejoin(p int) {
 	if s.allSel && s.tracker.valid[p] == verdictStepped {
 		s.live[p>>6] |= 1 << (p & 63)
-		if len(s.disSeen) > 0 {
-			if e := &s.disSeen[p]; e.pend < 0 {
-				e.pend += 1 + int(s.selStamp)
-			}
-		}
 	}
 }
 
@@ -489,9 +450,9 @@ func (s *Simulator) rejoin(p int) {
 // communication state changed since the last check, so the amortized cost
 // per step is proportional to the activity, not to n. The caller must not
 // mutate Config() between steps, or cached verdicts go stale. Counted
-// replays are handed to the observer once, as the run returns.
+// selections are handed to the observer as the run returns.
 func (s *Simulator) RunUntilSilent(maxSteps, checkEvery int) (bool, error) {
-	defer s.flush()
+	defer s.settle()
 	if checkEvery < 1 {
 		checkEvery = 1
 	}
@@ -637,7 +598,7 @@ func (s *Simulator) RunSteps(k int) {
 	for i := 0; i < k; i++ {
 		s.advance()
 	}
-	s.flush()
+	s.settle()
 }
 
 // RunRounds executes steps until k further rounds have completed.
@@ -646,44 +607,15 @@ func (s *Simulator) RunRounds(k int) {
 	for s.round < target {
 		s.advance()
 	}
-	s.flush()
-}
-
-// flush applies the counts on closed cycles (settle), then hands the
-// observer the disabled replays counted since the last flush: one
-// Selected call per disabled process, carrying the aggregate its
-// evaluation delivered and the number of replays. Every exported method
-// that steps flushes before it returns, so an observer is current
-// whenever its owner can look at it.
-func (s *Simulator) flush() {
 	s.settle()
-	kept := s.disPending[:0]
-	for _, p := range s.disPending {
-		e := &s.disSeen[p]
-		open := e.pend < 0
-		if open {
-			// An open replay window (see live) is delivered as a count,
-			// reopens and stays listed.
-			e.pend += 1 + int(s.selStamp)
-		}
-		s.deliverDisabled(int(p))
-		e.pend = 0
-		if open {
-			e.pend = -int(s.selStamp)
-			kept = append(kept, p)
-		}
-	}
-	s.disPending = kept
 }
 
-// settle applies the selections counted on closed cycles since the last
-// settle. Under a SynchronousScheduler every process on a closed cycle
-// is pending, and the settle sweeps the processes off the live set.
+// settle applies every open window (see Simulator.counts). Every exported
+// method that steps settles before it returns, so an observer is current
+// whenever its owner can look at it. Under a SynchronousScheduler the
+// settle sweeps the processes off the live set.
 func (s *Simulator) settle() {
 	if s.allSel {
-		if !s.cntUsed {
-			return
-		}
 		n := s.sys.N()
 		for j, w := range s.live {
 			for w = ^w; w != 0; w &= w - 1 {
@@ -691,9 +623,7 @@ func (s *Simulator) settle() {
 				if p >= n {
 					break
 				}
-				if s.cntState[p] >= cntClosed {
-					s.countApply(p, 0)
-				}
+				s.countApply(p, 0)
 			}
 		}
 		return
@@ -732,58 +662,36 @@ func dueCap(n int) int { return max(n/32, 64) }
 
 // keepDisabled records a step evaluation of p that found it disabled:
 // the tracker takes the verdict, and with an observer attached the
-// evaluation's reads are kept for p's replays (see disReads). Under a
-// SynchronousScheduler p leaves the live set and its replay window opens
-// (see live); an evaluation has delivered p's earlier replays, so pend
-// is 0 or 1 here.
+// evaluation's reads are kept for p's window (see disReads).
 func (s *Simulator) keepDisabled(p int) {
 	s.tracker.judgeDisabled(p)
+	if s.obs != nil {
+		g := s.sys.g
+		if len(s.disSeen) == 0 {
+			s.disReads = slices.Grow(s.disReads, g.RowStart(g.N()))[:g.RowStart(g.N())]
+			s.disSeen = slices.Grow(s.disSeen, g.N())[:g.N()]
+		}
+		agg := &s.arena.agg
+		copy(s.disReads[g.RowStart(p):], agg.arcs)
+		s.disSeen[p] = disabledSeen{int32(len(agg.arcs)), int32(agg.bits)}
+	}
+	if s.obs != nil || s.allSel {
+		s.openWindow(p)
+	}
+}
+
+// openWindow makes p's next selections counts: under a
+// SynchronousScheduler p leaves the live set and its window opens at the
+// current stamp.
+func (s *Simulator) openWindow(p int) {
+	if s.counts == nil {
+		n := s.sys.N()
+		s.counts, s.due = make([]int32, n), make([]int32, 0, dueCap(n))
+	}
 	if s.allSel {
 		s.live[p>>6] &^= 1 << (p & 63)
+		s.counts[p] = int32(s.selStamp)
 	}
-	if s.obs == nil {
-		return
-	}
-	g := s.sys.g
-	if len(s.disSeen) == 0 {
-		s.disReads = slices.Grow(s.disReads, g.RowStart(g.N()))[:g.RowStart(g.N())]
-		s.disSeen = slices.Grow(s.disSeen, g.N())[:g.N()]
-	}
-	agg := &s.arena.agg
-	copy(s.disReads[g.RowStart(p):], agg.arcs)
-	e := &s.disSeen[p]
-	e.n, e.bits = int32(len(agg.arcs)), int32(agg.bits)
-	if s.allSel {
-		if e.pend == 0 {
-			s.disPending = append(s.disPending, int32(p))
-		}
-		e.pend = -int(s.selStamp)
-	}
-}
-
-// replayDisabled counts a selection of p served from its stepped verdict.
-func (s *Simulator) replayDisabled(p int) {
-	if s.obs == nil {
-		return
-	}
-	e := &s.disSeen[p]
-	if e.pend == 0 {
-		s.disPending = append(s.disPending, int32(p))
-		e.pend = 1
-	}
-	e.pend++
-}
-
-// deliverDisabled hands the observer p's counted disabled replays, if
-// any, as one Selected call; p stays on the pending list.
-func (s *Simulator) deliverDisabled(p int) {
-	if len(s.disSeen) == 0 || s.disSeen[p].pend <= 1 {
-		return
-	}
-	e := &s.disSeen[p]
-	off := s.sys.g.RowStart(p)
-	s.obs.Selected(s.step, p, s.disReads[off:off+int(e.n)], int(e.bits), -1, e.pend-1)
-	e.pend = 1
 }
 
 // Packed cycle-detector states (Simulator.cntState). 0: no walk. A
@@ -806,8 +714,8 @@ func (s *Simulator) countClosed(p int) bool {
 	return s.cntState != nil && s.cntState[p] >= cntClosed
 }
 
-// countForget drops p's walk. p has no pending count: a count is settled
-// before anything that forgets it can happen. Under a
+// countForget drops p's walk. p has no open window: a window settles
+// before anything that forgets the walk can happen. Under a
 // SynchronousScheduler a closed p rejoins the live set.
 func (s *Simulator) countForget(p int) {
 	if s.cntState != nil {
@@ -840,21 +748,13 @@ func (s *Simulator) countFeed(p int) {
 		if power := uint32(s.sys.g.Degree(p) + 1); power <= cntField {
 			copy(anchor, row)
 			s.cntState[p] = cntRunning | power<<cntPowerShift
-			s.cntUsed = true
 		}
 		return
 	}
 	lam := st&cntField + 1
 	if slices.Equal(row, anchor) {
-		if s.counts == nil {
-			n := s.sys.N()
-			s.counts, s.due = make([]int32, n), make([]int32, 0, dueCap(n))
-		}
 		s.cntState[p] = cntClosed | lam
-		if s.allSel {
-			s.live[p>>6] &^= 1 << (p & 63)
-			s.counts[p] = int32(s.selStamp)
-		}
+		s.openWindow(p)
 		return
 	}
 	if power := st >> cntPowerShift & cntField; lam == power {
@@ -868,26 +768,35 @@ func (s *Simulator) countFeed(p int) {
 	s.cntState[p] = st&^cntField | lam
 }
 
-// countSelect counts a selection of p on its closed cycle; a full count
-// is settled on staging row stage.
+// countSelect counts a selection of p in its window. It is small enough
+// to inline: countOpen takes a count that just left 0 or wrapped.
 func (s *Simulator) countSelect(p, stage int) {
-	switch s.counts[p] {
-	case 0:
-		s.markDue(p)
-	case math.MaxInt32:
-		s.countApply(p, stage) // p stays due
+	if s.counts[p]++; s.counts[p] <= 1 {
+		s.countOpen(p, stage)
 	}
-	s.counts[p]++
 }
 
-// countApply applies the k selections of p counted on its closed cycle
-// of L transitions: it re-evaluates the transitions from p's row, at
-// most L of them, delivers the i-th with k/L selections, one more when
-// i < k mod L, and leaves p k mod L transitions on. Without an observer
-// only those k mod L run. The evaluations use the arena's staging row
-// stage, which none of them writes. The dirty rule runs once for all k.
-// Under a SynchronousScheduler k is the window's length, and the window
-// reopens at the current stamp.
+// countOpen puts p, whose count just left 0, on due, or settles the
+// math.MaxInt32 selections of a count that wrapped on staging row stage.
+func (s *Simulator) countOpen(p, stage int) {
+	if s.counts[p] == 1 {
+		s.markDue(p)
+		return
+	}
+	s.counts[p] = math.MaxInt32
+	s.countApply(p, stage) // p stays due
+	s.counts[p] = 1
+}
+
+// countApply settles p's window of k selections. A disabled p's goes to
+// the observer as one Selected call with the kept reads. On a closed
+// cycle of L transitions it re-evaluates the transitions from p's row,
+// at most L of them, delivers the i-th with k/L selections, one more
+// when i < k mod L, and leaves p k mod L transitions on. Without an
+// observer only those k mod L run. The evaluations use the arena's
+// staging row stage, which none of them writes. The dirty rule runs once
+// for all k. Under a SynchronousScheduler k is the window's length, and
+// the window reopens at the current stamp.
 func (s *Simulator) countApply(p, stage int) {
 	k := int(s.counts[p])
 	if s.allSel {
@@ -897,6 +806,14 @@ func (s *Simulator) countApply(p, stage int) {
 		s.counts[p] = 0
 	}
 	if k == 0 {
+		return
+	}
+	if s.tracker.valid[p] == verdictStepped {
+		if s.obs == nil {
+			return
+		}
+		off, e := s.sys.g.RowStart(p), s.disSeen[p]
+		s.obs.Selected(s.step, p, s.disReads[off:off+int(e.n)], int(e.bits), -1, k)
 		return
 	}
 	n := int(s.cntState[p] &^ cntClosed)

@@ -21,7 +21,7 @@ tar -C "$ROOT" --exclude=./.git --exclude=./bench/out -cf - . | tar -C "$TREE" -
 # pattern that must catch it (empty: the model corpus), and a perl
 # substitution (delimited by ~) applied to the whole file.
 MUTATIONS=(
-	"flush dropped from Step|internal/model/sim.go|||s~selected := s.advance\(\)\n\ts.flush\(\)\n~selected := s.advance()\n~"
+	"settle dropped from Step|internal/model/sim.go|||s~selected := s.advance\(\)\n\ts.settle\(\)\n~selected := s.advance()\n~"
 	"tracker.Invalidate skipped in moved|internal/model/sim.go|||s~\n\ts.tracker.Invalidate\(p\)\n\tif commChanged \{~\n\tif commChanged {~"
 	"NeighborComm reads port+1|internal/model/ctx.go|||s~q := int\(c.nbr\[port-1\]\)(\n\tif c.agg != nil \{\n\t\tc.agg.note\(port, v,)~q := int(c.nbr[port])\$1~"
 	"second writer skipped in executeStep's commit walk|internal/model/arena.go|||s~\t\tcommChanged\[i\] = a.commit\(cfg, selected\[i\], k, s.step, obs\)\n~\t\tif k != 1 {\n\t\t\tcommChanged[i] = a.commit(cfg, selected[i], k, s.step, obs)\n\t\t}\n~"
@@ -33,6 +33,8 @@ MUTATIONS=(
 	"counted neighbors settle after the commit, not before it|internal/model/arena.go|||s~\ts.countSettleWriters\(selected, writers\)\n(.*?)\treturn fired, commChanged\n~\$1\ts.countSettleWriters(selected, writers)\n\treturn fired, commChanged\n~s"
 	"neighborsDirty leaves a neighbor's count running|internal/model/sim.go|||s~\t\ts.countForget\(int\(q\)\)\n~~"
 	"an invalidated stepped verdict leaves its process off the live set|internal/model/sim.go|||s~(valid\[p\] == verdictStepped \{\n)\t\ts.live\[p>>6\] \|= 1 << \(p & 63\)\n~\$1~"
+	"countPending ignores a stepped neighbor|internal/model/arena.go|||s~return s.counts\[q\] > 0~return s.counts[q] > 0 && s.countClosed(q)~"
+	"the settle skips a synchronous disabled window|internal/model/sim.go|||s~(verdictStepped \{\n\t\tif s.obs == nil)~\$1 || s.allSel~"
 	"a writer-forced settle's epoch count leaves out the current step|internal/model/arena.go|||s~\t\t\t\ts.countApply\(int\(q\), len\(writers\)\)\n~\t\t\t\ts.selStamp--\n\t\t\t\ts.countApply(int(q), len(writers))\n\t\t\t\ts.selStamp++\n~"
 	"Arc returns the live slot on a dynamic graph|internal/graph/graph.go|internal/trace|^TestArcReadSetsUnderChurn\$|s~\t\treturn int\(g.dyn.arc\[i\]\)\n~\t\treturn i\n~"
 	"Recorder counts an arc already in R_p again|internal/trace/trace.go|internal/trace|^TestArcReadSetsUnderChurn\$|s~\t\tif r.read\[w\]&b == 0 \{~\t\t{~"
