@@ -122,7 +122,8 @@ events-smoke: ## Event-log byte-identity across parallelism and cache state
 # under synchronous COLORING — to a legitimate silent configuration and
 # gate its peak RSS. The budget documents the engine's large-graph
 # memory claim: the cell measures about 73 MiB peak on a 2-CPU
-# container (87 B/process live heap), and 96 MiB (that plus 25 %,
+# container (87 B/process live heap in E22; ssscale's heap line forces
+# no collection and reads 89 with garbage), and 96 MiB (that plus 25 %,
 # rounded up to a multiple of 32) leaves headroom for allocator and GC
 # variance while failing on a return of the 120 MiB of a second
 # configuration copy, per-process domain tables, 32-bit back ports,
@@ -145,8 +146,8 @@ scale-smoke: ## 10⁶-node torus and 2·10⁵-node G(n, 6/n) cells to silence un
 # sscampaignd with a directory cache, POST the quickstart campaign in
 # streaming form, download the four served artifacts and byte-compare
 # them against CLI sscampaign runs, then re-POST (100% cache hits,
-# identical bytes from the artifact store, one stored set per source)
-# and SIGTERM-drain. The scripted flow
+# identical bytes from the artifact store, one stored set per source,
+# later re-POSTs' cache loads served by the hot tier) and SIGTERM-drain. The scripted flow
 # lives in scripts/service_smoke.sh; internal/service's tests prove the
 # same contract in-process at several worker counts and with stalled cells.
 SERVICE_SMOKE_DIR ?= /tmp/service-smoke

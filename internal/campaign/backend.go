@@ -26,6 +26,9 @@ type Backend interface {
 	// Load returns the entry's bytes, or (nil, nil) when the entry does
 	// not exist. A non-nil error means the entry exists but could not be
 	// read — callers degrade it to a miss and surface a diagnostic.
+	// The returned bytes may be shared with the backend and with other
+	// callers (MemBackend and the daemon's hot tier return the slice
+	// they hold): callers only read them, and Store replaces an entry.
 	Load(hash string) ([]byte, error)
 	// Store persists the entry atomically.
 	Store(hash string, data []byte) error
@@ -159,8 +162,7 @@ type MemBackend struct {
 // NewMemBackend returns an empty in-memory backend.
 func NewMemBackend() *MemBackend { return &MemBackend{m: make(map[string][]byte)} }
 
-// Load implements Backend. The returned slice is the stored one —
-// callers only decode it; use Store to replace an entry.
+// Load implements Backend. The returned slice is the stored one.
 func (b *MemBackend) Load(hash string) ([]byte, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()

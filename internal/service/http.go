@@ -25,7 +25,7 @@ const maxSpecBytes = 1 << 20
 //	GET  /v1/runs/{id}/events   canonical event log (once done)
 //	GET  /v1/runs/{id}/table    aligned text summary (once done)
 //	GET  /v1/runs/{id}/csv      CSV summary (once done)
-//	GET  /v1/cache              cache backend and artifact store stats
+//	GET  /v1/cache              cache backend, hot tier and artifact store stats
 //	GET  /v1/healthz            liveness
 //
 // The jsonl/events/table/csv artifacts are a function of the submitted
@@ -282,8 +282,10 @@ func (s *Service) handleCache(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	artEntries, artBytes := s.ArtifactStats()
+	hotEntries, hotBytes, hotHits := s.hotStats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"entries": entries, "bytes": size,
 		"artifact_entries": artEntries, "artifact_bytes": artBytes,
+		"hot_entries": hotEntries, "hot_bytes": hotBytes, "hot_hits": hotHits,
 	})
 }

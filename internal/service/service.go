@@ -137,7 +137,9 @@ func (r *Run) setState(s State) {
 // Config configures a Service.
 type Config struct {
 	// Cache is the shared result backend (nil: a fresh in-memory
-	// backend — cross-run dedup without persistence).
+	// backend — cross-run dedup without persistence). A given backend
+	// is read through a hot tier (see hotTier), so a warm replay reads
+	// each entry from it once.
 	Cache campaign.Backend
 	// Workers is each run's pool worker count (< 1: GOMAXPROCS).
 	Workers int
@@ -166,6 +168,7 @@ type Config struct {
 type Service struct {
 	cfg   Config
 	cache campaign.Backend
+	hot   *hotTier // nil over New's in-memory backend
 	queue chan *Run
 	store *artifactStore
 
@@ -182,8 +185,13 @@ type Service struct {
 
 // New starts a service (its dispatcher goroutine runs until Shutdown).
 func New(cfg Config) *Service {
-	if cfg.Cache == nil {
-		cfg.Cache = campaign.NewMemBackend()
+	var hot *hotTier
+	cache := cfg.Cache
+	if cache == nil {
+		cache = campaign.NewMemBackend()
+	} else {
+		hot = newHotTier(cache, hotBudget)
+		cache = hot
 	}
 	depth := cfg.QueueDepth
 	if depth < 1 {
@@ -194,7 +202,8 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:   cfg,
-		cache: cfg.Cache,
+		cache: cache,
+		hot:   hot,
 		queue: make(chan *Run, depth),
 		store: newArtifactStore(artifactBudget),
 		runs:  make(map[string]*Run),
@@ -307,6 +316,15 @@ func (s *Service) Runs() []*Run {
 // CacheStats reports the shared backend's entry count and total bytes.
 func (s *Service) CacheStats() (entries int, bytes int64, err error) {
 	return s.cache.Stats()
+}
+
+// hotStats reports the hot tier's resident entries, their bytes and the
+// Loads it has served (zeros over New's in-memory backend).
+func (s *Service) hotStats() (entries int, bytes, hits int64) {
+	if s.hot == nil {
+		return 0, 0, 0
+	}
+	return s.hot.stats()
 }
 
 // ArtifactStats reports how many artifact sets the store holds rendered

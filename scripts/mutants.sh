@@ -46,6 +46,8 @@ MUTATIONS=(
 	"firstEnabled no longer clears the hand-off|internal/model/step.go|internal/model|^TestHandoffIsPerEvaluation\$|s~\tc.kept = false\n~~"
 	"the silence sweep stops one process short|internal/model/sim.go|internal/model|^TestSilentNowSweep\$|s~len\(s.silUnknown\) > 0 \|\| s.silSweep > 0~len(s.silUnknown) > 0 || s.silSweep > 1~"
 	"IsConnected skips each row's last port|internal/graph/properties.go|internal/graph|^TestConnectivity\$|s~for _, q := range g.Row\(int\(p\)\) \{\n(\t+if seen.Add)~for _, q := range g.nbr[g.off[p]:max(g.off[p], g.end[p]-1)] {\n\$1~"
+	"the hot tier keeps an entry across Store|internal/service/hot.go|internal/service|^TestCorruptEntryLeavesTheTier\$|s~\tif el := h.entries\[hash\]; el != nil \{\n\t\th.remove\(el\)\n\t\}\n\th.mu.Unlock\(\)\n\treturn h.backend.Store~\th.mu.Unlock()\n\treturn h.backend.Store~"
+	"the hot tier caches a miss|internal/service/hot.go|internal/service|^TestHotTierNeverCachesAMiss\$|s~if err != nil \|\| data == nil \{~if err != nil {~"
 )
 
 fail=0

@@ -7,9 +7,11 @@
 # them against CLI sscampaign runs of the same file. A second POST of
 # the same spec must be 100% cache hits with a whole, uncut progress
 # stream, and its artifacts, now served from the artifact store, the same
-# bytes again. Twenty more re-POSTs must leave the store holding one set,
-# a POST at another seed must make it two, and SIGTERM must stop the
-# daemon cleanly. Usage: scripts/service_smoke.sh [workdir]
+# bytes again; its 12 loads fill the hot tier from disk. Twenty more
+# re-POSTs must be served their 240 loads by the hot tier and leave the
+# store holding one set, a POST at another seed (all misses) must make
+# it two and leave the tier as it was, and SIGTERM must stop the daemon
+# cleanly. Usage: scripts/service_smoke.sh [workdir]
 set -euo pipefail
 
 DIR=${1:-/tmp/service-smoke}
@@ -73,7 +75,10 @@ for kind in $KINDS; do
     cmp "$DIR/served.$kind" "$DIR/warm.$kind"
     cmp "$DIR/cli.$kind" "$DIR/warm.$kind"
 done
-curl -fsS "$BASE/v1/cache" | jq -e '.entries == 12' >/dev/null
+# The cold run's stores left the hot tier empty; this run's 12 loads read
+# the disk once and fill it.
+curl -fsS "$BASE/v1/cache" | jq -e '.entries == 12 and .hot_entries == 12 and .hot_bytes > 0 and .hot_hits == 0' >/dev/null \
+    || { echo "the warm re-POST did not fill the hot tier with its 12 entries"; exit 1; }
 
 # The store follows distinct sources, not POSTs: twenty more runs of the
 # same file still hold one artifact set, another seed makes it two.
@@ -83,10 +88,14 @@ done
 curl -fsS "$BASE/v1/runs" | jq -e 'length == 22 and all(.state == "done")' >/dev/null
 curl -fsS "$BASE/v1/cache" | jq -e '.artifact_entries == 1 and .artifact_bytes > 0' >/dev/null \
     || { echo "22 runs of one source did not leave exactly one artifact set"; exit 1; }
+curl -fsS "$BASE/v1/cache" | jq -e '.hot_hits == 20 * 12' >/dev/null \
+    || { echo "the twenty re-POSTs' loads were not all hot hits"; exit 1; }
 sed 's/^seed .*/seed 2010/' "$CAMPAIGN" > "$DIR/other-seed.campaign"
 curl -fsSN -X POST --data-binary @"$DIR/other-seed.campaign" "$BASE/v1/runs?stream=1" > /dev/null
 curl -fsS "$BASE/v1/cache" | jq -e '.artifact_entries == 2' >/dev/null \
     || { echo "a run at another seed did not add a second artifact set"; exit 1; }
+curl -fsS "$BASE/v1/cache" | jq -e '.entries == 24 and .hot_entries == 12 and .hot_hits == 240' >/dev/null \
+    || { echo "a cold run changed the hot tier"; exit 1; }
 
 # Graceful shutdown: SIGTERM drains and exits 0.
 kill -TERM "$DAEMON"
@@ -94,4 +103,4 @@ wait "$DAEMON"
 trap - EXIT
 grep -q 'sscampaignd: stopped' "$DIR/daemon.log"
 
-echo "service smoke OK: served jsonl, events, table and csv byte-identical to the CLI runs, cold and from the store; warm re-POST fully cached with a whole stream; one artifact set per source; clean SIGTERM drain"
+echo "service smoke OK: served jsonl, events, table and csv byte-identical to the CLI runs, cold and from the store; warm re-POST fully cached with a whole stream; re-POSTs served from the hot tier; one artifact set per source; clean SIGTERM drain"
