@@ -36,7 +36,6 @@ var unpaid = map[string]string{
 	"repro/internal/graph.CanonicalEdgeList":            "FuzzGraphEncodingRoundTrip",
 	"repro/internal/bitset.Set.Has":                     "TestAddHasRemove",
 	"repro/internal/rng.Rand.SubsetNonEmpty":            "TestSilenceClosedUnderExecution",
-	"repro/internal/campaign.Plan.GraphsBuilt":          "TestGraphsAreBuiltOnDemand",
 	"repro/internal/obs.Broadcast.Subscribers":          "TestBroadcastDropsLagged",
 	"repro/internal/obs.ReplaySink.Events":              "TestReplaySinkArrivalOrderIndependent",
 	"repro/internal/service.Run.Done":                   "TestServiceShutdownDrainsAndResumes",

@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -57,21 +56,19 @@ type CellSpec struct {
 	ChurnK        int
 	ChurnSchedule fault.Schedule
 
-	topo     *topology     // shared by every cell of one (graph line, size) point
-	suffix   int           // post-silence suffix rounds, resolved for the topology's n
-	snapshot *model.Config // silent snapshot, filled lazily (ensureSnapshots)
+	topo   *topology // shared by every cell of one (graph line, size) point
+	suffix int       // post-silence suffix rounds, resolved for the topology's n
 }
 
 // topology is one (graph line, size) point of the graph axis: the
-// descriptor its cells are keyed from, and the graph itself once a cell
-// that missed the cache has needed it (Plan.graphFor).
+// descriptor its cells are keyed from. The graph itself belongs to the
+// Instance that builds it.
 type topology struct {
 	desc graph.Desc
-	g    *graph.Graph
 }
 
 // Graph describes the cell's topology: the name and size cell keys
-// embed. The topology itself exists only once the cell is materialized.
+// embed. The topology itself exists only in an Instance.
 func (cs *CellSpec) Graph() graph.Desc { return cs.topo.desc }
 
 // atStart reports whether the cell injects into a silent snapshot.
@@ -79,8 +76,11 @@ func (cs *CellSpec) atStart() bool {
 	return cs.Adversary != "" && cs.Schedule.Kind == fault.KindAtStart
 }
 
-// Plan is a compiled campaign: the deterministic cell list plus the
-// engine cells that execute it.
+// Plan is a compiled campaign: the deterministic cell list and the
+// engine configuration its cells run under. Compile returns it complete,
+// and only bench/'s forwards (instance.go) write it afterwards, so one
+// plan can be shared and executed any number of times at once: what one
+// execution builds lives in its Instance.
 type Plan struct {
 	Spec *Spec
 	// Cells is the expanded sweep, in deterministic order: graph line ×
@@ -93,78 +93,10 @@ type Plan struct {
 	// same way whatever it says.
 	Faulted bool
 
-	cfg engine.Config
-	// cells is index-aligned with Cells; keys are filled at Compile,
-	// the run closures (and the systems they capture) lazily by
-	// ensureEngineCells for exactly the cells that will execute.
-	cells   []engine.Cell
-	systems map[sysKey]*model.System
-	// graphsBuilt counts the topologies graphFor has built.
-	graphsBuilt int
-}
+	cfg engine.Config // without an observer: each Instance binds its own
 
-// sysKey identifies a (graph, protocol) pair whose built system and
-// silent snapshot are shared across cells (both are immutable).
-type sysKey struct {
-	topo  *topology
-	proto string
-}
-
-// GraphsBuilt reports how many topologies the plan has built so far: one
-// per (graph line, size) point some materialized cell runs on, none for
-// a run served wholly from the cache.
-func (p *Plan) GraphsBuilt() int { return p.graphsBuilt }
-
-// graphFor builds (or returns the shared) topology of a cell. Not safe
-// for concurrent use: like the rest of Materialize it runs before the
-// workers launch.
-func (p *Plan) graphFor(cs *CellSpec) (*graph.Graph, error) {
-	t := cs.topo
-	if t.g == nil {
-		g, err := t.desc.Build()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: graph %s: %w", cs.GraphLine, err)
-		}
-		t.g = g
-		p.graphsBuilt++
-	}
-	return t.g, nil
-}
-
-// SetObserver routes the plan's events — both the engine-level lifecycle
-// events of callers that feed EngineCells to the engine themselves and
-// the core-level diagnostics of the trial closures — to o. Execute sets
-// it from its RunOptions; callers bypassing Execute set it before
-// EngineCells. The closures read it at trial time, so it must be set
-// before the pool launches.
-func (p *Plan) SetObserver(o obs.Observer) { p.cfg.Observer = o }
-
-// EngineCells materializes every cell (building graphs and systems and
-// computing any still-missing at-start snapshots in one warm-up batch)
-// and returns the runnable engine cells, index-aligned with Cells. Callers
-// that bypass Execute (the registry's experiments) feed them to
-// engine.RunCells directly.
-func (p *Plan) EngineCells() ([]engine.Cell, error) {
-	all := make([]int, len(p.Cells))
-	for i := range all {
-		all[i] = i
-	}
-	if err := p.Materialize(all); err != nil {
-		return nil, err
-	}
-	return p.cells, nil
-}
-
-// Materialize prepares the given cells (indices into p.Cells) for
-// execution: their topologies, snapshot warm-ups, then system
-// construction and run closures. Not safe for concurrent use (call
-// before launching the pool, as Execute does). Exported for bench/,
-// which times it as a step of its own.
-func (p *Plan) Materialize(cells []int) error {
-	if err := p.ensureSnapshots(cells); err != nil {
-		return err
-	}
-	return p.ensureEngineCells(cells)
+	benchObs obs.Observer
+	bench    *Instance
 }
 
 // Compile expands a campaign into its deterministic cell list. Cell keys
@@ -172,10 +104,8 @@ func (p *Plan) Materialize(cells []int) error {
 // descriptors (graph.Desc): no topology is built here but the small
 // graphs of a `graph suite` line (graph.DescribeSuite). Topologies,
 // protocol systems, run closures and the silent snapshots required by
-// at-start adversary cells materialize lazily for exactly the cells a
-// Run will execute, so fully-cached resumes and foreign shards never pay
-// for them. What a descriptor cannot foresee — a random regular pairing
-// that runs out of attempts — fails at Materialize instead.
+// at-start adversary cells are built by Instantiate, for exactly the
+// cells an execution will compute.
 //
 // Determinism: the cell order is a pure function of the Spec; cell keys
 // (and so all trial seeds) never depend on parallelism, sharding or
@@ -331,13 +261,6 @@ func Compile(spec *Spec, parallelism int) (*Plan, error) {
 		}
 		seenKeys[cs.Key] = i
 	}
-	// Engine cells carry their keys now (the cache pass needs nothing
-	// more); systems and run closures materialize lazily.
-	p.cells = make([]engine.Cell, len(p.Cells))
-	for i := range p.Cells {
-		p.cells[i].Key = p.Cells[i].Key
-	}
-	p.systems = map[sysKey]*model.System{}
 	return p, nil
 }
 
@@ -406,6 +329,20 @@ func orNone(axis, value string) string {
 	return value
 }
 
+// DescribeLine describes the topology of a single-size `graph` line (the
+// directive's body, such as "torus 12 w=3") as Compile would at the
+// master seed, building nothing.
+func DescribeLine(line string, seed uint64) (graph.Desc, error) {
+	gs, err := parseGraph(strings.Fields(line))
+	if err == nil && (gs.Family == suiteFamily || gs.Lo != gs.Hi) {
+		err = fmt.Errorf("not a single-size line")
+	}
+	if err != nil {
+		return graph.Desc{}, fmt.Errorf("campaign: graph %s: %w", line, err)
+	}
+	return describeGraph(gs, gs.line(), gs.Lo, seed)
+}
+
 // describeGraph describes one swept topology (line is gs.lineFor(n)).
 // Random families draw their structure from the line's seed= or else a
 // seed derived from the master seed and the canonical graph descriptor,
@@ -427,105 +364,4 @@ func describeGraph(gs GraphSpec, line string, n int, masterSeed uint64) (graph.D
 	default:
 		return graph.Describe(gs.Family, n, gseed)
 	}
-}
-
-// ensureSnapshots obtains the legitimate silent snapshot every at-start
-// fault cell among cells (indices into p.Cells) injects into, one
-// warm-up batch for all distinct still-missing (graph, protocol) pairs.
-// Snapshots are shared across every cell of a pair, so later calls for
-// other shards or cells of the same pair are free. Not safe for
-// concurrent use (call before launching the pool, as Run does).
-func (p *Plan) ensureSnapshots(cells []int) error {
-	idx := map[sysKey]int{}
-	var specs []engine.ProtoCell
-	for _, i := range cells {
-		cs := &p.Cells[i]
-		if !cs.atStart() || cs.snapshot != nil {
-			continue
-		}
-		key := sysKey{cs.topo, cs.Protocol}
-		if _, ok := idx[key]; !ok {
-			g, err := p.graphFor(cs)
-			if err != nil {
-				return err
-			}
-			idx[key] = len(specs)
-			specs = append(specs, engine.ProtoCell{Graph: g, Family: cs.Protocol})
-		}
-	}
-	if len(specs) == 0 {
-		return nil
-	}
-	snaps, err := engine.SilentSnapshots(p.cfg, specs)
-	if err != nil {
-		return fmt.Errorf("campaign: at-start snapshot warm-up: %w", err)
-	}
-	for i := range p.Cells {
-		cs := &p.Cells[i]
-		if cs.atStart() && cs.snapshot == nil {
-			if j, ok := idx[sysKey{cs.topo, cs.Protocol}]; ok {
-				cs.snapshot = snaps[j]
-			}
-		}
-	}
-	return nil
-}
-
-// sysFor builds (or returns the shared) system of a cell's
-// (graph, protocol) pair; systems are immutable and shared across cells.
-func (p *Plan) sysFor(cs *CellSpec) (*model.System, error) {
-	key := sysKey{cs.topo, cs.Protocol}
-	if sys, ok := p.systems[key]; ok {
-		return sys, nil
-	}
-	g, err := p.graphFor(cs)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := engine.Build(g, cs.Protocol, nil)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: %s on %s: %w", cs.Protocol, cs.GraphLine, err)
-	}
-	p.systems[key] = sys
-	return sys, nil
-}
-
-// ensureEngineCells materializes the runnable closures for the given
-// still-unbuilt cells: systems are built once per (graph, protocol) pair
-// and shared, and each cell is its coordinates handed to engine.NewCell,
-// the constructor the experiment registry's cells come from too. An
-// at-start adversary cell starts every trial from its silent snapshot,
-// every other cell from a random configuration. The closures read
-// p.cfg when a trial runs, so the observer SetObserver binds later
-// reaches them, and their diagnostics carry the cell's absolute campaign
-// index, as the engine's lifecycle events do (ComputeCell passes it).
-// Cells a fully-cached resume (or another shard) never executes are
-// never built.
-func (p *Plan) ensureEngineCells(cells []int) error {
-	for _, i := range cells {
-		if p.cells[i].Run != nil {
-			continue
-		}
-		cs := &p.Cells[i]
-		sys, err := p.sysFor(cs)
-		if err != nil {
-			return err
-		}
-		if cs.atStart() && cs.snapshot == nil {
-			return fmt.Errorf("campaign: cell %q built without its snapshot (ensureSnapshots not called)", cs.Key)
-		}
-		p.cells[i], err = engine.NewCell(&p.cfg, engine.Scenario{
-			Key: cs.Key, Index: cs.Index,
-			System:       sys,
-			Daemon:       cs.Daemon,
-			SuffixRounds: cs.suffix,
-			Snapshot:     cs.snapshot,
-			Adversary:    cs.Adversary, K: cs.K, Schedule: cs.Schedule,
-			Churn: cs.ChurnName, ChurnK: cs.ChurnK, ChurnSchedule: cs.ChurnSchedule,
-		})
-		if err != nil {
-			return fmt.Errorf("campaign: cell %q: %w", cs.Key, err)
-		}
-	}
-	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -120,11 +119,25 @@ protocol coloring mis
 metrics silent legitimate rounds moves total-reads total-bits
 `
 
+// failingStore is a MemBackend whose Store of one entry fails.
+type failingStore struct {
+	*MemBackend
+	hash string
+	err  error
+}
+
+func (b failingStore) Store(hash string, data []byte) error {
+	if hash == b.hash {
+		return b.err
+	}
+	return b.MemBackend.Store(hash, data)
+}
+
 // TestInterruptedRunKeepsFinishedCells: a run that fails part-way has
 // already stored every cell it finished, so the next run on the same
 // backend serves them as hits and its output equals an uninterrupted
-// run's. The last cell is made to fail; with one worker every other
-// cell has finished by then.
+// run's. The last cell is made to fail, storing its records; with one
+// worker every other cell has finished by then.
 func TestInterruptedRunKeepsFinishedCells(t *testing.T) {
 	t.Parallel()
 	errCell := errors.New("cell failed")
@@ -137,9 +150,8 @@ func TestInterruptedRunKeepsFinishedCells(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Materialize leaves a cell that already has its closure alone.
-		plan.cells[finished].Run = func(*core.Runner, int, uint64, *core.FaultResult) error { return errCell }
-		if _, err := plan.Run(RunOptions{Cache: be}); !errors.Is(err, errCell) {
+		failing := failingStore{be, cellHash(plan.cellFingerprint(&plan.Cells[finished])), errCell}
+		if _, err := plan.Run(RunOptions{Cache: failing}); !errors.Is(err, errCell) {
 			t.Fatalf("interrupted run returned %v, want the cell's error", err)
 		}
 		if n, _, _ := be.Stats(); n != finished {
@@ -259,9 +271,6 @@ func TestWarmCacheSkipsSnapshotWarmups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Cells[0].snapshot != nil {
-		t.Fatal("Compile eagerly computed a snapshot")
-	}
 	out, err := plan.Run(RunOptions{Cache: NewDirBackend(dir)})
 	if err != nil {
 		t.Fatal(err)
@@ -269,11 +278,9 @@ func TestWarmCacheSkipsSnapshotWarmups(t *testing.T) {
 	if out.CacheHits != len(plan.Cells) {
 		t.Fatalf("warm run not fully cached: hits=%d", out.CacheHits)
 	}
-	if plan.Cells[0].snapshot != nil {
-		t.Fatal("fully-cached run still computed the snapshot warm-up")
-	}
-	if len(plan.systems) != 0 {
-		t.Fatal("fully-cached run still built protocol systems")
+	// The warm-up needs the cell's graph, so none built means none ran.
+	if out.GraphsBuilt != 0 {
+		t.Fatal("fully-cached run still built the graph of the snapshot warm-up")
 	}
 	var sb strings.Builder
 	if err := out.WriteJSONL(&sb); err != nil {

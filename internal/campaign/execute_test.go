@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -13,14 +17,19 @@ import (
 // executed is what one Execute wrote: the JSONL and the canonical log.
 type executed struct{ jsonl, events string }
 
-// execute compiles src and runs it under ctx with a ReplaySink teed
-// into opts.Observer.
+// execute compiles src and runs it under ctx (see executePlan).
 func execute(t *testing.T, ctx context.Context, src string, opts RunOptions) (executed, *Outcome, error) {
 	t.Helper()
 	plan, err := Compile(mustParse(t, src), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return executePlan(ctx, plan, opts)
+}
+
+// executePlan runs plan under ctx with a ReplaySink of its own teed into
+// opts.Observer.
+func executePlan(ctx context.Context, plan *Plan, opts RunOptions) (executed, *Outcome, error) {
 	replay := obs.NewReplaySink()
 	opts.Observer = obs.Tee(replay, opts.Observer)
 	out, err := Execute(ctx, plan, opts)
@@ -29,12 +38,129 @@ func execute(t *testing.T, ctx context.Context, src string, opts RunOptions) (ex
 	}
 	var jsonl, events bytes.Buffer
 	if err := out.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
+		return executed{}, nil, err
 	}
 	if err := replay.WriteCanonical(&events); err != nil {
-		t.Fatal(err)
+		return executed{}, nil, err
 	}
 	return executed{jsonl.String(), events.String()}, out, nil
+}
+
+// TestConcurrentExecutesOfOnePlan: Execute only reads its plan, so
+// executions of one plan may overlap. Each campaign is compiled once
+// (fault.campaign has at-start cells, so its executions warm snapshots)
+// and first run twice at the same time: cold over a backend of its own,
+// and half warm over a backend one shard's run of another plan filled.
+// Each run's JSONL and canonical event log must be the bytes of a
+// sequential run of the same plan after them. Under -race this is the
+// check that no execution writes the plan.
+func TestConcurrentExecutesOfOnePlan(t *testing.T) {
+	t.Parallel()
+	ctx := context.Background()
+	for _, path := range []string{
+		filepath.Join("..", "..", "examples", "campaigns", "quickstart.campaign"),
+		filepath.Join("..", "..", "bench", "campaigns", "fault.campaign"),
+	} {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, filler := compileSrc(t, string(src)), compileSrc(t, string(src))
+		half := NewMemBackend()
+		if _, err := Execute(ctx, filler, RunOptions{Shard: 0, Shards: 2, Cache: half}); err != nil {
+			t.Fatal(err)
+		}
+		backends := []Backend{NewMemBackend(), half}
+		got := make([]executed, len(backends))
+		errs := make([]error, len(backends))
+		var wg sync.WaitGroup
+		for i, be := range backends {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], _, errs[i] = executePlan(ctx, plan, RunOptions{Cache: be})
+			}()
+		}
+		wg.Wait()
+		want, _, err := executePlan(ctx, plan, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range []string{"cold", "half-warm"} {
+			if errs[i] != nil {
+				t.Fatalf("%s: %s run: %v", path, name, errs[i])
+			}
+			if got[i].jsonl != want.jsonl || got[i].events != want.events {
+				t.Errorf("%s: concurrent %s run differs from the sequential run (JSONL equal %v, events equal %v)",
+					path, name, got[i].jsonl == want.jsonl, got[i].events == want.events)
+			}
+		}
+	}
+}
+
+// cellLog records every event it observes, diagnostics included, per
+// cell: a cell's events arrive in order from one worker.
+type cellLog struct {
+	mu    sync.Mutex
+	cells map[int][]obs.Event
+}
+
+func (l *cellLog) Observe(e obs.Event) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.cells == nil {
+		l.cells = map[int][]obs.Event{}
+	}
+	l.cells[e.Cell] = append(l.cells[e.Cell], e)
+}
+
+// TestEachRunObservesItsOwnTrials: the trial closures an execution
+// builds report to that execution's observer. Two runs of one plan at
+// the same time, under observers of their own, each receive cell by cell
+// exactly the events of a sequential run after them, diagnostics
+// included, and each trial that ends silent has its silence diagnostic
+// and each injection its injection diagnostic.
+func TestEachRunObservesItsOwnTrials(t *testing.T) {
+	t.Parallel()
+	plan := compileSrc(t, testCampaignSrc)
+	logs := []*cellLog{{}, {}, {}}
+	var wg sync.WaitGroup
+	for _, l := range logs[:2] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Execute(context.Background(), plan, RunOptions{Observer: l}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := plan.Run(RunOptions{Observer: logs[2]}); err != nil {
+		t.Fatal(err)
+	}
+	want := logs[2].cells
+	for i, l := range logs[:2] {
+		if !reflect.DeepEqual(l.cells, want) {
+			t.Fatalf("concurrent run %d observed other events than the sequential run", i)
+		}
+	}
+	for cell := range plan.Cells {
+		silences, injections := 0, 0
+		for _, e := range want[cell] {
+			switch e.Kind {
+			case obs.KindSilence:
+				silences++
+			case obs.KindInjection:
+				injections++
+			case obs.KindTrialFinish:
+				if (e.Silent && silences == 0) || injections != e.Count {
+					t.Fatalf("cell %d trial %d: %d silence and %d injection diagnostics for a trial that ended silent=%v after %d injections",
+						cell, e.Trial, silences, injections, e.Silent, e.Count)
+				}
+				silences, injections = 0, 0
+			}
+		}
+	}
 }
 
 // cellGate signals on the trigger-th event of a kind and blocks the

@@ -4,6 +4,9 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/model"
 )
 
 // lazyGraphSrc sweeps three topologies, two of them expensive enough
@@ -41,18 +44,11 @@ func jsonlOf(t *testing.T, out *Outcome) string {
 }
 
 // TestCompileBuildsNoGraph: cell keys, the duplicate-name check and the
-// size check all come from descriptors.
+// size check all come from descriptors (a Plan has nowhere to keep a
+// graph: its instances build them).
 func TestCompileBuildsNoGraph(t *testing.T) {
 	t.Parallel()
 	plan := compileSrc(t, lazyGraphSrc)
-	if plan.GraphsBuilt() != 0 {
-		t.Fatalf("Compile built %d graphs", plan.GraphsBuilt())
-	}
-	for i := range plan.Cells {
-		if plan.Cells[i].topo.g != nil {
-			t.Fatalf("cell %d has a graph after Compile", i)
-		}
-	}
 	if got := plan.Cells[0].Graph(); got.Name != "path-6" || got.N != 6 {
 		t.Fatalf("cell 0 describes (%s, n=%d), want (path-6, 6)", got.Name, got.N)
 	}
@@ -73,18 +69,30 @@ func TestGraphsAreBuiltOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.GraphsBuilt() != 3 {
-		t.Fatalf("cold run over 3 topologies built %d graphs", plan.GraphsBuilt())
+	if out.GraphsBuilt != 3 {
+		t.Fatalf("cold run over 3 topologies built %d graphs", out.GraphsBuilt)
 	}
-	// One graph per topology means cells, systems and snapshots share it.
-	if len(plan.systems) != 3*2 {
-		t.Fatalf("cold run built %d systems, want one per (graph, protocol) pair", len(plan.systems))
+	// One graph per topology and one system per (graph, protocol) pair,
+	// shared by the pair's cells.
+	all := make([]int, len(plan.Cells))
+	for i := range all {
+		all[i] = i
 	}
+	in, err := plan.Instantiate(nil, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems, graphs := map[*model.System]bool{}, map[*topology]*graph.Graph{}
 	for i := range plan.Cells {
-		cs := &plan.Cells[i]
-		if sys := plan.systems[sysKey{cs.topo, cs.Protocol}]; sys.Graph() != cs.topo.g {
+		sys, topo := in.System(i), plan.Cells[i].topo
+		systems[sys] = true
+		if g, seen := graphs[topo]; seen && g != sys.Graph() {
 			t.Fatalf("cell %d runs on a graph other than its topology's", i)
 		}
+		graphs[topo] = sys.Graph()
+	}
+	if in.graphsBuilt != 3 || len(systems) != 3*2 {
+		t.Fatalf("instance built %d graphs and %d systems, want 3 and one per (graph, protocol) pair", in.graphsBuilt, len(systems))
 	}
 	cold := jsonlOf(t, out)
 
@@ -93,8 +101,8 @@ func TestGraphsAreBuiltOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CacheHits != len(plan.Cells) || plan.GraphsBuilt() != 0 {
-		t.Fatalf("warm run: %d of %d hits, %d graphs built, want all and none", out.CacheHits, len(plan.Cells), plan.GraphsBuilt())
+	if out.CacheHits != len(plan.Cells) || out.GraphsBuilt != 0 {
+		t.Fatalf("warm run: %d of %d hits, %d graphs built, want all and none", out.CacheHits, len(plan.Cells), out.GraphsBuilt)
 	}
 	if warm := jsonlOf(t, out); warm != cold {
 		t.Fatal("warm bytes differ from cold bytes")
@@ -118,9 +126,8 @@ func TestGraphsAreBuiltOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.CacheMisses != 1 || plan.GraphsBuilt() != 1 || plan.Cells[victim].topo.g == nil {
-		t.Fatalf("one-cell miss: %d misses, %d graphs built (victim's built: %v), want 1, 1, true",
-			out.CacheMisses, plan.GraphsBuilt(), plan.Cells[victim].topo.g != nil)
+	if out.CacheMisses != 1 || out.GraphsBuilt != 1 {
+		t.Fatalf("one-cell miss: %d misses, %d graphs built, want 1 and 1", out.CacheMisses, out.GraphsBuilt)
 	}
 	if got := jsonlOf(t, out); got != cold {
 		t.Fatal("bytes after a one-cell recompute differ from cold bytes")

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -64,6 +63,10 @@ type Outcome struct {
 	// CacheHits/CacheMisses count owned cells served from / written to
 	// the cache (both zero when caching is disabled).
 	CacheHits, CacheMisses int
+	// GraphsBuilt counts the topologies the run built: one per (graph
+	// line, size) point a computed cell runs on, none for a run served
+	// wholly from the cache.
+	GraphsBuilt int
 }
 
 // recordBounds returns the record-count bounds a cache entry must
@@ -99,12 +102,14 @@ func (p *Plan) Run(opts RunOptions) (*Outcome, error) {
 
 // Execute runs the plan's owned shard on the engine pool, consulting the
 // cache first when enabled; it is the one executor behind sscampaign and
-// sscampaignd. Records are deterministic: for a fixed campaign file the
-// bytes of every record, and the canonical event stream, are identical
-// across worker counts, sharding and cache state. Canceling ctx drains:
-// no new cell starts, the cells in flight finish and are stored, and
-// Execute returns ErrDrained (a cancel that lands after the last cell
-// started is not a drain: the output is whole).
+// sscampaignd. It only reads p: what it builds for the cells it computes
+// is an Instance of its own, so executions of one plan may overlap.
+// Records are deterministic: for a fixed campaign file the bytes of
+// every record, and the canonical event stream, are identical across
+// worker counts, sharding and cache state. Canceling ctx drains: no new
+// cell starts, the cells in flight finish and are stored, and Execute
+// returns ErrDrained (a cancel that lands after the last cell started is
+// not a drain: the output is whole).
 func Execute(ctx context.Context, p *Plan, opts RunOptions) (*Outcome, error) {
 	lo, hi, err := shardRange(len(p.Cells), opts.Shard, opts.Shards)
 	if err != nil {
@@ -115,7 +120,6 @@ func Execute(ctx context.Context, p *Plan, opts RunOptions) (*Outcome, error) {
 		workers = p.cfg.Parallelism
 	}
 	be := opts.Cache
-	p.SetObserver(opts.Observer)
 	out := &Outcome{Plan: p, Results: make([]CellResult, hi-lo)}
 	obs.Emit(opts.Observer, obs.Event{
 		Kind: obs.KindCampaignStart, Cell: -1, Key: p.Spec.Name, Trial: -1, Count: hi - lo,
@@ -150,15 +154,17 @@ func Execute(ctx context.Context, p *Plan, opts RunOptions) (*Outcome, error) {
 	// killed later keeps what it computed and the next run resumes from
 	// it. Running a sub-set never perturbs results — each cell's trial
 	// seeds derive from its key alone — and each cell's records land in
-	// its own Outcome slot, so completion order cannot either. Snapshot
-	// warm-ups and system construction happen here, for exactly the cells
+	// its own Outcome slot, so completion order cannot either. Graphs,
+	// snapshot warm-ups and systems are built here, for exactly the cells
 	// about to execute: a fully-cached resume, and shards owning none of
 	// a cell, never pay for it.
 	if len(missing) > 0 {
-		if err := p.Materialize(missing); err != nil {
+		in, err := p.Instantiate(opts.Observer, missing)
+		if err != nil {
 			return nil, err
 		}
-		err := engine.ForEachWorker(workers, len(missing), func(w *engine.WorkerCtx, j int) error {
+		out.GraphsBuilt = in.graphsBuilt
+		err = engine.ForEachWorker(workers, len(missing), func(w *engine.WorkerCtx, j int) error {
 			// The drain is a job that fails before it starts: the pool
 			// stops claiming after the first failure and lets the cells in
 			// flight finish.
@@ -166,7 +172,7 @@ func Execute(ctx context.Context, p *Plan, opts RunOptions) (*Outcome, error) {
 				return ErrDrained
 			}
 			i := missing[j]
-			recs, err := p.ComputeCell(w, i, 0)
+			recs, err := in.computeCell(w, i)
 			if err != nil {
 				return err
 			}
@@ -198,43 +204,6 @@ func Execute(ctx context.Context, p *Plan, opts RunOptions) (*Outcome, error) {
 		Kind: obs.KindCampaignFinish, Cell: -1, Key: p.Spec.Name, Trial: -1, Count: hi - lo,
 	})
 	return out, nil
-}
-
-// ComputeCell executes cell i's trials on the caller-owned worker
-// context, returning the records in trial order. The cell must have
-// been materialized (Materialize) and the plan's observer bound
-// (SetObserver) before any worker starts. The third parameter was the
-// lockstep batch width and is ignored: bench/trace_campaign.go still
-// passes it, and a PR that edits code may not edit the benchmark.
-//
-// Seeds, events and the stop rule are the engine's — the records (and
-// the canonical event stream) are byte-identical no matter which worker
-// computes the cell or in what order cells are claimed. Execute's pool
-// job is the one production caller; bench/ times it as a step of its own.
-//
-// A panic inside the cell (a protocol body, an adversary, an observer)
-// comes back as an error naming the cell, with no records: Execute stops
-// the run on it and stores nothing for the cell, and a daemon's other
-// runs are untouched. The worker context is not to be reused after such
-// an error.
-func (p *Plan) ComputeCell(w *engine.WorkerCtx, i, _ int) (recs []TrialRecord, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			recs, err = nil, fmt.Errorf("campaign: cell %q panicked: %v", p.Cells[i].Key, v)
-		}
-	}()
-	if p.cells[i].Run == nil {
-		return nil, fmt.Errorf("campaign: cell %q computed without Materialize", p.Cells[i].Key)
-	}
-	recs = make([]TrialRecord, 0, p.cfg.Trials)
-	err = engine.RunCell(p.cfg, w, &p.cells[i], p.Cells[i].Index,
-		func(_, _ int, res *core.FaultResult) error {
-			var rec TrialRecord
-			rec.fill(res)
-			recs = append(recs, rec)
-			return nil
-		})
-	return recs, err
 }
 
 // ReplayCell emits cached cell i's canonical lifecycle events,

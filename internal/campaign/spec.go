@@ -13,6 +13,13 @@
 // byte-identical across parallelism, across shard partitions (the
 // concatenation of the shard outputs equals the unsharded output) and
 // across cold-cache vs warm-cache runs.
+//
+// Compile once, build per run: a Plan holds the cell list and the engine
+// configuration, and nothing writes it after Compile, so one plan can be
+// shared and executed any number of times at once. What an execution
+// builds — graphs, at-start snapshots, protocol systems and trial
+// closures bound to its observer — is an Instance, which Execute makes
+// for the cells that missed the cache and drops when it returns.
 package campaign
 
 import (

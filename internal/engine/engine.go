@@ -11,8 +11,8 @@
 // There is one cell shape: a Key and a Run closure filling a
 // *core.FaultResult (a plain trial leaves its fault side zero). NewCell
 // builds that closure from a Scenario and is the one place a trial's
-// scheduler, adversaries and core.RunOptions are assembled: the campaign
-// compiler builds every campaign cell with it (the registry's included),
+// scheduler, adversaries and core.RunOptions are assembled: a campaign
+// Instance builds every campaign cell with it (the registry's included),
 // E13 its transformer cells. There are three ways to run: RunCell (one
 // cell's trials on a caller-owned worker), RunCells
 // (every cell on the pool) and ForEachWorker (the pool itself, for

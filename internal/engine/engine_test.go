@@ -79,7 +79,7 @@ func TestSilentSnapshotsMatchProtoKeys(t *testing.T) {
 	t.Parallel()
 	g := graph.Path(6)
 	cfg := Config{Seed: 2009, Trials: 3, MaxSteps: 100_000, Parallelism: 1}
-	specs := []ProtoCell{{Graph: g, Family: FamColoring}, {Graph: g, Family: FamMIS}}
+	specs := []ProtoCell{protoSpec(t, g, FamColoring), protoSpec(t, g, FamMIS)}
 	snaps, err := SilentSnapshots(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +108,9 @@ func TestSilentSnapshotsMatchProtoKeys(t *testing.T) {
 func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
 	t.Parallel()
 	specs := []ProtoCell{
-		{Graph: graph.Cycle(13), Family: FamColoring},
-		{Graph: graph.Grid(4, 4), Family: FamMIS},
-		{Graph: graph.Torus(3, 4), Family: FamMatching},
+		protoSpec(t, graph.Cycle(13), FamColoring),
+		protoSpec(t, graph.Grid(4, 4), FamMIS),
+		protoSpec(t, graph.Torus(3, 4), FamMatching),
 	}
 	// firstHits is the oracle: each spec's first silent legitimate trial
 	// on the fold path (-1: none) and a copy of its final configuration.
@@ -205,7 +205,7 @@ func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
 					}
 					continue
 				}
-				want := fmt.Sprintf("engine: %s produced no legitimate silent run on %s", specs[miss].Family, specs[miss].Graph.Name())
+				want := fmt.Sprintf("engine: %s produced no legitimate silent run on %s", specs[miss].Family, specs[miss].System.Graph().Name())
 				if err == nil || err.Error() != want {
 					t.Errorf("MaxSteps %d Trials %d Parallelism %d: SilentSnapshots error %v, want %q", maxSteps, n, par, err, want)
 				}
@@ -222,7 +222,7 @@ func TestSilentSnapshotsStopAtFirstHit(t *testing.T) {
 		t.Errorf("no hit: trials run per spec %v, want all of cfg.Trials", calls)
 	}
 	_, err = SilentSnapshots(cfg, specs)
-	if want := "engine: coloring produced no legitimate silent run on " + specs[0].Graph.Name(); err == nil || err.Error() != want {
+	if want := "engine: coloring produced no legitimate silent run on " + specs[0].System.Graph().Name(); err == nil || err.Error() != want {
 		t.Errorf("no hit: error %v, want %q", err, want)
 	}
 }

@@ -161,11 +161,11 @@ func TestNewCellRefusesBadScenarios(t *testing.T) {
 		"unknown adversary": {Key: "k", System: sys, Adversary: "gremlin", K: 1},
 		"unknown churn":     {Key: "k", System: sys, Churn: "earthquake", ChurnK: 1},
 	} {
-		if cell, err := NewCell(&cfg, sc); err == nil || cell.Run != nil {
+		if cell, err := NewCell(cfg, sc); err == nil || cell.Run != nil {
 			t.Errorf("%s: NewCell = (Run set: %v, %v), want an error and no closure", name, cell.Run != nil, err)
 		}
 	}
-	if _, err := NewCell(&cfg, Scenario{Key: "k", System: sys}); err != nil {
+	if _, err := NewCell(cfg, Scenario{Key: "k", System: sys}); err != nil {
 		t.Errorf("the plain default scenario was refused: %v", err)
 	}
 }
@@ -176,8 +176,8 @@ func TestRunCellReduceRealProtocol(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 2009, Trials: 4, MaxSteps: 100_000, Parallelism: 2}
 	specs := []ProtoCell{
-		{Graph: graph.Path(6), Family: FamColoring},
-		{Graph: graph.Cycle(5), Family: FamMIS},
+		protoSpec(t, graph.Path(6), FamColoring),
+		protoSpec(t, graph.Cycle(5), FamMIS),
 	}
 	build := func() []Cell {
 		cells, err := protoCells(cfg, specs)
@@ -236,7 +236,7 @@ func TestTrialFinishCount(t *testing.T) {
 		sink := obsCollector{}
 		tc.cfg.Observer = &sink
 		tc.sc.Key, tc.sc.System = "finish-count", sys
-		cell, err := NewCell(&tc.cfg, tc.sc)
+		cell, err := NewCell(tc.cfg, tc.sc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -52,13 +51,11 @@ type Scenario struct {
 
 // NewCell builds the cell that runs sc's trials. With neither adversary
 // the fault plan is empty and every trial is a plain one; nothing else
-// distinguishes the two. cfg is read when a trial runs, not here: its
-// MaxSteps bounds the trial and its Observer receives the trial's
-// diagnostic events, so a caller that binds an observer after building
-// its cells (campaign.Plan.SetObserver) passes the Config it will write.
-// Unknown daemon and adversary names are refused here, so the trial
-// closure cannot fail on them.
-func NewCell(cfg *Config, sc Scenario) (Cell, error) {
+// distinguishes the two. The closure keeps cfg's MaxSteps, which bounds
+// each trial, and its Observer, which receives the trial's diagnostic
+// events. Unknown daemon and adversary names are refused here, so the
+// trial closure cannot fail on them.
+func NewCell(cfg Config, sc Scenario) (Cell, error) {
 	if sc.System == nil {
 		return Cell{}, fmt.Errorf("engine: cell %q has no system", sc.Key)
 	}
@@ -117,29 +114,26 @@ func NewCell(cfg *Config, sc Scenario) (Cell, error) {
 	}, nil
 }
 
-// ProtoCell names one (graph, protocol family) pair SilentSnapshots
-// warms up.
+// ProtoCell names one (system, protocol family) pair SilentSnapshots
+// warms up: System is Family built on the pair's graph.
 type ProtoCell struct {
-	Graph  *graph.Graph
+	System *model.System
 	Family string
 }
 
 // protoCells expands specs into plain cells from random starts under the
-// default daemon, building each cell's system once. The cell key is
-// "graph|family|random-subset|0" — the canonical proto-cell key, which
-// is also the default key of a plain campaign cell on the same graph and
-// family, so a snapshot warm-up replays that cell's trials.
+// default daemon. The cell key is "graph|family|random-subset|0" — the
+// canonical proto-cell key, which is also the default key of a plain
+// campaign cell on the same graph and family, so a snapshot warm-up
+// replays that cell's trials.
 func protoCells(cfg Config, specs []ProtoCell) ([]Cell, error) {
 	cfg = cfg.WithDefaults()
 	cells := make([]Cell, len(specs))
 	for i, sp := range specs {
-		sys, err := Build(sp.Graph, sp.Family, nil)
-		if err != nil {
-			return nil, err
-		}
-		cells[i], err = NewCell(&cfg, Scenario{
-			Key:   fmt.Sprintf("%s|%s|%s|0", sp.Graph.Name(), sp.Family, DefaultSchedName),
-			Index: i, System: sys,
+		var err error
+		cells[i], err = NewCell(cfg, Scenario{
+			Key:   fmt.Sprintf("%s|%s|%s|0", sp.System.Graph().Name(), sp.Family, DefaultSchedName),
+			Index: i, System: sp.System,
 		})
 		if err != nil {
 			return nil, err
@@ -172,7 +166,7 @@ func SilentSnapshots(cfg Config, specs []ProtoCell) ([]*model.Config, error) {
 	}
 	for i, sp := range specs {
 		if out[i] == nil {
-			return nil, fmt.Errorf("engine: %s produced no legitimate silent run on %s", sp.Family, sp.Graph.Name())
+			return nil, fmt.Errorf("engine: %s produced no legitimate silent run on %s", sp.Family, sp.System.Graph().Name())
 		}
 	}
 	return out, nil

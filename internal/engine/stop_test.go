@@ -44,6 +44,16 @@ func TestStopRuleWithDefaults(t *testing.T) {
 	}
 }
 
+// protoSpec builds family on g into the pair the warm-ups take.
+func protoSpec(t testing.TB, g *graph.Graph, family string) ProtoCell {
+	t.Helper()
+	sys, err := Build(g, family, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ProtoCell{System: sys, Family: family}
+}
+
 // runProto is RunCells over the cells protoCells builds from specs.
 func runProto(cfg Config, specs []ProtoCell, fold Fold) error {
 	cells, err := protoCells(cfg, specs)
@@ -159,8 +169,8 @@ func TestStopDisabledMatchesRunCells(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Seed: 2009, Trials: 4, MaxSteps: 100_000, Parallelism: 2}
 	specs := []ProtoCell{
-		{Graph: graph.Path(6), Family: FamColoring},
-		{Graph: graph.Cycle(5), Family: FamMIS},
+		protoSpec(t, graph.Path(6), FamColoring),
+		protoSpec(t, graph.Cycle(5), FamMIS),
 	}
 	type key struct{ cell, trial int }
 	var mu sync.Mutex
@@ -205,9 +215,9 @@ func TestStopDisabledMatchesRunCells(t *testing.T) {
 func TestObserverEventStreamDeterministic(t *testing.T) {
 	t.Parallel()
 	specs := []ProtoCell{
-		{Graph: graph.Path(6), Family: FamColoring},
-		{Graph: graph.Cycle(5), Family: FamMIS},
-		{Graph: graph.Path(5), Family: FamBFSTree},
+		protoSpec(t, graph.Path(6), FamColoring),
+		protoSpec(t, graph.Cycle(5), FamMIS),
+		protoSpec(t, graph.Path(5), FamBFSTree),
 	}
 	var want []byte
 	for _, par := range []int{1, 4} {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -17,25 +15,21 @@ import (
 // is 2·log(Δ+1) + log(δ.p) bits.
 func E2CommunicationBits(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
-	if err != nil {
-		return nil, err
-	}
 	// A post-silence suffix of 2 rounds guarantees every process — in
 	// particular one of degree Δ — is selected at least twice while
 	// measuring (a run can otherwise reach silence before the max-degree
 	// process ever evaluates a guard).
-	_, cells, err := compileSpec(cfg, "e2-communication-bits", suiteLine(cfg)+`
+	plan, in, err := compileSpec(cfg, "e2-communication-bits", suiteLine(cfg)+`
 protocol coloring coloring-baseline
 suffix-rounds 2
-`, nil)
+`)
 	if err != nil {
 		return nil, err
 	}
 	// Streaming aggregation: only the per-cell maximum witnessed
 	// communication complexity is kept.
-	maxBits := make([]int, len(cells))
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	maxBits := make([]int, len(plan.Cells))
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		if res.Report.CommComplexityBits > maxBits[cell] {
 			maxBits[cell] = res.Report.CommComplexityBits
 		}
@@ -48,19 +42,18 @@ suffix-rounds 2
 		"graph", "Δ", "log(Δ+1)", "eff bits/step", "Δ·log(Δ+1)", "base bits/step",
 		"space bits (max p)", "theory space", "ok")
 	pass := true
-	for i, g := range graphs {
+	// Each graph has two cells: the efficient protocol, then its baseline.
+	for i := 0; i < len(maxBits); i += 2 {
+		sys := in.System(i)
+		g := sys.Graph()
 		perColor := model.BitsFor(g.MaxDegree() + 1)
 		wantEff := perColor
 		wantBase := g.MaxDegree() * perColor
 
-		maxEffBits, maxBaseBits := maxBits[2*i], maxBits[2*i+1]
+		maxEffBits, maxBaseBits := maxBits[i], maxBits[i+1]
 		// Space complexity of a maximum-degree process of the efficient
 		// protocol: comm var log(Δ+1) + internal log(δ.p) + measured
 		// communication complexity.
-		sys, err := engine.Build(g, engine.FamColoring, nil)
-		if err != nil {
-			return nil, err
-		}
 		maxP := 0
 		for p := 0; p < g.N(); p++ {
 			if g.Degree(p) > g.Degree(maxP) {
@@ -95,19 +88,10 @@ suffix-rounds 2
 // efficient vs full-read baseline.
 func E10StabilizedOverhead(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
-	if err != nil {
-		return nil, err
-	}
-	pairs := [][2]string{
-		{engine.FamColoring, engine.FamColoringBaseline},
-		{engine.FamMIS, engine.FamMISBaseline},
-		{engine.FamMatching, engine.FamMatchingBaseline},
-	}
-	plan, cells, err := compileSpec(cfg, "e10-stabilized-overhead", suiteLine(cfg)+`
+	plan, in, err := compileSpec(cfg, "e10-stabilized-overhead", suiteLine(cfg)+`
 protocol coloring coloring-baseline mis mis-baseline matching matching-baseline
 suffix-rounds 4n
-`, nil)
+`)
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +100,8 @@ suffix-rounds 4n
 	type acc struct {
 		reads, bits float64
 	}
-	accs := make([]acc, len(cells))
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	accs := make([]acc, len(plan.Cells))
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		if !res.Silent {
 			cs := &plan.Cells[cell]
 			return fmt.Errorf("experiment: %s on %s did not stabilize", cs.Protocol, cs.Graph().Name)
@@ -138,24 +122,21 @@ suffix-rounds 4n
 		"graph", "protocol", "eff reads/sel", "base reads/sel", "eff bits/sel",
 		"base bits/sel", "saving", "ok")
 	pass := true
-	idx := 0
-	for _, g := range graphs {
-		for _, pair := range pairs {
-			effReads, effBits := accs[idx].reads, accs[idx].bits
-			baseReads, baseBits := accs[idx+1].reads, accs[idx+1].bits
-			idx += 2
-			// Star graphs aside, the baseline must read strictly more
-			// than the efficient protocol once stabilized (every
-			// selection of a degree>1 process reads all its neighbors).
-			ok := effBits <= baseBits && effReads <= baseReads && baseBits > 0
-			pass = pass && ok
-			saving := 0.0
-			if baseBits > 0 {
-				saving = 1 - effBits/baseBits
-			}
-			table.AddRow(g.Name(), pair[0], effReads, baseReads, effBits, baseBits,
-				fmt.Sprintf("%.0f%%", saving*100), ok)
+	// Each protocol's cell is followed by its baseline's.
+	for i := 0; i < len(accs); i += 2 {
+		effReads, effBits := accs[i].reads, accs[i].bits
+		baseReads, baseBits := accs[i+1].reads, accs[i+1].bits
+		// Star graphs aside, the baseline must read strictly more than
+		// the efficient protocol once stabilized (every selection of a
+		// degree>1 process reads all its neighbors).
+		ok := effBits <= baseBits && effReads <= baseReads && baseBits > 0
+		pass = pass && ok
+		saving := 0.0
+		if baseBits > 0 {
+			saving = 1 - effBits/baseBits
 		}
+		table.AddRow(in.System(i).Graph().Name(), plan.Cells[i].Protocol, effReads, baseReads,
+			effBits, baseBits, fmt.Sprintf("%.0f%%", saving*100), ok)
 	}
 	return &Result{
 		ID:       "E10",

@@ -22,16 +22,16 @@ import (
 // configuration — so recovery is expected from each.
 func E19ChurnedConvergence(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	g, line, err := midSuite(cfg, 4)
+	line, desc, err := midSuite(cfg, 4)
 	if err != nil {
 		return nil, err
 	}
 	const firings = 3
-	plan, accs, err := runCampaign(cfg, "e19-churned-convergence", fmt.Sprintf(`key {graph}|{protocol}|churn={churn}|ck={churn-k}|cinject={churn-inject}
+	plan, _, accs, err := runCampaign(cfg, "e19-churned-convergence", fmt.Sprintf(`key {graph}|{protocol}|churn={churn}|ck={churn-k}|cinject={churn-inject}
 %s
 protocol coloring mis matching
 churn rewire k=2 inject=on-silence:%d
-`, line, firings), g)
+`, line, firings))
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +55,7 @@ churn rewire k=2 inject=on-silence:%d
 		Claim:    "every rewiring episode re-converges to a silent configuration legitimate on the current topology",
 		Table:    table,
 		Pass:     pass,
-		Notes:    fmt.Sprintf("graph: %s; legitimacy is evaluated against the live (churned) topology", g.Name()),
+		Notes:    fmt.Sprintf("graph: %s; legitimacy is evaluated against the live (churned) topology", desc.Name),
 	}, nil
 }
 
@@ -68,15 +68,15 @@ churn rewire k=2 inject=on-silence:%d
 // must be silent and legitimate there.
 func E20CutHealing(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	g, line, err := midSuite(cfg, 2)
+	line, desc, err := midSuite(cfg, 2)
 	if err != nil {
 		return nil, err
 	}
-	plan, accs, err := runCampaign(cfg, "e20-cut-healing", fmt.Sprintf(`key {graph}|{protocol}|churn={churn}|ck={churn-k}|cinject={churn-inject}
+	plan, _, accs, err := runCampaign(cfg, "e20-cut-healing", fmt.Sprintf(`key {graph}|{protocol}|churn={churn}|ck={churn-k}|cinject={churn-inject}
 %s
 protocol coloring mis matching
 churn cut k=1,2 inject=on-silence:2
-`, line), g)
+`, line))
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ churn cut k=1,2 inject=on-silence:2
 		Claim:    "severing and healing a BFS-ball boundary is absorbed: both halves of each cut/heal pair re-silence, ending legitimate on the base graph",
 		Table:    table,
 		Pass:     pass,
-		Notes:    fmt.Sprintf("graph: %s; affected = processes incident to severed/restored edges; even firing count restores the base topology before the final silence", g.Name()),
+		Notes:    fmt.Sprintf("graph: %s; affected = processes incident to severed/restored edges; even firing count restores the base topology before the final silence", desc.Name),
 	}, nil
 }
 
@@ -110,16 +110,16 @@ churn cut k=1,2 inject=on-silence:2
 // recover — the strongest robustness regime the harness exercises.
 func E21CrashJoinComposed(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	g, line, err := midSuite(cfg, 4)
+	line, desc, err := midSuite(cfg, 4)
 	if err != nil {
 		return nil, err
 	}
-	plan, accs, err := runCampaign(cfg, "e21-crashjoin-composed", fmt.Sprintf(`key {graph}|{protocol}|adv={adversary}|k={k}|churn={churn}|ck={churn-k}
+	plan, _, accs, err := runCampaign(cfg, "e21-crashjoin-composed", fmt.Sprintf(`key {graph}|{protocol}|adv={adversary}|k={k}|churn={churn}|ck={churn-k}
 %s
 protocol coloring mis
 adversary uniform k=1 inject=on-silence:2
 churn crashjoin k=1,3 inject=on-silence:2
-`, line), g)
+`, line))
 	if err != nil {
 		return nil, err
 	}
@@ -142,6 +142,6 @@ churn crashjoin k=1,3 inject=on-silence:2
 		Claim:    "combined topology-and-state fault episodes all recover; an even firing count returns every crashed process and the run ends silent and legitimate",
 		Table:    table,
 		Pass:     pass,
-		Notes:    fmt.Sprintf("graph: %s; each silence point fires the crash/join churn first, then corrupts survivors", g.Name()),
+		Notes:    fmt.Sprintf("graph: %s; each silence point fires the crash/join churn first, then corrupts survivors", desc.Name),
 	}, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -20,13 +19,9 @@ import (
 // and never reads more than one neighbor per step.
 func E1ColoringConvergence(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
-	if err != nil {
-		return nil, err
-	}
-	_, cells, err := compileSpec(cfg, "e1-coloring-convergence", suiteLine(cfg)+`
+	plan, in, err := compileSpec(cfg, "e1-coloring-convergence", suiteLine(cfg)+`
 protocol coloring
-`, nil)
+`)
 	if err != nil {
 		return nil, err
 	}
@@ -37,11 +32,11 @@ protocol coloring
 		agg   core.Convergence
 		steps []float64
 	}
-	accs := make([]acc, len(cells))
+	accs := make([]acc, len(plan.Cells))
 	for i := range accs {
 		accs[i].agg = core.NewConvergence()
 	}
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.agg.Add(&res.RunResult)
 		if res.Silent {
@@ -56,8 +51,8 @@ protocol coloring
 		"graph", "n", "m", "Δ", "trials", "converged", "legit", "k-eff",
 		"mean steps", "max rounds")
 	pass := true
-	for i, g := range graphs {
-		agg := accs[i].agg
+	for i := range accs {
+		g, agg := in.System(i).Graph(), accs[i].agg
 		ok := agg.Converged == agg.Runs && agg.LegitimateAll && agg.MaxKEfficiency <= 1
 		pass = pass && ok
 		table.AddRow(g.Name(), g.N(), g.M(), g.MaxDegree(), agg.Runs, agg.Converged,
@@ -116,14 +111,10 @@ type roundBoundSpec struct {
 var boundDaemons = []string{"synchronous", "central-rr", "random-subset", "laziest-fair"}
 
 func roundBoundExperiment(cfg Config, spec roundBoundSpec) (*Result, error) {
-	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
-	if err != nil {
-		return nil, err
-	}
-	_, cells, err := compileSpec(cfg, strings.ToLower(spec.id)+"-round-bound", fmt.Sprintf(`%s
+	plan, in, err := compileSpec(cfg, strings.ToLower(spec.id)+"-round-bound", fmt.Sprintf(`%s
 protocol %s
 daemon %s
-`, suiteLine(cfg), spec.family, strings.Join(boundDaemons, " ")), nil)
+`, suiteLine(cfg), spec.family, strings.Join(boundDaemons, " ")))
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +126,8 @@ daemon %s
 		illegitimate               bool
 		rounds                     []float64
 	}
-	accs := make([]acc, len(cells))
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	accs := make([]acc, len(plan.Cells))
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.runs++
 		if res.Silent {
@@ -159,16 +150,14 @@ daemon %s
 		"graph", "n", "Δ", "bound "+spec.boundName, "max rounds", "mean rounds",
 		"converged", "within bound")
 	pass := true
-	for gi, g := range graphs {
-		sys, err := engine.Build(g, spec.family, nil)
-		if err != nil {
-			return nil, err
-		}
-		bound := spec.bound(sys)
+	// Cells run graph-major, daemon-minor.
+	for gi := 0; gi < len(accs); gi += len(boundDaemons) {
+		sys := in.System(gi)
+		g, bound := sys.Graph(), spec.bound(sys)
 		maxRounds, converged, runs := 0, 0, 0
 		var rounds []float64
 		for si := range boundDaemons {
-			a := &accs[gi*len(boundDaemons)+si]
+			a := &accs[gi+si]
 			runs += a.runs
 			converged += a.converged
 			rounds = append(rounds, a.rounds...)
@@ -200,24 +189,24 @@ daemon %s
 func E11SchedulerRobustness(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	// A medium graph keeps the cross product manageable.
-	g, line, err := midSuite(cfg, 2)
+	line, _, err := midSuite(cfg, 2)
 	if err != nil {
 		return nil, err
 	}
 	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching}
 	names := sched.Names()
-	_, cells, err := compileSpec(cfg, "e11-scheduler-robustness", fmt.Sprintf(`%s
+	plan, in, err := compileSpec(cfg, "e11-scheduler-robustness", fmt.Sprintf(`%s
 protocol %s
 daemon %s
-`, line, strings.Join(families, " "), strings.Join(names, " ")), g)
+`, line, strings.Join(families, " "), strings.Join(names, " ")))
 	if err != nil {
 		return nil, err
 	}
-	aggs := make([]core.Convergence, len(cells))
+	aggs := make([]core.Convergence, len(plan.Cells))
 	for i := range aggs {
 		aggs[i] = core.NewConvergence()
 	}
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		aggs[cell].Add(&res.RunResult)
 		return nil
 	})
@@ -243,6 +232,6 @@ daemon %s
 		Claim:    "all three protocols stabilize under every fair daemon variant",
 		Table:    table,
 		Pass:     pass,
-		Notes:    fmt.Sprintf("graph: %s", g),
+		Notes:    fmt.Sprintf("graph: %s", in.System(0).Graph()),
 	}, nil
 }

@@ -35,11 +35,11 @@ func TestEveryRegistryCellEmitsDiagnostics(t *testing.T) {
 	// on the mid-suite graph of E16.
 	onCampaign := func(disturbance string) func(Config) error {
 		return func(cfg Config) error {
-			g, line, err := midSuite(cfg, 4)
+			line, _, err := midSuite(cfg, 4)
 			if err != nil {
 				return err
 			}
-			_, _, err = runCampaign(cfg, "diagnostics", line+"\nprotocol coloring mis matching\n"+disturbance+"\n", g)
+			_, _, _, err = runCampaign(cfg, "diagnostics", line+"\nprotocol coloring mis matching\n"+disturbance+"\n")
 			return err
 		}
 	}

@@ -14,12 +14,12 @@ import (
 	"repro/internal/sched"
 )
 
-// materialize is the tests' materializing oracle: it runs the cells
-// through the fold path and keeps a deep copy of every result, indexed
-// [cell][trial].
-func materialize(cfg engine.Config, cells []engine.Cell) ([][]*core.RunResult, error) {
-	out := make([][]*core.RunResult, len(cells))
-	err := engine.RunCells(cfg, cells, func(cell, trial int, res *core.FaultResult) error {
+// materialize is the tests' materializing oracle: it runs n cells
+// through the fold path run drives and keeps a deep copy of every
+// result, indexed [cell][trial].
+func materialize(n int, run func(engine.Fold) error) ([][]*core.RunResult, error) {
+	out := make([][]*core.RunResult, n)
+	err := run(func(cell, trial int, res *core.FaultResult) error {
 		cp := res.RunResult
 		cp.Report.SuffixReadSetHist = slices.Clone(res.Report.SuffixReadSetHist)
 		cp.Final = res.Final.Clone()
@@ -88,21 +88,24 @@ protocol coloring mis matching
 daemon random-subset laziest-fair
 suffix-rounds 2
 `
-	plan, _, err := compileSpec(cfg, "pooled-vs-unpooled", axes, nil)
+	plan, _, err := compileSpec(cfg, "pooled-vs-unpooled", axes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := materialize(cfg.engineConfig(), legacyCells(t, cfg, plan))
+	legacy := legacyCells(t, cfg, plan)
+	want, err := materialize(len(legacy), func(fold engine.Fold) error {
+		return engine.RunCells(cfg.engineConfig(), legacy, fold)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
 		cfg.Parallelism = par
-		_, cells, err := compileSpec(cfg, "pooled-vs-unpooled", axes, nil)
+		plan, in, err := compileSpec(cfg, "pooled-vs-unpooled", axes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := materialize(cfg.engineConfig(), cells)
+		got, err := materialize(len(plan.Cells), in.RunCells)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -127,26 +130,26 @@ func TestReduceMatchesMaterialized(t *testing.T) {
 protocol coloring
 suffix-rounds 2
 `
-	_, cells, err := compileSpec(cfg, "reduce-vs-materialized", axes, nil)
+	plan, in, err := compileSpec(cfg, "reduce-vs-materialized", axes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := materialize(cfg.engineConfig(), cells)
+	want, err := materialize(len(plan.Cells), in.RunCells)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{1, 4} {
 		cfg.Parallelism = par
-		_, cells, err := compileSpec(cfg, "reduce-vs-materialized", axes, nil)
+		plan, in, err := compileSpec(cfg, "reduce-vs-materialized", axes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lastTrial := make([]int, len(cells))
+		lastTrial := make([]int, len(plan.Cells))
 		for i := range lastTrial {
 			lastTrial[i] = -1
 		}
-		seen := make([]int, len(cells))
-		err = engine.RunCells(cfg.engineConfig(), cells, func(cell, trial int, res *core.FaultResult) error {
+		seen := make([]int, len(plan.Cells))
+		err = in.RunCells(func(cell, trial int, res *core.FaultResult) error {
 			if trial != lastTrial[cell]+1 {
 				return fmt.Errorf("cell %d: fold at trial %d after trial %d (want in-order)", cell, trial, lastTrial[cell])
 			}

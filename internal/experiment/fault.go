@@ -7,9 +7,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fault"
-	"repro/internal/graph"
 	"repro/internal/protocols/mis"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -73,20 +71,20 @@ func (a *recovery) add(res *core.FaultResult) {
 // final-silent column.
 func outOf(part, whole int) string { return fmt.Sprintf("%d/%d", part, whole) }
 
-// runCampaign compiles the campaign an experiment declares on the graph
-// on (see compileSpec) and returns the plan, for the cells'
-// coordinates, with one recovery fold per cell.
-func runCampaign(cfg Config, name, axes string, on *graph.Graph) (*campaign.Plan, []recovery, error) {
-	plan, cells, err := compileSpec(cfg, name, axes, on)
+// runCampaign compiles and runs the campaign an experiment declares (see
+// compileSpec) and returns the plan and the instance, for the cells'
+// coordinates and systems, with one recovery fold per cell.
+func runCampaign(cfg Config, name, axes string) (*campaign.Plan, *campaign.Instance, []recovery, error) {
+	plan, in, err := compileSpec(cfg, name, axes)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	accs := make([]recovery, len(cells))
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	accs := make([]recovery, len(plan.Cells))
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		accs[cell].add(res)
 		return nil
 	})
-	return plan, accs, err
+	return plan, in, accs, err
 }
 
 // ksCSV renders a fault-size list as the k= argument of an `adversary`
@@ -112,20 +110,20 @@ func ksCSV(ks []int) string {
 // the grid was a campaign spec.
 func E16AdversaryGrid(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	g, line, err := midSuite(cfg, 4)
+	line, desc, err := midSuite(cfg, 4)
 	if err != nil {
 		return nil, err
 	}
-	n := g.N()
+	n := desc.N
 	ks := []int{1, max(1, n/4), max(1, n/2)}
 	var advLines strings.Builder
 	for _, advName := range fault.Names() {
 		fmt.Fprintf(&advLines, "adversary %s k=%s inject=at-start\n", advName, ksCSV(ks))
 	}
-	plan, accs, err := runCampaign(cfg, "e16-adversary-grid", fmt.Sprintf(`key {graph}|{protocol}|adv={adversary}|k={k}
+	plan, _, accs, err := runCampaign(cfg, "e16-adversary-grid", fmt.Sprintf(`key {graph}|{protocol}|adv={adversary}|k={k}
 %s
 protocol coloring mis matching
-%s`, line, advLines.String()), g)
+%s`, line, advLines.String()))
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +144,7 @@ protocol coloring mis matching
 		Claim:    "uniform, comm-only, crash-reset and clustered faults of every size are all recovered",
 		Table:    table,
 		Pass:     pass,
-		Notes:    fmt.Sprintf("graph: %s; radius = max graph distance from the faulted set to any process that moved during recovery", g.Name()),
+		Notes:    fmt.Sprintf("graph: %s; radius = max graph distance from the faulted set to any process that moved during recovery", desc.Name),
 	}, nil
 }
 
@@ -158,28 +156,24 @@ protocol coloring mis matching
 // regardless of which fair scheduler drives the system.
 func E17RepeatedInjection(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	g, line, err := midSuite(cfg, 2)
+	line, desc, err := midSuite(cfg, 2)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := engine.Build(g, engine.FamMIS, nil)
-	if err != nil {
-		return nil, err
-	}
-	bound := mis.RoundBound(sys)
-	k := max(1, g.N()/4)
+	k := max(1, desc.N/4)
 	const episodes = 4
 
 	names := sched.Names()
-	_, accs, err := runCampaign(cfg, "e17-repeated-injection", fmt.Sprintf(`key {graph}|{protocol}|daemon={daemon}|repeat={count}|k={k}
+	_, in, accs, err := runCampaign(cfg, "e17-repeated-injection", fmt.Sprintf(`key {graph}|{protocol}|daemon={daemon}|repeat={count}|k={k}
 %s
 protocol mis
 daemon %s
 adversary uniform k=%d inject=on-silence:%d
-`, line, strings.Join(names, " "), k, episodes), g)
+`, line, strings.Join(names, " "), k, episodes))
 	if err != nil {
 		return nil, err
 	}
+	bound := mis.RoundBound(in.System(0))
 	table := stats.NewTable(
 		fmt.Sprintf("E17: repeated %d-fault injection on MIS, %d episodes per trial", k, episodes),
 		"daemon", "episodes", "recovered", "mean rounds", "max rounds", "bound+1", "max radius", "ok")
@@ -203,7 +197,7 @@ adversary uniform k=%d inject=on-silence:%d
 		Claim:    "every recovery episode under periodic faults completes within the proved convergence bound, under every fair daemon",
 		Table:    table,
 		Pass:     pass,
-		Notes:    fmt.Sprintf("graph: %s; adversary strikes at each silence point", g.Name()),
+		Notes:    fmt.Sprintf("graph: %s; adversary strikes at each silence point", desc.Name),
 	}, nil
 }
 
@@ -214,21 +208,21 @@ adversary uniform k=%d inject=on-silence:%d
 // grows with the fault ball, and recovery succeeds at every size.
 func E18ClusterContainment(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	g, line, err := midSuite(cfg, 4)
+	line, desc, err := midSuite(cfg, 4)
 	if err != nil {
 		return nil, err
 	}
 	var ks []int
 	for _, k := range []int{1, 2, 4, 8, 16} {
-		if k <= g.N() {
+		if k <= desc.N {
 			ks = append(ks, k)
 		}
 	}
-	plan, accs, err := runCampaign(cfg, "e18-cluster-containment", fmt.Sprintf(`key {graph}|{protocol}|cluster={k}
+	plan, _, accs, err := runCampaign(cfg, "e18-cluster-containment", fmt.Sprintf(`key {graph}|{protocol}|cluster={k}
 %s
 protocol coloring mis matching
 adversary cluster k=%s inject=at-start
-`, line, ksCSV(ks)), g)
+`, line, ksCSV(ks)))
 	if err != nil {
 		return nil, err
 	}
@@ -249,6 +243,6 @@ adversary cluster k=%s inject=at-start
 		Claim:    "clustered faults of every ball size are recovered; the containment radius tracks the fault ball",
 		Table:    table,
 		Pass:     pass,
-		Notes:    fmt.Sprintf("graph: %s; ball r = fault ball radius around the epicenter, radius = spread of corrections from the faulted set", g.Name()),
+		Notes:    fmt.Sprintf("graph: %s; ball r = fault ball radius around the epicenter, radius = spread of corrections from the faulted set", desc.Name),
 	}, nil
 }

@@ -15,12 +15,14 @@
 // its cells in the campaign DSL (internal/campaign) — a source string
 // compileSpec parses and compiles, as a .campaign file would be — and
 // keeps only the fold that reads their trials and the check of the
-// paper's claim. The claims that stay in Go are E7-E9 (searched
-// impossibility witnesses and the orientation layer), E12 (the
-// goroutine-per-process runtime), E13 (transformer cells built with
-// engine.NewCell: as a spec their cell keys, and with them their trials,
-// would change) and E22 (one wall-clock trial per size up to a million
-// processes).
+// paper's claim. Each graph and system is built once, by the plan's
+// Instance: the table's columns and the claim's bounds read the very
+// graphs and systems the trials ran on. The claims that stay in Go are
+// E7-E9 (searched impossibility witnesses and the orientation layer),
+// E12 (the goroutine-per-process runtime), E13 (transformer cells built
+// with engine.NewCell: as a spec their cell keys, and with them their
+// trials, would change) and E22 (one wall-clock trial per size up to a
+// million processes).
 //
 // Trials run on a parallel sharded worker pool (internal/engine). The engine
 // is deterministic: per-trial seeds are derived from (Config.Seed, cell
@@ -169,14 +171,12 @@ func suiteLine(cfg Config) string {
 	return "graph suite"
 }
 
-// midSuite returns the suite graph at index len/div, the topology the
-// single-graph experiments run on, and the campaign `graph` line that
-// builds it (compileSpec checks the one against the other).
-func midSuite(cfg Config, div int) (*graph.Graph, string, error) {
-	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
-	if err != nil {
-		return nil, "", err
-	}
+// midSuite returns the campaign `graph` line of the suite graph at index
+// len/div, the topology the single-graph experiments run on, and its
+// descriptor, which names it and sizes fault axes by its n before the
+// spec is written: nothing is built. The golden tables pin each line to
+// the graph its experiment runs on.
+func midSuite(cfg Config, div int) (string, graph.Desc, error) {
 	lines := map[int][2]string{ // div -> {quick, full}
 		2: {"star 8", "caterpillar 15"},
 		3: {"cycle 9", "torus 12 w=3"},
@@ -186,17 +186,17 @@ func midSuite(cfg Config, div int) (*graph.Graph, string, error) {
 	if cfg.Quick {
 		line = lines[0]
 	}
-	return graphs[len(graphs)/div], "graph " + line, nil
+	desc, err := campaign.DescribeLine(line, cfg.Seed)
+	return "graph " + line, desc, err
 }
 
 // compileSpec compiles the campaign an experiment declares — its name
 // and its axes, under the run's seed, trials and step budget — and
-// materializes every cell: the plan gives each cell index its
-// coordinates, the cells run on engine.RunCells under
-// cfg.engineConfig(), off the cache. When on is non-nil every cell must
-// run on a graph of its name and size, so a suite change that a
-// midSuite line no longer matches is a hard error, not a silent drift.
-func compileSpec(cfg Config, name, axes string, on *graph.Graph) (*campaign.Plan, []engine.Cell, error) {
+// instantiates every cell under the run's observer. The plan gives each
+// cell index its coordinates; the instance builds each graph and system
+// once, hands them to the tables through System, and runs the cells off
+// the cache (Instance.RunCells).
+func compileSpec(cfg Config, name, axes string) (*campaign.Plan, *campaign.Instance, error) {
 	spec, err := campaign.Parse(fmt.Sprintf("campaign %s\nseed %d\ntrials %d\nmax-steps %d\n%s",
 		name, cfg.Seed, cfg.Trials, cfg.MaxSteps, axes))
 	if err != nil {
@@ -206,15 +206,10 @@ func compileSpec(cfg Config, name, axes string, on *graph.Graph) (*campaign.Plan
 	if err != nil {
 		return nil, nil, err
 	}
-	if on != nil {
-		for i := range plan.Cells {
-			if got := plan.Cells[i].Graph(); got.Name != on.Name() || got.N != on.N() {
-				return nil, nil, fmt.Errorf("experiment: campaign graph %s (n=%d) does not match suite graph %s (n=%d): update midSuite",
-					got.Name, got.N, on.Name(), on.N())
-			}
-		}
+	all := make([]int, len(plan.Cells))
+	for i := range all {
+		all[i] = i
 	}
-	plan.SetObserver(cfg.Observer)
-	cells, err := plan.EngineCells()
-	return plan, cells, err
+	in, err := plan.Instantiate(cfg.Observer, all)
+	return plan, in, err
 }

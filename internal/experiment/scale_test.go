@@ -39,7 +39,7 @@ func largeNTable(t *testing.T, par int) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells[i], err = engine.NewCell(&ecfg, engine.Scenario{
+		cells[i], err = engine.NewCell(ecfg, engine.Scenario{
 			Key:   fmt.Sprintf("%s|%s|%s|%d", sp.g.Name(), engine.FamColoring, sp.daemon, sp.suffix),
 			Index: i, System: sys, Daemon: sp.daemon, SuffixRounds: sp.suffix,
 		})

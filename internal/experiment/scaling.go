@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
 	"repro/internal/rng"
@@ -31,8 +30,8 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 	for _, n := range sizes {
 		fmt.Fprintf(&lines, "graph gnp %d seed=%d\n", n, rng.Derive(cfg.Seed, uint64(n)))
 	}
-	plan, cells, err := compileSpec(cfg, "e14-scaling-curves", fmt.Sprintf(`%sprotocol %s
-`, lines.String(), strings.Join(families, " ")), nil)
+	plan, in, err := compileSpec(cfg, "e14-scaling-curves", fmt.Sprintf(`%sprotocol %s
+`, lines.String(), strings.Join(families, " ")))
 	if err != nil {
 		return nil, err
 	}
@@ -41,11 +40,11 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 		agg    core.Convergence
 		rounds []float64
 	}
-	accs := make([]acc, len(cells))
+	accs := make([]acc, len(plan.Cells))
 	for i := range accs {
 		accs[i].agg = core.NewConvergence()
 	}
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		a.agg.Add(&res.RunResult)
 		if res.Silent {
@@ -56,22 +55,14 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sizeGraphs := make([]*graph.Graph, len(sizes))
-	for si := range sizes {
-		if sizeGraphs[si], err = plan.Cells[si*len(families)].Graph().Build(); err != nil {
-			return nil, err
-		}
-	}
 	table := stats.NewTable("E14: convergence scaling (rounds vs n)",
 		"protocol", "n", "Δ", "mean rounds", "max rounds", "bound", "within")
 	pass := true
 	for fi, family := range families {
 		for si, n := range sizes {
-			g := sizeGraphs[si]
-			sys, err := engine.Build(g, family, nil)
-			if err != nil {
-				return nil, err
-			}
+			// Cells run size-major, protocol-minor.
+			cell := si*len(families) + fi
+			sys := in.System(cell)
 			bound, haveBound := 0, true
 			switch family {
 			case engine.FamMIS:
@@ -81,9 +72,7 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 			default:
 				haveBound = false // COLORING's convergence is probabilistic
 			}
-			// Cells run size-major, protocol-minor.
-			agg := accs[si*len(families)+fi].agg
-			rounds := accs[si*len(families)+fi].rounds
+			agg, rounds := accs[cell].agg, accs[cell].rounds
 			within := agg.Converged == agg.Runs
 			boundCell := "—"
 			if haveBound {
@@ -91,7 +80,7 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 				boundCell = fmt.Sprintf("%d", bound)
 			}
 			pass = pass && within
-			table.AddRow(family, n, g.MaxDegree(),
+			table.AddRow(family, n, sys.Graph().MaxDegree(),
 				stats.Summarize(rounds).Mean, agg.MaxRounds, boundCell, within)
 		}
 	}
@@ -120,19 +109,19 @@ func E14ScalingCurves(cfg Config) (*Result, error) {
 // clustered faults.
 func E15FaultContainment(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	g, line, err := midSuite(cfg, 3)
+	line, desc, err := midSuite(cfg, 3)
 	if err != nil {
 		return nil, err
 	}
 	var ks []int
 	for _, frac := range []float64{0.1, 0.25, 0.5, 1.0} {
-		ks = append(ks, max(1, int(frac*float64(g.N()))))
+		ks = append(ks, max(1, int(frac*float64(desc.N))))
 	}
-	plan, accs, err := runCampaign(cfg, "e15-fault-containment", fmt.Sprintf(`key {graph}|{protocol}|faults={k}
+	plan, _, accs, err := runCampaign(cfg, "e15-fault-containment", fmt.Sprintf(`key {graph}|{protocol}|faults={k}
 %s
 protocol coloring mis matching
 adversary uniform k=%s inject=at-start
-`, line, ksCSV(ks)), g)
+`, line, ksCSV(ks)))
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +132,7 @@ adversary uniform k=%s inject=at-start
 		cs, a := &plan.Cells[i], &accs[i]
 		ok := a.legit == cfg.Trials
 		pass = pass && ok
-		table.AddRow(cs.Protocol, g.Name(), cs.K, outOf(a.legit, cfg.Trials),
+		table.AddRow(cs.Protocol, desc.Name, cs.K, outOf(a.legit, cfg.Trials),
 			stats.Summarize(a.finalRounds).Mean, a.maxFinalRounds)
 	}
 	return &Result{

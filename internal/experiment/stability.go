@@ -3,9 +3,9 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/graph"
 	"repro/internal/model"
 	"repro/internal/protocols/matching"
 	"repro/internal/protocols/mis"
@@ -17,7 +17,7 @@ import (
 // Lmax is the longest elementary path.
 func E4MISStability(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, systems, cells, err := stabilitySpec(cfg, "e4-mis-stability", engine.FamMIS)
+	plan, in, err := stabilitySpec(cfg, "e4-mis-stability", engine.FamMIS)
 	if err != nil {
 		return nil, err
 	}
@@ -28,11 +28,12 @@ func E4MISStability(cfg Config) (*Result, error) {
 		minStable, minExact, dominated int
 		nonSilent                      bool
 	}
-	accs := make([]acc, len(graphs))
-	for i, g := range graphs {
-		accs[i] = acc{minStable: g.N() + 1, minExact: g.N() + 1, dominated: -1}
+	accs := make([]acc, len(plan.Cells))
+	for i := range accs {
+		n := in.System(i).Graph().N()
+		accs[i] = acc{minStable: n + 1, minExact: n + 1, dominated: -1}
 	}
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		if !res.Silent {
 			a.nonSilent = true
@@ -43,7 +44,7 @@ func E4MISStability(cfg Config) (*Result, error) {
 		}
 		// Exact analysis: the eventual read set of every process is
 		// computed from its orbit in the silent configuration.
-		prof, err := model.AnalyzeStability(systems[cell], res.Final)
+		prof, err := model.AnalyzeStability(in.System(cell), res.Final)
 		if err != nil {
 			return err
 		}
@@ -59,7 +60,8 @@ func E4MISStability(cfg Config) (*Result, error) {
 	table := stats.NewTable("E4: MIS ♦-(⌊(Lmax+1)/2⌋,1)-stability (Theorem 6, Figure 9)",
 		"graph", "n", "Lmax", "bound", "1-stable exact", "1-stable observed", "dominated", "ok")
 	pass := true
-	for i, g := range graphs {
+	for i := range accs {
+		g := in.System(i).Graph()
 		lmax, err := g.LongestPathExact(24)
 		if err != nil {
 			// Too large for the exact solver: use the certified lower
@@ -93,7 +95,7 @@ func E4MISStability(cfg Config) (*Result, error) {
 // at least 2⌈m/(2Δ-1)⌉ processes are matched and hence 1-stable.
 func E6MatchingStability(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	graphs, systems, cells, err := stabilitySpec(cfg, "e6-matching-stability", engine.FamMatching)
+	plan, in, err := stabilitySpec(cfg, "e6-matching-stability", engine.FamMatching)
 	if err != nil {
 		return nil, err
 	}
@@ -101,23 +103,24 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 		minMarried, minStable, minExact int
 		nonSilent                       bool
 	}
-	accs := make([]acc, len(graphs))
-	for i, g := range graphs {
-		accs[i] = acc{minMarried: g.N() + 1, minStable: g.N() + 1, minExact: g.N() + 1}
+	accs := make([]acc, len(plan.Cells))
+	for i := range accs {
+		n := in.System(i).Graph().N()
+		accs[i] = acc{minMarried: n + 1, minStable: n + 1, minExact: n + 1}
 	}
-	err = engine.RunCells(cfg.engineConfig(), cells, func(cell, _ int, res *core.FaultResult) error {
+	err = in.RunCells(func(cell, _ int, res *core.FaultResult) error {
 		a := &accs[cell]
 		if !res.Silent {
 			a.nonSilent = true
 			return nil
 		}
-		if married := matching.MarriedCount(systems[cell], res.Final); married < a.minMarried {
+		if married := matching.MarriedCount(in.System(cell), res.Final); married < a.minMarried {
 			a.minMarried = married
 		}
 		if stable := res.Report.StableProcesses(1); stable < a.minStable {
 			a.minStable = stable
 		}
-		prof, err := model.AnalyzeStability(systems[cell], res.Final)
+		prof, err := model.AnalyzeStability(in.System(cell), res.Final)
 		if err != nil {
 			return err
 		}
@@ -132,7 +135,8 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 	table := stats.NewTable("E6: MATCHING ♦-(2⌈m/(2Δ-1)⌉,1)-stability (Theorem 8, Figure 11)",
 		"graph", "n", "m", "Δ", "bound", "married (min)", "1-stable exact", "1-stable observed", "ok")
 	pass := true
-	for i, g := range graphs {
+	for i := range accs {
+		g := in.System(i).Graph()
 		bound := matching.StabilityBound(g.M(), g.MaxDegree())
 		a := &accs[i]
 		if a.nonSilent {
@@ -154,23 +158,11 @@ func E6MatchingStability(cfg Config) (*Result, error) {
 }
 
 // stabilitySpec compiles the cells of E4 and E6: family on every suite
-// graph with a 6n-round post-silence suffix, one cell per graph, and
-// returns the suite and each graph's system for the fold's exact
-// stability analysis.
-func stabilitySpec(cfg Config, name, family string) ([]*graph.Graph, []*model.System, []engine.Cell, error) {
-	graphs, err := graph.Suite(cfg.Seed, cfg.Quick)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	systems := make([]*model.System, len(graphs))
-	for i, g := range graphs {
-		if systems[i], err = engine.Build(g, family, nil); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	_, cells, err := compileSpec(cfg, name, fmt.Sprintf(`%s
+// graph with a 6n-round post-silence suffix, one cell per graph. The
+// instance's systems serve the fold's exact stability analysis.
+func stabilitySpec(cfg Config, name, family string) (*campaign.Plan, *campaign.Instance, error) {
+	return compileSpec(cfg, name, fmt.Sprintf(`%s
 protocol %s
 suffix-rounds 6n
-`, suiteLine(cfg), family), nil)
-	return graphs, systems, cells, err
+`, suiteLine(cfg), family))
 }

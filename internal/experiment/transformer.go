@@ -49,7 +49,7 @@ func E13Transformer(cfg Config) (*Result, error) {
 				if err != nil {
 					return nil, err
 				}
-				cell, err := engine.NewCell(&ecfg, engine.Scenario{
+				cell, err := engine.NewCell(ecfg, engine.Scenario{
 					Key:   fmt.Sprintf("%s|%s|%s", tg.name, g.Name(), v.label),
 					Index: len(cells), System: sys,
 				})

@@ -137,7 +137,7 @@ func TestExecuteDeterminism(t *testing.T) {
 				}
 				// path 4, 6, 8 and cycle 5: built for the cells that
 				// missed, never for cells that hit.
-				if cold, warm := outCold.Plan.GraphsBuilt(), outWarm.Plan.GraphsBuilt(); cold != 4 || warm != 0 {
+				if cold, warm := outCold.GraphsBuilt, outWarm.GraphsBuilt; cold != 4 || warm != 0 {
 					t.Fatalf("graphs built: %d cold, %d warm, want 4 and 0", cold, warm)
 				}
 				if noCache, _ := execArtifacts(t, src, ExecOptions{Workers: workers}); noCache != want {

@@ -48,6 +48,8 @@ MUTATIONS=(
 	"IsConnected skips each row's last port|internal/graph/properties.go|internal/graph|^TestConnectivity\$|s~for _, q := range g.Row\(int\(p\)\) \{\n(\t+if seen.Add)~for _, q := range g.nbr[g.off[p]:max(g.off[p], g.end[p]-1)] {\n\$1~"
 	"the hot tier keeps an entry across Store|internal/service/hot.go|internal/service|^TestCorruptEntryLeavesTheTier\$|s~\tif el := h.entries\[hash\]; el != nil \{\n\t\th.remove\(el\)\n\t\}\n\th.mu.Unlock\(\)\n\treturn h.backend.Store~\th.mu.Unlock()\n\treturn h.backend.Store~"
 	"the hot tier caches a miss|internal/service/hot.go|internal/service|^TestHotTierNeverCachesAMiss\$|s~if err != nil \|\| data == nil \{~if err != nil {~"
+	"Execute instantiates every owned cell, not only the missing ones|internal/campaign/run.go|internal/campaign|^TestGraphsAreBuiltOnDemand\$|s~in, err := p.Instantiate\(opts.Observer, missing\)~owned := make([]int, 0, hi-lo)\n\t\tfor i := lo; i < hi; i++ {\n\t\t\towned = append(owned, i)\n\t\t}\n\t\tin, err := p.Instantiate(opts.Observer, owned)~"
+	"an instance's trial closures drop the run's observer|internal/campaign/instance.go|internal/campaign|^TestEachRunObservesItsOwnTrials\$|s~engine.NewCell\(in.cfg, ~engine.NewCell(p.cfg, ~"
 )
 
 fail=0
