@@ -147,7 +147,7 @@ scale-smoke: ## 10⁶-node torus and 2·10⁵-node G(n, 6/n) cells to silence un
 # streaming form, download the four served artifacts and byte-compare
 # them against CLI sscampaign runs, then re-POST (100% cache hits,
 # identical bytes from the artifact store, one stored set per source,
-# later re-POSTs' cache loads served by the hot tier) and SIGTERM-drain. The scripted flow
+# later re-POSTs replayed from memory) and SIGTERM-drain. The scripted flow
 # lives in scripts/service_smoke.sh; internal/service's tests prove the
 # same contract in-process at several worker counts and with stalled cells.
 SERVICE_SMOKE_DIR ?= /tmp/service-smoke

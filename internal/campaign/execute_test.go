@@ -274,3 +274,40 @@ func TestShardDrainCountsOwnedCells(t *testing.T) {
 		t.Fatalf("shard 1/2 run under a canceled context: %v, want ErrDrained with 4 of 4", err)
 	}
 }
+
+// eventList records every event it observes, in order.
+type eventList []obs.Event
+
+func (l *eventList) Observe(e obs.Event) { *l = append(*l, e) }
+
+// TestReplayIsAFullHitExecute: an outcome replays exactly the events,
+// diagnostics included, that an Execute finding every cell in the cache
+// emits, whether the outcome was computed or read from the cache.
+func TestReplayIsAFullHitExecute(t *testing.T) {
+	t.Parallel()
+	fault, err := os.ReadFile(filepath.Join("..", "..", "examples", "campaigns", "ex-fault.campaign"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{testCampaignSrc, string(fault)} {
+		plan := compileSrc(t, src)
+		be := NewMemBackend()
+		cold, err := plan.Run(RunOptions{Cache: be})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want eventList
+		warm, err := plan.Run(RunOptions{Cache: be, Observer: &want})
+		if err != nil || warm.CacheHits != len(plan.Cells) {
+			t.Fatalf("warm run: %v, %d of %d hits", err, warm.CacheHits, len(plan.Cells))
+		}
+		for name, out := range map[string]*Outcome{"computed": cold, "cached": warm} {
+			var got eventList
+			out.Replay(&got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the %s outcome replays %d events, not the %d of a full-hit Execute",
+					plan.Spec.Name, name, len(got), len(want))
+			}
+		}
+	}
+}

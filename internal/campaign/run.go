@@ -236,6 +236,21 @@ func (p *Plan) ReplayCell(o obs.Observer, i int, recs []TrialRecord) {
 	obs.Emit(o, obs.Event{Kind: obs.KindCellFinish, Cell: cs.Index, Key: cs.Key, Trial: -1, Count: len(recs)})
 }
 
+// Replay emits, from the outcome's records, exactly what an Execute
+// that finds every owned cell in the cache emits: campaign-start, each
+// result's cell as ReplayCell replays it, and campaign-finish. It only
+// reads o, so an outcome kept in memory can feed any number of
+// observers, concurrently too, without a backend.
+func (o *Outcome) Replay(ob obs.Observer) {
+	p := o.Plan
+	obs.Emit(ob, obs.Event{Kind: obs.KindCampaignStart, Cell: -1, Key: p.Spec.Name, Trial: -1, Count: len(o.Results)})
+	for i := range o.Results {
+		r := &o.Results[i]
+		p.ReplayCell(ob, r.Cell.Index, r.Records)
+	}
+	obs.Emit(ob, obs.Event{Kind: obs.KindCampaignFinish, Cell: -1, Key: p.Spec.Name, Trial: -1, Count: len(o.Results)})
+}
+
 // shardRange returns the owned [lo, hi) cell-index range. Shards are
 // capped at maxCells (more shards than cells could ever exist is a
 // driver bug) which also keeps shard*n within int64 on every platform.

@@ -37,24 +37,34 @@ type Subscription struct {
 
 // Subscribe attaches a subscriber with the given buffer capacity
 // (values < 1 get a default of 256 events). Subscribing to a closed
-// Broadcast returns an already-closed subscription: late clients of a
-// finished run see EOF, not a hang.
+// Broadcast returns an already-closed subscription on a channel of no
+// capacity: late clients of a finished run see EOF, not a hang, and
+// cost no buffer.
 func (b *Broadcast) Subscribe(buf int) *Subscription {
 	if buf < 1 {
 		buf = 256
 	}
-	s := &Subscription{b: b, ch: make(chan Event, buf)}
-	s.C = s.ch
+	s := &Subscription{b: b}
 	b.mu.Lock()
 	if b.closed {
-		s.done = true
-		close(s.ch)
+		s.ch, s.done = closedFeed, true
 	} else {
+		s.ch = make(chan Event, buf)
 		b.subs = append(b.subs, s)
 	}
 	b.mu.Unlock()
+	s.C = s.ch
 	return s
 }
+
+// closedFeed is the channel of every subscription made after Close: a
+// done subscription never sends on or closes its channel again, so one
+// closed channel serves them all.
+var closedFeed = func() chan Event {
+	ch := make(chan Event)
+	close(ch)
+	return ch
+}()
 
 // Observe implements Observer: non-blocking fan-out. A subscriber with
 // no buffer space left is dropped on the spot.

@@ -83,6 +83,29 @@ func TestBroadcastCancelAndLateSubscribe(t *testing.T) {
 	late.Cancel() // safe after close
 }
 
+// TestLateSubscribeCostsNoBuffer: a subscription to a closed broadcast
+// (a GET of a finished run's stream) is closed, on a channel of no
+// capacity, and allocates only itself, whatever buffer it asked for.
+func TestLateSubscribeCostsNoBuffer(t *testing.T) {
+	b := NewBroadcast()
+	b.Close()
+	var late *Subscription
+	allocs := testing.AllocsPerRun(100, func() { late = b.Subscribe(4096) })
+	if allocs > 1 {
+		t.Fatalf("a late Subscribe(4096) made %v allocations, want the subscription alone", allocs)
+	}
+	if cap(late.C) != 0 {
+		t.Fatalf("late subscription's channel has capacity %d, want 0", cap(late.C))
+	}
+	if _, ok := <-late.C; ok || late.Lagged() {
+		t.Fatal("late subscription is open, or marked lagged")
+	}
+	late.Cancel()
+	if _, ok := <-b.Subscribe(1).C; ok {
+		t.Fatal("a second late subscription after a Cancel is open")
+	}
+}
+
 // TestAppendJSONAllKinds: every kind renders one valid JSON object with
 // its kind name in "ev".
 func TestAppendJSONAllKinds(t *testing.T) {

@@ -174,7 +174,9 @@ func TestHotTierStoreDrops(t *testing.T) {
 
 // TestHotTierFillsFromWarmRunsOnly: runs that compute every cell leave
 // the tier empty; the first warm run fills it from the backend, the
-// next is served from it, and both serve the reference bytes.
+// next one whose set was evicted is served from it, the one after that
+// replays the kept outcome and reads neither, and all three serve the
+// reference bytes.
 func TestHotTierFillsFromWarmRunsOnly(t *testing.T) {
 	t.Parallel()
 	be := newProbeBackend()
@@ -200,14 +202,28 @@ func TestHotTierFillsFromWarmRunsOnly(t *testing.T) {
 	if n, _, k := svc.hotStats(); int64(n) != cells || k != 0 {
 		t.Fatalf("first warm run: tier holds %d entries, %d hits; want %d and 0", n, k, cells)
 	}
+	// The first warm run's outcome is kept beside its set. A cold run
+	// under a budget that fits one set evicts both, so the second warm
+	// run renders the set again, from the tier.
+	setBudget(svc, 1)
+	runToDone(t, svc, atSeed(plainCampaignSrc, 3))
+	loads = be.loadCount()
 	second := runToDone(t, svc, src)
-	if n := be.loadCount() - loads; n != first.Cells() {
-		t.Fatalf("second warm run read the backend %d times", n-first.Cells())
+	if n := be.loadCount() - loads; n != 0 {
+		t.Fatalf("second warm run read the backend %d times", n)
 	}
 	if _, _, k := svc.hotStats(); k != cells {
 		t.Fatalf("second warm run: %d tier hits, want %d", k, cells)
 	}
-	for _, r := range []*Run{first, second} {
+	// Its set is resident with its outcome: the third run replays that.
+	third := runToDone(t, svc, src)
+	if n := be.loadCount() - loads; n != 0 {
+		t.Fatalf("the resident replay read the backend %d times", n)
+	}
+	if _, _, k := svc.hotStats(); k != cells {
+		t.Fatalf("the resident replay took %d tier hits, want 0", k-cells)
+	}
+	for _, r := range []*Run{first, second, third} {
 		if hits, misses := r.CacheStats(); hits != first.Cells() || misses != 0 {
 			t.Fatalf("%s: %d hits, %d misses", r.ID, hits, misses)
 		}
@@ -404,5 +420,70 @@ func BenchmarkServeRepeat(b *testing.B) {
 	b.ResetTimer()
 	for range b.N {
 		op()
+	}
+}
+
+// BenchmarkServeEvicted is the traffic the hot tier serves once re-POSTs
+// replay kept outcomes: GETs of evicted sets. Two runs of plain.campaign
+// at two seeds, over a directory cache the campaign executor filled,
+// share a store that fits one set, so each GET of one run evicts the
+// other's set and the next GET renders it again from the cache. One
+// operation is the jsonl GET of each run. "tier" reads the cache through
+// the hot tier, as the daemon does; "direct" reads the directory.
+func BenchmarkServeEvicted(b *testing.B) {
+	raw, err := os.ReadFile("../../bench/campaigns/plain.campaign")
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	var srcs []string
+	for seed := 1; seed <= 2; seed++ {
+		src := atSeed(string(raw), seed)
+		spec, err := campaign.Parse(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := campaign.Compile(spec, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := plan.Run(campaign.RunOptions{Cache: campaign.NewDirBackend(dir)}); err != nil {
+			b.Fatal(err)
+		}
+		srcs = append(srcs, src)
+	}
+	for _, tier := range []bool{true, false} {
+		name := map[bool]string{true: "tier", false: "direct"}[tier]
+		b.Run(name, func(b *testing.B) {
+			be := campaign.NewDirBackend(dir)
+			svc := New(Config{Cache: be})
+			defer svc.Shutdown(context.Background())
+			if !tier {
+				svc.cache, svc.hot = be, nil
+			}
+			setBudget(svc, 1)
+			var runs []*Run
+			for _, src := range srcs {
+				r, err := svc.Submit(src)
+				if err != nil {
+					b.Fatal(err)
+				}
+				<-r.Done()
+				runs = append(runs, r)
+			}
+			op := func() {
+				for _, r := range runs {
+					if _, err := r.Output(context.Background(), "jsonl"); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			op()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				op()
+			}
+		})
 	}
 }

@@ -37,7 +37,9 @@ const maxSpecBytes = 1 << 20
 // again on demand after eviction, so two GETs never observe different
 // bytes and a GET of an evicted run costs one warm replay. The stream
 // is live diagnostics (bounded per-subscriber buffering; a lagging
-// client's feed is cut, marked by a trailing truncation line).
+// client's feed is cut, marked by a trailing truncation line), except
+// on a POST that replays a kept outcome, which is written from memory
+// at the client's pace and never cut.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -127,19 +129,30 @@ func submitStatus(err error) int {
 // remaining lines are the run's progress events, complete from the
 // first event because the subscription attaches before the run is
 // enqueued (a separate GET .../stream races with execution and can
-// join a fast run late, or after it finished).
+// join a fast run late, or after it finished). A run that replays a
+// kept outcome is done before its head line is written and has no
+// subscription: its events are written from the outcome, at the
+// client's pace.
 func (s *Service) submitStream(w http.ResponseWriter, req *http.Request, src string) {
-	r, sub, err := s.SubmitStream(src, 4096)
+	r, sub, out, err := s.SubmitStream(src, 4096)
 	if err != nil {
 		writeError(w, submitStatus(err), err)
 		return
 	}
-	defer sub.Cancel()
+	if sub != nil {
+		defer sub.Cancel()
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	head, _ := json.Marshal(runStatus(r))
 	w.Write(append(head, '\n'))
+	if out != nil {
+		cw := newChunkWriter(w)
+		out.Replay(cw)
+		cw.write()
+		return
+	}
 	streamEvents(w, req, sub)
 }
 
@@ -201,11 +214,7 @@ const streamTruncated = `{"ev":"stream-truncated","reason":"subscriber lagged"}`
 // few writes, which is what keeps this loop ahead of the producer and
 // the subscription's buffer from overflowing.
 func streamEvents(w http.ResponseWriter, req *http.Request, sub *obs.Subscription) {
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	var buf []byte
+	cw := newChunkWriter(w)
 	for {
 		var e obs.Event
 		var open bool
@@ -214,13 +223,9 @@ func streamEvents(w http.ResponseWriter, req *http.Request, sub *obs.Subscriptio
 			return
 		case e, open = <-sub.C:
 		}
-		buf = buf[:0]
 	drain:
-		for open {
-			buf = append(e.AppendJSON(buf), '\n')
-			if len(buf) >= streamCap {
-				break drain
-			}
+		for open && cw.err == nil {
+			cw.Observe(e)
 			select {
 			case e, open = <-sub.C:
 			default:
@@ -228,20 +233,69 @@ func streamEvents(w http.ResponseWriter, req *http.Request, sub *obs.Subscriptio
 			}
 		}
 		if !open && sub.Lagged() {
-			buf = append(buf, streamTruncated...)
+			cw.line(streamTruncated)
 		}
-		if len(buf) > 0 {
-			if _, err := w.Write(buf); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if !open {
+		if cw.write(); cw.err != nil || !open {
 			return
 		}
 	}
+}
+
+// chunkWriter sends a stream's lines, each Write followed by a Flush. As
+// an observer it encodes each event as a stream line and writes the
+// lines held once they reach streamCap bytes; write sends the rest.
+// After a failed Write (the client has gone) it encodes and writes
+// nothing more.
+type chunkWriter struct {
+	w       io.Writer
+	flusher http.Flusher
+	buf     []byte // lines not yet written; nil until the first line
+	err     error  // the first failed Write's
+}
+
+// newChunkWriter starts a stream on w: the response header is flushed,
+// so the client sees it before the first line.
+func newChunkWriter(w http.ResponseWriter) *chunkWriter {
+	flusher, _ := w.(http.Flusher)
+	if flusher != nil {
+		flusher.Flush()
+	}
+	return &chunkWriter{w: w, flusher: flusher}
+}
+
+func (c *chunkWriter) Observe(e obs.Event) {
+	if c.err != nil {
+		return
+	}
+	c.buf = append(e.AppendJSON(c.alloc()), '\n')
+	if len(c.buf) >= streamCap {
+		c.write()
+	}
+}
+
+// line adds a line already encoded, its newline included.
+func (c *chunkWriter) line(s string) { c.buf = append(c.alloc(), s...) }
+
+// alloc returns buf, made on the first line with room for a chunk and
+// the line that takes it past streamCap: a stream that writes no line
+// allocates nothing, and one that does allocates once instead of
+// growing by doubling.
+func (c *chunkWriter) alloc() []byte {
+	if c.buf == nil {
+		c.buf = make([]byte, 0, streamCap+streamCap/4)
+	}
+	return c.buf
+}
+
+// write sends the lines held, if any, and flushes them.
+func (c *chunkWriter) write() {
+	if c.err == nil && len(c.buf) > 0 {
+		_, c.err = c.w.Write(c.buf)
+		if c.flusher != nil {
+			c.flusher.Flush()
+		}
+	}
+	c.buf = c.buf[:0]
 }
 
 func (s *Service) handleOutput(w http.ResponseWriter, req *http.Request) {

@@ -159,12 +159,14 @@ type Config struct {
 // The four artifacts are a function of the submitted source alone, so
 // the store keys them by the source's SHA-256 and a finished run keeps
 // the key. While a key is resident every run of that source is served
-// the same bytes, rendered once; a set evicted under artifactBudget is
-// rendered again by the first GET that wants it, by executing the source
-// against the cache backend with one worker: a replay of stored records
-// while the backend still has the cells, a recompute with the same bytes
-// when it does not. The registry itself never evicts: what a finished
-// run retains is its status.
+// the same bytes, rendered once; once a run of it has been served wholly
+// from the cache, the next ones replay that run's outcome from memory,
+// without parsing, compiling or reading the cache. A set evicted under
+// artifactBudget is rendered again by the first GET that wants it, by
+// executing the source against the cache backend with one worker: a
+// replay of stored records while the backend still has the cells, a
+// recompute with the same bytes when it does not. The registry itself
+// never evicts: what a finished run retains is its status.
 type Service struct {
 	cfg   Config
 	cache campaign.Backend
@@ -224,69 +226,93 @@ var (
 )
 
 // Submit parses and compiles a campaign source, enqueues it for
-// execution and registers it. Bad specs are rejected here, at the POST,
+// execution and registers it; a source with a kept outcome is done on
+// return instead (see submit). Bad specs are rejected here, at the POST,
 // not discovered mid-queue; a refused submit registers nothing.
 func (s *Service) Submit(src string) (*Run, error) {
-	r, _, err := s.submit(src, -1)
+	r, _, _, err := s.submit(src, -1)
 	return r, err
 }
 
-// SubmitStream is Submit with a progress subscription attached before
-// the run can start, so the feed observes the run from its very first
+// SubmitStream is Submit with the run's progress attached before the
+// run can start, so the submitter sees the run from its very first
 // event — a Subscribe after Submit races with execution and misses the
-// head of a small campaign. buf is the subscription's buffer (see
-// Run.Subscribe). The caller owns the subscription of an accepted run.
-func (s *Service) SubmitStream(src string, buf int) (*Run, *obs.Subscription, error) {
+// head of a small campaign. A run that replays a kept outcome is done
+// when it is returned, with that outcome and no subscription: the
+// caller replays its events (campaign.Outcome.Replay) at its own pace,
+// so the stream can neither lag nor be cut. Any other run returns a
+// subscription to its broadcast of buf events (see Run.Subscribe),
+// which the caller owns.
+func (s *Service) SubmitStream(src string, buf int) (*Run, *obs.Subscription, *campaign.Outcome, error) {
 	return s.submit(src, buf)
 }
 
-// submit builds a run and enqueues it, subscribing to its broadcast
-// first when buf >= 0 (the dispatcher only sees the run after the queue
-// send, so the subscription cannot miss events).
-func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, error) {
-	spec, err := campaign.Parse(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan, err := campaign.Compile(spec, s.cfg.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
+// submit builds a run and registers it. A source whose set is resident
+// with a kept outcome is neither parsed nor compiled nor queued: the run
+// takes the outcome, is done at once with its counts, and returns it for
+// the caller to replay. Any other source is parsed from the store's copy
+// when the store has one, so that a plan, and an outcome kept from it,
+// pin no second copy of the text; its run is enqueued, after the
+// subscription when buf >= 0 (the dispatcher only sees the run after the
+// queue send, so the subscription cannot miss events).
+func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, *campaign.Outcome, error) {
 	r := &Run{
-		svc: s,
-		key: sha256.Sum256([]byte(src)),
-		// spec.Name is a piece of src, which a finished run must not pin.
-		name:      strings.Clone(spec.Name),
-		cells:     len(plan.Cells),
-		plan:      plan,
-		src:       src,
+		svc:       s,
+		key:       sha256.Sum256([]byte(src)),
 		broadcast: obs.NewBroadcast(),
 		done:      make(chan struct{}),
 		state:     StateQueued,
 	}
+	var plan *campaign.Plan
+	out, stored := s.store.lookup(r.key)
+	if out != nil {
+		plan = out.Plan
+	} else {
+		if stored != "" {
+			src = stored
+		}
+		spec, err := campaign.Parse(src)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if plan, err = campaign.Compile(spec, s.cfg.Workers); err != nil {
+			return nil, nil, nil, err
+		}
+		r.plan, r.src = plan, src
+	}
+	// The name is a piece of a source text, which a finished run must not
+	// pin.
+	r.name, r.cells = strings.Clone(plan.Spec.Name), len(plan.Cells)
 	var sub *obs.Subscription
-	if buf >= 0 {
+	switch {
+	case out != nil:
+		s.finish(r, out, nil)
+	case buf >= 0:
 		sub = r.Subscribe(buf)
 	}
-	if err := s.enqueue(r); err != nil {
-		return nil, nil, err
+	if err := s.register(r, out == nil); err != nil {
+		return nil, nil, nil, err
 	}
-	return r, sub, nil
+	return r, sub, out, nil
 }
 
-// enqueue hands r to the dispatcher and, only if the queue took it,
-// names and registers it: a refusal leaves the registry as it was.
-func (s *Service) enqueue(r *Run) error {
+// register names r and adds it to the registry, after handing it to the
+// dispatcher when queue is set: a refusal leaves the registry as it was.
+// A run that is not queued (a resident replay, done already) takes no
+// queue slot, so a full queue does not refuse it; shutting down does.
+func (s *Service) register(r *Run, queue bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return fmt.Errorf("%w, not accepting runs", ErrShuttingDown)
 	}
 	r.ID = fmt.Sprintf("run-%04d", s.nextID+1)
-	select {
-	case s.queue <- r:
-	default:
-		return fmt.Errorf("%w (%d runs waiting)", ErrQueueFull, cap(s.queue))
+	if queue {
+		select {
+		case s.queue <- r:
+		default:
+			return fmt.Errorf("%w (%d runs waiting)", ErrQueueFull, cap(s.queue))
+		}
 	}
 	s.nextID++
 	s.runs[r.ID] = r
@@ -371,7 +397,8 @@ func (s *Service) failQueued() {
 
 // execute runs one campaign. When the store already holds the source's
 // artifacts the run only feeds its live stream; otherwise it also
-// collects the canonical events, renders once and stores the set.
+// collects the canonical events, renders once and stores the set. Either
+// way the store keeps the outcome of a run served wholly from the cache.
 func (s *Service) execute(r *Run) {
 	r.setState(StateRunning)
 	sinks := []obs.Observer{r.broadcast}
@@ -382,10 +409,13 @@ func (s *Service) execute(r *Run) {
 	}
 	// Workers: the plan was compiled with s.cfg.Workers.
 	out, err := campaign.Execute(s.ctx, r.plan, campaign.RunOptions{Cache: s.cache, Observer: s.cfg.tee(sinks...)})
-	if err == nil && replay != nil {
+	if err == nil {
 		var set *artifactSet
-		if set, err = render(out, replay); err == nil {
-			s.store.put(r.key, r.src, set)
+		if replay != nil {
+			set, err = render(out, replay)
+		}
+		if err == nil {
+			s.store.put(r.key, r.src, set, out)
 		}
 	}
 	s.finish(r, out, err)

@@ -281,7 +281,7 @@ func TestRefusedSubmitRegistersNothing(t *testing.T) {
 			if r, err := svc.Submit(plainCampaignSrc); !errors.Is(err, want) || r != nil {
 				t.Fatalf("Submit: run %v, err %v, want %v", r, err, want)
 			}
-			if r, sub, err := svc.SubmitStream(plainCampaignSrc, 16); !errors.Is(err, want) || r != nil || sub != nil {
+			if r, sub, _, err := svc.SubmitStream(plainCampaignSrc, 16); !errors.Is(err, want) || r != nil || sub != nil {
 				t.Fatalf("SubmitStream: run %v, subscription %v, err %v, want %v", r, sub, err, want)
 			}
 		}

@@ -5,16 +5,18 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"sync"
+	"unsafe"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
-// artifactBudget bounds the rendered bytes the store keeps resident.
-// What bounds it is the daemon's memory, not its speed: one artifact set
-// is tens of KiB to a few MiB (about 0.3 MiB for an 80-cell campaign),
-// so 32 MiB keeps the sets of the last hundred or so distinct campaigns
-// a byte copy away and costs every other GET one warm replay.
+// artifactBudget bounds the bytes the store keeps resident: rendered
+// sets and the outcomes kept beside them. What bounds it is the daemon's
+// memory, not its speed: one artifact set is tens of KiB to a few MiB
+// (about 0.3 MiB for an 80-cell campaign, whose outcome adds about
+// 0.1 MiB), so 32 MiB keeps the sets of the last hundred or so distinct
+// campaigns a byte copy away and costs every other GET one warm replay.
 const artifactBudget = 32 << 20
 
 // artifactKey addresses a campaign's artifacts by the SHA-256 of its
@@ -60,24 +62,47 @@ func render(out *campaign.Outcome, replay *obs.ReplaySink) (*artifactSet, error)
 	}, nil
 }
 
+// outcomeSize is what a kept outcome is charged: its records and
+// result slots, and its plan's cells with the key and graph line each
+// one expands. The spec, and so the cells' other strings, are pieces of
+// the source text the entry keeps anyway (see Service.submit).
+func outcomeSize(out *campaign.Outcome) int64 {
+	n := len(out.Results) * int(unsafe.Sizeof(campaign.CellResult{}))
+	for i := range out.Results {
+		n += len(out.Results[i].Records) * int(unsafe.Sizeof(campaign.TrialRecord{}))
+	}
+	for i := range out.Plan.Cells {
+		cs := &out.Plan.Cells[i]
+		n += int(unsafe.Sizeof(*cs)) + len(cs.Key) + len(cs.GraphLine)
+	}
+	return int64(n)
+}
+
 // artifactStore keeps rendered artifact sets by source key, least
-// recently used out first, under a byte budget. An entry outlives its
-// artifacts: it keeps the source text, shared by every run of that
-// source, so an evicted set can be rendered again. The store therefore
-// grows with the distinct sources submitted, and not with the number of
-// runs.
+// recently used out first, under a byte budget. Beside a set it may keep
+// the outcome of a run of that source served wholly from the cache,
+// which lets the next run of the source replay from memory (see
+// Service.submit); the outcome is charged to the budget with its set and
+// leaves with it. An entry outlives its artifacts: it keeps the source
+// text, shared by every run of that source, so an evicted set can be
+// rendered again. The store therefore grows with the distinct sources
+// submitted, and not with the number of runs.
 type artifactStore struct {
 	mu      sync.Mutex
 	budget  int64
-	bytes   int64                          // resident artifact bytes
+	bytes   int64                          // resident set and outcome bytes
 	lru     list.List                      // of *artifactEntry, most recently used first
 	entries map[artifactKey]*artifactEntry // resident or not
 }
 
 type artifactEntry struct {
 	src string
-	// set and elem are nil while the artifacts are not resident.
+	// set and elem are nil while the artifacts are not resident; out is
+	// nil too then, and may be while they are. size is what set and out
+	// are charged.
 	set  *artifactSet
+	out  *campaign.Outcome
+	size int64
 	elem *list.Element
 	// flight is the render in progress for this key, if any.
 	flight *renderFlight
@@ -107,11 +132,29 @@ func (st *artifactStore) get(key artifactKey) *artifactSet {
 	return nil
 }
 
+// lookup returns the outcome kept beside key's resident set (nil when
+// there is none), and the source text the store keeps for key ("" when
+// no run of it has finished).
+func (st *artifactStore) lookup(key artifactKey) (*campaign.Outcome, string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	e := st.entries[key]
+	if e == nil {
+		return nil, ""
+	}
+	if e.out != nil {
+		st.lru.MoveToFront(e.elem)
+	}
+	return e.out, e.src
+}
+
 // put makes set the resident artifacts of key, whose source is src, and
-// evicts from the cold end down to the budget. The newest set stays
-// even when it alone is over the budget, so a run's own GETs are served
-// from it.
-func (st *artifactStore) put(key artifactKey, src string, set *artifactSet) {
+// keeps out beside them when every cell of it was read from the cache:
+// what was read, not what was computed, so cold runs keep nothing. A nil
+// set only attaches out to a set already resident. It evicts from the
+// cold end down to the budget; the newest entry stays even when it alone
+// is over the budget, so a run's own GETs are served from it.
+func (st *artifactStore) put(key artifactKey, src string, set *artifactSet, out *campaign.Outcome) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.entries[key]
@@ -119,22 +162,35 @@ func (st *artifactStore) put(key artifactKey, src string, set *artifactSet) {
 		e = &artifactEntry{src: src}
 		st.entries[key] = e
 	}
-	st.insert(e, set)
+	if out != nil && out.CacheHits != len(out.Results) {
+		out = nil
+	}
+	st.insert(e, set, out)
 }
 
 // insert is put's body, called with the lock held. A key that is
-// already resident keeps the bytes it has been serving.
-func (st *artifactStore) insert(e *artifactEntry, set *artifactSet) {
-	if e.set != nil {
+// already resident keeps the bytes it has been serving, and the outcome
+// it has kept.
+func (st *artifactStore) insert(e *artifactEntry, set *artifactSet, out *campaign.Outcome) {
+	switch {
+	case e.set != nil:
 		st.lru.MoveToFront(e.elem)
-		return
+	case set != nil:
+		e.set, e.elem, e.size = set, st.lru.PushFront(e), set.size()
+		st.bytes += e.size
+	default:
+		return // evicted since the caller found it resident
 	}
-	e.set, e.elem = set, st.lru.PushFront(e)
-	st.bytes += set.size()
+	if out != nil && e.out == nil {
+		e.out = out
+		n := outcomeSize(out)
+		e.size += n
+		st.bytes += n
+	}
 	for st.bytes > st.budget && st.lru.Len() > 1 {
 		cold := st.lru.Remove(st.lru.Back()).(*artifactEntry)
-		st.bytes -= cold.set.size()
-		cold.set, cold.elem = nil, nil
+		st.bytes -= cold.size
+		cold.set, cold.out, cold.size, cold.elem = nil, nil, 0, nil
 	}
 }
 
@@ -164,7 +220,7 @@ func (st *artifactStore) end(key artifactKey, fl *renderFlight, set *artifactSet
 	e := st.entries[key]
 	e.flight = nil
 	if err == nil {
-		st.insert(e, set)
+		st.insert(e, set, nil)
 		set = e.set
 	}
 	st.mu.Unlock()
@@ -172,7 +228,8 @@ func (st *artifactStore) end(key artifactKey, fl *renderFlight, set *artifactSet
 	close(fl.done)
 }
 
-// stats reports the resident set count and their bytes.
+// stats reports the resident set count, and the bytes charged for them
+// and their kept outcomes.
 func (st *artifactStore) stats() (entries int, bytes int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"runtime"
@@ -65,6 +66,24 @@ func (b *probeBackend) blockNextLoad() (entered <-chan struct{}, release func())
 	}
 	b.mu.Unlock()
 	return in, func() { close(out) }
+}
+
+// keptOutcome is the outcome the store keeps beside src's set, or nil.
+func keptOutcome(svc *Service, src string) *campaign.Outcome {
+	out, _ := svc.store.lookup(sha256.Sum256([]byte(src)))
+	return out
+}
+
+// dropOutcome forgets the outcome kept beside src's set, and its charge,
+// so that the next run of src executes against the cache again.
+func dropOutcome(svc *Service, src string) {
+	st := svc.store
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if e := st.entries[sha256.Sum256([]byte(src))]; e != nil && e.out != nil {
+		n := outcomeSize(e.out)
+		e.out, e.size, st.bytes = nil, e.size-n, st.bytes-n
+	}
 }
 
 func setBudget(svc *Service, budget int64) {
@@ -165,7 +184,7 @@ func TestResidentSourceIsServedWithoutRendering(t *testing.T) {
 	first := runToDone(t, svc, warmStreamSrc)
 
 	const wantEvents = 2 + 80*(3+2*40)
-	second, sub, err := svc.SubmitStream(warmStreamSrc, 2*wantEvents) // room for all: no lag cut
+	second, sub, _, err := svc.SubmitStream(warmStreamSrc, 2*wantEvents) // room for all: no lag cut
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,6 +85,27 @@ func streamRequest() *http.Request {
 	return httptest.NewRequest("GET", "/v1/runs/run-0001/stream", nil)
 }
 
+// TestLateStreamAllocatesNoBuffer: a stream opened after its run
+// finished writes no line, and so allocates neither a feed nor a write
+// buffer: a few hundred bytes, not the 40 KiB a stream's first line
+// makes. Not parallel: it reads the process's allocation count.
+func TestLateStreamAllocatesNoBuffer(t *testing.T) {
+	bc := obs.NewBroadcast()
+	bc.Close()
+	req := streamRequest()
+	w := &countingWriter{}
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		streamEvents(w, req, bc.Subscribe(4096))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 1024 || w.writes != 0 {
+		t.Fatalf("a late stream allocated %d B and wrote %d times, want under 1 KiB and none", per, w.writes)
+	}
+}
+
 // TestStreamEventsBurst: events already queued when the handler gets to
 // them leave in one Write and one Flush.
 func TestStreamEventsBurst(t *testing.T) {
@@ -238,7 +259,10 @@ func (c writeCounter) Flush() { c.ResponseWriter.(http.Flusher).Flush() }
 // when the scheduler first runs the handler: on a small or busy machine
 // that can take longer than the whole sub-millisecond replay, and the
 // lag cut that follows is by design. So the POST is repeated until one
-// stream is complete.
+// stream is complete. A full-hit run keeps its outcome, and a run that
+// replays one is written from memory, never from the feed; so the
+// outcome is dropped before every POST, and each attempt streams the
+// live feed of a full-hit Execute.
 func TestWarmStreamIsComplete(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("one P runs the whole replay before the handler is scheduled")
@@ -267,6 +291,10 @@ func TestWarmStreamIsComplete(t *testing.T) {
 	const attempts = 50
 	for attempt := 1; ; attempt++ {
 		writes.Store(0)
+		dropOutcome(svc, warmStreamSrc)
+		if keptOutcome(svc, warmStreamSrc) != nil {
+			t.Fatal("the kept outcome was not dropped: the re-POST would not use the feed")
+		}
 		resp, err := http.Post(ts.URL+"/v1/runs?stream=1", "text/plain", strings.NewReader(warmStreamSrc))
 		if err != nil {
 			t.Fatal(err)
