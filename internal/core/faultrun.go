@@ -125,7 +125,7 @@ type faultObserver struct {
 
 var _ model.Observer = (*faultObserver)(nil)
 
-func (o *faultObserver) StepBegin(step int, selected []int) { o.rec.StepBegin(step, selected) }
+func (o *faultObserver) StepBegin(step, selections int) { o.rec.StepBegin(step, selections) }
 
 func (o *faultObserver) Selected(step, p int, neighbors []int, bits, fired, times int) {
 	o.rec.Selected(step, p, neighbors, bits, fired, times)
@@ -136,8 +136,8 @@ func (o *faultObserver) Selected(step, p int, neighbors []int, bits, fired, time
 
 func (o *faultObserver) CommWrite(step, p, v, old, new int) { o.rec.CommWrite(step, p, v, old, new) }
 
-func (o *faultObserver) StepEnd(step int, selected []int, roundCompleted bool) {
-	o.rec.StepEnd(step, selected, roundCompleted)
+func (o *faultObserver) StepEnd(step, selections int, roundCompleted bool) {
+	o.rec.StepEnd(step, selections, roundCompleted)
 }
 
 // ballRadiusReporter is implemented by adversaries that know the radius

@@ -153,18 +153,28 @@ func (s *Simulator) executeStep(selected []int) (fired []int16, commChanged []bo
 	return fired, commChanged
 }
 
-// stepLive is executeStep and advance's dirty marks under a
-// SynchronousScheduler, where selected[p] = p: it evaluates the live
-// processes only (see Simulator.live), in ascending order, so the
-// evaluations, Selected calls, writers and CommWrites come in the order
-// executeStep gives them, and the step costs O(evaluated + n/64). A
-// process with a window is counted by the step clock instead. fired and
-// commChanged are indexed by process, and commChanged is all false
-// between steps.
-func (s *Simulator) stepLive(selected []int) {
+// stepMask is executeStep and advance's dirty marks under a
+// MaskScheduler. Word by word, it reads the live set as the step found it
+// (an evaluation takes only the process it evaluates off it) and splits
+// the mask: the selected processes with a window, mask &^ live, are
+// counted in counts, or under a SynchronousScheduler by the step clock,
+// which needs no pass; those without, mask & live, are evaluated in
+// ascending order, so the evaluations, Selected calls, writers and
+// CommWrites come in the order executeStep gives them. visit keeps the
+// evaluated set for the dirty marks, and the step costs O(evaluated +
+// counted + n/64). fired and commChanged are indexed by process, and
+// commChanged is all false between steps.
+func (s *Simulator) stepMask(mask []uint64) {
 	a := s.arena
-	fired, writers := a.fired[:len(selected)], a.writers[:0]
-	for j, w := range s.live {
+	fired, writers := a.fired[:s.sys.N()], a.writers[:0]
+	for j, m := range mask {
+		live := s.live[j]
+		if !s.allSel {
+			for w := m &^ live; w != 0; w &= w - 1 {
+				s.countSelect(j<<6|bits.TrailingZeros64(w), len(writers))
+			}
+		}
+		w := m & live
 		s.visit[j] = w
 		for ; w != 0; w &= w - 1 {
 			p := j<<6 | bits.TrailingZeros64(w)
@@ -175,7 +185,7 @@ func (s *Simulator) stepLive(selected []int) {
 			}
 		}
 	}
-	s.countSettleWriters(selected, writers)
+	s.countSettleWriters(nil, writers)
 	for k, p := range writers {
 		a.commChanged[p] = a.commit(s.cfg, int(p), k, s.step, s.obs)
 	}
@@ -215,13 +225,18 @@ func (s *Simulator) evalSelected(p, stage int) (fired int, staged bool) {
 
 // countSettleWriters settles the windows of the writers' neighbors
 // against the rows they were taken under, before the commit changes
-// them. The settles stage on the first row no writer holds.
+// them. The settles stage on the first row no writer holds. writers holds
+// indices into selected, or process ids when selected is nil.
 func (s *Simulator) countSettleWriters(selected []int, writers []int32) {
 	if !s.allSel && len(s.due) == 0 && !s.dueAll {
 		return
 	}
 	for _, i := range writers {
-		for _, q := range s.sys.g.Row(selected[i]) {
+		p := int(i)
+		if selected != nil {
+			p = selected[i]
+		}
+		for _, q := range s.sys.g.Row(p) {
 			if s.countPending(int(q)) {
 				s.countApply(int(q), len(writers))
 			}

@@ -21,11 +21,14 @@ import (
 // observer before the Simulator method that stepped returns. An
 // implementation may therefore keep sums, maxima and set unions of what
 // Selected carries, but nothing that depends on where its calls fall
-// between StepBegin and StepEnd. All methods may be called frequently;
+// between StepBegin and StepEnd. The step hooks carry how many
+// processes the step selected, not which: under a MaskScheduler the
+// engine never lists them. All methods may be called frequently;
 // implementations should be cheap. A nil Observer is always allowed.
 type Observer interface {
-	// StepBegin fires before the selected processes execute.
-	StepBegin(step int, selected []int)
+	// StepBegin fires before the processes selected at step execute;
+	// selections is how many there are.
+	StepBegin(step, selections int)
 	// Selected stands for times selections of process p, each made after
 	// p evaluated its guards against the pre-step configuration and
 	// executed its first enabled action. It carries exactly what the
@@ -44,8 +47,9 @@ type Observer interface {
 	// to new (only for actual value changes).
 	CommWrite(step, p, v, old, new int)
 	// StepEnd fires after all writes of the step are committed;
-	// roundCompleted reports whether this step completed a round.
-	StepEnd(step int, selected []int, roundCompleted bool)
+	// selections is StepBegin's, and roundCompleted reports whether this
+	// step completed a round.
+	StepEnd(step, selections int, roundCompleted bool)
 }
 
 // readAgg folds the neighbor reads of one process evaluation into the

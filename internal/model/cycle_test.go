@@ -13,20 +13,6 @@ import (
 	"repro/internal/trace"
 )
 
-// selectionCounter counts the selections of every process while it
-// forwards each call to the recorder it wraps.
-type selectionCounter struct {
-	model.Observer
-	count []int
-}
-
-func (o *selectionCounter) StepBegin(step int, selected []int) {
-	o.Observer.StepBegin(step, selected)
-	for _, p := range selected {
-		o.count[p]++
-	}
-}
-
 // orbitShape returns the tail length and the cycle length of a sequence
 // of states that reaches a repeat (cycle 0: none yet).
 func orbitShape(states []string) (tail, cycle int) {
@@ -89,7 +75,6 @@ func checkClosedOrbits(t *testing.T, sys *model.System, daemon string) (tails, c
 	n := sys.N()
 	var counted, stepped *model.Simulator
 	var countedRec, steppedRec *trace.Recorder
-	var sel *selectionCounter
 	for seed := uint64(1); ; seed++ {
 		if seed > 20 {
 			t.Skip("no seed of 1..20 reaches silence")
@@ -107,8 +92,7 @@ func checkClosedOrbits(t *testing.T, sys *model.System, daemon string) (tails, c
 			return sim
 		}
 		countedRec, steppedRec = trace.NewRecorder(n), trace.NewRecorder(n)
-		sel = &selectionCounter{Observer: countedRec, count: make([]int, n)}
-		counted, stepped = mk(countedRec, sel), mk(steppedRec, steppedRec)
+		counted, stepped = mk(countedRec, countedRec), mk(steppedRec, steppedRec)
 		silent, err := counted.RunUntilSilent(100_000, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -124,7 +108,8 @@ func checkClosedOrbits(t *testing.T, sys *model.System, daemon string) (tails, c
 	steppedRec.MarkSuffix()
 
 	// orbit[p] lists p's internal rows on the stepped side: the one at
-	// silence, then the one after each selection.
+	// silence, then the one after each selection. Both sides select alike,
+	// so the entries a stretch adds count p's selections in it.
 	row := func(p int) string {
 		var out []int
 		for v := range sys.InternalWidth() {
@@ -138,14 +123,20 @@ func checkClosedOrbits(t *testing.T, sys *model.System, daemon string) (tails, c
 	}
 	var stretches [][]int // selections per process, one list per stretch
 	for _, k := range []int{1, n, 6 * n} {
-		clear(sel.count)
 		counted.RunRounds(k)
-		stretches = append(stretches, append([]int(nil), sel.count...))
+		count := make([]int, n)
+		for p := range n {
+			count[p] = -len(orbit[p])
+		}
 		for target := stepped.Rounds() + k; stepped.Rounds() < target; {
 			for _, p := range stepped.Step() {
 				orbit[p] = append(orbit[p], row(p))
 			}
 		}
+		for p := range n {
+			count[p] += len(orbit[p])
+		}
+		stretches = append(stretches, count)
 		if !counted.Config().Equal(stepped.Config()) {
 			t.Fatalf("after RunRounds(%d): configurations differ:\n counted %v\n stepped %v",
 				k, internals(sys, counted.Config()), internals(sys, stepped.Config()))
@@ -182,9 +173,14 @@ func checkClosedOrbits(t *testing.T, sys *model.System, daemon string) (tails, c
 // step in progress did not select. So a settle forced by a neighbor's
 // write is such a call inside a step, and a settle of k ≥ L counts
 // ending mid-cycle shows as two consecutive entries of one process
-// carrying k/L + 1 and k/L ≥ 1 selections.
+// carrying k/L + 1 and k/L ≥ 1 selections. The step hooks carry no
+// list, so the probe learns each step's selection from twin, a scheduler
+// of the same name and seed as the simulator's, which it asks in
+// lockstep (none of the daemons it runs under reads the configuration).
 type settleProbe struct {
 	model.Observer
+	twin      model.Scheduler
+	sys       *model.System
 	inStep    bool
 	selected  []bool
 	last      [3]int // p, fired, times of the previous Selected call
@@ -192,20 +188,22 @@ type settleProbe struct {
 	remainder int
 }
 
-func (o *settleProbe) StepBegin(step int, selected []int) {
-	o.Observer.StepBegin(step, selected)
+func (o *settleProbe) StepBegin(step, selections int) {
+	o.Observer.StepBegin(step, selections)
 	o.inStep = true
-	for _, p := range selected {
+	sel := o.twin.Select(step, o.sys, nil)
+	if len(sel) != selections {
+		panic(fmt.Sprintf("settleProbe: step %d selected %d processes, its twin %d", step, selections, len(sel)))
+	}
+	for _, p := range sel {
 		o.selected[p] = true
 	}
 }
 
-func (o *settleProbe) StepEnd(step int, selected []int, roundCompleted bool) {
-	o.Observer.StepEnd(step, selected, roundCompleted)
+func (o *settleProbe) StepEnd(step, selections int, roundCompleted bool) {
+	o.Observer.StepEnd(step, selections, roundCompleted)
 	o.inStep = false
-	for _, p := range selected {
-		o.selected[p] = false
-	}
+	clear(o.selected)
 }
 
 func (o *settleProbe) Selected(step, p int, neighbors []int, bits, fired, times int) {
@@ -284,7 +282,11 @@ func checkCountedCycles(t *testing.T, sys *model.System, daemon string) (forced,
 			return sim
 		}
 		countedRec, steppedRec := trace.NewRecorder(n), trace.NewRecorder(n)
-		probe := &settleProbe{Observer: countedRec, selected: make([]bool, n)}
+		twin, err := sched.ByName(daemon, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := &settleProbe{Observer: countedRec, twin: twin, sys: sys, selected: make([]bool, n)}
 		counted, stepped := mk(probe), mk(steppedRec)
 		stretch := func(maxSteps int, when string) {
 			t.Helper()

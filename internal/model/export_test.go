@@ -10,9 +10,9 @@ func SetStampLimit(limit uint32) (restore func()) {
 }
 
 // Live reports whether p is in the simulator's live set: under a
-// SynchronousScheduler, whether its next selection is evaluated rather
-// than counted. It is false under every other scheduler.
-func (s *Simulator) Live(p int) bool { return s.allSel && s.live[p>>6]&(1<<(p&63)) != 0 }
+// MaskScheduler, whether its next selection is evaluated rather than
+// counted. It is false under every other scheduler.
+func (s *Simulator) Live(p int) bool { return s.msched != nil && s.live[p>>6]&(1<<(p&63)) != 0 }
 
 // OpenWindows counts the processes whose window holds selections not
 // yet settled (see Simulator.counts). It is 0 whenever an exported method

@@ -19,10 +19,14 @@ import (
 
 // fuzzGraph builds the graph a FuzzSimulatorVsReference input names:
 // shape%5 picks a cycle, path, star, 3-wide grid or connected G(n, 0.25)
-// drawn from seed shape/5, on n = 2 + size%11 processes (a cycle has at
-// least 3, a grid 3 × ⌊n/3⌋).
+// drawn from seed shape/5, on n = 2 + size%11 processes for size < 128,
+// and on n = size − 64, 64 to 191, above, where selection masks take two
+// or three words (a cycle has at least 3, a grid 3 × ⌊n/3⌋).
 func fuzzGraph(shape, size uint8) *graph.Graph {
 	n := 2 + int(size)%11
+	if size >= 128 {
+		n = int(size) - 64
+	}
 	switch shape % 5 {
 	case 0:
 		return graph.Cycle(max(n, 3))
@@ -135,6 +139,14 @@ const (
 // the same kind of stream, so processes leave the live set and rejoin
 // it, and windows of both kinds settle when a neighbor writes and as each
 // operation returns, before a corruption or a topology event ends them.
+// The mask cases run six protocols under the synchronous and
+// random-subset daemons on a MutableCopy of 64, 65, 130, 131 and 191
+// processes, so selection masks of two and three words, and tails of
+// none, one and many bits, run to silence, through rounds past it, three
+// corruptions with MarkDirty, two topology events and runs back to
+// silence. The list cases run four protocols under the enabled-biased
+// daemon, which selects subsets through Select, so steps of the
+// per-selection path with several writers are held to the reference.
 func FuzzSimulatorVsReference(f *testing.F) {
 	f.Add(uint8(3), uint8(7), false, uint8(1), uint8(1), uint64(1), []byte{opRunUntilSilent, opMarkSuffix, opStep | 3<<3, opRunRounds, opCorrupt, opStep})
 	f.Fuzz(func(t *testing.T, shape, size uint8, dynamic bool, proto, daemon uint8, seed uint64, ops []byte) {

@@ -23,6 +23,17 @@ func (u *undeclaredSync) Select(step int, sys *model.System, cfg *model.Config) 
 	return u.sync.Select(step, sys, cfg)
 }
 
+// undeclaredSubset selects what sched.RandomSubset selects, through
+// Select, without declaring SelectMask, so the simulator serves it on the
+// per-selection path.
+type undeclaredSubset struct{ sub *sched.RandomSubset }
+
+func (*undeclaredSubset) Name() string { return "random-subset" }
+
+func (u *undeclaredSubset) Select(step int, sys *model.System, cfg *model.Config) []int {
+	return u.sub.Select(step, sys, cfg)
+}
+
 // liveProbe extends settleProbe with the two shapes of the live set that
 // TestLiveSetMatchesPerSelectionPath must cover: a process that leaves
 // the live set and rejoins it, read off the simulator after every step,
@@ -44,8 +55,8 @@ func (o *liveProbe) Selected(step, p int, neighbors []int, bits, fired, times in
 	}
 }
 
-func (o *liveProbe) StepEnd(step int, selected []int, roundCompleted bool) {
-	o.settleProbe.StepEnd(step, selected, roundCompleted)
+func (o *liveProbe) StepEnd(step, selections int, roundCompleted bool) {
+	o.settleProbe.StepEnd(step, selections, roundCompleted)
 	for p := range o.left {
 		switch live := o.sim.Live(p); {
 		case !live:
@@ -57,54 +68,67 @@ func (o *liveProbe) StepEnd(step int, selected []int, roundCompleted bool) {
 	}
 }
 
-// TestLiveSetMatchesPerSelectionPath: under sched.Synchronous a step
-// evaluates only the processes of the live set and counts the others'
-// selections by the step clock. The synchronous cases of
+// TestLiveSetMatchesPerSelectionPath: under a mask daemon a step
+// evaluates only the selected processes of the live set and counts the
+// others' selections, under sched.Synchronous by the step clock and under
+// sched.RandomSubset in their windows. The synchronous cases of
 // TestCountedCyclesMatchSteppedSteps — COLORING, MIS, MATCHING, the
 // cached-view MATCHING and the BFS tree on four graphs, seeds 1–3, one
 // stretch to a point mid-run, a MarkDirty corruption, one stretch to
 // silence — and the same cases on a MutableCopy with a topology event
 // in place of the corruption must leave, after every stretch, the same
 // configuration, step and round counts and recorder report as a twin
-// whose scheduler selects the same lists without declaring them. Each
-// run goes on past silence through RunRounds stretches, a second
-// corruption and a run back to silence. The cases must cover a settle
-// forced by a neighbor's write, a disabled window settled by a
-// neighbor's write, and a process that leaves the live set and rejoins
-// it.
+// whose scheduler selects the same lists without declaring a mask. The
+// same cases run under random-subset against an undeclaredSubset twin;
+// torus-12x12 spreads their masks over three words. Each run goes on past
+// silence through RunRounds stretches, a second corruption and a run back
+// to silence. Under each daemon the cases must cover a settle forced by
+// a neighbor's write, a disabled window settled by a neighbor's write,
+// and a process that leaves the live set and rejoins it.
 func TestLiveSetMatchesPerSelectionPath(t *testing.T) {
 	t.Parallel()
 	graphs := []*graph.Graph{graph.Cycle(9), graph.Grid(3, 4), graph.RandomConnectedGNP(12, 0.3, rng.New(4)), graph.Torus(12, 12)}
 	families := []string{engine.FamColoring, engine.FamMIS, engine.FamMatching, engine.FamMatchingXform, engine.FamBFSTree}
-	var forced, settled, rejoined int
-	for _, g := range graphs {
-		for _, fam := range families {
-			sys, err := engine.Build(g, fam, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, dynamic := range []bool{false, true} {
-				name := fmt.Sprintf("%s on %s (dynamic %v)", fam, g.Name(), dynamic)
-				t.Run(name, func(t *testing.T) {
-					for seed := uint64(1); seed <= 3; seed++ {
-						probe := checkLiveSet(t, sys, dynamic, seed)
-						forced += probe.forced
-						settled += probe.settled
-						rejoined += probe.rejoined
+	type coverage struct{ forced, settled, rejoined int }
+	daemons := []string{"synchronous", "random-subset"}
+	seen := map[string]*coverage{}
+	for _, daemon := range daemons {
+		cov := &coverage{}
+		seen[daemon] = cov
+		for _, g := range graphs {
+			for _, fam := range families {
+				sys, err := engine.Build(g, fam, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, dynamic := range []bool{false, true} {
+					name := fmt.Sprintf("%s on %s (dynamic %v)", fam, g.Name(), dynamic)
+					if daemon != "synchronous" {
+						name = fmt.Sprintf("%s on %s under %s (dynamic %v)", fam, g.Name(), daemon, dynamic)
 					}
-				})
+					t.Run(name, func(t *testing.T) {
+						for seed := uint64(1); seed <= 3; seed++ {
+							probe := checkLiveSet(t, sys, daemon, dynamic, seed)
+							cov.forced += probe.forced
+							cov.settled += probe.settled
+							cov.rejoined += probe.rejoined
+						}
+					})
+				}
 			}
 		}
 	}
-	if forced == 0 || settled == 0 || rejoined == 0 {
-		t.Fatalf("coverage: %d settles forced by a neighbor's write, %d disabled windows settled by one, %d returns to the live set; want each > 0",
-			forced, settled, rejoined)
+	for _, daemon := range daemons {
+		if cov := seen[daemon]; cov.forced == 0 || cov.settled == 0 || cov.rejoined == 0 {
+			t.Fatalf("coverage under %s: %d settles forced by a neighbor's write, %d disabled windows settled by one, %d returns to the live set; want each > 0",
+				daemon, cov.forced, cov.settled, cov.rejoined)
+		}
 	}
 }
 
 // checkLiveSet runs one seed of a TestLiveSetMatchesPerSelectionPath
-// case and returns the live side's probe.
-func checkLiveSet(t *testing.T, sys *model.System, dynamic bool, seed uint64) *liveProbe {
+// case under daemon and returns the live side's probe.
+func checkLiveSet(t *testing.T, sys *model.System, daemon string, dynamic bool, seed uint64) *liveProbe {
 	t.Helper()
 	g, n := sys.Graph(), sys.N()
 	liveSys, plainSys := sys, sys
@@ -113,16 +137,27 @@ func checkLiveSet(t *testing.T, sys *model.System, dynamic bool, seed uint64) *l
 	}
 	initial := model.NewRandomConfig(sys, rng.New(seed))
 	liveRec, plainRec := trace.NewRecorder(n), trace.NewRecorder(n)
+	mk := func() model.Scheduler {
+		sc, err := sched.ByName(daemon, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	var undeclared model.Scheduler = &undeclaredSync{}
+	if daemon == "random-subset" {
+		undeclared = &undeclaredSubset{sched.NewRandomSubset(seed)}
+	}
 	probe := &liveProbe{
-		settleProbe: settleProbe{Observer: liveRec, selected: make([]bool, n)},
+		settleProbe: settleProbe{Observer: liveRec, twin: mk(), sys: sys, selected: make([]bool, n)},
 		left:        make([]bool, n),
 	}
-	live, err := model.NewSimulator(liveSys, initial, sched.NewSynchronous(), seed, probe)
+	live, err := model.NewSimulator(liveSys, initial, mk(), seed, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe.sim = live
-	plain, err := model.NewSimulator(plainSys, initial, &undeclaredSync{}, seed, plainRec)
+	plain, err := model.NewSimulator(plainSys, initial, undeclared, seed, plainRec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -418,10 +418,10 @@ func (roundRobin) Select(step int, sys *model.System, _ *model.Config) []int {
 // completed, as StepEnd reports it.
 type roundLog struct{ Ends []int }
 
-func (*roundLog) StepBegin(int, []int)                    {}
+func (*roundLog) StepBegin(int, int)                      {}
 func (*roundLog) Selected(int, int, []int, int, int, int) {}
 func (*roundLog) CommWrite(int, int, int, int, int)       {}
-func (l *roundLog) StepEnd(step int, _ []int, roundCompleted bool) {
+func (l *roundLog) StepEnd(step, _ int, roundCompleted bool) {
 	if roundCompleted {
 		l.Ends = append(l.Ends, step)
 	}

@@ -430,7 +430,7 @@ func (s *Sim) Step() []int {
 	}
 	selected = slices.Clone(selected)
 	if s.obs != nil {
-		s.obs.StepBegin(s.step, selected)
+		s.obs.StepBegin(s.step, len(selected))
 	}
 	stepSeed := rng.Derive(s.seed, uint64(s.step))
 	s.fired = s.net.step(s.cfg, selected, s.step, func(p int) *rng.Rand {
@@ -445,7 +445,7 @@ func (s *Sim) Step() []int {
 		clear(s.seen)
 	}
 	if s.obs != nil {
-		s.obs.StepEnd(s.step, selected, roundCompleted)
+		s.obs.StepEnd(s.step, len(selected), roundCompleted)
 	}
 	s.step++
 	return selected

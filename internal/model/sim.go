@@ -23,9 +23,12 @@ import (
 // ones. No window is open when an exported method of the Simulator
 // returns.
 //
-// A scheduler that selects every process at every step implements
-// SynchronousScheduler, and the simulator then evaluates only the
-// processes whose selections it cannot count (see Simulator.live).
+// A scheduler that can hand over its selection as a bitmask implements
+// MaskScheduler, and the simulator then evaluates only the selected
+// processes whose selections it cannot count (see Simulator.live); one
+// that selects every process at every step implements
+// SynchronousScheduler, and the simulator counts its windows by the step
+// clock.
 type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
@@ -38,15 +41,32 @@ type Scheduler interface {
 	Select(step int, sys *System, cfg *Config) []int
 }
 
-// SynchronousScheduler is an optional Scheduler extension, like
-// TrackedScheduler: a scheduler that implements it declares that Select
-// returns every process, 0 to n−1 in ascending order, at every step. The
-// simulator still calls Select and hands the list to the Observer, checks
-// its length and skips the per-selection stamps, and a step visits only
-// the live processes (see Simulator.live). A scheduler that is also a
+// MaskScheduler is an optional Scheduler extension, like
+// TrackedScheduler: SelectMask returns the selection Select would return
+// at the same point of the scheduler's stream, as a bitmask. The
+// simulator then calls SelectMask and never Select (except through Step's
+// callers, who get the mask expanded), takes no per-selection stamps,
+// hands the Observer the number of processes selected, and a step visits
+// only the selected processes of the live set (see Simulator.live). A
+// scheduler that is also a TrackedScheduler is served as one.
+type MaskScheduler interface {
+	Scheduler
+	// SelectMask returns the processes activated at this step as ⌈n/64⌉
+	// words: bit p&63 of word p>>6 is set when p is selected, and no bit
+	// at or above n is. At least one bit must be set. The returned slice
+	// may be a reused internal buffer, valid until the next SelectMask or
+	// Select call on the same scheduler.
+	SelectMask(step int, sys *System, cfg *Config) []uint64
+}
+
+// SynchronousScheduler is an optional MaskScheduler extension: a scheduler
+// that implements it declares that every mask SelectMask returns, and
+// every list Select returns, holds every process. The simulator checks
+// the count and keeps each window's count on the step clock instead of
+// per selection (see Simulator.live). A scheduler that is also a
 // TrackedScheduler is served as one.
 type SynchronousScheduler interface {
-	Scheduler
+	MaskScheduler
 	// SelectsAll marks the declaration; the simulator never calls it.
 	SelectsAll()
 }
@@ -59,8 +79,14 @@ type Simulator struct {
 	cfg    *Config
 	sched  Scheduler
 	tsched TrackedScheduler // non-nil iff sched implements TrackedScheduler
+	msched MaskScheduler    // non-nil iff sched implements MaskScheduler and not TrackedScheduler
 	allSel bool             // sched is a SynchronousScheduler and not a TrackedScheduler
 	obs    Observer
+
+	// Under a MaskScheduler, the mask of the step in progress or of the
+	// last one, which Step expands into stepSel for its caller.
+	mask    []uint64
+	stepSel []int
 
 	step int
 
@@ -71,15 +97,19 @@ type Simulator struct {
 	// selected this step" is lastSel[p] == selStamp and "already seen
 	// this round" is lastSel[p] > roundStamp. Before selStamp would pass
 	// stampLimit, rebaseStamps folds the table to the one fact it carries
-	// from step to step: selected in the round in progress or not. Under
-	// a SynchronousScheduler lastSel is never written, every step
-	// completes a round, and selStamp is the clock of the count windows
-	// (see live).
+	// from step to step: selected in the round in progress or not. A
+	// MaskScheduler takes no stamps and lastSel is not allocated for it: a
+	// mask cannot name a process twice, and pending has bit p set while p
+	// is not yet selected in the round in progress, so a step's round
+	// accounting is one pass over the mask's words. Under a
+	// SynchronousScheduler alone selStamp counts steps, as the clock of the
+	// count windows (see live).
 	round          int
 	roundStamp     uint32
 	selStamp       uint32
 	lastSel        []uint32
 	remainingInRnd int
+	pending        []uint64
 
 	// arena holds the reusable step-execution state: after the
 	// first step, Step performs no heap allocation.
@@ -176,16 +206,23 @@ type Simulator struct {
 	disReads  []int
 	disSeen   []disabledSeen
 
-	// Windows by epoch, under a SynchronousScheduler only. Every process is
-	// selected at every step, so a process with a window needs no visit:
-	// live has bit p set exactly when p has none, and a step evaluates the
-	// live processes in ascending order (stepLive), with visit the live set
-	// it began with. counts[p] holds the stamp at which p's window opened
-	// (its close, its stepped verdict or its last settle), and its count is
-	// selStamp minus that; a settle sweeps the processes off the live set.
-	// A rebase of the stamps settles every window and reopens each at
-	// stamp 1. Every other scheduler pays one predictable branch at each
-	// hook.
+	// The live set, under a MaskScheduler only: live has bit p set exactly
+	// when p has no window, so a selection of p is evaluated if its bit is
+	// in mask & live and counted if it is in mask &^ live. A step
+	// (stepMask) reads the live set as it finds it, evaluates the first
+	// set in ascending order, with visit the set it evaluated, and counts
+	// the second a word at a time. A stepped disabled verdict opens a
+	// window under a MaskScheduler with or without an observer.
+	//
+	// Under a SynchronousScheduler every process is selected at every
+	// step, so a window is counted by epoch: counts[p] holds the stamp at
+	// which p's window opened (its close, its stepped verdict or its last
+	// settle), its count is selStamp minus that, and a step counts nothing;
+	// a settle sweeps the processes off the live set. A rebase of the
+	// stamps settles every window and reopens each at stamp 1. Under any
+	// other MaskScheduler each counted selection adds one to counts[p], as
+	// on the list path. Every other scheduler pays one predictable branch
+	// at each hook.
 	live  []uint64
 	visit []uint64
 }
@@ -232,19 +269,19 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	}
 	if s.sys != sys {
 		s.sys = sys
-		s.lastSel = make([]uint32, sys.N())
+		s.lastSel = nil
 		s.silence = make([]int8, sys.N())
 		s.silUnknown = make([]int32, 0, sys.N())
 		s.cntState, s.cntAnchor, s.counts, s.due = nil, nil, nil, nil
 		s.disReads, s.disSeen = s.disReads[:0], s.disSeen[:0]
-		s.live, s.visit = nil, nil
+		s.live, s.visit, s.pending = nil, nil, nil
 		s.arena = newStepArena(sys)
 	} else {
 		clear(s.lastSel)
 		for i := range s.silence {
 			s.silence[i] = silenceUnknown
 		}
-		// A SynchronousScheduler leaves stamps in counts, and stepLive
+		// A SynchronousScheduler leaves stamps in counts, and stepMask
 		// reads commChanged by process.
 		clear(s.cntState)
 		clear(s.counts)
@@ -255,23 +292,23 @@ func (s *Simulator) Reset(sys *System, cfg0 *Config, sched Scheduler, seed uint6
 	s.probe.bind(sys)
 	s.cfg = cfg0
 	s.sched = sched
-	s.tsched = nil
+	s.tsched, s.msched = nil, nil
 	if ts, ok := sched.(TrackedScheduler); ok {
 		s.tsched = ts
+	} else if ms, ok := sched.(MaskScheduler); ok {
+		s.msched = ms
 	}
 	_, all := sched.(SynchronousScheduler)
 	s.allSel = all && s.tsched == nil
-	if s.allSel {
-		n := sys.N()
+	if n := sys.N(); s.msched != nil {
 		if s.live == nil {
-			s.live, s.visit = make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)
+			w := (n + 63) / 64
+			s.live, s.visit, s.pending = make([]uint64, w), make([]uint64, w), make([]uint64, w)
 		}
-		for i := range s.live {
-			s.live[i] = math.MaxUint64
-		}
-		if n%64 != 0 {
-			s.live[len(s.live)-1] = 1<<(n%64) - 1
-		}
+		fillSet(s.live, n)
+		fillSet(s.pending, n)
+	} else if s.lastSel == nil {
+		s.lastSel = make([]uint32, n)
 	}
 	s.obs = obs
 	s.arena.seed, s.arena.derived = seed, 0
@@ -299,19 +336,77 @@ func (s *Simulator) Steps() int { return s.step }
 // Rounds returns the number of completed rounds.
 func (s *Simulator) Rounds() int { return s.round }
 
+// fillSet sets bits 0 to n−1 of set, which has ⌈n/64⌉ words.
+func fillSet(set []uint64, n int) {
+	for i := range set {
+		set[i] = math.MaxUint64
+	}
+	if n%64 != 0 {
+		set[len(set)-1] = 1<<(n%64) - 1
+	}
+}
+
 // Step executes one scheduler step and returns the selected processes.
-// The returned slice may be a scheduler-owned buffer: it is valid until
+// The returned slice may be a scheduler-owned buffer, or under a
+// MaskScheduler the simulator's expansion of the mask: it is valid until
 // the next Step call and must not be mutated.
 func (s *Simulator) Step() []int {
 	selected := s.advance()
 	s.settle()
+	if s.msched != nil {
+		if cap(s.stepSel) < s.sys.N() {
+			s.stepSel = make([]int, 0, s.sys.N())
+		}
+		selected = s.stepSel[:0]
+		for j, w := range s.mask {
+			for ; w != 0; w &= w - 1 {
+				selected = append(selected, j<<6|bits.TrailingZeros64(w))
+			}
+		}
+	}
 	return selected
 }
 
 // advance is Step without the settle of its windows: the Run loops call
-// it and settle once before they return.
+// it and settle once before they return. Under a MaskScheduler it returns
+// nil, and the step's mask is in s.mask.
 func (s *Simulator) advance() []int {
 	var selected []int
+	var k int
+	var roundCompleted bool
+	if s.msched != nil {
+		k, roundCompleted = s.takeMask()
+	} else {
+		selected, roundCompleted = s.takeList()
+		k = len(selected)
+	}
+	if s.obs != nil {
+		s.obs.StepBegin(s.step, k)
+	}
+	s.arena.step = s.step
+	if s.msched != nil {
+		s.stepMask(s.mask)
+	} else {
+		fired, commChanged := s.executeStep(selected)
+		for i, p := range selected {
+			if fired[i] >= 0 {
+				s.moved(p, commChanged[i])
+			}
+		}
+	}
+	if roundCompleted {
+		s.round++
+	}
+	if s.obs != nil {
+		s.obs.StepEnd(s.step, k, roundCompleted)
+	}
+	s.step++
+	return selected
+}
+
+// takeList asks the scheduler for the step's list, checks it and stamps
+// each selected process: done reports that the step completes a round.
+func (s *Simulator) takeList() (selected []int, done bool) {
 	if s.tsched != nil {
 		selected = s.tsched.SelectTracked(s.step, s.sys, s.cfg, s.tracker)
 	} else {
@@ -325,60 +420,75 @@ func (s *Simulator) advance() []int {
 	// process evaluated twice on its own half-made step, and any
 	// selection longer than n) must stop here, not as an index out of
 	// range mid-step.
+	mark := s.nextStamp()
+	for _, p := range selected {
+		if uint(p) >= uint(len(s.lastSel)) {
+			panic(fmt.Sprintf("model: scheduler %s selected process %d of %d", s.sched.Name(), p, len(s.lastSel)))
+		}
+		if s.lastSel[p] == mark {
+			panic(fmt.Sprintf("model: scheduler %s selected process %d twice in one step (%d selections, %d processes)",
+				s.sched.Name(), p, len(selected), len(s.lastSel)))
+		}
+		if s.lastSel[p] <= s.roundStamp {
+			s.remainingInRnd--
+		}
+		s.lastSel[p] = mark
+	}
+	if s.remainingInRnd > 0 {
+		return selected, false
+	}
+	s.roundStamp = mark
+	s.remainingInRnd = s.sys.N()
+	return selected, true
+}
+
+// takeMask asks the MaskScheduler for the step's mask, keeps it in
+// s.mask, checks it, and strikes it off the round's pending set in the
+// same pass over its words: k is the number of processes selected, and
+// done reports that the step completes a round, for which pending is
+// refilled. Under a SynchronousScheduler it advances the step clock.
+func (s *Simulator) takeMask() (k int, done bool) {
+	mask := s.msched.SelectMask(s.step, s.sys, s.cfg)
+	n := s.sys.N()
+	if len(mask) != len(s.pending) {
+		panic(fmt.Sprintf("model: scheduler %s selected a mask of %d words for %d processes", s.sched.Name(), len(mask), n))
+	}
+	if r := n % 64; r != 0 {
+		if over := mask[len(mask)-1] >> r; over != 0 {
+			panic(fmt.Sprintf("model: scheduler %s selected process %d of %d", s.sched.Name(),
+				(len(mask)-1)<<6|r+bits.TrailingZeros64(over), n))
+		}
+	}
+	var rest uint64
+	for j, w := range mask {
+		k += bits.OnesCount64(w)
+		s.pending[j] &^= w
+		rest |= s.pending[j]
+	}
+	if k == 0 {
+		panic(fmt.Sprintf("model: scheduler %s selected the empty set", s.sched.Name()))
+	}
+	if s.allSel {
+		if k != n {
+			panic(fmt.Sprintf("model: scheduler %s declares every process but selected %d of %d", s.sched.Name(), k, n))
+		}
+		s.nextStamp()
+	}
+	if rest == 0 {
+		fillSet(s.pending, n)
+	}
+	s.mask = mask
+	return k, rest == 0
+}
+
+// nextStamp returns the stamp of the step in progress, rebasing the
+// stamps first when the last one reached stampLimit.
+func (s *Simulator) nextStamp() uint32 {
 	if s.selStamp >= stampLimit {
 		s.rebaseStamps()
 	}
 	s.selStamp++
-	mark := s.selStamp
-	if s.allSel {
-		// Every process is selected, so the step completes a round and
-		// every lastSel stays at or below roundStamp.
-		if len(selected) != len(s.lastSel) {
-			panic(fmt.Sprintf("model: scheduler %s declares every process but selected %d of %d",
-				s.sched.Name(), len(selected), len(s.lastSel)))
-		}
-		s.remainingInRnd = 0
-	} else {
-		for _, p := range selected {
-			if uint(p) >= uint(len(s.lastSel)) {
-				panic(fmt.Sprintf("model: scheduler %s selected process %d of %d", s.sched.Name(), p, len(s.lastSel)))
-			}
-			if s.lastSel[p] == mark {
-				panic(fmt.Sprintf("model: scheduler %s selected process %d twice in one step (%d selections, %d processes)",
-					s.sched.Name(), p, len(selected), len(s.lastSel)))
-			}
-			if s.lastSel[p] <= s.roundStamp {
-				s.remainingInRnd--
-			}
-			s.lastSel[p] = mark
-		}
-	}
-	if s.obs != nil {
-		s.obs.StepBegin(s.step, selected)
-	}
-	s.arena.step = s.step
-	if s.allSel {
-		s.stepLive(selected)
-	} else {
-		fired, commChanged := s.executeStep(selected)
-		for i, p := range selected {
-			if fired[i] >= 0 {
-				s.moved(p, commChanged[i])
-			}
-		}
-	}
-
-	roundCompleted := s.remainingInRnd == 0
-	if roundCompleted {
-		s.round++
-		s.roundStamp = mark
-		s.remainingInRnd = s.sys.N()
-	}
-	if s.obs != nil {
-		s.obs.StepEnd(s.step, selected, roundCompleted)
-	}
-	s.step++
-	return selected
+	return s.selStamp
 }
 
 // stampLimit is the last selection stamp before rebaseStamps runs. It is
@@ -390,7 +500,7 @@ var stampLimit uint32 = math.MaxUint32
 // round in progress gets stamp 1, every other one 0, and the next step
 // stamps 2. It runs between steps, once every stampLimit steps, so its
 // O(n) pass costs nothing per step. Under a SynchronousScheduler, where
-// the stamps are the windows' clock and every lastSel is 0, a settle
+// the stamps are the windows' clock and no lastSel is kept, a settle
 // closes every window and each reopens at stamp 1.
 func (s *Simulator) rebaseStamps() {
 	if s.allSel {
@@ -432,11 +542,11 @@ func (s *Simulator) moved(p int, commChanged bool) {
 
 // rejoin runs before the tracker drops p's verdict on a neighbor's
 // write or a MarkDirty (moved never meets a stepped verdict: a process
-// that moved was evaluated or counted). Under a SynchronousScheduler the
-// end of a stepped verdict puts p back in the live set; its window has
-// settled (see Simulator.counts).
+// that moved was evaluated or counted). Under a MaskScheduler the end of
+// a stepped verdict puts p back in the live set; its window has settled
+// (see Simulator.counts).
 func (s *Simulator) rejoin(p int) {
-	if s.allSel && s.tracker.valid[p] == verdictStepped {
+	if s.msched != nil && s.tracker.valid[p] == verdictStepped {
 		s.live[p>>6] |= 1 << (p & 63)
 	}
 }
@@ -613,7 +723,8 @@ func (s *Simulator) RunRounds(k int) {
 // settle applies every open window (see Simulator.counts). Every exported
 // method that steps settles before it returns, so an observer is current
 // whenever its owner can look at it. Under a SynchronousScheduler the
-// settle sweeps the processes off the live set.
+// settle sweeps the processes off the live set; under every other
+// scheduler it walks due.
 func (s *Simulator) settle() {
 	if s.allSel {
 		n := s.sys.N()
@@ -662,7 +773,9 @@ func dueCap(n int) int { return max(n/32, 64) }
 
 // keepDisabled records a step evaluation of p that found it disabled:
 // the tracker takes the verdict, and with an observer attached the
-// evaluation's reads are kept for p's window (see disReads).
+// evaluation's reads are kept for p's window (see disReads). A window
+// opens with an observer attached or under a MaskScheduler, where p
+// leaves the live set either way.
 func (s *Simulator) keepDisabled(p int) {
 	s.tracker.judgeDisabled(p)
 	if s.obs != nil {
@@ -675,21 +788,23 @@ func (s *Simulator) keepDisabled(p int) {
 		copy(s.disReads[g.RowStart(p):], agg.arcs)
 		s.disSeen[p] = disabledSeen{int32(len(agg.arcs)), int32(agg.bits)}
 	}
-	if s.obs != nil || s.allSel {
+	if s.obs != nil || s.msched != nil {
 		s.openWindow(p)
 	}
 }
 
-// openWindow makes p's next selections counts: under a
-// SynchronousScheduler p leaves the live set and its window opens at the
-// current stamp.
+// openWindow makes p's next selections counts: under a MaskScheduler p
+// leaves the live set, and under a SynchronousScheduler its window opens
+// at the current stamp.
 func (s *Simulator) openWindow(p int) {
 	if s.counts == nil {
 		n := s.sys.N()
 		s.counts, s.due = make([]int32, n), make([]int32, 0, dueCap(n))
 	}
-	if s.allSel {
+	if s.msched != nil {
 		s.live[p>>6] &^= 1 << (p & 63)
+	}
+	if s.allSel {
 		s.counts[p] = int32(s.selStamp)
 	}
 }
@@ -715,11 +830,11 @@ func (s *Simulator) countClosed(p int) bool {
 }
 
 // countForget drops p's walk. p has no open window: a window settles
-// before anything that forgets the walk can happen. Under a
-// SynchronousScheduler a closed p rejoins the live set.
+// before anything that forgets the walk can happen. Under a MaskScheduler
+// a closed p rejoins the live set.
 func (s *Simulator) countForget(p int) {
 	if s.cntState != nil {
-		if s.allSel && s.cntState[p] >= cntClosed {
+		if s.msched != nil && s.cntState[p] >= cntClosed {
 			s.live[p>>6] |= 1 << (p & 63)
 		}
 		s.cntState[p] = 0
@@ -795,8 +910,10 @@ func (s *Simulator) countOpen(p, stage int) {
 // when i < k mod L, and leaves p k mod L transitions on. Without an
 // observer only those k mod L run. The evaluations use the arena's
 // staging row stage, which none of them writes. The dirty rule runs once
-// for all k. Under a SynchronousScheduler k is the window's length, and
-// the window reopens at the current stamp.
+// for all k. Under a SynchronousScheduler k is the window's length on the
+// step clock, and the window reopens at the current stamp; under every
+// other scheduler, a MaskScheduler or not, k is the count the window's
+// selections added up.
 func (s *Simulator) countApply(p, stage int) {
 	k := int(s.counts[p])
 	if s.allSel {

@@ -77,7 +77,8 @@ func (s *SplitMix) Reseed(seed uint64) { s.state = seed }
 // Rand wraps a Source with convenience samplers. All methods are
 // deterministic functions of the underlying stream.
 type Rand struct {
-	src Source
+	src  Source
+	mask []uint64 // AppendSubsetNonEmpty's scratch mask
 }
 
 // New returns a Rand over a fresh SplitMix64 stream with the given seed.
@@ -149,26 +150,42 @@ func (r *Rand) SubsetNonEmpty(n int) []int {
 }
 
 // AppendSubsetNonEmpty appends a uniformly chosen non-empty subset of
-// [0, n) to dst and returns the extended slice. It draws exactly the
-// stream of SubsetNonEmpty, so callers can switch to a reused buffer
-// (dst[:0]) without perturbing determinism. It panics if n <= 0.
+// [0, n) to dst, in ascending order, and returns the extended slice: the
+// elements of the mask AppendSubsetMaskNonEmpty draws, from the same
+// stream. It draws exactly the stream of SubsetNonEmpty, so callers can
+// switch to a reused buffer (dst[:0]) without perturbing determinism. It
+// panics if n <= 0.
 func (r *Rand) AppendSubsetNonEmpty(dst []int, n int) []int {
+	r.mask = r.AppendSubsetMaskNonEmpty(r.mask[:0], n)
+	for j, w := range r.mask {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, j<<6|bits.TrailingZeros64(w))
+		}
+	}
+	return dst
+}
+
+// AppendSubsetMaskNonEmpty appends a uniformly chosen non-empty subset of
+// [0, n) to dst as a bitmask of ⌈n/64⌉ words, bit i&63 of word i>>6 set
+// when i is in the subset and no bit at or above n, and returns the
+// extended slice. The n membership bits are drawn 64 at a time, one
+// generator word per mask word, and an empty subset is drawn again. It
+// panics if n <= 0.
+func (r *Rand) AppendSubsetMaskNonEmpty(dst []uint64, n int) []uint64 {
 	if n <= 0 {
 		panic("rng: SubsetNonEmpty called with non-positive n")
 	}
 	for {
-		out := dst
+		out, or := dst, uint64(0)
 		for base := 0; base < n; base += 64 {
 			w := r.src.Uint64()
 			if k := n - base; k < 64 {
 				w &= 1<<k - 1
 			}
-			for w != 0 {
-				out = append(out, base+bits.TrailingZeros64(w))
-				w &= w - 1
-			}
+			out = append(out, w)
+			or |= w
 		}
-		if len(out) > len(dst) {
+		if or != 0 {
 			return out
 		}
 	}

@@ -40,10 +40,12 @@ type Resettable interface {
 	Reset(seed uint64)
 }
 
-// Compile-time checks: every scheduler is resettable, and the
-// synchronous one declares that it selects every process.
+// Compile-time checks: every scheduler is resettable, the synchronous
+// one declares that it selects every process, and the random-subset one
+// hands the simulator masks.
 var (
 	_ model.SynchronousScheduler = (*Synchronous)(nil)
+	_ model.MaskScheduler        = (*RandomSubset)(nil)
 
 	_ Resettable = (*Synchronous)(nil)
 	_ Resettable = (*CentralRoundRobin)(nil)
@@ -55,7 +57,9 @@ var (
 
 // Synchronous selects every process at every step.
 type Synchronous struct {
-	buf []int
+	buf   []int
+	mask  []uint64
+	maskN int // the process count mask was built for
 }
 
 // NewSynchronous returns a Synchronous scheduler.
@@ -68,8 +72,19 @@ func (s *Synchronous) Reset(uint64) {}
 func (*Synchronous) Name() string { return "synchronous" }
 
 // SelectsAll implements model.SynchronousScheduler: Select returns every
-// process in ascending order.
+// process in ascending order, and SelectMask every bit below n.
 func (*Synchronous) SelectsAll() {}
+
+// SelectMask implements model.MaskScheduler.
+func (s *Synchronous) SelectMask(_ int, sys *model.System, _ *model.Config) []uint64 {
+	if n := sys.N(); s.maskN != n {
+		s.mask, s.maskN = make([]uint64, (n+63)/64), n
+		for p := range n {
+			s.mask[p>>6] |= 1 << (p & 63)
+		}
+	}
+	return s.mask
+}
 
 // Select implements model.Scheduler.
 func (s *Synchronous) Select(_ int, sys *model.System, _ *model.Config) []int {
@@ -138,9 +153,10 @@ func (s *CentralRandom) Select(_ int, sys *model.System, _ *model.Config) []int 
 // RandomSubset selects a uniformly random non-empty subset of processes
 // per step — the least structured distributed fair scheduler.
 type RandomSubset struct {
-	src rng.SplitMix
-	r   *rng.Rand
-	buf []int
+	src  rng.SplitMix
+	r    *rng.Rand
+	buf  []int
+	mask []uint64
 }
 
 // NewRandomSubset returns a RandomSubset scheduler with its own stream.
@@ -152,7 +168,7 @@ func NewRandomSubset(seed uint64) *RandomSubset {
 }
 
 // Reset implements Resettable: the generator is rewound to the stream of
-// NewRandomSubset(seed); the selection buffer is kept.
+// NewRandomSubset(seed); the selection buffers are kept.
 func (s *RandomSubset) Reset(seed uint64) {
 	s.src.Reseed(rng.DeriveString(seed, "sched-random-subset"))
 }
@@ -164,6 +180,13 @@ func (*RandomSubset) Name() string { return "random-subset" }
 func (s *RandomSubset) Select(_ int, sys *model.System, _ *model.Config) []int {
 	s.buf = s.r.AppendSubsetNonEmpty(s.buf[:0], sys.N())
 	return s.buf
+}
+
+// SelectMask implements model.MaskScheduler: Select's subset, drawn from
+// the same stream, as a mask.
+func (s *RandomSubset) SelectMask(_ int, sys *model.System, _ *model.Config) []uint64 {
+	s.mask = s.r.AppendSubsetMaskNonEmpty(s.mask[:0], sys.N())
+	return s.mask
 }
 
 // EnabledBiased selects a random non-empty subset of the enabled

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -9,6 +10,12 @@ import (
 )
 
 func testSystem(t *testing.T) *model.System {
+	t.Helper()
+	return testSystemOn(t, graph.Cycle(6))
+}
+
+// testSystemOn is testSystem's protocol on g.
+func testSystemOn(t *testing.T, g *graph.Graph) *model.System {
 	t.Helper()
 	spec := &model.Spec{
 		Name: "T",
@@ -19,7 +26,7 @@ func testSystem(t *testing.T) *model.System {
 			Apply: func(c *model.Ctx) { c.SetComm(0, c.NeighborComm(1, 0)) },
 		}},
 	}
-	sys, err := model.NewSystem(graph.Cycle(6), spec, nil)
+	sys, err := model.NewSystem(g, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +103,51 @@ func TestSynchronousSelectsAll(t *testing.T) {
 	sel := NewSynchronous().Select(0, sys, model.NewZeroConfig(sys))
 	if len(sel) != sys.N() {
 		t.Fatalf("synchronous selected %d processes", len(sel))
+	}
+}
+
+// TestSelectMaskMatchesSelect: a mask scheduler's SelectMask returns
+// the selection Select returns at the same point of the same stream. Two
+// instances per daemon and seed run in lockstep, one asked through
+// Select and one through SelectMask, on systems of one word, exactly one
+// word, one word and a bit, and three words, so every mask has its tail
+// bits clear.
+func TestSelectMaskMatchesSelect(t *testing.T) {
+	for _, n := range []int{6, 64, 65, 130} {
+		sys := testSystemOn(t, graph.Cycle(n))
+		cfg := model.NewZeroConfig(sys)
+		for _, name := range []string{"random-subset", "synchronous"} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				list, err := ByName(name, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc, err := ByName(name, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				masked, ok := sc.(model.MaskScheduler)
+				if !ok {
+					t.Fatalf("%s is not a model.MaskScheduler", name)
+				}
+				for step := range 100 {
+					want := list.Select(step, sys, cfg)
+					mask := masked.SelectMask(step, sys, cfg)
+					if len(mask) != (n+63)/64 {
+						t.Fatalf("%s, n=%d, seed %d, step %d: a mask of %d words", name, n, seed, step, len(mask))
+					}
+					var got []int
+					for p := range 64 * len(mask) {
+						if mask[p/64]&(1<<(p%64)) != 0 {
+							got = append(got, p)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s, n=%d, seed %d, step %d: SelectMask holds %v, Select returned %v", name, n, seed, step, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

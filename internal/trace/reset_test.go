@@ -60,12 +60,12 @@ func TestRecorderResetMatchesFresh(t *testing.T) {
 func TestResetMidStepResize(t *testing.T) {
 	t.Parallel()
 	rec := NewRecorder(9)
-	rec.StepBegin(0, []int{8})
+	rec.StepBegin(0, 1)
 	rec.Selected(0, 8, []int{7}, 3, 0, 1)
 	rec.Reset(3) // shrink mid-step
-	rec.StepBegin(0, []int{0})
+	rec.StepBegin(0, 1)
 	rec.Selected(0, 0, []int{1}, 3, 0, 1)
-	rec.StepEnd(0, []int{0}, false)
+	rec.StepEnd(0, 1, false)
 	want := Report{N: 3, Steps: 1, Moves: 1, Selections: 1, KEfficiency: 1, CommComplexityBits: 3,
 		TotalBits: 3, TotalReads: 1, SuffixReadSetHist: []int{2, 1},
 		SuffixSteps: 1, SuffixTotalBits: 3, SuffixTotalReads: 1, SuffixSelections: 1, SuffixMoves: 1}
@@ -229,11 +229,10 @@ func fullReadStep() func(step int) {
 	for a := 1; a < n; a++ {
 		arcs = append(arcs, a)
 	}
-	selected := []int{0}
 	return func(step int) {
-		rec.StepBegin(step, selected)
+		rec.StepBegin(step, 1)
 		rec.Selected(step, 0, arcs, 6*(n-1), 0, 1)
-		rec.StepEnd(step, selected, false)
+		rec.StepEnd(step, 1, false)
 	}
 }
 

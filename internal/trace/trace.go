@@ -99,9 +99,9 @@ func (r *Recorder) clearSuffixCounts() {
 var _ model.Observer = (*Recorder)(nil)
 
 // StepBegin implements model.Observer.
-func (r *Recorder) StepBegin(_ int, selected []int) {
-	r.selections += int64(len(selected))
-	r.suffixSelections += int64(len(selected))
+func (r *Recorder) StepBegin(_, selections int) {
+	r.selections += int64(selections)
+	r.suffixSelections += int64(selections)
 }
 
 // Selected implements model.Observer: times selections of p, each of
@@ -145,7 +145,7 @@ func (r *Recorder) CommWrite(_, _, _, _, _ int) {
 }
 
 // StepEnd implements model.Observer.
-func (r *Recorder) StepEnd(_ int, _ []int, roundCompleted bool) {
+func (r *Recorder) StepEnd(_, _ int, roundCompleted bool) {
 	r.steps++
 	r.suffixSteps++
 	if roundCompleted {

@@ -36,6 +36,10 @@ MUTATIONS=(
 	"countPending ignores a stepped neighbor|internal/model/arena.go|||s~return s.counts\[q\] > 0~return s.counts[q] > 0 && s.countClosed(q)~"
 	"the settle skips a synchronous disabled window|internal/model/sim.go|||s~(verdictStepped \{\n\t\tif s.obs == nil)~\$1 || s.allSel~"
 	"a writer-forced settle's epoch count leaves out the current step|internal/model/arena.go|||s~\t\t\t\ts.countApply\(int\(q\), len\(writers\)\)\n~\t\t\t\ts.selStamp--\n\t\t\t\ts.countApply(int(q), len(writers))\n\t\t\t\ts.selStamp++\n~"
+	"round completion tests only the first pending word|internal/model/sim.go|||s~\t\trest \|= s.pending\[j\]\n~\t\trest |= s.pending[0]\n~"
+	"counted selections are taken from the first mask word only|internal/model/arena.go|internal/model|^TestLiveSetMatchesPerSelectionPath\$|s~for w := m &\^ live; w != 0;~for w := m &^ live; j == 0 \&\& w != 0;~"
+	"counted selections read the live set after the evaluations rather than before|internal/model/arena.go|internal/model|^TestLiveSetMatchesPerSelectionPath\$|s~\t\tif !s.allSel \{\n(\t\t\tfor w := m &\^) live(; w != 0; w &= w - 1 \{\n\t\t\t\ts.countSelect\([^\n]*\n\t\t\t\}\n)\t\t\}\n(\t\tw := m & live\n.*?\n\t\t\}\n)~\$3\t\tif !s.allSel {\n\$1 s.live[j]\$2\t\t}\n~s"
+	"Step expands only the first mask word|internal/model/sim.go|||s~\t\tfor j, w := range s.mask \{~\t\tfor j, w := range s.mask[:1] {~"
 	"Arc returns the live slot on a dynamic graph|internal/graph/graph.go|internal/trace|^TestArcReadSetsUnderChurn\$|s~\t\treturn int\(g.dyn.arc\[i\]\)\n~\t\treturn i\n~"
 	"Recorder counts an arc already in R_p again|internal/trace/trace.go|internal/trace|^TestArcReadSetsUnderChurn\$|s~\t\tif r.read\[w\]&b == 0 \{~\t\t{~"
 	"MIS's predicate accepts a dominated process with no Dominator neighbor|internal/protocols/mis/mis.go|internal/verify|^TestLegitimateMatchesOracle\$|s~\n\treturn dominator\n\}~\n\treturn true\n}~"
