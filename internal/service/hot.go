@@ -16,8 +16,8 @@ const hotBudget = 8 << 20
 
 // hotTier is the daemon's in-memory tier in front of the cache backend
 // it was given: the entry bytes the backend has returned, least
-// recently used out first, under a byte budget. A warm run that does not
-// replay a kept outcome (the first of a source, or one after its set was
+// recently used out first, under a byte budget. A warm run that is not
+// served a kept stream (the first of a source, or one after its set was
 // evicted) and the render of an evicted set then read each entry from
 // the backend (a file open, read and close for a DirBackend) once, and
 // from memory after that. The tier holds only

@@ -175,7 +175,7 @@ func TestHotTierStoreDrops(t *testing.T) {
 // TestHotTierFillsFromWarmRunsOnly: runs that compute every cell leave
 // the tier empty; the first warm run fills it from the backend, the
 // next one whose set was evicted is served from it, the one after that
-// replays the kept outcome and reads neither, and all three serve the
+// is served the kept stream and reads neither, and all three serve the
 // reference bytes.
 func TestHotTierFillsFromWarmRunsOnly(t *testing.T) {
 	t.Parallel()
@@ -202,7 +202,7 @@ func TestHotTierFillsFromWarmRunsOnly(t *testing.T) {
 	if n, _, k := svc.hotStats(); int64(n) != cells || k != 0 {
 		t.Fatalf("first warm run: tier holds %d entries, %d hits; want %d and 0", n, k, cells)
 	}
-	// The first warm run's outcome is kept beside its set. A cold run
+	// The first warm run's stream is kept beside its set. A cold run
 	// under a budget that fits one set evicts both, so the second warm
 	// run renders the set again, from the tier.
 	setBudget(svc, 1)
@@ -215,13 +215,13 @@ func TestHotTierFillsFromWarmRunsOnly(t *testing.T) {
 	if _, _, k := svc.hotStats(); k != cells {
 		t.Fatalf("second warm run: %d tier hits, want %d", k, cells)
 	}
-	// Its set is resident with its outcome: the third run replays that.
+	// Its set is resident with its stream: the third run is served that.
 	third := runToDone(t, svc, src)
 	if n := be.loadCount() - loads; n != 0 {
-		t.Fatalf("the resident replay read the backend %d times", n)
+		t.Fatalf("the resident run read the backend %d times", n)
 	}
 	if _, _, k := svc.hotStats(); k != cells {
-		t.Fatalf("the resident replay took %d tier hits, want 0", k-cells)
+		t.Fatalf("the resident run took %d tier hits, want 0", k-cells)
 	}
 	for _, r := range []*Run{first, second, third} {
 		if hits, misses := r.CacheStats(); hits != first.Cells() || misses != 0 {
@@ -424,7 +424,7 @@ func BenchmarkServeRepeat(b *testing.B) {
 }
 
 // BenchmarkServeEvicted is the traffic the hot tier serves once re-POSTs
-// replay kept outcomes: GETs of evicted sets. Two runs of plain.campaign
+// are served kept streams: GETs of evicted sets. Two runs of plain.campaign
 // at two seeds, over a directory cache the campaign executor filled,
 // share a store that fits one set, so each GET of one run evicts the
 // other's set and the next GET renders it again from the cache. One

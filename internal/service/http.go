@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"repro/internal/obs"
 )
@@ -38,8 +39,10 @@ const maxSpecBytes = 1 << 20
 // bytes and a GET of an evicted run costs one warm replay. The stream
 // is live diagnostics (bounded per-subscriber buffering; a lagging
 // client's feed is cut, marked by a trailing truncation line), except
-// on a POST that replays a kept outcome, which is written from memory
-// at the client's pace and never cut.
+// on a POST of a source with a kept stream, whose lines are written from
+// memory in one body of known length and never cut. Every response of
+// known length (the artifacts, a kept stream) carries Content-Length;
+// a live stream is chunked.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -129,30 +132,30 @@ func submitStatus(err error) int {
 // remaining lines are the run's progress events, complete from the
 // first event because the subscription attaches before the run is
 // enqueued (a separate GET .../stream races with execution and can
-// join a fast run late, or after it finished). A run that replays a
-// kept outcome is done before its head line is written and has no
-// subscription: its events are written from the outcome, at the
-// client's pace.
+// join a fast run late, or after it finished). A run of a source with a
+// kept stream is done before its head line is written and has no
+// subscription: the kept lines follow the head line in a body of known
+// length, at the client's pace.
 func (s *Service) submitStream(w http.ResponseWriter, req *http.Request, src string) {
-	r, sub, out, err := s.SubmitStream(src, 4096)
+	r, sub, stream, err := s.SubmitStream(src, 4096)
 	if err != nil {
 		writeError(w, submitStatus(err), err)
 		return
 	}
-	if sub != nil {
-		defer sub.Cancel()
-	}
+	head, _ := json.Marshal(runStatus(r))
+	head = append(head, '\n')
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	head, _ := json.Marshal(runStatus(r))
-	w.Write(append(head, '\n'))
-	if out != nil {
-		cw := newChunkWriter(w)
-		out.Replay(cw)
-		cw.write()
+	if stream != nil {
+		w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(stream)))
+		w.WriteHeader(http.StatusOK)
+		w.Write(head)
+		w.Write(stream)
 		return
 	}
+	defer sub.Cancel()
+	w.WriteHeader(http.StatusOK)
+	w.Write(head)
 	streamEvents(w, req, sub)
 }
 
@@ -267,11 +270,21 @@ func (c *chunkWriter) Observe(e obs.Event) {
 	if c.err != nil {
 		return
 	}
-	c.buf = append(e.AppendJSON(c.alloc()), '\n')
+	c.buf = appendLine(c.alloc(), e)
 	if len(c.buf) >= streamCap {
 		c.write()
 	}
 }
+
+// appendLine appends e's stream line to buf: its JSON object and a
+// newline.
+func appendLine(buf []byte, e obs.Event) []byte { return append(e.AppendJSON(buf), '\n') }
+
+// lineBuffer is an observer that encodes every event as a stream line,
+// the bytes a chunkWriter would write for it.
+type lineBuffer []byte
+
+func (l *lineBuffer) Observe(e obs.Event) { *l = appendLine(*l, e) }
 
 // line adds a line already encoded, its newline included.
 func (c *chunkWriter) line(s string) { c.buf = append(c.alloc(), s...) }
@@ -326,6 +339,7 @@ func (s *Service) handleOutput(w http.ResponseWriter, req *http.Request) {
 	default:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 

@@ -183,10 +183,10 @@ func TestHTTPEndToEnd(t *testing.T) {
 		t.Fatalf("cache stats: %+v", cache)
 	}
 	// Two runs of one source: one stored set, charged what it serves plus
-	// the outcome of the second run, read wholly from the cache.
-	kept := keptOutcome(svc, faultCampaignSrc)
-	if kept == nil || cache.ArtifactEntries != 1 || cache.ArtifactBytes != want.size()+outcomeSize(kept) {
-		t.Fatalf("artifact store stats: %+v, want 1 set of %d bytes and a kept outcome", cache, want.size())
+	// the stream of the second run, read wholly from the cache.
+	kept := keptRunOf(svc, faultCampaignSrc)
+	if kept == nil || cache.ArtifactEntries != 1 || cache.ArtifactBytes != want.size()+kept.size() {
+		t.Fatalf("artifact store stats: %+v, want 1 set of %d bytes and a kept stream", cache, want.size())
 	}
 	if !strings.Contains(getBody(t, ts.URL+"/v1/healthz", 200), `"ok":true`) {
 		t.Fatal("healthz")

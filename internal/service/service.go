@@ -160,13 +160,14 @@ type Config struct {
 // the store keys them by the source's SHA-256 and a finished run keeps
 // the key. While a key is resident every run of that source is served
 // the same bytes, rendered once; once a run of it has been served wholly
-// from the cache, the next ones replay that run's outcome from memory,
-// without parsing, compiling or reading the cache. A set evicted under
-// artifactBudget is rendered again by the first GET that wants it, by
-// executing the source against the cache backend with one worker: a
-// replay of stored records while the backend still has the cells, a
-// recompute with the same bytes when it does not. The registry itself
-// never evicts: what a finished run retains is its status.
+// from the cache, the next ones are served that run's stream from
+// memory, without parsing, compiling, reading the cache or encoding an
+// event. A set evicted under artifactBudget is rendered again by the
+// first GET that wants it, by executing the source against the cache
+// backend with one worker: a replay of stored records while the backend
+// still has the cells, a recompute with the same bytes when it does not.
+// The registry itself never evicts: what a finished run retains is its
+// status.
 type Service struct {
 	cfg   Config
 	cache campaign.Backend
@@ -226,7 +227,7 @@ var (
 )
 
 // Submit parses and compiles a campaign source, enqueues it for
-// execution and registers it; a source with a kept outcome is done on
+// execution and registers it; a source with a kept stream is done on
 // return instead (see submit). Bad specs are rejected here, at the POST,
 // not discovered mid-queue; a refused submit registers nothing.
 func (s *Service) Submit(src string) (*Run, error) {
@@ -237,25 +238,25 @@ func (s *Service) Submit(src string) (*Run, error) {
 // SubmitStream is Submit with the run's progress attached before the
 // run can start, so the submitter sees the run from its very first
 // event — a Subscribe after Submit races with execution and misses the
-// head of a small campaign. A run that replays a kept outcome is done
-// when it is returned, with that outcome and no subscription: the
-// caller replays its events (campaign.Outcome.Replay) at its own pace,
-// so the stream can neither lag nor be cut. Any other run returns a
-// subscription to its broadcast of buf events (see Run.Subscribe),
-// which the caller owns.
-func (s *Service) SubmitStream(src string, buf int) (*Run, *obs.Subscription, *campaign.Outcome, error) {
+// head of a small campaign. A run of a source with a kept stream is done
+// when it is returned, with that stream's lines and no subscription: the
+// caller writes them at its own pace, so the stream can neither lag nor
+// be cut. The lines are the store's, shared by every such run, and must
+// not be written to. Any other run returns a subscription to its
+// broadcast of buf events (see Run.Subscribe), which the caller owns.
+func (s *Service) SubmitStream(src string, buf int) (*Run, *obs.Subscription, []byte, error) {
 	return s.submit(src, buf)
 }
 
 // submit builds a run and registers it. A source whose set is resident
-// with a kept outcome is neither parsed nor compiled nor queued: the run
-// takes the outcome, is done at once with its counts, and returns it for
-// the caller to replay. Any other source is parsed from the store's copy
-// when the store has one, so that a plan, and an outcome kept from it,
-// pin no second copy of the text; its run is enqueued, after the
+// with a kept run is neither parsed nor compiled nor queued: the new run
+// takes the kept name and cell count, is done at once with every cell a
+// hit, and returns the kept stream for the caller to write. Any other
+// source is parsed from the store's copy when the store has one, so that
+// a plan pins no second copy of the text; its run is enqueued, after the
 // subscription when buf >= 0 (the dispatcher only sees the run after the
 // queue send, so the subscription cannot miss events).
-func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, *campaign.Outcome, error) {
+func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, []byte, error) {
 	r := &Run{
 		svc:       s,
 		key:       sha256.Sum256([]byte(src)),
@@ -263,10 +264,12 @@ func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, *campaig
 		done:      make(chan struct{}),
 		state:     StateQueued,
 	}
-	var plan *campaign.Plan
-	out, stored := s.store.lookup(r.key)
-	if out != nil {
-		plan = out.Plan
+	kept, stored := s.store.lookup(r.key)
+	var sub *obs.Subscription
+	var stream []byte
+	if kept != nil {
+		r.name, r.cells, stream = kept.name, kept.cells, kept.stream
+		s.finish(r, kept.cells, 0, nil)
 	} else {
 		if stored != "" {
 			src = stored
@@ -275,30 +278,27 @@ func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, *campaig
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		if plan, err = campaign.Compile(spec, s.cfg.Workers); err != nil {
+		plan, err := campaign.Compile(spec, s.cfg.Workers)
+		if err != nil {
 			return nil, nil, nil, err
 		}
 		r.plan, r.src = plan, src
+		// The name is a piece of a source text, which a finished run must
+		// not pin.
+		r.name, r.cells = strings.Clone(spec.Name), len(plan.Cells)
+		if buf >= 0 {
+			sub = r.Subscribe(buf)
+		}
 	}
-	// The name is a piece of a source text, which a finished run must not
-	// pin.
-	r.name, r.cells = strings.Clone(plan.Spec.Name), len(plan.Cells)
-	var sub *obs.Subscription
-	switch {
-	case out != nil:
-		s.finish(r, out, nil)
-	case buf >= 0:
-		sub = r.Subscribe(buf)
-	}
-	if err := s.register(r, out == nil); err != nil {
+	if err := s.register(r, kept == nil); err != nil {
 		return nil, nil, nil, err
 	}
-	return r, sub, out, nil
+	return r, sub, stream, nil
 }
 
 // register names r and adds it to the registry, after handing it to the
 // dispatcher when queue is set: a refusal leaves the registry as it was.
-// A run that is not queued (a resident replay, done already) takes no
+// A run that is not queued (a resident run, done already) takes no
 // queue slot, so a full queue does not refuse it; shutting down does.
 func (s *Service) register(r *Run, queue bool) error {
 	s.mu.Lock()
@@ -388,7 +388,7 @@ func (s *Service) failQueued() {
 	for {
 		select {
 		case r := <-s.queue:
-			s.finish(r, nil, errors.New("service: shut down before the run started"))
+			s.finish(r, 0, 0, errors.New("service: shut down before the run started"))
 		default:
 			return
 		}
@@ -398,7 +398,8 @@ func (s *Service) failQueued() {
 // execute runs one campaign. When the store already holds the source's
 // artifacts the run only feeds its live stream; otherwise it also
 // collects the canonical events, renders once and stores the set. Either
-// way the store keeps the outcome of a run served wholly from the cache.
+// way the store keeps the stream of a run served wholly from the cache,
+// encoded here, outside the store's lock.
 func (s *Service) execute(r *Run) {
 	r.setState(StateRunning)
 	sinks := []obs.Observer{r.broadcast}
@@ -409,29 +410,29 @@ func (s *Service) execute(r *Run) {
 	}
 	// Workers: the plan was compiled with s.cfg.Workers.
 	out, err := campaign.Execute(s.ctx, r.plan, campaign.RunOptions{Cache: s.cache, Observer: s.cfg.tee(sinks...)})
-	if err == nil {
-		var set *artifactSet
-		if replay != nil {
-			set, err = render(out, replay)
-		}
-		if err == nil {
-			s.store.put(r.key, r.src, set, out)
-		}
+	var set *artifactSet
+	if err == nil && replay != nil {
+		set, err = render(out, replay)
 	}
-	s.finish(r, out, err)
+	if err != nil {
+		s.finish(r, 0, 0, err)
+		return
+	}
+	s.store.put(r.key, r.src, set, keep(out))
+	s.finish(r, out.CacheHits, out.CacheMisses, nil)
 }
 
 // finish moves a run to its terminal state, StateFailed with err or
-// StateDone with out's cache counts, and releases its subscribers and
+// StateDone with its cache counts, and releases its subscribers and
 // waiters.
-func (s *Service) finish(r *Run, out *campaign.Outcome, err error) {
+func (s *Service) finish(r *Run, hits, misses int, err error) {
 	r.mu.Lock()
 	r.plan, r.src = nil, "" // a finished run must not pin them
 	if err != nil {
 		r.state, r.err = StateFailed, err
 	} else {
 		r.state = StateDone
-		r.hits, r.misses = out.CacheHits, out.CacheMisses
+		r.hits, r.misses = hits, misses
 	}
 	r.mu.Unlock()
 	r.broadcast.Close()

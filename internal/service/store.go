@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"container/list"
 	"crypto/sha256"
+	"strings"
 	"sync"
-	"unsafe"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
 // artifactBudget bounds the bytes the store keeps resident: rendered
-// sets and the outcomes kept beside them. What bounds it is the daemon's
+// sets and the streams kept beside them. What bounds it is the daemon's
 // memory, not its speed: one artifact set is tens of KiB to a few MiB
-// (about 0.3 MiB for an 80-cell campaign, whose outcome adds about
-// 0.1 MiB), so 32 MiB keeps the sets of the last hundred or so distinct
+// (about 0.3 MiB for an 80-cell campaign, whose kept stream adds about
+// 0.16 MiB), so 32 MiB keeps the sets of the last hundred or so distinct
 // campaigns a byte copy away and costs every other GET one warm replay.
 const artifactBudget = 32 << 20
 
@@ -62,27 +62,38 @@ func render(out *campaign.Outcome, replay *obs.ReplaySink) (*artifactSet, error)
 	}, nil
 }
 
-// outcomeSize is what a kept outcome is charged: its records and
-// result slots, and its plan's cells with the key and graph line each
-// one expands. The spec, and so the cells' other strings, are pieces of
-// the source text the entry keeps anyway (see Service.submit).
-func outcomeSize(out *campaign.Outcome) int64 {
-	n := len(out.Results) * int(unsafe.Sizeof(campaign.CellResult{}))
-	for i := range out.Results {
-		n += len(out.Results[i].Records) * int(unsafe.Sizeof(campaign.TrialRecord{}))
-	}
-	for i := range out.Plan.Cells {
-		cs := &out.Plan.Cells[i]
-		n += int(unsafe.Sizeof(*cs)) + len(cs.Key) + len(cs.GraphLine)
-	}
-	return int64(n)
+// keptRun is what the store keeps beside a resident set for the next
+// run of its source: the stream lines of a run of that source served
+// wholly from the cache, the campaign's name and its cell count. It is
+// immutable once made.
+type keptRun struct {
+	stream []byte
+	name   string
+	cells  int
 }
+
+// keep returns what the store keeps of a finished run for the next run
+// of its source: nil unless every cell of out was read from the cache
+// (what was read, not what was computed, so cold runs keep nothing).
+// The stream is out's replay, the events a full-hit run emits, encoded
+// once as a live stream encodes them, in an exact-size slice.
+func keep(out *campaign.Outcome) *keptRun {
+	if out.CacheHits != len(out.Results) {
+		return nil
+	}
+	var lines lineBuffer
+	out.Replay(&lines)
+	return &keptRun{bytes.Clone(lines), strings.Clone(out.Plan.Spec.Name), len(out.Plan.Cells)}
+}
+
+// size is what a kept run is charged: the stream's and the name's bytes.
+func (k *keptRun) size() int64 { return int64(len(k.stream) + len(k.name)) }
 
 // artifactStore keeps rendered artifact sets by source key, least
 // recently used out first, under a byte budget. Beside a set it may keep
-// the outcome of a run of that source served wholly from the cache,
-// which lets the next run of the source replay from memory (see
-// Service.submit); the outcome is charged to the budget with its set and
+// the stream of a run of that source served wholly from the cache,
+// which lets the next run of the source be served from memory (see
+// Service.submit); the stream is charged to the budget with its set and
 // leaves with it. An entry outlives its artifacts: it keeps the source
 // text, shared by every run of that source, so an evicted set can be
 // rendered again. The store therefore grows with the distinct sources
@@ -90,18 +101,18 @@ func outcomeSize(out *campaign.Outcome) int64 {
 type artifactStore struct {
 	mu      sync.Mutex
 	budget  int64
-	bytes   int64                          // resident set and outcome bytes
+	bytes   int64                          // resident set and kept run bytes
 	lru     list.List                      // of *artifactEntry, most recently used first
 	entries map[artifactKey]*artifactEntry // resident or not
 }
 
 type artifactEntry struct {
 	src string
-	// set and elem are nil while the artifacts are not resident; out is
-	// nil too then, and may be while they are. size is what set and out
+	// set and elem are nil while the artifacts are not resident; kept is
+	// nil too then, and may be while they are. size is what set and kept
 	// are charged.
 	set  *artifactSet
-	out  *campaign.Outcome
+	kept *keptRun
 	size int64
 	elem *list.Element
 	// flight is the render in progress for this key, if any.
@@ -132,29 +143,28 @@ func (st *artifactStore) get(key artifactKey) *artifactSet {
 	return nil
 }
 
-// lookup returns the outcome kept beside key's resident set (nil when
-// there is none), and the source text the store keeps for key ("" when
-// no run of it has finished).
-func (st *artifactStore) lookup(key artifactKey) (*campaign.Outcome, string) {
+// lookup returns the run kept beside key's resident set (nil when there
+// is none), and the source text the store keeps for key ("" when no run
+// of it has finished).
+func (st *artifactStore) lookup(key artifactKey) (*keptRun, string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.entries[key]
 	if e == nil {
 		return nil, ""
 	}
-	if e.out != nil {
+	if e.kept != nil {
 		st.lru.MoveToFront(e.elem)
 	}
-	return e.out, e.src
+	return e.kept, e.src
 }
 
 // put makes set the resident artifacts of key, whose source is src, and
-// keeps out beside them when every cell of it was read from the cache:
-// what was read, not what was computed, so cold runs keep nothing. A nil
-// set only attaches out to a set already resident. It evicts from the
-// cold end down to the budget; the newest entry stays even when it alone
-// is over the budget, so a run's own GETs are served from it.
-func (st *artifactStore) put(key artifactKey, src string, set *artifactSet, out *campaign.Outcome) {
+// keeps kept (see keep) beside them. A nil set only attaches kept to a
+// set already resident. It evicts from the cold end down to the budget;
+// the newest entry stays even when it alone is over the budget, so a
+// run's own GETs are served from it.
+func (st *artifactStore) put(key artifactKey, src string, set *artifactSet, kept *keptRun) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e := st.entries[key]
@@ -162,16 +172,13 @@ func (st *artifactStore) put(key artifactKey, src string, set *artifactSet, out 
 		e = &artifactEntry{src: src}
 		st.entries[key] = e
 	}
-	if out != nil && out.CacheHits != len(out.Results) {
-		out = nil
-	}
-	st.insert(e, set, out)
+	st.insert(e, set, kept)
 }
 
 // insert is put's body, called with the lock held. A key that is
-// already resident keeps the bytes it has been serving, and the outcome
-// it has kept.
-func (st *artifactStore) insert(e *artifactEntry, set *artifactSet, out *campaign.Outcome) {
+// already resident keeps the bytes it has been serving, and the run it
+// has kept.
+func (st *artifactStore) insert(e *artifactEntry, set *artifactSet, kept *keptRun) {
 	switch {
 	case e.set != nil:
 		st.lru.MoveToFront(e.elem)
@@ -181,16 +188,16 @@ func (st *artifactStore) insert(e *artifactEntry, set *artifactSet, out *campaig
 	default:
 		return // evicted since the caller found it resident
 	}
-	if out != nil && e.out == nil {
-		e.out = out
-		n := outcomeSize(out)
+	if kept != nil && e.kept == nil {
+		e.kept = kept
+		n := kept.size()
 		e.size += n
 		st.bytes += n
 	}
 	for st.bytes > st.budget && st.lru.Len() > 1 {
 		cold := st.lru.Remove(st.lru.Back()).(*artifactEntry)
 		st.bytes -= cold.size
-		cold.set, cold.out, cold.size, cold.elem = nil, nil, 0, nil
+		cold.set, cold.kept, cold.size, cold.elem = nil, nil, 0, nil
 	}
 }
 
@@ -229,7 +236,7 @@ func (st *artifactStore) end(key artifactKey, fl *renderFlight, set *artifactSet
 }
 
 // stats reports the resident set count, and the bytes charged for them
-// and their kept outcomes.
+// and their kept runs.
 func (st *artifactStore) stats() (entries int, bytes int64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()

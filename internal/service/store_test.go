@@ -68,21 +68,21 @@ func (b *probeBackend) blockNextLoad() (entered <-chan struct{}, release func())
 	return in, func() { close(out) }
 }
 
-// keptOutcome is the outcome the store keeps beside src's set, or nil.
-func keptOutcome(svc *Service, src string) *campaign.Outcome {
-	out, _ := svc.store.lookup(sha256.Sum256([]byte(src)))
-	return out
+// keptRunOf is the run the store keeps beside src's set, or nil.
+func keptRunOf(svc *Service, src string) *keptRun {
+	kept, _ := svc.store.lookup(sha256.Sum256([]byte(src)))
+	return kept
 }
 
-// dropOutcome forgets the outcome kept beside src's set, and its charge,
-// so that the next run of src executes against the cache again.
-func dropOutcome(svc *Service, src string) {
+// dropKept forgets the run kept beside src's set, and its charge, so
+// that the next run of src executes against the cache again.
+func dropKept(svc *Service, src string) {
 	st := svc.store
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if e := st.entries[sha256.Sum256([]byte(src))]; e != nil && e.out != nil {
-		n := outcomeSize(e.out)
-		e.out, e.size, st.bytes = nil, e.size-n, st.bytes-n
+	if e := st.entries[sha256.Sum256([]byte(src))]; e != nil && e.kept != nil {
+		n := e.kept.size()
+		e.kept, e.size, st.bytes = nil, e.size-n, st.bytes-n
 	}
 }
 

@@ -259,10 +259,10 @@ func (c writeCounter) Flush() { c.ResponseWriter.(http.Flusher).Flush() }
 // when the scheduler first runs the handler: on a small or busy machine
 // that can take longer than the whole sub-millisecond replay, and the
 // lag cut that follows is by design. So the POST is repeated until one
-// stream is complete. A full-hit run keeps its outcome, and a run that
-// replays one is written from memory, never from the feed; so the
-// outcome is dropped before every POST, and each attempt streams the
-// live feed of a full-hit Execute.
+// stream is complete. A full-hit run keeps its stream, and a run served
+// a kept stream is written from memory, never from the feed; so the
+// kept stream is dropped before every POST, and each attempt streams
+// the live feed of a full-hit Execute.
 func TestWarmStreamIsComplete(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("one P runs the whole replay before the handler is scheduled")
@@ -291,9 +291,9 @@ func TestWarmStreamIsComplete(t *testing.T) {
 	const attempts = 50
 	for attempt := 1; ; attempt++ {
 		writes.Store(0)
-		dropOutcome(svc, warmStreamSrc)
-		if keptOutcome(svc, warmStreamSrc) != nil {
-			t.Fatal("the kept outcome was not dropped: the re-POST would not use the feed")
+		dropKept(svc, warmStreamSrc)
+		if keptRunOf(svc, warmStreamSrc) != nil {
+			t.Fatal("the kept stream was not dropped: the re-POST would not use the feed")
 		}
 		resp, err := http.Post(ts.URL+"/v1/runs?stream=1", "text/plain", strings.NewReader(warmStreamSrc))
 		if err != nil {

@@ -7,13 +7,22 @@
 # test binary is rebuilt from that copy (it must still compile) and run,
 # and the file is put back before the next one. A pattern that no longer
 # matches exactly once fails the check, so the list cannot go stale
-# unnoticed.
+# unnoticed. Two runs cannot share a work directory: each holds a lock
+# on "$DIR.lock" from before it empties the directory until it exits, and
+# a run that finds the lock held stops at once.
 # Usage: scripts/mutants.sh [workdir]
 set -euo pipefail
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
 DIR=${1:-/tmp/mutants}
+DIR=${DIR%/}
 TREE=$DIR/tree
+mkdir -p "$(dirname "$DIR")"
+exec 9>"$DIR.lock"
+if ! flock -n 9; then
+	echo "mutants: another run is using $DIR (it holds $DIR.lock); wait for it or pass another work directory" >&2
+	exit 2
+fi
 rm -rf "$DIR" && mkdir -p "$TREE"
 tar -C "$ROOT" --exclude=./.git --exclude=./bench/out -cf - . | tar -C "$TREE" -xf -
 
@@ -53,7 +62,8 @@ MUTATIONS=(
 	"the hot tier keeps an entry across Store|internal/service/hot.go|internal/service|^TestCorruptEntryLeavesTheTier\$|s~\tif el := h.entries\[hash\]; el != nil \{\n\t\th.remove\(el\)\n\t\}\n\th.mu.Unlock\(\)\n\treturn h.backend.Store~\th.mu.Unlock()\n\treturn h.backend.Store~"
 	"the hot tier caches a miss|internal/service/hot.go|internal/service|^TestHotTierNeverCachesAMiss\$|s~if err != nil \|\| data == nil \{~if err != nil {~"
 	"the resident replay drops KindCacheHit|internal/campaign/run.go|internal/service|^TestResidentReplayStream\$|s~\tobs.Emit\(o, obs.Event\{Kind: obs.KindCacheHit, [^\n]*\n~~"
-	"the kept outcome is not charged to the budget|internal/service/store.go|internal/service|^TestKeptOutcomeIsCharged\$|s~n := outcomeSize\(out\)~n := int64(0)~"
+	"the kept stream is not charged to the budget|internal/service/store.go|internal/service|^TestKeptStreamIsCharged\$|s~n := kept.size\(\)~n := int64(0)~"
+	"the resident stream's Content-Length leaves out the head line|internal/service/http.go|internal/service|^TestResidentReplayStream\$|s~strconv.Itoa\(len\(head\)\+len\(stream\)\)~strconv.Itoa(len(stream))~"
 	"Execute instantiates every owned cell, not only the missing ones|internal/campaign/run.go|internal/campaign|^TestGraphsAreBuiltOnDemand\$|s~in, err := p.Instantiate\(opts.Observer, missing\)~owned := make([]int, 0, hi-lo)\n\t\tfor i := lo; i < hi; i++ {\n\t\t\towned = append(owned, i)\n\t\t}\n\t\tin, err := p.Instantiate(opts.Observer, owned)~"
 	"an instance's trial closures drop the run's observer|internal/campaign/instance.go|internal/campaign|^TestEachRunObservesItsOwnTrials\$|s~engine.NewCell\(in.cfg, ~engine.NewCell(p.cfg, ~"
 )

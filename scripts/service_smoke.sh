@@ -8,9 +8,9 @@
 # the same spec must be 100% cache hits with a whole, uncut progress
 # stream, and its artifacts, now served from the artifact store, the same
 # bytes again; its 12 loads fill the hot tier from disk, and the store
-# keeps its outcome. Twenty more re-POSTs must replay that outcome from
-# memory: the same stream bytes, no load of the tier or the disk, and
-# the store still holding one set. A POST at another seed (all misses)
+# keeps its stream. Twenty more re-POSTs must be served that stream from
+# memory: the same bytes, in a body whose Content-Length is its length,
+# no load of the tier or the disk, and the store still holding one set. A POST at another seed (all misses)
 # must make it two and leave the tier as it was, and SIGTERM must stop
 # the daemon cleanly. Usage: scripts/service_smoke.sh [workdir]
 set -euo pipefail
@@ -83,13 +83,17 @@ curl -fsS "$BASE/v1/cache" | jq -e '.entries == 12 and .hot_entries == 12 and .h
 
 # The store follows distinct sources, not POSTs: twenty more runs of the
 # same file still hold one artifact set, another seed makes it two. They
-# replay the warm run's kept outcome: each streams the warm run's events,
-# byte for byte, and none loads an entry from the tier or the disk.
+# are served the warm run's kept stream: each streams the warm run's
+# events, byte for byte, and none loads an entry from the tier or the
+# disk. The last one's headers are kept: its body has a known length.
 for _ in $(seq 1 20); do
-    curl -fsSN -X POST --data-binary @"$CAMPAIGN" "$BASE/v1/runs?stream=1" > "$DIR/resident-stream.jsonl"
+    curl -fsSN -D "$DIR/resident-headers.txt" -X POST --data-binary @"$CAMPAIGN" "$BASE/v1/runs?stream=1" > "$DIR/resident-stream.jsonl"
 done
 cmp <(tail -n +2 "$DIR/warm-stream.jsonl") <(tail -n +2 "$DIR/resident-stream.jsonl") \
     || { echo "a resident re-POST streamed other events than the warm re-POST"; exit 1; }
+LENGTH=$(tr -d '\r' < "$DIR/resident-headers.txt" | sed -n 's/^[Cc]ontent-[Ll]ength: *//p')
+[ -n "$LENGTH" ] && [ "$LENGTH" -eq "$(wc -c < "$DIR/resident-stream.jsonl")" ] \
+    || { echo "a resident re-POST declared Content-Length '$LENGTH' for $(wc -c < "$DIR/resident-stream.jsonl") bytes"; exit 1; }
 curl -fsS "$BASE/v1/runs" | jq -e 'length == 22 and all(.state == "done") and all(.[1:][]; .cache_hits == 12 and .cache_misses == 0)' >/dev/null \
     || { echo "the re-POSTs did not all finish fully cached"; exit 1; }
 curl -fsS "$BASE/v1/cache" | jq -e '.artifact_entries == 1 and .artifact_bytes > 0' >/dev/null \
@@ -109,4 +113,4 @@ wait "$DAEMON"
 trap - EXIT
 grep -q 'sscampaignd: stopped' "$DIR/daemon.log"
 
-echo "service smoke OK: served jsonl, events, table and csv byte-identical to the CLI runs, cold and from the store; warm re-POST fully cached with a whole stream; re-POSTs replayed from memory; one artifact set per source; clean SIGTERM drain"
+echo "service smoke OK: served jsonl, events, table and csv byte-identical to the CLI runs, cold and from the store; warm re-POST fully cached with a whole stream; re-POSTs served the kept stream from memory, with its Content-Length; one artifact set per source; clean SIGTERM drain"
