@@ -54,6 +54,7 @@ fuzz-smoke: ## Short native fuzz pass over the fuzz targets
 	$(GO) test ./internal/rng -fuzz FuzzAppendSubsetNonEmpty -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/campaign -fuzz FuzzParseCampaign -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/campaign -fuzz FuzzDecodeEntry -fuzztime $(FUZZTIME) -run '^$$'
+	$(GO) test ./internal/campaign -fuzz FuzzDecodeRendered -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/obs -fuzz FuzzAppendJSONString -fuzztime $(FUZZTIME) -run '^$$'
 	$(GO) test ./internal/model -fuzz FuzzSimulatorVsReference -fuzztime $(FUZZTIME) -run '^$$'
 
@@ -64,39 +65,48 @@ MUTANTS_DIR ?= /tmp/mutants
 mutants: ## Engine and predicate mutations the tests must each catch
 	bash scripts/mutants.sh $(MUTANTS_DIR)
 
-# Campaign smoke: run the bundled quickstart campaign twice against one
-# cache directory; the second run must be 100% cache hits and both runs
-# must produce byte-identical JSONL and table output. This is the
-# end-to-end proof of the campaign subsystem's resume contract, cheap
-# enough for every push.
+# Campaign smoke: run the bundled quickstart campaign three times
+# against one cache directory. The cold run fills it with cell entries
+# and, having written -events, with the rendered entry. The rendered
+# entry is then removed, so the second run goes through the cell path
+# (100% cache hits, replayed and rendered again) and rewrites it; the
+# cell entries are then removed, so the third run's hits can only come
+# from the rendered entry (written back without decoding, replaying or
+# rendering). All three runs must produce byte-identical JSONL, event
+# log and table output. This is the end-to-end proof of the campaign
+# subsystem's resume contract, cheap enough for every push.
 CAMPAIGN_SMOKE_DIR ?= /tmp/campaign-smoke
-campaign-smoke: ## Quickstart campaign twice: resume contract end to end
+campaign-smoke: ## Quickstart campaign cold, cell-warm and rendered-warm: resume contract end to end
 	rm -rf $(CAMPAIGN_SMOKE_DIR) && mkdir -p $(CAMPAIGN_SMOKE_DIR)
-	$(GO) run ./cmd/sscampaign -cache $(CAMPAIGN_SMOKE_DIR)/cache -jsonl $(CAMPAIGN_SMOKE_DIR)/run1.jsonl \
-		examples/campaigns/quickstart.campaign > $(CAMPAIGN_SMOKE_DIR)/table1.txt 2> $(CAMPAIGN_SMOKE_DIR)/status1.txt
-	$(GO) run ./cmd/sscampaign -cache $(CAMPAIGN_SMOKE_DIR)/cache -jsonl $(CAMPAIGN_SMOKE_DIR)/run2.jsonl \
-		examples/campaigns/quickstart.campaign > $(CAMPAIGN_SMOKE_DIR)/table2.txt 2> $(CAMPAIGN_SMOKE_DIR)/status2.txt
-	cmp $(CAMPAIGN_SMOKE_DIR)/run1.jsonl $(CAMPAIGN_SMOKE_DIR)/run2.jsonl
-	cmp $(CAMPAIGN_SMOKE_DIR)/table1.txt $(CAMPAIGN_SMOKE_DIR)/table2.txt
-	grep -q ', cache 0 hits' $(CAMPAIGN_SMOKE_DIR)/status1.txt
-	grep -Eq ', cache [1-9][0-9]* hits, 0 misses' $(CAMPAIGN_SMOKE_DIR)/status2.txt
-	$(GO) run ./cmd/sscampaign -cache $(CAMPAIGN_SMOKE_DIR)/cache -jsonl $(CAMPAIGN_SMOKE_DIR)/churn1.jsonl \
-		examples/campaigns/churn.campaign > $(CAMPAIGN_SMOKE_DIR)/churn-table1.txt 2> $(CAMPAIGN_SMOKE_DIR)/churn-status1.txt
-	$(GO) run ./cmd/sscampaign -cache $(CAMPAIGN_SMOKE_DIR)/cache -jsonl $(CAMPAIGN_SMOKE_DIR)/churn2.jsonl \
-		examples/campaigns/churn.campaign > $(CAMPAIGN_SMOKE_DIR)/churn-table2.txt 2> $(CAMPAIGN_SMOKE_DIR)/churn-status2.txt
-	cmp $(CAMPAIGN_SMOKE_DIR)/churn1.jsonl $(CAMPAIGN_SMOKE_DIR)/churn2.jsonl
-	cmp $(CAMPAIGN_SMOKE_DIR)/churn-table1.txt $(CAMPAIGN_SMOKE_DIR)/churn-table2.txt
-	grep -Eq ', cache [1-9][0-9]* hits, 0 misses' $(CAMPAIGN_SMOKE_DIR)/churn-status2.txt
-	@echo "campaign smoke OK: byte-identical output, second runs fully cached (churn included)"
+	@set -e; for c in quickstart churn; do \
+		d=$(CAMPAIGN_SMOKE_DIR)/$$c; mkdir -p $$d; \
+		for run in cold cell rendered; do \
+			if [ $$run = cell ]; then rm -f $$d/cache/*.ssr1; fi; \
+			if [ $$run = rendered ]; then rm -f $$d/cache/*.ssc4; fi; \
+			$(GO) run ./cmd/sscampaign -cache $$d/cache -jsonl $$d/$$run.jsonl -events $$d/$$run.events \
+				examples/campaigns/$$c.campaign > $$d/$$run.table 2> $$d/$$run.status; \
+		done; \
+		for run in cell rendered; do \
+			for ext in jsonl events table; do cmp $$d/cold.$$ext $$d/$$run.$$ext; done; \
+			grep -Eq ', cache [1-9][0-9]* hits, 0 misses' $$d/$$run.status; \
+		done; \
+		grep -q ', cache 0 hits' $$d/cold.status; \
+		ls $$d/cache/*.ssr1 > /dev/null; \
+	done
+	@echo "campaign smoke OK: byte-identical output cold, cell-warm and rendered-warm (churn included)"
 
 # Events smoke: the end-to-end proof of the canonical event log's
 # determinism contract (internal/obs). The quickstart campaign runs
-# three times — cold at parallelism 1 (populating a cache), uncached at
-# parallelism 4, and fully warm at parallelism 4 — and all three -events
-# logs must be byte-identical: scheduling must not reorder the log, and
-# cache hits must replay the exact events a compute pass emits. The
-# committed golden event log (internal/experiment/testdata) re-verifies
-# as part of the same target.
+# four times: cold at parallelism 1 (populating a cache with cell
+# entries and the rendered entry), uncached at parallelism 4, warm at
+# parallelism 4 with the rendered entry removed (every cell a cache hit
+# whose events are replayed), and warm again with the cell entries
+# removed (served by the rendered entry alone). All four -events logs
+# must be byte-identical: scheduling must not reorder the log, and cache
+# hits must replay the exact events a compute pass emits. The churn
+# campaign repeats the three cache states. The committed golden event
+# log (internal/experiment/testdata) re-verifies as part of the same
+# target.
 EVENTS_SMOKE_DIR ?= /tmp/events-smoke
 events-smoke: ## Event-log byte-identity across parallelism and cache state
 	rm -rf $(EVENTS_SMOKE_DIR) && mkdir -p $(EVENTS_SMOKE_DIR)
@@ -104,19 +114,31 @@ events-smoke: ## Event-log byte-identity across parallelism and cache state
 		examples/campaigns/quickstart.campaign > /dev/null 2> $(EVENTS_SMOKE_DIR)/status1.txt
 	$(GO) run ./cmd/sscampaign -parallelism 4 -events $(EVENTS_SMOKE_DIR)/p4.events \
 		examples/campaigns/quickstart.campaign > /dev/null 2> $(EVENTS_SMOKE_DIR)/status2.txt
+	rm -f $(EVENTS_SMOKE_DIR)/cache/*.ssr1
 	$(GO) run ./cmd/sscampaign -parallelism 4 -cache $(EVENTS_SMOKE_DIR)/cache -events $(EVENTS_SMOKE_DIR)/warm.events \
 		examples/campaigns/quickstart.campaign > /dev/null 2> $(EVENTS_SMOKE_DIR)/status3.txt
+	rm -f $(EVENTS_SMOKE_DIR)/cache/*.ssc4
+	$(GO) run ./cmd/sscampaign -parallelism 4 -cache $(EVENTS_SMOKE_DIR)/cache -events $(EVENTS_SMOKE_DIR)/rendered.events \
+		examples/campaigns/quickstart.campaign > /dev/null 2> $(EVENTS_SMOKE_DIR)/status4.txt
 	cmp $(EVENTS_SMOKE_DIR)/cold.events $(EVENTS_SMOKE_DIR)/p4.events
 	cmp $(EVENTS_SMOKE_DIR)/cold.events $(EVENTS_SMOKE_DIR)/warm.events
+	cmp $(EVENTS_SMOKE_DIR)/cold.events $(EVENTS_SMOKE_DIR)/rendered.events
 	grep -Eq ', cache [1-9][0-9]* hits, 0 misses' $(EVENTS_SMOKE_DIR)/status3.txt
+	grep -Eq ', cache [1-9][0-9]* hits, 0 misses' $(EVENTS_SMOKE_DIR)/status4.txt
 	$(GO) run ./cmd/sscampaign -parallelism 1 -cache $(EVENTS_SMOKE_DIR)/churn-cache -events $(EVENTS_SMOKE_DIR)/churn-cold.events \
 		examples/campaigns/churn.campaign > /dev/null 2> $(EVENTS_SMOKE_DIR)/churn-status1.txt
+	rm -f $(EVENTS_SMOKE_DIR)/churn-cache/*.ssr1
 	$(GO) run ./cmd/sscampaign -parallelism 4 -cache $(EVENTS_SMOKE_DIR)/churn-cache -events $(EVENTS_SMOKE_DIR)/churn-warm.events \
 		examples/campaigns/churn.campaign > /dev/null 2> $(EVENTS_SMOKE_DIR)/churn-status2.txt
+	rm -f $(EVENTS_SMOKE_DIR)/churn-cache/*.ssc4
+	$(GO) run ./cmd/sscampaign -parallelism 4 -cache $(EVENTS_SMOKE_DIR)/churn-cache -events $(EVENTS_SMOKE_DIR)/churn-rendered.events \
+		examples/campaigns/churn.campaign > /dev/null 2> $(EVENTS_SMOKE_DIR)/churn-status3.txt
 	cmp $(EVENTS_SMOKE_DIR)/churn-cold.events $(EVENTS_SMOKE_DIR)/churn-warm.events
+	cmp $(EVENTS_SMOKE_DIR)/churn-cold.events $(EVENTS_SMOKE_DIR)/churn-rendered.events
 	grep -Eq ', cache [1-9][0-9]* hits, 0 misses' $(EVENTS_SMOKE_DIR)/churn-status2.txt
+	grep -Eq ', cache [1-9][0-9]* hits, 0 misses' $(EVENTS_SMOKE_DIR)/churn-status3.txt
 	$(GO) test ./internal/experiment -run TestGoldenEvents
-	@echo "events smoke OK: logs byte-identical across parallelism 1/4 and cold/warm cache (churn included)"
+	@echo "events smoke OK: logs byte-identical across parallelism 1/4 and cold, cell-warm and rendered-warm caches (churn included)"
 
 # Large-n scale smoke: drive the E22 headline cell — a 10⁶-process torus
 # under synchronous COLORING — to a legitimate silent configuration and

@@ -25,6 +25,14 @@
 // is timestamped live diagnostics and deliberately does not. Cache
 // statistics go to stderr, never stdout.
 //
+// Rendered entries: with -cache, a run that writes the canonical log
+// (-events) also keeps every output it can render (the event log, the
+// JSONL, the table and the CSV) as one file in the cache directory,
+// keyed by the source bytes and the shard. A later run of the same
+// source at -log-level off is served from that file: no parse, compile,
+// cell load, replay or render. Any other log level, or a missing or
+// damaged entry, runs the campaign (which rewrites the entry).
+//
 // SIGINT/SIGTERM drain: no new cell starts, the cells in flight finish
 // and, with -cache, persist; the run then exits non-zero having written
 // no output, and the same command resumes from the cached cells. A
@@ -119,7 +127,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *jsonlPath != "" && *jsonlPath == *eventsPath {
 		return fmt.Errorf("-jsonl and -events both name %s: the records would overwrite the event log", *jsonlPath)
 	}
-	observer, replay, err := buildObserver(*eventsPath, *logLevel, stderr)
+	observer, replay, logged, err := buildObserver(*eventsPath, *logLevel, stderr)
+	if err != nil {
+		return err
+	}
+	shard, shards, err := parseShard(*shardSpec)
 	if err != nil {
 		return err
 	}
@@ -127,6 +139,35 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	outs := outputs{events: *eventsPath, jsonl: *jsonlPath, csv: *csvOut}
+	status := func(name string, cells, owned, hits, misses int) {
+		line := fmt.Sprintf("campaign %s: %d cells", name, cells)
+		if shards > 1 {
+			line += fmt.Sprintf(", shard %d/%d owns %d", shard, shards, owned)
+		}
+		if *cacheDir != "" {
+			line += fmt.Sprintf(", cache %d hits, %d misses", hits, misses)
+		}
+		fmt.Fprintln(stderr, line)
+	}
+
+	// A repeated run is served its rendered entry: one file read, and no
+	// parse, compile, cell load, event replay or render. A live log wants
+	// the per-cell events, so it runs the campaign; so does a damaged or
+	// unreadable entry, which that run rewrites.
+	var key string
+	if cache != nil && !*printSpec {
+		key = campaign.RenderedKey(src, shard, shards)
+	}
+	if key != "" && !logged {
+		if r, _ := campaign.LoadRendered(*cacheDir, key); r != nil {
+			status(r.Name, r.Cells, r.Owned, r.Owned, 0)
+			return outs.write(stdout, func(dst [campaign.NumSections]io.Writer) error {
+				return writeSections(dst, r.WriteSection)
+			})
+		}
+	}
+
 	spec, err := campaign.Parse(string(src))
 	if err != nil {
 		return err
@@ -135,11 +176,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		_, err := io.WriteString(stdout, spec.String())
 		return err
 	}
-	shard, shards, err := parseShard(*shardSpec)
-	if err != nil {
-		return err
-	}
-
 	plan, err := campaign.Compile(spec, *parallelism)
 	if err != nil {
 		return err
@@ -148,76 +184,109 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if replay != nil {
-		if err := writeEvents(*eventsPath, replay, stdout); err != nil {
+	status(spec.Name, len(plan.Cells), len(out.Results), out.CacheHits, out.CacheMisses)
+
+	render := func(s int, w io.Writer) error {
+		switch s {
+		case campaign.SectionEvents:
+			return replay.WriteCanonical(w)
+		case campaign.SectionJSONL:
+			return out.WriteJSONL(w)
+		case campaign.SectionTable:
+			_, err := io.WriteString(w, out.Table().String())
+			return err
+		default:
+			return out.Table().CSV(w)
+		}
+	}
+	return outs.write(stdout, func(dst [campaign.NumSections]io.Writer) error {
+		// A run that wrote the canonical log has every section at hand:
+		// it keeps them all as the rendered entry the next run is served.
+		if key != "" && replay != nil {
+			return campaign.StoreRendered(*cacheDir, key, spec.Name, len(plan.Cells), len(out.Results), dst, render)
+		}
+		return writeSections(dst, render)
+	})
+}
+
+// outputs are the destinations the output flags name.
+type outputs struct {
+	events, jsonl string
+	csv           bool
+}
+
+// write opens the destinations, one per rendered section in section
+// order (nil: the section is not written), hands them to fill and
+// closes the files among them. The table goes to stdout unless another
+// section claims it.
+func (o outputs) write(stdout io.Writer, fill func(dst [campaign.NumSections]io.Writer) error) (err error) {
+	var files []*os.File
+	defer func() {
+		for _, f := range files {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+	}()
+	open := func(path string) (io.Writer, error) {
+		if path == "-" {
+			return stdout, nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+		return f, nil
+	}
+	var dst [campaign.NumSections]io.Writer
+	if o.events != "" {
+		if dst[campaign.SectionEvents], err = open(o.events); err != nil {
 			return err
 		}
 	}
-
-	status := fmt.Sprintf("campaign %s: %d cells", spec.Name, len(plan.Cells))
-	if shards > 1 {
-		status += fmt.Sprintf(", shard %d/%d owns %d", shard, shards, len(out.Results))
-	}
-	if *cacheDir != "" {
-		status += fmt.Sprintf(", cache %d hits, %d misses", out.CacheHits, out.CacheMisses)
-	}
-	fmt.Fprintln(stderr, status)
-
-	if *eventsPath == "-" {
-		return nil // the event log owns stdout
-	}
-	if *jsonlPath == "-" {
-		return out.WriteJSONL(stdout)
-	}
-	if *jsonlPath != "" {
-		if err := writeFile(*jsonlPath, out.WriteJSONL); err != nil {
+	if o.jsonl != "" {
+		if dst[campaign.SectionJSONL], err = open(o.jsonl); err != nil {
 			return err
 		}
 	}
-	if *csvOut {
-		return out.Table().CSV(stdout)
+	switch {
+	case o.csv:
+		dst[campaign.SectionCSV] = stdout
+	case o.events != "-" && o.jsonl != "-":
+		dst[campaign.SectionTable] = stdout
 	}
-	_, err = fmt.Fprint(stdout, out.Table().String())
-	return err
+	return fill(dst)
+}
+
+// writeSections renders each section that has a destination into it.
+func writeSections(dst [campaign.NumSections]io.Writer, render func(section int, w io.Writer) error) error {
+	for s, w := range dst {
+		if w != nil {
+			if err := render(s, w); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // buildObserver assembles the run's event sinks from the -events and
 // -log-level flags: a ReplaySink buffering the canonical log (nil when
-// -events is unset) teed with a live slog JSON sink on stderr.
-func buildObserver(eventsPath, logLevel string, stderr io.Writer) (obs.Observer, *obs.ReplaySink, error) {
-	var replay *obs.ReplaySink
+// -events is unset) teed with a live slog JSON sink on stderr (logged
+// reports whether there is one).
+func buildObserver(eventsPath, logLevel string, stderr io.Writer) (o obs.Observer, replay *obs.ReplaySink, logged bool, err error) {
 	if eventsPath != "" {
 		replay = obs.NewReplaySink()
 	}
 	logSink, err := obs.LogLevelSink(logLevel, stderr)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	if replay == nil {
-		return obs.Tee(logSink), nil, nil
+		return obs.Tee(logSink), nil, logSink != nil, nil
 	}
-	return obs.Tee(replay, logSink), replay, nil
-}
-
-// writeEvents flushes the canonical event log to path ("-": stdout).
-func writeEvents(path string, replay *obs.ReplaySink, stdout io.Writer) error {
-	if path == "-" {
-		return replay.WriteCanonical(stdout)
-	}
-	return writeFile(path, replay.WriteCanonical)
-}
-
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.Tee(replay, logSink), replay, logSink != nil, nil
 }
 
 // parseShard parses "i/n" ("" means run everything). Parsing is strict

@@ -87,12 +87,16 @@ func TestRunCSV(t *testing.T) {
 	}
 }
 
+// TestRunCacheAndShard: a shard's cells serve the unsharded run from the
+// cache, but the shard's rendered entry does not: its outputs are the
+// shard's alone.
 func TestRunCacheAndShard(t *testing.T) {
 	var errOut strings.Builder
 	path := writeCampaign(t, testSrc)
-	cache := filepath.Join(t.TempDir(), "cache")
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
 	var first strings.Builder
-	if err := run(context.Background(), []string{"-cache", cache, "-shard", "0/2", path}, &first, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-cache", cache, "-shard", "0/2", "-events", filepath.Join(dir, "shard.events"), path}, &first, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), "shard 0/2 owns 1") || !strings.Contains(errOut.String(), "cache 0 hits, 1 misses") {
@@ -101,11 +105,124 @@ func TestRunCacheAndShard(t *testing.T) {
 	// Unsharded resume: the shard's cell hits, the other misses.
 	errOut.Reset()
 	var second strings.Builder
-	if err := run(context.Background(), []string{"-cache", cache, path}, &second, &errOut); err != nil {
+	if err := run(context.Background(), []string{"-cache", cache, "-events", filepath.Join(dir, "whole.events"), path}, &second, &errOut); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut.String(), "cache 1 hits, 1 misses") {
 		t.Fatalf("resume status wrong:\n%s", errOut.String())
+	}
+}
+
+// runOut runs one command line to success and returns its stdout and
+// stderr.
+func runOut(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errOut strings.Builder
+	if err := run(context.Background(), args, &out, &errOut); err != nil {
+		t.Fatalf("sscampaign %s: %v", strings.Join(args, " "), err)
+	}
+	return out.String(), errOut.String()
+}
+
+// renderedEntries lists a cache directory's rendered entries.
+func renderedEntries(t *testing.T, cache string) []string {
+	t.Helper()
+	entries, err := filepath.Glob(filepath.Join(cache, "*.ssr1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return entries
+}
+
+// TestRunRenderedHit: a run with -events keeps a rendered entry, and
+// later runs of the source are served from it (the table, -csv, -jsonl -
+// and -events -) byte for byte as an uncached run prints them. The cell
+// entries are deleted first, so only the rendered entry can report hits.
+func TestRunRenderedHit(t *testing.T) {
+	path := writeCampaign(t, testSrc)
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	runOut(t, "-cache", cache, "-events", filepath.Join(dir, "cold.events"), path)
+	if n := len(renderedEntries(t, cache)); n != 1 {
+		t.Fatalf("cold run with -events kept %d rendered entries, want 1", n)
+	}
+	cells, _ := filepath.Glob(filepath.Join(cache, "*.ssc4"))
+	for _, c := range cells {
+		os.Remove(c)
+	}
+	for _, flags := range [][]string{nil, {"-csv"}, {"-jsonl", "-"}, {"-events", "-"}} {
+		want, _ := runOut(t, append(flags, path)...)
+		got, status := runOut(t, append(append([]string{"-cache", cache}, flags...), path)...)
+		if got != want {
+			t.Errorf("served %v differs from an uncached run:\n%s\n---\n%s", flags, got, want)
+		}
+		if !strings.Contains(status, "campaign clitest: 2 cells, cache 2 hits, 0 misses") {
+			t.Errorf("served %v status: %s", flags, status)
+		}
+	}
+	if n, _, _ := campaign.CacheEntries(cache); n != 0 {
+		t.Fatalf("served runs wrote %d cell entries", n)
+	}
+}
+
+// TestRunRenderedDamaged: a damaged rendered entry is a miss. The run
+// takes the cell path, writes the bytes the cold run wrote and rewrites
+// the entry.
+func TestRunRenderedDamaged(t *testing.T) {
+	path := writeCampaign(t, testSrc)
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	outputs := func(tag string) []string {
+		return []string{"-cache", cache, "-jsonl", filepath.Join(dir, tag+".jsonl"), "-events", filepath.Join(dir, tag+".events"), path}
+	}
+	wantTable, _ := runOut(t, outputs("cold")...)
+	entries := renderedEntries(t, cache)
+	if len(entries) != 1 {
+		t.Fatalf("cold run kept %d rendered entries, want 1", len(entries))
+	}
+	valid, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := bytes.Clone(valid)
+	damaged[len(damaged)/2] ^= 0x04 // inside the sections
+	if err := os.WriteFile(entries[0], damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	table, status := runOut(t, outputs("warm")...)
+	if !strings.Contains(status, "cache 2 hits, 0 misses") {
+		t.Fatalf("run over a damaged entry: %s", status)
+	}
+	if table != wantTable {
+		t.Fatalf("table over a damaged entry differs:\n%s\n---\n%s", table, wantTable)
+	}
+	for _, ext := range []string{".jsonl", ".events"} {
+		a, errA := os.ReadFile(filepath.Join(dir, "cold"+ext))
+		b, errB := os.ReadFile(filepath.Join(dir, "warm"+ext))
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("warm%s over a damaged entry differs from cold%s (%v, %v)", ext, ext, errA, errB)
+		}
+	}
+	if rewritten, err := os.ReadFile(entries[0]); err != nil || !bytes.Equal(rewritten, valid) {
+		t.Fatalf("the damaged entry was not rewritten (%v)", err)
+	}
+}
+
+// TestRunLogLevelBypassesRendered: a live log asks for per-cell events,
+// so a run with -log-level info goes through the cell path even when a
+// rendered entry could serve it, and prints the same bytes.
+func TestRunLogLevelBypassesRendered(t *testing.T) {
+	path := writeCampaign(t, testSrc)
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	want, _ := runOut(t, "-cache", cache, "-events", filepath.Join(dir, "cold.events"), path)
+	got, status := runOut(t, "-cache", cache, "-log-level", "info", path)
+	if !strings.Contains(status, `"msg":"cell-finish"`) {
+		t.Fatalf("-log-level info over a rendered entry logged no cell events:\n%s", status)
+	}
+	if got != want {
+		t.Fatalf("-log-level info table differs:\n%s\n---\n%s", got, want)
 	}
 }
 
@@ -233,6 +350,14 @@ func TestRunEventsStdout(t *testing.T) {
 	if strings.Contains(out.String(), "cells ×") {
 		t.Fatal("-events - must suppress the table")
 	}
+	// A -jsonl file beside it is still written.
+	jsonl := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := run(context.Background(), []string{"-events", "-", "-jsonl", jsonl, writeCampaign(t, testSrc)}, &out, &errOut); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(jsonl); err != nil || bytes.Count(data, []byte{'\n'}) != 4 {
+		t.Fatalf("-events - with -jsonl FILE: %d lines in the file (%v), want 4", bytes.Count(data, []byte{'\n'}), err)
+	}
 }
 
 // TestRunLogLevel: -log-level emits timestamped slog JSON on stderr,
@@ -332,6 +457,9 @@ func TestRunDrainsOnCancelAndResumes(t *testing.T) {
 	}
 	if n, _, err := campaign.CacheEntries(cache); err != nil || n != 2 {
 		t.Fatalf("cache holds %d cells after the interrupt (err %v), want the 2 that finished", n, err)
+	}
+	if entries := renderedEntries(t, cache); len(entries) != 0 {
+		t.Fatalf("interrupted run kept rendered entries %v", entries)
 	}
 
 	var resumed, resumedErr strings.Builder

@@ -66,6 +66,9 @@ MUTATIONS=(
 	"the resident stream's Content-Length leaves out the head line|internal/service/http.go|internal/service|^TestResidentReplayStream\$|s~strconv.Itoa\(len\(head\)\+len\(stream\)\)~strconv.Itoa(len(stream))~"
 	"Execute instantiates every owned cell, not only the missing ones|internal/campaign/run.go|internal/campaign|^TestGraphsAreBuiltOnDemand\$|s~in, err := p.Instantiate\(opts.Observer, missing\)~owned := make([]int, 0, hi-lo)\n\t\tfor i := lo; i < hi; i++ {\n\t\t\towned = append(owned, i)\n\t\t}\n\t\tin, err := p.Instantiate(opts.Observer, owned)~"
 	"an instance's trial closures drop the run's observer|internal/campaign/instance.go|internal/campaign|^TestEachRunObservesItsOwnTrials\$|s~engine.NewCell\(in.cfg, ~engine.NewCell(p.cfg, ~"
+	"the rendered key omits the shard|internal/campaign/rendered.go|cmd/sscampaign|^TestRunCacheAndShard\$|s~\tbuf = appendIntLine\(buf, \"shard=\", shard\)\n\tbuf = append\(buf, '/'\)\n\tbuf = strconv.AppendInt\(buf, int64\(shards\), 10\)\n~\t_ = strconv.AppendInt\n~"
+	"the rendered decode skips the CRC|internal/campaign/rendered.go|cmd/sscampaign|^TestRunRenderedDamaged\$|s~if crc32.ChecksumIEEE\(body\) != binary.BigEndian.Uint32\(sum\) \{~if len(sum) != checksumSize {~"
+	"a non-off -log-level takes the rendered path|cmd/sscampaign/main.go|cmd/sscampaign|^TestRunLogLevelBypassesRendered\$|s~\tif key != \"\" && !logged \{~\t_ = logged\n\tif key != \"\" {~"
 )
 
 fail=0
