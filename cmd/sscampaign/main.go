@@ -15,7 +15,7 @@
 //	sscampaign -print file.campaign          # canonical spec, no execution
 //	sscampaign -events run.events file.campaign   # canonical event log ("-": stdout)
 //	sscampaign -log-level debug file.campaign     # slog JSON events on stderr
-//	sscampaign -cache .campaign-cache -cache-stats   # entry count + bytes, no run
+//	sscampaign -cache .campaign-cache -cache-stats   # cell and rendered entry counts + bytes, no run
 //
 // Determinism: for a fixed campaign file the output bytes are identical
 // across -parallelism values and across cache states, and concatenating
@@ -27,8 +27,9 @@
 //
 // Rendered entries: with -cache, a run that writes the canonical log
 // (-events) also keeps every output it can render (the event log, the
-// JSONL, the table and the CSV) as one file in the cache directory,
-// keyed by the source bytes and the shard. A later run of the same
+// JSONL, the table, the CSV and the progress stream sscampaignd serves a
+// POST of the source) as one file in the cache directory, keyed by the
+// source bytes and the shard. A later run of the same
 // source at -log-level off is served from that file: no parse, compile,
 // cell load, replay or render. Any other log level, or a missing or
 // damaged entry, runs the campaign (which rewrites the entry).
@@ -80,7 +81,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		printSpec   = fs.Bool("print", false, "parse, print the canonical campaign spec and exit without running")
 		eventsPath  = fs.String("events", "", "write the canonical deterministic event log to this path (\"-\": stdout, suppresses the table)")
 		logLevel    = fs.String("log-level", "off", "live slog JSON events on stderr: off, info (cell granularity) or debug (every trial)")
-		cacheStats  = fs.Bool("cache-stats", false, "print the -cache directory's entry count and total bytes, then exit")
+		cacheStats  = fs.Bool("cache-stats", false, "print the -cache directory's cell entry and rendered entry counts and bytes, then exit")
 		cpuProfile  = prof.Flag(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -102,7 +103,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		_, err = fmt.Fprintf(stdout, "cache %s: %d entries, %d bytes\n", *cacheDir, entries, size)
+		rendered, renderedSize, err := campaign.NewDirBackend(*cacheDir).RenderedStats()
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(stdout, "cache %s: %d entries, %d bytes; %d rendered entries, %d bytes\n",
+			*cacheDir, entries, size, rendered, renderedSize)
 		return err
 	}
 	if fs.NArg() != 1 {
@@ -160,7 +166,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		key = campaign.RenderedKey(src, shard, shards)
 	}
 	if key != "" && !logged {
-		if r, _ := campaign.LoadRendered(*cacheDir, key); r != nil {
+		if r, _ := campaign.LoadRendered(cache, key); r != nil {
 			status(r.Name, r.Cells, r.Owned, r.Owned, 0)
 			return outs.write(stdout, func(dst [campaign.NumSections]io.Writer) error {
 				return writeSections(dst, r.WriteSection)
@@ -186,24 +192,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	status(spec.Name, len(plan.Cells), len(out.Results), out.CacheHits, out.CacheMisses)
 
-	render := func(s int, w io.Writer) error {
-		switch s {
-		case campaign.SectionEvents:
-			return replay.WriteCanonical(w)
-		case campaign.SectionJSONL:
-			return out.WriteJSONL(w)
-		case campaign.SectionTable:
-			_, err := io.WriteString(w, out.Table().String())
-			return err
-		default:
-			return out.Table().CSV(w)
-		}
-	}
+	render := out.Render(replay)
 	return outs.write(stdout, func(dst [campaign.NumSections]io.Writer) error {
 		// A run that wrote the canonical log has every section at hand:
-		// it keeps them all as the rendered entry the next run is served.
+		// it keeps them all, with the stream a daemon serves a POST of the
+		// source, as the rendered entry the next run is served.
 		if key != "" && replay != nil {
-			return campaign.StoreRendered(*cacheDir, key, spec.Name, len(plan.Cells), len(out.Results), dst, render)
+			_, err := campaign.StoreRendered(cache, key, spec.Name, len(plan.Cells), len(out.Results), dst, render)
+			return err
 		}
 		return writeSections(dst, render)
 	})

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -237,19 +239,25 @@ func TestRunCacheStats(t *testing.T) {
 	if err := run(context.Background(), []string{"-cache", cache, "-cache-stats"}, &out, &errOut); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "0 entries, 0 bytes") {
+	if !strings.Contains(out.String(), "0 entries, 0 bytes; 0 rendered entries, 0 bytes") {
 		t.Fatalf("empty cache stats wrong:\n%s", out.String())
 	}
 
-	if err := run(context.Background(), []string{"-cache", cache, path}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run(context.Background(), []string{"-cache", cache, "-cache-stats"}, &out, &errOut); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "2 entries") || strings.Contains(out.String(), " 0 bytes") {
-		t.Fatalf("populated cache stats wrong:\n%s", out.String())
+	// A run without -events stores the cells alone; one with it, the
+	// rendered entry too, which the stats count apart.
+	populated := regexp.MustCompile(`: 2 entries, [1-9][0-9]* bytes; (\d+) rendered entries, (\d+) bytes\n$`)
+	for i, flags := range [][]string{nil, {"-events", filepath.Join(t.TempDir(), "run.events")}} {
+		if err := run(context.Background(), append(append([]string{"-cache", cache}, flags...), path), &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		out.Reset()
+		if err := run(context.Background(), []string{"-cache", cache, "-cache-stats"}, &out, &errOut); err != nil {
+			t.Fatal(err)
+		}
+		m := populated.FindStringSubmatch(out.String())
+		if m == nil || m[1] != strconv.Itoa(i) || (m[2] == "0") != (i == 0) {
+			t.Fatalf("populated cache stats wrong after run %d:\n%s", i, out.String())
+		}
 	}
 
 	// Guard rails: -cache-stats without -cache, or with a file argument.

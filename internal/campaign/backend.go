@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -34,6 +35,48 @@ type Backend interface {
 	Store(hash string, data []byte) error
 	// Stats reports the entry count and the total payload bytes held.
 	Stats() (entries int, bytes int64, err error)
+
+	// Rendered entries (see StoreRendered) are a second kind of entry,
+	// addressed by RenderedKey and streamed in and out rather than moved
+	// as one slice, so that neither end holds a copy of one.
+
+	// WriteRendered stores the rendered entry that write writes under
+	// key, atomically: it replaces any entry under key once write returns
+	// nil, and is dropped when write returns an error. It returns the
+	// stored entry's stamp.
+	WriteRendered(key string, write func(w io.Writer) error) (Stamp, error)
+	// OpenRendered opens the rendered entry under key for reading, or
+	// returns (nil, nil) when there is none. The caller closes it.
+	OpenRendered(key string) (EntryReader, error)
+	// RemoveRendered deletes the rendered entry under key, if any.
+	RemoveRendered(key string) error
+	// RenderedStats reports the rendered entry count and their bytes,
+	// apart from Stats' cell entries.
+	RenderedStats() (entries int, bytes int64, err error)
+}
+
+// Stamp tells apart the versions one rendered entry's key has held: the
+// entry's size and, for a file, its modification time; a MemBackend
+// numbers its stores instead. A reader that indexed an entry compares the
+// stamp of each later open with the one it indexed, and reads the
+// sections only while they agree.
+type Stamp struct {
+	Size    int64
+	ModTime int64 // UnixNano
+	Gen     uint64
+}
+
+// EntryReader is an open rendered entry.
+type EntryReader interface {
+	io.ReaderAt
+	io.Closer
+	// Stamp is the version of the entry that was opened.
+	Stamp() Stamp
+	// Section returns a reader of the n bytes at off. Sections share one
+	// read position: read them one at a time. A file's section is an
+	// *io.LimitedReader of its *os.File, which io.Copy to a TCP
+	// connection turns into a sendfile(2) of that range.
+	Section(off, n int64) (io.Reader, error)
 }
 
 // DirBackend is the local-directory backend: one file per entry,
@@ -128,7 +171,15 @@ func (b *DirBackend) Store(hash string, data []byte) error {
 
 // Stats implements Backend: the number of entry files and their total
 // size. A missing directory is an empty cache, not an error.
-func (b *DirBackend) Stats() (int, int64, error) {
+func (b *DirBackend) Stats() (int, int64, error) { return b.count(entrySuffix) }
+
+// RenderedStats implements Backend: the number of rendered entry files
+// and their total size.
+func (b *DirBackend) RenderedStats() (int, int64, error) { return b.count(renderedSuffix) }
+
+// count reports the files of the directory named with suffix and their
+// total size.
+func (b *DirBackend) count(suffix string) (int, int64, error) {
 	entries, err := os.ReadDir(b.Dir)
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, 0, nil
@@ -138,7 +189,7 @@ func (b *DirBackend) Stats() (int, int64, error) {
 	}
 	n, total := 0, int64(0)
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), entrySuffix) {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), suffix) {
 			continue
 		}
 		info, err := e.Info()
@@ -151,16 +202,97 @@ func (b *DirBackend) Stats() (int, int64, error) {
 	return n, total, nil
 }
 
-// MemBackend is the in-process backend: a mutex-guarded map. It backs
+func (b *DirBackend) renderedPath(key string) string {
+	return filepath.Join(b.Dir, key+renderedSuffix)
+}
+
+// WriteRendered implements Backend with a temp-file-then-rename write,
+// unbuffered: every renderer buffers its own output.
+func (b *DirBackend) WriteRendered(key string, write func(io.Writer) error) (Stamp, error) {
+	if err := os.MkdirAll(b.Dir, 0o755); err != nil {
+		return Stamp{}, err
+	}
+	tmp, err := os.CreateTemp(b.Dir, ".tmp-*")
+	if err != nil {
+		return Stamp{}, err
+	}
+	err = write(tmp)
+	var info fs.FileInfo
+	if err == nil {
+		info, err = tmp.Stat()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), b.renderedPath(key))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return Stamp{}, err
+	}
+	return fileStamp(info), nil
+}
+
+// OpenRendered implements Backend: the entry's file, and its stamp from
+// one fstat.
+func (b *DirBackend) OpenRendered(key string) (EntryReader, error) {
+	f, err := os.Open(b.renderedPath(key))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &fileEntry{f, fileStamp(info)}, nil
+}
+
+// RemoveRendered implements Backend.
+func (b *DirBackend) RemoveRendered(key string) error {
+	if err := os.Remove(b.renderedPath(key)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
+func fileStamp(info fs.FileInfo) Stamp {
+	return Stamp{Size: info.Size(), ModTime: info.ModTime().UnixNano()}
+}
+
+// fileEntry is a DirBackend's open rendered entry.
+type fileEntry struct {
+	*os.File
+	stamp Stamp
+}
+
+func (f *fileEntry) Stamp() Stamp { return f.stamp }
+
+func (f *fileEntry) Section(off, n int64) (io.Reader, error) {
+	if _, err := f.Seek(off, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return &io.LimitedReader{R: f.File, N: n}, nil
+}
+
+// MemBackend is the in-process backend: mutex-guarded maps. It backs
 // tests and the daemon's default (no `-cache` flag) configuration,
 // where dedup across runs matters but nothing must survive a restart.
 type MemBackend struct {
-	mu sync.RWMutex
-	m  map[string][]byte
+	mu       sync.RWMutex
+	m        map[string][]byte
+	rendered map[string]memEntry
+	gen      uint64 // rendered stores so far
 }
 
 // NewMemBackend returns an empty in-memory backend.
-func NewMemBackend() *MemBackend { return &MemBackend{m: make(map[string][]byte)} }
+func NewMemBackend() *MemBackend {
+	return &MemBackend{m: make(map[string][]byte), rendered: make(map[string]memEntry)}
+}
 
 // Load implements Backend. The returned slice is the stored one.
 func (b *MemBackend) Load(hash string) ([]byte, error) {
@@ -189,4 +321,72 @@ func (b *MemBackend) Stats() (int, int64, error) {
 		total += int64(len(data))
 	}
 	return len(b.m), total, nil
+}
+
+// WriteRendered implements Backend: the entry is written to memory and
+// kept as an exact-size slice.
+func (b *MemBackend) WriteRendered(key string, write func(io.Writer) error) (Stamp, error) {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return Stamp{}, err
+	}
+	data := bytes.Clone(buf.Bytes())
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.gen++
+	e := memEntry{data: data, stamp: Stamp{Size: int64(len(data)), Gen: b.gen}}
+	b.rendered[key] = e
+	return e.stamp, nil
+}
+
+// OpenRendered implements Backend. The entry reads the stored slice.
+func (b *MemBackend) OpenRendered(key string) (EntryReader, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	e, ok := b.rendered[key]
+	if !ok {
+		return nil, nil
+	}
+	return &memReader{bytes.NewReader(e.data), e}, nil
+}
+
+// RemoveRendered implements Backend.
+func (b *MemBackend) RemoveRendered(key string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	delete(b.rendered, key)
+	return nil
+}
+
+// RenderedStats implements Backend.
+func (b *MemBackend) RenderedStats() (int, int64, error) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	total := int64(0)
+	for _, e := range b.rendered {
+		total += e.stamp.Size
+	}
+	return len(b.rendered), total, nil
+}
+
+// memEntry is one rendered entry a MemBackend holds.
+type memEntry struct {
+	data  []byte
+	stamp Stamp
+}
+
+// memReader is a MemBackend's open rendered entry.
+type memReader struct {
+	*bytes.Reader
+	e memEntry
+}
+
+func (m *memReader) Stamp() Stamp { return m.e.stamp }
+func (m *memReader) Close() error { return nil }
+
+func (m *memReader) Section(off, n int64) (io.Reader, error) {
+	if off < 0 || n < 0 || off+n > int64(len(m.e.data)) {
+		return nil, errRendered
+	}
+	return bytes.NewReader(m.e.data[off : off+n]), nil
 }

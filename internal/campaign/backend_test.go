@@ -251,8 +251,9 @@ func TestLoadCacheTruncated(t *testing.T) {
 	}
 }
 
-// failBackend is a Backend whose Load always fails.
-type failBackend struct{}
+// failBackend is a Backend whose Load always fails. It has no rendered
+// entries: the embedded Backend is nil.
+type failBackend struct{ Backend }
 
 func (failBackend) Load(string) ([]byte, error) { return nil, errors.New("disk on fire") }
 func (failBackend) Store(string, []byte) error  { return errors.New("disk on fire") }

@@ -139,3 +139,37 @@ func aggregate(m metricDef, records []TrialRecord) (mean float64, ci any) {
 	}
 	return s.Mean(), s.CI95Half()
 }
+
+// streamFlushAt is the buffered size beyond which WriteStream hands its
+// lines to the writer.
+const streamFlushAt = 32 << 10
+
+// WriteStream writes the stream a run served wholly from the cache
+// emits, Replay's events, as the daemon's progress stream encodes them:
+// each event's JSON object and a newline.
+func (o *Outcome) WriteStream(w io.Writer) error {
+	s := streamWriter{w: w, buf: make([]byte, 0, streamFlushAt+streamFlushAt/4)}
+	o.Replay(&s)
+	if s.err == nil {
+		_, s.err = w.Write(s.buf)
+	}
+	return s.err
+}
+
+// streamWriter is the observer WriteStream replays into.
+type streamWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+func (s *streamWriter) Observe(e obs.Event) {
+	if s.err != nil {
+		return
+	}
+	s.buf = append(e.AppendJSON(s.buf), '\n')
+	if len(s.buf) >= streamFlushAt {
+		_, s.err = s.w.Write(s.buf)
+		s.buf = s.buf[:0]
+	}
+}

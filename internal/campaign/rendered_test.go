@@ -18,6 +18,7 @@ var sampleRendered = Rendered{
 		[]byte(`{"cell":0,"key":"k","trial":0,"silent":true}` + "\n"),
 		[]byte("campaign sample: 5 cells × 1 trials (seed 1)\ncell  key\n----  ---\n"),
 		[]byte("cell,key\n0,k\n"),
+		[]byte(`{"ev":"campaign-start","cell":-1,"key":"sample","trial":-1,"count":3}` + "\n"),
 	},
 }
 
@@ -26,21 +27,25 @@ const sampleKey = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abc
 // encodeRendered is the entry writeRendered streams for r, into memory.
 func encodeRendered(key string, r *Rendered) []byte {
 	var buf bytes.Buffer
-	if entryErr, err := writeRendered(&buf, key, r.Name, r.Cells, r.Owned, [NumSections]io.Writer{}, r.WriteSection); entryErr != nil || err != nil {
+	if _, entryErr, err := writeRendered(&buf, key, r.Name, r.Cells, r.Owned, [NumSections]io.Writer{}, r.WriteSection); entryErr != nil || err != nil {
 		panic("encodeRendered into memory failed")
 	}
 	return buf.Bytes()
 }
 
 // TestRenderedRoundTrip: a stored entry loads to the sections its
-// destinations received, under its own key, and leaves no temp file.
+// destinations received, under its own key, and leaves no temp file;
+// the index StoreRendered returns is the one IndexRendered reads back,
+// and locates every section.
 func TestRenderedRoundTrip(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
+	be := NewDirBackend(dir)
 	var dst [NumSections]bytes.Buffer
 	outs := [NumSections]io.Writer{&dst[SectionEvents], nil, &dst[SectionTable], nil}
-	if err := StoreRendered(dir, sampleKey, sampleRendered.Name, sampleRendered.Cells, sampleRendered.Owned,
-		outs, sampleRendered.WriteSection); err != nil {
+	stored, err := StoreRendered(be, sampleKey, sampleRendered.Name, sampleRendered.Cells, sampleRendered.Owned,
+		outs, sampleRendered.WriteSection)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []int{SectionEvents, SectionTable} {
@@ -48,22 +53,40 @@ func TestRenderedRoundTrip(t *testing.T) {
 			t.Errorf("destination of section %d got %q", s, dst[s].Bytes())
 		}
 	}
-	got, err := LoadRendered(dir, sampleKey)
+	got, err := LoadRendered(be, sampleKey)
 	if err != nil || got == nil {
 		t.Fatalf("LoadRendered = (%v, %v)", got, err)
 	}
 	if !sameRendered(got, &sampleRendered) {
 		t.Errorf("entry loads as %+v, want %+v", got, sampleRendered)
 	}
+	if idx, err := IndexRendered(be, sampleKey); err != nil || idx == nil || *idx != *stored {
+		t.Fatalf("IndexRendered = (%+v, %v), want the stored index %+v", idx, err, stored)
+	}
+	data, _ := os.ReadFile(be.renderedPath(sampleKey))
+	if int64(len(data)) != stored.Stamp.Size {
+		t.Fatalf("index stamps %d bytes, the entry holds %d", stored.Stamp.Size, len(data))
+	}
+	for s := range NumSections {
+		if part := data[stored.Off[s] : stored.Off[s]+stored.Len[s]]; !bytes.Equal(part, sampleRendered.Sections[s]) {
+			t.Errorf("the index locates section %d at %q", s, part)
+		}
+	}
 	files, _ := os.ReadDir(dir)
 	if len(files) != 1 || files[0].Name() != sampleKey+renderedSuffix {
 		t.Fatalf("directory holds %v, want the one entry", files)
 	}
-	if absent, err := LoadRendered(dir, sampleKey[1:]+"0"); absent != nil || err != nil {
+	if absent, err := LoadRendered(be, sampleKey[1:]+"0"); absent != nil || err != nil {
 		t.Fatalf("absent entry loads as (%v, %v)", absent, err)
+	}
+	if absent, err := IndexRendered(be, sampleKey[1:]+"0"); absent != nil || err != nil {
+		t.Fatalf("absent entry indexes as (%v, %v)", absent, err)
 	}
 	if n, _, err := CacheEntries(dir); err != nil || n != 0 {
 		t.Fatalf("CacheEntries counts %d (err %v): rendered entries are not cell entries", n, err)
+	}
+	if n, size, err := be.RenderedStats(); err != nil || n != 1 || size != stored.Stamp.Size {
+		t.Fatalf("RenderedStats = (%d, %d, %v), want the one entry of %d bytes", n, size, err, stored.Stamp.Size)
 	}
 }
 
@@ -160,20 +183,27 @@ func TestDecodeRenderedRejects(t *testing.T) {
 // damaged on disk, is an error the caller falls back on.
 func TestLoadRenderedChecksKey(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
+	be := NewDirBackend(t.TempDir())
 	other := "f" + sampleKey[1:]
-	if err := os.WriteFile(renderedPath(dir, other), encodeRendered(sampleKey, &sampleRendered), 0o644); err != nil {
+	if err := os.WriteFile(be.renderedPath(other), encodeRendered(sampleKey, &sampleRendered), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if r, err := LoadRendered(dir, other); r != nil || err == nil {
+	if r, err := LoadRendered(be, other); r != nil || err == nil {
 		t.Fatalf("misfiled entry loads as (%v, %v)", r, err)
 	}
-	damaged := renderedCorruptions["bit-flipped"](encodeRendered(sampleKey, &sampleRendered))
-	if err := os.WriteFile(renderedPath(dir, sampleKey), damaged, 0o644); err != nil {
-		t.Fatal(err)
+	if idx, err := IndexRendered(be, other); idx != nil || err == nil {
+		t.Fatalf("misfiled entry indexes as (%v, %v)", idx, err)
 	}
-	if r, err := LoadRendered(dir, sampleKey); r != nil || err == nil {
-		t.Fatalf("damaged entry loads as (%v, %v)", r, err)
+	for name, damage := range renderedCorruptions {
+		if err := os.WriteFile(be.renderedPath(sampleKey), damage(encodeRendered(sampleKey, &sampleRendered)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := LoadRendered(be, sampleKey); r != nil || err == nil {
+			t.Fatalf("%s: damaged entry loads as (%v, %v)", name, r, err)
+		}
+		if idx, err := IndexRendered(be, sampleKey); idx != nil || err == nil {
+			t.Fatalf("%s: damaged entry indexes as (%v, %v)", name, idx, err)
+		}
 	}
 }
 
@@ -190,7 +220,7 @@ func TestStoreRenderedFailures(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	outs := [NumSections]io.Writer{nil, failingWriter{}}
-	err := StoreRendered(dir, sampleKey, "x", 1, 1, outs, sampleRendered.WriteSection)
+	_, err := StoreRendered(NewDirBackend(dir), sampleKey, "x", 1, 1, outs, sampleRendered.WriteSection)
 	if !errors.Is(err, errFailingWriter) {
 		t.Fatalf("failing destination returned %v", err)
 	}
@@ -199,8 +229,8 @@ func TestStoreRenderedFailures(t *testing.T) {
 	}
 
 	var dst [NumSections]bytes.Buffer
-	entryErr, err := writeRendered(failingWriter{}, sampleKey, "x", 1, 1,
-		[NumSections]io.Writer{&dst[0], &dst[1], &dst[2], &dst[3]}, sampleRendered.WriteSection)
+	_, entryErr, err := writeRendered(failingWriter{}, sampleKey, "x", 1, 1,
+		[NumSections]io.Writer{&dst[0], &dst[1], &dst[2], &dst[3], &dst[4]}, sampleRendered.WriteSection)
 	if !errors.Is(entryErr, errFailingWriter) || err != nil {
 		t.Fatalf("failing entry returned (%v, %v)", entryErr, err)
 	}
@@ -269,20 +299,49 @@ func sameRendered(a, b *Rendered) bool {
 }
 
 // TestRenderedStoreReplaces: a second store of one key replaces the
-// entry whole and leaves no temp file behind.
+// entry whole under a new stamp and leaves no temp file behind, in a
+// directory and in memory alike; a removed entry is absent.
 func TestRenderedStoreReplaces(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	store := func(r *Rendered) {
-		if err := StoreRendered(dir, sampleKey, r.Name, r.Cells, r.Owned, [NumSections]io.Writer{}, r.WriteSection); err != nil {
+	for _, be := range []Backend{NewDirBackend(dir), NewMemBackend()} {
+		store := func(r *Rendered) *RenderedIndex {
+			idx, err := StoreRendered(be, sampleKey, r.Name, r.Cells, r.Owned, [NumSections]io.Writer{}, r.WriteSection)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return idx
+		}
+		first := store(&Rendered{Name: "first", Cells: 1, Owned: 1})
+		second := store(&sampleRendered)
+		if first.Stamp == second.Stamp {
+			t.Fatalf("%T: two stores of one key share the stamp %+v", be, first.Stamp)
+		}
+		got, err := LoadRendered(be, sampleKey)
+		if err != nil || got == nil || !sameRendered(got, &sampleRendered) {
+			t.Fatalf("%T: second store loads as (%+v, %v)", be, got, err)
+		}
+		f, err := be.OpenRendered(sampleKey)
+		if err != nil || f == nil || f.Stamp() != second.Stamp {
+			t.Fatalf("%T: the entry opens as (%v, %v), want the second store's stamp", be, f, err)
+		}
+		part, err := f.Section(second.Off[SectionTable], second.Len[SectionTable])
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	store(&Rendered{Name: "first", Cells: 1, Owned: 1})
-	store(&sampleRendered)
-	got, err := LoadRendered(dir, sampleKey)
-	if err != nil || got == nil || !sameRendered(got, &sampleRendered) {
-		t.Fatalf("second store loads as (%+v, %v)", got, err)
+		if data, err := io.ReadAll(part); err != nil || !bytes.Equal(data, sampleRendered.Sections[SectionTable]) {
+			t.Fatalf("%T: the table section reads %q (%v)", be, data, err)
+		}
+		f.Close()
+		if err := be.RemoveRendered(sampleKey); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := be.OpenRendered(sampleKey); f != nil || err != nil {
+			t.Fatalf("%T: a removed entry opens as (%v, %v)", be, f, err)
+		}
+		if n, _, err := be.RenderedStats(); n != 0 || err != nil {
+			t.Fatalf("%T: %d rendered entries after the removal (%v)", be, n, err)
+		}
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, ".tmp-*")); len(files) != 0 {
 		t.Fatalf("stores left temp files %v", files)

@@ -84,7 +84,7 @@ func servedArtifacts(t *testing.T, r *Run) artifacts {
 	t.Helper()
 	var got [len(outputKinds)]string
 	for i, kind := range outputKinds {
-		data, err := r.Output(context.Background(), kind)
+		data, err := outputBytes(context.Background(), r, kind)
 		if err != nil {
 			t.Fatalf("%s %s: %v", r.ID, kind, err)
 		}

@@ -16,18 +16,18 @@ const hotBudget = 8 << 20
 
 // hotTier is the daemon's in-memory tier in front of the cache backend
 // it was given: the entry bytes the backend has returned, least
-// recently used out first, under a byte budget. A warm run that is not
-// served a kept stream (the first of a source, or one after its set was
-// evicted) and the render of an evicted set then read each entry from
-// the backend (a file open, read and close for a DirBackend) once, and
-// from memory after that. The tier holds only
-// what a Load returned: a miss or an error is never kept, and Store
-// drops the hash before it writes through, so freshly computed cells
-// never fill the tier and a corrupt entry read once is replaced by the
-// recompute's bytes. Entries are still checksummed and decoded on every
-// use: a tier hit is a cache hit like any other.
+// recently used out first, under a byte budget. A warm run of a source
+// without a rendered entry (cells sscampaign filled, or an entry
+// evicted) reads each entry from the backend (a file open, read and
+// close for a DirBackend) once, and from memory after that. The tier
+// holds only what a Load returned: a miss or an error is never kept, and
+// Store drops the hash before it writes through, so freshly computed
+// cells never fill the tier and a corrupt entry read once is replaced by
+// the recompute's bytes. Entries are still checksummed and decoded on
+// every use: a tier hit is a cache hit like any other. Rendered entries
+// and Stats are the backend's own.
 type hotTier struct {
-	backend campaign.Backend
+	campaign.Backend
 
 	mu      sync.Mutex
 	budget  int64
@@ -44,7 +44,7 @@ type hotEntry struct {
 }
 
 func newHotTier(backend campaign.Backend, budget int64) *hotTier {
-	return &hotTier{backend: backend, budget: budget, entries: make(map[string]*list.Element)}
+	return &hotTier{Backend: backend, budget: budget, entries: make(map[string]*list.Element)}
 }
 
 // Load implements campaign.Backend. A hit returns the held bytes, which
@@ -63,7 +63,7 @@ func (h *hotTier) Load(hash string) ([]byte, error) {
 	}
 	stores := h.stores
 	h.mu.Unlock()
-	data, err := h.backend.Load(hash)
+	data, err := h.Backend.Load(hash)
 	if err != nil || data == nil {
 		return data, err
 	}
@@ -107,11 +107,8 @@ func (h *hotTier) Store(hash string, data []byte) error {
 		h.remove(el)
 	}
 	h.mu.Unlock()
-	return h.backend.Store(hash, data)
+	return h.Backend.Store(hash, data)
 }
-
-// Stats implements campaign.Backend: the backend's own figures.
-func (h *hotTier) Stats() (int, int64, error) { return h.backend.Stats() }
 
 // stats reports the resident entry count, their bytes and the Loads the
 // tier has served.

@@ -173,10 +173,10 @@ func TestHotTierStoreDrops(t *testing.T) {
 }
 
 // TestHotTierFillsFromWarmRunsOnly: runs that compute every cell leave
-// the tier empty; the first warm run fills it from the backend, the
-// next one whose set was evicted is served from it, the one after that
-// is served the kept stream and reads neither, and all three serve the
-// reference bytes.
+// the tier empty; the first warm run (its source's entry removed, so
+// that it executes) fills it from the backend, the next one whose entry
+// was evicted is served from it, the one after that is served the kept
+// stream and reads neither, and all three serve the reference bytes.
 func TestHotTierFillsFromWarmRunsOnly(t *testing.T) {
 	t.Parallel()
 	be := newProbeBackend()
@@ -193,6 +193,7 @@ func TestHotTierFillsFromWarmRunsOnly(t *testing.T) {
 	}
 	src := atSeed(plainCampaignSrc, 1)
 	want := cliArtifacts(t, src)
+	dropKept(svc, src)
 	loads := be.loadCount()
 	first := runToDone(t, svc, src)
 	cells := int64(first.Cells())
@@ -350,12 +351,15 @@ func TestConcurrentRunsShareTheTier(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				set, err := render(out, replay)
-				if err != nil {
-					t.Error(err)
-					return
+				var set [len(outputKinds)]bytes.Buffer
+				render := out.Render(replay)
+				for k, section := range outputSections {
+					if err := render(section, &set[k]); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-				got[i] = artifacts{string(set[0]), string(set[1]), string(set[2]), string(set[3])}
+				got[i] = artifacts{set[0].String(), set[1].String(), set[2].String(), set[3].String()}
 			}()
 		}
 		wg.Wait()
@@ -473,7 +477,7 @@ func BenchmarkServeEvicted(b *testing.B) {
 			}
 			op := func() {
 				for _, r := range runs {
-					if _, err := r.Output(context.Background(), "jsonl"); err != nil {
+					if _, err := outputBytes(context.Background(), r, "jsonl"); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -26,23 +26,24 @@ const maxSpecBytes = 1 << 20
 //	GET  /v1/runs/{id}/events   canonical event log (once done)
 //	GET  /v1/runs/{id}/table    aligned text summary (once done)
 //	GET  /v1/runs/{id}/csv      CSV summary (once done)
-//	GET  /v1/cache              cache backend, hot tier and artifact store stats
+//	GET  /v1/cache              cache backend, rendered entry, hot tier and index stats
 //	GET  /v1/healthz            liveness
 //
 // The jsonl/events/table/csv artifacts are a function of the submitted
 // source and carry the determinism contract: byte-identical to a CLI
 // run of the same campaign at the same seed, for every worker count,
-// completion order and cache state. They live in the service's artifact
-// store under the source's SHA-256: rendered at most once while
-// resident, whichever run of that source asked first, and rendered
-// again on demand after eviction, so two GETs never observe different
-// bytes and a GET of an evicted run costs one warm replay. The stream
-// is live diagnostics (bounded per-subscriber buffering; a lagging
-// client's feed is cut, marked by a trailing truncation line), except
-// on a POST of a source with a kept stream, whose lines are written from
-// memory in one body of known length and never cut. Every response of
-// known length (the artifacts, a kept stream) carries Content-Length;
-// a live stream is chunked.
+// completion order and cache state. They are sections of the source's
+// rendered entry, the one sscampaign -cache -events writes too, copied
+// from the file (by sendfile(2) over TCP); a missing entry is written
+// again before the GET is served, so two GETs never observe different
+// bytes. The stream is live diagnostics (bounded per-subscriber
+// buffering; a lagging client's feed is cut, marked by a trailing
+// truncation line), except on a POST of a source whose entry keeps a
+// stream, copied from the entry and never cut. Every response of known
+// length (the artifacts, a kept stream) carries Content-Length; a live
+// stream is chunked. GET /v1/cache reports cell entries ("entries",
+// "bytes") apart from rendered ones ("rendered_*"), the entries the
+// store indexes ("artifact_*") and the hot tier ("hot_*").
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -134,8 +135,8 @@ func submitStatus(err error) int {
 // enqueued (a separate GET .../stream races with execution and can
 // join a fast run late, or after it finished). A run of a source with a
 // kept stream is done before its head line is written and has no
-// subscription: the kept lines follow the head line in a body of known
-// length, at the client's pace.
+// subscription: the kept lines, copied from the rendered entry, follow
+// the head line in a body of known length, at the client's pace.
 func (s *Service) submitStream(w http.ResponseWriter, req *http.Request, src string) {
 	r, sub, stream, err := s.SubmitStream(src, 4096)
 	if err != nil {
@@ -147,10 +148,11 @@ func (s *Service) submitStream(w http.ResponseWriter, req *http.Request, src str
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	if stream != nil {
-		w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(stream)))
+		defer stream.Close()
+		w.Header().Set("Content-Length", strconv.FormatInt(int64(len(head))+stream.Len(), 10))
 		w.WriteHeader(http.StatusOK)
 		w.Write(head)
-		w.Write(stream)
+		io.Copy(w, stream.Reader)
 		return
 	}
 	defer sub.Cancel()
@@ -280,12 +282,6 @@ func (c *chunkWriter) Observe(e obs.Event) {
 // newline.
 func appendLine(buf []byte, e obs.Event) []byte { return append(e.AppendJSON(buf), '\n') }
 
-// lineBuffer is an observer that encodes every event as a stream line,
-// the bytes a chunkWriter would write for it.
-type lineBuffer []byte
-
-func (l *lineBuffer) Observe(e obs.Event) { *l = appendLine(*l, e) }
-
 // line adds a line already encoded, its newline included.
 func (c *chunkWriter) line(s string) { c.buf = append(c.alloc(), s...) }
 
@@ -317,9 +313,9 @@ func (s *Service) handleOutput(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	kind := req.PathValue("output")
-	data, err := r.Output(req.Context(), kind)
+	a, err := r.Output(req.Context(), kind)
 	if err != nil {
-		code := http.StatusInternalServerError // a failed run, or a render that failed
+		code := http.StatusInternalServerError // a failed run, or a failed run of it again
 		switch {
 		case errors.Is(err, errUnknownOutput):
 			code = http.StatusNotFound
@@ -331,6 +327,7 @@ func (s *Service) handleOutput(w http.ResponseWriter, req *http.Request) {
 		writeError(w, code, err)
 		return
 	}
+	defer a.Close()
 	switch kind {
 	case "jsonl", "events":
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -339,13 +336,14 @@ func (s *Service) handleOutput(w http.ResponseWriter, req *http.Request) {
 	default:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.Write(data)
+	w.Header().Set("Content-Length", strconv.FormatInt(a.Len(), 10))
+	io.Copy(w, a.Reader)
 }
 
 func (s *Service) handleCache(w http.ResponseWriter, _ *http.Request) {
 	entries, size, err := s.CacheStats()
-	if err != nil {
+	rendered, renderedBytes, rerr := s.cache.RenderedStats()
+	if err = errors.Join(err, rerr); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -353,6 +351,7 @@ func (s *Service) handleCache(w http.ResponseWriter, _ *http.Request) {
 	hotEntries, hotBytes, hotHits := s.hotStats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"entries": entries, "bytes": size,
+		"rendered_entries": rendered, "rendered_bytes": renderedBytes,
 		"artifact_entries": artEntries, "artifact_bytes": artBytes,
 		"hot_entries": hotEntries, "hot_bytes": hotBytes, "hot_hits": hotHits,
 	})

@@ -175,6 +175,8 @@ func TestHTTPEndToEnd(t *testing.T) {
 		Bytes           int64 `json:"bytes"`
 		ArtifactEntries int   `json:"artifact_entries"`
 		ArtifactBytes   int64 `json:"artifact_bytes"`
+		RenderedEntries int   `json:"rendered_entries"`
+		RenderedBytes   int64 `json:"rendered_bytes"`
 	}
 	if err := json.Unmarshal([]byte(getBody(t, ts.URL+"/v1/cache", 200)), &cache); err != nil {
 		t.Fatal(err)
@@ -182,11 +184,12 @@ func TestHTTPEndToEnd(t *testing.T) {
 	if cache.Entries != 8 || cache.Bytes <= 0 {
 		t.Fatalf("cache stats: %+v", cache)
 	}
-	// Two runs of one source: one stored set, charged what it serves plus
+	// Two runs of one source: one stored entry, charged what it serves plus
 	// the stream of the second run, read wholly from the cache.
-	kept := keptRunOf(svc, faultCampaignSrc)
-	if kept == nil || cache.ArtifactEntries != 1 || cache.ArtifactBytes != want.size()+kept.size() {
-		t.Fatalf("artifact store stats: %+v, want 1 set of %d bytes and a kept stream", cache, want.size())
+	kept := keptStream(svc, faultCampaignSrc)
+	if kept == nil || cache.ArtifactEntries != 1 || cache.ArtifactBytes != entrySize(want, kept, "svc-fault", r2.Cells()) ||
+		cache.RenderedEntries != 1 || cache.RenderedBytes != cache.ArtifactBytes {
+		t.Fatalf("artifact store stats: %+v, want 1 entry of %d bytes and a kept stream", cache, want.size())
 	}
 	if !strings.Contains(getBody(t, ts.URL+"/v1/healthz", 200), `"ok":true`) {
 		t.Fatal("healthz")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -42,14 +43,15 @@ func contentLength(t *testing.T, rec *httptest.ResponseRecorder) int {
 	return n
 }
 
-// TestResidentReplayStream: once a run of a source has been served
-// wholly from the cache, the next run of it takes the stream the store
-// kept: it reads neither the hot tier nor the backend, gets no
-// subscription, and is handed the kept bytes themselves. A resident
-// re-POST's body has a Content-Length equal to its bytes; after its head
-// line it is the stream the full-hit re-POST before it streamed live,
-// every event of it, byte for byte. Its four artifact GETs carry a
-// Content-Length too, and serve the reference bytes.
+// TestResidentReplayStream: the stream a cold run keeps in its entry is
+// the one a full-hit re-POST streams live, byte for byte; and once an
+// entry keeps it, the next run of the source takes that stream: it reads
+// neither the hot tier nor the backend, gets no subscription, and is
+// handed the kept bytes themselves. A resident re-POST's body has a
+// Content-Length equal to its bytes; after its head line it is the
+// stream the full-hit re-POST before it streamed live, every event of
+// it, byte for byte. Its four artifact GETs carry a Content-Length too,
+// and serve the reference bytes.
 func TestResidentReplayStream(t *testing.T) {
 	t.Parallel()
 	be := newProbeBackend()
@@ -65,16 +67,21 @@ func TestResidentReplayStream(t *testing.T) {
 		return r, rec, events
 	}
 	cold, _, _ := post()
-	if keptRunOf(svc, src) != nil {
-		t.Fatal("a run that computed its cells kept its stream")
+	coldKept := keptStream(svc, src)
+	if coldKept == nil {
+		t.Fatal("the cold run kept no stream")
 	}
 	cells := cold.Cells()
+	dropKept(svc, src) // the next re-POST executes against the cache
 	_, live, want := post()
 	if n := contentLength(t, live); n != -1 {
 		t.Fatalf("a live stream declared Content-Length %d", n)
 	}
-	kept := keptRunOf(svc, src)
-	if kept == nil || string(kept.stream) != want {
+	if string(coldKept) != want {
+		t.Fatalf("the cold run kept another stream than a full-hit run streams\n%s", diffHint(want, string(coldKept)))
+	}
+	kept := keptStream(svc, src)
+	if kept == nil || string(kept) != want {
 		t.Fatalf("the run served wholly from the cache kept %v, want its own stream", kept != nil)
 	}
 	loads := be.loadCount()
@@ -84,10 +91,13 @@ func TestResidentReplayStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stream) == 0 || &stream[0] != &kept.stream[0] || sub != nil {
-		t.Fatalf("the resident run took a stream of %d bytes (the kept array: %v) and subscription %p; want the kept bytes alone",
-			len(stream), len(stream) > 0 && &stream[0] == &kept.stream[0], sub)
+	if stream == nil || stream.Len() != int64(len(kept)) || sub != nil {
+		t.Fatalf("the resident run took a stream (%v) and subscription %p; want the kept stream alone", stream != nil, sub)
 	}
+	if got, err := io.ReadAll(stream); err != nil || string(got) != string(kept) {
+		t.Fatalf("the resident run's stream is not the kept bytes (err %v)", err)
+	}
+	stream.Close()
 	if state, _ := r.State(); state != StateDone || r.Name() != "svc-plain" || r.Cells() != cells {
 		t.Fatalf("the resident run is %s, %q of %d cells on return; want done, svc-plain of %d", state, r.Name(), r.Cells(), cells)
 	}
@@ -176,9 +186,9 @@ func TestResidentRePostAllocations(t *testing.T) {
 	src := plainCampaignSrc
 	runToDone(t, svc, src)
 	runToDone(t, svc, src)
-	kept := keptRunOf(svc, src)
+	kept := keptStream(svc, src)
 	if kept == nil {
-		t.Fatal("the warm run kept no stream")
+		t.Fatal("the source's entry keeps no stream")
 	}
 	const n = 100
 	reqs := make([]*http.Request, n+1)
@@ -199,13 +209,13 @@ func TestResidentRePostAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("a resident re-POST allocates %d B; a Parse and a Compile %d B; the stream is %d B", perPost, perCompile, len(kept.stream))
-	if perPost > residentPostBytes || perCompile <= residentPostBytes || len(kept.stream) <= residentPostBytes {
+	t.Logf("a resident re-POST allocates %d B; a Parse and a Compile %d B; the stream is %d B", perPost, perCompile, len(kept))
+	if perPost > residentPostBytes || perCompile <= residentPostBytes || len(kept) <= residentPostBytes {
 		t.Fatalf("a resident re-POST allocated %d B, want under %d B, itself under a Parse and Compile's %d B and the stream's %d B",
-			perPost, residentPostBytes, perCompile, len(kept.stream))
+			perPost, residentPostBytes, perCompile, len(kept))
 	}
-	if w.bytes < n*len(kept.stream) {
-		t.Fatalf("%d resident re-POSTs wrote %d bytes, want %d streams of %d", n, w.bytes, n, len(kept.stream))
+	if w.bytes < n*len(kept) {
+		t.Fatalf("%d resident re-POSTs wrote %d bytes, want %d streams of %d", n, w.bytes, n, len(kept))
 	}
 }
 
@@ -230,8 +240,8 @@ func TestResidentStreamIsWholeAtAnyPace(t *testing.T) {
 	defer shutdown(t, svc)
 	runToDone(t, svc, warmStreamSrc)
 	runToDone(t, svc, warmStreamSrc)
-	if keptRunOf(svc, warmStreamSrc) == nil {
-		t.Fatal("the warm run kept no stream")
+	if keptStream(svc, warmStreamSrc) == nil {
+		t.Fatal("the source's entry keeps no stream")
 	}
 	client := &slowStream{}
 	_, events := postStream(t, svc, warmStreamSrc, client, &client.body)
@@ -241,58 +251,57 @@ func TestResidentStreamIsWholeAtAnyPace(t *testing.T) {
 	}
 }
 
-// TestKeptStreamIsCharged: a cold run keeps nothing; a run served wholly
-// from the cache keeps its stream, and the store is charged exactly the
-// set's bytes, the stream's and the name's; a run that takes the kept
-// stream is done on return, and a stream opened on that run is closed
-// and costs no buffer. Evicting the set takes the kept stream and its
-// charge with it, and the resident run's outputs are then rendered
-// again, the same bytes.
+// TestKeptStreamIsCharged: a cold run keeps its stream in the source's
+// rendered entry, and the store is charged exactly the entry's length:
+// the sections, the stream and the entry's head and trailer. A run that
+// takes the kept stream is done on return, and a stream opened on that
+// run is closed and costs no buffer. Evicting the entry takes the kept
+// stream and its charge with it, and the resident run's outputs are then
+// rendered again, the same bytes.
 func TestKeptStreamIsCharged(t *testing.T) {
 	t.Parallel()
 	svc := New(Config{Workers: 2, Cache: newProbeBackend()})
 	defer shutdown(t, svc)
 	src := atSeed(plainCampaignSrc, 1)
 	want := cliArtifacts(t, src)
-	runToDone(t, svc, src)
-	if _, size := svc.ArtifactStats(); keptRunOf(svc, src) != nil || size != want.size() {
-		t.Fatalf("after a cold run: stream kept %v, %d bytes charged; want none and %d", keptRunOf(svc, src) != nil, size, want.size())
+	cold := runToDone(t, svc, src)
+	stream := string(keptStream(svc, src))
+	if stream == "" {
+		t.Fatal("the cold run kept no stream")
 	}
-	rec := httptest.NewRecorder()
-	id, stream := postStream(t, svc, src, rec, rec.Body)
-	warm, _ := svc.Get(id)
-	waitClosed(t, warm.Done())
-	if keptRunOf(svc, src) == nil {
-		t.Fatal("the warm run kept no stream")
-	}
-	charged := want.size() + int64(len(stream)+len("svc-plain"))
+	charged := entrySize(want, []byte(stream), "svc-plain", cold.Cells())
 	if n, size := svc.ArtifactStats(); n != 1 || size != charged {
-		t.Fatalf("after the warm run: %d sets, %d bytes; want 1 and %d (the set's %d, the stream's %d, the name's %d)",
-			n, size, charged, want.size(), len(stream), len("svc-plain"))
+		t.Fatalf("after the cold run: %d entries, %d bytes; want 1 and %d (the sections' %d, the stream's %d)",
+			n, size, charged, want.size(), len(stream))
 	}
 	resident, sub, got, err := svc.SubmitStream(src, 4096)
-	if err != nil || string(got) != stream || sub != nil {
-		t.Fatalf("the resident run took the warm stream %v and subscription %p (err %v), want the stream alone", string(got) == stream, sub, err)
+	if err != nil || got == nil || sub != nil {
+		t.Fatalf("the resident run took a stream (%v) and subscription %p (err %v), want the stream alone", got != nil, sub, err)
 	}
+	if data, err := io.ReadAll(got); err != nil || string(data) != stream {
+		t.Fatalf("the resident run's stream is not the cold run's (err %v)", err)
+	}
+	got.Close()
 	if state, _ := resident.State(); state != StateDone {
 		t.Fatalf("the resident run is %s on return, want done", state)
 	}
-	if hits, misses := resident.CacheStats(); hits != warm.Cells() || misses != 0 {
-		t.Fatalf("the resident run: %d hits, %d misses; want %d and 0", hits, misses, warm.Cells())
+	if hits, misses := resident.CacheStats(); hits != cold.Cells() || misses != 0 {
+		t.Fatalf("the resident run: %d hits, %d misses; want %d and 0", hits, misses, cold.Cells())
 	}
 	if late := resident.Subscribe(4096); cap(late.C) != 0 {
 		t.Fatalf("a stream of the done resident run buffers %d events, want 0", cap(late.C))
 	}
 
-	// A budget that fits only another source's set evicts this one.
+	// A budget that fits only another source's entry evicts this one.
 	setBudget(svc, charged)
-	runToDone(t, svc, atSeed(plainCampaignSrc, 2))
-	if keptRunOf(svc, src) != nil {
-		t.Fatal("the stream is still kept after its set was evicted")
+	other := runToDone(t, svc, atSeed(plainCampaignSrc, 2))
+	if keptStream(svc, src) != nil {
+		t.Fatal("the stream is still kept after its entry was evicted")
 	}
 	otherWant := cliArtifacts(t, atSeed(plainCampaignSrc, 2))
-	if n, size := svc.ArtifactStats(); n != 1 || size != otherWant.size() {
-		t.Fatalf("after the eviction: %d sets, %d bytes; want the other run's 1 and %d", n, size, otherWant.size())
+	otherSize := entrySize(otherWant, keptStream(svc, atSeed(plainCampaignSrc, 2)), "svc-plain", other.Cells())
+	if n, size := svc.ArtifactStats(); n != 1 || size != otherSize {
+		t.Fatalf("after the eviction: %d entries, %d bytes; want the other run's 1 and %d", n, size, otherSize)
 	}
 	if got := servedArtifacts(t, resident); got != want {
 		t.Fatalf("the evicted source's outputs differ from Plan.Run's\n%s", diffHint(want.jsonl, got.jsonl))

@@ -1,9 +1,9 @@
 // Package service is the campaign daemon's engine room: a run registry
 // and FIFO job queue over the campaign executor (campaign.Execute, the
-// function sscampaign runs too), the artifact store finished runs are
-// served from, and an HTTP API (submit a .campaign spec, stream
-// per-trial progress as JSONL, fetch tables/CSV/canonical events when
-// done).
+// function sscampaign runs too), the index of the rendered entries
+// finished runs are served from, and an HTTP API (submit a .campaign
+// spec, stream per-trial progress as JSONL, fetch tables/CSV/canonical
+// events when done).
 //
 // Determinism contract: a served run's merged JSONL, summary tables and
 // canonical event log are byte-identical to a CLI run of the same
@@ -16,10 +16,11 @@
 package service
 
 import (
+	"cmp"
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"sync"
@@ -38,24 +39,22 @@ const (
 	StateFailed  State = "failed"
 )
 
-// Run is one submitted campaign: its compiled plan and source while it
-// waits and executes, its live progress broadcast, and, once done, the
-// key its artifacts are stored under. The registry keeps every run, so a
-// finished run holds nothing that grows with the campaign: no plan
-// (graphs, cells), no source text (the store shares one copy among the
-// runs of a source) and nothing rendered.
+// Run is one submitted campaign: its compiled plan while it waits and
+// executes, its live progress broadcast, and the rendered key its
+// artifacts are stored under. The registry keeps every run, so a finished
+// run holds nothing that grows with the campaign: no plan, no source text
+// (the store keeps one per source) and nothing rendered.
 type Run struct {
 	// ID is the registry handle ("run-0001", ...).
 	ID string
 
 	svc   *Service
-	key   artifactKey
+	key   string // campaign.RenderedKey of the source
 	name  string // campaign name
 	cells int    // campaign cell count
-	// plan and src are read by the dispatcher only, and dropped when the
-	// run finishes.
+	// plan is read by the dispatcher only, and dropped when the run
+	// finishes.
 	plan      *campaign.Plan
-	src       string
 	broadcast *obs.Broadcast
 	// done closes when the run reaches a terminal state.
 	done chan struct{}
@@ -96,13 +95,16 @@ func (r *Run) Done() <-chan struct{} { return r.done }
 // feed opened after completion is immediately closed.
 func (r *Run) Subscribe(buf int) *obs.Subscription { return r.broadcast.Subscribe(buf) }
 
-// Output returns a terminal artifact by name: "jsonl" (per-trial
-// records), "events" (canonical event log), "table" (aligned text
-// summary), "csv" (CSV summary). It errors until the run is done. The
-// bytes come from the service's artifact store; when the run's set has
-// been evicted they are rendered again first (see Service), which ctx
-// and Shutdown cut short.
-func (r *Run) Output(ctx context.Context, kind string) ([]byte, error) {
+// Output opens a terminal artifact by name: "jsonl" (per-trial records),
+// "events" (canonical event log), "table" (aligned text summary), "csv"
+// (CSV summary), a section of the source's rendered entry (see Service).
+// It errors until the run is done. A missing entry is written again
+// first, by one run of the source that the first reader to miss it
+// starts and every reader meanwhile waits for, under the service's
+// context; the store keeps the entry until each has opened it. A reader
+// stops waiting when its ctx ends or the service shuts down. The caller
+// closes the artifact.
+func (r *Run) Output(ctx context.Context, kind string) (*Artifact, error) {
 	i := slices.Index(outputKinds[:], kind)
 	if i < 0 {
 		return nil, fmt.Errorf("%w %q (want jsonl, events, table or csv)", errUnknownOutput, kind)
@@ -113,11 +115,29 @@ func (r *Run) Output(ctx context.Context, kind string) ([]byte, error) {
 	case StateQueued, StateRunning:
 		return nil, fmt.Errorf("run %s is %s: %w", r.ID, state, errNotDone)
 	}
-	set, err := r.svc.artifacts(ctx, r.key)
-	if err != nil {
-		return nil, fmt.Errorf("run %s: %w", r.ID, err)
+	s, key, section := r.svc, r.key, outputSections[i]
+	if a, _ := s.open(key, section); a != nil {
+		return a, nil
 	}
-	return set[i], nil
+	w, lead := s.store.join(key)
+	defer s.store.leave(key)
+	if lead {
+		s.rewrite(key, w)
+	}
+	select {
+	case <-w.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-s.ctx.Done():
+		return nil, fmt.Errorf("run %s: %w", r.ID, ErrShuttingDown)
+	}
+	if w.err != nil {
+		return nil, fmt.Errorf("run %s: %w", r.ID, w.err)
+	}
+	if a, _ := s.open(key, section); a != nil {
+		return a, nil
+	}
+	return nil, fmt.Errorf("run %s: the rendered entry changed under the service before it was read", r.ID)
 }
 
 // errUnknownOutput marks an Output kind the API does not serve, in any
@@ -149,35 +169,34 @@ type Config struct {
 	// tee overrides how a run's sinks are combined (nil: obs.Tee). Tests
 	// use it to see which sinks a run attaches and to add their own.
 	tee func(...obs.Observer) obs.Observer
+	// compile overrides how a source becomes a plan (nil: campaign.Parse
+	// then campaign.Compile). Tests use it to count them.
+	compile func(src string, workers int) (*campaign.Plan, error)
 }
 
 // Service is the daemon core: a run registry, a FIFO job queue executing
 // one run at a time (each run parallelizes internally on the engine
-// pool, see campaign.Execute), and the artifact store the finished runs
-// are served from. All methods are safe for concurrent use.
+// pool, see campaign.Execute), and the index of the rendered entries the
+// finished runs are served from. All methods are safe for concurrent use.
 //
-// The four artifacts are a function of the submitted source alone, so
-// the store keys them by the source's SHA-256 and a finished run keeps
-// the key. While a key is resident every run of that source is served
-// the same bytes, rendered once; once a run of it has been served wholly
-// from the cache, the next ones are served that run's stream from
-// memory, without parsing, compiling, reading the cache or encoding an
-// event. A set evicted under artifactBudget is rendered again by the
-// first GET that wants it, by executing the source against the cache
-// backend with one worker: a replay of stored records while the backend
-// still has the cells, a recompute with the same bytes when it does not.
-// The registry itself never evicts: what a finished run retains is its
-// status.
+// The artifacts are a function of the source alone, so they are stored
+// once per source, as the rendered entry sscampaign keeps too (a file
+// beside the cell entries of a DirBackend), with the stream a run served
+// wholly from the cache emits. A GET copies a section of the entry, and
+// a run of a source with an entry is served its stream without parsing,
+// compiling, reading a cell or encoding an event. The registry never
+// evicts; the store evicts entries under artifactBudget.
 type Service struct {
 	cfg   Config
 	cache campaign.Backend
-	hot   *hotTier // nil over New's in-memory backend
+	hot   *hotTier         // nil over New's in-memory backend
+	spill campaign.Backend // in memory, the entries the cache refused (see keep)
 	queue chan *Run
 	store *artifactStore
+	wg    sync.WaitGroup // the dispatcher and every rewrite
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup // the dispatcher and every render started by a GET
 
 	mu     sync.Mutex
 	runs   map[string]*Run
@@ -203,10 +222,14 @@ func New(cfg Config) *Service {
 	if cfg.tee == nil {
 		cfg.tee = obs.Tee
 	}
+	if cfg.compile == nil {
+		cfg.compile = compileSource
+	}
 	s := &Service{
 		cfg:   cfg,
 		cache: cache,
 		hot:   hot,
+		spill: campaign.NewMemBackend(),
 		queue: make(chan *Run, depth),
 		store: newArtifactStore(artifactBudget),
 		runs:  make(map[string]*Run),
@@ -228,78 +251,83 @@ var (
 
 // Submit parses and compiles a campaign source, enqueues it for
 // execution and registers it; a source with a kept stream is done on
-// return instead (see submit). Bad specs are rejected here, at the POST,
-// not discovered mid-queue; a refused submit registers nothing.
+// return instead (see SubmitStream). Bad specs are rejected here, at the
+// POST, not discovered mid-queue; a refused submit registers nothing.
 func (s *Service) Submit(src string) (*Run, error) {
-	r, _, _, err := s.submit(src, -1)
+	r, _, stream, err := s.SubmitStream(src, -1)
+	if stream != nil {
+		stream.Close()
+	}
 	return r, err
 }
 
-// SubmitStream is Submit with the run's progress attached before the
-// run can start, so the submitter sees the run from its very first
-// event — a Subscribe after Submit races with execution and misses the
-// head of a small campaign. A run of a source with a kept stream is done
-// when it is returned, with that stream's lines and no subscription: the
-// caller writes them at its own pace, so the stream can neither lag nor
-// be cut. The lines are the store's, shared by every such run, and must
-// not be written to. Any other run returns a subscription to its
-// broadcast of buf events (see Run.Subscribe), which the caller owns.
-func (s *Service) SubmitStream(src string, buf int) (*Run, *obs.Subscription, []byte, error) {
-	return s.submit(src, buf)
-}
-
-// submit builds a run and registers it. A source whose set is resident
-// with a kept run is neither parsed nor compiled nor queued: the new run
-// takes the kept name and cell count, is done at once with every cell a
-// hit, and returns the kept stream for the caller to write. Any other
-// source is parsed from the store's copy when the store has one, so that
-// a plan pins no second copy of the text; its run is enqueued, after the
-// subscription when buf >= 0 (the dispatcher only sees the run after the
-// queue send, so the subscription cannot miss events).
-func (s *Service) submit(src string, buf int) (*Run, *obs.Subscription, []byte, error) {
-	r := &Run{
-		svc:       s,
-		key:       sha256.Sum256([]byte(src)),
-		broadcast: obs.NewBroadcast(),
-		done:      make(chan struct{}),
-		state:     StateQueued,
-	}
-	kept, stored := s.store.lookup(r.key)
+// SubmitStream is Submit with the run's progress attached (buf >= 0)
+// before the run can start, so the submitter sees its very first event.
+// A source with a rendered entry is neither parsed nor compiled nor
+// queued: its run takes the entry's name and cell count, is done on
+// return with every cell a hit, and comes with the entry's stream open
+// and no subscription, for the caller to copy at its own pace (it can
+// neither lag nor be cut) and close. Any other run comes with a
+// subscription to its broadcast of buf events, which the caller owns;
+// its source is parsed from the store's copy when there is one, so that
+// a plan pins no second copy of the text.
+func (s *Service) SubmitStream(src string, buf int) (*Run, *obs.Subscription, *Artifact, error) {
+	r := s.newRun(campaign.RenderedKey([]byte(src), 0, 1))
 	var sub *obs.Subscription
-	var stream []byte
-	if kept != nil {
-		r.name, r.cells, stream = kept.name, kept.cells, kept.stream
-		s.finish(r, kept.cells, 0, nil)
+	stream, idx := s.open(r.key, campaign.SectionStream)
+	if stream != nil {
+		r.name, r.cells = idx.Name, idx.Cells
+		s.finish(r, idx.Cells, 0, nil)
 	} else {
-		if stored != "" {
-			src = stored
-		}
-		spec, err := campaign.Parse(src)
-		if err != nil {
+		src = cmp.Or(s.store.source(r.key, ""), src)
+		if err := s.prepare(r, src); err != nil {
 			return nil, nil, nil, err
 		}
-		plan, err := campaign.Compile(spec, s.cfg.Workers)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		r.plan, r.src = plan, src
-		// The name is a piece of a source text, which a finished run must
-		// not pin.
-		r.name, r.cells = strings.Clone(spec.Name), len(plan.Cells)
 		if buf >= 0 {
 			sub = r.Subscribe(buf)
 		}
 	}
-	if err := s.register(r, kept == nil); err != nil {
+	s.store.source(r.key, src)
+	if err := s.register(r, stream == nil); err != nil {
+		if stream != nil {
+			stream.Close()
+		}
 		return nil, nil, nil, err
 	}
 	return r, sub, stream, nil
 }
 
-// register names r and adds it to the registry, after handing it to the
-// dispatcher when queue is set: a refusal leaves the registry as it was.
-// A run that is not queued (a resident run, done already) takes no
-// queue slot, so a full queue does not refuse it; shutting down does.
+// newRun is a queued run of the source stored under key.
+func (s *Service) newRun(key string) *Run {
+	return &Run{svc: s, key: key, broadcast: obs.NewBroadcast(), done: make(chan struct{}), state: StateQueued}
+}
+
+// compileSource is how a source becomes a plan: Parse, then Compile.
+func compileSource(src string, workers int) (*campaign.Plan, error) {
+	spec, err := campaign.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return campaign.Compile(spec, workers)
+}
+
+// prepare compiles src into r's plan, name and cell count.
+func (s *Service) prepare(r *Run, src string) error {
+	plan, err := s.cfg.compile(src, s.cfg.Workers)
+	if err != nil {
+		return err
+	}
+	r.plan = plan
+	// The name is a piece of a source text, which a finished run must not
+	// pin.
+	r.name, r.cells = strings.Clone(plan.Spec.Name), len(plan.Cells)
+	return nil
+}
+
+// register names r and hands it to the dispatcher when queue is set,
+// then adds it to the registry: a refusal leaves the registry as it was.
+// A run that is not queued (a resident run, done already) takes no queue
+// slot, so a full queue does not refuse it; shutting down does.
 func (s *Service) register(r *Run, queue bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -339,7 +367,8 @@ func (s *Service) Runs() []*Run {
 	return out
 }
 
-// CacheStats reports the shared backend's entry count and total bytes.
+// CacheStats reports the shared backend's cell entry count and total
+// bytes.
 func (s *Service) CacheStats() (entries int, bytes int64, err error) {
 	return s.cache.Stats()
 }
@@ -353,8 +382,8 @@ func (s *Service) hotStats() (entries int, bytes, hits int64) {
 	return s.hot.stats()
 }
 
-// ArtifactStats reports how many artifact sets the store holds rendered
-// and their total bytes.
+// ArtifactStats reports how many rendered entries the store indexes and
+// their total bytes.
 func (s *Service) ArtifactStats() (entries int, bytes int64) {
 	return s.store.stats()
 }
@@ -395,31 +424,45 @@ func (s *Service) failQueued() {
 	}
 }
 
-// execute runs one campaign. When the store already holds the source's
-// artifacts the run only feeds its live stream; otherwise it also
-// collects the canonical events, renders once and stores the set. Either
-// way the store keeps the stream of a run served wholly from the cache,
-// encoded here, outside the store's lock.
+// execute runs one campaign. When the source has no rendered entry the
+// run also collects the canonical events, and keep writes the entry.
 func (s *Service) execute(r *Run) {
 	r.setState(StateRunning)
 	sinks := []obs.Observer{r.broadcast}
 	var replay *obs.ReplaySink
-	if s.store.get(r.key) == nil {
+	if idx, _ := s.store.index(r.key); idx == nil {
 		replay = obs.NewReplaySink()
 		sinks = append(sinks, replay)
 	}
 	// Workers: the plan was compiled with s.cfg.Workers.
 	out, err := campaign.Execute(s.ctx, r.plan, campaign.RunOptions{Cache: s.cache, Observer: s.cfg.tee(sinks...)})
-	var set *artifactSet
 	if err == nil && replay != nil {
-		set, err = render(out, replay)
+		err = s.keep(r, out, replay)
 	}
 	if err != nil {
 		s.finish(r, 0, 0, err)
 		return
 	}
-	s.store.put(r.key, r.src, set, keep(out))
 	s.finish(r, out.CacheHits, out.CacheMisses, nil)
+}
+
+// keep writes the source's rendered entry, the stream included, and
+// indexes it. An entry the cache refuses (a full or read-only directory)
+// goes to the spill, in memory charged to the same budget, so the run is
+// done and served all the same.
+func (s *Service) keep(r *Run, out *campaign.Outcome, replay *obs.ReplaySink) (err error) {
+	var entryOnly [campaign.NumSections]io.Writer
+	for _, be := range []campaign.Backend{s.cache, s.spill} {
+		idx, e := campaign.StoreRendered(be, r.key, r.name, r.cells, len(out.Results), entryOnly, out.Render(replay))
+		if e == nil {
+			s.store.put(r.key, idx, be)
+			return nil
+		}
+		if err == nil {
+			err = e
+		}
+	}
+	return err
 }
 
 // finish moves a run to its terminal state, StateFailed with err or
@@ -427,7 +470,7 @@ func (s *Service) execute(r *Run) {
 // waiters.
 func (s *Service) finish(r *Run, hits, misses int, err error) {
 	r.mu.Lock()
-	r.plan, r.src = nil, "" // a finished run must not pin them
+	r.plan = nil // a finished run must not pin it
 	if err != nil {
 		r.state, r.err = StateFailed, err
 	} else {
@@ -439,73 +482,69 @@ func (s *Service) finish(r *Run, hits, misses int, err error) {
 	close(r.done)
 }
 
-// artifacts returns the set stored under key, rendering it again when
-// it has been evicted: at most one render per key is in flight, started
-// by the first reader and awaited by all of them. A reader stops waiting
-// when its ctx ends or the service shuts down; the render itself runs
-// under the service's context, so one reader leaving does not fail the
-// others.
-func (s *Service) artifacts(ctx context.Context, key artifactKey) (*artifactSet, error) {
-	set, fl, src, lead := s.store.begin(key)
-	if set != nil {
-		return set, nil
-	}
-	if lead {
-		// Add under the lock Shutdown sets closed under, so it cannot
-		// race with Shutdown's Wait.
-		s.mu.Lock()
-		closed := s.closed
-		if !closed {
-			s.wg.Add(1)
+// open opens section of the rendered entry stored under key through the
+// store's index: an entry not indexed is checked and indexed from the
+// cache first, and an index whose stamp the entry no longer has is
+// dropped, and the entry indexed again. It returns nil when there is no
+// valid entry, whatever the reason: one to write again.
+func (s *Service) open(key string, section int) (*Artifact, *campaign.RenderedIndex) {
+	for range 2 {
+		idx, be := s.store.index(key)
+		if idx == nil {
+			if idx, _ = campaign.IndexRendered(s.cache, key); idx == nil {
+				return nil, nil
+			}
+			be = s.cache
+			s.store.put(key, idx, be)
 		}
-		s.mu.Unlock()
-		if closed {
-			s.store.end(key, fl, nil, ErrShuttingDown)
-		} else {
-			go func() {
-				defer s.wg.Done()
-				set, err := s.rerender(src)
-				s.store.end(key, fl, set, err)
-			}()
+		f, _ := be.OpenRendered(key)
+		if f != nil && f.Stamp() == idx.Stamp {
+			if part, err := f.Section(idx.Off[section], idx.Len[section]); err == nil {
+				return &Artifact{part, idx.Len[section], f}, idx
+			}
 		}
+		if f != nil {
+			f.Close()
+		}
+		s.store.drop(key, idx)
 	}
-	select {
-	case <-fl.done:
-		return fl.set, fl.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-s.ctx.Done():
-		return nil, ErrShuttingDown
-	}
+	return nil, nil
 }
 
-// rerender executes src once more, for its artifacts alone: one worker,
-// no live stream, the cells taken from the cache backend where it still
-// has them.
-func (s *Service) rerender(src string) (*artifactSet, error) {
-	spec, err := campaign.Parse(src)
-	if err != nil {
-		return nil, err
+// rewrite runs the source stored under key once more for w's readers,
+// through execute but unregistered and in a goroutine of its own. A
+// stopped service refuses it.
+func (s *Service) rewrite(key string, w *rewrite) {
+	s.mu.Lock() // the lock Shutdown sets closed under: no Add after its Wait
+	closed := s.closed
+	if !closed {
+		s.wg.Add(1)
 	}
-	plan, err := campaign.Compile(spec, 1)
-	if err != nil {
-		return nil, err
+	s.mu.Unlock()
+	if closed {
+		s.store.end(key, w, ErrShuttingDown)
+		return
 	}
-	replay := obs.NewReplaySink()
-	out, err := campaign.Execute(s.ctx, plan, campaign.RunOptions{Cache: s.cache, Observer: replay})
-	if err != nil {
-		return nil, err
-	}
-	return render(out, replay)
+	go func() {
+		defer s.wg.Done()
+		r := s.newRun(key)
+		err := s.prepare(r, s.store.source(key, ""))
+		if err == nil {
+			s.execute(r)
+			_, err = r.State()
+		}
+		s.store.end(key, w, err)
+	}()
 }
 
 // Shutdown drains the service: no new submissions, the in-flight run's
 // workers finish (and persist) the cells they are computing, queued
-// runs fail cleanly, the dispatcher exits; a GET that needs a render
-// gets ErrShuttingDown, and a render in flight drains like a run. ctx
-// bounds the wait. A drained run reports campaign.ErrDrained; re-submitting its
-// spec to a new service over the same cache backend resumes from the
-// persisted cells and produces byte-identical final output.
+// runs fail cleanly, the dispatcher exits; a GET that needs its source
+// run again gets ErrShuttingDown, and such a run in flight drains like
+// the dispatcher's. ctx bounds the wait. A drained run reports
+// campaign.ErrDrained; re-submitting its spec to a new service over the
+// same cache backend resumes from the persisted cells and produces
+// byte-identical final output.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true

@@ -165,7 +165,7 @@ func TestServiceShutdownFailsQueuedRuns(t *testing.T) {
 	if state, err := queued.State(); state != StateFailed || err == nil || !strings.Contains(err.Error(), "before the run started") {
 		t.Fatalf("queued run: state %s, err %v", state, err)
 	}
-	if _, err := queued.Output(context.Background(), "jsonl"); err == nil {
+	if _, err := outputBytes(context.Background(), queued, "jsonl"); err == nil {
 		t.Fatal("failed run served an output")
 	}
 	// A run that failed without reaching execute drops its plan too.
@@ -193,17 +193,17 @@ func TestServiceRejectsBadSpecAtSubmit(t *testing.T) {
 }
 
 // holdsPlanOrSource reports whether r still pins what only a waiting or
-// executing run needs.
+// executing run needs. A run never holds its source: the store keeps it.
 func holdsPlanOrSource(r *Run) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.plan != nil || r.src != ""
+	return r.plan != nil
 }
 
 // TestFinishedRunKeepsNoPlanSourceOrBytes: the registry never evicts, so
 // a finished run must pin neither its compiled plan nor its source text,
-// and has no rendered bytes of its own: they are the store's, held in
-// exact-size arrays. It must still answer Name and Cells.
+// and has no rendered bytes of its own: they are its source's rendered
+// entry's, one for both runs. It must still answer Name and Cells.
 func TestFinishedRunKeepsNoPlanSourceOrBytes(t *testing.T) {
 	t.Parallel()
 	svc := New(Config{Workers: 1})
@@ -227,18 +227,13 @@ func TestFinishedRunKeepsNoPlanSourceOrBytes(t *testing.T) {
 		runs = append(runs, r)
 	}
 	for _, kind := range outputKinds {
-		data, err := runs[0].Output(context.Background(), kind)
+		data, err := outputBytes(context.Background(), runs[0], kind)
 		if err != nil || len(data) == 0 {
 			t.Fatalf("%s: %d bytes, err %v", kind, len(data), err)
 		}
-		// make rounds a request up to a size class, so allow its slack:
-		// at most one eighth, where a doubled buffer wastes up to half.
-		if cap(data) > len(data)+len(data)/8+64 {
-			t.Errorf("%s: %d bytes held in a %d-byte array", kind, len(data), cap(data))
-		}
-		// One source, one set: the second run serves the first run's array.
-		again, err := runs[1].Output(context.Background(), kind)
-		if err != nil || &again[0] != &data[0] {
+		// One source, one entry: the second run serves the first run's bytes.
+		again, err := outputBytes(context.Background(), runs[1], kind)
+		if err != nil || string(again) != string(data) {
 			t.Errorf("%s: the second run of the source does not serve the stored bytes (err %v)", kind, err)
 		}
 	}

@@ -2,12 +2,14 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,21 +70,43 @@ func (b *probeBackend) blockNextLoad() (entered <-chan struct{}, release func())
 	return in, func() { close(out) }
 }
 
-// keptRunOf is the run the store keeps beside src's set, or nil.
-func keptRunOf(svc *Service, src string) *keptRun {
-	kept, _ := svc.store.lookup(sha256.Sum256([]byte(src)))
-	return kept
+// keyOf is the rendered key the service stores src's entry under.
+func keyOf(src string) string { return campaign.RenderedKey([]byte(src), 0, 1) }
+
+// outputBytes reads r's artifact kind whole.
+func outputBytes(ctx context.Context, r *Run, kind string) ([]byte, error) {
+	a, err := r.Output(ctx, kind)
+	if err != nil {
+		return nil, err
+	}
+	defer a.Close()
+	return io.ReadAll(a)
 }
 
-// dropKept forgets the run kept beside src's set, and its charge, so
-// that the next run of src executes against the cache again.
+// keptStream is the stream src's indexed entry keeps, or nil when it is
+// not indexed.
+func keptStream(svc *Service, src string) []byte {
+	if idx, _ := svc.store.index(keyOf(src)); idx == nil {
+		return nil
+	}
+	a, _ := svc.open(keyOf(src), campaign.SectionStream)
+	if a == nil {
+		return nil
+	}
+	defer a.Close()
+	if data, err := io.ReadAll(a); err == nil && len(data) > 0 {
+		return data
+	}
+	return nil
+}
+
+// dropKept removes src's rendered entry, and with it the stream it keeps,
+// so that the next run of src executes against the cache again (and
+// writes the entry once more).
 func dropKept(svc *Service, src string) {
-	st := svc.store
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e := st.entries[sha256.Sum256([]byte(src))]; e != nil && e.kept != nil {
-		n := e.kept.size()
-		e.kept, e.size, st.bytes = nil, e.size-n, st.bytes-n
+	if idx, be := svc.store.index(keyOf(src)); idx != nil {
+		be.RemoveRendered(keyOf(src))
+		svc.store.drop(keyOf(src), idx)
 	}
 }
 
@@ -119,6 +143,15 @@ func (a artifacts) size() int64 {
 	return int64(len(a.jsonl) + len(a.events) + len(a.table) + len(a.csv))
 }
 
+// entrySize is the length of the rendered entry of a's sections and
+// stream, for a campaign of that name and cell count owning every cell:
+// the sections, and the head and trailer of the entry's format.
+func entrySize(a artifacts, stream []byte, name string, cells int) int64 {
+	head := 4 + 64 + len(binary.AppendUvarint(nil, uint64(len(name)))) + len(name) +
+		2*len(binary.AppendUvarint(nil, uint64(cells)))
+	return a.size() + int64(len(stream)+head+campaign.NumSections*8+4)
+}
+
 // TestEvictedRunRendersTheSameBytes: with room for fewer than two sets,
 // three runs at three seeds leave only the last resident, and the first
 // run's four outputs still equal what campaign.Plan.Run renders — by a
@@ -130,10 +163,11 @@ func TestEvictedRunRendersTheSameBytes(t *testing.T) {
 	for _, recompute := range []bool{false, true} {
 		be := newProbeBackend()
 		svc := New(Config{Workers: 2, Cache: be})
-		budget := want.size() * 3 / 2
+		runs := []*Run{runToDone(t, svc, atSeed(plainCampaignSrc, 1))}
+		_, one := svc.ArtifactStats()
+		budget := one * 3 / 2 // room for one entry, not two
 		setBudget(svc, budget)
-		var runs []*Run
-		for seed := 1; seed <= 3; seed++ {
+		for seed := 2; seed <= 3; seed++ {
 			runs = append(runs, runToDone(t, svc, atSeed(plainCampaignSrc, seed)))
 			if n, size := svc.ArtifactStats(); n != 1 || size > budget {
 				t.Fatalf("after run %d the store holds %d sets, %d bytes; budget %d fits one", seed, n, size, budget)
@@ -150,8 +184,10 @@ func TestEvictedRunRendersTheSameBytes(t *testing.T) {
 		if n := be.loadCount() - loads; n != runs[0].Cells() {
 			t.Fatalf("recompute %v: four GETs of an evicted run cost %d loads, want one pass of %d", recompute, n, runs[0].Cells())
 		}
-		if n, size := svc.ArtifactStats(); n != 1 || size != want.size() {
-			t.Fatalf("recompute %v: store holds %d sets, %d bytes after the render, want 1 and %d", recompute, n, size, want.size())
+		// The entry is written again, its stream included.
+		entry := entrySize(want, keptStream(svc, atSeed(plainCampaignSrc, 1)), "svc-plain", runs[0].Cells())
+		if n, size := svc.ArtifactStats(); n != 1 || size != entry {
+			t.Fatalf("recompute %v: store holds %d sets, %d bytes after the render, want 1 and %d", recompute, n, size, entry)
 		}
 		if entries, _, _ := be.Stats(); recompute && entries != runs[0].Cells() {
 			t.Fatalf("the recompute stored %d cells, want %d", entries, runs[0].Cells())
@@ -160,17 +196,19 @@ func TestEvictedRunRendersTheSameBytes(t *testing.T) {
 	}
 }
 
-// TestResidentSourceIsServedWithoutRendering: the second run of a source
-// whose set is resident attaches no ReplaySink, serves the first run's
-// bytes, and still streams every event (the count TestWarmStreamIsComplete
-// expects over TCP).
+// TestResidentSourceIsServedWithoutRendering: a second run of a source,
+// submitted while the first still runs and so executed once the first
+// has written the entry, attaches no ReplaySink, serves the first run's
+// bytes, and still streams every event (the count
+// TestWarmStreamIsComplete expects over TCP).
 func TestResidentSourceIsServedWithoutRendering(t *testing.T) {
 	t.Parallel()
 	var (
 		mu       sync.Mutex
 		attached [][]string // per run, the types of the sinks it combined
 	)
-	svc := New(Config{Workers: 2, tee: func(sinks ...obs.Observer) obs.Observer {
+	be := newProbeBackend()
+	svc := New(Config{Workers: 2, Cache: be, tee: func(sinks ...obs.Observer) obs.Observer {
 		var types []string
 		for _, o := range sinks {
 			types = append(types, fmt.Sprintf("%T", o))
@@ -181,13 +219,20 @@ func TestResidentSourceIsServedWithoutRendering(t *testing.T) {
 		return obs.Tee(sinks...)
 	}})
 	defer shutdown(t, svc)
-	first := runToDone(t, svc, warmStreamSrc)
+	entered, release := be.blockNextLoad()
+	first, err := svc.Submit(warmStreamSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitClosed(t, entered) // the first run holds the dispatcher
 
 	const wantEvents = 2 + 80*(3+2*40)
 	second, sub, _, err := svc.SubmitStream(warmStreamSrc, 2*wantEvents) // room for all: no lag cut
 	if err != nil {
 		t.Fatal(err)
 	}
+	release()
+	waitClosed(t, first.Done())
 	events := 0
 	for range sub.C {
 		events++
@@ -206,30 +251,38 @@ func TestResidentSourceIsServedWithoutRendering(t *testing.T) {
 		t.Fatalf("sinks attached per run: %v, want a ReplaySink on the first run only", attached)
 	}
 	for _, kind := range outputKinds {
-		a, errA := first.Output(context.Background(), kind)
-		b, errB := second.Output(context.Background(), kind)
-		if errA != nil || errB != nil || len(a) == 0 || &a[0] != &b[0] {
-			t.Fatalf("%s: the runs do not serve one stored array (%v, %v)", kind, errA, errB)
+		a, errA := outputBytes(context.Background(), first, kind)
+		b, errB := outputBytes(context.Background(), second, kind)
+		if errA != nil || errB != nil || len(a) == 0 || string(a) != string(b) {
+			t.Fatalf("%s: the runs do not serve one stored entry (%v, %v)", kind, errA, errB)
 		}
+	}
+	if n, _ := svc.ArtifactStats(); n != 1 {
+		t.Fatalf("two runs of one source left %d entries, want 1", n)
 	}
 }
 
-// TestEvictedGetIsSingleFlight: sixteen concurrent GETs of one evicted
-// key cause one render — one pass of Loads over the backend — and all
-// return the same bytes.
+// TestEvictedGetIsSingleFlight: concurrent GETs of one evicted key, twice
+// as many as the queue holds, cause one run of the source — one compile
+// and one pass of Loads over the backend — and all return the same
+// bytes.
 func TestEvictedGetIsSingleFlight(t *testing.T) {
 	t.Parallel()
 	be := newProbeBackend()
-	svc := New(Config{Workers: 2, Cache: be})
+	var compiles atomic.Int64
+	svc := New(Config{Workers: 2, Cache: be, compile: func(src string, workers int) (*campaign.Plan, error) {
+		compiles.Add(1)
+		return compileSource(src, workers)
+	}})
 	defer shutdown(t, svc)
 	setBudget(svc, 1) // only the newest set stays
 	evicted := runToDone(t, svc, atSeed(plainCampaignSrc, 1))
 	runToDone(t, svc, atSeed(plainCampaignSrc, 2))
 	want := cliArtifacts(t, atSeed(plainCampaignSrc, 1)).jsonl
 
-	loads := be.loadCount()
+	loads, compiled := be.loadCount(), compiles.Load()
 	entered, release := be.blockNextLoad()
-	const readers = 16
+	readers := 2 * cap(svc.queue)
 	got := make([][]byte, readers)
 	errs := make([]error, readers)
 	var started, finished sync.WaitGroup
@@ -239,7 +292,7 @@ func TestEvictedGetIsSingleFlight(t *testing.T) {
 		go func(i int) {
 			defer finished.Done()
 			started.Done()
-			got[i], errs[i] = evicted.Output(context.Background(), "jsonl")
+			got[i], errs[i] = outputBytes(context.Background(), evicted, "jsonl")
 		}(i)
 	}
 	// The render is held inside its first Load until every reader is on
@@ -257,6 +310,93 @@ func TestEvictedGetIsSingleFlight(t *testing.T) {
 	if n := be.loadCount() - loads; n != evicted.Cells() {
 		t.Fatalf("%d concurrent GETs cost %d loads, want one render's %d", readers, n, evicted.Cells())
 	}
+	if n := compiles.Load() - compiled; n != 1 {
+		t.Fatalf("%d concurrent GETs compiled the source %d times, want once", readers, n)
+	}
+}
+
+// storeGate is a backend whose first Store once armed signals hit and
+// waits for release: a run caught computing its first cell.
+type storeGate struct {
+	campaign.Backend
+	armed        atomic.Bool
+	hit, release chan struct{}
+	once         sync.Once
+}
+
+func (g *storeGate) Store(hash string, data []byte) error {
+	if g.armed.Load() {
+		g.once.Do(func() {
+			close(g.hit)
+			<-g.release
+		})
+	}
+	return g.Backend.Store(hash, data)
+}
+
+// TestEvictedGetPassesAFullQueue: the run that writes an evicted entry
+// again takes no queue slot and waits for no queued run. With the
+// dispatcher held inside a fresh run and the queue full of POSTs, GETs of
+// two evicted sources under a budget that fits one entry, more of them
+// than the queue holds and interleaved so that each source's entry
+// evicts the other's, all return the right bytes: an entry written for
+// its readers stays until each has opened it.
+func TestEvictedGetPassesAFullQueue(t *testing.T) {
+	t.Parallel()
+	be := &storeGate{Backend: campaign.NewDirBackend(t.TempDir()), hit: make(chan struct{}), release: make(chan struct{})}
+	svc := New(Config{Workers: 2, Cache: be, QueueDepth: 2})
+	defer shutdown(t, svc)
+	setBudget(svc, 1) // only the newest entry stays
+	srcs := []string{atSeed(plainCampaignSrc, 1), atSeed(plainCampaignSrc, 2)}
+	var runs []*Run
+	var wants []string
+	for _, src := range srcs {
+		runs = append(runs, runToDone(t, svc, src))
+		wants = append(wants, cliArtifacts(t, src).jsonl)
+	}
+	dropKept(svc, srcs[1]) // both evicted
+
+	be.armed.Store(true)
+	defer close(be.release)
+	if _, err := svc.Submit(atSeed(plainCampaignSrc, 10)); err != nil {
+		t.Fatal(err)
+	}
+	waitClosed(t, be.hit)
+	for seed := 11; ; seed++ {
+		if _, err := svc.Submit(atSeed(plainCampaignSrc, seed)); errors.Is(err, ErrQueueFull) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const rounds = 3
+	readers := 2 * cap(svc.queue)
+	errs := make(chan error, 2*readers*rounds)
+	var wg sync.WaitGroup
+	for i := range 2 * readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				got, err := outputBytes(context.Background(), runs[i%2], "jsonl")
+				if err == nil && string(got) != wants[i%2] {
+					err = fmt.Errorf("%s: the jsonl differs from Plan.Run's", runs[i%2].ID)
+				}
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if state, _ := svc.Runs()[2].State(); state != StateRunning {
+		t.Fatalf("the held run is %s, want running: the GETs were served past it", state)
+	}
 }
 
 // TestGetDuringShutdown: a GET that needs a render when Shutdown lands
@@ -273,7 +413,7 @@ func TestGetDuringShutdown(t *testing.T) {
 	entered, release := be.blockNextLoad()
 	waiting := make(chan error, 1)
 	go func() {
-		_, err := evicted.Output(context.Background(), "table")
+		_, err := outputBytes(context.Background(), evicted, "table")
 		waiting <- err
 	}()
 	waitClosed(t, entered) // the render is in flight, its reader waiting
@@ -297,10 +437,10 @@ func TestGetDuringShutdown(t *testing.T) {
 	}
 	// The render finished its pass and is resident; the other key now
 	// needs one, which a stopped service refuses.
-	if _, err := evicted.Output(context.Background(), "table"); err != nil {
+	if _, err := outputBytes(context.Background(), evicted, "table"); err != nil {
 		t.Fatalf("resident set after Shutdown: %v", err)
 	}
-	if _, err := resident.Output(context.Background(), "table"); !errors.Is(err, ErrShuttingDown) {
+	if _, err := outputBytes(context.Background(), resident, "table"); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("GET needing a render after Shutdown: %v, want ErrShuttingDown", err)
 	}
 }
@@ -319,13 +459,13 @@ func TestGetGivesUpWithItsContext(t *testing.T) {
 	entered, release := be.blockNextLoad()
 	staying := make(chan error, 1)
 	go func() {
-		_, err := evicted.Output(context.Background(), "csv")
+		_, err := outputBytes(context.Background(), evicted, "csv")
 		staying <- err
 	}()
 	waitClosed(t, entered)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := evicted.Output(ctx, "csv"); !errors.Is(err, context.Canceled) {
+	if _, err := outputBytes(ctx, evicted, "csv"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("GET with a cancelled context: %v, want context.Canceled", err)
 	}
 	release()
@@ -373,7 +513,7 @@ func TestSoakMemoryFollowsDistinctSources(t *testing.T) {
 		r := runToDone(t, svc, src)
 		if first == nil {
 			first = r
-			data, err := r.Output(context.Background(), "jsonl")
+			data, err := outputBytes(context.Background(), r, "jsonl")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,7 +525,7 @@ func TestSoakMemoryFollowsDistinctSources(t *testing.T) {
 		// Keep evicted sets coming back, so renders and evictions go on
 		// through the long phase too.
 		if i%100 == 99 {
-			data, err := first.Output(context.Background(), "jsonl")
+			data, err := outputBytes(context.Background(), first, "jsonl")
 			if err != nil || string(data) != want {
 				t.Fatalf("run 1 read back at run %d: err %v, bytes equal %v", i+1, err, string(data) == want)
 			}
@@ -407,4 +547,10 @@ func TestSoakMemoryFollowsDistinctSources(t *testing.T) {
 		t.Fatalf("live heap grew %d B over %d runs (%d B per run), want under 2 MiB and under 1 KiB per run",
 			grown, markHi-markLo, perRun)
 	}
+}
+
+// dropIndex makes the store forget src's entry, leaving it in its backend.
+func dropIndex(svc *Service, src string) {
+	idx, _ := svc.store.index(keyOf(src))
+	svc.store.drop(keyOf(src), idx)
 }

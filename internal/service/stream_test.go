@@ -259,10 +259,10 @@ func (c writeCounter) Flush() { c.ResponseWriter.(http.Flusher).Flush() }
 // when the scheduler first runs the handler: on a small or busy machine
 // that can take longer than the whole sub-millisecond replay, and the
 // lag cut that follows is by design. So the POST is repeated until one
-// stream is complete. A full-hit run keeps its stream, and a run served
-// a kept stream is written from memory, never from the feed; so the
-// kept stream is dropped before every POST, and each attempt streams
-// the live feed of a full-hit Execute.
+// stream is complete. A run that writes its source's entry keeps its
+// stream there, and a run served a kept stream is copied from the
+// entry, never from the feed; so the entry is removed before every POST,
+// and each attempt streams the live feed of a full-hit Execute.
 func TestWarmStreamIsComplete(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("one P runs the whole replay before the handler is scheduled")
@@ -292,7 +292,7 @@ func TestWarmStreamIsComplete(t *testing.T) {
 	for attempt := 1; ; attempt++ {
 		writes.Store(0)
 		dropKept(svc, warmStreamSrc)
-		if keptRunOf(svc, warmStreamSrc) != nil {
+		if keptStream(svc, warmStreamSrc) != nil {
 			t.Fatal("the kept stream was not dropped: the re-POST would not use the feed")
 		}
 		resp, err := http.Post(ts.URL+"/v1/runs?stream=1", "text/plain", strings.NewReader(warmStreamSrc))

@@ -5,14 +5,19 @@
 # streams its progress to completion, downloads the four artifacts
 # (per-trial JSONL, canonical event log, table, CSV) and byte-compares
 # them against CLI sscampaign runs of the same file. A second POST of
-# the same spec must be 100% cache hits with a whole, uncut progress
+# the same spec (the entry the first one wrote removed, so that it
+# executes) must be 100% cache hits with a whole, uncut progress
 # stream, and its artifacts, now served from the artifact store, the same
 # bytes again; its 12 loads fill the hot tier from disk, and the store
 # keeps its stream. Twenty more re-POSTs must be served that stream from
 # memory: the same bytes, in a body whose Content-Length is its length,
 # no load of the tier or the disk, and the store still holding one set. A POST at another seed (all misses)
 # must make it two and leave the tier as it was, and SIGTERM must stop
-# the daemon cleanly. Usage: scripts/service_smoke.sh [workdir]
+# the daemon cleanly. A daemon restarted over the same cache must serve
+# a re-POST from the rendered entry on disk (no miss, every trial-finish
+# line, the CLI's artifacts), and sscampaign -cache over that directory
+# must be served the same entry: every cell a hit, the same bytes.
+# Usage: scripts/service_smoke.sh [workdir]
 set -euo pipefail
 
 DIR=${1:-/tmp/service-smoke}
@@ -59,6 +64,11 @@ tail -n +2 "$DIR/stream.jsonl" | jq -es 'map(select(.ev == "trial-finish")) | le
 fetch "$RUN" served
 for kind in $KINDS; do cmp "$DIR/cli.$kind" "$DIR/served.$kind"; done
 curl -fsS "$BASE/v1/runs/$RUN" | jq -e '.state == "done" and .cache_misses == 12' >/dev/null
+
+# The cold run kept its stream in the source's rendered entry, which the
+# next POST would be served. Removing the entry makes the warm re-POST
+# execute against the cache: the run whose loads fill the hot tier.
+rm "$DIR"/cache/*.ssr1
 
 # Warm re-POST: every cell hits the shared cache, bytes unchanged.
 curl -fsSN -X POST --data-binary @"$CAMPAIGN" "$BASE/v1/runs?stream=1" > "$DIR/warm-stream.jsonl"
@@ -114,3 +124,41 @@ trap - EXIT
 grep -q 'sscampaignd: stopped' "$DIR/daemon.log"
 
 echo "service smoke OK: served jsonl, events, table and csv byte-identical to the CLI runs, cold and from the store; warm re-POST fully cached with a whole stream; re-POSTs served the kept stream from memory, with its Content-Length; one artifact set per source; clean SIGTERM drain"
+
+# Restart: a new daemon over the same cache serves a re-POST from the
+# rendered entry the first one wrote: no miss, the whole stream, the
+# CLI's bytes.
+"$DIR/sscampaignd" -addr 127.0.0.1:0 -cache "$DIR/cache" -workers 4 2> "$DIR/daemon2.log" &
+DAEMON=$!
+trap 'kill "$DAEMON" 2>/dev/null || true' EXIT
+BASE=
+for _ in $(seq 1 100); do
+    BASE=$(sed -n 's/^sscampaignd: listening on \(http:\/\/.*\)$/\1/p' "$DIR/daemon2.log")
+    [ -n "$BASE" ] && break
+    kill -0 "$DAEMON" 2>/dev/null || { echo "restarted daemon died:"; cat "$DIR/daemon2.log"; exit 1; }
+    sleep 0.1
+done
+[ -n "$BASE" ] || { echo "restarted daemon never reported its address"; cat "$DIR/daemon2.log"; exit 1; }
+curl -fsSN -X POST --data-binary @"$CAMPAIGN" "$BASE/v1/runs?stream=1" > "$DIR/restart-stream.jsonl"
+RUN3=$(head -n 1 "$DIR/restart-stream.jsonl" | jq -r .id)
+head -n 1 "$DIR/restart-stream.jsonl" | jq -e '.state == "done" and .cache_hits == 12 and .cache_misses == 0' >/dev/null \
+    || { echo "the re-POST after a restart was not served from the rendered entry"; exit 1; }
+tail -n +2 "$DIR/restart-stream.jsonl" | jq -es 'map(select(.ev == "trial-finish")) | length' | grep -qx 36 \
+    || { echo "the re-POST after a restart did not stream 12 cells x 3 trials of progress"; exit 1; }
+fetch "$RUN3" restart
+for kind in $KINDS; do cmp "$DIR/cli.$kind" "$DIR/restart.$kind"; done
+kill -TERM "$DAEMON"
+wait "$DAEMON"
+trap - EXIT
+grep -q 'sscampaignd: stopped' "$DIR/daemon2.log"
+
+# The CLI over the daemon's cache is served the daemon's entry: every
+# cell a hit, and the bytes of the uncached runs.
+"$DIR/sscampaign" -cache "$DIR/cache" -jsonl "$DIR/cached.jsonl" -events "$DIR/cached.events" "$CAMPAIGN" \
+    > "$DIR/cached.table" 2> "$DIR/cached.status"
+grep -q 'cache 12 hits, 0 misses' "$DIR/cached.status" \
+    || { echo "sscampaign over the daemon's cache: $(cat "$DIR/cached.status")"; exit 1; }
+"$DIR/sscampaign" -cache "$DIR/cache" -csv "$CAMPAIGN" > "$DIR/cached.csv" 2>/dev/null
+for kind in $KINDS; do cmp "$DIR/cli.$kind" "$DIR/cached.$kind"; done
+
+echo "service smoke OK: a restarted daemon served the re-POST and its artifacts from the rendered entry on disk, and sscampaign over its cache was served the same entry: 12 hits, 0 misses, the same bytes"
