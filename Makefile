@@ -168,10 +168,11 @@ scale-smoke: ## 10⁶-node torus and 2·10⁵-node G(n, 6/n) cells to silence un
 # sscampaignd with a directory cache, POST the quickstart campaign in
 # streaming form, download the four served artifacts and byte-compare
 # them against CLI sscampaign runs, then re-POST (100% cache hits,
-# identical bytes from the artifact store, one stored set per source,
-# later re-POSTs replayed from memory) and SIGTERM-drain. The scripted flow
-# lives in scripts/service_smoke.sh; internal/service's tests prove the
-# same contract in-process at several worker counts and with stalled cells.
+# identical bytes from the rendered entry, one stored set per source,
+# later re-POSTs served the entry's stream), SIGTERM-drain and restart
+# over the same cache. The scripted flow lives in scripts/service_smoke.sh;
+# internal/service's tests prove the same contract in-process at several
+# worker counts and with stalled cells.
 SERVICE_SMOKE_DIR ?= /tmp/service-smoke
 service-smoke: ## Campaign daemon end to end: serve = CLI bytes, warm re-POST, clean drain
 	bash scripts/service_smoke.sh $(SERVICE_SMOKE_DIR)

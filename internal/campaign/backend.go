@@ -28,8 +28,8 @@ type Backend interface {
 	// not exist. A non-nil error means the entry exists but could not be
 	// read — callers degrade it to a miss and surface a diagnostic.
 	// The returned bytes may be shared with the backend and with other
-	// callers (MemBackend and the daemon's hot tier return the slice
-	// they hold): callers only read them, and Store replaces an entry.
+	// callers (MemBackend returns the slice it holds): callers only read
+	// them, and Store replaces an entry.
 	Load(hash string) ([]byte, error)
 	// Store persists the entry atomically.
 	Store(hash string, data []byte) error

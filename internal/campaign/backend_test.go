@@ -147,6 +147,40 @@ func TestMemBackend(t *testing.T) {
 	}
 }
 
+// TestMemBackendHeldEntriesStayUnchanged: a MemBackend hands every
+// reader the slice it holds (Backend's Load contract: the bytes are read
+// only), so replaying cells from it twice leaves each entry as it was. A
+// decoder that worked in place would fail here.
+func TestMemBackendHeldEntriesStayUnchanged(t *testing.T) {
+	t.Parallel()
+	be := NewMemBackend()
+	plan := compileSrc(t, lazyGraphSrc)
+	if _, err := plan.Run(RunOptions{Cache: be}); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := map[string][]byte{}
+	for hash, data := range be.m {
+		if held, _ := be.Load(hash); &held[0] != &data[0] {
+			t.Fatalf("entry %s: Load returned a copy, not the held slice", hash)
+		}
+		snapshot[hash] = bytes.Clone(data)
+	}
+	if len(snapshot) != len(plan.Cells) {
+		t.Fatalf("backend holds %d entries, want %d", len(snapshot), len(plan.Cells))
+	}
+	for range 2 {
+		out, err := plan.Run(RunOptions{Cache: be, Observer: obs.NewReplaySink()})
+		if err != nil || out.CacheHits != len(plan.Cells) {
+			t.Fatalf("replay from the backend: %v, %d hits", err, out.CacheHits)
+		}
+	}
+	for hash, want := range snapshot {
+		if !bytes.Equal(be.m[hash], want) {
+			t.Fatalf("entry %s changed while cells replayed from it", hash)
+		}
+	}
+}
+
 // corruptCollector records cache-corrupt diagnostics.
 type corruptCollector struct {
 	mu     sync.Mutex

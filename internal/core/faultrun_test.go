@@ -178,6 +178,37 @@ func TestRunFaultedMidRunOracle(t *testing.T) {
 	}
 }
 
+// TestRunCutBeforeItsInjectionRecoversNothing: a run whose step budget
+// ends before its scheduled injection, short of silence, has no episode,
+// and AllRecovered, which needs at least one disturbance, reports false.
+func TestRunCutBeforeItsInjectionRecoversNothing(t *testing.T) {
+	t.Parallel()
+	sys, err := model.NewSystem(graph.Cycle(9), coloring.Spec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(s uint64) model.Scheduler { return sched.NewRandomSubset(s) }
+	rn := NewRunner()
+	var res FaultResult
+	err = rn.RunRandomFaulted(sys, RunOptions{
+		Scheduler: rn.Scheduler("random-subset", 1, mk),
+		Seed:      1,
+		MaxSteps:  1,
+	}, fault.Plan{
+		Adversary: rn.Adversary("comm-test", func() fault.Adversary { return fault.NewCommOnly(2) }),
+		Schedule:  fault.AtStep(1000),
+	}, &res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Silent || res.Injections != 0 || len(res.Episodes) != 0 {
+		t.Fatalf("a run of 1 step: silent %v, %d injections, %d episodes; want none", res.Silent, res.Injections, len(res.Episodes))
+	}
+	if res.AllRecovered() {
+		t.Fatal("a run without a disturbance reports every disturbance recovered")
+	}
+}
+
 // TestFaultedTrialLoopZeroAlloc is the injected-path counterpart of
 // TestTrialLoopZeroAlloc: a complete steady-state injected trial —
 // scheduler and adversary reset, random initial configuration,

@@ -26,7 +26,7 @@ const maxSpecBytes = 1 << 20
 //	GET  /v1/runs/{id}/events   canonical event log (once done)
 //	GET  /v1/runs/{id}/table    aligned text summary (once done)
 //	GET  /v1/runs/{id}/csv      CSV summary (once done)
-//	GET  /v1/cache              cache backend, rendered entry, hot tier and index stats
+//	GET  /v1/cache              cache backend, rendered entry and index stats
 //	GET  /v1/healthz            liveness
 //
 // The jsonl/events/table/csv artifacts are a function of the submitted
@@ -42,8 +42,8 @@ const maxSpecBytes = 1 << 20
 // stream, copied from the entry and never cut. Every response of known
 // length (the artifacts, a kept stream) carries Content-Length; a live
 // stream is chunked. GET /v1/cache reports cell entries ("entries",
-// "bytes") apart from rendered ones ("rendered_*"), the entries the
-// store indexes ("artifact_*") and the hot tier ("hot_*").
+// "bytes") apart from rendered ones ("rendered_*") and the entries the
+// store indexes ("artifact_*").
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handleSubmit)
@@ -348,11 +348,9 @@ func (s *Service) handleCache(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	artEntries, artBytes := s.ArtifactStats()
-	hotEntries, hotBytes, hotHits := s.hotStats()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"entries": entries, "bytes": size,
 		"rendered_entries": rendered, "rendered_bytes": renderedBytes,
 		"artifact_entries": artEntries, "artifact_bytes": artBytes,
-		"hot_entries": hotEntries, "hot_bytes": hotBytes, "hot_hits": hotHits,
 	})
 }

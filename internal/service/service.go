@@ -157,9 +157,7 @@ func (r *Run) setState(s State) {
 // Config configures a Service.
 type Config struct {
 	// Cache is the shared result backend (nil: a fresh in-memory
-	// backend — cross-run dedup without persistence). A given backend
-	// is read through a hot tier (see hotTier), so a warm replay reads
-	// each entry from it once.
+	// backend — cross-run dedup without persistence).
 	Cache campaign.Backend
 	// Workers is each run's pool worker count (< 1: GOMAXPROCS).
 	Workers int
@@ -189,7 +187,6 @@ type Config struct {
 type Service struct {
 	cfg   Config
 	cache campaign.Backend
-	hot   *hotTier         // nil over New's in-memory backend
 	spill campaign.Backend // in memory, the entries the cache refused (see keep)
 	queue chan *Run
 	store *artifactStore
@@ -207,13 +204,9 @@ type Service struct {
 
 // New starts a service (its dispatcher goroutine runs until Shutdown).
 func New(cfg Config) *Service {
-	var hot *hotTier
 	cache := cfg.Cache
 	if cache == nil {
 		cache = campaign.NewMemBackend()
-	} else {
-		hot = newHotTier(cache, hotBudget)
-		cache = hot
 	}
 	depth := cfg.QueueDepth
 	if depth < 1 {
@@ -228,7 +221,6 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:   cfg,
 		cache: cache,
-		hot:   hot,
 		spill: campaign.NewMemBackend(),
 		queue: make(chan *Run, depth),
 		store: newArtifactStore(artifactBudget),
@@ -371,15 +363,6 @@ func (s *Service) Runs() []*Run {
 // bytes.
 func (s *Service) CacheStats() (entries int, bytes int64, err error) {
 	return s.cache.Stats()
-}
-
-// hotStats reports the hot tier's resident entries, their bytes and the
-// Loads it has served (zeros over New's in-memory backend).
-func (s *Service) hotStats() (entries int, bytes, hits int64) {
-	if s.hot == nil {
-		return 0, 0, 0
-	}
-	return s.hot.stats()
 }
 
 // ArtifactStats reports how many rendered entries the store indexes and

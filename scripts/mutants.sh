@@ -59,11 +59,12 @@ MUTATIONS=(
 	"firstEnabled no longer clears the hand-off|internal/model/step.go|internal/model|^TestHandoffIsPerEvaluation\$|s~\tc.kept = false\n~~"
 	"the silence sweep stops one process short|internal/model/sim.go|internal/model|^TestSilentNowSweep\$|s~len\(s.silUnknown\) > 0 \|\| s.silSweep > 0~len(s.silUnknown) > 0 || s.silSweep > 1~"
 	"IsConnected skips each row's last port|internal/graph/properties.go|internal/graph|^TestConnectivity\$|s~for _, q := range g.Row\(int\(p\)\) \{\n(\t+if seen.Add)~for _, q := range g.nbr[g.off[p]:max(g.off[p], g.end[p]-1)] {\n\$1~"
-	"the hot tier keeps an entry across Store|internal/service/hot.go|internal/service|^TestCorruptEntryLeavesTheTier\$|s~\tif el := h.entries\[hash\]; el != nil \{\n\t\th.remove\(el\)\n\t\}\n\th.mu.Unlock\(\)\n\treturn h.Backend.Store~\th.mu.Unlock()\n\treturn h.Backend.Store~"
-	"the hot tier caches a miss|internal/service/hot.go|internal/service|^TestHotTierNeverCachesAMiss\$|s~if err != nil \|\| data == nil \{~if err != nil {~"
+	"New drops a given cache for a fresh MemBackend|internal/service/service.go|internal/service|^TestCorruptEntryIsRewritten\$|s~\tif cache == nil \{\n\t\tcache = campaign.NewMemBackend\(\)~\tif true {\n\t\tcache = campaign.NewMemBackend()~"
+	"SubmitStream compiles a source that has an entry|internal/service/service.go|internal/service|^TestCLIEntryIsServedWithoutCompiling\$|s~\tif stream != nil \{\n\t\tr.name, r.cells~\tif stream != nil \&\& s.prepare(r, src) == nil {\n\t\tr.name, r.cells~"
 	"the resident replay drops KindCacheHit|internal/campaign/run.go|internal/service|^TestResidentReplayStream\$|s~\tobs.Emit\(o, obs.Event\{Kind: obs.KindCacheHit, [^\n]*\n~~"
 	"an indexed entry is not charged to the budget|internal/service/store.go|internal/service|^TestKeptStreamIsCharged\$|s~\te.idx, e.be = idx, be\n\tst.bytes \+= idx.Stamp.Size~\te.idx, e.be = idx, be~"
 	"the resident stream's Content-Length leaves out the head line|internal/service/http.go|internal/service|^TestResidentReplayStream\$|s~strconv.FormatInt\(int64\(len\(head\)\)\+stream.Len\(\), 10\)~strconv.FormatInt(stream.Len(), 10)~"
+	"AllRecovered holds for a run without a disturbance|internal/core/faultrun.go|internal/core|^TestRunCutBeforeItsInjectionRecoversNothing\$|s~return len\(r.Episodes\) > 0 \&\&~return len(r.Episodes) >= 0 \&\&~"
 	"Execute instantiates every owned cell, not only the missing ones|internal/campaign/run.go|internal/campaign|^TestGraphsAreBuiltOnDemand\$|s~in, err := p.Instantiate\(opts.Observer, missing\)~owned := make([]int, 0, hi-lo)\n\t\tfor i := lo; i < hi; i++ {\n\t\t\towned = append(owned, i)\n\t\t}\n\t\tin, err := p.Instantiate(opts.Observer, owned)~"
 	"an instance's trial closures drop the run's observer|internal/campaign/instance.go|internal/campaign|^TestEachRunObservesItsOwnTrials\$|s~engine.NewCell\(in.cfg, ~engine.NewCell(p.cfg, ~"
 	"the rendered key omits the shard|internal/campaign/rendered.go|cmd/sscampaign|^TestRunCacheAndShard\$|s~\tbuf = appendIntLine\(buf, \"shard=\", shard\)\n\tbuf = append\(buf, '/'\)\n\tbuf = strconv.AppendInt\(buf, int64\(shards\), 10\)\n~\t_ = strconv.AppendInt\n~"
